@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fedat_tensor::conv::{conv2d_forward, Conv2dSpec};
-use fedat_tensor::parallel;
+use fedat_tensor::ctx::{self, KernelCtx};
 use fedat_tensor::rng::rng_for;
-use fedat_tensor::simd::{set_simd_kernel, SimdKernel};
+use fedat_tensor::simd::SimdKernel;
 use fedat_tensor::Tensor;
 use std::hint::black_box;
 
@@ -18,16 +18,16 @@ fn bench_matmul(c: &mut Criterion) {
         let a = Tensor::randn(&mut rng, &[n, n], 0.0, 1.0);
         let b = Tensor::randn(&mut rng, &[n, n], 0.0, 1.0);
         group.throughput(Throughput::Elements((2 * n * n * n) as u64));
-        group.bench_function(BenchmarkId::new("serial", n), |bench| {
-            parallel::set_max_threads(1);
-            bench.iter(|| black_box(a.matmul(black_box(&b))))
-        });
-        group.bench_function(BenchmarkId::new("parallel8", n), |bench| {
-            parallel::set_max_threads(8);
-            bench.iter(|| black_box(a.matmul(black_box(&b))));
-        });
+        for (label, max_threads) in [("serial", 1), ("parallel8", 8)] {
+            group.bench_function(BenchmarkId::new(label, n), |bench| {
+                let _g = ctx::install(KernelCtx {
+                    max_threads,
+                    ..ctx::snapshot()
+                });
+                bench.iter(|| black_box(a.matmul(black_box(&b))));
+            });
+        }
     }
-    parallel::set_max_threads(1);
     group.finish();
 }
 
@@ -47,21 +47,20 @@ fn bench_simd_kernels(c: &mut Criterion) {
     let mut rng = rng_for(4, 1);
     let a = Tensor::randn(&mut rng, &[128, 128], 0.0, 1.0);
     let b = Tensor::randn(&mut rng, &[128, 128], 0.0, 1.0);
-    // Restore the entry kernel (not a hard-coded Auto) so later groups
-    // still honor a FEDAT_SIMD=scalar environment.
-    let entry_kernel = fedat_tensor::simd::simd_kernel();
     let mut group = c.benchmark_group("tensor/simd");
     group.sample_size(20);
-    group.bench_function("matmul128-scalar", |bench| {
-        set_simd_kernel(SimdKernel::Scalar);
-        bench.iter(|| black_box(a.matmul(black_box(&b))));
-        set_simd_kernel(entry_kernel);
-    });
-    group.bench_function("matmul128-auto", |bench| {
-        set_simd_kernel(SimdKernel::Auto);
-        bench.iter(|| black_box(a.matmul(black_box(&b))));
-        set_simd_kernel(entry_kernel);
-    });
+    for (label, simd) in [
+        ("matmul128-scalar", SimdKernel::Scalar),
+        ("matmul128-auto", SimdKernel::Auto),
+    ] {
+        group.bench_function(label, |bench| {
+            let _g = ctx::install(KernelCtx {
+                simd,
+                ..ctx::snapshot()
+            });
+            bench.iter(|| black_box(a.matmul(black_box(&b))));
+        });
+    }
     group.finish();
 }
 

@@ -28,14 +28,14 @@
 //! See `docs/ROBUSTNESS.md` for the fault model and how to read the output.
 
 use fedat_core::config::{ExperimentConfig, FaultPolicy, RetierPolicy, StrategyKind};
-use fedat_core::exec::{set_exec_mode, ExecMode};
+use fedat_core::exec::ExecMode;
 use fedat_core::run_experiment_shared;
 use fedat_data::suite::{self, FedTask};
 use fedat_sim::churn::{ChurnConfig, DriftSpec, FlapSpec, StormSpec};
 use fedat_sim::fault::FaultKind;
 use fedat_sim::fleet::ClusterConfig;
 use fedat_tensor::pool;
-use fedat_tensor::simd::{set_simd_kernel, SimdKernel};
+use fedat_tensor::simd::SimdKernel;
 use std::sync::Arc;
 
 /// The benchmark scenario: light flapping, two ~30% correlated storms, and
@@ -277,14 +277,13 @@ fn main() {
     if sweep {
         eprintln!("[bench_churn] determinism sweep: ExecMode x SimdKernel x workers ...");
         pool::ensure_workers(8);
-        let entry_cap = pool::max_pool_jobs();
-        let c = cfg("dynamic", rounds, seed, clients);
+        let mut c = cfg("dynamic", rounds, seed, clients);
         for mode in [ExecMode::Speculative, ExecMode::Inline] {
             for kernel in [SimdKernel::Auto, SimdKernel::Scalar] {
                 for workers in [1usize, 2, 4, 8] {
-                    set_exec_mode(mode);
-                    set_simd_kernel(kernel);
-                    pool::set_max_pool_jobs(workers - 1);
+                    c.exec.mode = Some(mode);
+                    c.exec.simd = Some(kernel);
+                    c.exec.max_pool_jobs = Some(workers - 1);
                     let out = run_experiment_shared(&task, &c);
                     assert_eq!(
                         out.final_weights, dynr.outcome.final_weights,
@@ -297,9 +296,6 @@ fn main() {
                 }
             }
         }
-        pool::set_max_pool_jobs(entry_cap);
-        set_simd_kernel(SimdKernel::Auto);
-        set_exec_mode(ExecMode::Speculative);
         eprintln!("[bench_churn] sweep ok: 16/16 bit-identical");
     }
     eprintln!("[bench_churn] all acceptance criteria hold");

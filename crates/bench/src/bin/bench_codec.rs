@@ -28,11 +28,11 @@
 
 use fedat_compress::codec::{codec_for, CodecKind};
 use fedat_core::config::{ExperimentConfig, StrategyKind};
-use fedat_core::exec::{set_exec_mode, ExecMode};
+use fedat_core::exec::ExecMode;
 use fedat_core::run_experiment_shared;
 use fedat_data::suite::{self, FedTask};
 use fedat_tensor::pool;
-use fedat_tensor::simd::{set_simd_kernel, SimdKernel};
+use fedat_tensor::simd::SimdKernel;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -299,14 +299,13 @@ fn main() {
     if sweep {
         eprintln!("[bench_codec] lossless sweep: ExecMode x SimdKernel x workers ...");
         pool::ensure_workers(8);
-        let entry_cap = pool::max_pool_jobs();
-        let c = cfg(StrategyKind::FedAt, rle.kind, rounds, seed);
+        let mut c = cfg(StrategyKind::FedAt, rle.kind, rounds, seed);
         for mode in [ExecMode::Speculative, ExecMode::Inline] {
             for kernel in [SimdKernel::Auto, SimdKernel::Scalar] {
                 for workers in [1usize, 2, 4, 8] {
-                    set_exec_mode(mode);
-                    set_simd_kernel(kernel);
-                    pool::set_max_pool_jobs(workers - 1);
+                    c.exec.mode = Some(mode);
+                    c.exec.simd = Some(kernel);
+                    c.exec.max_pool_jobs = Some(workers - 1);
                     let out = run_experiment_shared(&task, &c);
                     assert_eq!(
                         out.final_weights, rle.outcome.final_weights,
@@ -321,9 +320,6 @@ fn main() {
                 }
             }
         }
-        pool::set_max_pool_jobs(entry_cap);
-        set_simd_kernel(SimdKernel::Auto);
-        set_exec_mode(ExecMode::Speculative);
         eprintln!("[bench_codec] sweep ok: 16/16 bit-identical");
     }
     eprintln!("[bench_codec] all acceptance criteria hold");

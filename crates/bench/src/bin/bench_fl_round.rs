@@ -1,21 +1,13 @@
 //! Wall-clock benchmark of the federated-round hot path.
 //!
-//! Runs a quick-scale experiment per strategy twice — once with the
-//! optimized execution layer (persistent kernel pool, speculative client
-//! execution, thread-local model reuse, scratch-arena workspace,
-//! transposed-scratch NT kernel, zero-copy broadcast) and once with the
-//! naive baseline toggles that restore the seed's execution layer (scoped
-//! thread spawns per kernel, inline train-at-completion, a full model
-//! rebuild per dispatch, dot-product NT kernel, arena off, per-client
-//! encode, scalar SIMD kernel) — and records rounds/sec for both in
-//! `BENCH_fl_round.json`.
-//! The optimized run is additionally checked for determinism (two runs,
-//! bit-identical weights).
+//! Runs a quick-scale experiment per strategy under library-default
+//! execution and records rounds/sec in `BENCH_fl_round.json`. Every timed
+//! repeat is asserted bit-identical to the warm-up run.
 //!
 //! `--threads-sweep` additionally measures the speculative executor's
 //! client-level scaling on the 500-client cohort: FedAT rounds/sec at
 //! {1, 2, 4, 8} workers (speculative) against the 1-worker inline
-//! baseline, with bit-identity asserted before any timing. Inner kernels
+//! baseline, with bit-identity asserted on every timed run. Inner kernels
 //! run serially during the sweep so whole-client task parallelism is the
 //! only lever measured.
 //!
@@ -31,66 +23,25 @@
 //! See `docs/PERF.md` for how to read the output.
 
 use fedat_bench::experiments::large_cohort_task;
-use fedat_core::exec::{set_exec_mode, ExecMode};
-use fedat_core::local::set_model_reuse;
-use fedat_core::transport::set_broadcast_enabled;
+use fedat_core::config::ExecOverrides;
+use fedat_core::exec::ExecMode;
 use fedat_core::{run_experiment_shared, ExperimentConfig, StrategyKind};
 use fedat_data::leaf::LeafBenchmark;
 use fedat_data::suite::{self, FedTask};
 use fedat_sim::fleet::ClusterConfig;
-use fedat_tensor::ops::{set_nt_kernel, NtKernel};
-use fedat_tensor::parallel::{self, SpawnMode};
 use fedat_tensor::pool;
-use fedat_tensor::scratch;
-use fedat_tensor::simd::{set_simd_kernel, SimdKernel};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Flips every execution-layer toggle at once.
-fn set_execution_layer(optimized: bool) {
-    parallel::set_spawn_mode(if optimized {
-        SpawnMode::PersistentPool
-    } else {
-        SpawnMode::ScopedSpawn
-    });
-    set_model_reuse(optimized);
-    set_nt_kernel(if optimized {
-        NtKernel::TransposedScratch
-    } else {
-        NtKernel::DotProduct
-    });
-    scratch::set_enabled(optimized);
-    set_broadcast_enabled(optimized);
-    set_simd_kernel(if optimized {
-        SimdKernel::Auto
-    } else {
-        SimdKernel::Scalar
-    });
-    set_exec_mode(if optimized {
-        ExecMode::Speculative
-    } else {
-        ExecMode::Inline
-    });
-}
 
 struct Sample {
     strategy: &'static str,
     rounds: u64,
-    optimized_secs: f64,
-    naive_secs: f64,
+    secs: f64,
 }
 
 impl Sample {
-    fn optimized_rounds_per_sec(&self) -> f64 {
-        self.rounds as f64 / self.optimized_secs.max(1e-9)
-    }
-
-    fn naive_rounds_per_sec(&self) -> f64 {
-        self.rounds as f64 / self.naive_secs.max(1e-9)
-    }
-
-    fn speedup(&self) -> f64 {
-        self.optimized_rounds_per_sec() / self.naive_rounds_per_sec().max(1e-12)
+    fn rounds_per_sec(&self) -> f64 {
+        self.rounds as f64 / self.secs.max(1e-9)
     }
 }
 
@@ -139,6 +90,23 @@ fn timed_run(task: &Arc<FedTask>, cfg: &ExperimentConfig) -> (f64, u64, Vec<f32>
 /// criterion's best-estimate for short benches).
 const REPEATS: usize = 3;
 
+/// Best-of-[`REPEATS`] wall time of `cfg`, asserting every repeat
+/// reproduces `(rounds, weights)` of `reference` bit for bit.
+fn best_secs(task: &Arc<FedTask>, cfg: &ExperimentConfig, reference: &(u64, Vec<f32>)) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..REPEATS {
+        let (secs, rounds, weights) = timed_run(task, cfg);
+        let exec = cfg.exec;
+        assert_eq!(rounds, reference.0, "{exec:?} changed the schedule");
+        assert_eq!(
+            weights, reference.1,
+            "{exec:?} must be bit-identical to the reference run"
+        );
+        best = best.min(secs);
+    }
+    best
+}
+
 fn bench_strategy(
     strategy: StrategyKind,
     seed: u64,
@@ -146,42 +114,14 @@ fn bench_strategy(
     task: &Arc<FedTask>,
 ) -> Sample {
     let cfg = quick_cfg(strategy, seed, n_clients);
-
-    // Warm the kernel pool and the scratch arenas so the optimized run is
-    // measured at steady state (how a long-lived server actually runs).
-    // The warm-up doubles as a determinism check against the timed runs.
-    set_execution_layer(true);
-    let (_, rounds, w_warm) = timed_run(task, &cfg);
-    let mut optimized_secs = f64::INFINITY;
-    for _ in 0..REPEATS {
-        let (secs, r, w) = timed_run(task, &cfg);
-        assert_eq!(r, rounds, "repeat changed the schedule");
-        assert_eq!(
-            w_warm,
-            w,
-            "optimized runs must be bit-identical across repeats ({})",
-            strategy.name()
-        );
-        optimized_secs = optimized_secs.min(secs);
-    }
-
-    // Naive baseline: the seed's execution layer (spawn+join OS threads per
-    // kernel, model rebuild per dispatch, dot-product NT kernel, no arena,
-    // per-client encode).
-    set_execution_layer(false);
-    let mut naive_secs = f64::INFINITY;
-    for _ in 0..REPEATS {
-        let (secs, naive_rounds, _w) = timed_run(task, &cfg);
-        assert_eq!(rounds, naive_rounds, "toggles must not change the schedule");
-        naive_secs = naive_secs.min(secs);
-    }
-    set_execution_layer(true);
-
+    // Warm the kernel pool and the scratch arenas so the run is measured
+    // at steady state (how a long-lived server actually runs). The warm-up
+    // doubles as the bit-identity reference for every timed repeat.
+    let (_, rounds, weights) = timed_run(task, &cfg);
     Sample {
         strategy: strategy.name(),
         rounds,
-        optimized_secs,
-        naive_secs,
+        secs: best_secs(task, &cfg, &(rounds, weights)),
     }
 }
 
@@ -204,8 +144,8 @@ impl SweepPoint {
 /// W − 1 pool helpers (emulated by the pool-job cap on a pool grown to 7
 /// real helper threads, so the sweep shape is identical on every host —
 /// though on machines with fewer cores the extra workers oversubscribe and
-/// the curve honestly flattens). Bit-identity across every configuration
-/// is asserted before any timing.
+/// the curve honestly flattens). Bit-identity with the inline run is
+/// asserted on every timed repeat of every configuration.
 fn threads_sweep(seed: u64) -> Vec<SweepPoint> {
     const SWEEP: [usize; 4] = [1, 2, 4, 8];
     let n_clients = 500;
@@ -224,56 +164,41 @@ fn threads_sweep(seed: u64) -> Vec<SweepPoint> {
         .cluster(cluster)
         .build();
 
-    set_execution_layer(true);
     // Whole-client task parallelism is the lever under test: inner kernels
     // stay serial so the sweep measures the speculative executor alone.
-    parallel::set_max_threads(1);
+    let cfg_for = |mode, workers: usize| {
+        let mut c = cfg.clone();
+        c.exec = ExecOverrides {
+            mode: Some(mode),
+            max_threads: Some(1),
+            max_pool_jobs: Some(workers - 1),
+            ..ExecOverrides::default()
+        };
+        c
+    };
     pool::ensure_workers(SWEEP[SWEEP.len() - 1] - 1);
-    let entry_cap = pool::max_pool_jobs();
 
-    // Identity gate: every configuration must produce the same bits
-    // before any of them is timed.
-    set_exec_mode(ExecMode::Inline);
-    let (_, rounds, w_base) = timed_run(&task, &cfg);
-    set_exec_mode(ExecMode::Speculative);
-    for &w in &SWEEP {
-        pool::set_max_pool_jobs(w - 1);
-        let (_, r, wts) = timed_run(&task, &cfg);
-        assert_eq!(rounds, r, "speculative execution changed the schedule");
-        assert_eq!(
-            w_base, wts,
-            "speculative execution must be bit-identical to inline at {w} workers"
-        );
-    }
+    // Identity gate: the inline warm-up is the reference, and `best_secs`
+    // asserts every timed repeat of every configuration reproduces its
+    // bits — a divergence panics before any record is written.
+    let inline = cfg_for(ExecMode::Inline, 1);
+    let (_, rounds, weights) = timed_run(&task, &inline);
+    let reference = (rounds, weights);
 
-    let mut points = Vec::new();
-    // Inline baseline (the seed's train-at-completion), 1 worker.
-    set_exec_mode(ExecMode::Inline);
-    let mut inline_secs = f64::INFINITY;
-    for _ in 0..REPEATS {
-        inline_secs = inline_secs.min(timed_run(&task, &cfg).0);
-    }
-    points.push(SweepPoint {
+    let mut points = vec![SweepPoint {
         workers: 1,
         mode: "inline",
-        secs: inline_secs,
+        secs: best_secs(&task, &inline, &reference),
         rounds,
-    });
-    set_exec_mode(ExecMode::Speculative);
+    }];
     for &w in &SWEEP {
-        pool::set_max_pool_jobs(w - 1);
-        let mut secs = f64::INFINITY;
-        for _ in 0..REPEATS {
-            secs = secs.min(timed_run(&task, &cfg).0);
-        }
         points.push(SweepPoint {
             workers: w,
             mode: "speculative",
-            secs,
+            secs: best_secs(&task, &cfg_for(ExecMode::Speculative, w), &reference),
             rounds,
         });
     }
-    pool::set_max_pool_jobs(entry_cap);
     points
 }
 
@@ -316,14 +241,10 @@ fn main() {
         eprintln!(
             "[bench_fl_round] WARNING: single-core host — kernel fan-out, the \
              persistent pool, and speculative execution have no parallelism to \
-             exploit, so the optimized-vs-naive speedups measure the serial \
-             regime only. The record carries host_cores = 1."
+             exploit, so the record measures the serial regime only. It \
+             carries host_cores = 1."
         );
     }
-
-    // Let individual kernels fan out across all cores — the regime where
-    // spawn overhead vs. a persistent pool matters most.
-    parallel::set_max_threads(0);
 
     // Default: the CNN task, the compute-heavy representative (conv kernels
     // cross the parallel threshold, models are large enough for codec/build
@@ -350,10 +271,7 @@ fn main() {
 
     let sweep = if with_sweep {
         eprintln!("[bench_fl_round] thread-scaling sweep (500-client FedAT) ...");
-        let points = threads_sweep(seed);
-        // Restore the whole-machine kernel fan-out for anything after us.
-        parallel::set_max_threads(0);
-        Some(points)
+        Some(threads_sweep(seed))
     } else {
         None
     };
@@ -374,9 +292,6 @@ fn main() {
         "  \"kernel_threads\": {},\n",
         fedat_tensor::parallel::max_threads()
     ));
-    json.push_str(
-        "  \"naive_baseline\": \"seed execution layer: scoped spawn per kernel, model rebuild per dispatch, dot-product NT kernel, scratch arena off, per-client downlink encode, scalar SIMD kernel\",\n",
-    );
     json.push_str(&format!(
         "  \"simd_backend\": \"{}\",\n",
         fedat_tensor::simd::backend_name()
@@ -384,14 +299,11 @@ fn main() {
     json.push_str("  \"strategies\": [\n");
     for (i, s) in samples.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"rounds\": {}, \"optimized_secs\": {:.4}, \"naive_secs\": {:.4}, \"optimized_rounds_per_sec\": {:.3}, \"naive_rounds_per_sec\": {:.3}, \"speedup\": {:.3} }}{}\n",
+            "    {{ \"name\": \"{}\", \"rounds\": {}, \"secs\": {:.4}, \"rounds_per_sec\": {:.3} }}{}\n",
             s.strategy,
             s.rounds,
-            s.optimized_secs,
-            s.naive_secs,
-            s.optimized_rounds_per_sec(),
-            s.naive_rounds_per_sec(),
-            s.speedup(),
+            s.secs,
+            s.rounds_per_sec(),
             if i + 1 < samples.len() { "," } else { "" }
         ));
     }
@@ -405,18 +317,13 @@ fn main() {
         json.push_str(",\n  \"threads_sweep\": {\n");
         json.push_str("    \"task\": \"large-cohort(500)\",\n");
         json.push_str("    \"strategy\": \"FedAT\",\n");
-        json.push_str(&format!(
-            "    \"host_cores\": {},\n",
-            std::thread::available_parallelism()
-                .map(|c| c.get())
-                .unwrap_or(1)
-        ));
+        json.push_str(&format!("    \"host_cores\": {host_cores},\n"));
         json.push_str(&format!(
             "    \"pool_workers\": {},\n",
             pool::worker_count()
         ));
         json.push_str(
-            "    \"note\": \"inner kernels serial; workers = event-loop thread + (W-1) pool helpers; bit-identity asserted across every configuration before timing; scaling requires >= W physical cores\",\n",
+            "    \"note\": \"inner kernels serial; workers = event-loop thread + (W-1) pool helpers; bit-identity with inline asserted on every timed run; scaling requires >= W physical cores\",\n",
         );
         json.push_str("    \"points\": [\n");
         for (i, p) in points.iter().enumerate() {
@@ -439,12 +346,10 @@ fn main() {
     println!("{json}");
     for s in &samples {
         println!(
-            "{:<8} {:>4} rounds  optimized {:>8.2} r/s  naive {:>8.2} r/s  speedup {:>5.2}x",
+            "{:<8} {:>4} rounds  {:>8.2} r/s",
             s.strategy,
             s.rounds,
-            s.optimized_rounds_per_sec(),
-            s.naive_rounds_per_sec(),
-            s.speedup()
+            s.rounds_per_sec()
         );
     }
     if let Some(points) = &sweep {

@@ -31,14 +31,14 @@
 
 use fedat_core::aggregate::AggRule;
 use fedat_core::config::{ExperimentConfig, GuardPolicy, NormScreen, StrategyKind};
-use fedat_core::exec::{set_exec_mode, ExecMode};
+use fedat_core::exec::ExecMode;
 use fedat_core::run_experiment_shared;
 use fedat_data::suite::{self, FedTask};
 use fedat_sim::churn::{ChurnConfig, CorruptMode, CorruptSpec};
 use fedat_sim::fault::FaultKind;
 use fedat_sim::fleet::ClusterConfig;
 use fedat_tensor::pool;
-use fedat_tensor::simd::{set_simd_kernel, SimdKernel};
+use fedat_tensor::simd::SimdKernel;
 use std::sync::Arc;
 
 /// The corrupt fractions of the curve (share of clients that mangle every
@@ -279,15 +279,14 @@ fn main() {
     if sweep {
         eprintln!("[bench_robust] determinism sweep: ExecMode x SimdKernel x workers ...");
         pool::ensure_workers(8);
-        let entry_cap = pool::max_pool_jobs();
         let baseline = cell("clip", 0.3);
-        let c = cfg("clip", 0.3, rounds, seed, clients);
+        let mut c = cfg("clip", 0.3, rounds, seed, clients);
         for mode in [ExecMode::Speculative, ExecMode::Inline] {
             for kernel in [SimdKernel::Auto, SimdKernel::Scalar] {
                 for workers in [1usize, 2, 4, 8] {
-                    set_exec_mode(mode);
-                    set_simd_kernel(kernel);
-                    pool::set_max_pool_jobs(workers - 1);
+                    c.exec.mode = Some(mode);
+                    c.exec.simd = Some(kernel);
+                    c.exec.max_pool_jobs = Some(workers - 1);
                     let out = run_experiment_shared(&task, &c);
                     assert_eq!(
                         out.final_weights, baseline.outcome.final_weights,
@@ -300,9 +299,6 @@ fn main() {
                 }
             }
         }
-        pool::set_max_pool_jobs(entry_cap);
-        set_simd_kernel(SimdKernel::Auto);
-        set_exec_mode(ExecMode::Speculative);
         eprintln!("[bench_robust] sweep ok: 16/16 bit-identical");
     }
     eprintln!("[bench_robust] all acceptance criteria hold");

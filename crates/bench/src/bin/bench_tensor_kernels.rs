@@ -15,15 +15,27 @@
 //!
 //! See `docs/PERF.md` for how to read the output.
 
+use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
+use fedat_tensor::ops;
 use fedat_tensor::ops::{matmul_into, matmul_nt_into, matmul_tn_into};
 use fedat_tensor::rng::{fill_normal, rng_for};
 use fedat_tensor::simd::{self, SimdKernel};
-use fedat_tensor::{ops, parallel};
 use std::hint::black_box;
 use std::time::Instant;
 
 /// Timed repeats per kernel; the minimum is reported (noise-robust).
 const REPEATS: usize = 3;
+
+/// Pins the SIMD backend at one kernel thread for the guard's lifetime:
+/// this benchmark isolates the micro-kernel itself; banding across the
+/// pool is measured by `bench_fl_round`.
+fn with_kernel(simd: SimdKernel) -> OverlayGuard {
+    ctx::install(KernelCtx {
+        simd,
+        max_threads: 1,
+        ..ctx::snapshot()
+    })
+}
 
 fn filled(len: usize, seed: u64) -> Vec<f32> {
     let mut v = vec![0.0f32; len];
@@ -68,19 +80,22 @@ fn bench_matmul(
     let mut c = vec![0.0f32; dim * dim];
 
     // Bit-identity check before timing.
-    simd::set_simd_kernel(SimdKernel::Scalar);
-    c.fill(0.0);
-    mm(&a, &b, &mut c, dim);
-    let want = c.clone();
-    simd::set_simd_kernel(SimdKernel::Auto);
-    c.fill(0.0);
-    mm(&a, &b, &mut c, dim);
-    assert_eq!(want, c, "SIMD {variant} {dim} diverged from scalar");
+    let mut once = |kernel: SimdKernel| {
+        let _g = with_kernel(kernel);
+        c.fill(0.0);
+        mm(&a, &b, &mut c, dim);
+        c.clone()
+    };
+    assert_eq!(
+        once(SimdKernel::Scalar),
+        once(SimdKernel::Auto),
+        "SIMD {variant} {dim} diverged from scalar"
+    );
 
     let flops = 2.0 * (dim * dim * dim) as f64;
     let iters = ((400_000_000.0 / flops) as usize).max(8);
     let mut measure = |kernel: SimdKernel| {
-        simd::set_simd_kernel(kernel);
+        let _g = with_kernel(kernel);
         // One warm-up call per kernel so timed runs start cache-warm.
         c.fill(0.0);
         mm(&a, &b, &mut c, dim);
@@ -92,7 +107,6 @@ fn bench_matmul(
     };
     let scalar_gflops = measure(SimdKernel::Scalar);
     let simd_gflops = measure(SimdKernel::Auto);
-    simd::set_simd_kernel(SimdKernel::Auto);
     MatmulSample {
         variant,
         dim,
@@ -125,7 +139,7 @@ fn bench_slice(
     let mut y = y0.clone();
     let iters = (200_000_000 / len).max(16);
     let mut measure = |k: SimdKernel| {
-        simd::set_simd_kernel(k);
+        let _g = with_kernel(k);
         y.copy_from_slice(&y0);
         f(&x, &mut y);
         let secs = time_best(iters, || {
@@ -135,7 +149,6 @@ fn bench_slice(
     };
     let scalar_gelems = measure(SimdKernel::Scalar);
     let simd_gelems = measure(SimdKernel::Auto);
-    simd::set_simd_kernel(SimdKernel::Auto);
     SliceSample {
         kernel,
         len,
@@ -167,11 +180,10 @@ fn main() {
         i += 1;
     }
 
-    // One thread: this benchmark isolates the micro-kernel itself; the
-    // banding across the pool is measured by bench_fl_round/bench_aggregate.
-    parallel::set_max_threads(1);
-    simd::set_simd_kernel(SimdKernel::Auto);
-    let backend = simd::backend_name();
+    let backend = {
+        let _g = with_kernel(SimdKernel::Auto);
+        simd::backend_name()
+    };
     eprintln!("[bench_tensor_kernels] Auto dispatches to: {backend}");
 
     let mut matmuls = Vec::new();

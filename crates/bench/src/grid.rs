@@ -6,9 +6,8 @@
 //! oversubscribing the host. Each run resolves its own
 //! [`fedat_core::exec::ExecCtx`] from its config at run start and installs
 //! it as a per-thread overlay, so grid members with *different* execution
-//! contexts (exec mode, SIMD kernel, thread budget) cannot cross-talk
-//! through the process-global toggles: every run in the grid is
-//! bit-identical to the same run executed serially, which `bench_grid`
+//! contexts (exec mode, SIMD kernel, thread budget) cannot cross-talk:
+//! every run in the grid is bit-identical to the same run executed serially, which `bench_grid`
 //! asserts before timing anything.
 //!
 //! The submitting thread joins handles in submission order; an unstarted

@@ -83,8 +83,7 @@ impl std::error::Error for CodecError {}
 ///
 /// [`CompressedBlob::wire_bytes`] is what the simulator's traffic meter
 /// charges to the network: payload + a small fixed header (codec id,
-/// precision, value count — the "dimensions of the weights" sideband from
-/// paper §4.3 is charged by the archive layer).
+/// precision, value count).
 #[derive(Clone, Debug)]
 pub struct CompressedBlob {
     /// Encoded payload.

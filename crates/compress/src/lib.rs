@@ -19,8 +19,6 @@
 //!   byte-plane RLE (bitwise round-trip, proptest-pinned),
 //! * [`quantized`] — reference-aware 4/8-bit linear delta quantization,
 //! * [`topk`] — sparse top-k delta selection with exact values,
-//! * [`archive`] — marshalling/unmarshalling of per-layer weight tensors
-//!   with their dimensions (paper §4.3 steps 1–3),
 //! * [`stats`] — compression ratio and reconstruction-error accounting.
 //!
 //! Encode/decode inner loops (delta, quantize/dequantize, magnitude) run on
@@ -41,7 +39,6 @@
 //! }
 //! ```
 
-pub mod archive;
 pub mod codec;
 pub mod delta_rle;
 pub mod polyline;

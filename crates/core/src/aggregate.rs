@@ -5,7 +5,7 @@
 //! shards the model dimension into fixed cache-sized chunks on the kernel
 //! pool — so every strategy's server-side aggregation scales with cohort
 //! size while staying bit-identical to the serial baseline for any thread
-//! count (see `fedat_tensor::ops::AggKernel`).
+//! count (see `fedat_tensor::ops::weighted_sum_into`).
 
 use fedat_tensor::ops::{robust_reduce_into, weighted_sum_into, RobustRule};
 use serde::{Deserialize, Serialize};
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// `WeightedMean` is the paper's `n_k/N_c` rule; the robust rules trade its
 /// sample weighting for resistance to corrupted updates (the standard
 /// Byzantine-robust estimators are unweighted order statistics). All three
-/// are bit-identical across AggKernel × SimdKernel × thread counts, and the
+/// are bit-identical across SimdKernel × thread counts, and the
 /// robust rules are additionally invariant under client-update permutation
 /// (see `fedat_tensor::ops::robust_reduce_into` for the argument).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]

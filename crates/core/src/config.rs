@@ -2,8 +2,6 @@
 
 use fedat_compress::codec::CodecKind;
 use fedat_sim::fleet::ClusterConfig;
-use fedat_tensor::ops::{AggKernel, NtKernel};
-use fedat_tensor::parallel::SpawnMode;
 use fedat_tensor::simd::SimdKernel;
 use serde::{Deserialize, Serialize};
 
@@ -235,8 +233,9 @@ impl GuardPolicy {
 }
 
 /// Per-run execution overrides: every field is `None` = "inherit the
-/// process default" (the env-initialized globals, possibly scoped by a
-/// `ToggleGuard`). A run resolves these once at start into an
+/// default" (the built-ins, the read-once `FEDAT_EXEC`/`FEDAT_SIMD`
+/// environment, and any `fedat_tensor::ctx` overlay on the calling
+/// thread). A run resolves these once at start into an
 /// [`ExecCtx`](crate::exec::ExecCtx) — see
 /// [`ExecCtx::resolve`](crate::exec::ExecCtx::resolve) — so two concurrent
 /// runs with different overrides never read each other's settings.
@@ -251,14 +250,8 @@ pub struct ExecOverrides {
     pub simd: Option<SimdKernel>,
     /// Force the portable fallback over the ISA path.
     pub portable_only: Option<bool>,
-    /// `A·Bᵀ` matmul formulation.
-    pub nt: Option<NtKernel>,
-    /// Aggregation kernel formulation.
-    pub agg: Option<AggKernel>,
     /// Per-kernel fork-join thread cap.
     pub max_threads: Option<usize>,
-    /// Parallel-region execution mode (pool vs. scoped spawn).
-    pub spawn: Option<SpawnMode>,
     /// Cap on pool-resident submitted jobs.
     pub max_pool_jobs: Option<usize>,
 }
@@ -520,18 +513,6 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Pins this run's aggregation kernel.
-    pub fn agg_kernel(mut self, k: AggKernel) -> Self {
-        self.cfg.exec.agg = Some(k);
-        self
-    }
-
-    /// Pins this run's `A·Bᵀ` formulation.
-    pub fn nt_kernel(mut self, k: NtKernel) -> Self {
-        self.cfg.exec.nt = Some(k);
-        self
-    }
-
     /// Pins whether this run forces the portable SIMD fallback.
     pub fn portable_only(mut self, p: bool) -> Self {
         self.cfg.exec.portable_only = Some(p);
@@ -541,12 +522,6 @@ impl ExperimentConfigBuilder {
     /// Pins this run's fork-join thread cap.
     pub fn max_threads(mut self, n: usize) -> Self {
         self.cfg.exec.max_threads = Some(n);
-        self
-    }
-
-    /// Pins this run's parallel-region spawn mode.
-    pub fn spawn_mode(mut self, m: SpawnMode) -> Self {
-        self.cfg.exec.spawn = Some(m);
         self
     }
 

@@ -4,7 +4,7 @@
 
 use fedat_data::dataset::Dataset;
 use fedat_data::suite::FedTask;
-use fedat_nn::metrics::{evaluate_batched, pooled_eval, StreamingEvaluator};
+use fedat_nn::metrics::{evaluate_batched, StreamingEvaluator};
 use fedat_nn::model::EvalResult;
 use fedat_nn::models::with_cached_model;
 use fedat_tensor::parallel;
@@ -68,15 +68,6 @@ impl Evaluator {
 /// to the serial sweep for any thread count.
 pub fn per_client_accuracy(task: &FedTask, weights: &[f32], seed: u64) -> Vec<f32> {
     let clients = &task.fed.clients;
-    if !pooled_eval() {
-        // Serial baseline: one freshly built model sweeps every client.
-        let mut model = task.model.build(seed);
-        model.set_weights(weights);
-        return clients
-            .iter()
-            .map(|c| evaluate_batched(model.as_mut(), &c.test.x, &c.test.y, EVAL_BATCH).accuracy)
-            .collect();
-    }
     let mut accs = vec![0.0f32; clients.len()];
     let max_rows = clients.iter().map(|c| c.test.len()).max().unwrap_or(0);
     let threads = parallel::plan_threads(clients.len(), 4 * max_rows * task.fed.features);
@@ -203,17 +194,24 @@ mod tests {
 
     #[test]
     fn per_client_sweep_serial_and_pooled_agree_bitwise() {
-        // The benchmark baseline (fresh model, serial sweep) and the
-        // default pooled path (thread-cached models, client bands on the
-        // pool) must produce identical accuracies.
+        // The obviously-right reference (one freshly built model sweeps
+        // every client serially) and the pooled path (thread-cached models,
+        // client bands on the pool) must produce identical accuracies.
         let task = suite::cifar10_like(9, 2, 4);
         let w = task.model.build(6).weights();
-        fedat_nn::metrics::set_pooled_eval(false);
-        let serial = per_client_accuracy(&task, &w, 4);
-        fedat_nn::metrics::set_pooled_eval(true);
-        let mut g = crate::exec::ToggleGuard::new();
+        let mut model = task.model.build(4);
+        model.set_weights(&w);
+        let serial: Vec<f32> = task
+            .fed
+            .clients
+            .iter()
+            .map(|c| evaluate_batched(model.as_mut(), &c.test.x, &c.test.y, EVAL_BATCH).accuracy)
+            .collect();
         for threads in [1usize, 4] {
-            g.max_threads(threads);
+            let _g = fedat_tensor::ctx::install(fedat_tensor::ctx::KernelCtx {
+                max_threads: threads,
+                ..fedat_tensor::ctx::snapshot()
+            });
             let pooled = per_client_accuracy(&task, &w, 4);
             assert_eq!(serial, pooled, "sweep diverged at {threads} threads");
         }

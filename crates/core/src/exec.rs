@@ -1,4 +1,5 @@
-//! Execution-mode toggle for client training: speculative vs. inline.
+//! Per-run execution configuration: when client training runs
+//! ([`ExecMode`]) and which kernel settings it runs under ([`ExecCtx`]).
 //!
 //! [`train_client`](crate::local::train_client) is a pure function of
 //! `(task, client, downloaded weights, config, epochs, selection_round,
@@ -12,23 +13,20 @@
 //! is bit-identical to inline execution by construction (pinned by
 //! `strategy_behavior.rs`).
 //!
-//! [`ExecMode::Inline`] restores train-at-completion on the event-loop
-//! thread — the measured baseline for `BENCH_fl_round.json`, mirroring the
-//! `FEDAT_SIMD`/`AggKernel` baseline toggles. The environment variable
-//! `FEDAT_EXEC=inline` flips the process default (CI runs the whole suite a
-//! second time this way).
+//! [`ExecMode::Inline`] trains at completion on the event-loop thread. The
+//! environment variable `FEDAT_EXEC=inline` flips the default (CI runs the
+//! whole suite a second time this way).
 //!
 //! The only observable cost of speculation is *wasted work*: a client that
 //! drops out mid-compute has already been trained (or is mid-training) when
-//! its `dropped` completion arrives, and the result is discarded.
-//! [`speculative_discards`] counts those for the perf accounting in
-//! `docs/PERF.md`.
+//! its `dropped` completion arrives, and the result is discarded. Each run
+//! reports its own count in
+//! [`Outcome::speculation`](crate::experiment::Outcome::speculation).
+//!
+//! There is no process-global mutable configuration: an [`ExecCtx`] is
+//! resolved once per run and is the only thing the run reads.
 
-use fedat_tensor::ops::{AggKernel, NtKernel};
-use fedat_tensor::parallel::SpawnMode;
-use fedat_tensor::simd::SimdKernel;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 /// When client training actually executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,104 +34,57 @@ pub enum ExecMode {
     /// Launch the training job on the kernel pool at *dispatch*; join the
     /// result at the completion event. The default.
     Speculative,
-    /// Train on the event-loop thread when the completion event fires —
-    /// the seed's behavior, kept as the measured baseline.
+    /// Train on the event-loop thread when the completion event fires.
     Inline,
 }
 
-const M_UNSET: u8 = 0;
-const M_SPECULATIVE: u8 = 1;
-const M_INLINE: u8 = 2;
-
-/// Active mode; initialized lazily from `FEDAT_EXEC` on first query.
-static MODE: AtomicU8 = AtomicU8::new(M_UNSET);
-
-/// Speculative training results discarded because the client dropped out
-/// before its compute event fired.
-static DISCARDS: AtomicU64 = AtomicU64::new(0);
-
-/// Training jobs launched speculatively (denominator for the wasted-work
-/// ratio).
-static LAUNCHES: AtomicU64 = AtomicU64::new(0);
-
-/// Selects the execution mode. Both modes produce bit-identical traces —
-/// the choice only changes wall-clock speed (and wasted work on dropouts).
-pub fn set_exec_mode(mode: ExecMode) {
-    MODE.store(
-        match mode {
-            ExecMode::Speculative => M_SPECULATIVE,
-            ExecMode::Inline => M_INLINE,
-        },
-        Ordering::Relaxed,
-    );
+/// The default [`ExecMode`], built once and never mutated: `Speculative`,
+/// or `Inline` under `FEDAT_EXEC=inline`. `FEDAT_EXEC` is read here and
+/// nowhere else.
+pub fn default_exec_mode() -> ExecMode {
+    static DEFAULT: OnceLock<ExecMode> = OnceLock::new();
+    *DEFAULT.get_or_init(|| match std::env::var("FEDAT_EXEC").as_deref() {
+        Ok(s) if s.eq_ignore_ascii_case("inline") => ExecMode::Inline,
+        _ => ExecMode::Speculative,
+    })
 }
 
-/// The active [`ExecMode`]. Defaults to `Speculative`; the environment
-/// variable `FEDAT_EXEC=inline` flips the process default before any
-/// override.
-pub fn exec_mode() -> ExecMode {
-    let mut v = MODE.load(Ordering::Relaxed);
-    if v == M_UNSET {
-        let from_env = match std::env::var("FEDAT_EXEC").as_deref() {
-            Ok(s) if s.eq_ignore_ascii_case("inline") => M_INLINE,
-            _ => M_SPECULATIVE,
-        };
-        // Only the unset state may take the env default: a concurrent
-        // `set_exec_mode` must never be clobbered by this lazy init.
-        v = match MODE.compare_exchange(M_UNSET, from_env, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => from_env,
-            Err(current) => current,
-        };
-    }
-    if v == M_INLINE {
-        ExecMode::Inline
-    } else {
-        ExecMode::Speculative
-    }
+/// How much training one run launched ahead of its completion events, and
+/// how much of that was thrown away. Both are zero under
+/// [`ExecMode::Inline`]; they are mode-dependent by definition, which is
+/// why they are not part of `FaultCounters` (those are asserted equal
+/// across modes).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Speculation {
+    /// Training jobs submitted to the pool at dispatch.
+    pub launches: u64,
+    /// Launched jobs whose result was abandoned: the client dropped out,
+    /// crashed, or missed its deadline before the result was needed.
+    pub discards: u64,
 }
-
-/// Process-lifetime count of speculative results thrown away on dropout.
-pub fn speculative_discards() -> u64 {
-    DISCARDS.load(Ordering::Relaxed)
-}
-
-/// Process-lifetime count of speculatively launched training jobs.
-pub fn speculative_launches() -> u64 {
-    LAUNCHES.load(Ordering::Relaxed)
-}
-
-pub(crate) fn note_launch() {
-    LAUNCHES.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn note_discard() {
-    DISCARDS.fetch_add(1, Ordering::Relaxed);
-}
-
-// ----------------------------------------------------------------------
-// ExecCtx: per-run execution configuration
-// ----------------------------------------------------------------------
 
 /// The complete execution configuration of *one* experiment run: the
-/// [`ExecMode`] plus a snapshot of every tensor-layer kernel toggle
+/// [`ExecMode`] plus the tensor-layer kernel settings
 /// ([`fedat_tensor::ctx::KernelCtx`]).
 ///
 /// Resolution happens **once**, at run start
-/// ([`run_experiment_shared`](crate::experiment::run_experiment_shared)):
+/// ([`run_experiment_shared`](crate::experiment::run_experiment_shared)),
+/// lowest priority first:
 ///
-/// 1. [`ExecCtx::from_env`] reads the *default layer* — the process
-///    globals, which carry the `FEDAT_EXEC`/`FEDAT_SIMD` env defaults and
-///    any [`ToggleGuard`] scoping in force on the calling thread,
-/// 2. the config's [`ExecOverrides`](crate::config::ExecOverrides) are
-///    applied field-by-field on top.
+/// 1. the built-in defaults,
+/// 2. the environment (`FEDAT_EXEC`, `FEDAT_SIMD`), read once per process,
+/// 3. for the kernel settings, a [`fedat_tensor::ctx`] overlay already
+///    installed on the calling thread (how a test or bench scopes
+///    kernel-level code),
+/// 4. the config's [`ExecOverrides`](crate::config::ExecOverrides), field
+///    by field.
 ///
 /// The result is immutable for the run's lifetime: it is installed as the
 /// thread-local kernel overlay ([`ExecCtx::enter`]) so every kernel the run
 /// touches — including work it ships across the pool — reads *this* run's
-/// configuration, and it is threaded through `ServerCore` so the training
-/// launch path never consults the process-global [`exec_mode`] again.
-/// Two concurrent `run_experiment_shared` calls therefore cannot read each
-/// other's toggles — the cross-talk bug this type exists to fix.
+/// configuration, and it is threaded through `ServerCore` to the training
+/// launch path. Two concurrent `run_experiment_shared` calls therefore
+/// cannot read each other's settings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecCtx {
     /// When client training executes (speculative vs. inline).
@@ -143,46 +94,20 @@ pub struct ExecCtx {
 }
 
 impl ExecCtx {
-    /// The default layer: the effective process-wide settings at call time
-    /// (env-initialized globals, any `ToggleGuard` scoping, or an already
-    /// installed overlay on this thread).
-    pub fn from_env() -> Self {
-        ExecCtx {
-            mode: exec_mode(),
-            kernels: fedat_tensor::ctx::snapshot(),
-        }
-    }
-
-    /// Resolves a run's execution context: [`ExecCtx::from_env`] with the
-    /// config's overrides applied on top.
+    /// Resolves a run's execution context (see the type docs for the
+    /// order).
     pub fn resolve(cfg: &crate::config::ExperimentConfig) -> Self {
-        let mut ctx = ExecCtx::from_env();
         let o = cfg.exec;
-        if let Some(m) = o.mode {
-            ctx.mode = m;
+        let base = fedat_tensor::ctx::snapshot();
+        ExecCtx {
+            mode: o.mode.unwrap_or_else(default_exec_mode),
+            kernels: fedat_tensor::ctx::KernelCtx {
+                simd: o.simd.unwrap_or(base.simd),
+                portable_only: o.portable_only.unwrap_or(base.portable_only),
+                max_threads: o.max_threads.unwrap_or(base.max_threads).max(1),
+                max_pool_jobs: o.max_pool_jobs.unwrap_or(base.max_pool_jobs),
+            },
         }
-        if let Some(k) = o.simd {
-            ctx.kernels.simd = k;
-        }
-        if let Some(p) = o.portable_only {
-            ctx.kernels.portable_only = p;
-        }
-        if let Some(k) = o.nt {
-            ctx.kernels.nt = k;
-        }
-        if let Some(k) = o.agg {
-            ctx.kernels.agg = k;
-        }
-        if let Some(n) = o.max_threads {
-            ctx.kernels.max_threads = n.max(1);
-        }
-        if let Some(s) = o.spawn {
-            ctx.kernels.spawn = s;
-        }
-        if let Some(n) = o.max_pool_jobs {
-            ctx.kernels.max_pool_jobs = n;
-        }
-        ctx
     }
 
     /// Installs this context's kernel configuration as the calling thread's
@@ -190,278 +115,5 @@ impl ExecCtx {
     /// the guard is live inherits the overlay automatically.
     pub fn enter(&self) -> fedat_tensor::ctx::OverlayGuard {
         fedat_tensor::ctx::install(self.kernels)
-    }
-}
-
-// ----------------------------------------------------------------------
-// ToggleGuard: RAII discipline for the process-global toggles
-// ----------------------------------------------------------------------
-
-/// One toggle's restore bookkeeping: a stack of `(guard id, prior value)`
-/// entries, one per live [`ToggleGuard`] that touched the toggle.
-///
-/// Drop order is not guaranteed to mirror creation order (tests stash
-/// guards in collections, proptest shrinking reorders scopes), so a plain
-/// "restore my prior" drop can strand an intermediate value: with guards
-/// A(prior=default) then B(prior=A's value), dropping A before B would end
-/// at A's value, not the default. Instead, dropping a *non-top* entry
-/// bequeaths its prior to the entry pushed right after it; only dropping
-/// the *top* entry restores a value. Under any drop order the last guard
-/// standing therefore restores the value captured before the first guard —
-/// the process default. `toggle_guard.rs` proptests exactly this.
-struct RestoreStack<T: Copy> {
-    entries: Mutex<Vec<(u64, T)>>,
-}
-
-impl<T: Copy> RestoreStack<T> {
-    const fn new() -> Self {
-        RestoreStack {
-            entries: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Registers a guard's captured prior value; returns its entry id.
-    fn push(&self, prior: T) -> u64 {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((id, prior));
-        id
-    }
-
-    /// Removes a guard's entry. `Some(prior)` means the entry was the top
-    /// of the stack and the caller must write `prior` back to the toggle;
-    /// `None` means a later guard is still live and inherited the prior.
-    fn pop(&self, id: u64) -> Option<T> {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let i = entries.iter().position(|&(eid, _)| eid == id)?;
-        let (_, prior) = entries.remove(i);
-        if i == entries.len() {
-            Some(prior)
-        } else {
-            entries[i].1 = prior;
-            None
-        }
-    }
-}
-
-static EXEC_STACK: RestoreStack<ExecMode> = RestoreStack::new();
-static SIMD_STACK: RestoreStack<SimdKernel> = RestoreStack::new();
-static AGG_STACK: RestoreStack<AggKernel> = RestoreStack::new();
-static NT_STACK: RestoreStack<NtKernel> = RestoreStack::new();
-static PORTABLE_STACK: RestoreStack<bool> = RestoreStack::new();
-static THREADS_STACK: RestoreStack<usize> = RestoreStack::new();
-static POOL_JOBS_STACK: RestoreStack<usize> = RestoreStack::new();
-static SPAWN_STACK: RestoreStack<SpawnMode> = RestoreStack::new();
-
-/// RAII guard for the process-global execution toggles (`ExecMode`,
-/// `SimdKernel`, `AggKernel`, `NtKernel`, plus the portable-only, thread-
-/// count and pool-occupancy knobs): every mutation is captured and undone
-/// on drop, on every exit path including panics and proptest shrink
-/// failures.
-///
-/// This is the only sanctioned way for *tests* to mutate the toggles —
-/// `fedat-lint` rule R5 flags raw `set_exec_mode`/`set_simd_kernel`/
-/// `set_agg_kernel`/`set_nt_kernel` calls in test and library code, so a
-/// leaked toggle can no longer bleed into tests scheduled later in the
-/// same process (the bug class the old hand-rolled `entry_kernel = ...;
-/// restore` dance in every test existed to paper over).
-///
-/// A guard captures a toggle's prior value the *first* time it touches it;
-/// repeated mutations through the same guard re-point the toggle without
-/// growing the restore state, so sweep loops are cheap:
-///
-/// ```
-/// use fedat_core::exec::{ExecMode, ToggleGuard};
-/// use fedat_tensor::simd::SimdKernel;
-///
-/// let mut g = ToggleGuard::new();
-/// for mode in [ExecMode::Speculative, ExecMode::Inline] {
-///     g.exec(mode).simd(SimdKernel::Scalar);
-///     // ... run the scenario ...
-/// }
-/// drop(g); // everything back to the pre-guard values
-/// ```
-///
-/// Guards nest (each inner guard restores the outer guard's value) and may
-/// even be dropped out of order: the restore stacks guarantee that once
-/// *all* guards are gone every toggle is back at its pre-first-guard value
-/// (proptested in `crates/core/tests/toggle_guard.rs`).
-#[derive(Default)]
-pub struct ToggleGuard {
-    exec: Option<u64>,
-    simd: Option<u64>,
-    agg: Option<u64>,
-    nt: Option<u64>,
-    portable: Option<u64>,
-    threads: Option<u64>,
-    pool_jobs: Option<u64>,
-    spawn: Option<u64>,
-}
-
-impl ToggleGuard {
-    /// A guard holding nothing yet; toggles are captured as they are set.
-    pub fn new() -> Self {
-        ToggleGuard::default()
-    }
-
-    /// Sets the [`ExecMode`], restoring the prior mode on drop.
-    pub fn exec(&mut self, mode: ExecMode) -> &mut Self {
-        if self.exec.is_none() {
-            self.exec = Some(EXEC_STACK.push(exec_mode()));
-        }
-        // lint: allow(R5, reason = "ToggleGuard is the audited home of the raw setters")
-        set_exec_mode(mode);
-        self
-    }
-
-    /// Sets the [`SimdKernel`], restoring the prior kernel on drop.
-    pub fn simd(&mut self, kernel: SimdKernel) -> &mut Self {
-        if self.simd.is_none() {
-            self.simd = Some(SIMD_STACK.push(fedat_tensor::simd::simd_kernel()));
-        }
-        // lint: allow(R5, reason = "ToggleGuard is the audited home of the raw setters")
-        fedat_tensor::simd::set_simd_kernel(kernel);
-        self
-    }
-
-    /// Sets the [`AggKernel`], restoring the prior kernel on drop.
-    pub fn agg(&mut self, kernel: AggKernel) -> &mut Self {
-        if self.agg.is_none() {
-            self.agg = Some(AGG_STACK.push(fedat_tensor::ops::agg_kernel()));
-        }
-        // lint: allow(R5, reason = "ToggleGuard is the audited home of the raw setters")
-        fedat_tensor::ops::set_agg_kernel(kernel);
-        self
-    }
-
-    /// Sets the [`NtKernel`], restoring the prior kernel on drop.
-    pub fn nt(&mut self, kernel: NtKernel) -> &mut Self {
-        if self.nt.is_none() {
-            self.nt = Some(NT_STACK.push(fedat_tensor::ops::nt_kernel()));
-        }
-        // lint: allow(R5, reason = "ToggleGuard is the audited home of the raw setters")
-        fedat_tensor::ops::set_nt_kernel(kernel);
-        self
-    }
-
-    /// Forces (or releases) the portable SIMD fallback, restoring on drop.
-    pub fn portable_only(&mut self, portable: bool) -> &mut Self {
-        if self.portable.is_none() {
-            self.portable = Some(PORTABLE_STACK.push(fedat_tensor::simd::portable_only()));
-        }
-        // lint: allow(R5, reason = "ToggleGuard is the audited home of the raw setters")
-        fedat_tensor::simd::set_portable_only(portable);
-        self
-    }
-
-    /// Sets the fork-join band thread cap, restoring the prior cap on drop.
-    pub fn max_threads(&mut self, n: usize) -> &mut Self {
-        if self.threads.is_none() {
-            self.threads = Some(THREADS_STACK.push(fedat_tensor::parallel::max_threads()));
-        }
-        // lint: allow(R5, reason = "ToggleGuard is the audited home of the raw setters")
-        fedat_tensor::parallel::set_max_threads(n);
-        self
-    }
-
-    /// Sets the pool-occupancy cap for submitted jobs, restoring on drop.
-    pub fn max_pool_jobs(&mut self, cap: usize) -> &mut Self {
-        if self.pool_jobs.is_none() {
-            self.pool_jobs = Some(POOL_JOBS_STACK.push(fedat_tensor::pool::max_pool_jobs()));
-        }
-        // lint: allow(R5, reason = "ToggleGuard is the audited home of the raw setters")
-        fedat_tensor::pool::set_max_pool_jobs(cap);
-        self
-    }
-
-    /// Sets the fork-join [`SpawnMode`], restoring the prior mode on drop.
-    pub fn spawn_mode(&mut self, mode: SpawnMode) -> &mut Self {
-        if self.spawn.is_none() {
-            self.spawn = Some(SPAWN_STACK.push(fedat_tensor::parallel::spawn_mode()));
-        }
-        // lint: allow(R5, reason = "ToggleGuard is the audited home of the raw setters")
-        fedat_tensor::parallel::set_spawn_mode(mode);
-        self
-    }
-}
-
-impl Drop for ToggleGuard {
-    fn drop(&mut self) {
-        if let Some(prior) = self.exec.take().and_then(|id| EXEC_STACK.pop(id)) {
-            // lint: allow(R5, reason = "ToggleGuard restore path — the raw setters' audited home")
-            set_exec_mode(prior);
-        }
-        if let Some(prior) = self.simd.take().and_then(|id| SIMD_STACK.pop(id)) {
-            // lint: allow(R5, reason = "ToggleGuard restore path — the raw setters' audited home")
-            fedat_tensor::simd::set_simd_kernel(prior);
-        }
-        if let Some(prior) = self.agg.take().and_then(|id| AGG_STACK.pop(id)) {
-            // lint: allow(R5, reason = "ToggleGuard restore path — the raw setters' audited home")
-            fedat_tensor::ops::set_agg_kernel(prior);
-        }
-        if let Some(prior) = self.nt.take().and_then(|id| NT_STACK.pop(id)) {
-            // lint: allow(R5, reason = "ToggleGuard restore path — the raw setters' audited home")
-            fedat_tensor::ops::set_nt_kernel(prior);
-        }
-        if let Some(prior) = self.portable.take().and_then(|id| PORTABLE_STACK.pop(id)) {
-            // lint: allow(R5, reason = "ToggleGuard restore path — the raw setters' audited home")
-            fedat_tensor::simd::set_portable_only(prior);
-        }
-        if let Some(prior) = self.threads.take().and_then(|id| THREADS_STACK.pop(id)) {
-            // lint: allow(R5, reason = "ToggleGuard restore path — the raw setters' audited home")
-            fedat_tensor::parallel::set_max_threads(prior);
-        }
-        if let Some(prior) = self.pool_jobs.take().and_then(|id| POOL_JOBS_STACK.pop(id)) {
-            // lint: allow(R5, reason = "ToggleGuard restore path — the raw setters' audited home")
-            fedat_tensor::pool::set_max_pool_jobs(prior);
-        }
-        if let Some(prior) = self.spawn.take().and_then(|id| SPAWN_STACK.pop(id)) {
-            // lint: allow(R5, reason = "ToggleGuard restore path — the raw setters' audited home")
-            fedat_tensor::parallel::set_spawn_mode(prior);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn toggle_round_trips() {
-        let entry = exec_mode();
-        // lint: allow(R5, reason = "this test exercises the raw setter itself")
-        set_exec_mode(ExecMode::Inline);
-        assert_eq!(exec_mode(), ExecMode::Inline);
-        // lint: allow(R5, reason = "this test exercises the raw setter itself")
-        set_exec_mode(ExecMode::Speculative);
-        assert_eq!(exec_mode(), ExecMode::Speculative);
-        // lint: allow(R5, reason = "this test exercises the raw setter itself")
-        set_exec_mode(entry);
-    }
-
-    #[test]
-    fn guard_restores_exec_mode() {
-        let entry = exec_mode();
-        {
-            let mut g = ToggleGuard::new();
-            g.exec(ExecMode::Inline);
-            assert_eq!(exec_mode(), ExecMode::Inline);
-            g.exec(ExecMode::Speculative);
-            assert_eq!(exec_mode(), ExecMode::Speculative);
-        }
-        assert_eq!(exec_mode(), entry);
-    }
-
-    #[test]
-    fn counters_are_monotone() {
-        let d0 = speculative_discards();
-        let l0 = speculative_launches();
-        note_launch();
-        note_discard();
-        assert!(speculative_launches() > l0);
-        assert!(speculative_discards() > d0);
     }
 }

@@ -35,6 +35,10 @@ pub struct Outcome {
     pub fault_counters: FaultCounters,
     /// Per-tier update counts for tiered strategies (`None` otherwise).
     pub tier_updates: Option<Vec<u64>>,
+    /// This run's speculative training launches and discards (wasted
+    /// work). Mode-dependent, unlike everything above: zero under
+    /// `ExecMode::Inline`.
+    pub speculation: crate::exec::Speculation,
 }
 
 impl Outcome {
@@ -86,13 +90,11 @@ pub fn run_experiment_shared(task: &Arc<FedTask>, cfg: &ExperimentConfig) -> Out
         "cluster size must match the federation"
     );
     let fleet = Fleet::new(&cluster, task.fed.client_sizes());
-    // Resolve the run's execution context ONCE — process-global toggles and
-    // env are only the default layer under any per-config overrides — and
-    // install its kernel overlay for the run's scope. Every thread-crossing
-    // point below (speculative training jobs, pipelined evals, fork-join
-    // regions) re-installs the overlay on the executing thread, so
-    // concurrent runs with different contexts never read each other's
-    // toggles.
+    // Resolve the run's execution context ONCE and install its kernel
+    // overlay for the run's scope. Every thread-crossing point below
+    // (speculative training jobs, pipelined evals, fork-join regions)
+    // re-installs the overlay on the executing thread, so concurrent runs
+    // with different contexts never read each other's settings.
     let exec = crate::exec::ExecCtx::resolve(cfg);
     let _overlay = exec.enter();
     let mut strategy = build_strategy(Arc::clone(task), cfg, &fleet, exec);
@@ -122,6 +124,7 @@ pub fn run_experiment_shared(task: &Arc<FedTask>, cfg: &ExperimentConfig) -> Out
         faults,
         fault_counters: strategy.fault_counters(),
         tier_updates: strategy.tier_updates(),
+        speculation: strategy.speculation(),
     }
 }
 

@@ -15,9 +15,9 @@
 //!   `T_{tier(M+1−m)}/T` heuristic,
 //! * [`local`] — client-side local training (Adam/SGD + proximal term,
 //!   fixed pseudo-random mini-batch schedules),
-//! * [`exec`] — the speculative-vs-inline execution toggle: training jobs
-//!   launch on the kernel pool at dispatch and are joined bit-identically
-//!   when the completion event fires,
+//! * [`exec`] — the per-run execution context: training jobs launch on the
+//!   kernel pool at dispatch and are joined bit-identically when the
+//!   completion event fires,
 //! * [`transport`] — codec-mediated uplink/downlink with byte accounting,
 //! * [`strategies`] — the six FL methods as [`fedat_sim::EventHandler`]s,
 //! * [`eval`] — global accuracy, per-client accuracy variance

@@ -1,14 +1,13 @@
 //! Client-side local training (Algorithm 2 inner loop).
 //!
 //! This is the hottest path in the whole system: every simulated dispatch
-//! of every strategy funnels through [`train_client`]. Three things keep it
+//! of every strategy funnels through [`train_client`]. Four things keep it
 //! cheap:
 //!
 //! * **Model reuse** — simulated clients are stateless between rounds, so
 //!   the (expensive, RNG-driven) model construction is hoisted into a
 //!   thread-local cache keyed by [`fedat_nn::models::ModelSpec`]; each dispatch just loads
-//!   the downloaded weights with `set_weights`. The per-dispatch rebuild is
-//!   kept behind [`set_model_reuse`] as the measured baseline.
+//!   the downloaded weights with `set_weights`.
 //! * **Zero-copy globals** — the downloaded weights arrive as a shared
 //!   `Arc<[f32]>` (one decoded broadcast per tier round) and the proximal
 //!   term holds the same `Arc` instead of cloning the full vector.
@@ -19,7 +18,7 @@
 //!   so strategies wrap each dispatch in a [`TrainJob`] and launch it on
 //!   the kernel pool *at dispatch time* ([`TrainHandle::launch`]); the
 //!   event loop joins the finished result when the completion event fires.
-//!   See [`crate::exec`] for the mode toggle and the determinism argument.
+//!   See [`crate::exec`] for the two modes and the determinism argument.
 
 use crate::config::ExperimentConfig;
 use crate::exec::ExecMode;
@@ -27,33 +26,7 @@ use fedat_data::suite::FedTask;
 use fedat_nn::model::Model;
 use fedat_nn::optim::ProxTerm;
 use fedat_tensor::rng::{rng_for, tags};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Whether clients reuse a cached model instance per thread (the default)
-/// or rebuild the model on every dispatch (the naive baseline).
-static REUSE_MODELS: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables thread-local model reuse. `false` restores the
-/// seed's behavior (a full `ModelSpec::build` per dispatch) and exists for
-/// the `BENCH_fl_round.json` baseline.
-///
-/// The cache itself lives in [`fedat_nn::models::with_cached_model`] and
-/// is shared with the pooled evaluators, so the reuse policy cannot drift
-/// between the training and evaluation paths. Reuse is behavior-neutral:
-/// every weight is overwritten by `set_weights` before training, and none
-/// of the spec-built architectures carry non-parameter state across
-/// batches — an invariant documented on [`fedat_nn::models::ModelSpec::build`] and pinned
-/// (for the dense and conv families) by
-/// `model_reuse_matches_fresh_builds_exactly`.
-pub fn set_model_reuse(enabled: bool) {
-    REUSE_MODELS.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether model reuse is enabled.
-pub fn model_reuse() -> bool {
-    REUSE_MODELS.load(Ordering::Relaxed)
-}
 
 /// Everything one client dispatch needs to train, owned (`'static`) so the
 /// job can run on any pool worker. The model itself stays shared: `task`
@@ -97,13 +70,12 @@ impl TrainJob {
 ///
 /// Under [`ExecMode::Speculative`] the job is already running (or queued)
 /// on the kernel pool; under [`ExecMode::Inline`] the handle just carries
-/// the job and trains when joined — which reproduces the seed's
-/// train-at-completion behavior exactly, since [`TrainHandle::join`] is
-/// called from the completion event.
+/// the job and trains when joined, i.e. at the completion event that
+/// calls [`TrainHandle::join`].
 pub struct TrainHandle(Option<HandleKind>);
 
 enum HandleKind {
-    /// Train at join, on the joining thread (the measured baseline).
+    /// Train at join, on the joining thread.
     Inline(TrainJob),
     /// Result is being computed on (or stolen back from) the kernel pool.
     Speculative(fedat_tensor::pool::JobHandle<LocalUpdate>),
@@ -111,13 +83,11 @@ enum HandleKind {
 
 impl TrainHandle {
     /// Starts `job` under the caller's [`ExecMode`] — the mode travels
-    /// explicitly from the run's [`crate::exec::ExecCtx`] rather than being
-    /// read from the process-wide toggle, so concurrent runs with different
-    /// modes cannot cross-talk.
+    /// explicitly from the run's [`crate::exec::ExecCtx`], so concurrent
+    /// runs with different modes cannot cross-talk.
     pub fn launch(job: TrainJob, mode: ExecMode) -> TrainHandle {
         TrainHandle(Some(match mode {
             ExecMode::Speculative => {
-                crate::exec::note_launch();
                 HandleKind::Speculative(fedat_tensor::pool::submit(move || job.run()))
             }
             ExecMode::Inline => HandleKind::Inline(job),
@@ -137,13 +107,17 @@ impl TrainHandle {
     /// Abandons the computation: the client dropped out before its compute
     /// event. A job that has not started yet is *cancelled* — reclaimed
     /// from the pool unexecuted, costing nothing; one already running (or
-    /// finished) completes on its worker and the result is dropped. Either
-    /// way the discard is counted in
-    /// [`crate::exec::speculative_discards`].
-    pub fn discard(mut self) {
-        if let Some(HandleKind::Speculative(handle)) = self.0.take() {
-            crate::exec::note_discard();
-            handle.cancel();
+    /// finished) completes on its worker and the result is dropped.
+    /// Returns whether a speculative job was abandoned (`false` for an
+    /// inline handle, which never started anything) — the caller's
+    /// [`Speculation::discards`](crate::exec::Speculation::discards) tick.
+    pub fn discard(mut self) -> bool {
+        match self.0.take() {
+            Some(HandleKind::Speculative(handle)) => {
+                handle.cancel();
+                true
+            }
+            _ => false,
         }
     }
 }
@@ -192,23 +166,15 @@ pub fn train_client(
     selection_round: u64,
     use_prox: bool,
 ) -> LocalUpdate {
-    if model_reuse() {
-        fedat_nn::models::with_cached_model(&task.model, cfg.seed, |model| {
-            run_local_epochs(
-                model,
-                task,
-                client,
-                global,
-                cfg,
-                epochs,
-                selection_round,
-                use_prox,
-            )
-        })
-    } else {
-        let mut model = task.model.build(cfg.seed);
+    // The model cache is shared with the pooled evaluators. Reuse is
+    // behavior-neutral: every weight is overwritten by `set_weights` before
+    // training, and none of the spec-built architectures carry
+    // non-parameter state across batches — an invariant documented on
+    // `ModelSpec::build` and pinned (for the dense and conv families) by
+    // `model_reuse_matches_fresh_builds_exactly`.
+    fedat_nn::models::with_cached_model(&task.model, cfg.seed, |model| {
         run_local_epochs(
-            model.as_mut(),
+            model,
             task,
             client,
             global,
@@ -217,7 +183,7 @@ pub fn train_client(
             selection_round,
             use_prox,
         )
-    }
+    })
 }
 
 /// The local-training inner loop, on whichever model instance
@@ -309,9 +275,8 @@ mod tests {
         // the dense (logistic) and conv (CNN) model families.
         for task in [tiny_task(), suite::cifar10_like(4, 2, 3)] {
             let global = global_of(&task, 1);
-            set_model_reuse(false);
-            let fresh = train_client(&task, 1, &global, &cfg(), 2, 5, true);
-            set_model_reuse(true);
+            let mut model = task.model.build(cfg().seed);
+            let fresh = run_local_epochs(model.as_mut(), &task, 1, &global, &cfg(), 2, 5, true);
             let warm1 = train_client(&task, 1, &global, &cfg(), 2, 5, true);
             // Second reuse pass exercises the cache-hit path.
             let warm2 = train_client(&task, 1, &global, &cfg(), 2, 5, true);
@@ -365,7 +330,6 @@ mod tests {
         // allocations).
         let task = tiny_task();
         let global = global_of(&task, 1);
-        set_model_reuse(true);
         for round in 0..3 {
             let _ = train_client(&task, 1, &global, &cfg(), 2, round, true);
         }

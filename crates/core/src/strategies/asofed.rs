@@ -230,6 +230,10 @@ impl Strategy for AsoFedStrategy {
         self.core.faults
     }
 
+    fn speculation(&self) -> crate::exec::Speculation {
+        self.core.speculation
+    }
+
     fn flush_evals(&mut self) {
         self.core.flush_evals();
     }

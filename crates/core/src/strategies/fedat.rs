@@ -207,7 +207,7 @@ impl FedAtStrategy {
             // pool now; the compute event only joins it. `true`: Eq. (3)
             // local constraint.
             dispatch_tracked(
-                &self.core,
+                &mut self.core,
                 &mut self.inflight,
                 ctx,
                 c,
@@ -405,7 +405,7 @@ impl EventHandler for FedAtStrategy {
         // Deadline timer: cancel the dispatch if still pending, then hand
         // the round slot to a replacement (bounded retries) or count it
         // lost.
-        let Some(t) = self.inflight.timeout(tag) else {
+        let Some(t) = self.inflight.timeout(&mut self.core, tag) else {
             return;
         };
         let tier = t.group as usize;
@@ -458,6 +458,10 @@ impl Strategy for FedAtStrategy {
 
     fn fault_counters(&self) -> FaultCounters {
         self.core.faults
+    }
+
+    fn speculation(&self) -> crate::exec::Speculation {
+        self.core.speculation
     }
 
     fn flush_evals(&mut self) {

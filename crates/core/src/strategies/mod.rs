@@ -18,7 +18,7 @@ pub mod tifl;
 
 use crate::config::{ExperimentConfig, StrategyKind};
 use crate::eval::Evaluator;
-use crate::exec::{ExecCtx, ExecMode};
+use crate::exec::{ExecCtx, ExecMode, Speculation};
 use crate::transport::Transport;
 use fedat_data::suite::FedTask;
 use fedat_sim::fault::{FaultEvent, FaultKind};
@@ -95,6 +95,12 @@ pub trait Strategy: EventHandler + Send {
     fn tier_updates(&self) -> Option<Vec<u64>> {
         None
     }
+
+    /// Speculative launches and discards of this run (all zero for a
+    /// strategy that never launches ahead of its completion events).
+    fn speculation(&self) -> Speculation {
+        Speculation::default()
+    }
 }
 
 /// Server-side state shared by every strategy implementation.
@@ -104,9 +110,9 @@ pub(crate) struct ServerCore {
     /// pool worker without cloning it per dispatch.
     pub cfg: Arc<ExperimentConfig>,
     pub transport: Transport,
-    /// This run's execution context (exec mode + kernel toggles), resolved
-    /// once at run start — never read back from the process globals, so
-    /// concurrent runs with different contexts cannot cross-talk.
+    /// This run's execution context (exec mode + kernel settings), resolved
+    /// once at run start, so concurrent runs with different contexts cannot
+    /// cross-talk.
     pub exec: ExecCtx,
     /// `None` exactly while a pipelined evaluation is in flight on the
     /// kernel pool (the job owns the evaluator and hands it back at the
@@ -129,6 +135,9 @@ pub(crate) struct ServerCore {
     pub variance_checkpoints: Vec<f32>,
     /// Fault-tolerance activity for the whole run.
     pub faults: FaultCounters,
+    /// Training launched ahead of completion events, and how much of it
+    /// was abandoned.
+    pub speculation: Speculation,
     /// Guard-layer state (norm EWMA, offense counts, quarantine clocks).
     guard: GuardState,
     evals_done: u64,
@@ -210,6 +219,7 @@ impl ServerCore {
             trace,
             variance_checkpoints: Vec::new(),
             faults: FaultCounters::default(),
+            speculation: Speculation::default(),
             guard: GuardState::default(),
             evals_done: 0,
         }
@@ -359,13 +369,16 @@ impl ServerCore {
     /// [`advance_phase`]. `weights` is the shared decoded broadcast —
     /// launching clones `Arc`s, never the model.
     pub fn launch(
-        &self,
+        &mut self,
         client: usize,
         weights: &std::sync::Arc<[f32]>,
         epochs: usize,
         selection_round: u64,
         use_prox: bool,
     ) -> ClientPhase {
+        if self.exec.mode == ExecMode::Speculative {
+            self.speculation.launches += 1;
+        }
         ClientPhase::Computing(Inflight {
             handle: crate::local::TrainHandle::launch(
                 crate::local::TrainJob {
@@ -779,7 +792,7 @@ impl InflightTable {
             }
             ClientPhase::Computing(info) => {
                 // Dropped mid-compute: the dispatch-time job is wasted work.
-                info.handle.discard();
+                core.speculation.discards += u64::from(info.handle.discard());
                 self.client_of.remove(&d.gen);
                 PhaseEvent::Lost { group: d.group }
             }
@@ -794,12 +807,12 @@ impl InflightTable {
     /// Returns `None` when the timer is stale — the dispatch already landed
     /// or was lost. A cancelled mid-compute job is discarded unjoined; its
     /// eventual completion event resolves to [`PhaseEvent::Unknown`].
-    pub fn timeout(&mut self, gen: u64) -> Option<TimedOut> {
+    pub fn timeout(&mut self, core: &mut ServerCore, gen: u64) -> Option<TimedOut> {
         let client = self.client_of.remove(&gen)?;
         let d = self.by_client.remove(&client)?;
         debug_assert_eq!(d.gen, gen);
         if let ClientPhase::Computing(info) = d.phase {
-            info.handle.discard();
+            core.speculation.discards += u64::from(info.handle.discard());
         }
         Some(TimedOut {
             client,
@@ -814,7 +827,7 @@ impl InflightTable {
 /// `nominal × multiplier × backoff^retries` from now.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch_tracked(
-    core: &ServerCore,
+    core: &mut ServerCore,
     table: &mut InflightTable,
     ctx: &mut SimCtx,
     client: usize,

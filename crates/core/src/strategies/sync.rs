@@ -152,7 +152,7 @@ impl SyncStrategy {
             // at dispatch; the uplink is charged when the trained payload
             // is known.
             dispatch_tracked(
-                &self.core,
+                &mut self.core,
                 &mut self.inflight,
                 ctx,
                 c,
@@ -228,7 +228,7 @@ impl EventHandler for SyncStrategy {
             }
             return;
         }
-        let Some(t) = self.inflight.timeout(tag) else {
+        let Some(t) = self.inflight.timeout(&mut self.core, tag) else {
             return;
         };
         let pool = ctx.alive_clients();
@@ -282,6 +282,10 @@ impl Strategy for SyncStrategy {
 
     fn fault_counters(&self) -> FaultCounters {
         self.core.faults
+    }
+
+    fn speculation(&self) -> crate::exec::Speculation {
+        self.core.speculation
     }
 
     fn flush_evals(&mut self) {

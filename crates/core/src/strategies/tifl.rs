@@ -199,7 +199,7 @@ impl TiflStrategy {
         for c in picks {
             // Speculative launch at dispatch; TiFL trains unconstrained.
             dispatch_tracked(
-                &self.core,
+                &mut self.core,
                 &mut self.inflight,
                 ctx,
                 c,
@@ -275,7 +275,7 @@ impl EventHandler for TiflStrategy {
             }
             return;
         }
-        let Some(t) = self.inflight.timeout(tag) else {
+        let Some(t) = self.inflight.timeout(&mut self.core, tag) else {
             return;
         };
         let nominal = self.round_nominal;
@@ -329,6 +329,10 @@ impl Strategy for TiflStrategy {
 
     fn fault_counters(&self) -> FaultCounters {
         self.core.faults
+    }
+
+    fn speculation(&self) -> crate::exec::Speculation {
+        self.core.speculation
     }
 
     fn flush_evals(&mut self) {

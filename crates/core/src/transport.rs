@@ -9,32 +9,15 @@
 //!
 //! A tier round sends the *same* global model to every selected client.
 //! [`Transport::broadcast`] therefore encodes and decodes the model exactly
-//! once per round and hands every client the same `Arc<[f32]>` — the seed
-//! implementation re-encoded the identical payload once per client and
-//! cloned the decoded vector per dispatch. Encode counters expose this
-//! invariant to the regression tests.
+//! once per round and hands every client the same `Arc<[f32]>`. Encode
+//! counters expose this invariant to the regression tests.
 
 use fedat_compress::codec::{codec_for, CodecKind, WireCodec};
 use fedat_compress::topk::ErrorFeedback;
 use fedat_sim::runtime::SimCtx;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Whether [`Transport::broadcast`] encodes once per cohort (the default)
-/// or once per client (the seed's behavior, kept as the measured naive
-/// baseline for `BENCH_fl_round.json`).
-static BROADCAST_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Toggles the single-encode broadcast path.
-pub fn set_broadcast_enabled(enabled: bool) {
-    BROADCAST_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the single-encode broadcast path is active.
-pub fn broadcast_enabled() -> bool {
-    BROADCAST_ENABLED.load(Ordering::Relaxed)
-}
 
 /// Whether a codec kind is reference-aware (delta-family): it encodes
 /// against a model both endpoints hold, which only the *uplink* has (the
@@ -127,20 +110,6 @@ impl Transport {
         clients: &[usize],
         weights: &[f32],
     ) -> (Arc<[f32]>, usize) {
-        if !broadcast_enabled() && clients.len() > 1 {
-            // Naive baseline: re-encode and re-decode the identical payload
-            // for every client, as the seed did.
-            let mut decoded: Option<Vec<f32>> = None;
-            let mut bytes = 0usize;
-            for &c in clients {
-                let blob = self.down_codec.encode(weights);
-                self.downlink_encodes.fetch_add(1, Ordering::Relaxed);
-                bytes = blob.wire_bytes();
-                ctx.traffic.record_download(c, bytes);
-                decoded = Some(self.down_codec.decode(&blob));
-            }
-            return (decoded.expect("at least one client").into(), bytes);
-        }
         let blob = self.down_codec.encode(weights);
         self.downlink_encodes.fetch_add(1, Ordering::Relaxed);
         let bytes = blob.wire_bytes();

@@ -10,11 +10,6 @@ use fedat_sim::churn::{ChurnConfig, DriftSpec, FlapSpec, StormSpec};
 use fedat_sim::fault::FaultKind;
 use fedat_sim::fleet::{ClusterConfig, Fleet};
 
-/// Serializes tests that flip the process-global `ExecMode` (see
-/// `strategy_behavior.rs` for why result-invariance tests still need it:
-/// the assertions on *fault counters* depend on which paths actually ran).
-static EXEC_MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// The paper_medium(seed=7) permanent-dropout schedule, pinned bit-exact.
 /// The churn engine replaced the `dropout_at` representation with down
 /// intervals; this guards the contract that the legacy draws — which every
@@ -174,10 +169,8 @@ fn fedat_with_timeouts_rides_out_a_storm_without_stalling() {
 /// observable.
 #[test]
 fn timeout_paths_are_bit_identical_across_exec_modes_and_workers() {
-    use fedat_core::exec::{ExecMode, ToggleGuard};
-    use fedat_tensor::pool;
-    let _exec_guard = EXEC_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    pool::ensure_workers(8);
+    use fedat_core::exec::ExecMode;
+    fedat_tensor::pool::ensure_workers(8);
 
     let n = 16;
     let task = suite::sent140_like(n, 41);
@@ -185,8 +178,9 @@ fn timeout_paths_are_bit_identical_across_exec_modes_and_workers() {
     cfg.max_time = 15_000.0;
 
     let run_with = |mode: ExecMode, workers: usize| {
-        let mut g = ToggleGuard::new();
-        g.exec(mode).max_pool_jobs(workers - 1);
+        let mut cfg = cfg.clone();
+        cfg.exec.mode = Some(mode);
+        cfg.exec.max_pool_jobs = Some(workers - 1);
         fedat_core::run_experiment(&task, &cfg)
     };
 

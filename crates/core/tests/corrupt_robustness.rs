@@ -11,10 +11,6 @@ use fedat_sim::churn::{ChurnConfig, CorruptMode, CorruptSpec, FlapSpec};
 use fedat_sim::fault::FaultKind;
 use fedat_sim::fleet::{ClusterConfig, Fleet};
 
-/// Serializes tests that flip the process-global `ExecMode` (same
-/// rationale as in `churn_robustness.rs`).
-static EXEC_MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 fn scale_attack(fraction: f64) -> CorruptSpec {
     CorruptSpec {
         fraction,
@@ -324,11 +320,9 @@ fn quarantine_parks_repeat_offenders() {
 /// ExecMode × SimdKernel × pool worker counts {1, 2, 4, 8}.
 #[test]
 fn guarded_corruption_is_bit_identical_across_exec_modes_and_workers() {
-    use fedat_core::exec::{ExecMode, ToggleGuard};
-    use fedat_tensor::pool;
+    use fedat_core::exec::ExecMode;
     use fedat_tensor::simd::SimdKernel;
-    let _exec_guard = EXEC_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    pool::ensure_workers(8);
+    fedat_tensor::pool::ensure_workers(8);
 
     let n = 12;
     let seed = 71;
@@ -347,8 +341,10 @@ fn guarded_corruption_is_bit_identical_across_exec_modes_and_workers() {
         guard,
     );
     let run_with = |mode: ExecMode, kernel: SimdKernel, workers: usize| {
-        let mut g = ToggleGuard::new();
-        g.exec(mode).simd(kernel).max_pool_jobs(workers - 1);
+        let mut cfg = cfg.clone();
+        cfg.exec.mode = Some(mode);
+        cfg.exec.simd = Some(kernel);
+        cfg.exec.max_pool_jobs = Some(workers - 1);
         fedat_core::run_experiment(&task, &cfg)
     };
     let base = run_with(ExecMode::Speculative, SimdKernel::Auto, 8);

@@ -1,20 +1,21 @@
 //! Per-run execution contexts: concurrent experiments with *different*
-//! exec modes and kernel toggles must not cross-talk.
+//! exec modes and kernel settings must not cross-talk.
 //!
-//! The process-wide toggles (`ExecMode`, `SimdKernel`, …) are only the
-//! default layer now: `run_experiment_shared` resolves an
-//! [`fedat_core::exec::ExecCtx`] once from config + environment and installs
-//! it as a per-thread overlay that follows the run across every
-//! thread-crossing point (speculative training jobs, pipelined evals,
-//! fork-join kernel regions). These tests pin the property the refactor
-//! exists for: N concurrent runs, each under a different context, each
-//! bit-identical to its own serial counterpart.
+//! `run_experiment_shared` resolves an [`fedat_core::exec::ExecCtx`] once
+//! from config + environment and installs it as a per-thread overlay that
+//! follows the run across every thread-crossing point (speculative
+//! training jobs, pipelined evals, fork-join kernel regions); there is no
+//! process-global mutable configuration or counter behind a run. These
+//! tests pin that property: N concurrent runs, each under a different
+//! context, each bit-identical to its own serial counterpart and each
+//! reporting exactly its own `Outcome::speculation`.
 
-use fedat_core::exec::{ExecCtx, ExecMode, ToggleGuard};
+use fedat_core::exec::{ExecCtx, ExecMode};
 use fedat_core::{run_experiment, ExperimentConfig, Outcome, StrategyKind};
 use fedat_data::suite;
 use fedat_sim::fleet::ClusterConfig;
 use fedat_tensor::simd::SimdKernel;
+use std::sync::Barrier;
 
 fn cfg_with(mode: ExecMode, simd: SimdKernel, n: usize, seed: u64) -> ExperimentConfig {
     ExperimentConfig::builder()
@@ -74,9 +75,7 @@ fn concurrent_runs_with_different_contexts_match_their_serial_counterparts() {
         .map(|&(mode, simd, _)| run_experiment(&task, &cfg_with(mode, simd, n, 41)))
         .collect();
 
-    // All four contexts at once, each from its own OS thread — the exact
-    // scenario the process-global toggles used to corrupt (one run's
-    // `set_exec_mode` silently flipping a concurrent run's executor).
+    // All four contexts at once, each from its own OS thread.
     let concurrent: Vec<Outcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = COMBOS
             .iter()
@@ -98,47 +97,130 @@ fn concurrent_runs_with_different_contexts_match_their_serial_counterparts() {
     }
 }
 
-#[test]
-fn config_overrides_beat_the_global_default_layer() {
-    // A run whose config pins Inline must stay inline even while the
-    // process-wide default says Speculative: no launches may be recorded.
-    let _guard = {
-        let mut g = ToggleGuard::new();
-        g.exec(ExecMode::Speculative);
-        g
-    };
-    let n = 8;
-    let task = suite::sent140_like(n, 43);
-    let before = fedat_core::exec::speculative_launches();
-    let cfg = cfg_with(ExecMode::Inline, SimdKernel::Auto, n, 43);
-    let out = run_experiment(&task, &cfg);
-    assert!(out.global_updates > 0);
-    assert_eq!(
-        fedat_core::exec::speculative_launches(),
-        before,
-        "an Inline-pinned run launched speculative jobs"
-    );
+/// A FedAT config on a cluster where half the fleet drops out mid-run, so
+/// speculative runs both launch and discard.
+fn dropout_cfg(mode: ExecMode, n: usize, seed: u64) -> ExperimentConfig {
+    let mut cluster = ClusterConfig::paper_medium(seed).with_clients(n);
+    cluster.n_unstable = n / 2;
+    cluster.dropout_horizon = 400.0;
+    let mut cfg = cfg_with(mode, SimdKernel::Auto, n, seed);
+    cfg.cluster = Some(cluster);
+    cfg.rounds = 120;
+    cfg.max_time = 2000.0;
+    cfg
 }
 
 #[test]
-fn resolve_layers_config_over_env_defaults() {
-    // ToggleGuard mutations (the test/bench default layer) are visible to
-    // from_env/resolve; explicit config overrides beat them field by field.
-    let mut g = ToggleGuard::new();
-    g.simd(SimdKernel::Scalar).max_threads(3);
-    let base = ExecCtx::from_env();
-    assert_eq!(base.kernels.simd, SimdKernel::Scalar);
-    assert_eq!(base.kernels.max_threads, 3);
+fn config_overrides_beat_the_default_layer() {
+    // A run whose config pins Inline must launch nothing and one that pins
+    // Speculative must launch, whatever three sibling threads are doing:
+    // they run Speculative experiments concurrently in this process. The
+    // barrier starts all five runs together.
+    let n = 8;
+    let task = suite::sent140_like(n, 43);
+    let start = Barrier::new(5);
+    let run = |mode: ExecMode| {
+        start.wait();
+        run_experiment(&task, &cfg_with(mode, SimdKernel::Auto, n, 43))
+    };
+    std::thread::scope(|scope| {
+        let siblings: Vec<_> = (0..3)
+            .map(|_| scope.spawn(|| run(ExecMode::Speculative)))
+            .collect();
+        let inline = scope.spawn(|| run(ExecMode::Inline));
+        let spec = run(ExecMode::Speculative);
+        let inline = inline.join().unwrap();
+        assert!(inline.global_updates > 0);
+        assert_eq!(
+            inline.speculation.launches, 0,
+            "an Inline-pinned run launched speculative jobs"
+        );
+        assert!(
+            spec.speculation.launches > 0,
+            "a Speculative run launched nothing"
+        );
+        for s in siblings {
+            assert_eq!(s.join().unwrap().speculation, spec.speculation);
+        }
+    });
+}
+
+#[test]
+fn concurrent_runs_report_exactly_their_own_speculation() {
+    // Two Inline and two Speculative runs at once, on a cluster with
+    // dropouts: each run's launch/discard counts must equal those of the
+    // same config run alone.
+    let n = 14;
+    let task = suite::sent140_like(n, 29);
+    let cfgs: Vec<ExperimentConfig> = [
+        (ExecMode::Inline, 29),
+        (ExecMode::Speculative, 29),
+        (ExecMode::Inline, 31),
+        (ExecMode::Speculative, 31),
+    ]
+    .iter()
+    .map(|&(mode, seed)| dropout_cfg(mode, n, seed))
+    .collect();
+    let alone: Vec<Outcome> = cfgs.iter().map(|c| run_experiment(&task, c)).collect();
+    for (c, out) in cfgs.iter().zip(&alone) {
+        let spec = out.speculation;
+        if c.exec.mode == Some(ExecMode::Inline) {
+            assert_eq!(spec, Default::default(), "inline runs never speculate");
+        } else {
+            assert!(spec.launches > 0 && spec.discards > 0, "{spec:?}");
+            assert!(spec.discards <= spec.launches, "{spec:?}");
+        }
+    }
+    let start = Barrier::new(cfgs.len());
+    let together: Vec<Outcome> = std::thread::scope(|scope| {
+        let handles: Vec<_> = cfgs
+            .iter()
+            .map(|c| {
+                let (task, start) = (&task, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    run_experiment(task, c)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (i, (t, a)) in together.iter().zip(&alone).enumerate() {
+        assert_eq!(
+            t.speculation, a.speculation,
+            "run {i} counted a sibling's work"
+        );
+        assert_same(&format!("run {i}"), t, a);
+    }
+}
+
+#[test]
+fn resolve_layers_config_over_the_thread_overlay() {
+    // A kernel overlay installed on the calling thread (how tests and
+    // benches scope kernel-level code) is the base `resolve` starts from;
+    // explicit config overrides beat it field by field.
+    use fedat_tensor::ctx::{self, KernelCtx};
+    let _g = ctx::install(KernelCtx {
+        simd: SimdKernel::Scalar,
+        max_threads: 3,
+        max_pool_jobs: 5,
+        ..ctx::snapshot()
+    });
+    let inherited = ExecCtx::resolve(&ExperimentConfig::builder().build());
+    assert_eq!(inherited.kernels, ctx::snapshot());
+    assert_eq!(inherited.mode, fedat_core::exec::default_exec_mode());
 
     let cfg = ExperimentConfig::builder()
+        .exec_mode(ExecMode::Inline)
         .simd_kernel(SimdKernel::Auto)
         .max_threads(0) // clamped to 1
         .build();
     let resolved = ExecCtx::resolve(&cfg);
+    assert_eq!(resolved.mode, ExecMode::Inline, "config must win");
     assert_eq!(resolved.kernels.simd, SimdKernel::Auto, "config must win");
     assert_eq!(resolved.kernels.max_threads, 1, "zero clamps to one");
     assert_eq!(
-        resolved.kernels.agg, base.kernels.agg,
-        "untouched fields keep the env default"
+        resolved.kernels.max_pool_jobs, 5,
+        "untouched fields keep the enclosing overlay"
     );
 }

@@ -16,7 +16,7 @@
 //! bookkeeping depends on container iteration order.
 
 use fedat_core::config::{ExperimentConfig, StrategyKind};
-use fedat_core::exec::{ExecMode, ToggleGuard};
+use fedat_core::exec::ExecMode;
 use fedat_data::suite;
 use fedat_sim::fleet::ClusterConfig;
 use fedat_tensor::pool;
@@ -69,8 +69,9 @@ fn fedasync_inflight_bookkeeping_is_order_blind() {
         .build();
 
     let run_with = |mode: ExecMode, workers: usize| {
-        let mut g = ToggleGuard::new();
-        g.exec(mode).max_pool_jobs(workers - 1);
+        let mut cfg = cfg.clone();
+        cfg.exec.mode = Some(mode);
+        cfg.exec.max_pool_jobs = Some(workers - 1);
         fedat_core::run_experiment(&task, &cfg)
     };
 

@@ -6,7 +6,7 @@
 //! extending the sweep contract of `strategy_behavior.rs` from synthetic
 //! tasks to the disk-loaded natural-partition path.
 
-use fedat_core::exec::{ExecMode, ToggleGuard};
+use fedat_core::exec::ExecMode;
 use fedat_core::prelude::*;
 use fedat_data::leaf::{writer, LeafBenchmark};
 use fedat_data::suite::FedTask;
@@ -67,8 +67,9 @@ fn leaf_loaded_fedat_run_is_bit_identical_across_exec_and_simd_modes() {
         .build();
 
     let run_with = |mode: ExecMode, kernel: SimdKernel| {
-        let mut g = ToggleGuard::new();
-        g.exec(mode).simd(kernel);
+        let mut cfg = cfg.clone();
+        cfg.exec.mode = Some(mode);
+        cfg.exec.simd = Some(kernel);
         run_experiment_shared(&task, &cfg)
     };
 

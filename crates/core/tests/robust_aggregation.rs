@@ -7,7 +7,7 @@
 //! order) must not care in which order the cohort's updates arrived.
 
 use fedat_core::aggregate::{aggregate_clients_into, AggRule};
-use fedat_core::exec::ToggleGuard;
+use fedat_tensor::ctx::{self, KernelCtx};
 use fedat_tensor::pool;
 use fedat_tensor::rng::rng_for;
 use proptest::prelude::*;
@@ -59,8 +59,10 @@ proptest! {
             prop_assert_eq!(base.len(), dim);
             prop_assert!(base.iter().all(|v| v.is_finite()));
             for workers in [1usize, 2, 4, 8] {
-                let mut g = ToggleGuard::new();
-                g.max_pool_jobs(workers - 1);
+                let _g = ctx::install(KernelCtx {
+                    max_threads: workers,
+                    ..ctx::snapshot()
+                });
                 let out = reduce(rule, &updates);
                 prop_assert_eq!(
                     &out, &base,

@@ -8,14 +8,6 @@ use fedat_sim::fleet::{ClusterConfig, Fleet};
 use fedat_sim::runtime::{run, EventHandler, RunLimits};
 use std::sync::Arc;
 
-/// Serializes the tests that flip the process-global `ExecMode`. Unlike
-/// the kernel/thread-count globals (whose cross-test races are harmless
-/// because result invariance is exactly the property under test), the
-/// dropout-discard test asserts a *side effect* of speculative mode — the
-/// discard counter moving — which a concurrently running test holding
-/// `ExecMode::Inline` could suppress.
-static EXEC_MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 fn cfg(strategy: StrategyKind, rounds: u64, seed: u64, cluster: ClusterConfig) -> ExperimentConfig {
     ExperimentConfig::builder()
         .strategy(strategy)
@@ -227,10 +219,17 @@ fn fedat_trace_is_bit_identical_across_aggregation_thread_counts() {
     let mut c = cfg(StrategyKind::FedAt, 10, 23, cluster);
     c.eval_every = 2;
     c.eval_subset = 48; // capped → exercises the shuffled-subset path too
-    let run_at = |threads: usize| {
-        let mut g = fedat_core::exec::ToggleGuard::new();
-        g.max_threads(threads);
+    use fedat_core::config::ExecOverrides;
+    let run_with = |exec: ExecOverrides| {
+        let mut c = c.clone();
+        c.exec = exec;
         fedat_core::run_experiment(&task, &c)
+    };
+    let run_at = |threads: usize| {
+        run_with(ExecOverrides {
+            max_threads: Some(threads),
+            ..ExecOverrides::default()
+        })
     };
     let base = run_at(1);
     assert!(!base.trace.points.is_empty());
@@ -262,17 +261,16 @@ fn fedat_trace_is_bit_identical_across_aggregation_thread_counts() {
     // counts; neither can change a bit because training jobs are pure and
     // virtual time never observes where they ran.
     {
-        use fedat_core::exec::{ExecMode, ToggleGuard};
-        use fedat_tensor::pool;
-        let _exec_guard = EXEC_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        pool::ensure_workers(8);
+        use fedat_core::exec::ExecMode;
+        fedat_tensor::pool::ensure_workers(8);
         for mode in [ExecMode::Speculative, ExecMode::Inline] {
             for workers in [1usize, 2, 4, 8] {
-                let mut g = ToggleGuard::new();
-                // "W workers" = the joining main thread + W−1 pool helpers.
-                g.exec(mode).max_pool_jobs(workers - 1);
-                let out = run_at(1);
-                drop(g);
+                let out = run_with(ExecOverrides {
+                    mode: Some(mode),
+                    // "W workers" = the joining main thread + W−1 pool helpers.
+                    max_pool_jobs: Some(workers - 1),
+                    ..ExecOverrides::default()
+                });
                 assert_eq!(
                     out.final_weights, base.final_weights,
                     "final weights diverged under {mode:?} with {workers} workers"
@@ -293,16 +291,11 @@ fn fedat_trace_is_bit_identical_across_aggregation_thread_counts() {
         }
     }
     // The SIMD micro-kernel layer must be equally invisible: the whole
-    // trace is pinned under the forced-scalar kernel too. The guard
-    // restores the entry kernel (not a hard-coded Auto) so the
-    // FEDAT_SIMD=scalar CI lane keeps its scalar coverage for tests
-    // scheduled after this one.
-    use fedat_tensor::simd::SimdKernel;
-    let scalar = {
-        let mut g = fedat_core::exec::ToggleGuard::new();
-        g.simd(SimdKernel::Scalar);
-        run_at(1)
-    };
+    // trace is pinned under the forced-scalar kernel too.
+    let scalar = run_with(ExecOverrides {
+        simd: Some(fedat_tensor::simd::SimdKernel::Scalar),
+        ..ExecOverrides::default()
+    });
     assert_eq!(
         scalar.final_weights, base.final_weights,
         "final weights diverged under SimdKernel::Scalar"
@@ -329,10 +322,8 @@ fn speculative_dropout_discards_are_trace_invisible() {
     // client unstable over a horizon shorter than the run, so both
     // mid-compute and mid-upload losses occur (dispatches outlive their
     // clients while uploads race the dropout clock).
-    use fedat_core::exec::{speculative_discards, ExecMode, ToggleGuard};
-    use fedat_tensor::pool;
-    let _exec_guard = EXEC_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    pool::ensure_workers(4);
+    use fedat_core::exec::ExecMode;
+    fedat_tensor::pool::ensure_workers(4);
     let n = 14;
     let task = suite::sent140_like(n, 29);
     let mut cluster = ClusterConfig::paper_medium(29).with_clients(n);
@@ -342,18 +333,18 @@ fn speculative_dropout_discards_are_trace_invisible() {
     c.max_time = 2000.0;
     c.eval_every = 10;
     let run_with = |mode: ExecMode| {
-        let mut g = ToggleGuard::new();
-        g.exec(mode);
+        let mut c = c.clone();
+        c.exec.mode = Some(mode);
         fedat_core::run_experiment(&task, &c)
     };
-    let discards_before = speculative_discards();
     let spec = run_with(ExecMode::Speculative);
     assert!(
-        speculative_discards() > discards_before,
+        spec.speculation.discards > 0,
         "the unstable cluster must have produced at least one discarded \
          speculative result — the scenario no longer exercises the path"
     );
     let inline = run_with(ExecMode::Inline);
+    assert_eq!(inline.speculation, Default::default());
     assert_eq!(
         spec.final_weights, inline.final_weights,
         "dropout discards leaked into the final weights"
@@ -378,7 +369,6 @@ fn fedasync_mixing_is_bit_identical_across_simd_and_threads() {
     // arrival) runs sharded on the kernel pool with the vectorized inner
     // loop: neither the SIMD kernel nor the thread count may change a bit
     // of the trace or the final model.
-    use fedat_core::exec::ToggleGuard;
     use fedat_tensor::simd::SimdKernel;
     let n = 12;
     let task = suite::sent140_like(n, 31);
@@ -387,8 +377,9 @@ fn fedasync_mixing_is_bit_identical_across_simd_and_threads() {
         .without_dropouts();
     let c = cfg(StrategyKind::FedAsync, 20, 31, cluster);
     let run_with = |kernel: SimdKernel, threads: usize| {
-        let mut g = ToggleGuard::new();
-        g.simd(kernel).max_threads(threads);
+        let mut c = c.clone();
+        c.exec.simd = Some(kernel);
+        c.exec.max_threads = Some(threads);
         fedat_core::run_experiment(&task, &c)
     };
     let base = run_with(SimdKernel::Auto, 1);

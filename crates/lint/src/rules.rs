@@ -1,4 +1,4 @@
-//! The determinism rules (R1–R6) and the suppression grammar.
+//! The determinism rules (R1–R4, R6) and the suppression grammar.
 //!
 //! Every rule is a pure function over the lexed lines of one file plus its
 //! workspace classification. Rules report *raw* findings; the driver in
@@ -13,23 +13,6 @@ use crate::workspace::FileKind;
 /// absent: wall-clock benchmarks measure time, so they may read clocks and
 /// spawn threads freely.
 pub const GATED_CRATES: &[&str] = &["core", "sim", "tensor", "nn", "compress"];
-
-/// The toggle mutators that [R5] reserves for the sanctioned default-layer
-/// homes: `fedat_core::exec::ToggleGuard` (RAII restore for tests/benches)
-/// and `fedat_core::exec::ExecCtx`, which *reads* the globals these set as
-/// its environment layer and carries the per-run values in a thread-local
-/// overlay instead of mutating process state. Covers every knob the guard
-/// and the overlay snapshot, not just the original four kernel selectors.
-pub const RAW_SETTERS: &[&str] = &[
-    "set_exec_mode",
-    "set_simd_kernel",
-    "set_agg_kernel",
-    "set_nt_kernel",
-    "set_portable_only",
-    "set_max_threads",
-    "set_max_pool_jobs",
-    "set_spawn_mode",
-];
 
 /// Wall-clock and threading APIs banned from library code by [R4].
 const R4_PATTERNS: &[&str] = &[
@@ -82,7 +65,6 @@ pub fn run_all(ctx: &FileContext, lines: &[Line]) -> Vec<RawFinding> {
     rule_r2(ctx, lines, &mut out);
     rule_r3(ctx, lines, &mut out);
     rule_r4(ctx, lines, &mut out);
-    rule_r5(ctx, lines, &mut out);
     rule_r6(ctx, lines, &mut out);
     rule_malformed_allows(ctx, lines, &mut out);
     out
@@ -215,33 +197,6 @@ fn rule_r4(ctx: &FileContext, lines: &[Line], out: &mut Vec<RawFinding>) {
                         ),
                     });
                 }
-            }
-        }
-    }
-}
-
-/// R5: the raw toggle mutators are reserved for the default layer —
-/// `fedat_core::exec::ToggleGuard` (which restores the prior value on every
-/// exit path) and the environment-reading side of `ExecCtx`. Call sites
-/// elsewhere (library *or* test code) must go through a guard, or carry the
-/// per-run configuration in an `ExecCtx` overlay instead of mutating
-/// process-wide state a concurrent run would observe.
-fn rule_r5(ctx: &FileContext, lines: &[Line], out: &mut Vec<RawFinding>) {
-    if !gated(ctx) || !matches!(ctx.kind, FileKind::Lib | FileKind::Test) {
-        return;
-    }
-    for (i, line) in lines.iter().enumerate() {
-        for setter in RAW_SETTERS {
-            if has_call(&line.code, setter) {
-                out.push(RawFinding {
-                    line_idx: i,
-                    rule: "R5",
-                    message: format!(
-                        "raw `{setter}(..)` call mutates process-wide state; use \
-                         fedat_core::exec::ToggleGuard (restores on every exit path) or \
-                         carry the value in a per-run ExecCtx overlay"
-                    ),
-                });
             }
         }
     }
@@ -414,9 +369,9 @@ mod tests {
 
     #[test]
     fn allow_parsing_extracts_rules_and_reason() {
-        let a = parse_allows("// lint: allow(R5, reason = \"audited home\")");
+        let a = parse_allows("// lint: allow(R4, reason = \"audited home\")");
         assert_eq!(a.len(), 1);
-        assert_eq!(a[0].rules, vec!["R5"]);
+        assert_eq!(a[0].rules, vec!["R4"]);
         assert_eq!(a[0].reason.as_deref(), Some("audited home"));
     }
 

@@ -363,15 +363,9 @@ mod tests {
 
     #[test]
     fn call_matching_skips_definitions_and_bare_paths() {
-        assert!(has_call("exec::set_exec_mode(mode);", "set_exec_mode"));
-        assert!(!has_call(
-            "pub fn set_exec_mode(mode: ExecMode) {",
-            "set_exec_mode"
-        ));
-        assert!(!has_call(
-            "use exec::{set_exec_mode, exec_mode};",
-            "set_exec_mode"
-        ));
-        assert!(!has_call("my_set_exec_mode(x)", "set_exec_mode"));
+        assert!(has_call("let y = a.mul_add(b, c);", "mul_add"));
+        assert!(!has_call("pub fn mul_add(a: f32, b: f32) {", "mul_add"));
+        assert!(!has_call("use ops::{mul_add, axpy};", "mul_add"));
+        assert!(!has_call("my_mul_add(x)", "mul_add"));
     }
 }

@@ -162,41 +162,6 @@ fn r4_suppression_is_honoured() {
 }
 
 #[test]
-fn r5_flags_raw_setter_calls_in_tests_too() {
-    let (f, _) = lint(
-        "crates/tensor/tests/kernels.rs",
-        include_str!("fixtures/r5_violation.rs"),
-    );
-    assert_eq!(rules_of(&f), ["R5", "R5"], "{f:?}");
-}
-
-#[test]
-fn r5_permits_guards_imports_and_definitions() {
-    let (f, _) = lint(
-        "crates/tensor/tests/kernels.rs",
-        include_str!("fixtures/r5_clean.rs"),
-    );
-    assert!(f.is_empty(), "clean fixture flagged: {f:?}");
-    // Benches are out of the contract entirely.
-    let (f, _) = lint(
-        "crates/bench/benches/kernels.rs",
-        include_str!("fixtures/r5_violation.rs"),
-    );
-    assert!(f.is_empty(), "R5 must not apply to benches: {f:?}");
-}
-
-#[test]
-fn r5_suppression_is_honoured() {
-    let (f, s) = lint(
-        "crates/tensor/tests/kernels.rs",
-        include_str!("fixtures/r5_suppressed.rs"),
-    );
-    assert!(f.is_empty(), "{f:?}");
-    assert_eq!(s.len(), 1);
-    assert_eq!(s[0].rule, "R5");
-}
-
-#[test]
 fn r6_flags_deserialize_structs_without_container_default() {
     let (f, _) = lint(
         "crates/core/src/config.rs",

@@ -6,7 +6,6 @@ use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::model::{EvalResult, Model};
 use crate::models::{with_cached_model, ModelSpec};
 use fedat_tensor::{parallel, Tensor};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Evaluates rows `[start, end)` of `(x, y)` as one mini-batch — the shared
 /// per-batch kernel of [`evaluate_batched`] and [`StreamingEvaluator`], so
@@ -61,28 +60,11 @@ pub fn evaluate_batched(
     total
 }
 
-/// Whether streaming evaluators fan mini-batches out across the kernel
-/// pool (the default) or sweep them serially on one cached model — the
-/// measured baseline for `BENCH_aggregate.json`.
-static POOLED_EVAL: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables pooled evaluation. The two paths are bit-identical
-/// (same batch partition, same merge order); the toggle only changes
-/// throughput.
-pub fn set_pooled_eval(enabled: bool) {
-    POOLED_EVAL.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether streaming evaluators use the kernel pool.
-pub fn pooled_eval() -> bool {
-    POOLED_EVAL.load(Ordering::Relaxed)
-}
-
 /// A reusable streaming evaluator: a fixed mini-batch partition whose
 /// per-batch results land in recycled slots, merged in batch order.
 ///
-/// With [`pooled_eval`] enabled, batches are fanned out across the kernel
-/// pool and each worker evaluates on its own thread-cached model instance.
+/// Batches are fanned out across the kernel pool and each worker evaluates
+/// on its own thread-cached model instance.
 /// The batch partition and the merge order are functions of the batch size
 /// alone — never of the thread count — so the result is bit-identical to
 /// the serial [`evaluate_batched`] sweep for any fan-out.
@@ -120,13 +102,6 @@ impl StreamingEvaluator {
         );
         if rows == 0 {
             return EvalResult::default();
-        }
-        if !pooled_eval() {
-            // Serial baseline: one cached model sweeps every batch.
-            return with_cached_model(&self.spec, self.seed, |model| {
-                model.set_weights(weights);
-                evaluate_batched(model, x, y, self.batch)
-            });
         }
         let batch = self.batch;
         let n_batches = rows.div_ceil(batch);
@@ -204,8 +179,10 @@ mod tests {
         let serial = evaluate_batched(model.as_mut(), &x, &y, 32);
         let mut streaming = StreamingEvaluator::new(spec, 3, 32);
         for threads in [1usize, 2, 4, 8] {
-            // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-            parallel::set_max_threads(threads);
+            let _g = fedat_tensor::ctx::install(fedat_tensor::ctx::KernelCtx {
+                max_threads: threads,
+                ..fedat_tensor::ctx::snapshot()
+            });
             let pooled = streaming.evaluate(&weights, &x, &y);
             assert_eq!(
                 serial.loss, pooled.loss,
@@ -214,29 +191,6 @@ mod tests {
             assert_eq!(serial.accuracy, pooled.accuracy);
             assert_eq!(serial.count, pooled.count);
         }
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        parallel::set_max_threads(1);
-    }
-
-    #[test]
-    fn pooled_toggle_is_bit_neutral() {
-        let spec = ModelSpec::Mlp {
-            input: 5,
-            hidden: vec![7],
-            classes: 3,
-        };
-        let weights = spec.build(2).weights();
-        let mut rng = rng_for(5, 5);
-        let x = Tensor::randn(&mut rng, &[90, 5], 0.0, 1.0);
-        let y: Vec<u32> = (0..90).map(|i| (i % 3) as u32).collect();
-        let mut streaming = StreamingEvaluator::new(spec, 1, 16);
-        set_pooled_eval(false);
-        let serial = streaming.evaluate(&weights, &x, &y);
-        set_pooled_eval(true);
-        let pooled = streaming.evaluate(&weights, &x, &y);
-        assert_eq!(serial.loss, pooled.loss);
-        assert_eq!(serial.accuracy, pooled.accuracy);
-        assert_eq!(serial.count, pooled.count);
     }
 
     #[test]

@@ -161,7 +161,7 @@ fn training_is_bit_identical_across_simd_kernels() {
     // End-to-end pin for the rewired nn sweeps (activations, dropout,
     // loss, optimizer steps) on both model families: forcing the scalar
     // kernel must reproduce the Auto weights bit-for-bit.
-    use fedat_core::exec::ToggleGuard;
+    use fedat_tensor::ctx::{self, KernelCtx};
     use fedat_tensor::simd::SimdKernel;
     let specs = [
         ModelSpec::Mlp {
@@ -178,11 +178,10 @@ fn training_is_bit_identical_across_simd_kernels() {
     ];
     for spec in specs {
         let run = |kernel: SimdKernel| {
-            // The guard restores the entry kernel after each run (not a
-            // hard-coded Auto) so the FEDAT_SIMD=scalar CI lane keeps its
-            // coverage for later tests.
-            let mut g = ToggleGuard::new();
-            g.simd(kernel);
+            let _g = ctx::install(KernelCtx {
+                simd: kernel,
+                ..ctx::snapshot()
+            });
             let mut m = spec.build(11);
             let mut rng = rng_for(6, 6);
             let feat = match spec {

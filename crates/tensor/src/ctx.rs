@@ -1,31 +1,35 @@
-//! Per-thread kernel-configuration overlay — the mechanism behind per-run
-//! execution contexts.
+//! Kernel configuration: one immutable default plus a per-thread overlay —
+//! the mechanism behind per-run execution contexts.
 //!
-//! Every kernel toggle in this crate ([`simd::SimdKernel`], the
-//! portable-only override, [`ops::NtKernel`], [`ops::AggKernel`], the
-//! [`parallel`] thread cap and spawn mode, and the [`pool`] job cap) is a
-//! process-wide atomic. That is the right *default layer* — env overrides
-//! and `ToggleGuard`-style test scoping live there — but it makes two
-//! concurrent experiment runs read each other's settings. The fix is this
-//! overlay: an optional [`KernelCtx`] stored in a thread-local that every
-//! toggle *getter* consults before falling back to the process global.
+//! The four kernel settings of this crate ([`crate::simd::SimdKernel`], the
+//! portable-only override, the [`crate::parallel`] thread cap and the [`crate::pool`] job
+//! cap) have no process-global *mutable* state. Each getter reads the
+//! thread-local [`KernelCtx`] overlay when one is installed and the
+//! immutable process defaults otherwise, so two concurrent experiment runs —
+//! or two tests in one binary — can never read each other's settings. To
+//! scope a setting, install an overlay:
+//!
+//! ```
+//! use fedat_tensor::ctx::{self, KernelCtx};
+//! let _g = ctx::install(KernelCtx { max_threads: 8, ..ctx::snapshot() });
+//! assert_eq!(fedat_tensor::parallel::max_threads(), 8);
+//! ```
 //!
 //! ## Propagation
 //!
 //! The overlay is thread-local, so it must travel with work that hops
-//! threads. All three thread-crossing paths in this crate propagate it
+//! threads. Both thread-crossing paths in this crate propagate it
 //! automatically, capturing the submitter's overlay at publication time and
 //! installing it around execution (worker-side *and* steal-on-join):
 //!
-//! * [`pool::submit`] — the runner closure carries the overlay,
-//! * [`pool::run_tasks`] — the batch carries it; every claiming thread
-//!   (workers and the participating caller) installs it in `Batch::work`,
-//! * [`parallel`]'s scoped-spawn baseline — each scoped thread installs it.
+//! * [`crate::pool::submit`] — the runner closure carries the overlay,
+//! * [`crate::pool::run_tasks`] — the batch carries it; every claiming thread
+//!   (workers and the participating caller) installs it in `Batch::work`.
 //!
 //! A `None` overlay propagates too: work submitted from a thread running
-//! on process defaults runs on process defaults wherever it executes, even
-//! when the executing thread happens to hold an overlay of its own
-//! (steal-on-join from inside another run).
+//! on the defaults runs on the defaults wherever it executes, even when the
+//! executing thread happens to hold an overlay of its own (steal-on-join
+//! from inside another run).
 //!
 //! ## Determinism
 //!
@@ -34,27 +38,23 @@
 //! it changes which (equivalent) code path computes it, and how many
 //! threads help.
 
-use crate::ops::{AggKernel, NtKernel};
-use crate::parallel::SpawnMode;
 use crate::simd::SimdKernel;
 use std::cell::Cell;
+use std::sync::OnceLock;
 
-/// A complete per-run snapshot of every kernel toggle in this crate.
+/// A complete snapshot of every kernel setting in this crate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelCtx {
     /// SIMD backend selection ([`crate::simd::simd_kernel`]).
     pub simd: SimdKernel,
-    /// Portable-fallback override ([`crate::simd::portable_only`]).
+    /// Forces `Auto` onto the portable fallback even where the ISA path is
+    /// available ([`crate::simd::portable_only`]) — for ISA-independence
+    /// checks, not a perf setting.
     pub portable_only: bool,
-    /// `A·Bᵀ` formulation ([`crate::ops::nt_kernel`]).
-    pub nt: NtKernel,
-    /// Aggregation formulation ([`crate::ops::agg_kernel`]).
-    pub agg: AggKernel,
     /// Per-kernel thread cap ([`crate::parallel::max_threads`]); ≥ 1.
     pub max_threads: usize,
-    /// Parallel-region execution mode ([`crate::parallel::spawn_mode`]).
-    pub spawn: SpawnMode,
-    /// Pool-resident submitted-job cap ([`crate::pool::max_pool_jobs`]).
+    /// Pool-resident submitted-job cap ([`crate::pool::max_pool_jobs`]);
+    /// `usize::MAX` = uncapped.
     pub max_pool_jobs: usize,
 }
 
@@ -63,25 +63,32 @@ thread_local! {
     static OVERLAY: Cell<Option<KernelCtx>> = const { Cell::new(None) };
 }
 
+/// The process defaults, built once and never mutated: `Auto` SIMD (or
+/// `Scalar` under `FEDAT_SIMD=scalar`, the CI scalar lane), serial kernels,
+/// uncapped pool jobs. `FEDAT_SIMD` is read here and nowhere else.
+fn defaults() -> KernelCtx {
+    static DEFAULTS: OnceLock<KernelCtx> = OnceLock::new();
+    *DEFAULTS.get_or_init(|| KernelCtx {
+        simd: match std::env::var("FEDAT_SIMD").as_deref() {
+            Ok(s) if s.eq_ignore_ascii_case("scalar") => SimdKernel::Scalar,
+            _ => SimdKernel::Auto,
+        },
+        portable_only: false,
+        max_threads: 1,
+        max_pool_jobs: usize::MAX,
+    })
+}
+
 /// The overlay active on this thread, if one is installed.
 pub fn current() -> Option<KernelCtx> {
     OVERLAY.with(Cell::get)
 }
 
 /// The effective kernel configuration on this thread: the overlay when one
-/// is installed, the process defaults otherwise. (The defaults read the
-/// same lazily-env-initialized globals the toggle setters write, so a
-/// snapshot taken before any override sees `FEDAT_SIMD` et al.)
+/// is installed, the process defaults (built-ins, with `FEDAT_SIMD` read
+/// once) otherwise.
 pub fn snapshot() -> KernelCtx {
-    KernelCtx {
-        simd: crate::simd::simd_kernel(),
-        portable_only: crate::simd::portable_only(),
-        nt: crate::ops::nt_kernel(),
-        agg: crate::ops::agg_kernel(),
-        max_threads: crate::parallel::max_threads(),
-        spawn: crate::parallel::spawn_mode(),
-        max_pool_jobs: crate::pool::max_pool_jobs(),
-    }
+    current().unwrap_or_else(defaults)
 }
 
 /// Installs `overlay` (including `None`, which *clears* any overlay) on
@@ -117,10 +124,7 @@ mod tests {
         KernelCtx {
             simd: SimdKernel::Scalar,
             portable_only: true,
-            nt: NtKernel::DotProduct,
-            agg: AggKernel::FusedSerial,
             max_threads: 3,
-            spawn: SpawnMode::PersistentPool,
             max_pool_jobs: 2,
         }
     }
@@ -153,14 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn overlay_wins_over_globals_in_getters() {
-        // The getters must consult the overlay before the process globals.
-        let ctx = sample();
-        let _g = install(ctx);
+    fn overlay_wins_over_defaults_in_getters() {
+        assert_eq!(snapshot(), defaults());
+        let _g = install(sample());
+        assert_eq!(snapshot(), sample());
         assert_eq!(crate::simd::simd_kernel(), SimdKernel::Scalar);
         assert!(crate::simd::portable_only());
-        assert_eq!(crate::ops::nt_kernel(), NtKernel::DotProduct);
-        assert_eq!(crate::ops::agg_kernel(), AggKernel::FusedSerial);
         assert_eq!(crate::parallel::max_threads(), 3);
         assert_eq!(crate::pool::max_pool_jobs(), 2);
     }

@@ -17,14 +17,14 @@
 //! All parallel kernels partition *output* elements across threads, so each
 //! output value is produced by exactly one thread using a fixed serial
 //! reduction order. Results are therefore bit-identical regardless of the
-//! thread count configured via [`parallel::set_max_threads`]. Reductions that
+//! thread count configured via [`ctx::KernelCtx::max_threads`]. Reductions that
 //! would need cross-thread accumulation (e.g. [`Tensor::sum`]) stay serial.
 //!
 //! The arithmetic inside every kernel dispatches through the explicit SIMD
 //! layer ([`simd`]): runtime-detected AVX2+FMA paths with a portable 8-lane
 //! fallback, bit-identical to the scalar reference by construction (see the
 //! module docs for the lane-decomposition argument), so neither the host
-//! ISA nor the [`simd::SimdKernel`] toggle can change a result either.
+//! ISA nor the [`simd::SimdKernel`] setting can change a result either.
 //!
 //! ```
 //! use fedat_tensor::Tensor;

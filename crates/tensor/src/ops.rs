@@ -179,70 +179,19 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     });
 }
 
-/// Selects the formulation of [`matmul_nt_into`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NtKernel {
-    /// Materialize `Bᵀ` into a scratch buffer, then run the vectorizable
-    /// `ikj` kernel (the default; ~5× faster than the dot formulation).
-    TransposedScratch,
-    /// Per-element dot products with f64 accumulation — the seed's
-    /// formulation, kept as the measured naive baseline.
-    DotProduct,
-}
-
-static NT_KERNEL_NAIVE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Selects how `C += A·Bᵀ` is computed (benchmark baseline toggle).
-pub fn set_nt_kernel(kernel: NtKernel) {
-    NT_KERNEL_NAIVE.store(
-        kernel == NtKernel::DotProduct,
-        std::sync::atomic::Ordering::Relaxed,
-    );
-}
-
-/// The active [`NtKernel`]: the thread's [`crate::ctx`] overlay when one
-/// is installed, the process global otherwise.
-pub fn nt_kernel() -> NtKernel {
-    if let Some(c) = crate::ctx::current() {
-        return c.nt;
-    }
-    if NT_KERNEL_NAIVE.load(std::sync::atomic::Ordering::Relaxed) {
-        NtKernel::DotProduct
-    } else {
-        NtKernel::TransposedScratch
-    }
-}
-
 /// `C[m,n] += A · Bᵀ` with `A[m,k]`, `B[n,k]`, on raw slices.
 ///
 /// Materializes `Bᵀ` into a scratch-arena buffer once, then runs the same
-/// cache-friendly vectorizable `ikj` kernel as [`matmul_into`]. The naive
-/// per-element dot-product formulation this replaces was ~5× slower (strided
-/// reads, scalar f64 accumulation) and dominated every backward pass, since
-/// both `dX = dY·Wᵀ` and the conv weight gradient land here. The old
-/// formulation stays reachable via [`set_nt_kernel`] for baseline
-/// measurements.
+/// cache-friendly vectorizable `ikj` kernel as [`matmul_into`]. Both
+/// `dX = dY·Wᵀ` and the conv weight gradient land here, so this sits on
+/// every backward pass.
 pub fn matmul_nt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), n * k);
     assert_eq!(c.len(), m * n);
     let threads = parallel::plan_threads(m, 2 * k * n);
-    if nt_kernel() == NtKernel::DotProduct {
-        parallel::for_each_row_band(c, n, threads, |first_row, band| {
-            for (r, crow) in band.chunks_mut(n).enumerate() {
-                let i = first_row + r;
-                let arow = &a[i * k..(i + 1) * k];
-                for (j, cj) in crow.iter_mut().enumerate() {
-                    *cj += dot(arow, &b[j * k..(j + 1) * k]);
-                }
-            }
-        });
-        return;
-    }
-    // bt[p, j] = b[j, p] via the cache-blocked transpose: the old
-    // per-element strided-gather `extend` loop paid a closure call and a
-    // cache miss per element on every backward pass. No zero-fill — the
-    // transpose writes every element of the spare capacity exactly once.
+    // bt[p, j] = b[j, p] via the cache-blocked transpose. No zero-fill —
+    // the transpose writes every element of the spare capacity exactly once.
     let mut bt = crate::scratch::take_empty(k * n);
     simd::transpose_uninit(b, &mut bt.spare_capacity_mut()[..k * n], n, k);
     // SAFETY: capacity ≥ k*n by `take_empty`, and every element of the
@@ -324,44 +273,6 @@ pub fn softmax_inplace(row: &mut [f32]) {
     simd::scale(row, inv);
 }
 
-/// Selects the formulation of [`weighted_sum_into`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggKernel {
-    /// Shard the model dimension into cache-sized chunks dispatched on the
-    /// kernel pool; within each shard, accumulate input-by-input with
-    /// vectorizable axpy loops (the default).
-    ShardedAxpy,
-    /// The fused per-element pass over all inputs on one thread — the
-    /// pre-sharding formulation, kept as the measured baseline for
-    /// `BENCH_aggregate.json`.
-    FusedSerial,
-}
-
-static AGG_KERNEL_SERIAL: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Selects how [`weighted_sum_into`] is computed (benchmark baseline
-/// toggle). Both kernels accumulate every output element in input order,
-/// so the choice never changes results — only throughput.
-pub fn set_agg_kernel(kernel: AggKernel) {
-    AGG_KERNEL_SERIAL.store(
-        kernel == AggKernel::FusedSerial,
-        std::sync::atomic::Ordering::Relaxed,
-    );
-}
-
-/// The active [`AggKernel`]: the thread's [`crate::ctx`] overlay when one
-/// is installed, the process global otherwise.
-pub fn agg_kernel() -> AggKernel {
-    if let Some(c) = crate::ctx::current() {
-        return c.agg;
-    }
-    if AGG_KERNEL_SERIAL.load(std::sync::atomic::Ordering::Relaxed) {
-        AggKernel::FusedSerial
-    } else {
-        AggKernel::ShardedAxpy
-    }
-}
-
 /// Shard length (f32 elements) of the sharded aggregation kernel: 16 KiB
 /// keeps an output shard L1-resident while the whole input cohort streams
 /// through it. Shard boundaries depend only on this constant, never on the
@@ -373,15 +284,13 @@ pub const AGG_SHARD: usize = 4096;
 /// `out[i] = Σ_j weights[j] · inputs[j][i]`. This is the FedAvg/FedAT
 /// aggregation primitive; weights need not sum to 1 (callers normalize).
 ///
-/// The default kernel shards the model dimension into [`AGG_SHARD`]-element
-/// chunks dispatched on the persistent pool (disjoint output shards — the
-/// same determinism argument as the matmuls) and accumulates each shard
-/// input-by-input: the inner loop is an axpy the compiler vectorizes,
-/// where the fused per-element formulation chains every FMA through one
-/// scalar accumulator. For large cohorts (hundreds of client updates) the
-/// sharded kernel is several times faster *even single-threaded*. Every
-/// element still accumulates in input order starting from 0.0, so both
-/// kernels and all thread counts produce bit-identical results.
+/// The model dimension is sharded into [`AGG_SHARD`]-element chunks
+/// dispatched on the persistent pool (disjoint output shards — the same
+/// determinism argument as the matmuls) and each shard accumulates
+/// input-by-input with a vectorizable axpy. Every element accumulates in
+/// input order starting from 0.0 — exactly the per-element sum
+/// `Σ_j weights[j] · inputs[j][i]` evaluated left to right — so all thread
+/// counts produce bit-identical results.
 ///
 /// # Panics
 /// Panics if lengths are inconsistent or no inputs are given.
@@ -398,22 +307,12 @@ pub fn weighted_sum_into(inputs: &[&[f32]], weights: &[f32], out: &mut [f32]) {
     for input in inputs {
         assert_eq!(input.len(), out.len(), "input length mismatch");
     }
-    if agg_kernel() == AggKernel::FusedSerial {
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (input, &w) in inputs.iter().zip(weights.iter()) {
-                acc += w * input[i];
-            }
-            *o = acc;
-        }
-        return;
-    }
     let threads = parallel::plan_threads(out.len(), 2 * inputs.len());
     parallel::for_each_chunk(out, AGG_SHARD, threads, |start, shard| {
         let end = start + shard.len();
-        // First input initializes the shard exactly like the fused pass:
-        // the accumulator starts at 0.0, which keeps -0.0 products
-        // bit-compatible (`0.0 + -0.0 == 0.0`).
+        // The first input initializes the shard as `0.0 + w·x`, so a -0.0
+        // product lands as +0.0 exactly like the per-element sum
+        // (`0.0 + -0.0 == 0.0`).
         simd::wsum_first(shard, &inputs[0][start..end], weights[0]);
         for (input, &w) in inputs.iter().zip(weights.iter()).skip(1) {
             simd::axpy(w, &input[start..end], shard);
@@ -570,14 +469,15 @@ mod tests {
         let mut rng = rng_for(7, 2);
         let a = Tensor::randn(&mut rng, &[64, 96], 0.0, 1.0);
         let b = Tensor::randn(&mut rng, &[96, 80], 0.0, 1.0);
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        parallel::set_max_threads(1);
-        let serial = a.matmul(&b);
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        parallel::set_max_threads(8);
-        let par = a.matmul(&b);
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        parallel::set_max_threads(1);
+        let run = |max_threads| {
+            let _g = crate::ctx::install(crate::ctx::KernelCtx {
+                max_threads,
+                ..crate::ctx::snapshot()
+            });
+            a.matmul(&b)
+        };
+        let serial = run(1);
+        let par = run(8);
         assert_eq!(
             serial.data(),
             par.data(),
@@ -632,9 +532,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_aggregation_matches_fused_serial_bitwise() {
+    fn sharded_aggregation_matches_per_element_sum_bitwise() {
         // Many inputs over several shards: the vectorizable sharded kernel
-        // must reproduce the fused per-element pass exactly.
+        // must reproduce the per-element left-to-right sum exactly.
         let mut rng = rng_for(11, 2);
         let dim = 3 * AGG_SHARD + 17;
         let inputs: Vec<Vec<f32>> = (0..40)
@@ -646,24 +546,24 @@ mod tests {
             .collect();
         let refs: Vec<&[f32]> = inputs.iter().map(|v| v.as_slice()).collect();
         let weights: Vec<f32> = (0..40).map(|i| (i as f32 + 1.0) / 820.0).collect();
-        // In-crate unit test: `ToggleGuard` lives in fedat-core, whose
-        // fedat-tensor is a different instance than this `lib test` build,
-        // so the manual set/restore is the only correct form here.
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_agg_kernel(AggKernel::FusedSerial);
-        let mut fused = vec![0.0f32; dim];
-        weighted_sum_into(&refs, &weights, &mut fused);
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_agg_kernel(AggKernel::ShardedAxpy);
-        for threads in [1, 4] {
-            // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-            parallel::set_max_threads(threads);
+        let reference: Vec<f32> = (0..dim)
+            .map(|i| {
+                let mut acc = 0.0f32;
+                for (input, &w) in refs.iter().zip(&weights) {
+                    acc += w * input[i];
+                }
+                acc
+            })
+            .collect();
+        for max_threads in [1, 4] {
+            let _g = crate::ctx::install(crate::ctx::KernelCtx {
+                max_threads,
+                ..crate::ctx::snapshot()
+            });
             let mut sharded = vec![0.0f32; dim];
             weighted_sum_into(&refs, &weights, &mut sharded);
-            assert_eq!(fused, sharded, "kernels diverged at {threads} threads");
+            assert_eq!(reference, sharded, "diverged at {max_threads} threads");
         }
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        parallel::set_max_threads(1);
     }
 
     #[test]

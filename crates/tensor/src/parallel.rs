@@ -7,82 +7,24 @@
 //!
 //! Work is executed on the persistent worker pool in [`crate::pool`]:
 //! workers are spawned once and parked between kernels, so a parallel
-//! region costs a channel send instead of an OS thread spawn + join. The
-//! pre-pool behavior (a fresh [`std::thread::scope`] per call) is kept
-//! behind [`set_spawn_mode`] as the measured baseline for
-//! `BENCH_fl_round.json`.
+//! region costs a channel send instead of an OS thread spawn + join.
 //!
 //! The FedAT simulator parallelizes across *clients*, so by default kernels
-//! run serially to avoid oversubscription; call [`set_max_threads`] to let
-//! individual kernels fan out (useful in the Criterion benches and for large
-//! single-model workloads).
+//! run serially to avoid oversubscription; install a [`crate::ctx::KernelCtx`]
+//! with a larger `max_threads` to let individual kernels fan out (useful in
+//! the Criterion benches and for large single-model workloads).
 
 use crate::pool;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-
-/// Global cap on threads used by a single kernel. `1` means serial.
-static MAX_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// How parallel regions are executed (`0` = pool, `1` = scoped spawn).
-static SPAWN_MODE: AtomicU8 = AtomicU8::new(0);
 
 /// Minimum number of f32 ops a chunk must contain before fanning out.
 /// Below this, dispatch overhead dominates any speedup.
 pub const PAR_THRESHOLD: usize = 16 * 1024;
 
-/// How a parallel region acquires its threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpawnMode {
-    /// Dispatch to the persistent worker pool (the default).
-    PersistentPool,
-    /// Spawn and join scoped OS threads per call — the pre-pool behavior,
-    /// kept as the naive baseline for the wall-clock benchmarks.
-    ScopedSpawn,
-}
-
-/// Selects how parallel regions are executed.
-pub fn set_spawn_mode(mode: SpawnMode) {
-    SPAWN_MODE.store(
-        match mode {
-            SpawnMode::PersistentPool => 0,
-            SpawnMode::ScopedSpawn => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// Current execution mode for parallel regions: the thread's
-/// [`crate::ctx`] overlay when one is installed, the process global
+/// Current per-kernel thread cap (`1` means serial): the thread's
+/// [`crate::ctx`] overlay when one is installed, the built-in default
 /// otherwise.
-pub fn spawn_mode() -> SpawnMode {
-    if let Some(c) = crate::ctx::current() {
-        return c.spawn;
-    }
-    match SPAWN_MODE.load(Ordering::Relaxed) {
-        0 => SpawnMode::PersistentPool,
-        _ => SpawnMode::ScopedSpawn,
-    }
-}
-
-/// Sets the per-kernel thread cap. `0` is interpreted as "all available".
-pub fn set_max_threads(n: usize) {
-    let n = if n == 0 {
-        std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1)
-    } else {
-        n
-    };
-    MAX_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// Current per-kernel thread cap: the thread's [`crate::ctx`] overlay when
-/// one is installed, the process global otherwise.
 pub fn max_threads() -> usize {
-    if let Some(c) = crate::ctx::current() {
-        return c.max_threads.max(1);
-    }
-    MAX_THREADS.load(Ordering::Relaxed).max(1)
+    crate::ctx::snapshot().max_threads.max(1)
 }
 
 /// Decides how many threads to use for `work_items` independent items whose
@@ -97,28 +39,6 @@ pub fn plan_threads(work_items: usize, cost_per_item: usize) -> usize {
         return 1;
     }
     cap.min(work_items).max(1)
-}
-
-/// Executes `chunks` disjoint tasks on up to `threads` threads, preserving
-/// the caller-participates contract of the pool in both modes.
-fn run_region(chunks: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
-    match spawn_mode() {
-        SpawnMode::PersistentPool => pool::run_tasks(chunks, threads - 1, task),
-        SpawnMode::ScopedSpawn => {
-            // Scoped threads inherit the caller's kernel-ctx overlay so a
-            // per-run configuration survives the baseline spawn path too.
-            let overlay = crate::ctx::current();
-            // lint: allow(R4, reason = "the scoped-spawn baseline mode is the measured pre-pool reference; threads never touch simulator state")
-            std::thread::scope(|scope| {
-                for t in 0..chunks {
-                    scope.spawn(move || {
-                        let _ctx = crate::ctx::set_overlay(overlay);
-                        task(t)
-                    });
-                }
-            });
-        }
-    }
 }
 
 /// Runs `f(chunk_index, item_range)` over `0..len` split into `threads`
@@ -140,7 +60,7 @@ where
     }
     let chunk = len.div_ceil(threads);
     let chunks = len.div_ceil(chunk);
-    run_region(chunks, threads, &|t| {
+    pool::run_tasks(chunks, threads - 1, &|t| {
         let lo = t * chunk;
         let hi = ((t + 1) * chunk).min(len);
         f(t, lo..hi);
@@ -174,7 +94,7 @@ where
     let len = out.len();
     let bands = len.div_ceil(band_elems);
     let base = out.as_mut_ptr() as usize;
-    run_region(bands, threads, &|t| {
+    pool::run_tasks(bands, threads - 1, &|t| {
         let lo = t * band_elems;
         let hi = ((t + 1) * band_elems).min(len);
         // SAFETY: bands are disjoint, in-bounds subslices of `out`, which
@@ -216,13 +136,12 @@ where
         return;
     }
     // Group chunks into at most `threads` region tasks (each task walks
-    // its chunks serially) so the region honours the thread cap in both
-    // spawn modes — `run_region` in scoped mode spawns one OS thread per
-    // task. Chunk boundaries are unaffected by the grouping.
+    // its chunks serially) so the region honours the thread cap. Chunk
+    // boundaries are unaffected by the grouping.
     let per_group = chunks.div_ceil(threads);
     let groups = chunks.div_ceil(per_group);
     let base = out.as_mut_ptr() as usize;
-    run_region(groups, threads, &|g| {
+    pool::run_tasks(groups, threads - 1, &|g| {
         for t in (g * per_group)..((g + 1) * per_group).min(chunks) {
             let lo = t * chunk_len;
             let hi = ((t + 1) * chunk_len).min(len);
@@ -263,7 +182,7 @@ where
     let per_group = n.div_ceil(threads);
     let groups = n.div_ceil(per_group);
     let base = slots.as_mut_ptr() as usize;
-    run_region(groups, threads, &|g| {
+    pool::run_tasks(groups, threads - 1, &|g| {
         for i in (g * per_group)..((g + 1) * per_group).min(n) {
             // SAFETY: each slot index belongs to exactly one group, so the
             // reconstituted `&mut T`s are disjoint, in-bounds elements of
@@ -279,20 +198,24 @@ where
 mod tests {
     use super::*;
 
+    fn with_threads(n: usize) -> crate::ctx::OverlayGuard {
+        crate::ctx::install(crate::ctx::KernelCtx {
+            max_threads: n,
+            ..crate::ctx::snapshot()
+        })
+    }
+
     #[test]
     fn serial_plan_when_cap_is_one() {
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_max_threads(1);
+        let _g = with_threads(1);
         assert_eq!(plan_threads(1_000_000, 1_000), 1);
     }
 
     #[test]
     fn small_work_stays_serial_even_with_threads() {
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_max_threads(8);
+        let _g = with_threads(8);
         assert_eq!(plan_threads(4, 4), 1);
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_max_threads(1);
+        assert_eq!(plan_threads(1_000_000, 1_000), 8);
     }
 
     #[test]
@@ -376,29 +299,5 @@ mod tests {
                 assert_eq!(slot.as_slice(), &[i as u8], "threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn scoped_spawn_mode_matches_pool_mode() {
-        let run = || {
-            let mut out = vec![0.0f32; 32 * 8];
-            for_each_row_band(&mut out, 8, 4, |first_row, band| {
-                for (r, row) in band.chunks_mut(8).enumerate() {
-                    for (c, v) in row.iter_mut().enumerate() {
-                        *v = ((first_row + r) * 17 + c) as f32;
-                    }
-                }
-            });
-            out
-        };
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_spawn_mode(SpawnMode::PersistentPool);
-        let pooled = run();
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_spawn_mode(SpawnMode::ScopedSpawn);
-        let scoped = run();
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_spawn_mode(SpawnMode::PersistentPool);
-        assert_eq!(pooled, scoped);
     }
 }

@@ -40,7 +40,7 @@
 //! caller opted into — speculative execution), and a panic inside an
 //! abandoned job is confined to its `catch_unwind`.
 //!
-//! [`set_max_pool_jobs`] caps how many submitted jobs may occupy the pool
+//! [`crate::ctx::KernelCtx::max_pool_jobs`] caps how many submitted jobs may occupy the pool
 //! (queued + running) at once; excess submissions skip the channel and run
 //! at `join` on the joining thread. The cap exists for the thread-scaling
 //! benchmarks (`bench_fl_round --threads-sweep`), where it emulates smaller
@@ -260,26 +260,15 @@ impl<T> JobHandle<T> {
 /// Submitted jobs currently occupying the pool (queued or running).
 static POOL_JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Cap on [`POOL_JOBS`]; `usize::MAX` = uncapped.
-static MAX_POOL_JOBS: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-/// Caps how many submitted jobs may occupy the pool at once; submissions
-/// beyond the cap run at `join` on the joining thread instead. `0` forces
-/// every job inline at join. Results are unaffected (pure closures);
-/// this is the worker-count knob for the thread-scaling benchmarks.
-pub fn set_max_pool_jobs(cap: usize) {
-    MAX_POOL_JOBS.store(cap, Ordering::Relaxed);
-}
-
-/// Current cap on pool-resident submitted jobs: the thread's
-/// [`crate::ctx`] overlay when one is installed, the process global
-/// otherwise. (The occupancy *counter* stays process-wide — the cap is a
-/// per-run admission limit against shared capacity.)
+/// Cap on how many submitted jobs may occupy the pool at once (see
+/// [`crate::ctx`] for how it resolves); submissions beyond the cap run at
+/// `join` on the joining thread instead, `0` forces every job inline at
+/// join and `usize::MAX` means uncapped. Results are unaffected (pure
+/// closures); this is the worker-count knob for the thread-scaling
+/// benchmarks. The occupancy *counter* stays process-wide — the cap is a
+/// per-run admission limit against shared capacity.
 pub fn max_pool_jobs() -> usize {
-    if let Some(c) = crate::ctx::current() {
-        return c.max_pool_jobs;
-    }
-    MAX_POOL_JOBS.load(Ordering::Relaxed)
+    crate::ctx::snapshot().max_pool_jobs
 }
 
 /// Acquires one pool-job slot, respecting [`max_pool_jobs`].
@@ -570,10 +559,21 @@ mod tests {
 
     // --- submitted-job executor ---
     //
-    // The job cap and worker count are process globals, so tests in this
-    // binary may race on them — harmless by construction: where a job runs
-    // (worker vs. steal-on-join) can never change its result, which is
-    // exactly the property under test.
+    // The worker count is process-wide, so tests in this binary share it —
+    // harmless by construction: where a job runs (worker vs. steal-on-join)
+    // can never change its result, which is exactly the property under
+    // test. The job cap is scoped to the submitting test thread.
+
+    /// Submits `job` under a job cap of 0, so it never enters the pool.
+    fn submit_unpooled<T: Send + 'static>(
+        job: impl FnOnce() -> T + Send + 'static,
+    ) -> JobHandle<T> {
+        let _g = crate::ctx::install(crate::ctx::KernelCtx {
+            max_pool_jobs: 0,
+            ..crate::ctx::snapshot()
+        });
+        submit(job)
+    }
 
     #[test]
     fn submit_join_returns_the_result() {
@@ -585,12 +585,7 @@ mod tests {
     #[test]
     fn join_steals_jobs_the_pool_never_started() {
         // Cap 0: no job enters the pool, so join must run it inline.
-        let prev = max_pool_jobs();
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_max_pool_jobs(0);
-        let h = submit(|| 21 * 2);
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_max_pool_jobs(prev);
+        let h = submit_unpooled(|| 21 * 2);
         assert_eq!(h.join(), 42);
     }
 
@@ -662,14 +657,9 @@ mod tests {
     fn cancel_reclaims_unstarted_jobs_without_running_them() {
         // Cap 0 keeps the job out of the pool, so nobody can claim it
         // before the cancel: the closure must never run.
-        let prev = max_pool_jobs();
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_max_pool_jobs(0);
         let ran = Arc::new(AtomicU64::new(0));
         let flag = Arc::clone(&ran);
-        let h = submit(move || flag.fetch_add(1, Ordering::Relaxed));
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_max_pool_jobs(prev);
+        let h = submit_unpooled(move || flag.fetch_add(1, Ordering::Relaxed));
         assert!(h.cancel(), "unstarted job must be cancellable");
         assert_eq!(ran.load(Ordering::Relaxed), 0, "cancelled job ran");
     }
@@ -678,12 +668,7 @@ mod tests {
     fn cancel_after_completion_reports_too_late() {
         // Cap 0 keeps the job out of the pool so no worker can race this
         // thread for the claim below.
-        let prev = max_pool_jobs();
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_max_pool_jobs(0);
-        let h = submit(|| 5u8);
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_max_pool_jobs(prev);
+        let h = submit_unpooled(|| 5u8);
         // Force completion through a second handle path: join would
         // consume it, so complete via the pool/steal machinery instead.
         assert!(h.core.claim().is_some());

@@ -17,29 +17,13 @@
 //! tests assert that steady-state training stops allocating.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Maximum buffers retained per thread.
 pub const MAX_FREE: usize = 64;
 
-/// Whether buffers are recycled at all (benchmark baseline toggle).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
 thread_local! {
     static FREE: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
     static MISSES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Enables or disables the arena. Disabled, every take allocates and every
-/// recycle drops — the seed's allocation behavior, kept as the measured
-/// naive baseline for `BENCH_fl_round.json`.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the arena is recycling buffers.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Total arena misses (heap allocations) on this thread so far.
@@ -48,10 +32,6 @@ pub fn alloc_misses() -> u64 {
 }
 
 fn take_raw(len: usize) -> Vec<f32> {
-    if !enabled() {
-        MISSES.with(|m| m.set(m.get() + 1));
-        return Vec::with_capacity(len);
-    }
     FREE.with(|free| {
         let mut free = free.borrow_mut();
         // Best fit: the smallest retained buffer that holds `len`.
@@ -99,7 +79,7 @@ pub fn take_empty(capacity: usize) -> Vec<f32> {
 
 /// Returns a buffer to the arena for reuse.
 pub fn recycle(v: Vec<f32>) {
-    if v.capacity() == 0 || !enabled() {
+    if v.capacity() == 0 {
         return;
     }
     FREE.with(|free| {

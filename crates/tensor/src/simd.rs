@@ -47,15 +47,13 @@
 //! shards partition output elements, and this module only changes how the
 //! arithmetic *inside* one band is issued.
 //!
-//! The active kernel is a process-global toggle ([`set_simd_kernel`],
-//! mirroring `NtKernel`/`AggKernel`), overridable at startup with
-//! `FEDAT_SIMD=scalar` so CI can run the whole suite on the scalar path.
+//! The active kernel is a [`crate::ctx::KernelCtx`] setting: `Auto` by
+//! default, `FEDAT_SIMD=scalar` flips the default so CI can run the whole
+//! suite on the scalar path, and a thread-local overlay scopes it per run.
 //
 // Index-based loops are used deliberately throughout: they keep the lane
 // structure and the pinned accumulation order visible.
 #![allow(clippy::needless_range_loop)]
-
-use std::sync::atomic::{AtomicU8, Ordering};
 
 // ----------------------------------------------------------------------
 // Kernel selection
@@ -72,65 +70,15 @@ pub enum SimdKernel {
     Scalar,
 }
 
-const K_UNSET: u8 = 0;
-const K_AUTO: u8 = 1;
-const K_SCALAR: u8 = 2;
-
-/// Active kernel; initialized lazily from `FEDAT_SIMD` on first query.
-static KERNEL: AtomicU8 = AtomicU8::new(K_UNSET);
-
-/// Test/bench hook: skip the ISA-specific path even when available, so the
-/// portable fallback can be exercised on hosts that would dispatch to AVX2.
-static PORTABLE_ONLY: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the SIMD backend (benchmark baseline toggle). Both kernels
-/// produce bit-identical results — the choice only changes throughput.
-pub fn set_simd_kernel(kernel: SimdKernel) {
-    KERNEL.store(
-        match kernel {
-            SimdKernel::Auto => K_AUTO,
-            SimdKernel::Scalar => K_SCALAR,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The active [`SimdKernel`]: the thread's [`crate::ctx`] overlay when one
-/// is installed, the process default otherwise. The default is `Auto`; the
-/// environment variable `FEDAT_SIMD=scalar` flips it before any override.
+/// The active [`SimdKernel`] (see [`crate::ctx`] for how it resolves).
 pub fn simd_kernel() -> SimdKernel {
-    if let Some(c) = crate::ctx::current() {
-        return c.simd;
-    }
-    let mut v = KERNEL.load(Ordering::Relaxed);
-    if v == K_UNSET {
-        v = match std::env::var("FEDAT_SIMD").as_deref() {
-            Ok(s) if s.eq_ignore_ascii_case("scalar") => K_SCALAR,
-            _ => K_AUTO,
-        };
-        KERNEL.store(v, Ordering::Relaxed);
-    }
-    if v == K_SCALAR {
-        SimdKernel::Scalar
-    } else {
-        SimdKernel::Auto
-    }
+    crate::ctx::snapshot().simd
 }
 
-/// Forces `Auto` to use the portable fallback instead of the ISA path.
-/// For tests and benches (ISA-independence checks); not a perf toggle.
-pub fn set_portable_only(portable: bool) {
-    PORTABLE_ONLY.store(portable as u8, Ordering::Relaxed);
-}
-
-/// Whether the portable-fallback override is in force: the thread's
-/// [`crate::ctx`] overlay when installed, else the process global (the
-/// restore hook for `fedat_core::exec::ToggleGuard`).
+/// Whether `Auto` is forced onto the portable fallback instead of the ISA
+/// path (see [`crate::ctx::KernelCtx::portable_only`]).
 pub fn portable_only() -> bool {
-    if let Some(c) = crate::ctx::current() {
-        return c.portable_only;
-    }
-    PORTABLE_ONLY.load(Ordering::Relaxed) != 0
+    crate::ctx::snapshot().portable_only
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -150,11 +98,12 @@ enum Backend {
 }
 
 fn active() -> Backend {
-    if simd_kernel() == SimdKernel::Scalar {
+    let ctx = crate::ctx::snapshot();
+    if ctx.simd == SimdKernel::Scalar {
         return Backend::Scalar;
     }
     #[cfg(target_arch = "x86_64")]
-    if !portable_only() && avx2_available() {
+    if !ctx.portable_only && avx2_available() {
         return Backend::Avx2;
     }
     Backend::Portable
@@ -1613,37 +1562,30 @@ mod tests {
         assert_eq!(t[5 * r + 3], src[3 * c + 5]);
     }
 
-    // In-crate unit tests cannot use `fedat_core::exec::ToggleGuard`: the
-    // `lib test` build of this crate is a distinct instance from the one
-    // fedat-core links, so the guard would flip the *other* instance's
-    // statics. The manual entry/restore dance is the only correct form
-    // here; the allows below record that audit.
+    /// Scopes the backend selection to the calling test thread.
+    fn backend(simd: SimdKernel, portable_only: bool) -> crate::ctx::OverlayGuard {
+        crate::ctx::install(crate::ctx::KernelCtx {
+            simd,
+            portable_only,
+            ..crate::ctx::snapshot()
+        })
+    }
 
     #[test]
     fn dot_matches_lane_definition_on_all_backends() {
-        let entry = simd_kernel();
         let x = filled(1003, 2);
         let y = filled(1003, 3);
-        let reference = {
-            // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-            set_simd_kernel(SimdKernel::Scalar);
-            dot(&x, &y)
+        let run = |simd, portable| {
+            let _g = backend(simd, portable);
+            dot(&x, &y).to_bits()
         };
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_simd_kernel(SimdKernel::Auto);
-        assert_eq!(dot(&x, &y).to_bits(), reference.to_bits());
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_portable_only(true);
-        assert_eq!(dot(&x, &y).to_bits(), reference.to_bits());
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_portable_only(false);
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_simd_kernel(entry);
+        let reference = run(SimdKernel::Scalar, false);
+        assert_eq!(run(SimdKernel::Auto, false), reference);
+        assert_eq!(run(SimdKernel::Auto, true), reference);
     }
 
     #[test]
     fn matmul_block_is_backend_invariant_on_awkward_shapes() {
-        let entry = simd_kernel();
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (5, 3, 7),
@@ -1653,16 +1595,9 @@ mod tests {
             let a = filled(m * k, (m * k) as u64);
             let b = filled(k * n, (k * n) as u64 ^ 5);
             let run = |kernel: SimdKernel, portable: bool| {
-                // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-                set_simd_kernel(kernel);
-                // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-                set_portable_only(portable);
+                let _g = backend(kernel, portable);
                 let mut c = filled(m * n, 99);
                 matmul_block(Lhs::RowMajor(&a, k), &b, &mut c, 0, k, n);
-                // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-                set_portable_only(false);
-                // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-                set_simd_kernel(entry);
                 c
             };
             let reference = run(SimdKernel::Scalar, false);
@@ -1677,14 +1612,10 @@ mod tests {
 
     #[test]
     fn codec_kernels_are_backend_invariant() {
-        let entry = simd_kernel();
         let w = filled(1003, 11);
         let r = filled(1003, 12);
         let run = |kernel: SimdKernel, portable: bool| {
-            // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-            set_simd_kernel(kernel);
-            // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-            set_portable_only(portable);
+            let _g = backend(kernel, portable);
             let mut sub = vec![0.0f32; w.len()];
             sub_into(&mut sub, &w, &r);
             let mut abs = vec![0.0f32; w.len()];
@@ -1697,10 +1628,6 @@ mod tests {
             delta_bits_into(&mut bits, &w, &r);
             let mut back = vec![0.0f32; w.len()];
             apply_delta_bits_into(&mut back, &bits, &r);
-            // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-            set_portable_only(false);
-            // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-            set_simd_kernel(entry);
             (sub, abs, q, deq, bits, back)
         };
         let reference = run(SimdKernel::Scalar, false);
@@ -1723,17 +1650,12 @@ mod tests {
             }
         }
         let b = filled(k * n, 6);
-        let entry = simd_kernel();
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_simd_kernel(SimdKernel::Scalar);
-        let mut want = vec![0.0f32; m * n];
-        matmul_block(Lhs::RowMajor(&a, k), &b, &mut want, 0, k, n);
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_simd_kernel(SimdKernel::Auto);
-        let mut got = vec![0.0f32; m * n];
-        matmul_block(Lhs::RowMajor(&a, k), &b, &mut got, 0, k, n);
-        // lint: allow(R5, reason = "in-crate unit test below the ToggleGuard layer")
-        set_simd_kernel(entry);
-        assert_eq!(want, got);
+        let run = |kernel: SimdKernel| {
+            let _g = backend(kernel, false);
+            let mut c = vec![0.0f32; m * n];
+            matmul_block(Lhs::RowMajor(&a, k), &b, &mut c, 0, k, n);
+            c
+        };
+        assert_eq!(run(SimdKernel::Scalar), run(SimdKernel::Auto));
     }
 }

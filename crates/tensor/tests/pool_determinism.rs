@@ -1,17 +1,15 @@
 //! Property tests for the persistent kernel pool: every parallel kernel
-//! must be bit-identical to its serial execution for any thread count, in
-//! both spawn modes.
+//! must be bit-identical to its serial execution for any thread count.
 //!
-//! The thread cap is a process-global, so tests in this binary may race on
-//! it — harmless by construction: thread-count invariance is exactly the
-//! property under test, so concurrent cap changes cannot alter any result.
+//! Thread and job caps are scoped with a thread-local [`ctx::install`], so
+//! concurrent tests in this binary never see each other's settings.
 
-use fedat_core::exec::ToggleGuard;
 use fedat_tensor::conv::{conv2d_forward, Conv2dSpec};
+use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
 use fedat_tensor::ops::{
-    matmul_into, matmul_nt_into, matmul_tn_into, weighted_sum_into, AggKernel, AGG_SHARD,
+    matmul_into, matmul_nt_into, matmul_tn_into, weighted_sum_into, AGG_SHARD,
 };
-use fedat_tensor::parallel::{self, SpawnMode};
+use fedat_tensor::parallel;
 use fedat_tensor::pool;
 use fedat_tensor::rng::rng_for;
 use fedat_tensor::Tensor;
@@ -26,18 +24,27 @@ fn filled(len: usize, seed: u64) -> Vec<f32> {
     v
 }
 
+/// Scopes the per-kernel thread cap to the calling thread.
+fn with_threads(max_threads: usize) -> OverlayGuard {
+    ctx::install(KernelCtx {
+        max_threads,
+        ..ctx::snapshot()
+    })
+}
+
 /// Runs `kernel` (which writes its output into a fresh zeroed buffer) at
 /// thread cap 1 and at each sweep cap, asserting bitwise equality.
 fn assert_thread_invariant(
     out_len: usize,
     kernel: impl Fn(&mut [f32]),
 ) -> Result<(), TestCaseError> {
-    let mut g = ToggleGuard::new();
-    g.max_threads(1);
     let mut serial = vec![0.0f32; out_len];
-    kernel(&mut serial);
+    {
+        let _g = with_threads(1);
+        kernel(&mut serial);
+    }
     for &t in &THREAD_SWEEP[1..] {
-        g.max_threads(t);
+        let _g = with_threads(t);
         let mut par = vec![0.0f32; out_len];
         kernel(&mut par);
         prop_assert_eq!(
@@ -88,24 +95,26 @@ proptest! {
         let weight = Tensor::from_vec(filled(cout * cin * 9, seed ^ 4), &[cout, cin * 9]);
         let bias = Tensor::from_vec(filled(cout, seed ^ 5), &[cout]);
 
-        let mut g = ToggleGuard::new();
-        g.max_threads(1);
-        let (serial, _) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
+        let (serial, _) = {
+            let _g = with_threads(1);
+            conv2d_forward(&input, &weight, &bias, h, w, &spec)
+        };
         for &t in &THREAD_SWEEP[1..] {
-            g.max_threads(t);
+            let _g = with_threads(t);
             let (par, _) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
             prop_assert_eq!(serial.data(), par.data(), "conv diverged at {} threads", t);
         }
     }
 
     #[test]
-    fn weighted_sum_bit_identical_across_threads_and_kernels(
+    fn weighted_sum_bit_identical_to_per_element_sum_across_threads(
         n_inputs in 1usize..32,
         dim in 1usize..(2 * AGG_SHARD + 200),
         seed in 0u64..1000
     ) {
         // The server-aggregation primitive: the sharded kernel at every
-        // swept thread count must match the fused serial baseline bitwise.
+        // swept thread count must match the per-element left-to-right sum
+        // bitwise.
         let inputs: Vec<Vec<f32>> = (0..n_inputs)
             .map(|j| filled(dim, seed ^ (j as u64) << 10))
             .collect();
@@ -113,19 +122,23 @@ proptest! {
         let weights: Vec<f32> = (0..n_inputs)
             .map(|j| (j + 1) as f32 / (n_inputs * (n_inputs + 1) / 2) as f32)
             .collect();
-        let mut g = ToggleGuard::new();
-        g.agg(AggKernel::FusedSerial).max_threads(1);
-        let mut serial = vec![0.0f32; dim];
-        weighted_sum_into(&refs, &weights, &mut serial);
-        g.agg(AggKernel::ShardedAxpy);
+        let serial: Vec<f32> = (0..dim)
+            .map(|i| {
+                let mut acc = 0.0f32;
+                for (input, &w) in refs.iter().zip(&weights) {
+                    acc += w * input[i];
+                }
+                acc
+            })
+            .collect();
         for &t in &THREAD_SWEEP {
-            g.max_threads(t);
+            let _g = with_threads(t);
             let mut sharded = vec![0.0f32; dim];
             weighted_sum_into(&refs, &weights, &mut sharded);
             prop_assert_eq!(
                 &serial,
                 &sharded,
-                "sharded aggregation diverged from serial at {} threads",
+                "sharded aggregation diverged from the per-element sum at {} threads",
                 t
             );
         }
@@ -173,8 +186,10 @@ proptest! {
             expected(i)
         };
         for &workers in &THREAD_SWEEP {
-            let mut g = ToggleGuard::new();
-            g.max_pool_jobs(workers - 1);
+            let g = ctx::install(KernelCtx {
+                max_pool_jobs: workers - 1,
+                ..ctx::snapshot()
+            });
             let mut deferred: Vec<(usize, pool::JobHandle<u64>)> = Vec::new();
             let mut results: Vec<(usize, u64)> = Vec::new();
             for (i, &join_immediately) in join_now.iter().enumerate().take(n_jobs) {
@@ -212,22 +227,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    #[test]
-    fn scoped_spawn_matches_pool_for_all_variants(
-        m in 1usize..32, k in 1usize..24, n in 1usize..32, seed in 0u64..1000
-    ) {
-        let a = filled(m * k, seed);
-        let b = filled(k * n, seed ^ 6);
-        let mut g = ToggleGuard::new();
-        g.max_threads(8).spawn_mode(SpawnMode::PersistentPool);
-        let mut pooled = vec![0.0f32; m * n];
-        matmul_into(&a, &b, &mut pooled, m, k, n);
-        g.spawn_mode(SpawnMode::ScopedSpawn);
-        let mut scoped = vec![0.0f32; m * n];
-        matmul_into(&a, &b, &mut scoped, m, k, n);
-        drop(g);
-        prop_assert_eq!(pooled, scoped);
     }
 }

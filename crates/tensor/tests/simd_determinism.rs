@@ -4,12 +4,12 @@
 //! fallback (ISA-independence: `Auto` must not depend on what the host
 //! detects).
 //!
-//! Like `pool_determinism.rs`, the kernel toggle is a process-global that
-//! tests in this binary may race on — harmless by construction, because
-//! kernel invariance is exactly the property under test.
+//! Every backend/thread-cap choice is scoped with a thread-local
+//! [`ctx::install`], so concurrent tests in this binary never see each
+//! other's settings and the `FEDAT_SIMD=scalar` default survives untouched.
 
-use fedat_core::exec::ToggleGuard;
 use fedat_tensor::conv::{conv2d_forward, Conv2dSpec};
+use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
 use fedat_tensor::ops::{
     axpby, axpy, dist_sq, dot, lerp_into, matmul_into, matmul_nt_into, matmul_tn_into, scale,
     weighted_sum_into,
@@ -20,6 +20,17 @@ use fedat_tensor::Tensor;
 use proptest::prelude::*;
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// Scopes the SIMD backend, the portable-only override and the thread cap
+/// to the calling thread for the guard's lifetime.
+fn scoped(simd: SimdKernel, portable_only: bool, max_threads: usize) -> OverlayGuard {
+    ctx::install(KernelCtx {
+        simd,
+        portable_only,
+        max_threads,
+        ..ctx::snapshot()
+    })
+}
 
 /// A named in-place kernel under test.
 type Case<'a> = (&'a str, Box<dyn Fn(&mut [f32]) + 'a>);
@@ -46,18 +57,14 @@ fn sparsify(v: &mut [f32], seed: u64) {
 /// (ISA path and portable fallback) across the thread sweep, asserting
 /// bitwise equality throughout.
 fn assert_simd_invariant(out_len: usize, kernel: impl Fn(&mut [f32])) -> Result<(), TestCaseError> {
-    // The guard restores the entry kernel on every exit path (not a
-    // hard-coded Auto), so the FEDAT_SIMD=scalar CI lane keeps its scalar
-    // coverage for later tests even when a case fails mid-sweep.
-    let mut g = ToggleGuard::new();
-    g.simd(SimdKernel::Scalar).max_threads(1);
     let mut reference = vec![0.0f32; out_len];
-    kernel(&mut reference);
-    g.simd(SimdKernel::Auto);
+    {
+        let _g = scoped(SimdKernel::Scalar, false, 1);
+        kernel(&mut reference);
+    }
     for portable in [false, true] {
-        g.portable_only(portable);
         for &t in &THREAD_SWEEP {
-            g.max_threads(t);
+            let _g = scoped(SimdKernel::Auto, portable, t);
             let mut got = vec![0.0f32; out_len];
             kernel(&mut got);
             prop_assert_eq!(
@@ -122,12 +129,12 @@ proptest! {
         let input = Tensor::from_vec(filled(batch * cin * h * w, seed), &[batch, cin, h, w]);
         let weight = Tensor::from_vec(filled(cout * cin * 9, seed ^ 5), &[cout, cin * 9]);
         let bias = Tensor::from_vec(filled(cout, seed ^ 6), &[cout]);
-        let mut g = ToggleGuard::new();
-        g.simd(SimdKernel::Scalar);
-        let (reference, _) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
-        g.simd(SimdKernel::Auto);
+        let (reference, _) = {
+            let _g = scoped(SimdKernel::Scalar, false, 1);
+            conv2d_forward(&input, &weight, &bias, h, w, &spec)
+        };
         for &t in &THREAD_SWEEP {
-            g.max_threads(t);
+            let _g = scoped(SimdKernel::Auto, false, t);
             let (got, _) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
             prop_assert_eq!(reference.data(), got.data(), "conv diverged at {} threads", t);
         }
@@ -140,14 +147,13 @@ proptest! {
         let x = filled(len, seed);
         let base = filled(len, seed ^ 7);
         let sweep = |f: &dyn Fn(&mut [f32])| -> (Vec<f32>, Vec<f32>) {
-            let mut g = ToggleGuard::new();
-            g.simd(SimdKernel::Scalar);
-            let mut a = base.clone();
-            f(&mut a);
-            g.simd(SimdKernel::Auto);
-            let mut b = base.clone();
-            f(&mut b);
-            (a, b)
+            let run = |simd| {
+                let _g = scoped(simd, false, 1);
+                let mut y = base.clone();
+                f(&mut y);
+                y
+            };
+            (run(SimdKernel::Scalar), run(SimdKernel::Auto))
         };
         let t = (alpha / 3.0 + 1.0) / 2.0;
         let cases: Vec<Case> = vec![
@@ -178,8 +184,7 @@ proptest! {
         let v0: Vec<f32> = filled(len, seed ^ 10).iter().map(|v| v * v).collect();
         let adam = AdamParams { lr: 0.01, beta1: 0.9, beta2: 0.999, bc1: 0.1, bc2: 0.001, eps: 1e-8 };
         let run = |kernel: SimdKernel| {
-            let mut guard = ToggleGuard::new();
-            guard.simd(kernel);
+            let _guard = scoped(kernel, false, 1);
             let (mut w, mut s, mut v) = (w0.clone(), s0.clone(), v0.clone());
             simd::sgd_momentum_step(&mut w, &g, &mut s, 0.9, 0.05);
             simd::adam_step(&mut w, &g, &mut s, &mut v, &adam);
@@ -192,12 +197,12 @@ proptest! {
     fn reductions_simd_match_scalar_bitwise(len in 1usize..200, seed in 0u64..500) {
         let x = filled(len, seed);
         let y = filled(len, seed ^ 11);
-        let mut g = ToggleGuard::new();
-        g.simd(SimdKernel::Scalar);
-        let (d_ref, q_ref) = (dot(&x, &y), dist_sq(&x, &y));
-        g.simd(SimdKernel::Auto);
+        let (d_ref, q_ref) = {
+            let _g = scoped(SimdKernel::Scalar, false, 1);
+            (dot(&x, &y), dist_sq(&x, &y))
+        };
         for portable in [false, true] {
-            g.portable_only(portable);
+            let _g = scoped(SimdKernel::Auto, portable, 1);
             prop_assert_eq!(dot(&x, &y).to_bits(), d_ref.to_bits(), "dot (portable={})", portable);
             prop_assert_eq!(dist_sq(&x, &y).to_bits(), q_ref.to_bits(), "dist_sq (portable={})", portable);
         }

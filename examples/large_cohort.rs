@@ -5,11 +5,10 @@
 //!
 //! By default runs a 100-client slice so it finishes in well under a
 //! minute; pass `--full` for the 500-client version. Either way the run is
-//! bit-identical to a serial server — pass `--serial` to check (and to
-//! feel the difference).
+//! bit-identical for any kernel thread count.
 //!
 //! ```text
-//! cargo run --release --example large_cohort [-- --full] [-- --serial]
+//! cargo run --release --example large_cohort [-- --full]
 //! ```
 
 // This example reports the run's wall-clock time — the R4 clippy mirror
@@ -17,28 +16,17 @@
 #![allow(clippy::disallowed_methods)]
 
 use fedat::core::prelude::*;
-use fedat::nn::metrics::set_pooled_eval;
 use fedat::sim::fleet::ClusterConfig;
-use fedat::tensor::ops::{set_agg_kernel, AggKernel};
-use fedat::tensor::parallel;
 use fedat_bench::experiments::large_cohort_task;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
-    let serial = std::env::args().any(|a| a == "--serial");
     let clients = if full { 500 } else { 100 };
     let rounds = if full { 120 } else { 40 };
 
-    // The serial toggles restore the pre-sharding server path; results are
-    // bit-identical either way (see `BENCH_aggregate.json` for the speed).
-    set_agg_kernel(if serial {
-        AggKernel::FusedSerial
-    } else {
-        AggKernel::ShardedAxpy
-    });
-    set_pooled_eval(!serial);
-    // Let the server-side kernels fan out across the host.
-    parallel::set_max_threads(if serial { 1 } else { 0 });
+    let cores = std::thread::available_parallelism()
+        .map(|c| c.get())
+        .unwrap_or(1);
 
     let task = large_cohort_task(clients, 21);
     println!(
@@ -61,6 +49,8 @@ fn main() {
         .eval_subset(512)
         .seed(21)
         .cluster(cluster)
+        // Let the server-side kernels fan out across the host.
+        .max_threads(cores)
         .build();
 
     let started = std::time::Instant::now();
@@ -79,9 +69,5 @@ fn main() {
         outcome.per_client_accuracy.len(),
         outcome.accuracy_variance
     );
-    println!(
-        "server path: {:?} aggregation, pooled eval = {}",
-        fedat::tensor::ops::agg_kernel(),
-        !serial
-    );
+    println!("server path: sharded aggregation and pooled eval on up to {cores} kernel thread(s)");
 }

@@ -3,7 +3,7 @@
 //! Demonstrates the speculative client executor outside the bench harness:
 //! the same FedAT run is executed twice — once with training launched at
 //! dispatch on the kernel pool (`ExecMode::Speculative`, the default) and
-//! once with the seed's train-at-completion (`ExecMode::Inline`) — and the
+//! once with train-at-completion (`ExecMode::Inline`) — and the
 //! wall-clock ratio is printed together with proof that the two produced
 //! bit-identical results. The win scales with physical cores: the
 //! event-loop thread joins finished results while pool workers train the
@@ -22,10 +22,10 @@
 // R4 clippy mirror (docs/LINTS.md) does not apply here.
 #![allow(clippy::disallowed_methods)]
 
-use fedat::core::exec::{set_exec_mode, speculative_discards, speculative_launches, ExecMode};
+use fedat::core::exec::ExecMode;
 use fedat::core::prelude::*;
 use fedat::sim::fleet::ClusterConfig;
-use fedat::tensor::{parallel, pool};
+use fedat::tensor::pool;
 use fedat_bench::experiments::large_cohort_task;
 
 fn main() {
@@ -39,15 +39,11 @@ fn main() {
     let clients = if full { 500 } else { 100 };
     let rounds = if full { 60 } else { 40 };
 
-    // Client-level task parallelism is the lever on display: keep each
-    // client's inner kernels serial so the two runs differ only in *where*
-    // whole training jobs execute.
-    parallel::set_max_threads(1);
-    if let Some(w) = workers.filter(|&w| w > 0) {
-        // Same convention as the bench sweep: "W workers" = the event-loop
-        // thread + W − 1 pool helpers.
-        pool::ensure_workers(w - 1);
-        pool::set_max_pool_jobs(w - 1);
+    // Same convention as the bench sweep: "W workers" = the event-loop
+    // thread + W − 1 pool helpers.
+    let job_cap = workers.filter(|&w| w > 0).map(|w| w - 1);
+    if let Some(cap) = job_cap {
+        pool::ensure_workers(cap);
     }
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
@@ -55,10 +51,7 @@ fn main() {
     println!(
         "host: {cores} core(s), {} pool worker(s), pool-job cap {}",
         pool::worker_count(),
-        match pool::max_pool_jobs() {
-            usize::MAX => "uncapped".to_string(),
-            n => n.to_string(),
-        }
+        job_cap.map_or("uncapped".to_string(), |n| n.to_string())
     );
 
     let task = large_cohort_task(clients, 21);
@@ -73,10 +66,16 @@ fn main() {
         .eval_subset(256)
         .seed(21)
         .cluster(cluster)
+        // Client-level task parallelism is the lever on display: keep each
+        // client's inner kernels serial so the two runs differ only in
+        // *where* whole training jobs execute.
+        .max_threads(1)
         .build();
 
     let timed = |mode: ExecMode| {
-        set_exec_mode(mode);
+        let mut cfg = cfg.clone();
+        cfg.exec.mode = Some(mode);
+        cfg.exec.max_pool_jobs = job_cap;
         let started = std::time::Instant::now();
         let out = run_experiment(&task, &cfg);
         // Jobs abandoned at the rounds cutoff are this run's cost; drain
@@ -88,11 +87,7 @@ fn main() {
     // Warm the pool, caches and arenas so both timed runs are steady-state.
     let _ = timed(ExecMode::Speculative);
 
-    let launches0 = speculative_launches();
-    let discards0 = speculative_discards();
     let (spec_secs, spec) = timed(ExecMode::Speculative);
-    let launches = speculative_launches() - launches0;
-    let discards = speculative_discards() - discards0;
     let (inline_secs, inline) = timed(ExecMode::Inline);
 
     assert_eq!(
@@ -117,10 +112,12 @@ fn main() {
         "speedup: {:.2}x  (bit-identical: final weights match exactly)",
         inline_secs / spec_secs.max(1e-9)
     );
+    let s = spec.speculation;
     println!(
-        "speculation: {launches} jobs launched, {discards} discarded on dropout \
-         ({:.1}% wasted work)",
-        100.0 * discards as f64 / launches.max(1) as f64
+        "speculation: {} jobs launched, {} discarded on dropout ({:.1}% wasted work)",
+        s.launches,
+        s.discards,
+        100.0 * s.discards as f64 / s.launches.max(1) as f64
     );
     if cores == 1 {
         println!(
