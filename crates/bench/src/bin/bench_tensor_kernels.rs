@@ -1,9 +1,10 @@
 //! Wall-clock microbenchmark of the SIMD micro-kernel layer: the three
-//! matmul variants, the slice primitives, and the lane-decomposed
-//! reductions, each timed under `SimdKernel::Auto` (runtime-dispatched
-//! AVX2+FMA or the portable fallback) and `SimdKernel::Scalar` (the seed's
-//! plain loops, what autovectorization alone gave). Writes both
-//! throughputs and the speedup to `BENCH_tensor_kernels.json`.
+//! matmul variants, the slice primitives, the lane-decomposed reductions
+//! and the robust (trimmed-mean / median) reduction, each timed under
+//! `SimdKernel::Auto` (runtime-dispatched AVX2+FMA or the portable
+//! fallback) and `SimdKernel::Scalar` (the seed's plain loops, what
+//! autovectorization alone gave). Writes both throughputs and the speedup
+//! to `BENCH_tensor_kernels.json`.
 //!
 //! The two kernels are bit-identical by construction — asserted here on
 //! every shape before timing.
@@ -17,7 +18,7 @@
 
 use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
 use fedat_tensor::ops;
-use fedat_tensor::ops::{matmul_into, matmul_nt_into, matmul_tn_into};
+use fedat_tensor::ops::{matmul_into, matmul_nt_into, matmul_tn_into, RobustRule};
 use fedat_tensor::rng::{fill_normal, rng_for};
 use fedat_tensor::simd::{self, SimdKernel};
 use std::hint::black_box;
@@ -157,6 +158,66 @@ fn bench_slice(
     }
 }
 
+struct RobustSample {
+    rule: &'static str,
+    k: usize,
+    len: usize,
+    scalar_melems: f64,
+    simd_melems: f64,
+}
+
+impl RobustSample {
+    fn speedup(&self) -> f64 {
+        self.simd_melems / self.scalar_melems.max(1e-12)
+    }
+}
+
+/// `robust_reduce_into` over `k` inputs of `len`: the scalar lane sorts
+/// column by column, `Auto` runs the sorting network over tiles.
+/// Throughput counts input elements (`k · len` per call).
+fn bench_robust(
+    name: &'static str,
+    rule: RobustRule,
+    k: usize,
+    len: usize,
+    seed: u64,
+) -> RobustSample {
+    let cohort: Vec<Vec<f32>> = (0..k)
+        .map(|j| filled(len, seed ^ ((j as u64 + 1) << 8)))
+        .collect();
+    let inputs: Vec<&[f32]> = cohort.iter().map(|v| v.as_slice()).collect();
+    let mut out = vec![0.0f32; len];
+
+    // Bit-identity check before timing.
+    let mut once = |kernel: SimdKernel| {
+        let _g = with_kernel(kernel);
+        ops::robust_reduce_into(&inputs, rule, &mut out);
+        out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+    };
+    assert_eq!(
+        once(SimdKernel::Scalar),
+        once(SimdKernel::Auto),
+        "SIMD robust_reduce {name} diverged from scalar"
+    );
+
+    let mut measure = |kernel: SimdKernel, iters: usize| {
+        let _g = with_kernel(kernel);
+        let secs = time_best(iters, || {
+            ops::robust_reduce_into(black_box(&inputs), rule, black_box(&mut out));
+        });
+        (k * len) as f64 * iters as f64 / secs.max(1e-12) / 1e6
+    };
+    let scalar_melems = measure(SimdKernel::Scalar, 40);
+    let simd_melems = measure(SimdKernel::Auto, 400);
+    RobustSample {
+        rule: name,
+        k,
+        len,
+        scalar_melems,
+        simd_melems,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_tensor_kernels.json");
@@ -214,6 +275,19 @@ fn main() {
         }),
     ];
 
+    // The robust-churn intra-tier step: ten client updates per tier round.
+    eprintln!("[bench_tensor_kernels] robust reduction (10 x {model_dim} elements) ...");
+    let robust = vec![
+        bench_robust(
+            "trimmed_mean_2",
+            RobustRule::TrimmedMean { trim: 2 },
+            10,
+            model_dim,
+            seed ^ 6,
+        ),
+        bench_robust("median", RobustRule::Median, 10, model_dim, seed ^ 7),
+    ];
+
     let key = matmuls
         .iter()
         .find(|s| s.variant == "nn" && s.dim == 128)
@@ -256,6 +330,20 @@ fn main() {
             if i + 1 < slices.len() { "," } else { "" }
         ));
     }
+    json.push_str("  ],\n");
+    json.push_str("  \"robust_reduce\": [\n");
+    for (i, s) in robust.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{ \"rule\": \"{}\", \"k\": {}, \"len\": {}, \"scalar_melems_per_sec\": {:.1}, \"simd_melems_per_sec\": {:.1}, \"speedup\": {:.3} }}{}\n",
+            s.rule,
+            s.k,
+            s.len,
+            s.scalar_melems,
+            s.simd_melems,
+            s.speedup(),
+            if i + 1 < robust.len() { "," } else { "" }
+        ));
+    }
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("writing benchmark record");
 
@@ -277,6 +365,17 @@ fn main() {
             s.len,
             s.scalar_gelems,
             s.simd_gelems,
+            s.speedup()
+        );
+    }
+    for s in &robust {
+        println!(
+            "robust {:<14} k={:<2} {:>6}  scalar {:>7.1} Me/s  simd {:>7.1} Me/s  speedup {:>5.2}x",
+            s.rule,
+            s.k,
+            s.len,
+            s.scalar_melems,
+            s.simd_melems,
             s.speedup()
         );
     }

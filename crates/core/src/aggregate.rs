@@ -1,11 +1,11 @@
 //! Model aggregation: intra-tier `n_k/N_c` averaging (Algorithm 2 inner
 //! loop) and the cross-tier weighted heuristic of Eq. (5).
 //!
-//! Both reductions funnel into [`weighted_sum_into`], whose default kernel
-//! shards the model dimension into fixed cache-sized chunks on the kernel
-//! pool — so every strategy's server-side aggregation scales with cohort
-//! size while staying bit-identical to the serial baseline for any thread
-//! count (see `fedat_tensor::ops::weighted_sum_into`).
+//! The weighted means run [`weighted_sum_into`]; the robust intra-tier rules
+//! of [`AggRule`] run [`robust_reduce_into`]. Both kernels shard the model
+//! dimension into fixed cache-sized chunks on the kernel pool — so every
+//! strategy's server-side aggregation scales with cohort size while staying
+//! bit-identical to the serial baseline for any thread count.
 
 use fedat_tensor::ops::{robust_reduce_into, weighted_sum_into, RobustRule};
 use serde::{Deserialize, Serialize};
@@ -47,23 +47,18 @@ pub enum AggRule {
 /// Panics if `updates` is empty or lengths mismatch.
 pub fn aggregate_clients_into(rule: AggRule, updates: &[(&[f32], usize)], out: &mut Vec<f32>) {
     assert!(!updates.is_empty(), "cannot aggregate zero client updates");
-    match rule {
-        AggRule::WeightedMean => weighted_client_average_into(updates, out),
-        AggRule::TrimmedMean { frac } => {
-            let k = updates.len();
-            let trim = ((frac.max(0.0) * k as f64).floor() as usize).min((k - 1) / 2);
-            let inputs: Vec<&[f32]> = updates.iter().map(|(w, _)| *w).collect();
-            out.clear();
-            out.resize(inputs[0].len(), 0.0);
-            robust_reduce_into(&inputs, RobustRule::TrimmedMean { trim }, out);
-        }
-        AggRule::CoordinateMedian => {
-            let inputs: Vec<&[f32]> = updates.iter().map(|(w, _)| *w).collect();
-            out.clear();
-            out.resize(inputs[0].len(), 0.0);
-            robust_reduce_into(&inputs, RobustRule::Median, out);
-        }
-    }
+    let k = updates.len();
+    let robust = match rule {
+        AggRule::WeightedMean => return weighted_client_average_into(updates, out),
+        AggRule::TrimmedMean { frac } => RobustRule::TrimmedMean {
+            trim: ((frac.max(0.0) * k as f64).floor() as usize).min((k - 1) / 2),
+        },
+        AggRule::CoordinateMedian => RobustRule::Median,
+    };
+    let inputs: Vec<&[f32]> = updates.iter().map(|(w, _)| *w).collect();
+    out.clear();
+    out.resize(inputs[0].len(), 0.0);
+    robust_reduce_into(&inputs, robust, out);
 }
 
 /// Sample-count-weighted average of client weight vectors, written into a

@@ -231,10 +231,11 @@ impl FedAtStrategy {
         }
         if !self.tier_received[tier].is_empty() {
             // Intra-tier synchronous aggregation (Algorithm 2 inner
-            // loop), written into the standing tier-model buffer. Both
-            // this and the cross-tier update below run the sharded
-            // `weighted_sum_into` kernel, so a tier arrival's server
-            // cost scales with cohort size across the kernel pool.
+            // loop), written into the standing tier-model buffer. This
+            // step runs `weighted_sum_into` or, under a robust rule,
+            // `robust_reduce_into`; the cross-tier update below always
+            // runs `weighted_sum_into`. Both kernels shard the model
+            // dimension across the kernel pool.
             let refs: Vec<(&[f32], usize)> = self.tier_received[tier]
                 .iter()
                 .map(|(w, n)| (w.as_slice(), *n))

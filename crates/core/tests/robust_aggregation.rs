@@ -8,6 +8,7 @@
 
 use fedat_core::aggregate::{aggregate_clients_into, AggRule};
 use fedat_tensor::ctx::{self, KernelCtx};
+use fedat_tensor::ops::AGG_SHARD;
 use fedat_tensor::pool;
 use fedat_tensor::rng::rng_for;
 use proptest::prelude::*;
@@ -44,6 +45,48 @@ fn reduce(rule: AggRule, updates: &[(Vec<f32>, usize)]) -> Vec<f32> {
     out
 }
 
+/// Both robust rules return the same finite bits at every kernel-pool
+/// width for one generated cohort.
+fn assert_worker_count_invariant(
+    dim: usize,
+    k: usize,
+    seed: u64,
+    frac: f64,
+) -> Result<(), TestCaseError> {
+    pool::ensure_workers(8);
+    let updates = cohort(dim, k, seed);
+    for rule in [AggRule::TrimmedMean { frac }, AggRule::CoordinateMedian] {
+        let base = reduce(rule, &updates);
+        prop_assert_eq!(base.len(), dim);
+        prop_assert!(base.iter().all(|v| v.is_finite()));
+        for workers in [1usize, 2, 4, 8] {
+            let _g = ctx::install(KernelCtx {
+                max_threads: workers,
+                ..ctx::snapshot()
+            });
+            let out = reduce(rule, &updates);
+            prop_assert_eq!(&out, &base, "{:?} diverged at {} workers", rule, workers);
+        }
+    }
+    Ok(())
+}
+
+/// The kernel shards the model dimension in `AGG_SHARD` chunks and only
+/// fans out once there is more than one: these dimensions span three and
+/// four shards with a ragged tail, so the worker counts really differ in
+/// how the shards are spread (the property below stays inside one shard).
+#[test]
+fn robust_rules_are_bit_identical_across_worker_counts_over_several_shards() {
+    for (dim, k, seed, frac) in [
+        (2 * AGG_SHARD + 1, 3, 11, 0.34),
+        (2 * AGG_SHARD + 1, 10, 12, 0.2),
+        (3 * AGG_SHARD + 17, 7, 13, 0.0),
+        (3 * AGG_SHARD + 17, 11, 14, 0.45),
+    ] {
+        assert_worker_count_invariant(dim, k, seed, frac).unwrap();
+    }
+}
+
 proptest! {
     #[test]
     fn robust_rules_are_bit_identical_across_worker_counts(
@@ -52,24 +95,7 @@ proptest! {
         seed in 0u64..500,
         frac in 0.0f64..0.49
     ) {
-        pool::ensure_workers(8);
-        let updates = cohort(dim, k, seed);
-        for rule in [AggRule::TrimmedMean { frac }, AggRule::CoordinateMedian] {
-            let base = reduce(rule, &updates);
-            prop_assert_eq!(base.len(), dim);
-            prop_assert!(base.iter().all(|v| v.is_finite()));
-            for workers in [1usize, 2, 4, 8] {
-                let _g = ctx::install(KernelCtx {
-                    max_threads: workers,
-                    ..ctx::snapshot()
-                });
-                let out = reduce(rule, &updates);
-                prop_assert_eq!(
-                    &out, &base,
-                    "{:?} diverged at {} workers", rule, workers
-                );
-            }
-        }
+        assert_worker_count_invariant(dim, k, seed, frac)?;
     }
 
     #[test]

@@ -342,10 +342,14 @@ pub enum RobustRule {
 ///
 /// The model dimension is sharded into [`AGG_SHARD`]-element chunks on the
 /// kernel pool exactly like [`weighted_sum_into`] — shard boundaries depend
-/// only on the constant, never on the thread count. Within a shard each
-/// coordinate gathers its `k` values into a scratch column and sorts with
-/// `f32::total_cmp`, a total order (it ranks every NaN bit pattern, so the
-/// kernel is deterministic even if non-finite values slip past the guard).
+/// only on the constant, never on the thread count. Within a shard every
+/// coordinate's `k` values are put in `f32::total_cmp` order, a total order
+/// (it ranks every NaN bit pattern, so the kernel is deterministic even if
+/// non-finite values slip past the guard): the default lanes sort
+/// [`simd::ROBUST_TILE`] coordinates side by side with one compare-exchange
+/// network built per call, the `SimdKernel::Scalar` lane sorts column by
+/// column; integer order on the keys *is* `total_cmp` order, so the lanes
+/// agree bitwise (`docs/PERF.md`, "Robust reduction").
 /// The sorted column is a pure function of the input *multiset*: bitwise-
 /// equal ties are interchangeable in every downstream statistic, so the
 /// result is invariant under any permutation of the inputs (the tie-break
@@ -371,36 +375,12 @@ pub fn robust_reduce_into(inputs: &[&[f32]], rule: RobustRule, out: &mut [f32]) 
             "TrimmedMean {{ trim: {trim} }} drops all {k} inputs"
         );
     }
-    // Cost per output element: k gathers + an O(k log k) sort.
-    let threads = parallel::plan_threads(out.len(), 4 * k);
+    let net = simd::sorting_network(k);
+    // Cost per output element: k key transforms, a min and a max per
+    // comparator, k f64 adds.
+    let threads = parallel::plan_threads(out.len(), 2 * (k + net.len()));
     parallel::for_each_chunk(out, AGG_SHARD, threads, |start, shard| {
-        let mut column = vec![0.0f32; k];
-        for (i, o) in shard.iter_mut().enumerate() {
-            for (slot, input) in column.iter_mut().zip(inputs.iter()) {
-                *slot = input[start + i];
-            }
-            // Determinism: `f32::total_cmp` is a total order over all bit
-            // patterns, so the sorted column — and every statistic below —
-            // is a pure function of the value multiset.
-            column.sort_unstable_by(f32::total_cmp);
-            *o = match rule {
-                RobustRule::TrimmedMean { trim } => {
-                    let kept = &column[trim..k - trim];
-                    let mut acc = 0.0f64;
-                    for &v in kept {
-                        acc += v as f64;
-                    }
-                    (acc / kept.len() as f64) as f32
-                }
-                RobustRule::Median => {
-                    if k % 2 == 1 {
-                        column[k / 2]
-                    } else {
-                        ((column[k / 2 - 1] as f64 + column[k / 2] as f64) * 0.5) as f32
-                    }
-                }
-            };
-        }
+        simd::robust_reduce_shard(inputs, start, rule, &net, shard);
     });
 }
 

@@ -11,13 +11,14 @@
 use fedat_tensor::conv::{conv2d_forward, Conv2dSpec};
 use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
 use fedat_tensor::ops::{
-    axpby, axpy, dist_sq, dot, lerp_into, matmul_into, matmul_nt_into, matmul_tn_into, scale,
-    weighted_sum_into,
+    axpby, axpy, dist_sq, dot, lerp_into, matmul_into, matmul_nt_into, matmul_tn_into,
+    robust_reduce_into, scale, weighted_sum_into, RobustRule, AGG_SHARD,
 };
 use fedat_tensor::rng::rng_for;
-use fedat_tensor::simd::{self, AdamParams, SimdKernel};
+use fedat_tensor::simd::{self, AdamParams, SimdKernel, ROBUST_TILE};
 use fedat_tensor::Tensor;
 use proptest::prelude::*;
+use rand::RngExt;
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
@@ -50,6 +51,79 @@ fn sparsify(v: &mut [f32], seed: u64) {
             *x = 0.0;
         }
     }
+}
+
+/// Bit patterns a sort by `<` or a float `min`/`max` would mishandle. The
+/// first six are NaNs of both signs with quiet, all-ones and signalling
+/// payloads; the rest are signed zeros, infinities and subnormals.
+const AWKWARD_BITS: [u32; 13] = [
+    0x7fc0_0000,
+    0xffc0_0000,
+    0x7fff_ffff,
+    0xffff_ffff,
+    0x7f80_0001,
+    0xff80_0001,
+    0x0000_0000,
+    0x8000_0000,
+    0x7f80_0000,
+    0xff80_0000,
+    0x0000_0001,
+    0x8000_0001,
+    0x007f_ffff,
+];
+
+/// `k` inputs of `len` normal draws. One value in eight is replaced by a
+/// non-NaN awkward pattern and one in eight by another input's value at
+/// that coordinate (an exact duplicate); NaNs land at a per-seed density
+/// from none to one in eight, so both NaN-free tiles and tiles with
+/// several NaNs in one column occur.
+fn awkward_cohort(k: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
+    let mut cohort: Vec<Vec<f32>> = (0..k)
+        .map(|j| filled(len, seed ^ ((j as u64 + 1) << 12)))
+        .collect();
+    // One NaN per this many values (0: none).
+    let nan_one_in = [0usize, 4096, 256, 8][seed as usize % 4];
+    let mut rng = rng_for(seed, 64);
+    for n in 0..k * len {
+        let (j, i) = (n / len, n % len);
+        if nan_one_in != 0 && rng.random_range(0..nan_one_in) == 0 {
+            cohort[j][i] = f32::from_bits(AWKWARD_BITS[rng.random_range(0..6usize)]);
+            continue;
+        }
+        match rng.random_range(0..8u32) {
+            0 => cohort[j][i] = f32::from_bits(AWKWARD_BITS[rng.random_range(6..13usize)]),
+            1 => cohort[j][i] = cohort[rng.random_range(0..k)][i],
+            _ => {}
+        }
+    }
+    cohort
+}
+
+/// The obviously-right robust reduction: gather the column, sort it with
+/// `f32::total_cmp`, add the kept values left to right in f64.
+fn robust_reference(inputs: &[&[f32]], rule: RobustRule) -> Vec<u32> {
+    let k = inputs.len();
+    (0..inputs[0].len())
+        .map(|i| {
+            let mut column: Vec<f32> = inputs.iter().map(|input| input[i]).collect();
+            column.sort_unstable_by(f32::total_cmp);
+            let stat = match rule {
+                RobustRule::TrimmedMean { trim } => {
+                    let kept = &column[trim..k - trim];
+                    let mut acc = 0.0f64;
+                    for &v in kept {
+                        acc += v as f64;
+                    }
+                    (acc / kept.len() as f64) as f32
+                }
+                RobustRule::Median if k % 2 == 1 => column[k / 2],
+                RobustRule::Median => {
+                    ((column[k / 2 - 1] as f64 + column[k / 2] as f64) * 0.5) as f32
+                }
+            };
+            stat.to_bits()
+        })
+        .collect()
 }
 
 /// Runs `kernel` (writing into a fresh zeroed buffer) under
@@ -218,6 +292,50 @@ proptest! {
         let refs: Vec<&[f32]> = inputs.iter().map(|v| v.as_slice()).collect();
         let weights: Vec<f32> = (0..n_inputs).map(|j| (j + 1) as f32 * 0.1).collect();
         assert_simd_invariant(dim, |out| weighted_sum_into(&refs, &weights, out))?;
+    }
+
+    #[test]
+    fn robust_reduce_simd_matches_reference_bitwise(
+        k in 1usize..=33, pick in 0usize..64, len_ix in 0usize..8, seed in 0u64..1000
+    ) {
+        // `pick` selects among every legal trim plus the median (odd and
+        // even `k` both occur); lengths straddle the tile and shard edges.
+        let trims = (k - 1) / 2 + 1;
+        let rule = match pick % (trims + 1) {
+            t if t < trims => RobustRule::TrimmedMean { trim: t },
+            _ => RobustRule::Median,
+        };
+        let len = [
+            1,
+            ROBUST_TILE - 1,
+            ROBUST_TILE,
+            ROBUST_TILE + 1,
+            AGG_SHARD - 1,
+            AGG_SHARD,
+            AGG_SHARD + 1,
+            2 * AGG_SHARD + 5,
+        ][len_ix];
+        let cohort = awkward_cohort(k, len, seed);
+        let refs: Vec<&[f32]> = cohort.iter().map(|v| v.as_slice()).collect();
+        let reference = robust_reference(&refs, rule);
+        for (simd, portable) in [
+            (SimdKernel::Scalar, false),
+            (SimdKernel::Auto, false),
+            (SimdKernel::Auto, true),
+        ] {
+            for t in [1usize, 2, 4] {
+                let _g = scoped(simd, portable, t);
+                let mut got = vec![0.0f32; len];
+                robust_reduce_into(&refs, rule, &mut got);
+                let bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(
+                    &reference,
+                    &bits,
+                    "{:?} at k={} ({:?}, portable={}) diverged from the reference at {} threads",
+                    rule, k, simd, portable, t
+                );
+            }
+        }
     }
 
     #[test]
