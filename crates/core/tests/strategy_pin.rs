@@ -1,0 +1,285 @@
+//! Bit-exact pins for every strategy on three scenarios — the net under any
+//! change to the server state machines in `strategies/`.
+//!
+//! Each of the 18 cells (six [`StrategyKind`]s × scenarios A/B/C) folds the
+//! *whole* observable outcome into one FNV-1a digest: final weights, every
+//! field of every trace point, every fault-log row, the fault counters,
+//! per-tier update counts, the global update count and the simulator's end
+//! time. A single moved bit anywhere — a reordered RNG draw, a `Quorum` row
+//! with a different tier label, one extra evaluation — changes the literal.
+//!
+//! * **A** — default policies on a `paper_medium` cluster with permanent
+//!   dropouts: the paper's own setting, fault layer and guard inert.
+//! * **B** — everything the fault layer reacts to, at once: flaps,
+//!   fleet-wide storms (so barrier servers park and revive), compute drift
+//!   and 25 % `Scale` corruption, against tight deadlines with retries, a
+//!   strict quorum, dynamic re-tiering, the finite check and norm-clip
+//!   screen, trimmed-mean aggregation, a staleness bound and a 4-bit delta
+//!   uplink. No quarantine.
+//! * **C** — corruption against a reject-mode screen with quarantine, no
+//!   deadlines.
+//!
+//! B and C never combine quarantine with deadlines: that combination is
+//! where the deadline-retry path used to hand slots to quarantined clients
+//! (`retry_never_dispatches_a_quarantined_client` in
+//! `corrupt_robustness.rs`), the one behaviour allowed to move.
+//!
+//! Every config names its cluster and codec, so the `FEDAT_CHURN` /
+//! `FEDAT_CODEC` CI overlays cannot reach it, and the literals hold under
+//! `FEDAT_SIMD=scalar` and `FEDAT_EXEC=inline` alike. They fold in libm's
+//! `exp`/`ln` through the training loss, so they are pinned to the
+//! reference host's libm, like `codec_pin.rs`.
+
+use fedat_compress::codec::CodecKind;
+use fedat_core::aggregate::AggRule;
+use fedat_core::config::{
+    default_codec, ExperimentConfig, FaultPolicy, GuardPolicy, NormScreen, RetierPolicy,
+    StrategyKind,
+};
+use fedat_core::Outcome;
+use fedat_data::suite;
+use fedat_sim::churn::{ChurnConfig, CorruptMode, CorruptSpec, DriftSpec, FlapSpec, StormSpec};
+use fedat_sim::fleet::ClusterConfig;
+
+const CLIENTS: usize = 20;
+const SEED: u64 = 83;
+
+#[derive(Clone, Copy, Debug)]
+enum Scenario {
+    A,
+    B,
+    C,
+}
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x100000001b3);
+    }
+}
+
+/// Folds an optional index as `index + 1`, `None` as 0.
+fn fnv_opt(h: &mut u64, v: Option<usize>) {
+    fnv(h, &v.map_or(0u64, |x| x as u64 + 1).to_le_bytes());
+}
+
+/// Everything a run reports that is independent of the execution mode
+/// (`Outcome::speculation` is the one field that is not).
+fn digest(out: &Outcome) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for w in &out.final_weights {
+        fnv(&mut h, &w.to_bits().to_le_bytes());
+    }
+    for p in &out.trace.points {
+        fnv(&mut h, &p.time.to_bits().to_le_bytes());
+        fnv(&mut h, &p.round.to_le_bytes());
+        fnv(&mut h, &p.accuracy.to_bits().to_le_bytes());
+        fnv(&mut h, &p.loss.to_bits().to_le_bytes());
+        fnv(&mut h, &p.up_bytes.to_le_bytes());
+        fnv(&mut h, &p.down_bytes.to_le_bytes());
+    }
+    for e in out.faults.events() {
+        fnv(&mut h, &e.time.to_bits().to_le_bytes());
+        fnv(&mut h, e.kind.to_string().as_bytes());
+        fnv_opt(&mut h, e.client);
+        fnv_opt(&mut h, e.tier);
+        fnv(&mut h, &e.detail.to_le_bytes());
+    }
+    let fc = out.fault_counters;
+    for v in [
+        fc.timeouts,
+        fc.retries,
+        fc.quorum_rounds,
+        fc.retier_events,
+        fc.revivals,
+        fc.corrupt,
+        fc.rejects,
+        fc.clips,
+        fc.stale,
+        fc.quarantines,
+    ] {
+        fnv(&mut h, &v.to_le_bytes());
+    }
+    fnv_opt(&mut h, out.tier_updates.as_ref().map(Vec::len));
+    for &u in out.tier_updates.iter().flatten() {
+        fnv(&mut h, &u.to_le_bytes());
+    }
+    fnv(&mut h, &out.global_updates.to_le_bytes());
+    fnv(&mut h, &out.report.end_time.to_bits().to_le_bytes());
+    h
+}
+
+fn scale_attack(probability: f64) -> CorruptSpec {
+    CorruptSpec {
+        fraction: 0.25,
+        probability,
+        mode: CorruptMode::Scale { factor: 5.0 },
+    }
+}
+
+fn screen(clip: bool) -> NormScreen {
+    NormScreen {
+        alpha: 0.2,
+        threshold: 2.0,
+        clip,
+    }
+}
+
+fn config(scenario: Scenario, strategy: StrategyKind) -> ExperimentConfig {
+    let quiet = ClusterConfig::paper_medium(SEED)
+        .with_clients(CLIENTS)
+        .without_dropouts();
+    // A FedAT update waits for one tier, not for the slowest of a cross-tier
+    // cohort: give it the budget to live through as much virtual time (and
+    // so as many outages and quarantine releases) as the barrier baselines.
+    let rounds = |n: u64| match strategy {
+        StrategyKind::FedAt => 12 * n,
+        _ => n,
+    };
+    let base = ExperimentConfig::builder()
+        .strategy(strategy)
+        .clients_per_round(4)
+        .local_epochs(1)
+        .eval_every(4)
+        .seed(SEED);
+    match scenario {
+        Scenario::A => {
+            let mut cluster = ClusterConfig::paper_medium(SEED).with_clients(CLIENTS);
+            cluster.n_unstable = 4;
+            base.rounds(rounds(48))
+                .cluster(cluster)
+                .codec(default_codec(strategy))
+                .build()
+        }
+        Scenario::B => {
+            let churn = ChurnConfig {
+                flaps: Some(FlapSpec {
+                    fraction: 0.3,
+                    mean_up: 250.0,
+                    mean_down: 50.0,
+                    horizon: 4000.0,
+                }),
+                // Fleet-wide: every barrier server finds nobody to select,
+                // parks, and comes back on a revival timer.
+                storms: Some(StormSpec {
+                    count: 3,
+                    cohort_fraction: 1.0,
+                    duration: 90.0,
+                    horizon: 900.0,
+                }),
+                drift: Some(DriftSpec {
+                    fraction: 0.4,
+                    per_round: 0.05,
+                    max_factor: 4.0,
+                }),
+                corrupt: Some(scale_attack(0.5)),
+                ..ChurnConfig::default()
+            };
+            base.rounds(rounds(120))
+                .max_time(6000.0)
+                .cluster(quiet.with_churn(churn))
+                .codec(CodecKind::Quantized { bits: 4 })
+                .fault(FaultPolicy {
+                    deadline_multiplier: Some(1.05),
+                    max_retries: 2,
+                    backoff: 1.5,
+                    quorum: 0.9,
+                    retier: Some(RetierPolicy {
+                        alpha: 0.3,
+                        check_every: 8,
+                        drift_threshold: 0.05,
+                    }),
+                })
+                .guard(GuardPolicy {
+                    finite_check: true,
+                    norm_screen: Some(screen(true)),
+                    max_staleness: Some(6),
+                    agg_rule: AggRule::TrimmedMean { frac: 0.25 },
+                    ..GuardPolicy::default()
+                })
+                .build()
+        }
+        Scenario::C => {
+            let churn = ChurnConfig {
+                corrupt: Some(scale_attack(1.0)),
+                ..ChurnConfig::default()
+            };
+            base.rounds(rounds(60))
+                .cluster(quiet.with_churn(churn))
+                .codec(CodecKind::None)
+                .guard(GuardPolicy {
+                    finite_check: true,
+                    norm_screen: Some(screen(false)),
+                    quarantine_after: Some(2),
+                    quarantine_secs: 60.0,
+                    ..GuardPolicy::default()
+                })
+                .build()
+        }
+    }
+}
+
+fn check(scenario: Scenario, strategy: StrategyKind, want: u64) {
+    let task = suite::sent140_like(CLIENTS, SEED);
+    let out = fedat_core::run_experiment(&task, &config(scenario, strategy));
+    let fc = out.fault_counters;
+    let name = strategy.name();
+    assert!(out.global_updates > 0, "{name}/{scenario:?}: no progress");
+    let barrier = !matches!(strategy, StrategyKind::FedAsync | StrategyKind::AsoFed);
+    match scenario {
+        Scenario::A => {}
+        // The scenario must keep firing every path it claims to pin.
+        Scenario::B => {
+            assert!(fc.revivals > 0 && fc.clips > 0, "{name}/B: {fc:?}");
+            if barrier {
+                assert!(
+                    fc.timeouts > 0 && fc.retries > 0 && fc.quorum_rounds > 0,
+                    "{name}/B: {fc:?}"
+                );
+            } else {
+                assert!(fc.stale > 0, "{name}/B: {fc:?}");
+            }
+            if strategy == StrategyKind::FedAt {
+                assert!(fc.retier_events > 0, "{name}/B: {fc:?}");
+            }
+        }
+        Scenario::C => assert!(fc.rejects > 0 && fc.quarantines > 0, "{name}/C: {fc:?}"),
+    }
+    let got = digest(&out);
+    assert_eq!(
+        got, want,
+        "{name}/{scenario:?}: outcome moved — digest {got:#018x}, pinned {want:#018x} ({fc:?}, \
+         {} updates, end {})",
+        out.global_updates, out.report.end_time
+    );
+}
+
+macro_rules! pins {
+    ($($test:ident: $scenario:ident, $strategy:ident => $digest:literal;)*) => {
+        $(#[test]
+        fn $test() {
+            check(Scenario::$scenario, StrategyKind::$strategy, $digest);
+        })*
+    };
+}
+
+pins! {
+    a_fedavg: A, FedAvg => 0x9d57f041e81e57e1;
+    a_fedprox: A, FedProx => 0xf0ee794b2a751825;
+    a_tifl: A, TiFL => 0x36d8377b11dfb752;
+    a_fedasync: A, FedAsync => 0x4cb950dca024b02a;
+    a_asofed: A, AsoFed => 0xf3181a1e5e44788e;
+    a_fedat: A, FedAt => 0x544cfb625f71635c;
+    b_fedavg: B, FedAvg => 0x62885c4c6aef9ed5;
+    b_fedprox: B, FedProx => 0x557b8d11464e69c3;
+    b_tifl: B, TiFL => 0x807877dfba5b12d2;
+    b_fedasync: B, FedAsync => 0xc7a24316e83b5c27;
+    b_asofed: B, AsoFed => 0x250ad31281f2a1bd;
+    b_fedat: B, FedAt => 0x69d6372136451fc6;
+    c_fedavg: C, FedAvg => 0x617f7e24a859684b;
+    c_fedprox: C, FedProx => 0xf98c68ff0d639f1c;
+    c_tifl: C, TiFL => 0x552899e9571079d4;
+    c_fedasync: C, FedAsync => 0x30327484ace0f66b;
+    c_asofed: C, AsoFed => 0x67a5233002117758;
+    c_fedat: C, FedAt => 0xf0ee2ecfb0772163;
+}
