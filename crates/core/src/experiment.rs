@@ -2,7 +2,8 @@
 
 use crate::config::ExperimentConfig;
 use crate::eval::{accuracy_variance, per_client_accuracy};
-use crate::strategies::{build_strategy, FaultCounters};
+use crate::exec::ExecCtx;
+use crate::strategies::{build_strategy, FaultCounters, Strategy};
 use fedat_data::suite::FedTask;
 use fedat_sim::fault::FaultLog;
 use fedat_sim::fleet::{ClusterConfig, Fleet};
@@ -71,6 +72,25 @@ pub fn run_experiment(task: &FedTask, cfg: &ExperimentConfig) -> Outcome {
 /// # Panics
 /// Panics if an explicit cluster's client count disagrees with the task.
 pub fn run_experiment_shared(task: &Arc<FedTask>, cfg: &ExperimentConfig) -> Outcome {
+    run_experiment_with(task, cfg, |fleet, exec| {
+        build_strategy(Arc::clone(task), cfg, fleet, exec)
+    })
+}
+
+/// [`run_experiment_shared`] for a caller-built strategy — e.g. a
+/// [`RoundServer`](crate::strategies::round::RoundServer) around a custom
+/// [`RoundPolicy`](crate::strategies::round::RoundPolicy): `build` gets the
+/// run's fleet and execution context, and whatever it returns is driven,
+/// evaluated and reported exactly like a built-in (`cfg.strategy` only
+/// picks the default codec and the trace's name).
+///
+/// # Panics
+/// Panics if an explicit cluster's client count disagrees with the task.
+pub fn run_experiment_with(
+    task: &Arc<FedTask>,
+    cfg: &ExperimentConfig,
+    build: impl FnOnce(&Fleet, ExecCtx) -> Box<dyn Strategy>,
+) -> Outcome {
     let cluster = cfg.cluster.clone().unwrap_or_else(|| {
         let n = task.fed.num_clients();
         let mut c = ClusterConfig::paper_medium(cfg.seed).with_clients(n);
@@ -95,9 +115,9 @@ pub fn run_experiment_shared(task: &Arc<FedTask>, cfg: &ExperimentConfig) -> Out
     // (speculative training jobs, pipelined evals, fork-join regions)
     // re-installs the overlay on the executing thread, so concurrent runs
     // with different contexts never read each other's settings.
-    let exec = crate::exec::ExecCtx::resolve(cfg);
+    let exec = ExecCtx::resolve(cfg);
     let _overlay = exec.enter();
-    let mut strategy = build_strategy(Arc::clone(task), cfg, &fleet, exec);
+    let mut strategy = build(&fleet, exec);
     let limits = RunLimits {
         max_time: cfg.max_time,
         max_events: 20_000_000,

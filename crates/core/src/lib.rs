@@ -19,13 +19,13 @@
 //!   kernel pool at dispatch and are joined bit-identically when the
 //!   completion event fires,
 //! * [`transport`] — codec-mediated uplink/downlink with byte accounting,
-//! * [`strategies`] — the six FL methods as [`fedat_sim::EventHandler`]s,
+//! * [`strategies`] — the six FL methods: two server drivers (one per
+//!   trigger — round barrier, update arrival) as [`fedat_sim::EventHandler`]s
+//!   and a small policy per method,
 //! * [`eval`] — global accuracy, per-client accuracy variance
 //!   (Definition 3.1), robustness metrics,
 //! * [`experiment`] — one-call experiment orchestration returning a
-//!   [`Trace`](fedat_sim::Trace),
-//! * [`concurrent`] — a real-thread FedAT server used to validate the
-//!   asynchronous design outside the deterministic simulator.
+//!   [`Trace`](fedat_sim::Trace).
 //!
 //! ```
 //! use fedat_core::prelude::*;
@@ -43,7 +43,6 @@
 //! ```
 
 pub mod aggregate;
-pub mod concurrent;
 pub mod config;
 pub mod eval;
 pub mod exec;
@@ -58,10 +57,12 @@ pub mod transport;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::config::{ExperimentConfig, OptimizerKind, StrategyKind};
-    pub use crate::experiment::{run_experiment, run_experiment_shared, Outcome};
+    pub use crate::experiment::{
+        run_experiment, run_experiment_shared, run_experiment_with, Outcome,
+    };
     pub use crate::tiering::TierAssignment;
     pub use fedat_sim::{Trace, TracePoint};
 }
 
 pub use config::{ExperimentConfig, OptimizerKind, StrategyKind};
-pub use experiment::{run_experiment, run_experiment_shared, Outcome};
+pub use experiment::{run_experiment, run_experiment_shared, run_experiment_with, Outcome};

@@ -1,20 +1,32 @@
 //! The six federated-learning methods, all driven by the same
 //! discrete-event runtime.
 //!
-//! | Strategy | Module | Communication pattern |
-//! |---|---|---|
-//! | FedAvg | [`sync`] | synchronous rounds, random subset |
-//! | FedProx | [`sync`] | synchronous + prox term + device-dependent epochs |
-//! | TiFL | [`tifl`] | synchronous, adaptive tier selection |
-//! | FedAsync | [`fedasync`] | fully async, staleness-weighted mixing |
-//! | ASO-Fed | [`asofed`] | fully async, per-client server copies |
-//! | FedAT | [`fedat`] | sync intra-tier + async cross-tier (the paper) |
+//! There are two server state machines, one per *trigger*: [`round`]'s
+//! `RoundServer` moves the global model when a barrier lane concludes a
+//! round, `arrival`'s `ArrivalServer` on every landed update. Each owns
+//! the in-flight table and the whole fault layer for its trigger; a method
+//! is a small policy plugged into one of them — the table is the design:
+//!
+//! | Strategy | Driver | Policy | Eligible for a round | Local work | Mixing |
+//! |---|---|---|---|---|---|
+//! | FedAvg | round, 1 lane | `sync::FedAvg` | whole fleet, uniform sample | `E` epochs | rule-aggregate the cohort into the global model |
+//! | FedProx | round, 1 lane | `sync::FedProx` | whole fleet, uniform sample | fewer epochs on slower devices, prox term | as FedAvg |
+//! | TiFL | round, 1 lane | `tifl::Tifl` | one tier, drawn by accuracy-driven credits | `E` epochs | as FedAvg |
+//! | FedAT | round, `M` lanes | `fedat::FedAt` | lane `m` = tier `m`'s members | `E` epochs, prox term | rule-aggregate into the tier model, then the Eq. 5 cross-tier average (the paper) |
+//! | FedAsync | arrival | `mixers::FedAsync` | everyone, always | `E` epochs | `w ← lerp(w, w_k, α·s(staleness))` |
+//! | ASO-Fed | arrival | `mixers::AsoFed` | everyone, always | `E` epochs, prox term | replace client `k`'s server copy; `w` = `n_k/N`-weighted mean of the copies |
+//!
+//! "Eligible" always also means alive, idle and out of quarantine — one
+//! predicate, applied by the drivers at round start, deadline retry and
+//! revival alike. A new round-based method implements [`round::RoundPolicy`]
+//! (`examples/custom_strategy.rs` does, in one method).
 
-pub mod asofed;
-pub mod fedasync;
-pub mod fedat;
-pub mod sync;
-pub mod tifl;
+mod arrival;
+mod fedat;
+mod mixers;
+pub mod round;
+mod sync;
+mod tifl;
 
 use crate::config::{ExperimentConfig, StrategyKind};
 use crate::eval::Evaluator;
@@ -103,7 +115,7 @@ pub trait Strategy: EventHandler + Send {
     }
 }
 
-/// Server-side state shared by every strategy implementation.
+/// Server-side state shared by both drivers.
 pub(crate) struct ServerCore {
     pub task: Arc<FedTask>,
     /// Shared so dispatch-time training jobs can carry the config to any
@@ -340,7 +352,7 @@ impl ServerCore {
     }
 
     /// End-of-run barrier for the eval pipeline: joins the straggler so the
-    /// trace and variance checkpoints are complete. Strategies delegate
+    /// trace and variance checkpoints are complete. Both drivers delegate
     /// their [`Strategy::flush_evals`] here.
     pub fn flush_evals(&mut self) {
         self.join_pending_eval();
@@ -461,14 +473,8 @@ impl ServerCore {
                             *w = *g + (*w - *g) * s;
                         }
                         self.faults.clips += 1;
-                        let now = ctx.now();
-                        ctx.faults.record(FaultEvent {
-                            time: now,
-                            kind: FaultKind::Clip,
-                            client: Some(client),
-                            tier: Some(group as usize),
-                            detail: norm as u64,
-                        });
+                        let tier = Some(group as usize);
+                        log_fault(ctx, FaultKind::Clip, Some(client), tier, norm as u64);
                         limit
                     } else {
                         self.reject_update(ctx, client, group, 1);
@@ -486,14 +492,8 @@ impl ServerCore {
     /// clock when the policy asks for one.
     fn reject_update(&mut self, ctx: &mut SimCtx, client: usize, group: u64, detail: u64) {
         self.faults.rejects += 1;
-        let now = ctx.now();
-        ctx.faults.record(FaultEvent {
-            time: now,
-            kind: FaultKind::Reject,
-            client: Some(client),
-            tier: Some(group as usize),
-            detail,
-        });
+        let (now, tier) = (ctx.now(), Some(group as usize));
+        log_fault(ctx, FaultKind::Reject, Some(client), tier, detail);
         if let Some(after) = self.cfg.guard.quarantine_after {
             self.guard.ensure(client);
             self.guard.offenses[client] += 1;
@@ -501,13 +501,8 @@ impl ServerCore {
                 self.guard.offenses[client] = 0;
                 self.guard.quarantined_until[client] = now + self.cfg.guard.quarantine_secs;
                 self.faults.quarantines += 1;
-                ctx.faults.record(FaultEvent {
-                    time: now,
-                    kind: FaultKind::Quarantine,
-                    client: Some(client),
-                    tier: Some(group as usize),
-                    detail: self.cfg.guard.quarantine_secs as u64,
-                });
+                let secs = self.cfg.guard.quarantine_secs as u64;
+                log_fault(ctx, FaultKind::Quarantine, Some(client), tier, secs);
             }
         }
     }
@@ -534,15 +529,42 @@ impl ServerCore {
     /// does not count toward quarantine offenses.
     pub fn note_stale(&mut self, ctx: &mut SimCtx, client: usize, group: u64, staleness: u64) {
         self.faults.stale += 1;
-        let now = ctx.now();
-        ctx.faults.record(FaultEvent {
-            time: now,
-            kind: FaultKind::Stale,
-            client: Some(client),
-            tier: Some(group as usize),
-            detail: staleness,
-        });
+        let tier = Some(group as usize);
+        log_fault(ctx, FaultKind::Stale, Some(client), tier, staleness);
     }
+}
+
+/// Appends one server-side row to the run's fault log, stamped now.
+pub(crate) fn log_fault(
+    ctx: &mut SimCtx,
+    kind: FaultKind,
+    client: Option<usize>,
+    tier: Option<usize>,
+    detail: u64,
+) {
+    let time = ctx.now();
+    ctx.faults.record(FaultEvent {
+        time,
+        kind,
+        client,
+        tier,
+        detail,
+    });
+}
+
+/// The one eligibility predicate: `client` can be dispatched at `now` when
+/// it is alive, idle (no dispatch in flight) and out of quarantine. Both
+/// drivers use it wherever they pick someone to send work to — round start,
+/// deadline retry, revival — so no path can hand work to a client another
+/// path would refuse.
+pub(crate) fn dispatchable(
+    core: &ServerCore,
+    table: &InflightTable,
+    fleet: &fedat_sim::Fleet,
+    client: usize,
+    now: f64,
+) -> bool {
+    fleet.is_alive(client, now) && !table.contains(client) && !core.is_quarantined(client, now)
 }
 
 /// Earliest virtual time at which any of `clients` is both alive and out of
@@ -610,8 +632,8 @@ pub(crate) enum PhaseEvent {
     UploadScheduled,
     /// The client's trained update landed at the server.
     Landed {
-        /// The dispatch group (tier index for tiered strategies).
-        group: u64,
+        /// The barrier lane the dispatch belongs to.
+        lane: usize,
         /// Observed dispatch→arrival latency (feeds the re-tiering EWMA).
         latency: f64,
         /// Post-roundtrip uploaded weights.
@@ -621,15 +643,15 @@ pub(crate) enum PhaseEvent {
     },
     /// The dispatch was lost to a dropout (mid-compute or mid-upload).
     Lost {
-        /// The dispatch group (tier index for tiered strategies).
-        group: u64,
+        /// The barrier lane the dispatch belongs to.
+        lane: usize,
     },
     /// The update arrived but the guard discarded it (non-finite or over
     /// the norm screen). For round/slot accounting this is a loss; the
     /// reject/quarantine bookkeeping already happened inside the screen.
     Rejected {
-        /// The dispatch group (tier index for tiered strategies).
-        group: u64,
+        /// The barrier lane the dispatch belongs to.
+        lane: usize,
     },
     /// Stale event: the dispatch was already resolved (e.g. cancelled by a
     /// deadline) or superseded by a newer generation.
@@ -639,16 +661,20 @@ pub(crate) enum PhaseEvent {
 /// A dispatch cancelled by its deadline timer.
 pub(crate) struct TimedOut {
     pub client: usize,
-    /// The dispatch group (tier index for tiered strategies).
-    pub group: u64,
+    /// The barrier lane the dispatch belongs to.
+    pub lane: usize,
     /// Retries already spent on this round slot.
     pub retries: u32,
 }
 
 /// One tracked dispatch: the phase state machine plus the bookkeeping the
-/// fault layer needs (generation, group, retry count, dispatch time).
+/// fault layer needs (generation, lane, group, retry count, dispatch time).
 struct Dispatch {
     gen: u64,
+    /// The barrier lane that waits for this dispatch (always 0 for the
+    /// arrival server, which has no barriers).
+    lane: usize,
+    /// The `tier` its fault-log rows carry.
     group: u64,
     retries: u32,
     dispatched_at: f64,
@@ -694,6 +720,7 @@ impl InflightTable {
     pub fn begin(
         &mut self,
         client: usize,
+        lane: usize,
         group: u64,
         retries: u32,
         now: f64,
@@ -705,6 +732,7 @@ impl InflightTable {
             client,
             Dispatch {
                 gen,
+                lane,
                 group,
                 retries,
                 dispatched_at: now,
@@ -727,8 +755,8 @@ impl InflightTable {
     /// layer (if active) screened it. A dropout mid-compute discards the
     /// speculative result unjoined. A completion whose tag doesn't match
     /// the client's current generation belongs to a cancelled dispatch and
-    /// is reported [`PhaseEvent::Unknown`]. Shared by all five strategies
-    /// so the phase protocol cannot diverge.
+    /// is reported [`PhaseEvent::Unknown`]. Shared by both drivers so the
+    /// phase protocol cannot diverge.
     pub fn advance(
         &mut self,
         core: &mut ServerCore,
@@ -758,14 +786,8 @@ impl InflightTable {
                         .corrupt_update(c.client, info.selection_round, &mut w_up)
                 {
                     core.faults.corrupt += 1;
-                    let now = ctx.now();
-                    ctx.faults.record(FaultEvent {
-                        time: now,
-                        kind: FaultKind::Corrupt,
-                        client: Some(c.client),
-                        tier: Some(d.group as usize),
-                        detail: mode,
-                    });
+                    let tier = Some(d.group as usize);
+                    log_fault(ctx, FaultKind::Corrupt, Some(c.client), tier, mode);
                 }
                 d.phase = ClientPhase::Uploading {
                     weights: w_up,
@@ -781,10 +803,10 @@ impl InflightTable {
             } if !c.dropped => {
                 self.client_of.remove(&d.gen);
                 if !core.screen_update(ctx, c.client, d.group, &mut weights) {
-                    return PhaseEvent::Rejected { group: d.group };
+                    return PhaseEvent::Rejected { lane: d.lane };
                 }
                 PhaseEvent::Landed {
-                    group: d.group,
+                    lane: d.lane,
                     latency: ctx.now() - d.dispatched_at,
                     weights,
                     n_samples,
@@ -794,11 +816,11 @@ impl InflightTable {
                 // Dropped mid-compute: the dispatch-time job is wasted work.
                 core.speculation.discards += u64::from(info.handle.discard());
                 self.client_of.remove(&d.gen);
-                PhaseEvent::Lost { group: d.group }
+                PhaseEvent::Lost { lane: d.lane }
             }
             ClientPhase::Uploading { .. } => {
                 self.client_of.remove(&d.gen);
-                PhaseEvent::Lost { group: d.group }
+                PhaseEvent::Lost { lane: d.lane }
             }
         }
     }
@@ -816,102 +838,10 @@ impl InflightTable {
         }
         Some(TimedOut {
             client,
-            group: d.group,
+            lane: d.lane,
             retries: d.retries,
         })
     }
-}
-
-/// Launches, registers and dispatches one tracked client round trip; when
-/// the fault policy enables deadlines, also arms the deadline timer at
-/// `nominal × multiplier × backoff^retries` from now.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dispatch_tracked(
-    core: &mut ServerCore,
-    table: &mut InflightTable,
-    ctx: &mut SimCtx,
-    client: usize,
-    group: u64,
-    retries: u32,
-    nominal: f64,
-    weights: &Arc<[f32]>,
-    epochs: usize,
-    use_prox: bool,
-    down_bytes: usize,
-) {
-    let selection_round = ctx.dispatches_of(client);
-    let phase = core.launch(client, weights, epochs, selection_round, use_prox);
-    let gen = table.begin(client, group, retries, ctx.now(), phase);
-    ctx.dispatch_with_transfer(client, gen, epochs, down_bytes);
-    if let Some(mult) = core.cfg.fault.deadline_multiplier {
-        let deadline = nominal * mult * core.cfg.fault.backoff.powi(retries as i32);
-        ctx.schedule_timer(ctx.now() + deadline, gen);
-    }
-}
-
-/// Handles a cancelled dispatch: records the timeout, then — if retries
-/// remain and a replacement exists in `pool` (alive, idle, not the victim)
-/// — re-dispatches the round slot to it with the *current* global model and
-/// a backed-off deadline. Returns `true` when the slot was re-dispatched,
-/// `false` when the caller must account it as lost.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn retry_slot(
-    core: &mut ServerCore,
-    table: &mut InflightTable,
-    ctx: &mut SimCtx,
-    timed_out: &TimedOut,
-    pool: &[usize],
-    nominal: f64,
-    use_prox: bool,
-    epochs_for: impl Fn(usize) -> usize,
-) -> bool {
-    let now = ctx.now();
-    core.faults.timeouts += 1;
-    ctx.faults.record(FaultEvent {
-        time: now,
-        kind: FaultKind::Timeout,
-        client: Some(timed_out.client),
-        tier: Some(timed_out.group as usize),
-        detail: timed_out.retries as u64,
-    });
-    if timed_out.retries >= core.cfg.fault.max_retries {
-        return false;
-    }
-    let candidates: Vec<usize> = pool
-        .iter()
-        .copied()
-        .filter(|&c| c != timed_out.client && ctx.fleet.is_alive(c, now) && !table.contains(c))
-        .collect();
-    let Some(&replacement) = core.sample_clients(ctx, &candidates, 1).first() else {
-        return false;
-    };
-    let retries = timed_out.retries + 1;
-    let epochs = epochs_for(replacement);
-    // The replacement gets the *current* global model — a fresh unicast
-    // download, not the possibly stale round broadcast.
-    let (weights, down_bytes) = core.transport.download(ctx, replacement, &core.global);
-    dispatch_tracked(
-        core,
-        table,
-        ctx,
-        replacement,
-        timed_out.group,
-        retries,
-        nominal,
-        &weights,
-        epochs,
-        use_prox,
-        down_bytes,
-    );
-    core.faults.retries += 1;
-    ctx.faults.record(FaultEvent {
-        time: now,
-        kind: FaultKind::Retry,
-        client: Some(replacement),
-        tier: Some(timed_out.group as usize),
-        detail: retries as u64,
-    });
-    true
 }
 
 /// Builds the strategy object for a config, running under `exec` — the
@@ -923,12 +853,29 @@ pub fn build_strategy(
     fleet: &fedat_sim::Fleet,
     exec: ExecCtx,
 ) -> Box<dyn Strategy> {
+    use arrival::ArrivalServer;
+    use round::RoundServer;
     match cfg.strategy {
-        StrategyKind::FedAvg => Box::new(sync::SyncStrategy::fedavg(task, cfg, exec)),
-        StrategyKind::FedProx => Box::new(sync::SyncStrategy::fedprox(task, cfg, fleet, exec)),
-        StrategyKind::TiFL => Box::new(tifl::TiflStrategy::new(task, cfg, fleet, exec)),
-        StrategyKind::FedAsync => Box::new(fedasync::FedAsyncStrategy::new(task, cfg, exec)),
-        StrategyKind::AsoFed => Box::new(asofed::AsoFedStrategy::new(task, cfg, exec)),
-        StrategyKind::FedAt => Box::new(fedat::FedAtStrategy::new(task, cfg, fleet, exec)),
+        StrategyKind::FedAvg => Box::new(RoundServer::new(task, cfg, sync::FedAvg, exec)),
+        StrategyKind::FedProx => {
+            let policy = sync::FedProx::new(cfg, fleet);
+            Box::new(RoundServer::new(task, cfg, policy, exec))
+        }
+        StrategyKind::TiFL => {
+            let policy = tifl::Tifl::new(cfg, fleet);
+            Box::new(RoundServer::new(task, cfg, policy, exec))
+        }
+        StrategyKind::FedAt => {
+            let policy = fedat::FedAt::new(&task, cfg, fleet);
+            Box::new(RoundServer::new(task, cfg, policy, exec))
+        }
+        StrategyKind::FedAsync => {
+            let mixer = mixers::FedAsync::new(cfg);
+            Box::new(ArrivalServer::new(task, cfg, mixer, exec))
+        }
+        StrategyKind::AsoFed => {
+            let mixer = mixers::AsoFed::new(&task, cfg);
+            Box::new(ArrivalServer::new(task, cfg, mixer, exec))
+        }
     }
 }

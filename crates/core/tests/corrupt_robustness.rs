@@ -374,3 +374,93 @@ fn guarded_corruption_is_bit_identical_across_exec_modes_and_workers() {
         }
     }
 }
+
+/// A quarantined client is out of every dispatch pool — including the pool
+/// a timed-out round slot draws its replacement from. Checked from the
+/// fault log alone: no `Retry` row may name a client inside the window
+/// opened by one of its own `Quarantine` rows.
+#[test]
+fn retry_never_dispatches_a_quarantined_client() {
+    use fedat_core::config::FaultPolicy;
+    use fedat_sim::churn::{DriftSpec, StormSpec};
+
+    let n = 20;
+    let guard = GuardPolicy {
+        finite_check: true,
+        norm_screen: Some(NormScreen {
+            alpha: 0.2,
+            threshold: 2.0,
+            clip: false,
+        }),
+        quarantine_after: Some(2),
+        quarantine_secs: 500.0,
+        ..GuardPolicy::default()
+    };
+    for strategy in [
+        StrategyKind::FedAvg,
+        StrategyKind::TiFL,
+        StrategyKind::FedAt,
+    ] {
+        for seed in [73, 79] {
+            let task = suite::sent140_like(n, seed);
+            // Storms and drift make deadlines fire; every corrupt-capable
+            // client mangles every upload, so offenders are quarantined fast.
+            let cluster = ClusterConfig::paper_medium(seed)
+                .with_clients(n)
+                .without_dropouts()
+                .with_churn(ChurnConfig {
+                    storms: Some(StormSpec {
+                        count: 2,
+                        cohort_fraction: 0.3,
+                        duration: 150.0,
+                        horizon: 1500.0,
+                    }),
+                    drift: Some(DriftSpec {
+                        fraction: 0.4,
+                        per_round: 0.05,
+                        max_factor: 4.0,
+                    }),
+                    corrupt: Some(CorruptSpec {
+                        probability: 1.0,
+                        ..scale_attack(0.25)
+                    }),
+                    ..ChurnConfig::default()
+                });
+            let rounds = if strategy == StrategyKind::FedAt {
+                600
+            } else {
+                80
+            };
+            let mut cfg = cfg_with(strategy, rounds, seed, cluster, guard);
+            cfg.clients_per_round = 4;
+            cfg.fault = FaultPolicy {
+                deadline_multiplier: Some(1.05),
+                ..FaultPolicy::default()
+            };
+            let out = fedat_core::run_experiment(&task, &cfg);
+            let fc = out.fault_counters;
+            let name = strategy.name();
+            assert!(
+                fc.timeouts > 0 && fc.retries > 0 && fc.quarantines > 0,
+                "{name}/{seed}: scenario no longer exercises the retry path: {fc:?}"
+            );
+            let events = out.faults.events();
+            for retry in events.iter().filter(|e| e.kind == FaultKind::Retry) {
+                let serving = events.iter().find(|q| {
+                    q.kind == FaultKind::Quarantine
+                        && q.client == retry.client
+                        && q.time <= retry.time
+                        && retry.time < q.time + q.detail as f64
+                });
+                assert!(
+                    serving.is_none(),
+                    "{name}/{seed}: retry at t={} went to client {:?}, quarantined at t={} for {} s",
+                    retry.time,
+                    retry.client,
+                    serving.map_or(0.0, |q| q.time),
+                    serving.map_or(0, |q| q.detail),
+                );
+            }
+        }
+    }
+}

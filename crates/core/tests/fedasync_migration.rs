@@ -1,6 +1,6 @@
 //! Regression pin for the FedAsync bookkeeping migration from `HashMap`
 //! to `BTreeMap` (`InflightTable.{by_client, client_of}` in
-//! `strategies/mod.rs` and `dispatch_version` in `strategies/fedasync.rs`),
+//! `strategies/mod.rs` and `dispatch_version`, now in `strategies/arrival.rs`),
 //! done so `fedat-lint` rule R1 can ban RandomState-seeded containers from
 //! library code outright.
 //!

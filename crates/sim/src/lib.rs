@@ -21,9 +21,7 @@
 //! * [`runtime`] — the event loop driving an [`EventHandler`]
 //!   (implemented by every FL strategy in `fedat-core`),
 //! * [`trace`] — accuracy/loss/bytes time series with smoothing and
-//!   time-to-target queries,
-//! * [`threaded`] — a real-thread runtime (parking_lot + crossbeam) used to
-//!   exercise true cross-tier asynchrony in integration tests.
+//!   time-to-target queries.
 //!
 //! Virtual time makes runs bit-reproducible and lets a 500-client day-long
 //! experiment finish in seconds while preserving every time-to-accuracy
@@ -36,7 +34,6 @@ pub mod fleet;
 pub mod latency;
 pub mod network;
 pub mod runtime;
-pub mod threaded;
 pub mod trace;
 
 pub use churn::{

@@ -1,173 +1,80 @@
-//! Extending the system: implementing a *new* federated-learning strategy
-//! against the public simulator API.
+//! Extending the system: a *new* federated-learning method is a
+//! [`RoundPolicy`] — the answer to what differs from FedAvg — plugged into
+//! the same round server the built-in methods run on.
 //!
-//! `PowerOfTwoChoices` is a toy selection policy: each round it samples two
-//! candidate clients per slot and dispatches the *faster* one (by profiled
-//! expected latency) — a latency-aware selection baseline that is not in
-//! the paper. The point of the example is the surface area: a strategy is
-//! just an [`EventHandler`] plus the aggregation helpers.
+//! `PowerOfTwoChoices` is a selection rule that is not in the paper: each
+//! round it samples two candidates per slot and keeps the *faster* half (by
+//! profiled latency). Selection is all it says; the round loop, training,
+//! codec, deadlines, guard, evaluation cadence and the [`Outcome`] come from
+//! the driver, exactly as for FedAvg or FedAT.
 //!
 //! ```text
 //! cargo run --release --example custom_strategy
 //! ```
 
-use fedat::core::aggregate::weighted_client_average;
-use fedat::core::local::train_client;
 use fedat::core::prelude::*;
+use fedat::core::strategies::round::{Cohort, RoundPolicy, RoundServer, ServerView};
 use fedat::data::suite;
-use fedat::data::suite::FedTask;
-use fedat::nn::metrics::evaluate_batched;
-use fedat::sim::fleet::{ClusterConfig, Fleet};
-use fedat::sim::runtime::{run, Completion, EventHandler, RunLimits, SimCtx};
 use fedat::tensor::rng::sample_without_replacement;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-struct PowerOfTwoChoices {
-    task: FedTask,
-    cfg: ExperimentConfig,
-    global: Vec<f32>,
-    inflight: BTreeMap<usize, (Arc<[f32]>, u64)>,
-    outstanding: usize,
-    received: Vec<(Vec<f32>, usize)>,
-    rounds_done: u64,
-    history: Vec<(f64, f32)>,
-}
+struct PowerOfTwoChoices;
 
-impl PowerOfTwoChoices {
-    fn start_round(&mut self, ctx: &mut SimCtx) {
-        let alive = ctx.alive_clients();
-        let k = self.cfg.clients_per_round.min(alive.len());
-        // Two-choice sampling: pick 2k candidates, keep the k fastest.
-        let want = (2 * k).min(alive.len());
-        let mut cand: Vec<usize> = sample_without_replacement(ctx.rng, alive.len(), want)
-            .into_iter()
-            .map(|i| alive[i])
+impl RoundPolicy for PowerOfTwoChoices {
+    fn select(&mut self, _lane: usize, view: &mut ServerView) -> Cohort {
+        let eligible: Vec<usize> = (0..view.fleet.len())
+            .filter(|&c| view.is_eligible(c))
             .collect();
-        cand.sort_by(|&a, &b| {
-            ctx.fleet
-                .expected_latency(a, self.cfg.local_epochs)
-                .partial_cmp(&ctx.fleet.expected_latency(b, self.cfg.local_epochs))
-                .unwrap()
-        });
-        cand.truncate(k);
-        self.outstanding = cand.len();
-        self.received.clear();
-        // One shared snapshot of the global model for the whole cohort.
-        let shared: Arc<[f32]> = self.global.clone().into();
-        for c in cand {
-            self.inflight
-                .insert(c, (Arc::clone(&shared), ctx.dispatches_of(c)));
-            ctx.dispatch(c, 0, self.cfg.local_epochs);
+        let k = view.cfg.clients_per_round;
+        if eligible.len() <= k {
+            // No choice to make: the driver dispatches whoever is eligible,
+            // or parks the round until somebody is.
+            return Cohort::whole_fleet(view);
         }
-    }
-
-    fn evaluate(&mut self, time: f64) {
-        let mut model = self.task.model.build(self.cfg.seed);
-        model.set_weights(&self.global);
-        let r = evaluate_batched(
-            model.as_mut(),
-            &self.task.fed.global_test.x,
-            &self.task.fed.global_test.y,
-            64,
-        );
-        self.history.push((time, r.accuracy));
-    }
-}
-
-impl EventHandler for PowerOfTwoChoices {
-    fn on_start(&mut self, ctx: &mut SimCtx) {
-        self.start_round(ctx);
-    }
-
-    fn on_completion(&mut self, ctx: &mut SimCtx, c: Completion) {
-        self.outstanding -= 1;
-        if let Some((weights, sel_round)) = self.inflight.remove(&c.client) {
-            if !c.dropped {
-                let up = train_client(
-                    &self.task,
-                    c.client,
-                    &weights,
-                    &self.cfg,
-                    self.cfg.local_epochs,
-                    sel_round,
-                    false,
-                );
-                self.received.push((up.weights, up.n_samples));
-            }
-        }
-        if self.outstanding == 0 {
-            if !self.received.is_empty() {
-                let refs: Vec<(&[f32], usize)> = self
-                    .received
-                    .iter()
-                    .map(|(w, n)| (w.as_slice(), *n))
-                    .collect();
-                self.global = weighted_client_average(&refs);
-            }
-            self.rounds_done += 1;
-            if self.rounds_done.is_multiple_of(10) {
-                self.evaluate(ctx.now());
-            }
-            if !self.finished() {
-                self.start_round(ctx);
-            }
-        }
-    }
-
-    fn finished(&self) -> bool {
-        self.rounds_done >= self.cfg.rounds
+        // Two-choice sampling: draw 2k candidates, keep the k fastest.
+        let draw = (2 * k).min(eligible.len());
+        let mut pool: Vec<usize> = sample_without_replacement(view.rng, eligible.len(), draw)
+            .into_iter()
+            .map(|i| eligible[i])
+            .collect();
+        let latency = |c: usize| view.fleet.expected_latency(c, view.cfg.local_epochs);
+        pool.sort_by(|&a, &b| latency(a).total_cmp(&latency(b)));
+        pool.truncate(k);
+        Cohort { pool, group: None }
     }
 }
 
 fn main() {
-    let task = suite::sent140_like(40, 17);
+    let task = Arc::new(suite::sent140_like(40, 17));
     let cfg = ExperimentConfig::builder()
-        .strategy(StrategyKind::FedAvg) // reuses FedAvg hyperparameters
+        .strategy(StrategyKind::FedAvg) // FedAvg's hyperparameters and codec
         .rounds(80)
         .clients_per_round(5)
         .eval_every(10)
         .seed(17)
         .build();
-    let cluster = ClusterConfig::paper_medium(17).with_clients(40);
-    let fleet = Fleet::new(&cluster, task.fed.client_sizes());
 
-    let global = task.model.build(cfg.seed).weights();
-    let mut strategy = PowerOfTwoChoices {
-        task: task.clone(),
-        cfg: cfg.clone(),
-        global,
-        inflight: BTreeMap::new(),
-        outstanding: 0,
-        received: Vec::new(),
-        rounds_done: 0,
-        history: Vec::new(),
-    };
-    let report = run(&mut strategy, &fleet, cfg.seed, RunLimits::default());
-
-    println!("custom strategy: power-of-two-choices client selection");
-    println!(
-        "  rounds {} | virtual time {:.0}s",
-        strategy.rounds_done, report.end_time
-    );
-    for (t, acc) in &strategy.history {
-        println!("  t={t:7.0}s  accuracy {acc:.4}");
-    }
-
+    let custom = run_experiment_with(&task, &cfg, |_fleet, exec| {
+        Box::new(RoundServer::new(
+            Arc::clone(&task),
+            &cfg,
+            PowerOfTwoChoices,
+            exec,
+        ))
+    });
     // Compare against stock FedAvg on the same cluster and budget.
-    let out = run_experiment(&task, &cfg);
-    println!(
-        "\nstock FedAvg:   best {:.4} in {:.0}s",
-        out.best_accuracy(),
-        out.report.end_time
-    );
-    let best = strategy
-        .history
-        .iter()
-        .map(|(_, a)| *a)
-        .fold(0.0f32, f32::max);
-    println!(
-        "two-choices:    best {best:.4} in {:.0}s (faster rounds, same budget)",
-        report.end_time
+    let stock = run_experiment_shared(&task, &cfg);
+    for (name, out) in [("stock FedAvg", &stock), ("two-choices", &custom)] {
+        println!(
+            "{name:13}: best {:.4} | {} rounds in {:.0} virtual s | {:.1} kB up",
+            out.best_accuracy(),
+            out.global_updates,
+            out.report.end_time,
+            out.trace.points.last().map_or(0, |p| p.up_bytes) as f64 / 1e3,
+        );
+    }
+    assert!(
+        custom.report.end_time < stock.report.end_time,
+        "keeping the faster half of the candidates must shorten the rounds"
     );
 }
