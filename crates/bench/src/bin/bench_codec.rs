@@ -8,7 +8,9 @@
 //!
 //! * per-cell best accuracy, uplink/downlink bytes, and the uplink ratio
 //!   vs the uncompressed run of the same strategy,
-//! * encode/decode throughput per codec on a model-sized payload,
+//! * encode/decode throughput per codec on a trained model: the final
+//!   weights of the grid's own uncompressed FedAT cell against the global
+//!   model one update earlier, both tiled to a million weights,
 //! * the FedAT acceptance row: the best codec achieving ≥4× uplink
 //!   reduction at ≤1 accuracy-point loss.
 //!
@@ -100,6 +102,19 @@ impl Cell {
     }
 }
 
+/// Weights in the throughput payload.
+const PAYLOAD_WEIGHTS: usize = 1_000_000;
+
+/// Repeats a (small) model end to end up to the payload size.
+fn tiled(model: &[f32]) -> Vec<f32> {
+    model
+        .iter()
+        .copied()
+        .cycle()
+        .take(PAYLOAD_WEIGHTS)
+        .collect()
+}
+
 /// Encode/decode throughput of one codec over a model-sized payload with a
 /// nearby reference (the uplink situation), in MB/s of raw f32 input.
 fn throughput(kind: CodecKind, weights: &[f32], reference: &[f32]) -> (f64, f64, f64) {
@@ -172,27 +187,6 @@ fn main() {
     let task: Arc<FedTask> = Arc::new(suite::sent140_like(clients, seed));
     pool::ensure_workers(threads.max(1));
 
-    // Codec throughput on a model-sized payload (1M weights, near-reference
-    // deltas — the uplink situation).
-    eprintln!("[bench_codec] codec throughput ...");
-    let big_ref: Vec<f32> = (0..1_000_000)
-        .map(|i| ((i as f32) * 0.013).sin() * 0.1)
-        .collect();
-    let big: Vec<f32> = big_ref
-        .iter()
-        .enumerate()
-        .map(|(i, v)| v + ((i as f32) * 0.07).cos() * 1e-3)
-        .collect();
-    let mut thr_rows = String::new();
-    for (k, (name, kind)) in CODECS.iter().enumerate() {
-        let (enc, dec, ratio) = throughput(*kind, &big, &big_ref);
-        eprintln!("[bench_codec]   {name}: enc {enc:.0} MB/s, dec {dec:.0} MB/s, {ratio:.2}x");
-        thr_rows.push_str(&format!(
-            "    {{ \"codec\": \"{name}\", \"encode_mb_per_s\": {enc:.1}, \"decode_mb_per_s\": {dec:.1}, \"payload_ratio\": {ratio:.2} }}{}\n",
-            if k + 1 < CODECS.len() { "," } else { "" },
-        ));
-    }
-
     // The strategy × codec grid through the full wire path.
     let mut cells: Vec<Cell> = Vec::new();
     for strategy in StrategyKind::all() {
@@ -216,9 +210,37 @@ fn main() {
             .expect("cell ran")
     };
 
+    let fedat_none = cell(StrategyKind::FedAt, "none");
+
+    // Codec throughput on what the wire actually carries: a trained model
+    // (not a smooth synthetic curve, whose neighbouring weights sit a few
+    // lattice steps apart and flatter every delta coder) against the nearby
+    // model both endpoints hold — the global model one update earlier, from
+    // the same cell stopped one update short.
+    eprintln!("[bench_codec] codec throughput ...");
+    let previous = run_experiment_shared(
+        &task,
+        &cfg(
+            StrategyKind::FedAt,
+            CodecKind::None,
+            rounds.saturating_sub(1),
+            seed,
+        ),
+    );
+    let payload = tiled(&fedat_none.outcome.final_weights);
+    let payload_ref = tiled(&previous.final_weights);
+    let mut thr_rows = String::new();
+    for (k, (name, kind)) in CODECS.iter().enumerate() {
+        let (enc, dec, ratio) = throughput(*kind, &payload, &payload_ref);
+        eprintln!("[bench_codec]   {name}: enc {enc:.0} MB/s, dec {dec:.0} MB/s, {ratio:.2}x");
+        thr_rows.push_str(&format!(
+            "    {{ \"codec\": \"{name}\", \"encode_mb_per_s\": {enc:.1}, \"decode_mb_per_s\": {dec:.1}, \"payload_ratio\": {ratio:.2} }}{}\n",
+            if k + 1 < CODECS.len() { "," } else { "" },
+        ));
+    }
+
     // FedAT acceptance row: the best uplink ratio among lossy codecs whose
     // accuracy stays within one point of the uncompressed run.
-    let fedat_none = cell(StrategyKind::FedAt, "none");
     let baseline_best = fedat_none.outcome.best_accuracy();
     let baseline_up = fedat_none.up_bytes();
     let mut accepted: Option<(&Cell, f64, f64)> = None;
@@ -258,7 +280,8 @@ fn main() {
         None => "null".to_string(),
     };
     let json = format!(
-        "{{\n  \"bench\": \"codec\",\n  \"seed\": {seed},\n  \"clients\": {clients},\n  \"rounds\": {rounds},\n  \"throughput_payload_weights\": 1000000,\n  \"throughput\": [\n{thr_rows}  ],\n  \"fedat_acceptance\": {acceptance},\n  \"lossless_sweep\": {},\n  \"cells\": [\n{rows}  ]\n}}\n",
+        "{{\n  \"bench\": \"codec\",\n  \"seed\": {seed},\n  \"clients\": {clients},\n  \"rounds\": {rounds},\n  \"throughput_payload_weights\": {PAYLOAD_WEIGHTS},\n  \"throughput_payload\": \"final weights of the FedAT/none cell vs the global model one update earlier, {} weights tiled\",\n  \"throughput\": [\n{thr_rows}  ],\n  \"fedat_acceptance\": {acceptance},\n  \"lossless_sweep\": {},\n  \"cells\": [\n{rows}  ]\n}}\n",
+        fedat_none.outcome.final_weights.len(),
         if sweep {
             "\"delta-rle under ExecMode x SimdKernel x workers {1,2,4,8}: asserted bit-identical\""
         } else {

@@ -194,9 +194,9 @@ pub struct NoCompression;
 impl WireCodec for NoCompression {
     fn encode_with_ref(&self, weights: &[f32], reference: Option<&[f32]>) -> CompressedBlob {
         check_reference(weights, reference);
-        let mut payload = Vec::with_capacity(weights.len() * 4);
-        for w in weights {
-            payload.extend_from_slice(&w.to_le_bytes());
+        let mut payload = vec![0u8; weights.len() * 4];
+        for (bytes, w) in payload.chunks_exact_mut(4).zip(weights) {
+            bytes.copy_from_slice(&w.to_le_bytes());
         }
         CompressedBlob {
             payload: Bytes::from(payload),

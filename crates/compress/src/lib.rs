@@ -25,7 +25,11 @@
 //! the bit-exact [`fedat_tensor::simd`] kernels and shard across the
 //! persistent kernel pool on fixed [`codec::CODEC_CHUNK`] boundaries, so
 //! lossless codecs round-trip bit-identically and lossy codecs are exactly
-//! reproducible for any worker count, `ExecMode`, or `SimdKernel`.
+//! reproducible for any worker count, `ExecMode`, or `SimdKernel`. The
+//! polyline stream is the exception in shape, not in contract: a varint
+//! stream cannot be sharded without an index on the wire, so [`polyline`]
+//! carries its own scalar / portable / AVX2 + BMI lanes, selected by the
+//! same `SimdKernel` setting and byte-identical to each other.
 //!
 //! ```
 //! use fedat_compress::codec::{PolylineCodec, WireCodec};

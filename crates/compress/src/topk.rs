@@ -27,7 +27,8 @@ pub fn k_for(count: usize, per_mille: u16) -> usize {
     if count == 0 {
         return 0;
     }
-    (((count as u64 * per_mille as u64).div_ceil(1000)) as usize).clamp(1, count)
+    // u128: `count` may come straight from a hostile blob header.
+    (((count as u128 * per_mille as u128).div_ceil(1000)) as usize).clamp(1, count)
 }
 
 fn push_varint(mut v: u64, out: &mut Vec<u8>) {
@@ -283,6 +284,7 @@ mod tests {
         assert_eq!(k_for(1000, 50), 50);
         assert_eq!(k_for(1001, 50), 51); // ceiling
         assert_eq!(k_for(10, 1000), 10);
+        assert_eq!(k_for(usize::MAX, 1000), usize::MAX); // no overflow on a hostile count
     }
 
     #[test]

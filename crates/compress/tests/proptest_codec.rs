@@ -2,17 +2,23 @@
 //! the [`WireCodec`] family: lossless round-trips are bitwise (including
 //! `-0.0`, subnormals, `3e38`, and NaN payloads — mirroring the LEAF writer
 //! tests), lossy round-trips bound max per-weight error by the configured
-//! precision, and arbitrary bytes never panic a decoder.
+//! precision, arbitrary bytes never panic a decoder, and the three polyline
+//! lanes (`Scalar`, portable, AVX2 + BMI) agree byte for byte and bit for
+//! bit on honest and corrupt streams alike.
 
 use bytes::Bytes;
 use fedat_compress::codec::{
     codec_for, CodecKind, CompressedBlob, NoCompression, PolylineCodec, QuantizeCodec, WireCodec,
     BLOB_HEADER_BYTES,
 };
-use fedat_compress::polyline::{decode_int, decode_stream, encode_int, encode_stream};
+use fedat_compress::polyline::{
+    decode_int, decode_stream, dequantize, encode_int, encode_stream, quantize,
+};
 use fedat_compress::quantized::QuantizedCodec;
 use fedat_compress::topk::{k_for, ErrorFeedback, TopKCodec};
 use fedat_compress::DeltaRleCodec;
+use fedat_tensor::ctx::{self, KernelCtx};
+use fedat_tensor::simd::SimdKernel;
 use proptest::prelude::*;
 
 /// Fully arbitrary `f32` bit patterns: normals, subnormals, ±0, ±inf, NaNs
@@ -32,15 +38,253 @@ fn with_specials(mut v: Vec<f32>) -> Vec<f32> {
     v
 }
 
+/// `(SimdKernel, portable_only)` for the polyline reference lane and the two
+/// lanes checked against it.
+const REFERENCE_LANE: (SimdKernel, bool) = (SimdKernel::Scalar, false);
+const FAST_LANES: [(SimdKernel, bool); 2] = [(SimdKernel::Auto, false), (SimdKernel::Auto, true)];
+
+fn in_lane<T>((simd, portable_only): (SimdKernel, bool), f: impl FnOnce() -> T) -> T {
+    let _g = ctx::install(KernelCtx {
+        simd,
+        portable_only,
+        ..ctx::snapshot()
+    });
+    f()
+}
+
+/// xorshift64* — the streams below need far more draws than a strategy
+/// tuple can carry.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+    fn normal(&mut self, sigma: f64) -> f32 {
+        let (u1, u2) = (self.unit().max(1e-300), self.unit());
+        ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos() * sigma) as f32
+    }
+}
+
+/// One finite weight vector per regime; every regime is built to reach a
+/// different corner of the block encoder.
+fn polyline_values(regime: usize, len: usize, precision: u8, d: &mut Draw) -> Vec<f32> {
+    // How often a regime's special value replaces a trained-like one: from
+    // every block down to one block in a few, so fast blocks and
+    // reference-loop blocks alternate and `prev` crosses between them.
+    let one_in = [16, 512, 2048][d.below(3)];
+    let scale = 10f64.powi(precision as i32);
+    (0..len)
+        .map(|i| match regime {
+            0 => d.normal(0.1),
+            1 => d.normal(50.0),
+            2 => {
+                // Any finite bit pattern (exponent 0xFF folded to 0x7F).
+                let b = d.next() as u32;
+                let v = f32::from_bits(b);
+                if v.is_finite() {
+                    v
+                } else {
+                    f32::from_bits(b ^ 0x4000_0000)
+                }
+            }
+            3 => {
+                // (k + ½)·10⁻ᵖ is an f32 exactly when it is m / 2^(p+1)
+                // with m odd; its two f32 neighbours sit just off the tie.
+                let width = 4 + d.below(20);
+                let m = (d.below(1 << width) as i64 * 2 + 1) * [1, -1][d.below(2)];
+                let tie = m as f32 / (1u32 << (precision + 1)) as f32;
+                [tie, tie.next_up(), tie.next_down()][d.below(3)]
+            }
+            4 if d.below(one_in) == 0 => {
+                let specials = [
+                    0.0,
+                    -0.0,
+                    3e38,
+                    -3e38,
+                    f32::MAX,
+                    f32::MIN,
+                    f32::MIN_POSITIVE / 4.0,
+                    -f32::MIN_POSITIVE / 4.0,
+                    f32::from_bits(1),
+                ];
+                specials[d.below(specials.len())]
+            }
+            5 if d.below(one_in) == 0 => {
+                // Around the i32 edge of the rounded lattice, both signs.
+                let q = i32::MAX as f64 + (d.below(9) as f64 - 4.0) * 64.0;
+                (q / scale) as f32 * [1.0, -1.0][d.below(2)]
+            }
+            // One-byte values: 32 terminators in a 32-byte window.
+            6 => ((i + d.below(2)) % 3) as f32 / scale as f32,
+            _ => d.normal(0.1),
+        })
+        .collect()
+}
+
+/// A stream assembled from whole values, some of them longer than any
+/// honest encoder emits: 9–13-chunk integers, and continuation runs past
+/// the 13-chunk limit. Returns the stream and its value count.
+fn long_value_stream(pieces: usize, d: &mut Draw) -> (Vec<u8>, usize) {
+    let mut bytes = Vec::new();
+    for _ in 0..pieces {
+        match d.below(8) {
+            0 => encode_int((d.next() >> d.below(24)) as i64, &mut bytes),
+            1 => {
+                let run = 1 + d.below(40);
+                bytes.extend((0..run).map(|_| 63 + 0x20 + d.below(32) as u8));
+                bytes.push(63 + d.below(32) as u8);
+            }
+            _ => encode_int(d.next() as i64 >> (24 + d.below(40)), &mut bytes),
+        }
+    }
+    (bytes, pieces)
+}
+
+fn decoded_bits(bytes: &[u8], count: usize, precision: u8, delta: bool) -> Option<Vec<u32>> {
+    decode_stream(bytes, count, precision, delta).map(|v| bits(&v))
+}
+
+/// Where two lane results part ways — a failure should not print 4 097
+/// values twice.
+fn first_difference<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T]) -> String {
+    match got.iter().zip(want).position(|(g, w)| g != w) {
+        Some(i) => format!("index {i}: {:?} vs {:?}", got[i], want[i]),
+        None => format!("lengths {} vs {}", got.len(), want.len()),
+    }
+}
+
 proptest! {
     #[test]
-    fn int_roundtrip(v in -1_000_000_000i64..1_000_000_000) {
+    fn int_roundtrip(v in any::<i64>(), shift in 0u32..64) {
+        // Every magnitude class of the full range, not only its top.
+        let v = v >> shift;
         let mut out = Vec::new();
         encode_int(v, &mut out);
         let (d, used) = decode_int(&out).unwrap();
         prop_assert_eq!(d, v);
         prop_assert_eq!(used, out.len());
         prop_assert!(out.iter().all(|&b| (63..=126).contains(&b)));
+    }
+
+    #[test]
+    fn polyline_lanes_agree_bytewise(
+        seed in any::<u64>(),
+        precision in 1u8..=7,
+        delta in any::<bool>(),
+        len_ix in 0usize..15,
+        regime in 0usize..7,
+    ) {
+        // Every block (512 values) and window (32 bytes, 40 to enter) edge.
+        let len = [0, 1, 7, 8, 9, 31, 32, 33, 39, 40, 41, 511, 512, 513, 4097][len_ix];
+        let mut d = Draw(seed | 1);
+        let values = polyline_values(regime, len, precision, &mut d);
+
+        // Encode: the same bytes from every lane.
+        let honest = in_lane(REFERENCE_LANE, || encode_stream(&values, precision, delta));
+        for lane in FAST_LANES {
+            let got = in_lane(lane, || encode_stream(&values, precision, delta));
+            prop_assert!(
+                got == honest,
+                "encode diverged on {:?} (regime {}, len {}, p{}, delta {}, seed {}) at {}",
+                lane, regime, len, precision, delta, seed, first_difference(&got, &honest)
+            );
+        }
+
+        // What the tolerance tests only approximate: every value comes back
+        // as exactly dequantize(quantize(v)).
+        let lattice: Vec<u32> = values
+            .iter()
+            .map(|&v| dequantize(quantize(v, precision), precision).to_bits())
+            .collect();
+
+        // Corrupt streams: the reference lane's verdict (`None`, or which
+        // values) is the specification.
+        let mut streams: Vec<(&str, Vec<u8>, usize)> = vec![("honest", honest.clone(), len)];
+        let any_byte = |d: &mut Draw| d.next() as u8;
+        if !honest.is_empty() {
+            streams.push(("truncated", honest[..d.below(honest.len())].to_vec(), len));
+            let mut one = honest.clone();
+            one[d.below(honest.len())] = any_byte(&mut d);
+            streams.push(("one byte replaced", one, len));
+            let mut low = honest.clone();
+            low[d.below(honest.len())] = d.below(63) as u8;
+            streams.push(("one byte below 63", low, len));
+            let mut last_low = honest.clone();
+            *last_low.last_mut().unwrap() = d.below(63) as u8;
+            streams.push(("last byte below 63", last_low, len));
+            let mut many = honest.clone();
+            let mut high = honest.clone();
+            let mut raised = honest.clone();
+            for i in 0..honest.len() {
+                if d.below(16) == 0 {
+                    many[i] = any_byte(&mut d);
+                }
+                if d.below(16) == 0 {
+                    high[i] = 127 + d.below(129) as u8;
+                }
+                if d.below(16) == 0 {
+                    // The reference ignores chunk bits above 0x20, so
+                    // this stream still decodes — to the same values.
+                    raised[i] += [64, 128][d.below(2)];
+                }
+            }
+            streams.push(("1/16 of bytes replaced", many, len));
+            streams.push(("1/16 of bytes at 127 or above", high, len));
+            streams.push(("1/16 of bytes raised by 64 or 128", raised, len));
+        }
+        let mut padded = honest.clone();
+        padded.extend((0..1 + d.below(48)).map(|_| 63 + d.below(64) as u8));
+        streams.push(("padded", padded, len));
+        let mut trailing_low = honest.clone();
+        trailing_low.push(d.below(63) as u8);
+        streams.push(("trailing byte below 63", trailing_low, len));
+        for count in [0, len.saturating_sub(1), len + 1, len + 32, honest.len(), honest.len() + 1] {
+            streams.push(("wrong count", honest.clone(), count));
+        }
+        let (long, pieces) = long_value_stream(len.min(600), &mut d);
+        streams.push(("long values", long, pieces));
+        // Arbitrary bytes, once over all of u8 and once kept at 63 or above
+        // so the stream is not rejected at the first window; counted by
+        // their terminators so some of them decode.
+        for floor in [0usize, 63] {
+            let noise: Vec<u8> = (0..d.below(3 * len + 2))
+                .map(|_| (floor + d.below(256 - floor)) as u8)
+                .collect();
+            let ends = noise.iter().filter(|&&b| b.wrapping_sub(63) & 0x20 == 0).count();
+            for count in [ends, ends.saturating_sub(1), d.below(noise.len() + 2)] {
+                streams.push(("arbitrary bytes", noise.clone(), count));
+            }
+        }
+        for (what, bytes, count) in &streams {
+            let want = in_lane(REFERENCE_LANE, || decoded_bits(bytes, *count, precision, delta));
+            if *what == "honest" || what.contains("raised") {
+                prop_assert!(want.as_ref() == Some(&lattice), "{} stream is off the lattice", what);
+            }
+            for lane in FAST_LANES {
+                let got = in_lane(lane, || decoded_bits(bytes, *count, precision, delta));
+                let verdict = match (&got, &want) {
+                    (Some(g), Some(w)) if g != w => first_difference(g, w),
+                    (Some(_), None) => "accepted a stream the reference rejects".into(),
+                    (None, Some(_)) => "rejected a stream the reference accepts".into(),
+                    _ => continue,
+                };
+                prop_assert!(
+                    false,
+                    "decode diverged on {:?}: {} (regime {}, len {}, count {}, p{}, delta {}, seed {}): {}",
+                    lane, what, regime, len, count, precision, delta, seed, verdict
+                );
+            }
+        }
     }
 
     #[test]
@@ -291,9 +535,15 @@ proptest! {
         payload in prop::collection::vec(any::<u8>(), 0..600),
         aux in prop::collection::vec(any::<u32>().prop_map(f32::from_bits), 0..4),
         count in 0usize..600,
+        absurd_count in 0usize..6,
         kind_sel in 0usize..8,
         with_ref in any::<bool>(),
     ) {
+        // Half the cases claim a count no payload could back (and no
+        // reference could match): a decoder must refuse it before sizing
+        // anything by it.
+        let absurd = [usize::MAX, usize::MAX / 2, 1 << 40].get(absurd_count).copied();
+        let count = absurd.unwrap_or(count);
         let kinds = [
             CodecKind::None,
             CodecKind::Polyline { precision: 4, delta: true },
@@ -311,8 +561,8 @@ proptest! {
             kind,
             aux,
         };
-        let reference = vec![0.25f32; count];
-        let r = if with_ref { Some(reference.as_slice()) } else { None };
+        let reference = vec![0.25f32; if absurd.is_some() { 0 } else { count }];
+        let r = if with_ref && absurd.is_none() { Some(reference.as_slice()) } else { None };
         for probe in kinds {
             // Every decoder must return (Ok or Err), never panic, on every
             // kind/byte combination — including mismatched kinds.
