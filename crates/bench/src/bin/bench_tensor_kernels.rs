@@ -28,8 +28,8 @@ use std::time::Instant;
 const REPEATS: usize = 3;
 
 /// Pins the SIMD backend at one kernel thread for the guard's lifetime:
-/// this benchmark isolates the micro-kernel itself; banding across the
-/// pool is measured by `bench_fl_round`.
+/// this benchmark isolates the micro-kernel itself; what the pool adds is
+/// the repository benchmark's `core.exec.speculative_speedup`.
 fn with_kernel(simd: SimdKernel) -> OverlayGuard {
     ctx::install(KernelCtx {
         simd,

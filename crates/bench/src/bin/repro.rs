@@ -10,14 +10,13 @@ use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let known = |id: &&String| experiments::IDS.contains(&id.as_str());
+    let Some(id) = args.first().filter(known).cloned() else {
         eprintln!("usage: repro <experiment-id> [--quick] [--seed N] [--threads N] [--out DIR]");
-        eprintln!("ids: table1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10");
-        eprintln!("     leaf churn corrupt ablate-mistier ablate-lambda ablate-delta matrix all");
+        eprintln!("ids: {}", experiments::IDS.join(" "));
         eprintln!("     (leaf reads FEDAT_LEAF_DIR / FEDAT_LEAF_BENCH, or generates a fixture)");
         std::process::exit(2);
-    }
-    let id = args[0].clone();
+    };
     let mut scale = Scale::Full;
     let mut seed = 9u64;
     let mut threads = 0usize;
@@ -52,7 +51,10 @@ fn main() {
         seed,
         threads,
     };
-    experiments::run(&id, &ctx);
+    if let Err(e) = experiments::run(&id, &ctx) {
+        eprintln!("[repro {id}] {e}");
+        std::process::exit(1);
+    }
     eprintln!(
         "[repro {id}] done in {:.1}s",
         started.elapsed().as_secs_f64()

@@ -1,22 +1,30 @@
 //! One function per table/figure of the paper's evaluation section, plus
-//! the DESIGN.md §5 ablations.
+//! the DESIGN.md §5 ablations and the robustness / wire-codec scenarios.
 //!
 //! Heavy artifacts share runs: Table 1, Table 2 and Figs. 2–4 all derive
 //! from [`core_matrix`] (strategy × dataset on the 100-client cluster);
 //! `repro all` therefore computes that matrix once.
+//!
+//! The robustness and codec scenarios are built by functions returning
+//! `Vec<Job>` ([`churn_jobs`], [`corrupt_jobs`], [`corrupt_curve_jobs`],
+//! [`codec_jobs`]): `repro` prints them, `tests/acceptance.rs` asserts the
+//! claims they carry, and each scenario literal exists once.
 
-use crate::harness::{run_jobs, Job, JobResult, Scale};
-use crate::report::{fmt_mb, fmt_tta, out_dir, slug, write_fault_log, write_trace, TextReport};
+use crate::grid::run_grid;
+use crate::harness::{Job, JobResult, Scale};
+use crate::report::{
+    create_dir, fmt_mb, fmt_tta, out_dir, slug, write_csv, write_fault_log, write_trace, TextReport,
+};
 use fedat_compress::codec::CodecKind;
-use fedat_core::config::{ExperimentConfig, StrategyKind};
-use fedat_data::federated::FederatedDataset;
+use fedat_core::aggregate::AggRule;
+use fedat_core::config::{
+    ExperimentConfig, FaultPolicy, GuardPolicy, NormScreen, RetierPolicy, StrategyKind,
+};
 use fedat_data::leaf::{writer, LeafBenchmark};
-use fedat_data::partition::Partitioner;
 use fedat_data::suite::{self, FedTask};
-use fedat_data::synth::{synth_features, FeatureSynthSpec};
-use fedat_nn::models::ModelSpec;
+use fedat_sim::churn::{ChurnConfig, CorruptMode, CorruptSpec, DriftSpec, FlapSpec, StormSpec};
 use fedat_sim::fleet::ClusterConfig;
-use fedat_tensor::rng::{rng_for, tags};
+use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -87,39 +95,6 @@ impl Ctx {
     }
 }
 
-/// The large-cohort server-path scenario: `n_clients` (500 at full scale —
-/// the paper's AWS-style cohort size) Dirichlet-skewed feature clients
-/// under a wide two-layer MLP (~33 k weights).
-///
-/// This cohort is sized so the *server* dominates: every tier arrival
-/// re-aggregates hundreds of ~33 k-weight updates and the evaluation
-/// cadence sweeps thousands of test rows, which is exactly the load the
-/// sharded aggregation kernel and the pooled streaming evaluator target.
-/// `bench_aggregate` (→ `BENCH_aggregate.json`) and the `large_cohort`
-/// example both build their federation here.
-pub fn large_cohort_task(n_clients: usize, seed: u64) -> FedTask {
-    let mut rng = rng_for(seed.wrapping_add(7), tags::DATA);
-    let spec = FeatureSynthSpec {
-        features: 64,
-        classes: 62,
-        separation: 0.8,
-        noise: 1.0,
-    };
-    let pool = synth_features(&mut rng, &spec, n_clients * 40);
-    let parts = Partitioner::Dirichlet { alpha: 0.3 }.partition(&pool, n_clients, &mut rng);
-    let fed = FederatedDataset::from_partitions(parts, seed.wrapping_add(7));
-    FedTask {
-        name: format!("large-cohort({n_clients})"),
-        fed,
-        model: ModelSpec::Mlp {
-            input: 64,
-            hidden: vec![128, 128],
-            classes: 62,
-        },
-        target_accuracy: 0.5,
-    }
-}
-
 /// The five Table 1 strategies in paper order.
 fn table1_strategies() -> [StrategyKind; 5] {
     [
@@ -154,11 +129,11 @@ pub fn core_matrix(ctx: &Ctx) -> Vec<JobResult> {
             jobs.push(ctx.job(task, ctx.cfg(strategy)));
         }
     }
-    run_jobs(jobs, ctx.threads)
+    run_grid(jobs, ctx.threads)
 }
 
 /// Table 1: best accuracy + accuracy variance per dataset and strategy.
-pub fn table1(ctx: &Ctx, matrix: &[JobResult]) {
+pub fn table1(ctx: &Ctx, matrix: &[JobResult]) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "table1");
     let mut rep = TextReport::new("Table 1 — prediction performance and variance");
     rep.line(format!(
@@ -215,14 +190,13 @@ pub fn table1(ctx: &Ctx, matrix: &[JobResult]) {
             ));
         }
     }
-    std::fs::create_dir_all(&dir).ok();
-    std::fs::write(dir.join("table1.csv"), csv).ok();
-    rep.emit(&dir, "table1").ok();
+    write_csv(&dir, "table1", &csv)?;
+    rep.emit(&dir, "table1")
 }
 
 /// Table 2: MB transferred (up + down) to reach the target accuracy on the
 /// 2-class non-IID datasets.
-pub fn table2(ctx: &Ctx, matrix: &[JobResult]) {
+pub fn table2(ctx: &Ctx, matrix: &[JobResult]) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "table2");
     let mut rep =
         TextReport::new("Table 2 — MB transferred to reach target accuracy (2-class non-IID)");
@@ -259,20 +233,19 @@ pub fn table2(ctx: &Ctx, matrix: &[JobResult]) {
             strategy, cells[0], cells[1], cells[2]
         ));
     }
-    std::fs::create_dir_all(&dir).ok();
-    std::fs::write(dir.join("table2.csv"), csv).ok();
-    rep.emit(&dir, "table2").ok();
+    write_csv(&dir, "table2", &csv)?;
+    rep.emit(&dir, "table2")
 }
 
 /// Fig. 2: accuracy-over-time curves + time-to-target bars for the three
 /// 2-class non-IID datasets.
-pub fn fig2(ctx: &Ctx, matrix: &[JobResult]) {
+pub fn fig2(ctx: &Ctx, matrix: &[JobResult]) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "fig2");
     let mut rep = TextReport::new("Fig. 2 — convergence timelines and time-to-target");
     for ds in ["cifar10-like(#2)", "fmnist-like(#2)", "sent140-like"] {
         rep.line(format!("[{ds}]"));
         for r in matrix.iter().filter(|r| r.task_name == ds) {
-            write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW).ok();
+            write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
             rep.line(format!(
                 "  {:<9} best {:.3}  time→{:.2}: {}",
                 r.strategy,
@@ -283,11 +256,11 @@ pub fn fig2(ctx: &Ctx, matrix: &[JobResult]) {
         }
         rep.blank();
     }
-    rep.emit(&dir, "fig2").ok();
+    rep.emit(&dir, "fig2")
 }
 
 /// Fig. 3: convergence vs non-IID level on CIFAR-10-like.
-pub fn fig3(ctx: &Ctx, matrix: &[JobResult]) {
+pub fn fig3(ctx: &Ctx, matrix: &[JobResult]) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "fig3");
     let mut rep = TextReport::new("Fig. 3 — CIFAR-10-like convergence across non-IID levels");
     for ds in [
@@ -298,7 +271,7 @@ pub fn fig3(ctx: &Ctx, matrix: &[JobResult]) {
     ] {
         rep.line(format!("[{ds}]"));
         for r in matrix.iter().filter(|r| r.task_name == ds) {
-            write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW).ok();
+            write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
             rep.line(format!(
                 "  {:<9} best {:.3}  final {:.3}",
                 r.strategy,
@@ -308,11 +281,11 @@ pub fn fig3(ctx: &Ctx, matrix: &[JobResult]) {
         }
         rep.blank();
     }
-    rep.emit(&dir, "fig3").ok();
+    rep.emit(&dir, "fig3")
 }
 
 /// Fig. 4: accuracy vs cumulative uploaded bytes (2-class non-IID).
-pub fn fig4(ctx: &Ctx, matrix: &[JobResult]) {
+pub fn fig4(ctx: &Ctx, matrix: &[JobResult]) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "fig4");
     let mut rep = TextReport::new("Fig. 4 — accuracy vs uploaded bytes (2-class non-IID)");
     for ds in ["cifar10-like(#2)", "fmnist-like(#2)", "sent140-like"] {
@@ -320,7 +293,7 @@ pub fn fig4(ctx: &Ctx, matrix: &[JobResult]) {
         for r in matrix.iter().filter(|r| r.task_name == ds) {
             // The trace CSV already carries up_bytes per point; the figure
             // is accuracy against that column.
-            write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW).ok();
+            write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
             let up = r.outcome.trace.upload_bytes_to_accuracy(r.target_accuracy);
             rep.line(format!(
                 "  {:<9} upload-MB→{:.2}: {}",
@@ -331,11 +304,11 @@ pub fn fig4(ctx: &Ctx, matrix: &[JobResult]) {
         }
         rep.blank();
     }
-    rep.emit(&dir, "fig4").ok();
+    rep.emit(&dir, "fig4")
 }
 
 /// Fig. 5: FedAT compression-precision sweep on CIFAR-10-like 2-class.
-pub fn fig5(ctx: &Ctx) {
+pub fn fig5(ctx: &Ctx) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "fig5");
     let task = Arc::new(suite::cifar10_like(ctx.scale.medium_clients(), 2, ctx.seed));
     let variants: Vec<(String, Option<CodecKind>)> = vec![
@@ -383,19 +356,13 @@ pub fn fig5(ctx: &Ctx) {
             }
         })
         .collect();
-    let results = run_jobs(jobs, ctx.threads);
+    let results = run_grid(jobs, ctx.threads);
     let mut rep =
         TextReport::new("Fig. 5 — accuracy vs compression precision (FedAT, CIFAR-10-like #2)");
     let mut csv = String::from("variant,best_accuracy,up_mb_total,up_mb_to_target\n");
     for r in &results {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW).ok();
-        let up_total = r
-            .outcome
-            .trace
-            .points
-            .last()
-            .map(|p| p.up_bytes)
-            .unwrap_or(0);
+        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
+        let up_total = r.up_bytes();
         let up_t = r.outcome.trace.upload_bytes_to_accuracy(r.target_accuracy);
         rep.line(format!(
             "  {:<22} best {:.3}  upload total {:.1} MB  upload→{:.2}: {}",
@@ -414,13 +381,12 @@ pub fn fig5(ctx: &Ctx) {
                 .unwrap_or_else(|| "-".into())
         ));
     }
-    std::fs::create_dir_all(&dir).ok();
-    std::fs::write(dir.join("fig5.csv"), csv).ok();
-    rep.emit(&dir, "fig5").ok();
+    write_csv(&dir, "fig5", &csv)?;
+    rep.emit(&dir, "fig5")
 }
 
 /// Fig. 6: weighted vs uniform cross-tier aggregation.
-pub fn fig6(ctx: &Ctx) {
+pub fn fig6(ctx: &Ctx) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "fig6");
     let n = ctx.scale.medium_clients();
     let tasks = vec![
@@ -444,7 +410,7 @@ pub fn fig6(ctx: &Ctx) {
             });
         }
     }
-    let results = run_jobs(jobs, ctx.threads);
+    let results = run_grid(jobs, ctx.threads);
     let mut rep = TextReport::new("Fig. 6 — weighted vs uniform cross-tier aggregation (FedAT)");
     let mut csv = String::from("dataset,aggregation,best_accuracy\n");
     for pair in results.chunks(2) {
@@ -467,13 +433,12 @@ pub fn fig6(ctx: &Ctx) {
             u.outcome.best_accuracy()
         ));
     }
-    std::fs::create_dir_all(&dir).ok();
-    std::fs::write(dir.join("fig6.csv"), csv).ok();
-    rep.emit(&dir, "fig6").ok();
+    write_csv(&dir, "fig6", &csv)?;
+    rep.emit(&dir, "fig6")
 }
 
 /// Fig. 7: FEMNIST-like at large scale, all six methods (adds ASO-Fed).
-pub fn fig7(ctx: &Ctx) {
+pub fn fig7(ctx: &Ctx) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "fig7");
     let task = Arc::new(suite::femnist_like(ctx.scale.large_clients(), ctx.seed));
     let mut jobs = Vec::new();
@@ -497,17 +462,11 @@ pub fn fig7(ctx: &Ctx) {
             .build();
         jobs.push(ctx.job(&task, cfg));
     }
-    let results = run_jobs(jobs, ctx.threads);
+    let results = run_grid(jobs, ctx.threads);
     let mut rep = TextReport::new("Fig. 7 — FEMNIST-like, 500 clients, accuracy vs time and bytes");
     for r in &results {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW).ok();
-        let up_total = r
-            .outcome
-            .trace
-            .points
-            .last()
-            .map(|p| p.up_bytes)
-            .unwrap_or(0);
+        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
+        let up_total = r.up_bytes();
         rep.line(format!(
             "  {:<9} best {:.3}  t→{:.2}: {:>8}  upload {:.1} MB",
             r.strategy,
@@ -517,12 +476,12 @@ pub fn fig7(ctx: &Ctx) {
             up_total as f64 / 1e6
         ));
     }
-    rep.emit(&dir, "fig7").ok();
+    rep.emit(&dir, "fig7")
 }
 
 /// Fig. 8: Reddit-like LSTM, accuracy and loss over time
 /// (FedAT / TiFL / FedProx).
-pub fn fig8(ctx: &Ctx) {
+pub fn fig8(ctx: &Ctx) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "fig8");
     let task = Arc::new(suite::reddit_like(ctx.scale.large_clients(), ctx.seed));
     let mut jobs = Vec::new();
@@ -547,10 +506,10 @@ pub fn fig8(ctx: &Ctx) {
             .build();
         jobs.push(ctx.job(&task, cfg));
     }
-    let results = run_jobs(jobs, ctx.threads);
+    let results = run_grid(jobs, ctx.threads);
     let mut rep = TextReport::new("Fig. 8 — Reddit-like LSTM: accuracy and loss over time");
     for r in &results {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW).ok();
+        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
         let final_loss = r
             .outcome
             .trace
@@ -565,12 +524,12 @@ pub fn fig8(ctx: &Ctx) {
             final_loss
         ));
     }
-    rep.emit(&dir, "fig8").ok();
+    rep.emit(&dir, "fig8")
 }
 
 /// Fig. 9: client-participation sweep (clients per round) on CIFAR-10-like
 /// #2 and Sentiment140-like, for the four synchronous-flavoured methods.
-pub fn fig9(ctx: &Ctx) {
+pub fn fig9(ctx: &Ctx) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "fig9");
     let n = ctx.scale.medium_clients();
     let tasks = vec![
@@ -598,7 +557,7 @@ pub fn fig9(ctx: &Ctx) {
             }
         }
     }
-    let results = run_jobs(jobs, ctx.threads);
+    let results = run_grid(jobs, ctx.threads);
     let mut rep = TextReport::new("Fig. 9 — accuracy vs clients per round");
     let mut csv = String::from("dataset,clients_per_round,strategy,best_accuracy\n");
     for r in &results {
@@ -635,14 +594,13 @@ pub fn fig9(ctx: &Ctx) {
         }
         rep.blank();
     }
-    std::fs::create_dir_all(&dir).ok();
-    std::fs::write(dir.join("fig9.csv"), csv).ok();
-    rep.emit(&dir, "fig9").ok();
+    write_csv(&dir, "fig9", &csv)?;
+    rep.emit(&dir, "fig9")
 }
 
 /// Fig. 10: tier-size distributions (Uniform/Slow/Medium/Fast) on the
 /// large FEMNIST-like cluster, FedAT only.
-pub fn fig10(ctx: &Ctx) {
+pub fn fig10(ctx: &Ctx) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "fig10");
     let n = ctx.scale.large_clients();
     let task = Arc::new(suite::femnist_like(n, ctx.seed));
@@ -682,11 +640,11 @@ pub fn fig10(ctx: &Ctx) {
             cfg,
         });
     }
-    let results = run_jobs(jobs, ctx.threads);
+    let results = run_grid(jobs, ctx.threads);
     let mut rep =
         TextReport::new("Fig. 10 — FedAT under different tier-size distributions (FEMNIST-like)");
     for r in &results {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW).ok();
+        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
         rep.line(format!(
             "  {:<15} best {:.3}  t→{:.2}: {}",
             r.label,
@@ -695,7 +653,7 @@ pub fn fig10(ctx: &Ctx) {
             fmt_tta(r.outcome.trace.time_to_accuracy(r.target_accuracy))
         ));
     }
-    rep.emit(&dir, "fig10").ok();
+    rep.emit(&dir, "fig10")
 }
 
 /// The LEAF-format scenario: the Table-1 strategies on a **disk-loaded**
@@ -706,7 +664,7 @@ pub fn fig10(ctx: &Ctx) {
 /// (default `femnist`). Without the env var, a FEMNIST-shaped fixture is
 /// generated via [`fedat_data::leaf::writer`] under the output directory
 /// and loaded back from disk, so the measured path is always the loader.
-pub fn leaf(ctx: &Ctx) {
+pub fn leaf(ctx: &Ctx) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "leaf");
     let (task, source) = match std::env::var_os("FEDAT_LEAF_DIR") {
         Some(d) => {
@@ -730,7 +688,7 @@ pub fn leaf(ctx: &Ctx) {
                 Scale::Quick => (10, 16),
             };
             writer::write_femnist_fixture(&fixture, clients, per_client, ctx.seed)
-                .expect("writing the LEAF fixture");
+                .map_err(|e| io::Error::other(format!("{}: {e}", fixture.display())))?;
             let task = FedTask::from_leaf_dir(&fixture, LeafBenchmark::femnist(), ctx.seed)
                 .expect("parsing the fixture the writer just emitted");
             (task, format!("generated fixture @ {}", fixture.display()))
@@ -756,7 +714,7 @@ pub fn leaf(ctx: &Ctx) {
             .build();
         jobs.push(ctx.job(&task, cfg));
     }
-    let results = run_jobs(jobs, ctx.threads);
+    let results = run_grid(jobs, ctx.threads);
     let mut rep = TextReport::new("LEAF — disk-loaded natural partition, Table-1 strategies");
     rep.line(format!("source: {source}"));
     let sizes = task.fed.client_sizes();
@@ -771,7 +729,7 @@ pub fn leaf(ctx: &Ctx) {
     ));
     let mut csv = String::from("strategy,best_accuracy,accuracy_variance,time_to_target\n");
     for r in &results {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW).ok();
+        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
         let tta = r.outcome.trace.time_to_accuracy(r.target_accuracy);
         rep.line(format!(
             "  {:<9} best {:.3}  variance {:.5}  t→{:.2}: {}",
@@ -789,13 +747,12 @@ pub fn leaf(ctx: &Ctx) {
             tta.map(|t| format!("{t:.1}")).unwrap_or_else(|| "-".into())
         ));
     }
-    std::fs::create_dir_all(&dir).ok();
-    std::fs::write(dir.join("leaf.csv"), csv).ok();
-    rep.emit(&dir, "leaf").ok();
+    write_csv(&dir, "leaf", &csv)?;
+    rep.emit(&dir, "leaf")
 }
 
 /// Ablation: FedAT vs TiFL under mis-tiering (DESIGN.md §5.4).
-pub fn ablate_mistier(ctx: &Ctx) {
+pub fn ablate_mistier(ctx: &Ctx) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "ablate-mistier");
     let task = Arc::new(suite::cifar10_like(ctx.scale.medium_clients(), 2, ctx.seed));
     let mut jobs = Vec::new();
@@ -810,7 +767,7 @@ pub fn ablate_mistier(ctx: &Ctx) {
             });
         }
     }
-    let results = run_jobs(jobs, ctx.threads);
+    let results = run_grid(jobs, ctx.threads);
     let mut rep =
         TextReport::new("Ablation — tolerance to mis-tiering (30% of clients mis-assigned)");
     for pair in results.chunks(2) {
@@ -823,11 +780,11 @@ pub fn ablate_mistier(ctx: &Ctx) {
             noisy.outcome.best_accuracy() - clean.outcome.best_accuracy()
         ));
     }
-    rep.emit(&dir, "ablate_mistier").ok();
+    rep.emit(&dir, "ablate_mistier")
 }
 
 /// Ablation: the proximal coefficient λ (paper fixes 0.4).
-pub fn ablate_lambda(ctx: &Ctx) {
+pub fn ablate_lambda(ctx: &Ctx) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "ablate-lambda");
     let task = Arc::new(suite::cifar10_like(ctx.scale.medium_clients(), 2, ctx.seed));
     let jobs: Vec<Job> = [0.0f32, 0.1, 0.4, 1.0]
@@ -842,7 +799,7 @@ pub fn ablate_lambda(ctx: &Ctx) {
             }
         })
         .collect();
-    let results = run_jobs(jobs, ctx.threads);
+    let results = run_grid(jobs, ctx.threads);
     let mut rep = TextReport::new("Ablation — local constraint λ (FedAT, CIFAR-10-like #2)");
     for r in &results {
         rep.line(format!(
@@ -852,11 +809,11 @@ pub fn ablate_lambda(ctx: &Ctx) {
             r.outcome.accuracy_variance
         ));
     }
-    rep.emit(&dir, "ablate_lambda").ok();
+    rep.emit(&dir, "ablate_lambda")
 }
 
 /// Ablation: delta vs absolute polyline coding (DESIGN.md §5.2).
-pub fn ablate_delta(ctx: &Ctx) {
+pub fn ablate_delta(ctx: &Ctx) -> io::Result<()> {
     let dir = out_dir(&ctx.out, "ablate-delta");
     let task = Arc::new(suite::cifar10_like(ctx.scale.medium_clients(), 2, ctx.seed));
     let jobs: Vec<Job> = [true, false]
@@ -877,16 +834,10 @@ pub fn ablate_delta(ctx: &Ctx) {
             }
         })
         .collect();
-    let results = run_jobs(jobs, ctx.threads);
+    let results = run_grid(jobs, ctx.threads);
     let mut rep = TextReport::new("Ablation — delta vs absolute polyline coding (FedAT)");
     for r in &results {
-        let up = r
-            .outcome
-            .trace
-            .points
-            .last()
-            .map(|p| p.up_bytes)
-            .unwrap_or(0);
+        let up = r.up_bytes();
         rep.line(format!(
             "  {:<26} best {:.3}  upload {:.1} MB",
             r.label,
@@ -894,21 +845,28 @@ pub fn ablate_delta(ctx: &Ctx) {
             up as f64 / 1e6
         ));
     }
-    rep.emit(&dir, "ablate_delta").ok();
+    rep.emit(&dir, "ablate_delta")
 }
 
-/// Robustness rows: FedAT under availability churn and compute drift, with
-/// the server-side fault layer off (static), timeouts-only, and timeouts
-/// plus dynamic re-tiering. Quantifies the two ISSUE acceptance claims:
-/// dynamic re-tiering recovers time-to-accuracy under drift, and timeouts
-/// keep every tier moving through a 30% correlated storm.
-pub fn churn(ctx: &Ctx) {
-    use fedat_core::config::{FaultPolicy, RetierPolicy};
-    use fedat_sim::churn::{ChurnConfig, DriftSpec, FlapSpec, StormSpec};
+/// The robustness scenarios' cluster: the paper-medium latency parts sized
+/// to the task, with the legacy permanent dropouts off so the scenario's
+/// own churn is the only availability fault.
+fn churned_cluster(task: &FedTask, seed: u64, churn: ChurnConfig) -> ClusterConfig {
+    ClusterConfig::paper_medium(seed)
+        .with_clients(task.fed.num_clients())
+        .without_dropouts()
+        .with_churn(churn)
+}
 
-    let dir = out_dir(&ctx.out, "churn");
-    let n = ctx.scale.medium_clients();
-    let task = Arc::new(suite::sent140_like(n, ctx.seed));
+/// Virtual-time horizon (seconds) of the churn and FedAT-corrupt rows; an
+/// unreached accuracy target counts as this long.
+pub const CHURN_HORIZON: f64 = 8_000.0;
+
+/// FedAT under light flapping, two ~30% correlated storms and compute drift
+/// on half the fleet, with the server-side fault layer off (`static`), with
+/// deadlines + bounded re-dispatch + quorum degradation (`timeouts`), and
+/// with those plus EWMA-driven re-tiering (`dynamic re-tier`).
+pub fn churn_jobs(task: &Arc<FedTask>, seed: u64) -> Vec<Job> {
     let scenario = ChurnConfig {
         flaps: Some(FlapSpec {
             fraction: 0.25,
@@ -922,6 +880,10 @@ pub fn churn(ctx: &Ctx) {
             duration: 150.0,
             horizon: 1500.0,
         }),
+        // Severe drift: half the fleet degrades 30% per selection round, up
+        // to 10× — a drifted fast-tier client ends up slower than the
+        // slowest injected-delay part, so a static tier assignment pins the
+        // fast tier's cadence to its worst straggler.
         drift: Some(DriftSpec {
             fraction: 0.5,
             per_round: 0.3,
@@ -929,7 +891,7 @@ pub fn churn(ctx: &Ctx) {
         }),
         ..ChurnConfig::default()
     };
-    let timeouts_only = FaultPolicy {
+    let timeouts = FaultPolicy {
         deadline_multiplier: Some(3.0),
         max_retries: 2,
         backoff: 1.5,
@@ -942,41 +904,41 @@ pub fn churn(ctx: &Ctx) {
             check_every: 10,
             drift_threshold: 0.05,
         }),
-        ..timeouts_only
+        ..timeouts
     };
-    let variants = [
+    [
         ("static", FaultPolicy::default()),
-        ("timeouts", timeouts_only),
+        ("timeouts", timeouts),
         ("dynamic re-tier", dynamic),
-    ];
-    let jobs: Vec<Job> = variants
-        .iter()
-        .map(|(name, fault)| {
-            let cluster = ClusterConfig::paper_medium(ctx.seed)
-                .with_clients(n)
-                .without_dropouts()
-                .with_churn(scenario);
-            let cfg = ExperimentConfig::builder()
-                .strategy(StrategyKind::FedAt)
-                // Generous at any scale: the shared horizon is the binding
-                // stopping rule, so cadence differences show up as updates.
-                .rounds(20_000)
-                .clients_per_round(3)
-                .local_epochs(1)
-                .eval_every(10)
-                .max_time(8_000.0)
-                .seed(ctx.seed)
-                .cluster(cluster)
-                .fault(*fault)
-                .build();
-            Job {
-                label: format!("FedAT {name}"),
-                task: task.clone(),
-                cfg,
-            }
-        })
-        .collect();
-    let results = run_jobs(jobs, ctx.threads);
+    ]
+    .into_iter()
+    .map(|(name, fault)| Job {
+        label: format!("FedAT {name}"),
+        task: task.clone(),
+        cfg: ExperimentConfig::builder()
+            .strategy(StrategyKind::FedAt)
+            // Generous at any scale: the shared horizon is the binding
+            // stopping rule, so cadence differences show up as updates.
+            .rounds(20_000)
+            .clients_per_round(3)
+            .local_epochs(1)
+            .eval_every(10)
+            .max_time(CHURN_HORIZON)
+            .seed(seed)
+            .cluster(churned_cluster(task, seed, scenario))
+            .fault(fault)
+            .build(),
+    })
+    .collect()
+}
+
+/// Robustness rows: [`churn_jobs`] with per-variant traces and fault logs.
+/// `tests/acceptance.rs` asserts the claim the rows carry: no stalled tier,
+/// and dynamic re-tiering does not lose time-to-target to the static server.
+pub fn churn(ctx: &Ctx) -> io::Result<()> {
+    let dir = out_dir(&ctx.out, "churn");
+    let task = Arc::new(suite::sent140_like(ctx.scale.medium_clients(), ctx.seed));
+    let results = run_grid(churn_jobs(&task, ctx.seed), ctx.threads);
     let mut rep = TextReport::new(
         "Robustness — FedAT under flaps + 30% storms + 10x compute drift (8000 s horizon)",
     );
@@ -984,13 +946,13 @@ pub fn churn(ctx: &Ctx) {
         "variant,best_accuracy,time_to_target,global_updates,timeouts,retries,quorum_rounds,retier_events\n",
     );
     for r in &results {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW).ok();
-        write_fault_log(&dir, &slug(&r.label), &r.outcome.faults).ok();
+        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
+        write_fault_log(&dir, &slug(&r.label), &r.outcome.faults)?;
         let tta = r.outcome.trace.time_to_accuracy(r.target_accuracy);
         let fc = r.outcome.fault_counters;
         let tiers = r.outcome.tier_updates.clone().unwrap_or_default();
         rep.line(format!(
-            "  {:<16} best {:.3}  t→{:.2}: {}  updates {}  tiers {:?}",
+            "  {:<22} best {:.3}  t→{:.2}: {}  updates {}  tiers {:?}",
             r.label,
             r.outcome.best_accuracy(),
             r.target_accuracy,
@@ -999,7 +961,7 @@ pub fn churn(ctx: &Ctx) {
             tiers,
         ));
         rep.line(format!(
-            "  {:<16} timeouts {}  retries {}  quorum-skips {}  re-tiers {}  fault rows {}",
+            "  {:<22} timeouts {}  retries {}  quorum-skips {}  re-tiers {}  fault rows {}",
             "",
             fc.timeouts,
             fc.retries,
@@ -1020,35 +982,31 @@ pub fn churn(ctx: &Ctx) {
         ));
     }
     rep.blank();
-    rep.line("  (see docs/ROBUSTNESS.md for the fault model; BENCH_churn.json for the smoke run)");
-    std::fs::create_dir_all(&dir).ok();
-    std::fs::write(dir.join("churn.csv"), csv).ok();
-    rep.emit(&dir, "churn").ok();
+    rep.line("  (see docs/ROBUSTNESS.md for the fault model)");
+    write_csv(&dir, "churn", &csv)?;
+    rep.emit(&dir, "churn")
 }
 
-/// Robustness rows: FedAT under corrupted client uplinks (30% of clients
-/// uploading 5×-scaled models half the time), with the guard layer off,
-/// norm-screen clipping, and clipping plus quarantine + coordinate-median
-/// aggregation. The per-variant fault logs land next to the traces for
-/// forensics; `BENCH_robust.json` holds the FedAvg posture × fraction
-/// curve and the bit-identity sweep.
-pub fn corrupt(ctx: &Ctx) {
-    use fedat_core::aggregate::AggRule;
-    use fedat_core::config::{GuardPolicy, NormScreen};
-    use fedat_sim::churn::{ChurnConfig, CorruptMode, CorruptSpec};
-
-    let dir = out_dir(&ctx.out, "corrupt");
-    let n = ctx.scale.medium_clients();
-    let task = Arc::new(suite::sent140_like(n, ctx.seed));
-    let scenario = ChurnConfig {
-        corrupt: Some(CorruptSpec {
-            fraction: 0.3,
+/// The attack of both corrupt scenarios: a corrupt-capable client uplinks
+/// its trained weights scaled 5× on half of its selections — a magnitude
+/// attack that preserves the update's direction but inflates every
+/// aggregate it reaches, compounding round over round until the undefended
+/// model saturates and freezes.
+fn scale_attack(fraction: f64) -> ChurnConfig {
+    ChurnConfig {
+        corrupt: (fraction > 0.0).then_some(CorruptSpec {
+            fraction,
             probability: 0.5,
             mode: CorruptMode::Scale { factor: 5.0 },
         }),
         ..ChurnConfig::default()
-    };
-    let clip = GuardPolicy {
+    }
+}
+
+/// Finite check + L2-norm screen against a deterministic EWMA of accepted
+/// norms, clipping over-limit updates down to the threshold.
+fn clip_guard() -> GuardPolicy {
+    GuardPolicy {
         finite_check: true,
         norm_screen: Some(NormScreen {
             alpha: 0.2,
@@ -1056,64 +1014,139 @@ pub fn corrupt(ctx: &Ctx) {
             clip: true,
         }),
         ..GuardPolicy::default()
-    };
+    }
+}
+
+/// FedAT with 30% of clients under [`scale_attack`], with the guard layer
+/// off, norm-screen clipping, and rejection + quarantine + coordinate-median
+/// aggregation.
+pub fn corrupt_jobs(task: &Arc<FedTask>, seed: u64) -> Vec<Job> {
+    let clip = clip_guard();
     let full = GuardPolicy {
         quarantine_after: Some(3),
         quarantine_secs: 600.0,
         agg_rule: AggRule::CoordinateMedian,
-        norm_screen: Some(NormScreen {
-            clip: false,
-            ..clip.norm_screen.expect("clip screen set")
-        }),
+        norm_screen: clip.norm_screen.map(|s| NormScreen { clip: false, ..s }),
         ..clip
     };
-    let variants = [
+    [
         ("undefended", GuardPolicy::default()),
         ("clip", clip),
         ("median+quarantine", full),
+    ]
+    .into_iter()
+    .map(|(name, guard)| Job {
+        label: format!("FedAT {name}"),
+        task: task.clone(),
+        cfg: ExperimentConfig::builder()
+            .strategy(StrategyKind::FedAt)
+            .rounds(20_000)
+            .clients_per_round(5)
+            .local_epochs(1)
+            .eval_every(10)
+            .max_time(CHURN_HORIZON)
+            .seed(seed)
+            .cluster(churned_cluster(task, seed, scale_attack(0.3)))
+            .guard(guard)
+            .build(),
+    })
+    .collect()
+}
+
+/// Shares of corrupt-capable clients along the FedAvg curve.
+const CORRUPT_FRACTIONS: [f64; 4] = [0.0, 0.1, 0.2, 0.3];
+
+/// Server postures of the FedAvg curve, in column order.
+const POSTURES: [&str; 4] = ["undefended", "clip", "trimmed", "median"];
+
+/// The accuracy-vs-corrupt-fraction curve: 200 FedAvg rounds per
+/// `CORRUPT_FRACTIONS` × `POSTURES` cell (fraction-major), labelled
+/// `FedAvg <posture> <percent>%`. The clean column differs across postures
+/// only by the aggregation rule; it runs per posture anyway and doubles as
+/// the inert-guard sanity row for each rule.
+pub fn corrupt_curve_jobs(task: &Arc<FedTask>, seed: u64) -> Vec<Job> {
+    let robust = |agg_rule| GuardPolicy {
+        finite_check: true,
+        agg_rule,
+        ..GuardPolicy::default()
+    };
+    let guards = [
+        GuardPolicy::default(),
+        clip_guard(),
+        robust(AggRule::TrimmedMean { frac: 0.45 }),
+        robust(AggRule::CoordinateMedian),
     ];
-    let jobs: Vec<Job> = variants
-        .iter()
-        .map(|(name, guard)| {
-            let cluster = ClusterConfig::paper_medium(ctx.seed)
-                .with_clients(n)
-                .without_dropouts()
-                .with_churn(scenario);
-            let cfg = ExperimentConfig::builder()
-                .strategy(StrategyKind::FedAt)
-                .rounds(20_000)
-                .clients_per_round(5)
-                .local_epochs(1)
-                .eval_every(10)
-                .max_time(8_000.0)
-                .seed(ctx.seed)
-                .cluster(cluster)
-                .guard(*guard)
-                .build();
-            Job {
-                label: format!("FedAT {name}"),
+    let mut jobs = Vec::new();
+    for fraction in CORRUPT_FRACTIONS {
+        for (posture, guard) in POSTURES.into_iter().zip(guards) {
+            jobs.push(Job {
+                label: format!("FedAvg {posture} {:.0}%", fraction * 100.0),
                 task: task.clone(),
-                cfg,
-            }
-        })
-        .collect();
-    let results = run_jobs(jobs, ctx.threads);
+                cfg: ExperimentConfig::builder()
+                    .strategy(StrategyKind::FedAvg)
+                    .rounds(200)
+                    // A 12-wide cohort keeps the per-round corrupt count
+                    // concentrated near its mean: with 30% corrupt clients
+                    // firing half the time, rounds that breach the order
+                    // statistics' 6-of-12 breakdown point are ~0.02% instead
+                    // of the ~2% an 8-wide cohort sees.
+                    .clients_per_round(12)
+                    .local_epochs(1)
+                    .eval_every(5)
+                    .max_time(6_000.0)
+                    .seed(seed)
+                    .cluster(churned_cluster(task, seed, scale_attack(fraction)))
+                    .guard(guard)
+                    .build(),
+            });
+        }
+    }
+    jobs
+}
+
+/// Robustness rows: [`corrupt_jobs`] with per-variant traces and fault logs
+/// for forensics, then the [`corrupt_curve_jobs`] table.
+/// `tests/acceptance.rs` asserts the claim the curve carries: the undefended
+/// server collapses at ≥ 20% corrupt clients while every defended posture
+/// stays within two points of clean.
+pub fn corrupt(ctx: &Ctx) -> io::Result<()> {
+    let dir = out_dir(&ctx.out, "corrupt");
+    let task = Arc::new(suite::sent140_like(ctx.scale.medium_clients(), ctx.seed));
+    let mut jobs = corrupt_jobs(&task, ctx.seed);
+    let n_fedat = jobs.len();
+    jobs.extend(corrupt_curve_jobs(&task, ctx.seed));
+    let results = run_grid(jobs, ctx.threads);
+    let (fedat, curve) = results.split_at(n_fedat);
+
     let mut rep = TextReport::new(
         "Robustness — FedAT under 30% corrupted uplinks (scale-by-5, half of selections)",
     );
-    let mut csv = String::from(
-        "variant,best_accuracy,final_finite,global_updates,corrupt,rejects,clips,stale,quarantines\n",
-    );
-    for r in &results {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW).ok();
-        write_fault_log(&dir, &slug(&r.label), &r.outcome.faults).ok();
+    let header =
+        "best_accuracy,final_finite,global_updates,corrupt,rejects,clips,stale,quarantines\n";
+    let csv_row = |r: &JobResult| {
         let fc = r.outcome.fault_counters;
-        let finite = r.outcome.final_weights.iter().all(|w| w.is_finite());
+        format!(
+            "{:.4},{},{},{},{},{},{},{}\n",
+            r.outcome.best_accuracy(),
+            r.final_finite(),
+            r.outcome.global_updates,
+            fc.corrupt,
+            fc.rejects,
+            fc.clips,
+            fc.stale,
+            fc.quarantines,
+        )
+    };
+    let mut csv = format!("variant,{header}");
+    for r in fedat {
+        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
+        write_fault_log(&dir, &slug(&r.label), &r.outcome.faults)?;
+        let fc = r.outcome.fault_counters;
         rep.line(format!(
             "  {:<24} best {:.3}  finite {}  updates {}",
             r.label,
             r.outcome.best_accuracy(),
-            finite,
+            r.final_finite(),
             r.outcome.global_updates,
         ));
         rep.line(format!(
@@ -1126,24 +1159,154 @@ pub fn corrupt(ctx: &Ctx) {
             fc.quarantines,
             r.outcome.faults.events().len(),
         ));
-        csv.push_str(&format!(
-            "{},{:.4},{},{},{},{},{},{},{}\n",
-            slug(&r.label),
-            r.outcome.best_accuracy(),
-            finite,
-            r.outcome.global_updates,
-            fc.corrupt,
-            fc.rejects,
-            fc.clips,
-            fc.stale,
-            fc.quarantines,
-        ));
+        csv.push_str(&format!("{},{}", slug(&r.label), csv_row(r)));
+    }
+    write_csv(&dir, "corrupt", &csv)?;
+
+    rep.blank();
+    rep.line("FedAvg, ≤ 200 rounds: best accuracy (corrupt events / clips) by server posture");
+    let columns: String = POSTURES.iter().map(|p| format!(" {p:>18}")).collect();
+    rep.line(format!("  {:<8}{columns}", "corrupt"));
+    let mut csv = format!("posture,corrupt_fraction,{header}");
+    for (fraction, row) in CORRUPT_FRACTIONS.iter().zip(curve.chunks(POSTURES.len())) {
+        let mut line = format!("  {:<8}", format!("{:.0}%", fraction * 100.0));
+        for (posture, r) in POSTURES.iter().zip(row) {
+            let fc = r.outcome.fault_counters;
+            let cell = format!(
+                "{:.4} ({}/{})",
+                r.outcome.best_accuracy(),
+                fc.corrupt,
+                fc.clips
+            );
+            line.push_str(&format!(" {cell:>18}"));
+            csv.push_str(&format!("{posture},{fraction:.2},{}", csv_row(r)));
+        }
+        rep.line(line);
     }
     rep.blank();
-    rep.line("  (see docs/ROBUSTNESS.md §Corrupted updates; BENCH_robust.json for the curve)");
-    std::fs::create_dir_all(&dir).ok();
-    std::fs::write(dir.join("corrupt.csv"), csv).ok();
-    rep.emit(&dir, "corrupt").ok();
+    rep.line("  (see docs/ROBUSTNESS.md §Corrupted updates)");
+    write_csv(&dir, "corrupt_curve", &csv)?;
+    rep.emit(&dir, "corrupt")
+}
+
+/// The codec column of [`codec_jobs`]: the uncompressed baseline, the
+/// paper's polyline codec at two precisions, the lossless delta, the 8/4-bit
+/// quantized deltas, and the sparse top-5% delta.
+const CODECS: [(&str, CodecKind); 7] = [
+    ("none", CodecKind::None),
+    (
+        "polyline-p3",
+        CodecKind::Polyline {
+            precision: 3,
+            delta: true,
+        },
+    ),
+    (
+        "polyline-p4",
+        CodecKind::Polyline {
+            precision: 4,
+            delta: true,
+        },
+    ),
+    ("delta-rle", CodecKind::DeltaRle),
+    ("quantized8", CodecKind::Quantized { bits: 8 }),
+    ("quantized4", CodecKind::Quantized { bits: 4 }),
+    ("topk-50pm", CodecKind::TopK { per_mille: 50 }),
+];
+
+/// Every strategy × `CODECS` cell (strategy-major, the uncompressed run
+/// first in each row) on a 100-round budget of the full two-phase wire
+/// path, labelled `<strategy> <codec>`: downlink broadcasts and
+/// reference-aware uplinks both charge the traffic meter what the codec
+/// actually produces.
+pub fn codec_jobs(task: &Arc<FedTask>, seed: u64) -> Vec<Job> {
+    let mut jobs = Vec::new();
+    for strategy in StrategyKind::all() {
+        for (name, kind) in CODECS {
+            jobs.push(Job {
+                label: format!("{} {name}", strategy.name()),
+                task: task.clone(),
+                cfg: ExperimentConfig::builder()
+                    .strategy(strategy)
+                    .rounds(100)
+                    .clients_per_round(4)
+                    .local_epochs(1)
+                    .eval_every(10)
+                    .max_time(6_000.0)
+                    .codec(kind)
+                    .seed(seed)
+                    .build(),
+            });
+        }
+    }
+    jobs
+}
+
+/// Of one strategy's row of [`codec_jobs`] results, the compressed cell with
+/// the fewest uplink bytes whose best accuracy stays within one point of the
+/// uncompressed run's: `(cell, uplink ratio, accuracy loss)`.
+pub fn best_codec_within_a_point(row: &[JobResult]) -> Option<(&JobResult, f64, f64)> {
+    let (none, compressed) = row.split_first()?;
+    compressed
+        .iter()
+        .map(|c| {
+            let ratio = none.up_bytes() as f64 / c.up_bytes().max(1) as f64;
+            let loss = (none.outcome.best_accuracy() - c.outcome.best_accuracy()) as f64;
+            (c, ratio, loss)
+        })
+        .filter(|&(_, _, loss)| loss <= 0.01)
+        .reduce(|best, c| if c.1 > best.1 { c } else { best })
+}
+
+/// Wire-codec table: [`codec_jobs`] as best accuracy and traffic per cell,
+/// with the uplink ratio against the same strategy uncompressed. Downlink
+/// bytes stay at the raw size under the delta-family codecs, which are
+/// uplink-only. `tests/acceptance.rs` asserts the claim the FedAT row
+/// carries: some codec cuts uplink bytes ≥ 4× within one accuracy point.
+pub fn codec(ctx: &Ctx) -> io::Result<()> {
+    let dir = out_dir(&ctx.out, "codec");
+    let task = Arc::new(suite::sent140_like(ctx.scale.medium_clients(), ctx.seed));
+    let results = run_grid(codec_jobs(&task, ctx.seed), ctx.threads);
+    let mut rep =
+        TextReport::new("Wire codecs — strategy × codec, a 100-round budget through the wire path");
+    let mut csv = String::from(
+        "strategy,codec,best_accuracy,up_bytes,down_bytes,uplink_ratio,global_updates\n",
+    );
+    for row in results.chunks(CODECS.len()) {
+        rep.line(format!("[{}]", row[0].strategy));
+        for ((name, _), r) in CODECS.iter().zip(row) {
+            let ratio = row[0].up_bytes() as f64 / r.up_bytes().max(1) as f64;
+            rep.line(format!(
+                "  {:<12} best {:.4}  up {:>9} B  down {:>9} B  uplink {:>5.2}×  updates {}",
+                name,
+                r.outcome.best_accuracy(),
+                r.up_bytes(),
+                r.down_bytes(),
+                ratio,
+                r.outcome.global_updates,
+            ));
+            csv.push_str(&format!(
+                "{},{},{:.4},{},{},{:.2},{}\n",
+                r.strategy,
+                name,
+                r.outcome.best_accuracy(),
+                r.up_bytes(),
+                r.down_bytes(),
+                ratio,
+                r.outcome.global_updates,
+            ));
+        }
+        match best_codec_within_a_point(row) {
+            Some((c, ratio, loss)) => rep.line(format!(
+                "  within one point of uncompressed: {} at {ratio:.2}× (loss {loss:.4})",
+                c.label
+            )),
+            None => rep.line("  within one point of uncompressed: none"),
+        }
+        rep.blank();
+    }
+    write_csv(&dir, "codec", &csv)?;
+    rep.emit(&dir, "codec")
 }
 
 fn dedup_keep_order<I: Iterator<Item = String>>(it: I) -> Vec<String> {
@@ -1156,30 +1319,42 @@ fn dedup_keep_order<I: Iterator<Item = String>>(it: I) -> Vec<String> {
     seen
 }
 
-/// Runs one experiment by id; `all` shares the core matrix across the
-/// artifacts that reuse it.
-pub fn run(id: &str, ctx: &Ctx) {
+/// Every id [`run`] accepts, as `repro`'s usage text lists them.
+pub const IDS: [&str; 20] = [
+    "table1",
+    "table2",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "leaf",
+    "churn",
+    "corrupt",
+    "codec",
+    "ablate-mistier",
+    "ablate-lambda",
+    "ablate-delta",
+    "matrix",
+    "all",
+];
+
+/// Runs one experiment by id; `matrix` and `all` share the core matrix
+/// across the artifacts that reuse it. Fails before computing anything if
+/// the output directory cannot be created, and on the first failed write
+/// after that, naming the path either way.
+pub fn run(id: &str, ctx: &Ctx) -> io::Result<()> {
+    create_dir(&ctx.out)?;
     match id {
-        "table1" => {
-            let m = core_matrix(ctx);
-            table1(ctx, &m);
-        }
-        "table2" => {
-            let m = core_matrix(ctx);
-            table2(ctx, &m);
-        }
-        "fig2" => {
-            let m = core_matrix(ctx);
-            fig2(ctx, &m);
-        }
-        "fig3" => {
-            let m = core_matrix(ctx);
-            fig3(ctx, &m);
-        }
-        "fig4" => {
-            let m = core_matrix(ctx);
-            fig4(ctx, &m);
-        }
+        "table1" => table1(ctx, &core_matrix(ctx)),
+        "table2" => table2(ctx, &core_matrix(ctx)),
+        "fig2" => fig2(ctx, &core_matrix(ctx)),
+        "fig3" => fig3(ctx, &core_matrix(ctx)),
+        "fig4" => fig4(ctx, &core_matrix(ctx)),
         "fig5" => fig5(ctx),
         "fig6" => fig6(ctx),
         "fig7" => fig7(ctx),
@@ -1189,37 +1364,36 @@ pub fn run(id: &str, ctx: &Ctx) {
         "leaf" => leaf(ctx),
         "churn" => churn(ctx),
         "corrupt" => corrupt(ctx),
+        "codec" => codec(ctx),
         "ablate-mistier" => ablate_mistier(ctx),
         "ablate-lambda" => ablate_lambda(ctx),
         "ablate-delta" => ablate_delta(ctx),
         "matrix" | "all" => {
             let m = core_matrix(ctx);
-            table1(ctx, &m);
-            table2(ctx, &m);
-            fig2(ctx, &m);
-            fig3(ctx, &m);
-            fig4(ctx, &m);
+            table1(ctx, &m)?;
+            table2(ctx, &m)?;
+            fig2(ctx, &m)?;
+            fig3(ctx, &m)?;
+            fig4(ctx, &m)?;
             if id == "all" {
-                fig5(ctx);
-                fig6(ctx);
-                fig7(ctx);
-                fig8(ctx);
-                fig9(ctx);
-                fig10(ctx);
-                churn(ctx);
-                corrupt(ctx);
-                ablate_mistier(ctx);
-                ablate_lambda(ctx);
-                ablate_delta(ctx);
+                fig5(ctx)?;
+                fig6(ctx)?;
+                fig7(ctx)?;
+                fig8(ctx)?;
+                fig9(ctx)?;
+                fig10(ctx)?;
+                churn(ctx)?;
+                corrupt(ctx)?;
+                codec(ctx)?;
+                ablate_mistier(ctx)?;
+                ablate_lambda(ctx)?;
+                ablate_delta(ctx)?;
             }
+            Ok(())
         }
-        other => {
-            eprintln!("unknown experiment id: {other}");
-            eprintln!(
-                "known: table1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 \
-                 leaf churn corrupt ablate-mistier ablate-lambda ablate-delta matrix all"
-            );
-            std::process::exit(2);
-        }
+        other => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("unknown experiment id `{other}`; known: {}", IDS.join(" ")),
+        )),
     }
 }

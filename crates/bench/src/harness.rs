@@ -1,10 +1,6 @@
-//! Parallel experiment execution.
-//!
-//! Each simulation run is deterministic in its config alone, so the harness
-//! fans independent runs out as concurrent kernel-pool jobs (see
-//! [`crate::grid`]): whole-experiment parallelism and the kernels' own
-//! fork-join parallelism share one scheduler instead of oversubscribing
-//! the host with a second thread pool.
+//! The unit of work of the reproduction harness: a [`Job`] in, a
+//! [`JobResult`] out, run by [`crate::grid::run_grid`], plus the
+//! full/quick [`Scale`] selector.
 
 use fedat_core::{ExperimentConfig, Outcome};
 use fedat_data::suite::FedTask;
@@ -34,11 +30,21 @@ pub struct JobResult {
     pub outcome: Outcome,
 }
 
-/// Runs all jobs as concurrent kernel-pool jobs (`threads` is the pool-size
-/// hint: 0 = all cores minus one, the pool's ambient default), returning
-/// results in the original job order.
-pub fn run_jobs(jobs: Vec<Job>, threads: usize) -> Vec<JobResult> {
-    crate::grid::run_grid(jobs, threads)
+impl JobResult {
+    /// Bytes uploaded by the last evaluation point.
+    pub fn up_bytes(&self) -> u64 {
+        self.outcome.trace.points.last().map_or(0, |p| p.up_bytes)
+    }
+
+    /// Bytes downloaded by the last evaluation point.
+    pub fn down_bytes(&self) -> u64 {
+        self.outcome.trace.points.last().map_or(0, |p| p.down_bytes)
+    }
+
+    /// Whether every weight of the final global model is finite.
+    pub fn final_finite(&self) -> bool {
+        self.outcome.final_weights.iter().all(|w| w.is_finite())
+    }
 }
 
 /// Scale selector: full reproduces the paper's setup, quick shrinks it for
@@ -80,6 +86,7 @@ impl Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::run_grid;
     use fedat_core::StrategyKind;
     use fedat_data::suite;
 
@@ -99,7 +106,7 @@ mod tests {
                     .build(),
             })
             .collect();
-        let results = run_jobs(jobs, 3);
+        let results = run_grid(jobs, 3);
         assert_eq!(results.len(), 4);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.label, format!("job{i}"), "order must be preserved");
@@ -121,8 +128,8 @@ mod tests {
                 .seed(7)
                 .build(),
         };
-        let serial = run_jobs(vec![mk()], 1);
-        let parallel = run_jobs(vec![mk(), mk(), mk()], 3);
+        let serial = run_grid(vec![mk()], 1);
+        let parallel = run_grid(vec![mk(), mk(), mk()], 3);
         for p in &parallel {
             assert_eq!(
                 p.outcome.final_weights, serial[0].outcome.final_weights,

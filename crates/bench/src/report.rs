@@ -3,8 +3,36 @@
 
 use fedat_sim::trace::Trace;
 use std::fs;
-use std::io::Write;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
+
+/// Prefixes an I/O error with the path it happened at.
+fn at(path: &Path) -> impl FnOnce(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+}
+
+/// `create_dir_all` whose error names the directory.
+pub(crate) fn create_dir(dir: &Path) -> io::Result<()> {
+    fs::create_dir_all(dir).map_err(at(dir))
+}
+
+/// Creates `<dir>/<file>` (and `dir`), hands `body` a buffered writer and
+/// flushes it; any error names the path.
+fn write_file(
+    dir: &Path,
+    file: &str,
+    body: impl FnOnce(&mut BufWriter<fs::File>) -> io::Result<()>,
+) -> io::Result<()> {
+    create_dir(dir)?;
+    let path = dir.join(file);
+    fs::File::create(&path)
+        .and_then(|f| {
+            let mut w = BufWriter::new(f);
+            body(&mut w)?;
+            w.flush()
+        })
+        .map_err(at(&path))
+}
 
 /// A simple aligned text table that is also echoed to a `.txt` file.
 pub struct TextReport {
@@ -43,28 +71,27 @@ impl TextReport {
     }
 
     /// Prints to stdout and writes `<dir>/<name>.txt`.
-    pub fn emit(&self, dir: &Path, name: &str) -> std::io::Result<()> {
+    pub fn emit(&self, dir: &Path, name: &str) -> io::Result<()> {
         let text = self.render();
         print!("{text}");
-        std::io::stdout().flush().ok();
-        fs::create_dir_all(dir)?;
-        fs::write(dir.join(format!("{name}.txt")), text)
+        io::stdout().flush()?;
+        write_file(dir, &format!("{name}.txt"), |w| {
+            w.write_all(text.as_bytes())
+        })
     }
+}
+
+/// Writes a finished CSV table as `<dir>/<name>.csv`.
+pub(crate) fn write_csv(dir: &Path, name: &str, csv: &str) -> io::Result<()> {
+    write_file(dir, &format!("{name}.csv"), |w| w.write_all(csv.as_bytes()))
 }
 
 /// Writes a trace (smoothed like the paper's figures) as
 /// `<dir>/<name>.csv`.
-pub fn write_trace(
-    dir: &Path,
-    name: &str,
-    trace: &Trace,
-    smooth_window: usize,
-) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    let file = fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    trace.smoothed(smooth_window).write_csv(&mut w)
+pub fn write_trace(dir: &Path, name: &str, trace: &Trace, smooth_window: usize) -> io::Result<()> {
+    write_file(dir, &format!("{name}.csv"), |w| {
+        trace.smoothed(smooth_window).write_csv(w)
+    })
 }
 
 /// Writes a run's fault log as `<dir>/<name>_faults.csv` — one row per
@@ -73,11 +100,8 @@ pub fn write_fault_log(
     dir: &Path,
     name: &str,
     faults: &fedat_sim::fault::FaultLog,
-) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let file = fs::File::create(dir.join(format!("{name}_faults.csv")))?;
-    let mut w = std::io::BufWriter::new(file);
-    faults.write_csv(&mut w)
+) -> io::Result<()> {
+    write_file(dir, &format!("{name}_faults.csv"), |w| faults.write_csv(w))
 }
 
 /// Sanitizes a label into a file-name-safe slug.
@@ -150,6 +174,27 @@ mod tests {
         let content = std::fs::read_to_string(dir.join("t.csv")).unwrap();
         assert!(content.contains("time,round"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn uncreatable_out_dir_is_an_error_naming_the_path() {
+        // A directory cannot be created underneath a regular file.
+        let file = std::env::temp_dir().join(format!("fedat_report_file_{}", std::process::id()));
+        fs::write(&file, "x").unwrap();
+        let dir = out_dir(&file, "churn");
+        let shown = dir.display().to_string();
+        let errs = [
+            create_dir(&dir),
+            TextReport::new("t").emit(&dir, "churn"),
+            write_csv(&dir, "churn", "a,b\n"),
+            write_trace(&dir, "t", &Trace::new("x"), 1),
+            write_fault_log(&dir, "t", &fedat_sim::fault::FaultLog::default()),
+        ];
+        for e in errs {
+            let msg = e.expect_err("nothing can be written there").to_string();
+            assert!(msg.contains(&shown), "`{msg}` does not name {shown}");
+        }
+        fs::remove_file(&file).unwrap();
     }
 
     #[test]

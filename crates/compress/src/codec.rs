@@ -5,7 +5,7 @@
 //! in two families:
 //!
 //! * **absolute** codecs encode the weight vector alone
-//!   ([`NoCompression`], [`PolylineCodec`], [`QuantizeCodec`]),
+//!   ([`NoCompression`], [`PolylineCodec`]),
 //! * **reference-aware** codecs encode against a model both endpoints
 //!   already hold — the decoded broadcast the client trained from —
 //!   via [`WireCodec::encode_with_ref`]
@@ -36,8 +36,6 @@ pub enum CodecKind {
         /// Difference coding enabled.
         delta: bool,
     },
-    /// Per-blob linear int8 quantization (absolute, reference-free).
-    QuantizeI8,
     /// Lossless bit-delta vs the reference + byte-plane RLE packing.
     DeltaRle,
     /// Linear quantization of the delta vs the reference at `bits` ∈ {4, 8}.
@@ -301,60 +299,6 @@ impl WireCodec for PolylineCodec {
     }
 }
 
-/// Linear int8 quantization over the blob's own min/max range — the classic
-/// quantization baseline the paper's related work discusses (§2.2, §4.3).
-/// Absolute: the reference is ignored (the reference-aware variant is
-/// [`crate::quantized::QuantizedCodec`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct QuantizeCodec;
-
-impl WireCodec for QuantizeCodec {
-    fn encode_with_ref(&self, weights: &[f32], reference: Option<&[f32]>) -> CompressedBlob {
-        check_reference(weights, reference);
-        let lo = weights.iter().copied().fold(f32::INFINITY, f32::min);
-        let hi = weights.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let (lo, hi) = if lo.is_finite() && hi.is_finite() && hi > lo {
-            (lo, hi)
-        } else {
-            (0.0, 1.0) // constant or empty input
-        };
-        let scale = 255.0 / (hi - lo);
-        let payload: Vec<u8> = weights
-            .iter()
-            .map(|&w| (((w - lo) * scale).round()).clamp(0.0, 255.0) as u8)
-            .collect();
-        CompressedBlob {
-            payload: Bytes::from(payload),
-            count: weights.len(),
-            kind: CodecKind::QuantizeI8,
-            aux: vec![lo, hi],
-        }
-    }
-
-    fn try_decode_with_ref(
-        &self,
-        blob: &CompressedBlob,
-        _reference: Option<&[f32]>,
-    ) -> Result<Vec<f32>, CodecError> {
-        if blob.kind != CodecKind::QuantizeI8 {
-            return Err(CodecError::WrongKind);
-        }
-        if blob.payload.len() != blob.count {
-            return Err(CodecError::Malformed("quantize payload size mismatch"));
-        }
-        if blob.aux.len() < 2 {
-            return Err(CodecError::Malformed("quantize range missing"));
-        }
-        let (lo, hi) = (blob.aux[0], blob.aux[1]);
-        let inv = (hi - lo) / 255.0;
-        Ok(blob.payload.iter().map(|&b| lo + b as f32 * inv).collect())
-    }
-
-    fn name(&self) -> String {
-        "quantize-i8".to_string()
-    }
-}
-
 /// Builds a codec from a kind tag (the reverse of blob headers; useful for
 /// config files and the bench harness).
 pub fn codec_for(kind: CodecKind) -> Box<dyn WireCodec> {
@@ -363,7 +307,6 @@ pub fn codec_for(kind: CodecKind) -> Box<dyn WireCodec> {
         CodecKind::Polyline { precision, delta } => {
             Box::new(PolylineCodec::with_mode(precision, delta))
         }
-        CodecKind::QuantizeI8 => Box::new(QuantizeCodec),
         CodecKind::DeltaRle => Box::new(DeltaRleCodec),
         CodecKind::Quantized { bits } => Box::new(QuantizedCodec::new(bits)),
         CodecKind::TopK { per_mille } => Box::new(TopKCodec::new(per_mille)),
@@ -416,38 +359,10 @@ mod tests {
     }
 
     #[test]
-    fn quantize_roundtrip_bounded_by_range_step() {
-        let w = wiggly(500);
-        let c = QuantizeCodec;
-        let blob = c.encode(&w);
-        let r = c.decode(&blob);
-        let range = 0.4f32; // wiggly spans ±0.2
-        let step = range / 255.0;
-        for (a, b) in w.iter().zip(r.iter()) {
-            assert!((a - b).abs() <= step, "{a} vs {b}");
-        }
-        assert_eq!(blob.wire_bytes(), BLOB_HEADER_BYTES + 500 + 8);
-    }
-
-    #[test]
-    fn quantize_handles_constant_input() {
-        let w = vec![0.25f32; 10];
-        let c = QuantizeCodec;
-        let r = c.decode(&c.encode(&w));
-        for v in r {
-            assert!(
-                (v - 0.25).abs() < 0.3,
-                "constant input badly recovered: {v}"
-            );
-        }
-    }
-
-    #[test]
     fn codec_names_are_stable() {
         assert_eq!(NoCompression.name(), "none");
         assert_eq!(PolylineCodec::new(4).name(), "polyline-p4");
         assert_eq!(PolylineCodec::with_mode(3, false).name(), "polyline-p3-abs");
-        assert_eq!(QuantizeCodec.name(), "quantize-i8");
         assert_eq!(DeltaRleCodec.name(), "delta-rle");
         assert_eq!(QuantizedCodec::new(8).name(), "quantized8");
         assert_eq!(QuantizedCodec::new(4).name(), "quantized4");
@@ -463,7 +378,6 @@ mod tests {
                 precision: 4,
                 delta: true,
             },
-            CodecKind::QuantizeI8,
             CodecKind::DeltaRle,
             CodecKind::Quantized { bits: 8 },
             CodecKind::Quantized { bits: 4 },

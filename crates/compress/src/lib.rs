@@ -12,9 +12,8 @@
 //!   in both *delta* mode (successive differences, as in the original
 //!   algorithm) and *absolute* mode (see DESIGN.md §5),
 //! * [`codec`] — the [`codec::WireCodec`] trait with the absolute codecs
-//!   [`codec::NoCompression`] (the inert default),
-//!   [`codec::PolylineCodec`] (precision 1–7) and the int8
-//!   [`codec::QuantizeCodec`] baseline,
+//!   [`codec::NoCompression`] (the inert default) and
+//!   [`codec::PolylineCodec`] (precision 1–7),
 //! * [`delta_rle`] — lossless bit-delta vs the broadcast reference +
 //!   byte-plane RLE (bitwise round-trip, proptest-pinned),
 //! * [`quantized`] — reference-aware 4/8-bit linear delta quantization,
@@ -51,8 +50,7 @@ pub mod stats;
 pub mod topk;
 
 pub use codec::{
-    codec_for, CodecError, CodecKind, CompressedBlob, NoCompression, PolylineCodec, QuantizeCodec,
-    WireCodec,
+    codec_for, CodecError, CodecKind, CompressedBlob, NoCompression, PolylineCodec, WireCodec,
 };
 pub use delta_rle::DeltaRleCodec;
 pub use quantized::QuantizedCodec;

@@ -4,9 +4,10 @@
 //! broadcast the client trained from), quantized linearly over the blob's
 //! own `[lo, hi]` delta range. One local pass moves weights little, so the
 //! delta range is narrow and the quantization step small — this is what
-//! buys ≥4× (8-bit) / ≥8× (4-bit) uplink reduction at negligible accuracy
-//! cost in `BENCH_codec.json`. Without a reference the codec quantizes the
-//! weights directly (absolute mode, used on the shared downlink broadcast).
+//! buys a 4× (8-bit) / 8× (4-bit) smaller uplink payload at negligible
+//! accuracy cost (`repro codec` prints the ratios of whole runs, blob
+//! headers included). Without a reference the codec quantizes the weights
+//! directly (absolute mode, used on the shared downlink broadcast).
 //!
 //! ## Determinism
 //!

@@ -622,7 +622,7 @@ pub fn parse_codec(s: &str) -> Option<CodecKind> {
 }
 
 /// The codec named by the `FEDAT_CODEC` environment variable, if any.
-/// Used by the CI `codec` lane to run the whole core suite over a
+/// Used by CI's `overlays` job to run the whole core suite over a
 /// compressed wire path without touching configs.
 pub fn codec_from_env() -> Option<CodecKind> {
     std::env::var("FEDAT_CODEC")
@@ -632,7 +632,7 @@ pub fn codec_from_env() -> Option<CodecKind> {
 
 /// Resolution order for the wire codec: an explicit config override wins,
 /// then `FEDAT_CODEC`, then the strategy default. Explicit configs beating
-/// the env var keeps codec-specific tests meaningful under the CI lane.
+/// the env var keeps codec-specific tests meaningful under that overlay.
 pub fn resolve_codec(cfg_codec: Option<CodecKind>, strategy: StrategyKind) -> CodecKind {
     cfg_codec
         .or_else(codec_from_env)

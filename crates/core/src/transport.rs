@@ -33,7 +33,7 @@ pub fn is_delta_family(kind: CodecKind) -> bool {
 
 /// The uplink/downlink channel of one experiment.
 ///
-/// Absolute codecs (`None`, `Polyline`, `QuantizeI8`) apply to both legs.
+/// Absolute codecs (`None`, `Polyline`) apply to both legs.
 /// Delta-family codecs ([`is_delta_family`]) apply to the uplink only: the
 /// downlink broadcast has no reference model to encode against — absolute
 /// 4-bit quantization of the full global model every round would destroy

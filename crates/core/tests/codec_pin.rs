@@ -43,7 +43,7 @@ struct Pin {
 
 fn run_pin(strategy: StrategyKind, codec: Option<CodecKind>, expect: Pin) {
     if codec.is_none() && std::env::var("FEDAT_CODEC").is_ok() {
-        // The CI codec lane swaps the default codec out from under the
+        // CI's `FEDAT_CODEC` overlay swaps the default codec out from under the
         // default-codec pins on purpose; only explicit-codec pins apply.
         eprintln!("skipping default-codec pin: FEDAT_CODEC is set");
         return;

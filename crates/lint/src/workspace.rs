@@ -141,8 +141,8 @@ mod tests {
             Some(("tensor".into(), FileKind::Test))
         );
         assert_eq!(
-            classify("crates/bench/benches/fl_round.rs"),
-            Some(("bench".into(), FileKind::Bench))
+            classify("crates/tensor/benches/matmul.rs"),
+            Some(("tensor".into(), FileKind::Bench))
         );
     }
 

@@ -253,7 +253,8 @@ impl ChurnConfig {
     /// assertions keep holding *with the guard at its inert default* — the
     /// lane proves the injection path is live and harmless defaults stay
     /// harmless, not that undefended training survives hostile clients
-    /// (that is `bench_robust`'s job).
+    /// (that is the corrupt acceptance test's job, `fedat-bench`
+    /// `tests/acceptance.rs`).
     pub fn corrupt_light() -> Self {
         ChurnConfig {
             corrupt: Some(CorruptSpec {

@@ -5,8 +5,8 @@
 //! transitions as virtual time passes them; strategies record their own
 //! [`FaultKind::Timeout`]/[`FaultKind::Retry`]/[`FaultKind::Quorum`]/
 //! [`FaultKind::Retier`] decisions through [`crate::SimCtx`]. Together they
-//! make every fault visible in a run's output (the `bench_churn` bin and
-//! the repro report surface them).
+//! make every fault visible in a run's output (`repro churn` and
+//! `repro corrupt` write them next to their reports).
 
 use std::fmt;
 

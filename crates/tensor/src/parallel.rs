@@ -11,8 +11,8 @@
 //!
 //! The FedAT simulator parallelizes across *clients*, so by default kernels
 //! run serially to avoid oversubscription; install a [`crate::ctx::KernelCtx`]
-//! with a larger `max_threads` to let individual kernels fan out (useful in
-//! the Criterion benches and for large single-model workloads).
+//! with a larger `max_threads` to let individual kernels fan out (useful
+//! for large single-model workloads).
 
 use crate::pool;
 

@@ -42,10 +42,10 @@
 //!
 //! [`crate::ctx::KernelCtx::max_pool_jobs`] caps how many submitted jobs may occupy the pool
 //! (queued + running) at once; excess submissions skip the channel and run
-//! at `join` on the joining thread. The cap exists for the thread-scaling
-//! benchmarks (`bench_fl_round --threads-sweep`), where it emulates smaller
-//! worker counts on one process. [`ensure_workers`] grows the pool beyond
-//! the default `cores − 1` for the same purpose.
+//! at `join` on the joining thread. The cap exists for the worker-count
+//! sweeps of the determinism tests (ExecMode × workers {1, 2, 4, 8}), where
+//! it emulates smaller worker counts on one process. [`ensure_workers`]
+//! grows the pool beyond the default `cores − 1` for the same purpose.
 //!
 //! ## Determinism
 //!
@@ -410,9 +410,9 @@ pub fn worker_count() -> usize {
 /// Grows the pool to at least `n` workers (never shrinks). Extra workers
 /// park on the shared queue like the initial ones; on hosts with fewer
 /// cores they oversubscribe, which changes throughput but — like every
-/// scheduling decision here — never changes results. Used by the
-/// thread-scaling benches and the executor tests, which need real worker
-/// parallelism even on single-core machines.
+/// scheduling decision here — never changes results. Used by experiment
+/// grids and the executor tests, which need real worker parallelism even
+/// on single-core machines.
 pub fn ensure_workers(n: usize) {
     let pool = pool();
     let _guard = pool.grow.lock().unwrap();

@@ -8,7 +8,7 @@
 //! cargo run --release --example compression_tradeoff
 //! ```
 
-use fedat::compress::codec::{CodecKind, NoCompression, PolylineCodec, QuantizeCodec};
+use fedat::compress::codec::{CodecKind, NoCompression, PolylineCodec};
 use fedat::compress::stats::measure;
 use fedat::compress::{DeltaRleCodec, QuantizedCodec, TopKCodec};
 use fedat::core::prelude::*;
@@ -28,7 +28,6 @@ fn main() {
         ("polyline-p3", measure(&PolylineCodec::new(3), &weights)),
         ("polyline-p4", measure(&PolylineCodec::new(4), &weights)),
         ("polyline-p6", measure(&PolylineCodec::new(6), &weights)),
-        ("quantize-i8", measure(&QuantizeCodec, &weights)),
         ("delta-rle", measure(&DeltaRleCodec, &weights)),
         ("quantized8", measure(&QuantizedCodec::new(8), &weights)),
         ("quantized4", measure(&QuantizedCodec::new(4), &weights)),

@@ -16,8 +16,41 @@
 #![allow(clippy::disallowed_methods)]
 
 use fedat::core::prelude::*;
+use fedat::data::federated::FederatedDataset;
+use fedat::data::partition::Partitioner;
+use fedat::data::suite::FedTask;
+use fedat::data::synth::{synth_features, FeatureSynthSpec};
+use fedat::nn::models::ModelSpec;
 use fedat::sim::fleet::ClusterConfig;
-use fedat_bench::experiments::large_cohort_task;
+use fedat::tensor::rng::{rng_for, tags};
+
+/// `n_clients` Dirichlet-skewed feature clients (500 at full scale — the
+/// paper's AWS-style cohort size) under a wide two-layer MLP (~33 k
+/// weights), sized so the *server* dominates: every tier arrival
+/// re-aggregates hundreds of ~33 k-weight updates and the evaluation
+/// cadence sweeps thousands of test rows.
+fn large_cohort_task(n_clients: usize, seed: u64) -> FedTask {
+    let mut rng = rng_for(seed.wrapping_add(7), tags::DATA);
+    let spec = FeatureSynthSpec {
+        features: 64,
+        classes: 62,
+        separation: 0.8,
+        noise: 1.0,
+    };
+    let pool = synth_features(&mut rng, &spec, n_clients * 40);
+    let parts = Partitioner::Dirichlet { alpha: 0.3 }.partition(&pool, n_clients, &mut rng);
+    let fed = FederatedDataset::from_partitions(parts, seed.wrapping_add(7));
+    FedTask {
+        name: format!("large-cohort({n_clients})"),
+        fed,
+        model: ModelSpec::Mlp {
+            input: 64,
+            hidden: vec![128, 128],
+            classes: 62,
+        },
+        target_accuracy: 0.5,
+    }
+}
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");

@@ -15,10 +15,9 @@
 //! * [`core`] — FedAT itself plus the FedAvg/TiFL/FedProx/FedAsync/ASO-Fed
 //!   baselines, tiering, and weighted aggregation.
 //!
-//! The reproduction harness (`fedat-bench`: experiment scenarios such as
-//! the 500-client large-model cohort, wall-clock benchmarks, the `repro`
-//! CLI) stays a separate crate so library consumers never compile it; the
-//! examples pull it in as a dev-dependency.
+//! The reproduction harness (`fedat-bench`: the `repro` CLI, its
+//! experiment scenarios and the concurrent experiment grid) is a separate
+//! crate that nothing here depends on, so library consumers never compile it.
 //!
 //! ## Quickstart
 //!
