@@ -1,10 +1,12 @@
 //! Wall-clock microbenchmark of the SIMD micro-kernel layer: the three
-//! matmul variants, the slice primitives, the lane-decomposed reductions
-//! and the robust (trimmed-mean / median) reduction, each timed under
-//! `SimdKernel::Auto` (runtime-dispatched AVX2+FMA or the portable
-//! fallback) and `SimdKernel::Scalar` (the seed's plain loops, what
-//! autovectorization alone gave). Writes both throughputs and the speedup
-//! to `BENCH_tensor_kernels.json`.
+//! matmul variants (square and dense, then at the shapes a training step
+//! issues with `A` at 0 %, 50 % and 75 % zeros), the `Bᵀ` transpose, the
+//! slice primitives, the lane-decomposed reductions and the robust
+//! (trimmed-mean / median) reduction, each timed under `SimdKernel::Auto`
+//! (runtime-dispatched AVX2+FMA or the portable fallback) and
+//! `SimdKernel::Scalar` (the seed's plain loops, what autovectorization
+//! alone gave). Writes both throughputs and the speedup to
+//! `BENCH_tensor_kernels.json`.
 //!
 //! The two kernels are bit-identical by construction — asserted here on
 //! every shape before timing.
@@ -113,6 +115,159 @@ fn bench_matmul(
         dim,
         scalar_gflops,
         simd_gflops,
+    }
+}
+
+/// The matmuls of one training step, by the role that fixes `(m, k, n)`:
+/// forward `Y = X·W` (nn), weight gradient `dW = Xᵀ·dY` (tn), input gradient
+/// `dX = dY·Wᵀ` (nt) of the two wide dense layers at batch 10, and the
+/// per-sample GEMMs of CnnLite's two conv layers (`W·cols`, `Wᵀ·dY`,
+/// `dY·colsᵀ`).
+const TRAINING_SHAPES: [(&str, &str, usize, usize, usize); 12] = [
+    ("dense 128→128", "nn", 10, 128, 128),
+    ("dense 128→128", "tn", 128, 10, 128),
+    ("dense 128→128", "nt", 10, 128, 128),
+    ("dense 128→62", "nn", 10, 128, 62),
+    ("dense 128→62", "tn", 128, 10, 62),
+    ("dense 128→62", "nt", 10, 62, 128),
+    ("conv2 16→32 4×4", "nn", 32, 144, 16),
+    ("conv2 16→32 4×4", "tn", 144, 32, 16),
+    ("conv2 16→32 4×4", "nt", 32, 16, 144),
+    ("conv1 1→16 8×8", "nn", 16, 9, 64),
+    ("conv1 1→16 8×8", "tn", 9, 16, 64),
+    ("conv1 1→16 8×8", "nt", 16, 64, 9),
+];
+
+/// Distinct `A` operands a timed loop cycles through, so the zero pattern is
+/// fresh on every call and no branch predictor can learn it.
+const PATTERNS: usize = 64;
+
+struct ShapeSample {
+    layer: &'static str,
+    variant: &'static str,
+    m: usize,
+    k: usize,
+    n: usize,
+    zeros_pct: usize,
+    scalar_gflops: f64,
+    simd_gflops: f64,
+}
+
+impl ShapeSample {
+    fn speedup(&self) -> f64 {
+        self.simd_gflops / self.scalar_gflops.max(1e-12)
+    }
+}
+
+/// One training-shape matmul with `zeros_pct` of `A` exactly zero. GFLOP/s
+/// are nominal (`2·m·k·n` per call, skipped terms included), so a row reads
+/// as "how fast this layer's product got done".
+fn bench_shape(
+    (layer, variant, m, k, n): (&'static str, &'static str, usize, usize, usize),
+    zeros_pct: usize,
+    seed: u64,
+) -> ShapeSample {
+    let pool: Vec<Vec<f32>> = (0..PATTERNS as u64)
+        .map(|i| {
+            let mut a = filled(m * k, seed ^ (i << 20));
+            for (j, v) in a.iter_mut().enumerate() {
+                let draw = (j as u64 ^ (i << 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                if (draw % 100) < zeros_pct as u64 {
+                    *v = 0.0;
+                }
+            }
+            a
+        })
+        .collect();
+    let b = filled(k * n, seed ^ 1);
+    let mut c = vec![0.0f32; m * n];
+    let mm = |a: &[f32], b: &[f32], c: &mut [f32]| match variant {
+        "nn" => matmul_into(a, b, c, m, k, n),
+        "tn" => matmul_tn_into(a, b, c, m, k, n),
+        _ => matmul_nt_into(a, b, c, m, k, n),
+    };
+
+    // Bit-identity check before timing, on every pattern.
+    for a in &pool {
+        let mut once = |kernel: SimdKernel| {
+            let _g = with_kernel(kernel);
+            c.fill(0.0);
+            mm(a, &b, &mut c);
+            c.clone()
+        };
+        assert_eq!(
+            once(SimdKernel::Scalar),
+            once(SimdKernel::Auto),
+            "SIMD {variant} {m}x{k}x{n} at {zeros_pct}% zeros diverged from scalar"
+        );
+    }
+
+    let flops = 2.0 * (m * k * n) as f64;
+    let iters = ((60_000_000.0 / flops) as usize).max(PATTERNS);
+    let mut measure = |kernel: SimdKernel| {
+        let _g = with_kernel(kernel);
+        let mut next = 0usize;
+        let secs = time_best(iters, || {
+            next = (next + 1) % PATTERNS;
+            c.fill(0.0);
+            mm(black_box(&pool[next]), black_box(&b), black_box(&mut c));
+        });
+        flops * iters as f64 / secs.max(1e-12) / 1e9
+    };
+    let scalar_gflops = measure(SimdKernel::Scalar);
+    let simd_gflops = measure(SimdKernel::Auto);
+    ShapeSample {
+        layer,
+        variant,
+        m,
+        k,
+        n,
+        zeros_pct,
+        scalar_gflops,
+        simd_gflops,
+    }
+}
+
+struct TransposeSample {
+    rows: usize,
+    cols: usize,
+    scalar_gelems: f64,
+    simd_gelems: f64,
+}
+
+impl TransposeSample {
+    fn speedup(&self) -> f64 {
+        self.simd_gelems / self.scalar_gelems.max(1e-12)
+    }
+}
+
+/// The `Bᵀ` materialization every NT matmul starts with.
+fn bench_transpose(rows: usize, cols: usize, seed: u64) -> TransposeSample {
+    let src = filled(rows * cols, seed);
+    let mut dst = vec![0.0f32; rows * cols];
+    let mut once = |kernel: SimdKernel| {
+        let _g = with_kernel(kernel);
+        simd::transpose(&src, &mut dst, rows, cols);
+        dst.clone()
+    };
+    assert_eq!(
+        once(SimdKernel::Scalar),
+        once(SimdKernel::Auto),
+        "SIMD transpose {rows}x{cols} diverged from scalar"
+    );
+    let iters = (100_000_000 / (rows * cols)).max(16);
+    let mut measure = |kernel: SimdKernel| {
+        let _g = with_kernel(kernel);
+        let secs = time_best(iters, || {
+            simd::transpose(black_box(&src), black_box(&mut dst), rows, cols);
+        });
+        (rows * cols) as f64 * iters as f64 / secs.max(1e-12) / 1e9
+    };
+    TransposeSample {
+        rows,
+        cols,
+        scalar_gelems: measure(SimdKernel::Scalar),
+        simd_gelems: measure(SimdKernel::Auto),
     }
 }
 
@@ -261,6 +416,21 @@ fn main() {
         }));
     }
 
+    eprintln!("[bench_tensor_kernels] matmul at training shapes, A at 0/50/75% zeros ...");
+    let mut shapes = Vec::new();
+    for (i, &shape) in TRAINING_SHAPES.iter().enumerate() {
+        for zeros_pct in [0, 50, 75] {
+            shapes.push(bench_shape(shape, zeros_pct, seed ^ (30 + i as u64)));
+        }
+    }
+
+    // W of the widest dense layer, and one sample's conv2 column matrix.
+    eprintln!("[bench_tensor_kernels] transpose ...");
+    let transposes = vec![
+        bench_transpose(128, 128, seed ^ 50),
+        bench_transpose(144, 16, seed ^ 51),
+    ];
+
     // The model-dimension sweeps: sized like the large-cohort model.
     let model_dim = 32 * 1024;
     eprintln!("[bench_tensor_kernels] slice primitives ({model_dim} elements) ...");
@@ -318,6 +488,36 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
+    json.push_str("  \"matmul_training_shapes\": [\n");
+    for (i, s) in shapes.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{ \"layer\": \"{}\", \"variant\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"a_zeros_pct\": {}, \"scalar_nominal_gflops\": {:.3}, \"simd_nominal_gflops\": {:.3}, \"speedup\": {:.3} }}{}\n",
+            s.layer,
+            s.variant,
+            s.m,
+            s.k,
+            s.n,
+            s.zeros_pct,
+            s.scalar_gflops,
+            s.simd_gflops,
+            s.speedup(),
+            if i + 1 < shapes.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"transpose\": [\n");
+    for (i, s) in transposes.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{ \"rows\": {}, \"cols\": {}, \"scalar_gelems_per_sec\": {:.3}, \"simd_gelems_per_sec\": {:.3}, \"speedup\": {:.3} }}{}\n",
+            s.rows,
+            s.cols,
+            s.scalar_gelems,
+            s.simd_gelems,
+            s.speedup(),
+            if i + 1 < transposes.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n");
     json.push_str("  \"slice_primitives\": [\n");
     for (i, s) in slices.iter().enumerate() {
         json.push_str(&format!(
@@ -355,6 +555,30 @@ fn main() {
             s.dim,
             s.scalar_gflops,
             s.simd_gflops,
+            s.speedup()
+        );
+    }
+    for s in &shapes {
+        println!(
+            "{:<16} {:<2} {:>3}x{:>3}x{:>3} A {:>2}% zero  scalar {:>6.2} GF/s  simd {:>6.2} GF/s  speedup {:>5.2}x",
+            s.layer,
+            s.variant,
+            s.m,
+            s.k,
+            s.n,
+            s.zeros_pct,
+            s.scalar_gflops,
+            s.simd_gflops,
+            s.speedup()
+        );
+    }
+    for s in &transposes {
+        println!(
+            "transpose {:>3}x{:<3}  scalar {:>6.2} Ge/s  simd {:>6.2} Ge/s  speedup {:>5.2}x",
+            s.rows,
+            s.cols,
+            s.scalar_gelems,
+            s.simd_gelems,
             s.speedup()
         );
     }

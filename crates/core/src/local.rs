@@ -327,20 +327,26 @@ mod tests {
     fn steady_state_training_is_allocation_free() {
         // After a warm-up dispatch, further dispatches of the same client
         // must not miss the scratch arena (i.e. perform no tensor
-        // allocations).
-        let task = tiny_task();
-        let global = global_of(&task, 1);
-        for round in 0..3 {
-            let _ = train_client(&task, 1, &global, &cfg(), 2, round, true);
+        // allocations) — on the dense (logistic) and the conv (CNN) family,
+        // whose column matrices, pooling indices and non-zero lists are
+        // per-batch buffers too. `crates/nn/tests/alloc_steady_state.rs`
+        // watches the allocator itself for what never goes through the
+        // arena.
+        for task in [tiny_task(), suite::cifar10_like(4, 2, 3)] {
+            let global = global_of(&task, 1);
+            for round in 0..3 {
+                let _ = train_client(&task, 1, &global, &cfg(), 2, round, true);
+            }
+            let before = fedat_tensor::scratch::alloc_misses();
+            for round in 3..8 {
+                let _ = train_client(&task, 1, &global, &cfg(), 2, round, true);
+            }
+            assert_eq!(
+                fedat_tensor::scratch::alloc_misses(),
+                before,
+                "{}: steady-state dispatches must not allocate tensors",
+                task.name
+            );
         }
-        let before = fedat_tensor::scratch::alloc_misses();
-        for round in 3..8 {
-            let _ = train_client(&task, 1, &global, &cfg(), 2, round, true);
-        }
-        assert_eq!(
-            fedat_tensor::scratch::alloc_misses(),
-            before,
-            "steady-state dispatches must not allocate tensors"
-        );
     }
 }

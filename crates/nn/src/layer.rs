@@ -38,6 +38,15 @@ pub trait Layer: Send {
     /// returning the gradient with respect to the layer input.
     fn backward(&mut self, grad_out: Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads —
+    /// the first layer of a [`crate::model::Sequential`] training step.
+    /// Parameter gradients accumulate exactly as in `backward`; the default
+    /// computes the input gradient and recycles it, layers where it is a
+    /// matmul of its own (Dense, Conv2d) override this to skip it.
+    fn backward_params_only(&mut self, grad_out: Tensor) {
+        self.backward(grad_out).recycle();
+    }
+
     /// Immutable access to the parameters, in a fixed deterministic order.
     fn params(&self) -> Vec<&Param>;
 

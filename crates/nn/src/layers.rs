@@ -8,7 +8,8 @@
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use fedat_tensor::conv::{
-    conv2d_backward, conv2d_forward, maxpool2d_backward, maxpool2d_forward, Conv2dSpec,
+    conv2d_backward_input, conv2d_backward_params, conv2d_forward, maxpool2d_backward,
+    maxpool2d_forward, Conv2dSpec, ConvPlan,
 };
 use fedat_tensor::rng::rng_for;
 use fedat_tensor::Tensor;
@@ -45,6 +46,23 @@ impl Dense {
     pub fn out_dim(&self) -> usize {
         self.w.value.dims()[1]
     }
+
+    /// The parameter half of the backward pass; consumes the cached input.
+    fn accumulate_grads(&mut self, grad_out: &Tensor) {
+        let x = self
+            .cached_input
+            .take()
+            .expect("Dense::backward called without a Train forward");
+        // dW += xᵀ · dY
+        let dw = x.matmul_tn(grad_out);
+        x.recycle();
+        self.w.grad.axpy_inplace(1.0, &dw);
+        dw.recycle();
+        // db += column sums of dY
+        let db = grad_out.sum_rows();
+        self.b.grad.axpy_inplace(1.0, &db);
+        db.recycle();
+    }
 }
 
 impl Layer for Dense {
@@ -71,23 +89,16 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            .expect("Dense::backward called without a Train forward");
-        // dW += xᵀ · dY
-        let dw = x.matmul_tn(&grad_out);
-        x.recycle();
-        self.w.grad.axpy_inplace(1.0, &dw);
-        dw.recycle();
-        // db += column sums of dY
-        let db = grad_out.sum_rows();
-        self.b.grad.axpy_inplace(1.0, &db);
-        db.recycle();
+        self.accumulate_grads(&grad_out);
         // dX = dY · Wᵀ
         let dx = grad_out.matmul_nt(&self.w.value);
         grad_out.recycle();
         dx
+    }
+
+    fn backward_params_only(&mut self, grad_out: Tensor) {
+        self.accumulate_grads(&grad_out);
+        grad_out.recycle();
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -140,10 +151,9 @@ impl Layer for Relu {
             .mask
             .take()
             .expect("Relu::backward without Train forward");
-        for (g, keep) in grad_out.data_mut().iter_mut().zip(mask.iter()) {
-            if !keep {
-                *g = 0.0;
-            }
+        // A select, not a branch: the mask is a coin flip per element.
+        for (g, &keep) in grad_out.data_mut().iter_mut().zip(mask.iter()) {
+            *g = f32::from_bits(g.to_bits() & (keep as u32).wrapping_neg());
         }
         self.spare_mask = mask;
         grad_out
@@ -501,17 +511,11 @@ impl Layer for BatchNorm1d {
 /// 2-D convolution over inputs given as flattened rows
 /// `[batch, in_channels·h·w]`; emits `[batch, out_channels·oh·ow]`.
 pub struct Conv2d {
-    spec: Conv2dSpec,
-    h: usize,
-    w: usize,
+    plan: ConvPlan,
     weight: Param,
     bias: Param,
-    cache: Option<ConvCache>,
-}
-
-struct ConvCache {
-    cols: Vec<Vec<f32>>,
-    batch: usize,
+    /// The batch's column matrices, kept by a Train forward for backward.
+    cached_cols: Option<Vec<f32>>,
 }
 
 impl Conv2d {
@@ -519,19 +523,36 @@ impl Conv2d {
     pub fn new<R: Rng + ?Sized>(rng: &mut R, spec: Conv2dSpec, h: usize, w: usize) -> Self {
         let fan_in = spec.in_channels * spec.kernel * spec.kernel;
         Conv2d {
-            spec,
-            h,
-            w,
+            plan: ConvPlan::new(spec, h, w),
             weight: Param::new(Tensor::kaiming(rng, &[spec.out_channels, fan_in], fan_in)),
             bias: Param::new(Tensor::zeros(&[spec.out_channels])),
-            cache: None,
+            cached_cols: None,
         }
     }
 
     /// Flattened output feature count (`out_channels · oh · ow`).
     pub fn out_features(&self) -> usize {
-        let (oh, ow) = self.spec.out_hw(self.h, self.w);
-        self.spec.out_channels * oh * ow
+        self.plan.spec.out_channels * self.plan.cols_dims().1
+    }
+
+    /// Restores `grad_out`'s `[batch, out_channels, oh, ow]` shape and
+    /// accumulates the parameter gradients; consumes the cached columns.
+    fn accumulate_grads(&mut self, grad_out: Tensor) -> Tensor {
+        let cols = self
+            .cached_cols
+            .take()
+            .expect("Conv2d::backward without Train forward");
+        let spec = self.plan.spec;
+        let (oh, ow) = spec.out_hw(self.plan.h, self.plan.w);
+        let batch = grad_out.dims()[0];
+        let dy = grad_out.reshape(&[batch, spec.out_channels, oh, ow]);
+        let (dw, db) = conv2d_backward_params(&dy, &cols, &self.plan);
+        fedat_tensor::scratch::recycle(cols);
+        self.weight.grad.axpy_inplace(1.0, &dw);
+        self.bias.grad.axpy_inplace(1.0, &db);
+        dw.recycle();
+        db.recycle();
+        dy
     }
 }
 
@@ -546,45 +567,41 @@ impl Layer for Conv2d {
         // The im2col kernel reads the batch in place — no input copy in
         // either mode; Train retains only the column matrices.
         let (n, feat) = input.shape().as_matrix();
+        let spec = self.plan.spec;
         assert_eq!(
             feat,
-            self.spec.in_channels * self.h * self.w,
+            spec.in_channels * self.plan.h * self.plan.w,
             "conv2d input features mismatch"
         );
         let (out, cols) = conv2d_forward(
             input,
             &self.weight.value,
             &self.bias.value,
-            self.h,
-            self.w,
-            &self.spec,
+            &self.plan,
+            mode == Mode::Train,
         );
         if mode == Mode::Train {
-            self.cache = Some(ConvCache { cols, batch: n });
+            self.cached_cols = Some(cols);
         } else {
-            for c in cols {
-                fedat_tensor::scratch::recycle(c);
-            }
+            fedat_tensor::scratch::recycle(cols);
         }
         let of = self.out_features();
         out.reshape(&[n, of])
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let ConvCache { cols, batch } = self
-            .cache
-            .take()
-            .expect("Conv2d::backward without Train forward");
-        let (oh, ow) = self.spec.out_hw(self.h, self.w);
-        let dy = grad_out.reshape(&[batch, self.spec.out_channels, oh, ow]);
-        let (dx, dw, db) =
-            conv2d_backward(&dy, &self.weight.value, cols, self.h, self.w, &self.spec);
+        let dy = self.accumulate_grads(grad_out);
+        let dx = conv2d_backward_input(&dy, &self.weight.value, &self.plan);
+        let batch = dy.dims()[0];
         dy.recycle();
-        self.weight.grad.axpy_inplace(1.0, &dw);
-        self.bias.grad.axpy_inplace(1.0, &db);
-        dw.recycle();
-        db.recycle();
-        dx.reshape(&[batch, self.spec.in_channels * self.h * self.w])
+        dx.reshape(&[
+            batch,
+            self.plan.spec.in_channels * self.plan.h * self.plan.w,
+        ])
+    }
+
+    fn backward_params_only(&mut self, grad_out: Tensor) {
+        self.accumulate_grads(grad_out).recycle();
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -606,7 +623,11 @@ pub struct MaxPool2d {
     h: usize,
     w: usize,
     k: usize,
-    cache: Option<(Vec<u32>, usize)>,
+    /// Whether `argmax` holds a Train forward's routing for backward.
+    cached: bool,
+    /// The argmax indices of the last forward; the buffer is reused from
+    /// batch to batch so steady-state training allocates nothing.
+    argmax: Vec<u32>,
 }
 
 impl MaxPool2d {
@@ -621,7 +642,8 @@ impl MaxPool2d {
             h,
             w,
             k,
-            cache: None,
+            cached: false,
+            argmax: Vec::new(),
         }
     }
 
@@ -640,23 +662,21 @@ impl Layer for MaxPool2d {
             "maxpool input features mismatch"
         );
         let x = input.reshape(&[n, self.c, self.h, self.w]);
-        let (out, argmax) = maxpool2d_forward(&x, self.k);
+        let out = maxpool2d_forward(&x, self.k, &mut self.argmax);
         x.recycle();
-        if mode == Mode::Train {
-            self.cache = Some((argmax, n * feat));
-        }
+        self.cached = mode == Mode::Train;
         out.reshape(&[n, self.out_features()])
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let (argmax, input_len) = self
-            .cache
-            .take()
-            .expect("MaxPool2d::backward without Train forward");
+        assert!(
+            std::mem::take(&mut self.cached),
+            "MaxPool2d::backward without Train forward"
+        );
         let n = grad_out.shape().as_matrix().0;
         let (oh, ow) = (self.h / self.k, self.w / self.k);
         let dy = grad_out.reshape(&[n, self.c, oh, ow]);
-        let dx = maxpool2d_backward(&dy, &argmax, input_len);
+        let dx = maxpool2d_backward(&dy, &self.argmax, n * self.c * self.h * self.w);
         dy.recycle();
         dx.reshape(&[n, self.c * self.h * self.w])
     }

@@ -196,8 +196,16 @@ impl Model for Sequential {
         let logits = self.forward(x, Mode::Train);
         let (loss, d_logits) = softmax_cross_entropy(&logits, y);
         logits.recycle();
-        let dx = self.backward(d_logits);
-        dx.recycle();
+        // Nothing reads the gradient with respect to the batch itself.
+        let (first, rest) = self
+            .layers
+            .split_first_mut()
+            .expect("Sequential has at least one layer");
+        let grad = rest
+            .iter_mut()
+            .rev()
+            .fold(d_logits, |acc, layer| layer.backward(acc));
+        first.backward_params_only(grad);
         let mut params = self.all_params_mut();
         if let Some(p) = prox {
             p.apply(&mut params);

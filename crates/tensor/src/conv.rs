@@ -43,66 +43,113 @@ impl Conv2dSpec {
     }
 }
 
-/// Unfolds one image `[C, H, W]` into a `[C·K·K, OH·OW]` column matrix.
-pub fn im2col(img: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, cols: &mut [f32]) {
-    let (oh, ow) = spec.out_hw(h, w);
-    let k = spec.kernel;
-    assert_eq!(img.len(), c * h * w, "image size mismatch");
-    assert_eq!(cols.len(), c * k * k * oh * ow, "cols size mismatch");
-    let pad = spec.padding as isize;
-    let stride = spec.stride;
-    let mut row = 0usize;
-    for ch in 0..c {
-        let plane = &img[ch * h * w..(ch + 1) * h * w];
+/// Where every tap of a convolution over `h × w` planes reads: one entry
+/// per `(ky, kx, oy, ox)`, built once per layer, the same for every channel
+/// and sample. [`ConvPlan::im2col`] and [`ConvPlan::col2im`] walk it instead
+/// of re-deriving (and bounds-testing) `iy`/`ix` per element.
+#[derive(Clone, Debug)]
+pub struct ConvPlan {
+    /// The convolution's geometry.
+    pub spec: Conv2dSpec,
+    /// Input plane height.
+    pub h: usize,
+    /// Input plane width.
+    pub w: usize,
+    /// `[K·K, OH·OW]` pairs `(offset, keep)`: the plane offset a tap reads
+    /// and all ones — or, where the tap falls in the zero padding, some
+    /// in-range offset (a different one from entry to entry) and zero.
+    /// `keep` is data, not a predicate, so the consumers below stay a load,
+    /// an AND and a store per element, with no branch for the compiler to
+    /// rediscover.
+    taps: Vec<(u32, u32)>,
+}
+
+impl ConvPlan {
+    /// Plans `spec` over `h × w` input planes.
+    ///
+    /// # Panics
+    /// Panics if the window does not fit the padded input, or a plane has
+    /// more than 2³² elements.
+    pub fn new(spec: Conv2dSpec, h: usize, w: usize) -> Self {
+        let (oh, ow) = spec.out_hw(h, w);
+        assert!(spec.kernel > 0, "conv kernel must be positive");
+        assert!(h * w <= u32::MAX as usize, "conv plane too large to plan");
+        let (k, stride, pad) = (spec.kernel, spec.stride, spec.padding as isize);
+        let mut taps = Vec::with_capacity(k * k * oh * ow);
         for ky in 0..k {
             for kx in 0..k {
-                let out_row = &mut cols[row * oh * ow..(row + 1) * oh * ow];
-                let mut idx = 0usize;
                 for oy in 0..oh {
-                    let iy = (oy * stride) as isize + ky as isize - pad;
+                    let iy = (oy * stride + ky) as isize - pad;
                     for ox in 0..ow {
-                        let ix = (ox * stride) as isize + kx as isize - pad;
-                        out_row[idx] = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                            plane[iy as usize * w + ix as usize]
-                        } else {
-                            0.0
-                        };
-                        idx += 1;
+                        let ix = (ox * stride + kx) as isize - pad;
+                        taps.push(
+                            if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                                ((iy as usize * w + ix as usize) as u32, u32::MAX)
+                            } else {
+                                (((oy * ow + ox) % (h * w)) as u32, 0)
+                            },
+                        );
                     }
                 }
-                row += 1;
+            }
+        }
+        ConvPlan { spec, h, w, taps }
+    }
+
+    /// `(rows, columns)` of one sample's column matrix: `(C_in·K·K, OH·OW)`.
+    pub fn cols_dims(&self) -> (usize, usize) {
+        let kk = self.spec.kernel * self.spec.kernel;
+        (self.spec.in_channels * kk, self.taps.len() / kk)
+    }
+
+    /// Unfolds one image `[C, H, W]` into its `[C·K·K, OH·OW]` column
+    /// matrix. Writes every element of `cols`, which may start
+    /// uninitialized.
+    ///
+    /// # Panics
+    /// Panics if `img` is not `C·H·W` long or `cols` not the
+    /// [`Self::cols_dims`] product.
+    pub fn im2col(&self, img: &[f32], cols: &mut [std::mem::MaybeUninit<f32>]) {
+        let hw = self.h * self.w;
+        assert_eq!(img.len(), self.spec.in_channels * hw, "image size mismatch");
+        assert_eq!(
+            cols.len(),
+            self.spec.in_channels * self.taps.len(),
+            "cols size mismatch"
+        );
+        for (plane, rows) in img
+            .chunks_exact(hw)
+            .zip(cols.chunks_exact_mut(self.taps.len()))
+        {
+            for (out, &(at, keep)) in rows.iter_mut().zip(&self.taps) {
+                out.write(f32::from_bits(plane[at as usize].to_bits() & keep));
             }
         }
     }
-}
 
-/// Folds a `[C·K·K, OH·OW]` column matrix back into an image, accumulating
-/// overlapping contributions (the adjoint of [`im2col`]).
-pub fn col2im(cols: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, img: &mut [f32]) {
-    let (oh, ow) = spec.out_hw(h, w);
-    let k = spec.kernel;
-    assert_eq!(img.len(), c * h * w, "image size mismatch");
-    assert_eq!(cols.len(), c * k * k * oh * ow, "cols size mismatch");
-    let pad = spec.padding as isize;
-    let stride = spec.stride;
-    let mut row = 0usize;
-    for ch in 0..c {
-        let plane = &mut img[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let in_row = &cols[row * oh * ow..(row + 1) * oh * ow];
-                let mut idx = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * stride) as isize + ky as isize - pad;
-                    for ox in 0..ow {
-                        let ix = (ox * stride) as isize + kx as isize - pad;
-                        if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                            plane[iy as usize * w + ix as usize] += in_row[idx];
-                        }
-                        idx += 1;
-                    }
-                }
-                row += 1;
+    /// Folds a `[C·K·K, OH·OW]` column matrix back into an image,
+    /// accumulating overlapping contributions tap by tap (the adjoint of
+    /// [`Self::im2col`]).
+    ///
+    /// # Panics
+    /// Panics on the size mismatches [`Self::im2col`] panics on.
+    pub fn col2im(&self, cols: &[f32], img: &mut [f32]) {
+        let hw = self.h * self.w;
+        assert_eq!(img.len(), self.spec.in_channels * hw, "image size mismatch");
+        assert_eq!(
+            cols.len(),
+            self.spec.in_channels * self.taps.len(),
+            "cols size mismatch"
+        );
+        for (plane, rows) in img
+            .chunks_exact_mut(hw)
+            .zip(cols.chunks_exact(self.taps.len()))
+        {
+            for (&v, &(at, keep)) in rows.iter().zip(&self.taps) {
+                // A padding tap adds -0.0, the one addend that leaves every
+                // f32 as it was (+0.0 included).
+                let add = (v.to_bits() & keep) | ((-0.0f32).to_bits() & !keep);
+                plane[at as usize] += f32::from_bits(add);
             }
         }
     }
@@ -114,96 +161,124 @@ pub fn col2im(cols: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, img
 /// * `weight` — `[C_out, C_in · K · K]` (pre-flattened filter bank)
 /// * `bias` — `[C_out]`
 ///
-/// Returns `([N, C_out, OH, OW], per-sample column matrices)`; the columns
-/// are retained for the backward pass.
+/// Returns `[N, C_out, OH, OW]` and, with `keep_cols`, the samples' column
+/// matrices back to back (`[N, C_in·K·K, OH·OW]`, one scratch buffer) for
+/// the backward pass; without it one sample-sized buffer is reused and
+/// comes back holding the last sample's. Recycle it either way.
 pub fn conv2d_forward(
     input: &Tensor,
     weight: &Tensor,
     bias: &Tensor,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-) -> (Tensor, Vec<Vec<f32>>) {
+    plan: &ConvPlan,
+    keep_cols: bool,
+) -> (Tensor, Vec<f32>) {
     let n = input.dims()[0];
-    let cin = spec.in_channels;
-    let cout = spec.out_channels;
-    let k = spec.kernel;
-    assert_eq!(input.len(), n * cin * h * w, "conv input size mismatch");
+    let cout = plan.spec.out_channels;
+    let img_len = plan.spec.in_channels * plan.h * plan.w;
+    let (col_rows, col_cols) = plan.cols_dims();
+    let sample = col_rows * col_cols;
+    assert_eq!(input.len(), n * img_len, "conv input size mismatch");
     assert_eq!(
         weight.dims(),
-        &[cout, cin * k * k],
+        &[cout, col_rows],
         "conv weight shape mismatch"
     );
     assert_eq!(bias.len(), cout, "conv bias shape mismatch");
-    let (oh, ow) = spec.out_hw(h, w);
-    let col_rows = cin * k * k;
-    let col_cols = oh * ow;
+    let (oh, ow) = plan.spec.out_hw(plan.h, plan.w);
 
     let mut out = Tensor::zeros_scratch(&[n, cout, oh, ow]);
-    let mut saved_cols = Vec::with_capacity(n);
-    for i in 0..n {
-        let img = &input.data()[i * cin * h * w..(i + 1) * cin * h * w];
-        let mut cols = crate::scratch::take_zeroed(col_rows * col_cols);
-        im2col(img, cin, h, w, spec, &mut cols);
-        let out_slice = &mut out.data_mut()[i * cout * col_cols..(i + 1) * cout * col_cols];
-        matmul_into(weight.data(), &cols, out_slice, cout, col_rows, col_cols);
-        for (co, plane) in out_slice.chunks_mut(col_cols).enumerate() {
-            crate::simd::add_scalar(plane, bias.data()[co]);
+    let mut cols = crate::scratch::take_empty(if keep_cols { n * sample } else { sample });
+    for (img, out_slice) in input
+        .data()
+        .chunks_exact(img_len)
+        .zip(out.data_mut().chunks_exact_mut(cout * col_cols))
+    {
+        if !keep_cols {
+            cols.clear();
         }
-        saved_cols.push(cols);
+        let start = cols.len();
+        plan.im2col(img, &mut cols.spare_capacity_mut()[..sample]);
+        // SAFETY: `take_empty` reserved room for every sample's columns
+        // (one sample's when they are not kept), and `im2col` just
+        // initialized all `sample` elements past `start`.
+        unsafe { cols.set_len(start + sample) };
+        matmul_into(
+            weight.data(),
+            &cols[start..],
+            out_slice,
+            cout,
+            col_rows,
+            col_cols,
+        );
+        for (plane, &b) in out_slice.chunks_exact_mut(col_cols).zip(bias.data()) {
+            crate::simd::add_scalar(plane, b);
+        }
     }
-    (out, saved_cols)
+    (out, cols)
 }
 
-/// Backward convolution. Returns `(d_input, d_weight, d_bias)`.
-///
-/// Consumes the per-sample column matrices saved by [`conv2d_forward`] and
-/// recycles their storage into the scratch arena.
-pub fn conv2d_backward(
-    d_out: &Tensor,
-    weight: &Tensor,
-    saved_cols: Vec<Vec<f32>>,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-) -> (Tensor, Tensor, Tensor) {
+/// The parameter half of the backward pass: `(d_weight, d_bias)` from the
+/// column matrices [`conv2d_forward`] kept.
+pub fn conv2d_backward_params(d_out: &Tensor, cols: &[f32], plan: &ConvPlan) -> (Tensor, Tensor) {
     let n = d_out.dims()[0];
-    let cin = spec.in_channels;
-    let cout = spec.out_channels;
-    let k = spec.kernel;
-    let (oh, ow) = spec.out_hw(h, w);
-    let col_rows = cin * k * k;
-    let col_cols = oh * ow;
+    let cout = plan.spec.out_channels;
+    let (col_rows, col_cols) = plan.cols_dims();
+    let sample = col_rows * col_cols;
     assert_eq!(d_out.len(), n * cout * col_cols, "conv d_out size mismatch");
-    assert_eq!(saved_cols.len(), n, "saved_cols batch mismatch");
+    assert_eq!(cols.len(), n * sample, "saved cols batch mismatch");
 
-    let mut d_input = Tensor::zeros_scratch(&[n, cin, h, w]);
     let mut d_weight = Tensor::zeros_scratch(&[cout, col_rows]);
     let mut d_bias = Tensor::zeros_scratch(&[cout]);
-
-    for (i, cols) in saved_cols.into_iter().enumerate() {
-        let dy = &d_out.data()[i * cout * col_cols..(i + 1) * cout * col_cols];
+    for (dy, cols) in d_out
+        .data()
+        .chunks_exact(cout * col_cols)
+        .zip(cols.chunks_exact(sample))
+    {
         // dW += dY · colsᵀ  (dY: [cout, col_cols], cols: [col_rows, col_cols])
-        matmul_nt_into(dy, &cols, d_weight.data_mut(), cout, col_cols, col_rows);
+        matmul_nt_into(dy, cols, d_weight.data_mut(), cout, col_cols, col_rows);
         // d_bias += row sums of dY
-        for (co, plane) in dy.chunks(col_cols).enumerate() {
-            d_bias.data_mut()[co] += plane.iter().sum::<f32>();
+        for (db, plane) in d_bias.data_mut().iter_mut().zip(dy.chunks_exact(col_cols)) {
+            *db += plane.iter().sum::<f32>();
         }
-        // dCols = Wᵀ · dY  ([col_rows, col_cols])
-        let mut d_cols = crate::scratch::take_zeroed(col_rows * col_cols);
-        matmul_tn_into(weight.data(), dy, &mut d_cols, col_rows, cout, col_cols);
-        let d_img = &mut d_input.data_mut()[i * cin * h * w..(i + 1) * cin * h * w];
-        col2im(&d_cols, cin, h, w, spec, d_img);
-        crate::scratch::recycle(d_cols);
-        crate::scratch::recycle(cols);
     }
-    (d_input, d_weight, d_bias)
+    (d_weight, d_bias)
+}
+
+/// The input half of the backward pass: `d_input` (`[N, C_in, H, W]`).
+pub fn conv2d_backward_input(d_out: &Tensor, weight: &Tensor, plan: &ConvPlan) -> Tensor {
+    let n = d_out.dims()[0];
+    let (cin, cout) = (plan.spec.in_channels, plan.spec.out_channels);
+    let (col_rows, col_cols) = plan.cols_dims();
+    let sample = col_rows * col_cols;
+    assert_eq!(d_out.len(), n * cout * col_cols, "conv d_out size mismatch");
+    assert_eq!(
+        weight.dims(),
+        &[cout, col_rows],
+        "conv weight shape mismatch"
+    );
+
+    let mut d_input = Tensor::zeros_scratch(&[n, cin, plan.h, plan.w]);
+    let mut d_cols = crate::scratch::take_empty(sample);
+    for (dy, d_img) in d_out
+        .data()
+        .chunks_exact(cout * col_cols)
+        .zip(d_input.data_mut().chunks_exact_mut(cin * plan.h * plan.w))
+    {
+        // dCols = Wᵀ · dY  ([col_rows, col_cols])
+        d_cols.clear();
+        d_cols.resize(sample, 0.0);
+        matmul_tn_into(weight.data(), dy, &mut d_cols, col_rows, cout, col_cols);
+        plan.col2im(&d_cols, d_img);
+    }
+    crate::scratch::recycle(d_cols);
+    d_input
 }
 
 /// Forward max pooling over `[N, C, H, W]` with a `k × k` window and stride
-/// `k` (non-overlapping). Returns the pooled tensor and flat argmax indices
-/// (into the input) used by the backward pass.
-pub fn maxpool2d_forward(input: &Tensor, k: usize) -> (Tensor, Vec<u32>) {
+/// `k` (non-overlapping). Returns the pooled tensor and fills `argmax` (the
+/// caller's buffer, so a layer can reuse one) with the flat indices into
+/// the input that the backward pass routes through.
+pub fn maxpool2d_forward(input: &Tensor, k: usize, argmax: &mut Vec<u32>) -> Tensor {
     let dims = input.dims();
     assert_eq!(dims.len(), 4, "maxpool expects NCHW input");
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -214,7 +289,8 @@ pub fn maxpool2d_forward(input: &Tensor, k: usize) -> (Tensor, Vec<u32>) {
     let oh = h / k;
     let ow = w / k;
     let mut out = Tensor::zeros_scratch(&[n, c, oh, ow]);
-    let mut argmax = vec![0u32; n * c * oh * ow];
+    argmax.clear();
+    argmax.resize(n * c * oh * ow, 0);
     let src = input.data();
     let dst = out.data_mut();
     for img in 0..n * c {
@@ -241,7 +317,7 @@ pub fn maxpool2d_forward(input: &Tensor, k: usize) -> (Tensor, Vec<u32>) {
             }
         }
     }
-    (out, argmax)
+    out
 }
 
 /// Backward max pooling: routes each output gradient to its argmax input.
@@ -342,7 +418,7 @@ mod tests {
         let input = Tensor::randn(&mut rng, &[2, 3, h, w], 0.0, 1.0);
         let weight = Tensor::randn(&mut rng, &[4, 3 * 9], 0.0, 0.5);
         let bias = Tensor::randn(&mut rng, &[4], 0.0, 0.1);
-        let (got, _) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
+        let (got, _) = conv2d_forward(&input, &weight, &bias, &ConvPlan::new(spec, h, w), false);
         let want = naive_conv(&input, &weight, &bias, h, w, &spec);
         assert_eq!(got.dims(), want.dims());
         for (g, e) in got.data().iter().zip(want.data().iter()) {
@@ -364,7 +440,7 @@ mod tests {
         let input = Tensor::randn(&mut rng, &[1, 2, h, w], 0.0, 1.0);
         let weight = Tensor::randn(&mut rng, &[3, 2 * 4], 0.0, 0.5);
         let bias = Tensor::zeros(&[3]);
-        let (got, _) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
+        let (got, _) = conv2d_forward(&input, &weight, &bias, &ConvPlan::new(spec, h, w), false);
         let want = naive_conv(&input, &weight, &bias, h, w, &spec);
         for (g, e) in got.data().iter().zip(want.data().iter()) {
             assert!((g - e).abs() < 1e-4);
@@ -387,15 +463,18 @@ mod tests {
         let (oh, ow) = spec.out_hw(h, w);
         let x = Tensor::randn(&mut rng, &[c, h, w], 0.0, 1.0);
         let y = Tensor::randn(&mut rng, &[c * 9, oh * ow], 0.0, 1.0);
-        let mut cols = vec![0.0f32; c * 9 * oh * ow];
-        im2col(x.data(), c, h, w, &spec, &mut cols);
+        let plan = ConvPlan::new(spec, h, w);
+        let mut cols = Vec::with_capacity(c * 9 * oh * ow);
+        plan.im2col(x.data(), cols.spare_capacity_mut());
+        // SAFETY: `im2col` initialized the whole (exactly sized) capacity.
+        unsafe { cols.set_len(c * 9 * oh * ow) };
         let lhs: f64 = cols
             .iter()
             .zip(y.data())
             .map(|(&a, &b)| a as f64 * b as f64)
             .sum();
         let mut back = vec![0.0f32; c * h * w];
-        col2im(y.data(), c, h, w, &spec, &mut back);
+        plan.col2im(y.data(), &mut back);
         let rhs: f64 = x
             .data()
             .iter()
@@ -421,17 +500,18 @@ mod tests {
         let bias = Tensor::zeros(&[2]);
 
         // Loss = sum(conv(input)); d_out = ones.
-        let (out, cols) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
+        let plan = ConvPlan::new(spec, h, w);
+        let (out, cols) = conv2d_forward(&input, &weight, &bias, &plan, true);
         let d_out = Tensor::ones(out.dims());
-        let (_, d_w, d_b) = conv2d_backward(&d_out, &weight, cols, h, w, &spec);
+        let (d_w, d_b) = conv2d_backward_params(&d_out, &cols, &plan);
 
         let eps = 1e-3f32;
         for wi in [0usize, 4, 8, 13] {
             let orig = weight.data()[wi];
             weight.data_mut()[wi] = orig + eps;
-            let (out_p, _) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
+            let (out_p, _) = conv2d_forward(&input, &weight, &bias, &plan, false);
             weight.data_mut()[wi] = orig - eps;
-            let (out_m, _) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
+            let (out_m, _) = conv2d_forward(&input, &weight, &bias, &plan, false);
             weight.data_mut()[wi] = orig;
             let num = (out_p.sum() - out_m.sum()) / (2.0 * eps);
             let ana = d_w.data()[wi];
@@ -458,7 +538,8 @@ mod tests {
             ],
             &[1, 1, 4, 4],
         );
-        let (out, argmax) = maxpool2d_forward(&input, 2);
+        let mut argmax = Vec::new();
+        let out = maxpool2d_forward(&input, 2, &mut argmax);
         assert_eq!(out.dims(), &[1, 1, 2, 2]);
         assert_eq!(out.data(), &[3.0, 5.0, 7.0, 9.0]);
         let d_out = Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], &[1, 1, 2, 2]);

@@ -38,10 +38,13 @@
 //!   f64 lane arithmetic. The f64 lanes *may* use FMA: an f32×f32 product
 //!   is exact in f64 (48 < 53 mantissa bits), so fused and unfused rounds
 //!   are the same bits.
-//! * The matmul micro-kernel preserves the reference kernel's
-//!   skip-zero-`A`-element fast path (`if a[i,p] == 0.0 continue`, a win on
-//!   post-ReLU activations): the skip is uniform across an output row, so
-//!   vector lanes and scalar code skip in exactly the same cases.
+//! * The matmul contract includes the reference kernel's zero skip — a
+//!   term whose `a[i,p] == 0.0` is not added — but only the scalar lane
+//!   branches on it. The other two scan a band's `A` rows once: no zero
+//!   means a test-free register tile (the reference skips nothing there
+//!   either), any zero means each `A` row's non-zero `(p, a)` pairs are
+//!   compacted, in order, into a stack list the columns then accumulate
+//!   over — the same terms in the same ascending `p` (see `matmul_block`).
 //! * The robust reduction (trimmed mean / median) is the one kernel whose
 //!   lanes run different *algorithms*: the scalar lane sorts each
 //!   coordinate's column with `f32::total_cmp`, the other two run a
@@ -637,7 +640,99 @@ pub enum Lhs<'a> {
     ColMajor(&'a [f32], usize),
 }
 
+/// Longest stretch of `k` whose non-zero `A` entries one [`NonZeros`] list
+/// holds (a power of two: the list index is masked, not bounds-checked).
+const LIST_CHUNK: usize = 256;
+
+/// The non-zero entries of one `A` row over one `k`-chunk, in ascending `p`:
+/// `val[t] = a(i, p0 + at[t])` for `t < len`. Lives on the caller's stack.
+struct NonZeros {
+    at: [u32; LIST_CHUNK],
+    val: [f32; LIST_CHUNK],
+    len: usize,
+}
+
+impl NonZeros {
+    fn new() -> Self {
+        NonZeros {
+            at: [0; LIST_CHUNK],
+            val: [0.0; LIST_CHUNK],
+            len: 0,
+        }
+    }
+
+    /// Appends `(t, a)` and keeps it only if `a != 0.0` — the reference's
+    /// `if a == 0.0 { continue }` as arithmetic on the length: `-0.0` is
+    /// dropped and NaN is kept, exactly as `==` decides.
+    #[inline(always)]
+    fn push(&mut self, t: usize, a: f32) {
+        let slot = self.len & (LIST_CHUNK - 1);
+        self.at[slot] = t as u32;
+        self.val[slot] = a;
+        self.len += (a != 0.0) as usize;
+    }
+}
+
 impl Lhs<'_> {
+    /// Whether any `a(i, p)` with `i0 <= i < i0 + rows`, `p < k` equals
+    /// `0.0` (either sign) — what sends a band to the list kernel.
+    #[inline(always)]
+    fn has_zero(&self, i0: usize, rows: usize, k: usize) -> bool {
+        // A fold, not `any`: no exit inside a run, so the scan vectorizes.
+        let run = |s: &[f32]| s.iter().fold(false, |z, &a| z | (a == 0.0));
+        match *self {
+            Lhs::RowMajor(a, stride) => {
+                (i0..i0 + rows).any(|i| run(&a[i * stride..i * stride + k]))
+            }
+            Lhs::ColMajor(a, stride) => {
+                (0..k).any(|p| run(&a[p * stride + i0..p * stride + i0 + rows]))
+            }
+        }
+    }
+
+    /// Fills `list` with the non-zero `a(i, p0..p0 + len)`, ascending.
+    #[inline(always)]
+    fn compact(&self, i: usize, p0: usize, len: usize, list: &mut NonZeros) {
+        debug_assert!(len <= LIST_CHUNK);
+        list.len = 0;
+        match *self {
+            Lhs::RowMajor(a, stride) => {
+                let row = &a[i * stride + p0..i * stride + p0 + len];
+                for (t, &v) in row.iter().enumerate() {
+                    list.push(t, v);
+                }
+            }
+            Lhs::ColMajor(a, stride) => {
+                for t in 0..len {
+                    list.push(t, a[(p0 + t) * stride + i]);
+                }
+            }
+        }
+    }
+
+    /// The list kernel's driver over a band that holds zeros: per C row and
+    /// per `k`-chunk, in ascending order, compacts the `A` row and hands
+    /// `row` the list, the chunk's `[len, n]` rows of `B` and the C row.
+    #[inline(always)]
+    fn for_each_list(
+        &self,
+        b: &[f32],
+        band: &mut [f32],
+        first_row: usize,
+        k: usize,
+        n: usize,
+        mut row: impl FnMut(&NonZeros, &[f32], &mut [f32]),
+    ) {
+        let mut list = NonZeros::new();
+        for (r, crow) in band.chunks_exact_mut(n).enumerate() {
+            for p0 in (0..k).step_by(LIST_CHUNK) {
+                let len = (k - p0).min(LIST_CHUNK);
+                self.compact(first_row + r, p0, len, &mut list);
+                row(&list, &b[p0 * n..(p0 + len) * n], crow);
+            }
+        }
+    }
+
     #[inline(always)]
     fn at(&self, i: usize, p: usize) -> f32 {
         match *self {
@@ -670,8 +765,12 @@ impl Lhs<'_> {
 /// variants (the banding itself lives in [`crate::parallel`]).
 ///
 /// Each `C[i,j]` accumulates over `p = 0..k` in ascending order with
-/// unfused `mul`+`add` and the reference's zero-`A`-element skip, so every
-/// backend (and thread count) produces identical bits.
+/// unfused `mul`+`add`, and a term whose `a(i, p) == 0.0` is not added
+/// (`-0.0` is skipped, NaN is not). The scalar backend tests per term; the
+/// others choose per band from the operand — a test-free tile when the
+/// band's `A` rows hold no zero, otherwise a walk over each row's
+/// compacted non-zeros — so every backend (and thread count) produces
+/// identical bits.
 ///
 /// # Panics
 /// Panics if `band` is not a whole number of `n`-length rows, `b` is not
@@ -720,15 +819,16 @@ pub fn matmul_block(lhs: Lhs, b: &[f32], band: &mut [f32], first_row: usize, k: 
 pub const MR: usize = 4;
 
 // ----------------------------------------------------------------------
-// Cache-blocked transpose
+// Transpose
 // ----------------------------------------------------------------------
 
-/// `dst[c, r] = src[r, c]` for `src: [rows, cols]` — a cache-blocked
-/// transpose (32×32 tiles, both streams stay cache-resident) used to
-/// materialize `Bᵀ` for the NT matmul. Pure data movement: no toggle, no
-/// rounding, bit-exact by definition. Writes every destination element
-/// exactly once, so the output may start uninitialized (no zero-fill on
-/// the backward hot path).
+/// `dst[c, r] = src[r, c]` for `src: [rows, cols]`, used to materialize `Bᵀ`
+/// for the NT matmul: 8×8 blocks transposed in registers on the AVX2
+/// backend, a cache-blocked element copy (32×32 tiles, both streams stay
+/// cache-resident) otherwise and on the block edges. Pure data movement:
+/// no rounding, bit-exact on every backend by definition. Writes every
+/// destination element exactly once, so the output may start uninitialized
+/// (no zero-fill on the backward hot path).
 ///
 /// # Panics
 /// Panics if `src` and `dst` are not both `rows * cols` long.
@@ -740,22 +840,32 @@ pub fn transpose_uninit(
 ) {
     assert_eq!(src.len(), rows * cols, "transpose src shape mismatch");
     assert_eq!(dst.len(), rows * cols, "transpose dst shape mismatch");
-    const TB: usize = 32;
-    let mut rb = 0;
-    while rb < rows {
-        let rend = (rb + TB).min(rows);
-        let mut cb = 0;
-        while cb < cols {
-            let cend = (cb + TB).min(cols);
-            for r in rb..rend {
-                for c in cb..cend {
-                    dst[c * rows + r].write(src[r * cols + c]);
+    // The element copy over `src[r0..r1, c0..c1]`, 32×32 tiles.
+    let mut copy = |r0: usize, r1: usize, c0: usize, c1: usize| {
+        const TB: usize = 32;
+        for rb in (r0..r1).step_by(TB) {
+            for cb in (c0..c1).step_by(TB) {
+                for r in rb..(rb + TB).min(r1) {
+                    for c in cb..(cb + TB).min(c1) {
+                        dst[c * rows + r].write(src[r * cols + c]);
+                    }
                 }
             }
-            cb += TB;
         }
-        rb += TB;
+    };
+    #[cfg(target_arch = "x86_64")]
+    if active() == Backend::Avx2 {
+        // Whole 8×8 blocks in registers, then the right and bottom edges.
+        let (rows8, cols8) = (rows & !7, cols & !7);
+        copy(0, rows, cols8, cols);
+        copy(rows8, rows, 0, cols8);
+        // SAFETY: `active()` returns `Avx2` only after `avx2_available()`
+        // confirmed the target features at runtime; the asserts above give
+        // both slices the `rows * cols` extent the kernel indexes.
+        unsafe { avx2::transpose_blocks(src, dst, rows, cols) };
+        return;
     }
+    copy(0, rows, 0, cols);
 }
 
 /// [`transpose_uninit`] over an already-initialized destination.
@@ -1029,7 +1139,7 @@ mod scalar {
 // ----------------------------------------------------------------------
 
 mod portable {
-    use super::{Lhs, MR, ROBUST_TILE};
+    use super::{Lhs, NonZeros, MR, ROBUST_TILE};
     use crate::ops::RobustRule;
 
     pub fn robust_reduce(
@@ -1057,22 +1167,28 @@ mod portable {
         n: usize,
     ) {
         let rows = band.len() / n;
+        if lhs.has_zero(first_row, rows, k) {
+            return lhs.for_each_list(b, band, first_row, k, n, |list, b, crow| {
+                list_row(list, b, crow, n)
+            });
+        }
         let mut r = 0;
         while r + MR <= rows {
-            rows_tile::<MR>(lhs, b, &mut band[r * n..(r + MR) * n], first_row + r, k, n);
+            dense_tile::<MR>(lhs, b, &mut band[r * n..(r + MR) * n], first_row + r, k, n);
             r += MR;
         }
         while r < rows {
-            rows_tile::<1>(lhs, b, &mut band[r * n..(r + 1) * n], first_row + r, k, n);
+            dense_tile::<1>(lhs, b, &mut band[r * n..(r + 1) * n], first_row + r, k, n);
             r += 1;
         }
     }
 
-    /// `R` C-rows × 8-lane accumulator tiles; the arrays of eight f32
-    /// accumulators vectorize reliably on any ISA. Lane `j` executes the
-    /// scalar expression for `C[i, j]` exactly — same `p` order, same
-    /// zero-skip — so the tile is bit-identical to the reference.
-    fn rows_tile<const R: usize>(
+    /// The tile of a band whose `A` rows hold no zero: `R` C-rows × 8-lane
+    /// accumulator arrays (they vectorize reliably on any ISA), no test in
+    /// the loop. Lane `j` executes the scalar expression for `C[i, j]`
+    /// exactly — same `p` order, and the reference skips nothing here
+    /// either — so the tile is bit-identical to it.
+    fn dense_tile<const R: usize>(
         lhs: &Lhs,
         b: &[f32],
         crows: &mut [f32],
@@ -1090,9 +1206,6 @@ mod portable {
                 let bv = &b[p * n + j..p * n + j + 8];
                 for r in 0..R {
                     let a = lhs.at(i0 + r, p);
-                    if a == 0.0 {
-                        continue;
-                    }
                     for l in 0..8 {
                         acc[r][l] += a * bv[l];
                     }
@@ -1107,9 +1220,6 @@ mod portable {
             for r in 0..R {
                 for p in 0..k {
                     let a = lhs.at(i0 + r, p);
-                    if a == 0.0 {
-                        continue;
-                    }
                     let brow = &b[p * n..(p + 1) * n];
                     for jj in j..n {
                         crows[r * n + jj] += a * brow[jj];
@@ -1117,6 +1227,40 @@ mod portable {
                 }
             }
         }
+    }
+
+    /// One C row over one `k`-chunk of a band that holds zeros, in 32-, 8-
+    /// and 1-column panels.
+    fn list_row(list: &NonZeros, b: &[f32], crow: &mut [f32], n: usize) {
+        let mut j = 0usize;
+        while j + 32 <= n {
+            list_panel::<32>(list, &b[j..], &mut crow[j..], n);
+            j += 32;
+        }
+        while j + 8 <= n {
+            list_panel::<8>(list, &b[j..], &mut crow[j..], n);
+            j += 8;
+        }
+        while j < n {
+            list_panel::<1>(list, &b[j..], &mut crow[j..], n);
+            j += 1;
+        }
+    }
+
+    /// `W` columns of one C row accumulating `val[t] · b[at[t], ..]` over the
+    /// list in order — ascending `p` over exactly the terms the reference
+    /// does not skip, unfused. `b` and `crow` start at the panel's column.
+    #[inline(always)]
+    fn list_panel<const W: usize>(list: &NonZeros, b: &[f32], crow: &mut [f32], n: usize) {
+        let mut acc = [0.0f32; W];
+        acc.copy_from_slice(&crow[..W]);
+        for (&t, &a) in list.at[..list.len].iter().zip(&list.val) {
+            let bv = &b[t as usize * n..t as usize * n + W];
+            for l in 0..W {
+                acc[l] += a * bv[l];
+            }
+        }
+        crow[..W].copy_from_slice(&acc);
     }
 }
 
@@ -1126,7 +1270,7 @@ mod portable {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{merge_lanes, AdamParams, Lhs, MR, ROBUST_TILE};
+    use super::{merge_lanes, AdamParams, Lhs, NonZeros, LIST_CHUNK, MR, ROBUST_TILE};
     use crate::ops::RobustRule;
     use std::arch::x86_64::*;
 
@@ -1690,6 +1834,55 @@ mod avx2 {
         acc as f32
     }
 
+    /// `dst[c, r] = src[r, c]` over the whole 8×8 blocks of `src: [rows,
+    /// cols]` (the caller copies the edges): eight row loads, three rounds
+    /// of in-register interleaves, eight column-block stores. Moves bits,
+    /// computes nothing.
+    // SAFETY: requires AVX2+FMA — every call path reaches here through a
+    // dispatcher that checked `avx2_available()` first. Both slices are
+    // `rows * cols` long (asserted by `transpose_uninit`); a block at
+    // `(rb, cb)` with `rb + 8 <= rows`, `cb + 8 <= cols` reads
+    // `src[(rb + i) * cols + cb..][..8]` and writes
+    // `dst[(cb + i) * rows + rb..][..8]` for `i < 8`, all inside them.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn transpose_blocks(
+        src: &[f32],
+        dst: &mut [std::mem::MaybeUninit<f32>],
+        rows: usize,
+        cols: usize,
+    ) {
+        let sp = src.as_ptr();
+        let dp = dst.as_mut_ptr() as *mut f32;
+        for rb in (0..rows & !7).step_by(8) {
+            for cb in (0..cols & !7).step_by(8) {
+                let mut v = [_mm256_setzero_ps(); 8];
+                for i in 0..8 {
+                    v[i] = _mm256_loadu_ps(sp.add((rb + i) * cols + cb));
+                }
+                // 32-bit then 64-bit interleaves transpose each 4×4 quadrant
+                // pair; the 128-bit swap puts the quadrants in place.
+                let mut t = [_mm256_setzero_ps(); 8];
+                for i in 0..4 {
+                    t[2 * i] = _mm256_unpacklo_ps(v[2 * i], v[2 * i + 1]);
+                    t[2 * i + 1] = _mm256_unpackhi_ps(v[2 * i], v[2 * i + 1]);
+                }
+                for h in 0..2 {
+                    let (a, b, c, d) = (t[4 * h], t[4 * h + 1], t[4 * h + 2], t[4 * h + 3]);
+                    v[4 * h] = _mm256_shuffle_ps::<0x44>(a, c);
+                    v[4 * h + 1] = _mm256_shuffle_ps::<0xEE>(a, c);
+                    v[4 * h + 2] = _mm256_shuffle_ps::<0x44>(b, d);
+                    v[4 * h + 3] = _mm256_shuffle_ps::<0xEE>(b, d);
+                }
+                for i in 0..4 {
+                    let lo = _mm256_permute2f128_ps::<0x20>(v[i], v[i + 4]);
+                    let hi = _mm256_permute2f128_ps::<0x31>(v[i], v[i + 4]);
+                    _mm256_storeu_ps(dp.add((cb + i) * rows + rb), lo);
+                    _mm256_storeu_ps(dp.add((cb + i + 4) * rows + rb), hi);
+                }
+            }
+        }
+    }
+
     // SAFETY: requires AVX2+FMA — every call path reaches here through a
     // dispatcher that checked `avx2_available()` first. Pointer arithmetic
     // stays within the slice extents checked by the safe wrappers.
@@ -1703,27 +1896,50 @@ mod avx2 {
         n: usize,
     ) {
         let rows = band.len() / n;
+        if lhs.has_zero(first_row, rows, k) {
+            return lhs.for_each_list(b, band, first_row, k, n, |list, b, crow| {
+                // SAFETY: AVX2+FMA as for this function; `crow` is one
+                // `n`-length C row and `b` the `[len, n]` rows of `B` that
+                // the list's `at[t] < len` index.
+                unsafe { list_row(list, b, crow, n) }
+            });
+        }
         let mut r = 0;
         while r + MR <= rows {
-            rows_tile::<MR>(lhs, b, &mut band[r * n..(r + MR) * n], first_row + r, k, n);
+            dense_tile::<MR>(lhs, b, &mut band[r * n..(r + MR) * n], first_row + r, k, n);
             r += MR;
         }
         while r < rows {
-            rows_tile::<1>(lhs, b, &mut band[r * n..(r + 1) * n], first_row + r, k, n);
+            dense_tile::<1>(lhs, b, &mut band[r * n..(r + 1) * n], first_row + r, k, n);
             r += 1;
         }
     }
 
-    /// The register tile: `R` C-rows × 2 vector columns (16 f32 lanes) of
-    /// accumulators held in registers across the whole `k` loop; each `B`
-    /// row load is reused by all `R` rows. Unfused mul+add per lane and the
-    /// per-`(i,p)` zero-skip keep every lane's op sequence identical to the
-    /// scalar reference.
+    /// Lanes `0..lanes` on, `1 <= lanes <= 8`: the mask of a C row's last
+    /// vector, partial when `n` is no multiple of 8. A masked-off lane is
+    /// neither read nor written (it computes on `0.0` and is dropped), so
+    /// column tails run at vector speed without touching a neighbour.
     // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
+    // dispatcher that checked `avx2_available()` first; `8 - lanes` is in
+    // `0..=7`, so the 8-element load stays inside the 16-element table.
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn rows_tile<const R: usize>(
+    unsafe fn lane_mask(lanes: usize) -> __m256i {
+        const ON_THEN_OFF: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+        debug_assert!((1..=8).contains(&lanes));
+        _mm256_loadu_si256(ON_THEN_OFF.as_ptr().add(8 - lanes) as *const __m256i)
+    }
+
+    /// The register tiles of `R` C-rows whose `A` rows hold no zero: 16
+    /// columns at a time, then what is left of the row as one narrower
+    /// tile with its last vector masked.
+    // SAFETY: requires AVX2+FMA — every call path reaches here through a
+    // dispatcher that checked `avx2_available()` first. `crows` is `R`
+    // rows of `n`, `b` is `[k, n]` and `lhs` covers rows `i0..i0 + R` by
+    // the asserts of the safe `matmul_block`; each `dense_cols` call is
+    // handed columns `j..` that end at or before `n`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn dense_tile<const R: usize>(
         lhs: &Lhs,
         b: &[f32],
         crows: &mut [f32],
@@ -1731,67 +1947,166 @@ mod avx2 {
         k: usize,
         n: usize,
     ) {
-        let bp = b.as_ptr();
-        let cp = crows.as_mut_ptr();
+        let (bp, cp) = (b.as_ptr(), crows.as_mut_ptr());
+        let full = _mm256_setzero_si256();
         let mut j = 0usize;
         while j + 16 <= n {
-            let mut acc0 = [_mm256_setzero_ps(); R];
-            let mut acc1 = [_mm256_setzero_ps(); R];
-            for r in 0..R {
-                acc0[r] = _mm256_loadu_ps(cp.add(r * n + j));
-                acc1[r] = _mm256_loadu_ps(cp.add(r * n + j + 8));
-            }
-            for p in 0..k {
-                let b0 = _mm256_loadu_ps(bp.add(p * n + j));
-                let b1 = _mm256_loadu_ps(bp.add(p * n + j + 8));
-                for r in 0..R {
-                    let a = lhs.at_unchecked(i0 + r, p);
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let av = _mm256_set1_ps(a);
-                    acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(av, b0));
-                    acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(av, b1));
-                }
-            }
-            for r in 0..R {
-                _mm256_storeu_ps(cp.add(r * n + j), acc0[r]);
-                _mm256_storeu_ps(cp.add(r * n + j + 8), acc1[r]);
-            }
+            dense_cols::<R, 2, false>(lhs, bp.add(j), cp.add(j), i0, k, n, full);
             j += 16;
         }
-        while j + 8 <= n {
-            let mut acc = [_mm256_setzero_ps(); R];
-            for r in 0..R {
-                acc[r] = _mm256_loadu_ps(cp.add(r * n + j));
+        match n - j {
+            0 => {}
+            8 => dense_cols::<R, 1, false>(lhs, bp.add(j), cp.add(j), i0, k, n, full),
+            rem @ 1..=7 => {
+                dense_cols::<R, 1, true>(lhs, bp.add(j), cp.add(j), i0, k, n, lane_mask(rem))
             }
-            for p in 0..k {
-                let b0 = _mm256_loadu_ps(bp.add(p * n + j));
-                for r in 0..R {
-                    let a = lhs.at_unchecked(i0 + r, p);
-                    if a == 0.0 {
-                        continue;
-                    }
-                    acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_set1_ps(a), b0));
-                }
+            rem => {
+                dense_cols::<R, 2, true>(lhs, bp.add(j), cp.add(j), i0, k, n, lane_mask(rem - 8))
             }
-            for r in 0..R {
-                _mm256_storeu_ps(cp.add(r * n + j), acc[r]);
-            }
-            j += 8;
         }
-        if j < n {
+    }
+
+    /// One register tile: `R` C-rows × `V` vector columns of accumulators
+    /// held in registers across the whole `k` loop, each `B` row load reused
+    /// by all `R` rows, no test in the loop. Unfused mul+add per lane keeps
+    /// every lane's op sequence identical to the scalar reference, which
+    /// skips nothing here either. With `PARTIAL`, the last vector column
+    /// moves under `last`.
+    // SAFETY: requires AVX2+FMA (see `dense_tile`, the only caller). `bp`
+    // and `cp` point at the tile's first column inside `[k, n]` / `[R, n]`
+    // buffers; the tile spans `8 * V` columns of which the caller promises
+    // all (or, with `PARTIAL`, the lanes of `last` in the final vector) lie
+    // before column `n`, so every unmasked lane touched is in bounds.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn dense_cols<const R: usize, const V: usize, const PARTIAL: bool>(
+        lhs: &Lhs,
+        bp: *const f32,
+        cp: *mut f32,
+        i0: usize,
+        k: usize,
+        n: usize,
+        last: __m256i,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for r in 0..R {
+            for v in 0..V {
+                acc[r][v] = load::<PARTIAL>(cp.add(r * n + 8 * v), v + 1 == V, last);
+            }
+        }
+        for p in 0..k {
+            let mut bv = [_mm256_setzero_ps(); V];
+            for v in 0..V {
+                bv[v] = load::<PARTIAL>(bp.add(p * n + 8 * v), v + 1 == V, last);
+            }
             for r in 0..R {
-                for p in 0..k {
-                    let a = lhs.at_unchecked(i0 + r, p);
-                    if a == 0.0 {
-                        continue;
-                    }
-                    for jj in j..n {
-                        *crows.get_unchecked_mut(r * n + jj) += a * *b.get_unchecked(p * n + jj);
-                    }
+                let av = _mm256_set1_ps(lhs.at_unchecked(i0 + r, p));
+                for v in 0..V {
+                    acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
                 }
             }
+        }
+        for r in 0..R {
+            for v in 0..V {
+                store::<PARTIAL>(cp.add(r * n + 8 * v), v + 1 == V, last, acc[r][v]);
+            }
+        }
+    }
+
+    /// Eight floats from `p`, or — for the final vector of a `PARTIAL` tile
+    /// — the lanes of `mask` (the others read as `0.0`).
+    // SAFETY: requires AVX2+FMA; the caller guarantees the eight (or the
+    // masked-on) elements at `p` are readable.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn load<const PARTIAL: bool>(p: *const f32, is_last: bool, mask: __m256i) -> __m256 {
+        if PARTIAL && is_last {
+            _mm256_maskload_ps(p, mask)
+        } else {
+            _mm256_loadu_ps(p)
+        }
+    }
+
+    /// The store matching [`load`].
+    // SAFETY: requires AVX2+FMA; the caller guarantees the eight (or the
+    // masked-on) elements at `p` are writable.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn store<const PARTIAL: bool>(p: *mut f32, is_last: bool, mask: __m256i, v: __m256) {
+        if PARTIAL && is_last {
+            _mm256_maskstore_ps(p, mask, v)
+        } else {
+            _mm256_storeu_ps(p, v)
+        }
+    }
+
+    /// One C row over one `k`-chunk of a band that holds zeros, in panels
+    /// of up to 64 columns (the row's last vector masked): few passes over
+    /// the list, because each ends in a loop exit no predictor can learn.
+    /// `b` is the chunk's `[len, n]` rows of `B`.
+    // SAFETY: requires AVX2+FMA — every call path reaches here through a
+    // dispatcher that checked `avx2_available()` first. `crow` is `n` long
+    // and every `at[t]` indexes a whole `n`-length row of `b` (`compact`
+    // only emits `t < len`); a panel starts at column `j < n`, spans
+    // `width <= n - j` columns, and `lane_mask` switches off the lanes of
+    // its last vector past `width`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn list_row(list: &NonZeros, b: &[f32], crow: &mut [f32], n: usize) {
+        debug_assert!(crow.len() == n && list.len <= LIST_CHUNK);
+        let (at, val) = (&list.at[..list.len], &list.val[..list.len]);
+        let mut j = 0usize;
+        while j < n {
+            let width = (n - j).min(64);
+            let vecs = width.div_ceil(8);
+            let last = lane_mask(width - 8 * (vecs - 1));
+            let (bp, cp) = (b.as_ptr().add(j), crow.as_mut_ptr().add(j));
+            match vecs {
+                1 => list_panel::<1>(at, val, bp, cp, n, last),
+                2 => list_panel::<2>(at, val, bp, cp, n, last),
+                3 => list_panel::<3>(at, val, bp, cp, n, last),
+                4 => list_panel::<4>(at, val, bp, cp, n, last),
+                5 => list_panel::<5>(at, val, bp, cp, n, last),
+                6 => list_panel::<6>(at, val, bp, cp, n, last),
+                7 => list_panel::<7>(at, val, bp, cp, n, last),
+                _ => list_panel::<8>(at, val, bp, cp, n, last),
+            }
+            j += width;
+        }
+    }
+
+    /// `V` vector columns of one C row accumulating `val[t] · b[at[t], ..]`
+    /// over the list in order — ascending `p` over exactly the terms the
+    /// reference does not skip, unfused. The last column moves under
+    /// `last` (all lanes on when the panel is whole).
+    // SAFETY: requires AVX2+FMA (see `list_row`, the only caller). `cp`
+    // points at the panel's first column in the C row and `bp` at the same
+    // column of the chunk's first `B` row; `at[t] * n` steps to a whole row
+    // of the chunk, and of the panel's `8 * V` columns only the lanes `last`
+    // keeps in the final vector may lie at or past column `n`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn list_panel<const V: usize>(
+        at: &[u32],
+        val: &[f32],
+        bp: *const f32,
+        cp: *mut f32,
+        n: usize,
+        last: __m256i,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); V];
+        for v in 0..V {
+            acc[v] = load::<true>(cp.add(8 * v), v + 1 == V, last);
+        }
+        for (&t, &a) in at.iter().zip(val) {
+            let av = _mm256_set1_ps(a);
+            let brow = bp.add(t as usize * n);
+            for v in 0..V {
+                let bv = load::<true>(brow.add(8 * v), v + 1 == V, last);
+                acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(av, bv));
+            }
+        }
+        for v in 0..V {
+            store::<true>(cp.add(8 * v), v + 1 == V, last, acc[v]);
         }
     }
 }

@@ -4,7 +4,7 @@
 //! Thread and job caps are scoped with a thread-local [`ctx::install`], so
 //! concurrent tests in this binary never see each other's settings.
 
-use fedat_tensor::conv::{conv2d_forward, Conv2dSpec};
+use fedat_tensor::conv::{conv2d_forward, Conv2dSpec, ConvPlan};
 use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
 use fedat_tensor::ops::{
     matmul_into, matmul_nt_into, matmul_tn_into, weighted_sum_into, AGG_SHARD,
@@ -91,17 +91,18 @@ proptest! {
     ) {
         let (h, w) = (8usize, 8usize);
         let spec = Conv2dSpec { in_channels: cin, out_channels: cout, kernel: 3, stride: 1, padding: 1 };
+        let plan = ConvPlan::new(spec, h, w);
         let input = Tensor::from_vec(filled(batch * cin * h * w, seed), &[batch, cin, h, w]);
         let weight = Tensor::from_vec(filled(cout * cin * 9, seed ^ 4), &[cout, cin * 9]);
         let bias = Tensor::from_vec(filled(cout, seed ^ 5), &[cout]);
 
         let (serial, _) = {
             let _g = with_threads(1);
-            conv2d_forward(&input, &weight, &bias, h, w, &spec)
+            conv2d_forward(&input, &weight, &bias, &plan, false)
         };
         for &t in &THREAD_SWEEP[1..] {
             let _g = with_threads(t);
-            let (par, _) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
+            let (par, _) = conv2d_forward(&input, &weight, &bias, &plan, false);
             prop_assert_eq!(serial.data(), par.data(), "conv diverged at {} threads", t);
         }
     }

@@ -2,13 +2,19 @@
 //! `fedat_tensor::simd`, over awkward shapes (non-multiple-of-8 tails,
 //! dims in 1..=17) × thread counts {1, 2, 4, 8}, plus the portable
 //! fallback (ISA-independence: `Auto` must not depend on what the host
-//! detects).
+//! detects). The matmul lanes are also driven at the shapes training runs
+//! and past the non-zero list's chunk, with `A` from dense to all zero
+//! (`-0.0` and all-zero rows included), non-finite `B` and a pre-filled
+//! `C`; the conv stage forward and backward, against the scalar lane and
+//! against a per-sample reference kept below.
 //!
 //! Every backend/thread-cap choice is scoped with a thread-local
 //! [`ctx::install`], so concurrent tests in this binary never see each
 //! other's settings and the `FEDAT_SIMD=scalar` default survives untouched.
 
-use fedat_tensor::conv::{conv2d_forward, Conv2dSpec};
+use fedat_tensor::conv::{
+    conv2d_backward_input, conv2d_backward_params, conv2d_forward, Conv2dSpec, ConvPlan,
+};
 use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
 use fedat_tensor::ops::{
     axpby, axpy, dist_sq, dot, lerp_into, matmul_into, matmul_nt_into, matmul_tn_into,
@@ -126,12 +132,36 @@ fn robust_reference(inputs: &[&[f32]], rule: RobustRule) -> Vec<u32> {
         .collect()
 }
 
+/// Bit patterns with every NaN folded to one: which operand's payload an
+/// add of two NaNs keeps is the instruction's operand order, which neither
+/// Rust nor the lanes pin. Signed zeros, infinities and subnormals count.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
+}
+
 /// Runs `kernel` (writing into a fresh zeroed buffer) under
 /// `SimdKernel::Scalar` at one thread as the reference, then under `Auto`
 /// (ISA path and portable fallback) across the thread sweep, asserting
 /// bitwise equality throughout.
 fn assert_simd_invariant(out_len: usize, kernel: impl Fn(&mut [f32])) -> Result<(), TestCaseError> {
-    let mut reference = vec![0.0f32; out_len];
+    assert_simd_invariant_from(&vec![0.0f32; out_len], kernel)
+}
+
+/// [`assert_simd_invariant`] with the output buffer starting as `init`;
+/// compares [`bits`], so NaN-ness and signed zeros count.
+fn assert_simd_invariant_from(
+    init: &[f32],
+    kernel: impl Fn(&mut [f32]),
+) -> Result<(), TestCaseError> {
+    let mut reference = init.to_vec();
     {
         let _g = scoped(SimdKernel::Scalar, false, 1);
         kernel(&mut reference);
@@ -139,11 +169,11 @@ fn assert_simd_invariant(out_len: usize, kernel: impl Fn(&mut [f32])) -> Result<
     for portable in [false, true] {
         for &t in &THREAD_SWEEP {
             let _g = scoped(SimdKernel::Auto, portable, t);
-            let mut got = vec![0.0f32; out_len];
+            let mut got = init.to_vec();
             kernel(&mut got);
             prop_assert_eq!(
-                &reference,
-                &got,
+                bits(&reference),
+                bits(&got),
                 "SIMD kernel (portable={}) diverged from scalar at {} threads",
                 portable,
                 t
@@ -151,6 +181,189 @@ fn assert_simd_invariant(out_len: usize, kernel: impl Fn(&mut [f32])) -> Result<
         }
     }
     Ok(())
+}
+
+/// A logical `[rows, cols]` left operand whose entries are zero with
+/// probability `quarters / 4`, every other zero a `-0.0`; between the
+/// extremes one row is all zero and one is left without any.
+fn sparse_lhs(rows: usize, cols: usize, quarters: usize, seed: u64) -> Vec<f32> {
+    let mut a = filled(rows * cols, seed);
+    let mut rng = rng_for(seed, 65);
+    let (zero_row, dense_row) = (seed as usize % rows, (seed as usize / 7) % rows);
+    for (i, v) in a.iter_mut().enumerate() {
+        let forced = (1..4).contains(&quarters) && i / cols == zero_row;
+        let spared = (1..4).contains(&quarters) && i / cols == dense_row && dense_row != zero_row;
+        if forced || (!spared && rng.random_range(0..4usize) < quarters) {
+            *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+    }
+    a
+}
+
+/// Normal draws with one value in twelve replaced by ±inf, a NaN, a
+/// subnormal or `-0.0`: a lane that multiplies where the reference skips
+/// shows up as `0 · inf = NaN`.
+fn awkward_rhs(len: usize, seed: u64) -> Vec<f32> {
+    let mut b = filled(len, seed);
+    let mut rng = rng_for(seed, 66);
+    for v in b.iter_mut() {
+        if rng.random_range(0..12u32) == 0 {
+            *v = f32::from_bits(AWKWARD_BITS[rng.random_range(0..AWKWARD_BITS.len())]);
+        }
+    }
+    b
+}
+
+/// `(m, k, n)` of the matmuls a training step issues (batch 10 and a ragged
+/// 7 against every layer width, conv2's and conv1's per-sample GEMMs in all
+/// three roles) and shapes whose `k` crosses the 256-entry list chunk once
+/// and twice, on and off its edge.
+const TRAINING_SHAPES: [(usize, usize, usize); 14] = [
+    (10, 64, 128),
+    (10, 128, 62),
+    (10, 128, 10),
+    (10, 64, 9),
+    (7, 128, 64),
+    (32, 144, 16),
+    (32, 16, 144),
+    (144, 32, 16),
+    (16, 64, 9),
+    (16, 9, 64),
+    (10, 256, 16),
+    (10, 257, 33),
+    (7, 513, 144),
+    (5, 600, 10),
+];
+
+/// The obviously-right conv stage, one sample and one output element at a
+/// time, in the accumulation order im2col + matmul + col2im define: ascending
+/// `(ci, ky, kx)` for the forward sum and `dCols`, ascending `(sample, oy,
+/// ox)` for `dW`, ascending `(ky, kx, oy, ox)` into each input pixel — zero
+/// left-operand entries skipped, padding taps multiplied in as `0.0`.
+struct NaiveConv {
+    out: Vec<f32>,
+    d_weight: Vec<f32>,
+    d_bias: Vec<f32>,
+    d_input: Vec<f32>,
+}
+
+fn naive_conv(
+    input: &[f32],
+    weight: &[f32],
+    bias: &[f32],
+    d_out: &[f32],
+    (n, h, w): (usize, usize, usize),
+    spec: &Conv2dSpec,
+) -> NaiveConv {
+    let (cin, cout, k) = (spec.in_channels, spec.out_channels, spec.kernel);
+    let (oh, ow) = spec.out_hw(h, w);
+    let (rows, cols) = (cin * k * k, oh * ow);
+    // The input pixel row `r = (ci, ky, kx)` reads for output pixel `t`.
+    let tap = |r: usize, t: usize| -> Option<usize> {
+        let (ci, ky, kx) = (r / (k * k), r / k % k, r % k);
+        let iy = (t / ow * spec.stride + ky) as isize - spec.padding as isize;
+        let ix = (t % ow * spec.stride + kx) as isize - spec.padding as isize;
+        (iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize)
+            .then(|| (ci * h + iy as usize) * w + ix as usize)
+    };
+    let mut res = NaiveConv {
+        out: vec![0.0; n * cout * cols],
+        d_weight: vec![0.0; cout * rows],
+        d_bias: vec![0.0; cout],
+        d_input: vec![0.0; n * cin * h * w],
+    };
+    for i in 0..n {
+        let img = &input[i * cin * h * w..(i + 1) * cin * h * w];
+        let dy = &d_out[i * cout * cols..(i + 1) * cout * cols];
+        let col = |r: usize, t: usize| tap(r, t).map_or(0.0, |at| img[at]);
+        for co in 0..cout {
+            for t in 0..cols {
+                let mut acc = 0.0f32;
+                for r in 0..rows {
+                    if weight[co * rows + r] != 0.0 {
+                        acc += weight[co * rows + r] * col(r, t);
+                    }
+                }
+                res.out[(i * cout + co) * cols + t] = acc + bias[co];
+            }
+            for r in 0..rows {
+                for t in 0..cols {
+                    if dy[co * cols + t] != 0.0 {
+                        res.d_weight[co * rows + r] += dy[co * cols + t] * col(r, t);
+                    }
+                }
+            }
+            res.d_bias[co] += dy[co * cols..(co + 1) * cols].iter().sum::<f32>();
+        }
+        let d_img = &mut res.d_input[i * cin * h * w..(i + 1) * cin * h * w];
+        for r in 0..rows {
+            for t in 0..cols {
+                let mut d_col = 0.0f32;
+                for co in 0..cout {
+                    if weight[co * rows + r] != 0.0 {
+                        d_col += weight[co * rows + r] * dy[co * cols + t];
+                    }
+                }
+                if let Some(at) = tap(r, t) {
+                    d_img[at] += d_col;
+                }
+            }
+        }
+    }
+    res
+}
+
+/// One conv stage through the library: forward with the columns kept, both
+/// backward halves.
+fn conv_stage(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    d_out: &Tensor,
+    plan: &ConvPlan,
+) -> [Vec<u32>; 4] {
+    let (out, cols) = conv2d_forward(input, weight, bias, plan, true);
+    let (d_weight, d_bias) = conv2d_backward_params(d_out, &cols, plan);
+    let d_input = conv2d_backward_input(d_out, weight, plan);
+    [out, d_weight, d_bias, d_input].map(|t| bits(t.data()))
+}
+
+/// A conv problem drawn from `seed`: ReLU-like input, three gradients in
+/// four zero (what pooling and the ReLU mask leave), one zero weight.
+#[allow(clippy::type_complexity)]
+fn conv_problem(
+    (batch, cin, cout): (usize, usize, usize),
+    (h, w): (usize, usize),
+    spec: &Conv2dSpec,
+    seed: u64,
+) -> (Tensor, Tensor, Tensor, Tensor) {
+    let (oh, ow) = spec.out_hw(h, w);
+    let kk = spec.kernel * spec.kernel;
+    let input: Vec<f32> = filled(batch * cin * h * w, seed)
+        .iter()
+        .map(|v| v.max(0.0))
+        .collect();
+    let mut weight = filled(cout * cin * kk, seed ^ 5);
+    weight[seed as usize % (cout * cin * kk)] = 0.0;
+    let d_out = sparse_lhs(batch * cout, oh * ow, 3, seed ^ 7);
+    (
+        Tensor::from_vec(input, &[batch, cin, h, w]),
+        Tensor::from_vec(weight, &[cout, cin * kk]),
+        Tensor::from_vec(filled(cout, seed ^ 6), &[cout]),
+        Tensor::from_vec(d_out, &[batch, cout, oh, ow]),
+    )
+}
+
+/// The two geometries in use: the models' 3×3 same-size window and a
+/// strided window without padding.
+fn conv_spec(strided: bool, cin: usize, cout: usize) -> Conv2dSpec {
+    Conv2dSpec {
+        in_channels: cin,
+        out_channels: cout,
+        kernel: if strided { 2 } else { 3 },
+        stride: if strided { 2 } else { 1 },
+        padding: if strided { 0 } else { 1 },
+    }
 }
 
 proptest! {
@@ -195,21 +408,102 @@ proptest! {
     }
 
     #[test]
+    fn matmul_training_shapes_simd_match_scalar_bitwise(
+        shape in 0usize..TRAINING_SHAPES.len() + 6,
+        variant in 0usize..3,
+        quarters in 0usize..=4,
+        c_init in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        // Past the table: small shapes, so column tails meet NaNs too.
+        let (m, k, n) = TRAINING_SHAPES.get(shape).copied().unwrap_or((
+            1 + seed as usize % 17,
+            1 + (seed as usize / 17) % 40,
+            1 + (seed as usize / 680) % 17,
+        ));
+        let a = sparse_lhs(m, k, quarters, seed);
+        let b = awkward_rhs(k * n, seed ^ 1);
+        let init = match c_init {
+            0 => vec![0.0f32; m * n],
+            1 => vec![-0.0f32; m * n],
+            _ => filled(m * n, seed ^ 2),
+        };
+        match variant {
+            0 => assert_simd_invariant_from(&init, |c| matmul_into(&a, &b, c, m, k, n))?,
+            1 => {
+                // `matmul_tn_into` reads `A` as `[k, m]`.
+                let mut at = vec![0.0f32; k * m];
+                simd::transpose(&a, &mut at, m, k);
+                assert_simd_invariant_from(&init, |c| matmul_tn_into(&at, &b, c, m, k, n))?
+            }
+            _ => {
+                // `matmul_nt_into` reads `B` as `[n, k]`.
+                let mut bt = vec![0.0f32; n * k];
+                simd::transpose(&b, &mut bt, k, n);
+                assert_simd_invariant_from(&init, |c| matmul_nt_into(&a, &bt, c, m, k, n))?
+            }
+        }
+    }
+
+    #[test]
+    fn conv_backward_simd_matches_scalar_bitwise(
+        batch in 1usize..4, cin in 1usize..4, cout in 1usize..6, strided in 0usize..2, seed in 0u64..300
+    ) {
+        let (h, w) = (6usize, 8usize);
+        let spec = conv_spec(strided == 1, cin, cout);
+        let plan = ConvPlan::new(spec, h, w);
+        let (input, weight, bias, d_out) = conv_problem((batch, cin, cout), (h, w), &spec, seed);
+        let reference = {
+            let _g = scoped(SimdKernel::Scalar, false, 1);
+            conv_stage(&input, &weight, &bias, &d_out, &plan)
+        };
+        for portable in [false, true] {
+            for &t in &THREAD_SWEEP {
+                let _g = scoped(SimdKernel::Auto, portable, t);
+                let got = conv_stage(&input, &weight, &bias, &d_out, &plan);
+                prop_assert_eq!(
+                    &reference, &got,
+                    "conv stage (portable={}) diverged from scalar at {} threads", portable, t
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn conv_stage_matches_naive_reference_bitwise(
+        batch in 1usize..4, cin in 1usize..4, cout in 1usize..6, strided in 0usize..2, seed in 0u64..300
+    ) {
+        let (h, w) = (4usize, 6usize);
+        let spec = conv_spec(strided == 1, cin, cout);
+        let plan = ConvPlan::new(spec, h, w);
+        let (input, weight, bias, d_out) = conv_problem((batch, cin, cout), (h, w), &spec, seed);
+        let want = naive_conv(
+            input.data(), weight.data(), bias.data(), d_out.data(), (batch, h, w), &spec,
+        );
+        let got = conv_stage(&input, &weight, &bias, &d_out, &plan);
+        prop_assert_eq!(&got[0], &bits(&want.out), "forward");
+        prop_assert_eq!(&got[1], &bits(&want.d_weight), "d_weight");
+        prop_assert_eq!(&got[2], &bits(&want.d_bias), "d_bias");
+        prop_assert_eq!(&got[3], &bits(&want.d_input), "d_input");
+    }
+
+    #[test]
     fn conv_forward_simd_matches_scalar_bitwise(
         batch in 1usize..4, cin in 1usize..4, cout in 1usize..6, seed in 0u64..300
     ) {
         let (h, w) = (7usize, 9usize);
         let spec = Conv2dSpec { in_channels: cin, out_channels: cout, kernel: 3, stride: 1, padding: 1 };
+        let plan = ConvPlan::new(spec, h, w);
         let input = Tensor::from_vec(filled(batch * cin * h * w, seed), &[batch, cin, h, w]);
         let weight = Tensor::from_vec(filled(cout * cin * 9, seed ^ 5), &[cout, cin * 9]);
         let bias = Tensor::from_vec(filled(cout, seed ^ 6), &[cout]);
         let (reference, _) = {
             let _g = scoped(SimdKernel::Scalar, false, 1);
-            conv2d_forward(&input, &weight, &bias, h, w, &spec)
+            conv2d_forward(&input, &weight, &bias, &plan, false)
         };
         for &t in &THREAD_SWEEP {
             let _g = scoped(SimdKernel::Auto, false, t);
-            let (got, _) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
+            let (got, _) = conv2d_forward(&input, &weight, &bias, &plan, false);
             prop_assert_eq!(reference.data(), got.data(), "conv diverged at {} threads", t);
         }
     }
