@@ -11,11 +11,17 @@
 //! serially (`grid_matches_serial_for_every_strategy` below compares whole
 //! traces and final weights).
 //!
-//! The submitting thread joins handles in submission order; an unstarted
-//! job is stolen and run inline at its join (the pool's steal-on-join
-//! contract), so a grid completes on any host — including zero-worker
-//! single-core machines, where it degrades to exactly the serial loop it
-//! replaced.
+//! The submitting thread helps while it waits: it walks the handles in
+//! submission order and runs every job no worker has started yet
+//! ([`pool::JobHandle::run_if_unstarted`]), and only then joins — blocking,
+//! if at all, on jobs that are mid-run on a worker. (Joining in submission
+//! order instead parked it on the first mid-run job while the rest queued
+//! behind the workers: `repro table1 --quick` took as much wall as CPU on
+//! two cores.) A grid therefore completes on any host — including
+//! zero-worker single-core machines, where it degrades to exactly the
+//! serial loop it replaced. Only this thread picks up whole experiments
+//! that way: a server joining one of its own training jobs steals that job
+//! and nothing else.
 
 use crate::harness::{Job, JobResult};
 use fedat_core::run_experiment_shared;
@@ -29,24 +35,34 @@ pub fn run_grid(jobs: Vec<Job>, workers: usize) -> Vec<JobResult> {
     if workers > 1 {
         pool::ensure_workers(workers - 1);
     }
-    let handles: Vec<pool::JobHandle<JobResult>> = jobs
-        .into_iter()
-        .map(|job| {
-            pool::submit(move || {
-                // Jobs share one task Arc per dataset — no corpus clone per
-                // run. The run resolves its ExecCtx from its own config.
-                let outcome = run_experiment_shared(&job.task, &job.cfg);
-                JobResult {
-                    label: job.label,
-                    task_name: job.task.name.clone(),
-                    strategy: job.cfg.strategy.name(),
-                    target_accuracy: job.task.target_accuracy,
-                    outcome,
-                }
-            })
-        })
-        .collect();
-    handles.into_iter().map(|h| h.join()).collect()
+    run_all(jobs.into_iter().map(|job| {
+        move || {
+            // Jobs share one task Arc per dataset — no corpus clone per
+            // run. The run resolves its ExecCtx from its own config.
+            let outcome = run_experiment_shared(&job.task, &job.cfg);
+            JobResult {
+                label: job.label,
+                task_name: job.task.name.clone(),
+                strategy: job.cfg.strategy.name(),
+                target_accuracy: job.task.target_accuracy,
+                outcome,
+            }
+        }
+    }))
+}
+
+/// Runs every closure exactly once, on a pool worker or on this thread,
+/// whichever claims it first; results come back in submission order.
+fn run_all<T, F>(work: impl Iterator<Item = F>) -> Vec<T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    let handles: Vec<pool::JobHandle<T>> = work.map(pool::submit).collect();
+    for handle in &handles {
+        handle.run_if_unstarted();
+    }
+    handles.into_iter().map(pool::JobHandle::join).collect()
 }
 
 #[cfg(test)]
@@ -54,6 +70,7 @@ mod tests {
     use super::*;
     use fedat_core::{ExperimentConfig, StrategyKind};
     use fedat_data::suite;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn job(task: &Arc<suite::FedTask>, strategy: StrategyKind, seed: u64) -> Job {
@@ -94,6 +111,33 @@ mod tests {
                 g.label
             );
             assert_eq!(g.outcome.trace.points, s.trace.points, "{}", g.label);
+        }
+
+        // Eight unequal jobs and one helper thread — the shape that used to
+        // park the submitter on the first mid-run job. Whichever thread
+        // takes which job: each runs once, results keep submission order
+        // and are the serial run's, bit for bit.
+        let unequal = |i: usize| {
+            let mut j = job(&task, StrategyKind::all()[i % 6], 40 + i as u64);
+            j.cfg.rounds = [9, 2, 6, 3, 8, 2, 5, 4][i];
+            j
+        };
+        let runs: Arc<Vec<AtomicUsize>> = Arc::new((0..8).map(|_| AtomicUsize::new(0)).collect());
+        pool::ensure_workers(1);
+        let grid = run_all((0..8).map(|i| {
+            let (j, runs) = (unequal(i), Arc::clone(&runs));
+            move || {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                (j.label, run_experiment_shared(&j.task, &j.cfg))
+            }
+        }));
+        for (i, (label, outcome)) in grid.iter().enumerate() {
+            let j = unequal(i);
+            assert_eq!(*label, j.label, "slot {i} holds another job's result");
+            assert_eq!(runs[i].load(Ordering::Relaxed), 1, "{label} ran twice");
+            let s = run_experiment_shared(&j.task, &j.cfg);
+            assert_eq!(outcome.final_weights, s.final_weights, "{label}");
+            assert_eq!(outcome.trace.points, s.trace.points, "{label}");
         }
     }
 

@@ -1,8 +1,13 @@
 //! The wire-codec abstraction used by the FL transport.
 //!
 //! A [`WireCodec`] turns a weight vector into a [`CompressedBlob`] (what the
-//! simulator's traffic meter charges to the network) and back. Codecs come
-//! in two families:
+//! simulator's traffic meter charges to the network) and back:
+//! [`WireCodec::encode_with_ref`] and [`WireCodec::try_decode_with_ref`]
+//! *define* each wire format, byte for byte. The simulator's transport
+//! calls neither — a simulated transfer needs the decoded values and the
+//! blob's size, not the bytes — but [`WireCodec::roundtrip`], which returns
+//! exactly those two, in place, and is tested against the definition.
+//! Codecs come in two families:
 //!
 //! * **absolute** codecs encode the weight vector alone
 //!   ([`NoCompression`], [`PolylineCodec`]),
@@ -19,10 +24,11 @@
 //! programming error, not a recoverable condition.
 
 use crate::delta_rle::DeltaRleCodec;
-use crate::polyline::{decode_stream, encode_stream};
+use crate::polyline::{decode_stream, encode_stream, roundtrip_stream};
 use crate::quantized::QuantizedCodec;
 use crate::topk::TopKCodec;
 use bytes::Bytes;
+use fedat_tensor::simd::{self, SimdKernel};
 
 /// Identifies how a blob was encoded (carried in the blob header).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,6 +163,37 @@ pub trait WireCodec: Send + Sync {
             Err(e) => panic!("{} blob failed to decode: {e}", self.name()),
         }
     }
+
+    /// One simulated transfer, in place: `weights` become what the receiver
+    /// would decode and the return is the blob's
+    /// [`wire_bytes`](CompressedBlob::wire_bytes). This body — encode, then
+    /// decode — is the definition; an override computes the same two things
+    /// without building the blob, keeps this composition as its
+    /// `SimdKernel::Scalar` lane, and is held to it bit for bit by the
+    /// `roundtrip_equals_decode_of_encode` proptest.
+    ///
+    /// # Panics
+    /// As [`encode_with_ref`](WireCodec::encode_with_ref).
+    fn roundtrip(&self, weights: &mut [f32], reference: Option<&[f32]>) -> usize {
+        roundtrip_via_blob(self, weights, reference)
+    }
+}
+
+/// Whether the calling thread runs the reference lane, in which a
+/// [`WireCodec::roundtrip`] override defers to [`roundtrip_via_blob`].
+pub(crate) fn reference_lane() -> bool {
+    simd::simd_kernel() == SimdKernel::Scalar
+}
+
+/// [`WireCodec::roundtrip`]'s default body, for overrides to fall back on.
+pub(crate) fn roundtrip_via_blob(
+    codec: &(impl WireCodec + ?Sized),
+    weights: &mut [f32],
+    reference: Option<&[f32]>,
+) -> usize {
+    let blob = codec.encode_with_ref(weights, reference);
+    weights.copy_from_slice(&codec.decode_with_ref(&blob, reference));
+    blob.wire_bytes()
 }
 
 /// Checks the encode-side reference contract shared by every codec.
@@ -220,6 +257,15 @@ impl WireCodec for NoCompression {
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect())
+    }
+
+    /// The identity: `to_le_bytes` / `from_le_bytes` keep every bit pattern.
+    fn roundtrip(&self, weights: &mut [f32], reference: Option<&[f32]>) -> usize {
+        if reference_lane() {
+            return roundtrip_via_blob(self, weights, reference);
+        }
+        check_reference(weights, reference);
+        BLOB_HEADER_BYTES + 4 * weights.len()
     }
 
     fn name(&self) -> String {
@@ -288,6 +334,12 @@ impl WireCodec for PolylineCodec {
             }
             _ => Err(CodecError::WrongKind),
         }
+    }
+
+    /// [`roundtrip_stream`] carries the lanes, the reference one included.
+    fn roundtrip(&self, weights: &mut [f32], reference: Option<&[f32]>) -> usize {
+        check_reference(weights, reference);
+        BLOB_HEADER_BYTES + roundtrip_stream(weights, self.precision, self.delta)
     }
 
     fn name(&self) -> String {

@@ -20,6 +20,13 @@
 //! | portable | blocks: round pass, SWAR chunk spread, one 8-byte store per value | the reference (the intrinsic-free window decoders prototyped for this kernel lost to its byte loop) |
 //! | AVX2 + BMI | blocks: vector round pass, `lzcnt`/`pdep`/`bzhi`, one 8-byte store per value | 32-byte terminator bitmaps, eight (or four) values per window by `tzcnt`/`pext`, vector divide pass |
 //!
+//! [`roundtrip_stream`] — what a simulated transfer calls, since nobody
+//! reads the bytes — takes the same lanes: `Scalar` is literally
+//! `decode_stream(encode_stream(..))`; the other two share the block
+//! encoder's round pass, sum each value's chunk count and divide the rounded
+//! integers back, without a stream in between (proptest
+//! `roundtrip_equals_decode_of_encode`).
+//!
 //! The AVX2 + BMI lane needs AVX2, BMI1, BMI2 and LZCNT and detects them
 //! itself (`simd`'s own AVX2 lanes only ask for AVX2 + FMA); a host without
 //! them takes the portable lane. `pdep`/`pext` are microcoded on AMD Zen 1
@@ -49,6 +56,12 @@
 //!   eight continuation bytes in a row (a value longer than eight chunks) or
 //!   fewer than four values, and the last 40 bytes or 8 values of a stream,
 //!   go through [`decode_int`]'s own chunk loop one value at a time.
+//!
+//! * **Roundtrip.** `encode_int` / `decode_int` are inverse on all of `i64`
+//!   and the decoder's wrapping sum undoes the encoder's wrapping
+//!   difference, so every value of an honest stream decodes to
+//!   `dequantize(quantize(v))` and occupies as many bytes as its
+//!   (difference's) zig-zag has 5-bit chunks — neither needs the bytes.
 //!
 //! The kernel is deliberately *not* sharded on the kernel pool: decode
 //! cannot split a stream without a chunk index on the wire, and encode at
@@ -102,6 +115,19 @@ fn decode_zigzag(bytes: &[u8]) -> Option<(u64, usize)> {
 #[inline(always)]
 fn unzigzag(r: u64) -> i64 {
     (r >> 1) as i64 ^ -((r & 1) as i64)
+}
+
+/// The zig-zag map of [`encode_int`], branch-free.
+#[inline(always)]
+fn zigzag_of(d: i64) -> u64 {
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+/// Bytes [`encode_int`] emits for a zig-zagged value: ⌈significant bits / 5⌉,
+/// at least one.
+#[inline(always)]
+fn chunk_count(zz: u64) -> u32 {
+    (68 - (zz | 1).leading_zeros()) / 5
 }
 
 /// Rounds a float at `precision` decimal places to its integer lattice.
@@ -179,6 +205,34 @@ pub fn decode_stream(bytes: &[u8], count: usize, precision: u8, delta: bool) -> 
     }
 }
 
+/// What a receiver would decode from `encode_stream(values, ..)`, written
+/// over `values`; returns that stream's length. The simulator's transfers
+/// need only these two — nobody reads the bytes — so the fast lanes never
+/// build them: per 512-value block, the encoder's round pass, a sum of
+/// per-value chunk counts, and [`dequantize`] straight from the rounded
+/// integers. The `Scalar` lane is the literal `decode_stream(encode_stream)`.
+///
+/// # Panics
+/// As [`encode_stream`]. On a non-finite value the fast lanes have already
+/// overwritten the blocks before it.
+pub fn roundtrip_stream(values: &mut [f32], precision: u8, delta: bool) -> usize {
+    assert!(precision <= MAX_PRECISION, "precision {precision} too high");
+    match lane() {
+        Lane::Scalar => {
+            let bytes = encode_stream(values, precision, delta);
+            let decoded = decode_stream(&bytes, values.len(), precision, delta)
+                .expect("an encoder's own stream decodes");
+            values.copy_from_slice(&decoded);
+            bytes.len()
+        }
+        Lane::Portable => roundtrip_blocks(values, precision, delta, quantize_block),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `lane()` returns `Avx2Bmi` only after `x86::available()`
+        // detected every target feature `x86::roundtrip` is compiled with.
+        Lane::Avx2Bmi => unsafe { x86::roundtrip(values, precision, delta) },
+    }
+}
+
 /// The reference encoder, one value at a time. `prev` is the last rounded
 /// value (delta mode only), so a block kernel can hand a single block over
 /// and carry on.
@@ -216,6 +270,27 @@ fn decode_reference(bytes: &[u8], count: usize, precision: u8, delta: bool) -> O
     } else {
         None // trailing garbage
     }
+}
+
+/// [`encode_reference`] then [`decode_reference`] of one block without the
+/// bytes in between: `encode_int` and `decode_int` are inverse on all of
+/// `i64` and the decoder's wrapping sum undoes the encoder's wrapping
+/// difference, so every value comes back as `dequantize(quantize(v))` and
+/// costs [`chunk_count`] bytes of its (difference's) zig-zag.
+fn roundtrip_reference(values: &mut [f32], precision: u8, delta: bool, prev: &mut i64) -> usize {
+    let mut bytes = 0usize;
+    for v in values {
+        assert!(v.is_finite(), "cannot polyline-encode non-finite value {v}");
+        let q = quantize(*v, precision);
+        let sent = if delta {
+            q.wrapping_sub(std::mem::replace(prev, q))
+        } else {
+            q
+        };
+        bytes += chunk_count(zigzag_of(sent)) as usize;
+        *v = dequantize(q, precision);
+    }
+    bytes
 }
 
 // ----------------------------------------------------------------------
@@ -303,13 +378,12 @@ fn encode_blocks(
         let zigzag = &mut zigzag[..block.len() - 1];
         for (zz, pair) in zigzag.iter_mut().zip(rounded.windows(2)) {
             let d = pair[1] as i64 - if delta { pair[0] as i64 } else { 0 };
-            *zz = ((d << 1) ^ (d >> 63)) as u64;
+            *zz = zigzag_of(d);
         }
         let base = out.as_mut_ptr();
         let mut pos = out.len();
         for &zz in zigzag.iter() {
-            // ⌈significant bits / 5⌉, at least one.
-            let chunks = (68 - (zz | 1).leading_zeros()) / 5;
+            let chunks = chunk_count(zz);
             let word = (spread(zz) | (CONT & ((1u64 << (8 * (chunks - 1))) - 1))) + ASCII;
             // SAFETY: `reserve` left `room(len)` bytes past the block's
             // start; the first value took ≤ MAX_CHUNKS of them and each
@@ -328,6 +402,58 @@ fn encode_blocks(
         unsafe { out.set_len(pos) };
     }
     out
+}
+
+/// The block roundtrip shared by the portable and AVX2 + BMI lanes
+/// ([`roundtrip_stream`]); only the round pass differs between them. Always
+/// inlined, so the count and divide passes are compiled — and vectorised —
+/// at the instantiating lane's ISA.
+#[inline(always)]
+fn roundtrip_blocks(
+    values: &mut [f32],
+    precision: u8,
+    delta: bool,
+    quantize_block: impl Fn(&[f32], f64, &mut [i32]) -> bool,
+) -> usize {
+    let scale = 10f64.powi(precision as i32);
+    let mut rounded = [0i32; BLOCK];
+    let mut prev = 0i64;
+    let mut bytes = 0usize;
+    for block in values.chunks_mut(BLOCK) {
+        let rounded = &mut rounded[..block.len()];
+        if !quantize_block(block, scale, rounded) {
+            // Same hand-over as `encode_blocks`: the reference names the
+            // first non-finite value and saturates past `i32`.
+            bytes += roundtrip_reference(block, precision, delta, &mut prev);
+            continue;
+        }
+        // As in `encode_blocks`, only a block's first difference can leave
+        // 33 bits: `prev` may be anything the reference loop left behind.
+        let back = if delta { prev } else { 0 };
+        bytes += chunk_count(zigzag_of((rounded[0] as i64).wrapping_sub(back))) as usize;
+        prev = rounded[block.len() - 1] as i64;
+        // Every later value differs from an `i32` by an `i32`. With
+        // `m = d` for `d ≥ 0` and `−d − 1` below, the zig-zag is `2m` or
+        // `2m + 1`: one bit longer than `m` (one bit when `m = 0`), so it
+        // takes a chunk, and one more for each 5 bits `m` has past 4 —
+        // `chunk_count` as six compares that vectorise. `m < 2³²` comes out
+        // of 32-bit lanes: the wrapped difference, inverted when `a < b`.
+        let mut chunks = 0u32;
+        for pair in rounded.windows(2) {
+            let (a, b) = (pair[1], if delta { pair[0] } else { 0 });
+            let m = (a.wrapping_sub(b) ^ -i32::from(a < b)) as u32;
+            chunks += 1 + [4, 9, 14, 19, 24, 29]
+                .iter()
+                .map(|&bits| u32::from(m >> bits != 0))
+                .sum::<u32>();
+        }
+        bytes += chunks as usize;
+        // `dequantize` on an `i32`: the same `f64` divide, the same narrowing.
+        for (v, &q) in block.iter_mut().zip(rounded.iter()) {
+            *v = (q as f64 / scale) as f32;
+        }
+    }
+    bytes
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -357,6 +483,13 @@ mod x86 {
             |values, scale, q| quantize_block(values, scale, q),
             |zz| _pdep_u64(zz, LOW5),
         )
+    }
+
+    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt")]
+    pub fn roundtrip(values: &mut [f32], precision: u8, delta: bool) -> usize {
+        super::roundtrip_blocks(values, precision, delta, |values, scale, q| {
+            quantize_block(values, scale, q)
+        })
     }
 
     /// [`super::quantize_block`], four values per step: `cvtps_pd`, the

@@ -19,8 +19,8 @@
 //! [`CODEC_CHUNK`] boundaries, so worker count cannot change a byte.
 
 use crate::codec::{
-    check_reference, decode_reference, CodecError, CodecKind, CompressedBlob, WireCodec,
-    CODEC_CHUNK,
+    check_reference, decode_reference, reference_lane, roundtrip_via_blob, CodecError, CodecKind,
+    CompressedBlob, WireCodec, BLOB_HEADER_BYTES, CODEC_CHUNK,
 };
 use bytes::Bytes;
 use fedat_tensor::parallel::{for_each_chunk, plan_threads};
@@ -78,34 +78,60 @@ fn delta_range(d: &[f32]) -> (f32, f32) {
     }
 }
 
+/// The encoder's three sweeps — delta vs the reference, range fold, levels
+/// — returning the level buffer (a scratch take: recycle it) and the range.
+fn quantize_levels(bits: u8, weights: &[f32], reference: Option<&[f32]>) -> (Vec<f32>, f32, f32) {
+    let n = weights.len();
+    let threads = plan_threads(n, 8);
+    // Delta vs the reference (standing scratch buffers; recycled below).
+    let mut delta_buf = Vec::new();
+    let d: &[f32] = match reference {
+        Some(r) => {
+            delta_buf = scratch::take_zeroed(n);
+            for_each_chunk(&mut delta_buf, CODEC_CHUNK, threads, |start, chunk| {
+                let end = start + chunk.len();
+                simd::sub_into(chunk, &weights[start..end], &r[start..end]);
+            });
+            &delta_buf
+        }
+        None => weights,
+    };
+    let (lo, hi) = delta_range(d);
+    let lv = levels(bits);
+    let scale = lv / (hi - lo);
+    let mut q = scratch::take_zeroed(n);
+    for_each_chunk(&mut q, CODEC_CHUNK, threads, |start, chunk| {
+        simd::quantize_into(chunk, &d[start..start + chunk.len()], lo, scale, lv);
+    });
+    if !delta_buf.is_empty() {
+        scratch::recycle(delta_buf);
+    }
+    (q, lo, hi)
+}
+
+/// The decoder's sweep: `out = lo + step · q (+ reference)`.
+fn dequantize_levels(
+    out: &mut [f32],
+    q: &[f32],
+    bits: u8,
+    (lo, hi): (f32, f32),
+    reference: Option<&[f32]>,
+) {
+    let step = (hi - lo) / levels(bits);
+    let threads = plan_threads(out.len(), 8);
+    for_each_chunk(out, CODEC_CHUNK, threads, |start, chunk| {
+        let end = start + chunk.len();
+        simd::affine_into(chunk, &q[start..end], step, lo);
+        if let Some(r) = reference {
+            simd::add_assign(chunk, &r[start..end]);
+        }
+    });
+}
+
 impl WireCodec for QuantizedCodec {
     fn encode_with_ref(&self, weights: &[f32], reference: Option<&[f32]>) -> CompressedBlob {
         check_reference(weights, reference);
-        let n = weights.len();
-        let threads = plan_threads(n, 8);
-        // Delta vs the reference (standing scratch buffers; recycled below).
-        let mut delta_buf = Vec::new();
-        let d: &[f32] = match reference {
-            Some(r) => {
-                delta_buf = scratch::take_zeroed(n);
-                for_each_chunk(&mut delta_buf, CODEC_CHUNK, threads, |start, chunk| {
-                    let end = start + chunk.len();
-                    simd::sub_into(chunk, &weights[start..end], &r[start..end]);
-                });
-                &delta_buf
-            }
-            None => weights,
-        };
-        let (lo, hi) = delta_range(d);
-        let lv = levels(self.bits);
-        let scale = lv / (hi - lo);
-        let mut q = scratch::take_zeroed(n);
-        for_each_chunk(&mut q, CODEC_CHUNK, threads, |start, chunk| {
-            simd::quantize_into(chunk, &d[start..start + chunk.len()], lo, scale, lv);
-        });
-        if !delta_buf.is_empty() {
-            scratch::recycle(delta_buf);
-        }
+        let (q, lo, hi) = quantize_levels(self.bits, weights, reference);
         // Byte packing: `q` holds exact small integers (NaN deltas clamp to
         // level 0 inside the kernel), so the cast is exact.
         let payload: Vec<u8> = match self.bits {
@@ -122,7 +148,7 @@ impl WireCodec for QuantizedCodec {
         scratch::recycle(q);
         CompressedBlob {
             payload: Bytes::from(payload),
-            count: n,
+            count: weights.len(),
             kind: CodecKind::Quantized { bits: self.bits },
             aux: vec![lo, hi],
         }
@@ -148,8 +174,6 @@ impl WireCodec for QuantizedCodec {
         if blob.aux.len() < 2 {
             return Err(CodecError::Malformed("quantized range missing"));
         }
-        let (lo, hi) = (blob.aux[0], blob.aux[1]);
-        let step = (hi - lo) / levels(bits);
         // Unpack to exact integer levels, then dequantize on the SIMD path.
         let mut q = scratch::take_empty(n);
         match bits {
@@ -163,17 +187,27 @@ impl WireCodec for QuantizedCodec {
                 }
             }
         }
-        let threads = plan_threads(n, 8);
         let mut out = vec![0.0f32; n];
-        for_each_chunk(&mut out, CODEC_CHUNK, threads, |start, chunk| {
-            let end = start + chunk.len();
-            simd::affine_into(chunk, &q[start..end], step, lo);
-            if let Some(r) = reference {
-                simd::add_assign(chunk, &r[start..end]);
-            }
-        });
+        dequantize_levels(&mut out, &q, bits, (blob.aux[0], blob.aux[1]), reference);
         scratch::recycle(q);
         Ok(out)
+    }
+
+    /// The encoder's sweeps straight into the decoder's, without the bytes
+    /// between them: the levels are exact integers in `0..=levels` (NaN
+    /// clamps to 0 inside the kernel), which the `u8` / nibble pack and
+    /// unpack hand back unchanged, and `lo` / `hi` cross the wire as the
+    /// `f32`s they are.
+    fn roundtrip(&self, weights: &mut [f32], reference: Option<&[f32]>) -> usize {
+        if reference_lane() {
+            return roundtrip_via_blob(self, weights, reference);
+        }
+        check_reference(weights, reference);
+        let (q, lo, hi) = quantize_levels(self.bits, weights, reference);
+        dequantize_levels(weights, &q, self.bits, (lo, hi), reference);
+        scratch::recycle(q);
+        let packed = packed_len(weights.len(), self.bits).expect("width checked at construction");
+        BLOB_HEADER_BYTES + packed + 2 * std::mem::size_of::<f32>()
     }
 
     fn name(&self) -> String {

@@ -2,9 +2,11 @@
 //! the [`WireCodec`] family: lossless round-trips are bitwise (including
 //! `-0.0`, subnormals, `3e38`, and NaN payloads — mirroring the LEAF writer
 //! tests), lossy round-trips bound max per-weight error by the configured
-//! precision, arbitrary bytes never panic a decoder, and the three polyline
+//! precision, arbitrary bytes never panic a decoder, the three polyline
 //! lanes (`Scalar`, portable, AVX2 + BMI) agree byte for byte and bit for
-//! bit on honest and corrupt streams alike.
+//! bit on honest and corrupt streams alike, and every codec's in-place
+//! [`WireCodec::roundtrip`] — the only entry the transport calls — equals
+//! `decode(encode(..))` in every lane, values bitwise and wire size exactly.
 
 use bytes::Bytes;
 use fedat_compress::codec::{
@@ -42,6 +44,7 @@ fn with_specials(mut v: Vec<f32>) -> Vec<f32> {
 /// lanes checked against it.
 const REFERENCE_LANE: (SimdKernel, bool) = (SimdKernel::Scalar, false);
 const FAST_LANES: [(SimdKernel, bool); 2] = [(SimdKernel::Auto, false), (SimdKernel::Auto, true)];
+const ALL_LANES: [(SimdKernel, bool); 3] = [REFERENCE_LANE, FAST_LANES[0], FAST_LANES[1]];
 
 fn in_lane<T>((simd, portable_only): (SimdKernel, bool), f: impl FnOnce() -> T) -> T {
     let _g = ctx::install(KernelCtx {
@@ -163,7 +166,103 @@ fn first_difference<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T]) -> St
     }
 }
 
+/// The panic message of `f`, which must panic with a formatted one.
+fn panic_message<T>(f: impl FnOnce() -> T) -> String {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .err()
+        .expect("must panic");
+    err.downcast_ref::<String>()
+        .expect("formatted panic")
+        .clone()
+}
+
+/// A fused lane that meets a non-finite value says what the encoder says:
+/// the first one, by value — wherever in a block it sits.
+#[test]
+fn roundtrip_panics_like_encode_on_non_finite_polyline_input() {
+    for lane in ALL_LANES {
+        for (at, then) in [(0usize, 1usize), (511, 512), (600, 650), (1300, 1301)] {
+            let mut values = vec![0.5f32; 1400];
+            values[at] = f32::NEG_INFINITY;
+            values[then] = f32::NAN;
+            let c = PolylineCodec::new(4);
+            let by_encode = in_lane(lane, || panic_message(|| c.encode(&values)));
+            let by_roundtrip = in_lane(lane, || {
+                panic_message(|| c.roundtrip(&mut values.clone(), None))
+            });
+            assert!(by_encode.ends_with("non-finite value -inf"), "{by_encode}");
+            assert_eq!(
+                by_roundtrip, by_encode,
+                "{lane:?}, first non-finite at {at}"
+            );
+        }
+    }
+}
+
 proptest! {
+    /// The oracle of every fused lane: what `roundtrip` leaves in place and
+    /// returns is `decode_with_ref(encode_with_ref(..))` and its
+    /// `wire_bytes`, taken in the reference lane.
+    #[test]
+    fn roundtrip_equals_decode_of_encode(
+        seed in any::<u64>(),
+        precision in 1u8..=7,
+        delta in any::<bool>(),
+        len_ix in 0usize..7,
+        regime in 0usize..7,
+        kind_ix in 0usize..6,
+        with_ref in any::<bool>(),
+    ) {
+        // Both sides of every 512-value block edge of the fused lanes.
+        let len = [0, 1, 3, 511, 512, 513, 4097][len_ix];
+        let mut d = Draw(seed | 1);
+        let kind = [
+            CodecKind::None,
+            CodecKind::Polyline { precision, delta },
+            CodecKind::DeltaRle,
+            CodecKind::Quantized { bits: 8 },
+            CodecKind::Quantized { bits: 4 },
+            CodecKind::TopK { per_mille: [1, 50, 500, 1000][d.below(4)] },
+        ][kind_ix];
+        // Regime 5 leaves `i32` (the reference loop takes those blocks),
+        // 4 and the specials carry `-0.0`, a subnormal and `±3e38`.
+        let mut values = polyline_values(regime, len, precision, &mut d);
+        if d.below(2) == 0 {
+            values = with_specials(values);
+        }
+        if !matches!(kind, CodecKind::Polyline { .. }) && d.below(4) == 0 {
+            // Only polyline refuses non-finite input.
+            for v in values.iter_mut() {
+                *v = f32::from_bits(d.next() as u32);
+            }
+        }
+        // A model one local pass away, or the very same one (zero delta).
+        let drift = [0.0, 0.01][d.below(2)];
+        let reference: Vec<f32> = values.iter().map(|v| v + d.normal(drift)).collect();
+        let reference = with_ref.then_some(reference.as_slice());
+
+        let c = codec_for(kind);
+        let (want, want_bytes) = in_lane(REFERENCE_LANE, || {
+            let blob = c.encode_with_ref(&values, reference);
+            (bits(&c.decode_with_ref(&blob, reference)), blob.wire_bytes())
+        });
+        for lane in ALL_LANES {
+            let mut got = values.clone();
+            let got_bytes = in_lane(lane, || c.roundtrip(&mut got, reference));
+            prop_assert!(
+                got_bytes == want_bytes,
+                "{} charged {} B on {:?}, the blob weighs {} (regime {}, len {}, seed {})",
+                c.name(), got_bytes, lane, want_bytes, regime, len, seed
+            );
+            let got = bits(&got);
+            prop_assert!(
+                got == want,
+                "{} roundtrip diverged on {:?} (regime {}, len {}, ref {}, seed {}) at {}",
+                c.name(), lane, regime, len, with_ref, seed, first_difference(&got, &want)
+            );
+        }
+    }
+
     #[test]
     fn int_roundtrip(v in any::<i64>(), shift in 0u32..64) {
         // Every magnitude class of the full range, not only its top.

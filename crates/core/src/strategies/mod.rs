@@ -748,8 +748,9 @@ impl InflightTable {
     ///
     /// On a compute completion this *joins* the training job launched at
     /// dispatch (running it now if the inline mode is active or no worker
-    /// got to it), puts the encoded update on the wire (charging the
-    /// *actual* uplink payload) and schedules the upload arrival; on the
+    /// got to it), takes the trained weights through the uplink codec in
+    /// the vector they arrived in (charging the *actual* uplink payload)
+    /// and schedules the upload arrival; on the
     /// arrival it hands the update back to the strategy, after the
     /// corruption scenario (if active) mangled the payload and the guard
     /// layer (if active) screened it. A dropout mid-compute discards the
@@ -775,12 +776,9 @@ impl InflightTable {
                 // first: corruption mangles the values in flight, it does
                 // not change what the client transmitted or the traffic
                 // meter's view of it.
-                let (mut w_up, up_bytes) = core.transport.upload_with_ref(
-                    ctx,
-                    c.client,
-                    &update.weights,
-                    Some(&info.reference),
-                );
+                let (mut w_up, up_bytes) =
+                    core.transport
+                        .upload(ctx, c.client, update.weights, Some(&info.reference));
                 if let Some(mode) =
                     ctx.fleet
                         .corrupt_update(c.client, info.selection_round, &mut w_up)

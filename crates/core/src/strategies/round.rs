@@ -276,7 +276,7 @@ impl<P: RoundPolicy> RoundServer<P> {
         state.received.clear();
         state.picked = picks.clone();
         let deadline = self.deadline(ctx, lane, 0);
-        // One encode + decode of the latest global model for the whole
+        // One codec roundtrip of the latest global model for the whole
         // cohort; the dispatches share the decoded weights. The downlink
         // transfer is charged at dispatch, the uplink once the trained
         // payload is known.

@@ -5,19 +5,26 @@
 //! meter *and* the weights actually take the lossy roundtrip, so compression
 //! precision genuinely affects training (Fig. 5).
 //!
+//! What the simulator computes is not what the wire format defines. The
+//! format is [`WireCodec::encode_with_ref`] / `decode_with_ref` — a byte
+//! stream, pinned by `codec_pin.rs`. A simulated transfer needs two things
+//! of it, the values the receiver would decode and the stream's size, and
+//! nobody reads the bytes: every leg here is one in-place
+//! [`WireCodec::roundtrip`], which is held to `decode(encode(..))` bit for
+//! bit and byte count for byte count by the codec crate's proptests.
+//!
 //! ## Zero-copy broadcast
 //!
 //! A tier round sends the *same* global model to every selected client.
-//! [`Transport::broadcast`] therefore encodes and decodes the model exactly
-//! once per round and hands every client the same `Arc<[f32]>`. Encode
-//! counters expose this invariant to the regression tests.
+//! [`Transport::broadcast`] therefore roundtrips the model exactly once per
+//! round, in the `Arc<[f32]>` every client then shares. The encode counters
+//! (one tick per roundtrip) expose this invariant to the regression tests.
 
 use fedat_compress::codec::{codec_for, CodecKind, WireCodec};
 use fedat_compress::topk::ErrorFeedback;
 use fedat_sim::runtime::SimCtx;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Whether a codec kind is reference-aware (delta-family): it encodes
 /// against a model both endpoints hold, which only the *uplink* has (the
@@ -43,16 +50,15 @@ pub struct Transport {
     codec: Box<dyn WireCodec>,
     down_codec: Box<dyn WireCodec>,
     kind: CodecKind,
-    downlink_encodes: AtomicU64,
-    uplink_encodes: AtomicU64,
+    downlink_encodes: u64,
+    uplink_encodes: u64,
     /// Per-client error-feedback accumulators, engaged for
     /// [`CodecKind::TopK`] uplinks only: top-k is the one codec that
     /// silently *drops* coordinates, so the suppressed mass is carried as a
     /// residual and re-offered at the next upload (see
     /// [`fedat_compress::topk::ErrorFeedback`]). BTreeMap keeps iteration
-    /// deterministic; the mutex exists because uploads take `&self`, and it
-    /// is uncontended (the event loop is single-threaded).
-    feedback: Mutex<BTreeMap<usize, ErrorFeedback>>,
+    /// deterministic.
+    feedback: BTreeMap<usize, ErrorFeedback>,
 }
 
 impl Transport {
@@ -67,9 +73,9 @@ impl Transport {
             codec: codec_for(kind),
             down_codec,
             kind,
-            downlink_encodes: AtomicU64::new(0),
-            uplink_encodes: AtomicU64::new(0),
-            feedback: Mutex::new(BTreeMap::new()),
+            downlink_encodes: 0,
+            uplink_encodes: 0,
+            feedback: BTreeMap::new(),
         }
     }
 
@@ -83,45 +89,40 @@ impl Transport {
         self.codec.name()
     }
 
-    /// Wire size of one model transfer (probe only; not counted as a
-    /// transfer).
-    pub fn payload_bytes(&self, weights: &[f32]) -> usize {
-        self.codec.encode(weights).wire_bytes()
-    }
-
     /// Number of downlink (server → client) encode operations performed.
     /// With the broadcast path this is one per tier round, *not* one per
     /// selected client.
     pub fn downlink_encode_count(&self) -> u64 {
-        self.downlink_encodes.load(Ordering::Relaxed)
+        self.downlink_encodes
     }
 
     /// Number of uplink (client → server) encode operations performed.
     pub fn uplink_encode_count(&self) -> u64 {
-        self.uplink_encodes.load(Ordering::Relaxed)
+        self.uplink_encodes
     }
 
-    /// Server → clients broadcast: encodes `weights` once, charges every
-    /// client's downlink, and returns the decoded post-roundtrip model as a
-    /// shared `Arc<[f32]>` together with the per-client wire size.
+    /// Server → clients broadcast: roundtrips `weights` once, charges every
+    /// client's downlink, and returns the post-roundtrip model as a shared
+    /// `Arc<[f32]>` together with the per-client wire size.
     pub fn broadcast(
-        &self,
+        &mut self,
         ctx: &mut SimCtx,
         clients: &[usize],
         weights: &[f32],
     ) -> (Arc<[f32]>, usize) {
-        let blob = self.down_codec.encode(weights);
-        self.downlink_encodes.fetch_add(1, Ordering::Relaxed);
-        let bytes = blob.wire_bytes();
+        let mut shared: Arc<[f32]> = weights.into();
+        let model = Arc::get_mut(&mut shared).expect("nobody else holds a new Arc");
+        let bytes = self.down_codec.roundtrip(model, None);
+        self.downlink_encodes += 1;
         for &c in clients {
             ctx.traffic.record_download(c, bytes);
         }
-        (self.down_codec.decode(&blob).into(), bytes)
+        (shared, bytes)
     }
 
     /// Server → client transfer: [`Transport::broadcast`] to one client.
     pub fn download(
-        &self,
+        &mut self,
         ctx: &mut SimCtx,
         client: usize,
         weights: &[f32],
@@ -129,14 +130,11 @@ impl Transport {
         self.broadcast(ctx, &[client], weights)
     }
 
-    /// Client → server transfer: charges uplink bytes and returns the
-    /// weights as the server will see them plus the wire size (so the
-    /// strategy can charge the uplink transfer time at completion).
-    pub fn upload(&self, ctx: &mut SimCtx, client: usize, weights: &[f32]) -> (Vec<f32>, usize) {
-        self.upload_with_ref(ctx, client, weights, None)
-    }
-
-    /// Client → server transfer against a shared reference model.
+    /// Client → server transfer of the trained `weights`, against the
+    /// broadcast the client trained from when there is one: charges uplink
+    /// bytes and hands the same allocation back holding the weights as the
+    /// server will see them, plus the wire size (so the strategy can charge
+    /// the uplink transfer time at completion).
     ///
     /// Delta-family codecs ([`CodecKind::DeltaRle`], [`CodecKind::Quantized`],
     /// [`CodecKind::TopK`], and polyline in delta mode via its own stream
@@ -151,30 +149,26 @@ impl Transport {
     /// feedback: the client's carried residual is added to `weights` before
     /// encoding and the post-roundtrip loss becomes the next residual, so
     /// coordinates the sparsifier suppresses arrive late instead of never.
-    pub fn upload_with_ref(
-        &self,
+    pub fn upload(
+        &mut self,
         ctx: &mut SimCtx,
         client: usize,
-        weights: &[f32],
+        mut weights: Vec<f32>,
         reference: Option<&[f32]>,
     ) -> (Vec<f32>, usize) {
-        if matches!(self.kind, CodecKind::TopK { .. }) {
-            let mut feedback = self.feedback.lock().expect("feedback map poisoned");
-            let fb = feedback.entry(client).or_default();
-            let compensated = fb.compensate(weights);
-            let blob = self.codec.encode_with_ref(&compensated, reference);
-            self.uplink_encodes.fetch_add(1, Ordering::Relaxed);
-            let bytes = blob.wire_bytes();
-            ctx.traffic.record_upload(client, bytes);
-            let decoded = self.codec.decode_with_ref(&blob, reference);
-            fb.absorb(&compensated, &decoded);
-            return (decoded, bytes);
-        }
-        let blob = self.codec.encode_with_ref(weights, reference);
-        self.uplink_encodes.fetch_add(1, Ordering::Relaxed);
-        let bytes = blob.wire_bytes();
+        let feedback = matches!(self.kind, CodecKind::TopK { .. }).then(|| {
+            let fb = self.feedback.entry(client).or_default();
+            let compensated = fb.compensate(&weights);
+            weights.copy_from_slice(&compensated);
+            (fb, compensated)
+        });
+        let bytes = self.codec.roundtrip(&mut weights, reference);
+        self.uplink_encodes += 1;
         ctx.traffic.record_upload(client, bytes);
-        (self.codec.decode_with_ref(&blob, reference), bytes)
+        if let Some((fb, compensated)) = feedback {
+            fb.absorb(&compensated, &weights);
+        }
+        (weights, bytes)
     }
 }
 
@@ -184,65 +178,65 @@ mod tests {
     use fedat_sim::fleet::{ClusterConfig, Fleet};
     use fedat_sim::runtime::{run, Completion, EventHandler, RunLimits, SimCtx};
 
-    /// Drives one download+upload through a real SimCtx to check accounting.
-    struct OneTransfer {
-        transport: Transport,
-        weights: Vec<f32>,
-        up_result: Option<Vec<f32>>,
-        done: bool,
-    }
-
-    impl EventHandler for OneTransfer {
-        fn on_start(&mut self, ctx: &mut SimCtx) {
-            let (w, bytes) = self.transport.download(ctx, 0, &self.weights);
-            assert_eq!(w.len(), self.weights.len());
-            assert!(bytes > 0);
-            ctx.dispatch(0, 0, 1);
+    /// Drives one download + upload of `weights` through a real `SimCtx`,
+    /// checking that each leg charges what the wire format weighs; returns
+    /// the weights as the server sees them and that weight.
+    fn one_transfer(kind: CodecKind, weights: &[f32]) -> (Vec<f32>, usize) {
+        struct OneTransfer {
+            transport: Transport,
+            weights: Vec<f32>,
+            expected_bytes: usize,
+            up_result: Option<Vec<f32>>,
         }
-        fn on_completion(&mut self, ctx: &mut SimCtx, _c: Completion) {
-            let (w, bytes) = self.transport.upload(ctx, 0, &self.weights);
-            assert!(bytes > 0);
-            self.up_result = Some(w);
-            self.done = true;
+        impl EventHandler for OneTransfer {
+            fn on_start(&mut self, ctx: &mut SimCtx) {
+                let (w, bytes) = self.transport.download(ctx, 0, &self.weights);
+                assert_eq!(w.len(), self.weights.len());
+                assert_eq!(bytes, self.expected_bytes);
+                assert_eq!(ctx.traffic.downlink_bytes(), bytes as u64);
+                ctx.dispatch(0, 0, 1);
+            }
+            fn on_completion(&mut self, ctx: &mut SimCtx, _c: Completion) {
+                let (w, bytes) = self.transport.upload(ctx, 0, self.weights.clone(), None);
+                assert_eq!(bytes, self.expected_bytes);
+                assert_eq!(ctx.traffic.uplink_bytes(), bytes as u64);
+                self.up_result = Some(w);
+            }
+            fn finished(&self) -> bool {
+                self.up_result.is_some()
+            }
         }
-        fn finished(&self) -> bool {
-            self.done
-        }
-    }
-
-    #[test]
-    fn transfers_charge_both_directions() {
         let cfg = ClusterConfig::paper_medium(1)
             .with_clients(4)
             .without_dropouts();
         let fleet = Fleet::new(&cfg, vec![10; 4]);
-        let weights: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.01).sin() * 0.1).collect();
         let mut h = OneTransfer {
-            transport: Transport::new(CodecKind::Polyline {
-                precision: 4,
-                delta: true,
-            }),
-            weights: weights.clone(),
+            transport: Transport::new(kind),
+            weights: weights.to_vec(),
+            expected_bytes: codec_for(kind).encode(weights).wire_bytes(),
             up_result: None,
-            done: false,
         };
-        let expected = h.transport.payload_bytes(&weights);
-        // Can't reach ctx.traffic after run; assert via handler state +
-        // payload symmetry instead.
         run(&mut h, &fleet, 1, RunLimits::default());
-        let up = h.up_result.expect("upload happened");
+        assert_eq!(h.transport.downlink_encode_count(), 1);
+        assert_eq!(h.transport.uplink_encode_count(), 1);
+        (h.up_result.expect("upload happened"), h.expected_bytes)
+    }
+
+    #[test]
+    fn transfers_charge_both_directions() {
+        let weights: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.01).sin() * 0.1).collect();
+        let kind = CodecKind::Polyline {
+            precision: 4,
+            delta: true,
+        };
+        let (up, bytes) = one_transfer(kind, &weights);
         for (a, b) in up.iter().zip(weights.iter()) {
             assert!(
                 (a - b).abs() <= 0.5e-4 * 1.01,
                 "lossy roundtrip out of tolerance"
             );
         }
-        assert!(
-            expected < 4000,
-            "polyline should beat raw 4000 B: {expected}"
-        );
-        assert_eq!(h.transport.downlink_encode_count(), 1);
-        assert_eq!(h.transport.uplink_encode_count(), 1);
+        assert!(bytes < 4000, "polyline should beat raw 4000 B: {bytes}");
     }
 
     #[test]
@@ -282,10 +276,9 @@ mod tests {
 
     #[test]
     fn raw_transport_is_lossless() {
-        let t = Transport::new(CodecKind::None);
         let w: Vec<f32> = (0..64).map(|i| i as f32 * 0.125).collect();
-        assert_eq!(t.payload_bytes(&w), 16 + 64 * 4);
-        assert_eq!(t.codec_name(), "none");
+        assert_eq!(one_transfer(CodecKind::None, &w), (w, 16 + 64 * 4));
+        assert_eq!(Transport::new(CodecKind::None).codec_name(), "none");
     }
 
     #[test]
@@ -310,9 +303,7 @@ mod tests {
                 // Uplink: quantized delta vs the broadcast reference —
                 // roughly one byte per weight instead of four.
                 let trained: Vec<f32> = shared.iter().map(|v| v + 0.001).collect();
-                let (_, up_bytes) = self
-                    .transport
-                    .upload_with_ref(ctx, 0, &trained, Some(&shared));
+                let (_, up_bytes) = self.transport.upload(ctx, 0, trained, Some(&shared));
                 assert!(up_bytes < down_bytes / 3, "{up_bytes} vs {down_bytes}");
                 self.done = true;
             }
@@ -367,7 +358,7 @@ mod tests {
                 // upload until coordinate 7 outranks the spike and arrives.
                 let mut recovered = None;
                 for round in 0..15 {
-                    let (decoded, _) = self.transport.upload_with_ref(ctx, 0, &w, Some(&reference));
+                    let (decoded, _) = self.transport.upload(ctx, 0, w.clone(), Some(&reference));
                     if decoded[7] != 0.0 {
                         recovered = Some(round);
                         break;
@@ -377,7 +368,7 @@ mod tests {
                 assert!(round >= 5, "recovery needs rounds of accumulation: {round}");
                 // Residuals are per-client: client 1's first upload still
                 // suppresses coordinate 7.
-                let (other, _) = self.transport.upload_with_ref(ctx, 1, &w, Some(&reference));
+                let (other, _) = self.transport.upload(ctx, 1, w.clone(), Some(&reference));
                 assert_eq!(other[7], 0.0, "residuals leaked across clients");
                 self.done = true;
             }
@@ -396,13 +387,12 @@ mod tests {
 
     #[test]
     fn polyline_transport_names_and_sizes() {
-        let t = Transport::new(CodecKind::Polyline {
+        let kind = CodecKind::Polyline {
             precision: 3,
             delta: true,
-        });
-        assert_eq!(t.codec_name(), "polyline-p3");
+        };
+        assert_eq!(Transport::new(kind).codec_name(), "polyline-p3");
         let w = vec![0.001f32; 512];
-        let raw = Transport::new(CodecKind::None);
-        assert!(t.payload_bytes(&w) < raw.payload_bytes(&w));
+        assert!(one_transfer(kind, &w).1 < one_transfer(CodecKind::None, &w).1);
     }
 }

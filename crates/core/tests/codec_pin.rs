@@ -48,6 +48,13 @@ fn run_pin(strategy: StrategyKind, codec: Option<CodecKind>, expect: Pin) {
         eprintln!("skipping default-codec pin: FEDAT_CODEC is set");
         return;
     }
+    if std::env::var("FEDAT_CHURN").is_ok() {
+        // Likewise CI's `FEDAT_CHURN` overlays put churn or corruption on
+        // the default cluster these pins run on; the literals are those of
+        // the undisturbed cluster.
+        eprintln!("skipping default-cluster pin: FEDAT_CHURN is set");
+        return;
+    }
     let task = suite::sent140_like(12, 7).scaled(0.4);
     let cfg = pin_cfg(strategy, codec);
     let out = fedat_core::run_experiment(&task, &cfg);

@@ -216,22 +216,34 @@ impl<T> JobHandle<T> {
     /// # Panics
     /// Re-raises the job's panic, payload intact.
     pub fn join(self) -> T {
-        match self.core.claim() {
-            Some(task) => {
-                // Stolen: the job leaves the pool now (this thread is not
-                // a pool worker), freeing its occupancy slot for the next
-                // submission before the work even runs.
-                self.core.release_slot();
-                task();
-                self.core.mark_finished();
-            }
-            None => self.core.wait(),
+        if !self.run_if_unstarted() {
+            self.core.wait();
         }
         match self.result.lock().unwrap().take() {
             Some(Ok(value)) => value,
             Some(Err(payload)) => resume_unwind(payload),
             None => unreachable!("job finished without storing a result"),
         }
+    }
+
+    /// The steal half of [`join`](JobHandle::join) without the wait: runs
+    /// the job on *this* thread if no thread has claimed it yet and says
+    /// whether it did. Never blocks; `false` means a worker (or an earlier
+    /// call) has it, and `join` will wait for that run. A thread holding
+    /// several handles uses this to work through the unstarted ones instead
+    /// of blocking on one that is mid-run. The job's panic, if any, is kept
+    /// for `join`.
+    pub fn run_if_unstarted(&self) -> bool {
+        let Some(task) = self.core.claim() else {
+            return false;
+        };
+        // Stolen: the job leaves the pool now (this thread is not a pool
+        // worker), freeing its occupancy slot for the next submission
+        // before the work even runs.
+        self.core.release_slot();
+        task();
+        self.core.mark_finished();
+        true
     }
 
     /// Abandons the job, reclaiming it *before it runs* when possible.
@@ -651,6 +663,32 @@ mod tests {
             acc.load(Ordering::Relaxed)
         });
         assert_eq!(h.join(), 36);
+    }
+
+    #[test]
+    fn run_if_unstarted_shares_a_batch_with_the_workers_exactly_once() {
+        // The `run_grid` pattern: offer to run each job, then join them all.
+        // Whoever gets a job — this thread or a worker — it runs once, and
+        // a second offer on the same handle is refused.
+        ensure_workers(1);
+        let runs: Arc<Vec<AtomicU64>> = Arc::new((0..32).map(|_| AtomicU64::new(0)).collect());
+        let handles: Vec<JobHandle<u64>> = (0..32u64)
+            .map(|i| {
+                let runs = Arc::clone(&runs);
+                submit(move || {
+                    runs[i as usize].fetch_add(1, Ordering::Relaxed);
+                    (0..=i * 1000).sum::<u64>()
+                })
+            })
+            .collect();
+        for h in &handles {
+            h.run_if_unstarted();
+        }
+        assert!(handles.iter().all(|h| !h.run_if_unstarted()));
+        let got: Vec<u64> = handles.into_iter().map(JobHandle::join).collect();
+        let want: Vec<u64> = (0..32u64).map(|i| (0..=i * 1000).sum()).collect();
+        assert_eq!(got, want);
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
