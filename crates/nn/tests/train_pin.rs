@@ -17,10 +17,17 @@
 //! (`FEDAT_SIMD=scalar`) and with `portable_only` installed — each test
 //! checks all three. They fold in libm's `exp`/`ln` through the loss, so
 //! they are pinned to the reference host's libm, like `strategy_pin.rs`.
+//!
+//! Below the five families sit the solver rows — the net under any change
+//! to how a step hands its gradient to the optimizer: Adam *without* a prox
+//! term (the FedAvg / TiFL / FedAsync path), `Sgd` with momentum under the
+//! prox term, a step whose gradient is exactly zero somewhere in every
+//! parameter while the batch carries `-0.0`, and one `LstmLm` step.
 
 use fedat_nn::layer::Mode;
+use fedat_nn::model::Model;
 use fedat_nn::models::ModelSpec;
-use fedat_nn::optim::{Adam, ProxTerm};
+use fedat_nn::optim::{Adam, Optimizer, ProxTerm, Sgd};
 use fedat_tensor::ctx::{self, KernelCtx};
 use fedat_tensor::rng::rng_for;
 use fedat_tensor::simd::SimdKernel;
@@ -45,11 +52,32 @@ fn digest(values: impl IntoIterator<Item = f32>) -> u64 {
     h
 }
 
+/// The local solver of a pinned run.
+#[derive(Clone, Copy, Debug)]
+enum Solver {
+    /// Adam 0.003 under `ProxTerm` λ = 0.4 — FedAT's own step.
+    AdamProx,
+    /// Adam 0.003, no prox term.
+    Adam,
+    /// `Sgd` 0.05 with momentum 0.9 under `ProxTerm` λ = 0.4.
+    SgdMomentumProx,
+}
+
+impl Solver {
+    fn build(self, model: &dyn Model) -> (Box<dyn Optimizer>, Option<ProxTerm>) {
+        let prox = || Some(ProxTerm::new(0.4, model.weights()));
+        match self {
+            Solver::AdamProx => (Box::new(Adam::new(0.003)), prox()),
+            Solver::Adam => (Box::new(Adam::new(0.003)), None),
+            Solver::SgdMomentumProx => (Box::new(Sgd::new(0.05, 0.9)), prox()),
+        }
+    }
+}
+
 /// `(train digest, eval digest)` of `spec` on the calling thread's lane.
-fn run(spec: &ModelSpec, features: usize, classes: u32) -> (u64, u64) {
+fn run(spec: &ModelSpec, features: usize, classes: u32, solver: Solver) -> (u64, u64) {
     let mut model = spec.build(SEED);
-    let prox = ProxTerm::new(0.4, model.weights());
-    let mut opt = Adam::new(0.003);
+    let (mut opt, prox) = solver.build(model.as_ref());
     let mut rng = rng_for(SEED, 7);
     let mut seen = Vec::new();
     for step in 0..BATCHES {
@@ -59,15 +87,18 @@ fn run(spec: &ModelSpec, features: usize, classes: u32) -> (u64, u64) {
             x.map_inplace(|v| v.max(0.0));
         }
         let y: Vec<u32> = (0..rows).map(|_| rng.random_range(0..classes)).collect();
-        seen.push(model.train_batch(&x, &y, &mut opt, Some(&prox)));
+        seen.push(model.train_batch(&x, &y, opt.as_mut(), prox.as_ref()));
     }
+    assert!(seen.iter().all(|l| l.is_finite()), "{solver:?} diverged");
     seen.extend(model.weights());
     let x = Tensor::randn(&mut rng, &[64, features], 0.0, 1.0);
     let logits = model.logits(&x, Mode::Eval);
     (digest(seen), digest(logits.data().iter().copied()))
 }
 
-fn check(spec: ModelSpec, features: usize, classes: u32, want: (u64, u64)) {
+/// Runs `run` on the default, scalar and portable lanes; each must
+/// reproduce `want`.
+fn check_lanes(what: &str, want: (u64, u64), run: impl Fn() -> (u64, u64)) {
     let lanes = [
         ("default", ctx::snapshot()),
         (
@@ -88,14 +119,24 @@ fn check(spec: ModelSpec, features: usize, classes: u32, want: (u64, u64)) {
     ];
     for (lane, kernel_ctx) in lanes {
         let _g = ctx::install(kernel_ctx);
-        let got = run(&spec, features, classes);
+        let got = run();
         assert_eq!(
             got, want,
-            "{spec:?} on the {lane} lane: training moved — digests ({:#018x}, {:#018x}), \
+            "{what} on the {lane} lane: training moved — digests ({:#018x}, {:#018x}), \
              pinned ({:#018x}, {:#018x})",
             got.0, got.1, want.0, want.1
         );
     }
+}
+
+fn check_solver(spec: ModelSpec, features: usize, classes: u32, solver: Solver, want: (u64, u64)) {
+    check_lanes(&format!("{spec:?} with {solver:?}"), want, || {
+        run(&spec, features, classes, solver)
+    });
+}
+
+fn check(spec: ModelSpec, features: usize, classes: u32, want: (u64, u64)) {
+    check_solver(spec, features, classes, Solver::AdamProx, want);
 }
 
 #[test]
@@ -153,4 +194,192 @@ fn logistic_32_10() {
         classes: 10,
     };
     check(spec, 32, 10, (0x1d96eb3779772646, 0x743951b928187024));
+}
+
+// ----------------------------------------------------------------------
+// Solver rows
+// ----------------------------------------------------------------------
+
+fn mlp() -> ModelSpec {
+    ModelSpec::Mlp {
+        input: 64,
+        hidden: vec![128, 128],
+        classes: 62,
+    }
+}
+
+fn cnn_lite() -> ModelSpec {
+    ModelSpec::CnnLite {
+        channels: 1,
+        height: 8,
+        width: 8,
+        classes: 10,
+    }
+}
+
+#[test]
+fn mlp_adam_without_prox() {
+    check_solver(
+        mlp(),
+        64,
+        62,
+        Solver::Adam,
+        (0x4d24ea360e0f73af, 0xcf8a96bf1ddd6e66),
+    );
+}
+
+#[test]
+fn cnn_lite_adam_without_prox() {
+    check_solver(
+        cnn_lite(),
+        64,
+        10,
+        Solver::Adam,
+        (0xaf8813605aa03323, 0x52c7c2b7547cf9a5),
+    );
+}
+
+#[test]
+fn mlp_sgd_momentum_with_prox() {
+    check_solver(
+        mlp(),
+        64,
+        62,
+        Solver::SgdMomentumProx,
+        (0x63a82b8e7639dd5c, 0x1da5bda0bc3b1a03),
+    );
+}
+
+#[test]
+fn cnn_lite_sgd_momentum_with_prox() {
+    check_solver(
+        cnn_lite(),
+        64,
+        10,
+        Solver::SgdMomentumProx,
+        (0xb45a6dc2ab117972, 0x7c10f3c4b1f28f5c),
+    );
+}
+
+/// An MLP 24-16-6 step whose gradient is exactly zero somewhere in every
+/// parameter, on a batch that carries `-0.0`: input columns 0..4 are zeros
+/// of alternating sign (rows 0..4 of `W1` get no gradient), hidden units 3
+/// and 7 are dead behind a −1000 bias (their `W1` columns, `b1` entries and
+/// `W2` rows get none) and class 5 sits behind a −10 000 bias and is never
+/// a label, so its softmax underflows to exactly 0.0 (`W2` column 5 and
+/// `b2[5]` get none). Under Adam + prox a weight with a zero gradient that
+/// still equals its global value must not move at all — asserted, so the
+/// batch is known to do what this says — and everything folds into the
+/// digests as above.
+fn run_zero_gradients() -> (u64, u64) {
+    const IN: usize = 24;
+    const HIDDEN: usize = 16;
+    const CLASSES: usize = 6;
+    let spec = ModelSpec::Mlp {
+        input: IN,
+        hidden: vec![HIDDEN],
+        classes: CLASSES,
+    };
+    let mut model = spec.build(SEED);
+    let mut w0 = model.weights();
+    let b1 = IN * HIDDEN;
+    let w2 = b1 + HIDDEN;
+    let b2 = w2 + HIDDEN * CLASSES;
+    w0[b1 + 3] = -1000.0;
+    w0[b1 + 7] = -1000.0;
+    w0[b2 + 5] = -10_000.0;
+    model.set_weights(&w0);
+    // Flat indices whose gradient is exactly zero on every step.
+    let mut frozen: Vec<usize> = (0..4 * HIDDEN).collect();
+    for unit in [3, 7] {
+        frozen.extend((0..IN).map(|i| i * HIDDEN + unit));
+        frozen.push(b1 + unit);
+        frozen.extend((0..CLASSES).map(|c| w2 + unit * CLASSES + c));
+    }
+    frozen.extend((0..HIDDEN).map(|h| w2 + h * CLASSES + 5));
+    frozen.push(b2 + 5);
+    // Dead units × zero columns × the silent class overlap.
+    frozen.sort_unstable();
+    frozen.dedup();
+
+    let prox = ProxTerm::new(0.4, w0.clone());
+    let mut opt = Adam::new(0.003);
+    let mut rng = rng_for(SEED, 8);
+    let mut seen = Vec::new();
+    for _ in 0..6 {
+        let mut x = Tensor::randn(&mut rng, &[10, IN], 0.0, 1.0);
+        for (i, v) in x.data_mut().iter_mut().enumerate() {
+            if i % IN < 4 {
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        let y: Vec<u32> = (0..10).map(|_| rng.random_range(0..5)).collect();
+        seen.push(model.train_batch(&x, &y, &mut opt, Some(&prox)));
+    }
+    let w = model.weights();
+    for &i in &frozen {
+        assert_eq!(
+            w[i].to_bits(),
+            w0[i].to_bits(),
+            "weight {i} moved: its gradient was not exactly zero"
+        );
+    }
+    let moved = (0..w.len()).filter(|&i| w[i] != w0[i]).count();
+    assert_eq!(moved, w.len() - frozen.len(), "a live weight stood still");
+    seen.extend(w);
+    let x = Tensor::randn(&mut rng, &[64, IN], 0.0, 1.0);
+    let logits = model.logits(&x, Mode::Eval);
+    (digest(seen), digest(logits.data().iter().copied()))
+}
+
+#[test]
+fn mlp_zero_gradients_and_negative_zero_inputs() {
+    check_lanes(
+        "MLP 24-16-6 with zero gradients",
+        (0x7cf5f77d27b5f5a3, 0xbf6f0e376f1e9713),
+        run_zero_gradients,
+    );
+}
+
+/// `LstmLm` (embedding + LSTM + projection): six Adam + prox steps on
+/// batches of four 5-token windows, then a forward over eight windows.
+fn run_lstm() -> (u64, u64) {
+    const VOCAB: usize = 12;
+    let spec = ModelSpec::LstmLm {
+        vocab: VOCAB,
+        embed: 6,
+        hidden: 8,
+    };
+    let mut model = spec.build(SEED);
+    let (mut opt, prox) = Solver::AdamProx.build(model.as_ref());
+    let mut rng = rng_for(SEED, 9);
+    let mut windows = |n: usize| {
+        let ids: Vec<f32> = (0..n * 5)
+            .map(|_| rng.random_range(0..VOCAB) as f32)
+            .collect();
+        Tensor::from_vec(ids, &[n, 5])
+    };
+    let mut seen = Vec::new();
+    for _ in 0..6 {
+        let x = windows(4);
+        // Target: the next token of a cyclic language, per position.
+        let y: Vec<u32> = x
+            .data()
+            .iter()
+            .map(|&t| (t as u32 + 1) % VOCAB as u32)
+            .collect();
+        seen.push(model.train_batch(&x, &y, opt.as_mut(), prox.as_ref()));
+    }
+    seen.extend(model.weights());
+    let logits = model.logits(&windows(8), Mode::Eval);
+    (digest(seen), digest(logits.data().iter().copied()))
+}
+
+#[test]
+fn lstm_lm_12_6_8() {
+    check_lanes(
+        "LstmLm 12-6-8",
+        (0x016f0abcca16e3c9, 0x7c2feed244e7fb73),
+        run_lstm,
+    );
 }
