@@ -1,8 +1,9 @@
 //! Wall-clock microbenchmark of the SIMD micro-kernel layer: the three
 //! matmul variants (square and dense, then at the shapes a training step
 //! issues with `A` at 0 %, 50 % and 75 % zeros), the `Bᵀ` transpose, the
-//! slice primitives, the lane-decomposed reductions and the robust
-//! (trimmed-mean / median) reduction, each timed under `SimdKernel::Auto`
+//! slice primitives, the lane-decomposed reductions, the robust
+//! (trimmed-mean / median) reduction and the optimizer sweep (whose scalar
+//! lane is the three passes it fuses), each timed under `SimdKernel::Auto`
 //! (runtime-dispatched AVX2+FMA or the portable fallback) and
 //! `SimdKernel::Scalar` (the seed's plain loops, what autovectorization
 //! alone gave). Writes both throughputs and the speedup to
@@ -373,6 +374,75 @@ fn bench_robust(
     }
 }
 
+struct SweepSample {
+    len: usize,
+    prox: bool,
+    three_pass_melems: f64,
+    fused_melems: f64,
+}
+
+/// One optimizer step over a `len`-weight parameter. `adam_sweep`'s
+/// `Scalar` lane *is* the sequence it fuses — `prox_grad`, `adam_step`,
+/// `fill(0.0)`, three passes of plain loops — and `Auto` the fused one. A
+/// call refills the gradient as a backward pass would, every 18th starts a
+/// dispatch (downloaded weights, virgin moments — which also keeps the
+/// moments out of the subnormals a converged loop would time), and every
+/// repetition ends with both sides' weights and moments compared bit for bit.
+fn bench_sweep(len: usize, prox: bool, seed: u64) -> SweepSample {
+    let (w0, g0, global) = (
+        filled(len, seed ^ 2),
+        filled(len, seed),
+        filled(len, seed ^ 1),
+    );
+    let p = simd::AdamParams {
+        lr: 0.003,
+        beta1: 0.9,
+        beta2: 0.999,
+        bc1: 1.0 - 0.9f32.powi(5),
+        bc2: 1.0 - 0.999f32.powi(5),
+        eps: 1e-8,
+    };
+    // `[w, g, m, v]` per side.
+    let start = [w0.clone(), g0.clone(), vec![0.0; len], vec![0.0; len]];
+    let mut sides = [start.clone(), start];
+    let iters = (30_000_000 / len).max(64);
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..REPEATS {
+        for (side, kernel) in [SimdKernel::Scalar, SimdKernel::Auto]
+            .into_iter()
+            .enumerate()
+        {
+            let _g = with_kernel(kernel);
+            let [w, g, m, v] = &mut sides[side];
+            let t0 = Instant::now();
+            for it in 0..iters {
+                let virgin = it % 18 == 0;
+                if virgin {
+                    w.copy_from_slice(&w0);
+                }
+                g.copy_from_slice(black_box(&g0));
+                if prox {
+                    simd::adam_sweep::<true>(w, g, m, v, (&global, 0.4), virgin, &p);
+                } else {
+                    simd::adam_sweep::<false>(w, g, m, v, (&[], 0.0), virgin, &p);
+                }
+            }
+            best[side] = best[side].min(t0.elapsed().as_secs_f64());
+        }
+        assert_eq!(
+            sides[0], sides[1],
+            "fused sweep {len} diverged from the three passes"
+        );
+    }
+    let melems = |secs: f64| len as f64 * iters as f64 / secs.max(1e-12) / 1e6;
+    SweepSample {
+        len,
+        prox,
+        three_pass_melems: melems(best[0]),
+        fused_melems: melems(best[1]),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_tensor_kernels.json");
@@ -458,6 +528,16 @@ fn main() {
         bench_robust("median", RobustRule::Median, 10, model_dim, seed ^ 7),
     ];
 
+    // Whole-model lengths of the logistic model, CnnLite 1×8×8 and the
+    // cohort MLP (a run sweeps per parameter, the largest 16 384).
+    eprintln!("[bench_tensor_kernels] optimizer sweep ...");
+    let mut sweeps = Vec::new();
+    for len in [330usize, 13_706, 32_830] {
+        for prox in [false, true] {
+            sweeps.push(bench_sweep(len, prox, seed ^ 8));
+        }
+    }
+
     let key = matmuls
         .iter()
         .find(|s| s.variant == "nn" && s.dim == 128)
@@ -542,6 +622,19 @@ fn main() {
             s.simd_melems,
             s.speedup(),
             if i + 1 < robust.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"optimizer_sweep\": [\n");
+    for (i, s) in sweeps.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{ \"len\": {}, \"prox\": {}, \"three_pass_melems_per_sec\": {:.1}, \"fused_melems_per_sec\": {:.1}, \"speedup\": {:.3} }}{}\n",
+            s.len,
+            s.prox,
+            s.three_pass_melems,
+            s.fused_melems,
+            s.fused_melems / s.three_pass_melems.max(1e-12),
+            if i + 1 < sweeps.len() { "," } else { "" }
         ));
     }
     json.push_str("  ]\n}\n");

@@ -1,13 +1,18 @@
 //! Client-side local training (Algorithm 2 inner loop).
 //!
 //! This is the hottest path in the whole system: every simulated dispatch
-//! of every strategy funnels through [`train_client`]. Four things keep it
+//! of every strategy funnels through [`train_client`]. Five things keep it
 //! cheap:
 //!
 //! * **Model reuse** — simulated clients are stateless between rounds, so
 //!   the (expensive, RNG-driven) model construction is hoisted into a
 //!   thread-local cache keyed by [`fedat_nn::models::ModelSpec`]; each dispatch just loads
 //!   the downloaded weights with `set_weights`.
+//! * **A resident optimizer** — the built optimizer stays in a thread-local
+//!   next to the cached model and is `reset` per dispatch: a fresh one bit
+//!   for bit, without allocating, zeroing and freeing its moments per
+//!   client. Gradients are zero at rest between the two
+//!   (`fedat_nn::optim`), so a dispatch never clears them either.
 //! * **Zero-copy globals** — the downloaded weights arrive as a shared
 //!   `Arc<[f32]>` (one decoded broadcast per tier round) and the proximal
 //!   term holds the same `Arc` instead of cloning the full vector.
@@ -21,10 +26,11 @@
 //!   See [`crate::exec`] for the two modes and the determinism argument.
 
 use crate::config::ExperimentConfig;
+use crate::config::OptimizerKind;
 use crate::exec::ExecMode;
 use fedat_data::suite::FedTask;
 use fedat_nn::model::Model;
-use fedat_nn::optim::ProxTerm;
+use fedat_nn::optim::{Optimizer, ProxTerm};
 use fedat_tensor::rng::{rng_for, tags};
 use std::sync::Arc;
 
@@ -173,24 +179,50 @@ pub fn train_client(
     // `ModelSpec::build` and pinned (for the dense and conv families) by
     // `model_reuse_matches_fresh_builds_exactly`.
     fedat_nn::models::with_cached_model(&task.model, cfg.seed, |model| {
-        run_local_epochs(
-            model,
-            task,
-            client,
-            global,
-            cfg,
-            epochs,
-            selection_round,
-            use_prox,
-        )
+        with_resident_optimizer(cfg.optimizer, |opt| {
+            run_local_epochs(
+                model,
+                opt,
+                task,
+                client,
+                global,
+                cfg,
+                epochs,
+                selection_round,
+                use_prox,
+            )
+        })
     })
 }
 
-/// The local-training inner loop, on whichever model instance
-/// [`train_client`] handed over.
+thread_local! {
+    /// The optimizer this thread's last dispatch trained with.
+    static OPTIMIZER: std::cell::RefCell<Option<(OptimizerKind, Box<dyn Optimizer>)>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// Runs `f` with this thread's resident optimizer, `reset` (built first,
+/// when the thread has none of this `kind`). Same discipline as
+/// [`fedat_nn::models::with_cached_model`]: taken out for the closure, put
+/// back after it, so a panic inside `f` drops a half-stepped optimizer with
+/// its model instead of returning it to the thread.
+fn with_resident_optimizer<R>(kind: OptimizerKind, f: impl FnOnce(&mut dyn Optimizer) -> R) -> R {
+    let mut opt = match OPTIMIZER.take() {
+        Some((resident, opt)) if resident == kind => opt,
+        _ => kind.build(),
+    };
+    opt.reset();
+    let result = f(opt.as_mut());
+    OPTIMIZER.set(Some((kind, opt)));
+    result
+}
+
+/// The local-training inner loop, on whichever model instance and (fresh
+/// or reset) optimizer [`train_client`] handed over.
 #[allow(clippy::too_many_arguments)]
 fn run_local_epochs(
     model: &mut dyn Model,
+    opt: &mut dyn Optimizer,
     task: &FedTask,
     client: usize,
     global: &Arc<[f32]>,
@@ -201,7 +233,6 @@ fn run_local_epochs(
 ) -> LocalUpdate {
     let data = &task.fed.clients[client].train;
     model.set_weights(global.as_ref());
-    let mut opt = cfg.optimizer.build();
     let prox = if use_prox && cfg.lambda > 0.0 {
         Some(ProxTerm::new(cfg.lambda, Arc::clone(global)))
     } else {
@@ -217,7 +248,7 @@ fn run_local_epochs(
     for _ in 0..epochs.max(1) {
         for batch in data.batch_schedule(cfg.batch_size, &mut batch_rng) {
             let x = data.gather_batch_into(&batch, &mut y_buf);
-            total_loss += model.train_batch(&x, &y_buf, opt.as_mut(), prox.as_ref()) as f64;
+            total_loss += model.train_batch(&x, &y_buf, opt, prox.as_ref()) as f64;
             x.recycle();
             batches += 1;
         }
@@ -275,8 +306,9 @@ mod tests {
         // the dense (logistic) and conv (CNN) model families.
         for task in [tiny_task(), suite::cifar10_like(4, 2, 3)] {
             let global = global_of(&task, 1);
-            let mut model = task.model.build(cfg().seed);
-            let fresh = run_local_epochs(model.as_mut(), &task, 1, &global, &cfg(), 2, 5, true);
+            let (mut m, mut o) = (task.model.build(cfg().seed), cfg().optimizer.build());
+            let (m, o) = (m.as_mut(), o.as_mut());
+            let fresh = run_local_epochs(m, o, &task, 1, &global, &cfg(), 2, 5, true);
             let warm1 = train_client(&task, 1, &global, &cfg(), 2, 5, true);
             // Second reuse pass exercises the cache-hit path.
             let warm2 = train_client(&task, 1, &global, &cfg(), 2, 5, true);

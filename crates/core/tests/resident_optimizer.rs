@@ -1,0 +1,59 @@
+//! `train_client` keeps one optimizer per thread and only `reset`s it
+//! between dispatches. A chain of dispatches on this thread — different
+//! clients, an architecture switch (the optimizer's buffers meet
+//! parameters of other shapes), an optimizer-kind switch (rebuild) — must
+//! equal, bit for bit, the same dispatches each run on a thread of its own,
+//! whose thread-locals are new: a freshly built model and optimizer.
+
+use fedat_core::config::{ExperimentConfig, OptimizerKind};
+use fedat_core::local::{train_client, LocalUpdate};
+use fedat_data::suite::{self, FedTask};
+use fedat_nn::models::ModelSpec;
+use std::sync::Arc;
+
+fn dispatch(task: &FedTask, client: usize, cfg: &ExperimentConfig, round: u64) -> LocalUpdate {
+    let global: Arc<[f32]> = task.model.build(1).weights().into();
+    train_client(task, client, &global, cfg, 2, round, true)
+}
+
+#[test]
+fn resident_optimizer_matches_fresh_ones_exactly() {
+    let adam = ExperimentConfig::builder().seed(3).batch_size(8).build();
+    let mut sgd = adam.clone();
+    sgd.optimizer = OptimizerKind::Sgd {
+        lr: 0.05,
+        momentum: 0.9,
+    };
+    let logistic = suite::sent140_like(6, 3);
+    let cnn = suite::cifar10_like(4, 2, 3);
+    let mut mlp = suite::cifar10_like(4, 2, 3);
+    mlp.model = ModelSpec::Mlp {
+        input: cnn.fed.clients[0].train.features(),
+        hidden: vec![24],
+        classes: 10,
+    };
+    let chain = [
+        (&logistic, 0, &adam),
+        (&logistic, 1, &adam),
+        (&mlp, 2, &adam),
+        (&logistic, 2, &adam),
+        (&cnn, 1, &adam),
+        (&mlp, 3, &sgd),
+        (&mlp, 0, &sgd),
+        (&mlp, 1, &adam),
+    ];
+    for (i, &(task, client, cfg)) in chain.iter().enumerate() {
+        let resident = dispatch(task, client, cfg, i as u64);
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| dispatch(task, client, cfg, i as u64))
+                .join()
+                .expect("fresh-thread dispatch panicked")
+        });
+        assert_eq!(fresh.weights, resident.weights, "dispatch {i}");
+        assert_eq!(
+            fresh.mean_loss.to_bits(),
+            resident.mean_loss.to_bits(),
+            "dispatch {i}"
+        );
+    }
+}

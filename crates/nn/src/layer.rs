@@ -1,4 +1,11 @@
 //! The layer abstraction used by [`crate::model::Sequential`].
+//!
+//! **Gradients are zero at rest**: between training steps every
+//! [`Param::grad`] holds `+0.0` — a new parameter's does, and
+//! [`crate::optim::Optimizer::step`] leaves it so — and `backward`
+//! *accumulates*. Dense and Conv2d run their weight-gradient GEMM and bias
+//! reduction with the gradient itself as the accumulator: the ascending sum
+//! from `+0.0` a scratch buffer would hold, without buffer, fill or copy.
 
 use crate::param::Param;
 use fedat_tensor::Tensor;
@@ -34,8 +41,9 @@ pub trait Layer: Send {
         self.forward(input.clone_scratch(), mode)
     }
 
-    /// Propagates the loss gradient, accumulating parameter gradients and
-    /// returning the gradient with respect to the layer input.
+    /// Propagates the loss gradient, accumulating parameter gradients
+    /// (onto whatever they hold — zeros, at rest) and returning the
+    /// gradient with respect to the layer input.
     fn backward(&mut self, grad_out: Tensor) -> Tensor;
 
     /// [`Layer::backward`] for a layer whose input gradient nobody reads —

@@ -8,9 +8,10 @@
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use fedat_tensor::conv::{
-    conv2d_backward_input, conv2d_backward_params, conv2d_forward, maxpool2d_backward,
+    conv2d_backward_input, conv2d_backward_params_into, conv2d_forward, maxpool2d_backward,
     maxpool2d_forward, Conv2dSpec, ConvPlan,
 };
+use fedat_tensor::ops::matmul_tn_into;
 use fedat_tensor::rng::rng_for;
 use fedat_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -53,15 +54,12 @@ impl Dense {
             .cached_input
             .take()
             .expect("Dense::backward called without a Train forward");
-        // dW += xᵀ · dY
-        let dw = x.matmul_tn(grad_out);
+        // dW += xᵀ · dY and db += column sums of dY, straight onto the
+        // gradients: they are zero at rest, so this is the sum itself.
+        let ((batch, in_dim), dw) = (x.shape().as_matrix(), self.w.grad.data_mut());
+        matmul_tn_into(x.data(), grad_out.data(), dw, in_dim, batch, self.b.len());
         x.recycle();
-        self.w.grad.axpy_inplace(1.0, &dw);
-        dw.recycle();
-        // db += column sums of dY
-        let db = grad_out.sum_rows();
-        self.b.grad.axpy_inplace(1.0, &db);
-        db.recycle();
+        grad_out.add_rows_into(self.b.grad.data_mut());
     }
 }
 
@@ -546,12 +544,9 @@ impl Conv2d {
         let (oh, ow) = spec.out_hw(self.plan.h, self.plan.w);
         let batch = grad_out.dims()[0];
         let dy = grad_out.reshape(&[batch, spec.out_channels, oh, ow]);
-        let (dw, db) = conv2d_backward_params(&dy, &cols, &self.plan);
+        let (dw, db) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+        conv2d_backward_params_into(&dy, &cols, &self.plan, dw, db);
         fedat_tensor::scratch::recycle(cols);
-        self.weight.grad.axpy_inplace(1.0, &dw);
-        self.bias.grad.axpy_inplace(1.0, &db);
-        dw.recycle();
-        db.recycle();
         dy
     }
 }

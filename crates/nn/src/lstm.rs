@@ -38,6 +38,8 @@ pub struct LstmLm {
     /// Output bias `[vocab]`.
     b_out: Param,
     cache: Option<Cache>,
+    /// Every gradient is `+0.0` (see `Sequential`'s field of this name).
+    grads_clean: bool,
 }
 
 struct StepCache {
@@ -83,6 +85,7 @@ impl LstmLm {
             w_out: Param::new(Tensor::kaiming(rng, &[hidden, vocab], hidden)),
             b_out: Param::new(Tensor::zeros(&[vocab])),
             cache: None,
+            grads_clean: true,
         }
     }
 
@@ -212,6 +215,7 @@ impl LstmLm {
 
     /// Backward pass from `d_logits` (`[batch · seq_len, vocab]`).
     fn backward(&mut self, d_logits: &Tensor) {
+        self.grads_clean = false;
         let cache = self
             .cache
             .take()
@@ -297,17 +301,16 @@ impl Model for LstmLm {
         opt: &mut dyn Optimizer,
         prox: Option<&ProxTerm>,
     ) -> f32 {
-        self.zero_grad();
+        if !std::mem::take(&mut self.grads_clean) {
+            self.zero_grad();
+        }
         let logits = self.forward(x, Mode::Train);
         let (loss, d_logits) = softmax_cross_entropy(&logits, y);
         logits.recycle();
         self.backward(&d_logits);
         d_logits.recycle();
-        let mut params = self.params_mut();
-        if let Some(p) = prox {
-            p.apply(&mut params);
-        }
-        opt.step(&mut params);
+        opt.step(&mut self.params_mut(), prox);
+        self.grads_clean = true;
         loss
     }
 

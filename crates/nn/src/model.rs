@@ -46,8 +46,8 @@ pub trait Model: Send {
 
     /// One optimizer step on a mini-batch. Returns the batch loss.
     ///
-    /// `prox` optionally applies the FedAT/FedProx constraint gradient
-    /// `λ(w − w_global)` (Eq. 3) before the optimizer update.
+    /// `prox` optionally adds the FedAT/FedProx constraint gradient
+    /// `λ(w − w_global)` (Eq. 3) inside the optimizer update.
     fn train_batch(
         &mut self,
         x: &Tensor,
@@ -111,6 +111,11 @@ pub fn unflatten_params(params: &mut [&mut Param], flat: &[f32]) {
 /// A feed-forward stack of [`Layer`]s ending in class logits.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// Every gradient is `+0.0`: true of a new model and after a completed
+    /// [`Optimizer::step`], false once a backward pass starts — so after a
+    /// step that panicked half-way, or a [`Sequential::backward`] driven
+    /// from outside, the next `train_batch` clears them itself.
+    grads_clean: bool,
 }
 
 impl Sequential {
@@ -120,7 +125,10 @@ impl Sequential {
     /// Panics if no layers are given.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
         assert!(!layers.is_empty(), "Sequential needs at least one layer");
-        Sequential { layers }
+        Sequential {
+            layers,
+            grads_clean: true,
+        }
     }
 
     /// Layer count.
@@ -146,6 +154,7 @@ impl Sequential {
 
     /// Runs a full backward pass (after a `Train` forward).
     pub fn backward(&mut self, grad: Tensor) -> Tensor {
+        self.grads_clean = false;
         self.layers
             .iter_mut()
             .rev()
@@ -192,7 +201,9 @@ impl Model for Sequential {
         opt: &mut dyn Optimizer,
         prox: Option<&ProxTerm>,
     ) -> f32 {
-        self.zero_grad();
+        if !std::mem::take(&mut self.grads_clean) {
+            self.zero_grad();
+        }
         let logits = self.forward(x, Mode::Train);
         let (loss, d_logits) = softmax_cross_entropy(&logits, y);
         logits.recycle();
@@ -206,11 +217,8 @@ impl Model for Sequential {
             .rev()
             .fold(d_logits, |acc, layer| layer.backward(acc));
         first.backward_params_only(grad);
-        let mut params = self.all_params_mut();
-        if let Some(p) = prox {
-            p.apply(&mut params);
-        }
-        opt.step(&mut params);
+        opt.step(&mut self.all_params_mut(), prox);
+        self.grads_clean = true;
         loss
     }
 

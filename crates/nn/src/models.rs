@@ -220,11 +220,17 @@ thread_local! {
 /// architectures carry non-parameter state across batches, the invariant
 /// documented on [`ModelSpec::build`] — so which thread (and thus which
 /// cached instance) runs `f` cannot affect results.
+///
+/// The model is taken out for the closure and put back at the recent end
+/// after it, so the cache stays in use order and a full one evicts its
+/// least recently used entry. If `f` panics the model is dropped with the
+/// unwind: a half-stepped model never re-enters the cache.
 pub fn with_cached_model<R>(spec: &ModelSpec, seed: u64, f: impl FnOnce(&mut dyn Model) -> R) -> R {
     let mut model = MODEL_CACHE.with(|cache| {
         let mut cache = cache.borrow_mut();
         match cache.iter().position(|(s, _)| s == spec) {
-            Some(i) => cache.swap_remove(i).1,
+            // Order-preserving: slot 0 stays the least recently used.
+            Some(i) => cache.remove(i).1,
             None => spec.build(seed),
         }
     });
@@ -232,7 +238,7 @@ pub fn with_cached_model<R>(spec: &ModelSpec, seed: u64, f: impl FnOnce(&mut dyn
     MODEL_CACHE.with(|cache| {
         let mut cache = cache.borrow_mut();
         if cache.len() >= MODEL_CACHE_CAP {
-            cache.remove(0); // oldest entry
+            cache.remove(0);
         }
         cache.push((spec.clone(), model));
     });
@@ -322,5 +328,22 @@ mod tests {
         let mut m = spec.build(3);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 4]);
         assert_eq!(m.logits(&x, Mode::Eval).dims(), &[4, 20]);
+    }
+
+    #[test]
+    fn model_cache_evicts_the_least_recently_used() {
+        let spec = |input| ModelSpec::Logistic { input, classes: 2 };
+        let cached = || -> Vec<ModelSpec> {
+            MODEL_CACHE.with(|c| c.borrow().iter().map(|(s, _)| s.clone()).collect())
+        };
+        for input in 1..=4 {
+            with_cached_model(&spec(input), 0, |_| ());
+        }
+        // A hit moves to the recent end without disturbing the others …
+        with_cached_model(&spec(1), 0, |_| ());
+        assert_eq!(cached(), [spec(2), spec(3), spec(4), spec(1)]);
+        // … so a fifth architecture evicts 2, not the one just before it.
+        with_cached_model(&spec(5), 0, |_| ());
+        assert_eq!(cached(), [spec(3), spec(4), spec(1), spec(5)]);
     }
 }

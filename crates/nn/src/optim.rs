@@ -2,20 +2,34 @@
 //!
 //! The paper uses Adam as the local solver (§6, *Hyperparameters*) and adds
 //! the constraint term of Eq. (3), `λ/2‖w − w_global‖²`, whose gradient
-//! `λ(w − w_global)` is applied by [`ProxTerm`] just before the optimizer
-//! step.
+//! `λ(w − w_global)` ([`ProxTerm`]) joins the batch gradient inside
+//! [`Optimizer::step`].
+//!
+//! **Gradients are zero at rest.** A step consumes the gradients it is
+//! handed and leaves every one `+0.0`, so the next backward pass
+//! accumulates straight into them ([`crate::layer`]) and nobody clears
+//! them in between. Adam does all of it — prox term, moments, weight, the
+//! zeroing store — in one sweep per parameter.
 
 use crate::param::Param;
+use fedat_tensor::simd::adam_sweep;
 
 /// A first-order optimizer stepping a fixed parameter list.
 ///
-/// State (momentum/Adam moments) is indexed by parameter position, so an
-/// optimizer instance must always be used with the same model. Federated
-/// clients construct a fresh optimizer per local round, matching the paper's
-/// setup where clients are stateless between rounds.
+/// State (momentum/Adam moments) is indexed by parameter position, so
+/// between two [`Optimizer::reset`]s an instance must be used with one
+/// model. Federated clients are stateless between rounds: every local
+/// round starts from a fresh or a reset optimizer, which are the same
+/// thing bit for bit.
 pub trait Optimizer: Send {
-    /// Applies one update using the gradients accumulated in `params`.
-    fn step(&mut self, params: &mut [&mut Param]);
+    /// Applies one update from the gradients accumulated in `params` —
+    /// plus, with `prox`, the constraint gradient `λ(w − w_global)` — and
+    /// leaves every gradient `+0.0`.
+    fn step(&mut self, params: &mut [&mut Param], prox: Option<&ProxTerm>);
+
+    /// Forgets all state, as if newly built with the current learning
+    /// rate; buffers may be kept, and may next meet a different model.
+    fn reset(&mut self);
 
     /// Learning rate currently in effect.
     fn learning_rate(&self) -> f32;
@@ -46,12 +60,14 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
+    fn step(&mut self, params: &mut [&mut Param], prox: Option<&ProxTerm>) {
+        if let Some(prox) = prox {
+            prox.apply(params);
+        }
         if self.momentum == 0.0 {
             for p in params.iter_mut() {
-                // Split borrows: value and grad are disjoint fields.
-                let Param { value, grad } = &mut **p;
-                fedat_tensor::ops::axpy(-self.lr, grad.data(), value.data_mut());
+                fedat_tensor::ops::axpy(-self.lr, p.grad.data(), p.value.data_mut());
+                p.zero_grad();
             }
             return;
         }
@@ -64,15 +80,19 @@ impl Optimizer for Sgd {
             "optimizer bound to a different model"
         );
         for (p, v) in params.iter_mut().zip(self.velocity.iter_mut()) {
-            let Param { value, grad } = &mut **p;
             fedat_tensor::simd::sgd_momentum_step(
-                value.data_mut(),
-                grad.data(),
+                p.value.data_mut(),
+                p.grad.data(),
                 v,
                 self.momentum,
                 self.lr,
             );
+            p.zero_grad();
         }
+    }
+
+    fn reset(&mut self) {
+        self.velocity.clear();
     }
 
     fn learning_rate(&self) -> f32 {
@@ -117,10 +137,17 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.m.is_empty() {
-            self.m = params.iter().map(|p| vec![0.0; p.len()]).collect();
-            self.v = params.iter().map(|p| vec![0.0; p.len()]).collect();
+    fn step(&mut self, params: &mut [&mut Param], prox: Option<&ProxTerm>) {
+        // Virgin moments: whatever a previous life left in the buffers,
+        // the sweep reads `0.0` — they need the right shape, not zeros.
+        let virgin = self.t == 0;
+        if virgin {
+            self.m.resize_with(params.len(), Vec::new);
+            self.v.resize_with(params.len(), Vec::new);
+            for ((m, v), p) in self.m.iter_mut().zip(&mut self.v).zip(params.iter()) {
+                m.resize(p.len(), 0.0);
+                v.resize(p.len(), 0.0);
+            }
         }
         assert_eq!(
             self.m.len(),
@@ -136,14 +163,29 @@ impl Optimizer for Adam {
             bc2: 1.0 - self.beta2.powi(self.t as i32),
             eps: self.eps,
         };
-        for ((p, m), v) in params
-            .iter_mut()
-            .zip(self.m.iter_mut())
-            .zip(self.v.iter_mut())
-        {
-            let Param { value, grad } = &mut **p;
-            fedat_tensor::simd::adam_step(value.data_mut(), grad.data(), m, v, &step);
+        // λ = 0 is no term at all (not `g + 0·(w − w_g)`, which would turn
+        // a `-0.0` gradient into `+0.0`), as in `ProxTerm::apply`.
+        let prox = prox.filter(|p| p.lambda != 0.0);
+        if let Some(prox) = prox {
+            prox.check_dims(params);
         }
+        let mut off = 0usize;
+        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
+            let (w, g) = (p.value.data_mut(), p.grad.data_mut());
+            let n = w.len();
+            match prox {
+                Some(px) => {
+                    let pull = (&px.global[off..off + n], px.lambda);
+                    adam_sweep::<true>(w, g, m, v, pull, virgin, &step)
+                }
+                None => adam_sweep::<false>(w, g, m, v, (&[], 0.0), virgin, &step),
+            }
+            off += n;
+        }
+    }
+
+    fn reset(&mut self) {
+        self.t = 0;
     }
 
     fn learning_rate(&self) -> f32 {
@@ -190,8 +232,7 @@ impl ProxTerm {
         if self.lambda == 0.0 {
             return;
         }
-        let total: usize = params.iter().map(|p| p.len()).sum();
-        assert_eq!(total, self.global.len(), "prox term dimension mismatch");
+        self.check_dims(params);
         let mut off = 0usize;
         for p in params.iter_mut() {
             let n = p.len();
@@ -204,6 +245,11 @@ impl ProxTerm {
             );
             off += n;
         }
+    }
+
+    fn check_dims(&self, params: &[&mut Param]) {
+        let total: usize = params.iter().map(|p| p.len()).sum();
+        assert_eq!(total, self.global.len(), "prox term dimension mismatch");
     }
 }
 
@@ -222,7 +268,7 @@ mod tests {
     fn sgd_moves_against_gradient() {
         let mut p = param_with_grad(&[1.0, 2.0], &[0.5, -0.5]);
         let mut opt = Sgd::new(0.1, 0.0);
-        opt.step(&mut [&mut p]);
+        opt.step(&mut [&mut p], None);
         assert!((p.value.data()[0] - 0.95).abs() < 1e-6);
         assert!((p.value.data()[1] - 2.05).abs() < 1e-6);
     }
@@ -231,11 +277,11 @@ mod tests {
     fn sgd_momentum_accumulates() {
         let mut p = param_with_grad(&[0.0], &[1.0]);
         let mut opt = Sgd::new(0.1, 0.9);
-        opt.step(&mut [&mut p]);
+        opt.step(&mut [&mut p], None);
         let first = p.value.data()[0];
         // Same gradient again: velocity = 0.9·1 + 1 = 1.9 → bigger step.
         p.grad.data_mut()[0] = 1.0;
-        opt.step(&mut [&mut p]);
+        opt.step(&mut [&mut p], None);
         let second_step = first - p.value.data()[0];
         assert!(second_step > 0.1 * 1.5, "momentum should amplify the step");
     }
@@ -245,7 +291,7 @@ mod tests {
         // With bias correction, |Δw| of the first Adam step ≈ lr.
         let mut p = param_with_grad(&[0.0], &[0.3]);
         let mut opt = Adam::new(0.01);
-        opt.step(&mut [&mut p]);
+        opt.step(&mut [&mut p], None);
         assert!((p.value.data()[0].abs() - 0.01).abs() < 1e-4);
     }
 
@@ -257,7 +303,7 @@ mod tests {
         for _ in 0..500 {
             let w = p.value.data()[0];
             p.grad.data_mut()[0] = 2.0 * (w - 3.0);
-            opt.step(&mut [&mut p]);
+            opt.step(&mut [&mut p], None);
         }
         assert!((p.value.data()[0] - 3.0).abs() < 0.05);
     }

@@ -6,7 +6,15 @@
 //! ReLU mask are reused in place, the matmul's non-zero list lives on the
 //! stack. Small bookkeeping (`Vec<&mut Param>`, shape vectors) stays below
 //! the threshold by two orders of magnitude.
+//!
+//! One level up, a warmed-up `train_client` dispatch asks for exactly one
+//! buffer — the weight vector it returns: the optimizer is resident on the
+//! thread between dispatches, so its state is not allocated, zeroed and
+//! freed per client.
 
+use fedat_core::config::ExperimentConfig;
+use fedat_core::local::train_client;
+use fedat_data::suite;
 use fedat_nn::models::ModelSpec;
 use fedat_nn::optim::{Adam, ProxTerm};
 use fedat_tensor::rng::rng_for;
@@ -90,4 +98,40 @@ fn steady_state_cnn_step_requests_no_buffers() {
         before,
         "a warmed-up training step asked the allocator for a buffer"
     );
+}
+
+#[test]
+fn steady_state_dispatch_requests_only_the_returned_weights() {
+    let cfg = ExperimentConfig::builder().seed(3).batch_size(8).build();
+    let models = [
+        ModelSpec::Mlp {
+            input: 64,
+            hidden: vec![128, 128],
+            classes: 10,
+        },
+        // 650 weights, 2.6 KB: an update that is still a buffer.
+        ModelSpec::Logistic {
+            input: 64,
+            classes: 10,
+        },
+    ];
+    for model in models {
+        let mut task = suite::fmnist_like(4, 2, 3);
+        task.model = model;
+        let global: std::sync::Arc<[f32]> = task.model.build(1).weights().into();
+        for round in 0..3 {
+            train_client(&task, 1, &global, &cfg, 2, round, true);
+        }
+        for round in 3..8 {
+            let before = BUFFERS.with(Cell::get);
+            let update = train_client(&task, (round % 4) as usize, &global, &cfg, 2, round, true);
+            assert_eq!(
+                BUFFERS.with(Cell::get) - before,
+                1,
+                "{:?}: a warmed-up dispatch asked the allocator for more than its update",
+                task.model
+            );
+            assert_eq!(update.weights.len(), global.len());
+        }
+    }
 }

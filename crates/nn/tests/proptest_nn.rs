@@ -88,7 +88,7 @@ proptest! {
         let before = f(start);
         p.grad.data_mut()[0] = 2.0 * (start - 1.0);
         let mut opt = Sgd::new(lr, 0.0);
-        opt.step(&mut [&mut p]);
+        opt.step(&mut [&mut p], None);
         let after = f(p.value.data()[0]);
         if before > 1e-6 {
             prop_assert!(after < before, "step went uphill: {} → {}", before, after);
@@ -102,7 +102,7 @@ proptest! {
         let mut p = Param::new(Tensor::zeros(&[n]));
         p.grad = Tensor::from_vec(g.clone(), &[n]);
         let mut opt = Adam::new(lr);
-        opt.step(&mut [&mut p]);
+        opt.step(&mut [&mut p], None);
         for (i, w) in p.value.data().iter().enumerate() {
             if g[i].abs() > 1e-3 {
                 prop_assert!(w.abs() <= lr * 1.01, "step {} exceeds lr {}", w, lr);

@@ -220,28 +220,43 @@ pub fn conv2d_forward(
 /// The parameter half of the backward pass: `(d_weight, d_bias)` from the
 /// column matrices [`conv2d_forward`] kept.
 pub fn conv2d_backward_params(d_out: &Tensor, cols: &[f32], plan: &ConvPlan) -> (Tensor, Tensor) {
+    let cout = plan.spec.out_channels;
+    let mut d_weight = Tensor::zeros_scratch(&[cout, plan.cols_dims().0]);
+    let mut d_bias = Tensor::zeros_scratch(&[cout]);
+    conv2d_backward_params_into(d_out, cols, plan, d_weight.data_mut(), d_bias.data_mut());
+    (d_weight, d_bias)
+}
+
+/// [`conv2d_backward_params`] accumulated onto the caller's `d_weight`
+/// (`[C_out, C_in·K·K]`) and `d_bias` (`[C_out]`) — a layer's gradients,
+/// zero at rest, so nothing is summed into a scratch pair and copied over.
+pub fn conv2d_backward_params_into(
+    d_out: &Tensor,
+    cols: &[f32],
+    plan: &ConvPlan,
+    d_weight: &mut [f32],
+    d_bias: &mut [f32],
+) {
     let n = d_out.dims()[0];
     let cout = plan.spec.out_channels;
     let (col_rows, col_cols) = plan.cols_dims();
     let sample = col_rows * col_cols;
     assert_eq!(d_out.len(), n * cout * col_cols, "conv d_out size mismatch");
     assert_eq!(cols.len(), n * sample, "saved cols batch mismatch");
+    assert_eq!(d_bias.len(), cout, "conv d_bias size mismatch");
 
-    let mut d_weight = Tensor::zeros_scratch(&[cout, col_rows]);
-    let mut d_bias = Tensor::zeros_scratch(&[cout]);
     for (dy, cols) in d_out
         .data()
         .chunks_exact(cout * col_cols)
         .zip(cols.chunks_exact(sample))
     {
         // dW += dY · colsᵀ  (dY: [cout, col_cols], cols: [col_rows, col_cols])
-        matmul_nt_into(dy, cols, d_weight.data_mut(), cout, col_cols, col_rows);
+        matmul_nt_into(dy, cols, d_weight, cout, col_cols, col_rows);
         // d_bias += row sums of dY
-        for (db, plane) in d_bias.data_mut().iter_mut().zip(dy.chunks_exact(col_cols)) {
+        for (db, plane) in d_bias.iter_mut().zip(dy.chunks_exact(col_cols)) {
             *db += plane.iter().sum::<f32>();
         }
     }
-    (d_weight, d_bias)
 }
 
 /// The input half of the backward pass: `d_input` (`[N, C_in, H, W]`).

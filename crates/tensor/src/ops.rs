@@ -224,12 +224,23 @@ impl Tensor {
     /// Sums rows into a single row vector (the bias-gradient reduction).
     /// The output storage comes from the scratch arena.
     pub fn sum_rows(&self) -> Tensor {
-        let (rows, cols) = self.shape().as_matrix();
+        let (_, cols) = self.shape().as_matrix();
         let mut out = crate::scratch::take_zeroed(cols);
-        for r in 0..rows {
-            simd::add_assign(&mut out, &self.data()[r * cols..(r + 1) * cols]);
-        }
+        self.add_rows_into(&mut out);
         Tensor::from_vec(out, &[cols])
+    }
+
+    /// Adds every row, first to last, onto `acc` — [`Self::sum_rows`]
+    /// straight into a gradient that is zero at rest.
+    ///
+    /// # Panics
+    /// Panics if `acc.len()` differs from the column count.
+    pub fn add_rows_into(&self, acc: &mut [f32]) {
+        let (_, cols) = self.shape().as_matrix();
+        assert_eq!(acc.len(), cols, "row accumulator length mismatch");
+        for row in self.data().chunks_exact(cols) {
+            simd::add_assign(acc, row);
+        }
     }
 
     /// Per-row argmax (predicted class per sample).

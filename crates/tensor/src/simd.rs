@@ -289,9 +289,8 @@ pub struct AdamParams {
     pub eps: f32,
 }
 
-/// One Adam update over a flat parameter slice. `sqrt` and `div` are
-/// IEEE-correctly-rounded in both scalar and vector forms, so the AVX2
-/// path is bit-identical to the scalar loop.
+/// One Adam update over a flat parameter slice — the reference pass
+/// [`adam_sweep`] is defined by, and the plain loop on every lane.
 ///
 /// # Panics
 /// Panics if lengths differ.
@@ -299,9 +298,56 @@ pub fn adam_step(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], p: &Ada
     assert_eq!(w.len(), g.len(), "adam step length mismatch");
     assert_eq!(w.len(), m.len(), "adam step length mismatch");
     assert_eq!(w.len(), v.len(), "adam step length mismatch");
+    scalar::adam_step(w, g, m, v, p)
+}
+
+/// A whole optimizer step in one pass over a parameter: with `PROX`,
+/// `g += lambda * (w - global)` ([`prox_grad`]; `prox` is `(global,
+/// lambda)`, ignored without), then [`adam_step`], then `g = 0.0`. `virgin`
+/// moments count as zero whatever they hold — the first step after a reset
+/// evaluates the same expressions with a constant `0.0` where the moment
+/// load was, so stale buffers are neither read nor pre-zeroed.
+///
+/// The scalar lane is those passes, literally; the AVX2 lane runs their
+/// expression trees per 8 lanes in one loop (`sqrt` and `div` are
+/// IEEE-correctly-rounded in both forms), so the lanes agree bit for bit
+/// (`adam_sweep_matches_three_passes_bitwise`).
+///
+/// # Panics
+/// Panics if lengths differ.
+pub fn adam_sweep<const PROX: bool>(
+    w: &mut [f32],
+    g: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    prox: (&[f32], f32),
+    virgin: bool,
+    p: &AdamParams,
+) {
+    assert_eq!(w.len(), g.len(), "adam sweep length mismatch");
+    assert_eq!(w.len(), m.len(), "adam sweep length mismatch");
+    assert_eq!(w.len(), v.len(), "adam sweep length mismatch");
+    assert!(
+        !PROX || w.len() == prox.0.len(),
+        "adam sweep length mismatch"
+    );
     dispatch_elementwise!(
-        scalar::adam_step(w, g, m, v, p),
-        avx2::adam_step(w, g, m, v, p)
+        {
+            if virgin {
+                m.fill(0.0);
+                v.fill(0.0);
+            }
+            if PROX {
+                scalar::prox_grad(g, w, prox.0, prox.1);
+            }
+            scalar::adam_step(w, g, m, v, p);
+            g.fill(0.0);
+        },
+        if virgin {
+            avx2::adam_sweep::<PROX, true>(w, g, m, v, prox, p)
+        } else {
+            avx2::adam_sweep::<PROX, false>(w, g, m, v, prox, p)
+        }
     )
 }
 
@@ -1558,11 +1604,12 @@ mod avx2 {
     // dispatcher that checked `avx2_available()` first. Pointer arithmetic
     // stays within the slice extents checked by the safe wrappers.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn adam_step(
+    pub unsafe fn adam_sweep<const PROX: bool, const VIRGIN: bool>(
         w: &mut [f32],
-        g: &[f32],
+        g: &mut [f32],
         m: &mut [f32],
         v: &mut [f32],
+        (global, lambda): (&[f32], f32),
         p: &AdamParams,
     ) {
         let n = w.len();
@@ -1575,17 +1622,27 @@ mod avx2 {
         let bc2v = _mm256_set1_ps(p.bc2);
         let lrv = _mm256_set1_ps(p.lr);
         let epsv = _mm256_set1_ps(p.eps);
-        let (wp, gp, mp, vp) = (w.as_mut_ptr(), g.as_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
+        let lv = _mm256_set1_ps(lambda);
+        let zero = _mm256_setzero_ps();
+        let (wp, gp, wgp) = (w.as_mut_ptr(), g.as_mut_ptr(), global.as_ptr());
+        let (mp, vp) = (m.as_mut_ptr(), v.as_mut_ptr());
         let mut i = 0;
         while i + 8 <= n {
-            let gv = _mm256_loadu_ps(gp.add(i));
-            let mi = _mm256_add_ps(
-                _mm256_mul_ps(b1v, _mm256_loadu_ps(mp.add(i))),
-                _mm256_mul_ps(b1cv, gv),
-            );
+            let wv = _mm256_loadu_ps(wp.add(i));
+            let mut gv = _mm256_loadu_ps(gp.add(i));
+            if PROX {
+                let d = _mm256_sub_ps(wv, _mm256_loadu_ps(wgp.add(i)));
+                gv = _mm256_add_ps(gv, _mm256_mul_ps(lv, d));
+            }
+            let (m0, v0) = if VIRGIN {
+                (zero, zero)
+            } else {
+                (_mm256_loadu_ps(mp.add(i)), _mm256_loadu_ps(vp.add(i)))
+            };
+            let mi = _mm256_add_ps(_mm256_mul_ps(b1v, m0), _mm256_mul_ps(b1cv, gv));
             _mm256_storeu_ps(mp.add(i), mi);
             let vi = _mm256_add_ps(
-                _mm256_mul_ps(b2v, _mm256_loadu_ps(vp.add(i))),
+                _mm256_mul_ps(b2v, v0),
                 _mm256_mul_ps(_mm256_mul_ps(b2cv, gv), gv),
             );
             _mm256_storeu_ps(vp.add(i), vi);
@@ -1593,15 +1650,21 @@ mod avx2 {
             let v_hat = _mm256_div_ps(vi, bc2v);
             let denom = _mm256_add_ps(_mm256_sqrt_ps(v_hat), epsv);
             let step = _mm256_div_ps(_mm256_mul_ps(lrv, m_hat), denom);
-            _mm256_storeu_ps(wp.add(i), _mm256_sub_ps(_mm256_loadu_ps(wp.add(i)), step));
+            _mm256_storeu_ps(wp.add(i), _mm256_sub_ps(wv, step));
+            _mm256_storeu_ps(gp.add(i), zero);
             i += 8;
         }
         while i < n {
-            m[i] = p.beta1 * m[i] + b1c * g[i];
-            v[i] = p.beta2 * v[i] + b2c * g[i] * g[i];
+            if PROX {
+                g[i] += lambda * (w[i] - global[i]);
+            }
+            let (m0, v0) = if VIRGIN { (0.0, 0.0) } else { (m[i], v[i]) };
+            m[i] = p.beta1 * m0 + b1c * g[i];
+            v[i] = p.beta2 * v0 + b2c * g[i] * g[i];
             let m_hat = m[i] / p.bc1;
             let v_hat = v[i] / p.bc2;
             w[i] -= p.lr * m_hat / (v_hat.sqrt() + p.eps);
+            g[i] = 0.0;
             i += 1;
         }
     }

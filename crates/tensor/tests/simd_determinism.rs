@@ -6,14 +6,16 @@
 //! and past the non-zero list's chunk, with `A` from dense to all zero
 //! (`-0.0` and all-zero rows included), non-finite `B` and a pre-filled
 //! `C`; the conv stage forward and backward, against the scalar lane and
-//! against a per-sample reference kept below.
+//! against a per-sample reference kept below. The fused optimizer sweep is
+//! held to the three reference passes it replaces, on every lane.
 //!
 //! Every backend/thread-cap choice is scoped with a thread-local
 //! [`ctx::install`], so concurrent tests in this binary never see each
 //! other's settings and the `FEDAT_SIMD=scalar` default survives untouched.
 
 use fedat_tensor::conv::{
-    conv2d_backward_input, conv2d_backward_params, conv2d_forward, Conv2dSpec, ConvPlan,
+    conv2d_backward_input, conv2d_backward_params, conv2d_backward_params_into, conv2d_forward,
+    Conv2dSpec, ConvPlan,
 };
 use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
 use fedat_tensor::ops::{
@@ -27,6 +29,13 @@ use proptest::prelude::*;
 use rand::RngExt;
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// `(kernel, portable_only)` of the three lanes: reference, ISA, portable.
+const LANES: [(SimdKernel, bool); 3] = [
+    (SimdKernel::Scalar, false),
+    (SimdKernel::Auto, false),
+    (SimdKernel::Auto, true),
+];
 
 /// Scopes the SIMD backend, the portable-only override and the thread cap
 /// to the calling thread for the guard's lifetime.
@@ -366,6 +375,21 @@ fn conv_spec(strided: bool, cin: usize, cout: usize) -> Conv2dSpec {
     }
 }
 
+/// Replaces one value in six of `v` by a signed zero, a subnormal, an
+/// infinity or a NaN.
+fn sprinkle_awkward(v: &mut [f32], seed: u64) {
+    let mut rng = rng_for(seed, 67);
+    for x in v.iter_mut() {
+        if rng.random_range(0..6u32) == 0 {
+            *x = f32::from_bits(AWKWARD_BITS[rng.random_range(0..AWKWARD_BITS.len())]);
+        }
+    }
+}
+
+/// Parameter lengths the sweep property draws from: empty, below, on and
+/// past one vector, the logistic model, and a tail past a 4 096 block.
+const SWEEP_LENS: [usize; 7] = [0, 1, 7, 8, 9, 330, 4097];
+
 proptest! {
     #[test]
     fn matmul_nn_simd_matches_scalar_bitwise(
@@ -546,19 +570,116 @@ proptest! {
 
     #[test]
     fn optimizer_steps_simd_match_scalar_bitwise(len in 1usize..100, seed in 0u64..500) {
+        // (Adam's lanes: `adam_sweep_matches_three_passes_bitwise` below.)
         let g = filled(len, seed);
         let w0 = filled(len, seed ^ 8);
         let s0 = filled(len, seed ^ 9);
-        let v0: Vec<f32> = filled(len, seed ^ 10).iter().map(|v| v * v).collect();
-        let adam = AdamParams { lr: 0.01, beta1: 0.9, beta2: 0.999, bc1: 0.1, bc2: 0.001, eps: 1e-8 };
         let run = |kernel: SimdKernel| {
             let _guard = scoped(kernel, false, 1);
-            let (mut w, mut s, mut v) = (w0.clone(), s0.clone(), v0.clone());
+            let (mut w, mut s) = (w0.clone(), s0.clone());
             simd::sgd_momentum_step(&mut w, &g, &mut s, 0.9, 0.05);
-            simd::adam_step(&mut w, &g, &mut s, &mut v, &adam);
-            (w, s, v)
+            (w, s)
         };
         prop_assert_eq!(run(SimdKernel::Scalar), run(SimdKernel::Auto));
+    }
+
+    #[test]
+    fn adam_sweep_matches_three_passes_bitwise(
+        len_ix in 0usize..SWEEP_LENS.len(),
+        prox in 0usize..2,
+        virgin in 0usize..2,
+        lambda_ix in 0usize..3,
+        step in 1i32..=40,
+        seed in 0u64..1000,
+    ) {
+        let len = SWEEP_LENS[len_ix];
+        let (prox, virgin) = (prox == 1, virgin == 1);
+        let lambda = [0.4f32, 1e-30, 3e38][lambda_ix];
+        let mut w0 = filled(len, seed);
+        let mut g0 = filled(len, seed ^ 1);
+        sprinkle_awkward(&mut g0, seed ^ 2);
+        // `w − w_g` small, and awkward where `w_g` is: from a zero weight of
+        // the right sign the difference is the awkward value itself.
+        let mut global: Vec<f32> = w0
+            .iter()
+            .zip(filled(len, seed ^ 3))
+            .map(|(w, d)| w - 0.01 * d)
+            .collect();
+        let plain = global.clone();
+        sprinkle_awkward(&mut global, seed ^ 4);
+        for ((w, wg), was) in w0.iter_mut().zip(&global).zip(&plain) {
+            if wg.to_bits() != was.to_bits() {
+                *w = if wg.to_bits() == 0 { -0.0 } else { 0.0 };
+            }
+        }
+        // Moments of an optimizer in mid-life; with `virgin` they are what
+        // a previous life left behind and must not be read.
+        let mut m0 = filled(len, seed ^ 5);
+        let mut v0: Vec<f32> = filled(len, seed ^ 6).iter().map(|v| v * v).collect();
+        if virgin {
+            sprinkle_awkward(&mut m0, seed ^ 7);
+            sprinkle_awkward(&mut v0, seed ^ 8);
+        }
+        let p = AdamParams {
+            lr: 0.003,
+            beta1: 0.9,
+            beta2: 0.999,
+            bc1: 1.0 - 0.9f32.powi(step),
+            bc2: 1.0 - 0.999f32.powi(step),
+            eps: 1e-8,
+        };
+
+        // The definition: three passes over explicitly zeroed moments.
+        let want = {
+            let _g = scoped(SimdKernel::Scalar, false, 1);
+            let (mut w, mut g) = (w0.clone(), g0.clone());
+            let (mut m, mut v) = if virgin {
+                (vec![0.0; len], vec![0.0; len])
+            } else {
+                (m0.clone(), v0.clone())
+            };
+            if prox {
+                simd::prox_grad(&mut g, &w, &global, lambda);
+            }
+            simd::adam_step(&mut w, &g, &mut m, &mut v, &p);
+            g.fill(0.0);
+            [w, g, m, v].map(|x| bits(&x))
+        };
+        for (kernel, portable) in LANES {
+            let _g = scoped(kernel, portable, 1);
+            let (mut w, mut g, mut m, mut v) = (w0.clone(), g0.clone(), m0.clone(), v0.clone());
+            if prox {
+                simd::adam_sweep::<true>(&mut w, &mut g, &mut m, &mut v, (&global, lambda), virgin, &p);
+            } else {
+                simd::adam_sweep::<false>(&mut w, &mut g, &mut m, &mut v, (&[], 0.0), virgin, &p);
+            }
+            prop_assert_eq!(
+                &want,
+                &[w, g, m, v].map(|x| bits(&x)),
+                "sweep ({:?}, portable={}) diverged from the three passes: [w, g, m, v], len {}",
+                kernel, portable, len
+            );
+        }
+    }
+
+    #[test]
+    fn conv_backward_params_into_matches_returned_pair_bitwise(
+        batch in 1usize..4, cin in 1usize..4, cout in 1usize..6, strided in 0usize..2, seed in 0u64..300
+    ) {
+        let (h, w) = (6usize, 8usize);
+        let spec = conv_spec(strided == 1, cin, cout);
+        let plan = ConvPlan::new(spec, h, w);
+        let (input, weight, bias, d_out) = conv_problem((batch, cin, cout), (h, w), &spec, seed);
+        for (kernel, portable) in LANES {
+            let _g = scoped(kernel, portable, 1);
+            let (_, cols) = conv2d_forward(&input, &weight, &bias, &plan, true);
+            let (want_w, want_b) = conv2d_backward_params(&d_out, &cols, &plan);
+            // A layer's gradients at rest.
+            let (mut got_w, mut got_b) = (vec![0.0f32; weight.len()], vec![0.0f32; cout]);
+            conv2d_backward_params_into(&d_out, &cols, &plan, &mut got_w, &mut got_b);
+            prop_assert_eq!(bits(want_w.data()), bits(&got_w), "d_weight ({:?}, portable={})", kernel, portable);
+            prop_assert_eq!(bits(want_b.data()), bits(&got_b), "d_bias ({:?}, portable={})", kernel, portable);
+        }
     }
 
     #[test]
@@ -612,11 +733,7 @@ proptest! {
         let cohort = awkward_cohort(k, len, seed);
         let refs: Vec<&[f32]> = cohort.iter().map(|v| v.as_slice()).collect();
         let reference = robust_reference(&refs, rule);
-        for (simd, portable) in [
-            (SimdKernel::Scalar, false),
-            (SimdKernel::Auto, false),
-            (SimdKernel::Auto, true),
-        ] {
+        for (simd, portable) in LANES {
             for t in [1usize, 2, 4] {
                 let _g = scoped(simd, portable, t);
                 let mut got = vec![0.0f32; len];
