@@ -2220,29 +2220,60 @@ mod tests {
         assert_eq!(run(SimdKernel::Auto, true), reference);
     }
 
+    /// Every seventh element, from `phase` on, becomes a NaN, ±inf or `-0.0`.
+    fn sprinkle(v: &mut [f32], phase: usize, neg_zero: bool) {
+        let awkward = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        for (i, x) in v.iter_mut().enumerate().skip(phase).step_by(7) {
+            *x = awkward[i % (3 + neg_zero as usize)];
+        }
+    }
+
+    /// The ISA and the portable lane against the scalar one: every row
+    /// remainder of the register tile (rows 1..=11) against column counts
+    /// on and around whole vectors, `k` from none to conv2's 144, both `A`
+    /// layouts, `A` without a zero (the tiles) and about half zero (the
+    /// list kernel), non-finite values in both operands, a pre-filled `C`.
     #[test]
     fn matmul_block_is_backend_invariant_on_awkward_shapes() {
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (5, 3, 7),
-            (13, 9, 17),
-            (33, 21, 41),
-        ] {
-            let a = filled(m * k, (m * k) as u64);
-            let b = filled(k * n, (k * n) as u64 ^ 5);
-            let run = |kernel: SimdKernel, portable: bool| {
-                let _g = backend(kernel, portable);
-                let mut c = filled(m * n, 99);
-                matmul_block(Lhs::RowMajor(&a, k), &b, &mut c, 0, k, n);
-                c
-            };
-            let reference = run(SimdKernel::Scalar, false);
-            assert_eq!(reference, run(SimdKernel::Auto, false), "{m}x{k}x{n} isa");
-            assert_eq!(
-                reference,
-                run(SimdKernel::Auto, true),
-                "{m}x{k}x{n} portable"
-            );
+        // Every NaN folded to one: which operand's payload an add of two
+        // NaNs keeps is not pinned. Signed zeros and infinities count.
+        let bits = |c: &[f32]| -> Vec<u32> {
+            let fold = |x: &f32| if x.is_nan() { f32::NAN } else { *x }.to_bits();
+            c.iter().map(fold).collect()
+        };
+        for m in 1..=11usize {
+            for n in [
+                1usize, 7, 8, 9, 10, 15, 16, 17, 31, 32, 33, 62, 64, 127, 128, 129,
+            ] {
+                for k in [0usize, 1, 9, 10, 144] {
+                    let seed = (m * 1000 + n * 5 + k) as u64;
+                    let (mut a, mut b) = (filled(m * k, seed), filled(k * n, seed ^ 5));
+                    sprinkle(&mut a, 3, false);
+                    sprinkle(&mut b, 5, true);
+                    let c0 = filled(m * n, 99);
+                    for sparse in [false, true] {
+                        for (i, v) in a.iter_mut().enumerate().filter(|_| sparse) {
+                            match i.wrapping_mul(0x9E37_79B1) >> 16 & 3 {
+                                0 => *v = 0.0,
+                                1 => *v = -0.0,
+                                _ => {}
+                            }
+                        }
+                        for lhs in [Lhs::RowMajor(&a, k), Lhs::ColMajor(&a, m)] {
+                            let run = |kernel: SimdKernel, portable: bool| {
+                                let _g = backend(kernel, portable);
+                                let mut c = c0.clone();
+                                matmul_block(lhs, &b, &mut c, 0, k, n);
+                                bits(&c)
+                            };
+                            let want = run(SimdKernel::Scalar, false);
+                            let shape = format!("{m}x{k}x{n} sparse={sparse}");
+                            assert_eq!(want, run(SimdKernel::Auto, false), "isa {shape}");
+                            assert_eq!(want, run(SimdKernel::Auto, true), "portable {shape}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -226,8 +226,9 @@ fn awkward_rhs(len: usize, seed: u64) -> Vec<f32> {
 /// `(m, k, n)` of the matmuls a training step issues (batch 10 and a ragged
 /// 7 against every layer width, conv2's and conv1's per-sample GEMMs in all
 /// three roles) and shapes whose `k` crosses the 256-entry list chunk once
-/// and twice, on and off its edge.
-const TRAINING_SHAPES: [(usize, usize, usize); 14] = [
+/// and twice, on and off its edge; then column counts one off two and four
+/// vectors under row counts that end in a 2-, a 1- and no single-row tile.
+const TRAINING_SHAPES: [(usize, usize, usize); 17] = [
     (10, 64, 128),
     (10, 128, 62),
     (10, 128, 10),
@@ -242,6 +243,9 @@ const TRAINING_SHAPES: [(usize, usize, usize); 14] = [
     (10, 257, 33),
     (7, 513, 144),
     (5, 600, 10),
+    (10, 64, 15),
+    (9, 128, 17),
+    (20, 32, 33),
 ];
 
 /// The obviously-right conv stage, one sample and one output element at a
@@ -387,8 +391,9 @@ fn sprinkle_awkward(v: &mut [f32], seed: u64) {
 }
 
 /// Parameter lengths the sweep property draws from: empty, below, on and
-/// past one vector, the logistic model, and a tail past a 4 096 block.
-const SWEEP_LENS: [usize; 7] = [0, 1, 7, 8, 9, 330, 4097];
+/// past one, two and four vectors, the logistic model, and a tail past a
+/// 4 096 block.
+const SWEEP_LENS: [usize; 12] = [0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 330, 4097];
 
 proptest! {
     #[test]
