@@ -161,11 +161,12 @@ impl Dataset {
     pub fn gather_batch_into(&self, indices: &[usize], y_out: &mut Vec<u32>) -> Tensor {
         let cols = self.features();
         let tpr = self.targets_per_row;
-        let mut xs = fedat_tensor::scratch::take_zeroed(indices.len() * cols);
+        // Every element is about to be written: no zero-fill first.
+        let mut xs = fedat_tensor::scratch::take_empty(indices.len() * cols);
         y_out.clear();
         y_out.reserve(indices.len() * tpr);
-        for (r, &i) in indices.iter().enumerate() {
-            xs[r * cols..(r + 1) * cols].copy_from_slice(self.x.row(i));
+        for &i in indices {
+            xs.extend_from_slice(self.x.row(i));
             y_out.extend_from_slice(&self.y[i * tpr..(i + 1) * tpr]);
         }
         Tensor::from_vec(xs, &[indices.len(), cols])

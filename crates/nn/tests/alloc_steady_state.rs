@@ -10,7 +10,9 @@
 //! One level up, a warmed-up `train_client` dispatch asks for exactly one
 //! buffer — the weight vector it returns: the optimizer is resident on the
 //! thread between dispatches, so its state is not allocated, zeroed and
-//! freed per client.
+//! freed per client. Below it, a warmed-up batch gather asks for none: the
+//! feature tensor is an arena buffer filled by `extend`, the labels reuse
+//! the caller's vector.
 
 use fedat_core::config::ExperimentConfig;
 use fedat_core::local::train_client;
@@ -134,4 +136,27 @@ fn steady_state_dispatch_requests_only_the_returned_weights() {
             assert_eq!(update.weights.len(), global.len());
         }
     }
+}
+
+#[test]
+fn steady_state_gather_requests_no_buffers() {
+    // 8 rows × 64 features: a 2 KB feature tensor per batch.
+    let task = suite::fmnist_like(4, 2, 3);
+    let data = &task.fed.clients[1].train;
+    let rows: Vec<usize> = (0..8).map(|r| r % data.len()).collect();
+    let mut y = Vec::new();
+    data.gather_batch_into(&rows, &mut y).recycle();
+    let before = BUFFERS.with(Cell::get);
+    for shift in 1..6 {
+        let rows: Vec<usize> = rows.iter().map(|r| (r + shift) % data.len()).collect();
+        let x = data.gather_batch_into(&rows, &mut y);
+        assert_eq!(x.row(7), data.x.row(rows[7]));
+        assert_eq!(y.len(), rows.len());
+        x.recycle();
+    }
+    assert_eq!(
+        BUFFERS.with(Cell::get),
+        before,
+        "a warmed-up gather asked the allocator for a buffer"
+    );
 }

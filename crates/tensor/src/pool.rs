@@ -22,7 +22,7 @@
 //! ## Submitted jobs
 //!
 //! [`submit`] hands the pool one owned closure and returns a [`JobHandle`];
-//! [`JobHandle::join`] blocks until the result is available. Jobs flow
+//! [`JobHandle::join`] returns once the result is available. Jobs flow
 //! through the same channel as fork-join batches, so a parked worker serves
 //! whichever arrives first, and the two styles compose: the main thread can
 //! keep issuing fork-join kernels (sharded aggregation, streaming eval)
@@ -33,7 +33,18 @@
 //! itself if no worker got there first (*steal-on-join*). Steal-on-join
 //! makes `join` deadlock-free by construction: a queued job can always be
 //! executed by its joiner, so zero-worker hosts degrade to inline execution
-//! and a saturated pool can never wedge the submitter.
+//! and a saturated pool can never wedge the submitter. A joiner whose job
+//! another thread is already running does not sleep beside a full queue
+//! either (*helping join*): until its job finishes it pops the next message
+//! and does what a worker does with it — runs the job, drains the batch,
+//! releases the slot of a stale message — and only waits once the queue is
+//! empty. Only a thread that is not itself inside a submitted job helps, so
+//! helping never nests (an experiment running as a grid job does not start
+//! a second one inside its own join) and a helper owes nobody an answer
+//! while it works. What it costs is latency on that one join — a helper
+//! that has just picked up a job finishes it before it looks at its own
+//! again — and, like steal-on-join, it assumes a job never blocks on
+//! something only its joiner would do afterwards.
 //! [`JobHandle::cancel`] claims an unstarted job back for free (the
 //! closure is dropped unexecuted); a handle merely *dropped* abandons the
 //! result instead — the job may still run on a worker (wasted work the
@@ -210,13 +221,21 @@ pub struct JobHandle<T> {
 
 impl<T> JobHandle<T> {
     /// Returns the job's result, running the job on *this* thread if no
-    /// worker has claimed it yet (steal-on-join — see module docs). Blocks
-    /// only while another thread is actively mid-run.
+    /// worker has claimed it yet (steal-on-join — see module docs). While
+    /// another thread is mid-run on it, a joiner that is not itself inside
+    /// a pool job works through the pool's queue like a worker (*helping
+    /// join*) and sleeps only once the queue is empty.
     ///
     /// # Panics
     /// Re-raises the job's panic, payload intact.
     pub fn join(self) -> T {
         if !self.run_if_unstarted() {
+            while !IN_JOB.get() && !self.is_finished() {
+                let Ok(message) = pool().receiver.try_recv() else {
+                    break;
+                };
+                serve(message);
+            }
             self.core.wait();
         }
         match self.result.lock().unwrap().take() {
@@ -272,6 +291,14 @@ impl<T> JobHandle<T> {
 /// Submitted jobs currently occupying the pool (queued or running).
 static POOL_JOBS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Whether this thread is inside a submitted job's runner. Such a thread
+    /// does not help when it joins (it waits, as before): helping never
+    /// nests, so a whole experiment running as a grid job cannot start
+    /// another one inside its own join.
+    static IN_JOB: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Cap on how many submitted jobs may occupy the pool at once (see
 /// [`crate::ctx`] for how it resolves); submissions beyond the cap run at
 /// `join` on the joining thread instead, `0` forces every job inline at
@@ -314,7 +341,9 @@ where
     let overlay = crate::ctx::current();
     let runner: Box<dyn FnOnce() + Send> = Box::new(move || {
         let _ctx = crate::ctx::set_overlay(overlay);
+        let nested = IN_JOB.replace(true);
         let outcome = catch_unwind(AssertUnwindSafe(job));
+        IN_JOB.set(nested);
         *slot.lock().unwrap() = Some(outcome);
     });
     let core = Arc::new(JobCore {
@@ -358,6 +387,28 @@ struct Pool {
 
 static POOL: OnceLock<Pool> = OnceLock::new();
 
+/// What a worker does with one message off the queue — and a helping
+/// joiner ([`JobHandle::join`]) while its own job runs elsewhere.
+fn serve(message: Message) {
+    match message {
+        Message::Batch(batch) => {
+            batch.work();
+        }
+        Message::Job(job) => {
+            if let Some(task) = job.claim() {
+                // The runner catches panics internally, so the bookkeeping
+                // below always runs.
+                task();
+                job.mark_finished();
+            }
+            // The slot is held for the whole pool-side residence (queued +
+            // running); a stale message for a stolen/cancelled job finds it
+            // already released (exactly-once swap).
+            job.release_slot();
+        }
+    }
+}
+
 fn spawn_worker(index: usize, rx: crossbeam::channel::Receiver<Message>) {
     // lint: allow(R4, reason = "the kernel pool is the one sanctioned home of real threads; workers never touch simulator state or wall-clock time")
     std::thread::Builder::new()
@@ -366,24 +417,7 @@ fn spawn_worker(index: usize, rx: crossbeam::channel::Receiver<Message>) {
             // Parked on `recv` between regions; exits when the injector is
             // dropped (process teardown).
             while let Ok(message) = rx.recv() {
-                match message {
-                    Message::Batch(batch) => {
-                        batch.work();
-                    }
-                    Message::Job(job) => {
-                        if let Some(task) = job.claim() {
-                            // The runner catches panics internally, so the
-                            // bookkeeping below always runs.
-                            task();
-                            job.mark_finished();
-                        }
-                        // The slot is held for the whole worker-side
-                        // residence (queued + running); a stale message
-                        // for a stolen/cancelled job finds it already
-                        // released (exactly-once swap).
-                        job.release_slot();
-                    }
-                }
+                serve(message);
             }
         })
         .expect("spawning kernel pool worker");

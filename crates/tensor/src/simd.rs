@@ -16,7 +16,11 @@
 //!   that the compiler reliably autovectorizes at whatever ISA the target
 //!   offers,
 //! * **avx2** — runtime-detected AVX2+FMA `std::arch` paths, 8 f32 lanes per
-//!   register.
+//!   register. Eight also where AVX-512F is detected: a bit-identical
+//!   16-lane instantiation of the matmul tiles ran 1.4–1.85× on its own and
+//!   the paper's CNN setting 4 % *slower* — 512-bit FP holds the whole
+//!   thread at a lower clock, and the conv data movement between the GEMMs
+//!   pays for it (`docs/PERF.md`, "… sixteen lanes do not pay").
 //!
 //! ## Determinism
 //!
@@ -787,21 +791,16 @@ impl Lhs<'_> {
         }
     }
 
-    /// # Safety
-    /// `i` and `p` must be in range for the operand's `[rows, cols]`
-    /// extent — guaranteed by the dimension asserts in the `matmul_*_into`
-    /// wrappers.
-    // SAFETY: see `# Safety` — callers prove `i`/`p` in range, so both
-    // index expressions below are in-bounds by the stride layout.
+    /// The layout as a walk from row `i0`: `a(i0 + r, p)` sits at
+    /// `start.add(r * row_step + p * p_step)`. Resolved once per tile, so
+    /// the tile's inner loop steps an index instead of re-deciding the
+    /// layout for every element it broadcasts. (`wrapping_add`: with `k = 0`
+    /// the operand is empty and `start` is never read.)
     #[inline(always)]
-    unsafe fn at_unchecked(&self, i: usize, p: usize) -> f32 {
+    fn walk_from(&self, i0: usize) -> (*const f32, usize, usize) {
         match *self {
-            // SAFETY: `i * k + p` is in-bounds for a `[rows, k]` row-major
-            // operand when `i < rows` and `p < k` (caller contract).
-            Lhs::RowMajor(a, k) => unsafe { *a.get_unchecked(i * k + p) },
-            // SAFETY: `p * m + i` is in-bounds for a `[k, m]` col-read
-            // operand when `p < k` and `i < m` (caller contract).
-            Lhs::ColMajor(a, m) => unsafe { *a.get_unchecked(p * m + i) },
+            Lhs::RowMajor(a, k) => (a.as_ptr().wrapping_add(i0 * k), k, 1),
+            Lhs::ColMajor(a, m) => (a.as_ptr().wrapping_add(i0), 1, m),
         }
     }
 }
@@ -2039,7 +2038,9 @@ mod avx2 {
     // and `cp` point at the tile's first column inside `[k, n]` / `[R, n]`
     // buffers; the tile spans `8 * V` columns of which the caller promises
     // all (or, with `PARTIAL`, the lanes of `last` in the final vector) lie
-    // before column `n`, so every unmasked lane touched is in bounds.
+    // before column `n`, so every unmasked lane touched is in bounds. `lhs`
+    // covers rows `i0..i0 + R` over `p < k` (the asserts of the safe
+    // `matmul_block`), which is every element `walk_from`'s strides reach.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn dense_cols<const R: usize, const V: usize, const PARTIAL: bool>(
@@ -2051,6 +2052,7 @@ mod avx2 {
         n: usize,
         last: __m256i,
     ) {
+        let (ap, row_step, p_step) = lhs.walk_from(i0);
         let mut acc = [[_mm256_setzero_ps(); V]; R];
         for r in 0..R {
             for v in 0..V {
@@ -2063,7 +2065,7 @@ mod avx2 {
                 bv[v] = load::<PARTIAL>(bp.add(p * n + 8 * v), v + 1 == V, last);
             }
             for r in 0..R {
-                let av = _mm256_set1_ps(lhs.at_unchecked(i0 + r, p));
+                let av = _mm256_set1_ps(*ap.add(r * row_step + p * p_step));
                 for v in 0..V {
                     acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
                 }

@@ -2,7 +2,9 @@
 //! must be bit-identical to its serial execution for any thread count.
 //!
 //! Thread and job caps are scoped with a thread-local [`ctx::install`], so
-//! concurrent tests in this binary never see each other's settings.
+//! concurrent tests in this binary never see each other's settings. Which
+//! workers are free is process-wide, so the tests that submit whole jobs
+//! take [`JOB_TESTS`] and run one at a time.
 
 use fedat_tensor::conv::{conv2d_forward, Conv2dSpec, ConvPlan};
 use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
@@ -14,8 +16,168 @@ use fedat_tensor::pool;
 use fedat_tensor::rng::rng_for;
 use fedat_tensor::Tensor;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// Serializes the tests that submit jobs: the helping-join scenarios park
+/// pool workers and the executor proptest grows the pool, so each needs the
+/// workers to itself.
+static JOB_TESTS: Mutex<()> = Mutex::new(());
+
+/// Takes [`JOB_TESTS`]; a test that failed while holding it does not fail
+/// the others.
+fn one_job_test_at_a_time() -> MutexGuard<'static, ()> {
+    JOB_TESTS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// How long a scenario may take before it counts as hung.
+const WATCHDOG: Duration = Duration::from_secs(10);
+
+/// A latch jobs park on until another job (or a watchdog) opens it.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn wait(&self) {
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+    }
+}
+
+/// Submits `count` jobs that park on `gate` and returns once each is mid-run
+/// on a worker of its own (the caller leaves that many free).
+fn park_workers(gate: &Arc<Gate>, count: usize) -> Vec<pool::JobHandle<()>> {
+    let (started, on_worker) = mpsc::channel();
+    let parked: Vec<_> = (0..count)
+        .map(|_| {
+            let (gate, started) = (Arc::clone(gate), started.clone());
+            pool::submit(move || {
+                started.send(()).unwrap();
+                gate.wait();
+            })
+        })
+        .collect();
+    for _ in &parked {
+        on_worker
+            .recv_timeout(WATCHDOG)
+            .expect("a free worker picks up each parked job");
+    }
+    parked
+}
+
+/// Runs `scenario` on the calling thread; if it has not returned within
+/// [`WATCHDOG`], opens `gate` (so parked workers and the scenario come
+/// loose) and fails the test with `hang`.
+fn under_watchdog<T>(gate: &Gate, hang: &str, scenario: impl FnOnce() -> T) -> T {
+    let (done, finished) = mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        let dog = s.spawn(move || {
+            let hung = finished.recv_timeout(WATCHDOG) == Err(mpsc::RecvTimeoutError::Timeout);
+            if hung {
+                gate.open();
+            }
+            hung
+        });
+        let out = scenario();
+        drop(done);
+        assert!(!dog.join().unwrap(), "{hang}");
+        out
+    })
+}
+
+/// The queue holds work and the job being joined is mid-run elsewhere: the
+/// joiner must work through the queue, not sleep beside it. Every worker is
+/// parked on a gate that only the last queued job opens, so a joiner that
+/// merely waits never returns (the parent of the helping join hangs here).
+/// On the way the helper pops the stale messages of a cancelled and a stolen
+/// job; each slot is released exactly once, or `quiesce` would spin on a
+/// wrapped count.
+#[test]
+fn join_helps_while_its_job_is_mid_run() {
+    let _one_at_a_time = one_job_test_at_a_time();
+    pool::ensure_workers(1);
+    let gate = Arc::new(Gate::default());
+    let mut parked = park_workers(&gate, pool::worker_count());
+    let cancelled = pool::submit(|| ());
+    let stolen = pool::submit(|| std::thread::current().id());
+    let queued = pool::submit(|| std::thread::current().id());
+    let opener = {
+        let gate = Arc::clone(&gate);
+        pool::submit(move || {
+            gate.open();
+            std::thread::current().id()
+        })
+    };
+    assert!(cancelled.cancel(), "no worker was free to claim it");
+    assert!(stolen.run_if_unstarted(), "no worker was free to claim it");
+    under_watchdog(&gate, "join slept beside a full queue", || {
+        parked.pop().unwrap().join()
+    });
+    // No worker was free: the joiner is the only thread that could run them.
+    let me = std::thread::current().id();
+    assert_eq!([stolen.join(), queued.join(), opener.join()], [me; 3]);
+    parked.into_iter().for_each(pool::JobHandle::join);
+    under_watchdog(&gate, "a pool slot was never released", pool::quiesce);
+}
+
+/// Helping never nests: a job that joins a sibling which is mid-run on
+/// another worker waits for it and runs nothing else meanwhile, although a
+/// job is queued before it reaches its join and no worker is free. That job
+/// stays queued until this thread — outside any job — joins it, and it is
+/// what opens the gate the sibling is parked on.
+#[test]
+fn a_joiner_inside_a_job_does_not_help() {
+    let _one_at_a_time = one_job_test_at_a_time();
+    pool::ensure_workers(2);
+    let gate = Arc::new(Gate::default());
+    // Every worker but one parks; the free one runs the job that joins.
+    let mut parked = park_workers(&gate, pool::worker_count() - 1);
+    let sibling = parked.pop().unwrap();
+    let (on_worker, joiner_up) = mpsc::channel();
+    let (go, queue_is_full) = mpsc::channel();
+    let joiner = pool::submit(move || {
+        on_worker.send(()).unwrap();
+        queue_is_full.recv().unwrap();
+        sibling.join()
+    });
+    joiner_up
+        .recv_timeout(WATCHDOG)
+        .expect("the free worker picks up the joining job");
+    let (ran, queued_ran) = mpsc::channel();
+    let queued = {
+        let gate = Arc::clone(&gate);
+        pool::submit(move || {
+            ran.send(std::thread::current().id()).unwrap();
+            gate.open();
+        })
+    };
+    go.send(()).unwrap();
+    // Nothing may happen here, which only a timeout can observe.
+    assert_eq!(
+        queued_ran.recv_timeout(Duration::from_millis(200)),
+        Err(mpsc::RecvTimeoutError::Timeout),
+        "a job that joins a mid-run sibling ran another job meanwhile"
+    );
+    queued.join();
+    assert_eq!(queued_ran.recv(), Ok(std::thread::current().id()));
+    joiner.join();
+    parked.into_iter().for_each(pool::JobHandle::join);
+}
 
 fn filled(len: usize, seed: u64) -> Vec<f32> {
     let mut rng = rng_for(seed, 31);
@@ -147,21 +309,30 @@ proptest! {
 
     /// Executor torture test: interleaved `submit`/`join` of whole jobs
     /// plus fork-join regions issued from the main thread *between* the
-    /// submits, swept across pool-worker counts {1, 2, 4, 8} (emulated via
-    /// the job cap on a pool grown to 8 real workers). The property: every
+    /// submits, swept across pool-worker counts {1, 2, 4, 8} (on a pool
+    /// grown to 8 real workers, all but `workers - 1` of them parked for the
+    /// sweep, under a job cap that admits twice as many jobs as workers
+    /// stay free). The property: every
     /// interleaving completes (no deadlock — steal-on-join guarantees a
     /// joiner can always make progress) and every job's result is
     /// identical to its serial evaluation, regardless of which thread ran
     /// it. Jobs themselves run a nested fork-join region so job-inside-
-    /// region-inside-job composition is exercised too.
+    /// region-inside-job composition is exercised too. One job per sweep
+    /// lingers — it yields until the last job has started, or a bounded
+    /// number of times — so that a join (deferred joins drain in either
+    /// order) can find it mid-run on a worker with a later job queued
+    /// behind it, which is when the joiner helps.
     #[test]
     fn submit_join_interleaves_with_fork_join_without_deadlock(
         n_jobs in 1usize..24,
+        lingering in 0usize..24,
+        drain_in_order in any::<bool>(),
         // One bit per job: join immediately after submitting (true) or
         // defer the join until after all submissions (false).
         join_now in proptest::collection::vec(any::<bool>(), 24),
         seed in 0u64..1000,
     ) {
+        let _one_at_a_time = one_job_test_at_a_time();
         pool::ensure_workers(8);
         let expected = move |i: usize| -> u64 {
             let mut acc = seed ^ (i as u64).wrapping_mul(0x9E37_79B9);
@@ -170,7 +341,19 @@ proptest! {
             }
             acc
         };
-        let job = move |i: usize| move || -> u64 {
+        let job = move |i: usize, last_started: Arc<AtomicBool>| move || -> u64 {
+            if i + 1 == n_jobs {
+                last_started.store(true, Ordering::Release);
+            } else if i == lingering {
+                // Bounded: under a job cap the last job may only ever run
+                // at its own join, after this one's.
+                for _ in 0..2_000 {
+                    if last_started.load(Ordering::Acquire) {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+            }
             // Nested fork-join inside the job: 4 disjoint partial results.
             let parts: Vec<std::sync::atomic::AtomicU64> =
                 (0..4).map(|_| std::sync::atomic::AtomicU64::new(0)).collect();
@@ -187,14 +370,17 @@ proptest! {
             expected(i)
         };
         for &workers in &THREAD_SWEEP {
+            let gate = Arc::new(Gate::default());
+            let parked = park_workers(&gate, pool::worker_count() - (workers - 1));
             let g = ctx::install(KernelCtx {
-                max_pool_jobs: workers - 1,
+                max_pool_jobs: parked.len() + 2 * (workers - 1),
                 ..ctx::snapshot()
             });
             let mut deferred: Vec<(usize, pool::JobHandle<u64>)> = Vec::new();
             let mut results: Vec<(usize, u64)> = Vec::new();
+            let last_started = Arc::new(AtomicBool::new(false));
             for (i, &join_immediately) in join_now.iter().enumerate().take(n_jobs) {
-                let h = pool::submit(job(i));
+                let h = pool::submit(job(i, Arc::clone(&last_started)));
                 // A fork-join region from the submitting thread while jobs
                 // are in flight: the two styles must share the workers.
                 let mut out = vec![0.0f32; 64];
@@ -212,11 +398,16 @@ proptest! {
                     deferred.push((i, h));
                 }
             }
-            // Drain deferred joins in reverse — join order must not matter.
-            for (i, h) in deferred.into_iter().rev() {
+            // Drain deferred joins — join order must not matter.
+            if !drain_in_order {
+                deferred.reverse();
+            }
+            for (i, h) in deferred {
                 results.push((i, h.join()));
             }
             drop(g);
+            gate.open();
+            parked.into_iter().for_each(pool::JobHandle::join);
             prop_assert_eq!(results.len(), n_jobs);
             for (i, got) in results {
                 prop_assert_eq!(
