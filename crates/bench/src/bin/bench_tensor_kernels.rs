@@ -1,9 +1,11 @@
 //! Wall-clock microbenchmark of the SIMD micro-kernel layer: the three
 //! matmul variants (square and dense, then at the shapes a training step
 //! issues with `A` at 0 %, 50 % and 75 % zeros), the `Bᵀ` transpose, the
-//! slice primitives, the lane-decomposed reductions, the robust
-//! (trimmed-mean / median) reduction and the optimizer sweep (whose scalar
-//! lane is the three passes it fuses), each timed under `SimdKernel::Auto`
+//! element-wise kernels that still have a lane (`dot`, `dist_sq`,
+//! `quantize_into` — the rest are one plain loop each, there is nothing to
+//! compare), the robust (trimmed-mean / median) reduction and the optimizer
+//! sweep (whose scalar lane is the three passes it fuses), each timed under
+//! `SimdKernel::Auto`
 //! (runtime-dispatched AVX2+FMA or the portable fallback) and
 //! `SimdKernel::Scalar` (the seed's plain loops, what autovectorization
 //! alone gave). Writes both throughputs and the speedup to
@@ -272,6 +274,9 @@ fn bench_transpose(rows: usize, cols: usize, seed: u64) -> TransposeSample {
     }
 }
 
+/// Whole-model weight counts of the benchmark's three model families.
+const MODEL_LENS: [usize; 3] = [330, 13_706, 32_830];
+
 struct SliceSample {
     kernel: &'static str,
     len: usize,
@@ -292,12 +297,10 @@ fn bench_slice(
     mut f: impl FnMut(&[f32], &mut [f32]),
 ) -> SliceSample {
     let x = filled(len, seed);
-    let y0 = filled(len, seed ^ 2);
-    let mut y = y0.clone();
+    let mut y = filled(len, seed ^ 2);
     let iters = (200_000_000 / len).max(16);
     let mut measure = |k: SimdKernel| {
         let _g = with_kernel(k);
-        y.copy_from_slice(&y0);
         f(&x, &mut y);
         let secs = time_best(iters, || {
             f(black_box(&x), black_box(&mut y));
@@ -501,21 +504,24 @@ fn main() {
         bench_transpose(144, 16, seed ^ 51),
     ];
 
-    // The model-dimension sweeps: sized like the large-cohort model.
-    let model_dim = 32 * 1024;
-    eprintln!("[bench_tensor_kernels] slice primitives ({model_dim} elements) ...");
-    let slices = vec![
-        bench_slice("axpy", model_dim, seed, |x, y| ops::axpy(0.25, x, y)),
-        bench_slice("lerp", model_dim, seed ^ 3, |x, y| {
-            ops::lerp_into(y, x, 0.125)
-        }),
-        bench_slice("scale", model_dim, seed ^ 4, |_, y| ops::scale(y, 1.0001)),
-        bench_slice("dot", model_dim, seed ^ 5, |x, y| {
+    // Whole-model lengths of the logistic model, CnnLite 1×8×8 and the
+    // cohort MLP — what the guard's norms and the quantizing codecs sweep.
+    eprintln!("[bench_tensor_kernels] element-wise kernels with a lane ...");
+    let mut slices = Vec::new();
+    for len in MODEL_LENS {
+        slices.push(bench_slice("dot", len, seed ^ 5, |x, y| {
             black_box(ops::dot(x, y));
-        }),
-    ];
+        }));
+        slices.push(bench_slice("dist_sq", len, seed ^ 3, |x, y| {
+            black_box(ops::dist_sq(x, y));
+        }));
+        slices.push(bench_slice("quantize_into", len, seed ^ 4, |x, y| {
+            simd::quantize_into(y, x, -3.0, 255.0 / 6.0, 255.0)
+        }));
+    }
 
     // The robust-churn intra-tier step: ten client updates per tier round.
+    let model_dim = 32 * 1024;
     eprintln!("[bench_tensor_kernels] robust reduction (10 x {model_dim} elements) ...");
     let robust = vec![
         bench_robust(
@@ -528,11 +534,10 @@ fn main() {
         bench_robust("median", RobustRule::Median, 10, model_dim, seed ^ 7),
     ];
 
-    // Whole-model lengths of the logistic model, CnnLite 1×8×8 and the
-    // cohort MLP (a run sweeps per parameter, the largest 16 384).
+    // The same lengths (a run sweeps per parameter, the largest 16 384).
     eprintln!("[bench_tensor_kernels] optimizer sweep ...");
     let mut sweeps = Vec::new();
-    for len in [330usize, 13_706, 32_830] {
+    for len in MODEL_LENS {
         for prox in [false, true] {
             sweeps.push(bench_sweep(len, prox, seed ^ 8));
         }
@@ -549,7 +554,7 @@ fn main() {
     json.push_str(&format!("  \"simd_backend\": \"{backend}\",\n"));
     json.push_str("  \"kernel_threads\": 1,\n");
     json.push_str(
-        "  \"scalar_baseline\": \"SimdKernel::Scalar: plain loops, compiler autovectorization only (seed's loops for matmul/elementwise; lane-decomposed scalar form for dot, whose definition moved — see docs/PERF.md)\",\n",
+        "  \"scalar_baseline\": \"SimdKernel::Scalar: plain loops, compiler autovectorization only (seed's loops for matmul; lane-decomposed scalar form for dot / dist_sq, whose definition moved — see docs/PERF.md)\",\n",
     );
     json.push_str(&format!(
         "  \"matmul_128_speedup\": {:.3},\n",
@@ -677,7 +682,7 @@ fn main() {
     }
     for s in &slices {
         println!(
-            "{:<6} {:>6}  scalar {:>6.2} Ge/s  simd {:>6.2} Ge/s  speedup {:>5.2}x",
+            "{:<13} {:>6}  scalar {:>6.2} Ge/s  simd {:>6.2} Ge/s  speedup {:>5.2}x",
             s.kernel,
             s.len,
             s.scalar_gelems,

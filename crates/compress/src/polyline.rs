@@ -10,15 +10,15 @@
 //! ## Lanes
 //!
 //! [`encode_stream`] and [`decode_stream`] follow the lane contract of
-//! [`fedat_tensor::simd`]: the active [`SimdKernel`] and
-//! [`simd::portable_only`] pick one of three lanes that emit the same bytes
-//! and decode to the same bits (proptest `polyline_lanes_agree_bytewise`).
+//! [`fedat_tensor::simd`]: the active [`SimdKernel`] picks one of three
+//! lanes that emit the same bytes and decode to the same bits (proptest
+//! `polyline_lanes_agree_bytewise`).
 //!
 //! | lane | encode | decode |
 //! |---|---|---|
 //! | `Scalar` | [`quantize`] + [`encode_int`] per value — the reference | [`decode_int`] + [`dequantize`] per value — the reference |
-//! | portable | blocks: round pass, SWAR chunk spread, one 8-byte store per value | the reference (the intrinsic-free window decoders prototyped for this kernel lost to its byte loop) |
-//! | AVX2 + BMI | blocks: vector round pass, `lzcnt`/`pdep`/`bzhi`, one 8-byte store per value | 32-byte terminator bitmaps, eight (or four) values per window by `tzcnt`/`pext`, vector divide pass |
+//! | `Portable` | blocks: round pass, SWAR chunk spread, one 8-byte store per value | the reference (the intrinsic-free window decoders prototyped for this kernel lost to its byte loop) |
+//! | `Auto` (AVX2 + BMI) | blocks: vector round pass, `lzcnt`/`pdep`/`bzhi`, one 8-byte store per value | 32-byte terminator bitmaps, eight (or four) values per window by `tzcnt`/`pext`, vector divide pass |
 //!
 //! [`roundtrip_stream`] — what a simulated transfer calls, since nobody
 //! reads the bytes — takes the same lanes: `Scalar` is literally
@@ -31,7 +31,7 @@
 //! itself (`simd`'s own AVX2 lanes only ask for AVX2 + FMA); a host without
 //! them takes the portable lane. `pdep`/`pext` are microcoded on AMD Zen 1
 //! and Zen 2 (≈ 18 cycles each): the lane is still correct there, but those
-//! hosts are better served by `portable_only`.
+//! hosts are better served by `SimdKernel::Portable`.
 //!
 //! Why the fast lanes agree with the reference bit for bit:
 //!
@@ -152,14 +152,12 @@ enum Lane {
 }
 
 fn lane() -> Lane {
-    if simd::simd_kernel() == SimdKernel::Scalar {
-        return Lane::Scalar;
+    match simd::simd_kernel() {
+        SimdKernel::Scalar => Lane::Scalar,
+        #[cfg(target_arch = "x86_64")]
+        SimdKernel::Auto if x86::available() => Lane::Avx2Bmi,
+        SimdKernel::Auto | SimdKernel::Portable => Lane::Portable,
     }
-    #[cfg(target_arch = "x86_64")]
-    if !simd::portable_only() && x86::available() {
-        return Lane::Avx2Bmi;
-    }
-    Lane::Portable
 }
 
 /// Encodes a float stream at the given precision.
@@ -810,17 +808,16 @@ mod tests {
         let _ = encode_stream(&[f32::NAN], 4, true);
     }
 
-    /// The three (SimdKernel, portable_only) settings that select the three
-    /// lanes, scoped to the calling thread.
+    /// The three `SimdKernel` values, one per lane, scoped to the calling
+    /// thread.
     fn each_lane(mut f: impl FnMut(&str)) {
-        for (name, simd, portable_only) in [
-            ("scalar", SimdKernel::Scalar, false),
-            ("auto", SimdKernel::Auto, false),
-            ("portable", SimdKernel::Auto, true),
+        for (name, simd) in [
+            ("scalar", SimdKernel::Scalar),
+            ("auto", SimdKernel::Auto),
+            ("portable", SimdKernel::Portable),
         ] {
             let _g = ctx::install(KernelCtx {
                 simd,
-                portable_only,
                 ..ctx::snapshot()
             });
             f(name);

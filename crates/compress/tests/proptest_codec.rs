@@ -40,16 +40,14 @@ fn with_specials(mut v: Vec<f32>) -> Vec<f32> {
     v
 }
 
-/// `(SimdKernel, portable_only)` for the polyline reference lane and the two
-/// lanes checked against it.
-const REFERENCE_LANE: (SimdKernel, bool) = (SimdKernel::Scalar, false);
-const FAST_LANES: [(SimdKernel, bool); 2] = [(SimdKernel::Auto, false), (SimdKernel::Auto, true)];
-const ALL_LANES: [(SimdKernel, bool); 3] = [REFERENCE_LANE, FAST_LANES[0], FAST_LANES[1]];
+/// The polyline reference lane and the two lanes checked against it.
+const REFERENCE_LANE: SimdKernel = SimdKernel::Scalar;
+const FAST_LANES: [SimdKernel; 2] = [SimdKernel::Auto, SimdKernel::Portable];
+const ALL_LANES: [SimdKernel; 3] = [REFERENCE_LANE, FAST_LANES[0], FAST_LANES[1]];
 
-fn in_lane<T>((simd, portable_only): (SimdKernel, bool), f: impl FnOnce() -> T) -> T {
+fn in_lane<T>(simd: SimdKernel, f: impl FnOnce() -> T) -> T {
     let _g = ctx::install(KernelCtx {
         simd,
-        portable_only,
         ..ctx::snapshot()
     });
     f()

@@ -246,10 +246,8 @@ impl GuardPolicy {
 pub struct ExecOverrides {
     /// Speculative vs. inline client training.
     pub mode: Option<crate::exec::ExecMode>,
-    /// SIMD backend selection.
+    /// SIMD lane selection.
     pub simd: Option<SimdKernel>,
-    /// Force the portable fallback over the ISA path.
-    pub portable_only: Option<bool>,
     /// Per-kernel fork-join thread cap.
     pub max_threads: Option<usize>,
     /// Cap on pool-resident submitted jobs.
@@ -510,12 +508,6 @@ impl ExperimentConfigBuilder {
     /// Pins this run's SIMD backend.
     pub fn simd_kernel(mut self, k: SimdKernel) -> Self {
         self.cfg.exec.simd = Some(k);
-        self
-    }
-
-    /// Pins whether this run forces the portable SIMD fallback.
-    pub fn portable_only(mut self, p: bool) -> Self {
-        self.cfg.exec.portable_only = Some(p);
         self
     }
 

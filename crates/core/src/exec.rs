@@ -103,7 +103,6 @@ impl ExecCtx {
             mode: o.mode.unwrap_or_else(default_exec_mode),
             kernels: fedat_tensor::ctx::KernelCtx {
                 simd: o.simd.unwrap_or(base.simd),
-                portable_only: o.portable_only.unwrap_or(base.portable_only),
                 max_threads: o.max_threads.unwrap_or(base.max_threads).max(1),
                 max_pool_jobs: o.max_pool_jobs.unwrap_or(base.max_pool_jobs),
             },

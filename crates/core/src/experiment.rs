@@ -126,25 +126,23 @@ pub fn run_experiment_with(
         let handler: &mut dyn EventHandler = &mut *strategy;
         run_logged(handler, &fleet, cfg.seed, limits)
     };
-    // Join the pipelined-eval straggler before reading any result.
-    strategy.flush_evals();
-    let final_weights = strategy.global_weights().to_vec();
-    let per_client = per_client_accuracy(task, &final_weights, cfg.seed);
+    let done = strategy.finish();
+    let per_client = per_client_accuracy(task, &done.global_weights, cfg.seed);
     // Mean of the in-training variance checkpoints plus the final state.
-    let mut checkpoints = strategy.variance_checkpoints().to_vec();
+    let mut checkpoints = done.variance_checkpoints;
     checkpoints.push(accuracy_variance(&per_client));
     let mean_variance = checkpoints.iter().sum::<f32>() / checkpoints.len() as f32;
     Outcome {
-        trace: strategy.take_trace(),
+        trace: done.trace,
         report,
-        global_updates: strategy.global_updates(),
+        global_updates: done.global_updates,
         accuracy_variance: mean_variance,
         per_client_accuracy: per_client,
-        final_weights,
+        final_weights: done.global_weights,
         faults,
-        fault_counters: strategy.fault_counters(),
-        tier_updates: strategy.tier_updates(),
-        speculation: strategy.speculation(),
+        fault_counters: done.fault_counters,
+        tier_updates: done.tier_updates,
+        speculation: done.speculation,
     }
 }
 

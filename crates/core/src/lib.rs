@@ -50,7 +50,8 @@ pub mod experiment;
 pub mod local;
 pub mod staleness;
 pub mod strategies;
-pub mod theory;
+#[cfg(test)]
+mod theory;
 pub mod tiering;
 pub mod transport;
 

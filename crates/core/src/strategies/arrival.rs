@@ -18,14 +18,12 @@
 //! guard's `max_staleness` bound.
 
 use crate::config::ExperimentConfig;
-use crate::exec::{ExecCtx, Speculation};
+use crate::exec::ExecCtx;
 use crate::strategies::{
-    dispatchable, FaultCounters, InflightTable, PhaseEvent, ServerCore, Strategy, ASYNC_FILL,
-    REVIVE_BIT,
+    dispatchable, Finished, InflightTable, PhaseEvent, ServerCore, Strategy, ASYNC_FILL, REVIVE_BIT,
 };
 use fedat_data::suite::FedTask;
 use fedat_sim::runtime::{Completion, EventHandler, SimCtx};
-use fedat_sim::trace::Trace;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -205,36 +203,8 @@ impl<X: Mixer> EventHandler for ArrivalServer<X> {
 }
 
 impl<X: Mixer> Strategy for ArrivalServer<X> {
-    fn trace(&self) -> &Trace {
-        &self.core.trace
-    }
-
-    fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.core.trace)
-    }
-
-    fn global_weights(&self) -> &[f32] {
-        &self.core.global
-    }
-
-    fn global_updates(&self) -> u64 {
-        self.core.updates
-    }
-
-    fn variance_checkpoints(&self) -> &[f32] {
-        &self.core.variance_checkpoints
-    }
-
-    fn fault_counters(&self) -> FaultCounters {
-        self.core.faults
-    }
-
-    fn flush_evals(&mut self) {
-        self.core.flush_evals();
-    }
-
-    fn speculation(&self) -> Speculation {
-        self.core.speculation
+    fn finish(self: Box<Self>) -> Finished {
+        self.core.finish()
     }
 }
 
@@ -270,7 +240,6 @@ mod tests {
         let mixer = FedAsync::new(&cfg);
         let mut s = ArrivalServer::new(Arc::clone(&task), &cfg, mixer, ExecCtx::resolve(&cfg));
         run(&mut s, &fleet, cfg.seed, RunLimits::default());
-        s.flush_evals();
         // Nobody drops out and no guard is on, so a dispatch has either
         // landed (one global update each) or is still in flight.
         let dispatches = s.core.updates + s.live_dispatches as u64;

@@ -72,47 +72,33 @@ pub struct FaultCounters {
     pub quarantines: u64,
 }
 
-/// A runnable FL method: the event handler plus result accessors.
+/// A runnable FL method: the event handler, and the results it hands back
+/// once the event loop has exited.
 pub trait Strategy: EventHandler + Send {
-    /// The accuracy/loss/bytes trace recorded so far.
-    fn trace(&self) -> &Trace;
+    /// Ends the run: joins the in-flight pipelined evaluation, if any, so
+    /// the trace and variance checkpoints are complete, and moves the
+    /// results out.
+    fn finish(self: Box<Self>) -> Finished;
+}
 
-    /// Consumes the recorded trace.
-    fn take_trace(&mut self) -> Trace;
-
-    /// Current global model weights.
-    fn global_weights(&self) -> &[f32];
-
+/// What a finished run hands back ([`Strategy::finish`]).
+pub struct Finished {
+    /// The accuracy/loss/bytes trace.
+    pub trace: Trace,
+    /// Final global model weights.
+    pub global_weights: Vec<f32>,
     /// Number of global updates performed (`t` in Algorithm 2).
-    fn global_updates(&self) -> u64;
-
-    /// Per-client accuracy variances sampled along the run (the paper's
-    /// Table 1 `Norm. Var.` metric averages the variance of per-client test
-    /// accuracy over training checkpoints).
-    fn variance_checkpoints(&self) -> &[f32];
-
-    /// Fault-tolerance activity counters (timeouts, retries, quorum
-    /// degradations, re-tiers, revivals).
-    fn fault_counters(&self) -> FaultCounters;
-
-    /// Joins the in-flight pipelined evaluation, if any, so the trace and
-    /// variance checkpoints are complete. Must be called after the event
-    /// loop exits and before [`Strategy::take_trace`] /
-    /// [`Strategy::variance_checkpoints`]; a no-op under
-    /// [`crate::exec::ExecMode::Inline`] or when nothing is pending.
-    fn flush_evals(&mut self);
-
+    pub global_updates: u64,
+    /// Per-client accuracy variances sampled along the run (what the
+    /// paper's Table 1 `Norm. Var.` averages).
+    pub variance_checkpoints: Vec<f32>,
+    /// Fault-tolerance activity counters.
+    pub fault_counters: FaultCounters,
     /// Per-tier update counts for tiered strategies (`None` otherwise) —
     /// lets callers assert that no tier stalled.
-    fn tier_updates(&self) -> Option<Vec<u64>> {
-        None
-    }
-
-    /// Speculative launches and discards of this run (all zero for a
-    /// strategy that never launches ahead of its completion events).
-    fn speculation(&self) -> Speculation {
-        Speculation::default()
-    }
+    pub tier_updates: Option<Vec<u64>>,
+    /// Speculative launches and discards of this run.
+    pub speculation: Speculation,
 }
 
 /// Server-side state shared by both drivers.
@@ -268,7 +254,7 @@ impl ServerCore {
     /// and the event loop immediately returns to dispatching the next
     /// round — eval overlaps training instead of serializing the event-loop
     /// thread. At most one evaluation is in flight; the next cadence point
-    /// (or the end-of-run [`ServerCore::flush_evals`]) joins it and appends
+    /// (or the end-of-run [`ServerCore::finish`]) joins it and appends
     /// its trace point *before* anything newer, so trace order is the
     /// submission order and every value in the point was fixed at submit
     /// time. The weights are cloned into the job, the variance-sweep
@@ -351,11 +337,19 @@ impl ServerCore {
         }
     }
 
-    /// End-of-run barrier for the eval pipeline: joins the straggler so the
-    /// trace and variance checkpoints are complete. Both drivers delegate
-    /// their [`Strategy::flush_evals`] here.
-    pub fn flush_evals(&mut self) {
+    /// Both drivers' [`Strategy::finish`], less the policy's `tier_updates`:
+    /// joins the eval pipeline's straggler and moves the results out.
+    pub fn finish(mut self) -> Finished {
         self.join_pending_eval();
+        Finished {
+            trace: self.trace,
+            global_weights: self.global,
+            global_updates: self.updates,
+            variance_checkpoints: self.variance_checkpoints,
+            fault_counters: self.faults,
+            tier_updates: None,
+            speculation: self.speculation,
+        }
     }
 
     /// Whether the update budget is exhausted.

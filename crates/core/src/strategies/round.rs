@@ -17,15 +17,14 @@
 
 use crate::aggregate::{aggregate_clients_into, AggRule};
 use crate::config::ExperimentConfig;
-use crate::exec::{ExecCtx, Speculation};
+use crate::exec::ExecCtx;
 use crate::strategies::{
-    dispatchable, earliest_return, log_fault, FaultCounters, InflightTable, PhaseEvent, ServerCore,
+    dispatchable, earliest_return, log_fault, Finished, InflightTable, PhaseEvent, ServerCore,
     Strategy, TimedOut, REVIVE_BIT,
 };
 use fedat_data::suite::FedTask;
 use fedat_sim::fault::FaultKind;
 use fedat_sim::runtime::{Completion, EventHandler, SimCtx};
-use fedat_sim::trace::Trace;
 use fedat_sim::Fleet;
 use rand::rngs::StdRng;
 use std::sync::Arc;
@@ -465,40 +464,11 @@ impl<P: RoundPolicy> EventHandler for RoundServer<P> {
 }
 
 impl<P: RoundPolicy> Strategy for RoundServer<P> {
-    fn trace(&self) -> &Trace {
-        &self.core.trace
-    }
-
-    fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.core.trace)
-    }
-
-    fn global_weights(&self) -> &[f32] {
-        &self.core.global
-    }
-
-    fn global_updates(&self) -> u64 {
-        self.core.updates
-    }
-
-    fn variance_checkpoints(&self) -> &[f32] {
-        &self.core.variance_checkpoints
-    }
-
-    fn fault_counters(&self) -> FaultCounters {
-        self.core.faults
-    }
-
-    fn flush_evals(&mut self) {
-        self.core.flush_evals();
-    }
-
-    fn tier_updates(&self) -> Option<Vec<u64>> {
-        self.policy.tier_updates()
-    }
-
-    fn speculation(&self) -> Speculation {
-        self.core.speculation
+    fn finish(self: Box<Self>) -> Finished {
+        Finished {
+            tier_updates: self.policy.tier_updates(),
+            ..self.core.finish()
+        }
     }
 }
 
@@ -521,7 +491,6 @@ mod tests {
     ) -> (u64, u64, u64) {
         let mut s = RoundServer::new(Arc::clone(task), cfg, policy, ExecCtx::resolve(cfg));
         run(&mut s, fleet, cfg.seed, RunLimits::default());
-        s.flush_evals();
         let transport = &s.core.transport;
         (
             s.rounds_started,

@@ -204,7 +204,6 @@ fn resolve_layers_config_over_the_thread_overlay() {
         simd: SimdKernel::Scalar,
         max_threads: 3,
         max_pool_jobs: 5,
-        ..ctx::snapshot()
     });
     let inherited = ExecCtx::resolve(&ExperimentConfig::builder().build());
     assert_eq!(inherited.kernels, ctx::snapshot());
@@ -223,4 +222,28 @@ fn resolve_layers_config_over_the_thread_overlay() {
         resolved.kernels.max_pool_jobs, 5,
         "untouched fields keep the enclosing overlay"
     );
+}
+
+#[test]
+fn one_selector_names_each_lane_and_rides_into_pool_jobs() {
+    use fedat_tensor::simd::backend_name;
+    // What each selector value dispatches to, whatever `FEDAT_SIMD` says.
+    let named = |simd: SimdKernel| {
+        let cfg = ExperimentConfig::builder().simd_kernel(simd).build();
+        let _g = ExecCtx::resolve(&cfg).enter();
+        backend_name()
+    };
+    assert!(["avx2+fma", "portable"].contains(&named(SimdKernel::Auto)));
+    assert_eq!(named(SimdKernel::Portable), "portable");
+    assert_eq!(named(SimdKernel::Scalar), "scalar");
+
+    // `cfg.exec.simd = Some(Portable)` survives `resolve` and travels with
+    // a job onto whichever thread runs it.
+    let cfg = ExperimentConfig::builder()
+        .simd_kernel(SimdKernel::Portable)
+        .build();
+    let _g = ExecCtx::resolve(&cfg).enter();
+    fedat_tensor::pool::ensure_workers(1);
+    let job = fedat_tensor::pool::submit(|| (fedat_tensor::simd::simd_kernel(), backend_name()));
+    assert_eq!(job.join(), (SimdKernel::Portable, "portable"));
 }

@@ -2,7 +2,7 @@
 //! paper makes about each method, checked on small federations.
 
 use fedat_core::prelude::*;
-use fedat_core::strategies::{build_strategy, Strategy};
+use fedat_core::strategies::{build_strategy, Finished};
 use fedat_data::suite;
 use fedat_sim::fleet::{ClusterConfig, Fleet};
 use fedat_sim::runtime::{run, EventHandler, RunLimits};
@@ -20,13 +20,13 @@ fn cfg(strategy: StrategyKind, rounds: u64, seed: u64, cluster: ClusterConfig) -
         .build()
 }
 
-/// Runs a strategy and returns it for post-hoc inspection.
+/// Runs a strategy and returns what it hands back for post-hoc inspection.
 fn run_strategy(
     strategy: StrategyKind,
     rounds: u64,
     seed: u64,
     n_clients: usize,
-) -> (Box<dyn Strategy>, fedat_data::suite::FedTask) {
+) -> (Finished, fedat_data::suite::FedTask) {
     let task = suite::sent140_like(n_clients, seed);
     let cluster = ClusterConfig::paper_medium(seed)
         .with_clients(n_clients)
@@ -40,23 +40,21 @@ fn run_strategy(
         let h: &mut dyn EventHandler = &mut *s;
         run(h, &fleet, seed, RunLimits::default());
     }
-    s.flush_evals();
-    (s, task)
+    (s.finish(), task)
 }
 
 #[test]
 fn fedavg_performs_exactly_the_requested_rounds() {
     let (s, _) = run_strategy(StrategyKind::FedAvg, 17, 3, 15);
-    assert_eq!(s.global_updates(), 17);
+    assert_eq!(s.global_updates, 17);
 }
 
 #[test]
 fn fedat_tier_updates_sum_to_global_updates() {
     let (s, _) = run_strategy(StrategyKind::FedAt, 40, 5, 20);
-    assert_eq!(s.global_updates(), 40);
+    assert_eq!(s.global_updates, 40);
     // The trace must be monotone in round number.
-    let t = s.trace();
-    for w in t.points.windows(2) {
+    for w in s.trace.points.windows(2) {
         assert!(w[1].round >= w[0].round);
     }
 }
@@ -68,15 +66,12 @@ fn fedat_time_per_update_beats_fedavg() {
     // update must therefore be smaller for FedAT.
     let (avg, _) = run_strategy(StrategyKind::FedAvg, 20, 7, 25);
     let (fat, _) = run_strategy(StrategyKind::FedAt, 60, 7, 25);
-    let per_update = |s: &dyn Strategy| {
-        let t = s.trace();
-        t.points.last().unwrap().time / s.global_updates() as f64
-    };
+    let per_update = |s: &Finished| s.trace.points.last().unwrap().time / s.global_updates as f64;
     assert!(
-        per_update(&*fat) < per_update(&*avg),
+        per_update(&fat) < per_update(&avg),
         "FedAT {}s/update should beat FedAvg {}s/update",
-        per_update(&*fat),
-        per_update(&*avg)
+        per_update(&fat),
+        per_update(&avg)
     );
 }
 
@@ -84,14 +79,13 @@ fn fedat_time_per_update_beats_fedavg() {
 fn async_strategies_update_far_more_often_per_virtual_second() {
     let (asy, _) = run_strategy(StrategyKind::FedAsync, 30, 9, 25);
     let (avg, _) = run_strategy(StrategyKind::FedAvg, 30, 9, 25);
-    let rate = |s: &dyn Strategy| {
-        s.global_updates() as f64 / s.trace().points.last().unwrap().time.max(1.0)
-    };
+    let rate =
+        |s: &Finished| s.global_updates as f64 / s.trace.points.last().unwrap().time.max(1.0);
     assert!(
-        rate(&*asy) > rate(&*avg) * 2.0,
+        rate(&asy) > rate(&avg) * 2.0,
         "FedAsync update rate {} should dwarf FedAvg's {}",
-        rate(&*asy),
-        rate(&*avg)
+        rate(&asy),
+        rate(&avg)
     );
 }
 
@@ -99,10 +93,10 @@ fn async_strategies_update_far_more_often_per_virtual_second() {
 fn variance_checkpoints_are_recorded() {
     let (s, _) = run_strategy(StrategyKind::FedAt, 60, 11, 20);
     assert!(
-        !s.variance_checkpoints().is_empty(),
+        !s.variance_checkpoints.is_empty(),
         "long runs must sample the variance metric"
     );
-    for &v in s.variance_checkpoints() {
+    for &v in &s.variance_checkpoints {
         assert!(
             (0.0..=0.25).contains(&v),
             "client-accuracy variance {v} out of range"

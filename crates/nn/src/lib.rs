@@ -23,7 +23,6 @@
 //! ([`model::Model::weights`] / [`model::Model::set_weights`]), which is the
 //! unit the FedAT server aggregates and the polyline codec compresses.
 
-pub mod checkpoint;
 pub mod embedding;
 pub mod layer;
 pub mod layers;

@@ -14,7 +14,7 @@
 //! literals.
 //!
 //! The literals hold on the default lane, under `SimdKernel::Scalar`
-//! (`FEDAT_SIMD=scalar`) and with `portable_only` installed — each test
+//! (`FEDAT_SIMD=scalar`) and under `SimdKernel::Portable` — each test
 //! checks all three. They fold in libm's `exp`/`ln` through the loss, so
 //! they are pinned to the reference host's libm, like `strategy_pin.rs`.
 //!
@@ -111,8 +111,7 @@ fn check_lanes(what: &str, want: (u64, u64), run: impl Fn() -> (u64, u64)) {
         (
             "portable",
             KernelCtx {
-                simd: SimdKernel::Auto,
-                portable_only: true,
+                simd: SimdKernel::Portable,
                 ..ctx::snapshot()
             },
         ),

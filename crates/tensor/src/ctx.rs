@@ -1,13 +1,13 @@
 //! Kernel configuration: one immutable default plus a per-thread overlay —
 //! the mechanism behind per-run execution contexts.
 //!
-//! The four kernel settings of this crate ([`crate::simd::SimdKernel`], the
-//! portable-only override, the [`crate::parallel`] thread cap and the [`crate::pool`] job
-//! cap) have no process-global *mutable* state. Each getter reads the
-//! thread-local [`KernelCtx`] overlay when one is installed and the
-//! immutable process defaults otherwise, so two concurrent experiment runs —
-//! or two tests in one binary — can never read each other's settings. To
-//! scope a setting, install an overlay:
+//! The three kernel settings of this crate ([`crate::simd::SimdKernel`], the
+//! [`crate::parallel`] thread cap and the [`crate::pool`] job cap) have no
+//! process-global *mutable* state. Each getter reads the thread-local
+//! [`KernelCtx`] overlay when one is installed and the immutable process
+//! defaults otherwise, so two concurrent experiment runs — or two tests in
+//! one binary — can never read each other's settings. To scope a setting,
+//! install an overlay:
 //!
 //! ```
 //! use fedat_tensor::ctx::{self, KernelCtx};
@@ -47,10 +47,6 @@ use std::sync::OnceLock;
 pub struct KernelCtx {
     /// SIMD backend selection ([`crate::simd::simd_kernel`]).
     pub simd: SimdKernel,
-    /// Forces `Auto` onto the portable fallback even where the ISA path is
-    /// available ([`crate::simd::portable_only`]) — for ISA-independence
-    /// checks, not a perf setting.
-    pub portable_only: bool,
     /// Per-kernel thread cap ([`crate::parallel::max_threads`]); ≥ 1.
     pub max_threads: usize,
     /// Pool-resident submitted-job cap ([`crate::pool::max_pool_jobs`]);
@@ -73,7 +69,6 @@ fn defaults() -> KernelCtx {
             Ok(s) if s.eq_ignore_ascii_case("scalar") => SimdKernel::Scalar,
             _ => SimdKernel::Auto,
         },
-        portable_only: false,
         max_threads: 1,
         max_pool_jobs: usize::MAX,
     })
@@ -123,7 +118,6 @@ mod tests {
     fn sample() -> KernelCtx {
         KernelCtx {
             simd: SimdKernel::Scalar,
-            portable_only: true,
             max_threads: 3,
             max_pool_jobs: 2,
         }
@@ -162,7 +156,6 @@ mod tests {
         let _g = install(sample());
         assert_eq!(snapshot(), sample());
         assert_eq!(crate::simd::simd_kernel(), SimdKernel::Scalar);
-        assert!(crate::simd::portable_only());
         assert_eq!(crate::parallel::max_threads(), 3);
         assert_eq!(crate::pool::max_pool_jobs(), 2);
     }

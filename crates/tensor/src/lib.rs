@@ -20,11 +20,10 @@
 //! thread count configured via [`ctx::KernelCtx::max_threads`]. Reductions that
 //! would need cross-thread accumulation (e.g. [`Tensor::sum`]) stay serial.
 //!
-//! The arithmetic inside every kernel dispatches through the explicit SIMD
-//! layer ([`simd`]): runtime-detected AVX2+FMA paths with a portable 8-lane
-//! fallback, bit-identical to the scalar reference by construction (see the
-//! module docs for the lane-decomposition argument), so neither the host
-//! ISA nor the [`simd::SimdKernel`] setting can change a result either.
+//! The arithmetic inside every kernel lives in [`simd`]: plain loops, and
+//! for the few kernels that need them runtime-detected AVX2+FMA lanes that
+//! are bit-identical to the scalar reference by construction, so neither
+//! the host ISA nor the [`simd::SimdKernel`] setting can change a result.
 //!
 //! ```
 //! use fedat_tensor::Tensor;

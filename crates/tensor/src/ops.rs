@@ -11,39 +11,10 @@ use crate::tensor::Tensor;
 
 // ----------------------------------------------------------------------
 // Slice-level primitives (used by higher-level crates directly on weight
-// buffers, without wrapping them in tensors). All of them dispatch through
-// the SIMD layer.
+// buffers, without wrapping them in tensors)
 // ----------------------------------------------------------------------
 
-/// `y[i] += alpha * x[i]`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    simd::axpy(alpha, x, y);
-}
-
-/// `y[i] = alpha * x[i] + beta * y[i]`.
-pub fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-    simd::axpby(alpha, x, beta, y);
-}
-
-/// Dot product with f64 lane accumulation (the pinned 8-lane decomposition
-/// of [`simd::dot`] — deterministic and ISA-independent).
-pub fn dot(x: &[f32], y: &[f32]) -> f32 {
-    simd::dot(x, y)
-}
-
-/// Scales a slice in place.
-pub fn scale(x: &mut [f32], alpha: f32) {
-    simd::scale(x, alpha);
-}
-
-/// Squared Euclidean distance between two slices (same lane decomposition
-/// as [`dot`]).
-pub fn dist_sq(x: &[f32], y: &[f32]) -> f32 {
-    simd::dist_sq(x, y)
-}
+pub use crate::simd::{axpby, axpy, dist_sq, dot, scale};
 
 /// Linear interpolation `out[i] = (1 - t) * a[i] + t * b[i]`, written into `a`.
 ///

@@ -1,47 +1,66 @@
-//! Explicit SIMD micro-kernels for the training hot path.
+//! The arithmetic inner loops of the training hot path, and the explicit
+//! SIMD lanes of the few that need one.
 //!
 //! Every arithmetic inner loop of the reproduction — the three matmul
 //! variants (and therefore the im2col conv stage), the slice primitives
 //! backing aggregation and server mixing, the activation/loss/optimizer
-//! elementwise sweeps — funnels through this module. Three backends
-//! implement each kernel:
+//! elementwise sweeps, the codec sweeps — funnels through this module.
 //!
-//! * **scalar** — plain loops, the measured baseline (`SimdKernel::Scalar`,
-//!   the `BENCH_tensor_kernels.json` "before"). For the elementwise kernels
-//!   and the matmuls these are the seed's loops byte-for-byte; for the
-//!   reductions they are the scalar form of the new lane decomposition
-//!   (see below — the seed's single-accumulator `dot`/`dist_sq` could not
-//!   be vectorized without changing bits, so their *definition* moved),
-//! * **portable** — a fixed 8-lane formulation (arrays of eight accumulators)
-//!   that the compiler reliably autovectorizes at whatever ISA the target
-//!   offers,
-//! * **avx2** — runtime-detected AVX2+FMA `std::arch` paths, 8 f32 lanes per
-//!   register. Eight also where AVX-512F is detected: a bit-identical
-//!   16-lane instantiation of the matmul tiles ran 1.4–1.85× on its own and
-//!   the paper's CNN setting 4 % *slower* — 512-bit FP holds the whole
-//!   thread at a lower clock, and the conv data movement between the GEMMs
-//!   pays for it (`docs/PERF.md`, "… sixteen lanes do not pay").
+//! ## Which kernels have lanes
+//!
+//! An element-wise kernel is **one function**: a plain loop, which the
+//! compiler vectorizes at the target's baseline ISA. Each used to carry a
+//! hand-written AVX2 twin, bit-identical by contract; measured at the
+//! lengths runs use, none of them moved a workload (`docs/PERF.md`, "The
+//! element-wise lanes, measured before deletion"), so the twins are gone and
+//! [`SimdKernel`] does not reach these kernels at all.
+//!
+//! Seven kernels keep lanes, because a plain loop cannot express what the
+//! lane does:
+//!
+//! | kernel | scalar (reference) | portable | AVX2 + FMA | why |
+//! |---|---|---|---|---|
+//! | [`matmul_block`] | the seed's loops, a zero test per term | 4 × 8-lane accumulator tiles / non-zero lists | 4 × 2 `ymm` register tiles / lists | register blocking |
+//! | `robust_reduce_shard` | per-coordinate `sort_unstable_by` | sorting network over `i32` keys | the network as `vpminsd` / `vpmaxsd` | a different algorithm |
+//! | [`transpose`] | 32 × 32 blocked copy | the same copy | 8 × 8 in-register blocks | shuffles |
+//! | [`dot`], [`dist_sq`] | 8 f64 partial sums in an array | the same code | two `ymm` f64 accumulators, `vfmadd` | f32 → f64 widening |
+//! | [`quantize_into`] | `f32::floor` per element | the same code | `vroundps` | baseline x86-64 has no vector `floor` |
+//! | [`adam_sweep`] | `prox_grad`, `adam_step`, `fill` — three passes | the same code | one fused pass | three sweeps in one |
+//!
+//! **Scalar** (`SimdKernel::Scalar`) is the reference every other lane is
+//! held to and the `BENCH_tensor_kernels.json` "before": the seed's loops
+//! byte-for-byte for the matmuls, the scalar form of the lane decomposition
+//! for the reductions (the seed's single-accumulator `dot`/`dist_sq` could
+//! not be vectorized without changing bits, so their *definition* moved).
+//! **Portable** (`SimdKernel::Portable`, and `Auto` where AVX2 + FMA are
+//! not detected) is arrays of eight accumulators, which the compiler
+//! vectorizes at whatever ISA the target offers. **AVX2** (`Auto` where
+//! detected) is `std::arch`, 8 f32 lanes per register — eight also where
+//! AVX-512F is detected: a bit-identical 16-lane instantiation of the
+//! matmul tiles ran 1.4–1.85× on its own and the paper's CNN setting 4 %
+//! *slower*, because 512-bit FP holds the whole thread at a lower clock
+//! (`docs/PERF.md`, "… sixteen lanes do not pay").
 //!
 //! ## Determinism
 //!
-//! The backends are **bit-identical by construction**, so neither the
-//! [`SimdKernel`] toggle nor the host ISA can ever change a result:
+//! The lanes are **bit-identical by construction**, so neither the
+//! [`SimdKernel`] setting nor the host ISA can ever change a result:
 //!
-//! * Elementwise kernels and the matmul micro-kernel vectorize only across
-//!   the *output/column* dimension. Each output element is computed by one
-//!   lane executing exactly the scalar expression tree — same operations,
-//!   same rounding points, same accumulation order over `k` — so every lane
-//!   reproduces the scalar reference bit-for-bit. In particular the f32
-//!   paths never use FMA *contraction*: a fused `a*b + c` rounds once where
-//!   the scalar reference rounds twice, so the AVX2 kernels stick to
-//!   `mul` + `add` exactly like the reference.
+//! * The matmul micro-kernel, `quantize_into` and `adam_sweep` vectorize
+//!   only across the *output/column* dimension. Each output element is
+//!   computed by one lane executing exactly the scalar expression tree —
+//!   same operations, same rounding points, same accumulation order over
+//!   `k` — so every lane reproduces the scalar reference bit-for-bit. In
+//!   particular the f32 paths never use FMA *contraction*: a fused `a*b + c`
+//!   rounds once where the scalar reference rounds twice, so the AVX2
+//!   kernels stick to `mul` + `add` exactly like the reference.
 //! * `dot`-style reductions are *defined* as a fixed 8-lane partial-sum
 //!   decomposition with a pinned pairwise merge
 //!   (`((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, then the tail appended
-//!   serially), which the portable fallback computes with the identical
-//!   f64 lane arithmetic. The f64 lanes *may* use FMA: an f32×f32 product
-//!   is exact in f64 (48 < 53 mantissa bits), so fused and unfused rounds
-//!   are the same bits.
+//!   serially), which the scalar code computes with the identical f64 lane
+//!   arithmetic. The f64 lanes *may* use FMA: an f32×f32 product is exact
+//!   in f64 (48 < 53 mantissa bits), so fused and unfused rounds are the
+//!   same bits.
 //! * The matmul contract includes the reference kernel's zero skip — a
 //!   term whose `a[i,p] == 0.0` is not added — but only the scalar lane
 //!   branches on it. The other two scan a band's `A` rows once: no zero
@@ -72,26 +91,24 @@
 // Kernel selection
 // ----------------------------------------------------------------------
 
-/// Selects the arithmetic backend for every kernel in this module.
+/// Selects the lane of every kernel in this module that has more than one
+/// (see the module docs for which do). All three are bit-identical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdKernel {
-    /// Runtime-dispatch to the best available backend (AVX2+FMA where
-    /// detected, the portable 8-lane fallback otherwise). The default.
+    /// Runtime-dispatch to the best available lane (AVX2+FMA where
+    /// detected, the portable 8-lane formulation otherwise). The default.
     Auto,
-    /// The seed's plain scalar loops — the measured baseline for
-    /// `BENCH_tensor_kernels.json`. Bit-identical to `Auto`.
+    /// The portable lane on any host — what `Auto` means without AVX2 + FMA.
+    /// For ISA-independence checks, not a perf setting.
+    Portable,
+    /// The plain scalar reference loops — the measured baseline for
+    /// `BENCH_tensor_kernels.json`.
     Scalar,
 }
 
 /// The active [`SimdKernel`] (see [`crate::ctx`] for how it resolves).
 pub fn simd_kernel() -> SimdKernel {
     crate::ctx::snapshot().simd
-}
-
-/// Whether `Auto` is forced onto the portable fallback instead of the ISA
-/// path (see [`crate::ctx::KernelCtx::portable_only`]).
-pub fn portable_only() -> bool {
-    crate::ctx::snapshot().portable_only
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -111,19 +128,17 @@ enum Backend {
 }
 
 fn active() -> Backend {
-    let ctx = crate::ctx::snapshot();
-    if ctx.simd == SimdKernel::Scalar {
-        return Backend::Scalar;
+    match simd_kernel() {
+        SimdKernel::Scalar => Backend::Scalar,
+        #[cfg(target_arch = "x86_64")]
+        SimdKernel::Auto if avx2_available() => Backend::Avx2,
+        SimdKernel::Auto | SimdKernel::Portable => Backend::Portable,
     }
-    #[cfg(target_arch = "x86_64")]
-    if !ctx.portable_only && avx2_available() {
-        return Backend::Avx2;
-    }
-    Backend::Portable
 }
 
-/// Human-readable name of the backend `Auto` dispatches to right now
-/// (recorded in the benchmark JSON so numbers are comparable across hosts).
+/// Human-readable name of the lane the active [`SimdKernel`] dispatches to
+/// right now (recorded in the benchmark JSON so numbers are comparable
+/// across hosts).
 pub fn backend_name() -> &'static str {
     match active() {
         Backend::Scalar => "scalar",
@@ -133,17 +148,10 @@ pub fn backend_name() -> &'static str {
     }
 }
 
-// ----------------------------------------------------------------------
-// Elementwise kernels
-//
-// For these, the portable fallback *is* the scalar loop (the compiler
-// autovectorizes simple elementwise sweeps at the target ISA); only the
-// AVX2 path is written explicitly, 8 lanes at a time with a scalar
-// epilogue that repeats the reference expression.
-// ----------------------------------------------------------------------
-
-macro_rules! dispatch_elementwise {
-    ($scalar:expr, $avx2:expr) => {
+/// The AVX2 lane where `active()` selects it, the scalar code otherwise —
+/// the dispatch of the kernels whose portable lane *is* their scalar code.
+macro_rules! avx2_or_scalar {
+    ($avx2:expr, $scalar:expr) => {
         match active() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `active()` returns `Avx2` only when `avx2_available()`
@@ -156,13 +164,19 @@ macro_rules! dispatch_elementwise {
     };
 }
 
+// ----------------------------------------------------------------------
+// Elementwise kernels: one plain loop each, no lanes
+// ----------------------------------------------------------------------
+
 /// `y[i] += alpha * x[i]`.
 ///
 /// # Panics
 /// Panics if lengths differ.
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    dispatch_elementwise!(scalar::axpy(alpha, x, y), avx2::axpy(alpha, x, y))
+    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
+        *yi += alpha * xi;
+    }
 }
 
 /// `y[i] = alpha * x[i] + beta * y[i]`.
@@ -171,10 +185,9 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 /// Panics if lengths differ.
 pub fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpby length mismatch");
-    dispatch_elementwise!(
-        scalar::axpby(alpha, x, beta, y),
-        avx2::axpby(alpha, x, beta, y)
-    )
+    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
+        *yi = alpha * xi + beta * *yi;
+    }
 }
 
 /// `a[i] = (1 - t) * a[i] + t * b[i]` — the FedAsync mixing step.
@@ -183,12 +196,17 @@ pub fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
 /// Panics if lengths differ.
 pub fn lerp(a: &mut [f32], b: &[f32], t: f32) {
     assert_eq!(a.len(), b.len(), "lerp length mismatch");
-    dispatch_elementwise!(scalar::lerp(a, b, t), avx2::lerp(a, b, t))
+    let s = 1.0 - t;
+    for (ai, &bi) in a.iter_mut().zip(b.iter()) {
+        *ai = s * *ai + t * bi;
+    }
 }
 
 /// `x[i] *= alpha`.
 pub fn scale(x: &mut [f32], alpha: f32) {
-    dispatch_elementwise!(scalar::scale(x, alpha), avx2::scale(x, alpha))
+    for v in x.iter_mut() {
+        *v *= alpha;
+    }
 }
 
 /// `y[i] *= m[i]` (dropout masks and similar gating sweeps).
@@ -197,7 +215,9 @@ pub fn scale(x: &mut [f32], alpha: f32) {
 /// Panics if lengths differ.
 pub fn mul_assign(y: &mut [f32], m: &[f32]) {
     assert_eq!(y.len(), m.len(), "mul_assign length mismatch");
-    dispatch_elementwise!(scalar::mul_assign(y, m), avx2::mul_assign(y, m))
+    for (yi, &mi) in y.iter_mut().zip(m.iter()) {
+        *yi *= mi;
+    }
 }
 
 /// `y[i] += x[i]` (bias adds, row-sum reductions).
@@ -206,12 +226,16 @@ pub fn mul_assign(y: &mut [f32], m: &[f32]) {
 /// Panics if lengths differ.
 pub fn add_assign(y: &mut [f32], x: &[f32]) {
     assert_eq!(y.len(), x.len(), "add_assign length mismatch");
-    dispatch_elementwise!(scalar::add_assign(y, x), avx2::add_assign(y, x))
+    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
+        *yi += xi;
+    }
 }
 
 /// `x[i] += c` (the conv bias broadcast).
 pub fn add_scalar(x: &mut [f32], c: f32) {
-    dispatch_elementwise!(scalar::add_scalar(x, c), avx2::add_scalar(x, c))
+    for v in x.iter_mut() {
+        *v += c;
+    }
 }
 
 /// `out[i] = 0.0 + w * x[i]` — the first-input pass of the sharded
@@ -222,14 +246,16 @@ pub fn add_scalar(x: &mut [f32], c: f32) {
 /// Panics if lengths differ.
 pub fn wsum_first(out: &mut [f32], x: &[f32], w: f32) {
     assert_eq!(out.len(), x.len(), "wsum_first length mismatch");
-    dispatch_elementwise!(scalar::wsum_first(out, x, w), avx2::wsum_first(out, x, w))
+    for (o, &xi) in out.iter_mut().zip(x.iter()) {
+        *o = 0.0f32 + w * xi;
+    }
 }
 
-/// ReLU: `x[i] = if x[i] > 0.0 { x[i] } else { 0.0 }`.
-///
-/// (Matches `_mm256_max_ps(x, 0)` exactly, including NaN → 0.0.)
+/// ReLU: `x[i] = if x[i] > 0.0 { x[i] } else { 0.0 }` (NaN → 0.0).
 pub fn relu(x: &mut [f32]) {
-    dispatch_elementwise!(scalar::relu(x), avx2::relu(x))
+    for v in x.iter_mut() {
+        *v = if *v > 0.0 { *v } else { 0.0 };
+    }
 }
 
 /// Tanh backward: `g[i] *= 1 - y[i]²` where `y = tanh(x)`.
@@ -238,7 +264,9 @@ pub fn relu(x: &mut [f32]) {
 /// Panics if lengths differ.
 pub fn tanh_grad(g: &mut [f32], y: &[f32]) {
     assert_eq!(g.len(), y.len(), "tanh_grad length mismatch");
-    dispatch_elementwise!(scalar::tanh_grad(g, y), avx2::tanh_grad(g, y))
+    for (gi, &yi) in g.iter_mut().zip(y.iter()) {
+        *gi *= 1.0 - yi * yi;
+    }
 }
 
 /// Sigmoid backward: `g[i] *= y[i] * (1 - y[i])` where `y = σ(x)`.
@@ -247,7 +275,9 @@ pub fn tanh_grad(g: &mut [f32], y: &[f32]) {
 /// Panics if lengths differ.
 pub fn sigmoid_grad(g: &mut [f32], y: &[f32]) {
     assert_eq!(g.len(), y.len(), "sigmoid_grad length mismatch");
-    dispatch_elementwise!(scalar::sigmoid_grad(g, y), avx2::sigmoid_grad(g, y))
+    for (gi, &yi) in g.iter_mut().zip(y.iter()) {
+        *gi *= yi * (1.0 - yi);
+    }
 }
 
 /// Proximal gradient: `grad[i] += lambda * (w[i] - global[i])` — Eq. (3).
@@ -257,10 +287,9 @@ pub fn sigmoid_grad(g: &mut [f32], y: &[f32]) {
 pub fn prox_grad(grad: &mut [f32], w: &[f32], global: &[f32], lambda: f32) {
     assert_eq!(grad.len(), w.len(), "prox_grad length mismatch");
     assert_eq!(grad.len(), global.len(), "prox_grad length mismatch");
-    dispatch_elementwise!(
-        scalar::prox_grad(grad, w, global, lambda),
-        avx2::prox_grad(grad, w, global, lambda)
-    )
+    for ((gi, &wi), &wg) in grad.iter_mut().zip(w.iter()).zip(global.iter()) {
+        *gi += lambda * (wi - wg);
+    }
 }
 
 /// SGD-with-momentum step: `v = momentum*v + g; w -= lr*v`.
@@ -270,10 +299,10 @@ pub fn prox_grad(grad: &mut [f32], w: &[f32], global: &[f32], lambda: f32) {
 pub fn sgd_momentum_step(w: &mut [f32], g: &[f32], v: &mut [f32], momentum: f32, lr: f32) {
     assert_eq!(w.len(), g.len(), "sgd step length mismatch");
     assert_eq!(w.len(), v.len(), "sgd step length mismatch");
-    dispatch_elementwise!(
-        scalar::sgd_momentum_step(w, g, v, momentum, lr),
-        avx2::sgd_momentum_step(w, g, v, momentum, lr)
-    )
+    for ((wi, &gi), vi) in w.iter_mut().zip(g.iter()).zip(v.iter_mut()) {
+        *vi = momentum * *vi + gi;
+        *wi -= lr * *vi;
+    }
 }
 
 /// Bias-corrected Adam step hyperparameters (per [`adam_step`] call).
@@ -294,7 +323,7 @@ pub struct AdamParams {
 }
 
 /// One Adam update over a flat parameter slice — the reference pass
-/// [`adam_sweep`] is defined by, and the plain loop on every lane.
+/// [`adam_sweep`] is defined by.
 ///
 /// # Panics
 /// Panics if lengths differ.
@@ -302,7 +331,19 @@ pub fn adam_step(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], p: &Ada
     assert_eq!(w.len(), g.len(), "adam step length mismatch");
     assert_eq!(w.len(), m.len(), "adam step length mismatch");
     assert_eq!(w.len(), v.len(), "adam step length mismatch");
-    scalar::adam_step(w, g, m, v, p)
+    let (b1c, b2c) = (1.0 - p.beta1, 1.0 - p.beta2);
+    for (((wi, &gi), mi), vi) in w
+        .iter_mut()
+        .zip(g.iter())
+        .zip(m.iter_mut())
+        .zip(v.iter_mut())
+    {
+        *mi = p.beta1 * *mi + b1c * gi;
+        *vi = p.beta2 * *vi + b2c * gi * gi;
+        let m_hat = *mi / p.bc1;
+        let v_hat = *vi / p.bc2;
+        *wi -= p.lr * m_hat / (v_hat.sqrt() + p.eps);
+    }
 }
 
 /// A whole optimizer step in one pass over a parameter: with `PROX`,
@@ -335,35 +376,28 @@ pub fn adam_sweep<const PROX: bool>(
         !PROX || w.len() == prox.0.len(),
         "adam sweep length mismatch"
     );
-    dispatch_elementwise!(
+    avx2_or_scalar!(
+        if virgin {
+            avx2::adam_sweep::<PROX, true>(w, g, m, v, prox, p)
+        } else {
+            avx2::adam_sweep::<PROX, false>(w, g, m, v, prox, p)
+        },
         {
             if virgin {
                 m.fill(0.0);
                 v.fill(0.0);
             }
             if PROX {
-                scalar::prox_grad(g, w, prox.0, prox.1);
+                prox_grad(g, w, prox.0, prox.1);
             }
-            scalar::adam_step(w, g, m, v, p);
+            adam_step(w, g, m, v, p);
             g.fill(0.0);
-        },
-        if virgin {
-            avx2::adam_sweep::<PROX, true>(w, g, m, v, prox, p)
-        } else {
-            avx2::adam_sweep::<PROX, false>(w, g, m, v, prox, p)
         }
     )
 }
 
 // ----------------------------------------------------------------------
-// Wire-codec kernels
-//
-// The inner loops of the transport codecs (fedat-compress): delta against
-// the broadcast reference, magnitude for top-k selection, and the
-// quantize/dequantize sweeps. All stay inside the bit-identity contract:
-// the float kernels use the exact scalar expression tree per lane
-// (`floor`/`max`/`min` are IEEE-exact and operand-ordered identically),
-// and the bit-pattern kernels are integer ops with one result.
+// Wire-codec kernels (fedat-compress): plain loops except the quantizer
 // ----------------------------------------------------------------------
 
 /// `out[i] = a[i] - b[i]` — the uplink delta against the decoded broadcast
@@ -374,7 +408,9 @@ pub fn adam_sweep<const PROX: bool>(
 pub fn sub_into(out: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(out.len(), a.len(), "sub_into length mismatch");
     assert_eq!(out.len(), b.len(), "sub_into length mismatch");
-    dispatch_elementwise!(scalar::sub_into(out, a, b), avx2::sub_into(out, a, b))
+    for ((o, &ai), &bi) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
+        *o = ai - bi;
+    }
 }
 
 /// `out[i] = |x[i]|` — clears the sign bit (NaN payloads included), the
@@ -384,7 +420,9 @@ pub fn sub_into(out: &mut [f32], a: &[f32], b: &[f32]) {
 /// Panics if lengths differ.
 pub fn abs_into(out: &mut [f32], x: &[f32]) {
     assert_eq!(out.len(), x.len(), "abs_into length mismatch");
-    dispatch_elementwise!(scalar::abs_into(out, x), avx2::abs_into(out, x))
+    for (o, &xi) in out.iter_mut().zip(x.iter()) {
+        *o = xi.abs();
+    }
 }
 
 /// `out[i] = b + a * x[i]` — the dequantization sweep (`lo + q·step`).
@@ -393,40 +431,42 @@ pub fn abs_into(out: &mut [f32], x: &[f32]) {
 /// Panics if lengths differ.
 pub fn affine_into(out: &mut [f32], x: &[f32], a: f32, b: f32) {
     assert_eq!(out.len(), x.len(), "affine_into length mismatch");
-    dispatch_elementwise!(
-        scalar::affine_into(out, x, a, b),
-        avx2::affine_into(out, x, a, b)
-    )
+    for (o, &xi) in out.iter_mut().zip(x.iter()) {
+        *o = b + a * xi;
+    }
 }
 
 /// `out[i] = min(max(floor((x[i] - lo) * scale + 0.5), 0), levels)` — the
 /// round-half-up linear quantizer. `floor(t + 0.5)` is used instead of
 /// `round` deliberately: scalar `f32::round` is half-away-from-zero while
 /// the vector rounding instruction is half-to-even, so only the
-/// floor formulation is backend-invariant.
+/// floor formulation is backend-invariant (`floor`/`max`/`min` are
+/// IEEE-exact and operand-ordered identically in both lanes).
 ///
 /// # Panics
 /// Panics if lengths differ.
 pub fn quantize_into(out: &mut [f32], x: &[f32], lo: f32, scale: f32, levels: f32) {
     assert_eq!(out.len(), x.len(), "quantize_into length mismatch");
-    dispatch_elementwise!(
-        scalar::quantize_into(out, x, lo, scale, levels),
-        avx2::quantize_into(out, x, lo, scale, levels)
+    avx2_or_scalar!(
+        avx2::quantize_into(out, x, lo, scale, levels),
+        for (o, &xi) in out.iter_mut().zip(x.iter()) {
+            let t = (xi - lo) * scale + 0.5;
+            *o = t.floor().max(0.0).min(levels);
+        }
     )
 }
 
 /// `out[i] = w[i].to_bits() ^ r[i].to_bits()` — the lossless bit-level
-/// delta of the DeltaRle codec. Pure integer ops: exact on every backend.
+/// delta of the DeltaRle codec.
 ///
 /// # Panics
 /// Panics if lengths differ.
 pub fn delta_bits_into(out: &mut [u32], w: &[f32], r: &[f32]) {
     assert_eq!(out.len(), w.len(), "delta_bits_into length mismatch");
     assert_eq!(out.len(), r.len(), "delta_bits_into length mismatch");
-    dispatch_elementwise!(
-        scalar::delta_bits_into(out, w, r),
-        avx2::delta_bits_into(out, w, r)
-    )
+    for ((o, &wi), &ri) in out.iter_mut().zip(w.iter()).zip(r.iter()) {
+        *o = wi.to_bits() ^ ri.to_bits();
+    }
 }
 
 /// `out[i] = f32::from_bits(bits[i] ^ r[i].to_bits())` — inverse of
@@ -441,10 +481,9 @@ pub fn apply_delta_bits_into(out: &mut [f32], bits: &[u32], r: &[f32]) {
         "apply_delta_bits_into length mismatch"
     );
     assert_eq!(out.len(), r.len(), "apply_delta_bits_into length mismatch");
-    dispatch_elementwise!(
-        scalar::apply_delta_bits_into(out, bits, r),
-        avx2::apply_delta_bits_into(out, bits, r)
-    )
+    for ((o, &bi), &ri) in out.iter_mut().zip(bits.iter()).zip(r.iter()) {
+        *o = f32::from_bits(bi ^ ri.to_bits());
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -468,14 +507,7 @@ fn merge_lanes(l: &[f64; 8]) -> f64 {
 /// Panics if lengths differ.
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "dot length mismatch");
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active()` returns `Avx2` only after `avx2_available()`
-        // confirmed the target features at runtime; equal lengths are
-        // asserted above.
-        Backend::Avx2 => unsafe { avx2::dot(x, y) },
-        _ => scalar::dot(x, y),
-    }
+    avx2_or_scalar!(avx2::dot(x, y), scalar::dot(x, y))
 }
 
 /// Squared Euclidean distance, same lane decomposition as [`dot`]
@@ -485,14 +517,7 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
 /// Panics if lengths differ.
 pub fn dist_sq(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "dist_sq length mismatch");
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active()` returns `Avx2` only after `avx2_available()`
-        // confirmed the target features at runtime; equal lengths are
-        // asserted above.
-        Backend::Avx2 => unsafe { avx2::dist_sq(x, y) },
-        _ => scalar::dist_sq(x, y),
-    }
+    avx2_or_scalar!(avx2::dist_sq(x, y), scalar::dist_sq(x, y))
 }
 
 // ----------------------------------------------------------------------
@@ -927,146 +952,12 @@ pub fn transpose(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
 }
 
 // ----------------------------------------------------------------------
-// Scalar reference backend (also the portable form of the elementwise
-// kernels — the compiler autovectorizes these sweeps on any ISA)
+// Scalar reference lane
 // ----------------------------------------------------------------------
 
 mod scalar {
-    use super::{merge_lanes, AdamParams, Lhs};
+    use super::{merge_lanes, Lhs};
     use crate::ops::RobustRule;
-
-    pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-            *yi += alpha * xi;
-        }
-    }
-
-    pub fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-        for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-            *yi = alpha * xi + beta * *yi;
-        }
-    }
-
-    pub fn lerp(a: &mut [f32], b: &[f32], t: f32) {
-        let s = 1.0 - t;
-        for (ai, &bi) in a.iter_mut().zip(b.iter()) {
-            *ai = s * *ai + t * bi;
-        }
-    }
-
-    pub fn scale(x: &mut [f32], alpha: f32) {
-        for v in x.iter_mut() {
-            *v *= alpha;
-        }
-    }
-
-    pub fn mul_assign(y: &mut [f32], m: &[f32]) {
-        for (yi, &mi) in y.iter_mut().zip(m.iter()) {
-            *yi *= mi;
-        }
-    }
-
-    pub fn add_assign(y: &mut [f32], x: &[f32]) {
-        for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-            *yi += xi;
-        }
-    }
-
-    pub fn add_scalar(x: &mut [f32], c: f32) {
-        for v in x.iter_mut() {
-            *v += c;
-        }
-    }
-
-    pub fn wsum_first(out: &mut [f32], x: &[f32], w: f32) {
-        for (o, &xi) in out.iter_mut().zip(x.iter()) {
-            *o = 0.0f32 + w * xi;
-        }
-    }
-
-    pub fn relu(x: &mut [f32]) {
-        for v in x.iter_mut() {
-            *v = if *v > 0.0 { *v } else { 0.0 };
-        }
-    }
-
-    pub fn tanh_grad(g: &mut [f32], y: &[f32]) {
-        for (gi, &yi) in g.iter_mut().zip(y.iter()) {
-            *gi *= 1.0 - yi * yi;
-        }
-    }
-
-    pub fn sigmoid_grad(g: &mut [f32], y: &[f32]) {
-        for (gi, &yi) in g.iter_mut().zip(y.iter()) {
-            *gi *= yi * (1.0 - yi);
-        }
-    }
-
-    pub fn prox_grad(grad: &mut [f32], w: &[f32], global: &[f32], lambda: f32) {
-        for ((gi, &wi), &wg) in grad.iter_mut().zip(w.iter()).zip(global.iter()) {
-            *gi += lambda * (wi - wg);
-        }
-    }
-
-    pub fn sgd_momentum_step(w: &mut [f32], g: &[f32], v: &mut [f32], momentum: f32, lr: f32) {
-        for ((wi, &gi), vi) in w.iter_mut().zip(g.iter()).zip(v.iter_mut()) {
-            *vi = momentum * *vi + gi;
-            *wi -= lr * *vi;
-        }
-    }
-
-    pub fn adam_step(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], p: &AdamParams) {
-        let (b1c, b2c) = (1.0 - p.beta1, 1.0 - p.beta2);
-        for (((wi, &gi), mi), vi) in w
-            .iter_mut()
-            .zip(g.iter())
-            .zip(m.iter_mut())
-            .zip(v.iter_mut())
-        {
-            *mi = p.beta1 * *mi + b1c * gi;
-            *vi = p.beta2 * *vi + b2c * gi * gi;
-            let m_hat = *mi / p.bc1;
-            let v_hat = *vi / p.bc2;
-            *wi -= p.lr * m_hat / (v_hat.sqrt() + p.eps);
-        }
-    }
-
-    pub fn sub_into(out: &mut [f32], a: &[f32], b: &[f32]) {
-        for ((o, &ai), &bi) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-            *o = ai - bi;
-        }
-    }
-
-    pub fn abs_into(out: &mut [f32], x: &[f32]) {
-        for (o, &xi) in out.iter_mut().zip(x.iter()) {
-            *o = xi.abs();
-        }
-    }
-
-    pub fn affine_into(out: &mut [f32], x: &[f32], a: f32, b: f32) {
-        for (o, &xi) in out.iter_mut().zip(x.iter()) {
-            *o = b + a * xi;
-        }
-    }
-
-    pub fn quantize_into(out: &mut [f32], x: &[f32], lo: f32, scale: f32, levels: f32) {
-        for (o, &xi) in out.iter_mut().zip(x.iter()) {
-            let t = (xi - lo) * scale + 0.5;
-            *o = t.floor().max(0.0).min(levels);
-        }
-    }
-
-    pub fn delta_bits_into(out: &mut [u32], w: &[f32], r: &[f32]) {
-        for ((o, &wi), &ri) in out.iter_mut().zip(w.iter()).zip(r.iter()) {
-            *o = wi.to_bits() ^ ri.to_bits();
-        }
-    }
-
-    pub fn apply_delta_bits_into(out: &mut [f32], bits: &[u32], r: &[f32]) {
-        for ((o, &bi), &ri) in out.iter_mut().zip(bits.iter()).zip(r.iter()) {
-            *o = f32::from_bits(bi ^ ri.to_bits());
-        }
-    }
 
     pub fn dot(x: &[f32], y: &[f32]) -> f32 {
         let main = x.len() - x.len() % 8;
@@ -1179,8 +1070,7 @@ mod scalar {
 }
 
 // ----------------------------------------------------------------------
-// Portable backend (matmul micro-kernel and the robust-reduction network;
-// elementwise kernels fall back to the scalar loops, which autovectorize)
+// Portable lane (matmul micro-kernel and the robust-reduction network)
 // ----------------------------------------------------------------------
 
 mod portable {
@@ -1319,285 +1209,9 @@ mod avx2 {
     use crate::ops::RobustRule;
     use std::arch::x86_64::*;
 
-    // Each elementwise kernel processes 8 lanes per iteration with the
-    // exact scalar expression tree (unfused mul+add), then finishes the
+    // `adam_sweep` and `quantize_into` process 8 lanes per iteration with
+    // the exact scalar expression tree (unfused mul+add), then finish the
     // tail with the scalar expression itself.
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        let n = x.len();
-        let av = _mm256_set1_ps(alpha);
-        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let xv = _mm256_loadu_ps(xp.add(i));
-            let yv = _mm256_loadu_ps(yp.add(i));
-            _mm256_storeu_ps(yp.add(i), _mm256_add_ps(yv, _mm256_mul_ps(av, xv)));
-            i += 8;
-        }
-        while i < n {
-            y[i] += alpha * x[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-        let n = x.len();
-        let (av, bv) = (_mm256_set1_ps(alpha), _mm256_set1_ps(beta));
-        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let xv = _mm256_loadu_ps(xp.add(i));
-            let yv = _mm256_loadu_ps(yp.add(i));
-            let out = _mm256_add_ps(_mm256_mul_ps(av, xv), _mm256_mul_ps(bv, yv));
-            _mm256_storeu_ps(yp.add(i), out);
-            i += 8;
-        }
-        while i < n {
-            y[i] = alpha * x[i] + beta * y[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn lerp(a: &mut [f32], b: &[f32], t: f32) {
-        let s = 1.0 - t;
-        let n = a.len();
-        let (sv, tv) = (_mm256_set1_ps(s), _mm256_set1_ps(t));
-        let (ap, bp) = (a.as_mut_ptr(), b.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let av = _mm256_loadu_ps(ap.add(i));
-            let bv = _mm256_loadu_ps(bp.add(i));
-            let out = _mm256_add_ps(_mm256_mul_ps(sv, av), _mm256_mul_ps(tv, bv));
-            _mm256_storeu_ps(ap.add(i), out);
-            i += 8;
-        }
-        while i < n {
-            a[i] = s * a[i] + t * b[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn scale(x: &mut [f32], alpha: f32) {
-        let n = x.len();
-        let av = _mm256_set1_ps(alpha);
-        let xp = x.as_mut_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm256_storeu_ps(xp.add(i), _mm256_mul_ps(_mm256_loadu_ps(xp.add(i)), av));
-            i += 8;
-        }
-        while i < n {
-            x[i] *= alpha;
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn mul_assign(y: &mut [f32], m: &[f32]) {
-        let n = y.len();
-        let (yp, mp) = (y.as_mut_ptr(), m.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let out = _mm256_mul_ps(_mm256_loadu_ps(yp.add(i)), _mm256_loadu_ps(mp.add(i)));
-            _mm256_storeu_ps(yp.add(i), out);
-            i += 8;
-        }
-        while i < n {
-            y[i] *= m[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn add_assign(y: &mut [f32], x: &[f32]) {
-        let n = y.len();
-        let (yp, xp) = (y.as_mut_ptr(), x.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let out = _mm256_add_ps(_mm256_loadu_ps(yp.add(i)), _mm256_loadu_ps(xp.add(i)));
-            _mm256_storeu_ps(yp.add(i), out);
-            i += 8;
-        }
-        while i < n {
-            y[i] += x[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn add_scalar(x: &mut [f32], c: f32) {
-        let n = x.len();
-        let cv = _mm256_set1_ps(c);
-        let xp = x.as_mut_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm256_storeu_ps(xp.add(i), _mm256_add_ps(_mm256_loadu_ps(xp.add(i)), cv));
-            i += 8;
-        }
-        while i < n {
-            x[i] += c;
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn wsum_first(out: &mut [f32], x: &[f32], w: f32) {
-        let n = out.len();
-        let (wv, zero) = (_mm256_set1_ps(w), _mm256_setzero_ps());
-        let (op, xp) = (out.as_mut_ptr(), x.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let prod = _mm256_mul_ps(wv, _mm256_loadu_ps(xp.add(i)));
-            _mm256_storeu_ps(op.add(i), _mm256_add_ps(zero, prod));
-            i += 8;
-        }
-        while i < n {
-            out[i] = 0.0f32 + w * x[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn relu(x: &mut [f32]) {
-        let n = x.len();
-        let zero = _mm256_setzero_ps();
-        let xp = x.as_mut_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm256_storeu_ps(xp.add(i), _mm256_max_ps(_mm256_loadu_ps(xp.add(i)), zero));
-            i += 8;
-        }
-        while i < n {
-            x[i] = if x[i] > 0.0 { x[i] } else { 0.0 };
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn tanh_grad(g: &mut [f32], y: &[f32]) {
-        let n = g.len();
-        let one = _mm256_set1_ps(1.0);
-        let (gp, yp) = (g.as_mut_ptr(), y.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let yv = _mm256_loadu_ps(yp.add(i));
-            let f = _mm256_sub_ps(one, _mm256_mul_ps(yv, yv));
-            _mm256_storeu_ps(gp.add(i), _mm256_mul_ps(_mm256_loadu_ps(gp.add(i)), f));
-            i += 8;
-        }
-        while i < n {
-            g[i] *= 1.0 - y[i] * y[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn sigmoid_grad(g: &mut [f32], y: &[f32]) {
-        let n = g.len();
-        let one = _mm256_set1_ps(1.0);
-        let (gp, yp) = (g.as_mut_ptr(), y.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let yv = _mm256_loadu_ps(yp.add(i));
-            let f = _mm256_mul_ps(yv, _mm256_sub_ps(one, yv));
-            _mm256_storeu_ps(gp.add(i), _mm256_mul_ps(_mm256_loadu_ps(gp.add(i)), f));
-            i += 8;
-        }
-        while i < n {
-            g[i] *= y[i] * (1.0 - y[i]);
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn prox_grad(grad: &mut [f32], w: &[f32], global: &[f32], lambda: f32) {
-        let n = grad.len();
-        let lv = _mm256_set1_ps(lambda);
-        let (gp, wp, wgp) = (grad.as_mut_ptr(), w.as_ptr(), global.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let d = _mm256_sub_ps(_mm256_loadu_ps(wp.add(i)), _mm256_loadu_ps(wgp.add(i)));
-            let out = _mm256_add_ps(_mm256_loadu_ps(gp.add(i)), _mm256_mul_ps(lv, d));
-            _mm256_storeu_ps(gp.add(i), out);
-            i += 8;
-        }
-        while i < n {
-            grad[i] += lambda * (w[i] - global[i]);
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn sgd_momentum_step(
-        w: &mut [f32],
-        g: &[f32],
-        v: &mut [f32],
-        momentum: f32,
-        lr: f32,
-    ) {
-        let n = w.len();
-        let (mv, lv) = (_mm256_set1_ps(momentum), _mm256_set1_ps(lr));
-        let (wp, gp, vp) = (w.as_mut_ptr(), g.as_ptr(), v.as_mut_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let vel = _mm256_add_ps(
-                _mm256_mul_ps(mv, _mm256_loadu_ps(vp.add(i))),
-                _mm256_loadu_ps(gp.add(i)),
-            );
-            _mm256_storeu_ps(vp.add(i), vel);
-            let out = _mm256_sub_ps(_mm256_loadu_ps(wp.add(i)), _mm256_mul_ps(lv, vel));
-            _mm256_storeu_ps(wp.add(i), out);
-            i += 8;
-        }
-        while i < n {
-            v[i] = momentum * v[i] + g[i];
-            w[i] -= lr * v[i];
-            i += 1;
-        }
-    }
 
     // SAFETY: requires AVX2+FMA — every call path reaches here through a
     // dispatcher that checked `avx2_available()` first. Pointer arithmetic
@@ -1672,66 +1286,6 @@ mod avx2 {
     // dispatcher that checked `avx2_available()` first. Pointer arithmetic
     // stays within the slice extents checked by the safe wrappers.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn sub_into(out: &mut [f32], a: &[f32], b: &[f32]) {
-        let n = out.len();
-        let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let d = _mm256_sub_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)));
-            _mm256_storeu_ps(op.add(i), d);
-            i += 8;
-        }
-        while i < n {
-            out[i] = a[i] - b[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn abs_into(out: &mut [f32], x: &[f32]) {
-        let n = out.len();
-        // `abs` is the sign bit cleared — exactly what scalar `f32::abs`
-        // does, NaN payloads preserved.
-        let mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
-        let (op, xp) = (out.as_mut_ptr(), x.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm256_storeu_ps(op.add(i), _mm256_and_ps(_mm256_loadu_ps(xp.add(i)), mask));
-            i += 8;
-        }
-        while i < n {
-            out[i] = x[i].abs();
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn affine_into(out: &mut [f32], x: &[f32], a: f32, b: f32) {
-        let n = out.len();
-        let (av, bv) = (_mm256_set1_ps(a), _mm256_set1_ps(b));
-        let (op, xp) = (out.as_mut_ptr(), x.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let v = _mm256_add_ps(bv, _mm256_mul_ps(av, _mm256_loadu_ps(xp.add(i))));
-            _mm256_storeu_ps(op.add(i), v);
-            i += 8;
-        }
-        while i < n {
-            out[i] = b + a * x[i];
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn quantize_into(out: &mut [f32], x: &[f32], lo: f32, scale: f32, levels: f32) {
         let n = out.len();
         let lov = _mm256_set1_ps(lo);
@@ -1754,46 +1308,6 @@ mod avx2 {
         while i < n {
             let t = (x[i] - lo) * scale + 0.5;
             out[i] = t.floor().max(0.0).min(levels);
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn delta_bits_into(out: &mut [u32], w: &[f32], r: &[f32]) {
-        let n = out.len();
-        let (op, wp, rp) = (out.as_mut_ptr(), w.as_ptr(), r.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let wv = _mm256_loadu_si256(wp.add(i) as *const __m256i);
-            let rv = _mm256_loadu_si256(rp.add(i) as *const __m256i);
-            _mm256_storeu_si256(op.add(i) as *mut __m256i, _mm256_xor_si256(wv, rv));
-            i += 8;
-        }
-        while i < n {
-            out[i] = w[i].to_bits() ^ r[i].to_bits();
-            i += 1;
-        }
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn apply_delta_bits_into(out: &mut [f32], bits: &[u32], r: &[f32]) {
-        let n = out.len();
-        let (op, bp, rp) = (out.as_mut_ptr(), bits.as_ptr(), r.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let bv = _mm256_loadu_si256(bp.add(i) as *const __m256i);
-            let rv = _mm256_loadu_si256(rp.add(i) as *const __m256i);
-            _mm256_storeu_si256(op.add(i) as *mut __m256i, _mm256_xor_si256(bv, rv));
-            i += 8;
-        }
-        while i < n {
-            out[i] = f32::from_bits(bits[i] ^ r[i].to_bits());
             i += 1;
         }
     }
@@ -2200,26 +1714,29 @@ mod tests {
         assert_eq!(t[5 * r + 3], src[3 * c + 5]);
     }
 
-    /// Scopes the backend selection to the calling test thread.
-    fn backend(simd: SimdKernel, portable_only: bool) -> crate::ctx::OverlayGuard {
+    /// Scopes the lane selection to the calling test thread.
+    fn backend(simd: SimdKernel) -> crate::ctx::OverlayGuard {
         crate::ctx::install(crate::ctx::KernelCtx {
             simd,
-            portable_only,
             ..crate::ctx::snapshot()
         })
     }
 
+    /// On and around one and two 8-lane vectors, so every tail is hit.
+    const TAIL_LENS: [usize; 9] = [1, 7, 8, 9, 15, 16, 17, 33, 1003];
+
     #[test]
     fn dot_matches_lane_definition_on_all_backends() {
-        let x = filled(1003, 2);
-        let y = filled(1003, 3);
-        let run = |simd, portable| {
-            let _g = backend(simd, portable);
-            dot(&x, &y).to_bits()
-        };
-        let reference = run(SimdKernel::Scalar, false);
-        assert_eq!(run(SimdKernel::Auto, false), reference);
-        assert_eq!(run(SimdKernel::Auto, true), reference);
+        for len in TAIL_LENS {
+            let (x, y) = (filled(len, 2), filled(len, 3));
+            let run = |simd| {
+                let _g = backend(simd);
+                (dot(&x, &y).to_bits(), dist_sq(&x, &y).to_bits())
+            };
+            let reference = run(SimdKernel::Scalar);
+            assert_eq!(run(SimdKernel::Auto), reference, "isa, len {len}");
+            assert_eq!(run(SimdKernel::Portable), reference, "portable, len {len}");
+        }
     }
 
     /// Every seventh element, from `phase` on, becomes a NaN, ±inf or `-0.0`.
@@ -2262,16 +1779,16 @@ mod tests {
                             }
                         }
                         for lhs in [Lhs::RowMajor(&a, k), Lhs::ColMajor(&a, m)] {
-                            let run = |kernel: SimdKernel, portable: bool| {
-                                let _g = backend(kernel, portable);
+                            let run = |kernel: SimdKernel| {
+                                let _g = backend(kernel);
                                 let mut c = c0.clone();
                                 matmul_block(lhs, &b, &mut c, 0, k, n);
                                 bits(&c)
                             };
-                            let want = run(SimdKernel::Scalar, false);
+                            let want = run(SimdKernel::Scalar);
                             let shape = format!("{m}x{k}x{n} sparse={sparse}");
-                            assert_eq!(want, run(SimdKernel::Auto, false), "isa {shape}");
-                            assert_eq!(want, run(SimdKernel::Auto, true), "portable {shape}");
+                            assert_eq!(want, run(SimdKernel::Auto), "isa {shape}");
+                            assert_eq!(want, run(SimdKernel::Portable), "portable {shape}");
                         }
                     }
                 }
@@ -2281,31 +1798,25 @@ mod tests {
 
     #[test]
     fn codec_kernels_are_backend_invariant() {
-        let w = filled(1003, 11);
-        let r = filled(1003, 12);
-        let run = |kernel: SimdKernel, portable: bool| {
-            let _g = backend(kernel, portable);
-            let mut sub = vec![0.0f32; w.len()];
-            sub_into(&mut sub, &w, &r);
-            let mut abs = vec![0.0f32; w.len()];
-            abs_into(&mut abs, &sub);
-            let mut q = vec![0.0f32; w.len()];
-            quantize_into(&mut q, &sub, -3.0, 255.0 / 6.0, 255.0);
-            let mut deq = vec![0.0f32; w.len()];
-            affine_into(&mut deq, &q, 6.0 / 255.0, -3.0);
-            let mut bits = vec![0u32; w.len()];
+        for len in TAIL_LENS {
+            let (w, r) = (filled(len, 11), filled(len, 12));
+            let run = |kernel: SimdKernel| {
+                let _g = backend(kernel);
+                let mut q = vec![0.0f32; len];
+                quantize_into(&mut q, &w, -3.0, 255.0 / 6.0, 255.0);
+                q
+            };
+            let reference = run(SimdKernel::Scalar);
+            assert_eq!(reference, run(SimdKernel::Auto), "isa, len {len}");
+            assert_eq!(reference, run(SimdKernel::Portable), "portable, len {len}");
+            // The bit-delta roundtrip is exact by construction.
+            let mut bits = vec![0u32; len];
             delta_bits_into(&mut bits, &w, &r);
-            let mut back = vec![0.0f32; w.len()];
+            let mut back = vec![0.0f32; len];
             apply_delta_bits_into(&mut back, &bits, &r);
-            (sub, abs, q, deq, bits, back)
-        };
-        let reference = run(SimdKernel::Scalar, false);
-        assert_eq!(reference, run(SimdKernel::Auto, false), "isa backend");
-        assert_eq!(reference, run(SimdKernel::Auto, true), "portable backend");
-        // The bit-delta roundtrip is exact by construction.
-        let w_bits: Vec<u32> = w.iter().map(|v| v.to_bits()).collect();
-        let back_bits: Vec<u32> = reference.5.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(w_bits, back_bits);
+            let as_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(as_bits(&w), as_bits(&back));
+        }
     }
 
     #[test]
@@ -2371,7 +1882,7 @@ mod tests {
         }
         let b = filled(k * n, 6);
         let run = |kernel: SimdKernel| {
-            let _g = backend(kernel, false);
+            let _g = backend(kernel);
             let mut c = vec![0.0f32; m * n];
             matmul_block(Lhs::RowMajor(&a, k), &b, &mut c, 0, k, n);
             c

@@ -1,5 +1,6 @@
-//! SIMD-vs-scalar bitwise equality for every kernel rewired through
-//! `fedat_tensor::simd`, over awkward shapes (non-multiple-of-8 tails,
+//! SIMD-vs-scalar bitwise equality for every kernel of `fedat_tensor::simd`
+//! that has lanes (the element-wise ones are one plain loop each — there is
+//! nothing to compare), over awkward shapes (non-multiple-of-8 tails,
 //! dims in 1..=17) × thread counts {1, 2, 4, 8}, plus the portable
 //! fallback (ISA-independence: `Auto` must not depend on what the host
 //! detects). The matmul lanes are also driven at the shapes training runs
@@ -19,8 +20,8 @@ use fedat_tensor::conv::{
 };
 use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
 use fedat_tensor::ops::{
-    axpby, axpy, dist_sq, dot, lerp_into, matmul_into, matmul_nt_into, matmul_tn_into,
-    robust_reduce_into, scale, weighted_sum_into, RobustRule, AGG_SHARD,
+    dist_sq, dot, matmul_into, matmul_nt_into, matmul_tn_into, robust_reduce_into,
+    weighted_sum_into, RobustRule, AGG_SHARD,
 };
 use fedat_tensor::rng::rng_for;
 use fedat_tensor::simd::{self, AdamParams, SimdKernel, ROBUST_TILE};
@@ -30,26 +31,20 @@ use rand::RngExt;
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// `(kernel, portable_only)` of the three lanes: reference, ISA, portable.
-const LANES: [(SimdKernel, bool); 3] = [
-    (SimdKernel::Scalar, false),
-    (SimdKernel::Auto, false),
-    (SimdKernel::Auto, true),
-];
+/// The three lanes: reference, ISA (where detected), portable.
+const LANES: [SimdKernel; 3] = [SimdKernel::Scalar, SimdKernel::Auto, SimdKernel::Portable];
+/// The two lanes held to the reference.
+const FAST_LANES: [SimdKernel; 2] = [SimdKernel::Auto, SimdKernel::Portable];
 
-/// Scopes the SIMD backend, the portable-only override and the thread cap
-/// to the calling thread for the guard's lifetime.
-fn scoped(simd: SimdKernel, portable_only: bool, max_threads: usize) -> OverlayGuard {
+/// Scopes the SIMD lane and the thread cap to the calling thread for the
+/// guard's lifetime.
+fn scoped(simd: SimdKernel, max_threads: usize) -> OverlayGuard {
     ctx::install(KernelCtx {
         simd,
-        portable_only,
         max_threads,
         ..ctx::snapshot()
     })
 }
-
-/// A named in-place kernel under test.
-type Case<'a> = (&'a str, Box<dyn Fn(&mut [f32]) + 'a>);
 
 fn filled(len: usize, seed: u64) -> Vec<f32> {
     let mut rng = rng_for(seed, 63);
@@ -158,7 +153,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 /// Runs `kernel` (writing into a fresh zeroed buffer) under
 /// `SimdKernel::Scalar` at one thread as the reference, then under `Auto`
-/// (ISA path and portable fallback) across the thread sweep, asserting
+/// (where detected) and `Portable` across the thread sweep, asserting
 /// bitwise equality throughout.
 fn assert_simd_invariant(out_len: usize, kernel: impl Fn(&mut [f32])) -> Result<(), TestCaseError> {
     assert_simd_invariant_from(&vec![0.0f32; out_len], kernel)
@@ -172,19 +167,19 @@ fn assert_simd_invariant_from(
 ) -> Result<(), TestCaseError> {
     let mut reference = init.to_vec();
     {
-        let _g = scoped(SimdKernel::Scalar, false, 1);
+        let _g = scoped(SimdKernel::Scalar, 1);
         kernel(&mut reference);
     }
-    for portable in [false, true] {
+    for lane in FAST_LANES {
         for &t in &THREAD_SWEEP {
-            let _g = scoped(SimdKernel::Auto, portable, t);
+            let _g = scoped(lane, t);
             let mut got = init.to_vec();
             kernel(&mut got);
             prop_assert_eq!(
                 bits(&reference),
                 bits(&got),
-                "SIMD kernel (portable={}) diverged from scalar at {} threads",
-                portable,
+                "{:?} diverged from scalar at {} threads",
+                lane,
                 t
             );
         }
@@ -483,16 +478,16 @@ proptest! {
         let plan = ConvPlan::new(spec, h, w);
         let (input, weight, bias, d_out) = conv_problem((batch, cin, cout), (h, w), &spec, seed);
         let reference = {
-            let _g = scoped(SimdKernel::Scalar, false, 1);
+            let _g = scoped(SimdKernel::Scalar, 1);
             conv_stage(&input, &weight, &bias, &d_out, &plan)
         };
-        for portable in [false, true] {
+        for lane in FAST_LANES {
             for &t in &THREAD_SWEEP {
-                let _g = scoped(SimdKernel::Auto, portable, t);
+                let _g = scoped(lane, t);
                 let got = conv_stage(&input, &weight, &bias, &d_out, &plan);
                 prop_assert_eq!(
                     &reference, &got,
-                    "conv stage (portable={}) diverged from scalar at {} threads", portable, t
+                    "conv stage ({:?}) diverged from scalar at {} threads", lane, t
                 );
             }
         }
@@ -527,65 +522,14 @@ proptest! {
         let weight = Tensor::from_vec(filled(cout * cin * 9, seed ^ 5), &[cout, cin * 9]);
         let bias = Tensor::from_vec(filled(cout, seed ^ 6), &[cout]);
         let (reference, _) = {
-            let _g = scoped(SimdKernel::Scalar, false, 1);
+            let _g = scoped(SimdKernel::Scalar, 1);
             conv2d_forward(&input, &weight, &bias, &plan, false)
         };
         for &t in &THREAD_SWEEP {
-            let _g = scoped(SimdKernel::Auto, false, t);
+            let _g = scoped(SimdKernel::Auto, t);
             let (got, _) = conv2d_forward(&input, &weight, &bias, &plan, false);
             prop_assert_eq!(reference.data(), got.data(), "conv diverged at {} threads", t);
         }
-    }
-
-    #[test]
-    fn elementwise_kernels_simd_match_scalar_bitwise(
-        len in 1usize..100, alpha in -3.0f32..3.0, beta in -2.0f32..2.0, seed in 0u64..500
-    ) {
-        let x = filled(len, seed);
-        let base = filled(len, seed ^ 7);
-        let sweep = |f: &dyn Fn(&mut [f32])| -> (Vec<f32>, Vec<f32>) {
-            let run = |simd| {
-                let _g = scoped(simd, false, 1);
-                let mut y = base.clone();
-                f(&mut y);
-                y
-            };
-            (run(SimdKernel::Scalar), run(SimdKernel::Auto))
-        };
-        let t = (alpha / 3.0 + 1.0) / 2.0;
-        let cases: Vec<Case> = vec![
-            ("axpy", Box::new(|y: &mut [f32]| axpy(alpha, &x, y))),
-            ("axpby", Box::new(|y: &mut [f32]| axpby(alpha, &x, beta, y))),
-            ("lerp", Box::new(|y: &mut [f32]| lerp_into(y, &x, t))),
-            ("scale", Box::new(|y: &mut [f32]| scale(y, alpha))),
-            ("mul_assign", Box::new(|y: &mut [f32]| simd::mul_assign(y, &x))),
-            ("add_assign", Box::new(|y: &mut [f32]| simd::add_assign(y, &x))),
-            ("add_scalar", Box::new(|y: &mut [f32]| simd::add_scalar(y, alpha))),
-            ("wsum_first", Box::new(|y: &mut [f32]| simd::wsum_first(y, &x, alpha))),
-            ("relu", Box::new(|y: &mut [f32]| simd::relu(y))),
-            ("tanh_grad", Box::new(|y: &mut [f32]| simd::tanh_grad(y, &x))),
-            ("sigmoid_grad", Box::new(|y: &mut [f32]| simd::sigmoid_grad(y, &x))),
-            ("prox_grad", Box::new(|y: &mut [f32]| simd::prox_grad(y, &x, &base, alpha))),
-        ];
-        for (name, f) in &cases {
-            let (want, got) = sweep(f);
-            prop_assert_eq!(want, got, "{} diverged from scalar", name);
-        }
-    }
-
-    #[test]
-    fn optimizer_steps_simd_match_scalar_bitwise(len in 1usize..100, seed in 0u64..500) {
-        // (Adam's lanes: `adam_sweep_matches_three_passes_bitwise` below.)
-        let g = filled(len, seed);
-        let w0 = filled(len, seed ^ 8);
-        let s0 = filled(len, seed ^ 9);
-        let run = |kernel: SimdKernel| {
-            let _guard = scoped(kernel, false, 1);
-            let (mut w, mut s) = (w0.clone(), s0.clone());
-            simd::sgd_momentum_step(&mut w, &g, &mut s, 0.9, 0.05);
-            (w, s)
-        };
-        prop_assert_eq!(run(SimdKernel::Scalar), run(SimdKernel::Auto));
     }
 
     #[test]
@@ -636,7 +580,7 @@ proptest! {
 
         // The definition: three passes over explicitly zeroed moments.
         let want = {
-            let _g = scoped(SimdKernel::Scalar, false, 1);
+            let _g = scoped(SimdKernel::Scalar, 1);
             let (mut w, mut g) = (w0.clone(), g0.clone());
             let (mut m, mut v) = if virgin {
                 (vec![0.0; len], vec![0.0; len])
@@ -650,8 +594,8 @@ proptest! {
             g.fill(0.0);
             [w, g, m, v].map(|x| bits(&x))
         };
-        for (kernel, portable) in LANES {
-            let _g = scoped(kernel, portable, 1);
+        for kernel in LANES {
+            let _g = scoped(kernel, 1);
             let (mut w, mut g, mut m, mut v) = (w0.clone(), g0.clone(), m0.clone(), v0.clone());
             if prox {
                 simd::adam_sweep::<true>(&mut w, &mut g, &mut m, &mut v, (&global, lambda), virgin, &p);
@@ -661,8 +605,8 @@ proptest! {
             prop_assert_eq!(
                 &want,
                 &[w, g, m, v].map(|x| bits(&x)),
-                "sweep ({:?}, portable={}) diverged from the three passes: [w, g, m, v], len {}",
-                kernel, portable, len
+                "sweep ({:?}) diverged from the three passes: [w, g, m, v], len {}",
+                kernel, len
             );
         }
     }
@@ -675,30 +619,33 @@ proptest! {
         let spec = conv_spec(strided == 1, cin, cout);
         let plan = ConvPlan::new(spec, h, w);
         let (input, weight, bias, d_out) = conv_problem((batch, cin, cout), (h, w), &spec, seed);
-        for (kernel, portable) in LANES {
-            let _g = scoped(kernel, portable, 1);
+        for kernel in LANES {
+            let _g = scoped(kernel, 1);
             let (_, cols) = conv2d_forward(&input, &weight, &bias, &plan, true);
             let (want_w, want_b) = conv2d_backward_params(&d_out, &cols, &plan);
             // A layer's gradients at rest.
             let (mut got_w, mut got_b) = (vec![0.0f32; weight.len()], vec![0.0f32; cout]);
             conv2d_backward_params_into(&d_out, &cols, &plan, &mut got_w, &mut got_b);
-            prop_assert_eq!(bits(want_w.data()), bits(&got_w), "d_weight ({:?}, portable={})", kernel, portable);
-            prop_assert_eq!(bits(want_b.data()), bits(&got_b), "d_bias ({:?}, portable={})", kernel, portable);
+            prop_assert_eq!(bits(want_w.data()), bits(&got_w), "d_weight ({:?})", kernel);
+            prop_assert_eq!(bits(want_b.data()), bits(&got_b), "d_bias ({:?})", kernel);
         }
     }
 
     #[test]
-    fn reductions_simd_match_scalar_bitwise(len in 1usize..200, seed in 0u64..500) {
+    fn reductions_simd_match_scalar_bitwise(len_ix in 0usize..9, seed in 0u64..500) {
+        // On and around one and two 8-lane vectors (every tail), and long.
+        let len = [1usize, 7, 8, 9, 15, 16, 17, 33, 199][len_ix];
         let x = filled(len, seed);
         let y = filled(len, seed ^ 11);
-        let (d_ref, q_ref) = {
-            let _g = scoped(SimdKernel::Scalar, false, 1);
-            (dot(&x, &y), dist_sq(&x, &y))
+        let run = |lane| {
+            let _g = scoped(lane, 1);
+            let mut q = vec![0.0f32; len];
+            simd::quantize_into(&mut q, &x, -3.0, 255.0 / 6.0, 255.0);
+            (dot(&x, &y).to_bits(), dist_sq(&x, &y).to_bits(), bits(&q))
         };
-        for portable in [false, true] {
-            let _g = scoped(SimdKernel::Auto, portable, 1);
-            prop_assert_eq!(dot(&x, &y).to_bits(), d_ref.to_bits(), "dot (portable={})", portable);
-            prop_assert_eq!(dist_sq(&x, &y).to_bits(), q_ref.to_bits(), "dist_sq (portable={})", portable);
+        let reference = run(SimdKernel::Scalar);
+        for lane in FAST_LANES {
+            prop_assert_eq!(&reference, &run(lane), "(dot, dist_sq, quantize_into) on {:?}, len {}", lane, len);
         }
     }
 
@@ -738,17 +685,17 @@ proptest! {
         let cohort = awkward_cohort(k, len, seed);
         let refs: Vec<&[f32]> = cohort.iter().map(|v| v.as_slice()).collect();
         let reference = robust_reference(&refs, rule);
-        for (simd, portable) in LANES {
+        for simd in LANES {
             for t in [1usize, 2, 4] {
-                let _g = scoped(simd, portable, t);
+                let _g = scoped(simd, t);
                 let mut got = vec![0.0f32; len];
                 robust_reduce_into(&refs, rule, &mut got);
                 let bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(
                     &reference,
                     &bits,
-                    "{:?} at k={} ({:?}, portable={}) diverged from the reference at {} threads",
-                    rule, k, simd, portable, t
+                    "{:?} at k={} ({:?}) diverged from the reference at {} threads",
+                    rule, k, simd, t
                 );
             }
         }
