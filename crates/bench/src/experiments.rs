@@ -1,14 +1,18 @@
-//! One function per table/figure of the paper's evaluation section, plus
-//! the DESIGN.md §5 ablations and the robustness / wire-codec scenarios.
+//! The paper's evaluation (Tables 1–2, Figs. 2–10), the DESIGN.md §5
+//! ablations, the LEAF run and the robustness / wire-codec scenarios, as one
+//! registry (`EXPERIMENTS`): per id, a builder returning its `Vec<Job>`
+//! ([`jobs`] hands one out without running it) and a printer over the
+//! results. [`run`] is the one place jobs run; every printer writes through
+//! one `Artifact` (the id's directory, text report and CSV tables).
 //!
-//! Heavy artifacts share runs: Table 1, Table 2 and Figs. 2–4 all derive
-//! from [`core_matrix`] (strategy × dataset on the 100-client cluster);
-//! `repro all` therefore computes that matrix once.
+//! Heavy artifacts share runs: Table 1, Table 2 and Figs. 2–4 all print the
+//! strategy × dataset matrix on the 100-client cluster, which `repro
+//! matrix` / `all` therefore compute once.
 //!
-//! The robustness and codec scenarios are built by functions returning
-//! `Vec<Job>` ([`churn_jobs`], [`corrupt_jobs`], [`corrupt_curve_jobs`],
-//! [`codec_jobs`]): `repro` prints them, `tests/acceptance.rs` asserts the
-//! claims they carry, and each scenario literal exists once.
+//! The robustness and codec builders ([`churn_jobs`], [`corrupt_jobs`],
+//! [`corrupt_curve_jobs`], [`codec_jobs`]) take their task and seed:
+//! `tests/acceptance.rs` asserts the claims they carry at its own sizes,
+//! and each scenario literal exists once.
 
 use crate::grid::run_grid;
 use crate::harness::{Job, JobResult, Scale};
@@ -25,8 +29,10 @@ use fedat_data::suite::{self, FedTask};
 use fedat_sim::churn::{ChurnConfig, CorruptMode, CorruptSpec, DriftSpec, FlapSpec, StormSpec};
 use fedat_sim::fleet::ClusterConfig;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use Jobs::{Loaded, Matrix, Own};
+use StrategyKind::{AsoFed, FedAsync, FedAt, FedAvg, FedProx, TiFL};
 
 /// Shared experiment context.
 pub struct Ctx {
@@ -36,7 +42,8 @@ pub struct Ctx {
     pub out: PathBuf,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads (0 = auto).
+    /// Worker hint for [`run_grid`]: > 1 grows the kernel pool to that many
+    /// workers, 0 or 1 leaves it at its ambient size.
     pub threads: usize,
 }
 
@@ -45,807 +52,536 @@ pub struct Ctx {
 /// ≈ 40 rounds).
 const SMOOTH_WINDOW: usize = 8;
 
-/// Round budgets for the medium-cluster matrix. Calibrated so every method
-/// fills (roughly) the same virtual-time horizon: a synchronous round takes
-/// ~30 s (compute + worst sampled delay), a FedAT tier round ~10–35 s
-/// depending on the tier, so FedAT earns proportionally more global updates
-/// within the shared `max_time` — exactly the effect the paper measures.
-fn sync_rounds(scale: Scale) -> u64 {
-    scale.rounds(150)
-}
-fn fedat_rounds(scale: Scale) -> u64 {
-    scale.rounds(1000)
-}
-
 /// Shared virtual-time horizon (seconds) for the medium-cluster matrix.
 const MATRIX_HORIZON: f64 = 4500.0;
 
+/// The five Table 1 strategies in paper order.
+const TABLE1: [StrategyKind; 5] = [TiFL, FedAvg, FedProx, FedAsync, FedAt];
+
+/// The 2-class non-IID datasets of Table 2 and Figs. 2 and 4.
+const TWO_CLASS: [&str; 3] = ["cifar10-like(#2)", "fmnist-like(#2)", "sent140-like"];
+
 impl Ctx {
-    fn medium_cluster(&self) -> ClusterConfig {
-        ClusterConfig::paper_medium(self.seed).with_clients(self.scale.medium_clients())
+    /// Round budgets for the medium-cluster matrix. Calibrated so every
+    /// method fills (roughly) the same virtual-time horizon: a synchronous
+    /// round takes ~30 s (compute + worst sampled delay), a FedAT tier round
+    /// ~10–35 s depending on the tier, so FedAT earns proportionally more
+    /// global updates within the shared `max_time` — exactly the effect the
+    /// paper measures.
+    fn matrix_rounds(&self, s: StrategyKind) -> u64 {
+        self.scale.rounds(if s == FedAt { 1000 } else { 150 })
     }
 
-    fn large_cluster(&self) -> ClusterConfig {
-        let mut c = ClusterConfig::paper_large(self.seed).with_clients(self.scale.large_clients());
-        c.n_unstable = c.n_unstable.min(c.n_clients / 10);
+    /// The paper's cluster at `n` clients, at most a tenth of them unstable:
+    /// the large-cluster (Figs. 7, 8, 10) and LEAF runs.
+    fn cluster(&self, n: usize) -> ClusterConfig {
+        let mut c = ClusterConfig::paper_medium(self.seed).with_clients(n);
+        c.n_unstable = c.n_unstable.min(n / 10);
         c
     }
 
-    fn cfg(&self, strategy: StrategyKind) -> ExperimentConfig {
-        let rounds = match strategy {
-            StrategyKind::FedAt => fedat_rounds(self.scale),
-            _ => sync_rounds(self.scale),
-        };
-        ExperimentConfig::builder()
-            .strategy(strategy)
-            .rounds(rounds)
-            .max_time(MATRIX_HORIZON)
-            .eval_every(5)
-            .seed(self.seed)
-            .cluster(self.medium_cluster())
-            .build()
+    /// The config of the paper's runs: strategy `s` for up to `rounds`
+    /// global updates within `horizon` virtual seconds on `cluster`,
+    /// evaluated every 5 rounds.
+    fn cfg(
+        &self,
+        s: StrategyKind,
+        rounds: u64,
+        horizon: f64,
+        cluster: ClusterConfig,
+    ) -> ExperimentConfig {
+        let cfg = ExperimentConfig::builder().strategy(s).rounds(rounds);
+        let cfg = cfg.max_time(horizon).eval_every(5).seed(self.seed);
+        cfg.cluster(cluster).build()
     }
 
-    fn job(&self, task: &Arc<FedTask>, cfg: ExperimentConfig) -> Job {
-        Job {
-            label: format!("{} @ {}", cfg.strategy.name(), task.name),
-            task: task.clone(),
-            cfg,
-        }
+    /// `s` in the medium-cluster matrix (its ten unstable clients kept at
+    /// any scale).
+    fn matrix_cfg(&self, s: StrategyKind) -> ExperimentConfig {
+        let n = self.scale.medium_clients();
+        let medium = ClusterConfig::paper_medium(self.seed).with_clients(n);
+        self.cfg(s, self.matrix_rounds(s), MATRIX_HORIZON, medium)
+    }
+
+    /// `s`'s matrix config on `task` with one field set by `vary`, labelled
+    /// `label`: Figs. 5, 6 and 9 and the three ablations.
+    fn varied(
+        &self,
+        task: &Arc<FedTask>,
+        s: StrategyKind,
+        label: String,
+        vary: impl Fn(&mut ExperimentConfig),
+    ) -> Job {
+        let (mut cfg, task) = (self.matrix_cfg(s), task.clone());
+        vary(&mut cfg);
+        Job { label, task, cfg }
+    }
+
+    /// CIFAR-10-like on the medium cluster, `classes` labels per client
+    /// (0 = IID).
+    fn cifar10(&self, classes: usize) -> Arc<FedTask> {
+        let n = self.scale.medium_clients();
+        Arc::new(suite::cifar10_like(n, classes, self.seed))
+    }
+
+    fn fmnist2(&self) -> Arc<FedTask> {
+        let n = self.scale.medium_clients();
+        Arc::new(suite::fmnist_like(n, 2, self.seed))
+    }
+
+    fn sent140(&self) -> Arc<FedTask> {
+        Arc::new(suite::sent140_like(self.scale.medium_clients(), self.seed))
     }
 }
 
-/// The five Table 1 strategies in paper order.
-fn table1_strategies() -> [StrategyKind; 5] {
-    [
-        StrategyKind::TiFL,
-        StrategyKind::FedAvg,
-        StrategyKind::FedProx,
-        StrategyKind::FedAsync,
-        StrategyKind::FedAt,
-    ]
+/// A job labelled `<strategy> @ <task>`.
+fn job(task: &Arc<FedTask>, cfg: ExperimentConfig) -> Job {
+    let label = format!("{} @ {}", cfg.strategy.name(), task.name);
+    let task = task.clone();
+    Job { label, task, cfg }
 }
 
-/// The medium-cluster datasets of Table 1 / Figs. 2–4.
-fn matrix_tasks(ctx: &Ctx) -> Vec<Arc<FedTask>> {
-    let n = ctx.scale.medium_clients();
-    vec![
-        Arc::new(suite::cifar10_like(n, 2, ctx.seed)),
-        Arc::new(suite::cifar10_like(n, 4, ctx.seed)),
-        Arc::new(suite::cifar10_like(n, 6, ctx.seed)),
-        Arc::new(suite::cifar10_like(n, 8, ctx.seed)),
-        Arc::new(suite::cifar10_like(n, 0, ctx.seed)),
-        Arc::new(suite::fmnist_like(n, 2, ctx.seed)),
-        Arc::new(suite::sent140_like(n, ctx.seed)),
-    ]
+fn best(r: &JobResult) -> f32 {
+    r.outcome.best_accuracy()
 }
 
-/// Runs the strategy×dataset matrix behind Table 1/2 and Figs. 2–4.
-pub fn core_matrix(ctx: &Ctx) -> Vec<JobResult> {
-    let tasks = matrix_tasks(ctx);
-    let mut jobs = Vec::new();
-    for task in &tasks {
-        for strategy in table1_strategies() {
-            jobs.push(ctx.job(task, ctx.cfg(strategy)));
-        }
-    }
-    run_grid(jobs, ctx.threads)
+fn tta(r: &JobResult) -> Option<f64> {
+    r.outcome.trace.time_to_accuracy(r.target_accuracy)
+}
+
+/// `s` or `-`, for a CSV cell.
+fn or_dash(s: Option<String>) -> String {
+    s.unwrap_or_else(|| "-".into())
+}
+
+/// The strategy × dataset matrix behind Table 1/2 and Figs. 2–4,
+/// dataset-major.
+fn matrix_jobs(ctx: &Ctx) -> Vec<Job> {
+    let mut tasks: Vec<Arc<FedTask>> = [2, 4, 6, 8, 0].map(|c| ctx.cifar10(c)).into();
+    tasks.extend([ctx.fmnist2(), ctx.sent140()]);
+    let row = |task| TABLE1.map(|s| job(task, ctx.matrix_cfg(s)));
+    tasks.iter().flat_map(row).collect()
 }
 
 /// Table 1: best accuracy + accuracy variance per dataset and strategy.
-pub fn table1(ctx: &Ctx, matrix: &[JobResult]) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "table1");
-    let mut rep = TextReport::new("Table 1 — prediction performance and variance");
-    rep.line(format!(
-        "{:<22} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "dataset", "TiFL", "FedAvg", "FedProx", "FedAsync", "FedAT"
-    ));
-    let mut csv = String::from("dataset,strategy,best_accuracy,accuracy_variance,norm_variance\n");
-    let datasets: Vec<String> = dedup_keep_order(matrix.iter().map(|r| r.task_name.clone()));
-    for ds in &datasets {
-        let row: Vec<&JobResult> = matrix.iter().filter(|r| &r.task_name == ds).collect();
-        let fedat_var = row
-            .iter()
-            .find(|r| r.strategy == "FedAT")
-            .map(|r| r.outcome.accuracy_variance.max(1e-9))
-            .unwrap_or(1.0);
-        let cell = |name: &str| -> String {
-            row.iter()
-                .find(|r| r.strategy == name)
-                .map(|r| format!("{:.3}", r.outcome.best_accuracy()))
-                .unwrap_or_else(|| "—".into())
-        };
-        rep.line(format!(
-            "{:<22} {:>9} {:>9} {:>9} {:>9} {:>9}  (acc)",
-            ds,
-            cell("TiFL"),
-            cell("FedAvg"),
-            cell("FedProx"),
-            cell("FedAsync"),
-            cell("FedAT"),
-        ));
-        let var_cell = |name: &str| -> String {
-            row.iter()
-                .find(|r| r.strategy == name)
-                .map(|r| format!("{:.2}", r.outcome.accuracy_variance / fedat_var))
-                .unwrap_or_else(|| "—".into())
-        };
-        rep.line(format!(
-            "{:<22} {:>9} {:>9} {:>9} {:>9} {:>9}  (norm.var)",
-            "",
-            var_cell("TiFL"),
-            var_cell("FedAvg"),
-            var_cell("FedProx"),
-            var_cell("FedAsync"),
-            var_cell("FedAT"),
-        ));
-        for r in &row {
-            csv.push_str(&format!(
-                "{},{},{:.4},{:.6},{:.3}\n",
-                ds,
-                r.strategy,
-                r.outcome.best_accuracy(),
-                r.outcome.accuracy_variance,
-                r.outcome.accuracy_variance / fedat_var
-            ));
+fn table1<'r>(art: &mut Artifact<'r>, matrix: &'r [JobResult]) {
+    art.title("Table 1 — prediction performance and variance");
+    let line = |first: &str, cells: Vec<String>, tag: &str| {
+        let cells: String = cells.iter().map(|c| format!(" {c:>9}")).collect();
+        format!("{first:<22}{cells}{tag}")
+    };
+    art.line(line("dataset", TABLE1.map(|s| s.name().into()).into(), ""));
+    let header = "dataset,strategy,best_accuracy,accuracy_variance,norm_variance";
+    art.csv("", header);
+    for row in matrix.chunks(TABLE1.len()) {
+        let ds = &row[0].task_name;
+        let fedat = row.iter().find(|r| r.strategy == "FedAT");
+        let fedat_var = fedat.map_or(1.0, |r| r.outcome.accuracy_variance.max(1e-9));
+        let norm_var = |r: &JobResult| r.outcome.accuracy_variance / fedat_var;
+        let acc = row.iter().map(|r| format!("{:.3}", best(r)));
+        art.line(line(ds, acc.collect(), "  (acc)"));
+        let var = row.iter().map(|r| format!("{:.2}", norm_var(r)));
+        art.line(line("", var.collect(), "  (norm.var)"));
+        for r in row {
+            let var = r.outcome.accuracy_variance;
+            let (s, b, norm) = (r.strategy, best(r), norm_var(r));
+            art.row(format!("{ds},{s},{b:.4},{var:.6},{norm:.3}"));
         }
     }
-    write_csv(&dir, "table1", &csv)?;
-    rep.emit(&dir, "table1")
 }
 
 /// Table 2: MB transferred (up + down) to reach the target accuracy on the
 /// 2-class non-IID datasets.
-pub fn table2(ctx: &Ctx, matrix: &[JobResult]) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "table2");
-    let mut rep =
-        TextReport::new("Table 2 — MB transferred to reach target accuracy (2-class non-IID)");
-    let mut csv = String::from("dataset,strategy,target,mb_to_target\n");
-    let wanted = ["cifar10-like(#2)", "fmnist-like(#2)", "sent140-like"];
-    rep.line(format!(
-        "{:<10} {:>22} {:>18} {:>14}",
-        "method", "cifar10-like(#2)", "fmnist-like(#2)", "sent140-like"
-    ));
-    for strategy in ["FedAvg", "TiFL", "FedProx", "FedAsync", "FedAT"] {
-        let mut cells = Vec::new();
-        for ds in wanted {
-            let r = matrix
-                .iter()
-                .find(|r| r.task_name == ds && r.strategy == strategy);
-            let cell = match r {
-                Some(r) => {
-                    let b = r.outcome.trace.bytes_to_accuracy(r.target_accuracy);
-                    csv.push_str(&format!(
-                        "{},{},{},{}\n",
-                        ds,
-                        strategy,
-                        r.target_accuracy,
-                        b.map(|x| x.to_string()).unwrap_or_else(|| "-".into())
-                    ));
-                    fmt_mb(b)
-                }
-                None => "—".into(),
-            };
-            cells.push(cell);
-        }
-        rep.line(format!(
-            "{:<10} {:>22} {:>18} {:>14}",
-            strategy, cells[0], cells[1], cells[2]
-        ));
+fn table2<'r>(art: &mut Artifact<'r>, matrix: &'r [JobResult]) {
+    art.title("Table 2 — MB transferred to reach target accuracy (2-class non-IID)");
+    let line = |first: &str, [a, b, c]: [String; 3]| format!("{first:<10} {a:>22} {b:>18} {c:>14}");
+    art.line(line("method", TWO_CLASS.map(String::from)));
+    art.csv("", "dataset,strategy,target,mb_to_target");
+    for s in ["FedAvg", "TiFL", "FedProx", "FedAsync", "FedAT"] {
+        let cells = TWO_CLASS.map(|ds| {
+            let at = |r: &&JobResult| r.task_name == ds && r.strategy == s;
+            let r = matrix.iter().find(at).expect("the matrix has every cell");
+            let target = r.target_accuracy;
+            let mb = r.outcome.trace.bytes_to_accuracy(target);
+            let cell = or_dash(mb.map(|b| b.to_string()));
+            art.row(format!("{ds},{s},{target},{cell}"));
+            fmt_mb(mb)
+        });
+        art.line(line(s, cells));
     }
-    write_csv(&dir, "table2", &csv)?;
-    rep.emit(&dir, "table2")
+}
+
+/// One block per dataset of `datasets`: `[name]`, a line per strategy (its
+/// trace written beside the report), a blank line — Figs. 2–4.
+fn per_dataset<'r>(
+    art: &mut Artifact<'r>,
+    m: &'r [JobResult],
+    datasets: &[&str],
+    line: fn(&JobResult) -> String,
+) {
+    for ds in datasets {
+        art.line(format!("[{ds}]"));
+        for r in m.iter().filter(|r| r.task_name == *ds) {
+            art.trace(r);
+            art.line(line(r));
+        }
+        art.line("");
+    }
 }
 
 /// Fig. 2: accuracy-over-time curves + time-to-target bars for the three
 /// 2-class non-IID datasets.
-pub fn fig2(ctx: &Ctx, matrix: &[JobResult]) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "fig2");
-    let mut rep = TextReport::new("Fig. 2 — convergence timelines and time-to-target");
-    for ds in ["cifar10-like(#2)", "fmnist-like(#2)", "sent140-like"] {
-        rep.line(format!("[{ds}]"));
-        for r in matrix.iter().filter(|r| r.task_name == ds) {
-            write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
-            rep.line(format!(
-                "  {:<9} best {:.3}  time→{:.2}: {}",
-                r.strategy,
-                r.outcome.best_accuracy(),
-                r.target_accuracy,
-                fmt_tta(r.outcome.trace.time_to_accuracy(r.target_accuracy)),
-            ));
-        }
-        rep.blank();
-    }
-    rep.emit(&dir, "fig2")
+fn fig2<'r>(art: &mut Artifact<'r>, matrix: &'r [JobResult]) {
+    art.title("Fig. 2 — convergence timelines and time-to-target");
+    per_dataset(art, matrix, &TWO_CLASS, |r| {
+        let (s, b, target, t) = (r.strategy, best(r), r.target_accuracy, fmt_tta(tta(r)));
+        format!("  {s:<9} best {b:.3}  time→{target:.2}: {t}")
+    });
 }
 
 /// Fig. 3: convergence vs non-IID level on CIFAR-10-like.
-pub fn fig3(ctx: &Ctx, matrix: &[JobResult]) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "fig3");
-    let mut rep = TextReport::new("Fig. 3 — CIFAR-10-like convergence across non-IID levels");
-    for ds in [
+fn fig3<'r>(art: &mut Artifact<'r>, matrix: &'r [JobResult]) {
+    art.title("Fig. 3 — CIFAR-10-like convergence across non-IID levels");
+    let levels = [
         "cifar10-like(#4)",
         "cifar10-like(#6)",
         "cifar10-like(#8)",
         "cifar10-like(iid)",
-    ] {
-        rep.line(format!("[{ds}]"));
-        for r in matrix.iter().filter(|r| r.task_name == ds) {
-            write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
-            rep.line(format!(
-                "  {:<9} best {:.3}  final {:.3}",
-                r.strategy,
-                r.outcome.best_accuracy(),
-                r.outcome.trace.final_accuracy()
-            ));
-        }
-        rep.blank();
-    }
-    rep.emit(&dir, "fig3")
+    ];
+    per_dataset(art, matrix, &levels, |r| {
+        let (s, b, last) = (r.strategy, best(r), r.outcome.trace.final_accuracy());
+        format!("  {s:<9} best {b:.3}  final {last:.3}")
+    });
 }
 
-/// Fig. 4: accuracy vs cumulative uploaded bytes (2-class non-IID).
-pub fn fig4(ctx: &Ctx, matrix: &[JobResult]) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "fig4");
-    let mut rep = TextReport::new("Fig. 4 — accuracy vs uploaded bytes (2-class non-IID)");
-    for ds in ["cifar10-like(#2)", "fmnist-like(#2)", "sent140-like"] {
-        rep.line(format!("[{ds}]"));
-        for r in matrix.iter().filter(|r| r.task_name == ds) {
-            // The trace CSV already carries up_bytes per point; the figure
-            // is accuracy against that column.
-            write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
-            let up = r.outcome.trace.upload_bytes_to_accuracy(r.target_accuracy);
-            rep.line(format!(
-                "  {:<9} upload-MB→{:.2}: {}",
-                r.strategy,
-                r.target_accuracy,
-                fmt_mb(up)
-            ));
-        }
-        rep.blank();
-    }
-    rep.emit(&dir, "fig4")
+/// Fig. 4: accuracy vs cumulative uploaded bytes (2-class non-IID); the
+/// trace CSVs carry `up_bytes` per point, the figure's x axis.
+fn fig4<'r>(art: &mut Artifact<'r>, matrix: &'r [JobResult]) {
+    art.title("Fig. 4 — accuracy vs uploaded bytes (2-class non-IID)");
+    per_dataset(art, matrix, &TWO_CLASS, |r| {
+        let (s, target) = (r.strategy, r.target_accuracy);
+        let up = fmt_mb(r.outcome.trace.upload_bytes_to_accuracy(target));
+        format!("  {s:<9} upload-MB→{target:.2}: {up}")
+    });
+}
+
+/// The paper's polyline codec at `precision` decimals, delta-coded or not.
+const fn polyline(precision: u8, delta: bool) -> CodecKind {
+    CodecKind::Polyline { precision, delta }
 }
 
 /// Fig. 5: FedAT compression-precision sweep on CIFAR-10-like 2-class.
-pub fn fig5(ctx: &Ctx) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "fig5");
-    let task = Arc::new(suite::cifar10_like(ctx.scale.medium_clients(), 2, ctx.seed));
-    let variants: Vec<(String, Option<CodecKind>)> = vec![
-        (
-            "precision3".into(),
-            Some(CodecKind::Polyline {
-                precision: 3,
-                delta: true,
-            }),
-        ),
-        (
-            "precision4".into(),
-            Some(CodecKind::Polyline {
-                precision: 4,
-                delta: true,
-            }),
-        ),
-        (
-            "precision5".into(),
-            Some(CodecKind::Polyline {
-                precision: 5,
-                delta: true,
-            }),
-        ),
-        (
-            "precision6".into(),
-            Some(CodecKind::Polyline {
-                precision: 6,
-                delta: true,
-            }),
-        ),
-        ("no-compression".into(), Some(CodecKind::None)),
-    ];
-    let jobs: Vec<Job> = variants
-        .iter()
-        .map(|(name, codec)| {
-            let mut cfg = ctx.cfg(StrategyKind::FedAt);
-            if let Some(k) = codec {
-                cfg.codec = Some(*k);
-            }
-            Job {
-                label: format!("FedAT-{name}"),
-                task: task.clone(),
-                cfg,
-            }
-        })
-        .collect();
-    let results = run_grid(jobs, ctx.threads);
-    let mut rep =
-        TextReport::new("Fig. 5 — accuracy vs compression precision (FedAT, CIFAR-10-like #2)");
-    let mut csv = String::from("variant,best_accuracy,up_mb_total,up_mb_to_target\n");
-    for r in &results {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
-        let up_total = r.up_bytes();
-        let up_t = r.outcome.trace.upload_bytes_to_accuracy(r.target_accuracy);
-        rep.line(format!(
-            "  {:<22} best {:.3}  upload total {:.1} MB  upload→{:.2}: {}",
-            r.label,
-            r.outcome.best_accuracy(),
-            up_total as f64 / 1e6,
-            r.target_accuracy,
-            fmt_mb(up_t)
+fn fig5_jobs(ctx: &Ctx) -> Vec<Job> {
+    let task = ctx.cifar10(2);
+    let codecs = (3..=6).map(|p| (format!("precision{p}"), polyline(p, true)));
+    let codecs = codecs.chain([("no-compression".into(), CodecKind::None)]);
+    let run = |(name, k)| ctx.varied(&task, FedAt, format!("FedAT-{name}"), |c| c.codec = Some(k));
+    codecs.map(run).collect()
+}
+
+fn fig5<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
+    art.title("Fig. 5 — accuracy vs compression precision (FedAT, CIFAR-10-like #2)");
+    art.csv("", "variant,best_accuracy,up_mb_total,up_mb_to_target");
+    for r in results {
+        art.trace(r);
+        let (label, b, target) = (&r.label, best(r), r.target_accuracy);
+        let up = r.up_bytes() as f64 / 1e6;
+        let up_t = r.outcome.trace.upload_bytes_to_accuracy(target);
+        let mb = fmt_mb(up_t);
+        art.line(format!(
+            "  {label:<22} best {b:.3}  upload total {up:.1} MB  upload→{target:.2}: {mb}"
         ));
-        csv.push_str(&format!(
-            "{},{:.4},{:.2},{}\n",
-            r.label,
-            r.outcome.best_accuracy(),
-            up_total as f64 / 1e6,
-            up_t.map(|b| format!("{:.2}", b as f64 / 1e6))
-                .unwrap_or_else(|| "-".into())
-        ));
+        let up_t = or_dash(up_t.map(|b| format!("{:.2}", b as f64 / 1e6)));
+        art.row(format!("{label},{b:.4},{up:.2},{up_t}"));
     }
-    write_csv(&dir, "fig5", &csv)?;
-    rep.emit(&dir, "fig5")
 }
 
 /// Fig. 6: weighted vs uniform cross-tier aggregation.
-pub fn fig6(ctx: &Ctx) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "fig6");
-    let n = ctx.scale.medium_clients();
-    let tasks = vec![
-        Arc::new(suite::cifar10_like(n, 2, ctx.seed)),
-        Arc::new(suite::fmnist_like(n, 2, ctx.seed)),
-        Arc::new(suite::sent140_like(n, ctx.seed)),
-    ];
-    let mut jobs = Vec::new();
-    for task in &tasks {
-        for uniform in [false, true] {
-            let mut cfg = ctx.cfg(StrategyKind::FedAt);
-            cfg.uniform_tier_weights = uniform;
-            jobs.push(Job {
-                label: format!(
-                    "{} @ {}",
-                    if uniform { "Uniform" } else { "Weighted" },
-                    task.name
-                ),
-                task: task.clone(),
-                cfg,
-            });
-        }
-    }
-    let results = run_grid(jobs, ctx.threads);
-    let mut rep = TextReport::new("Fig. 6 — weighted vs uniform cross-tier aggregation (FedAT)");
-    let mut csv = String::from("dataset,aggregation,best_accuracy\n");
+fn fig6_jobs(ctx: &Ctx) -> Vec<Job> {
+    let pair = |task: Arc<FedTask>| {
+        [("Weighted", false), ("Uniform", true)].map(|(name, uniform)| {
+            let label = format!("{name} @ {}", task.name);
+            ctx.varied(&task, FedAt, label, |c| c.uniform_tier_weights = uniform)
+        })
+    };
+    let tasks = [ctx.cifar10(2), ctx.fmnist2(), ctx.sent140()];
+    tasks.into_iter().flat_map(pair).collect()
+}
+
+fn fig6<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
+    art.title("Fig. 6 — weighted vs uniform cross-tier aggregation (FedAT)");
+    art.csv("", "dataset,aggregation,best_accuracy");
     for pair in results.chunks(2) {
-        let (w, u) = (&pair[0], &pair[1]);
-        rep.line(format!(
-            "  {:<22} weighted {:.3}  uniform {:.3}  (Δ {:+.3})",
-            w.task_name,
-            w.outcome.best_accuracy(),
-            u.outcome.best_accuracy(),
-            w.outcome.best_accuracy() - u.outcome.best_accuracy()
+        let (ds, w, u) = (&pair[0].task_name, best(&pair[0]), best(&pair[1]));
+        let delta = w - u;
+        art.line(format!(
+            "  {ds:<22} weighted {w:.3}  uniform {u:.3}  (Δ {delta:+.3})"
         ));
-        csv.push_str(&format!(
-            "{},weighted,{:.4}\n",
-            w.task_name,
-            w.outcome.best_accuracy()
-        ));
-        csv.push_str(&format!(
-            "{},uniform,{:.4}\n",
-            u.task_name,
-            u.outcome.best_accuracy()
-        ));
+        art.row(format!("{ds},weighted,{w:.4}"));
+        art.row(format!("{},uniform,{u:.4}", pair[1].task_name));
     }
-    write_csv(&dir, "fig6", &csv)?;
-    rep.emit(&dir, "fig6")
 }
 
 /// Fig. 7: FEMNIST-like at large scale, all six methods (adds ASO-Fed).
-pub fn fig7(ctx: &Ctx) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "fig7");
-    let task = Arc::new(suite::femnist_like(ctx.scale.large_clients(), ctx.seed));
-    let mut jobs = Vec::new();
-    for strategy in StrategyKind::all() {
-        // At 500 clients a fully-async method performs hundreds of single-
-        // client updates per virtual minute; its budget is capped lower so
-        // the simulated compute stays tractable (the paper's async curves
-        // plateau early regardless).
-        let rounds = match strategy {
-            StrategyKind::FedAt => ctx.scale.rounds(500),
-            StrategyKind::FedAsync | StrategyKind::AsoFed => ctx.scale.rounds(64),
-            _ => ctx.scale.rounds(200),
-        };
-        let cfg = ExperimentConfig::builder()
-            .strategy(strategy)
-            .rounds(rounds)
-            .max_time(6000.0)
-            .eval_every(5)
-            .seed(ctx.seed)
-            .cluster(ctx.large_cluster())
-            .build();
-        jobs.push(ctx.job(&task, cfg));
-    }
-    let results = run_grid(jobs, ctx.threads);
-    let mut rep = TextReport::new("Fig. 7 — FEMNIST-like, 500 clients, accuracy vs time and bytes");
-    for r in &results {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
-        let up_total = r.up_bytes();
-        rep.line(format!(
-            "  {:<9} best {:.3}  t→{:.2}: {:>8}  upload {:.1} MB",
-            r.strategy,
-            r.outcome.best_accuracy(),
-            r.target_accuracy,
-            fmt_tta(r.outcome.trace.time_to_accuracy(r.target_accuracy)),
-            up_total as f64 / 1e6
+fn fig7_jobs(ctx: &Ctx) -> Vec<Job> {
+    let n = ctx.scale.large_clients();
+    let task = Arc::new(suite::femnist_like(n, ctx.seed));
+    // At 500 clients a fully-async method performs hundreds of single-client
+    // updates per virtual minute; its budget is capped lower so the simulated
+    // compute stays tractable (the paper's async curves plateau early
+    // regardless).
+    let rounds = |s| match s {
+        FedAt => 500,
+        FedAsync | AsoFed => 64,
+        _ => 200,
+    };
+    let cfg = |s| ctx.cfg(s, ctx.scale.rounds(rounds(s)), 6000.0, ctx.cluster(n));
+    StrategyKind::all().map(|s| job(&task, cfg(s))).into()
+}
+
+fn fig7<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
+    art.title("Fig. 7 — FEMNIST-like, 500 clients, accuracy vs time and bytes");
+    for r in results {
+        art.trace(r);
+        let (s, b, target, t) = (r.strategy, best(r), r.target_accuracy, fmt_tta(tta(r)));
+        let up = r.up_bytes() as f64 / 1e6;
+        art.line(format!(
+            "  {s:<9} best {b:.3}  t→{target:.2}: {t:>8}  upload {up:.1} MB"
         ));
     }
-    rep.emit(&dir, "fig7")
 }
 
 /// Fig. 8: Reddit-like LSTM, accuracy and loss over time
 /// (FedAT / TiFL / FedProx).
-pub fn fig8(ctx: &Ctx) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "fig8");
-    let task = Arc::new(suite::reddit_like(ctx.scale.large_clients(), ctx.seed));
-    let mut jobs = Vec::new();
-    for strategy in [
-        StrategyKind::FedAt,
-        StrategyKind::TiFL,
-        StrategyKind::FedProx,
-    ] {
-        // FedAT tier updates are ~3–4× faster than full rounds; budgets are
-        // set so both fill the same 4000 s horizon (DESIGN.md §6).
-        let rounds = match strategy {
-            StrategyKind::FedAt => ctx.scale.rounds(1400),
-            _ => ctx.scale.rounds(160),
-        };
-        let cfg = ExperimentConfig::builder()
-            .strategy(strategy)
-            .rounds(rounds)
-            .max_time(4000.0)
-            .eval_every(5)
-            .seed(ctx.seed)
-            .cluster(ctx.large_cluster())
-            .build();
-        jobs.push(ctx.job(&task, cfg));
-    }
-    let results = run_grid(jobs, ctx.threads);
-    let mut rep = TextReport::new("Fig. 8 — Reddit-like LSTM: accuracy and loss over time");
-    for r in &results {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
-        let final_loss = r
-            .outcome
-            .trace
-            .points
-            .last()
-            .map(|p| p.loss)
-            .unwrap_or(f32::NAN);
-        rep.line(format!(
-            "  {:<9} best acc {:.3}  final loss {:.3}",
-            r.strategy,
-            r.outcome.best_accuracy(),
-            final_loss
-        ));
-    }
-    rep.emit(&dir, "fig8")
+fn fig8_jobs(ctx: &Ctx) -> Vec<Job> {
+    let n = ctx.scale.large_clients();
+    let task = Arc::new(suite::reddit_like(n, ctx.seed));
+    // FedAT tier updates are ~3–4× faster than full rounds; budgets are set
+    // so both fill the same 4000 s horizon (DESIGN.md §6).
+    let rounds = |s| ctx.scale.rounds(if s == FedAt { 1400 } else { 160 });
+    let run = |s| job(&task, ctx.cfg(s, rounds(s), 4000.0, ctx.cluster(n)));
+    [FedAt, TiFL, FedProx].map(run).into()
 }
 
+fn fig8<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
+    art.title("Fig. 8 — Reddit-like LSTM: accuracy and loss over time");
+    for r in results {
+        art.trace(r);
+        let loss = r.outcome.trace.points.last().map_or(f32::NAN, |p| p.loss);
+        let (s, b) = (r.strategy, best(r));
+        art.line(format!("  {s:<9} best acc {b:.3}  final loss {loss:.3}"));
+    }
+}
+
+/// Fig. 9's participation levels (clients per round) and methods.
+const FIG9_PARTS: [usize; 4] = [2, 5, 10, 15];
+const FIG9_STRATEGIES: [StrategyKind; 4] = [FedAt, TiFL, FedAvg, FedProx];
+
 /// Fig. 9: client-participation sweep (clients per round) on CIFAR-10-like
-/// #2 and Sentiment140-like, for the four synchronous-flavoured methods.
-pub fn fig9(ctx: &Ctx) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "fig9");
-    let n = ctx.scale.medium_clients();
-    let tasks = vec![
-        Arc::new(suite::cifar10_like(n, 2, ctx.seed)),
-        Arc::new(suite::sent140_like(n, ctx.seed)),
-    ];
-    let parts = [2usize, 5, 10, 15];
-    let strategies = [
-        StrategyKind::FedAt,
-        StrategyKind::TiFL,
-        StrategyKind::FedAvg,
-        StrategyKind::FedProx,
-    ];
+/// #2 and Sentiment140-like for the four synchronous-flavoured methods,
+/// task-major, then by participation level.
+fn fig9_jobs(ctx: &Ctx) -> Vec<Job> {
     let mut jobs = Vec::new();
-    for task in &tasks {
-        for &k in &parts {
-            for strategy in strategies {
-                let mut cfg = ctx.cfg(strategy);
-                cfg.clients_per_round = k;
-                jobs.push(Job {
-                    label: format!("{} k={k} @ {}", strategy.name(), task.name),
-                    task: task.clone(),
-                    cfg,
-                });
+    for task in [ctx.cifar10(2), ctx.sent140()] {
+        for k in FIG9_PARTS {
+            for s in FIG9_STRATEGIES {
+                let label = format!("{} k={k} @ {}", s.name(), task.name);
+                jobs.push(ctx.varied(&task, s, label, |c| c.clients_per_round = k));
             }
         }
     }
-    let results = run_grid(jobs, ctx.threads);
-    let mut rep = TextReport::new("Fig. 9 — accuracy vs clients per round");
-    let mut csv = String::from("dataset,clients_per_round,strategy,best_accuracy\n");
-    for r in &results {
-        csv.push_str(&format!(
-            "{},{},{},{:.4}\n",
-            r.task_name,
-            r.label
-                .split("k=")
-                .nth(1)
-                .and_then(|s| s.split(' ').next())
-                .unwrap_or("?"),
-            r.strategy,
-            r.outcome.best_accuracy()
-        ));
-    }
-    for task in &tasks {
-        rep.line(format!("[{}]", task.name));
-        for &k in &parts {
-            let row: Vec<String> = strategies
-                .iter()
-                .map(|s| {
-                    results
-                        .iter()
-                        .find(|r| {
-                            r.task_name == task.name
-                                && r.strategy == s.name()
-                                && r.label.contains(&format!("k={k} "))
-                        })
-                        .map(|r| format!("{}={:.3}", s.name(), r.outcome.best_accuracy()))
-                        .unwrap_or_default()
-                })
-                .collect();
-            rep.line(format!("  k={k:<3} {}", row.join("  ")));
+    jobs
+}
+
+fn fig9<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
+    art.title("Fig. 9 — accuracy vs clients per round");
+    art.csv("", "dataset,clients_per_round,strategy,best_accuracy");
+    for task in results.chunks(FIG9_PARTS.len() * FIG9_STRATEGIES.len()) {
+        art.line(format!("[{}]", task[0].task_name));
+        for (k, row) in FIG9_PARTS.iter().zip(task.chunks(FIG9_STRATEGIES.len())) {
+            let cells = row.iter().map(|r| format!("{}={:.3}", r.strategy, best(r)));
+            art.line(format!(
+                "  k={k:<3} {}",
+                cells.collect::<Vec<_>>().join("  ")
+            ));
+            for r in row {
+                art.row(format!("{},{k},{},{:.4}", r.task_name, r.strategy, best(r)));
+            }
         }
-        rep.blank();
+        art.line("");
     }
-    write_csv(&dir, "fig9", &csv)?;
-    rep.emit(&dir, "fig9")
 }
 
 /// Fig. 10: tier-size distributions (Uniform/Slow/Medium/Fast) on the
 /// large FEMNIST-like cluster, FedAT only.
-pub fn fig10(ctx: &Ctx) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "fig10");
+fn fig10_jobs(ctx: &Ctx) -> Vec<Job> {
     let n = ctx.scale.large_clients();
     let task = Arc::new(suite::femnist_like(n, ctx.seed));
-    // Scale the paper's 500-client distributions to n.
-    let dist = |fracs: [usize; 5]| -> Vec<usize> {
-        let total: usize = fracs.iter().sum();
-        let mut sizes: Vec<usize> = fracs.iter().map(|f| f * n / total).collect();
-        let mut diff = n as isize - sizes.iter().sum::<usize>() as isize;
-        let mut i = 0usize;
-        while diff > 0 {
+    // The paper's 500-client distributions, scaled to n.
+    let sizes = |fracs: [usize; 5]| {
+        let mut sizes = fracs.map(|f| f * n / fracs.iter().sum::<usize>()).to_vec();
+        for i in 0..n - sizes.iter().sum::<usize>() {
             sizes[i % 5] += 1;
-            diff -= 1;
-            i += 1;
         }
         sizes
     };
-    let configs = vec![
-        ("Uniform", dist([100, 100, 100, 100, 100])),
-        ("Slow", dist([50, 50, 100, 100, 200])),
-        ("Medium", dist([50, 100, 200, 100, 50])),
-        ("Fast", dist([200, 100, 100, 50, 50])),
+    let run = |(name, fracs)| {
+        let cluster = ctx.cluster(n).with_part_sizes(sizes(fracs));
+        let (label, task) = (format!("FedAT-{name}"), task.clone());
+        let cfg = ctx.cfg(FedAt, ctx.scale.rounds(500), 6000.0, cluster);
+        Job { label, task, cfg }
+    };
+    let distributions = [
+        ("Uniform", [100, 100, 100, 100, 100]),
+        ("Slow", [50, 50, 100, 100, 200]),
+        ("Medium", [50, 100, 200, 100, 50]),
+        ("Fast", [200, 100, 100, 50, 50]),
     ];
-    let mut jobs = Vec::new();
-    for (name, sizes) in &configs {
-        let cluster = ctx.large_cluster().with_part_sizes(sizes.clone());
-        let cfg = ExperimentConfig::builder()
-            .strategy(StrategyKind::FedAt)
-            .rounds(ctx.scale.rounds(500))
-            .max_time(6000.0)
-            .eval_every(5)
-            .seed(ctx.seed)
-            .cluster(cluster)
-            .build();
-        jobs.push(Job {
-            label: format!("FedAT-{name}"),
-            task: task.clone(),
-            cfg,
-        });
+    distributions.map(run).into()
+}
+
+fn fig10<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
+    art.title("Fig. 10 — FedAT under different tier-size distributions (FEMNIST-like)");
+    for r in results {
+        art.trace(r);
+        let (label, b, target, t) = (&r.label, best(r), r.target_accuracy, fmt_tta(tta(r)));
+        art.line(format!("  {label:<15} best {b:.3}  t→{target:.2}: {t}"));
     }
-    let results = run_grid(jobs, ctx.threads);
-    let mut rep =
-        TextReport::new("Fig. 10 — FedAT under different tier-size distributions (FEMNIST-like)");
-    for r in &results {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
-        rep.line(format!(
-            "  {:<15} best {:.3}  t→{:.2}: {}",
-            r.label,
-            r.outcome.best_accuracy(),
-            r.target_accuracy,
-            fmt_tta(r.outcome.trace.time_to_accuracy(r.target_accuracy))
-        ));
-    }
-    rep.emit(&dir, "fig10")
 }
 
 /// The LEAF-format scenario: the Table-1 strategies on a **disk-loaded**
-/// LEAF directory under the natural per-user partition.
-///
-/// Point `FEDAT_LEAF_DIR` at a real (or writer-generated) LEAF directory
-/// and optionally `FEDAT_LEAF_BENCH` at `femnist`/`sent140`/`reddit`
-/// (default `femnist`). Without the env var, a FEMNIST-shaped fixture is
-/// generated via [`fedat_data::leaf::writer`] under the output directory
-/// and loaded back from disk, so the measured path is always the loader.
-pub fn leaf(ctx: &Ctx) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "leaf");
-    let (task, source) = match std::env::var_os("FEDAT_LEAF_DIR") {
-        Some(d) => {
+/// LEAF task under its natural per-user partition, with the matrix's round
+/// budgets and horizon on a cluster sized to the task.
+pub fn leaf_jobs(ctx: &Ctx, task: &Arc<FedTask>) -> Vec<Job> {
+    let n = task.fed.num_clients();
+    let cfg = |s| ctx.cfg(s, ctx.matrix_rounds(s), MATRIX_HORIZON, ctx.cluster(n));
+    TABLE1.map(|s| job(task, cfg(s))).into()
+}
+
+/// Loads [`leaf_jobs`]' task and notes in the report where from. Point
+/// `FEDAT_LEAF_DIR` at a real (or writer-generated) LEAF directory and
+/// optionally `FEDAT_LEAF_BENCH` at `femnist`/`sent140`/`reddit` (default
+/// `femnist`). Without the env var, a FEMNIST-shaped fixture is generated
+/// via [`fedat_data::leaf::writer`] under the output directory and loaded
+/// back from disk, so the measured path is always the loader. A bad
+/// directory or bench name is an error naming it.
+fn leaf_load(ctx: &Ctx, art: &mut Artifact) -> io::Result<Vec<Job>> {
+    let (dir, bench, source) = match std::env::var_os("FEDAT_LEAF_DIR") {
+        Some(dir) => {
             let bench = match std::env::var("FEDAT_LEAF_BENCH").as_deref() {
                 Ok("sent140") => LeafBenchmark::sent140(),
                 Ok("reddit") => LeafBenchmark::reddit(),
                 Ok("femnist") | Err(_) => LeafBenchmark::femnist(),
                 Ok(other) => {
-                    panic!("FEDAT_LEAF_BENCH must be femnist|sent140|reddit, got `{other}`")
+                    let msg =
+                        format!("FEDAT_LEAF_BENCH must be femnist|sent140|reddit, got `{other}`");
+                    return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
                 }
             };
-            let path = PathBuf::from(d);
-            let task = FedTask::from_leaf_dir(&path, bench, ctx.seed)
-                .unwrap_or_else(|e| panic!("loading LEAF directory {}: {e}", path.display()));
-            (task, path.display().to_string())
+            let dir = PathBuf::from(dir);
+            let source = dir.display().to_string();
+            (dir, bench, source)
         }
         None => {
-            let fixture = dir.join("fixture");
+            let dir = art.dir.join("fixture");
             let (clients, per_client) = match ctx.scale {
                 Scale::Full => (50, 40),
                 Scale::Quick => (10, 16),
             };
-            writer::write_femnist_fixture(&fixture, clients, per_client, ctx.seed)
-                .map_err(|e| io::Error::other(format!("{}: {e}", fixture.display())))?;
-            let task = FedTask::from_leaf_dir(&fixture, LeafBenchmark::femnist(), ctx.seed)
-                .expect("parsing the fixture the writer just emitted");
-            (task, format!("generated fixture @ {}", fixture.display()))
+            writer::write_femnist_fixture(&dir, clients, per_client, ctx.seed)
+                .map_err(|e| io::Error::other(format!("{}: {e}", dir.display())))?;
+            let source = format!("generated fixture @ {}", dir.display());
+            (dir, LeafBenchmark::femnist(), source)
         }
     };
-    let task = Arc::new(task);
-    let n = task.fed.num_clients();
-    let mut cluster = ClusterConfig::paper_medium(ctx.seed).with_clients(n);
-    cluster.n_unstable = cluster.n_unstable.min(n / 10);
-    let mut jobs = Vec::new();
-    for strategy in table1_strategies() {
-        let rounds = match strategy {
-            StrategyKind::FedAt => fedat_rounds(ctx.scale),
-            _ => sync_rounds(ctx.scale),
-        };
-        let cfg = ExperimentConfig::builder()
-            .strategy(strategy)
-            .rounds(rounds)
-            .max_time(MATRIX_HORIZON)
-            .eval_every(5)
-            .seed(ctx.seed)
-            .cluster(cluster.clone())
-            .build();
-        jobs.push(ctx.job(&task, cfg));
-    }
-    let results = run_grid(jobs, ctx.threads);
-    let mut rep = TextReport::new("LEAF — disk-loaded natural partition, Table-1 strategies");
-    rep.line(format!("source: {source}"));
-    let sizes = task.fed.client_sizes();
-    rep.line(format!(
-        "task: {} — {} clients, sizes {}..{}, {} classes, {} features",
+    let task = FedTask::from_leaf_dir(&dir, bench, ctx.seed)
+        .map_err(|e| io::Error::other(format!("loading LEAF directory {}: {e}", dir.display())))?;
+    let (fed, sizes) = (&task.fed, task.fed.client_sizes());
+    let min = sizes.iter().min().unwrap_or(&0);
+    let max = sizes.iter().max().unwrap_or(&0);
+    art.line(format!("source: {source}"));
+    art.line(format!(
+        "task: {} — {} clients, sizes {min}..{max}, {} classes, {} features",
         task.name,
-        n,
-        sizes.iter().min().unwrap_or(&0),
-        sizes.iter().max().unwrap_or(&0),
-        task.fed.classes,
-        task.fed.features
+        fed.num_clients(),
+        fed.classes,
+        fed.features
     ));
-    let mut csv = String::from("strategy,best_accuracy,accuracy_variance,time_to_target\n");
-    for r in &results {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
-        let tta = r.outcome.trace.time_to_accuracy(r.target_accuracy);
-        rep.line(format!(
-            "  {:<9} best {:.3}  variance {:.5}  t→{:.2}: {}",
-            r.strategy,
-            r.outcome.best_accuracy(),
-            r.outcome.accuracy_variance,
-            r.target_accuracy,
-            fmt_tta(tta),
+    Ok(leaf_jobs(ctx, &Arc::new(task)))
+}
+
+fn leaf<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
+    art.title("LEAF — disk-loaded natural partition, Table-1 strategies");
+    art.csv(
+        "",
+        "strategy,best_accuracy,accuracy_variance,time_to_target",
+    );
+    for r in results {
+        art.trace(r);
+        let (s, b, var) = (r.strategy, best(r), r.outcome.accuracy_variance);
+        let (target, t) = (r.target_accuracy, fmt_tta(tta(r)));
+        art.line(format!(
+            "  {s:<9} best {b:.3}  variance {var:.5}  t→{target:.2}: {t}"
         ));
-        csv.push_str(&format!(
-            "{},{:.4},{:.6},{}\n",
-            r.strategy,
-            r.outcome.best_accuracy(),
-            r.outcome.accuracy_variance,
-            tta.map(|t| format!("{t:.1}")).unwrap_or_else(|| "-".into())
-        ));
+        let t = or_dash(tta(r).map(|t| format!("{t:.1}")));
+        art.row(format!("{s},{b:.4},{var:.6},{t}"));
     }
-    write_csv(&dir, "leaf", &csv)?;
-    rep.emit(&dir, "leaf")
 }
 
 /// Ablation: FedAT vs TiFL under mis-tiering (DESIGN.md §5.4).
-pub fn ablate_mistier(ctx: &Ctx) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "ablate-mistier");
-    let task = Arc::new(suite::cifar10_like(ctx.scale.medium_clients(), 2, ctx.seed));
-    let mut jobs = Vec::new();
-    for strategy in [StrategyKind::FedAt, StrategyKind::TiFL] {
-        for frac in [0.0, 0.3] {
-            let mut cfg = ctx.cfg(strategy);
-            cfg.mistier_fraction = frac;
-            jobs.push(Job {
-                label: format!("{} mistier={frac}", strategy.name()),
-                task: task.clone(),
-                cfg,
-            });
-        }
-    }
-    let results = run_grid(jobs, ctx.threads);
-    let mut rep =
-        TextReport::new("Ablation — tolerance to mis-tiering (30% of clients mis-assigned)");
+fn ablate_mistier_jobs(ctx: &Ctx) -> Vec<Job> {
+    let task = ctx.cifar10(2);
+    let pair = |s: StrategyKind| {
+        [0.0, 0.3].map(|frac| {
+            let label = format!("{} mistier={frac}", s.name());
+            ctx.varied(&task, s, label, |c| c.mistier_fraction = frac)
+        })
+    };
+    [FedAt, TiFL].into_iter().flat_map(pair).collect()
+}
+
+fn ablate_mistier<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
+    art.title("Ablation — tolerance to mis-tiering (30% of clients mis-assigned)");
     for pair in results.chunks(2) {
-        let (clean, noisy) = (&pair[0], &pair[1]);
-        rep.line(format!(
-            "  {:<9} clean {:.3} → mis-tiered {:.3}  (drop {:+.3})",
-            clean.strategy,
-            clean.outcome.best_accuracy(),
-            noisy.outcome.best_accuracy(),
-            noisy.outcome.best_accuracy() - clean.outcome.best_accuracy()
+        let (s, clean, noisy) = (pair[0].strategy, best(&pair[0]), best(&pair[1]));
+        let drop = noisy - clean;
+        art.line(format!(
+            "  {s:<9} clean {clean:.3} → mis-tiered {noisy:.3}  (drop {drop:+.3})"
         ));
     }
-    rep.emit(&dir, "ablate_mistier")
 }
 
 /// Ablation: the proximal coefficient λ (paper fixes 0.4).
-pub fn ablate_lambda(ctx: &Ctx) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "ablate-lambda");
-    let task = Arc::new(suite::cifar10_like(ctx.scale.medium_clients(), 2, ctx.seed));
-    let jobs: Vec<Job> = [0.0f32, 0.1, 0.4, 1.0]
-        .into_iter()
-        .map(|lambda| {
-            let mut cfg = ctx.cfg(StrategyKind::FedAt);
-            cfg.lambda = lambda;
-            Job {
-                label: format!("FedAT λ={lambda}"),
-                task: task.clone(),
-                cfg,
-            }
-        })
-        .collect();
-    let results = run_grid(jobs, ctx.threads);
-    let mut rep = TextReport::new("Ablation — local constraint λ (FedAT, CIFAR-10-like #2)");
-    for r in &results {
-        rep.line(format!(
-            "  {:<12} best {:.3}  variance {:.5}",
-            r.label,
-            r.outcome.best_accuracy(),
-            r.outcome.accuracy_variance
-        ));
+fn ablate_lambda_jobs(ctx: &Ctx) -> Vec<Job> {
+    let task = ctx.cifar10(2);
+    let run = |l: f32| ctx.varied(&task, FedAt, format!("FedAT λ={l}"), |c| c.lambda = l);
+    [0.0, 0.1, 0.4, 1.0].map(run).into()
+}
+
+fn ablate_lambda<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
+    art.title("Ablation — local constraint λ (FedAT, CIFAR-10-like #2)");
+    for r in results {
+        let (label, b, var) = (&r.label, best(r), r.outcome.accuracy_variance);
+        art.line(format!("  {label:<12} best {b:.3}  variance {var:.5}"));
     }
-    rep.emit(&dir, "ablate_lambda")
 }
 
 /// Ablation: delta vs absolute polyline coding (DESIGN.md §5.2).
-pub fn ablate_delta(ctx: &Ctx) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "ablate-delta");
-    let task = Arc::new(suite::cifar10_like(ctx.scale.medium_clients(), 2, ctx.seed));
-    let jobs: Vec<Job> = [true, false]
-        .into_iter()
-        .map(|delta| {
-            let mut cfg = ctx.cfg(StrategyKind::FedAt);
-            cfg.codec = Some(CodecKind::Polyline {
-                precision: 4,
-                delta,
-            });
-            Job {
-                label: format!(
-                    "FedAT polyline-{}",
-                    if delta { "delta" } else { "absolute" }
-                ),
-                task: task.clone(),
-                cfg,
-            }
-        })
-        .collect();
-    let results = run_grid(jobs, ctx.threads);
-    let mut rep = TextReport::new("Ablation — delta vs absolute polyline coding (FedAT)");
-    for r in &results {
-        let up = r.up_bytes();
-        rep.line(format!(
-            "  {:<26} best {:.3}  upload {:.1} MB",
-            r.label,
-            r.outcome.best_accuracy(),
-            up as f64 / 1e6
-        ));
+fn ablate_delta_jobs(ctx: &Ctx) -> Vec<Job> {
+    let task = ctx.cifar10(2);
+    let run = |(name, delta)| {
+        let label = format!("FedAT polyline-{name}");
+        ctx.varied(&task, FedAt, label, |c| c.codec = Some(polyline(4, delta)))
+    };
+    [("delta", true), ("absolute", false)].map(run).into()
+}
+
+fn ablate_delta<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
+    art.title("Ablation — delta vs absolute polyline coding (FedAT)");
+    for r in results {
+        let (label, b, up) = (&r.label, best(r), r.up_bytes() as f64 / 1e6);
+        art.line(format!("  {label:<26} best {b:.3}  upload {up:.1} MB"));
     }
-    rep.emit(&dir, "ablate_delta")
 }
 
 /// The robustness scenarios' cluster: the paper-medium latency parts sized
@@ -935,23 +671,19 @@ pub fn churn_jobs(task: &Arc<FedTask>, seed: u64) -> Vec<Job> {
 /// Robustness rows: [`churn_jobs`] with per-variant traces and fault logs.
 /// `tests/acceptance.rs` asserts the claim the rows carry: no stalled tier,
 /// and dynamic re-tiering does not lose time-to-target to the static server.
-pub fn churn(ctx: &Ctx) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "churn");
-    let task = Arc::new(suite::sent140_like(ctx.scale.medium_clients(), ctx.seed));
-    let results = run_grid(churn_jobs(&task, ctx.seed), ctx.threads);
-    let mut rep = TextReport::new(
-        "Robustness — FedAT under flaps + 30% storms + 10x compute drift (8000 s horizon)",
+fn churn<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
+    art.title("Robustness — FedAT under flaps + 30% storms + 10x compute drift (8000 s horizon)");
+    art.csv(
+        "",
+        "variant,best_accuracy,time_to_target,global_updates,timeouts,retries,quorum_rounds,retier_events",
     );
-    let mut csv = String::from(
-        "variant,best_accuracy,time_to_target,global_updates,timeouts,retries,quorum_rounds,retier_events\n",
-    );
-    for r in &results {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
-        write_fault_log(&dir, &slug(&r.label), &r.outcome.faults)?;
-        let tta = r.outcome.trace.time_to_accuracy(r.target_accuracy);
+    for r in results {
+        art.trace(r);
+        art.fault_log(r);
+        let tta = tta(r);
         let fc = r.outcome.fault_counters;
         let tiers = r.outcome.tier_updates.clone().unwrap_or_default();
-        rep.line(format!(
+        art.line(format!(
             "  {:<22} best {:.3}  t→{:.2}: {}  updates {}  tiers {:?}",
             r.label,
             r.outcome.best_accuracy(),
@@ -960,7 +692,7 @@ pub fn churn(ctx: &Ctx) -> io::Result<()> {
             r.outcome.global_updates,
             tiers,
         ));
-        rep.line(format!(
+        art.line(format!(
             "  {:<22} timeouts {}  retries {}  quorum-skips {}  re-tiers {}  fault rows {}",
             "",
             fc.timeouts,
@@ -969,11 +701,11 @@ pub fn churn(ctx: &Ctx) -> io::Result<()> {
             fc.retier_events,
             r.outcome.faults.events().len(),
         ));
-        csv.push_str(&format!(
-            "{},{:.4},{},{},{},{},{},{}\n",
+        art.row(format!(
+            "{},{:.4},{},{},{},{},{},{}",
             slug(&r.label),
             r.outcome.best_accuracy(),
-            tta.map(|t| format!("{t:.1}")).unwrap_or_else(|| "-".into()),
+            or_dash(tta.map(|t| format!("{t:.1}"))),
             r.outcome.global_updates,
             fc.timeouts,
             fc.retries,
@@ -981,10 +713,8 @@ pub fn churn(ctx: &Ctx) -> io::Result<()> {
             fc.retier_events,
         ));
     }
-    rep.blank();
-    rep.line("  (see docs/ROBUSTNESS.md for the fault model)");
-    write_csv(&dir, "churn", &csv)?;
-    rep.emit(&dir, "churn")
+    art.line("");
+    art.line("  (see docs/ROBUSTNESS.md for the fault model)");
 }
 
 /// The attack of both corrupt scenarios: a corrupt-capable client uplinks
@@ -1104,29 +834,29 @@ pub fn corrupt_curve_jobs(task: &Arc<FedTask>, seed: u64) -> Vec<Job> {
     jobs
 }
 
+/// `repro corrupt`'s list: [`corrupt_jobs`], then [`corrupt_curve_jobs`].
+fn corrupt_both_jobs(ctx: &Ctx) -> Vec<Job> {
+    let task = ctx.sent140();
+    let mut jobs = corrupt_jobs(&task, ctx.seed);
+    jobs.extend(corrupt_curve_jobs(&task, ctx.seed));
+    jobs
+}
+
 /// Robustness rows: [`corrupt_jobs`] with per-variant traces and fault logs
 /// for forensics, then the [`corrupt_curve_jobs`] table.
 /// `tests/acceptance.rs` asserts the claim the curve carries: the undefended
 /// server collapses at ≥ 20% corrupt clients while every defended posture
 /// stays within two points of clean.
-pub fn corrupt(ctx: &Ctx) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "corrupt");
-    let task = Arc::new(suite::sent140_like(ctx.scale.medium_clients(), ctx.seed));
-    let mut jobs = corrupt_jobs(&task, ctx.seed);
-    let n_fedat = jobs.len();
-    jobs.extend(corrupt_curve_jobs(&task, ctx.seed));
-    let results = run_grid(jobs, ctx.threads);
-    let (fedat, curve) = results.split_at(n_fedat);
-
-    let mut rep = TextReport::new(
-        "Robustness — FedAT under 30% corrupted uplinks (scale-by-5, half of selections)",
-    );
+fn corrupt<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
+    art.title("Robustness — FedAT under 30% corrupted uplinks (scale-by-5, half of selections)");
+    let curve_len = CORRUPT_FRACTIONS.len() * POSTURES.len();
+    let (fedat, curve) = results.split_at(results.len() - curve_len);
     let header =
-        "best_accuracy,final_finite,global_updates,corrupt,rejects,clips,stale,quarantines\n";
+        "best_accuracy,final_finite,global_updates,corrupt,rejects,clips,stale,quarantines";
     let csv_row = |r: &JobResult| {
         let fc = r.outcome.fault_counters;
         format!(
-            "{:.4},{},{},{},{},{},{},{}\n",
+            "{:.4},{},{},{},{},{},{},{}",
             r.outcome.best_accuracy(),
             r.final_finite(),
             r.outcome.global_updates,
@@ -1137,19 +867,19 @@ pub fn corrupt(ctx: &Ctx) -> io::Result<()> {
             fc.quarantines,
         )
     };
-    let mut csv = format!("variant,{header}");
+    art.csv("", &format!("variant,{header}"));
     for r in fedat {
-        write_trace(&dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
-        write_fault_log(&dir, &slug(&r.label), &r.outcome.faults)?;
+        art.trace(r);
+        art.fault_log(r);
         let fc = r.outcome.fault_counters;
-        rep.line(format!(
+        art.line(format!(
             "  {:<24} best {:.3}  finite {}  updates {}",
             r.label,
             r.outcome.best_accuracy(),
             r.final_finite(),
             r.outcome.global_updates,
         ));
-        rep.line(format!(
+        art.line(format!(
             "  {:<24} corrupt {}  rejects {}  clips {}  stale {}  quarantines {}  fault rows {}",
             "",
             fc.corrupt,
@@ -1159,15 +889,14 @@ pub fn corrupt(ctx: &Ctx) -> io::Result<()> {
             fc.quarantines,
             r.outcome.faults.events().len(),
         ));
-        csv.push_str(&format!("{},{}", slug(&r.label), csv_row(r)));
+        art.row(format!("{},{}", slug(&r.label), csv_row(r)));
     }
-    write_csv(&dir, "corrupt", &csv)?;
 
-    rep.blank();
-    rep.line("FedAvg, ≤ 200 rounds: best accuracy (corrupt events / clips) by server posture");
+    art.line("");
+    art.line("FedAvg, ≤ 200 rounds: best accuracy (corrupt events / clips) by server posture");
     let columns: String = POSTURES.iter().map(|p| format!(" {p:>18}")).collect();
-    rep.line(format!("  {:<8}{columns}", "corrupt"));
-    let mut csv = format!("posture,corrupt_fraction,{header}");
+    art.line(format!("  {:<8}{columns}", "corrupt"));
+    art.csv("_curve", &format!("posture,corrupt_fraction,{header}"));
     for (fraction, row) in CORRUPT_FRACTIONS.iter().zip(curve.chunks(POSTURES.len())) {
         let mut line = format!("  {:<8}", format!("{:.0}%", fraction * 100.0));
         for (posture, r) in POSTURES.iter().zip(row) {
@@ -1179,14 +908,12 @@ pub fn corrupt(ctx: &Ctx) -> io::Result<()> {
                 fc.clips
             );
             line.push_str(&format!(" {cell:>18}"));
-            csv.push_str(&format!("{posture},{fraction:.2},{}", csv_row(r)));
+            art.row(format!("{posture},{fraction:.2},{}", csv_row(r)));
         }
-        rep.line(line);
+        art.line(line);
     }
-    rep.blank();
-    rep.line("  (see docs/ROBUSTNESS.md §Corrupted updates)");
-    write_csv(&dir, "corrupt_curve", &csv)?;
-    rep.emit(&dir, "corrupt")
+    art.line("");
+    art.line("  (see docs/ROBUSTNESS.md §Corrupted updates)");
 }
 
 /// The codec column of [`codec_jobs`]: the uncompressed baseline, the
@@ -1194,20 +921,8 @@ pub fn corrupt(ctx: &Ctx) -> io::Result<()> {
 /// quantized deltas, and the sparse top-5% delta.
 const CODECS: [(&str, CodecKind); 7] = [
     ("none", CodecKind::None),
-    (
-        "polyline-p3",
-        CodecKind::Polyline {
-            precision: 3,
-            delta: true,
-        },
-    ),
-    (
-        "polyline-p4",
-        CodecKind::Polyline {
-            precision: 4,
-            delta: true,
-        },
-    ),
+    ("polyline-p3", polyline(3, true)),
+    ("polyline-p4", polyline(4, true)),
     ("delta-rle", CodecKind::DeltaRle),
     ("quantized8", CodecKind::Quantized { bits: 8 }),
     ("quantized4", CodecKind::Quantized { bits: 4 }),
@@ -1263,20 +978,17 @@ pub fn best_codec_within_a_point(row: &[JobResult]) -> Option<(&JobResult, f64, 
 /// bytes stay at the raw size under the delta-family codecs, which are
 /// uplink-only. `tests/acceptance.rs` asserts the claim the FedAT row
 /// carries: some codec cuts uplink bytes ≥ 4× within one accuracy point.
-pub fn codec(ctx: &Ctx) -> io::Result<()> {
-    let dir = out_dir(&ctx.out, "codec");
-    let task = Arc::new(suite::sent140_like(ctx.scale.medium_clients(), ctx.seed));
-    let results = run_grid(codec_jobs(&task, ctx.seed), ctx.threads);
-    let mut rep =
-        TextReport::new("Wire codecs — strategy × codec, a 100-round budget through the wire path");
-    let mut csv = String::from(
-        "strategy,codec,best_accuracy,up_bytes,down_bytes,uplink_ratio,global_updates\n",
+fn codec<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
+    art.title("Wire codecs — strategy × codec, a 100-round budget through the wire path");
+    art.csv(
+        "",
+        "strategy,codec,best_accuracy,up_bytes,down_bytes,uplink_ratio,global_updates",
     );
     for row in results.chunks(CODECS.len()) {
-        rep.line(format!("[{}]", row[0].strategy));
+        art.line(format!("[{}]", row[0].strategy));
         for ((name, _), r) in CODECS.iter().zip(row) {
             let ratio = row[0].up_bytes() as f64 / r.up_bytes().max(1) as f64;
-            rep.line(format!(
+            art.line(format!(
                 "  {:<12} best {:.4}  up {:>9} B  down {:>9} B  uplink {:>5.2}×  updates {}",
                 name,
                 r.outcome.best_accuracy(),
@@ -1285,8 +997,8 @@ pub fn codec(ctx: &Ctx) -> io::Result<()> {
                 ratio,
                 r.outcome.global_updates,
             ));
-            csv.push_str(&format!(
-                "{},{},{:.4},{},{},{:.2},{}\n",
+            art.row(format!(
+                "{},{},{:.4},{},{},{:.2},{}",
                 r.strategy,
                 name,
                 r.outcome.best_accuracy(),
@@ -1296,104 +1008,187 @@ pub fn codec(ctx: &Ctx) -> io::Result<()> {
                 r.outcome.global_updates,
             ));
         }
-        match best_codec_within_a_point(row) {
-            Some((c, ratio, loss)) => rep.line(format!(
+        art.line(match best_codec_within_a_point(row) {
+            Some((c, ratio, loss)) => format!(
                 "  within one point of uncompressed: {} at {ratio:.2}× (loss {loss:.4})",
                 c.label
-            )),
-            None => rep.line("  within one point of uncompressed: none"),
-        }
-        rep.blank();
+            ),
+            None => "  within one point of uncompressed: none".into(),
+        });
+        art.line("");
     }
-    write_csv(&dir, "codec", &csv)?;
-    rep.emit(&dir, "codec")
 }
 
-fn dedup_keep_order<I: Iterator<Item = String>>(it: I) -> Vec<String> {
-    let mut seen = Vec::new();
-    for s in it {
-        if !seen.contains(&s) {
-            seen.push(s);
-        }
-    }
-    seen
+/// Everything one experiment leaves under `<out>/<id>/`: its text report
+/// (`<stem>.txt`, also printed), its CSV tables, and the smoothed traces and
+/// fault logs of the runs its printer picks (`<slug(label)>[_faults].csv`).
+#[derive(Default)]
+struct Artifact<'r> {
+    dir: PathBuf,
+    /// File stem of the report and of the first CSV table: the id, `-` → `_`.
+    stem: String,
+    title: &'static str,
+    lines: Vec<String>,
+    /// `(file stem, body)` per CSV table.
+    csvs: Vec<(String, String)>,
+    traces: Vec<&'r JobResult>,
+    fault_logs: Vec<&'r JobResult>,
 }
 
-/// Every id [`run`] accepts, as `repro`'s usage text lists them.
-pub const IDS: [&str; 20] = [
-    "table1",
-    "table2",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "leaf",
-    "churn",
-    "corrupt",
-    "codec",
-    "ablate-mistier",
-    "ablate-lambda",
-    "ablate-delta",
-    "matrix",
-    "all",
+impl<'r> Artifact<'r> {
+    fn new(out: &Path, id: &str) -> Self {
+        let (dir, stem) = (out_dir(out, id), id.replace('-', "_"));
+        Artifact {
+            dir,
+            stem,
+            ..Default::default()
+        }
+    }
+
+    fn title(&mut self, title: &'static str) {
+        self.title = title;
+    }
+
+    fn line(&mut self, s: impl Into<String>) {
+        self.lines.push(s.into());
+    }
+
+    /// Starts the CSV table `<stem><suffix>.csv`; [`Self::row`] appends to
+    /// the latest one.
+    fn csv(&mut self, suffix: &str, header: &str) {
+        let stem = format!("{}{suffix}", self.stem);
+        self.csvs.push((stem, format!("{header}\n")));
+    }
+
+    fn row(&mut self, row: String) {
+        let csv = &mut self.csvs.last_mut().expect("a CSV table was started").1;
+        csv.push_str(&row);
+        csv.push('\n');
+    }
+
+    fn trace(&mut self, r: &'r JobResult) {
+        self.traces.push(r);
+    }
+
+    fn fault_log(&mut self, r: &'r JobResult) {
+        self.fault_logs.push(r);
+    }
+
+    /// Writes every file, then prints the report; the first failed write is
+    /// the error, naming its path.
+    fn finish(self) -> io::Result<()> {
+        for r in self.traces {
+            write_trace(&self.dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
+        }
+        for r in self.fault_logs {
+            write_fault_log(&self.dir, &slug(&r.label), &r.outcome.faults)?;
+        }
+        for (stem, csv) in &self.csvs {
+            write_csv(&self.dir, stem, csv)?;
+        }
+        let mut report = TextReport::new(self.title);
+        self.lines.into_iter().for_each(|l| report.line(l));
+        report.emit(&self.dir, &self.stem)
+    }
+}
+
+/// Where an experiment's jobs come from.
+#[derive(Clone, Copy)]
+enum Jobs {
+    /// The strategy × dataset matrix, shared by every such experiment.
+    Matrix,
+    /// Its own builder.
+    Own(fn(&Ctx) -> Vec<Job>),
+    /// Loads its task first, noting in the report where from.
+    Loaded(fn(&Ctx, &mut Artifact) -> io::Result<Vec<Job>>),
+}
+
+/// A registry row: the id `repro` takes, its jobs, and the printer that
+/// titles and fills its `Artifact`.
+type Experiment = (
+    &'static str,
+    Jobs,
+    for<'r> fn(&mut Artifact<'r>, &'r [JobResult]),
+);
+
+/// Every experiment, in the order `repro all` prints them.
+const EXPERIMENTS: [Experiment; 18] = [
+    ("table1", Matrix, table1),
+    ("table2", Matrix, table2),
+    ("fig2", Matrix, fig2),
+    ("fig3", Matrix, fig3),
+    ("fig4", Matrix, fig4),
+    ("fig5", Own(fig5_jobs), fig5),
+    ("fig6", Own(fig6_jobs), fig6),
+    ("fig7", Own(fig7_jobs), fig7),
+    ("fig8", Own(fig8_jobs), fig8),
+    ("fig9", Own(fig9_jobs), fig9),
+    ("fig10", Own(fig10_jobs), fig10),
+    ("leaf", Loaded(leaf_load), leaf),
+    ("churn", Own(|c| churn_jobs(&c.sent140(), c.seed)), churn),
+    ("corrupt", Own(corrupt_both_jobs), corrupt),
+    ("codec", Own(|c| codec_jobs(&c.sent140(), c.seed)), codec),
+    ("ablate-mistier", Own(ablate_mistier_jobs), ablate_mistier),
+    ("ablate-lambda", Own(ablate_lambda_jobs), ablate_lambda),
+    ("ablate-delta", Own(ablate_delta_jobs), ablate_delta),
 ];
 
-/// Runs one experiment by id; `matrix` and `all` share the core matrix
-/// across the artifacts that reuse it. Fails before computing anything if
-/// the output directory cannot be created, and on the first failed write
-/// after that, naming the path either way.
-pub fn run(id: &str, ctx: &Ctx) -> io::Result<()> {
-    create_dir(&ctx.out)?;
-    match id {
-        "table1" => table1(ctx, &core_matrix(ctx)),
-        "table2" => table2(ctx, &core_matrix(ctx)),
-        "fig2" => fig2(ctx, &core_matrix(ctx)),
-        "fig3" => fig3(ctx, &core_matrix(ctx)),
-        "fig4" => fig4(ctx, &core_matrix(ctx)),
-        "fig5" => fig5(ctx),
-        "fig6" => fig6(ctx),
-        "fig7" => fig7(ctx),
-        "fig8" => fig8(ctx),
-        "fig9" => fig9(ctx),
-        "fig10" => fig10(ctx),
-        "leaf" => leaf(ctx),
-        "churn" => churn(ctx),
-        "corrupt" => corrupt(ctx),
-        "codec" => codec(ctx),
-        "ablate-mistier" => ablate_mistier(ctx),
-        "ablate-lambda" => ablate_lambda(ctx),
-        "ablate-delta" => ablate_delta(ctx),
-        "matrix" | "all" => {
-            let m = core_matrix(ctx);
-            table1(ctx, &m)?;
-            table2(ctx, &m)?;
-            fig2(ctx, &m)?;
-            fig3(ctx, &m)?;
-            fig4(ctx, &m)?;
-            if id == "all" {
-                fig5(ctx)?;
-                fig6(ctx)?;
-                fig7(ctx)?;
-                fig8(ctx)?;
-                fig9(ctx)?;
-                fig10(ctx)?;
-                churn(ctx)?;
-                corrupt(ctx)?;
-                codec(ctx)?;
-                ablate_mistier(ctx)?;
-                ablate_lambda(ctx)?;
-                ablate_delta(ctx)?;
-            }
-            Ok(())
-        }
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("unknown experiment id `{other}`; known: {}", IDS.join(" ")),
-        )),
+/// Every id [`run`] accepts, as `repro`'s usage text lists them: the
+/// registry's, then `matrix` and `all`.
+pub const IDS: [&str; EXPERIMENTS.len() + 2] = {
+    let mut ids = ["matrix"; EXPERIMENTS.len() + 2];
+    let mut i = 0;
+    while i < EXPERIMENTS.len() {
+        ids[i] = EXPERIMENTS[i].0;
+        i += 1;
     }
+    ids[i + 1] = "all";
+    ids
+};
+
+/// The jobs `repro <id>` runs, built and not run: `None` for an id outside
+/// the registry and for `leaf`, whose task comes from disk ([`leaf_jobs`]
+/// takes it).
+pub fn jobs(id: &str, ctx: &Ctx) -> Option<Vec<Job>> {
+    match EXPERIMENTS.iter().find(|e| e.0 == id)?.1 {
+        Matrix => Some(matrix_jobs(ctx)),
+        Own(build) => Some(build(ctx)),
+        Loaded(_) => None,
+    }
+}
+
+/// Runs one experiment by id, or several: `matrix` the ones printing the
+/// strategy × dataset matrix, `all` every one but those loading their task
+/// (`leaf`: it reads `FEDAT_LEAF_DIR`, takes ≈ 47 s at `--quick`, and its
+/// report embeds the output path). The matrix runs at most once. Fails
+/// before computing anything if the output directory cannot be created,
+/// and on the first failed load or write after that, naming the path.
+pub fn run(id: &str, ctx: &Ctx) -> io::Result<()> {
+    let selected: Vec<&Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|(eid, jobs, _)| match id {
+            "matrix" => matches!(jobs, Matrix),
+            "all" => !matches!(jobs, Loaded(_)),
+            _ => *eid == id,
+        })
+        .collect();
+    if selected.is_empty() {
+        let known = IDS.join(" ");
+        let msg = format!("unknown experiment id `{id}`; known: {known}");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+    }
+    create_dir(&ctx.out)?;
+    let grid = |jobs| run_grid(jobs, ctx.threads);
+    let mut matrix = None;
+    for &(id, jobs, print) in selected {
+        let (mut own, mut art) = (None, Artifact::new(&ctx.out, id));
+        let results = match jobs {
+            Matrix => matrix.get_or_insert_with(|| grid(matrix_jobs(ctx))),
+            Own(build) => own.insert(grid(build(ctx))),
+            Loaded(load) => own.insert(grid(load(ctx, &mut art)?)),
+        };
+        print(&mut art, results);
+        art.finish()?;
+    }
+    Ok(())
 }

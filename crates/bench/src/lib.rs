@@ -1,27 +1,28 @@
 //! # fedat-bench — the reproduction harness
 //!
-//! One experiment function per table/figure of the paper's evaluation (§7)
-//! and per robustness / wire-codec scenario, all driven from the `repro`
-//! binary:
+//! Every table and figure of the paper's evaluation (§7), the ablations and
+//! the robustness / wire-codec scenarios are rows of one registry in
+//! [`experiments`]: per id, a builder returning its `Vec<Job>` and a printer
+//! over the results, all driven from the `repro` binary:
 //!
 //! ```text
 //! cargo run --release -p fedat-bench --bin repro -- <experiment> [--quick] [--seed N] [--threads N] [--out DIR]
 //! ```
 //!
-//! `<experiment>` ∈ {`table1`, `table2`, `fig2`, `fig3`, `fig4`, `fig5`,
-//! `fig6`, `fig7`, `fig8`, `fig9`, `fig10`, `leaf`, `churn`, `corrupt`,
-//! `codec`, `ablate-mistier`, `ablate-lambda`, `ablate-delta`, `matrix`,
-//! `all`} — [`experiments::IDS`]. `--quick` shrinks client counts and round
-//! budgets ≈8× for smoke-testing the harness.
+//! `<experiment>` is a registry id, `matrix` or `all` — the list is
+//! [`experiments::IDS`], which `repro`'s usage text prints. `--quick`
+//! shrinks client counts and round budgets ≈8× for smoke-testing the
+//! harness.
 //!
 //! Experiments sharing the same underlying runs (Table 1/2 and Figs. 2–4
-//! all derive from one strategy×dataset matrix) are computed once by
-//! [`experiments::core_matrix`] and post-processed per artifact.
+//! all print one strategy×dataset matrix) are computed once per `repro`
+//! invocation and post-processed per artifact.
 //!
 //! Three jobs, three homes: `repro` *prints* (a text table and CSVs per
 //! experiment); `tests/acceptance.rs` *asserts* the claims the churn,
-//! corrupt and codec scenarios carry, on the same job lists; *measurement*
-//! is the repository benchmark (`benchmark/`, `BENCHMARK.json`), with
+//! corrupt and codec scenarios carry, on the same job lists, and
+//! `tests/experiment_jobs.rs` pins every id's list; *measurement* is the
+//! repository benchmark (`benchmark/`, `BENCHMARK.json`), with
 //! `bench_tensor_kernels` kept beside it as the `SimdKernel::Auto` vs
 //! `Scalar` lane comparator.
 
