@@ -32,13 +32,12 @@ use std::time::Instant;
 /// Timed repeats per kernel; the minimum is reported (noise-robust).
 const REPEATS: usize = 3;
 
-/// Pins the SIMD backend at one kernel thread for the guard's lifetime:
-/// this benchmark isolates the micro-kernel itself; what the pool adds is
-/// the repository benchmark's `core.exec.speculative_speedup`.
+/// Pins the SIMD backend for the guard's lifetime: this benchmark isolates
+/// the micro-kernel itself; what the pool adds is the repository
+/// benchmark's `core.exec.speculative_speedup`.
 fn with_kernel(simd: SimdKernel) -> OverlayGuard {
     ctx::install(KernelCtx {
         simd,
-        max_threads: 1,
         ..ctx::snapshot()
     })
 }

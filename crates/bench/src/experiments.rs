@@ -747,9 +747,9 @@ fn clip_guard() -> GuardPolicy {
     }
 }
 
-/// FedAT with 30% of clients under [`scale_attack`], with the guard layer
-/// off, norm-screen clipping, and rejection + quarantine + coordinate-median
-/// aggregation.
+/// FedAT with 30% of clients under the scale attack (uplinks ×5 on half
+/// their selections), with the guard layer off, norm-screen clipping, and
+/// rejection + quarantine + coordinate-median aggregation.
 pub fn corrupt_jobs(task: &Arc<FedTask>, seed: u64) -> Vec<Job> {
     let clip = clip_guard();
     let full = GuardPolicy {

@@ -1,12 +1,12 @@
 //! Concurrent experiment grids on the kernel pool.
 //!
 //! Runs many [`run_experiment_shared`] instances as concurrent pool *jobs*
-//! — not dedicated OS threads — so whole-experiment parallelism and the
-//! kernels' own fork-join parallelism share one scheduler instead of
-//! oversubscribing the host. Each run resolves its own
-//! [`fedat_core::exec::ExecCtx`] from its config at run start and installs
-//! it as a per-thread overlay, so grid members with *different* execution
-//! contexts (exec mode, SIMD kernel, thread budget) cannot cross-talk:
+//! — not dedicated OS threads — so whole-experiment parallelism and each
+//! run's own training jobs share one scheduler instead of oversubscribing
+//! the host. Each run resolves its own kernel overlay
+//! ([`fedat_core::exec::resolve`]) from its config at run start and
+//! installs it on the thread running it, so grid members with *different*
+//! execution settings (exec mode, SIMD kernel, job cap) cannot cross-talk:
 //! every run in the grid is bit-identical to the same run executed
 //! serially (`grid_matches_serial_for_every_strategy` below compares whole
 //! traces and final weights).
@@ -38,7 +38,7 @@ pub fn run_grid(jobs: Vec<Job>, workers: usize) -> Vec<JobResult> {
     run_all(jobs.into_iter().map(|job| {
         move || {
             // Jobs share one task Arc per dataset — no corpus clone per
-            // run. The run resolves its ExecCtx from its own config.
+            // run. The run resolves its overlay from its own config.
             let outcome = run_experiment_shared(&job.task, &job.cfg);
             JobResult {
                 label: job.label,

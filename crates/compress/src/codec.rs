@@ -57,10 +57,9 @@ pub enum CodecKind {
     },
 }
 
-/// Values per codec shard: encode/decode work is split into fixed
+/// Values per codec shard: encode/decode work walks fixed
 /// `CODEC_CHUNK`-value chunks whose boundaries depend on nothing but this
-/// constant, so sharding across the kernel pool is thread-count invariant
-/// (same argument as `fedat_tensor::parallel::for_each_chunk`).
+/// constant (`delta_rle` frames each chunk on the wire).
 pub const CODEC_CHUNK: usize = 4096;
 
 /// A decode failure: the blob's bytes are inconsistent with its header.

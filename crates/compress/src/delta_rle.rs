@@ -15,11 +15,9 @@
 //!    runs up to 128 bytes, repeat runs of 3–130 bytes).
 //!
 //! Chunk boundaries are a function of [`CODEC_CHUNK`] alone and every chunk
-//! is encoded/decoded independently (sharded over the persistent kernel
-//! pool via [`fedat_tensor::parallel::for_each_slot`]), so the byte stream
-//! and the decoded weights are bit-identical for any worker count, either
-//! `ExecMode`, and either `SimdKernel` — the XOR inner loop is pure integer
-//! arithmetic with one possible answer.
+//! is encoded/decoded independently, so the byte stream and the decoded
+//! weights are bit-identical under every `SimdKernel` — the XOR inner loop
+//! is pure integer arithmetic with one possible answer.
 //!
 //! Wire layout: `[u32-LE segment length × n_chunks] ++ segments`, each
 //! segment the concatenation of its four packed planes (a plane's packed
@@ -31,7 +29,6 @@ use crate::codec::{
     CODEC_CHUNK,
 };
 use bytes::Bytes;
-use fedat_tensor::parallel::{for_each_slot, plan_threads};
 use fedat_tensor::simd;
 
 /// Longest literal run one token can carry.
@@ -156,8 +153,7 @@ impl WireCodec for DeltaRleCodec {
         let n = weights.len();
         let n_chunks = n.div_ceil(CODEC_CHUNK);
         let mut segs: Vec<Vec<u8>> = vec![Vec::new(); n_chunks];
-        let threads = plan_threads(n, 16);
-        for_each_slot(&mut segs, threads, |ci, seg| {
+        for (ci, seg) in segs.iter_mut().enumerate() {
             let lo = ci * CODEC_CHUNK;
             let hi = (lo + CODEC_CHUNK).min(n);
             let mut words = vec![0u32; hi - lo];
@@ -170,7 +166,7 @@ impl WireCodec for DeltaRleCodec {
                 }
             }
             encode_chunk(&words, seg);
-        });
+        }
         let table_len = 4 * n_chunks;
         let total: usize = table_len + segs.iter().map(Vec::len).sum::<usize>();
         let mut payload = Vec::with_capacity(total);
@@ -205,8 +201,7 @@ impl WireCodec for DeltaRleCodec {
         if blob.payload.len() < table_len {
             return Err(CodecError::Malformed("chunk table truncated"));
         }
-        // Segment offsets are a cheap serial prefix scan; the per-chunk
-        // decode below is the parallel part.
+        // Segment offsets: a prefix scan over the chunk table.
         let mut offsets = Vec::with_capacity(n_chunks + 1);
         let mut cursor = table_len;
         for ci in 0..n_chunks {
@@ -223,29 +218,20 @@ impl WireCodec for DeltaRleCodec {
                 "segment lengths disagree with payload",
             ));
         }
-        let mut slots: Vec<Result<Vec<f32>, CodecError>> = vec![Ok(Vec::new()); n_chunks];
-        let threads = plan_threads(n, 16);
-        for_each_slot(&mut slots, threads, |ci, slot| {
+        let mut out = vec![0.0f32; n];
+        for (ci, chunk) in out.chunks_mut(CODEC_CHUNK).enumerate() {
             let lo = ci * CODEC_CHUNK;
-            let hi = (lo + CODEC_CHUNK).min(n);
             let seg = &blob.payload[offsets[ci]..offsets[ci + 1]];
-            let mut words = vec![0u32; hi - lo];
-            *slot = decode_chunk(seg, &mut words).map(|()| {
-                let mut out = vec![0.0f32; hi - lo];
-                match reference {
-                    Some(r) => simd::apply_delta_bits_into(&mut out, &words, &r[lo..hi]),
-                    None => {
-                        for (o, &w) in out.iter_mut().zip(words.iter()) {
-                            *o = f32::from_bits(w);
-                        }
+            let mut words = vec![0u32; chunk.len()];
+            decode_chunk(seg, &mut words)?;
+            match reference {
+                Some(r) => simd::apply_delta_bits_into(chunk, &words, &r[lo..lo + chunk.len()]),
+                None => {
+                    for (o, &w) in chunk.iter_mut().zip(words.iter()) {
+                        *o = f32::from_bits(w);
                     }
                 }
-                out
-            });
-        });
-        let mut out = Vec::with_capacity(n);
-        for slot in slots {
-            out.extend_from_slice(&slot?);
+            }
         }
         Ok(out)
     }

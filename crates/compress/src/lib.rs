@@ -21,14 +21,14 @@
 //! * [`stats`] — compression ratio and reconstruction-error accounting.
 //!
 //! Encode/decode inner loops (delta, quantize/dequantize, magnitude) run on
-//! the bit-exact [`fedat_tensor::simd`] kernels and shard across the
-//! persistent kernel pool on fixed [`codec::CODEC_CHUNK`] boundaries, so
-//! lossless codecs round-trip bit-identically and lossy codecs are exactly
-//! reproducible for any worker count, `ExecMode`, or `SimdKernel`. The
-//! polyline stream is the exception in shape, not in contract: a varint
-//! stream cannot be sharded without an index on the wire, so [`polyline`]
-//! carries its own scalar / portable / AVX2 + BMI lanes, selected by the
-//! same `SimdKernel` setting and byte-identical to each other.
+//! the bit-exact [`fedat_tensor::simd`] kernels over fixed
+//! [`codec::CODEC_CHUNK`] chunks, on whichever thread transfers the model,
+//! so lossless codecs round-trip bit-identically and lossy codecs are
+//! exactly reproducible under every `SimdKernel`. The polyline stream is
+//! the exception in shape, not in contract: a varint stream cannot be
+//! chunked without an index on the wire, so [`polyline`] carries its own
+//! scalar / portable / AVX2 + BMI lanes, selected by the same `SimdKernel`
+//! setting and byte-identical to each other.
 //!
 //! ```
 //! use fedat_compress::codec::{PolylineCodec, WireCodec};
@@ -55,7 +55,3 @@ pub use codec::{
 pub use delta_rle::DeltaRleCodec;
 pub use quantized::QuantizedCodec;
 pub use topk::TopKCodec;
-
-/// Back-compat alias: the trait was renamed to [`WireCodec`] when the
-/// reference-aware wire path landed.
-pub use codec::WireCodec as Codec;

@@ -63,10 +63,8 @@
 //!   `dequantize(quantize(v))` and occupies as many bytes as its
 //!   (difference's) zig-zag has 5-bit chunks — neither needs the bytes.
 //!
-//! The kernel is deliberately *not* sharded on the kernel pool: decode
-//! cannot split a stream without a chunk index on the wire, and encode at
-//! ≥ 1 GB/s spends ≈ 90 µs on the largest benchmarked model — below the
-//! fork-join payoff.
+//! The stream is deliberately not chunked: decode cannot split a stream
+//! without a chunk index on the wire.
 
 use fedat_tensor::simd::{self, SimdKernel};
 

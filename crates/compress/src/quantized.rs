@@ -15,15 +15,14 @@
 //! quantize/dequantize sweeps run on [`fedat_tensor::simd`] kernels that are
 //! bit-identical across backends (`floor(x + 0.5)` rather than `round`,
 //! because scalar `round` is half-away-from-zero while the vector rounding
-//! instruction is half-to-even), and the sweep shards on fixed
-//! [`CODEC_CHUNK`] boundaries, so worker count cannot change a byte.
+//! instruction is half-to-even), and the sweeps walk fixed [`CODEC_CHUNK`]
+//! chunks.
 
 use crate::codec::{
     check_reference, decode_reference, reference_lane, roundtrip_via_blob, CodecError, CodecKind,
     CompressedBlob, WireCodec, BLOB_HEADER_BYTES, CODEC_CHUNK,
 };
 use bytes::Bytes;
-use fedat_tensor::parallel::{for_each_chunk, plan_threads};
 use fedat_tensor::{scratch, simd};
 
 /// Reference-aware linear quantizer; `bits` ∈ {4, 8}.
@@ -60,8 +59,7 @@ fn packed_len(count: usize, bits: u8) -> Option<usize> {
     }
 }
 
-/// Serial min/max fold over the delta (deterministic for any worker count
-/// by virtue of being serial; it is a single cheap pass).
+/// Serial min/max fold over the delta (a single cheap pass).
 fn delta_range(d: &[f32]) -> (f32, f32) {
     let lo = d.iter().copied().fold(f32::INFINITY, f32::min);
     let hi = d.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -82,16 +80,15 @@ fn delta_range(d: &[f32]) -> (f32, f32) {
 /// — returning the level buffer (a scratch take: recycle it) and the range.
 fn quantize_levels(bits: u8, weights: &[f32], reference: Option<&[f32]>) -> (Vec<f32>, f32, f32) {
     let n = weights.len();
-    let threads = plan_threads(n, 8);
     // Delta vs the reference (standing scratch buffers; recycled below).
     let mut delta_buf = Vec::new();
     let d: &[f32] = match reference {
         Some(r) => {
             delta_buf = scratch::take_zeroed(n);
-            for_each_chunk(&mut delta_buf, CODEC_CHUNK, threads, |start, chunk| {
-                let end = start + chunk.len();
+            for (ci, chunk) in delta_buf.chunks_mut(CODEC_CHUNK).enumerate() {
+                let (start, end) = (ci * CODEC_CHUNK, ci * CODEC_CHUNK + chunk.len());
                 simd::sub_into(chunk, &weights[start..end], &r[start..end]);
-            });
+            }
             &delta_buf
         }
         None => weights,
@@ -100,9 +97,10 @@ fn quantize_levels(bits: u8, weights: &[f32], reference: Option<&[f32]>) -> (Vec
     let lv = levels(bits);
     let scale = lv / (hi - lo);
     let mut q = scratch::take_zeroed(n);
-    for_each_chunk(&mut q, CODEC_CHUNK, threads, |start, chunk| {
+    for (ci, chunk) in q.chunks_mut(CODEC_CHUNK).enumerate() {
+        let start = ci * CODEC_CHUNK;
         simd::quantize_into(chunk, &d[start..start + chunk.len()], lo, scale, lv);
-    });
+    }
     if !delta_buf.is_empty() {
         scratch::recycle(delta_buf);
     }
@@ -118,14 +116,13 @@ fn dequantize_levels(
     reference: Option<&[f32]>,
 ) {
     let step = (hi - lo) / levels(bits);
-    let threads = plan_threads(out.len(), 8);
-    for_each_chunk(out, CODEC_CHUNK, threads, |start, chunk| {
-        let end = start + chunk.len();
+    for (ci, chunk) in out.chunks_mut(CODEC_CHUNK).enumerate() {
+        let (start, end) = (ci * CODEC_CHUNK, ci * CODEC_CHUNK + chunk.len());
         simd::affine_into(chunk, &q[start..end], step, lo);
         if let Some(r) = reference {
             simd::add_assign(chunk, &r[start..end]);
         }
-    });
+    }
 }
 
 impl WireCodec for QuantizedCodec {

@@ -11,7 +11,7 @@
 //!
 //! Selection is a total order — magnitude descending ([`f32::total_cmp`]),
 //! index ascending on ties — so the selected set is unique regardless of
-//! partition order, worker count, or backend; the magnitude sweep runs on
+//! partition order or backend; the magnitude sweep runs on
 //! the bit-exact [`fedat_tensor::simd::abs_into`] kernel.
 
 use crate::codec::{
@@ -19,7 +19,6 @@ use crate::codec::{
     CODEC_CHUNK,
 };
 use bytes::Bytes;
-use fedat_tensor::parallel::{for_each_chunk, plan_threads};
 use fedat_tensor::{scratch, simd};
 
 /// Selected weights for a blob of `count` values at `per_mille`.
@@ -79,7 +78,7 @@ fn read_varint(bytes: &[u8], cursor: &mut usize) -> Result<u64, CodecError> {
 /// Both steps are elementwise f32 arithmetic in index order — no
 /// reductions, no partition sensitivity — so the residual sequence is a
 /// pure function of the upload sequence and is bit-identical across
-/// kernels, thread counts, and execution modes. One accumulator serves one
+/// kernels and execution modes. One accumulator serves one
 /// sender: the transport layer keys them per client.
 #[derive(Clone, Debug, Default)]
 pub struct ErrorFeedback {
@@ -156,11 +155,10 @@ impl WireCodec for TopKCodec {
         check_reference(weights, reference);
         let n = weights.len();
         let k = k_for(n, self.per_mille);
-        let threads = plan_threads(n, 8);
         // Magnitude of the delta (or of the weights when no reference).
         let mut mag = scratch::take_zeroed(n);
-        for_each_chunk(&mut mag, CODEC_CHUNK, threads, |start, chunk| {
-            let end = start + chunk.len();
+        for (ci, chunk) in mag.chunks_mut(CODEC_CHUNK).enumerate() {
+            let (start, end) = (ci * CODEC_CHUNK, ci * CODEC_CHUNK + chunk.len());
             match reference {
                 Some(r) => {
                     simd::sub_into(chunk, &weights[start..end], &r[start..end]);
@@ -169,7 +167,7 @@ impl WireCodec for TopKCodec {
                 }
                 None => simd::abs_into(chunk, &weights[start..end]),
             }
-        });
+        }
         // Unique selection: magnitude descending, index ascending on ties.
         let mut idx: Vec<u32> = (0..n as u32).collect();
         let by_magnitude =

@@ -2,10 +2,9 @@
 //! loop) and the cross-tier weighted heuristic of Eq. (5).
 //!
 //! The weighted means run [`weighted_sum_into`]; the robust intra-tier rules
-//! of [`AggRule`] run [`robust_reduce_into`]. Both kernels shard the model
-//! dimension into fixed cache-sized chunks on the kernel pool — so every
-//! strategy's server-side aggregation scales with cohort size while staying
-//! bit-identical to the serial baseline for any thread count.
+//! of [`AggRule`] run [`robust_reduce_into`]. Both kernels walk the model
+//! dimension in fixed cache-sized chunks, so every strategy's server-side
+//! aggregation scales with cohort size.
 
 use fedat_tensor::ops::{robust_reduce_into, weighted_sum_into, RobustRule};
 use serde::{Deserialize, Serialize};
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// `WeightedMean` is the paper's `n_k/N_c` rule; the robust rules trade its
 /// sample weighting for resistance to corrupted updates (the standard
 /// Byzantine-robust estimators are unweighted order statistics). All three
-/// are bit-identical across SimdKernel × thread counts, and the
+/// are bit-identical across SimdKernel lanes, and the
 /// robust rules are additionally invariant under client-update permutation
 /// (see `fedat_tensor::ops::robust_reduce_into` for the argument).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]

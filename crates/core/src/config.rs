@@ -235,21 +235,18 @@ impl GuardPolicy {
 /// Per-run execution overrides: every field is `None` = "inherit the
 /// default" (the built-ins, the read-once `FEDAT_EXEC`/`FEDAT_SIMD`
 /// environment, and any `fedat_tensor::ctx` overlay on the calling
-/// thread). A run resolves these once at start into an
-/// [`ExecCtx`](crate::exec::ExecCtx) — see
-/// [`ExecCtx::resolve`](crate::exec::ExecCtx::resolve) — so two concurrent
-/// runs with different overrides never read each other's settings.
+/// thread). A run resolves these once at start into its kernel overlay
+/// ([`resolve`](crate::exec::resolve)), so two concurrent runs with
+/// different overrides never read each other's settings.
 ///
 /// Every override selects between bit-identical implementations, so none
 /// of them can change a trace — only wall-clock behavior.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecOverrides {
-    /// Speculative vs. inline client training.
+    /// Speculative vs. inline client training (`Inline` = job cap 0).
     pub mode: Option<crate::exec::ExecMode>,
     /// SIMD lane selection.
     pub simd: Option<SimdKernel>,
-    /// Per-kernel fork-join thread cap.
-    pub max_threads: Option<usize>,
     /// Cap on pool-resident submitted jobs.
     pub max_pool_jobs: Option<usize>,
 }
@@ -307,8 +304,8 @@ pub struct ExperimentConfig {
     /// Guard layer against corrupted updates (finite check, norm screen,
     /// staleness bound, quarantine, robust aggregation). Defaults inert.
     pub guard: GuardPolicy,
-    /// Per-run execution overrides (exec mode, kernel selections, worker
-    /// hints). Defaults to inheriting the process defaults.
+    /// Per-run execution overrides (exec mode, SIMD lane, job cap).
+    /// Defaults to inheriting the process defaults.
     pub exec: ExecOverrides,
 }
 
@@ -508,12 +505,6 @@ impl ExperimentConfigBuilder {
     /// Pins this run's SIMD backend.
     pub fn simd_kernel(mut self, k: SimdKernel) -> Self {
         self.cfg.exec.simd = Some(k);
-        self
-    }
-
-    /// Pins this run's fork-join thread cap.
-    pub fn max_threads(mut self, n: usize) -> Self {
-        self.cfg.exec.max_threads = Some(n);
         self
     }
 

@@ -7,7 +7,6 @@ use fedat_data::suite::FedTask;
 use fedat_nn::metrics::{evaluate_batched, StreamingEvaluator};
 use fedat_nn::model::EvalResult;
 use fedat_nn::models::with_cached_model;
-use fedat_tensor::parallel;
 use fedat_tensor::rng::{rng_for, shuffle, tags};
 
 /// Evaluation mini-batch size (also the per-client sweep batch).
@@ -46,9 +45,8 @@ impl Evaluator {
         }
     }
 
-    /// Loss/accuracy of `weights` on the evaluation subset. Mini-batches
-    /// stream across the kernel pool; results are bit-identical to a
-    /// serial sweep for any thread count (see [`StreamingEvaluator`]).
+    /// Loss/accuracy of `weights` on the evaluation subset, in mini-batches
+    /// on the calling thread's cached model (see [`StreamingEvaluator`]).
     pub fn evaluate(&mut self, weights: &[f32]) -> EvalResult {
         self.eval.evaluate(weights, &self.test.x, &self.test.y)
     }
@@ -62,25 +60,17 @@ impl Evaluator {
 /// Per-client test accuracies of a single global model — the basis of the
 /// paper's accuracy-variance metric (Table 1 `Norm. Var.` rows).
 ///
-/// The sweep is sharded across clients on the kernel pool: each band of
-/// clients is evaluated serially on a thread-cached model instance and
-/// every accuracy lands in its own slot, so the result is bit-identical
-/// to the serial sweep for any thread count.
+/// The sweep evaluates every client in turn on the calling thread's cached
+/// model instance.
 pub fn per_client_accuracy(task: &FedTask, weights: &[f32], seed: u64) -> Vec<f32> {
-    let clients = &task.fed.clients;
-    let mut accs = vec![0.0f32; clients.len()];
-    let max_rows = clients.iter().map(|c| c.test.len()).max().unwrap_or(0);
-    let threads = parallel::plan_threads(clients.len(), 4 * max_rows * task.fed.features);
-    parallel::for_each_row_band(&mut accs, 1, threads, |first, band| {
-        with_cached_model(&task.model, seed, |model| {
-            model.set_weights(weights);
-            for (i, slot) in band.iter_mut().enumerate() {
-                let c = &clients[first + i];
-                *slot = evaluate_batched(model, &c.test.x, &c.test.y, EVAL_BATCH).accuracy;
-            }
-        });
-    });
-    accs
+    with_cached_model(&task.model, seed, |model| {
+        model.set_weights(weights);
+        task.fed
+            .clients
+            .iter()
+            .map(|c| evaluate_batched(model, &c.test.x, &c.test.y, EVAL_BATCH).accuracy)
+            .collect()
+    })
 }
 
 /// Population variance of per-client accuracies.
@@ -195,8 +185,9 @@ mod tests {
     #[test]
     fn per_client_sweep_serial_and_pooled_agree_bitwise() {
         // The obviously-right reference (one freshly built model sweeps
-        // every client serially) and the pooled path (thread-cached models,
-        // client bands on the pool) must produce identical accuracies.
+        // every client) and the sweep as a pipelined eval runs it (a pool
+        // job, on that thread's cached model) must produce identical
+        // accuracies.
         let task = suite::cifar10_like(9, 2, 4);
         let w = task.model.build(6).weights();
         let mut model = task.model.build(4);
@@ -207,14 +198,9 @@ mod tests {
             .iter()
             .map(|c| evaluate_batched(model.as_mut(), &c.test.x, &c.test.y, EVAL_BATCH).accuracy)
             .collect();
-        for threads in [1usize, 4] {
-            let _g = fedat_tensor::ctx::install(fedat_tensor::ctx::KernelCtx {
-                max_threads: threads,
-                ..fedat_tensor::ctx::snapshot()
-            });
-            let pooled = per_client_accuracy(&task, &w, 4);
-            assert_eq!(serial, pooled, "sweep diverged at {threads} threads");
-        }
+        let task = std::sync::Arc::new(task);
+        let pooled = fedat_tensor::pool::submit(move || per_client_accuracy(&task, &w, 4));
+        assert_eq!(serial, pooled.join());
     }
 
     #[test]

@@ -1,19 +1,21 @@
 //! Per-run execution configuration: when client training runs
-//! ([`ExecMode`]) and which kernel settings it runs under ([`ExecCtx`]).
+//! ([`ExecMode`]) and which kernel settings it runs under
+//! ([`resolve`]).
 //!
 //! [`train_client`](crate::local::train_client) is a pure function of
 //! `(task, client, downloaded weights, config, epochs, selection_round,
 //! use_prox)` — it reads no simulator state and draws from no shared RNG —
 //! so every dispatched client can start training the moment it is
-//! *dispatched* instead of the moment its compute event *fires*. Under
-//! [`ExecMode::Speculative`] (the default) each dispatch submits a training
-//! job to the persistent kernel pool and the event loop merely *joins* the
-//! result when the completion event arrives; virtual time, event order,
-//! traffic accounting and the RNG streams are untouched, so the full trace
-//! is bit-identical to inline execution by construction (pinned by
-//! `strategy_behavior.rs`).
+//! *dispatched* instead of the moment its compute event *fires*. Each
+//! dispatch submits a training job to the persistent kernel pool and the
+//! event loop *joins* the result when the completion event arrives; virtual
+//! time, event order, traffic accounting and the RNG streams are untouched,
+//! so the full trace does not depend on where or when the job ran (pinned
+//! by `strategy_behavior.rs`).
 //!
-//! [`ExecMode::Inline`] trains at completion on the event-loop thread. The
+//! [`ExecMode::Speculative`] (the default) lets those jobs onto the pool.
+//! [`ExecMode::Inline`] is the pool's job cap of zero: nothing enters the
+//! pool, and every job runs at its join, on the event-loop thread. The
 //! environment variable `FEDAT_EXEC=inline` flips the default (CI runs the
 //! whole suite a second time this way).
 //!
@@ -23,9 +25,11 @@
 //! reports its own count in
 //! [`Outcome::speculation`](crate::experiment::Outcome::speculation).
 //!
-//! There is no process-global mutable configuration: an [`ExecCtx`] is
-//! resolved once per run and is the only thing the run reads.
+//! There is no process-global mutable configuration: a run's kernel
+//! overlay is [`resolve`]d once and is the only thing the run reads.
 
+use crate::config::ExperimentConfig;
+use fedat_tensor::ctx::KernelCtx;
 use std::sync::OnceLock;
 
 /// When client training actually executes.
@@ -34,7 +38,7 @@ pub enum ExecMode {
     /// Launch the training job on the kernel pool at *dispatch*; join the
     /// result at the completion event. The default.
     Speculative,
-    /// Train on the event-loop thread when the completion event fires.
+    /// Job cap 0: every job runs at its join, on the event-loop thread.
     Inline,
 }
 
@@ -50,9 +54,9 @@ pub fn default_exec_mode() -> ExecMode {
 }
 
 /// How much training one run launched ahead of its completion events, and
-/// how much of that was thrown away. Both are zero under
-/// [`ExecMode::Inline`]; they are mode-dependent by definition, which is
-/// why they are not part of `FaultCounters` (those are asserted equal
+/// how much of that was thrown away. Both are zero when the run's job cap
+/// is 0 ([`ExecMode::Inline`]); they depend on the cap by definition, which
+/// is why they are not part of `FaultCounters` (those are asserted equal
 /// across modes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Speculation {
@@ -63,56 +67,30 @@ pub struct Speculation {
     pub discards: u64,
 }
 
-/// The complete execution configuration of *one* experiment run: the
-/// [`ExecMode`] plus the tensor-layer kernel settings
-/// ([`fedat_tensor::ctx::KernelCtx`]).
-///
-/// Resolution happens **once**, at run start
-/// ([`run_experiment_shared`](crate::experiment::run_experiment_shared)),
-/// lowest priority first:
+/// Resolves the kernel overlay of *one* experiment run, once, at run start
+/// ([`run_experiment_with`](crate::experiment::run_experiment_with)), lowest
+/// priority first:
 ///
 /// 1. the built-in defaults,
 /// 2. the environment (`FEDAT_EXEC`, `FEDAT_SIMD`), read once per process,
-/// 3. for the kernel settings, a [`fedat_tensor::ctx`] overlay already
-///    installed on the calling thread (how a test or bench scopes
-///    kernel-level code),
+/// 3. a [`fedat_tensor::ctx`] overlay already installed on the calling
+///    thread (how a test or bench scopes kernel-level code),
 /// 4. the config's [`ExecOverrides`](crate::config::ExecOverrides), field
 ///    by field.
 ///
-/// The result is immutable for the run's lifetime: it is installed as the
-/// thread-local kernel overlay ([`ExecCtx::enter`]) so every kernel the run
-/// touches — including work it ships across the pool — reads *this* run's
-/// configuration, and it is threaded through `ServerCore` to the training
-/// launch path. Two concurrent `run_experiment_shared` calls therefore
-/// cannot read each other's settings.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExecCtx {
-    /// When client training executes (speculative vs. inline).
-    pub mode: ExecMode,
-    /// The tensor-layer kernel selections and worker hints.
-    pub kernels: fedat_tensor::ctx::KernelCtx,
-}
-
-impl ExecCtx {
-    /// Resolves a run's execution context (see the type docs for the
-    /// order).
-    pub fn resolve(cfg: &crate::config::ExperimentConfig) -> Self {
-        let o = cfg.exec;
-        let base = fedat_tensor::ctx::snapshot();
-        ExecCtx {
-            mode: o.mode.unwrap_or_else(default_exec_mode),
-            kernels: fedat_tensor::ctx::KernelCtx {
-                simd: o.simd.unwrap_or(base.simd),
-                max_threads: o.max_threads.unwrap_or(base.max_threads).max(1),
-                max_pool_jobs: o.max_pool_jobs.unwrap_or(base.max_pool_jobs),
-            },
-        }
-    }
-
-    /// Installs this context's kernel configuration as the calling thread's
-    /// overlay for the guard's lifetime. Work submitted to the pool while
-    /// the guard is live inherits the overlay automatically.
-    pub fn enter(&self) -> fedat_tensor::ctx::OverlayGuard {
-        fedat_tensor::ctx::install(self.kernels)
+/// The mode is no field of its own: [`ExecMode::Inline`] resolves to
+/// `max_pool_jobs: 0`, whatever cap the config sets. The run installs the
+/// result as its thread-local overlay, and every job it submits carries the
+/// overlay to whichever thread runs it, so two concurrent runs cannot read
+/// each other's settings.
+pub fn resolve(cfg: &ExperimentConfig) -> KernelCtx {
+    let o = cfg.exec;
+    let base = fedat_tensor::ctx::snapshot();
+    KernelCtx {
+        simd: o.simd.unwrap_or(base.simd),
+        max_pool_jobs: match o.mode.unwrap_or_else(default_exec_mode) {
+            ExecMode::Speculative => o.max_pool_jobs.unwrap_or(base.max_pool_jobs),
+            ExecMode::Inline => 0,
+        },
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::config::ExperimentConfig;
 use crate::eval::{accuracy_variance, per_client_accuracy};
-use crate::exec::ExecCtx;
 use crate::strategies::{build_strategy, FaultCounters, Strategy};
 use fedat_data::suite::FedTask;
 use fedat_sim::fault::FaultLog;
@@ -37,8 +36,8 @@ pub struct Outcome {
     /// Per-tier update counts for tiered strategies (`None` otherwise).
     pub tier_updates: Option<Vec<u64>>,
     /// This run's speculative training launches and discards (wasted
-    /// work). Mode-dependent, unlike everything above: zero under
-    /// `ExecMode::Inline`.
+    /// work). Cap-dependent, unlike everything above: zero when the run's
+    /// job cap is 0 (`ExecMode::Inline`).
     pub speculation: crate::exec::Speculation,
 }
 
@@ -72,24 +71,24 @@ pub fn run_experiment(task: &FedTask, cfg: &ExperimentConfig) -> Outcome {
 /// # Panics
 /// Panics if an explicit cluster's client count disagrees with the task.
 pub fn run_experiment_shared(task: &Arc<FedTask>, cfg: &ExperimentConfig) -> Outcome {
-    run_experiment_with(task, cfg, |fleet, exec| {
-        build_strategy(Arc::clone(task), cfg, fleet, exec)
+    run_experiment_with(task, cfg, |fleet| {
+        build_strategy(Arc::clone(task), cfg, fleet)
     })
 }
 
 /// [`run_experiment_shared`] for a caller-built strategy — e.g. a
 /// [`RoundServer`](crate::strategies::round::RoundServer) around a custom
 /// [`RoundPolicy`](crate::strategies::round::RoundPolicy): `build` gets the
-/// run's fleet and execution context, and whatever it returns is driven,
-/// evaluated and reported exactly like a built-in (`cfg.strategy` only
-/// picks the default codec and the trace's name).
+/// run's fleet and runs under the run's kernel overlay, and whatever it
+/// returns is driven, evaluated and reported exactly like a built-in
+/// (`cfg.strategy` only picks the default codec and the trace's name).
 ///
 /// # Panics
 /// Panics if an explicit cluster's client count disagrees with the task.
 pub fn run_experiment_with(
     task: &Arc<FedTask>,
     cfg: &ExperimentConfig,
-    build: impl FnOnce(&Fleet, ExecCtx) -> Box<dyn Strategy>,
+    build: impl FnOnce(&Fleet) -> Box<dyn Strategy>,
 ) -> Outcome {
     let cluster = cfg.cluster.clone().unwrap_or_else(|| {
         let n = task.fed.num_clients();
@@ -110,14 +109,12 @@ pub fn run_experiment_with(
         "cluster size must match the federation"
     );
     let fleet = Fleet::new(&cluster, task.fed.client_sizes());
-    // Resolve the run's execution context ONCE and install its kernel
-    // overlay for the run's scope. Every thread-crossing point below
-    // (speculative training jobs, pipelined evals, fork-join regions)
-    // re-installs the overlay on the executing thread, so concurrent runs
-    // with different contexts never read each other's settings.
-    let exec = ExecCtx::resolve(cfg);
-    let _overlay = exec.enter();
-    let mut strategy = build(&fleet, exec);
+    // Resolve the run's kernel overlay ONCE and install it for the run's
+    // scope. Every job the run submits (training, pipelined evals) carries
+    // it to the thread that runs it, so concurrent runs with different
+    // settings never read each other's.
+    let _overlay = fedat_tensor::ctx::install(crate::exec::resolve(cfg));
+    let mut strategy = build(&fleet);
     let limits = RunLimits {
         max_time: cfg.max_time,
         max_events: 20_000_000,

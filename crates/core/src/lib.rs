@@ -15,8 +15,8 @@
 //!   `T_{tier(M+1−m)}/T` heuristic,
 //! * [`local`] — client-side local training (Adam/SGD + proximal term,
 //!   fixed pseudo-random mini-batch schedules),
-//! * [`exec`] — the per-run execution context: training jobs launch on the
-//!   kernel pool at dispatch and are joined bit-identically when the
+//! * [`exec`] — the per-run execution settings: training jobs launch on
+//!   the kernel pool at dispatch and are joined bit-identically when the
 //!   completion event fires,
 //! * [`transport`] — codec-mediated uplink/downlink with byte accounting,
 //! * [`strategies`] — the six FL methods: two server drivers (one per

@@ -23,11 +23,10 @@
 //!   so strategies wrap each dispatch in a [`TrainJob`] and launch it on
 //!   the kernel pool *at dispatch time* ([`TrainHandle::launch`]); the
 //!   event loop joins the finished result when the completion event fires.
-//!   See [`crate::exec`] for the two modes and the determinism argument.
+//!   See [`crate::exec`] for the job cap and the determinism argument.
 
 use crate::config::ExperimentConfig;
 use crate::config::OptimizerKind;
-use crate::exec::ExecMode;
 use fedat_data::suite::FedTask;
 use fedat_nn::model::Model;
 use fedat_nn::optim::{Optimizer, ProxTerm};
@@ -72,70 +71,35 @@ impl TrainJob {
     }
 }
 
-/// An in-flight client training computation, created at dispatch.
-///
-/// Under [`ExecMode::Speculative`] the job is already running (or queued)
-/// on the kernel pool; under [`ExecMode::Inline`] the handle just carries
-/// the job and trains when joined, i.e. at the completion event that
-/// calls [`TrainHandle::join`].
-pub struct TrainHandle(Option<HandleKind>);
-
-enum HandleKind {
-    /// Train at join, on the joining thread.
-    Inline(TrainJob),
-    /// Result is being computed on (or stolen back from) the kernel pool.
-    Speculative(fedat_tensor::pool::JobHandle<LocalUpdate>),
-}
+/// An in-flight client training computation, created at dispatch: a pool
+/// job, running (or queued) unless the run's job cap is 0, in which case it
+/// trains when joined — at the completion event that calls
+/// [`TrainHandle::join`].
+pub struct TrainHandle(Option<fedat_tensor::pool::JobHandle<LocalUpdate>>);
 
 impl TrainHandle {
-    /// Starts `job` under the caller's [`ExecMode`] — the mode travels
-    /// explicitly from the run's [`crate::exec::ExecCtx`], so concurrent
-    /// runs with different modes cannot cross-talk.
-    pub fn launch(job: TrainJob, mode: ExecMode) -> TrainHandle {
-        TrainHandle(Some(match mode {
-            ExecMode::Speculative => {
-                HandleKind::Speculative(fedat_tensor::pool::submit(move || job.run()))
-            }
-            ExecMode::Inline => HandleKind::Inline(job),
-        }))
+    /// Submits `job` to the kernel pool under the calling thread's kernel
+    /// overlay — the run's, so concurrent runs cannot cross-talk.
+    pub fn launch(job: TrainJob) -> TrainHandle {
+        TrainHandle(Some(fedat_tensor::pool::submit(move || job.run())))
     }
 
-    /// Returns the training result, blocking only if the speculative job is
-    /// mid-run on a worker (an unstarted job is stolen and run inline —
-    /// the pool's steal-on-join contract — so this never deadlocks).
+    /// Returns the training result, blocking only if the job is mid-run on
+    /// a worker (an unstarted job is stolen and run inline — the pool's
+    /// steal-on-join contract — so this never deadlocks).
     pub fn join(mut self) -> LocalUpdate {
-        match self.0.take().expect("train handle already consumed") {
-            HandleKind::Inline(job) => job.run(),
-            HandleKind::Speculative(handle) => handle.join(),
-        }
-    }
-
-    /// Abandons the computation: the client dropped out before its compute
-    /// event. A job that has not started yet is *cancelled* — reclaimed
-    /// from the pool unexecuted, costing nothing; one already running (or
-    /// finished) completes on its worker and the result is dropped.
-    /// Returns whether a speculative job was abandoned (`false` for an
-    /// inline handle, which never started anything) — the caller's
-    /// [`Speculation::discards`](crate::exec::Speculation::discards) tick.
-    pub fn discard(mut self) -> bool {
-        match self.0.take() {
-            Some(HandleKind::Speculative(handle)) => {
-                handle.cancel();
-                true
-            }
-            _ => false,
-        }
+        self.0.take().expect("train handle already consumed").join()
     }
 }
 
 impl Drop for TrainHandle {
-    /// A handle dropped unconsumed (an experiment hitting its rounds or
-    /// time cutoff with clients still in flight) cancels its job, so
-    /// queued-but-unstarted speculation is reclaimed instead of burning a
-    /// worker after the run ended. Not counted as a dropout discard — the
-    /// client didn't drop; the run stopped caring.
+    /// A handle dropped unjoined — the client dropped out or missed its
+    /// deadline, or the run stopped with clients in flight — cancels its
+    /// job: one that has not started yet is reclaimed unexecuted, costing
+    /// nothing; one already running (or finished) completes on its worker
+    /// and the result is dropped.
     fn drop(&mut self) {
-        if let Some(HandleKind::Speculative(handle)) = self.0.take() {
+        if let Some(handle) = self.0.take() {
             handle.cancel();
         }
     }

@@ -18,7 +18,6 @@
 //! guard's `max_staleness` bound.
 
 use crate::config::ExperimentConfig;
-use crate::exec::ExecCtx;
 use crate::strategies::{
     dispatchable, Finished, InflightTable, PhaseEvent, ServerCore, Strategy, ASYNC_FILL, REVIVE_BIT,
 };
@@ -61,16 +60,10 @@ impl<X: Mixer> ArrivalServer<X> {
     /// wall time; the shared `max_time` horizon is the effective stopping
     /// rule, exactly as in the paper's timeline figures. The evaluation
     /// stride is scaled likewise.
-    pub fn new(task: Arc<FedTask>, cfg: &ExperimentConfig, mixer: X, exec: ExecCtx) -> Self {
+    pub fn new(task: Arc<FedTask>, cfg: &ExperimentConfig, mixer: X) -> Self {
         let k = cfg.clients_per_round as u64;
         ArrivalServer {
-            core: ServerCore::new(
-                task,
-                cfg,
-                exec,
-                cfg.rounds * k * ASYNC_FILL,
-                cfg.eval_every * k,
-            ),
+            core: ServerCore::new(task, cfg, cfg.rounds * k * ASYNC_FILL, cfg.eval_every * k),
             mixer,
             dispatch_version: BTreeMap::new(),
             inflight: InflightTable::new(),
@@ -167,8 +160,7 @@ impl<X: Mixer> EventHandler for ArrivalServer<X> {
                 // on fresh weights.
                 self.core.note_stale(ctx, c.client, 0, staleness);
             } else {
-                // The mixers sweep the full model on *every* arrival
-                // (FedAsync's `lerp_into` shards it across the kernel pool).
+                // The mixers sweep the full model on *every* arrival.
                 self.mixer
                     .absorb(&mut self.core.global, c.client, weights, staleness);
                 self.core.bump(ctx);
@@ -238,7 +230,7 @@ mod tests {
             .cluster(cluster)
             .build();
         let mixer = FedAsync::new(&cfg);
-        let mut s = ArrivalServer::new(Arc::clone(&task), &cfg, mixer, ExecCtx::resolve(&cfg));
+        let mut s = ArrivalServer::new(Arc::clone(&task), &cfg, mixer);
         run(&mut s, &fleet, cfg.seed, RunLimits::default());
         // Nobody drops out and no guard is on, so a dispatch has either
         // landed (one global update each) or is still in flight.

@@ -39,9 +39,9 @@ impl Mixer for FedAsync {
     }
 
     fn absorb(&mut self, global: &mut Vec<f32>, _client: usize, weights: Vec<f32>, staleness: u64) {
-        // `lerp_into` shards the sweep across the kernel pool with the
-        // vectorized inner loop (bit-identical for any kernel/thread count;
-        // pinned by `fedasync_mixing_is_bit_identical_across_simd_and_threads`).
+        // One vectorized sweep (bit-identical for any SIMD lane and worker
+        // count; pinned by
+        // `fedasync_mixing_is_bit_identical_across_simd_and_threads`).
         lerp_into(
             global,
             &weights,

@@ -30,7 +30,7 @@ mod tifl;
 
 use crate::config::{ExperimentConfig, StrategyKind};
 use crate::eval::Evaluator;
-use crate::exec::{ExecCtx, ExecMode, Speculation};
+use crate::exec::Speculation;
 use crate::transport::Transport;
 use fedat_data::suite::FedTask;
 use fedat_sim::fault::{FaultEvent, FaultKind};
@@ -108,16 +108,15 @@ pub(crate) struct ServerCore {
     /// pool worker without cloning it per dispatch.
     pub cfg: Arc<ExperimentConfig>,
     pub transport: Transport,
-    /// This run's execution context (exec mode + kernel settings), resolved
-    /// once at run start, so concurrent runs with different contexts cannot
-    /// cross-talk.
-    pub exec: ExecCtx,
-    /// `None` exactly while a pipelined evaluation is in flight on the
-    /// kernel pool (the job owns the evaluator and hands it back at the
-    /// join).
+    /// Whether the run's job cap lets jobs onto the pool — what makes a
+    /// dispatch a speculative launch. Read once, from the kernel overlay
+    /// the run installed before building its strategy.
+    speculative: bool,
+    /// `None` exactly while a pipelined evaluation is in flight (the job
+    /// owns the evaluator and hands it back at the join).
     evaluator: Option<Evaluator>,
-    /// The at-most-one in-flight pipelined evaluation (Speculative mode
-    /// only; see [`ServerCore::eval_now`]).
+    /// The at-most-one in-flight pipelined evaluation (see
+    /// [`ServerCore::eval_now`]).
     pending_eval: Option<PendingEval>,
     /// Current global weights `w^t`.
     pub global: Vec<f32>,
@@ -143,7 +142,7 @@ pub(crate) struct ServerCore {
 
 /// Mutable guard-layer state. All of it is a pure function of the landed
 /// updates' values and order in virtual time, so it preserves the
-/// bit-identity contract across ExecMode × SimdKernel × thread counts.
+/// bit-identity contract across job caps × SimdKernel × worker counts.
 #[derive(Default)]
 struct GuardState {
     /// EWMA of accepted (post-clip) update L2 norms; `None` until the
@@ -166,10 +165,9 @@ impl GuardState {
 }
 
 /// One round-boundary evaluation running as a kernel-pool job while the
-/// event loop trains the next round (PR 4's follow-up: eval used to
-/// serialize the event-loop thread). Everything a trace point needs besides
+/// event loop trains the next round. Everything a trace point needs besides
 /// accuracy/loss was snapshotted at the cadence point, so the joined point
-/// is bit-identical to the one the synchronous path would have pushed.
+/// does not depend on when the job ran.
 struct PendingEval {
     handle: fedat_tensor::pool::JobHandle<(Evaluator, fedat_nn::model::EvalResult, Option<f32>)>,
     time: f64,
@@ -191,13 +189,7 @@ pub const VARIANCE_EVAL_STRIDE: u64 = 5;
 pub const ASYNC_FILL: u64 = 20;
 
 impl ServerCore {
-    pub fn new(
-        task: Arc<FedTask>,
-        cfg: &ExperimentConfig,
-        exec: ExecCtx,
-        budget: u64,
-        eval_stride: u64,
-    ) -> Self {
+    pub fn new(task: Arc<FedTask>, cfg: &ExperimentConfig, budget: u64, eval_stride: u64) -> Self {
         let codec = crate::config::resolve_codec(cfg.codec, cfg.strategy);
         let transport = Transport::new(codec);
         let evaluator = Evaluator::new(&task, cfg.eval_subset, cfg.seed);
@@ -207,7 +199,7 @@ impl ServerCore {
             task,
             cfg: Arc::new(cfg.clone()),
             transport,
-            exec,
+            speculative: fedat_tensor::pool::max_pool_jobs() > 0,
             evaluator: Some(evaluator),
             pending_eval: None,
             global,
@@ -244,76 +236,51 @@ impl ServerCore {
 
     /// Evaluates the current global model and appends a trace point;
     /// periodically also sweeps per-client accuracies for the variance
-    /// metric. Both run on the kernel pool (streaming mini-batches and
-    /// sharded client bands) and are bit-identical to a serial sweep for
-    /// any thread count.
+    /// metric.
     ///
-    /// Under [`ExecMode::Speculative`] the evaluation is *pipelined*: the
-    /// trace-point context (virtual time, update count, traffic meters) is
-    /// snapshotted here, the sweep itself is submitted as a kernel-pool job,
-    /// and the event loop immediately returns to dispatching the next
-    /// round — eval overlaps training instead of serializing the event-loop
-    /// thread. At most one evaluation is in flight; the next cadence point
-    /// (or the end-of-run [`ServerCore::finish`]) joins it and appends
-    /// its trace point *before* anything newer, so trace order is the
-    /// submission order and every value in the point was fixed at submit
-    /// time. The weights are cloned into the job, the variance-sweep
-    /// decision is made here from `evals_done`, and the evaluator round-trips
-    /// through the job — nothing about the result depends on when a worker
-    /// gets to it, which is what keeps the pipelined trace bit-identical to
-    /// the [`ExecMode::Inline`] synchronous baseline.
+    /// The evaluation is *pipelined*: the trace-point context (virtual
+    /// time, update count, traffic meters) is snapshotted here, the sweep
+    /// itself is submitted as a kernel-pool job, and the event loop
+    /// immediately returns to dispatching the next round — eval overlaps
+    /// training instead of serializing the event-loop thread. At most one
+    /// evaluation is in flight; the next cadence point (or the end-of-run
+    /// [`ServerCore::finish`]) joins it and appends its trace point *before*
+    /// anything newer, so trace order is the submission order and every
+    /// value in the point was fixed at submit time. The weights are cloned
+    /// into the job, the variance-sweep decision is made here from
+    /// `evals_done`, and the evaluator round-trips through the job —
+    /// nothing about the result depends on when, or on which thread, the
+    /// job runs (at job cap 0: at that next join, on the event-loop thread).
     pub fn eval_now(&mut self, ctx: &mut SimCtx) {
         let time = ctx.now();
         let up_bytes = ctx.traffic.uplink_bytes();
         let down_bytes = ctx.traffic.downlink_bytes();
         self.evals_done += 1;
         let sweep_variance = self.evals_done.is_multiple_of(VARIANCE_EVAL_STRIDE);
-        if self.exec.mode == ExecMode::Speculative {
-            // Join (and record) the previous round's eval first: trace
-            // points must land in submission order.
-            self.join_pending_eval();
-            let mut evaluator = self
-                .evaluator
-                .take()
-                .expect("evaluator is with a joined job");
-            let weights = self.global.clone();
-            let sweep = sweep_variance.then(|| (Arc::clone(&self.task), self.cfg.seed));
-            let handle = fedat_tensor::pool::submit(move || {
-                let r = evaluator.evaluate(&weights);
-                let variance = sweep.map(|(task, seed)| {
-                    let accs = crate::eval::per_client_accuracy(&task, &weights, seed);
-                    crate::eval::accuracy_variance(&accs)
-                });
-                (evaluator, r, variance)
+        // Join (and record) the previous round's eval first: trace points
+        // must land in submission order.
+        self.join_pending_eval();
+        let mut evaluator = self
+            .evaluator
+            .take()
+            .expect("evaluator is with a joined job");
+        let weights = self.global.clone();
+        let sweep = sweep_variance.then(|| (Arc::clone(&self.task), self.cfg.seed));
+        let handle = fedat_tensor::pool::submit(move || {
+            let r = evaluator.evaluate(&weights);
+            let variance = sweep.map(|(task, seed)| {
+                let accs = crate::eval::per_client_accuracy(&task, &weights, seed);
+                crate::eval::accuracy_variance(&accs)
             });
-            self.pending_eval = Some(PendingEval {
-                handle,
-                time,
-                round: self.updates,
-                up_bytes,
-                down_bytes,
-            });
-        } else {
-            let evaluator = self
-                .evaluator
-                .as_mut()
-                .expect("no eval in flight under Inline");
-            let r = evaluator.evaluate(&self.global);
-            self.trace.push(TracePoint {
-                time,
-                round: self.updates,
-                accuracy: r.accuracy,
-                loss: r.loss,
-                up_bytes,
-                down_bytes,
-            });
-            if sweep_variance {
-                let accs =
-                    crate::eval::per_client_accuracy(&self.task, &self.global, self.cfg.seed);
-                self.variance_checkpoints
-                    .push(crate::eval::accuracy_variance(&accs));
-            }
-        }
+            (evaluator, r, variance)
+        });
+        self.pending_eval = Some(PendingEval {
+            handle,
+            time,
+            round: self.updates,
+            up_bytes,
+            down_bytes,
+        });
     }
 
     /// Joins the in-flight pipelined evaluation (if any), appending its
@@ -369,11 +336,11 @@ impl ServerCore {
     }
 
     /// Starts one client's local training *at dispatch time* and returns
-    /// the in-flight phase entry holding its handle. Under the speculative
-    /// execution mode (see [`crate::exec`]) the job begins on the kernel
-    /// pool immediately; inline mode defers it to the join inside
-    /// [`advance_phase`]. `weights` is the shared decoded broadcast —
-    /// launching clones `Arc`s, never the model.
+    /// the in-flight phase entry holding its handle. The job begins on the
+    /// kernel pool immediately unless the run's job cap is 0 (see
+    /// [`crate::exec`]), which defers it to the join inside
+    /// [`InflightTable::advance`]. `weights` is the shared decoded
+    /// broadcast — launching clones `Arc`s, never the model.
     pub fn launch(
         &mut self,
         client: usize,
@@ -382,25 +349,28 @@ impl ServerCore {
         selection_round: u64,
         use_prox: bool,
     ) -> ClientPhase {
-        if self.exec.mode == ExecMode::Speculative {
-            self.speculation.launches += 1;
-        }
+        self.speculation.launches += u64::from(self.speculative);
         ClientPhase::Computing(Inflight {
-            handle: crate::local::TrainHandle::launch(
-                crate::local::TrainJob {
-                    task: Arc::clone(&self.task),
-                    client,
-                    global: Arc::clone(weights),
-                    cfg: Arc::clone(&self.cfg),
-                    epochs,
-                    selection_round,
-                    use_prox,
-                },
-                self.exec.mode,
-            ),
+            handle: crate::local::TrainHandle::launch(crate::local::TrainJob {
+                task: Arc::clone(&self.task),
+                client,
+                global: Arc::clone(weights),
+                cfg: Arc::clone(&self.cfg),
+                epochs,
+                selection_round,
+                use_prox,
+            }),
             selection_round,
             reference: Arc::clone(weights),
         })
+    }
+
+    /// Abandons a dispatch's training: dropping the handle cancels the job
+    /// (an unstarted one costs nothing), and under a non-zero job cap the
+    /// launch it undoes counts as a discard.
+    fn abandon(&mut self, inflight: Inflight) {
+        drop(inflight);
+        self.speculation.discards += u64::from(self.speculative);
     }
 
     /// Screens one landed update against the guard policy, mutating it in
@@ -432,7 +402,7 @@ impl ServerCore {
             // norms lets a magnitude attack inflate the aggregate — and the
             // EWMA with it — a little every round, compounding into a
             // frozen, blown-up model.) Sequential f64 fold: bit-identical
-            // for every kernel/thread count by construction.
+            // for every SIMD lane by construction.
             let norm = weights
                 .iter()
                 .zip(self.global.iter())
@@ -741,8 +711,8 @@ impl InflightTable {
     /// Advances one client's compute→upload state machine for a completion.
     ///
     /// On a compute completion this *joins* the training job launched at
-    /// dispatch (running it now if the inline mode is active or no worker
-    /// got to it), takes the trained weights through the uplink codec in
+    /// dispatch (running it now if the job cap is 0 or no worker got to
+    /// it), takes the trained weights through the uplink codec in
     /// the vector they arrived in (charging the *actual* uplink payload)
     /// and schedules the upload arrival; on the
     /// arrival it hands the update back to the strategy, after the
@@ -806,7 +776,7 @@ impl InflightTable {
             }
             ClientPhase::Computing(info) => {
                 // Dropped mid-compute: the dispatch-time job is wasted work.
-                core.speculation.discards += u64::from(info.handle.discard());
+                core.abandon(info);
                 self.client_of.remove(&d.gen);
                 PhaseEvent::Lost { lane: d.lane }
             }
@@ -826,7 +796,7 @@ impl InflightTable {
         let d = self.by_client.remove(&client)?;
         debug_assert_eq!(d.gen, gen);
         if let ClientPhase::Computing(info) = d.phase {
-            core.speculation.discards += u64::from(info.handle.discard());
+            core.abandon(info);
         }
         Some(TimedOut {
             client,
@@ -836,38 +806,37 @@ impl InflightTable {
     }
 }
 
-/// Builds the strategy object for a config, running under `exec` — the
-/// per-run execution context resolved once by the caller (see
-/// [`crate::exec::ExecCtx::resolve`]).
+/// Builds the strategy object for a config. It reads the job cap of the
+/// kernel overlay installed on the calling thread — the run's (see
+/// [`crate::exec::resolve`]).
 pub fn build_strategy(
     task: Arc<FedTask>,
     cfg: &ExperimentConfig,
     fleet: &fedat_sim::Fleet,
-    exec: ExecCtx,
 ) -> Box<dyn Strategy> {
     use arrival::ArrivalServer;
     use round::RoundServer;
     match cfg.strategy {
-        StrategyKind::FedAvg => Box::new(RoundServer::new(task, cfg, sync::FedAvg, exec)),
+        StrategyKind::FedAvg => Box::new(RoundServer::new(task, cfg, sync::FedAvg)),
         StrategyKind::FedProx => {
             let policy = sync::FedProx::new(cfg, fleet);
-            Box::new(RoundServer::new(task, cfg, policy, exec))
+            Box::new(RoundServer::new(task, cfg, policy))
         }
         StrategyKind::TiFL => {
             let policy = tifl::Tifl::new(cfg, fleet);
-            Box::new(RoundServer::new(task, cfg, policy, exec))
+            Box::new(RoundServer::new(task, cfg, policy))
         }
         StrategyKind::FedAt => {
             let policy = fedat::FedAt::new(&task, cfg, fleet);
-            Box::new(RoundServer::new(task, cfg, policy, exec))
+            Box::new(RoundServer::new(task, cfg, policy))
         }
         StrategyKind::FedAsync => {
             let mixer = mixers::FedAsync::new(cfg);
-            Box::new(ArrivalServer::new(task, cfg, mixer, exec))
+            Box::new(ArrivalServer::new(task, cfg, mixer))
         }
         StrategyKind::AsoFed => {
             let mixer = mixers::AsoFed::new(&task, cfg);
-            Box::new(ArrivalServer::new(task, cfg, mixer, exec))
+            Box::new(ArrivalServer::new(task, cfg, mixer))
         }
     }
 }

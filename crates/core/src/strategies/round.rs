@@ -17,7 +17,6 @@
 
 use crate::aggregate::{aggregate_clients_into, AggRule};
 use crate::config::ExperimentConfig;
-use crate::exec::ExecCtx;
 use crate::strategies::{
     dispatchable, earliest_return, log_fault, Finished, InflightTable, PhaseEvent, ServerCore,
     Strategy, TimedOut, REVIVE_BIT,
@@ -220,10 +219,10 @@ pub struct RoundServer<P: RoundPolicy> {
 impl<P: RoundPolicy> RoundServer<P> {
     /// Builds the server around `policy`. The update budget is
     /// `cfg.rounds` global updates, evaluated every `cfg.eval_every`.
-    pub fn new(task: Arc<FedTask>, cfg: &ExperimentConfig, policy: P, exec: ExecCtx) -> Self {
+    pub fn new(task: Arc<FedTask>, cfg: &ExperimentConfig, policy: P) -> Self {
         let lanes = policy.lanes();
         RoundServer {
-            core: ServerCore::new(task, cfg, exec, cfg.rounds, cfg.eval_every),
+            core: ServerCore::new(task, cfg, cfg.rounds, cfg.eval_every),
             policy,
             inflight: InflightTable::new(),
             lanes: (0..lanes).map(|_| Lane::default()).collect(),
@@ -489,7 +488,7 @@ mod tests {
         cfg: &ExperimentConfig,
         fleet: &Fleet,
     ) -> (u64, u64, u64) {
-        let mut s = RoundServer::new(Arc::clone(task), cfg, policy, ExecCtx::resolve(cfg));
+        let mut s = RoundServer::new(Arc::clone(task), cfg, policy);
         run(&mut s, fleet, cfg.seed, RunLimits::default());
         let transport = &s.core.transport;
         (

@@ -141,7 +141,7 @@ fn charges_match_the_wire_format(kind: CodecKind) {
         .cluster(cluster)
         .build();
     let at_each_update = Arc::new(Mutex::new(Vec::new()));
-    let out = run_experiment_with(&task, &cfg, |fleet, exec| {
+    let out = run_experiment_with(&task, &cfg, |fleet| {
         let tiers = TierAssignment::profile(fleet, 3, cfg.local_epochs);
         let down_kind = if is_delta_family(kind) {
             CodecKind::None
@@ -162,7 +162,7 @@ fn charges_match_the_wire_format(kind: CodecKind) {
             sent: (0, 0),
             at_each_update: Arc::clone(&at_each_update),
         };
-        Box::new(RoundServer::new(Arc::clone(&task), &cfg, books, exec))
+        Box::new(RoundServer::new(Arc::clone(&task), &cfg, books))
     });
     let expected = at_each_update.lock().unwrap();
     assert_eq!(out.global_updates, 12);

@@ -190,30 +190,32 @@ fn timeout_paths_are_bit_identical_across_exec_modes_and_workers() {
         "scenario no longer exercises the timeout path: {:?}",
         base.fault_counters
     );
-    for mode in [ExecMode::Speculative, ExecMode::Inline] {
-        for workers in [1usize, 2, 4, 8] {
-            let out = run_with(mode, workers);
-            assert_eq!(
-                out.final_weights, base.final_weights,
-                "weights diverged under {mode:?} with {workers} workers"
-            );
-            assert_eq!(
-                out.fault_counters, base.fault_counters,
-                "fault counters diverged under {mode:?} with {workers} workers"
-            );
-            assert_eq!(
-                out.faults, base.faults,
-                "fault log diverged under {mode:?} with {workers} workers"
-            );
-            assert_eq!(out.report.end_time, base.report.end_time);
-            assert_eq!(out.trace.points.len(), base.trace.points.len());
-            for (p, q) in out.trace.points.iter().zip(base.trace.points.iter()) {
-                assert_eq!(p.accuracy, q.accuracy);
-                assert_eq!(p.loss, q.loss);
-                assert_eq!(p.time, q.time);
-                assert_eq!(p.up_bytes, q.up_bytes);
-                assert_eq!(p.down_bytes, q.down_bytes);
-            }
+    let rows = [1usize, 2, 4, 8]
+        .map(|workers| (ExecMode::Speculative, workers))
+        .into_iter()
+        .chain([(ExecMode::Inline, 1)]);
+    for (mode, workers) in rows {
+        let out = run_with(mode, workers);
+        assert_eq!(
+            out.final_weights, base.final_weights,
+            "weights diverged under {mode:?} with {workers} workers"
+        );
+        assert_eq!(
+            out.fault_counters, base.fault_counters,
+            "fault counters diverged under {mode:?} with {workers} workers"
+        );
+        assert_eq!(
+            out.faults, base.faults,
+            "fault log diverged under {mode:?} with {workers} workers"
+        );
+        assert_eq!(out.report.end_time, base.report.end_time);
+        assert_eq!(out.trace.points.len(), base.trace.points.len());
+        for (p, q) in out.trace.points.iter().zip(base.trace.points.iter()) {
+            assert_eq!(p.accuracy, q.accuracy);
+            assert_eq!(p.loss, q.loss);
+            assert_eq!(p.time, q.time);
+            assert_eq!(p.up_bytes, q.up_bytes);
+            assert_eq!(p.down_bytes, q.down_bytes);
         }
     }
 }

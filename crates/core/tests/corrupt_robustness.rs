@@ -353,24 +353,26 @@ fn guarded_corruption_is_bit_identical_across_exec_modes_and_workers() {
         "scenario no longer exercises the guard: {:?}",
         base.fault_counters
     );
-    for mode in [ExecMode::Speculative, ExecMode::Inline] {
+    let rows = [1usize, 2, 4, 8]
+        .map(|workers| (ExecMode::Speculative, workers))
+        .into_iter()
+        .chain([(ExecMode::Inline, 1)]);
+    for (mode, workers) in rows {
         for kernel in [SimdKernel::Auto, SimdKernel::Scalar] {
-            for workers in [1usize, 2, 4, 8] {
-                let out = run_with(mode, kernel, workers);
-                assert_eq!(
-                    out.final_weights, base.final_weights,
-                    "weights diverged under {mode:?}/{kernel:?}/{workers} workers"
-                );
-                assert_eq!(
-                    out.fault_counters, base.fault_counters,
-                    "fault counters diverged under {mode:?}/{kernel:?}/{workers} workers"
-                );
-                assert_eq!(
-                    out.faults, base.faults,
-                    "fault log diverged under {mode:?}/{kernel:?}/{workers} workers"
-                );
-                assert_eq!(out.report.end_time, base.report.end_time);
-            }
+            let out = run_with(mode, kernel, workers);
+            assert_eq!(
+                out.final_weights, base.final_weights,
+                "weights diverged under {mode:?}/{kernel:?}/{workers} workers"
+            );
+            assert_eq!(
+                out.fault_counters, base.fault_counters,
+                "fault counters diverged under {mode:?}/{kernel:?}/{workers} workers"
+            );
+            assert_eq!(
+                out.faults, base.faults,
+                "fault log diverged under {mode:?}/{kernel:?}/{workers} workers"
+            );
+            assert_eq!(out.report.end_time, base.report.end_time);
         }
     }
 }

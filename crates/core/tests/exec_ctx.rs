@@ -1,16 +1,16 @@
-//! Per-run execution contexts: concurrent experiments with *different*
+//! Per-run execution settings: concurrent experiments with *different*
 //! exec modes and kernel settings must not cross-talk.
 //!
-//! `run_experiment_shared` resolves an [`fedat_core::exec::ExecCtx`] once
-//! from config + environment and installs it as a per-thread overlay that
-//! follows the run across every thread-crossing point (speculative
-//! training jobs, pipelined evals, fork-join kernel regions); there is no
+//! `run_experiment_shared` resolves a kernel overlay
+//! ([`fedat_core::exec::resolve`]) once from config + environment and
+//! installs it on the calling thread; every job the run submits (training,
+//! pipelined evals) carries it to the thread that runs it. There is no
 //! process-global mutable configuration or counter behind a run. These
-//! tests pin that property: N concurrent runs, each under a different
-//! context, each bit-identical to its own serial counterpart and each
+//! tests pin that property: N concurrent runs, each under different
+//! settings, each bit-identical to its own serial counterpart and each
 //! reporting exactly its own `Outcome::speculation`.
 
-use fedat_core::exec::{ExecCtx, ExecMode};
+use fedat_core::exec::{self, ExecMode};
 use fedat_core::{run_experiment, ExperimentConfig, Outcome, StrategyKind};
 use fedat_data::suite;
 use fedat_sim::fleet::ClusterConfig;
@@ -56,7 +56,7 @@ fn assert_same(label: &str, a: &Outcome, b: &Outcome) {
     }
 }
 
-/// The four contexts of the grid: {Speculative, Inline} × {Auto, Scalar}.
+/// The four settings of the grid: {Speculative, Inline} × {Auto, Scalar}.
 const COMBOS: [(ExecMode, SimdKernel, &str); 4] = [
     (ExecMode::Speculative, SimdKernel::Auto, "spec/auto"),
     (ExecMode::Speculative, SimdKernel::Scalar, "spec/scalar"),
@@ -202,26 +202,54 @@ fn resolve_layers_config_over_the_thread_overlay() {
     use fedat_tensor::ctx::{self, KernelCtx};
     let _g = ctx::install(KernelCtx {
         simd: SimdKernel::Scalar,
-        max_threads: 3,
         max_pool_jobs: 5,
     });
-    let inherited = ExecCtx::resolve(&ExperimentConfig::builder().build());
-    assert_eq!(inherited.kernels, ctx::snapshot());
-    assert_eq!(inherited.mode, fedat_core::exec::default_exec_mode());
+    let inherited = exec::resolve(&ExperimentConfig::builder().build());
+    let default_cap = match exec::default_exec_mode() {
+        ExecMode::Speculative => 5,
+        ExecMode::Inline => 0,
+    };
+    assert_eq!(
+        inherited,
+        KernelCtx {
+            max_pool_jobs: default_cap,
+            ..ctx::snapshot()
+        }
+    );
 
     let cfg = ExperimentConfig::builder()
-        .exec_mode(ExecMode::Inline)
+        .exec_mode(ExecMode::Speculative)
         .simd_kernel(SimdKernel::Auto)
-        .max_threads(0) // clamped to 1
         .build();
-    let resolved = ExecCtx::resolve(&cfg);
-    assert_eq!(resolved.mode, ExecMode::Inline, "config must win");
-    assert_eq!(resolved.kernels.simd, SimdKernel::Auto, "config must win");
-    assert_eq!(resolved.kernels.max_threads, 1, "zero clamps to one");
+    let resolved = exec::resolve(&cfg);
+    assert_eq!(resolved.simd, SimdKernel::Auto, "config must win");
     assert_eq!(
-        resolved.kernels.max_pool_jobs, 5,
+        resolved.max_pool_jobs, 5,
         "untouched fields keep the enclosing overlay"
     );
+}
+
+#[test]
+fn inline_is_the_job_cap_of_zero() {
+    let cfg = ExperimentConfig::builder()
+        .exec_mode(ExecMode::Inline)
+        .max_pool_jobs(4)
+        .build();
+    assert_eq!(exec::resolve(&cfg).max_pool_jobs, 0, "Inline beats the cap");
+
+    // And a run cannot tell the two spellings apart: every field of the
+    // outcome, speculation included, is the same.
+    let n = 14;
+    let task = suite::sent140_like(n, 29);
+    let inline = dropout_cfg(ExecMode::Inline, n, 29);
+    let mut cap_zero = dropout_cfg(ExecMode::Speculative, n, 29);
+    cap_zero.exec.max_pool_jobs = Some(0);
+    let (a, b) = (
+        run_experiment(&task, &inline),
+        run_experiment(&task, &cap_zero),
+    );
+    assert_eq!(a.speculation, Default::default());
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
 #[test]
@@ -230,7 +258,7 @@ fn one_selector_names_each_lane_and_rides_into_pool_jobs() {
     // What each selector value dispatches to, whatever `FEDAT_SIMD` says.
     let named = |simd: SimdKernel| {
         let cfg = ExperimentConfig::builder().simd_kernel(simd).build();
-        let _g = ExecCtx::resolve(&cfg).enter();
+        let _g = fedat_tensor::ctx::install(exec::resolve(&cfg));
         backend_name()
     };
     assert!(["avx2+fma", "portable"].contains(&named(SimdKernel::Auto)));
@@ -242,7 +270,7 @@ fn one_selector_names_each_lane_and_rides_into_pool_jobs() {
     let cfg = ExperimentConfig::builder()
         .simd_kernel(SimdKernel::Portable)
         .build();
-    let _g = ExecCtx::resolve(&cfg).enter();
+    let _g = fedat_tensor::ctx::install(exec::resolve(&cfg));
     fedat_tensor::pool::ensure_workers(1);
     let job = fedat_tensor::pool::submit(|| (fedat_tensor::simd::simd_kernel(), backend_name()));
     assert_eq!(job.join(), (SimdKernel::Portable, "portable"));

@@ -86,17 +86,19 @@ fn fedasync_inflight_bookkeeping_is_order_blind() {
 
     // …and invariant across everything that would perturb map iteration
     // timing if any access were order-sensitive.
-    for mode in [ExecMode::Speculative, ExecMode::Inline] {
-        for workers in [1usize, 2, 8] {
-            let out = run_with(mode, workers);
-            assert_eq!(
-                fingerprint(&out),
-                fingerprint(&base),
-                "FedAsync diverged under {mode:?} with {workers} workers"
-            );
-            assert_eq!(out.final_weights, base.final_weights);
-            assert_eq!(out.per_client_accuracy, base.per_client_accuracy);
-            assert_eq!(out.trace.points.len(), base.trace.points.len());
-        }
+    let rows = [1usize, 2, 8]
+        .map(|workers| (ExecMode::Speculative, workers))
+        .into_iter()
+        .chain([(ExecMode::Inline, 1)]);
+    for (mode, workers) in rows {
+        let out = run_with(mode, workers);
+        assert_eq!(
+            fingerprint(&out),
+            fingerprint(&base),
+            "FedAsync diverged under {mode:?} with {workers} workers"
+        );
+        assert_eq!(out.final_weights, base.final_weights);
+        assert_eq!(out.per_client_accuracy, base.per_client_accuracy);
+        assert_eq!(out.trace.points.len(), base.trace.points.len());
     }
 }

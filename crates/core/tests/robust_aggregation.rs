@@ -2,17 +2,18 @@
 //!
 //! The guard layer's bit-identity contract says the aggregate is a pure
 //! function of the landed updates' *values* in virtual time — so
-//! `TrimmedMean` and `CoordinateMedian` must return the same bits for any
-//! kernel-pool width, and (because the per-coordinate sort imposes a total
-//! order) must not care in which order the cohort's updates arrived.
+//! `TrimmedMean` and `CoordinateMedian` must return the same bits on any
+//! thread, however many run them at once, and (because the per-coordinate
+//! sort imposes a total order) must not care in which order the cohort's
+//! updates arrived.
 
 use fedat_core::aggregate::{aggregate_clients_into, AggRule};
-use fedat_tensor::ctx::{self, KernelCtx};
 use fedat_tensor::ops::AGG_SHARD;
 use fedat_tensor::pool;
 use fedat_tensor::rng::rng_for;
 use proptest::prelude::*;
 use rand::RngExt;
+use std::sync::Arc;
 
 /// Deterministic pseudo-random cohort: `k` client models of `dim`
 /// coordinates with non-uniform sample counts, including the occasional
@@ -45,8 +46,8 @@ fn reduce(rule: AggRule, updates: &[(Vec<f32>, usize)]) -> Vec<f32> {
     out
 }
 
-/// Both robust rules return the same finite bits at every kernel-pool
-/// width for one generated cohort.
+/// Both robust rules return the same finite bits for one generated cohort
+/// on this thread and as 1, 2, 4 and 8 concurrent pool jobs.
 fn assert_worker_count_invariant(
     dim: usize,
     k: usize,
@@ -54,27 +55,29 @@ fn assert_worker_count_invariant(
     frac: f64,
 ) -> Result<(), TestCaseError> {
     pool::ensure_workers(8);
-    let updates = cohort(dim, k, seed);
+    let updates = Arc::new(cohort(dim, k, seed));
     for rule in [AggRule::TrimmedMean { frac }, AggRule::CoordinateMedian] {
         let base = reduce(rule, &updates);
         prop_assert_eq!(base.len(), dim);
         prop_assert!(base.iter().all(|v| v.is_finite()));
         for workers in [1usize, 2, 4, 8] {
-            let _g = ctx::install(KernelCtx {
-                max_threads: workers,
-                ..ctx::snapshot()
-            });
-            let out = reduce(rule, &updates);
-            prop_assert_eq!(&out, &base, "{:?} diverged at {} workers", rule, workers);
+            let jobs: Vec<pool::JobHandle<Vec<f32>>> = (0..workers)
+                .map(|_| {
+                    let updates = Arc::clone(&updates);
+                    pool::submit(move || reduce(rule, &updates))
+                })
+                .collect();
+            for out in jobs.into_iter().map(pool::JobHandle::join) {
+                prop_assert_eq!(&out, &base, "{:?} diverged at {} workers", rule, workers);
+            }
         }
     }
     Ok(())
 }
 
-/// The kernel shards the model dimension in `AGG_SHARD` chunks and only
-/// fans out once there is more than one: these dimensions span three and
-/// four shards with a ragged tail, so the worker counts really differ in
-/// how the shards are spread (the property below stays inside one shard).
+/// The kernel walks the model dimension in `AGG_SHARD` chunks: these
+/// dimensions span three and four shards with a ragged tail (the property
+/// below stays inside one shard).
 #[test]
 fn robust_rules_are_bit_identical_across_worker_counts_over_several_shards() {
     for (dim, k, seed, frac) in [

@@ -33,9 +33,8 @@ fn run_strategy(
         .without_dropouts();
     let c = cfg(strategy, rounds, seed, cluster.clone());
     let fleet = Fleet::new(&cluster, task.fed.client_sizes());
-    let exec = fedat_core::exec::ExecCtx::resolve(&c);
-    let _overlay = exec.enter();
-    let mut s = build_strategy(Arc::new(task.clone()), &c, &fleet, exec);
+    let _overlay = fedat_tensor::ctx::install(fedat_core::exec::resolve(&c));
+    let mut s = build_strategy(Arc::new(task.clone()), &c, &fleet);
     {
         let h: &mut dyn EventHandler = &mut *s;
         run(h, &fleet, seed, RunLimits::default());
@@ -201,10 +200,10 @@ fn total_dropout_starves_but_terminates() {
 
 #[test]
 fn fedat_trace_is_bit_identical_across_aggregation_thread_counts() {
-    // The parallel server path — sharded aggregation, pooled streaming
-    // evaluation, per-client sweeps — must be invisible to results: the
-    // whole accuracy/loss/time trace, the final weights and the per-client
-    // accuracies are pinned bitwise across kernel thread counts.
+    // Where the work runs must be invisible to results: the whole
+    // accuracy/loss/time trace, the final weights and the per-client
+    // accuracies are pinned bitwise across pool worker counts, the inline
+    // mode and the SIMD lanes.
     let n = 15;
     let task = suite::cifar10_like(n, 2, 23);
     let cluster = ClusterConfig::paper_medium(23)
@@ -219,69 +218,42 @@ fn fedat_trace_is_bit_identical_across_aggregation_thread_counts() {
         c.exec = exec;
         fedat_core::run_experiment(&task, &c)
     };
-    let run_at = |threads: usize| {
-        run_with(ExecOverrides {
-            max_threads: Some(threads),
-            ..ExecOverrides::default()
-        })
-    };
-    let base = run_at(1);
+    let base = run_with(ExecOverrides::default());
     assert!(!base.trace.points.is_empty());
-    for threads in [2usize, 4, 8] {
-        let out = run_at(threads);
+    // The speculative executor must be invisible: the whole trace is
+    // pinned across pool-worker counts {1, 2, 4, 8} and the inline mode.
+    // Workers are grown explicitly so the sweep is real even on
+    // single-core hosts, and the job cap emulates the smaller counts;
+    // neither can change a bit because training jobs are pure and virtual
+    // time never observes where they ran.
+    use fedat_core::exec::ExecMode;
+    fedat_tensor::pool::ensure_workers(8);
+    let rows = [1usize, 2, 4, 8]
+        .map(|workers| (ExecMode::Speculative, workers))
+        .into_iter()
+        .chain([(ExecMode::Inline, 1)]);
+    for (mode, workers) in rows {
+        let out = run_with(ExecOverrides {
+            mode: Some(mode),
+            // "W workers" = the joining main thread + W−1 pool helpers.
+            max_pool_jobs: Some(workers - 1),
+            ..ExecOverrides::default()
+        });
         assert_eq!(
             out.final_weights, base.final_weights,
-            "final weights diverged at {threads} threads"
+            "final weights diverged under {mode:?} with {workers} workers"
         );
-        assert_eq!(
-            out.per_client_accuracy, base.per_client_accuracy,
-            "per-client sweep diverged at {threads} threads"
-        );
+        assert_eq!(out.per_client_accuracy, base.per_client_accuracy);
         assert_eq!(out.trace.points.len(), base.trace.points.len());
         for (p, q) in out.trace.points.iter().zip(base.trace.points.iter()) {
             assert_eq!(
                 p.accuracy, q.accuracy,
-                "accuracy diverged at {threads} threads"
+                "accuracy diverged under {mode:?} with {workers} workers"
             );
-            assert_eq!(p.loss, q.loss, "loss diverged at {threads} threads");
+            assert_eq!(p.loss, q.loss);
             assert_eq!(p.time, q.time);
             assert_eq!(p.up_bytes, q.up_bytes);
-        }
-    }
-    // The speculative executor must be equally invisible: the whole trace
-    // is pinned across ExecMode::{Speculative, Inline} × pool-worker
-    // counts {1, 2, 4, 8}. Workers are grown explicitly so the sweep is
-    // real even on single-core hosts, and the job cap emulates the smaller
-    // counts; neither can change a bit because training jobs are pure and
-    // virtual time never observes where they ran.
-    {
-        use fedat_core::exec::ExecMode;
-        fedat_tensor::pool::ensure_workers(8);
-        for mode in [ExecMode::Speculative, ExecMode::Inline] {
-            for workers in [1usize, 2, 4, 8] {
-                let out = run_with(ExecOverrides {
-                    mode: Some(mode),
-                    // "W workers" = the joining main thread + W−1 pool helpers.
-                    max_pool_jobs: Some(workers - 1),
-                    ..ExecOverrides::default()
-                });
-                assert_eq!(
-                    out.final_weights, base.final_weights,
-                    "final weights diverged under {mode:?} with {workers} workers"
-                );
-                assert_eq!(out.per_client_accuracy, base.per_client_accuracy);
-                assert_eq!(out.trace.points.len(), base.trace.points.len());
-                for (p, q) in out.trace.points.iter().zip(base.trace.points.iter()) {
-                    assert_eq!(
-                        p.accuracy, q.accuracy,
-                        "accuracy diverged under {mode:?} with {workers} workers"
-                    );
-                    assert_eq!(p.loss, q.loss);
-                    assert_eq!(p.time, q.time);
-                    assert_eq!(p.up_bytes, q.up_bytes);
-                    assert_eq!(p.down_bytes, q.down_bytes);
-                }
-            }
+            assert_eq!(p.down_bytes, q.down_bytes);
         }
     }
     // The SIMD micro-kernel layer must be equally invisible: the whole
@@ -360,10 +332,11 @@ fn speculative_dropout_discards_are_trace_invisible() {
 #[test]
 fn fedasync_mixing_is_bit_identical_across_simd_and_threads() {
     // FedAsync's server mixing (`lerp_into` over the full model on every
-    // arrival) runs sharded on the kernel pool with the vectorized inner
-    // loop: neither the SIMD kernel nor the thread count may change a bit
-    // of the trace or the final model.
+    // arrival) runs a vectorized loop on the event-loop thread while the
+    // clients train on pool workers: neither the SIMD kernel nor the
+    // worker count may change a bit of the trace or the final model.
     use fedat_tensor::simd::SimdKernel;
+    fedat_tensor::pool::ensure_workers(4);
     let n = 12;
     let task = suite::sent140_like(n, 31);
     let cluster = ClusterConfig::paper_medium(31)
@@ -373,7 +346,8 @@ fn fedasync_mixing_is_bit_identical_across_simd_and_threads() {
     let run_with = |kernel: SimdKernel, threads: usize| {
         let mut c = c.clone();
         c.exec.simd = Some(kernel);
-        c.exec.max_threads = Some(threads);
+        // `threads` = the event-loop thread + `threads − 1` pool workers.
+        c.exec.max_pool_jobs = Some(threads - 1);
         fedat_core::run_experiment(&task, &c)
     };
     let base = run_with(SimdKernel::Auto, 1);

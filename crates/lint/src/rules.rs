@@ -2,7 +2,7 @@
 //!
 //! Every rule is a pure function over the lexed lines of one file plus its
 //! workspace classification. Rules report *raw* findings; the driver in
-//! [`crate::lint_lines`] then matches them against `lint: allow(..)`
+//! [`crate::lint_source`] then matches them against `lint: allow(..)`
 //! suppressions found on the same line or in the contiguous comment block
 //! above.
 

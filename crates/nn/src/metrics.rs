@@ -1,15 +1,13 @@
-//! Batched evaluation helpers: the serial [`evaluate_batched`] sweep and
-//! the pool-backed [`StreamingEvaluator`].
+//! Batched evaluation helpers: the [`evaluate_batched`] sweep and the
+//! [`StreamingEvaluator`] that runs it on a thread-cached model.
 
 use crate::layer::Mode;
 use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::model::{EvalResult, Model};
 use crate::models::{with_cached_model, ModelSpec};
-use fedat_tensor::{parallel, Tensor};
+use fedat_tensor::Tensor;
 
-/// Evaluates rows `[start, end)` of `(x, y)` as one mini-batch — the shared
-/// per-batch kernel of [`evaluate_batched`] and [`StreamingEvaluator`], so
-/// the serial and pooled paths are per-batch bit-identical.
+/// Evaluates rows `[start, end)` of `(x, y)` as one mini-batch.
 fn eval_rows(model: &mut dyn Model, x: &Tensor, y: &[u32], start: usize, end: usize) -> EvalResult {
     let (rows, cols) = x.shape().as_matrix();
     let targets_per_row = y.len() / rows;
@@ -60,21 +58,13 @@ pub fn evaluate_batched(
     total
 }
 
-/// A reusable streaming evaluator: a fixed mini-batch partition whose
-/// per-batch results land in recycled slots, merged in batch order.
-///
-/// Batches are fanned out across the kernel pool and each worker evaluates
-/// on its own thread-cached model instance.
-/// The batch partition and the merge order are functions of the batch size
-/// alone — never of the thread count — so the result is bit-identical to
-/// the serial [`evaluate_batched`] sweep for any fan-out.
+/// A reusable streaming evaluator: [`evaluate_batched`] in fixed
+/// mini-batches of `batch` rows on the calling thread's cached model
+/// instance ([`with_cached_model`]), so evaluating costs no model build.
 pub struct StreamingEvaluator {
     spec: ModelSpec,
     seed: u64,
     batch: usize,
-    /// Reusable per-batch result slots, 3 floats each: loss, accuracy,
-    /// count (counts are small integers, exactly representable).
-    slots: Vec<f32>,
 }
 
 impl StreamingEvaluator {
@@ -84,58 +74,19 @@ impl StreamingEvaluator {
     /// Panics if `batch` is zero.
     pub fn new(spec: ModelSpec, seed: u64, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be positive");
-        StreamingEvaluator {
-            spec,
-            seed,
-            batch,
-            slots: Vec::new(),
-        }
+        StreamingEvaluator { spec, seed, batch }
     }
 
     /// Loss/accuracy of `weights` over `(x, y)`.
     pub fn evaluate(&mut self, weights: &[f32], x: &Tensor, y: &[u32]) -> EvalResult {
-        let (rows, cols) = x.shape().as_matrix();
-        assert_eq!(
-            y.len() % rows.max(1),
-            0,
-            "targets must be a whole multiple of rows"
-        );
+        let (rows, _) = x.shape().as_matrix();
         if rows == 0 {
             return EvalResult::default();
         }
-        let batch = self.batch;
-        let n_batches = rows.div_ceil(batch);
-        self.slots.clear();
-        self.slots.resize(3 * n_batches, 0.0);
-        let spec = &self.spec;
-        let seed = self.seed;
-        // Rough forward cost per batch (two f32 ops per weight would need
-        // the model dimension; the input volume is a usable lower bound).
-        let threads = parallel::plan_threads(n_batches, 4 * batch * cols);
-        parallel::for_each_row_band(&mut self.slots, 3, threads, |first_batch, band| {
-            with_cached_model(spec, seed, |model| {
-                model.set_weights(weights);
-                for (i, slot) in band.chunks_mut(3).enumerate() {
-                    let b = first_batch + i;
-                    let start = b * batch;
-                    let end = ((b + 1) * batch).min(rows);
-                    let r = eval_rows(model, x, y, start, end);
-                    slot[0] = r.loss;
-                    slot[1] = r.accuracy;
-                    slot[2] = r.count as f32;
-                }
-            });
-        });
-        // Serial merge in batch order — identical to the serial sweep.
-        let mut total = EvalResult::default();
-        for slot in self.slots.chunks(3) {
-            total = total.merge(EvalResult {
-                loss: slot[0],
-                accuracy: slot[1],
-                count: slot[2] as usize,
-            });
-        }
-        total
+        with_cached_model(&self.spec, self.seed, |model| {
+            model.set_weights(weights);
+            evaluate_batched(model, x, y, self.batch)
+        })
     }
 }
 
@@ -178,18 +129,12 @@ mod tests {
         model.set_weights(&weights);
         let serial = evaluate_batched(model.as_mut(), &x, &y, 32);
         let mut streaming = StreamingEvaluator::new(spec, 3, 32);
-        for threads in [1usize, 2, 4, 8] {
-            let _g = fedat_tensor::ctx::install(fedat_tensor::ctx::KernelCtx {
-                max_threads: threads,
-                ..fedat_tensor::ctx::snapshot()
-            });
-            let pooled = streaming.evaluate(&weights, &x, &y);
-            assert_eq!(
-                serial.loss, pooled.loss,
-                "loss diverged at {threads} threads"
-            );
-            assert_eq!(serial.accuracy, pooled.accuracy);
-            assert_eq!(serial.count, pooled.count);
+        // Twice: the second pass reuses the thread's cached model.
+        for _ in 0..2 {
+            let cached = streaming.evaluate(&weights, &x, &y);
+            assert_eq!(serial.loss, cached.loss);
+            assert_eq!(serial.accuracy, cached.accuracy);
+            assert_eq!(serial.count, cached.count);
         }
     }
 

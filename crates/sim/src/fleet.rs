@@ -295,21 +295,11 @@ impl Fleet {
         out
     }
 
-    /// Clients alive at `time`, without allocating.
-    pub fn alive_iter(&self, time: f64) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len()).filter(move |&c| self.is_alive(c, time))
-    }
-
-    /// Fills `out` with the clients alive at `time` (reusable-buffer form
-    /// of [`Fleet::alive_at`] for hot callers).
-    pub fn alive_into(&self, time: f64, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(self.alive_iter(time));
-    }
-
     /// Clients alive at `time`.
     pub fn alive_at(&self, time: f64) -> Vec<usize> {
-        self.alive_iter(time).collect()
+        (0..self.len())
+            .filter(|&c| self.is_alive(c, time))
+            .collect()
     }
 
     /// Response latency of one training round (compute + injected delay).
@@ -561,12 +551,6 @@ mod tests {
         // overlap between the two sets merges intervals, reducing counts).
         assert!(downs >= ups);
         assert!(ups >= 3);
-        // alive_into matches alive_at everywhere.
-        let mut buf = Vec::new();
-        for &(t, _, _) in &tx {
-            f.alive_into(t, &mut buf);
-            assert_eq!(buf, f.alive_at(t));
-        }
     }
 
     #[test]

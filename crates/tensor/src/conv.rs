@@ -1,7 +1,7 @@
 //! Convolution and pooling kernels (NCHW layout) via im2col.
 //!
 //! Sized for the reproduction's `cnn_lite` models: correctness and
-//! determinism first, with the matmul stage reusing the parallel kernels in
+//! determinism first, with the matmul stage reusing the kernels in
 //! [`crate::ops`] — and therefore the SIMD micro-kernel layer
 //! ([`crate::simd`]) backing them.
 

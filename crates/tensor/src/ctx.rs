@@ -1,30 +1,27 @@
 //! Kernel configuration: one immutable default plus a per-thread overlay —
 //! the mechanism behind per-run execution contexts.
 //!
-//! The three kernel settings of this crate ([`crate::simd::SimdKernel`], the
-//! [`crate::parallel`] thread cap and the [`crate::pool`] job cap) have no
-//! process-global *mutable* state. Each getter reads the thread-local
-//! [`KernelCtx`] overlay when one is installed and the immutable process
-//! defaults otherwise, so two concurrent experiment runs — or two tests in
-//! one binary — can never read each other's settings. To scope a setting,
+//! The two kernel settings of this crate ([`crate::simd::SimdKernel`] and
+//! the [`crate::pool`] job cap) have no process-global *mutable* state.
+//! Each getter reads the thread-local [`KernelCtx`] overlay when one is
+//! installed and the immutable process defaults otherwise, so two
+//! concurrent experiment runs — or two tests in one binary — can never
+//! read each other's settings. To scope a setting,
 //! install an overlay:
 //!
 //! ```
 //! use fedat_tensor::ctx::{self, KernelCtx};
-//! let _g = ctx::install(KernelCtx { max_threads: 8, ..ctx::snapshot() });
-//! assert_eq!(fedat_tensor::parallel::max_threads(), 8);
+//! let _g = ctx::install(KernelCtx { max_pool_jobs: 0, ..ctx::snapshot() });
+//! assert_eq!(fedat_tensor::pool::max_pool_jobs(), 0);
 //! ```
 //!
 //! ## Propagation
 //!
 //! The overlay is thread-local, so it must travel with work that hops
-//! threads. Both thread-crossing paths in this crate propagate it
-//! automatically, capturing the submitter's overlay at publication time and
-//! installing it around execution (worker-side *and* steal-on-join):
-//!
-//! * [`crate::pool::submit`] — the runner closure carries the overlay,
-//! * [`crate::pool::run_tasks`] — the batch carries it; every claiming thread
-//!   (workers and the participating caller) installs it in `Batch::work`.
+//! threads. The one thread-crossing path in this crate,
+//! [`crate::pool::submit`], propagates it automatically: the runner closure
+//! captures the submitter's overlay and installs it around execution
+//! (worker-side *and* steal-on-join).
 //!
 //! A `None` overlay propagates too: work submitted from a thread running
 //! on the defaults runs on the defaults wherever it executes, even when the
@@ -35,8 +32,8 @@
 //!
 //! The overlay only selects between kernels that are bit-identical by
 //! construction, so installing or dropping one can never change a result —
-//! it changes which (equivalent) code path computes it, and how many
-//! threads help.
+//! it changes which (equivalent) code path computes it, and on which
+//! thread.
 
 use crate::simd::SimdKernel;
 use std::cell::Cell;
@@ -47,8 +44,6 @@ use std::sync::OnceLock;
 pub struct KernelCtx {
     /// SIMD backend selection ([`crate::simd::simd_kernel`]).
     pub simd: SimdKernel,
-    /// Per-kernel thread cap ([`crate::parallel::max_threads`]); ≥ 1.
-    pub max_threads: usize,
     /// Pool-resident submitted-job cap ([`crate::pool::max_pool_jobs`]);
     /// `usize::MAX` = uncapped.
     pub max_pool_jobs: usize,
@@ -60,8 +55,8 @@ thread_local! {
 }
 
 /// The process defaults, built once and never mutated: `Auto` SIMD (or
-/// `Scalar` under `FEDAT_SIMD=scalar`, the CI scalar lane), serial kernels,
-/// uncapped pool jobs. `FEDAT_SIMD` is read here and nowhere else.
+/// `Scalar` under `FEDAT_SIMD=scalar`, the CI scalar lane) and uncapped
+/// pool jobs. `FEDAT_SIMD` is read here and nowhere else.
 fn defaults() -> KernelCtx {
     static DEFAULTS: OnceLock<KernelCtx> = OnceLock::new();
     *DEFAULTS.get_or_init(|| KernelCtx {
@@ -69,7 +64,6 @@ fn defaults() -> KernelCtx {
             Ok(s) if s.eq_ignore_ascii_case("scalar") => SimdKernel::Scalar,
             _ => SimdKernel::Auto,
         },
-        max_threads: 1,
         max_pool_jobs: usize::MAX,
     })
 }
@@ -118,7 +112,6 @@ mod tests {
     fn sample() -> KernelCtx {
         KernelCtx {
             simd: SimdKernel::Scalar,
-            max_threads: 3,
             max_pool_jobs: 2,
         }
     }
@@ -131,9 +124,9 @@ mod tests {
             assert_eq!(current(), Some(sample()));
             {
                 let mut inner = sample();
-                inner.max_threads = 7;
+                inner.max_pool_jobs = 7;
                 let _b = install(inner);
-                assert_eq!(current().unwrap().max_threads, 7);
+                assert_eq!(current().unwrap().max_pool_jobs, 7);
             }
             assert_eq!(current(), Some(sample()));
         }
@@ -156,26 +149,16 @@ mod tests {
         let _g = install(sample());
         assert_eq!(snapshot(), sample());
         assert_eq!(crate::simd::simd_kernel(), SimdKernel::Scalar);
-        assert_eq!(crate::parallel::max_threads(), 3);
         assert_eq!(crate::pool::max_pool_jobs(), 2);
     }
 
     #[test]
-    fn overlay_crosses_submitted_jobs_and_regions() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+    fn overlay_crosses_submitted_jobs() {
         crate::pool::ensure_workers(2);
         let _g = install(sample());
-        // Submitted job: the worker (or stealing joiner) sees the overlay.
-        let h = crate::pool::submit(|| current().map(|c| c.max_threads));
-        assert_eq!(h.join(), Some(3));
-        // Fork-join region: every participating thread sees the overlay.
-        let misses = AtomicUsize::new(0);
-        crate::pool::run_tasks(8, 2, &|_| {
-            if current() != Some(sample()) {
-                misses.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert_eq!(misses.load(Ordering::Relaxed), 0);
+        // The worker (or stealing joiner) sees the submitter's overlay.
+        let h = crate::pool::submit(current);
+        assert_eq!(h.join(), Some(sample()));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # fedat-tensor — dense f32 tensors with parallel kernels
+//! # fedat-tensor — dense f32 tensors and the job pool
 //!
 //! The numeric substrate of the FedAT reproduction. The paper trains its
 //! models with TensorFlow; this crate provides the minimal, fast, fully
@@ -6,19 +6,18 @@
 //!
 //! * [`Tensor`] — an owned, row-major, dense `f32` tensor of rank ≤ 4,
 //! * [`ops`] — elementwise kernels, three matmul variants (`NN`, `TN`, `NT`),
-//!   reductions, and row softmax, with the large kernels parallelized across
-//!   a scoped thread pool ([`parallel`]),
+//!   reductions, and row softmax,
 //! * [`conv`] — im2col convolution and max-pooling (forward + backward),
+//! * [`pool`] — the persistent worker pool whole jobs (a client's local
+//!   training, an evaluation) run on,
 //! * [`rng`] — seed-splitting utilities so every component of an experiment
 //!   draws from an independent, reproducible stream.
 //!
 //! ## Determinism
 //!
-//! All parallel kernels partition *output* elements across threads, so each
-//! output value is produced by exactly one thread using a fixed serial
-//! reduction order. Results are therefore bit-identical regardless of the
-//! thread count configured via [`ctx::KernelCtx::max_threads`]. Reductions that
-//! would need cross-thread accumulation (e.g. [`Tensor::sum`]) stay serial.
+//! Every kernel runs serially on the thread that calls it, with a fixed
+//! reduction order, so its result does not depend on which thread — the
+//! event loop or a pool worker — runs it.
 //!
 //! The arithmetic inside every kernel lives in [`simd`]: plain loops, and
 //! for the few kernels that need them runtime-detected AVX2+FMA lanes that

@@ -1,11 +1,8 @@
 //! Numeric kernels: elementwise ops, matmul variants, row reductions.
 //!
-//! Matrix kernels are parallelized by sharding output rows across the
-//! kernel pool ([`crate::parallel`]); the arithmetic inside each band runs
-//! on the SIMD micro-kernel layer ([`crate::simd`]), whose backends are
-//! bit-identical by construction.
+//! The arithmetic runs on the SIMD micro-kernel layer ([`crate::simd`]),
+//! whose backends are bit-identical by construction.
 
-use crate::parallel;
 use crate::simd;
 use crate::tensor::Tensor;
 
@@ -16,21 +13,8 @@ use crate::tensor::Tensor;
 
 pub use crate::simd::{axpby, axpy, dist_sq, dot, scale};
 
-/// Linear interpolation `out[i] = (1 - t) * a[i] + t * b[i]`, written into `a`.
-///
-/// This is the FedAsync server mixing step `w ← (1−α)·w + α·w_client`,
-/// which runs over the full model on every client arrival — so like
-/// [`weighted_sum_into`] it shards the model dimension into fixed
-/// [`AGG_SHARD`]-element chunks on the kernel pool with a vectorized inner
-/// loop. The op is elementwise, so chunk boundaries and thread counts can
-/// never change a bit of the result.
-pub fn lerp_into(a: &mut [f32], b: &[f32], t: f32) {
-    assert_eq!(a.len(), b.len(), "lerp length mismatch");
-    let threads = parallel::plan_threads(a.len(), 4);
-    parallel::for_each_chunk(a, AGG_SHARD, threads, |start, chunk| {
-        simd::lerp(chunk, &b[start..start + chunk.len()], t);
-    });
-}
+/// The FedAsync server mixing step `w ← (1−α)·w + α·w_client`, in place.
+pub use crate::simd::lerp as lerp_into;
 
 // ----------------------------------------------------------------------
 // Elementwise tensor ops
@@ -121,17 +105,13 @@ impl Tensor {
 
 /// `C[m,n] += A[m,k] · B[k,n]` on raw row-major slices.
 ///
-/// Output rows are banded across the kernel pool; each band runs the
-/// register-blocked micro-kernel ([`simd::matmul_block`]), which also backs
-/// the TN/NT variants and the im2col conv stage.
+/// Runs the register-blocked micro-kernel ([`simd::matmul_block`]), which
+/// also backs the TN/NT variants and the im2col conv stage.
 pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
     assert_eq!(c.len(), m * n);
-    let threads = parallel::plan_threads(m, 2 * k * n);
-    parallel::for_each_row_band(c, n, threads, |first_row, band| {
-        simd::matmul_block(simd::Lhs::RowMajor(a, k), b, band, first_row, k, n);
-    });
+    simd::matmul_block(simd::Lhs::RowMajor(a, k), b, c, k, n);
 }
 
 /// `C[m,n] += Aᵀ · B` with `A[k,m]`, `B[k,n]`, on raw slices.
@@ -144,10 +124,7 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     assert_eq!(a.len(), k * m);
     assert_eq!(b.len(), k * n);
     assert_eq!(c.len(), m * n);
-    let threads = parallel::plan_threads(m, 2 * k * n);
-    parallel::for_each_row_band(c, n, threads, |first_row, band| {
-        simd::matmul_block(simd::Lhs::ColMajor(a, m), b, band, first_row, k, n);
-    });
+    simd::matmul_block(simd::Lhs::ColMajor(a, m), b, c, k, n);
 }
 
 /// `C[m,n] += A · Bᵀ` with `A[m,k]`, `B[n,k]`, on raw slices.
@@ -160,7 +137,6 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), n * k);
     assert_eq!(c.len(), m * n);
-    let threads = parallel::plan_threads(m, 2 * k * n);
     // bt[p, j] = b[j, p] via the cache-blocked transpose. No zero-fill —
     // the transpose writes every element of the spare capacity exactly once.
     let mut bt = crate::scratch::take_empty(k * n);
@@ -168,9 +144,7 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     // SAFETY: capacity ≥ k*n by `take_empty`, and every element of the
     // prefix was just initialized by the transpose.
     unsafe { bt.set_len(k * n) };
-    parallel::for_each_row_band(c, n, threads, |first_row, band| {
-        simd::matmul_block(simd::Lhs::RowMajor(a, k), &bt, band, first_row, k, n);
-    });
+    simd::matmul_block(simd::Lhs::RowMajor(a, k), &bt, c, k, n);
     crate::scratch::recycle(bt);
 }
 
@@ -255,10 +229,9 @@ pub fn softmax_inplace(row: &mut [f32]) {
     simd::scale(row, inv);
 }
 
-/// Shard length (f32 elements) of the sharded aggregation kernel: 16 KiB
+/// Shard length (f32 elements) of the sharded aggregation kernels: 16 KiB
 /// keeps an output shard L1-resident while the whole input cohort streams
-/// through it. Shard boundaries depend only on this constant, never on the
-/// thread count, so results are thread-count-invariant by construction.
+/// through it.
 pub const AGG_SHARD: usize = 4096;
 
 /// Weighted average of several equally-shaped slices into `out`.
@@ -266,13 +239,10 @@ pub const AGG_SHARD: usize = 4096;
 /// `out[i] = Σ_j weights[j] · inputs[j][i]`. This is the FedAvg/FedAT
 /// aggregation primitive; weights need not sum to 1 (callers normalize).
 ///
-/// The model dimension is sharded into [`AGG_SHARD`]-element chunks
-/// dispatched on the persistent pool (disjoint output shards — the same
-/// determinism argument as the matmuls) and each shard accumulates
-/// input-by-input with a vectorizable axpy. Every element accumulates in
-/// input order starting from 0.0 — exactly the per-element sum
-/// `Σ_j weights[j] · inputs[j][i]` evaluated left to right — so all thread
-/// counts produce bit-identical results.
+/// The model dimension is walked in [`AGG_SHARD`]-element shards, and each
+/// shard accumulates input-by-input with a vectorizable axpy. Every element
+/// accumulates in input order starting from 0.0 — exactly the per-element
+/// sum `Σ_j weights[j] · inputs[j][i]` evaluated left to right.
 ///
 /// # Panics
 /// Panics if lengths are inconsistent or no inputs are given.
@@ -289,8 +259,8 @@ pub fn weighted_sum_into(inputs: &[&[f32]], weights: &[f32], out: &mut [f32]) {
     for input in inputs {
         assert_eq!(input.len(), out.len(), "input length mismatch");
     }
-    let threads = parallel::plan_threads(out.len(), 2 * inputs.len());
-    parallel::for_each_chunk(out, AGG_SHARD, threads, |start, shard| {
+    for (s, shard) in out.chunks_mut(AGG_SHARD).enumerate() {
+        let start = s * AGG_SHARD;
         let end = start + shard.len();
         // The first input initializes the shard as `0.0 + w·x`, so a -0.0
         // product lands as +0.0 exactly like the per-element sum
@@ -299,7 +269,7 @@ pub fn weighted_sum_into(inputs: &[&[f32]], weights: &[f32], out: &mut [f32]) {
         for (input, &w) in inputs.iter().zip(weights.iter()).skip(1) {
             simd::axpy(w, &input[start..end], shard);
         }
-    });
+    }
 }
 
 /// Selects the per-coordinate order statistic taken by [`robust_reduce_into`].
@@ -322,9 +292,8 @@ pub enum RobustRule {
 /// kernel behind `AggRule::{TrimmedMean, CoordinateMedian}` in the server's
 /// guard layer.
 ///
-/// The model dimension is sharded into [`AGG_SHARD`]-element chunks on the
-/// kernel pool exactly like [`weighted_sum_into`] — shard boundaries depend
-/// only on the constant, never on the thread count. Within a shard every
+/// The model dimension is walked in [`AGG_SHARD`]-element shards exactly
+/// like [`weighted_sum_into`]. Within a shard every
 /// coordinate's `k` values are put in `f32::total_cmp` order, a total order
 /// (it ranks every NaN bit pattern, so the kernel is deterministic even if
 /// non-finite values slip past the guard): the default lanes sort
@@ -337,7 +306,7 @@ pub enum RobustRule {
 /// result is invariant under any permutation of the inputs (the tie-break
 /// contract — "ties broken by client index" — is satisfied vacuously).
 /// The kept values are summed left-to-right in f64 in sorted order, which
-/// is likewise permutation- and thread-count-invariant.
+/// is likewise permutation-invariant.
 ///
 /// # Panics
 /// Panics if lengths are inconsistent, no inputs are given, or a trimmed
@@ -358,12 +327,9 @@ pub fn robust_reduce_into(inputs: &[&[f32]], rule: RobustRule, out: &mut [f32]) 
         );
     }
     let net = simd::sorting_network(k);
-    // Cost per output element: k key transforms, a min and a max per
-    // comparator, k f64 adds.
-    let threads = parallel::plan_threads(out.len(), 2 * (k + net.len()));
-    parallel::for_each_chunk(out, AGG_SHARD, threads, |start, shard| {
-        simd::robust_reduce_shard(inputs, start, rule, &net, shard);
-    });
+    for (s, shard) in out.chunks_mut(AGG_SHARD).enumerate() {
+        simd::robust_reduce_shard(inputs, s * AGG_SHARD, rule, &net, shard);
+    }
 }
 
 #[cfg(test)]
@@ -424,27 +390,6 @@ mod tests {
         let a = Tensor::randn(&mut rng, &[9, 4], 0.0, 1.0);
         let b = Tensor::randn(&mut rng, &[6, 4], 0.0, 1.0);
         assert_close(&a.matmul_nt(&b), &a.matmul(&b.transpose()), 1e-4);
-    }
-
-    #[test]
-    fn parallel_matmul_bit_identical_to_serial() {
-        let mut rng = rng_for(7, 2);
-        let a = Tensor::randn(&mut rng, &[64, 96], 0.0, 1.0);
-        let b = Tensor::randn(&mut rng, &[96, 80], 0.0, 1.0);
-        let run = |max_threads| {
-            let _g = crate::ctx::install(crate::ctx::KernelCtx {
-                max_threads,
-                ..crate::ctx::snapshot()
-            });
-            a.matmul(&b)
-        };
-        let serial = run(1);
-        let par = run(8);
-        assert_eq!(
-            serial.data(),
-            par.data(),
-            "parallel kernel diverged from serial"
-        );
     }
 
     #[test]
@@ -517,15 +462,9 @@ mod tests {
                 acc
             })
             .collect();
-        for max_threads in [1, 4] {
-            let _g = crate::ctx::install(crate::ctx::KernelCtx {
-                max_threads,
-                ..crate::ctx::snapshot()
-            });
-            let mut sharded = vec![0.0f32; dim];
-            weighted_sum_into(&refs, &weights, &mut sharded);
-            assert_eq!(reference, sharded, "diverged at {max_threads} threads");
-        }
+        let mut sharded = vec![0.0f32; dim];
+        weighted_sum_into(&refs, &weights, &mut sharded);
+        assert_eq!(reference, sharded);
     }
 
     #[test]

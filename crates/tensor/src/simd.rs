@@ -63,7 +63,7 @@
 //!   same bits.
 //! * The matmul contract includes the reference kernel's zero skip — a
 //!   term whose `a[i,p] == 0.0` is not added — but only the scalar lane
-//!   branches on it. The other two scan a band's `A` rows once: no zero
+//!   branches on it. The other two scan `A` once: no zero
 //!   means a test-free register tile (the reference skips nothing there
 //!   either), any zero means each `A` row's non-zero `(p, a)` pairs are
 //!   compacted, in order, into a stack list the columns then accumulate
@@ -74,10 +74,6 @@
 //!   sorting network over integer keys whose order is `total_cmp` order.
 //!   Both leave every coordinate with the same sorted column and then
 //!   evaluate the same expression on it (see `robust_reduce_shard`).
-//!
-//! Thread-count invariance is inherited from [`crate::parallel`]: bands and
-//! shards partition output elements, and this module only changes how the
-//! arithmetic *inside* one band is issued.
 //!
 //! The active kernel is a [`crate::ctx::KernelCtx`] setting: `Auto` by
 //! default, `FEDAT_SIMD=scalar` flips the default so CI can run the whole
@@ -749,19 +745,15 @@ impl NonZeros {
 }
 
 impl Lhs<'_> {
-    /// Whether any `a(i, p)` with `i0 <= i < i0 + rows`, `p < k` equals
-    /// `0.0` (either sign) — what sends a band to the list kernel.
+    /// Whether any `a(i, p)` with `i < rows`, `p < k` equals `0.0` (either
+    /// sign) — what sends a product to the list kernel.
     #[inline(always)]
-    fn has_zero(&self, i0: usize, rows: usize, k: usize) -> bool {
+    fn has_zero(&self, rows: usize, k: usize) -> bool {
         // A fold, not `any`: no exit inside a run, so the scan vectorizes.
         let run = |s: &[f32]| s.iter().fold(false, |z, &a| z | (a == 0.0));
         match *self {
-            Lhs::RowMajor(a, stride) => {
-                (i0..i0 + rows).any(|i| run(&a[i * stride..i * stride + k]))
-            }
-            Lhs::ColMajor(a, stride) => {
-                (0..k).any(|p| run(&a[p * stride + i0..p * stride + i0 + rows]))
-            }
+            Lhs::RowMajor(a, stride) => (0..rows).any(|i| run(&a[i * stride..i * stride + k])),
+            Lhs::ColMajor(a, stride) => (0..k).any(|p| run(&a[p * stride..p * stride + rows])),
         }
     }
 
@@ -785,24 +777,23 @@ impl Lhs<'_> {
         }
     }
 
-    /// The list kernel's driver over a band that holds zeros: per C row and
+    /// The list kernel's driver over an `A` that holds zeros: per C row and
     /// per `k`-chunk, in ascending order, compacts the `A` row and hands
     /// `row` the list, the chunk's `[len, n]` rows of `B` and the C row.
     #[inline(always)]
     fn for_each_list(
         &self,
         b: &[f32],
-        band: &mut [f32],
-        first_row: usize,
+        c: &mut [f32],
         k: usize,
         n: usize,
         mut row: impl FnMut(&NonZeros, &[f32], &mut [f32]),
     ) {
         let mut list = NonZeros::new();
-        for (r, crow) in band.chunks_exact_mut(n).enumerate() {
+        for (r, crow) in c.chunks_exact_mut(n).enumerate() {
             for p0 in (0..k).step_by(LIST_CHUNK) {
                 let len = (k - p0).min(LIST_CHUNK);
-                self.compact(first_row + r, p0, len, &mut list);
+                self.compact(r, p0, len, &mut list);
                 row(&list, &b[p0 * n..(p0 + len) * n], crow);
             }
         }
@@ -830,57 +821,55 @@ impl Lhs<'_> {
     }
 }
 
-/// `band[r, j] += Σ_p a(first_row + r, p) · b[p, j]` over one contiguous
-/// row band of `C` — the per-band body of all three `matmul_*_into`
-/// variants (the banding itself lives in [`crate::parallel`]).
+/// `c[i, j] += Σ_p a(i, p) · b[p, j]` — the body of all three
+/// `matmul_*_into` variants.
 ///
 /// Each `C[i,j]` accumulates over `p = 0..k` in ascending order with
 /// unfused `mul`+`add`, and a term whose `a(i, p) == 0.0` is not added
 /// (`-0.0` is skipped, NaN is not). The scalar backend tests per term; the
-/// others choose per band from the operand — a test-free tile when the
-/// band's `A` rows hold no zero, otherwise a walk over each row's
-/// compacted non-zeros — so every backend (and thread count) produces
-/// identical bits.
+/// others choose once from the operand — a test-free tile when `A` holds
+/// no zero, otherwise a walk over each row's compacted non-zeros — so
+/// every backend produces identical bits.
 ///
 /// # Panics
-/// Panics if `band` is not a whole number of `n`-length rows, `b` is not
-/// `[k, n]`, or the `lhs` operand does not cover rows
-/// `first_row..first_row + band.len()/n` — the AVX2 backend reads `A`
-/// unchecked, so the extent must be proven here, not per element.
-pub fn matmul_block(lhs: Lhs, b: &[f32], band: &mut [f32], first_row: usize, k: usize, n: usize) {
+/// Panics if `c` is not a whole number of `n`-length rows, `b` is not
+/// `[k, n]`, or the `lhs` operand does not cover rows `0..c.len()/n` — the
+/// AVX2 backend reads `A` unchecked, so the extent must be proven here, not
+/// per element.
+pub fn matmul_block(lhs: Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
     assert_eq!(b.len(), k * n, "matmul_block rhs shape mismatch");
-    assert_eq!(band.len() % n.max(1), 0, "matmul_block ragged band");
-    if n == 0 || band.is_empty() {
+    assert_eq!(c.len() % n.max(1), 0, "matmul_block ragged C");
+    if n == 0 || c.is_empty() {
         return;
     }
-    let rows = band.len() / n;
+    let rows = c.len() / n;
     match lhs {
         Lhs::RowMajor(a, stride) => {
             assert!(stride >= k, "matmul_block lhs row stride shorter than k");
             assert!(
-                a.len() >= (first_row + rows - 1) * stride + k,
-                "matmul_block lhs does not cover the band rows"
+                a.len() >= (rows - 1) * stride + k,
+                "matmul_block lhs does not cover the C rows"
             );
         }
         Lhs::ColMajor(a, stride) => {
             assert!(
-                stride >= first_row + rows,
-                "matmul_block lhs column shorter than the band rows"
+                stride >= rows,
+                "matmul_block lhs column shorter than the C rows"
             );
             assert!(
-                k == 0 || a.len() >= (k - 1) * stride + first_row + rows,
+                k == 0 || a.len() >= (k - 1) * stride + rows,
                 "matmul_block lhs does not cover k rows"
             );
         }
     }
     match active() {
-        Backend::Scalar => scalar::matmul_block(&lhs, b, band, first_row, k, n),
+        Backend::Scalar => scalar::matmul_block(&lhs, b, c, k, n),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `active()` returns `Avx2` only after `avx2_available()`
         // confirmed the target features at runtime, and the shape asserts
         // above prove the extents the AVX2 kernel reads unchecked.
-        Backend::Avx2 => unsafe { avx2::matmul_block(&lhs, b, band, first_row, k, n) },
-        Backend::Portable => portable::matmul_block(&lhs, b, band, first_row, k, n),
+        Backend::Avx2 => unsafe { avx2::matmul_block(&lhs, b, c, k, n) },
+        Backend::Portable => portable::matmul_block(&lhs, b, c, k, n),
     }
 }
 
@@ -1024,18 +1013,10 @@ mod scalar {
 
     /// The seed's loops, verbatim: `ikj` for row-major `A`, `pij` for
     /// transposed `A` (streams `A` rows instead of striding columns).
-    pub fn matmul_block(
-        lhs: &Lhs,
-        b: &[f32],
-        band: &mut [f32],
-        first_row: usize,
-        k: usize,
-        n: usize,
-    ) {
+    pub fn matmul_block(lhs: &Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
         match *lhs {
             Lhs::RowMajor(a, stride) => {
-                for (r, crow) in band.chunks_mut(n).enumerate() {
-                    let i = first_row + r;
+                for (i, crow) in c.chunks_mut(n).enumerate() {
                     let arow = &a[i * stride..i * stride + k];
                     for (p, &aip) in arow.iter().enumerate() {
                         if aip == 0.0 {
@@ -1049,16 +1030,16 @@ mod scalar {
                 }
             }
             Lhs::ColMajor(a, stride) => {
-                let rows = band.len() / n;
+                let rows = c.len() / n;
                 for p in 0..k {
                     let brow = &b[p * n..(p + 1) * n];
                     let arow = &a[p * stride..(p + 1) * stride];
                     for r in 0..rows {
-                        let aip = arow[first_row + r];
+                        let aip = arow[r];
                         if aip == 0.0 {
                             continue;
                         }
-                        let crow = &mut band[r * n..(r + 1) * n];
+                        let crow = &mut c[r * n..(r + 1) * n];
                         for (cj, &bj) in crow.iter_mut().zip(brow.iter()) {
                             *cj += aip * bj;
                         }
@@ -1093,32 +1074,23 @@ mod portable {
         });
     }
 
-    pub fn matmul_block(
-        lhs: &Lhs,
-        b: &[f32],
-        band: &mut [f32],
-        first_row: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let rows = band.len() / n;
-        if lhs.has_zero(first_row, rows, k) {
-            return lhs.for_each_list(b, band, first_row, k, n, |list, b, crow| {
-                list_row(list, b, crow, n)
-            });
+    pub fn matmul_block(lhs: &Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
+        let rows = c.len() / n;
+        if lhs.has_zero(rows, k) {
+            return lhs.for_each_list(b, c, k, n, |list, b, crow| list_row(list, b, crow, n));
         }
         let mut r = 0;
         while r + MR <= rows {
-            dense_tile::<MR>(lhs, b, &mut band[r * n..(r + MR) * n], first_row + r, k, n);
+            dense_tile::<MR>(lhs, b, &mut c[r * n..(r + MR) * n], r, k, n);
             r += MR;
         }
         while r < rows {
-            dense_tile::<1>(lhs, b, &mut band[r * n..(r + 1) * n], first_row + r, k, n);
+            dense_tile::<1>(lhs, b, &mut c[r * n..(r + 1) * n], r, k, n);
             r += 1;
         }
     }
 
-    /// The tile of a band whose `A` rows hold no zero: `R` C-rows × 8-lane
+    /// The tile of an `A` that holds no zero: `R` C-rows × 8-lane
     /// accumulator arrays (they vectorize reliably on any ISA), no test in
     /// the loop. Lane `j` executes the scalar expression for `C[i, j]`
     /// exactly — same `p` order, and the reference skips nothing here
@@ -1164,7 +1136,7 @@ mod portable {
         }
     }
 
-    /// One C row over one `k`-chunk of a band that holds zeros, in 32-, 8-
+    /// One C row over one `k`-chunk of an `A` that holds zeros, in 32-, 8-
     /// and 1-column panels.
     fn list_row(list: &NonZeros, b: &[f32], crow: &mut [f32], n: usize) {
         let mut j = 0usize;
@@ -1463,17 +1435,10 @@ mod avx2 {
     // dispatcher that checked `avx2_available()` first. Pointer arithmetic
     // stays within the slice extents checked by the safe wrappers.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn matmul_block(
-        lhs: &Lhs,
-        b: &[f32],
-        band: &mut [f32],
-        first_row: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let rows = band.len() / n;
-        if lhs.has_zero(first_row, rows, k) {
-            return lhs.for_each_list(b, band, first_row, k, n, |list, b, crow| {
+    pub unsafe fn matmul_block(lhs: &Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
+        let rows = c.len() / n;
+        if lhs.has_zero(rows, k) {
+            return lhs.for_each_list(b, c, k, n, |list, b, crow| {
                 // SAFETY: AVX2+FMA as for this function; `crow` is one
                 // `n`-length C row and `b` the `[len, n]` rows of `B` that
                 // the list's `at[t] < len` index.
@@ -1482,11 +1447,11 @@ mod avx2 {
         }
         let mut r = 0;
         while r + MR <= rows {
-            dense_tile::<MR>(lhs, b, &mut band[r * n..(r + MR) * n], first_row + r, k, n);
+            dense_tile::<MR>(lhs, b, &mut c[r * n..(r + MR) * n], r, k, n);
             r += MR;
         }
         while r < rows {
-            dense_tile::<1>(lhs, b, &mut band[r * n..(r + 1) * n], first_row + r, k, n);
+            dense_tile::<1>(lhs, b, &mut c[r * n..(r + 1) * n], r, k, n);
             r += 1;
         }
     }
@@ -1619,7 +1584,7 @@ mod avx2 {
         }
     }
 
-    /// One C row over one `k`-chunk of a band that holds zeros, in panels
+    /// One C row over one `k`-chunk of an `A` that holds zeros, in panels
     /// of up to 64 columns (the row's last vector masked): few passes over
     /// the list, because each ends in a loop exit no predictor can learn.
     /// `b` is the chunk's `[len, n]` rows of `B`.
@@ -1782,7 +1747,7 @@ mod tests {
                             let run = |kernel: SimdKernel| {
                                 let _g = backend(kernel);
                                 let mut c = c0.clone();
-                                matmul_block(lhs, &b, &mut c, 0, k, n);
+                                matmul_block(lhs, &b, &mut c, k, n);
                                 bits(&c)
                             };
                             let want = run(SimdKernel::Scalar);
@@ -1884,7 +1849,7 @@ mod tests {
         let run = |kernel: SimdKernel| {
             let _g = backend(kernel);
             let mut c = vec![0.0f32; m * n];
-            matmul_block(Lhs::RowMajor(&a, k), &b, &mut c, 0, k, n);
+            matmul_block(Lhs::RowMajor(&a, k), &b, &mut c, k, n);
             c
         };
         assert_eq!(run(SimdKernel::Scalar), run(SimdKernel::Auto));

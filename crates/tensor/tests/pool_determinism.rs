@@ -1,17 +1,18 @@
-//! Property tests for the persistent kernel pool: every parallel kernel
-//! must be bit-identical to its serial execution for any thread count.
+//! Property tests for the persistent kernel pool: every kernel must give
+//! the same bits on a pool worker as on the calling thread — a training job
+//! may run on either — and every interleaving of submits and joins must
+//! complete with each job's serial result.
 //!
-//! Thread and job caps are scoped with a thread-local [`ctx::install`], so
-//! concurrent tests in this binary never see each other's settings. Which
-//! workers are free is process-wide, so the tests that submit whole jobs
-//! take [`JOB_TESTS`] and run one at a time.
+//! Job caps are scoped with a thread-local [`ctx::install`], so concurrent
+//! tests in this binary never see each other's settings. Which workers are
+//! free is process-wide, so the tests that submit jobs take [`JOB_TESTS`]
+//! and run one at a time.
 
 use fedat_tensor::conv::{conv2d_forward, Conv2dSpec, ConvPlan};
-use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
+use fedat_tensor::ctx::{self, KernelCtx};
 use fedat_tensor::ops::{
     matmul_into, matmul_nt_into, matmul_tn_into, weighted_sum_into, AGG_SHARD,
 };
-use fedat_tensor::parallel;
 use fedat_tensor::pool;
 use fedat_tensor::rng::rng_for;
 use fedat_tensor::Tensor;
@@ -20,11 +21,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Serializes the tests that submit jobs: the helping-join scenarios park
-/// pool workers and the executor proptest grows the pool, so each needs the
-/// workers to itself.
+/// pool workers, the executor proptest grows the pool and the kernel
+/// properties wait for a worker, so each needs the workers to itself.
 static JOB_TESTS: Mutex<()> = Mutex::new(());
 
 /// Takes [`JOB_TESTS`]; a test that failed while holding it does not fail
@@ -186,36 +187,31 @@ fn filled(len: usize, seed: u64) -> Vec<f32> {
     v
 }
 
-/// Scopes the per-kernel thread cap to the calling thread.
-fn with_threads(max_threads: usize) -> OverlayGuard {
-    ctx::install(KernelCtx {
-        max_threads,
-        ..ctx::snapshot()
-    })
+/// Runs `f` as a job that a pool worker — not this thread — executes.
+fn on_a_worker<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    pool::ensure_workers(1);
+    let job = pool::submit(f);
+    while !job.is_finished() {
+        std::thread::yield_now();
+    }
+    job.join()
 }
 
-/// Runs `kernel` (which writes its output into a fresh zeroed buffer) at
-/// thread cap 1 and at each sweep cap, asserting bitwise equality.
+/// Runs `kernel` (which writes its output into a fresh zeroed buffer) on
+/// this thread and on a pool worker, asserting bitwise equality.
 fn assert_thread_invariant(
     out_len: usize,
-    kernel: impl Fn(&mut [f32]),
+    kernel: impl Fn(&mut [f32]) + Send + 'static,
 ) -> Result<(), TestCaseError> {
-    let mut serial = vec![0.0f32; out_len];
-    {
-        let _g = with_threads(1);
-        kernel(&mut serial);
-    }
-    for &t in &THREAD_SWEEP[1..] {
-        let _g = with_threads(t);
-        let mut par = vec![0.0f32; out_len];
-        kernel(&mut par);
-        prop_assert_eq!(
-            &serial,
-            &par,
-            "kernel diverged from serial at {} threads",
-            t
-        );
-    }
+    let _one_at_a_time = one_job_test_at_a_time();
+    let mut here = vec![0.0f32; out_len];
+    kernel(&mut here);
+    let there = on_a_worker(move || {
+        let mut out = vec![0.0f32; out_len];
+        kernel(&mut out);
+        out
+    });
+    prop_assert_eq!(&here, &there, "kernel diverged on a pool worker");
     Ok(())
 }
 
@@ -226,7 +222,7 @@ proptest! {
     ) {
         let a = filled(m * k, seed);
         let b = filled(k * n, seed ^ 1);
-        assert_thread_invariant(m * n, |c| matmul_into(&a, &b, c, m, k, n))?;
+        assert_thread_invariant(m * n, move |c| matmul_into(&a, &b, c, m, k, n))?;
     }
 
     #[test]
@@ -235,7 +231,7 @@ proptest! {
     ) {
         let a = filled(k * m, seed);
         let b = filled(k * n, seed ^ 2);
-        assert_thread_invariant(m * n, |c| matmul_tn_into(&a, &b, c, m, k, n))?;
+        assert_thread_invariant(m * n, move |c| matmul_tn_into(&a, &b, c, m, k, n))?;
     }
 
     #[test]
@@ -244,7 +240,7 @@ proptest! {
     ) {
         let a = filled(m * k, seed);
         let b = filled(n * k, seed ^ 3);
-        assert_thread_invariant(m * n, |c| matmul_nt_into(&a, &b, c, m, k, n))?;
+        assert_thread_invariant(m * n, move |c| matmul_nt_into(&a, &b, c, m, k, n))?;
     }
 
     #[test]
@@ -257,16 +253,11 @@ proptest! {
         let input = Tensor::from_vec(filled(batch * cin * h * w, seed), &[batch, cin, h, w]);
         let weight = Tensor::from_vec(filled(cout * cin * 9, seed ^ 4), &[cout, cin * 9]);
         let bias = Tensor::from_vec(filled(cout, seed ^ 5), &[cout]);
-
-        let (serial, _) = {
-            let _g = with_threads(1);
-            conv2d_forward(&input, &weight, &bias, &plan, false)
-        };
-        for &t in &THREAD_SWEEP[1..] {
-            let _g = with_threads(t);
-            let (par, _) = conv2d_forward(&input, &weight, &bias, &plan, false);
-            prop_assert_eq!(serial.data(), par.data(), "conv diverged at {} threads", t);
-        }
+        let out_len = batch * cout * h * w;
+        assert_thread_invariant(out_len, move |out| {
+            let (y, _) = conv2d_forward(&input, &weight, &bias, &plan, false);
+            out.copy_from_slice(y.data());
+        })?;
     }
 
     #[test]
@@ -275,49 +266,45 @@ proptest! {
         dim in 1usize..(2 * AGG_SHARD + 200),
         seed in 0u64..1000
     ) {
-        // The server-aggregation primitive: the sharded kernel at every
-        // swept thread count must match the per-element left-to-right sum
-        // bitwise.
+        // The server-aggregation primitive: the sharded kernel must match
+        // the per-element left-to-right sum bitwise, on this thread and on a
+        // pool worker.
         let inputs: Vec<Vec<f32>> = (0..n_inputs)
             .map(|j| filled(dim, seed ^ (j as u64) << 10))
             .collect();
-        let refs: Vec<&[f32]> = inputs.iter().map(|v| v.as_slice()).collect();
         let weights: Vec<f32> = (0..n_inputs)
             .map(|j| (j + 1) as f32 / (n_inputs * (n_inputs + 1) / 2) as f32)
             .collect();
         let serial: Vec<f32> = (0..dim)
             .map(|i| {
                 let mut acc = 0.0f32;
-                for (input, &w) in refs.iter().zip(&weights) {
+                for (input, &w) in inputs.iter().zip(&weights) {
                     acc += w * input[i];
                 }
                 acc
             })
             .collect();
-        for &t in &THREAD_SWEEP {
-            let _g = with_threads(t);
-            let mut sharded = vec![0.0f32; dim];
-            weighted_sum_into(&refs, &weights, &mut sharded);
-            prop_assert_eq!(
-                &serial,
-                &sharded,
-                "sharded aggregation diverged from the per-element sum at {} threads",
-                t
-            );
-        }
+        let mut sharded = vec![0.0f32; dim];
+        let refs: Vec<&[f32]> = inputs.iter().map(|v| v.as_slice()).collect();
+        weighted_sum_into(&refs, &weights, &mut sharded);
+        prop_assert_eq!(&serial, &sharded, "sharded aggregation diverged from the per-element sum");
+        assert_thread_invariant(dim, move |out| {
+            let refs: Vec<&[f32]> = inputs.iter().map(|v| v.as_slice()).collect();
+            weighted_sum_into(&refs, &weights, out);
+        })?;
     }
 
     /// Executor torture test: interleaved `submit`/`join` of whole jobs
-    /// plus fork-join regions issued from the main thread *between* the
-    /// submits, swept across pool-worker counts {1, 2, 4, 8} (on a pool
-    /// grown to 8 real workers, all but `workers - 1` of them parked for the
-    /// sweep, under a job cap that admits twice as many jobs as workers
-    /// stay free). The property: every
+    /// plus small fork-joins (submit four, join four) issued from the main
+    /// thread *between* the submits, swept across pool-worker counts
+    /// {1, 2, 4, 8} (on a pool grown to 8 real workers, all but
+    /// `workers - 1` of them parked for the sweep, under a job cap that
+    /// admits twice as many jobs as workers stay free). The property: every
     /// interleaving completes (no deadlock — steal-on-join guarantees a
     /// joiner can always make progress) and every job's result is
     /// identical to its serial evaluation, regardless of which thread ran
-    /// it. Jobs themselves run a nested fork-join region so job-inside-
-    /// region-inside-job composition is exercised too. One job per sweep
+    /// it. Jobs themselves run a nested fork-join, so a join inside a job
+    /// (which never helps) is exercised too. One job per sweep
     /// lingers — it yields until the last job has started, or a bounded
     /// number of times — so that a join (deferred joins drain in either
     /// order) can find it mid-run on a worker with a later job queued
@@ -354,22 +341,16 @@ proptest! {
                     std::thread::yield_now();
                 }
             }
-            // Nested fork-join inside the job: 4 disjoint partial results.
-            let parts: Vec<std::sync::atomic::AtomicU64> =
-                (0..4).map(|_| std::sync::atomic::AtomicU64::new(0)).collect();
-            pool::run_tasks(4, 2, &|t| {
-                parts[t].store(t as u64, std::sync::atomic::Ordering::Relaxed);
-            });
-            let nested: u64 = parts
-                .iter()
-                .map(|p| p.load(std::sync::atomic::Ordering::Relaxed))
-                .sum();
+            // Nested fork-join inside the job: 4 partial results.
+            let parts: Vec<pool::JobHandle<u64>> =
+                (0..4u64).map(|t| pool::submit(move || t)).collect();
+            let nested: u64 = parts.into_iter().map(pool::JobHandle::join).sum();
             // A plain assert: the panic surfaces at `join` on the main
             // thread, failing the test with the payload intact.
-            assert_eq!(nested, 6, "nested region lost tasks");
+            assert_eq!(nested, 6, "nested fork-join lost jobs");
             expected(i)
         };
-        for &workers in &THREAD_SWEEP {
+        for &workers in &WORKER_SWEEP {
             let gate = Arc::new(Gate::default());
             let parked = park_workers(&gate, pool::worker_count() - (workers - 1));
             let g = ctx::install(KernelCtx {
@@ -381,16 +362,12 @@ proptest! {
             let last_started = Arc::new(AtomicBool::new(false));
             for (i, &join_immediately) in join_now.iter().enumerate().take(n_jobs) {
                 let h = pool::submit(job(i, Arc::clone(&last_started)));
-                // A fork-join region from the submitting thread while jobs
-                // are in flight: the two styles must share the workers.
-                let mut out = vec![0.0f32; 64];
-                parallel::for_each_row_band(&mut out, 8, 4, |first_row, band| {
-                    for (r, row) in band.chunks_mut(8).enumerate() {
-                        for (c, v) in row.iter_mut().enumerate() {
-                            *v = ((first_row + r) * 8 + c) as f32;
-                        }
-                    }
-                });
+                // A fork-join from the submitting thread while jobs are in
+                // flight: four row bands of one buffer, as jobs.
+                let bands: Vec<pool::JobHandle<Vec<f32>>> = (0..4usize)
+                    .map(|band| pool::submit(move || (16 * band..16 * (band + 1)).map(|j| j as f32).collect()))
+                    .collect();
+                let out: Vec<f32> = bands.into_iter().flat_map(pool::JobHandle::join).collect();
                 prop_assert!(out.iter().enumerate().all(|(j, &v)| v == j as f32));
                 if join_immediately {
                     results.push((i, h.join()));

@@ -1,7 +1,7 @@
 //! SIMD-vs-scalar bitwise equality for every kernel of `fedat_tensor::simd`
 //! that has lanes (the element-wise ones are one plain loop each — there is
 //! nothing to compare), over awkward shapes (non-multiple-of-8 tails,
-//! dims in 1..=17) × thread counts {1, 2, 4, 8}, plus the portable
+//! dims in 1..=17), plus the portable
 //! fallback (ISA-independence: `Auto` must not depend on what the host
 //! detects). The matmul lanes are also driven at the shapes training runs
 //! and past the non-zero list's chunk, with `A` from dense to all zero
@@ -10,7 +10,7 @@
 //! against a per-sample reference kept below. The fused optimizer sweep is
 //! held to the three reference passes it replaces, on every lane.
 //!
-//! Every backend/thread-cap choice is scoped with a thread-local
+//! Every backend choice is scoped with a thread-local
 //! [`ctx::install`], so concurrent tests in this binary never see each
 //! other's settings and the `FEDAT_SIMD=scalar` default survives untouched.
 
@@ -29,19 +29,15 @@ use fedat_tensor::Tensor;
 use proptest::prelude::*;
 use rand::RngExt;
 
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
 /// The three lanes: reference, ISA (where detected), portable.
 const LANES: [SimdKernel; 3] = [SimdKernel::Scalar, SimdKernel::Auto, SimdKernel::Portable];
 /// The two lanes held to the reference.
 const FAST_LANES: [SimdKernel; 2] = [SimdKernel::Auto, SimdKernel::Portable];
 
-/// Scopes the SIMD lane and the thread cap to the calling thread for the
-/// guard's lifetime.
-fn scoped(simd: SimdKernel, max_threads: usize) -> OverlayGuard {
+/// Scopes the SIMD lane to the calling thread for the guard's lifetime.
+fn scoped(simd: SimdKernel) -> OverlayGuard {
     ctx::install(KernelCtx {
         simd,
-        max_threads,
         ..ctx::snapshot()
     })
 }
@@ -152,9 +148,8 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 /// Runs `kernel` (writing into a fresh zeroed buffer) under
-/// `SimdKernel::Scalar` at one thread as the reference, then under `Auto`
-/// (where detected) and `Portable` across the thread sweep, asserting
-/// bitwise equality throughout.
+/// `SimdKernel::Scalar` as the reference, then under `Auto` (where
+/// detected) and `Portable`, asserting bitwise equality throughout.
 fn assert_simd_invariant(out_len: usize, kernel: impl Fn(&mut [f32])) -> Result<(), TestCaseError> {
     assert_simd_invariant_from(&vec![0.0f32; out_len], kernel)
 }
@@ -167,22 +162,19 @@ fn assert_simd_invariant_from(
 ) -> Result<(), TestCaseError> {
     let mut reference = init.to_vec();
     {
-        let _g = scoped(SimdKernel::Scalar, 1);
+        let _g = scoped(SimdKernel::Scalar);
         kernel(&mut reference);
     }
     for lane in FAST_LANES {
-        for &t in &THREAD_SWEEP {
-            let _g = scoped(lane, t);
-            let mut got = init.to_vec();
-            kernel(&mut got);
-            prop_assert_eq!(
-                bits(&reference),
-                bits(&got),
-                "{:?} diverged from scalar at {} threads",
-                lane,
-                t
-            );
-        }
+        let _g = scoped(lane);
+        let mut got = init.to_vec();
+        kernel(&mut got);
+        prop_assert_eq!(
+            bits(&reference),
+            bits(&got),
+            "{:?} diverged from scalar",
+            lane
+        );
     }
     Ok(())
 }
@@ -478,18 +470,13 @@ proptest! {
         let plan = ConvPlan::new(spec, h, w);
         let (input, weight, bias, d_out) = conv_problem((batch, cin, cout), (h, w), &spec, seed);
         let reference = {
-            let _g = scoped(SimdKernel::Scalar, 1);
+            let _g = scoped(SimdKernel::Scalar);
             conv_stage(&input, &weight, &bias, &d_out, &plan)
         };
         for lane in FAST_LANES {
-            for &t in &THREAD_SWEEP {
-                let _g = scoped(lane, t);
-                let got = conv_stage(&input, &weight, &bias, &d_out, &plan);
-                prop_assert_eq!(
-                    &reference, &got,
-                    "conv stage ({:?}) diverged from scalar at {} threads", lane, t
-                );
-            }
+            let _g = scoped(lane);
+            let got = conv_stage(&input, &weight, &bias, &d_out, &plan);
+            prop_assert_eq!(&reference, &got, "conv stage ({:?}) diverged from scalar", lane);
         }
     }
 
@@ -522,14 +509,12 @@ proptest! {
         let weight = Tensor::from_vec(filled(cout * cin * 9, seed ^ 5), &[cout, cin * 9]);
         let bias = Tensor::from_vec(filled(cout, seed ^ 6), &[cout]);
         let (reference, _) = {
-            let _g = scoped(SimdKernel::Scalar, 1);
+            let _g = scoped(SimdKernel::Scalar);
             conv2d_forward(&input, &weight, &bias, &plan, false)
         };
-        for &t in &THREAD_SWEEP {
-            let _g = scoped(SimdKernel::Auto, t);
-            let (got, _) = conv2d_forward(&input, &weight, &bias, &plan, false);
-            prop_assert_eq!(reference.data(), got.data(), "conv diverged at {} threads", t);
-        }
+        let _g = scoped(SimdKernel::Auto);
+        let (got, _) = conv2d_forward(&input, &weight, &bias, &plan, false);
+        prop_assert_eq!(reference.data(), got.data());
     }
 
     #[test]
@@ -580,7 +565,7 @@ proptest! {
 
         // The definition: three passes over explicitly zeroed moments.
         let want = {
-            let _g = scoped(SimdKernel::Scalar, 1);
+            let _g = scoped(SimdKernel::Scalar);
             let (mut w, mut g) = (w0.clone(), g0.clone());
             let (mut m, mut v) = if virgin {
                 (vec![0.0; len], vec![0.0; len])
@@ -595,7 +580,7 @@ proptest! {
             [w, g, m, v].map(|x| bits(&x))
         };
         for kernel in LANES {
-            let _g = scoped(kernel, 1);
+            let _g = scoped(kernel);
             let (mut w, mut g, mut m, mut v) = (w0.clone(), g0.clone(), m0.clone(), v0.clone());
             if prox {
                 simd::adam_sweep::<true>(&mut w, &mut g, &mut m, &mut v, (&global, lambda), virgin, &p);
@@ -620,7 +605,7 @@ proptest! {
         let plan = ConvPlan::new(spec, h, w);
         let (input, weight, bias, d_out) = conv_problem((batch, cin, cout), (h, w), &spec, seed);
         for kernel in LANES {
-            let _g = scoped(kernel, 1);
+            let _g = scoped(kernel);
             let (_, cols) = conv2d_forward(&input, &weight, &bias, &plan, true);
             let (want_w, want_b) = conv2d_backward_params(&d_out, &cols, &plan);
             // A layer's gradients at rest.
@@ -638,7 +623,7 @@ proptest! {
         let x = filled(len, seed);
         let y = filled(len, seed ^ 11);
         let run = |lane| {
-            let _g = scoped(lane, 1);
+            let _g = scoped(lane);
             let mut q = vec![0.0f32; len];
             simd::quantize_into(&mut q, &x, -3.0, 255.0 / 6.0, 255.0);
             (dot(&x, &y).to_bits(), dist_sq(&x, &y).to_bits(), bits(&q))
@@ -686,18 +671,16 @@ proptest! {
         let refs: Vec<&[f32]> = cohort.iter().map(|v| v.as_slice()).collect();
         let reference = robust_reference(&refs, rule);
         for simd in LANES {
-            for t in [1usize, 2, 4] {
-                let _g = scoped(simd, t);
-                let mut got = vec![0.0f32; len];
-                robust_reduce_into(&refs, rule, &mut got);
-                let bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(
-                    &reference,
-                    &bits,
-                    "{:?} at k={} ({:?}) diverged from the reference at {} threads",
-                    rule, k, simd, t
-                );
-            }
+            let _g = scoped(simd);
+            let mut got = vec![0.0f32; len];
+            robust_reduce_into(&refs, rule, &mut got);
+            let bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(
+                &reference,
+                &bits,
+                "{:?} at k={} ({:?}) diverged from the reference",
+                rule, k, simd
+            );
         }
     }
 

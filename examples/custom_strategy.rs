@@ -54,13 +54,8 @@ fn main() {
         .seed(17)
         .build();
 
-    let custom = run_experiment_with(&task, &cfg, |_fleet, exec| {
-        Box::new(RoundServer::new(
-            Arc::clone(&task),
-            &cfg,
-            PowerOfTwoChoices,
-            exec,
-        ))
+    let custom = run_experiment_with(&task, &cfg, |_fleet| {
+        Box::new(RoundServer::new(Arc::clone(&task), &cfg, PowerOfTwoChoices))
     });
     // Compare against stock FedAvg on the same cluster and budget.
     let stock = run_experiment_shared(&task, &cfg);

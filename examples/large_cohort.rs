@@ -1,11 +1,12 @@
 //! Large-cohort server-path demo: FedAT on the 500-client × large-model
-//! cohort whose server-side aggregation and evaluation run sharded across
-//! the kernel pool (`weighted_sum_into` bands the model dimension; the
-//! streaming evaluator fans mini-batches and per-client sweeps out).
+//! cohort, where the server's aggregation (`weighted_sum_into` over the
+//! model dimension in cache-sized shards) and evaluation are a large share
+//! of the work. Client training runs as kernel-pool jobs; evaluation is
+//! pipelined as one more job beside them.
 //!
 //! By default runs a 100-client slice so it finishes in well under a
 //! minute; pass `--full` for the 500-client version. Either way the run is
-//! bit-identical for any kernel thread count.
+//! bit-identical for any pool worker count.
 //!
 //! ```text
 //! cargo run --release --example large_cohort [-- --full]
@@ -57,10 +58,6 @@ fn main() {
     let clients = if full { 500 } else { 100 };
     let rounds = if full { 120 } else { 40 };
 
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-
     let task = large_cohort_task(clients, 21);
     println!(
         "task: {} — {} clients, {} classes, {} train samples, {} test rows",
@@ -82,8 +79,6 @@ fn main() {
         .eval_subset(512)
         .seed(21)
         .cluster(cluster)
-        // Let the server-side kernels fan out across the host.
-        .max_threads(cores)
         .build();
 
     let started = std::time::Instant::now();
@@ -102,5 +97,8 @@ fn main() {
         outcome.per_client_accuracy.len(),
         outcome.accuracy_variance
     );
-    println!("server path: sharded aggregation and pooled eval on up to {cores} kernel thread(s)");
+    println!(
+        "training and eval ran as jobs on {} pool worker(s) beside the event loop",
+        fedat::tensor::pool::worker_count()
+    );
 }

@@ -168,9 +168,8 @@ fn tier_update_counts_follow_latency_order() {
         c
     };
     let fleet = Fleet::new(cfg.cluster.as_ref().unwrap(), task.fed.client_sizes());
-    let exec = fedat::core::exec::ExecCtx::resolve(&cfg);
-    let _overlay = exec.enter();
-    let mut strategy = build_strategy(Arc::new(task), &cfg, &fleet, exec);
+    let _overlay = fedat::tensor::ctx::install(fedat::core::exec::resolve(&cfg));
+    let mut strategy = build_strategy(Arc::new(task), &cfg, &fleet);
     {
         let handler: &mut dyn EventHandler = &mut *strategy;
         run(handler, &fleet, cfg.seed, RunLimits::default());
