@@ -4,7 +4,7 @@
 
 use fedat_data::dataset::Dataset;
 use fedat_data::suite::FedTask;
-use fedat_nn::metrics::{evaluate_batched, StreamingEvaluator};
+use fedat_nn::metrics::{accuracy_batched, StreamingEvaluator};
 use fedat_nn::model::EvalResult;
 use fedat_nn::models::with_cached_model;
 use fedat_tensor::rng::{rng_for, shuffle, tags};
@@ -61,14 +61,15 @@ impl Evaluator {
 /// paper's accuracy-variance metric (Table 1 `Norm. Var.` rows).
 ///
 /// The sweep evaluates every client in turn on the calling thread's cached
-/// model instance.
+/// model instance, computing accuracy only ([`accuracy_batched`]): the
+/// variance metric reads nothing else.
 pub fn per_client_accuracy(task: &FedTask, weights: &[f32], seed: u64) -> Vec<f32> {
     with_cached_model(&task.model, seed, |model| {
         model.set_weights(weights);
         task.fed
             .clients
             .iter()
-            .map(|c| evaluate_batched(model, &c.test.x, &c.test.y, EVAL_BATCH).accuracy)
+            .map(|c| accuracy_batched(model, &c.test.x, &c.test.y, EVAL_BATCH))
             .collect()
     })
 }
@@ -92,6 +93,7 @@ mod tests {
     use super::*;
     use fedat_data::federated::{ClientData, FederatedDataset};
     use fedat_data::suite;
+    use fedat_nn::metrics::evaluate_batched;
     use fedat_nn::models::ModelSpec;
     use fedat_tensor::Tensor;
 

@@ -17,8 +17,9 @@
 //!   `Arc<[f32]>` (one decoded broadcast per tier round) and the proximal
 //!   term holds the same `Arc` instead of cloning the full vector.
 //! * **Scratch batches** — mini-batches are gathered into recycled
-//!   scratch-arena storage, so steady-state training performs no per-batch
-//!   allocations.
+//!   scratch-arena storage, and each epoch's row order and each batch's
+//!   labels go into buffers resident on the thread, so a steady-state
+//!   dispatch allocates once: the weight vector it returns.
 //! * **Speculative execution** — [`train_client`] is pure in its arguments,
 //!   so strategies wrap each dispatch in a [`TrainJob`] and launch it on
 //!   the kernel pool *at dispatch time* ([`TrainHandle::launch`]); the
@@ -163,6 +164,10 @@ thread_local! {
     /// The optimizer this thread's last dispatch trained with.
     static OPTIMIZER: std::cell::RefCell<Option<(OptimizerKind, Box<dyn Optimizer>)>> =
         const { std::cell::RefCell::new(None) };
+    /// The row-order and label buffers of this thread's last dispatch,
+    /// reused by the next (taken out for the run, put back after it).
+    static BATCH_BUFFERS: std::cell::Cell<(Vec<usize>, Vec<u32>)> =
+        const { std::cell::Cell::new((Vec::new(), Vec::new())) };
 }
 
 /// Runs `f` with this thread's resident optimizer, `reset` (built first,
@@ -208,15 +213,17 @@ fn run_local_epochs(
     );
     let mut total_loss = 0.0f64;
     let mut batches = 0usize;
-    let mut y_buf: Vec<u32> = Vec::new();
+    let (mut order, mut labels) = BATCH_BUFFERS.take();
     for _ in 0..epochs.max(1) {
-        for batch in data.batch_schedule(cfg.batch_size, &mut batch_rng) {
-            let x = data.gather_batch_into(&batch, &mut y_buf);
-            total_loss += model.train_batch(&x, &y_buf, opt, prox.as_ref()) as f64;
+        data.shuffled_rows_into(&mut batch_rng, &mut order);
+        for batch in order.chunks(cfg.batch_size) {
+            let x = data.gather_batch_into(batch, &mut labels);
+            total_loss += model.train_batch(&x, &labels, opt, prox.as_ref()) as f64;
             x.recycle();
             batches += 1;
         }
     }
+    BATCH_BUFFERS.set((order, labels));
     LocalUpdate {
         weights: model.weights(),
         mean_loss: (total_loss / batches.max(1) as f64) as f32,

@@ -23,7 +23,6 @@ use crate::strategies::{
 };
 use fedat_data::suite::FedTask;
 use fedat_sim::runtime::{Completion, EventHandler, SimCtx};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How one landed update enters the global model.
@@ -40,10 +39,9 @@ pub(crate) trait Mixer: Send {
 pub(crate) struct ArrivalServer<X: Mixer> {
     core: ServerCore,
     mixer: X,
-    /// Global version at each in-flight client's dispatch (staleness base).
-    /// Ordered map: all accesses are keyed today, and `BTreeMap` keeps any
-    /// future iteration deterministic (lint rule R1).
-    dispatch_version: BTreeMap<usize, u64>,
+    /// Global version at each client's latest dispatch (staleness base),
+    /// indexed by client id.
+    dispatch_version: Vec<u64>,
     inflight: InflightTable,
     live_dispatches: usize,
     /// Revival timers in flight for flapped-out or quarantined clients.
@@ -62,11 +60,12 @@ impl<X: Mixer> ArrivalServer<X> {
     /// stride is scaled likewise.
     pub fn new(task: Arc<FedTask>, cfg: &ExperimentConfig, mixer: X) -> Self {
         let k = cfg.clients_per_round as u64;
+        let clients = task.fed.clients.len();
         ArrivalServer {
             core: ServerCore::new(task, cfg, cfg.rounds * k * ASYNC_FILL, cfg.eval_every * k),
             mixer,
-            dispatch_version: BTreeMap::new(),
-            inflight: InflightTable::new(),
+            dispatch_version: vec![0; clients],
+            inflight: InflightTable::new(clients),
             live_dispatches: 0,
             pending_revivals: 0,
         }
@@ -84,7 +83,7 @@ impl<X: Mixer> ArrivalServer<X> {
             .core
             .launch(client, &weights, epochs, selection_round, use_prox);
         let gen = self.inflight.begin(client, 0, 0, 0, ctx.now(), phase);
-        self.dispatch_version.insert(client, self.core.updates);
+        self.dispatch_version[client] = self.core.updates;
         ctx.dispatch_with_transfer(client, gen, epochs, down_bytes);
         self.live_dispatches += 1;
     }
@@ -137,16 +136,14 @@ impl<X: Mixer> EventHandler for ArrivalServer<X> {
             // — but rejoins at its return time if the outage is transient.
             PhaseEvent::Lost { .. } => {
                 self.live_dispatches -= 1;
-                self.dispatch_version.remove(&c.client);
                 self.schedule_revival(ctx, c.client);
                 return;
             }
         };
         self.live_dispatches -= 1;
-        let version = self.dispatch_version.remove(&c.client);
         if let Some(weights) = landed {
             // Staleness is measured when the update *lands* at the server.
-            let staleness = self.core.updates - version.unwrap_or(0);
+            let staleness = self.core.updates - self.dispatch_version[c.client];
             if self
                 .core
                 .cfg

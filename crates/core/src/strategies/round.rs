@@ -221,10 +221,11 @@ impl<P: RoundPolicy> RoundServer<P> {
     /// `cfg.rounds` global updates, evaluated every `cfg.eval_every`.
     pub fn new(task: Arc<FedTask>, cfg: &ExperimentConfig, policy: P) -> Self {
         let lanes = policy.lanes();
+        let inflight = InflightTable::new(task.fed.clients.len());
         RoundServer {
             core: ServerCore::new(task, cfg, cfg.rounds, cfg.eval_every),
             policy,
-            inflight: InflightTable::new(),
+            inflight,
             lanes: (0..lanes).map(|_| Lane::default()).collect(),
             active: lanes,
             rounds_started: 0,

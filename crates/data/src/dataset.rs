@@ -134,19 +134,29 @@ impl Dataset {
         self.label_histogram().iter().filter(|&&c| c > 0).count()
     }
 
-    /// Deterministic mini-batch schedule: shuffles row indices with `rng`
-    /// and chunks them into batches of `batch_size` (last batch may be
-    /// short). The paper fixes a pseudo-random schedule per client so
-    /// repeated selections are comparable across FL methods (§6).
+    /// One epoch's row order: every row index, shuffled with `rng`, written
+    /// into `order` (cleared first). Chunked into consecutive batches of
+    /// `batch_size` rows (the last may be short) it is the epoch's
+    /// mini-batch schedule; the paper fixes a pseudo-random schedule per
+    /// client so repeated selections are comparable across FL methods (§6).
+    /// A caller that keeps `order` between epochs allocates nothing.
+    pub fn shuffled_rows_into<R: Rng + ?Sized>(&self, rng: &mut R, order: &mut Vec<usize>) {
+        order.clear();
+        order.extend(0..self.len());
+        shuffle(rng, order);
+    }
+
+    /// [`Dataset::shuffled_rows_into`] chunked into owned batches of
+    /// `batch_size` rows.
     pub fn batch_schedule<R: Rng + ?Sized>(
         &self,
         batch_size: usize,
         rng: &mut R,
     ) -> Vec<Vec<usize>> {
         assert!(batch_size > 0, "batch_size must be positive");
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        shuffle(rng, &mut idx);
-        idx.chunks(batch_size).map(|c| c.to_vec()).collect()
+        let mut order = Vec::new();
+        self.shuffled_rows_into(rng, &mut order);
+        order.chunks(batch_size).map(<[usize]>::to_vec).collect()
     }
 
     /// Materializes a batch `(x, y)` from row indices.
@@ -167,7 +177,11 @@ impl Dataset {
         y_out.reserve(indices.len() * tpr);
         for &i in indices {
             xs.extend_from_slice(self.x.row(i));
-            y_out.extend_from_slice(&self.y[i * tpr..(i + 1) * tpr]);
+            // Pushed, not `extend_from_slice`d: one label is a 4-byte store,
+            // not a `memcpy` call.
+            for &t in &self.y[i * tpr..(i + 1) * tpr] {
+                y_out.push(t);
+            }
         }
         Tensor::from_vec(xs, &[indices.len(), cols])
     }
@@ -240,6 +254,15 @@ mod tests {
         let mut all: Vec<usize> = sched.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..11).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn batch_schedule_chunks_the_shuffled_row_order() {
+        let d = toy(11);
+        let mut order = vec![99; 3];
+        d.shuffled_rows_into(&mut rng_for(2, 2), &mut order);
+        let sched = d.batch_schedule(4, &mut rng_for(2, 2));
+        assert_eq!(sched.concat(), order);
     }
 
     #[test]

@@ -92,12 +92,12 @@ impl Layer for Embedding {
         Tensor::zeros(&[n, t])
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.table]
+    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.table);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.table]
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.table);
     }
 
     fn name(&self) -> &'static str {

@@ -7,7 +7,7 @@
 //! reduction with the gradient itself as the accumulator: the ascending sum
 //! from `+0.0` a scratch buffer would hold, without buffer, fill or copy.
 
-use crate::param::Param;
+use crate::param::{Param, Params};
 use fedat_tensor::Tensor;
 
 /// Whether a pass is training (dropout active, batch-norm uses batch stats)
@@ -55,24 +55,38 @@ pub trait Layer: Send {
         self.backward(grad_out).recycle();
     }
 
-    /// Immutable access to the parameters, in a fixed deterministic order.
-    fn params(&self) -> Vec<&Param>;
+    /// Calls `f` on each parameter, in a fixed deterministic order. The
+    /// default visits none: a layer with parameters must override both
+    /// visitors.
+    fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
 
-    /// Mutable access to the parameters, in the same order as [`Layer::params`].
-    fn params_mut(&mut self) -> Vec<&mut Param>;
+    /// Calls `f` on each parameter mutably, in the order of
+    /// [`Layer::visit_params`].
+    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     /// Short human-readable layer name for diagnostics.
     fn name(&self) -> &'static str;
 
     /// Clears accumulated gradients.
     fn zero_grad(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
+        self.visit_params_mut(&mut Param::zero_grad);
     }
 
     /// Total scalar parameter count.
     fn num_params(&self) -> usize {
-        self.params().iter().map(|p| p.len()).sum()
+        let mut n = 0;
+        self.visit_params(&mut |p| n += p.len());
+        n
+    }
+}
+
+/// A layer stack's parameters: each layer's, in layer order.
+impl Params for Vec<Box<dyn Layer>> {
+    fn visit(&self, f: &mut dyn FnMut(&Param)) {
+        self.iter().for_each(|l| l.visit_params(f));
+    }
+
+    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.iter_mut().for_each(|l| l.visit_params_mut(f));
     }
 }

@@ -99,12 +99,14 @@ impl Layer for Dense {
         grad_out.recycle();
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.w, &self.b]
+    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.w);
+        f(&self.b);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.w, &mut self.b]
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.w);
+        f(&mut self.b);
     }
 
     fn name(&self) -> &'static str {
@@ -157,14 +159,6 @@ impl Layer for Relu {
         grad_out
     }
 
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-
     fn name(&self) -> &'static str {
         "relu"
     }
@@ -200,14 +194,6 @@ impl Layer for Tanh {
         fedat_tensor::simd::tanh_grad(grad_out.data_mut(), y.data());
         y.recycle();
         grad_out
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
     }
 
     fn name(&self) -> &'static str {
@@ -257,14 +243,6 @@ impl Layer for Sigmoid {
         fedat_tensor::simd::sigmoid_grad(grad_out.data_mut(), y.data());
         y.recycle();
         grad_out
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
     }
 
     fn name(&self) -> &'static str {
@@ -330,14 +308,6 @@ impl Layer for Dropout {
             fedat_tensor::scratch::recycle(mask);
         }
         grad_out
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
     }
 
     fn name(&self) -> &'static str {
@@ -489,12 +459,14 @@ impl Layer for BatchNorm1d {
         dx
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.gamma, &self.beta]
+    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.gamma);
+        f(&self.beta);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.gamma, &mut self.beta]
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.gamma);
+        f(&mut self.beta);
     }
 
     fn name(&self) -> &'static str {
@@ -599,12 +571,14 @@ impl Layer for Conv2d {
         self.accumulate_grads(grad_out).recycle();
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
+    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.weight);
+        f(&self.bias);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
     }
 
     fn name(&self) -> &'static str {
@@ -676,14 +650,6 @@ impl Layer for MaxPool2d {
         dx.reshape(&[n, self.c * self.h * self.w])
     }
 
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-
     fn name(&self) -> &'static str {
         "maxpool2d"
     }
@@ -699,8 +665,8 @@ mod tests {
         let mut rng = rng_for(1, 1);
         let mut d = Dense::new(&mut rng, 3, 2);
         // Overwrite with known weights.
-        d.params_mut()[0].value = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0], &[3, 2]);
-        d.params_mut()[1].value = Tensor::from_vec(vec![0.5, -0.5], &[2]);
+        d.w.value = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0], &[3, 2]);
+        d.b.value = Tensor::from_vec(vec![0.5, -0.5], &[2]);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
         let y = d.forward(x, Mode::Eval);
         // y0 = 1·1 + 2·0 + 3·1 + 0.5 = 4.5 ; y1 = 1·0 + 2·1 + 3·1 − 0.5 = 4.5

@@ -34,13 +34,13 @@ pub fn softmax_cross_entropy(logits: &Tensor, targets: &[u32]) -> (f32, Tensor) 
     ((loss / n as f64) as f32, probs)
 }
 
-/// Classification accuracy of logits against integer targets.
+/// Classification accuracy of logits against integer targets (no
+/// allocation: each row's argmax is compared as it is found).
 pub fn accuracy(logits: &Tensor, targets: &[u32]) -> f32 {
-    let preds = logits.argmax_rows();
-    let correct = preds
-        .iter()
-        .zip(targets.iter())
-        .filter(|(p, t)| **p == **t as usize)
+    let (rows, _) = logits.shape().as_matrix();
+    let correct = (0..rows)
+        .zip(targets)
+        .filter(|&(r, &t)| fedat_tensor::ops::argmax(logits.row(r)) == t as usize)
         .count();
     correct as f32 / targets.len().max(1) as f32
 }

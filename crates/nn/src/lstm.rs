@@ -8,9 +8,9 @@
 use crate::layer::Mode;
 use crate::layers::sigmoid;
 use crate::loss::softmax_cross_entropy;
-use crate::model::{flatten_params, unflatten_params, Model};
+use crate::model::Model;
 use crate::optim::{Optimizer, ProxTerm};
-use crate::param::Param;
+use crate::param::{Param, Params};
 use fedat_tensor::Tensor;
 use rand::Rng;
 
@@ -94,8 +94,8 @@ impl LstmLm {
         self.vocab
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![
+    fn params(&self) -> [&Param; 6] {
+        [
             &self.embed,
             &self.w_ih,
             &self.w_hh,
@@ -105,8 +105,8 @@ impl LstmLm {
         ]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![
+    fn params_mut(&mut self) -> [&mut Param; 6] {
+        [
             &mut self.embed,
             &mut self.w_ih,
             &mut self.w_hh,
@@ -117,9 +117,7 @@ impl LstmLm {
     }
 
     fn zero_grad(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
+        self.visit_mut(&mut Param::zero_grad);
     }
 
     /// Forward pass over `[batch, seq_len]` token ids.
@@ -309,21 +307,31 @@ impl Model for LstmLm {
         logits.recycle();
         self.backward(&d_logits);
         d_logits.recycle();
-        opt.step(&mut self.params_mut(), prox);
+        opt.step(self, prox);
         self.grads_clean = true;
         loss
     }
 
     fn num_params(&self) -> usize {
-        self.params().iter().map(|p| p.len()).sum()
+        self.scalar_count()
     }
 
     fn weights(&self) -> Vec<f32> {
-        flatten_params(&self.params())
+        self.flatten()
     }
 
     fn set_weights(&mut self, flat: &[f32]) {
-        unflatten_params(&mut self.params_mut(), flat);
+        self.load(flat);
+    }
+}
+
+impl Params for LstmLm {
+    fn visit(&self, f: &mut dyn FnMut(&Param)) {
+        self.params().into_iter().for_each(f);
+    }
+
+    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.params_mut().into_iter().for_each(f);
     }
 }
 

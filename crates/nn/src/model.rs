@@ -4,7 +4,7 @@
 use crate::layer::{Layer, Mode};
 use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::optim::{Optimizer, ProxTerm};
-use crate::param::Param;
+use crate::param::Params;
 use fedat_tensor::Tensor;
 
 /// Loss/accuracy pair returned by evaluation.
@@ -83,31 +83,6 @@ pub trait Model: Send {
     fn set_weights(&mut self, flat: &[f32]);
 }
 
-/// Helper shared by `Model` implementations: flatten parameter values.
-pub fn flatten_params(params: &[&Param]) -> Vec<f32> {
-    let total: usize = params.iter().map(|p| p.len()).sum();
-    let mut flat = Vec::with_capacity(total);
-    for p in params {
-        flat.extend_from_slice(p.value.data());
-    }
-    flat
-}
-
-/// Helper shared by `Model` implementations: scatter a flat vector back.
-///
-/// # Panics
-/// Panics if sizes disagree.
-pub fn unflatten_params(params: &mut [&mut Param], flat: &[f32]) {
-    let total: usize = params.iter().map(|p| p.len()).sum();
-    assert_eq!(total, flat.len(), "weight vector size mismatch");
-    let mut off = 0usize;
-    for p in params.iter_mut() {
-        let n = p.len();
-        p.value.data_mut().copy_from_slice(&flat[off..off + n]);
-        off += n;
-    }
-}
-
 /// A feed-forward stack of [`Layer`]s ending in class logits.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
@@ -168,17 +143,6 @@ impl Sequential {
         }
     }
 
-    fn all_params(&self) -> Vec<&Param> {
-        self.layers.iter().flat_map(|l| l.params()).collect()
-    }
-
-    fn all_params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
     /// Human-readable architecture summary, e.g. `dense→relu→dense`.
     pub fn describe(&self) -> String {
         self.layers
@@ -217,21 +181,21 @@ impl Model for Sequential {
             .rev()
             .fold(d_logits, |acc, layer| layer.backward(acc));
         first.backward_params_only(grad);
-        opt.step(&mut self.all_params_mut(), prox);
+        opt.step(&mut self.layers, prox);
         self.grads_clean = true;
         loss
     }
 
     fn num_params(&self) -> usize {
-        self.all_params().iter().map(|p| p.len()).sum()
+        self.layers.scalar_count()
     }
 
     fn weights(&self) -> Vec<f32> {
-        flatten_params(&self.all_params())
+        self.layers.flatten()
     }
 
     fn set_weights(&mut self, flat: &[f32]) {
-        unflatten_params(&mut self.all_params_mut(), flat);
+        self.layers.load(flat);
     }
 }
 

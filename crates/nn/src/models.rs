@@ -226,12 +226,13 @@ thread_local! {
 /// least recently used entry. If `f` panics the model is dropped with the
 /// unwind: a half-stepped model never re-enters the cache.
 pub fn with_cached_model<R>(spec: &ModelSpec, seed: u64, f: impl FnOnce(&mut dyn Model) -> R) -> R {
-    let mut model = MODEL_CACHE.with(|cache| {
+    let (key, mut model) = MODEL_CACHE.with(|cache| {
         let mut cache = cache.borrow_mut();
         match cache.iter().position(|(s, _)| s == spec) {
-            // Order-preserving: slot 0 stays the least recently used.
-            Some(i) => cache.remove(i).1,
-            None => spec.build(seed),
+            // Order-preserving: slot 0 stays the least recently used. A hit
+            // keeps its key, so a warm call clones no spec.
+            Some(i) => cache.remove(i),
+            None => (spec.clone(), spec.build(seed)),
         }
     });
     let result = f(model.as_mut());
@@ -240,7 +241,7 @@ pub fn with_cached_model<R>(spec: &ModelSpec, seed: u64, f: impl FnOnce(&mut dyn
         if cache.len() >= MODEL_CACHE_CAP {
             cache.remove(0);
         }
-        cache.push((spec.clone(), model));
+        cache.push((key, model));
     });
     result
 }

@@ -11,7 +11,7 @@
 //! them in between. Adam does all of it — prox term, moments, weight, the
 //! zeroing store — in one sweep per parameter.
 
-use crate::param::Param;
+use crate::param::{Param, Params};
 use fedat_tensor::simd::adam_sweep;
 
 /// A first-order optimizer stepping a fixed parameter list.
@@ -24,8 +24,9 @@ use fedat_tensor::simd::adam_sweep;
 pub trait Optimizer: Send {
     /// Applies one update from the gradients accumulated in `params` —
     /// plus, with `prox`, the constraint gradient `λ(w − w_global)` — and
-    /// leaves every gradient `+0.0`.
-    fn step(&mut self, params: &mut [&mut Param], prox: Option<&ProxTerm>);
+    /// leaves every gradient `+0.0`. State is matched to parameters by
+    /// their position in the walk.
+    fn step(&mut self, params: &mut dyn Params, prox: Option<&ProxTerm>);
 
     /// Forgets all state, as if newly built with the current learning
     /// rate; buffers may be kept, and may next meet a different model.
@@ -60,35 +61,39 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param], prox: Option<&ProxTerm>) {
+    fn step(&mut self, params: &mut dyn Params, prox: Option<&ProxTerm>) {
         if let Some(prox) = prox {
             prox.apply(params);
         }
+        let lr = self.lr;
         if self.momentum == 0.0 {
-            for p in params.iter_mut() {
-                fedat_tensor::ops::axpy(-self.lr, p.grad.data(), p.value.data_mut());
+            params.visit_mut(&mut |p| {
+                fedat_tensor::ops::axpy(-lr, p.grad.data(), p.value.data_mut());
                 p.zero_grad();
-            }
+            });
             return;
         }
         if self.velocity.is_empty() {
-            self.velocity = params.iter().map(|p| vec![0.0; p.len()]).collect();
+            let velocity = &mut self.velocity;
+            params.visit(&mut |p| velocity.push(vec![0.0; p.len()]));
         }
         assert_eq!(
             self.velocity.len(),
-            params.len(),
+            params.count(),
             "optimizer bound to a different model"
         );
-        for (p, v) in params.iter_mut().zip(self.velocity.iter_mut()) {
+        let (momentum, mut velocity) = (self.momentum, self.velocity.iter_mut());
+        params.visit_mut(&mut |p| {
+            let v = velocity.next().expect("one velocity per parameter");
             fedat_tensor::simd::sgd_momentum_step(
                 p.value.data_mut(),
                 p.grad.data(),
                 v,
-                self.momentum,
-                self.lr,
+                momentum,
+                lr,
             );
             p.zero_grad();
-        }
+        });
     }
 
     fn reset(&mut self) {
@@ -137,23 +142,22 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Param], prox: Option<&ProxTerm>) {
+    fn step(&mut self, params: &mut dyn Params, prox: Option<&ProxTerm>) {
         // Virgin moments: whatever a previous life left in the buffers,
         // the sweep reads `0.0` — they need the right shape, not zeros.
         let virgin = self.t == 0;
+        let count = params.count();
         if virgin {
-            self.m.resize_with(params.len(), Vec::new);
-            self.v.resize_with(params.len(), Vec::new);
-            for ((m, v), p) in self.m.iter_mut().zip(&mut self.v).zip(params.iter()) {
+            self.m.resize_with(count, Vec::new);
+            self.v.resize_with(count, Vec::new);
+            let mut moments = self.m.iter_mut().zip(&mut self.v);
+            params.visit(&mut |p| {
+                let (m, v) = moments.next().expect("one moment pair per parameter");
                 m.resize(p.len(), 0.0);
                 v.resize(p.len(), 0.0);
-            }
+            });
         }
-        assert_eq!(
-            self.m.len(),
-            params.len(),
-            "optimizer bound to a different model"
-        );
+        assert_eq!(self.m.len(), count, "optimizer bound to a different model");
         self.t += 1;
         let step = fedat_tensor::simd::AdamParams {
             lr: self.lr,
@@ -170,7 +174,9 @@ impl Optimizer for Adam {
             prox.check_dims(params);
         }
         let mut off = 0usize;
-        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
+        let mut moments = self.m.iter_mut().zip(&mut self.v);
+        params.visit_mut(&mut |p| {
+            let (m, v) = moments.next().expect("one moment pair per parameter");
             let (w, g) = (p.value.data_mut(), p.grad.data_mut());
             let n = w.len();
             match prox {
@@ -181,7 +187,7 @@ impl Optimizer for Adam {
                 None => adam_sweep::<false>(w, g, m, v, (&[], 0.0), virgin, &step),
             }
             off += n;
-        }
+        });
     }
 
     fn reset(&mut self) {
@@ -228,15 +234,15 @@ impl ProxTerm {
     ///
     /// # Panics
     /// Panics if the flattened parameter count differs from `global.len()`.
-    pub fn apply(&self, params: &mut [&mut Param]) {
+    pub fn apply(&self, params: &mut dyn Params) {
         if self.lambda == 0.0 {
             return;
         }
         self.check_dims(params);
         let mut off = 0usize;
-        for p in params.iter_mut() {
+        params.visit_mut(&mut |p| {
             let n = p.len();
-            let Param { value, grad } = &mut **p;
+            let Param { value, grad } = p;
             fedat_tensor::simd::prox_grad(
                 grad.data_mut(),
                 value.data(),
@@ -244,12 +250,15 @@ impl ProxTerm {
                 self.lambda,
             );
             off += n;
-        }
+        });
     }
 
-    fn check_dims(&self, params: &[&mut Param]) {
-        let total: usize = params.iter().map(|p| p.len()).sum();
-        assert_eq!(total, self.global.len(), "prox term dimension mismatch");
+    fn check_dims(&self, params: &dyn Params) {
+        assert_eq!(
+            params.scalar_count(),
+            self.global.len(),
+            "prox term dimension mismatch"
+        );
     }
 }
 

@@ -1,45 +1,46 @@
-//! What `scratch::alloc_misses` cannot see: buffer-sized requests that go
-//! to the allocator directly. A counting global allocator (this test binary
-//! only) tallies, per thread, every allocation of a kibibyte or more; after
-//! warm-up a CnnLite training step must make none — the conv stage's column
-//! matrices come from the arena as one buffer, the pooling indices and the
-//! ReLU mask are reused in place, the matmul's non-zero list lives on the
-//! stack. Small bookkeeping (`Vec<&mut Param>`, shape vectors) stays below
-//! the threshold by two orders of magnitude.
+//! Allocation counts of the training hot path, as pins. A counting global
+//! allocator (this test binary only) tallies, per thread, *every*
+//! allocation — an `alloc` or a `realloc`, whatever its size.
 //!
-//! One level up, a warmed-up `train_client` dispatch asks for exactly one
-//! buffer — the weight vector it returns: the optimizer is resident on the
-//! thread between dispatches, so its state is not allocated, zeroed and
-//! freed per client. Below it, a warmed-up batch gather asks for none: the
-//! feature tensor is an arena buffer filled by `extend`, the labels reuse
-//! the caller's vector.
+//! After warm-up a CnnLite training step makes none: the conv stage's
+//! column matrices come from the scratch arena as one buffer, the pooling
+//! indices and the ReLU mask are reused in place, the matmul's non-zero
+//! list lives on the stack and the optimizer walks the parameters in place
+//! (`fedat_nn::param::Params`) instead of collecting references to them. A
+//! batch gather makes none either: the feature tensor is an arena buffer,
+//! the labels reuse the caller's vector.
+//!
+//! One level up, a warmed-up `train_client` dispatch makes exactly one —
+//! the weight vector it returns — however many batches it trains: the
+//! model, the optimizer, the epoch's row order and the batch labels all
+//! stay resident on the thread between dispatches. A pool `submit` + `join`
+//! makes one (the job), and a whole FedAsync run, every dispatch, landing,
+//! mix and evaluation included, stays within four per global update.
 
-use fedat_core::config::ExperimentConfig;
+use fedat_core::config::{ExperimentConfig, StrategyKind};
+use fedat_core::exec::ExecMode;
 use fedat_core::local::train_client;
 use fedat_data::suite;
 use fedat_nn::models::ModelSpec;
 use fedat_nn::optim::{Adam, ProxTerm};
 use fedat_tensor::rng::rng_for;
+use fedat_tensor::simd::SimdKernel;
 use fedat_tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-
-/// Requests at least this large count as buffers.
-const BUFFER_BYTES: usize = 1024;
+use std::sync::Arc;
 
 thread_local! {
-    static BUFFERS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 impl Counting {
-    fn note(size: usize) {
-        if size >= BUFFER_BYTES {
-            // `try_with`: the allocator also runs while a thread's locals
-            // are being torn down.
-            let _ = BUFFERS.try_with(|n| n.set(n.get() + 1));
-        }
+    fn note() {
+        // `try_with`: the allocator also runs while a thread's locals are
+        // being torn down.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -49,7 +50,7 @@ impl Counting {
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller's `layout` is passed through as received.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::note(layout.size());
+        Self::note();
         // SAFETY: as above.
         unsafe { System.alloc(layout) }
     }
@@ -63,7 +64,7 @@ unsafe impl GlobalAlloc for Counting {
     // SAFETY: `ptr` came from `System.alloc` with this `layout`; the caller
     // vouches for `new_size`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::note(new_size);
+        Self::note();
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -71,6 +72,13 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
+
+/// Allocations this thread made while running `f`, and `f`'s result.
+fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
 
 #[test]
 fn steady_state_cnn_step_requests_no_buffers() {
@@ -91,15 +99,12 @@ fn steady_state_cnn_step_requests_no_buffers() {
     for x in &batches[..3] {
         model.train_batch(x, &y, &mut opt, Some(&prox));
     }
-    let before = BUFFERS.with(Cell::get);
-    for x in &batches[3..] {
-        model.train_batch(x, &y, &mut opt, Some(&prox));
-    }
-    assert_eq!(
-        BUFFERS.with(Cell::get),
-        before,
-        "a warmed-up training step asked the allocator for a buffer"
-    );
+    let (made, ()) = counted(|| {
+        for x in &batches[3..] {
+            model.train_batch(x, &y, &mut opt, Some(&prox));
+        }
+    });
+    assert_eq!(made, 0, "a warmed-up training step allocated");
 }
 
 #[test]
@@ -107,30 +112,30 @@ fn steady_state_dispatch_requests_only_the_returned_weights() {
     let cfg = ExperimentConfig::builder().seed(3).batch_size(8).build();
     let models = [
         ModelSpec::Mlp {
-            input: 64,
-            hidden: vec![128, 128],
-            classes: 10,
+            input: 32,
+            hidden: vec![64, 64],
+            classes: 2,
         },
-        // 650 weights, 2.6 KB: an update that is still a buffer.
         ModelSpec::Logistic {
-            input: 64,
-            classes: 10,
+            input: 32,
+            classes: 2,
         },
     ];
     for model in models {
-        let mut task = suite::fmnist_like(4, 2, 3);
+        let mut task = suite::sent140_like(6, 3);
         task.model = model;
-        let global: std::sync::Arc<[f32]> = task.model.build(1).weights().into();
+        let global: Arc<[f32]> = task.model.build(1).weights().into();
         for round in 0..3 {
             train_client(&task, 1, &global, &cfg, 2, round, true);
         }
-        for round in 3..8 {
-            let before = BUFFERS.with(Cell::get);
-            let update = train_client(&task, (round % 4) as usize, &global, &cfg, 2, round, true);
+        // One to six epochs: the count does not grow with the batch count.
+        for epochs in 1..=6 {
+            let round = 2 + epochs as u64;
+            let (made, update) =
+                counted(|| train_client(&task, 1, &global, &cfg, epochs, round, true));
             assert_eq!(
-                BUFFERS.with(Cell::get) - before,
-                1,
-                "{:?}: a warmed-up dispatch asked the allocator for more than its update",
+                made, 1,
+                "{:?}, {epochs} epochs: a warmed-up dispatch allocated more than its update",
                 task.model
             );
             assert_eq!(update.weights.len(), global.len());
@@ -144,19 +149,67 @@ fn steady_state_gather_requests_no_buffers() {
     let task = suite::fmnist_like(4, 2, 3);
     let data = &task.fed.clients[1].train;
     let rows: Vec<usize> = (0..8).map(|r| r % data.len()).collect();
+    let shifted: Vec<Vec<usize>> = (1..6)
+        .map(|shift| rows.iter().map(|r| (r + shift) % data.len()).collect())
+        .collect();
     let mut y = Vec::new();
     data.gather_batch_into(&rows, &mut y).recycle();
-    let before = BUFFERS.with(Cell::get);
-    for shift in 1..6 {
-        let rows: Vec<usize> = rows.iter().map(|r| (r + shift) % data.len()).collect();
-        let x = data.gather_batch_into(&rows, &mut y);
-        assert_eq!(x.row(7), data.x.row(rows[7]));
-        assert_eq!(y.len(), rows.len());
-        x.recycle();
-    }
-    assert_eq!(
-        BUFFERS.with(Cell::get),
-        before,
-        "a warmed-up gather asked the allocator for a buffer"
+    let (made, ()) = counted(|| {
+        for rows in &shifted {
+            let x = data.gather_batch_into(rows, &mut y);
+            assert_eq!(x.row(7), data.x.row(rows[7]));
+            assert_eq!(y.len(), rows.len());
+            x.recycle();
+        }
+    });
+    assert_eq!(made, 0, "a warmed-up gather allocated");
+}
+
+#[test]
+fn a_submitted_job_allocates_once() {
+    // Cap 0 keeps the jobs off the queue, whose buffer grows on its own
+    // schedule (amortized, and on whichever thread pushes when it fills).
+    let _cap = fedat_tensor::ctx::install(fedat_tensor::ctx::KernelCtx {
+        max_pool_jobs: 0,
+        ..fedat_tensor::ctx::snapshot()
+    });
+    fedat_tensor::pool::submit(|| 1u64).join();
+    let (made, sum) = counted(|| {
+        (0..8u64)
+            .map(|i| fedat_tensor::pool::submit(move || i).join())
+            .sum::<u64>()
+    });
+    assert_eq!(sum, 28);
+    assert_eq!(made, 8, "a submit + join made more than its one allocation");
+}
+
+/// FedAsync's allocations per global update, marginal between a 20- and a
+/// 60-round run (what both share — task, fleet, strategy, thread caches,
+/// final sweep — cancels). At job cap 0 every job runs on this thread, so
+/// the per-thread tally sees the whole run: training, the pipelined
+/// evaluations and the event loop. The SIMD lane is pinned to `Auto`:
+/// under `Scalar` every transfer is `decode(encode(..))` through a blob —
+/// the reference the fused in-place roundtrip is held to, allocating by
+/// design.
+#[test]
+fn fedasync_allocates_at_most_four_times_per_global_update() {
+    let task = Arc::new(suite::sent140_like(400, 5));
+    let run = |rounds: u64| {
+        let mut cfg = ExperimentConfig::builder()
+            .strategy(StrategyKind::FedAsync)
+            .rounds(rounds)
+            .seed(5)
+            .build();
+        cfg.exec.mode = Some(ExecMode::Inline);
+        cfg.exec.simd = Some(SimdKernel::Auto);
+        counted(|| fedat_core::run_experiment_shared(&task, &cfg).global_updates)
+    };
+    let (short, short_updates) = run(20);
+    let (long, long_updates) = run(60);
+    assert!(long_updates > short_updates, "the budget did not bind");
+    let per_update = (long - short) as f64 / (long_updates - short_updates) as f64;
+    assert!(
+        per_update <= 4.0,
+        "{per_update:.2} allocations per global update (> 4)"
     );
 }

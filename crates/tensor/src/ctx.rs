@@ -19,9 +19,9 @@
 //!
 //! The overlay is thread-local, so it must travel with work that hops
 //! threads. The one thread-crossing path in this crate,
-//! [`crate::pool::submit`], propagates it automatically: the runner closure
-//! captures the submitter's overlay and installs it around execution
-//! (worker-side *and* steal-on-join).
+//! [`crate::pool::submit`], propagates it automatically: the job records
+//! the submitter's overlay and installs it around execution (worker-side
+//! *and* steal-on-join).
 //!
 //! A `None` overlay propagates too: work submitted from a thread running
 //! on the defaults runs on the defaults wherever it executes, even when the

@@ -188,23 +188,6 @@ impl Tensor {
         }
     }
 
-    /// Per-row argmax (predicted class per sample).
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        let (rows, cols) = self.shape().as_matrix();
-        (0..rows)
-            .map(|r| {
-                let row = &self.data()[r * cols..(r + 1) * cols];
-                let mut best = 0usize;
-                for (i, &v) in row.iter().enumerate().skip(1) {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                best
-            })
-            .collect()
-    }
-
     /// Numerically-stable row softmax.
     pub fn softmax_rows(&self) -> Tensor {
         let (rows, cols) = self.shape().as_matrix();
@@ -215,6 +198,18 @@ impl Tensor {
         }
         out
     }
+}
+
+/// Index of the first maximum of `row` (0 for an empty row): the predicted
+/// class of one sample's logits.
+pub fn argmax(row: &[f32]) -> usize {
+    let mut best = 0usize;
+    for (i, &v) in row.iter().enumerate().skip(1) {
+        if v > row[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 /// Numerically-stable in-place softmax of one row.
@@ -417,7 +412,7 @@ mod tests {
     #[test]
     fn argmax_rows_picks_first_max_on_ties() {
         let t = Tensor::from_vec(vec![0.0, 5.0, 5.0, 1.0, 0.0, -1.0], &[2, 3]);
-        assert_eq!(t.argmax_rows(), vec![1, 0]);
+        assert_eq!([t.row(0), t.row(1)].map(argmax), [1, 0]);
     }
 
     #[test]

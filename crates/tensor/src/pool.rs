@@ -53,23 +53,23 @@
 //! depend on the executing thread (given a pure closure): results are
 //! bit-identical regardless of thread assignment.
 
+use crate::ctx::KernelCtx;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// One in-flight submitted job: the type-erased closure plus the
-/// completion signal. The closure is claimed by `take`-ing it out of the
-/// slot — exactly one thread (a pool worker, the joiner, or a canceller)
-/// ever obtains it.
-struct JobCore {
-    /// `Some` until claimed. The runner closure stores its own result (and
-    /// any panic payload) through the `Arc`ed slot it captured at
-    /// [`submit`] time.
-    task: Mutex<Option<Box<dyn FnOnce() + Send>>>,
-    /// Set (under the mutex) once the job finished (ran or was cancelled).
-    finished: Mutex<bool>,
-    /// Signals `finished == true`.
+/// One submitted job, in the one allocation [`submit`] makes: the closure,
+/// its claim state and its result behind one mutex, plus the completion
+/// signal. The closure is claimed by moving it out of [`Stage::Unclaimed`]
+/// — exactly one thread (a pool worker, the joiner, or a canceller) ever
+/// obtains it.
+struct Job<F, T> {
+    state: Mutex<JobState<F, T>>,
+    /// Signals [`Stage::Finished`] to a parked joiner.
     done: Condvar,
+    /// The submitter's kernel-ctx overlay, in force wherever the job runs —
+    /// a pool worker or the joining thread (steal-on-join).
+    overlay: Option<KernelCtx>,
     /// Whether this job still holds a [`POOL_JOBS`] occupancy slot. Held
     /// from `submit` until a worker finishes running the job — or released
     /// early when a joiner steals it or a canceller claims it (the job has
@@ -78,17 +78,87 @@ struct JobCore {
     pool_slot: AtomicBool,
 }
 
-impl JobCore {
-    /// Claims the closure; the caller must run (or drop) it and then call
-    /// [`JobCore::mark_finished`].
-    fn claim(&self) -> Option<Box<dyn FnOnce() + Send>> {
-        self.task.lock().unwrap().take()
+struct JobState<F, T> {
+    stage: Stage<F, T>,
+    /// Whether the joiner sleeps on [`Job::done`]. Completion notifies only
+    /// then: std's futex condvar makes a syscall per `notify_*` whether or
+    /// not anyone waits, and most jobs finish before their join.
+    joiner_parked: bool,
+}
+
+enum Stage<F, T> {
+    /// Submitted, not claimed yet.
+    Unclaimed(F),
+    /// Claimed: running on the claiming thread.
+    Running,
+    /// Ran (the result, or its panic payload, until the join takes it) or
+    /// was cancelled (`None`).
+    Finished(Option<std::thread::Result<T>>),
+}
+
+/// The pool's view of a queued job, whatever it returns.
+trait Queued: Send + Sync {
+    /// What a worker does with one job off the queue — and a helping joiner
+    /// ([`JobHandle::join`]) while its own job runs elsewhere: runs it if
+    /// nobody has claimed it, then releases its pool slot.
+    fn serve(&self);
+}
+
+/// The handle's view of its job.
+trait Claim<T>: Send + Sync {
+    /// Claims and runs the job on this thread if nobody has; says whether
+    /// it did.
+    fn run_if_unclaimed(&self) -> bool;
+
+    /// Claims the job and drops it unrun if nobody has; says whether it did.
+    fn cancel(&self) -> bool;
+
+    fn is_finished(&self) -> bool;
+
+    /// Blocks until the job has finished, then takes its result.
+    fn wait(&self) -> std::thread::Result<T>;
+}
+
+impl<F, T> Job<F, T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    /// Moves the closure out if nobody claimed it yet; the caller must run
+    /// it (or drop it) and then call [`Job::finish`].
+    fn claim(&self) -> Option<F> {
+        let mut state = self.state.lock().unwrap();
+        match std::mem::replace(&mut state.stage, Stage::Running) {
+            Stage::Unclaimed(job) => Some(job),
+            claimed => {
+                state.stage = claimed;
+                None
+            }
+        }
     }
 
-    /// Signals completion to any waiting joiner.
-    fn mark_finished(&self) {
-        *self.finished.lock().unwrap() = true;
-        self.done.notify_all();
+    /// Runs a claimed closure under the submitter's overlay and stores its
+    /// outcome.
+    fn run(&self, job: F) {
+        let outcome = {
+            let _ctx = crate::ctx::set_overlay(self.overlay);
+            let nested = IN_JOB.replace(true);
+            let outcome = catch_unwind(AssertUnwindSafe(job));
+            IN_JOB.set(nested);
+            outcome
+        };
+        self.finish(Some(outcome));
+    }
+
+    /// Records completion and wakes the joiner if it is parked.
+    fn finish(&self, outcome: Option<std::thread::Result<T>>) {
+        let mut state = self.state.lock().unwrap();
+        state.stage = Stage::Finished(outcome);
+        let wake = state.joiner_parked;
+        drop(state);
+        if wake {
+            self.done.notify_one();
+        }
     }
 
     /// Releases the job's pool-occupancy slot (exactly once; no-op for
@@ -98,12 +168,65 @@ impl JobCore {
             POOL_JOBS.fetch_sub(1, Ordering::AcqRel);
         }
     }
+}
 
-    /// Blocks until the claimed job has finished running.
-    fn wait(&self) {
-        let mut finished = self.finished.lock().unwrap();
-        while !*finished {
-            finished = self.done.wait(finished).unwrap();
+impl<F, T> Queued for Job<F, T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    fn serve(&self) {
+        if let Some(job) = self.claim() {
+            // The closure's panic is caught inside `run`, so the
+            // bookkeeping below always runs.
+            self.run(job);
+        }
+        // The slot is held for the whole pool-side residence (queued +
+        // running); a stale message for a stolen/cancelled job finds it
+        // already released (exactly-once swap).
+        self.release_slot();
+    }
+}
+
+impl<F, T> Claim<T> for Job<F, T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    fn run_if_unclaimed(&self) -> bool {
+        let Some(job) = self.claim() else {
+            return false;
+        };
+        // Stolen: the job leaves the pool now (this thread is not a pool
+        // worker), freeing its occupancy slot for the next submission
+        // before the work even runs.
+        self.release_slot();
+        self.run(job);
+        true
+    }
+
+    fn cancel(&self) -> bool {
+        let Some(job) = self.claim() else {
+            return false;
+        };
+        self.release_slot();
+        drop(job);
+        self.finish(None);
+        true
+    }
+
+    fn is_finished(&self) -> bool {
+        matches!(self.state.lock().unwrap().stage, Stage::Finished(_))
+    }
+
+    fn wait(&self) -> std::thread::Result<T> {
+        let mut state = self.state.lock().unwrap();
+        loop {
+            if let Stage::Finished(outcome) = &mut state.stage {
+                return outcome.take().expect("a joined job was not cancelled");
+            }
+            state.joiner_parked = true;
+            state = self.done.wait(state).unwrap();
         }
     }
 }
@@ -111,8 +234,7 @@ impl JobCore {
 /// Handle to a job submitted with [`submit`]. [`join`](JobHandle::join)
 /// retrieves the result; dropping the handle abandons it.
 pub struct JobHandle<T> {
-    core: Arc<JobCore>,
-    result: Arc<Mutex<Option<std::thread::Result<T>>>>,
+    job: Arc<dyn Claim<T>>,
 }
 
 impl<T> JobHandle<T> {
@@ -130,14 +252,12 @@ impl<T> JobHandle<T> {
                 let Ok(queued) = pool().receiver.try_recv() else {
                     break;
                 };
-                serve(queued);
+                queued.serve();
             }
-            self.core.wait();
         }
-        match self.result.lock().unwrap().take() {
-            Some(Ok(value)) => value,
-            Some(Err(payload)) => resume_unwind(payload),
-            None => unreachable!("job finished without storing a result"),
+        match self.job.wait() {
+            Ok(value) => value,
+            Err(payload) => resume_unwind(payload),
         }
     }
 
@@ -149,16 +269,7 @@ impl<T> JobHandle<T> {
     /// of blocking on one that is mid-run. The job's panic, if any, is kept
     /// for `join`.
     pub fn run_if_unstarted(&self) -> bool {
-        let Some(task) = self.core.claim() else {
-            return false;
-        };
-        // Stolen: the job leaves the pool now (this thread is not a pool
-        // worker), freeing its occupancy slot for the next submission
-        // before the work even runs.
-        self.core.release_slot();
-        task();
-        self.core.mark_finished();
-        true
+        self.job.run_if_unclaimed()
     }
 
     /// Abandons the job, reclaiming it *before it runs* when possible.
@@ -167,20 +278,12 @@ impl<T> JobHandle<T> {
     /// `false` if some thread already ran or is running it, in which case
     /// that execution completes and its result is dropped.
     pub fn cancel(self) -> bool {
-        match self.core.claim() {
-            Some(task) => {
-                self.core.release_slot();
-                drop(task);
-                self.core.mark_finished();
-                true
-            }
-            None => false,
-        }
+        self.job.cancel()
     }
 
     /// Whether the job has already finished running (never blocks).
     pub fn is_finished(&self) -> bool {
-        *self.core.finished.lock().unwrap()
+        self.job.is_finished()
     }
 }
 
@@ -188,7 +291,7 @@ impl<T> JobHandle<T> {
 static POOL_JOBS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Whether this thread is inside a submitted job's runner. Such a thread
+    /// Whether this thread is running a submitted job. Such a thread
     /// does not help when it joins (it waits, as before): helping never
     /// nests, so a whole experiment running as a grid job cannot start
     /// another one inside its own join.
@@ -228,35 +331,25 @@ where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
-    let result: Arc<Mutex<Option<std::thread::Result<T>>>> = Arc::new(Mutex::new(None));
-    let slot = Arc::clone(&result);
-    // The submitter's kernel-ctx overlay travels with the job, so it is in
-    // force wherever the runner executes — a pool worker or the joining
-    // thread (steal-on-join).
-    let overlay = crate::ctx::current();
-    let runner: Box<dyn FnOnce() + Send> = Box::new(move || {
-        let _ctx = crate::ctx::set_overlay(overlay);
-        let nested = IN_JOB.replace(true);
-        let outcome = catch_unwind(AssertUnwindSafe(job));
-        IN_JOB.set(nested);
-        *slot.lock().unwrap() = Some(outcome);
-    });
-    let core = Arc::new(JobCore {
-        task: Mutex::new(Some(runner)),
-        finished: Mutex::new(false),
+    let job = Arc::new(Job {
+        state: Mutex::new(JobState {
+            stage: Stage::Unclaimed(job),
+            joiner_parked: false,
+        }),
         done: Condvar::new(),
+        overlay: crate::ctx::current(),
         pool_slot: AtomicBool::new(false),
     });
     let pool = pool();
     if pool.workers.load(Ordering::Relaxed) > 0 && acquire_job_slot() {
-        core.pool_slot.store(true, Ordering::Release);
+        job.pool_slot.store(true, Ordering::Release);
         // A send can only fail if the receiver side vanished, which cannot
         // happen while workers are parked on it.
         pool.injector
-            .send(Arc::clone(&core))
+            .send(Arc::clone(&job) as Arc<dyn Queued>)
             .expect("kernel pool alive");
     }
-    JobHandle { core, result }
+    JobHandle { job }
 }
 
 /// Blocks until no submitted job is queued for or running on a pool
@@ -272,9 +365,9 @@ pub fn quiesce() {
 
 /// The process-wide worker pool.
 struct Pool {
-    injector: crossbeam::channel::Sender<Arc<JobCore>>,
+    injector: crossbeam::channel::Sender<Arc<dyn Queued>>,
     /// Kept so [`ensure_workers`] can hand new workers the shared queue.
-    receiver: crossbeam::channel::Receiver<Arc<JobCore>>,
+    receiver: crossbeam::channel::Receiver<Arc<dyn Queued>>,
     workers: AtomicUsize,
     /// Serializes pool growth.
     grow: Mutex<()>,
@@ -282,22 +375,7 @@ struct Pool {
 
 static POOL: OnceLock<Pool> = OnceLock::new();
 
-/// What a worker does with one job off the queue — and a helping joiner
-/// ([`JobHandle::join`]) while its own job runs elsewhere.
-fn serve(job: Arc<JobCore>) {
-    if let Some(task) = job.claim() {
-        // The runner catches panics internally, so the bookkeeping below
-        // always runs.
-        task();
-        job.mark_finished();
-    }
-    // The slot is held for the whole pool-side residence (queued +
-    // running); a stale message for a stolen/cancelled job finds it
-    // already released (exactly-once swap).
-    job.release_slot();
-}
-
-fn spawn_worker(index: usize, rx: crossbeam::channel::Receiver<Arc<JobCore>>) {
+fn spawn_worker(index: usize, rx: crossbeam::channel::Receiver<Arc<dyn Queued>>) {
     // lint: allow(R4, reason = "the kernel pool is the one sanctioned home of real threads; workers never touch simulator state or wall-clock time")
     std::thread::Builder::new()
         .name(format!("fedat-kernel-{index}"))
@@ -305,7 +383,7 @@ fn spawn_worker(index: usize, rx: crossbeam::channel::Receiver<Arc<JobCore>>) {
             // Parked on `recv` between jobs; exits when the injector is
             // dropped (process teardown).
             while let Ok(job) = rx.recv() {
-                serve(job);
+                job.serve();
             }
         })
         .expect("spawning kernel pool worker");
@@ -323,7 +401,7 @@ fn pool() -> &'static Pool {
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or_else(|| cores.saturating_sub(1));
-        let (tx, rx) = crossbeam::channel::unbounded::<Arc<JobCore>>();
+        let (tx, rx) = crossbeam::channel::unbounded::<Arc<dyn Queued>>();
         for i in 0..workers {
             spawn_worker(i, rx.clone());
         }
@@ -480,10 +558,8 @@ mod tests {
         // Cap 0 keeps the job out of the pool so no worker can race this
         // thread for the claim below.
         let h = submit_unpooled(|| 5u8);
-        // Force completion through a second handle path: join would
-        // consume it, so complete via the pool/steal machinery instead.
-        assert!(h.core.claim().is_some());
-        h.core.mark_finished();
+        // Complete it through the steal path: join would consume the handle.
+        assert!(h.run_if_unstarted());
         assert!(!h.cancel(), "a claimed job must not report cancelled");
     }
 
@@ -503,12 +579,12 @@ mod tests {
 
     #[test]
     fn is_finished_reflects_completion() {
-        let h = submit(|| 7u8);
-        // Force completion through the join path; afterwards the flag must
-        // read true on a fresh handle once joined elsewhere. (We can only
-        // observe it pre-join without racing when the job is done.)
-        let core = Arc::clone(&h.core);
+        // Cap 0 keeps the job out of the pool, so nothing finishes it
+        // behind this thread's back.
+        let h = submit_unpooled(|| 7u8);
+        assert!(!h.is_finished());
+        assert!(h.run_if_unstarted());
+        assert!(h.is_finished());
         assert_eq!(h.join(), 7);
-        assert!(*core.finished.lock().unwrap());
     }
 }

@@ -180,6 +180,49 @@ fn a_joiner_inside_a_job_does_not_help() {
     parked.into_iter().for_each(pool::JobHandle::join);
 }
 
+/// A send into a queue whose every worker sleeps in `recv` owes one of them
+/// a wake-up: the job must run on a worker without anyone joining it.
+#[test]
+fn a_job_submitted_while_every_worker_is_parked_completes() {
+    let _one_at_a_time = one_job_test_at_a_time();
+    pool::ensure_workers(1);
+    // Nothing queued or running, and time for every worker to reach `recv`.
+    pool::quiesce();
+    std::thread::sleep(Duration::from_millis(20));
+    let (ran, on_worker) = mpsc::channel();
+    let job = pool::submit(move || ran.send(std::thread::current().id()).unwrap());
+    let worker = on_worker
+        .recv_timeout(WATCHDOG)
+        .expect("no parked worker woke for a submitted job");
+    assert_ne!(worker, std::thread::current().id());
+    job.join();
+}
+
+/// A joiner whose job is mid-run on a worker, with nothing queued to help
+/// with, sleeps; the job's completion owes it a wake-up. The join runs on a
+/// thread of its own, so a lost wake-up fails the test instead of hanging
+/// it.
+#[test]
+fn a_joiner_parked_on_a_mid_run_job_is_woken_by_its_completion() {
+    let _one_at_a_time = one_job_test_at_a_time();
+    pool::ensure_workers(1);
+    let gate = Arc::new(Gate::default());
+    let job = park_workers(&gate, 1).pop().unwrap();
+    let (joined, on_join) = mpsc::channel();
+    std::thread::Builder::new()
+        .spawn(move || {
+            job.join();
+            joined.send(()).unwrap();
+        })
+        .expect("spawning the joiner");
+    // Long enough for the joiner to find the queue empty and park.
+    std::thread::sleep(Duration::from_millis(50));
+    gate.open();
+    on_join
+        .recv_timeout(WATCHDOG)
+        .expect("a parked joiner was not woken by its job's completion");
+}
+
 fn filled(len: usize, seed: u64) -> Vec<f32> {
     let mut rng = rng_for(seed, 31);
     let mut v = vec![0.0f32; len];
