@@ -3,8 +3,10 @@
 //! issues with `A` at 0 %, 50 % and 75 % zeros), the `Bᵀ` transpose, the
 //! element-wise kernels that still have a lane (`dot`, `dist_sq`,
 //! `quantize_into` — the rest are one plain loop each, there is nothing to
-//! compare), the robust (trimmed-mean / median) reduction and the optimizer
-//! sweep (whose scalar lane is the three passes it fuses), each timed under
+//! compare), the robust (trimmed-mean / median) reduction, the optimizer
+//! sweep (whose scalar lane is the three passes it fuses), and the conv
+//! stage of a CnnLite step — the max-pool lane at both pools and conv2's
+//! input gradient on a pooled, ReLU-masked `dY` — each timed under
 //! `SimdKernel::Auto`
 //! (runtime-dispatched AVX2+FMA or the portable fallback) and
 //! `SimdKernel::Scalar` (the seed's plain loops, what autovectorization
@@ -21,11 +23,13 @@
 //!
 //! See `docs/PERF.md` for how to read the output.
 
+use fedat_tensor::conv;
 use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
 use fedat_tensor::ops;
 use fedat_tensor::ops::{matmul_into, matmul_nt_into, matmul_tn_into, RobustRule};
 use fedat_tensor::rng::{fill_normal, rng_for};
 use fedat_tensor::simd::{self, SimdKernel};
+use fedat_tensor::Tensor;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -445,6 +449,126 @@ fn bench_sweep(len: usize, prox: bool, seed: u64) -> SweepSample {
     }
 }
 
+struct ConvStageSample {
+    kernel: &'static str,
+    shape: &'static str,
+    scalar_us: f64,
+    simd_us: f64,
+}
+
+impl ConvStageSample {
+    fn speedup(&self) -> f64 {
+        self.scalar_us / self.simd_us.max(1e-12)
+    }
+}
+
+/// Best µs per call of `call` under `SimdKernel::Scalar` and `Auto`: the two
+/// sides alternate, each on its own output `state`, and every repetition
+/// ends with the two states' `bits` compared.
+fn bench_conv_stage<S>(
+    (kernel, shape): (&'static str, &'static str),
+    iters: usize,
+    mut sides: [S; 2],
+    call: impl Fn(&mut S),
+    bits: impl Fn(&S) -> Vec<u32>,
+) -> ConvStageSample {
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..REPEATS {
+        for (side, simd) in [SimdKernel::Scalar, SimdKernel::Auto]
+            .into_iter()
+            .enumerate()
+        {
+            let _g = with_kernel(simd);
+            let state = &mut sides[side];
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                call(state);
+            }
+            best[side] = best[side].min(t0.elapsed().as_secs_f64());
+        }
+        assert_eq!(
+            bits(&sides[0]),
+            bits(&sides[1]),
+            "SIMD {kernel} {shape} diverged from scalar"
+        );
+    }
+    let us = |secs: f64| secs / iters as f64 * 1e6;
+    ConvStageSample {
+        kernel,
+        shape,
+        scalar_us: us(best[0]),
+        simd_us: us(best[1]),
+    }
+}
+
+/// `maxpool2d_forward` with a 2 × 2 window over a post-ReLU `[10, c, h, h]`
+/// batch — one of CnnLite's two pools.
+fn bench_maxpool(shape: &'static str, (c, h): (usize, usize), seed: u64) -> ConvStageSample {
+    let x = filled(10 * c * h * h, seed)
+        .iter()
+        .map(|v| v.max(0.0))
+        .collect();
+    let x = Tensor::from_vec(x, &[10, c, h, h]);
+    let side = || (Tensor::zeros(&[1]), Vec::new());
+    bench_conv_stage(
+        ("maxpool2d_forward", shape),
+        20_000,
+        [side(), side()],
+        |(out, argmax): &mut (Tensor, Vec<u32>)| {
+            std::mem::replace(out, conv::maxpool2d_forward(&x, 2, argmax)).recycle();
+        },
+        |(out, argmax)| {
+            out.data()
+                .iter()
+                .map(|v| v.to_bits())
+                .chain(argmax.iter().copied())
+                .collect()
+        },
+    )
+}
+
+/// conv2's `conv2d_backward_input` in CnnLite 1×8×8 (16 → 32 channels,
+/// 3 × 3 over 4 × 4, batch 10), on a `dY` shaped the way the layers above
+/// it leave one: pool2 routes each 2 × 2 window's gradient to its maximum
+/// and ReLU2 drops it where that maximum is not positive — at most one
+/// non-zero in four.
+fn bench_conv2_backward_input(seed: u64) -> ConvStageSample {
+    let spec = conv::Conv2dSpec {
+        in_channels: 16,
+        out_channels: 32,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+    };
+    let plan = conv::ConvPlan::new(spec, 4, 4);
+    let weight = Tensor::from_vec(filled(32 * 144, seed), &[32, 144]);
+    let (pre, grad) = (
+        filled(10 * 32 * 16, seed ^ 1),
+        filled(10 * 32 * 16, seed ^ 2),
+    );
+    let mut dy = vec![0.0f32; 10 * 32 * 16];
+    for window in 0..10 * 32 * 4 {
+        let first = window / 2 * 8 + window % 2 * 2;
+        let at = [0, 1, 4, 5]
+            .map(|d| first + d)
+            .into_iter()
+            .fold(first, |best, i| if pre[i] > pre[best] { i } else { best });
+        if pre[at] > 0.0 {
+            dy[at] = grad[at];
+        }
+    }
+    let dy = Tensor::from_vec(dy, &[10, 32, 4, 4]);
+    bench_conv_stage(
+        ("conv2d_backward_input", "dY 10x32x4x4"),
+        5_000,
+        [Tensor::zeros(&[1]), Tensor::zeros(&[1])],
+        |d_input: &mut Tensor| {
+            std::mem::replace(d_input, conv::conv2d_backward_input(&dy, &weight, &plan)).recycle();
+        },
+        |d_input| d_input.data().iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_tensor_kernels.json");
@@ -541,6 +665,14 @@ fn main() {
             sweeps.push(bench_sweep(len, prox, seed ^ 8));
         }
     }
+
+    // CnnLite 1×8×8's two pools and conv2's input gradient, batch 10.
+    eprintln!("[bench_tensor_kernels] conv stage: max-pool lane, conv2 input gradient ...");
+    let conv_stage = vec![
+        bench_maxpool("10x16x8x8", (16, 8), seed ^ 9),
+        bench_maxpool("10x32x4x4", (32, 4), seed ^ 10),
+        bench_conv2_backward_input(seed ^ 11),
+    ];
 
     let key = matmuls
         .iter()
@@ -641,6 +773,19 @@ fn main() {
             if i + 1 < sweeps.len() { "," } else { "" }
         ));
     }
+    json.push_str("  ],\n");
+    json.push_str("  \"conv_stage\": [\n");
+    for (i, s) in conv_stage.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{ \"kernel\": \"{}\", \"shape\": \"{}\", \"scalar_us\": {:.3}, \"simd_us\": {:.3}, \"speedup\": {:.3} }}{}\n",
+            s.kernel,
+            s.shape,
+            s.scalar_us,
+            s.simd_us,
+            s.speedup(),
+            if i + 1 < conv_stage.len() { "," } else { "" }
+        ));
+    }
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("writing benchmark record");
 
@@ -697,6 +842,16 @@ fn main() {
             s.len,
             s.scalar_melems,
             s.simd_melems,
+            s.speedup()
+        );
+    }
+    for s in &conv_stage {
+        println!(
+            "{:<21} {:<12}  scalar {:>7.2} us  simd {:>7.2} us  speedup {:>5.2}x",
+            s.kernel,
+            s.shape,
+            s.scalar_us,
+            s.simd_us,
             s.speedup()
         );
     }

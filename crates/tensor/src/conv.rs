@@ -43,10 +43,10 @@ impl Conv2dSpec {
     }
 }
 
-/// Where every tap of a convolution over `h × w` planes reads: one entry
-/// per `(ky, kx, oy, ox)`, built once per layer, the same for every channel
-/// and sample. [`ConvPlan::im2col`] and [`ConvPlan::col2im`] walk it instead
-/// of re-deriving (and bounds-testing) `iy`/`ix` per element.
+/// Where every tap of a convolution over `h × w` planes reads, and where
+/// every input pixel's taps land: built once per layer, the same for every
+/// channel and sample. [`ConvPlan::im2col`] and [`ConvPlan::col2im`] walk
+/// it instead of re-deriving (and bounds-testing) `iy`/`ix` per element.
 #[derive(Clone, Debug)]
 pub struct ConvPlan {
     /// The convolution's geometry.
@@ -58,23 +58,35 @@ pub struct ConvPlan {
     /// `[K·K, OH·OW]` pairs `(offset, keep)`: the plane offset a tap reads
     /// and all ones — or, where the tap falls in the zero padding, some
     /// in-range offset (a different one from entry to entry) and zero.
-    /// `keep` is data, not a predicate, so the consumers below stay a load,
-    /// an AND and a store per element, with no branch for the compiler to
+    /// `keep` is data, not a predicate, so `im2col` stays a load, an AND
+    /// and a store per element, with no branch for the compiler to
     /// rediscover.
     taps: Vec<(u32, u32)>,
+    /// Per input pixel, the taps that read it, ascending `(ky, kx)`: pixel
+    /// `p`'s are `sources[starts[p]..starts[p + 1]]`, each the position
+    /// `t·C·K·K + ky·K + kx` of output pixel `t`'s tap in channel 0 of a
+    /// `[OH·OW, C·K·K]` matrix (channel `c` adds `c·K·K`). Padding taps
+    /// read no pixel and appear nowhere.
+    sources: Vec<u32>,
+    starts: Vec<u32>,
 }
 
 impl ConvPlan {
     /// Plans `spec` over `h × w` input planes.
     ///
     /// # Panics
-    /// Panics if the window does not fit the padded input, or a plane has
-    /// more than 2³² elements.
+    /// Panics if the window does not fit the padded input, or a plane or
+    /// a sample's column matrix has more than 2³² elements.
     pub fn new(spec: Conv2dSpec, h: usize, w: usize) -> Self {
         let (oh, ow) = spec.out_hw(h, w);
         assert!(spec.kernel > 0, "conv kernel must be positive");
         assert!(h * w <= u32::MAX as usize, "conv plane too large to plan");
         let (k, stride, pad) = (spec.kernel, spec.stride, spec.padding as isize);
+        let row = spec.in_channels * k * k;
+        assert!(
+            oh * ow * row <= u32::MAX as usize,
+            "conv columns too large to plan"
+        );
         let mut taps = Vec::with_capacity(k * k * oh * ow);
         for ky in 0..k {
             for kx in 0..k {
@@ -93,7 +105,35 @@ impl ConvPlan {
                 }
             }
         }
-        ConvPlan { spec, h, w, taps }
+        // Output coordinate `o` whose tap at offset `d` reads input
+        // coordinate `i`: `o·stride + d − pad = i`.
+        let out_at = |i: usize, d: usize, len: usize| {
+            let s = (i + spec.padding).checked_sub(d)?;
+            (s.is_multiple_of(stride) && s / stride < len).then_some(s / stride)
+        };
+        let mut sources = Vec::with_capacity(k * k * oh * ow);
+        let mut starts = Vec::with_capacity(h * w + 1);
+        starts.push(0);
+        for iy in 0..h {
+            for ix in 0..w {
+                for ky in 0..k {
+                    for kx in 0..k {
+                        if let (Some(oy), Some(ox)) = (out_at(iy, ky, oh), out_at(ix, kx, ow)) {
+                            sources.push(((oy * ow + ox) * row + ky * k + kx) as u32);
+                        }
+                    }
+                }
+                starts.push(sources.len() as u32);
+            }
+        }
+        ConvPlan {
+            spec,
+            h,
+            w,
+            taps,
+            sources,
+            starts,
+        }
     }
 
     /// `(rows, columns)` of one sample's column matrix: `(C_in·K·K, OH·OW)`.
@@ -127,30 +167,61 @@ impl ConvPlan {
         }
     }
 
-    /// Folds a `[C·K·K, OH·OW]` column matrix back into an image,
-    /// accumulating overlapping contributions tap by tap (the adjoint of
-    /// [`Self::im2col`]).
+    /// Folds a *transposed* column matrix `[OH·OW, C·K·K]` back into an
+    /// image, accumulating onto `img` (the adjoint of [`Self::im2col`], up
+    /// to the transpose). Each pixel gathers its taps in ascending
+    /// `(ky, kx)` order onto its own value — the order a tap-by-tap scatter
+    /// reaches it in — so the two forms add the same addends in the same
+    /// order; the scatter's padding taps added `-0.0`, which leaves every
+    /// value an addition can produce as it was.
     ///
     /// # Panics
     /// Panics on the size mismatches [`Self::im2col`] panics on.
-    pub fn col2im(&self, cols: &[f32], img: &mut [f32]) {
+    pub fn col2im(&self, cols_t: &[f32], img: &mut [f32]) {
         let hw = self.h * self.w;
+        let kk = self.spec.kernel * self.spec.kernel;
         assert_eq!(img.len(), self.spec.in_channels * hw, "image size mismatch");
         assert_eq!(
-            cols.len(),
+            cols_t.len(),
             self.spec.in_channels * self.taps.len(),
             "cols size mismatch"
         );
-        for (plane, rows) in img
-            .chunks_exact_mut(hw)
-            .zip(cols.chunks_exact(self.taps.len()))
-        {
-            for (&v, &(at, keep)) in rows.iter().zip(&self.taps) {
-                // A padding tap adds -0.0, the one addend that leaves every
-                // f32 as it was (+0.0 included).
-                let add = (v.to_bits() & keep) | ((-0.0f32).to_bits() & !keep);
-                plane[at as usize] += f32::from_bits(add);
+        let cin = self.spec.in_channels;
+        let whole = cin - cin % 8;
+        for (p, span) in self.starts.windows(2).enumerate() {
+            let sources = &self.sources[span[0] as usize..span[1] as usize];
+            for c in (0..whole).step_by(8) {
+                Self::gather_pixel::<8>(sources, &cols_t[c * kk..], &mut img[c * hw + p..], hw, kk);
             }
+            for c in whole..cin {
+                Self::gather_pixel::<1>(sources, &cols_t[c * kk..], &mut img[c * hw + p..], hw, kk);
+            }
+        }
+    }
+
+    /// One pixel of `L` consecutive channels: `img[l·hw]` += the taps at
+    /// `cols[at + l·kk]`, `at` over `sources` in order — `L` independent
+    /// sums side by side, each in its own pixel's order.
+    #[inline(always)]
+    fn gather_pixel<const L: usize>(
+        sources: &[u32],
+        cols: &[f32],
+        img: &mut [f32],
+        hw: usize,
+        kk: usize,
+    ) {
+        let mut acc = [0.0f32; L];
+        for l in 0..L {
+            acc[l] = img[l * hw];
+        }
+        for &at in sources {
+            let tap = &cols[at as usize..at as usize + (L - 1) * kk + 1];
+            for l in 0..L {
+                acc[l] += tap[l * kk];
+            }
+        }
+        for l in 0..L {
+            img[l * hw] = acc[l];
         }
     }
 }
@@ -260,6 +331,20 @@ pub fn conv2d_backward_params_into(
 }
 
 /// The input half of the backward pass: `d_input` (`[N, C_in, H, W]`).
+///
+/// Defined per sample as `dCols = Wᵀ · dY` (`[C_in·K·K, OH·OW]`, each
+/// element summing `W[co, r] · dY[co, t]` over ascending `co` from `+0.0`,
+/// terms with `W[co, r] == 0.0` skipped) folded into the image by
+/// [`ConvPlan::col2im`]. It is computed as `dColsᵀ = dYᵀ · W` instead: with
+/// `dY` on the left the matmul skips the entries max pooling routed no
+/// gradient to (three in four in the models, more after the ReLU mask)
+/// rather than multiplying through them. The bits are the same whenever
+/// `W` and `dY` are finite: every element adds the same products in the
+/// same order, a finite product has the same bits in either operand order,
+/// and a term only one side skips is `w · 0` or `0 · dy`, a `±0` that
+/// cannot change a sum which started at `+0.0` (such a sum is never
+/// `-0.0`). A sample whose `dY` — or a call whose `W` — holds a NaN or an
+/// infinity takes the definition itself, transposed into place.
 pub fn conv2d_backward_input(d_out: &Tensor, weight: &Tensor, plan: &ConvPlan) -> Tensor {
     let n = d_out.dims()[0];
     let (cin, cout) = (plan.spec.in_channels, plan.spec.out_channels);
@@ -271,28 +356,45 @@ pub fn conv2d_backward_input(d_out: &Tensor, weight: &Tensor, plan: &ConvPlan) -
         &[cout, col_rows],
         "conv weight shape mismatch"
     );
+    // Folds, not `all`: no exit inside the scan, so it vectorizes.
+    let finite = |s: &[f32]| s.iter().fold(true, |ok, v| ok & v.is_finite());
+    let weight_finite = finite(weight.data());
 
     let mut d_input = Tensor::zeros_scratch(&[n, cin, plan.h, plan.w]);
-    let mut d_cols = crate::scratch::take_empty(sample);
+    let mut d_cols_t = crate::scratch::take_empty(sample);
     for (dy, d_img) in d_out
         .data()
         .chunks_exact(cout * col_cols)
         .zip(d_input.data_mut().chunks_exact_mut(cin * plan.h * plan.w))
     {
-        // dCols = Wᵀ · dY  ([col_rows, col_cols])
-        d_cols.clear();
-        d_cols.resize(sample, 0.0);
-        matmul_tn_into(weight.data(), dy, &mut d_cols, col_rows, cout, col_cols);
-        plan.col2im(&d_cols, d_img);
+        d_cols_t.clear();
+        d_cols_t.resize(sample, 0.0);
+        if weight_finite && finite(dy) {
+            // dColsᵀ = dYᵀ · W  ([col_cols, col_rows])
+            matmul_tn_into(dy, weight.data(), &mut d_cols_t, col_cols, cout, col_rows);
+        } else {
+            // dCols = Wᵀ · dY  ([col_rows, col_cols]), then into place.
+            let mut d_cols = crate::scratch::take_zeroed(sample);
+            matmul_tn_into(weight.data(), dy, &mut d_cols, col_rows, cout, col_cols);
+            crate::simd::transpose(&d_cols, &mut d_cols_t, col_rows, col_cols);
+            crate::scratch::recycle(d_cols);
+        }
+        plan.col2im(&d_cols_t, d_img);
     }
-    crate::scratch::recycle(d_cols);
+    crate::scratch::recycle(d_cols_t);
     d_input
 }
 
 /// Forward max pooling over `[N, C, H, W]` with a `k × k` window and stride
-/// `k` (non-overlapping). Returns the pooled tensor and fills `argmax` (the
-/// caller's buffer, so a layer can reuse one) with the flat indices into
-/// the input that the backward pass routes through.
+/// `k` (non-overlapping; see [`crate::simd::maxpool`] for ties, NaN and
+/// the lanes). Returns the pooled tensor and fills `argmax` (the caller's
+/// buffer, so a layer can reuse one) with the flat indices into the input
+/// that the backward pass routes through.
+///
+/// A window of only NaN and `-inf` routes to its own first pixel, never to
+/// a pixel of another window. No model builds such a window, so no pinned
+/// result depends on the rule: every pool in `CnnLite` and `CnnPaper`
+/// follows a ReLU, which maps NaN and `-inf` to `+0.0`.
 pub fn maxpool2d_forward(input: &Tensor, k: usize, argmax: &mut Vec<u32>) -> Tensor {
     let dims = input.dims();
     assert_eq!(dims.len(), 4, "maxpool expects NCHW input");
@@ -301,37 +403,10 @@ pub fn maxpool2d_forward(input: &Tensor, k: usize, argmax: &mut Vec<u32>) -> Ten
         k > 0 && h >= k && w >= k,
         "pool window {k} too large for {h}×{w}"
     );
-    let oh = h / k;
-    let ow = w / k;
-    let mut out = Tensor::zeros_scratch(&[n, c, oh, ow]);
-    argmax.clear();
-    argmax.resize(n * c * oh * ow, 0);
-    let src = input.data();
-    let dst = out.data_mut();
-    for img in 0..n * c {
-        let plane = &src[img * h * w..];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0usize;
-                for dy in 0..k {
-                    for dx in 0..k {
-                        let iy = oy * k + dy;
-                        let ix = ox * k + dx;
-                        let idx = iy * w + ix;
-                        let v = plane[idx];
-                        if v > best {
-                            best = v;
-                            best_idx = idx;
-                        }
-                    }
-                }
-                let o = img * oh * ow + oy * ow + ox;
-                dst[o] = best;
-                argmax[o] = (img * h * w + best_idx) as u32;
-            }
-        }
-    }
+    let mut out = Tensor::zeros_scratch(&[n, c, h / k, w / k]);
+    // No clear: the kernel writes every entry.
+    argmax.resize(out.len(), 0);
+    crate::simd::maxpool(input.data(), (h, w), k, out.data_mut(), argmax);
     out
 }
 
@@ -464,8 +539,8 @@ mod tests {
 
     #[test]
     fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> must equal <x, col2im(y)> — the defining property of
-        // the adjoint, which backprop correctness relies on.
+        // <im2col(x), y> must equal <x, col2im(yᵀ)> — the defining property
+        // of the adjoint, which backprop correctness relies on.
         let mut rng = rng_for(12, 1);
         let spec = Conv2dSpec {
             in_channels: 2,
@@ -488,8 +563,10 @@ mod tests {
             .zip(y.data())
             .map(|(&a, &b)| a as f64 * b as f64)
             .sum();
+        let mut y_t = vec![0.0f32; c * 9 * oh * ow];
+        crate::simd::transpose(y.data(), &mut y_t, c * 9, oh * ow);
         let mut back = vec![0.0f32; c * h * w];
-        plan.col2im(y.data(), &mut back);
+        plan.col2im(&y_t, &mut back);
         let rhs: f64 = x
             .data()
             .iter()
@@ -563,6 +640,44 @@ mod tests {
         for (i, v) in d_in.data().iter().enumerate() {
             let want = if expect_hot.contains(&i) { 1.0 } else { 0.0 };
             assert_eq!(*v, want, "at {i}");
+        }
+    }
+
+    #[test]
+    fn a_window_without_a_maximum_routes_to_its_own_first_pixel() {
+        // Two planes; in each, the top-right window holds only NaN and -inf
+        // and the bottom-left one only -inf. Their gradient must land on
+        // their own first pixel, not on pixel 0 of the plane.
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        let plane = [
+            1.0, 2.0, nan, ninf, //
+            3.0, 0.0, ninf, nan, //
+            ninf, ninf, 9.0, 1.0, //
+            ninf, ninf, 1.0, 1.0,
+        ];
+        let input = Tensor::from_vec([plane, plane].concat(), &[1, 2, 4, 4]);
+        for simd in [
+            crate::simd::SimdKernel::Scalar,
+            crate::simd::SimdKernel::Auto,
+        ] {
+            let _g = crate::ctx::install(crate::ctx::KernelCtx {
+                simd,
+                ..crate::ctx::snapshot()
+            });
+            let mut argmax = Vec::new();
+            let out = maxpool2d_forward(&input, 2, &mut argmax);
+            assert_eq!(out.data(), &[3.0, ninf, ninf, 9.0, 3.0, ninf, ninf, 9.0]);
+            assert_eq!(argmax, [4, 2, 8, 10, 20, 18, 24, 26], "{simd:?}");
+            let d_out = Tensor::ones(&[1, 2, 2, 2]);
+            let d_in = maxpool2d_backward(&d_out, &argmax, 32);
+            for (i, v) in d_in.data().iter().enumerate() {
+                let want = if argmax.contains(&(i as u32)) {
+                    1.0
+                } else {
+                    0.0
+                };
+                assert_eq!(*v, want, "at {i} ({simd:?})");
+            }
         }
     }
 }

@@ -2,9 +2,10 @@
 //! SIMD lanes of the few that need one.
 //!
 //! Every arithmetic inner loop of the reproduction — the three matmul
-//! variants (and therefore the im2col conv stage), the slice primitives
-//! backing aggregation and server mixing, the activation/loss/optimizer
-//! elementwise sweeps, the codec sweeps — funnels through this module.
+//! variants (and therefore the im2col conv stage), max pooling, the slice
+//! primitives backing aggregation and server mixing, the
+//! activation/loss/optimizer elementwise sweeps, the codec sweeps —
+//! funnels through this module.
 //!
 //! ## Which kernels have lanes
 //!
@@ -15,7 +16,7 @@
 //! element-wise lanes, measured before deletion"), so the twins are gone and
 //! [`SimdKernel`] does not reach these kernels at all.
 //!
-//! Seven kernels keep lanes, because a plain loop cannot express what the
+//! Eight kernels keep lanes, because a plain loop cannot express what the
 //! lane does:
 //!
 //! | kernel | scalar (reference) | portable | AVX2 + FMA | why |
@@ -26,6 +27,7 @@
 //! | [`dot`], [`dist_sq`] | 8 f64 partial sums in an array | the same code | two `ymm` f64 accumulators, `vfmadd` | f32 → f64 widening |
 //! | [`quantize_into`] | `f32::floor` per element | the same code | `vroundps` | baseline x86-64 has no vector `floor` |
 //! | [`adam_sweep`] | `prox_grad`, `adam_step`, `fill` — three passes | the same code | one fused pass | three sweeps in one |
+//! | [`maxpool`] | one window at a time, a compare per pixel | the same code | eight windows per `ymm`: gather, `_CMP_GT_OQ`, two blends | a gather |
 //!
 //! **Scalar** (`SimdKernel::Scalar`) is the reference every other lane is
 //! held to and the `BENCH_tensor_kernels.json` "before": the seed's loops
@@ -54,6 +56,10 @@
 //!   particular the f32 paths never use FMA *contraction*: a fused `a*b + c`
 //!   rounds once where the scalar reference rounds twice, so the AVX2
 //!   kernels stick to `mul` + `add` exactly like the reference.
+//! * The max-pool lane vectorizes across windows: lane `l` makes window
+//!   `o + l`'s decisions in the scalar order — the same pixels, the same
+//!   `>` (`_CMP_GT_OQ` is false on NaN, like the scalar compare), the same
+//!   seed — and moves values without computing any (see [`maxpool`]).
 //! * `dot`-style reductions are *defined* as a fixed 8-lane partial-sum
 //!   decomposition with a pinned pairwise merge
 //!   (`((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, then the tail appended
@@ -941,6 +947,45 @@ pub fn transpose(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
 }
 
 // ----------------------------------------------------------------------
+// Max pooling
+// ----------------------------------------------------------------------
+
+/// `k × k` max pooling with stride `k` over `h × w` planes stored back to
+/// back in `src` (floor semantics: a partial window at the right or bottom
+/// edge is dropped). Window `o`, in plane-major, row-major order, writes
+/// its maximum to `out[o]` and the flat `src` index it came from to
+/// `argmax[o]`.
+///
+/// The maximum is the first pixel in `(dy, dx)` order that is `>` every
+/// pixel before it, starting from `-inf`: ties keep the earlier pixel (so
+/// `+0.0` does not displace `-0.0`), NaN never wins, and a window of only
+/// NaN and `-inf` yields `-inf` at its own first pixel. The scalar lane
+/// walks one window at a time; the AVX2 lane walks eight side by side,
+/// each step a gather, a `_CMP_GT_OQ` compare (false on NaN, exactly the
+/// scalar `>`) and two blends — the same sequence of decisions per window,
+/// so both lanes return the same bits.
+///
+/// # Panics
+/// Panics if `k` is zero or larger than a side, `src` is not a whole number
+/// of planes, `out` and `argmax` do not hold one entry per window, or `src`
+/// has 2³¹ elements or more (the indices are 31-bit).
+pub fn maxpool(src: &[f32], (h, w): (usize, usize), k: usize, out: &mut [f32], argmax: &mut [u32]) {
+    assert!(
+        k > 0 && h >= k && w >= k,
+        "pool window {k} too large for {h}×{w}"
+    );
+    assert_eq!(src.len() % (h * w), 0, "maxpool input is not whole planes");
+    let windows = src.len() / (h * w) * (h / k) * (w / k);
+    assert_eq!(out.len(), windows, "maxpool output size mismatch");
+    assert_eq!(argmax.len(), windows, "maxpool argmax size mismatch");
+    assert!(src.len() <= i32::MAX as usize, "maxpool input too large");
+    avx2_or_scalar!(
+        avx2::maxpool(src, (h, w), k, out, argmax),
+        scalar::maxpool(src, (h, w), k, out, argmax)
+    )
+}
+
+// ----------------------------------------------------------------------
 // Scalar reference lane
 // ----------------------------------------------------------------------
 
@@ -978,6 +1023,41 @@ mod scalar {
             acc += d * d;
         }
         acc as f32
+    }
+
+    /// One window at a time, each seeded with its own first pixel.
+    pub fn maxpool(
+        src: &[f32],
+        (h, w): (usize, usize),
+        k: usize,
+        out: &mut [f32],
+        argmax: &mut [u32],
+    ) {
+        let (oh, ow) = (h / k, w / k);
+        for img in 0..src.len() / (h * w) {
+            let plane = &src[img * h * w..];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = oy * k * w + ox * k;
+                    for dy in 0..k {
+                        for dx in 0..k {
+                            let iy = oy * k + dy;
+                            let ix = ox * k + dx;
+                            let idx = iy * w + ix;
+                            let v = plane[idx];
+                            if v > best {
+                                best = v;
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    let o = img * oh * ow + oy * ow + ox;
+                    out[o] = best;
+                    argmax[o] = (img * h * w + best_idx) as u32;
+                }
+            }
+        }
     }
 
     /// The reference lane: gather one coordinate's column, sort it with
@@ -1428,6 +1508,104 @@ mod avx2 {
                     _mm256_storeu_ps(dp.add((cb + i + 4) * rows + rb), hi);
                 }
             }
+        }
+    }
+
+    /// Eight pooling windows side by side: lane `l` holds window `o + l`'s
+    /// running maximum and its index, seeded with `-inf` at the window's
+    /// first pixel; each `(dy, dx)` step gathers one pixel per window and
+    /// blends both registers where it is `>` (ordered, so NaN never wins).
+    /// Each lane's window cursor — column, row and first pixel — advances
+    /// eight windows per group in registers: eight windows are so many
+    /// planes, rows and columns, and adding them carries at most once from
+    /// the column into the row and once from the row into the plane. The
+    /// last group runs under a lane mask.
+    // SAFETY: requires AVX2+FMA — the dispatcher checked `avx2_available()`
+    // first. The safe `maxpool` asserted `src` is whole `h × w` planes of
+    // fewer than 2³¹ elements, `h, w >= k`, and `out` / `argmax` hold one
+    // entry per window. On lane `l` of group `o`, the cursor holds window
+    // `o + l`'s first pixel `plane·h·w + oy·k·w + ox·k`; for a window that
+    // exists every index it adds `dy·w + dx` to is inside `src` and fits an
+    // `i32`, and its stores are inside `out` / `argmax`. Lanes past the
+    // last window are masked off: neither gathered nor stored.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn maxpool(
+        src: &[f32],
+        (h, w): (usize, usize),
+        k: usize,
+        out: &mut [f32],
+        argmax: &mut [u32],
+    ) {
+        let (oh, ow) = (h / k, w / k);
+        let (sp, op, ap) = (
+            src.as_ptr(),
+            out.as_mut_ptr(),
+            argmax.as_mut_ptr() as *mut i32,
+        );
+        // Lane `l` starts at window `l`.
+        let (mut col, mut row, mut first) = ([0i32; 8], [0i32; 8], [0i32; 8]);
+        for l in 0..8 {
+            let (plane, q) = (l / (oh * ow), l % (oh * ow));
+            (col[l], row[l]) = ((q % ow) as i32, (q / ow) as i32);
+            first[l] = (plane * h * w + q / ow * k * w + q % ow * k) as i32;
+        }
+        let mut col = _mm256_loadu_si256(col.as_ptr() as *const __m256i);
+        let mut row = _mm256_loadu_si256(row.as_ptr() as *const __m256i);
+        let mut first = _mm256_loadu_si256(first.as_ptr() as *const __m256i);
+        // Eight windows are `planes` planes, `rows` rows and `cols` columns.
+        let (planes, rows, cols) = (8 / (oh * ow), 8 % (oh * ow) / ow, 8 % (oh * ow) % ow);
+        let step = _mm256_set1_epi32((planes * h * w + rows * k * w + cols * k) as i32);
+        let (col_step, row_step) = (
+            _mm256_set1_epi32(cols as i32),
+            _mm256_set1_epi32(rows as i32),
+        );
+        let (last_col, last_row) = (
+            _mm256_set1_epi32(ow as i32 - 1),
+            _mm256_set1_epi32(oh as i32 - 1),
+        );
+        let (ow_v, oh_v) = (_mm256_set1_epi32(ow as i32), _mm256_set1_epi32(oh as i32));
+        // A column carry moves to the next row's first window, a row carry
+        // to the next plane's.
+        let col_carry = _mm256_set1_epi32((k * w - ow * k) as i32);
+        let row_carry = _mm256_set1_epi32((h * w - oh * k * w) as i32);
+        let mut o = 0usize;
+        while o < out.len() {
+            let lanes = (out.len() - o).min(8);
+            let on = lane_mask(lanes);
+            let mut best = _mm256_set1_ps(f32::NEG_INFINITY);
+            let mut at = _mm256_castsi256_ps(first);
+            for dy in 0..k {
+                for dx in 0..k {
+                    let idx = _mm256_add_epi32(first, _mm256_set1_epi32((dy * w + dx) as i32));
+                    let v = _mm256_mask_i32gather_ps::<4>(
+                        _mm256_setzero_ps(),
+                        sp,
+                        idx,
+                        _mm256_castsi256_ps(on),
+                    );
+                    let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(v, best);
+                    best = _mm256_blendv_ps(best, v, gt);
+                    at = _mm256_blendv_ps(at, _mm256_castsi256_ps(idx), gt);
+                }
+            }
+            if lanes == 8 {
+                _mm256_storeu_ps(op.add(o), best);
+                _mm256_storeu_si256(ap.add(o) as *mut __m256i, _mm256_castps_si256(at));
+            } else {
+                _mm256_maskstore_ps(op.add(o), on, best);
+                _mm256_maskstore_epi32(ap.add(o), on, _mm256_castps_si256(at));
+            }
+            o += lanes;
+            // Advance every lane eight windows; a carry mask is all ones.
+            col = _mm256_add_epi32(col, col_step);
+            let cx = _mm256_cmpgt_epi32(col, last_col);
+            col = _mm256_sub_epi32(col, _mm256_and_si256(cx, ow_v));
+            row = _mm256_sub_epi32(_mm256_add_epi32(row, row_step), cx);
+            let cy = _mm256_cmpgt_epi32(row, last_row);
+            row = _mm256_sub_epi32(row, _mm256_and_si256(cy, oh_v));
+            first = _mm256_add_epi32(first, step);
+            first = _mm256_add_epi32(first, _mm256_and_si256(cx, col_carry));
+            first = _mm256_add_epi32(first, _mm256_and_si256(cy, row_carry));
         }
     }
 

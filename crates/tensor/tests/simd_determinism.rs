@@ -7,8 +7,11 @@
 //! and past the non-zero list's chunk, with `A` from dense to all zero
 //! (`-0.0` and all-zero rows included), non-finite `B` and a pre-filled
 //! `C`; the conv stage forward and backward, against the scalar lane and
-//! against a per-sample reference kept below. The fused optimizer sweep is
-//! held to the three reference passes it replaces, on every lane.
+//! against a per-sample reference kept below, with non-finite weights and
+//! gradients (the input gradient's fallback) among the draws; the max-pool
+//! lane on output and argmax, with ties, NaN and windows nothing beats. The
+//! fused optimizer sweep is held to the three reference passes it
+//! replaces, on every lane.
 //!
 //! Every backend choice is scoped with a thread-local
 //! [`ctx::install`], so concurrent tests in this binary never see each
@@ -16,7 +19,7 @@
 
 use fedat_tensor::conv::{
     conv2d_backward_input, conv2d_backward_params, conv2d_backward_params_into, conv2d_forward,
-    Conv2dSpec, ConvPlan,
+    maxpool2d_forward, Conv2dSpec, ConvPlan,
 };
 use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
 use fedat_tensor::ops::{
@@ -328,14 +331,27 @@ fn conv_stage(
     [out, d_weight, d_bias, d_input].map(|t| bits(t.data()))
 }
 
+/// NaNs of both kinds and both infinities, by `AWKWARD_BITS` index.
+const NON_FINITE: [usize; 4] = [0, 4, 8, 9];
+
 /// A conv problem drawn from `seed`: ReLU-like input, three gradients in
-/// four zero (what pooling and the ReLU mask leave), one zero weight.
+/// four zero (what pooling and the ReLU mask leave), one zero weight. The
+/// two bits of `awkward` add the values `conv2d_backward_input` must not
+/// take its `dY`-led path on:
+///
+/// * `1`: [`sprinkle_awkward`] over the weights and one weight non-finite
+///   for certain, so the whole call takes the `W`-led fallback;
+/// * `2`: [`sprinkle_awkward`] over the even samples' `d_out`, one value
+///   each non-finite for certain (those samples fall back, the odd ones
+///   take the `dY`-led path unless bit 1 is set too), and the last
+///   sample's `d_out` all zero.
 #[allow(clippy::type_complexity)]
 fn conv_problem(
     (batch, cin, cout): (usize, usize, usize),
     (h, w): (usize, usize),
     spec: &Conv2dSpec,
     seed: u64,
+    awkward: usize,
 ) -> (Tensor, Tensor, Tensor, Tensor) {
     let (oh, ow) = spec.out_hw(h, w);
     let kk = spec.kernel * spec.kernel;
@@ -345,7 +361,22 @@ fn conv_problem(
         .collect();
     let mut weight = filled(cout * cin * kk, seed ^ 5);
     weight[seed as usize % (cout * cin * kk)] = 0.0;
-    let d_out = sparse_lhs(batch * cout, oh * ow, 3, seed ^ 7);
+    let non_finite = f32::from_bits(AWKWARD_BITS[NON_FINITE[seed as usize % 4]]);
+    if awkward & 1 != 0 {
+        sprinkle_awkward(&mut weight, seed ^ 8);
+        weight[(seed as usize / 3) % (cout * cin * kk)] = non_finite;
+    }
+    let mut d_out = sparse_lhs(batch * cout, oh * ow, 3, seed ^ 7);
+    if awkward & 2 != 0 {
+        let per_sample = cout * oh * ow;
+        for (i, dy) in d_out.chunks_exact_mut(per_sample).enumerate() {
+            if i % 2 == 0 {
+                sprinkle_awkward(dy, seed ^ 9 ^ i as u64);
+                dy[(seed as usize / 5) % per_sample] = non_finite;
+            }
+        }
+        d_out[(batch - 1) * per_sample..].fill(0.0);
+    }
     (
         Tensor::from_vec(input, &[batch, cin, h, w]),
         Tensor::from_vec(weight, &[cout, cin * kk]),
@@ -375,6 +406,41 @@ fn sprinkle_awkward(v: &mut [f32], seed: u64) {
             *x = f32::from_bits(AWKWARD_BITS[rng.random_range(0..AWKWARD_BITS.len())]);
         }
     }
+}
+
+/// `planes` planes of `h × w` for `k × k` pooling, drawn from a small
+/// palette — every [`AWKWARD_BITS`] pattern (signed zeros, NaNs, infinities,
+/// subnormals) and two finite values — so windows often tie. From a
+/// per-seed phase, every fifth window is all NaN and every fifth (another
+/// phase) holds only NaN and `-inf`: windows with nothing `>` the seed.
+fn pool_input(planes: usize, (h, w): (usize, usize), k: usize, seed: u64) -> Vec<f32> {
+    let mut rng = rng_for(seed, 68);
+    let mut x: Vec<f32> = (0..planes * h * w)
+        .map(|_| {
+            let i = rng.random_range(0..AWKWARD_BITS.len() + 2);
+            AWKWARD_BITS
+                .get(i)
+                .map_or([1.0, -2.5][i % 2], |&b| f32::from_bits(b))
+        })
+        .collect();
+    let (oh, ow) = (h / k, w / k);
+    for o in 0..planes * oh * ow {
+        let (plane, oy, ox) = (o / (oh * ow), o % (oh * ow) / ow, o % ow);
+        let phase = (o as u64 + seed) % 5;
+        for dy in 0..k {
+            for dx in 0..k {
+                let at = plane * h * w + (oy * k + dy) * w + ox * k + dx;
+                let nan = f32::from_bits(AWKWARD_BITS[rng.random_range(0..6usize)]);
+                match phase {
+                    0 => x[at] = nan,
+                    1 if rng.random_range(0..2u32) == 0 => x[at] = nan,
+                    1 => x[at] = f32::NEG_INFINITY,
+                    _ => {}
+                }
+            }
+        }
+    }
+    x
 }
 
 /// Parameter lengths the sweep property draws from: empty, below, on and
@@ -463,12 +529,14 @@ proptest! {
 
     #[test]
     fn conv_backward_simd_matches_scalar_bitwise(
-        batch in 1usize..4, cin in 1usize..4, cout in 1usize..6, strided in 0usize..2, seed in 0u64..300
+        batch in 1usize..4, cin in 1usize..4, cout in 1usize..6, strided in 0usize..2,
+        awkward in 0usize..4, seed in 0u64..300
     ) {
         let (h, w) = (6usize, 8usize);
         let spec = conv_spec(strided == 1, cin, cout);
         let plan = ConvPlan::new(spec, h, w);
-        let (input, weight, bias, d_out) = conv_problem((batch, cin, cout), (h, w), &spec, seed);
+        let (input, weight, bias, d_out) =
+            conv_problem((batch, cin, cout), (h, w), &spec, seed, awkward);
         let reference = {
             let _g = scoped(SimdKernel::Scalar);
             conv_stage(&input, &weight, &bias, &d_out, &plan)
@@ -482,20 +550,55 @@ proptest! {
 
     #[test]
     fn conv_stage_matches_naive_reference_bitwise(
-        batch in 1usize..4, cin in 1usize..4, cout in 1usize..6, strided in 0usize..2, seed in 0u64..300
+        batch in 1usize..4, cin in 1usize..4, cout in 1usize..6, strided in 0usize..2,
+        awkward in 0usize..4, seed in 0u64..300
     ) {
+        // `naive_conv` computes `d_input` the `W`-led way on every sample;
+        // each lane must match it on the `dY`-led path and on the fallback.
         let (h, w) = (4usize, 6usize);
         let spec = conv_spec(strided == 1, cin, cout);
         let plan = ConvPlan::new(spec, h, w);
-        let (input, weight, bias, d_out) = conv_problem((batch, cin, cout), (h, w), &spec, seed);
+        let (input, weight, bias, d_out) =
+            conv_problem((batch, cin, cout), (h, w), &spec, seed, awkward);
         let want = naive_conv(
             input.data(), weight.data(), bias.data(), d_out.data(), (batch, h, w), &spec,
         );
-        let got = conv_stage(&input, &weight, &bias, &d_out, &plan);
-        prop_assert_eq!(&got[0], &bits(&want.out), "forward");
-        prop_assert_eq!(&got[1], &bits(&want.d_weight), "d_weight");
-        prop_assert_eq!(&got[2], &bits(&want.d_bias), "d_bias");
-        prop_assert_eq!(&got[3], &bits(&want.d_input), "d_input");
+        for lane in LANES {
+            let _g = scoped(lane);
+            let got = conv_stage(&input, &weight, &bias, &d_out, &plan);
+            prop_assert_eq!(&got[0], &bits(&want.out), "forward ({:?})", lane);
+            prop_assert_eq!(&got[1], &bits(&want.d_weight), "d_weight ({:?})", lane);
+            prop_assert_eq!(&got[2], &bits(&want.d_bias), "d_bias ({:?})", lane);
+            prop_assert_eq!(&got[3], &bits(&want.d_input), "d_input ({:?})", lane);
+        }
+    }
+
+    #[test]
+    fn maxpool_lanes_match_scalar_bitwise(
+        planes in 1usize..=9, k in 2usize..=3, h in 2usize..=9, w in 2usize..=9, seed in 0u64..1000
+    ) {
+        // Sides below `k` are raised to it; the rest include sizes `k` does
+        // not divide, whose last partial window row and column are dropped.
+        let (h, w) = (h.max(k), w.max(k));
+        let input = Tensor::from_vec(pool_input(planes, (h, w), k, seed), &[1, planes, h, w]);
+        let run = |lane| {
+            let _g = scoped(lane);
+            let mut argmax = Vec::new();
+            let out = maxpool2d_forward(&input, k, &mut argmax);
+            (out.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>(), argmax)
+        };
+        let reference = run(SimdKernel::Scalar);
+        for lane in FAST_LANES {
+            prop_assert_eq!(&reference, &run(lane), "{:?} diverged from scalar", lane);
+        }
+        // Every window routes to one of its own pixels.
+        let (oh, ow) = (h / k, w / k);
+        for (o, &at) in reference.1.iter().enumerate() {
+            let (plane, q, at) = (o / (oh * ow), o % (oh * ow), at as usize);
+            prop_assert_eq!(at / (h * w), plane, "window {} left its plane", o);
+            let (iy, ix) = (at % (h * w) / w, at % w);
+            prop_assert_eq!((iy / k, ix / k), (q / ow, q % ow), "window {} left itself", o);
+        }
     }
 
     #[test]
@@ -603,7 +706,8 @@ proptest! {
         let (h, w) = (6usize, 8usize);
         let spec = conv_spec(strided == 1, cin, cout);
         let plan = ConvPlan::new(spec, h, w);
-        let (input, weight, bias, d_out) = conv_problem((batch, cin, cout), (h, w), &spec, seed);
+        let (input, weight, bias, d_out) =
+            conv_problem((batch, cin, cout), (h, w), &spec, seed, 0);
         for kernel in LANES {
             let _g = scoped(kernel);
             let (_, cols) = conv2d_forward(&input, &weight, &bias, &plan, true);
