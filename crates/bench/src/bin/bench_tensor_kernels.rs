@@ -1,10 +1,10 @@
 //! Wall-clock microbenchmark of the SIMD micro-kernel layer: the three
 //! matmul variants (square and dense, then at the shapes a training step
 //! issues with `A` at 0 %, 50 % and 75 % zeros), the `Bᵀ` transpose, the
-//! element-wise kernels that still have a lane (`dot`, `dist_sq`,
-//! `quantize_into` — the rest are one plain loop each, there is nothing to
-//! compare), the robust (trimmed-mean / median) reduction, the optimizer
-//! sweep (whose scalar lane is the three passes it fuses), and the conv
+//! one element-wise kernel that still has a lane (`quantize_into` — the
+//! rest are one plain loop each, there is nothing to compare), the robust
+//! (trimmed-mean / median) reduction, the optimizer sweep (whose scalar
+//! lane is the three passes it fuses), and the conv
 //! stage of a CnnLite step — the max-pool lane at both pools and conv2's
 //! input gradient on a pooled, ReLU-masked `dY` — each timed under
 //! `SimdKernel::Auto`
@@ -628,16 +628,10 @@ fn main() {
     ];
 
     // Whole-model lengths of the logistic model, CnnLite 1×8×8 and the
-    // cohort MLP — what the guard's norms and the quantizing codecs sweep.
-    eprintln!("[bench_tensor_kernels] element-wise kernels with a lane ...");
+    // cohort MLP — what the quantizing codecs sweep.
+    eprintln!("[bench_tensor_kernels] element-wise kernel with a lane ...");
     let mut slices = Vec::new();
     for len in MODEL_LENS {
-        slices.push(bench_slice("dot", len, seed ^ 5, |x, y| {
-            black_box(ops::dot(x, y));
-        }));
-        slices.push(bench_slice("dist_sq", len, seed ^ 3, |x, y| {
-            black_box(ops::dist_sq(x, y));
-        }));
         slices.push(bench_slice("quantize_into", len, seed ^ 4, |x, y| {
             simd::quantize_into(y, x, -3.0, 255.0 / 6.0, 255.0)
         }));
@@ -685,7 +679,7 @@ fn main() {
     json.push_str(&format!("  \"simd_backend\": \"{backend}\",\n"));
     json.push_str("  \"kernel_threads\": 1,\n");
     json.push_str(
-        "  \"scalar_baseline\": \"SimdKernel::Scalar: plain loops, compiler autovectorization only (seed's loops for matmul; lane-decomposed scalar form for dot / dist_sq, whose definition moved — see docs/PERF.md)\",\n",
+        "  \"scalar_baseline\": \"SimdKernel::Scalar: plain loops, compiler autovectorization only (the seed's loops for matmul)\",\n",
     );
     json.push_str(&format!(
         "  \"matmul_128_speedup\": {:.3},\n",

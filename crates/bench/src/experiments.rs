@@ -1,9 +1,10 @@
-//! The paper's evaluation (Tables 1–2, Figs. 2–10), the DESIGN.md §5
-//! ablations, the LEAF run and the robustness / wire-codec scenarios, as one
-//! registry (`EXPERIMENTS`): per id, a builder returning its `Vec<Job>`
-//! ([`jobs`] hands one out without running it) and a printer over the
-//! results. [`run`] is the one place jobs run; every printer writes through
-//! one `Artifact` (the id's directory, text report and CSV tables).
+//! The paper's evaluation (Tables 1–2, Figs. 2–10), the `ablate-*`
+//! ablations (mis-tiering, λ, delta vs absolute polyline), the LEAF run and
+//! the robustness / wire-codec scenarios, as one registry (`EXPERIMENTS`):
+//! per id, a builder returning its `Vec<Job>` ([`jobs`] hands one out
+//! without running it) and a printer over the results. [`run`] is the one
+//! place jobs run; every printer writes through one `Artifact` (the id's
+//! directory, text report and CSV tables).
 //!
 //! Heavy artifacts share runs: Table 1, Table 2 and Figs. 2–4 all print the
 //! strategy × dataset matrix on the 100-client cluster, which `repro
@@ -357,7 +358,8 @@ fn fig8_jobs(ctx: &Ctx) -> Vec<Job> {
     let n = ctx.scale.large_clients();
     let task = Arc::new(suite::reddit_like(n, ctx.seed));
     // FedAT tier updates are ~3–4× faster than full rounds; budgets are set
-    // so both fill the same 4000 s horizon (DESIGN.md §6).
+    // so both fill the same 4000 s horizon — the comparison is at equal
+    // virtual time, not at an equal update count.
     let rounds = |s| ctx.scale.rounds(if s == FedAt { 1400 } else { 160 });
     let run = |s| job(&task, ctx.cfg(s, rounds(s), 4000.0, ctx.cluster(n)));
     [FedAt, TiFL, FedProx].map(run).into()
@@ -528,7 +530,8 @@ fn leaf<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
     }
 }
 
-/// Ablation: FedAT vs TiFL under mis-tiering (DESIGN.md §5.4).
+/// Ablation: FedAT vs TiFL under mis-tiering — 30 % of the clients
+/// profiled into the wrong tier.
 fn ablate_mistier_jobs(ctx: &Ctx) -> Vec<Job> {
     let task = ctx.cifar10(2);
     let pair = |s: StrategyKind| {
@@ -566,7 +569,9 @@ fn ablate_lambda<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
     }
 }
 
-/// Ablation: delta vs absolute polyline coding (DESIGN.md §5.2).
+/// Ablation: delta vs absolute polyline coding — the paper's codec encodes
+/// the difference of consecutive rounded weights, absolute mode each weight
+/// alone (`docs/PERF.md`, "Codec matrix").
 fn ablate_delta_jobs(ctx: &Ctx) -> Vec<Job> {
     let task = ctx.cifar10(2);
     let run = |(name, delta)| {

@@ -290,8 +290,8 @@ impl PolylineCodec {
         Self::with_mode(precision, true)
     }
 
-    /// Polyline codec with explicit delta/absolute mode (the ablation in
-    /// DESIGN.md §5).
+    /// Polyline codec with explicit delta/absolute mode (the `ablate-delta`
+    /// experiment).
     pub fn with_mode(precision: u8, delta: bool) -> Self {
         assert!(
             (1..=crate::polyline::MAX_PRECISION).contains(&precision),

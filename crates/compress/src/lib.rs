@@ -10,7 +10,8 @@
 //!
 //! * [`polyline`] — the polyline wire format: value/stream encode + decode,
 //!   in both *delta* mode (successive differences, as in the original
-//!   algorithm) and *absolute* mode (see DESIGN.md §5),
+//!   algorithm) and *absolute* mode (the `ablate-delta` experiment compares
+//!   them),
 //! * [`codec`] — the [`codec::WireCodec`] trait with the absolute codecs
 //!   [`codec::NoCompression`] (the inert default) and
 //!   [`codec::PolylineCodec`] (precision 1–7),
@@ -20,15 +21,17 @@
 //! * [`topk`] — sparse top-k delta selection with exact values,
 //! * [`stats`] — compression ratio and reconstruction-error accounting.
 //!
-//! Encode/decode inner loops (delta, quantize/dequantize, magnitude) run on
-//! the bit-exact [`fedat_tensor::simd`] kernels over fixed
-//! [`codec::CODEC_CHUNK`] chunks, on whichever thread transfers the model,
+//! Encode/decode inner loops (delta, quantize/dequantize) run on the
+//! bit-exact [`fedat_tensor::simd`] kernels over fixed
+//! [`codec::CODEC_CHUNK`] chunks (top-k's magnitude pass is one plain
+//! loop), on whichever thread transfers the model,
 //! so lossless codecs round-trip bit-identically and lossy codecs are
 //! exactly reproducible under every `SimdKernel`. The polyline stream is
 //! the exception in shape, not in contract: a varint stream cannot be
-//! chunked without an index on the wire, so [`polyline`] carries its own
-//! scalar / portable / AVX2 + BMI lanes, selected by the same `SimdKernel`
-//! setting and byte-identical to each other.
+//! chunked without an index on the wire, so its encoder and decoder are one
+//! per-value loop each, and the in-place roundtrip a transfer runs carries
+//! its own scalar / portable / AVX2 lanes, selected by the same
+//! `SimdKernel` setting and bit-identical to each other.
 //!
 //! ```
 //! use fedat_compress::codec::{PolylineCodec, WireCodec};

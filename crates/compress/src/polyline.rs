@@ -7,33 +7,37 @@
 //! reconstruction error never accumulates. Differences wrap in `i64` on both
 //! sides, so every finite input encodes and decodes in every build profile.
 //!
-//! ## Lanes
+//! ## The definition and the transfer
 //!
-//! [`encode_stream`] and [`decode_stream`] follow the lane contract of
-//! [`fedat_tensor::simd`]: the active [`SimdKernel`] picks one of three
-//! lanes that emit the same bytes and decode to the same bits (proptest
-//! `polyline_lanes_agree_bytewise`).
+//! [`encode_stream`] and [`decode_stream`] are the format's definition: one
+//! value at a time, [`quantize`] + [`encode_int`] on the way out,
+//! [`decode_int`] + [`dequantize`] on the way back. No run calls them — a
+//! simulated transfer needs only what the receiver would decode and how
+//! many bytes it took, which [`roundtrip_stream`] computes without the
+//! stream in between:
 //!
-//! | lane | encode | decode |
-//! |---|---|---|
-//! | `Scalar` | [`quantize`] + [`encode_int`] per value — the reference | [`decode_int`] + [`dequantize`] per value — the reference |
-//! | `Portable` | blocks: round pass, SWAR chunk spread, one 8-byte store per value | the reference (the intrinsic-free window decoders prototyped for this kernel lost to its byte loop) |
-//! | `Auto` (AVX2 + BMI) | blocks: vector round pass, `lzcnt`/`pdep`/`bzhi`, one 8-byte store per value | 32-byte terminator bitmaps, eight (or four) values per window by `tzcnt`/`pext`, vector divide pass |
+//! * **Roundtrip.** `encode_int` / `decode_int` are inverse on all of `i64`
+//!   and the decoder's wrapping sum undoes the encoder's wrapping
+//!   difference, so every value of an honest stream decodes to
+//!   `dequantize(quantize(v))` and occupies as many bytes as its
+//!   (difference's) zig-zag has 5-bit chunks — neither needs the bytes
+//!   (proptests `honest_polyline_streams_decode_to_the_lattice` and
+//!   `roundtrip_equals_decode_of_encode`).
 //!
-//! [`roundtrip_stream`] — what a simulated transfer calls, since nobody
-//! reads the bytes — takes the same lanes: `Scalar` is literally
-//! `decode_stream(encode_stream(..))`; the other two share the block
-//! encoder's round pass, sum each value's chunk count and divide the rounded
-//! integers back, without a stream in between (proptest
-//! `roundtrip_equals_decode_of_encode`).
+//! `roundtrip_stream` follows the lane contract of [`fedat_tensor::simd`]:
+//! the active [`SimdKernel`] picks one of three lanes that return the same
+//! bits and the same byte count.
 //!
-//! The AVX2 + BMI lane needs AVX2, BMI1, BMI2 and LZCNT and detects them
-//! itself (`simd`'s own AVX2 lanes only ask for AVX2 + FMA); a host without
-//! them takes the portable lane. `pdep`/`pext` are microcoded on AMD Zen 1
-//! and Zen 2 (≈ 18 cycles each): the lane is still correct there, but those
-//! hosts are better served by `SimdKernel::Portable`.
+//! | lane | roundtrip |
+//! |---|---|
+//! | `Scalar` | `decode_stream(encode_stream(..))` — the definition itself |
+//! | `Portable` | per 512-value block: round pass, chunk-count pass, divide pass |
+//! | `Auto` (AVX2 + LZCNT) | the same blocks, the round pass as `cvtps_pd` · `mul_pd` · `cvttpd_epi32` |
 //!
-//! Why the fast lanes agree with the reference bit for bit:
+//! The AVX2 lane detects its features itself (`simd`'s own AVX2 lanes ask
+//! for AVX2 + FMA); a host without them takes the portable lane.
+//!
+//! Why the block lanes agree with the definition bit for bit:
 //!
 //! * **Exact product.** An `f32` carries 24 significant bits and `10^p`
 //!   (`p ≤ 7`) at most 24, so `v as f64 * 10^p` is exact in `f64` — scalar
@@ -43,25 +47,10 @@
 //!   the largest double below ½, so a fraction below ½ can never be carried
 //!   to the next integer by the add's own rounding, while a fraction of
 //!   exactly ½ lands within 2⁻⁵⁴ of the next integer and rounds onto it.
-//!   A block holding a value outside that range (or a non-finite one) is
-//!   encoded by the reference loop itself.
-//! * **Chunks.** Spreading 5-bit groups to bytes, OR-ing `0x20` under a
-//!   length mask and adding `0x3F` to every byte is the chunk loop unrolled;
-//!   no byte can carry into its neighbour (`0x3F + 0x3F < 0x100`).
-//! * **Division.** Decode divides by `10^p` in `f64` and narrows to `f32`
-//!   in every lane — multiplying by `10⁻ᵖ` would round differently.
-//! * **Accept / reject.** Any byte below 63 makes the reference return
-//!   `None` — it is either reached inside a value or left over as trailing
-//!   garbage — so the window decoder may reject on sight. A window holding
-//!   eight continuation bytes in a row (a value longer than eight chunks) or
-//!   fewer than four values, and the last 40 bytes or 8 values of a stream,
-//!   go through [`decode_int`]'s own chunk loop one value at a time.
-//!
-//! * **Roundtrip.** `encode_int` / `decode_int` are inverse on all of `i64`
-//!   and the decoder's wrapping sum undoes the encoder's wrapping
-//!   difference, so every value of an honest stream decodes to
-//!   `dequantize(quantize(v))` and occupies as many bytes as its
-//!   (difference's) zig-zag has 5-bit chunks — neither needs the bytes.
+//!   A block holding a value outside that range (or a non-finite one) goes
+//!   through the reference loop itself.
+//! * **Division.** Both sides divide by `10^p` in `f64` and narrow to `f32`
+//!   — multiplying by `10⁻ᵖ` would round differently.
 //!
 //! The stream is deliberately not chunked: decode cannot split a stream
 //! without a chunk index on the wire.
@@ -87,18 +76,15 @@ pub fn encode_int(mut value: i64, out: &mut Vec<u8>) {
 /// Decodes one signed integer; returns `(value, bytes_consumed)` or `None`
 /// on truncated/corrupt input.
 pub fn decode_int(bytes: &[u8]) -> Option<(i64, usize)> {
-    decode_zigzag(bytes).map(|(r, used)| (unzigzag(r), used))
-}
-
-/// The chunk loop of [`decode_int`]: the value still zig-zagged.
-fn decode_zigzag(bytes: &[u8]) -> Option<(u64, usize)> {
     let mut result: u64 = 0;
     let mut shift = 0u32;
     for (i, &b) in bytes.iter().enumerate() {
         let chunk = b.checked_sub(63)? as u64;
         result |= (chunk & 0x1F) << shift;
         if chunk & 0x20 == 0 {
-            return Some((result, i + 1));
+            // Undo the zig-zag on the unsigned value, so bit 63 is data and
+            // not a sign to smear.
+            return Some(((result >> 1) as i64 ^ -((result & 1) as i64), i + 1));
         }
         shift += 5;
         if shift > 63 {
@@ -106,13 +92,6 @@ fn decode_zigzag(bytes: &[u8]) -> Option<(u64, usize)> {
         }
     }
     None // ran out of bytes mid-value
-}
-
-/// Inverse of the zig-zag map, on the unsigned value so bit 63 is data and
-/// not a sign to smear.
-#[inline(always)]
-fn unzigzag(r: u64) -> i64 {
-    (r >> 1) as i64 ^ -((r & 1) as i64)
 }
 
 /// The zig-zag map of [`encode_int`], branch-free.
@@ -142,22 +121,6 @@ pub fn dequantize(value: i64, precision: u8) -> f32 {
     (value as f64 / scale) as f32
 }
 
-enum Lane {
-    Scalar,
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Avx2Bmi,
-}
-
-fn lane() -> Lane {
-    match simd::simd_kernel() {
-        SimdKernel::Scalar => Lane::Scalar,
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Auto if x86::available() => Lane::Avx2Bmi,
-        SimdKernel::Auto | SimdKernel::Portable => Lane::Portable,
-    }
-}
-
 /// Encodes a float stream at the given precision.
 ///
 /// `delta = true` reproduces the original polyline algorithm (differences
@@ -168,19 +131,20 @@ fn lane() -> Lane {
 /// Panics if `precision > MAX_PRECISION` or any value is non-finite.
 pub fn encode_stream(values: &[f32], precision: u8, delta: bool) -> Vec<u8> {
     assert!(precision <= MAX_PRECISION, "precision {precision} too high");
-    match lane() {
-        Lane::Scalar => {
-            // Typical encoded weights need 2-3 bytes each at precision 4.
-            let mut out = Vec::with_capacity(values.len() * 3);
-            encode_reference(values, precision, delta, &mut 0, &mut out);
-            out
-        }
-        Lane::Portable => encode_blocks(values, precision, delta, quantize_block, spread_swar),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `lane()` returns `Avx2Bmi` only after `x86::available()`
-        // detected every target feature `x86::encode` is compiled with.
-        Lane::Avx2Bmi => unsafe { x86::encode(values, precision, delta) },
+    // Typical encoded weights need 2-3 bytes each at precision 4.
+    let mut out = Vec::with_capacity(values.len() * 3);
+    let mut prev = 0i64;
+    for &v in values {
+        assert!(v.is_finite(), "cannot polyline-encode non-finite value {v}");
+        let q = quantize(v, precision);
+        let sent = if delta {
+            q.wrapping_sub(std::mem::replace(&mut prev, q))
+        } else {
+            q
+        };
+        encode_int(sent, &mut out);
     }
+    out
 }
 
 /// Decodes a stream produced by [`encode_stream`]. Returns `None` on
@@ -192,61 +156,6 @@ pub fn decode_stream(bytes: &[u8], count: usize, precision: u8, delta: bool) -> 
     if count > bytes.len() {
         return None;
     }
-    match lane() {
-        Lane::Scalar | Lane::Portable => decode_reference(bytes, count, precision, delta),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `lane()` returns `Avx2Bmi` only after `x86::available()`
-        // detected every target feature `x86::decode` is compiled with.
-        Lane::Avx2Bmi => unsafe { x86::decode(bytes, count, precision, delta) },
-    }
-}
-
-/// What a receiver would decode from `encode_stream(values, ..)`, written
-/// over `values`; returns that stream's length. The simulator's transfers
-/// need only these two — nobody reads the bytes — so the fast lanes never
-/// build them: per 512-value block, the encoder's round pass, a sum of
-/// per-value chunk counts, and [`dequantize`] straight from the rounded
-/// integers. The `Scalar` lane is the literal `decode_stream(encode_stream)`.
-///
-/// # Panics
-/// As [`encode_stream`]. On a non-finite value the fast lanes have already
-/// overwritten the blocks before it.
-pub fn roundtrip_stream(values: &mut [f32], precision: u8, delta: bool) -> usize {
-    assert!(precision <= MAX_PRECISION, "precision {precision} too high");
-    match lane() {
-        Lane::Scalar => {
-            let bytes = encode_stream(values, precision, delta);
-            let decoded = decode_stream(&bytes, values.len(), precision, delta)
-                .expect("an encoder's own stream decodes");
-            values.copy_from_slice(&decoded);
-            bytes.len()
-        }
-        Lane::Portable => roundtrip_blocks(values, precision, delta, quantize_block),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `lane()` returns `Avx2Bmi` only after `x86::available()`
-        // detected every target feature `x86::roundtrip` is compiled with.
-        Lane::Avx2Bmi => unsafe { x86::roundtrip(values, precision, delta) },
-    }
-}
-
-/// The reference encoder, one value at a time. `prev` is the last rounded
-/// value (delta mode only), so a block kernel can hand a single block over
-/// and carry on.
-fn encode_reference(values: &[f32], precision: u8, delta: bool, prev: &mut i64, out: &mut Vec<u8>) {
-    for &v in values {
-        assert!(v.is_finite(), "cannot polyline-encode non-finite value {v}");
-        let q = quantize(v, precision);
-        if delta {
-            encode_int(q.wrapping_sub(*prev), out);
-            *prev = q;
-        } else {
-            encode_int(q, out);
-        }
-    }
-}
-
-/// The reference decoder, one byte at a time.
-fn decode_reference(bytes: &[u8], count: usize, precision: u8, delta: bool) -> Option<Vec<f32>> {
     let mut out = Vec::with_capacity(count);
     let mut cursor = 0usize;
     let mut prev = 0i64;
@@ -261,18 +170,58 @@ fn decode_reference(bytes: &[u8], count: usize, precision: u8, delta: bool) -> O
         };
         out.push(dequantize(q, precision));
     }
-    if cursor == bytes.len() {
-        Some(out)
-    } else {
-        None // trailing garbage
+    (cursor == bytes.len()).then_some(out) // otherwise trailing garbage
+}
+
+enum Lane {
+    Scalar,
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+fn lane() -> Lane {
+    match simd::simd_kernel() {
+        SimdKernel::Scalar => Lane::Scalar,
+        #[cfg(target_arch = "x86_64")]
+        SimdKernel::Auto if x86::available() => Lane::Avx2,
+        SimdKernel::Auto | SimdKernel::Portable => Lane::Portable,
     }
 }
 
-/// [`encode_reference`] then [`decode_reference`] of one block without the
-/// bytes in between: `encode_int` and `decode_int` are inverse on all of
-/// `i64` and the decoder's wrapping sum undoes the encoder's wrapping
-/// difference, so every value comes back as `dequantize(quantize(v))` and
-/// costs [`chunk_count`] bytes of its (difference's) zig-zag.
+/// What a receiver would decode from `encode_stream(values, ..)`, written
+/// over `values`; returns that stream's length. The simulator's transfers
+/// need only these two — nobody reads the bytes — so the block lanes never
+/// build them: per 512-value block, a round pass, a sum of per-value chunk
+/// counts, and [`dequantize`] straight from the rounded integers. The
+/// `Scalar` lane is the literal `decode_stream(encode_stream)`.
+///
+/// # Panics
+/// As [`encode_stream`]. On a non-finite value the block lanes have already
+/// overwritten the blocks before it.
+pub fn roundtrip_stream(values: &mut [f32], precision: u8, delta: bool) -> usize {
+    assert!(precision <= MAX_PRECISION, "precision {precision} too high");
+    match lane() {
+        Lane::Scalar => {
+            let bytes = encode_stream(values, precision, delta);
+            let decoded = decode_stream(&bytes, values.len(), precision, delta)
+                .expect("an encoder's own stream decodes");
+            values.copy_from_slice(&decoded);
+            bytes.len()
+        }
+        Lane::Portable => roundtrip_blocks(values, precision, delta, quantize_block),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `lane()` returns `Avx2` only after `x86::available()`
+        // detected every target feature `x86::roundtrip` is compiled with.
+        Lane::Avx2 => unsafe { x86::roundtrip(values, precision, delta) },
+    }
+}
+
+/// [`encode_stream`] then [`decode_stream`] of one block without the bytes
+/// in between (module docs, "Roundtrip"): every value comes back as
+/// `dequantize(quantize(v))` and costs [`chunk_count`] bytes of its
+/// (difference's) zig-zag. `prev` is the last rounded value, so a block
+/// lane can hand a single block over and carry on.
 fn roundtrip_reference(values: &mut [f32], precision: u8, delta: bool, prev: &mut i64) -> usize {
     let mut bytes = 0usize;
     for v in values {
@@ -290,19 +239,11 @@ fn roundtrip_reference(values: &mut [f32], precision: u8, delta: bool, prev: &mu
 }
 
 // ----------------------------------------------------------------------
-// Block kernels (portable and AVX2 + BMI lanes)
+// Block roundtrip (portable and AVX2 lanes)
 // ----------------------------------------------------------------------
 
 /// Values rounded per pass; the `i32` block (2 KiB) stays in L1.
 const BLOCK: usize = 512;
-/// The most chunks one value can occupy: ⌈64 / 5⌉.
-const MAX_CHUNKS: usize = 13;
-/// The five payload bits of each byte.
-const LOW5: u64 = 0x1F1F_1F1F_1F1F_1F1F;
-/// The continuation bit of each byte.
-const CONT: u64 = 0x2020_2020_2020_2020;
-/// The ASCII offset (63, `?`) of each byte.
-const ASCII: u64 = 0x3F3F_3F3F_3F3F_3F3F;
 /// The largest double below ½ (½ − 2⁻⁵⁴).
 const ROUND_BIAS: f64 = f64::from_bits(0x3FDF_FFFF_FFFF_FFFF);
 /// Scaled values strictly inside `±I32_LIMIT` round to an `i32`.
@@ -322,85 +263,7 @@ fn quantize_block(values: &[f32], scale: f64, q: &mut [i32]) -> bool {
     in_range
 }
 
-/// Moves the eight 5-bit groups of `zz`'s low 40 bits to the low five bits
-/// of eight bytes — `pdep(zz, LOW5)` in three shift-and-mask steps.
-#[inline(always)]
-fn spread_swar(zz: u64) -> u64 {
-    let x = (zz & 0xF_FFFF) | ((zz & 0xFF_FFF0_0000) << 12);
-    let x = (x & 0x0000_03FF_0000_03FF) | ((x & 0x000F_FC00_000F_FC00) << 6);
-    (x & 0x001F_001F_001F_001F) | ((x & 0x03E0_03E0_03E0_03E0) << 3)
-}
-
-/// The block encoder shared by the portable and AVX2 + BMI lanes; only the
-/// round pass and the chunk spread differ between them. Always inlined, so
-/// the other loops are compiled at the instantiating lane's ISA (where the
-/// difference pass vectorises, `leading_zeros` is `lzcnt` and the length
-/// mask `bzhi`).
-#[inline(always)]
-fn encode_blocks(
-    values: &[f32],
-    precision: u8,
-    delta: bool,
-    quantize_block: impl Fn(&[f32], f64, &mut [i32]) -> bool,
-    spread: impl Fn(u64) -> u64,
-) -> Vec<u8> {
-    // What one block may write: its first value through the chunk loop,
-    // every other value at most eight bytes further (its store is 8 wide).
-    let room = |len: usize| MAX_CHUNKS + 8 * len;
-    let scale = 10f64.powi(precision as i32);
-    // Typical encoded weights need 2-3 bytes each at precision 4; the
-    // slack keeps `reserve` below from ever reallocating such a stream.
-    let mut out = Vec::with_capacity(values.len() * 3 + room(values.len().min(BLOCK)));
-    let mut rounded = [0i32; BLOCK];
-    let mut zigzag = [0u64; BLOCK];
-    let mut prev = 0i64;
-    for block in values.chunks(BLOCK) {
-        let rounded = &mut rounded[..block.len()];
-        if !quantize_block(block, scale, rounded) {
-            // The reference names the first non-finite value in its panic
-            // and saturates past `i32` the way `as i64` does.
-            encode_reference(block, precision, delta, &mut prev, &mut out);
-            continue;
-        }
-        out.reserve(room(block.len()));
-        // The one difference that can need more than eight chunks is the
-        // first: `prev` may be anything the reference loop left behind.
-        let first = rounded[0] as i64;
-        let back = if delta { prev } else { 0 };
-        encode_int(first.wrapping_sub(back), &mut out);
-        prev = rounded[block.len() - 1] as i64;
-        // Every later value differs from an `i32` by an `i32`: |d| < 2^32,
-        // its zig-zag < 2^33, seven chunks at most.
-        let zigzag = &mut zigzag[..block.len() - 1];
-        for (zz, pair) in zigzag.iter_mut().zip(rounded.windows(2)) {
-            let d = pair[1] as i64 - if delta { pair[0] as i64 } else { 0 };
-            *zz = zigzag_of(d);
-        }
-        let base = out.as_mut_ptr();
-        let mut pos = out.len();
-        for &zz in zigzag.iter() {
-            let chunks = chunk_count(zz);
-            let word = (spread(zz) | (CONT & ((1u64 << (8 * (chunks - 1))) - 1))) + ASCII;
-            // SAFETY: `reserve` left `room(len)` bytes past the block's
-            // start; the first value took ≤ MAX_CHUNKS of them and each
-            // later one advances `pos` by `chunks` ≤ 7, so the 8 bytes
-            // written here end inside the allocation.
-            unsafe {
-                base.add(pos)
-                    .cast::<[u8; 8]>()
-                    .write_unaligned(word.to_le_bytes())
-            };
-            pos += chunks as usize;
-        }
-        // SAFETY: `pos` is within capacity (above), and every byte below
-        // it was written: each store covers the `chunks` bytes it
-        // advances over.
-        unsafe { out.set_len(pos) };
-    }
-    out
-}
-
-/// The block roundtrip shared by the portable and AVX2 + BMI lanes
+/// The block roundtrip shared by the portable and AVX2 lanes
 /// ([`roundtrip_stream`]); only the round pass differs between them. Always
 /// inlined, so the count and divide passes are compiled — and vectorised —
 /// at the instantiating lane's ISA.
@@ -418,13 +281,13 @@ fn roundtrip_blocks(
     for block in values.chunks_mut(BLOCK) {
         let rounded = &mut rounded[..block.len()];
         if !quantize_block(block, scale, rounded) {
-            // Same hand-over as `encode_blocks`: the reference names the
-            // first non-finite value and saturates past `i32`.
+            // The reference names the first non-finite value in its panic
+            // and saturates past `i32` the way `as i64` does.
             bytes += roundtrip_reference(block, precision, delta, &mut prev);
             continue;
         }
-        // As in `encode_blocks`, only a block's first difference can leave
-        // 33 bits: `prev` may be anything the reference loop left behind.
+        // Only a block's first difference can leave 33 bits: `prev` may be
+        // anything the reference loop left behind.
         let back = if delta { prev } else { 0 };
         bytes += chunk_count(zigzag_of((rounded[0] as i64).wrapping_sub(back))) as usize;
         prev = rounded[block.len() - 1] as i64;
@@ -454,34 +317,22 @@ fn roundtrip_blocks(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The AVX2 + BMI1/BMI2 + LZCNT lane. No FMA is enabled here, so no
-    //! multiply-add in this module can fuse.
+    //! The AVX2 lane: the round pass in intrinsics, the count and divide
+    //! passes compiled at AVX2 (and `chunk_count` as `lzcnt`). No FMA is
+    //! enabled here, so no multiply-add in this module can fuse.
 
-    use super::{dequantize, unzigzag, ASCII, BLOCK, I32_LIMIT, LOW5, ROUND_BIAS};
+    use super::{I32_LIMIT, ROUND_BIAS};
     use std::arch::x86_64::*;
 
     pub fn available() -> bool {
         static AVAILABLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         *AVAILABLE.get_or_init(|| {
             std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("bmi1")
-                && std::arch::is_x86_feature_detected!("bmi2")
                 && std::arch::is_x86_feature_detected!("lzcnt")
         })
     }
 
-    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt")]
-    pub fn encode(values: &[f32], precision: u8, delta: bool) -> Vec<u8> {
-        super::encode_blocks(
-            values,
-            precision,
-            delta,
-            |values, scale, q| quantize_block(values, scale, q),
-            |zz| _pdep_u64(zz, LOW5),
-        )
-    }
-
-    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt")]
+    #[target_feature(enable = "avx2,lzcnt")]
     pub fn roundtrip(values: &mut [f32], precision: u8, delta: bool) -> usize {
         super::roundtrip_blocks(values, precision, delta, |values, scale, q| {
             quantize_block(values, scale, q)
@@ -510,145 +361,6 @@ mod x86 {
             unsafe { _mm_storeu_si128(q.as_mut_ptr().cast(), _mm256_cvttpd_epi32(biased)) };
         }
         (_mm256_movemask_pd(in_range) == 0xF) & super::quantize_block(tail, scale, q_tail)
-    }
-
-    /// Bytes a window step may read past `cursor`: the 32-byte window plus
-    /// the 8-byte load of a value starting on its last byte.
-    const WINDOW_REACH: usize = 40;
-
-    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt")]
-    pub fn decode(bytes: &[u8], count: usize, precision: u8, delta: bool) -> Option<Vec<f32>> {
-        let ascii = _mm256_set1_epi8(63);
-        let mut out = Vec::with_capacity(count);
-        // Zig-zag values until `finish_block` turns them into lattice points.
-        let mut block = [0i64; BLOCK];
-        let mut filled = 0usize;
-        let mut cursor = 0usize;
-        let mut prev = 0i64;
-        let mut left = count;
-        while left > 0 {
-            if filled + 8 > BLOCK {
-                finish_block(&mut block[..filled], delta, &mut prev, precision, &mut out);
-                filled = 0;
-            }
-            // How many values this step takes from a window, and the
-            // bitmap of bytes that end one.
-            let (take, mut ends) = if left >= 8 && bytes.len() - cursor >= WINDOW_REACH {
-                // SAFETY: 32 ≤ WINDOW_REACH bytes are readable at `cursor`.
-                let window = unsafe { _mm256_loadu_si256(bytes.as_ptr().add(cursor).cast()) };
-                // A byte below 63 anywhere in the stream makes the
-                // reference return `None` (module docs), so it may be
-                // rejected before it is reached.
-                let valid = _mm256_cmpeq_epi8(_mm256_max_epu8(window, ascii), window);
-                if _mm256_movemask_epi8(valid) != -1 {
-                    return None;
-                }
-                // Bit 5 of `byte − 63` (moved to bit 7 for `movemask`) is
-                // the continuation flag; every clear bit ends a value.
-                let chunks = _mm256_sub_epi8(window, ascii);
-                let more = _mm256_movemask_epi8(_mm256_slli_epi16::<2>(chunks)) as u32;
-                let ends = !more;
-                // Eight continuation bytes in a row: some value here is
-                // longer than the 8-byte load below.
-                let run2 = more & (more >> 1);
-                let run4 = run2 & (run2 >> 2);
-                let long = run4 & (run4 >> 4) != 0;
-                // A fixed number of values per window, so the loop below
-                // unrolls and ends without a data-dependent branch.
-                let take = match ends.count_ones() {
-                    8.. if !long => 8,
-                    4.. if !long => 4,
-                    _ => 0,
-                };
-                (take, ends)
-            } else {
-                (0, 0)
-            };
-            if take == 0 {
-                // Stream tail, a value longer than eight chunks, or a
-                // window of fewer than four values: the reference decides.
-                let (r, used) = super::decode_zigzag(&bytes[cursor..])?;
-                block[filled] = r as i64;
-                filled += 1;
-                cursor += used;
-                left -= 1;
-                continue;
-            }
-            let mut taken = 0u32; // bytes of the window consumed
-            for slot in &mut block[filled..filled + take] {
-                let end = ends.trailing_zeros() + 1;
-                // SAFETY: `taken` ≤ 31, so these 8 bytes end within
-                // WINDOW_REACH of `cursor`.
-                let word = u64::from_le_bytes(unsafe {
-                    bytes
-                        .as_ptr()
-                        .add(cursor + taken as usize)
-                        .cast::<[u8; 8]>()
-                        .read_unaligned()
-                });
-                // No byte of the value is below 63, so the subtraction
-                // borrows only out of bytes the mask drops.
-                let kept = _bzhi_u64(LOW5, 8 * (end - taken));
-                *slot = _pext_u64(word.wrapping_sub(ASCII), kept) as i64;
-                ends &= ends - 1;
-                taken = end;
-            }
-            filled += take;
-            left -= take;
-            cursor += taken as usize;
-        }
-        finish_block(&mut block[..filled], delta, &mut prev, precision, &mut out);
-        (cursor == bytes.len()).then_some(out)
-    }
-
-    /// Turns a block of zig-zag values into lattice points in place (undo
-    /// the zig-zag; in delta mode, the wrapping running sum from `prev`) and
-    /// appends [`dequantize`] of each to `out`, four per step: `i64 → f64`
-    /// by the 2⁵² + 2⁵¹ bias trick (exact for |q| < 2⁵¹, like `as f64`),
-    /// then `div_pd` and `cvtpd_ps`. A block holding a larger `q` is redone
-    /// by [`dequantize`] itself.
-    #[target_feature(enable = "avx2")]
-    fn finish_block(q: &mut [i64], delta: bool, prev: &mut i64, precision: u8, out: &mut Vec<f32>) {
-        const HALF_RANGE: i64 = 1 << 51;
-        const MAGIC: f64 = ((1u64 << 52) + (1 << 51)) as f64;
-        if delta {
-            for q in q.iter_mut() {
-                *prev = prev.wrapping_add(unzigzag(*q as u64));
-                *q = *prev;
-            }
-        } else {
-            for q in q.iter_mut() {
-                *q = unzigzag(*q as u64);
-            }
-        }
-        let scale = _mm256_set1_pd(10f64.powi(precision as i32));
-        let magic = _mm256_set1_pd(MAGIC);
-        let half_range = _mm256_set1_epi64x(HALF_RANGE);
-        let mut beyond = _mm256_setzero_si256();
-        let (quads, tail) = q.as_chunks::<4>();
-        out.reserve(q.len());
-        let dst = out.spare_capacity_mut();
-        for (i, quad) in quads.iter().enumerate() {
-            // SAFETY: `quad` is four readable `i64`s.
-            let v = unsafe { _mm256_loadu_si256(quad.as_ptr().cast()) };
-            let shifted = _mm256_add_epi64(v, half_range);
-            beyond = _mm256_or_si256(beyond, _mm256_srli_epi64::<52>(shifted));
-            let x = _mm256_sub_pd(
-                _mm256_castsi256_pd(_mm256_add_epi64(v, _mm256_castpd_si256(magic))),
-                magic,
-            );
-            let narrowed = _mm256_cvtpd_ps(_mm256_div_pd(x, scale));
-            // SAFETY: `4·i + 4 ≤ q.len()`, which `reserve` made available.
-            unsafe { _mm_storeu_ps(dst.as_mut_ptr().add(4 * i).cast(), narrowed) };
-        }
-        if _mm256_testz_si256(beyond, beyond) == 0 {
-            out.extend(q.iter().map(|&q| dequantize(q, precision)));
-            return;
-        }
-        // SAFETY: the loop above initialised the first `4·quads.len()`
-        // spare elements.
-        unsafe { out.set_len(out.len() + 4 * quads.len()) };
-        out.extend(tail.iter().map(|&q| dequantize(q, precision)));
     }
 }
 
@@ -806,8 +518,8 @@ mod tests {
         let _ = encode_stream(&[f32::NAN], 4, true);
     }
 
-    /// The three `SimdKernel` values, one per lane, scoped to the calling
-    /// thread.
+    /// The three `SimdKernel` values, one per `roundtrip_stream` lane,
+    /// scoped to the calling thread.
     fn each_lane(mut f: impl FnMut(&str)) {
         for (name, simd) in [
             ("scalar", SimdKernel::Scalar),
@@ -824,27 +536,39 @@ mod tests {
 
     /// Saturated neighbours (`-3e38`, `3e38` round to `i64::MIN`/`MAX`) are
     /// finite input: the difference wraps, in debug builds too, and the
-    /// decoder wraps back.
+    /// decoder wraps back — in the stream and in every roundtrip lane.
     #[test]
     fn extreme_finite_values_encode_and_wrap_back() {
+        let values = [-3e38, 3e38, 0.25, -0.5, 1.0];
+        let enc = encode_stream(&values, 4, true);
+        let (lo, hi) = (dequantize(i64::MIN, 4), dequantize(i64::MAX, 4));
+        let want = [lo, hi, 0.25, -0.5, 1.0];
+        assert_eq!(decode_stream(&enc, 5, 4, true).unwrap(), want);
         each_lane(|lane| {
-            let enc = encode_stream(&[-3e38, 3e38, 0.25, -0.5, 1.0], 4, true);
-            let dec = decode_stream(&enc, 5, 4, true).expect(lane);
-            let (lo, hi) = (dequantize(i64::MIN, 4), dequantize(i64::MAX, 4));
-            assert_eq!(dec, [lo, hi, 0.25, -0.5, 1.0]);
+            let mut got = values;
+            assert_eq!(roundtrip_stream(&mut got, 4, true), enc.len(), "{lane}");
+            assert_eq!(got, want, "{lane}");
         });
     }
 
-    /// In a block the fast lanes hand to the reference loop, the panic
-    /// still names the first non-finite value.
+    /// In a block a roundtrip lane hands to the reference loop, the panic
+    /// still names the first non-finite value, as the encoder's does.
     #[test]
     fn panic_names_the_first_non_finite_value_in_every_lane() {
+        let mut values = vec![0.5f32; 700];
+        values[600] = f32::NEG_INFINITY;
+        values[650] = f32::NAN;
+        let message = |err: Box<dyn std::any::Any + Send>| {
+            err.downcast_ref::<String>()
+                .expect("formatted panic")
+                .clone()
+        };
+        let err = std::panic::catch_unwind(|| encode_stream(&values, 4, true)).unwrap_err();
+        assert!(message(err).ends_with("non-finite value -inf"));
         each_lane(|lane| {
-            let mut values = vec![0.5f32; 700];
-            values[600] = f32::NEG_INFINITY;
-            values[650] = f32::NAN;
-            let err = std::panic::catch_unwind(|| encode_stream(&values, 4, true)).unwrap_err();
-            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            let err = std::panic::catch_unwind(|| roundtrip_stream(&mut values.clone(), 4, true))
+                .unwrap_err();
+            let msg = message(err);
             assert!(msg.ends_with("non-finite value -inf"), "{lane}: {msg}");
         });
     }
@@ -857,17 +581,6 @@ mod tests {
             assert!(decode_stream(b"????", count, 4, true).is_none());
         }
         assert_eq!(decode_stream(b"????", 4, 4, true), Some(vec![0.0; 4]));
-    }
-
-    #[test]
-    fn swar_spread_matches_the_chunk_loop() {
-        let mut zz = 0x9E37_79B9_7F4A_7C15u64;
-        for _ in 0..10_000 {
-            zz = zz.wrapping_mul(0x2545_F491_4F6C_DD1D).rotate_left(17) ^ 0x5555;
-            let v = zz >> (24 + zz % 40);
-            let by_loop = (0..8).fold(0u64, |acc, i| acc | ((v >> (5 * i)) & 0x1F) << (8 * i));
-            assert_eq!(spread_swar(v), by_loop, "{v:#x}");
-        }
     }
 
     #[test]

@@ -11,15 +11,15 @@
 //!
 //! Selection is a total order — magnitude descending ([`f32::total_cmp`]),
 //! index ascending on ties — so the selected set is unique regardless of
-//! partition order or backend; the magnitude sweep runs on
-//! the bit-exact [`fedat_tensor::simd::abs_into`] kernel.
+//! partition order or backend; the magnitude sweep is one plain pass of
+//! `|w − r|` (or `|w|`) — one rounded subtract and a sign clear per
+//! coordinate, the same bits on every host.
 
 use crate::codec::{
     check_reference, decode_reference, CodecError, CodecKind, CompressedBlob, WireCodec,
-    CODEC_CHUNK,
 };
 use bytes::Bytes;
-use fedat_tensor::{scratch, simd};
+use fedat_tensor::scratch;
 
 /// Selected weights for a blob of `count` values at `per_mille`.
 pub fn k_for(count: usize, per_mille: u16) -> usize {
@@ -157,15 +157,16 @@ impl WireCodec for TopKCodec {
         let k = k_for(n, self.per_mille);
         // Magnitude of the delta (or of the weights when no reference).
         let mut mag = scratch::take_zeroed(n);
-        for (ci, chunk) in mag.chunks_mut(CODEC_CHUNK).enumerate() {
-            let (start, end) = (ci * CODEC_CHUNK, ci * CODEC_CHUNK + chunk.len());
-            match reference {
-                Some(r) => {
-                    simd::sub_into(chunk, &weights[start..end], &r[start..end]);
-                    let copy: Vec<f32> = chunk.to_vec();
-                    simd::abs_into(chunk, &copy);
+        match reference {
+            Some(r) => {
+                for ((m, &w), &r) in mag.iter_mut().zip(weights).zip(r) {
+                    *m = (w - r).abs();
                 }
-                None => simd::abs_into(chunk, &weights[start..end]),
+            }
+            None => {
+                for (m, &w) in mag.iter_mut().zip(weights) {
+                    *m = w.abs();
+                }
             }
         }
         // Unique selection: magnitude descending, index ascending on ties.

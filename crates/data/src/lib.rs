@@ -3,7 +3,8 @@
 //! The paper evaluates on five federated datasets (CIFAR-10, Fashion-MNIST,
 //! Sentiment140, FEMNIST, Reddit) under the LEAF benchmark. Those corpora
 //! are not redistributable here, so this crate generates *synthetic
-//! equivalents with the same statistical shape* (see DESIGN.md §2):
+//! equivalents with the same statistical shape*, and loads the real LEAF
+//! corpora where they are on disk (`docs/DATA.md`):
 //!
 //! * [`synth`] — class-template image generators, separable feature-vector
 //!   tasks, and per-user Markov token streams,

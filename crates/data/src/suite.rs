@@ -1,8 +1,10 @@
 //! LEAF-like benchmark suite: one ready-made task per paper dataset.
 //!
-//! Each builder mirrors a dataset from §6 of the paper (see DESIGN.md §2 for
-//! the substitution argument) and pairs the federation with the matching
-//! model architecture and the paper's time-to-accuracy target.
+//! Each builder mirrors a dataset from §6 of the paper with a synthetic
+//! stand-in of the same statistical shape — the corpora are not
+//! redistributable; `docs/DATA.md` loads the real LEAF ones instead — and
+//! pairs the federation with the matching model architecture and the
+//! paper's time-to-accuracy target.
 
 use crate::dataset::Dataset;
 use crate::federated::FederatedDataset;

@@ -25,7 +25,7 @@
 //!
 //! Virtual time makes runs bit-reproducible and lets a 500-client day-long
 //! experiment finish in seconds while preserving every time-to-accuracy
-//! ratio (the delays *are* the paper's workload model; see DESIGN.md §2).
+//! ratio (the delays *are* the paper's workload model, §6 of the paper).
 
 pub mod churn;
 pub mod event;

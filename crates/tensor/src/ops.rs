@@ -11,7 +11,7 @@ use crate::tensor::Tensor;
 // buffers, without wrapping them in tensors)
 // ----------------------------------------------------------------------
 
-pub use crate::simd::{axpby, axpy, dist_sq, dot, scale};
+pub use crate::simd::{axpby, axpy, dist_sq, scale};
 
 /// The FedAsync server mixing step `w ← (1−α)·w + α·w_client`, in place.
 pub use crate::simd::lerp as lerp_into;
@@ -473,8 +473,9 @@ mod tests {
 
     #[test]
     fn dot_and_dist() {
-        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         assert_eq!(dist_sq(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
+        // |x − y|² = x·x + y·y − 2·x·y = 14 + 77 − 2·32.
+        assert_eq!(dist_sq(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 27.0);
     }
 
     #[test]

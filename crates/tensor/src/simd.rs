@@ -16,7 +16,7 @@
 //! element-wise lanes, measured before deletion"), so the twins are gone and
 //! [`SimdKernel`] does not reach these kernels at all.
 //!
-//! Eight kernels keep lanes, because a plain loop cannot express what the
+//! Six kernels keep lanes, because a plain loop cannot express what the
 //! lane does:
 //!
 //! | kernel | scalar (reference) | portable | AVX2 + FMA | why |
@@ -24,16 +24,13 @@
 //! | [`matmul_block`] | the seed's loops, a zero test per term | 4 × 8-lane accumulator tiles / non-zero lists | 4 × 2 `ymm` register tiles / lists | register blocking |
 //! | `robust_reduce_shard` | per-coordinate `sort_unstable_by` | sorting network over `i32` keys | the network as `vpminsd` / `vpmaxsd` | a different algorithm |
 //! | [`transpose`] | 32 × 32 blocked copy | the same copy | 8 × 8 in-register blocks | shuffles |
-//! | [`dot`], [`dist_sq`] | 8 f64 partial sums in an array | the same code | two `ymm` f64 accumulators, `vfmadd` | f32 → f64 widening |
 //! | [`quantize_into`] | `f32::floor` per element | the same code | `vroundps` | baseline x86-64 has no vector `floor` |
 //! | [`adam_sweep`] | `prox_grad`, `adam_step`, `fill` — three passes | the same code | one fused pass | three sweeps in one |
 //! | [`maxpool`] | one window at a time, a compare per pixel | the same code | eight windows per `ymm`: gather, `_CMP_GT_OQ`, two blends | a gather |
 //!
 //! **Scalar** (`SimdKernel::Scalar`) is the reference every other lane is
 //! held to and the `BENCH_tensor_kernels.json` "before": the seed's loops
-//! byte-for-byte for the matmuls, the scalar form of the lane decomposition
-//! for the reductions (the seed's single-accumulator `dot`/`dist_sq` could
-//! not be vectorized without changing bits, so their *definition* moved).
+//! byte-for-byte for the matmuls.
 //! **Portable** (`SimdKernel::Portable`, and `Auto` where AVX2 + FMA are
 //! not detected) is arrays of eight accumulators, which the compiler
 //! vectorizes at whatever ISA the target offers. **AVX2** (`Auto` where
@@ -60,13 +57,6 @@
 //!   `o + l`'s decisions in the scalar order — the same pixels, the same
 //!   `>` (`_CMP_GT_OQ` is false on NaN, like the scalar compare), the same
 //!   seed — and moves values without computing any (see [`maxpool`]).
-//! * `dot`-style reductions are *defined* as a fixed 8-lane partial-sum
-//!   decomposition with a pinned pairwise merge
-//!   (`((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, then the tail appended
-//!   serially), which the scalar code computes with the identical f64 lane
-//!   arithmetic. The f64 lanes *may* use FMA: an f32×f32 product is exact
-//!   in f64 (48 < 53 mantissa bits), so fused and unfused rounds are the
-//!   same bits.
 //! * The matmul contract includes the reference kernel's zero skip — a
 //!   term whose `a[i,p] == 0.0` is not added — but only the scalar lane
 //!   branches on it. The other two scan `A` once: no zero
@@ -415,18 +405,6 @@ pub fn sub_into(out: &mut [f32], a: &[f32], b: &[f32]) {
     }
 }
 
-/// `out[i] = |x[i]|` — clears the sign bit (NaN payloads included), the
-/// magnitude pass of top-k selection.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn abs_into(out: &mut [f32], x: &[f32]) {
-    assert_eq!(out.len(), x.len(), "abs_into length mismatch");
-    for (o, &xi) in out.iter_mut().zip(x.iter()) {
-        *o = xi.abs();
-    }
-}
-
 /// `out[i] = b + a * x[i]` — the dequantization sweep (`lo + q·step`).
 ///
 /// # Panics
@@ -489,37 +467,37 @@ pub fn apply_delta_bits_into(out: &mut [f32], bits: &[u32], r: &[f32]) {
 }
 
 // ----------------------------------------------------------------------
-// Reductions (pinned 8-lane decomposition)
+// Reduction (pinned 8-lane decomposition)
 // ----------------------------------------------------------------------
 
-/// The pinned merge order of the 8 partial sums: pairwise, then the tail.
-#[inline]
-fn merge_lanes(l: &[f64; 8]) -> f64 {
-    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
-}
-
-/// Dot product with f64 lane accumulation.
+/// Squared Euclidean distance with f64 lane accumulation: one plain
+/// function.
 ///
-/// Defined as: lane `l` sums `x[i]·y[i]` (exact f64 products) over
-/// `i ≡ l (mod 8)` of the 8-aligned prefix, lanes merge pairwise in the
-/// pinned order, and the tail is appended serially — every backend
-/// computes this same decomposition, so the result is ISA-independent.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn dot(x: &[f32], y: &[f32]) -> f32 {
-    assert_eq!(x.len(), y.len(), "dot length mismatch");
-    avx2_or_scalar!(avx2::dot(x, y), scalar::dot(x, y))
-}
-
-/// Squared Euclidean distance, same lane decomposition as [`dot`]
-/// (differences are rounded in f32 first, exactly like the seed kernel).
+/// Defined as: the difference rounds in f32 first (seed semantics), lane
+/// `l` sums its exact f64 square over `i ≡ l (mod 8)` of the 8-aligned
+/// prefix, the lanes merge pairwise
+/// (`((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`), and the tail is appended
+/// serially.
 ///
 /// # Panics
 /// Panics if lengths differ.
 pub fn dist_sq(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "dist_sq length mismatch");
-    avx2_or_scalar!(avx2::dist_sq(x, y), scalar::dist_sq(x, y))
+    let main = x.len() - x.len() % 8;
+    let mut lanes = [0.0f64; 8];
+    for (xc, yc) in x[..main].chunks_exact(8).zip(y[..main].chunks_exact(8)) {
+        for l in 0..8 {
+            let d = (xc[l] - yc[l]) as f64;
+            lanes[l] += d * d;
+        }
+    }
+    let l = &lanes;
+    let mut acc = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+    for (&a, &b) in x[main..].iter().zip(y[main..].iter()) {
+        let d = (a - b) as f64;
+        acc += d * d;
+    }
+    acc as f32
 }
 
 // ----------------------------------------------------------------------
@@ -990,40 +968,8 @@ pub fn maxpool(src: &[f32], (h, w): (usize, usize), k: usize, out: &mut [f32], a
 // ----------------------------------------------------------------------
 
 mod scalar {
-    use super::{merge_lanes, Lhs};
+    use super::Lhs;
     use crate::ops::RobustRule;
-
-    pub fn dot(x: &[f32], y: &[f32]) -> f32 {
-        let main = x.len() - x.len() % 8;
-        let mut lanes = [0.0f64; 8];
-        for (xc, yc) in x[..main].chunks_exact(8).zip(y[..main].chunks_exact(8)) {
-            for l in 0..8 {
-                lanes[l] += xc[l] as f64 * yc[l] as f64;
-            }
-        }
-        let mut acc = merge_lanes(&lanes);
-        for (&a, &b) in x[main..].iter().zip(y[main..].iter()) {
-            acc += a as f64 * b as f64;
-        }
-        acc as f32
-    }
-
-    pub fn dist_sq(x: &[f32], y: &[f32]) -> f32 {
-        let main = x.len() - x.len() % 8;
-        let mut lanes = [0.0f64; 8];
-        for (xc, yc) in x[..main].chunks_exact(8).zip(y[..main].chunks_exact(8)) {
-            for l in 0..8 {
-                let d = (xc[l] - yc[l]) as f64;
-                lanes[l] += d * d;
-            }
-        }
-        let mut acc = merge_lanes(&lanes);
-        for (&a, &b) in x[main..].iter().zip(y[main..].iter()) {
-            let d = (a - b) as f64;
-            acc += d * d;
-        }
-        acc as f32
-    }
 
     /// One window at a time, each seeded with its own first pixel.
     pub fn maxpool(
@@ -1257,7 +1203,7 @@ mod portable {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{merge_lanes, AdamParams, Lhs, NonZeros, LIST_CHUNK, MR, ROBUST_TILE};
+    use super::{AdamParams, Lhs, NonZeros, LIST_CHUNK, MR, ROBUST_TILE};
     use crate::ops::RobustRule;
     use std::arch::x86_64::*;
 
@@ -1387,79 +1333,6 @@ mod avx2 {
                 }
             }
         });
-    }
-
-    /// Sums the two f64 accumulator vectors into the pinned 8-lane array
-    /// (lanes 0..4 from the low f32 half, 4..8 from the high half).
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn spill_lanes(lo: __m256d, hi: __m256d) -> [f64; 8] {
-        let mut lanes = [0.0f64; 8];
-        _mm256_storeu_pd(lanes.as_mut_ptr(), lo);
-        _mm256_storeu_pd(lanes.as_mut_ptr().add(4), hi);
-        lanes
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot(x: &[f32], y: &[f32]) -> f32 {
-        let n = x.len();
-        let (xp, yp) = (x.as_ptr(), y.as_ptr());
-        // f32×f32 products are exact in f64, so fmadd here rounds exactly
-        // like the portable mul-then-add lanes.
-        let mut lo = _mm256_setzero_pd();
-        let mut hi = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 8 <= n {
-            let xv = _mm256_loadu_ps(xp.add(i));
-            let yv = _mm256_loadu_ps(yp.add(i));
-            let xl = _mm256_cvtps_pd(_mm256_castps256_ps128(xv));
-            let xh = _mm256_cvtps_pd(_mm256_extractf128_ps(xv, 1));
-            let yl = _mm256_cvtps_pd(_mm256_castps256_ps128(yv));
-            let yh = _mm256_cvtps_pd(_mm256_extractf128_ps(yv, 1));
-            lo = _mm256_fmadd_pd(xl, yl, lo);
-            hi = _mm256_fmadd_pd(xh, yh, hi);
-            i += 8;
-        }
-        let mut acc = merge_lanes(&spill_lanes(lo, hi));
-        while i < n {
-            acc += x[i] as f64 * y[i] as f64;
-            i += 1;
-        }
-        acc as f32
-    }
-
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dist_sq(x: &[f32], y: &[f32]) -> f32 {
-        let n = x.len();
-        let (xp, yp) = (x.as_ptr(), y.as_ptr());
-        let mut lo = _mm256_setzero_pd();
-        let mut hi = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 8 <= n {
-            // The difference rounds in f32 first (seed semantics), then the
-            // square accumulates exactly in f64.
-            let dv = _mm256_sub_ps(_mm256_loadu_ps(xp.add(i)), _mm256_loadu_ps(yp.add(i)));
-            let dl = _mm256_cvtps_pd(_mm256_castps256_ps128(dv));
-            let dh = _mm256_cvtps_pd(_mm256_extractf128_ps(dv, 1));
-            lo = _mm256_fmadd_pd(dl, dl, lo);
-            hi = _mm256_fmadd_pd(dh, dh, hi);
-            i += 8;
-        }
-        let mut acc = merge_lanes(&spill_lanes(lo, hi));
-        while i < n {
-            let d = (x[i] - y[i]) as f64;
-            acc += d * d;
-            i += 1;
-        }
-        acc as f32
     }
 
     /// `dst[c, r] = src[r, c]` over the whole 8×8 blocks of `src: [rows,
@@ -1867,20 +1740,6 @@ mod tests {
 
     /// On and around one and two 8-lane vectors, so every tail is hit.
     const TAIL_LENS: [usize; 9] = [1, 7, 8, 9, 15, 16, 17, 33, 1003];
-
-    #[test]
-    fn dot_matches_lane_definition_on_all_backends() {
-        for len in TAIL_LENS {
-            let (x, y) = (filled(len, 2), filled(len, 3));
-            let run = |simd| {
-                let _g = backend(simd);
-                (dot(&x, &y).to_bits(), dist_sq(&x, &y).to_bits())
-            };
-            let reference = run(SimdKernel::Scalar);
-            assert_eq!(run(SimdKernel::Auto), reference, "isa, len {len}");
-            assert_eq!(run(SimdKernel::Portable), reference, "portable, len {len}");
-        }
-    }
 
     /// Every seventh element, from `phase` on, becomes a NaN, ±inf or `-0.0`.
     fn sprinkle(v: &mut [f32], phase: usize, neg_zero: bool) {

@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor kernels.
 
-use fedat_tensor::ops::{argmax, axpy, dot, weighted_sum_into};
+use fedat_tensor::ops::{argmax, axpy, weighted_sum_into};
 use fedat_tensor::{ops, Tensor};
 use proptest::prelude::*;
 
@@ -99,12 +99,6 @@ proptest! {
         for (a, b) in y.iter().zip(y0.iter()) {
             prop_assert!((a - b).abs() <= 1e-3 + 1e-4 * b.abs());
         }
-    }
-
-    #[test]
-    fn dot_is_symmetric(x in prop::collection::vec(-10.0f32..10.0, 1..64)) {
-        let y: Vec<f32> = x.iter().rev().cloned().collect();
-        prop_assert!((dot(&x, &y) - dot(&y, &x)).abs() < 1e-4);
     }
 
     #[test]

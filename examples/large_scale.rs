@@ -35,7 +35,8 @@ fn main() {
     ] {
         // FedAT tier updates advance the global model by one tier at a
         // time, so it earns a proportionally larger update budget within
-        // the same horizon (see DESIGN.md §6).
+        // the same horizon: the strategies are compared at equal virtual
+        // time, not at an equal update count.
         let cfg = ExperimentConfig::builder()
             .strategy(strategy)
             .rounds(match strategy {
