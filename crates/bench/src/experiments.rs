@@ -73,12 +73,10 @@ impl Ctx {
         self.scale.rounds(if s == FedAt { 1000 } else { 150 })
     }
 
-    /// The paper's cluster at `n` clients, at most a tenth of them unstable:
-    /// the large-cluster (Figs. 7, 8, 10) and LEAF runs.
+    /// The default cluster at `n` clients: the large-cluster (Figs. 7, 8,
+    /// 10) and LEAF runs.
     fn cluster(&self, n: usize) -> ClusterConfig {
-        let mut c = ClusterConfig::paper_medium(self.seed).with_clients(n);
-        c.n_unstable = c.n_unstable.min(n / 10);
-        c
+        fedat_core::experiment::default_cluster(n, self.seed)
     }
 
     /// The config of the paper's runs: strategy `s` for up to `rounds`

@@ -272,9 +272,8 @@ pub struct ExperimentConfig {
     /// Proximal coefficient λ (Eq. 3) — 0.4 in the paper. Only strategies
     /// with a local constraint (FedProx, ASO-Fed, FedAT) use it.
     pub lambda: f32,
-    /// Transfer codec; `None` defers to the `FEDAT_CODEC` environment
-    /// variable and then the strategy default (polyline precision 4 for
-    /// FedAT, uncompressed for the baselines) — see [`resolve_codec`].
+    /// Transfer codec; `None` is the strategy default (polyline precision 4
+    /// for FedAT, uncompressed for the baselines) — see [`default_codec`].
     pub codec: Option<CodecKind>,
     /// Number of logical tiers `M` — 5 in the paper.
     pub num_tiers: usize,
@@ -586,42 +585,6 @@ pub fn default_codec(strategy: StrategyKind) -> CodecKind {
     }
 }
 
-/// Parses a `FEDAT_CODEC`-style override string; unknown values are ignored
-/// (the `FEDAT_SIMD` idiom: an experiment must never fail because an env
-/// knob was misspelled — it just runs the default).
-pub fn parse_codec(s: &str) -> Option<CodecKind> {
-    match s.to_ascii_lowercase().as_str() {
-        "none" | "raw" => Some(CodecKind::None),
-        "polyline" => Some(CodecKind::Polyline {
-            precision: 4,
-            delta: true,
-        }),
-        "quantized" | "quantized8" => Some(CodecKind::Quantized { bits: 8 }),
-        "quantized4" => Some(CodecKind::Quantized { bits: 4 }),
-        "delta-rle" | "deltarle" | "rle" => Some(CodecKind::DeltaRle),
-        "topk" => Some(CodecKind::TopK { per_mille: 50 }),
-        _ => None,
-    }
-}
-
-/// The codec named by the `FEDAT_CODEC` environment variable, if any.
-/// Used by CI's `overlays` job to run the whole core suite over a
-/// compressed wire path without touching configs.
-pub fn codec_from_env() -> Option<CodecKind> {
-    std::env::var("FEDAT_CODEC")
-        .ok()
-        .and_then(|s| parse_codec(&s))
-}
-
-/// Resolution order for the wire codec: an explicit config override wins,
-/// then `FEDAT_CODEC`, then the strategy default. Explicit configs beating
-/// the env var keeps codec-specific tests meaningful under that overlay.
-pub fn resolve_codec(cfg_codec: Option<CodecKind>, strategy: StrategyKind) -> CodecKind {
-    cfg_codec
-        .or_else(codec_from_env)
-        .unwrap_or_else(|| default_codec(strategy))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,46 +626,6 @@ mod tests {
         );
         assert_eq!(default_codec(StrategyKind::FedAvg), CodecKind::None);
         assert_eq!(default_codec(StrategyKind::FedAsync), CodecKind::None);
-    }
-
-    #[test]
-    fn codec_override_strings_parse() {
-        assert_eq!(parse_codec("none"), Some(CodecKind::None));
-        assert_eq!(parse_codec("raw"), Some(CodecKind::None));
-        assert_eq!(
-            parse_codec("Polyline"),
-            Some(CodecKind::Polyline {
-                precision: 4,
-                delta: true
-            })
-        );
-        assert_eq!(
-            parse_codec("quantized"),
-            Some(CodecKind::Quantized { bits: 8 })
-        );
-        assert_eq!(
-            parse_codec("quantized4"),
-            Some(CodecKind::Quantized { bits: 4 })
-        );
-        assert_eq!(parse_codec("delta-rle"), Some(CodecKind::DeltaRle));
-        assert_eq!(parse_codec("topk"), Some(CodecKind::TopK { per_mille: 50 }));
-        assert_eq!(parse_codec("zstd"), None); // unknown → ignored
-    }
-
-    #[test]
-    fn explicit_codec_beats_env_and_default() {
-        // Whatever FEDAT_CODEC says, an explicit config wins…
-        assert_eq!(
-            resolve_codec(Some(CodecKind::DeltaRle), StrategyKind::FedAvg),
-            CodecKind::DeltaRle
-        );
-        // …and with no override and no env the strategy default applies.
-        if std::env::var("FEDAT_CODEC").is_err() {
-            assert_eq!(
-                resolve_codec(None, StrategyKind::FedAt),
-                default_codec(StrategyKind::FedAt)
-            );
-        }
     }
 
     #[test]

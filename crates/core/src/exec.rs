@@ -47,6 +47,7 @@ pub enum ExecMode {
 /// nowhere else.
 pub fn default_exec_mode() -> ExecMode {
     static DEFAULT: OnceLock<ExecMode> = OnceLock::new();
+    // lint: allow(R4, reason = "execution default: speculative and inline runs are pinned bit-identical, so the job cap cannot change a result bit")
     *DEFAULT.get_or_init(|| match std::env::var("FEDAT_EXEC").as_deref() {
         Ok(s) if s.eq_ignore_ascii_case("inline") => ExecMode::Inline,
         _ => ExecMode::Speculative,

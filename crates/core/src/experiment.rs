@@ -8,7 +8,6 @@ use fedat_sim::fault::FaultLog;
 use fedat_sim::fleet::{ClusterConfig, Fleet};
 use fedat_sim::runtime::{run_logged, EventHandler, RunLimits, SimReport};
 use fedat_sim::trace::Trace;
-use fedat_sim::ChurnConfig;
 use std::sync::Arc;
 
 /// Everything an experiment produces.
@@ -48,10 +47,19 @@ impl Outcome {
     }
 }
 
+/// The cluster a run gets when its config names none: the paper's medium
+/// testbed at `n` clients, at most a tenth of them unstable (the paper's 10
+/// unstable clients assume a 100-client cluster).
+pub fn default_cluster(n: usize, seed: u64) -> ClusterConfig {
+    let mut c = ClusterConfig::paper_medium(seed).with_clients(n);
+    c.n_unstable = c.n_unstable.min(n / 10);
+    c
+}
+
 /// Runs one federated-learning experiment end to end.
 ///
-/// The cluster defaults to the paper's medium testbed sized to the task's
-/// client count; override via [`ExperimentConfig::cluster`].
+/// The cluster defaults to [`default_cluster`] at the task's client count;
+/// override via [`ExperimentConfig::cluster`].
 ///
 /// This entry clones the task once into an [`Arc`]; when the task is
 /// already shared — harness jobs fanning one dataset across strategies, or
@@ -90,19 +98,10 @@ pub fn run_experiment_with(
     cfg: &ExperimentConfig,
     build: impl FnOnce(&Fleet) -> Box<dyn Strategy>,
 ) -> Outcome {
-    let cluster = cfg.cluster.clone().unwrap_or_else(|| {
-        let n = task.fed.num_clients();
-        let mut c = ClusterConfig::paper_medium(cfg.seed).with_clients(n);
-        // The paper's 10 unstable clients assume a 100-client cluster; keep
-        // the same 10% rate for smaller federations.
-        c.n_unstable = c.n_unstable.min(n / 10);
-        // Opt-in churn overlay (`FEDAT_CHURN=storm`) for soak lanes;
-        // explicit clusters are never overridden.
-        if let Some(churn) = ChurnConfig::from_env() {
-            c.churn = churn;
-        }
-        c
-    });
+    let cluster = cfg
+        .cluster
+        .clone()
+        .unwrap_or_else(|| default_cluster(task.fed.num_clients(), cfg.seed));
     assert_eq!(
         cluster.n_clients,
         task.fed.num_clients(),
@@ -147,7 +146,10 @@ pub fn run_experiment_with(
 mod tests {
     use super::*;
     use crate::config::StrategyKind;
+    use fedat_compress::codec::CodecKind;
     use fedat_data::suite;
+    use fedat_sim::churn::ChurnConfig;
+    use fedat_sim::fault::FaultKind;
 
     fn quick_cfg(strategy: StrategyKind, rounds: u64, seed: u64) -> ExperimentConfig {
         ExperimentConfig::builder()
@@ -160,39 +162,56 @@ mod tests {
             .build()
     }
 
+    /// `cfg` as given, then on its default cluster under storm churn and
+    /// under light corruption, then over an 8-bit quantized wire.
+    fn scenarios(task: &FedTask, cfg: &ExperimentConfig) -> [(&'static str, ExperimentConfig); 4] {
+        let churned = |churn| ExperimentConfig {
+            cluster: Some(default_cluster(task.fed.num_clients(), cfg.seed).with_churn(churn)),
+            ..cfg.clone()
+        };
+        [
+            ("default", cfg.clone()),
+            ("storm", churned(ChurnConfig::storm_heavy())),
+            ("corrupt", churned(ChurnConfig::corrupt_light())),
+            (
+                "quantized",
+                ExperimentConfig {
+                    codec: Some(CodecKind::Quantized { bits: 8 }),
+                    ..cfg.clone()
+                },
+            ),
+        ]
+    }
+
     #[test]
     fn every_strategy_runs_on_a_tiny_task() {
         let task = suite::sent140_like(10, 5);
         for strategy in StrategyKind::all() {
-            let cfg = quick_cfg(strategy, 8, 5);
-            let out = run_experiment(&task, &cfg);
-            assert!(
-                out.global_updates > 0,
-                "{} performed no updates",
-                strategy.name()
-            );
-            assert!(
-                !out.trace.points.is_empty(),
-                "{} recorded no trace",
-                strategy.name()
-            );
-            assert!(out.final_weights.iter().all(|w| w.is_finite()));
-            assert_eq!(out.per_client_accuracy.len(), 10);
+            for (scenario, cfg) in scenarios(&task, &quick_cfg(strategy, 8, 5)) {
+                let run = format!("{} ({scenario})", strategy.name());
+                let out = run_experiment(&task, &cfg);
+                assert!(out.global_updates > 0, "{run} performed no updates");
+                assert!(!out.trace.points.is_empty(), "{run} recorded no trace");
+                assert!(out.final_weights.iter().all(|w| w.is_finite()), "{run}");
+                assert_eq!(out.per_client_accuracy.len(), 10);
+            }
         }
     }
 
     #[test]
     fn experiments_are_deterministic() {
         let task = suite::sent140_like(10, 6);
-        let cfg = quick_cfg(StrategyKind::FedAt, 10, 6);
-        let a = run_experiment(&task, &cfg);
-        let b = run_experiment(&task, &cfg);
-        assert_eq!(a.final_weights, b.final_weights);
-        assert_eq!(a.trace.points.len(), b.trace.points.len());
-        for (p, q) in a.trace.points.iter().zip(b.trace.points.iter()) {
-            assert_eq!(p.accuracy, q.accuracy);
-            assert_eq!(p.time, q.time);
-            assert_eq!(p.up_bytes, q.up_bytes);
+        for (scenario, cfg) in scenarios(&task, &quick_cfg(StrategyKind::FedAt, 10, 6)) {
+            let a = run_experiment(&task, &cfg);
+            let b = run_experiment(&task, &cfg);
+            assert_eq!(a.final_weights, b.final_weights, "{scenario}");
+            assert_eq!(a.faults, b.faults, "{scenario}");
+            assert_eq!(a.trace.points.len(), b.trace.points.len());
+            for (p, q) in a.trace.points.iter().zip(b.trace.points.iter()) {
+                assert_eq!(p.accuracy, q.accuracy);
+                assert_eq!(p.time, q.time);
+                assert_eq!(p.up_bytes, q.up_bytes);
+            }
         }
     }
 
@@ -215,23 +234,38 @@ mod tests {
             .eval_every(10)
             .seed(3)
             .build();
-        let out = run_experiment(&task, &cfg);
+        let outs = scenarios(&task, &cfg).map(|(scenario, cfg)| {
+            let out = run_experiment(&task, &cfg);
+            assert!(
+                out.best_accuracy() > 0.65,
+                "FedAT should learn the separable task ({scenario}): best {} (chance 0.5)",
+                out.best_accuracy()
+            );
+            out
+        });
+        // Each scenario must reach the run, or its row tests nothing.
+        let [default, storm, corrupt, _] = &outs;
         assert!(
-            out.best_accuracy() > 0.65,
-            "FedAT should learn the separable task: best {} (chance 0.5)",
-            out.best_accuracy()
+            storm.faults.count(FaultKind::Down) > default.faults.count(FaultKind::Down),
+            "the storm took no extra client down"
+        );
+        assert!(
+            corrupt.faults.count(FaultKind::Corrupt) > 0,
+            "no uplink was corrupted"
         );
     }
 
     #[test]
     fn traffic_is_monotone_along_trace() {
         let task = suite::sent140_like(8, 4);
-        let out = run_experiment(&task, &quick_cfg(StrategyKind::FedAt, 12, 4));
-        for w in out.trace.points.windows(2) {
-            assert!(w[1].up_bytes >= w[0].up_bytes);
-            assert!(w[1].down_bytes >= w[0].down_bytes);
+        for (scenario, cfg) in scenarios(&task, &quick_cfg(StrategyKind::FedAt, 12, 4)) {
+            let out = run_experiment(&task, &cfg);
+            for w in out.trace.points.windows(2) {
+                assert!(w[1].up_bytes >= w[0].up_bytes, "{scenario}");
+                assert!(w[1].down_bytes >= w[0].down_bytes, "{scenario}");
+            }
+            let last = out.trace.points.last().unwrap();
+            assert!(last.up_bytes > 0 && last.down_bytes > 0, "{scenario}");
         }
-        let last = out.trace.points.last().unwrap();
-        assert!(last.up_bytes > 0 && last.down_bytes > 0);
     }
 }

@@ -190,7 +190,9 @@ pub const ASYNC_FILL: u64 = 20;
 
 impl ServerCore {
     pub fn new(task: Arc<FedTask>, cfg: &ExperimentConfig, budget: u64, eval_stride: u64) -> Self {
-        let codec = crate::config::resolve_codec(cfg.codec, cfg.strategy);
+        let codec = cfg
+            .codec
+            .unwrap_or_else(|| crate::config::default_codec(cfg.strategy));
         let transport = Transport::new(codec);
         let evaluator = Evaluator::new(&task, cfg.eval_subset, cfg.seed);
         let global = task.model.build(cfg.seed).weights();

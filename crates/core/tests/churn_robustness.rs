@@ -3,6 +3,7 @@
 //! quorum degradation, dynamic re-tiering — with determinism pinned across
 //! execution modes and worker counts.
 
+use fedat_compress::codec::CodecKind;
 use fedat_core::config::{FaultPolicy, RetierPolicy};
 use fedat_core::prelude::*;
 use fedat_data::suite;
@@ -166,7 +167,8 @@ fn fedat_with_timeouts_rides_out_a_storm_without_stalling() {
 /// machinery: bit-identical across ExecMode::{Speculative, Inline} × pool
 /// worker counts {1, 2, 4, 8}. Deadlines cancel speculative jobs mid-run,
 /// so this pins that a discarded-but-still-running job can't leak anything
-/// observable.
+/// observable. The sweep runs on FedAT's default polyline wire, then again
+/// on an 8-bit quantized uplink: a delta against each dispatch's broadcast.
 #[test]
 fn timeout_paths_are_bit_identical_across_exec_modes_and_workers() {
     use fedat_core::exec::ExecMode;
@@ -174,48 +176,49 @@ fn timeout_paths_are_bit_identical_across_exec_modes_and_workers() {
 
     let n = 16;
     let task = suite::sent140_like(n, 41);
-    let mut cfg = robust_cfg(60, 41, stormy_cluster(n, 41));
-    cfg.max_time = 15_000.0;
+    for codec in [None, Some(CodecKind::Quantized { bits: 8 })] {
+        let mut cfg = robust_cfg(60, 41, stormy_cluster(n, 41));
+        cfg.max_time = 15_000.0;
+        cfg.codec = codec;
 
-    let run_with = |mode: ExecMode, workers: usize| {
-        let mut cfg = cfg.clone();
-        cfg.exec.mode = Some(mode);
-        cfg.exec.max_pool_jobs = Some(workers - 1);
-        fedat_core::run_experiment(&task, &cfg)
-    };
+        let run_with = |mode: ExecMode, workers: usize| {
+            let mut cfg = cfg.clone();
+            cfg.exec.mode = Some(mode);
+            cfg.exec.max_pool_jobs = Some(workers - 1);
+            fedat_core::run_experiment(&task, &cfg)
+        };
 
-    let base = run_with(ExecMode::Speculative, 8);
-    assert!(
-        base.fault_counters.timeouts > 0 && base.fault_counters.retries > 0,
-        "scenario no longer exercises the timeout path: {:?}",
-        base.fault_counters
-    );
-    let rows = [1usize, 2, 4, 8]
-        .map(|workers| (ExecMode::Speculative, workers))
-        .into_iter()
-        .chain([(ExecMode::Inline, 1)]);
-    for (mode, workers) in rows {
-        let out = run_with(mode, workers);
-        assert_eq!(
-            out.final_weights, base.final_weights,
-            "weights diverged under {mode:?} with {workers} workers"
+        let base = run_with(ExecMode::Speculative, 8);
+        assert!(
+            base.fault_counters.timeouts > 0 && base.fault_counters.retries > 0,
+            "scenario no longer exercises the timeout path ({codec:?}): {:?}",
+            base.fault_counters
         );
-        assert_eq!(
-            out.fault_counters, base.fault_counters,
-            "fault counters diverged under {mode:?} with {workers} workers"
-        );
-        assert_eq!(
-            out.faults, base.faults,
-            "fault log diverged under {mode:?} with {workers} workers"
-        );
-        assert_eq!(out.report.end_time, base.report.end_time);
-        assert_eq!(out.trace.points.len(), base.trace.points.len());
-        for (p, q) in out.trace.points.iter().zip(base.trace.points.iter()) {
-            assert_eq!(p.accuracy, q.accuracy);
-            assert_eq!(p.loss, q.loss);
-            assert_eq!(p.time, q.time);
-            assert_eq!(p.up_bytes, q.up_bytes);
-            assert_eq!(p.down_bytes, q.down_bytes);
+        let rows = [1usize, 2, 4, 8]
+            .map(|workers| (ExecMode::Speculative, workers))
+            .into_iter()
+            .chain([(ExecMode::Inline, 1)]);
+        for (mode, workers) in rows {
+            let out = run_with(mode, workers);
+            let run = format!("{mode:?} with {workers} workers ({codec:?})");
+            assert_eq!(
+                out.final_weights, base.final_weights,
+                "weights diverged under {run}"
+            );
+            assert_eq!(
+                out.fault_counters, base.fault_counters,
+                "fault counters diverged under {run}"
+            );
+            assert_eq!(out.faults, base.faults, "fault log diverged under {run}");
+            assert_eq!(out.report.end_time, base.report.end_time);
+            assert_eq!(out.trace.points.len(), base.trace.points.len());
+            for (p, q) in out.trace.points.iter().zip(base.trace.points.iter()) {
+                assert_eq!(p.accuracy, q.accuracy);
+                assert_eq!(p.loss, q.loss);
+                assert_eq!(p.time, q.time);
+                assert_eq!(p.up_bytes, q.up_bytes);
+                assert_eq!(p.down_bytes, q.down_bytes);
+            }
         }
     }
 }

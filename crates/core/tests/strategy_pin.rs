@@ -24,8 +24,7 @@
 //! (`retry_never_dispatches_a_quarantined_client` in
 //! `corrupt_robustness.rs`), the one behaviour allowed to move.
 //!
-//! Every config names its cluster and codec, so the `FEDAT_CHURN` /
-//! `FEDAT_CODEC` CI overlays cannot reach it, and the literals hold under
+//! A run's result depends on its config alone, so the literals hold under
 //! `FEDAT_SIMD=scalar` and `FEDAT_EXEC=inline` alike. They fold in libm's
 //! `exp`/`ln` through the training loss, so they are pinned to the
 //! reference host's libm, like `codec_pin.rs`.

@@ -14,15 +14,24 @@ use crate::workspace::FileKind;
 /// spawn threads freely.
 pub const GATED_CRATES: &[&str] = &["core", "sim", "tensor", "nn", "compress"];
 
-/// Wall-clock and threading APIs banned from library code by [R4].
-const R4_PATTERNS: &[&str] = &[
-    "Instant::now",
-    "SystemTime",
-    "thread::spawn",
-    "thread::scope",
-    "thread::Builder",
-    "thread::sleep",
+/// Ambient process state banned from library code by [R4] — wall clock,
+/// ad-hoc threads, the environment — each with the rationale it reports.
+const R4_PATTERNS: &[(&str, &str)] = &[
+    ("Instant::now", R4_CLOCK_OR_THREAD),
+    ("SystemTime", R4_CLOCK_OR_THREAD),
+    ("thread::spawn", R4_CLOCK_OR_THREAD),
+    ("thread::scope", R4_CLOCK_OR_THREAD),
+    ("thread::Builder", R4_CLOCK_OR_THREAD),
+    ("thread::sleep", R4_CLOCK_OR_THREAD),
+    ("env::var", R4_ENV),
 ];
+
+const R4_CLOCK_OR_THREAD: &str =
+    "simulated time comes from the event queue and threads from the kernel pool";
+
+const R4_ENV: &str = "a run's result depends on its config alone, so a scenario is a config \
+                      value; only an execution default that cannot change a result bit may \
+                      read the environment";
 
 /// Fused-multiply token stems banned by [R2]. `_pd` variants are legal only
 /// inside the pinned lane framework of `crates/tensor/src/simd.rs`, where the
@@ -171,15 +180,16 @@ fn rule_r3(ctx: &FileContext, lines: &[Line], out: &mut Vec<RawFinding>) {
     }
 }
 
-/// R4: no wall-clock reads or ad-hoc thread spawns in library code of gated
-/// crates. Simulated time comes from the event queue; real threads belong to
-/// the audited kernel pool.
+/// R4: no wall-clock reads, ad-hoc thread spawns or environment reads in
+/// library code of gated crates. Simulated time comes from the event queue;
+/// real threads belong to the audited kernel pool; what a run computes comes
+/// from its config.
 fn rule_r4(ctx: &FileContext, lines: &[Line], out: &mut Vec<RawFinding>) {
     if !gated(ctx) || ctx.kind != FileKind::Lib {
         return;
     }
     for (i, line) in lines.iter().enumerate() {
-        for pat in R4_PATTERNS {
+        for (pat, why) in R4_PATTERNS {
             if let Some(at) = line.code.find(pat) {
                 // Reject matches that extend an identifier on the left
                 // (e.g. `my_thread::spawn`).
@@ -191,10 +201,7 @@ fn rule_r4(ctx: &FileContext, lines: &[Line], out: &mut Vec<RawFinding>) {
                     out.push(RawFinding {
                         line_idx: i,
                         rule: "R4",
-                        message: format!(
-                            "`{pat}` in library code; simulated time comes from the event \
-                             queue and threads from the kernel pool"
-                        ),
+                        message: format!("`{pat}` in library code; {why}"),
                     });
                 }
             }

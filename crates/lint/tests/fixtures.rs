@@ -132,8 +132,20 @@ fn r4_flags_clocks_and_adhoc_threads_in_lib_code() {
         include_str!("fixtures/r4_violation.rs"),
     );
     let r4 = f.iter().filter(|f| f.rule == "R4").count();
-    // Instant::now, SystemTime (use + call), thread::spawn, thread::sleep.
-    assert!(r4 >= 4, "expected ≥4 R4 findings, got {f:?}");
+    // Instant::now, SystemTime (use + call), thread::spawn, thread::sleep,
+    // env::var.
+    assert!(r4 >= 5, "expected ≥5 R4 findings, got {f:?}");
+    let env: Vec<_> = f
+        .iter()
+        .filter(|f| f.message.contains("env::var"))
+        .collect();
+    assert_eq!(env.len(), 1, "one environment read: {f:?}");
+    assert_eq!(env[0].rule, "R4");
+    assert_eq!(env[0].line, 14);
+    assert!(
+        env[0].message.contains("config alone"),
+        "the environment read carries its own rationale: {f:?}"
+    );
 }
 
 #[test]
@@ -157,8 +169,13 @@ fn r4_suppression_is_honoured() {
         include_str!("fixtures/r4_suppressed.rs"),
     );
     assert!(f.is_empty(), "{f:?}");
-    assert_eq!(s.len(), 1);
-    assert_eq!(s[0].rule, "R4");
+    assert_eq!(
+        s.len(),
+        2,
+        "the thread site and the environment read: {s:?}"
+    );
+    assert!(s.iter().all(|s| s.rule == "R4"));
+    assert!(s[1].reason.contains("bit-identical"));
 }
 
 #[test]

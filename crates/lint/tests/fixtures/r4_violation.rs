@@ -1,4 +1,5 @@
-//! R4 fixture: wall-clock reads and ad-hoc threads in library code.
+//! R4 fixture: wall-clock reads, ad-hoc threads and an environment read in
+//! library code.
 use std::time::{Instant, SystemTime};
 
 pub fn stamp() -> u128 {
@@ -7,4 +8,8 @@ pub fn stamp() -> u128 {
     std::thread::spawn(|| {});
     std::thread::sleep(std::time::Duration::from_millis(1));
     t0.elapsed().as_nanos()
+}
+
+pub fn scenario() -> bool {
+    std::env::var("SCENARIO").is_ok()
 }

@@ -223,10 +223,11 @@ impl ChurnConfig {
             && self.corrupt.is_none()
     }
 
-    /// A storm-heavy scenario used by the `FEDAT_CHURN=storm` CI lane:
-    /// two mid-run cohort storms plus light background flapping. Tuned so
-    /// the small default clusters in the core test suite still learn while
-    /// every fault-tolerance path (drop, revive, retry) gets exercised.
+    /// A storm-heavy scenario: two mid-run cohort storms plus light
+    /// background flapping. Tuned so small default clusters still learn
+    /// while every fault-tolerance path (drop, revive, retry) gets
+    /// exercised; `fedat-core`'s `experiment` tests run on it, and the
+    /// `robust-churn` benchmark workload builds on it.
     pub fn storm_heavy() -> Self {
         ChurnConfig {
             flaps: Some(FlapSpec {
@@ -247,14 +248,13 @@ impl ChurnConfig {
         }
     }
 
-    /// A light corrupted-uplink scenario used by the `FEDAT_CHURN=corrupt`
-    /// CI lane: 10% of the fleet occasionally adds mild Gaussian noise to
-    /// its uplink. Tuned so the core test suite's accuracy and finiteness
-    /// assertions keep holding *with the guard at its inert default* — the
-    /// lane proves the injection path is live and harmless defaults stay
-    /// harmless, not that undefended training survives hostile clients
-    /// (that is the corrupt acceptance test's job, `fedat-bench`
-    /// `tests/acceptance.rs`).
+    /// A light corrupted-uplink scenario: 10% of the fleet occasionally
+    /// adds mild Gaussian noise to its uplink. Tuned so accuracy and
+    /// finiteness assertions keep holding *with the guard at its inert
+    /// default* — `fedat-core`'s `experiment` tests run on it to show the
+    /// injection path is live and harmless defaults stay harmless, not that
+    /// undefended training survives hostile clients (that is the corrupt
+    /// acceptance test's job, `fedat-bench` `tests/acceptance.rs`).
     pub fn corrupt_light() -> Self {
         ChurnConfig {
             corrupt: Some(CorruptSpec {
@@ -263,19 +263,6 @@ impl ChurnConfig {
                 mode: CorruptMode::Noise { sigma: 0.02 },
             }),
             ..ChurnConfig::default()
-        }
-    }
-
-    /// Reads the `FEDAT_CHURN` environment toggle: `storm`/`heavy` selects
-    /// [`ChurnConfig::storm_heavy`], `corrupt` selects
-    /// [`ChurnConfig::corrupt_light`]; anything else (or unset) is `None`.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("FEDAT_CHURN") {
-            Ok(v) if v.eq_ignore_ascii_case("storm") || v.eq_ignore_ascii_case("heavy") => {
-                Some(Self::storm_heavy())
-            }
-            Ok(v) if v.eq_ignore_ascii_case("corrupt") => Some(Self::corrupt_light()),
-            _ => None,
         }
     }
 

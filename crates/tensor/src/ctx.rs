@@ -60,6 +60,7 @@ thread_local! {
 fn defaults() -> KernelCtx {
     static DEFAULTS: OnceLock<KernelCtx> = OnceLock::new();
     *DEFAULTS.get_or_init(|| KernelCtx {
+        // lint: allow(R4, reason = "execution default: every SIMD lane is pinned bit-identical to the scalar reference, so the lane cannot change a result bit")
         simd: match std::env::var("FEDAT_SIMD").as_deref() {
             Ok(s) if s.eq_ignore_ascii_case("scalar") => SimdKernel::Scalar,
             _ => SimdKernel::Auto,

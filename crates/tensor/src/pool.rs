@@ -397,6 +397,7 @@ fn pool() -> &'static Pool {
         // The submitting thread runs or joins its own jobs, so `cores - 1`
         // workers saturate the machine. `FEDAT_POOL_WORKERS` overrides (e.g. to
         // exercise the executor on single-core CI hosts).
+        // lint: allow(R4, reason = "execution default: results are pinned bit-identical at every worker count, so the pool size cannot change a result bit")
         let workers = std::env::var("FEDAT_POOL_WORKERS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
