@@ -3,7 +3,9 @@
 //! clients, an architecture switch (the optimizer's buffers meet
 //! parameters of other shapes), an optimizer-kind switch (rebuild) — must
 //! equal, bit for bit, the same dispatches each run on a thread of its own,
-//! whose thread-locals are new: a freshly built model and optimizer.
+//! whose thread-locals are new: a freshly built model and optimizer. The
+//! chain visits every `ModelSpec` family under both optimizers, so a layer
+//! with state `set_weights` does not reset would fail here.
 
 use fedat_core::config::{ExperimentConfig, OptimizerKind};
 use fedat_core::local::{train_client, LocalUpdate};
@@ -32,6 +34,14 @@ fn resident_optimizer_matches_fresh_ones_exactly() {
         hidden: vec![24],
         classes: 10,
     };
+    let lstm = suite::reddit_like(4, 3);
+    let mut cnn_paper = suite::cifar10_like(4, 2, 3);
+    cnn_paper.model = ModelSpec::CnnPaper {
+        channels: 3,
+        height: 8,
+        width: 8,
+        classes: 10,
+    };
     let chain = [
         (&logistic, 0, &adam),
         (&logistic, 1, &adam),
@@ -41,6 +51,13 @@ fn resident_optimizer_matches_fresh_ones_exactly() {
         (&mlp, 3, &sgd),
         (&mlp, 0, &sgd),
         (&mlp, 1, &adam),
+        (&lstm, 0, &adam),
+        (&cnn_paper, 2, &adam),
+        (&lstm, 1, &sgd),
+        (&cnn, 3, &sgd),
+        (&cnn_paper, 0, &sgd),
+        (&logistic, 3, &sgd),
+        (&lstm, 2, &adam),
     ];
     for (i, &(task, client, cfg)) in chain.iter().enumerate() {
         let resident = dispatch(task, client, cfg, i as u64);

@@ -99,10 +99,6 @@ impl Layer for Embedding {
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.table);
     }
-
-    fn name(&self) -> &'static str {
-        "embedding"
-    }
 }
 
 #[cfg(test)]

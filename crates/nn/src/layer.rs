@@ -10,12 +10,10 @@
 use crate::param::{Param, Params};
 use fedat_tensor::Tensor;
 
-/// Whether a pass is training (dropout active, batch-norm uses batch stats)
-/// or evaluation.
+/// Whether a pass is training or evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
-    /// Training pass: stochastic layers are active and caches are kept for
-    /// the subsequent backward pass.
+    /// Training pass: caches are kept for the subsequent backward pass.
     Train,
     /// Inference pass: deterministic, no caches required.
     Eval,
@@ -63,9 +61,6 @@ pub trait Layer: Send {
     /// Calls `f` on each parameter mutably, in the order of
     /// [`Layer::visit_params`].
     fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-
-    /// Short human-readable layer name for diagnostics.
-    fn name(&self) -> &'static str;
 
     /// Clears accumulated gradients.
     fn zero_grad(&mut self) {

@@ -1,5 +1,5 @@
-//! Concrete layers: Dense, activations, Dropout, BatchNorm1d, Conv2d,
-//! MaxPool2d.
+//! Concrete layers: Dense, Relu, Conv2d, MaxPool2d — every layer a
+//! [`crate::models::ModelSpec`] builds.
 //!
 //! All layers exchange rank-2 tensors `[batch, features]`; the convolutional
 //! layers carry their own spatial geometry and (un)flatten internally, which
@@ -12,10 +12,8 @@ use fedat_tensor::conv::{
     maxpool2d_forward, Conv2dSpec, ConvPlan,
 };
 use fedat_tensor::ops::matmul_tn_into;
-use fedat_tensor::rng::rng_for;
 use fedat_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::{Rng, RngExt};
+use rand::Rng;
 
 // ----------------------------------------------------------------------
 // Dense
@@ -108,14 +106,10 @@ impl Layer for Dense {
         f(&mut self.w);
         f(&mut self.b);
     }
-
-    fn name(&self) -> &'static str {
-        "dense"
-    }
 }
 
 // ----------------------------------------------------------------------
-// Activations
+// Relu
 // ----------------------------------------------------------------------
 
 /// Rectified linear unit.
@@ -157,320 +151,6 @@ impl Layer for Relu {
         }
         self.spare_mask = mask;
         grad_out
-    }
-
-    fn name(&self) -> &'static str {
-        "relu"
-    }
-}
-
-/// Hyperbolic tangent.
-#[derive(Default)]
-pub struct Tanh {
-    cached_output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// New tanh layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, mut input: Tensor, mode: Mode) -> Tensor {
-        input.map_inplace(f32::tanh);
-        if mode == Mode::Train {
-            self.cached_output = Some(input.clone_scratch());
-        }
-        input
-    }
-
-    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
-        let y = self
-            .cached_output
-            .take()
-            .expect("Tanh::backward without Train forward");
-        fedat_tensor::simd::tanh_grad(grad_out.data_mut(), y.data());
-        y.recycle();
-        grad_out
-    }
-
-    fn name(&self) -> &'static str {
-        "tanh"
-    }
-}
-
-/// Logistic sigmoid.
-#[derive(Default)]
-pub struct Sigmoid {
-    cached_output: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// New sigmoid layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Numerically-stable scalar sigmoid.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        let e = (-x).exp();
-        1.0 / (1.0 + e)
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
-impl Layer for Sigmoid {
-    fn forward(&mut self, mut input: Tensor, mode: Mode) -> Tensor {
-        input.map_inplace(sigmoid);
-        if mode == Mode::Train {
-            self.cached_output = Some(input.clone_scratch());
-        }
-        input
-    }
-
-    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
-        let y = self
-            .cached_output
-            .take()
-            .expect("Sigmoid::backward without Train forward");
-        fedat_tensor::simd::sigmoid_grad(grad_out.data_mut(), y.data());
-        y.recycle();
-        grad_out
-    }
-
-    fn name(&self) -> &'static str {
-        "sigmoid"
-    }
-}
-
-// ----------------------------------------------------------------------
-// Dropout
-// ----------------------------------------------------------------------
-
-/// Inverted dropout: at train time each activation is zeroed with
-/// probability `p` and survivors are scaled by `1/(1-p)`; evaluation is the
-/// identity.
-pub struct Dropout {
-    p: f32,
-    rng: StdRng,
-    mask: Option<Vec<f32>>,
-}
-
-impl Dropout {
-    /// Creates a dropout layer with drop probability `p` and its own
-    /// deterministic RNG stream derived from `seed`.
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ p < 1`.
-    pub fn new(p: f32, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "dropout probability {p} out of range"
-        );
-        Dropout {
-            p,
-            rng: rng_for(seed, fedat_tensor::rng::tags::DROPOUT),
-            mask: None,
-        }
-    }
-}
-
-impl Layer for Dropout {
-    fn forward(&mut self, mut input: Tensor, mode: Mode) -> Tensor {
-        if mode == Mode::Eval || self.p == 0.0 {
-            return input;
-        }
-        let keep = 1.0 - self.p;
-        let scale = 1.0 / keep;
-        let mut mask = fedat_tensor::scratch::take_empty(input.len());
-        for _ in 0..input.len() {
-            mask.push(if self.rng.random::<f32>() < keep {
-                scale
-            } else {
-                0.0
-            });
-        }
-        fedat_tensor::simd::mul_assign(input.data_mut(), &mask);
-        self.mask = Some(mask);
-        input
-    }
-
-    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
-        if let Some(mask) = self.mask.take() {
-            fedat_tensor::simd::mul_assign(grad_out.data_mut(), &mask);
-            fedat_tensor::scratch::recycle(mask);
-        }
-        grad_out
-    }
-
-    fn name(&self) -> &'static str {
-        "dropout"
-    }
-}
-
-// ----------------------------------------------------------------------
-// BatchNorm1d
-// ----------------------------------------------------------------------
-
-/// Batch normalization over the feature dimension of `[batch, features]`.
-///
-/// Running statistics (not trainable, not part of the aggregated weight
-/// vector) follow the usual exponential moving average with `momentum`.
-pub struct BatchNorm1d {
-    gamma: Param,
-    beta: Param,
-    running_mean: Vec<f32>,
-    running_var: Vec<f32>,
-    momentum: f32,
-    eps: f32,
-    cache: Option<BnCache>,
-}
-
-struct BnCache {
-    x_hat: Tensor,
-    inv_std: Vec<f32>,
-}
-
-impl BatchNorm1d {
-    /// New batch-norm layer over `features` columns.
-    pub fn new(features: usize) -> Self {
-        BatchNorm1d {
-            gamma: Param::new(Tensor::ones(&[features])),
-            beta: Param::new(Tensor::zeros(&[features])),
-            running_mean: vec![0.0; features],
-            running_var: vec![1.0; features],
-            momentum: 0.1,
-            eps: 1e-5,
-            cache: None,
-        }
-    }
-}
-
-impl Layer for BatchNorm1d {
-    fn forward(&mut self, input: Tensor, mode: Mode) -> Tensor {
-        let (n, f) = input.shape().as_matrix();
-        assert_eq!(f, self.gamma.len(), "batchnorm feature mismatch");
-        let mut out = input.clone_scratch();
-        match mode {
-            Mode::Train => {
-                assert!(n > 1, "batch norm needs batch size > 1 in training");
-                let mut mean = vec![0.0f32; f];
-                let mut var = vec![0.0f32; f];
-                for r in 0..n {
-                    for (m, &v) in mean.iter_mut().zip(input.row(r)) {
-                        *m += v;
-                    }
-                }
-                for m in mean.iter_mut() {
-                    *m /= n as f32;
-                }
-                for r in 0..n {
-                    for (j, &v) in input.row(r).iter().enumerate() {
-                        let d = v - mean[j];
-                        var[j] += d * d;
-                    }
-                }
-                for v in var.iter_mut() {
-                    *v /= n as f32;
-                }
-                let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-                for r in 0..n {
-                    let row = out.row_mut(r);
-                    for (j, v) in row.iter_mut().enumerate() {
-                        *v = (*v - mean[j]) * inv_std[j];
-                    }
-                }
-                // Running stats update.
-                for j in 0..f {
-                    self.running_mean[j] =
-                        (1.0 - self.momentum) * self.running_mean[j] + self.momentum * mean[j];
-                    self.running_var[j] =
-                        (1.0 - self.momentum) * self.running_var[j] + self.momentum * var[j];
-                }
-                self.cache = Some(BnCache {
-                    x_hat: out.clone_scratch(),
-                    inv_std,
-                });
-            }
-            Mode::Eval => {
-                for r in 0..n {
-                    let row = out.row_mut(r);
-                    for (j, v) in row.iter_mut().enumerate() {
-                        *v = (*v - self.running_mean[j]) / (self.running_var[j] + self.eps).sqrt();
-                    }
-                }
-            }
-        }
-        // Affine: y = γ·x̂ + β
-        for r in 0..n {
-            let row = out.row_mut(r);
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = self.gamma.value.data()[j] * *v + self.beta.value.data()[j];
-            }
-        }
-        input.recycle();
-        out
-    }
-
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let BnCache { x_hat, inv_std } = self
-            .cache
-            .take()
-            .expect("BatchNorm1d::backward without Train forward");
-        let (n, f) = grad_out.shape().as_matrix();
-        // dγ, dβ
-        for r in 0..n {
-            for (j, (&g, &xh)) in grad_out.row(r).iter().zip(x_hat.row(r)).enumerate() {
-                self.gamma.grad.data_mut()[j] += g * xh;
-                self.beta.grad.data_mut()[j] += g;
-            }
-        }
-        // Standard batch-norm input gradient:
-        // dx̂ = dy·γ;  dx = (1/n)·inv_std·(n·dx̂ − Σdx̂ − x̂·Σ(dx̂·x̂))
-        let mut sum_dxhat = vec![0.0f32; f];
-        let mut sum_dxhat_xhat = vec![0.0f32; f];
-        let gamma = self.gamma.value.data();
-        for r in 0..n {
-            for (j, (&g, &xh)) in grad_out.row(r).iter().zip(x_hat.row(r)).enumerate() {
-                let dxh = g * gamma[j];
-                sum_dxhat[j] += dxh;
-                sum_dxhat_xhat[j] += dxh * xh;
-            }
-        }
-        let mut dx = Tensor::zeros_scratch(grad_out.dims());
-        for r in 0..n {
-            let out_row = dx.row_mut(r);
-            for (j, v) in out_row.iter_mut().enumerate() {
-                let dxh = grad_out.row(r)[j] * gamma[j];
-                let xh = x_hat.row(r)[j];
-                *v = inv_std[j] / n as f32
-                    * (n as f32 * dxh - sum_dxhat[j] - xh * sum_dxhat_xhat[j]);
-            }
-        }
-        x_hat.recycle();
-        grad_out.recycle();
-        dx
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.gamma);
-        f(&self.beta);
-    }
-
-    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.gamma);
-        f(&mut self.beta);
-    }
-
-    fn name(&self) -> &'static str {
-        "batchnorm1d"
     }
 }
 
@@ -580,10 +260,6 @@ impl Layer for Conv2d {
         f(&mut self.weight);
         f(&mut self.bias);
     }
-
-    fn name(&self) -> &'static str {
-        "conv2d"
-    }
 }
 
 /// Non-overlapping `k × k` max pooling over flat `[batch, c·h·w]` rows.
@@ -649,10 +325,6 @@ impl Layer for MaxPool2d {
         dy.recycle();
         dx.reshape(&[n, self.c * self.h * self.w])
     }
-
-    fn name(&self) -> &'static str {
-        "maxpool2d"
-    }
 }
 
 #[cfg(test)]
@@ -717,103 +389,6 @@ mod tests {
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
         let g = r.backward(Tensor::ones(&[1, 4]));
         assert_eq!(g.data(), &[0.0, 1.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn tanh_gradient_is_one_minus_y_squared() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_vec(vec![0.0, 1.0], &[1, 2]);
-        let y = t.forward(x, Mode::Train);
-        let g = t.backward(Tensor::ones(&[1, 2]));
-        assert!((g.data()[0] - 1.0).abs() < 1e-6);
-        let expected = 1.0 - y.data()[1] * y.data()[1];
-        assert!((g.data()[1] - expected).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sigmoid_is_stable_at_extremes() {
-        assert!((sigmoid(100.0) - 1.0).abs() < 1e-6);
-        assert!(sigmoid(-100.0) >= 0.0);
-        assert!(sigmoid(-100.0) < 1e-6);
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
-    }
-
-    #[test]
-    fn dropout_eval_is_identity_and_train_preserves_mean() {
-        let mut d = Dropout::new(0.5, 77);
-        let x = Tensor::ones(&[1, 10_000]);
-        let y_eval = d.forward(x.clone(), Mode::Eval);
-        assert_eq!(y_eval.data(), x.data());
-        let y = d.forward(x, Mode::Train);
-        let mean = y.mean();
-        assert!(
-            (mean - 1.0).abs() < 0.1,
-            "inverted dropout mean {mean} should be ≈1"
-        );
-        let zeros = y.data().iter().filter(|&&v| v == 0.0).count();
-        assert!((zeros as f32 / 10_000.0 - 0.5).abs() < 0.05);
-    }
-
-    #[test]
-    fn dropout_backward_uses_same_mask() {
-        let mut d = Dropout::new(0.3, 42);
-        let x = Tensor::ones(&[1, 100]);
-        let y = d.forward(x, Mode::Train);
-        let g = d.backward(Tensor::ones(&[1, 100]));
-        for (yv, gv) in y.data().iter().zip(g.data().iter()) {
-            assert_eq!(yv, gv, "gradient mask must match forward mask");
-        }
-    }
-
-    #[test]
-    fn batchnorm_normalizes_batch() {
-        let mut bn = BatchNorm1d::new(2);
-        let x = Tensor::from_vec(vec![1.0, 10.0, 3.0, 20.0, 5.0, 30.0, 7.0, 40.0], &[4, 2]);
-        let y = bn.forward(x, Mode::Train);
-        // Each column should have ≈0 mean and ≈1 variance after normalization.
-        for j in 0..2 {
-            let col: Vec<f32> = (0..4).map(|r| y.row(r)[j]).collect();
-            let mean: f32 = col.iter().sum::<f32>() / 4.0;
-            let var: f32 = col.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
-            assert!(mean.abs() < 1e-5);
-            assert!((var - 1.0).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn batchnorm_gradcheck() {
-        let mut rng = rng_for(3, 1);
-        let mut bn = BatchNorm1d::new(3);
-        let x = Tensor::randn(&mut rng, &[6, 3], 1.0, 2.0);
-        // Weighted-sum loss to give a non-uniform upstream gradient.
-        let wvec: Vec<f32> = (0..18).map(|i| 0.1 * (i as f32 - 9.0)).collect();
-        let loss = |bn: &mut BatchNorm1d, x: &Tensor| -> f32 {
-            // Fresh statistics each call: clone to avoid running-stat drift.
-            let mut b2 = BatchNorm1d::new(3);
-            b2.gamma.value = bn.gamma.value.clone();
-            b2.beta.value = bn.beta.value.clone();
-            let y = b2.forward(x.clone(), Mode::Train);
-            y.data().iter().zip(wvec.iter()).map(|(a, b)| a * b).sum()
-        };
-        let y = bn.forward(x.clone(), Mode::Train);
-        let upstream = Tensor::from_vec(wvec.clone(), &[6, 3]);
-        let dx = bn.backward(upstream);
-        let _ = y;
-        let eps = 1e-2f32;
-        for xi in [0usize, 7, 17] {
-            let mut xp = x.clone();
-            xp.data_mut()[xi] += eps;
-            let lp = loss(&mut bn, &xp);
-            let mut xm = x.clone();
-            xm.data_mut()[xi] -= eps;
-            let lm = loss(&mut bn, &xm);
-            let num = (lp - lm) / (2.0 * eps);
-            let ana = dx.data()[xi];
-            assert!(
-                (num - ana).abs() < 3e-2,
-                "dx[{xi}] numeric {num} vs analytic {ana}"
-            );
-        }
     }
 
     #[test]

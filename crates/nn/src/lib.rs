@@ -17,7 +17,7 @@
 //!   the paper,
 //! * [`optim`] — SGD (+momentum) and Adam, plus the proximal-term gradient
 //!   `λ(w − w_global)` from Eq. (3),
-//! * [`loss`] — softmax cross-entropy (mean-reduced) and MSE.
+//! * [`loss`] — softmax cross-entropy (mean-reduced) and accuracy.
 //!
 //! Weights flatten to a single `Vec<f32>` in a deterministic layer order
 //! ([`model::Model::weights`] / [`model::Model::set_weights`]), which is the

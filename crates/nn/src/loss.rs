@@ -45,16 +45,6 @@ pub fn accuracy(logits: &Tensor, targets: &[u32]) -> f32 {
     correct as f32 / targets.len().max(1) as f32
 }
 
-/// Mean squared error. Returns `(mean loss, d_pred)`.
-pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    assert_eq!(pred.dims(), target.dims(), "mse shape mismatch");
-    let n = pred.len() as f32;
-    let diff = pred.sub(target);
-    let loss = diff.norm_sq() / n;
-    let grad = diff.scale(2.0 / n);
-    (loss, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,31 +106,5 @@ mod tests {
     fn accuracy_counts_matches() {
         let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0], &[3, 2]);
         assert!((accuracy(&logits, &[0, 1, 1]) - 2.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mse_zero_for_identical() {
-        let t = Tensor::ones(&[2, 2]);
-        let (loss, grad) = mse(&t, &t);
-        assert_eq!(loss, 0.0);
-        assert!(grad.data().iter().all(|&g| g == 0.0));
-    }
-
-    #[test]
-    fn mse_gradcheck() {
-        let mut rng = rng_for(3, 1);
-        let pred = Tensor::randn(&mut rng, &[2, 3], 0.0, 1.0);
-        let target = Tensor::randn(&mut rng, &[2, 3], 0.0, 1.0);
-        let (_, grad) = mse(&pred, &target);
-        let eps = 1e-3f32;
-        let idx = 4;
-        let mut pp = pred.clone();
-        pp.data_mut()[idx] += eps;
-        let (lp, _) = mse(&pp, &target);
-        let mut pm = pred.clone();
-        pm.data_mut()[idx] -= eps;
-        let (lm, _) = mse(&pm, &target);
-        let num = (lp - lm) / (2.0 * eps);
-        assert!((num - grad.data()[idx]).abs() < 1e-3);
     }
 }

@@ -6,13 +6,24 @@
 //! scaled to the synthetic token streams of `fedat-data`.
 
 use crate::layer::Mode;
-use crate::layers::sigmoid;
 use crate::loss::softmax_cross_entropy;
 use crate::model::Model;
 use crate::optim::{Optimizer, ProxTerm};
 use crate::param::{Param, Params};
 use fedat_tensor::Tensor;
 use rand::Rng;
+
+/// Numerically-stable scalar sigmoid, the LSTM's gate activation.
+#[inline]
+fn sigmoid(x: f32) -> f32 {
+    if x >= 0.0 {
+        let e = (-x).exp();
+        1.0 / (1.0 + e)
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
 
 /// LSTM language model: `tokens → embedding → LSTM → logits`.
 ///
@@ -345,6 +356,14 @@ mod tests {
     fn tiny_lm(seed: u64) -> LstmLm {
         let mut rng = rng_for(seed, 11);
         LstmLm::new(&mut rng, 6, 3, 4)
+    }
+
+    #[test]
+    fn sigmoid_is_stable_at_extremes() {
+        assert!((sigmoid(100.0) - 1.0).abs() < 1e-6);
+        assert!(sigmoid(-100.0) >= 0.0);
+        assert!(sigmoid(-100.0) < 1e-6);
+        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
     }
 
     #[test]

@@ -142,15 +142,6 @@ impl Sequential {
             layer.zero_grad();
         }
     }
-
-    /// Human-readable architecture summary, e.g. `dense→relu→dense`.
-    pub fn describe(&self) -> String {
-        self.layers
-            .iter()
-            .map(|l| l.name())
-            .collect::<Vec<_>>()
-            .join("→")
-    }
 }
 
 impl Model for Sequential {
@@ -304,11 +295,5 @@ mod tests {
         assert_eq!(m.count, 40);
         assert!((m.loss - 2.5).abs() < 1e-6);
         assert!((m.accuracy - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn describe_lists_layers() {
-        let m = tiny_mlp(1);
-        assert_eq!(m.describe(), "dense→relu→dense");
     }
 }

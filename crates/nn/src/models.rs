@@ -72,13 +72,9 @@ impl ModelSpec {
     /// Builds a freshly initialized model; identical `(spec, seed)` pairs
     /// produce identical weights.
     ///
-    /// **Invariant relied on by `fedat-core`'s thread-local model cache:**
-    /// every architecture built here must be a pure function of its
-    /// parameters — `set_weights` fully resets the model. Do **not** add
-    /// layers with non-parameter state (`BatchNorm1d` running statistics,
-    /// `Dropout` RNG position) to a spec without also giving cached
-    /// instances a way to reset that state, or model reuse will silently
-    /// leak state across simulated clients.
+    /// No layer in this crate holds non-parameter state, so `set_weights`
+    /// fully resets a cached model; `fedat-core`'s `resident_optimizer`
+    /// test checks that for every family.
     pub fn build(&self, seed: u64) -> Box<dyn Model> {
         let mut rng = rng_for(seed, tags::INIT);
         match self {

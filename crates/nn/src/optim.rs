@@ -123,17 +123,12 @@ pub struct Adam {
 impl Adam {
     /// Adam with standard betas `(0.9, 0.999)` and `eps = 1e-8`.
     pub fn new(lr: f32) -> Self {
-        Self::with_betas(lr, 0.9, 0.999, 1e-8)
-    }
-
-    /// Adam with explicit hyperparameters.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         Adam {
             lr,
-            beta1,
-            beta2,
-            eps,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),

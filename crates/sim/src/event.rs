@@ -75,11 +75,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|e| (e.time, e.payload))
     }
 
-    /// Time of the next event without popping.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -128,7 +123,6 @@ mod tests {
         assert_eq!(q.pop(), Some((2.0, 'z')));
         q.push(1.0, 'w');
         assert_eq!(q.pop(), Some((1.0, 'w')));
-        assert_eq!(q.peek_time(), Some(4.0));
         assert_eq!(q.len(), 1);
     }
 

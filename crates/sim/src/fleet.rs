@@ -229,11 +229,6 @@ impl Fleet {
         &self.latency
     }
 
-    /// Training samples held by `client`.
-    pub fn samples_of(&self, client: usize) -> usize {
-        self.sample_counts[client]
-    }
-
     /// Whether `client` is online at `time`.
     pub fn is_alive(&self, client: usize, time: f64) -> bool {
         !self.down[client]

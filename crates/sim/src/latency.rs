@@ -125,11 +125,6 @@ impl LatencyModel {
         Self::with_sizes(n_clients, parts, &sizes, per_sample_cost, seed)
     }
 
-    /// Number of delay parts.
-    pub fn num_parts(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Ground-truth part of a client.
     pub fn part_of(&self, client: usize) -> usize {
         self.assignment[client]

@@ -26,16 +26,6 @@ impl Tensor {
         self.zip(other, |a, b| a + b)
     }
 
-    /// Elementwise difference.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a - b)
-    }
-
-    /// Elementwise (Hadamard) product.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a * b)
-    }
-
     /// Scalar multiple.
     pub fn scale(&self, alpha: f32) -> Tensor {
         self.map(|x| alpha * x)

@@ -50,8 +50,6 @@ pub mod tags {
     pub const DELAYS: u64 = 5;
     /// Mini-batch shuffling.
     pub const BATCHES: u64 = 6;
-    /// Dropout masks.
-    pub const DROPOUT: u64 = 7;
     /// Unstable-client selection.
     pub const UNSTABLE: u64 = 8;
     /// Evaluation-subset sampling.

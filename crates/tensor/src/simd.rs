@@ -12,8 +12,8 @@
 //! An element-wise kernel is **one function**: a plain loop, which the
 //! compiler vectorizes at the target's baseline ISA. Each used to carry a
 //! hand-written AVX2 twin, bit-identical by contract; measured at the
-//! lengths runs use, none of them moved a workload (`docs/PERF.md`, "The
-//! element-wise lanes, measured before deletion"), so the twins are gone and
+//! lengths runs use, none of them moved a workload (`docs/PERF.md`, "Closed
+//! experiments": the element-wise twins), so the twins are gone and
 //! [`SimdKernel`] does not reach these kernels at all.
 //!
 //! Six kernels keep lanes, because a plain loop cannot express what the
@@ -38,7 +38,7 @@
 //! AVX-512F is detected: a bit-identical 16-lane instantiation of the
 //! matmul tiles ran 1.4–1.85× on its own and the paper's CNN setting 4 %
 //! *slower*, because 512-bit FP holds the whole thread at a lower clock
-//! (`docs/PERF.md`, "… sixteen lanes do not pay").
+//! (`docs/PERF.md`, "Closed experiments": 16-lane matmul and Adam).
 //!
 //! ## Determinism
 //!
@@ -201,17 +201,6 @@ pub fn scale(x: &mut [f32], alpha: f32) {
     }
 }
 
-/// `y[i] *= m[i]` (dropout masks and similar gating sweeps).
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn mul_assign(y: &mut [f32], m: &[f32]) {
-    assert_eq!(y.len(), m.len(), "mul_assign length mismatch");
-    for (yi, &mi) in y.iter_mut().zip(m.iter()) {
-        *yi *= mi;
-    }
-}
-
 /// `y[i] += x[i]` (bias adds, row-sum reductions).
 ///
 /// # Panics
@@ -247,28 +236,6 @@ pub fn wsum_first(out: &mut [f32], x: &[f32], w: f32) {
 pub fn relu(x: &mut [f32]) {
     for v in x.iter_mut() {
         *v = if *v > 0.0 { *v } else { 0.0 };
-    }
-}
-
-/// Tanh backward: `g[i] *= 1 - y[i]²` where `y = tanh(x)`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn tanh_grad(g: &mut [f32], y: &[f32]) {
-    assert_eq!(g.len(), y.len(), "tanh_grad length mismatch");
-    for (gi, &yi) in g.iter_mut().zip(y.iter()) {
-        *gi *= 1.0 - yi * yi;
-    }
-}
-
-/// Sigmoid backward: `g[i] *= y[i] * (1 - y[i])` where `y = σ(x)`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn sigmoid_grad(g: &mut [f32], y: &[f32]) {
-    assert_eq!(g.len(), y.len(), "sigmoid_grad length mismatch");
-    for (gi, &yi) in g.iter_mut().zip(y.iter()) {
-        *gi *= yi * (1.0 - yi);
     }
 }
 

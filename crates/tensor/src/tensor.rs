@@ -2,7 +2,7 @@
 
 use crate::rng;
 use crate::shape::Shape;
-use rand::{Rng, RngExt};
+use rand::Rng;
 
 /// An owned, row-major, dense `f32` tensor of rank ≤ 4.
 ///
@@ -98,28 +98,11 @@ impl Tensor {
         t
     }
 
-    /// A scalar tensor.
-    pub fn scalar(value: f32) -> Self {
-        Tensor {
-            data: vec![value],
-            shape: Shape::scalar(),
-        }
-    }
-
     /// I.i.d. normal entries with the given mean and std-dev.
     pub fn randn<R: Rng + ?Sized>(rng_: &mut R, dims: &[usize], mean: f32, std: f32) -> Self {
         let shape = Shape::new(dims);
         let mut data = vec![0.0f32; shape.len()];
         rng::fill_normal(rng_, &mut data, mean, std);
-        Tensor { data, shape }
-    }
-
-    /// I.i.d. uniform entries in `[lo, hi)`.
-    pub fn rand_uniform<R: Rng + ?Sized>(rng_: &mut R, dims: &[usize], lo: f32, hi: f32) -> Self {
-        let shape = Shape::new(dims);
-        let data = (0..shape.len())
-            .map(|_| lo + (hi - lo) * rng_.random::<f32>())
-            .collect();
         Tensor { data, shape }
     }
 
@@ -168,11 +151,6 @@ impl Tensor {
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor, returning its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Element at a multi-index.
@@ -335,11 +313,6 @@ impl Tensor {
     pub fn norm(&self) -> f32 {
         self.norm_sq().sqrt()
     }
-
-    /// True if every element is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
-    }
 }
 
 impl std::fmt::Debug for Tensor {
@@ -438,13 +411,5 @@ mod tests {
             (std - expected).abs() < expected * 0.2,
             "std {std} vs {expected}"
         );
-    }
-
-    #[test]
-    fn all_finite_detects_nan() {
-        let mut t = Tensor::ones(&[3]);
-        assert!(t.all_finite());
-        t.data_mut()[1] = f32::NAN;
-        assert!(!t.all_finite());
     }
 }
