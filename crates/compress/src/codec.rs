@@ -27,7 +27,6 @@ use crate::delta_rle::DeltaRleCodec;
 use crate::polyline::{decode_stream, encode_stream, roundtrip_stream};
 use crate::quantized::QuantizedCodec;
 use crate::topk::TopKCodec;
-use bytes::Bytes;
 use fedat_tensor::simd::{self, SimdKernel};
 
 /// Identifies how a blob was encoded (carried in the blob header).
@@ -90,7 +89,7 @@ impl std::error::Error for CodecError {}
 #[derive(Clone, Debug)]
 pub struct CompressedBlob {
     /// Encoded payload.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
     /// Number of `f32` values encoded.
     pub count: usize,
     /// Codec identification for decode.
@@ -233,7 +232,7 @@ impl WireCodec for NoCompression {
             bytes.copy_from_slice(&w.to_le_bytes());
         }
         CompressedBlob {
-            payload: Bytes::from(payload),
+            payload,
             count: weights.len(),
             kind: CodecKind::None,
             aux: Vec::new(),
@@ -311,7 +310,7 @@ impl WireCodec for PolylineCodec {
         check_reference(weights, reference);
         let payload = encode_stream(weights, self.precision, self.delta);
         CompressedBlob {
-            payload: Bytes::from(payload),
+            payload,
             count: weights.len(),
             kind: CodecKind::Polyline {
                 precision: self.precision,

@@ -28,7 +28,6 @@ use crate::codec::{
     check_reference, decode_reference, CodecError, CodecKind, CompressedBlob, WireCodec,
     CODEC_CHUNK,
 };
-use bytes::Bytes;
 use fedat_tensor::simd;
 
 /// Longest literal run one token can carry.
@@ -177,7 +176,7 @@ impl WireCodec for DeltaRleCodec {
             payload.extend_from_slice(seg);
         }
         CompressedBlob {
-            payload: Bytes::from(payload),
+            payload,
             count: n,
             kind: CodecKind::DeltaRle,
             aux: Vec::new(),
@@ -323,7 +322,7 @@ mod tests {
         let good = c.encode(&w);
         // Truncated payload.
         let mut cut = good.clone();
-        cut.payload = cut.payload.slice(0..cut.payload.len() - 3);
+        cut.payload.truncate(cut.payload.len() - 3);
         assert!(c.try_decode_with_ref(&cut, None).is_err());
         // Inflated count.
         let mut grown = good.clone();

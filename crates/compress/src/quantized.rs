@@ -22,7 +22,6 @@ use crate::codec::{
     check_reference, decode_reference, reference_lane, roundtrip_via_blob, CodecError, CodecKind,
     CompressedBlob, WireCodec, BLOB_HEADER_BYTES, CODEC_CHUNK,
 };
-use bytes::Bytes;
 use fedat_tensor::{scratch, simd};
 
 /// Reference-aware linear quantizer; `bits` ∈ {4, 8}.
@@ -144,7 +143,7 @@ impl WireCodec for QuantizedCodec {
         };
         scratch::recycle(q);
         CompressedBlob {
-            payload: Bytes::from(payload),
+            payload,
             count: weights.len(),
             kind: CodecKind::Quantized { bits: self.bits },
             aux: vec![lo, hi],
@@ -277,7 +276,7 @@ mod tests {
         short.count = 60;
         assert!(c.try_decode_with_ref(&short, None).is_err());
         let weird = CompressedBlob {
-            payload: Bytes::from(vec![0u8; 10]),
+            payload: vec![0u8; 10],
             count: 10,
             kind: CodecKind::Quantized { bits: 3 },
             aux: vec![0.0, 1.0],

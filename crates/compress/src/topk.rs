@@ -18,7 +18,6 @@
 use crate::codec::{
     check_reference, decode_reference, CodecError, CodecKind, CompressedBlob, WireCodec,
 };
-use bytes::Bytes;
 use fedat_tensor::scratch;
 
 /// Selected weights for a blob of `count` values at `per_mille`.
@@ -187,7 +186,7 @@ impl WireCodec for TopKCodec {
             prev = i as u64 + 1;
         }
         CompressedBlob {
-            payload: Bytes::from(payload),
+            payload,
             count: n,
             kind: CodecKind::TopK {
                 per_mille: self.per_mille,
@@ -312,7 +311,7 @@ mod tests {
         let c = TopKCodec::new(100);
         let good = c.encode(&wiggly(100));
         let mut cut = good.clone();
-        cut.payload = cut.payload.slice(0..cut.payload.len() - 2);
+        cut.payload.truncate(cut.payload.len() - 2);
         assert!(c.try_decode_with_ref(&cut, None).is_err());
         let mut grown = good.clone();
         grown.count = 5;

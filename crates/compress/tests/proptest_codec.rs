@@ -8,7 +8,6 @@
 //! equals `decode(encode(..))` in every lane (`Scalar`, portable, AVX2),
 //! values bitwise and wire size exactly.
 
-use bytes::Bytes;
 use fedat_compress::codec::{
     codec_for, CodecKind, CompressedBlob, NoCompression, PolylineCodec, WireCodec,
     BLOB_HEADER_BYTES,
@@ -546,7 +545,7 @@ proptest! {
         ];
         let kind = kinds[kind_sel];
         let blob = CompressedBlob {
-            payload: Bytes::from(payload),
+            payload,
             count,
             kind,
             aux,

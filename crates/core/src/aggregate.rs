@@ -7,7 +7,6 @@
 //! aggregation scales with cohort size.
 
 use fedat_tensor::ops::{robust_reduce_into, weighted_sum_into, RobustRule};
-use serde::{Deserialize, Serialize};
 
 /// How client updates are combined into a (tier-)round average.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// are bit-identical across SimdKernel lanes, and the
 /// robust rules are additionally invariant under client-update permutation
 /// (see `fedat_tensor::ops::robust_reduce_into` for the argument).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum AggRule {
     /// Sample-count-weighted mean (`Σ_k (n_k/N_c) · w_k`) — the default.
     #[default]

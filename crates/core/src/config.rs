@@ -3,7 +3,6 @@
 use fedat_compress::codec::CodecKind;
 use fedat_sim::fleet::ClusterConfig;
 use fedat_tensor::simd::SimdKernel;
-use serde::{Deserialize, Serialize};
 
 /// Which federated-learning method to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -82,12 +81,7 @@ impl OptimizerKind {
 /// Dynamic re-tiering policy: maintain an EWMA of observed response
 /// latencies and periodically re-partition tiers when enough clients have
 /// drifted out of place (cf. the one-shot [`crate::tiering::TierAssignment::profile`]).
-// `#[serde(default)]` so a config file may name only the fields it changes
-// — and so a policy added later can never turn an old file into a parse
-// error (`fedat-lint` rule R6 pins this for every deserializable config
-// struct in this module).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetierPolicy {
     /// EWMA smoothing factor for observed round-trip latencies, in `(0, 1]`.
     pub alpha: f64,
@@ -113,8 +107,7 @@ impl Default for RetierPolicy {
 /// re-tiering. The default (`deadline_multiplier: None`, `retier: None`)
 /// reproduces the legacy behavior bit-for-bit: no timers are ever
 /// scheduled.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPolicy {
     /// Deadline = multiplier × the dispatch group's nominal (expected)
     /// latency; `None` disables timeouts entirely.
@@ -149,9 +142,7 @@ impl Default for FaultPolicy {
 /// magnitude attack additively rather than letting it compound.) The first
 /// accepted update initializes the EWMA; over-threshold updates are
 /// clipped down to the limit (`clip: true`) or rejected outright.
-// `#[serde(default)]` — same R6 rationale as [`RetierPolicy`] above.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NormScreen {
     /// EWMA smoothing factor for accepted displacement norms, in `(0, 1]`.
     pub alpha: f64,
@@ -178,10 +169,8 @@ impl Default for NormScreen {
 /// strategies, quarantine of repeat offenders, and the aggregation rule.
 ///
 /// The default is **inert**: no check runs, no norm is computed, every
-/// strategy reproduces its unguarded trace bit-for-bit, and legacy configs
-/// parse unchanged (container-level `#[serde(default)]`, lint R6).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+/// strategy reproduces its unguarded trace bit-for-bit.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GuardPolicy {
     /// Reject updates containing NaN/Inf before they touch any reduction.
     pub finite_check: bool,

@@ -4,18 +4,20 @@
 
 use fedat_data::dataset::Dataset;
 use fedat_data::suite::FedTask;
-use fedat_nn::metrics::{accuracy_batched, StreamingEvaluator};
+use fedat_nn::metrics::{accuracy_batched, evaluate_batched};
 use fedat_nn::model::EvalResult;
-use fedat_nn::models::with_cached_model;
+use fedat_nn::models::{with_cached_model, ModelSpec};
 use fedat_tensor::rng::{rng_for, shuffle, tags};
 
 /// Evaluation mini-batch size (also the per-client sweep batch).
 const EVAL_BATCH: usize = 64;
 
-/// A reusable evaluator holding a streaming model evaluator and a fixed
-/// test subset.
+/// A reusable evaluator: the task's model and a fixed test subset, swept
+/// in fixed mini-batches on the calling thread's cached model instance
+/// ([`with_cached_model`]), so evaluating costs no model build.
 pub struct Evaluator {
-    eval: StreamingEvaluator,
+    spec: ModelSpec,
+    seed: u64,
     test: Dataset,
 }
 
@@ -40,15 +42,21 @@ impl Evaluator {
             full.clone()
         };
         Evaluator {
-            eval: StreamingEvaluator::new(task.model.clone(), seed, EVAL_BATCH),
+            spec: task.model.clone(),
+            seed,
             test,
         }
     }
 
-    /// Loss/accuracy of `weights` on the evaluation subset, in mini-batches
-    /// on the calling thread's cached model (see [`StreamingEvaluator`]).
+    /// Loss/accuracy of `weights` on the evaluation subset.
     pub fn evaluate(&mut self, weights: &[f32]) -> EvalResult {
-        self.eval.evaluate(weights, &self.test.x, &self.test.y)
+        if self.test.is_empty() {
+            return EvalResult::default();
+        }
+        with_cached_model(&self.spec, self.seed, |model| {
+            model.set_weights(weights);
+            evaluate_batched(model, &self.test.x, &self.test.y, EVAL_BATCH)
+        })
     }
 
     /// Number of evaluation rows.
@@ -93,8 +101,6 @@ mod tests {
     use super::*;
     use fedat_data::federated::{ClientData, FederatedDataset};
     use fedat_data::suite;
-    use fedat_nn::metrics::evaluate_batched;
-    use fedat_nn::models::ModelSpec;
     use fedat_tensor::Tensor;
 
     /// A federation whose pooled test set is maximally client-ordered:
@@ -182,6 +188,29 @@ mod tests {
         let r2 = e2.evaluate(&w);
         assert_eq!(r1.loss, r2.loss);
         assert_eq!(r1.accuracy, r2.accuracy);
+    }
+
+    #[test]
+    fn streaming_evaluator_matches_serial_sweep_bitwise() {
+        let task = suite::sent140_like(8, 2);
+        let weights = task.model.build(3).weights();
+        let test = &task.fed.global_test;
+        assert!(
+            test.len() > EVAL_BATCH,
+            "the sweep must merge several batches"
+        );
+        let mut model = task.model.build(9);
+        model.set_weights(&weights);
+        let serial = evaluate_batched(model.as_mut(), &test.x, &test.y, EVAL_BATCH);
+        let mut e = Evaluator::new(&task, 0, 3);
+        assert_eq!(e.test_rows(), test.len());
+        // Twice: the second pass reuses the thread's cached model.
+        for _ in 0..2 {
+            let cached = e.evaluate(&weights);
+            assert_eq!(serial.loss, cached.loss);
+            assert_eq!(serial.accuracy, cached.accuracy);
+            assert_eq!(serial.count, cached.count);
+        }
     }
 
     #[test]

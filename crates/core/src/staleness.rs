@@ -5,11 +5,9 @@
 //! its base model. The paper proposes three families; all are provided so
 //! the FedAsync baseline can be configured exactly.
 
-use serde::{Deserialize, Serialize};
-
 /// `s(t, τ)` families from Xie et al. §3; the mixing weight is
 /// `α_t = α · s(staleness)`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum StalenessFn {
     /// `s = 1`: ignore staleness entirely.
     Constant,

@@ -84,11 +84,6 @@ impl Transport {
         self.kind
     }
 
-    /// Codec name for reports.
-    pub fn codec_name(&self) -> String {
-        self.codec.name()
-    }
-
     /// Number of downlink (server → client) encode operations performed.
     /// With the broadcast path this is one per tier round, *not* one per
     /// selected client.
@@ -278,7 +273,6 @@ mod tests {
     fn raw_transport_is_lossless() {
         let w: Vec<f32> = (0..64).map(|i| i as f32 * 0.125).collect();
         assert_eq!(one_transfer(CodecKind::None, &w), (w, 16 + 64 * 4));
-        assert_eq!(Transport::new(CodecKind::None).codec_name(), "none");
     }
 
     #[test]
@@ -391,7 +385,6 @@ mod tests {
             precision: 3,
             delta: true,
         };
-        assert_eq!(Transport::new(kind).codec_name(), "polyline-p3");
         let w = vec![0.001f32; 512];
         assert!(one_transfer(kind, &w).1 < one_transfer(CodecKind::None, &w).1);
     }

@@ -159,12 +159,6 @@ impl Dataset {
         order.chunks(batch_size).map(<[usize]>::to_vec).collect()
     }
 
-    /// Materializes a batch `(x, y)` from row indices.
-    pub fn gather_batch(&self, indices: &[usize]) -> (Tensor, Vec<u32>) {
-        let sub = self.subset(indices);
-        (sub.x, sub.y)
-    }
-
     /// Materializes a batch without allocating: the feature tensor comes
     /// from the thread-local scratch arena (recycle it after the step) and
     /// the targets are written into the caller's reusable buffer.

@@ -1,12 +1,12 @@
 //! Minimal streaming JSON reader for the LEAF on-disk format.
 //!
-//! The build environment is offline and `vendor/serde` is an API stub with
-//! no `serde_json`, so this file implements the subset of JSON the LEAF
-//! format needs — strings (with escapes), numbers, booleans, null, arrays
-//! and objects — as a byte-at-a-time reader over any [`BufRead`]. The
-//! top-level LEAF parse in [`super`] iterates object keys *without*
-//! materializing the whole file, so memory stays bounded by one user's
-//! subtree rather than the corpus.
+//! The workspace has no JSON crate (the build environment is offline), so
+//! this file implements the subset of JSON the LEAF format needs —
+//! strings (with escapes), numbers, booleans, null, arrays and objects —
+//! as a byte-at-a-time reader over any [`BufRead`]. The top-level LEAF
+//! parse in [`super`] iterates object keys *without* materializing the
+//! whole file, so memory stays bounded by one user's subtree rather than
+//! the corpus.
 //!
 //! Robustness contract (property-tested in `tests/leaf_malformed.rs`):
 //! every input — including arbitrary bytes — produces `Ok` or a typed

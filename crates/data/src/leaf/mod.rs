@@ -13,8 +13,8 @@
 //! ```
 //!
 //! with per-benchmark `x`/`y` payloads. This module parses that format with
-//! the self-contained streaming reader in [`json`] (the build environment
-//! is offline and `vendor/serde` is a stub), featurizes each user straight
+//! the self-contained streaming reader in [`json`] (the workspace has no
+//! JSON crate), featurizes each user straight
 //! into a [`Dataset`], and assembles the *natural* per-user partition —
 //! bypassing the synthetic splitters in [`crate::partition`] entirely,
 //! which is the whole point: tier-skew effects only appear under real

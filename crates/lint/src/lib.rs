@@ -13,7 +13,6 @@
 //! | R2   | no fused multiply-add outside the pinned lanes of `tensor/src/simd.rs` |
 //! | R3   | every `unsafe` carries a `// SAFETY:` rationale |
 //! | R4   | no wall-clock or ad-hoc thread spawns in gated library code |
-//! | R6   | `Deserialize` config structs carry `#[serde(default)]` |
 //!
 //! Deliberate exceptions are acknowledged in-source with
 //! `// lint: allow(RX, reason = "..")` and surface in the report's

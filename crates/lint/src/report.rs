@@ -12,7 +12,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id (`R1`..`R4`, `R6`, or `LINT` for malformed suppressions).
+    /// Rule id (`R1`..`R4`, or `LINT` for malformed suppressions).
     pub rule: &'static str,
     /// Human-readable rationale.
     pub message: String,

@@ -1,4 +1,4 @@
-//! The determinism rules (R1–R4, R6) and the suppression grammar.
+//! The determinism rules (R1–R4) and the suppression grammar.
 //!
 //! Every rule is a pure function over the lexed lines of one file plus its
 //! workspace classification. Rules report *raw* findings; the driver in
@@ -74,7 +74,6 @@ pub fn run_all(ctx: &FileContext, lines: &[Line]) -> Vec<RawFinding> {
     rule_r2(ctx, lines, &mut out);
     rule_r3(ctx, lines, &mut out);
     rule_r4(ctx, lines, &mut out);
-    rule_r6(ctx, lines, &mut out);
     rule_malformed_allows(ctx, lines, &mut out);
     out
 }
@@ -205,50 +204,6 @@ fn rule_r4(ctx: &FileContext, lines: &[Line], out: &mut Vec<RawFinding>) {
                     });
                 }
             }
-        }
-    }
-}
-
-/// R6: config structs in the serde-facing config files — the experiment
-/// config (`crates/core/src/config.rs`, home of `FaultPolicy` and
-/// `GuardPolicy`) and the churn scenario specs (`crates/sim/src/churn.rs`,
-/// home of `CorruptSpec` and friends) — that derive `Deserialize` must
-/// carry container-level `#[serde(default)]`, so configs written by older
-/// binaries keep loading when fields are added.
-fn rule_r6(ctx: &FileContext, lines: &[Line], out: &mut Vec<RawFinding>) {
-    if ctx.rel != "crates/core/src/config.rs" && ctx.rel != "crates/sim/src/churn.rs" {
-        return;
-    }
-    for (i, line) in lines.iter().enumerate() {
-        if !(line.code.contains("derive(") && has_token(&line.code, "Deserialize")) {
-            continue;
-        }
-        let mut has_default = line.code.contains("serde(default)");
-        let mut j = i + 1;
-        while j < lines.len() {
-            let code = lines[j].code.trim();
-            if code.is_empty() || code.starts_with("#[") || code.starts_with("#!") {
-                if code.contains("serde(default)") {
-                    has_default = true;
-                }
-                j += 1;
-            } else {
-                break;
-            }
-        }
-        if j >= lines.len() {
-            continue;
-        }
-        let item = lines[j].code.trim();
-        if has_token(item, "struct") && !has_default {
-            out.push(RawFinding {
-                line_idx: j,
-                rule: "R6",
-                message: "config struct derives Deserialize without container-level \
-                          #[serde(default)]; old on-disk configs must keep loading when \
-                          fields are added"
-                    .into(),
-            });
         }
     }
 }

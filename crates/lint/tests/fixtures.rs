@@ -179,58 +179,6 @@ fn r4_suppression_is_honoured() {
 }
 
 #[test]
-fn r6_flags_deserialize_structs_without_container_default() {
-    let (f, _) = lint(
-        "crates/core/src/config.rs",
-        include_str!("fixtures/r6_violation.rs"),
-    );
-    assert_eq!(rules_of(&f), ["R6"], "{f:?}");
-}
-
-#[test]
-fn r6_accepts_defaults_enums_and_serde_free_structs() {
-    let (f, _) = lint(
-        "crates/core/src/config.rs",
-        include_str!("fixtures/r6_clean.rs"),
-    );
-    assert!(f.is_empty(), "clean fixture flagged: {f:?}");
-    // The rule is scoped to the serde-facing config files alone.
-    let (f, _) = lint(
-        "crates/core/src/other.rs",
-        include_str!("fixtures/r6_violation.rs"),
-    );
-    assert!(f.is_empty(), "R6 must be scoped to the config files: {f:?}");
-}
-
-#[test]
-fn r6_covers_the_churn_scenario_specs() {
-    // `CorruptSpec` and the other churn scenario structs are part of the
-    // on-disk config surface; the rule applies to them like to
-    // `GuardPolicy`/`FaultPolicy` in core's config.rs.
-    let (f, _) = lint(
-        "crates/sim/src/churn.rs",
-        include_str!("fixtures/r6_violation.rs"),
-    );
-    assert_eq!(rules_of(&f), ["R6"], "{f:?}");
-    let (f, _) = lint(
-        "crates/sim/src/churn.rs",
-        include_str!("fixtures/r6_clean.rs"),
-    );
-    assert!(f.is_empty(), "clean fixture flagged in churn.rs: {f:?}");
-}
-
-#[test]
-fn r6_suppression_is_honoured() {
-    let (f, s) = lint(
-        "crates/core/src/config.rs",
-        include_str!("fixtures/r6_suppressed.rs"),
-    );
-    assert!(f.is_empty(), "{f:?}");
-    assert_eq!(s.len(), 1);
-    assert_eq!(s[0].rule, "R6");
-}
-
-#[test]
 fn reasonless_allows_are_themselves_findings() {
     let src = "pub fn f() {\n    // lint: allow(R3)\n    unsafe { core::hint::unreachable_unchecked() }\n}\n";
     let (f, s) = lint("crates/core/src/x.rs", src);

@@ -36,16 +36,6 @@ impl Dense {
         }
     }
 
-    /// Input feature count.
-    pub fn in_dim(&self) -> usize {
-        self.w.value.dims()[0]
-    }
-
-    /// Output feature count.
-    pub fn out_dim(&self) -> usize {
-        self.w.value.dims()[1]
-    }
-
     /// The parameter half of the backward pass; consumes the cached input.
     fn accumulate_grads(&mut self, grad_out: &Tensor) {
         let x = self

@@ -1,10 +1,9 @@
-//! Batched evaluation helpers: the [`evaluate_batched`] sweep and the
-//! [`StreamingEvaluator`] that runs it on a thread-cached model.
+//! Batched evaluation helpers: the [`evaluate_batched`] sweep and its
+//! accuracy-only twin [`accuracy_batched`].
 
 use crate::layer::Mode;
 use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::model::{EvalResult, Model};
-use crate::models::{with_cached_model, ModelSpec};
 use fedat_tensor::Tensor;
 
 /// Runs the eval forward on rows `[start, end)` of `(x, y)` as one
@@ -98,38 +97,6 @@ pub fn accuracy_batched(model: &mut dyn Model, x: &Tensor, y: &[u32], batch_size
     walk_batches(model, x, y, batch_size, accuracy_only).accuracy
 }
 
-/// A reusable streaming evaluator: [`evaluate_batched`] in fixed
-/// mini-batches of `batch` rows on the calling thread's cached model
-/// instance ([`with_cached_model`]), so evaluating costs no model build.
-pub struct StreamingEvaluator {
-    spec: ModelSpec,
-    seed: u64,
-    batch: usize,
-}
-
-impl StreamingEvaluator {
-    /// Builds an evaluator for `spec` with the given mini-batch size.
-    ///
-    /// # Panics
-    /// Panics if `batch` is zero.
-    pub fn new(spec: ModelSpec, seed: u64, batch: usize) -> Self {
-        assert!(batch > 0, "batch size must be positive");
-        StreamingEvaluator { spec, seed, batch }
-    }
-
-    /// Loss/accuracy of `weights` over `(x, y)`.
-    pub fn evaluate(&mut self, weights: &[f32], x: &Tensor, y: &[u32]) -> EvalResult {
-        let (rows, _) = x.shape().as_matrix();
-        if rows == 0 {
-            return EvalResult::default();
-        }
-        with_cached_model(&self.spec, self.seed, |model| {
-            model.set_weights(weights);
-            evaluate_batched(model, x, y, self.batch)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,30 +136,6 @@ mod tests {
             let full = evaluate_batched(m.as_mut(), &x, &y, batch);
             let acc = accuracy_batched(m.as_mut(), &x, &y, batch);
             assert_eq!(full.accuracy.to_bits(), acc.to_bits(), "batch {batch}");
-        }
-    }
-
-    #[test]
-    fn streaming_evaluator_matches_serial_sweep_bitwise() {
-        let spec = ModelSpec::Mlp {
-            input: 6,
-            hidden: vec![10],
-            classes: 4,
-        };
-        let weights = spec.build(3).weights();
-        let mut rng = rng_for(4, 4);
-        let x = Tensor::randn(&mut rng, &[150, 6], 0.0, 1.0);
-        let y: Vec<u32> = (0..150).map(|i| (i % 4) as u32).collect();
-        let mut model = spec.build(9);
-        model.set_weights(&weights);
-        let serial = evaluate_batched(model.as_mut(), &x, &y, 32);
-        let mut streaming = StreamingEvaluator::new(spec, 3, 32);
-        // Twice: the second pass reuses the thread's cached model.
-        for _ in 0..2 {
-            let cached = streaming.evaluate(&weights, &x, &y);
-            assert_eq!(serial.loss, cached.loss);
-            assert_eq!(serial.accuracy, cached.accuracy);
-            assert_eq!(serial.count, cached.count);
         }
     }
 

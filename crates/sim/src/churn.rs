@@ -15,16 +15,11 @@
 //! pre-churn dropout schedule bit-for-bit.
 
 use fedat_tensor::rng::{rng_for, sample_without_replacement, tags, uniform};
-use serde::{Deserialize, Serialize};
 
 /// Transient flapping: a fraction of clients alternates between up and down
 /// stretches with the given mean durations (uniform ±50% jitter) until
 /// `horizon`, after which they stay up.
-///
-/// Container-level `serde(default)` (lint R6): fields absent from a config
-/// file fall back to the inert [`Default`], never to a deserializer error.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlapSpec {
     /// Fraction of the fleet that flaps.
     pub fraction: f64,
@@ -50,11 +45,7 @@ impl Default for FlapSpec {
 
 /// Diurnal wave: a fraction of the fleet is down for a fixed window once
 /// per period, with a per-client random phase.
-///
-/// Container-level `serde(default)` (lint R6): missing fields fall back to
-/// the inert [`Default`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DiurnalSpec {
     /// Wave period (seconds).
     pub period: f64,
@@ -80,11 +71,7 @@ impl Default for DiurnalSpec {
 
 /// Correlated dropout storms: `count` events, each knocking a freshly drawn
 /// random cohort offline for `duration` seconds at a random start time.
-///
-/// Container-level `serde(default)` (lint R6): missing fields fall back to
-/// the inert [`Default`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StormSpec {
     /// Number of storm events.
     pub count: usize,
@@ -111,11 +98,7 @@ impl Default for StormSpec {
 /// Slow compute drift: a fraction of clients gets a per-dispatch-round
 /// multiplicative compute slowdown, capped at `max_factor`. Statically
 /// profiled tiers become wrong as drifted clients slow down.
-///
-/// Container-level `serde(default)` (lint R6): missing fields fall back to
-/// the inert [`Default`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DriftSpec {
     /// Fraction of the fleet whose compute drifts.
     pub fraction: f64,
@@ -144,7 +127,7 @@ impl Default for DriftSpec {
 /// `SignFlip` is the model-replacement poisoning primitive, `Scale` is the
 /// magnitude-explosion attack (and what unbounded local divergence looks
 /// like), `Noise` models a flaky link or quantization bug.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum CorruptMode {
     /// Overwrite a deterministic subset of coordinates with NaN/±Inf.
     NanPoke,
@@ -169,11 +152,9 @@ pub enum CorruptMode {
 /// accounting and the event trace are untouched, exactly as if the bytes
 /// went bad in transit.
 ///
-/// Container-level `serde(default)` (lint R6): missing fields fall back to
-/// the inert [`Default`] (zero fraction/probability — no uplink is ever
-/// touched, and no RNG stream advances differently).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+/// The [`Default`] is inert: zero fraction and probability, so no uplink is
+/// ever touched and no RNG stream advances differently.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CorruptSpec {
     /// Fraction of the fleet that is corrupt-capable.
     pub fraction: f64,
@@ -196,10 +177,7 @@ impl Default for CorruptSpec {
 
 /// Composable churn scenario configuration. The default (all `None`) is the
 /// legacy behavior: permanent dropouts only, no drift.
-// Container-level `serde(default)` (lint R6): a config written before any
-// of these scenarios existed keeps loading as the quiet legacy scenario.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ChurnConfig {
     /// Transient up/down flapping.
     pub flaps: Option<FlapSpec>,

@@ -5,11 +5,10 @@ use crate::latency::{paper_delay_parts, DelayPart, LatencyModel};
 use fedat_tensor::rng::{
     rng_for, sample_without_replacement, split_seed, standard_normal, tags, uniform,
 };
-use serde::{Deserialize, Serialize};
 
 /// Static description of the simulated cluster, mirroring the paper's
 /// testbed (§6).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Number of clients (100 on Chameleon, 500 on AWS in the paper).
     pub n_clients: usize,
@@ -29,13 +28,11 @@ pub struct ClusterConfig {
     /// paper's model folds transfer time into the injected delays, so this
     /// is the default). When set, [`crate::runtime::SimCtx::dispatch_with_transfer`]
     /// adds `bytes / bandwidth` to each round's latency.
-    #[serde(default)]
     pub bandwidth_bytes_per_sec: Option<f64>,
     /// Availability churn scenarios layered on top of the permanent
     /// dropouts. The default is quiet (legacy fault model); every scenario
     /// draws from its own seed-tagged stream, so enabling one never
     /// perturbs the legacy dropout schedule.
-    #[serde(default)]
     pub churn: ChurnConfig,
 }
 

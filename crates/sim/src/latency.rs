@@ -2,11 +2,10 @@
 //! transfer costs.
 
 use fedat_tensor::rng::{rng_for, shuffle, tags, uniform};
-use serde::{Deserialize, Serialize};
 
 /// One delay part: per-round injected delay drawn uniformly from
 /// `[lo, hi]` seconds.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DelayPart {
     /// Lower bound (seconds).
     pub lo: f64,

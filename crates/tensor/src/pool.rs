@@ -7,7 +7,7 @@
 //! overhead dwarfed the kernel itself. Kernels now run serially on whichever
 //! thread calls them, and the unit of parallel work is one owned job — a
 //! client's local training, a pipelined evaluation, an experiment of a grid
-//! — handed to a pool of workers spawned once and parked on a channel.
+//! — handed to a pool of workers spawned once and parked on a shared queue.
 //!
 //! ## Submitted jobs
 //!
@@ -23,7 +23,7 @@
 //! another thread is already running does not sleep beside a full queue
 //! either (*helping join*): until its job finishes it pops the next queued
 //! job and does what a worker does with it — runs it, or releases the slot
-//! of a stale message — and only waits once the queue is empty. Only a
+//! of a stale queue entry — and only waits once the queue is empty. Only a
 //! thread that is not itself inside a submitted job helps, so helping never
 //! nests (an experiment running as a grid job does not start a second one
 //! inside its own join) and a helper owes nobody an answer while it works.
@@ -39,7 +39,7 @@
 //!
 //! [`crate::ctx::KernelCtx::max_pool_jobs`] caps how many submitted jobs may
 //! occupy the pool (queued + running) at once; excess submissions skip the
-//! channel and run at `join` on the joining thread. At cap 0 nothing enters
+//! queue and run at `join` on the joining thread. At cap 0 nothing enters
 //! the pool: every job runs at its join — what `ExecMode::Inline` means
 //! (`fedat_core::exec`). The cap also emulates smaller worker counts on one
 //! process for the determinism tests' worker sweeps (workers {1, 2, 4, 8});
@@ -54,6 +54,7 @@
 //! bit-identical regardless of thread assignment.
 
 use crate::ctx::KernelCtx;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -73,8 +74,8 @@ struct Job<F, T> {
     /// Whether this job still holds a [`POOL_JOBS`] occupancy slot. Held
     /// from `submit` until a worker finishes running the job — or released
     /// early when a joiner steals it or a canceller claims it (the job has
-    /// left the pool at that point even if its stale channel message is
-    /// still queued). The swap makes the release exactly-once.
+    /// left the pool at that point even if its stale queue entry has not
+    /// been drained yet). The swap makes the release exactly-once.
     pool_slot: AtomicBool,
 }
 
@@ -182,7 +183,7 @@ where
             self.run(job);
         }
         // The slot is held for the whole pool-side residence (queued +
-        // running); a stale message for a stolen/cancelled job finds it
+        // running); a stale queue entry for a stolen/cancelled job finds it
         // already released (exactly-once swap).
         self.release_slot();
     }
@@ -249,7 +250,7 @@ impl<T> JobHandle<T> {
     pub fn join(self) -> T {
         if !self.run_if_unstarted() {
             while !IN_JOB.get() && !self.is_finished() {
-                let Ok(queued) = pool().receiver.try_recv() else {
+                let Some(queued) = pool().queue.try_pop() else {
                     break;
                 };
                 queued.serve();
@@ -343,11 +344,7 @@ where
     let pool = pool();
     if pool.workers.load(Ordering::Relaxed) > 0 && acquire_job_slot() {
         job.pool_slot.store(true, Ordering::Release);
-        // A send can only fail if the receiver side vanished, which cannot
-        // happen while workers are parked on it.
-        pool.injector
-            .send(Arc::clone(&job) as Arc<dyn Queued>)
-            .expect("kernel pool alive");
+        pool.queue.push(Arc::clone(&job) as Arc<dyn Queued>);
     }
     JobHandle { job }
 }
@@ -363,11 +360,58 @@ pub fn quiesce() {
     }
 }
 
+/// The pool's job queue, shared by every worker and drained by helping
+/// joiners: FIFO, unbounded, behind one lock that also counts the workers
+/// parked on [`Queue::pop`], so a push nobody waits on makes no wake-up
+/// call (std's futex condvar would make a syscall for it).
+struct Queue {
+    /// The queued jobs, and how many workers are parked in [`Queue::pop`].
+    jobs: Mutex<(VecDeque<Arc<dyn Queued>>, usize)>,
+    /// Signals a push to parked workers.
+    ready: Condvar,
+}
+
+impl Queue {
+    fn new() -> Self {
+        Queue {
+            jobs: Mutex::new((VecDeque::new(), 0)),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Appends `job`, waking one parked worker if any is parked.
+    fn push(&self, job: Arc<dyn Queued>) {
+        let mut guard = self.jobs.lock().unwrap();
+        guard.0.push_back(job);
+        let wake = guard.1 > 0;
+        drop(guard);
+        if wake {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Takes the oldest job, parking until one is pushed.
+    fn pop(&self) -> Arc<dyn Queued> {
+        let mut guard = self.jobs.lock().unwrap();
+        loop {
+            if let Some(job) = guard.0.pop_front() {
+                return job;
+            }
+            guard.1 += 1;
+            guard = self.ready.wait(guard).unwrap();
+            guard.1 -= 1;
+        }
+    }
+
+    /// Takes the oldest job if one is queued; never blocks.
+    fn try_pop(&self) -> Option<Arc<dyn Queued>> {
+        self.jobs.lock().unwrap().0.pop_front()
+    }
+}
+
 /// The process-wide worker pool.
 struct Pool {
-    injector: crossbeam::channel::Sender<Arc<dyn Queued>>,
-    /// Kept so [`ensure_workers`] can hand new workers the shared queue.
-    receiver: crossbeam::channel::Receiver<Arc<dyn Queued>>,
+    queue: Arc<Queue>,
     workers: AtomicUsize,
     /// Serializes pool growth.
     grow: Mutex<()>,
@@ -375,16 +419,13 @@ struct Pool {
 
 static POOL: OnceLock<Pool> = OnceLock::new();
 
-fn spawn_worker(index: usize, rx: crossbeam::channel::Receiver<Arc<dyn Queued>>) {
+fn spawn_worker(index: usize, queue: Arc<Queue>) {
     // lint: allow(R4, reason = "the kernel pool is the one sanctioned home of real threads; workers never touch simulator state or wall-clock time")
     std::thread::Builder::new()
         .name(format!("fedat-kernel-{index}"))
-        .spawn(move || {
-            // Parked on `recv` between jobs; exits when the injector is
-            // dropped (process teardown).
-            while let Ok(job) = rx.recv() {
-                job.serve();
-            }
+        .spawn(move || loop {
+            // Parked in `pop` between jobs for the life of the process.
+            queue.pop().serve();
         })
         .expect("spawning kernel pool worker");
 }
@@ -402,13 +443,12 @@ fn pool() -> &'static Pool {
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or_else(|| cores.saturating_sub(1));
-        let (tx, rx) = crossbeam::channel::unbounded::<Arc<dyn Queued>>();
+        let queue = Arc::new(Queue::new());
         for i in 0..workers {
-            spawn_worker(i, rx.clone());
+            spawn_worker(i, Arc::clone(&queue));
         }
         Pool {
-            injector: tx,
-            receiver: rx,
+            queue,
             workers: AtomicUsize::new(workers),
             grow: Mutex::new(()),
         }
@@ -431,7 +471,7 @@ pub fn ensure_workers(n: usize) {
     let _guard = pool.grow.lock().unwrap();
     let current = pool.workers.load(Ordering::Relaxed);
     for i in current..n {
-        spawn_worker(i, pool.receiver.clone());
+        spawn_worker(i, Arc::clone(&pool.queue));
     }
     if n > current {
         pool.workers.store(n, Ordering::Relaxed);
@@ -457,6 +497,33 @@ mod tests {
             ..crate::ctx::snapshot()
         });
         submit(job)
+    }
+
+    /// A queue entry that logs its id when served.
+    struct Logged(usize, Arc<Mutex<Vec<usize>>>);
+
+    impl Queued for Logged {
+        fn serve(&self) {
+            self.1.lock().unwrap().push(self.0);
+        }
+    }
+
+    #[test]
+    fn fifo_within_single_consumer() {
+        // A queue of its own, not the pool's: no worker races this test.
+        let queue = Queue::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..10 {
+            queue.push(Arc::new(Logged(i, Arc::clone(&log))));
+        }
+        // `pop` and `try_pop` both take the oldest entry.
+        for _ in 0..5 {
+            queue.pop().serve();
+        }
+        while let Some(job) = queue.try_pop() {
+            job.serve();
+        }
+        assert_eq!(*log.lock().unwrap(), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -567,7 +634,7 @@ mod tests {
     #[test]
     fn steal_on_join_frees_the_pool_slot() {
         // A joiner stealing a queued job releases its occupancy slot even
-        // though the stale channel message has not been drained yet, so
+        // though the stale queue entry has not been drained yet, so
         // `quiesce` cannot wedge on ghosts.
         ensure_workers(1);
         for _ in 0..64 {

@@ -180,13 +180,13 @@ fn a_joiner_inside_a_job_does_not_help() {
     parked.into_iter().for_each(pool::JobHandle::join);
 }
 
-/// A send into a queue whose every worker sleeps in `recv` owes one of them
+/// A push into a queue whose every worker sleeps in `pop` owes one of them
 /// a wake-up: the job must run on a worker without anyone joining it.
 #[test]
 fn a_job_submitted_while_every_worker_is_parked_completes() {
     let _one_at_a_time = one_job_test_at_a_time();
     pool::ensure_workers(1);
-    // Nothing queued or running, and time for every worker to reach `recv`.
+    // Nothing queued or running, and time for every worker to reach `pop`.
     pool::quiesce();
     std::thread::sleep(Duration::from_millis(20));
     let (ran, on_worker) = mpsc::channel();
