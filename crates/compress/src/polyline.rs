@@ -332,6 +332,12 @@ mod x86 {
         })
     }
 
+    /// The `Avx2` lane of [`super::roundtrip_stream`].
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and LZCNT: call it only once [`available`] returned
+    /// `true`, as `super::lane()` does before it picks this lane.
     #[target_feature(enable = "avx2,lzcnt")]
     pub fn roundtrip(values: &mut [f32], precision: u8, delta: bool) -> usize {
         super::roundtrip_blocks(values, precision, delta, |values, scale, q| {
@@ -342,6 +348,11 @@ mod x86 {
     /// [`super::quantize_block`], four values per step: `cvtps_pd`, the
     /// exact multiply, the biased add and `cvttpd_epi32`; the range check is
     /// one compare mask ANDed across the block.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2: its one caller is [`roundtrip`], which runs only once
+    /// [`available`] returned `true`.
     #[target_feature(enable = "avx2")]
     fn quantize_block(values: &[f32], scale: f64, q: &mut [i32]) -> bool {
         let sign = _mm256_set1_pd(-0.0);

@@ -45,9 +45,12 @@ pub enum ExecMode {
 /// The default [`ExecMode`], built once and never mutated: `Speculative`,
 /// or `Inline` under `FEDAT_EXEC=inline`. `FEDAT_EXEC` is read here and
 /// nowhere else.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R4: execution default: speculative and inline runs are pinned bit-identical, so the job cap cannot change a result bit"
+)]
 pub fn default_exec_mode() -> ExecMode {
     static DEFAULT: OnceLock<ExecMode> = OnceLock::new();
-    // lint: allow(R4, reason = "execution default: speculative and inline runs are pinned bit-identical, so the job cap cannot change a result bit")
     *DEFAULT.get_or_init(|| match std::env::var("FEDAT_EXEC").as_deref() {
         Ok(s) if s.eq_ignore_ascii_case("inline") => ExecMode::Inline,
         _ => ExecMode::Speculative,

@@ -188,7 +188,10 @@ fn with_resident_optimizer<R>(kind: OptimizerKind, f: impl FnOnce(&mut dyn Optim
 
 /// The local-training inner loop, on whichever model instance and (fresh
 /// or reset) optimizer [`train_client`] handed over.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one private call site passes train_client's arguments through"
+)]
 fn run_local_epochs(
     model: &mut dyn Model,
     opt: &mut dyn Optimizer,

@@ -659,8 +659,8 @@ struct Dispatch {
 /// benchmark workload). The generation side, read only by deadline timers,
 /// is a `BTreeMap`, not a `HashMap`: a future `.iter()` over a
 /// RandomState-seeded map would silently order server actions
-/// nondeterministically — the failure mode `fedat-lint` rule R1 guards
-/// against. Both containers iterate in key order.
+/// nondeterministically — the failure mode determinism rule R1
+/// (`docs/LINTS.md`) guards against. Both containers iterate in key order.
 pub(crate) struct InflightTable {
     by_client: Vec<Option<Dispatch>>,
     client_of: BTreeMap<u64, usize>,

@@ -9,6 +9,10 @@
 //! tests pin that property: N concurrent runs, each under different
 //! settings, each bit-identical to its own serial counterpart and each
 //! reporting exactly its own `Outcome::speculation`.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R4: concurrent runs on real threads are what these tests compare against serial ones"
+)]
 
 use fedat_core::exec::{self, ExecMode};
 use fedat_core::{run_experiment, ExperimentConfig, Outcome, StrategyKind};

@@ -1,8 +1,8 @@
 //! Regression pin for the FedAsync bookkeeping migration from `HashMap`
 //! to `BTreeMap` (`InflightTable.{by_client, client_of}` in
 //! `strategies/mod.rs` and `dispatch_version`, now in `strategies/arrival.rs`),
-//! done so `fedat-lint` rule R1 can ban RandomState-seeded containers from
-//! library code outright.
+//! done so determinism rule R1 (`docs/LINTS.md`) can ban RandomState-seeded
+//! containers from library code outright.
 //!
 //! All accesses were keyed, so the migration must be a bitwise no-op. At
 //! migration time this was verified directly: the FNV-1a fingerprint below

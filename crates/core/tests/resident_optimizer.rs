@@ -6,6 +6,10 @@
 //! whose thread-locals are new: a freshly built model and optimizer. The
 //! chain visits every `ModelSpec` family under both optimizers, so a layer
 //! with state `set_weights` does not reset would fail here.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R4: a fresh thread is the reference this test compares the resident optimizer against"
+)]
 
 use fedat_core::config::{ExperimentConfig, OptimizerKind};
 use fedat_core::local::{train_client, LocalUpdate};

@@ -31,12 +31,10 @@
 //! which makes the subsystem testable offline (generate fixture → parse →
 //! train) and doubles as a documented interchange format. See
 //! `docs/DATA.md` for the full contract.
-
-// The data crate sits outside the R1 determinism gate (docs/LINTS.md): the
-// hash containers below are parse-time indices and duplicate detectors whose
-// iteration order never reaches an output — every user list is sorted before
-// partitioning.
-#![allow(clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "R1: the hash containers below are parse-time indices and duplicate detectors whose iteration order never reaches an output; every user list is sorted before partitioning"
+)]
 
 pub mod json;
 pub mod writer;

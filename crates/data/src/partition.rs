@@ -202,7 +202,10 @@ fn dirichlet_assignment<R: Rng + ?Sized>(
 /// Moves samples from the largest clients so every client has at least
 /// `min` samples (needed for per-client train/test splits).
 fn rebalance_min_samples(assignment: &mut [Vec<usize>], min: usize) {
-    #[allow(clippy::while_let_loop)] // a second exit condition lives mid-body
+    #[allow(
+        clippy::while_let_loop,
+        reason = "a second exit condition lives mid-body"
+    )]
     loop {
         let Some(poorest) = assignment
             .iter()

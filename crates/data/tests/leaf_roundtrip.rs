@@ -2,6 +2,10 @@
 //! `FedTask`s → `leaf::writer` → `leaf` parser → **bitwise-equal**
 //! features, labels, train/test split and user order, swept over all three
 //! featurizers. Plus the fixture lane CI drives (`FEDAT_LEAF_FIXTURE_DIR`).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R4: the fixture lane takes its directory from FEDAT_LEAF_FIXTURE_DIR"
+)]
 
 use fedat_data::dataset::Dataset;
 use fedat_data::federated::{ClientData, FederatedDataset};

@@ -192,15 +192,6 @@ pub struct ChurnConfig {
 }
 
 impl ChurnConfig {
-    /// True when no scenario is enabled (pure legacy fault model).
-    pub fn is_quiet(&self) -> bool {
-        self.flaps.is_none()
-            && self.diurnal.is_none()
-            && self.storms.is_none()
-            && self.drift.is_none()
-            && self.corrupt.is_none()
-    }
-
     /// A storm-heavy scenario: two mid-run cohort storms plus light
     /// background flapping. Tuned so small default clusters still learn
     /// while every fault-tolerance path (drop, revive, retry) gets
@@ -340,9 +331,6 @@ mod tests {
 
     #[test]
     fn quiet_default() {
-        assert!(ChurnConfig::default().is_quiet());
-        assert!(!ChurnConfig::storm_heavy().is_quiet());
-        assert!(!ChurnConfig::corrupt_light().is_quiet());
         assert!(CorruptSpec::default().fraction == 0.0);
     }
 

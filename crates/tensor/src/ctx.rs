@@ -57,10 +57,13 @@ thread_local! {
 /// The process defaults, built once and never mutated: `Auto` SIMD (or
 /// `Scalar` under `FEDAT_SIMD=scalar`, the CI scalar lane) and uncapped
 /// pool jobs. `FEDAT_SIMD` is read here and nowhere else.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R4: execution default: every SIMD lane is pinned bit-identical to the scalar reference, so the lane cannot change a result bit"
+)]
 fn defaults() -> KernelCtx {
     static DEFAULTS: OnceLock<KernelCtx> = OnceLock::new();
     *DEFAULTS.get_or_init(|| KernelCtx {
-        // lint: allow(R4, reason = "execution default: every SIMD lane is pinned bit-identical to the scalar reference, so the lane cannot change a result bit")
         simd: match std::env::var("FEDAT_SIMD").as_deref() {
             Ok(s) if s.eq_ignore_ascii_case("scalar") => SimdKernel::Scalar,
             _ => SimdKernel::Auto,

@@ -355,7 +355,10 @@ where
 /// speculative jobs from one run cannot contaminate the next measurement.
 pub fn quiesce() {
     while POOL_JOBS.load(Ordering::Acquire) > 0 {
-        // lint: allow(R4, reason = "quiesce is a between-measurements barrier for the wall-clock benches; the backoff never feeds simulated time")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "R4: quiesce is a between-measurements barrier for the wall-clock benches; the backoff never feeds simulated time"
+        )]
         std::thread::sleep(std::time::Duration::from_micros(50));
     }
 }
@@ -420,7 +423,10 @@ struct Pool {
 static POOL: OnceLock<Pool> = OnceLock::new();
 
 fn spawn_worker(index: usize, queue: Arc<Queue>) {
-    // lint: allow(R4, reason = "the kernel pool is the one sanctioned home of real threads; workers never touch simulator state or wall-clock time")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "R4: the kernel pool is the one sanctioned home of real threads; workers never touch simulator state or wall-clock time"
+    )]
     std::thread::Builder::new()
         .name(format!("fedat-kernel-{index}"))
         .spawn(move || loop {
@@ -438,7 +444,10 @@ fn pool() -> &'static Pool {
         // The submitting thread runs or joins its own jobs, so `cores - 1`
         // workers saturate the machine. `FEDAT_POOL_WORKERS` overrides (e.g. to
         // exercise the executor on single-core CI hosts).
-        // lint: allow(R4, reason = "execution default: results are pinned bit-identical at every worker count, so the pool size cannot change a result bit")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "R4: execution default: results are pinned bit-identical at every worker count, so the pool size cannot change a result bit"
+        )]
         let workers = std::env::var("FEDAT_POOL_WORKERS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())

@@ -74,10 +74,10 @@
 //! The active kernel is a [`crate::ctx::KernelCtx`] setting: `Auto` by
 //! default, `FEDAT_SIMD=scalar` flips the default so CI can run the whole
 //! suite on the scalar path, and a thread-local overlay scopes it per run.
-//
-// Index-based loops are used deliberately throughout: they keep the lane
-// structure and the pinned accumulation order visible.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index-based loops keep the lane structure and the pinned accumulation order visible"
+)]
 
 // ----------------------------------------------------------------------
 // Kernel selection
@@ -1178,9 +1178,11 @@ mod avx2 {
     // the exact scalar expression tree (unfused mul+add), then finish the
     // tail with the scalar expression itself.
 
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA — every call path reaches here through a
+    /// dispatcher that checked `avx2_available()` first. Pointer arithmetic
+    /// stays within the slice extents checked by the safe wrappers.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn adam_sweep<const PROX: bool, const VIRGIN: bool>(
         w: &mut [f32],
@@ -1247,9 +1249,11 @@ mod avx2 {
         }
     }
 
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA — every call path reaches here through a
+    /// dispatcher that checked `avx2_available()` first. Pointer arithmetic
+    /// stays within the slice extents checked by the safe wrappers.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn quantize_into(out: &mut [f32], x: &[f32], lo: f32, scale: f32, levels: f32) {
         let n = out.len();
@@ -1277,9 +1281,11 @@ mod avx2 {
         }
     }
 
-    // SAFETY: requires AVX2 — the dispatcher checked `avx2_available()`
-    // first. The compare-exchange touches exactly the two `ROBUST_TILE`-
-    // long rows it is handed, eight lanes at a time.
+    /// # Safety
+    ///
+    /// Requires AVX2 — the dispatcher checked `avx2_available()`
+    /// first. The compare-exchange touches exactly the two `ROBUST_TILE`-
+    /// long rows it is handed, eight lanes at a time.
     #[target_feature(enable = "avx2")]
     pub unsafe fn robust_reduce(
         inputs: &[&[f32]],
@@ -1306,12 +1312,15 @@ mod avx2 {
     /// cols]` (the caller copies the edges): eight row loads, three rounds
     /// of in-register interleaves, eight column-block stores. Moves bits,
     /// computes nothing.
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Both slices are
-    // `rows * cols` long (asserted by `transpose_uninit`); a block at
-    // `(rb, cb)` with `rb + 8 <= rows`, `cb + 8 <= cols` reads
-    // `src[(rb + i) * cols + cb..][..8]` and writes
-    // `dst[(cb + i) * rows + rb..][..8]` for `i < 8`, all inside them.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA — every call path reaches here through a
+    /// dispatcher that checked `avx2_available()` first. Both slices are
+    /// `rows * cols` long (asserted by `transpose_uninit`); a block at
+    /// `(rb, cb)` with `rb + 8 <= rows`, `cb + 8 <= cols` reads
+    /// `src[(rb + i) * cols + cb..][..8]` and writes
+    /// `dst[(cb + i) * rows + rb..][..8]` for `i < 8`, all inside them.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn transpose_blocks(
         src: &[f32],
@@ -1360,14 +1369,17 @@ mod avx2 {
     /// planes, rows and columns, and adding them carries at most once from
     /// the column into the row and once from the row into the plane. The
     /// last group runs under a lane mask.
-    // SAFETY: requires AVX2+FMA — the dispatcher checked `avx2_available()`
-    // first. The safe `maxpool` asserted `src` is whole `h × w` planes of
-    // fewer than 2³¹ elements, `h, w >= k`, and `out` / `argmax` hold one
-    // entry per window. On lane `l` of group `o`, the cursor holds window
-    // `o + l`'s first pixel `plane·h·w + oy·k·w + ox·k`; for a window that
-    // exists every index it adds `dy·w + dx` to is inside `src` and fits an
-    // `i32`, and its stores are inside `out` / `argmax`. Lanes past the
-    // last window are masked off: neither gathered nor stored.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA — the dispatcher checked `avx2_available()`
+    /// first. The safe `maxpool` asserted `src` is whole `h × w` planes of
+    /// fewer than 2³¹ elements, `h, w >= k`, and `out` / `argmax` hold one
+    /// entry per window. On lane `l` of group `o`, the cursor holds window
+    /// `o + l`'s first pixel `plane·h·w + oy·k·w + ox·k`; for a window that
+    /// exists every index it adds `dy·w + dx` to is inside `src` and fits an
+    /// `i32`, and its stores are inside `out` / `argmax`. Lanes past the
+    /// last window are masked off: neither gathered nor stored.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn maxpool(
         src: &[f32],
@@ -1449,9 +1461,11 @@ mod avx2 {
         }
     }
 
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
-    // stays within the slice extents checked by the safe wrappers.
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA — every call path reaches here through a
+    /// dispatcher that checked `avx2_available()` first. Pointer arithmetic
+    /// stays within the slice extents checked by the safe wrappers.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn matmul_block(lhs: &Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
         let rows = c.len() / n;
@@ -1478,9 +1492,12 @@ mod avx2 {
     /// vector, partial when `n` is no multiple of 8. A masked-off lane is
     /// neither read nor written (it computes on `0.0` and is dropped), so
     /// column tails run at vector speed without touching a neighbour.
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first; `8 - lanes` is in
-    // `0..=7`, so the 8-element load stays inside the 16-element table.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA — every call path reaches here through a
+    /// dispatcher that checked `avx2_available()` first; `8 - lanes` is in
+    /// `0..=7`, so the 8-element load stays inside the 16-element table.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn lane_mask(lanes: usize) -> __m256i {
@@ -1492,11 +1509,14 @@ mod avx2 {
     /// The register tiles of `R` C-rows whose `A` rows hold no zero: 16
     /// columns at a time, then what is left of the row as one narrower
     /// tile with its last vector masked.
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. `crows` is `R`
-    // rows of `n`, `b` is `[k, n]` and `lhs` covers rows `i0..i0 + R` by
-    // the asserts of the safe `matmul_block`; each `dense_cols` call is
-    // handed columns `j..` that end at or before `n`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA — every call path reaches here through a
+    /// dispatcher that checked `avx2_available()` first. `crows` is `R`
+    /// rows of `n`, `b` is `[k, n]` and `lhs` covers rows `i0..i0 + R` by
+    /// the asserts of the safe `matmul_block`; each `dense_cols` call is
+    /// handed columns `j..` that end at or before `n`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn dense_tile<const R: usize>(
         lhs: &Lhs,
@@ -1531,13 +1551,16 @@ mod avx2 {
     /// every lane's op sequence identical to the scalar reference, which
     /// skips nothing here either. With `PARTIAL`, the last vector column
     /// moves under `last`.
-    // SAFETY: requires AVX2+FMA (see `dense_tile`, the only caller). `bp`
-    // and `cp` point at the tile's first column inside `[k, n]` / `[R, n]`
-    // buffers; the tile spans `8 * V` columns of which the caller promises
-    // all (or, with `PARTIAL`, the lanes of `last` in the final vector) lie
-    // before column `n`, so every unmasked lane touched is in bounds. `lhs`
-    // covers rows `i0..i0 + R` over `p < k` (the asserts of the safe
-    // `matmul_block`), which is every element `walk_from`'s strides reach.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA (see `dense_tile`, the only caller). `bp`
+    /// and `cp` point at the tile's first column inside `[k, n]` / `[R, n]`
+    /// buffers; the tile spans `8 * V` columns of which the caller promises
+    /// all (or, with `PARTIAL`, the lanes of `last` in the final vector) lie
+    /// before column `n`, so every unmasked lane touched is in bounds. `lhs`
+    /// covers rows `i0..i0 + R` over `p < k` (the asserts of the safe
+    /// `matmul_block`), which is every element `walk_from`'s strides reach.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn dense_cols<const R: usize, const V: usize, const PARTIAL: bool>(
@@ -1577,8 +1600,11 @@ mod avx2 {
 
     /// Eight floats from `p`, or — for the final vector of a `PARTIAL` tile
     /// — the lanes of `mask` (the others read as `0.0`).
-    // SAFETY: requires AVX2+FMA; the caller guarantees the eight (or the
-    // masked-on) elements at `p` are readable.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA; the caller guarantees the eight (or the
+    /// masked-on) elements at `p` are readable.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn load<const PARTIAL: bool>(p: *const f32, is_last: bool, mask: __m256i) -> __m256 {
@@ -1590,8 +1616,11 @@ mod avx2 {
     }
 
     /// The store matching [`load`].
-    // SAFETY: requires AVX2+FMA; the caller guarantees the eight (or the
-    // masked-on) elements at `p` are writable.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA; the caller guarantees the eight (or the
+    /// masked-on) elements at `p` are writable.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn store<const PARTIAL: bool>(p: *mut f32, is_last: bool, mask: __m256i, v: __m256) {
@@ -1606,12 +1635,15 @@ mod avx2 {
     /// of up to 64 columns (the row's last vector masked): few passes over
     /// the list, because each ends in a loop exit no predictor can learn.
     /// `b` is the chunk's `[len, n]` rows of `B`.
-    // SAFETY: requires AVX2+FMA — every call path reaches here through a
-    // dispatcher that checked `avx2_available()` first. `crow` is `n` long
-    // and every `at[t]` indexes a whole `n`-length row of `b` (`compact`
-    // only emits `t < len`); a panel starts at column `j < n`, spans
-    // `width <= n - j` columns, and `lane_mask` switches off the lanes of
-    // its last vector past `width`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA — every call path reaches here through a
+    /// dispatcher that checked `avx2_available()` first. `crow` is `n` long
+    /// and every `at[t]` indexes a whole `n`-length row of `b` (`compact`
+    /// only emits `t < len`); a panel starts at column `j < n`, spans
+    /// `width <= n - j` columns, and `lane_mask` switches off the lanes of
+    /// its last vector past `width`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn list_row(list: &NonZeros, b: &[f32], crow: &mut [f32], n: usize) {
         debug_assert!(crow.len() == n && list.len <= LIST_CHUNK);
@@ -1640,11 +1672,14 @@ mod avx2 {
     /// over the list in order — ascending `p` over exactly the terms the
     /// reference does not skip, unfused. The last column moves under
     /// `last` (all lanes on when the panel is whole).
-    // SAFETY: requires AVX2+FMA (see `list_row`, the only caller). `cp`
-    // points at the panel's first column in the C row and `bp` at the same
-    // column of the chunk's first `B` row; `at[t] * n` steps to a whole row
-    // of the chunk, and of the panel's `8 * V` columns only the lanes `last`
-    // keeps in the final vector may lie at or past column `n`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA (see `list_row`, the only caller). `cp`
+    /// points at the panel's first column in the C row and `bp` at the same
+    /// column of the chunk's first `B` row; `at[t] * n` steps to a whole row
+    /// of the chunk, and of the panel's `8 * V` columns only the lanes `last`
+    /// keeps in the final vector may lie at or past column `n`.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn list_panel<const V: usize>(

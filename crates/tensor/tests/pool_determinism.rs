@@ -7,6 +7,11 @@
 //! tests in this binary never see each other's settings. Which workers are
 //! free is process-wide, so the tests that submit jobs take [`JOB_TESTS`]
 //! and run one at a time.
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "R4: the pool's wake-up tests drive joiners and watchdogs on real threads and give parked workers time to park"
+)]
 
 use fedat_tensor::conv::{conv2d_forward, Conv2dSpec, ConvPlan};
 use fedat_tensor::ctx::{self, KernelCtx};

@@ -345,7 +345,6 @@ const NON_FINITE: [usize; 4] = [0, 4, 8, 9];
 ///   each non-finite for certain (those samples fall back, the odd ones
 ///   take the `dY`-led path unless bit 1 is set too), and the last
 ///   sample's `d_out` all zero.
-#[allow(clippy::type_complexity)]
 fn conv_problem(
     (batch, cin, cout): (usize, usize, usize),
     (h, w): (usize, usize),

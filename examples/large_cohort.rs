@@ -11,10 +11,10 @@
 //! ```text
 //! cargo run --release --example large_cohort [-- --full]
 //! ```
-
-// This example reports the run's wall-clock time — the R4 clippy mirror
-// (docs/LINTS.md) does not apply to demonstration timing.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R4: this example reports the run's wall-clock time; demonstration timing feeds no result"
+)]
 
 use fedat::core::prelude::*;
 use fedat::data::federated::FederatedDataset;
