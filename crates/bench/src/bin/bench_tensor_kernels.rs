@@ -8,7 +8,7 @@
 //! stage of a CnnLite step — the max-pool lane at both pools and conv2's
 //! input gradient on a pooled, ReLU-masked `dY` — each timed under
 //! `SimdKernel::Auto`
-//! (runtime-dispatched AVX2+FMA or the portable fallback) and
+//! (runtime-dispatched AVX2+FMA, the scalar reference without them) and
 //! `SimdKernel::Scalar` (the seed's plain loops, what autovectorization
 //! alone gave). Writes both throughputs and the speedup to
 //! `BENCH_tensor_kernels.json`.

@@ -30,7 +30,7 @@
 //! the exception in shape, not in contract: a varint stream cannot be
 //! chunked without an index on the wire, so its encoder and decoder are one
 //! per-value loop each, and the in-place roundtrip a transfer runs carries
-//! its own scalar / portable / AVX2 lanes, selected by the same
+//! its own scalar / AVX2 lanes, selected by the same
 //! `SimdKernel` setting and bit-identical to each other.
 //!
 //! ```

@@ -57,24 +57,13 @@ pub enum OptimizerKind {
         /// Learning rate.
         lr: f32,
     },
-    /// SGD with learning rate and momentum.
-    Sgd {
-        /// Learning rate.
-        lr: f32,
-        /// Momentum coefficient.
-        momentum: f32,
-    },
 }
 
 impl OptimizerKind {
     /// Constructs the optimizer.
     pub fn build(&self) -> Box<dyn fedat_nn::optim::Optimizer> {
-        match *self {
-            OptimizerKind::Adam { lr } => Box::new(fedat_nn::optim::Adam::new(lr)),
-            OptimizerKind::Sgd { lr, momentum } => {
-                Box::new(fedat_nn::optim::Sgd::new(lr, momentum))
-            }
-        }
+        let OptimizerKind::Adam { lr } = *self;
+        Box::new(fedat_nn::optim::Adam::new(lr))
     }
 }
 

@@ -13,7 +13,7 @@
 //!   injection for the robustness ablation,
 //! * [`aggregate`] — intra-tier `n_k/N` averaging and the cross-tier
 //!   `T_{tier(M+1−m)}/T` heuristic,
-//! * [`local`] — client-side local training (Adam/SGD + proximal term,
+//! * [`local`] — client-side local training (Adam + proximal term,
 //!   fixed pseudo-random mini-batch schedules),
 //! * [`exec`] — the per-run execution settings: training jobs launch on
 //!   the kernel pool at dispatch and are joined bit-identically when the

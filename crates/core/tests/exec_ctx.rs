@@ -259,23 +259,34 @@ fn inline_is_the_job_cap_of_zero() {
 #[test]
 fn one_selector_names_each_lane_and_rides_into_pool_jobs() {
     use fedat_tensor::simd::backend_name;
-    // What each selector value dispatches to, whatever `FEDAT_SIMD` says.
+    let process_default = fedat_tensor::ctx::snapshot().simd;
+    // What each selector value dispatches to, whatever `FEDAT_SIMD` says:
+    // `Auto` is the AVX2 lane exactly where AVX2 + FMA are detected.
     let named = |simd: SimdKernel| {
         let cfg = ExperimentConfig::builder().simd_kernel(simd).build();
         let _g = fedat_tensor::ctx::install(exec::resolve(&cfg));
         backend_name()
     };
-    assert!(["avx2+fma", "portable"].contains(&named(SimdKernel::Auto)));
-    assert_eq!(named(SimdKernel::Portable), "portable");
+    #[cfg(target_arch = "x86_64")]
+    let avx2_fma = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2_fma = false;
+    let auto = if avx2_fma { "avx2+fma" } else { "scalar" };
+    assert_eq!(named(SimdKernel::Auto), auto);
     assert_eq!(named(SimdKernel::Scalar), "scalar");
 
-    // `cfg.exec.simd = Some(Portable)` survives `resolve` and travels with
-    // a job onto whichever thread runs it.
-    let cfg = ExperimentConfig::builder()
-        .simd_kernel(SimdKernel::Portable)
-        .build();
+    // `cfg.exec.simd` survives `resolve` and travels with a job onto
+    // whichever thread runs it. The value is the one the process default
+    // is not (`Scalar`, or `Auto` under `FEDAT_SIMD=scalar`), so a job that
+    // fell back to the default would fail here.
+    let other = match process_default {
+        SimdKernel::Auto => SimdKernel::Scalar,
+        SimdKernel::Scalar => SimdKernel::Auto,
+    };
+    let want = (other, named(other));
+    let cfg = ExperimentConfig::builder().simd_kernel(other).build();
     let _g = fedat_tensor::ctx::install(exec::resolve(&cfg));
     fedat_tensor::pool::ensure_workers(1);
     let job = fedat_tensor::pool::submit(|| (fedat_tensor::simd::simd_kernel(), backend_name()));
-    assert_eq!(job.join(), (SimdKernel::Portable, "portable"));
+    assert_eq!(job.join(), want);
 }

@@ -1,11 +1,11 @@
 //! `train_client` keeps one optimizer per thread and only `reset`s it
 //! between dispatches. A chain of dispatches on this thread — different
 //! clients, an architecture switch (the optimizer's buffers meet
-//! parameters of other shapes), an optimizer-kind switch (rebuild) — must
+//! parameters of other shapes), a learning-rate switch (rebuild) — must
 //! equal, bit for bit, the same dispatches each run on a thread of its own,
 //! whose thread-locals are new: a freshly built model and optimizer. The
-//! chain visits every `ModelSpec` family under both optimizers, so a layer
-//! with state `set_weights` does not reset would fail here.
+//! chain visits every `ModelSpec` family under both learning rates, so a
+//! layer with state `set_weights` does not reset would fail here.
 #![expect(
     clippy::disallowed_methods,
     reason = "R4: a fresh thread is the reference this test compares the resident optimizer against"
@@ -25,11 +25,9 @@ fn dispatch(task: &FedTask, client: usize, cfg: &ExperimentConfig, round: u64) -
 #[test]
 fn resident_optimizer_matches_fresh_ones_exactly() {
     let adam = ExperimentConfig::builder().seed(3).batch_size(8).build();
-    let mut sgd = adam.clone();
-    sgd.optimizer = OptimizerKind::Sgd {
-        lr: 0.05,
-        momentum: 0.9,
-    };
+    assert_eq!(adam.optimizer, OptimizerKind::Adam { lr: 0.003 });
+    let mut fast = adam.clone();
+    fast.optimizer = OptimizerKind::Adam { lr: 0.05 };
     let logistic = suite::sent140_like(6, 3);
     let cnn = suite::cifar10_like(4, 2, 3);
     let mut mlp = suite::cifar10_like(4, 2, 3);
@@ -52,15 +50,15 @@ fn resident_optimizer_matches_fresh_ones_exactly() {
         (&mlp, 2, &adam),
         (&logistic, 2, &adam),
         (&cnn, 1, &adam),
-        (&mlp, 3, &sgd),
-        (&mlp, 0, &sgd),
+        (&mlp, 3, &fast),
+        (&mlp, 0, &fast),
         (&mlp, 1, &adam),
         (&lstm, 0, &adam),
         (&cnn_paper, 2, &adam),
-        (&lstm, 1, &sgd),
-        (&cnn, 3, &sgd),
-        (&cnn_paper, 0, &sgd),
-        (&logistic, 3, &sgd),
+        (&lstm, 1, &fast),
+        (&cnn, 3, &fast),
+        (&cnn_paper, 0, &fast),
+        (&logistic, 3, &fast),
         (&lstm, 2, &adam),
     ];
     for (i, &(task, client, cfg)) in chain.iter().enumerate() {

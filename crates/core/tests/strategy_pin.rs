@@ -172,7 +172,6 @@ fn config(scenario: Scenario, strategy: StrategyKind) -> ExperimentConfig {
                     max_factor: 4.0,
                 }),
                 corrupt: Some(scale_attack(0.5)),
-                ..ChurnConfig::default()
             };
             base.rounds(rounds(120))
                 .max_time(6000.0)

@@ -15,8 +15,8 @@
 //!   for the Reddit experiment (Fig. 8), trained with truncated BPTT,
 //! * [`models`] — ready-made builders matching the architectures in §6 of
 //!   the paper,
-//! * [`optim`] — SGD (+momentum) and Adam, plus the proximal-term gradient
-//!   `λ(w − w_global)` from Eq. (3),
+//! * [`optim`] — Adam, plus the proximal-term gradient `λ(w − w_global)`
+//!   from Eq. (3),
 //! * [`loss`] — softmax cross-entropy (mean-reduced) and accuracy.
 //!
 //! Weights flatten to a single `Vec<f32>` in a deterministic layer order

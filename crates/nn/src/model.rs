@@ -194,7 +194,7 @@ impl Model for Sequential {
 mod tests {
     use super::*;
     use crate::layers::{Dense, Relu};
-    use crate::optim::Sgd;
+    use crate::optim::Adam;
     use fedat_tensor::rng::rng_for;
 
     fn tiny_mlp(seed: u64) -> Sequential {
@@ -236,7 +236,7 @@ mod tests {
             ys.push(class);
         }
         let x = Tensor::from_vec(xs, &[n, 4]);
-        let mut opt = Sgd::new(0.05, 0.9);
+        let mut opt = Adam::new(0.05);
         let first = m.evaluate(&x, &ys).loss;
         for _ in 0..100 {
             m.train_batch(&x, &ys, &mut opt, None);
@@ -264,7 +264,7 @@ mod tests {
             let mut m = tiny_mlp(5);
             let global = m.weights();
             let prox = ProxTerm::new(lambda, global.clone());
-            let mut opt = Sgd::new(0.1, 0.0);
+            let mut opt = Adam::new(0.1);
             for _ in 0..50 {
                 m.train_batch(&x, &y, &mut opt, Some(&prox));
             }

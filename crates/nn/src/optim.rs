@@ -11,12 +11,12 @@
 //! them in between. Adam does all of it — prox term, moments, weight, the
 //! zeroing store — in one sweep per parameter.
 
-use crate::param::{Param, Params};
+use crate::param::Params;
 use fedat_tensor::simd::adam_sweep;
 
 /// A first-order optimizer stepping a fixed parameter list.
 ///
-/// State (momentum/Adam moments) is indexed by parameter position, so
+/// State (Adam's moments) is indexed by parameter position, so
 /// between two [`Optimizer::reset`]s an instance must be used with one
 /// model. Federated clients are stateless between rounds: every local
 /// round starts from a fresh or a reset optimizer, which are the same
@@ -37,76 +37,6 @@ pub trait Optimizer: Send {
 
     /// Overrides the learning rate.
     fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Plain SGD with optional momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// SGD with learning rate `lr` and momentum coefficient `momentum`
-    /// (0 disables momentum).
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum out of [0,1)");
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut dyn Params, prox: Option<&ProxTerm>) {
-        if let Some(prox) = prox {
-            prox.apply(params);
-        }
-        let lr = self.lr;
-        if self.momentum == 0.0 {
-            params.visit_mut(&mut |p| {
-                fedat_tensor::ops::axpy(-lr, p.grad.data(), p.value.data_mut());
-                p.zero_grad();
-            });
-            return;
-        }
-        if self.velocity.is_empty() {
-            let velocity = &mut self.velocity;
-            params.visit(&mut |p| velocity.push(vec![0.0; p.len()]));
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.count(),
-            "optimizer bound to a different model"
-        );
-        let (momentum, mut velocity) = (self.momentum, self.velocity.iter_mut());
-        params.visit_mut(&mut |p| {
-            let v = velocity.next().expect("one velocity per parameter");
-            fedat_tensor::simd::sgd_momentum_step(
-                p.value.data_mut(),
-                p.grad.data(),
-                v,
-                momentum,
-                lr,
-            );
-            p.zero_grad();
-        });
-    }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba, 2014) with bias correction.
@@ -163,7 +93,7 @@ impl Optimizer for Adam {
             eps: self.eps,
         };
         // λ = 0 is no term at all (not `g + 0·(w − w_g)`, which would turn
-        // a `-0.0` gradient into `+0.0`), as in `ProxTerm::apply`.
+        // a `-0.0` gradient into `+0.0`).
         let prox = prox.filter(|p| p.lambda != 0.0);
         if let Some(prox) = prox {
             prox.check_dims(params);
@@ -201,7 +131,7 @@ impl Optimizer for Adam {
 /// The FedAT/FedProx proximal constraint of Eq. (3).
 ///
 /// Holds the flattened global model `w_global` and the coefficient `λ`;
-/// [`ProxTerm::apply`] adds `λ(w − w_global)` to each parameter gradient.
+/// [`Optimizer::step`] adds `λ(w − w_global)` to each parameter gradient.
 ///
 /// The global weights are held behind an `Arc`, so a server broadcasting
 /// one model to many clients shares a single decoded copy instead of
@@ -225,29 +155,7 @@ impl ProxTerm {
         }
     }
 
-    /// Adds `λ(w − w_global)` to the accumulated gradients.
-    ///
-    /// # Panics
-    /// Panics if the flattened parameter count differs from `global.len()`.
-    pub fn apply(&self, params: &mut dyn Params) {
-        if self.lambda == 0.0 {
-            return;
-        }
-        self.check_dims(params);
-        let mut off = 0usize;
-        params.visit_mut(&mut |p| {
-            let n = p.len();
-            let Param { value, grad } = p;
-            fedat_tensor::simd::prox_grad(
-                grad.data_mut(),
-                value.data(),
-                &self.global[off..off + n],
-                self.lambda,
-            );
-            off += n;
-        });
-    }
-
+    /// Asserts that the flattened parameter count equals `global.len()`.
     fn check_dims(&self, params: &dyn Params) {
         assert_eq!(
             params.scalar_count(),
@@ -260,34 +168,13 @@ impl ProxTerm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::Param;
     use fedat_tensor::Tensor;
 
     fn param_with_grad(values: &[f32], grads: &[f32]) -> Param {
         let mut p = Param::new(Tensor::from_vec(values.to_vec(), &[values.len()]));
         p.grad = Tensor::from_vec(grads.to_vec(), &[grads.len()]);
         p
-    }
-
-    #[test]
-    fn sgd_moves_against_gradient() {
-        let mut p = param_with_grad(&[1.0, 2.0], &[0.5, -0.5]);
-        let mut opt = Sgd::new(0.1, 0.0);
-        opt.step(&mut [&mut p], None);
-        assert!((p.value.data()[0] - 0.95).abs() < 1e-6);
-        assert!((p.value.data()[1] - 2.05).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_momentum_accumulates() {
-        let mut p = param_with_grad(&[0.0], &[1.0]);
-        let mut opt = Sgd::new(0.1, 0.9);
-        opt.step(&mut [&mut p], None);
-        let first = p.value.data()[0];
-        // Same gradient again: velocity = 0.9·1 + 1 = 1.9 → bigger step.
-        p.grad.data_mut()[0] = 1.0;
-        opt.step(&mut [&mut p], None);
-        let second_step = first - p.value.data()[0];
-        assert!(second_step > 0.1 * 1.5, "momentum should amplify the step");
     }
 
     #[test]
@@ -312,22 +199,22 @@ mod tests {
         assert!((p.value.data()[0] - 3.0).abs() < 0.05);
     }
 
-    #[test]
-    fn prox_pulls_towards_global() {
-        let mut p = param_with_grad(&[5.0, 5.0], &[0.0, 0.0]);
-        let prox = ProxTerm::new(0.4, vec![1.0, 9.0]);
-        prox.apply(&mut [&mut p]);
-        // grad = λ(w − w_g) = 0.4·(5−1)=1.6 and 0.4·(5−9)=−1.6
-        assert!((p.grad.data()[0] - 1.6).abs() < 1e-6);
-        assert!((p.grad.data()[1] + 1.6).abs() < 1e-6);
-    }
-
+    /// λ = 0 is no term at all: the step equals the one without a prox
+    /// term bit for bit. A `-0.0` gradient meeting a `-0.0` first moment
+    /// keeps the moment `-0.0` (`g + 0·(w − w_g)` would be `+0.0`), and an
+    /// infinite global weight is never read (`0·∞` is NaN).
     #[test]
     fn zero_lambda_prox_is_noop() {
-        let mut p = param_with_grad(&[5.0], &[0.25]);
-        let prox = ProxTerm::new(0.0, vec![0.0]);
-        prox.apply(&mut [&mut p]);
-        assert_eq!(p.grad.data()[0], 0.25);
+        let step = |prox: Option<&ProxTerm>| {
+            let mut p = param_with_grad(&[5.0, 5.0], &[-0.0, 0.25]);
+            let mut opt = Adam::new(0.01);
+            (opt.t, opt.m, opt.v) = (1, vec![vec![-0.0, 0.0]], vec![vec![0.0; 2]]);
+            opt.step(&mut [&mut p], prox);
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            [bits(p.value.data()), bits(&opt.m[0]), bits(&opt.v[0])]
+        };
+        let prox = ProxTerm::new(0.0, vec![1.0, f32::INFINITY]);
+        assert_eq!(step(Some(&prox)), step(None));
     }
 
     #[test]
@@ -335,6 +222,6 @@ mod tests {
     fn prox_rejects_wrong_size() {
         let mut p = param_with_grad(&[1.0, 2.0], &[0.0, 0.0]);
         let prox = ProxTerm::new(0.4, vec![0.0]);
-        prox.apply(&mut [&mut p]);
+        Adam::new(0.01).step(&mut [&mut p], Some(&prox));
     }
 }

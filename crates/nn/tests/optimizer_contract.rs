@@ -6,7 +6,7 @@
 
 use fedat_nn::layer::Mode;
 use fedat_nn::layers::{Dense, Relu};
-use fedat_nn::optim::{Adam, Optimizer, ProxTerm, Sgd};
+use fedat_nn::optim::{Adam, Optimizer, ProxTerm};
 use fedat_nn::{Model, Param, Sequential};
 use fedat_tensor::rng::rng_for;
 use fedat_tensor::Tensor;
@@ -20,17 +20,11 @@ fn param_with_grad(values: &[f32], grads: &[f32]) -> Param {
 #[test]
 fn step_consumes_the_gradient() {
     let prox = ProxTerm::new(0.4, vec![0.0, 0.0]);
-    let opts: [Box<dyn Optimizer>; 3] = [
-        Box::new(Sgd::new(0.1, 0.0)),
-        Box::new(Sgd::new(0.1, 0.9)),
-        Box::new(Adam::new(0.01)),
-    ];
-    for mut opt in opts {
-        for prox in [None, Some(&prox)] {
-            let mut p = param_with_grad(&[1.0, 2.0], &[0.5, -0.5]);
-            opt.step(&mut [&mut p], prox);
-            assert!(p.grad.data().iter().all(|g| g.to_bits() == 0));
-        }
+    let mut opt = Adam::new(0.01);
+    for prox in [None, Some(&prox)] {
+        let mut p = param_with_grad(&[1.0, 2.0], &[0.5, -0.5]);
+        opt.step(&mut [&mut p], prox);
+        assert!(p.grad.data().iter().all(|g| g.to_bits() == 0));
     }
 }
 
@@ -38,33 +32,26 @@ fn step_consumes_the_gradient() {
 fn reset_optimizer_is_a_fresh_one_bitwise() {
     // A reset optimizer's buffers hold a previous life's moments — here of
     // a model with other shapes — and must behave as zeros.
-    let fresh: [fn() -> Box<dyn Optimizer>; 2] = [
-        || Box::new(Adam::new(0.01)),
-        || Box::new(Sgd::new(0.05, 0.9)),
+    let mut used = Adam::new(0.01);
+    let mut other = [
+        param_with_grad(&[1.0; 5], &[f32::NAN, 3.0, -2.0, 0.5, 9.0]),
+        param_with_grad(&[1.0], &[4.0]),
     ];
-    for build in fresh {
-        let mut used = build();
-        let mut other = [
-            param_with_grad(&[1.0; 5], &[f32::NAN, 3.0, -2.0, 0.5, 9.0]),
-            param_with_grad(&[1.0], &[4.0]),
-        ];
-        let [a, b] = &mut other;
-        used.step(&mut [a, b], None);
-        used.reset();
-        let mut new = build();
-        let prox = ProxTerm::new(0.4, vec![0.5, -0.5, 0.25]);
-        let mut p = param_with_grad(&[1.0, -2.0, 0.5], &[0.0; 3]);
-        let mut q = p.clone();
-        for step in 0..3 {
-            for (opt, param) in [(&mut used, &mut p), (&mut new, &mut q)] {
-                let g = [0.3 - step as f32, -0.0, 1e-20];
-                param.grad.data_mut().copy_from_slice(&g);
-                opt.step(&mut [param], Some(&prox));
-            }
-            let bits =
-                |p: &Param| -> Vec<u32> { p.value.data().iter().map(|w| w.to_bits()).collect() };
-            assert_eq!(bits(&p), bits(&q), "step {step}");
+    let [a, b] = &mut other;
+    used.step(&mut [a, b], None);
+    used.reset();
+    let mut new = Adam::new(0.01);
+    let prox = ProxTerm::new(0.4, vec![0.5, -0.5, 0.25]);
+    let mut p = param_with_grad(&[1.0, -2.0, 0.5], &[0.0; 3]);
+    let mut q = p.clone();
+    for step in 0..3 {
+        for (opt, param) in [(&mut used, &mut p), (&mut new, &mut q)] {
+            let g = [0.3 - step as f32, -0.0, 1e-20];
+            param.grad.data_mut().copy_from_slice(&g);
+            opt.step(&mut [param], Some(&prox));
         }
+        let bits = |p: &Param| -> Vec<u32> { p.value.data().iter().map(|w| w.to_bits()).collect() };
+        assert_eq!(bits(&p), bits(&q), "step {step}");
     }
 }
 
@@ -84,7 +71,7 @@ fn train_batch_clears_gradients_an_outside_backward_left() {
     let (mut dirty, mut clean) = (mlp(), mlp());
     let out = dirty.forward(&x, Mode::Train);
     dirty.backward(Tensor::ones(out.dims())).recycle();
-    let (mut opt_a, mut opt_b) = (Sgd::new(0.1, 0.9), Sgd::new(0.1, 0.9));
+    let (mut opt_a, mut opt_b) = (Adam::new(0.1), Adam::new(0.1));
     for _ in 0..2 {
         let a = dirty.train_batch(&x, &y, &mut opt_a, None);
         let b = clean.train_batch(&x, &y, &mut opt_b, None);

@@ -13,21 +13,19 @@
 //! the final weights and the logits fold into FNV-1a digests compared with
 //! literals.
 //!
-//! The literals hold on the default lane, under `SimdKernel::Scalar`
-//! (`FEDAT_SIMD=scalar`) and under `SimdKernel::Portable` — each test
-//! checks all three. They fold in libm's `exp`/`ln` through the loss, so
+//! The literals hold on the default lane and under `SimdKernel::Scalar`
+//! (`FEDAT_SIMD=scalar`) — each test checks both. They fold in libm's `exp`/`ln` through the loss, so
 //! they are pinned to the reference host's libm, like `strategy_pin.rs`.
 //!
 //! Below the five families sit the solver rows — the net under any change
 //! to how a step hands its gradient to the optimizer: Adam *without* a prox
-//! term (the FedAvg / TiFL / FedAsync path), `Sgd` with momentum under the
-//! prox term, a step whose gradient is exactly zero somewhere in every
+//! term (the FedAvg / TiFL / FedAsync path), a step whose gradient is exactly zero somewhere in every
 //! parameter while the batch carries `-0.0`, and one `LstmLm` step.
 
 use fedat_nn::layer::Mode;
 use fedat_nn::model::Model;
 use fedat_nn::models::ModelSpec;
-use fedat_nn::optim::{Adam, Optimizer, ProxTerm, Sgd};
+use fedat_nn::optim::{Adam, Optimizer, ProxTerm};
 use fedat_tensor::ctx::{self, KernelCtx};
 use fedat_tensor::rng::rng_for;
 use fedat_tensor::simd::SimdKernel;
@@ -59,8 +57,6 @@ enum Solver {
     AdamProx,
     /// Adam 0.003, no prox term.
     Adam,
-    /// `Sgd` 0.05 with momentum 0.9 under `ProxTerm` λ = 0.4.
-    SgdMomentumProx,
 }
 
 impl Solver {
@@ -69,7 +65,6 @@ impl Solver {
         match self {
             Solver::AdamProx => (Box::new(Adam::new(0.003)), prox()),
             Solver::Adam => (Box::new(Adam::new(0.003)), None),
-            Solver::SgdMomentumProx => (Box::new(Sgd::new(0.05, 0.9)), prox()),
         }
     }
 }
@@ -96,8 +91,8 @@ fn run(spec: &ModelSpec, features: usize, classes: u32, solver: Solver) -> (u64,
     (digest(seen), digest(logits.data().iter().copied()))
 }
 
-/// Runs `run` on the default, scalar and portable lanes; each must
-/// reproduce `want`.
+/// Runs `run` on the default and the scalar lane; each must reproduce
+/// `want`.
 fn check_lanes(what: &str, want: (u64, u64), run: impl Fn() -> (u64, u64)) {
     let lanes = [
         ("default", ctx::snapshot()),
@@ -105,13 +100,6 @@ fn check_lanes(what: &str, want: (u64, u64), run: impl Fn() -> (u64, u64)) {
             "scalar",
             KernelCtx {
                 simd: SimdKernel::Scalar,
-                ..ctx::snapshot()
-            },
-        ),
-        (
-            "portable",
-            KernelCtx {
-                simd: SimdKernel::Portable,
                 ..ctx::snapshot()
             },
         ),
@@ -235,28 +223,6 @@ fn cnn_lite_adam_without_prox() {
         10,
         Solver::Adam,
         (0xaf8813605aa03323, 0x52c7c2b7547cf9a5),
-    );
-}
-
-#[test]
-fn mlp_sgd_momentum_with_prox() {
-    check_solver(
-        mlp(),
-        64,
-        62,
-        Solver::SgdMomentumProx,
-        (0x63a82b8e7639dd5c, 0x1da5bda0bc3b1a03),
-    );
-}
-
-#[test]
-fn cnn_lite_sgd_momentum_with_prox() {
-    check_solver(
-        cnn_lite(),
-        64,
-        10,
-        Solver::SgdMomentumProx,
-        (0xb45a6dc2ab117972, 0x7c10f3c4b1f28f5c),
     );
 }
 

@@ -2,8 +2,7 @@
 //!
 //! The paper's only fault model is §6's one-shot *permanent* dropout. Real
 //! federated fleets additionally see transient flaps (mobile clients moving
-//! in and out of coverage), diurnal waves (devices charging overnight),
-//! correlated storms (a rack, carrier, or region going down at once), and
+//! in and out of coverage), correlated storms (a rack, carrier, or region going down at once), and
 //! slow compute drift (thermal throttling, background load) that makes a
 //! one-shot latency profile stale. This module generates those scenarios as
 //! deterministic per-client *down intervals* layered on top of the legacy
@@ -38,32 +37,6 @@ impl Default for FlapSpec {
             fraction: 0.0,
             mean_up: 300.0,
             mean_down: 30.0,
-            horizon: 0.0,
-        }
-    }
-}
-
-/// Diurnal wave: a fraction of the fleet is down for a fixed window once
-/// per period, with a per-client random phase.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DiurnalSpec {
-    /// Wave period (seconds).
-    pub period: f64,
-    /// Fraction of each period a participating client is down.
-    pub down_fraction: f64,
-    /// Fraction of the fleet that follows the wave.
-    pub participation: f64,
-    /// Windows are generated up to this virtual time.
-    pub horizon: f64,
-}
-
-impl Default for DiurnalSpec {
-    /// Inert: zero participation selects no wave followers.
-    fn default() -> Self {
-        DiurnalSpec {
-            period: 86_400.0,
-            down_fraction: 0.0,
-            participation: 0.0,
             horizon: 0.0,
         }
     }
@@ -181,8 +154,6 @@ impl Default for CorruptSpec {
 pub struct ChurnConfig {
     /// Transient up/down flapping.
     pub flaps: Option<FlapSpec>,
-    /// Diurnal availability waves.
-    pub diurnal: Option<DiurnalSpec>,
     /// Correlated dropout storms.
     pub storms: Option<StormSpec>,
     /// Slow compute drift.
@@ -205,7 +176,6 @@ impl ChurnConfig {
                 mean_down: 40.0,
                 horizon: 4000.0,
             }),
-            diurnal: None,
             storms: Some(StormSpec {
                 count: 2,
                 cohort_fraction: 0.3,
@@ -256,24 +226,6 @@ impl ChurnConfig {
                     let d = uniform(&mut rng, 0.5, 1.5) * mean_down;
                     down[c].push((t, t + d));
                     t += d + uniform(&mut rng, 0.5, 1.5) * mean_up;
-                }
-            }
-        }
-
-        if let Some(spec) = self.diurnal {
-            let mut rng = rng_for(seed, tags::CHURN_DIURNAL);
-            let k = count_of(spec.participation, n);
-            let period = spec.period.max(1e-3);
-            let window = period * spec.down_fraction.clamp(0.0, 1.0);
-            for c in sample_without_replacement(&mut rng, n, k) {
-                let phase = uniform(&mut rng, 0.0, period);
-                if window <= 0.0 {
-                    continue;
-                }
-                let mut start = phase;
-                while start < spec.horizon && down[c].len() < MAX_INTERVALS {
-                    down[c].push((start, start + window));
-                    start += period;
                 }
             }
         }
@@ -355,12 +307,6 @@ mod tests {
                 fraction: 0.5,
                 mean_up: 50.0,
                 mean_down: 10.0,
-                horizon: 500.0,
-            }),
-            diurnal: Some(DiurnalSpec {
-                period: 100.0,
-                down_fraction: 0.2,
-                participation: 0.4,
                 horizon: 500.0,
             }),
             storms: Some(StormSpec {

@@ -9,7 +9,7 @@
 //!
 //! * [`event`] — a seeded, tie-stable event queue over virtual seconds,
 //! * [`churn`] — availability scenarios beyond the paper's permanent
-//!   dropout: flaps, diurnal waves, correlated storms, compute drift,
+//!   dropout: flaps, correlated storms, compute drift, corrupted uplinks,
 //! * [`fault`] — a time-ordered log of down/up transitions and server
 //!   fault-tolerance actions (timeouts, retries, quorum, re-tiers),
 //! * [`latency`] — the paper's delay-part model plus arbitrary tier-size
@@ -36,9 +36,7 @@ pub mod network;
 pub mod runtime;
 pub mod trace;
 
-pub use churn::{
-    ChurnConfig, CorruptMode, CorruptSpec, DiurnalSpec, DriftSpec, FlapSpec, StormSpec,
-};
+pub use churn::{ChurnConfig, CorruptMode, CorruptSpec, DriftSpec, FlapSpec, StormSpec};
 pub use event::EventQueue;
 pub use fault::{FaultEvent, FaultKind, FaultLog};
 pub use fleet::{ClusterConfig, Fleet};

@@ -11,7 +11,7 @@ use crate::tensor::Tensor;
 // buffers, without wrapping them in tensors)
 // ----------------------------------------------------------------------
 
-pub use crate::simd::{axpby, axpy, dist_sq, scale};
+pub use crate::simd::{axpy, dist_sq, scale};
 
 /// The FedAsync server mixing step `w ← (1−α)·w + α·w_client`, in place.
 pub use crate::simd::lerp as lerp_into;

@@ -56,8 +56,6 @@ pub mod tags {
     pub const EVAL: u64 = 9;
     /// Transient up/down flapping intervals (churn engine).
     pub const CHURN_FLAPS: u64 = 10;
-    /// Diurnal availability waves (churn engine).
-    pub const CHURN_DIURNAL: u64 = 11;
     /// Correlated dropout storms (churn engine).
     pub const CHURN_STORM: u64 = 12;
     /// Slow compute-drift rates (churn engine).
