@@ -28,6 +28,9 @@ use fedat_core::config::{
 use fedat_data::leaf::{writer, LeafBenchmark};
 use fedat_data::suite::{self, FedTask};
 use fedat_sim::churn::{ChurnConfig, CorruptMode, CorruptSpec, DriftSpec, FlapSpec, StormSpec};
+use fedat_sim::fault::FaultKind::{
+    Clip, Corrupt, Quarantine, Quorum, Reject, Retier, Retry, Stale, Timeout,
+};
 use fedat_sim::fleet::ClusterConfig;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -684,7 +687,7 @@ fn churn<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
         art.trace(r);
         art.fault_log(r);
         let tta = tta(r);
-        let fc = r.outcome.fault_counters;
+        let n = |kind| r.outcome.faults.count(kind);
         let tiers = r.outcome.tier_updates.clone().unwrap_or_default();
         art.line(format!(
             "  {:<22} best {:.3}  t→{:.2}: {}  updates {}  tiers {:?}",
@@ -698,10 +701,10 @@ fn churn<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
         art.line(format!(
             "  {:<22} timeouts {}  retries {}  quorum-skips {}  re-tiers {}  fault rows {}",
             "",
-            fc.timeouts,
-            fc.retries,
-            fc.quorum_rounds,
-            fc.retier_events,
+            n(Timeout),
+            n(Retry),
+            n(Quorum),
+            n(Retier),
             r.outcome.faults.events().len(),
         ));
         art.row(format!(
@@ -710,10 +713,10 @@ fn churn<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
             r.outcome.best_accuracy(),
             or_dash(tta.map(|t| format!("{t:.1}"))),
             r.outcome.global_updates,
-            fc.timeouts,
-            fc.retries,
-            fc.quorum_rounds,
-            fc.retier_events,
+            n(Timeout),
+            n(Retry),
+            n(Quorum),
+            n(Retier),
         ));
     }
     art.line("");
@@ -857,24 +860,24 @@ fn corrupt<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
     let header =
         "best_accuracy,final_finite,global_updates,corrupt,rejects,clips,stale,quarantines";
     let csv_row = |r: &JobResult| {
-        let fc = r.outcome.fault_counters;
+        let n = |kind| r.outcome.faults.count(kind);
         format!(
             "{:.4},{},{},{},{},{},{},{}",
             r.outcome.best_accuracy(),
             r.final_finite(),
             r.outcome.global_updates,
-            fc.corrupt,
-            fc.rejects,
-            fc.clips,
-            fc.stale,
-            fc.quarantines,
+            n(Corrupt),
+            n(Reject),
+            n(Clip),
+            n(Stale),
+            n(Quarantine),
         )
     };
     art.csv("", &format!("variant,{header}"));
     for r in fedat {
         art.trace(r);
         art.fault_log(r);
-        let fc = r.outcome.fault_counters;
+        let n = |kind| r.outcome.faults.count(kind);
         art.line(format!(
             "  {:<24} best {:.3}  finite {}  updates {}",
             r.label,
@@ -885,11 +888,11 @@ fn corrupt<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
         art.line(format!(
             "  {:<24} corrupt {}  rejects {}  clips {}  stale {}  quarantines {}  fault rows {}",
             "",
-            fc.corrupt,
-            fc.rejects,
-            fc.clips,
-            fc.stale,
-            fc.quarantines,
+            n(Corrupt),
+            n(Reject),
+            n(Clip),
+            n(Stale),
+            n(Quarantine),
             r.outcome.faults.events().len(),
         ));
         art.row(format!("{},{}", slug(&r.label), csv_row(r)));
@@ -903,12 +906,12 @@ fn corrupt<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
     for (fraction, row) in CORRUPT_FRACTIONS.iter().zip(curve.chunks(POSTURES.len())) {
         let mut line = format!("  {:<8}", format!("{:.0}%", fraction * 100.0));
         for (posture, r) in POSTURES.iter().zip(row) {
-            let fc = r.outcome.fault_counters;
+            let n = |kind| r.outcome.faults.count(kind);
             let cell = format!(
                 "{:.4} ({}/{})",
                 r.outcome.best_accuracy(),
-                fc.corrupt,
-                fc.clips
+                n(Corrupt),
+                n(Clip)
             );
             line.push_str(&format!(" {cell:>18}"));
             art.row(format!("{posture},{fraction:.2},{}", csv_row(r)));

@@ -60,8 +60,8 @@ pub fn default_exec_mode() -> ExecMode {
 /// How much training one run launched ahead of its completion events, and
 /// how much of that was thrown away. Both are zero when the run's job cap
 /// is 0 ([`ExecMode::Inline`]); they depend on the cap by definition, which
-/// is why they are not part of `FaultCounters` (those are asserted equal
-/// across modes).
+/// is why they are not fault-log rows (the log is asserted equal across
+/// modes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Speculation {
     /// Training jobs submitted to the pool at dispatch.

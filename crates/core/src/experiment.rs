@@ -1,8 +1,7 @@
 //! One-call experiment orchestration: task + config → trace.
 
 use crate::config::ExperimentConfig;
-use crate::eval::{accuracy_variance, per_client_accuracy};
-use crate::strategies::{build_strategy, FaultCounters, Strategy};
+use crate::strategies::{build_strategy, Strategy};
 use fedat_data::suite::FedTask;
 use fedat_sim::fault::FaultLog;
 use fedat_sim::fleet::{ClusterConfig, Fleet};
@@ -27,11 +26,10 @@ pub struct Outcome {
     /// the Table 1 `Norm. Var.` metric ("the average variance of test
     /// accuracy among all clients").
     pub accuracy_variance: f32,
-    /// Time-ordered availability transitions and server fault-tolerance
-    /// actions (down/up/timeout/retry/quorum/re-tier).
+    /// Time-ordered availability transitions, corruption injections and
+    /// server fault-tolerance actions: the run's one fault record. How
+    /// often an action fired is `faults.count(kind)`.
     pub faults: FaultLog,
-    /// Aggregate fault-tolerance counters.
-    pub fault_counters: FaultCounters,
     /// Per-tier update counts for tiered strategies (`None` otherwise).
     pub tier_updates: Option<Vec<u64>>,
     /// This run's speculative training launches and discards (wasted
@@ -122,24 +120,7 @@ pub fn run_experiment_with(
         let handler: &mut dyn EventHandler = &mut *strategy;
         run_logged(handler, &fleet, cfg.seed, limits)
     };
-    let done = strategy.finish();
-    let per_client = per_client_accuracy(task, &done.global_weights, cfg.seed);
-    // Mean of the in-training variance checkpoints plus the final state.
-    let mut checkpoints = done.variance_checkpoints;
-    checkpoints.push(accuracy_variance(&per_client));
-    let mean_variance = checkpoints.iter().sum::<f32>() / checkpoints.len() as f32;
-    Outcome {
-        trace: done.trace,
-        report,
-        global_updates: done.global_updates,
-        accuracy_variance: mean_variance,
-        per_client_accuracy: per_client,
-        final_weights: done.global_weights,
-        faults,
-        fault_counters: done.fault_counters,
-        tier_updates: done.tier_updates,
-        speculation: done.speculation,
-    }
+    strategy.finish(report, faults)
 }
 
 #[cfg(test)]

@@ -18,11 +18,14 @@
 //! guard's `max_staleness` bound.
 
 use crate::config::ExperimentConfig;
+use crate::experiment::Outcome;
 use crate::strategies::{
-    dispatchable, Finished, InflightTable, PhaseEvent, ServerCore, Strategy, ASYNC_FILL, REVIVE_BIT,
+    dispatchable, log_fault, InflightTable, PhaseEvent, ServerCore, Strategy, ASYNC_FILL,
+    REVIVE_BIT,
 };
 use fedat_data::suite::FedTask;
-use fedat_sim::runtime::{Completion, EventHandler, SimCtx};
+use fedat_sim::fault::{FaultKind, FaultLog};
+use fedat_sim::runtime::{Completion, EventHandler, SimCtx, SimReport};
 use std::sync::Arc;
 
 /// How one landed update enters the global model.
@@ -154,8 +157,9 @@ impl<X: Mixer> EventHandler for ArrivalServer<X> {
                 // Over the staleness bound: the update is ancient, and a
                 // corrupted-but-clipped stale update can still steer the
                 // model — drop it outright and put the client back to work
-                // on fresh weights.
-                self.core.note_stale(ctx, c.client, 0, staleness);
+                // on fresh weights. Staleness is a timing property, not a
+                // value property, so it is no quarantine offense.
+                log_fault(ctx, FaultKind::Stale, Some(c.client), Some(0), staleness);
             } else {
                 // The mixers sweep the full model on *every* arrival.
                 self.mixer
@@ -177,11 +181,11 @@ impl<X: Mixer> EventHandler for ArrivalServer<X> {
         if self.finished() || self.inflight.contains(client) {
             return;
         }
-        // Counted only on an actual re-dispatch: a client that went down
+        // Logged only on an actual re-dispatch: a client that went down
         // again (or got re-quarantined) before the wake-up fired chases its
         // next return time instead.
         if self.redispatch_or_park(ctx, client) {
-            self.core.faults.revivals += 1;
+            log_fault(ctx, FaultKind::Revive, Some(client), Some(0), 0);
         }
     }
 
@@ -192,8 +196,8 @@ impl<X: Mixer> EventHandler for ArrivalServer<X> {
 }
 
 impl<X: Mixer> Strategy for ArrivalServer<X> {
-    fn finish(self: Box<Self>) -> Finished {
-        self.core.finish()
+    fn finish(self: Box<Self>, report: SimReport, faults: FaultLog) -> Outcome {
+        self.core.finish(report, faults, None)
     }
 }
 

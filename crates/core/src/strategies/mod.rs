@@ -29,12 +29,13 @@ mod sync;
 mod tifl;
 
 use crate::config::{ExperimentConfig, StrategyKind};
-use crate::eval::Evaluator;
+use crate::eval::{accuracy_variance, per_client_accuracy, Evaluator};
 use crate::exec::Speculation;
+use crate::experiment::Outcome;
 use crate::transport::Transport;
 use fedat_data::suite::FedTask;
-use fedat_sim::fault::{FaultEvent, FaultKind};
-use fedat_sim::runtime::{Completion, EventHandler, SimCtx};
+use fedat_sim::fault::{FaultEvent, FaultKind, FaultLog};
+use fedat_sim::runtime::{Completion, EventHandler, SimCtx, SimReport};
 use fedat_sim::trace::{Trace, TracePoint};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -44,61 +45,13 @@ use std::sync::Arc;
 /// dispatch generation carrying that dispatch's deadline.
 pub(crate) const REVIVE_BIT: u64 = 1 << 63;
 
-/// Counters summarizing one run's server-side fault-tolerance activity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Dispatches cancelled at their deadline.
-    pub timeouts: u64,
-    /// Timed-out slots re-dispatched to a replacement client.
-    pub retries: u64,
-    /// Rounds concluded below quorum (degraded or skipped with staleness
-    /// accounting).
-    pub quorum_rounds: u64,
-    /// Dynamic re-tier adoptions.
-    pub retier_events: u64,
-    /// Revival timers that restarted a parked tier or client.
-    pub revivals: u64,
-    /// Uplink payloads mangled by the corrupted-update scenario (ground
-    /// truth — the server cannot observe this directly).
-    pub corrupt: u64,
-    /// Updates discarded by the guard (non-finite, or over the norm screen
-    /// with clipping disabled).
-    pub rejects: u64,
-    /// Updates clipped down to the norm-screen threshold.
-    pub clips: u64,
-    /// Async updates discarded for exceeding the staleness bound.
-    pub stale: u64,
-    /// Clients quarantined for repeat offenses.
-    pub quarantines: u64,
-}
-
-/// A runnable FL method: the event handler, and the results it hands back
+/// A runnable FL method: the event handler, and the outcome it reports
 /// once the event loop has exited.
 pub trait Strategy: EventHandler + Send {
     /// Ends the run: joins the in-flight pipelined evaluation, if any, so
-    /// the trace and variance checkpoints are complete, and moves the
-    /// results out.
-    fn finish(self: Box<Self>) -> Finished;
-}
-
-/// What a finished run hands back ([`Strategy::finish`]).
-pub struct Finished {
-    /// The accuracy/loss/bytes trace.
-    pub trace: Trace,
-    /// Final global model weights.
-    pub global_weights: Vec<f32>,
-    /// Number of global updates performed (`t` in Algorithm 2).
-    pub global_updates: u64,
-    /// Per-client accuracy variances sampled along the run (what the
-    /// paper's Table 1 `Norm. Var.` averages).
-    pub variance_checkpoints: Vec<f32>,
-    /// Fault-tolerance activity counters.
-    pub fault_counters: FaultCounters,
-    /// Per-tier update counts for tiered strategies (`None` otherwise) —
-    /// lets callers assert that no tier stalled.
-    pub tier_updates: Option<Vec<u64>>,
-    /// Speculative launches and discards of this run.
-    pub speculation: Speculation,
+    /// the trace and variance checkpoints are complete, and reports the
+    /// run's [`Outcome`] around the simulator's `report` and fault log.
+    fn finish(self: Box<Self>, report: SimReport, faults: FaultLog) -> Outcome;
 }
 
 /// Server-side state shared by both drivers.
@@ -130,8 +83,6 @@ pub(crate) struct ServerCore {
     /// Per-client accuracy variance, sampled every
     /// [`VARIANCE_EVAL_STRIDE`]-th evaluation.
     pub variance_checkpoints: Vec<f32>,
-    /// Fault-tolerance activity for the whole run.
-    pub faults: FaultCounters,
     /// Training launched ahead of completion events, and how much of it
     /// was abandoned.
     pub speculation: Speculation,
@@ -210,7 +161,6 @@ impl ServerCore {
             eval_stride: eval_stride.max(1),
             trace,
             variance_checkpoints: Vec::new(),
-            faults: FaultCounters::default(),
             speculation: Speculation::default(),
             guard: GuardState::default(),
             evals_done: 0,
@@ -271,8 +221,8 @@ impl ServerCore {
         let handle = fedat_tensor::pool::submit(move || {
             let r = evaluator.evaluate(&weights);
             let variance = sweep.map(|(task, seed)| {
-                let accs = crate::eval::per_client_accuracy(&task, &weights, seed);
-                crate::eval::accuracy_variance(&accs)
+                let accs = per_client_accuracy(&task, &weights, seed);
+                accuracy_variance(&accs)
             });
             (evaluator, r, variance)
         });
@@ -306,17 +256,30 @@ impl ServerCore {
         }
     }
 
-    /// Both drivers' [`Strategy::finish`], less the policy's `tier_updates`:
-    /// joins the eval pipeline's straggler and moves the results out.
-    pub fn finish(mut self) -> Finished {
+    /// Both drivers' [`Strategy::finish`]: joins the eval pipeline's
+    /// straggler, sweeps the final per-client accuracies and builds the
+    /// run's [`Outcome`].
+    pub fn finish(
+        mut self,
+        report: SimReport,
+        faults: FaultLog,
+        tier_updates: Option<Vec<u64>>,
+    ) -> Outcome {
         self.join_pending_eval();
-        Finished {
+        let per_client = per_client_accuracy(&self.task, &self.global, self.cfg.seed);
+        // Mean of the in-training variance checkpoints plus the final state.
+        let mut checkpoints = self.variance_checkpoints;
+        checkpoints.push(accuracy_variance(&per_client));
+        let mean_variance = checkpoints.iter().sum::<f32>() / checkpoints.len() as f32;
+        Outcome {
             trace: self.trace,
-            global_weights: self.global,
+            report,
+            final_weights: self.global,
             global_updates: self.updates,
-            variance_checkpoints: self.variance_checkpoints,
-            fault_counters: self.faults,
-            tier_updates: None,
+            per_client_accuracy: per_client,
+            accuracy_variance: mean_variance,
+            faults,
+            tier_updates,
             speculation: self.speculation,
         }
     }
@@ -438,7 +401,6 @@ impl ServerCore {
                         for (w, g) in weights.iter_mut().zip(self.global.iter()) {
                             *w = *g + (*w - *g) * s;
                         }
-                        self.faults.clips += 1;
                         let tier = Some(group as usize);
                         log_fault(ctx, FaultKind::Clip, Some(client), tier, norm as u64);
                         limit
@@ -457,7 +419,6 @@ impl ServerCore {
     /// Records one rejected update and advances the offender's quarantine
     /// clock when the policy asks for one.
     fn reject_update(&mut self, ctx: &mut SimCtx, client: usize, group: u64, detail: u64) {
-        self.faults.rejects += 1;
         let (now, tier) = (ctx.now(), Some(group as usize));
         log_fault(ctx, FaultKind::Reject, Some(client), tier, detail);
         if let Some(after) = self.cfg.guard.quarantine_after {
@@ -466,7 +427,6 @@ impl ServerCore {
             if self.guard.offenses[client] >= after {
                 self.guard.offenses[client] = 0;
                 self.guard.quarantined_until[client] = now + self.cfg.guard.quarantine_secs;
-                self.faults.quarantines += 1;
                 let secs = self.cfg.guard.quarantine_secs as u64;
                 log_fault(ctx, FaultKind::Quarantine, Some(client), tier, secs);
             }
@@ -488,15 +448,6 @@ impl ServerCore {
             .get(client)
             .copied()
             .unwrap_or(0.0)
-    }
-
-    /// Records one async update discarded for exceeding the staleness
-    /// bound. Staleness is a timing property, not a value property, so it
-    /// does not count toward quarantine offenses.
-    pub fn note_stale(&mut self, ctx: &mut SimCtx, client: usize, group: u64, staleness: u64) {
-        self.faults.stale += 1;
-        let tier = Some(group as usize);
-        log_fault(ctx, FaultKind::Stale, Some(client), tier, staleness);
     }
 }
 
@@ -749,7 +700,6 @@ impl InflightTable {
                     ctx.fleet
                         .corrupt_update(c.client, info.selection_round, &mut w_up)
                 {
-                    core.faults.corrupt += 1;
                     let tier = Some(d.group as usize);
                     log_fault(ctx, FaultKind::Corrupt, Some(c.client), tier, mode);
                 }

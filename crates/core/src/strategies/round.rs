@@ -17,13 +17,14 @@
 
 use crate::aggregate::{aggregate_clients_into, AggRule};
 use crate::config::ExperimentConfig;
+use crate::experiment::Outcome;
 use crate::strategies::{
-    dispatchable, earliest_return, log_fault, Finished, InflightTable, PhaseEvent, ServerCore,
-    Strategy, TimedOut, REVIVE_BIT,
+    dispatchable, earliest_return, log_fault, InflightTable, PhaseEvent, ServerCore, Strategy,
+    TimedOut, REVIVE_BIT,
 };
 use fedat_data::suite::FedTask;
-use fedat_sim::fault::FaultKind;
-use fedat_sim::runtime::{Completion, EventHandler, SimCtx};
+use fedat_sim::fault::{FaultKind, FaultLog};
+use fedat_sim::runtime::{Completion, EventHandler, SimCtx, SimReport};
 use fedat_sim::Fleet;
 use rand::rngs::StdRng;
 use std::sync::Arc;
@@ -191,7 +192,8 @@ struct Lane {
     /// The cohort selected for the current round: the quorum denominator
     /// and what the policy's deadline base is computed over.
     picked: Vec<usize>,
-    /// The current round's group label.
+    /// The current round's group label; while parked, the label of the
+    /// `Quorum` row that parked the lane (its `Revive` row repeats it).
     group: Option<usize>,
     /// Slots of the current round not yet resolved.
     outstanding: usize,
@@ -255,7 +257,10 @@ impl<P: RoundPolicy> RoundServer<P> {
             // the lane.
             match earliest_return(&self.core, ctx, pool.into_iter(), now) {
                 Some(at) if at.is_finite() => {
-                    self.note_quorum(ctx, group, 0);
+                    log_fault(ctx, FaultKind::Quorum, None, group, 0);
+                    // Nothing of a parked lane is in flight, so nothing
+                    // reads its label until the revival logs it.
+                    self.lanes[lane].group = group;
                     self.lanes[lane].waiting = true;
                     ctx.schedule_timer(at, REVIVE_BIT | lane as u64);
                 }
@@ -338,7 +343,6 @@ impl<P: RoundPolicy> RoundServer<P> {
     fn retry_slot(&mut self, ctx: &mut SimCtx, lost: &TimedOut) -> bool {
         let lane = lost.lane;
         let tier = Some(self.tier(lane));
-        self.core.faults.timeouts += 1;
         let attempts = lost.retries as u64;
         log_fault(ctx, FaultKind::Timeout, Some(lost.client), tier, attempts);
         if lost.retries >= self.core.cfg.fault.max_retries {
@@ -355,15 +359,8 @@ impl<P: RoundPolicy> RoundServer<P> {
         let payload = self.core.transport.download(ctx, replacement, global);
         let deadline = self.deadline(ctx, lane, retries);
         self.dispatch(ctx, replacement, lane, retries, deadline, &payload);
-        self.core.faults.retries += 1;
         log_fault(ctx, FaultKind::Retry, Some(replacement), tier, attempts + 1);
         true
-    }
-
-    /// Records one round concluded (or skipped) below quorum.
-    fn note_quorum(&mut self, ctx: &mut SimCtx, group: Option<usize>, received: usize) {
-        self.core.faults.quorum_rounds += 1;
-        log_fault(ctx, FaultKind::Quorum, None, group, received as u64);
     }
 
     /// One slot of `lane`'s round resolved (landed, lost, rejected, or timed
@@ -385,11 +382,10 @@ impl<P: RoundPolicy> RoundServer<P> {
         if (received as f64) < self.core.cfg.fault.quorum * picked as f64 {
             // Degraded round: fewer updates than the quorum fraction made
             // it back. It still mixed whatever arrived.
-            self.note_quorum(ctx, group, received);
+            log_fault(ctx, FaultKind::Quorum, None, group, received as u64);
         }
         let view = ServerView::new(&self.core, &self.inflight, ctx);
         if let Some(moved) = self.policy.after_round(&view) {
-            self.core.faults.retier_events += 1;
             log_fault(ctx, FaultKind::Retier, None, None, moved as u64);
             // A dormant lane may have been handed live members; wake it
             // (its round start parks or re-dormants it if they're gone too).
@@ -442,7 +438,8 @@ impl<P: RoundPolicy> EventHandler for RoundServer<P> {
         if tag & REVIVE_BIT != 0 {
             let lane = (tag & !REVIVE_BIT) as usize;
             if std::mem::take(&mut self.lanes[lane].waiting) {
-                self.core.faults.revivals += 1;
+                let group = self.lanes[lane].group;
+                log_fault(ctx, FaultKind::Revive, None, group, 0);
                 if !self.finished() {
                     self.start_round(ctx, lane);
                 }
@@ -464,11 +461,9 @@ impl<P: RoundPolicy> EventHandler for RoundServer<P> {
 }
 
 impl<P: RoundPolicy> Strategy for RoundServer<P> {
-    fn finish(self: Box<Self>) -> Finished {
-        Finished {
-            tier_updates: self.policy.tier_updates(),
-            ..self.core.finish()
-        }
+    fn finish(self: Box<Self>, report: SimReport, faults: FaultLog) -> Outcome {
+        let tier_updates = self.policy.tier_updates();
+        self.core.finish(report, faults, tier_updates)
     }
 }
 
@@ -543,6 +538,39 @@ mod tests {
             assert!(
                 up > down,
                 "{name}: uploads (per client) must outnumber downlink encodes (per round)"
+            );
+        }
+    }
+
+    #[test]
+    fn variance_checkpoints_are_recorded() {
+        let n = 20;
+        let task = Arc::new(suite::sent140_like(n, 11));
+        let cluster = ClusterConfig::paper_medium(11)
+            .with_clients(n)
+            .without_dropouts();
+        let fleet = Fleet::new(&cluster, task.fed.client_sizes());
+        let cfg = ExperimentConfig::builder()
+            .strategy(StrategyKind::FedAt)
+            .rounds(60)
+            .clients_per_round(3)
+            .local_epochs(1)
+            .eval_every(5)
+            .seed(11)
+            .cluster(cluster)
+            .build();
+        let policy = FedAt::new(&task, &cfg, &fleet);
+        let mut s = RoundServer::new(Arc::clone(&task), &cfg, policy);
+        run(&mut s, &fleet, cfg.seed, RunLimits::default());
+        s.core.join_pending_eval();
+        assert!(
+            !s.core.variance_checkpoints.is_empty(),
+            "long runs must sample the variance metric"
+        );
+        for &v in &s.core.variance_checkpoints {
+            assert!(
+                (0.0..=0.25).contains(&v),
+                "client-accuracy variance {v} out of range"
             );
         }
     }

@@ -109,9 +109,7 @@ impl Transport {
         let model = Arc::get_mut(&mut shared).expect("nobody else holds a new Arc");
         let bytes = self.down_codec.roundtrip(model, None);
         self.downlink_encodes += 1;
-        for &c in clients {
-            ctx.traffic.record_download(c, bytes);
-        }
+        ctx.traffic.record_download(bytes * clients.len());
         (shared, bytes)
     }
 
@@ -159,7 +157,7 @@ impl Transport {
         });
         let bytes = self.codec.roundtrip(&mut weights, reference);
         self.uplink_encodes += 1;
-        ctx.traffic.record_upload(client, bytes);
+        ctx.traffic.record_upload(bytes);
         if let Some((fb, compensated)) = feedback {
             fb.absorb(&compensated, &weights);
         }

@@ -97,14 +97,8 @@ fn default_guard_and_empty_corrupt_spec_are_inert() {
     let a = fedat_core::run_experiment(&task, &legacy);
     let b = fedat_core::run_experiment(&task, &spelled);
     assert_eq!(a.final_weights, b.final_weights);
-    assert_eq!(a.fault_counters, b.fault_counters);
     assert_eq!(a.faults, b.faults);
     assert_eq!(a.report.end_time, b.report.end_time);
-    let fc = a.fault_counters;
-    assert_eq!(
-        (fc.corrupt, fc.rejects, fc.clips, fc.stale, fc.quarantines),
-        (0, 0, 0, 0, 0)
-    );
     for kind in [
         FaultKind::Corrupt,
         FaultKind::Reject,
@@ -193,8 +187,14 @@ fn guard_recovers_a_corrupted_run_that_degrades_undefended() {
         },
     );
 
-    assert!(undefended.fault_counters.corrupt > 0, "attack never fired");
-    assert!(clipped.fault_counters.clips > 0, "screen never clipped");
+    assert!(
+        undefended.faults.count(FaultKind::Corrupt) > 0,
+        "attack never fired"
+    );
+    assert!(
+        clipped.faults.count(FaultKind::Clip) > 0,
+        "screen never clipped"
+    );
     let clean_best = clean.best_accuracy();
     // The magnitude attack compounds in the mean: the undefended server
     // must visibly degrade relative to both the clean run and the guard.
@@ -239,13 +239,8 @@ fn fedasync_staleness_bound_discards_ancient_updates() {
     // paper_medium's latency spread guarantees the slowest clients land
     // updates many versions behind the bound of 3.
     assert!(
-        out.fault_counters.stale > 0,
-        "no update ever exceeded the staleness bound: {:?}",
-        out.fault_counters
-    );
-    assert_eq!(
-        out.faults.count(FaultKind::Stale) as u64,
-        out.fault_counters.stale
+        out.faults.count(FaultKind::Stale) > 0,
+        "no update ever exceeded the staleness bound"
     );
     assert!(out.global_updates > 0);
     assert!(out.final_weights.iter().all(|w| w.is_finite()));
@@ -291,21 +286,20 @@ fn quarantine_parks_repeat_offenders() {
     };
     let without = run(reject_guard);
     let with = run(quarantine_guard);
-    assert!(with.fault_counters.rejects > 0, "screen never rejected");
     assert!(
-        with.fault_counters.quarantines > 0,
-        "repeat offenders were never quarantined: {:?}",
-        with.fault_counters
-    );
-    assert_eq!(
-        with.faults.count(FaultKind::Quarantine) as u64,
-        with.fault_counters.quarantines
+        with.faults.count(FaultKind::Reject) > 0,
+        "screen never rejected"
     );
     assert!(
-        with.fault_counters.corrupt < without.fault_counters.corrupt,
+        with.faults.count(FaultKind::Quarantine) > 0,
+        "repeat offenders were never quarantined"
+    );
+    let corrupt = |out: &fedat_core::Outcome| out.faults.count(FaultKind::Corrupt);
+    assert!(
+        corrupt(&with) < corrupt(&without),
         "quarantine did not shrink the attack surface: {} vs {}",
-        with.fault_counters.corrupt,
-        without.fault_counters.corrupt
+        corrupt(&with),
+        corrupt(&without)
     );
     assert!(with.global_updates > 0);
     assert!(with.final_weights.iter().all(|w| w.is_finite()));
@@ -349,9 +343,8 @@ fn guarded_corruption_is_bit_identical_across_exec_modes_and_workers() {
     };
     let base = run_with(ExecMode::Speculative, SimdKernel::Auto, 8);
     assert!(
-        base.fault_counters.corrupt > 0 && base.fault_counters.clips > 0,
-        "scenario no longer exercises the guard: {:?}",
-        base.fault_counters
+        base.faults.count(FaultKind::Corrupt) > 0 && base.faults.count(FaultKind::Clip) > 0,
+        "scenario no longer exercises the guard"
     );
     let rows = [1usize, 2, 4, 8]
         .map(|workers| (ExecMode::Speculative, workers))
@@ -363,10 +356,6 @@ fn guarded_corruption_is_bit_identical_across_exec_modes_and_workers() {
             assert_eq!(
                 out.final_weights, base.final_weights,
                 "weights diverged under {mode:?}/{kernel:?}/{workers} workers"
-            );
-            assert_eq!(
-                out.fault_counters, base.fault_counters,
-                "fault counters diverged under {mode:?}/{kernel:?}/{workers} workers"
             );
             assert_eq!(
                 out.faults, base.faults,
@@ -440,11 +429,13 @@ fn retry_never_dispatches_a_quarantined_client() {
                 ..FaultPolicy::default()
             };
             let out = fedat_core::run_experiment(&task, &cfg);
-            let fc = out.fault_counters;
+            let n = |kind| out.faults.count(kind);
             let name = strategy.name();
             assert!(
-                fc.timeouts > 0 && fc.retries > 0 && fc.quarantines > 0,
-                "{name}/{seed}: scenario no longer exercises the retry path: {fc:?}"
+                n(FaultKind::Timeout) > 0
+                    && n(FaultKind::Retry) > 0
+                    && n(FaultKind::Quarantine) > 0,
+                "{name}/{seed}: scenario no longer exercises the retry path"
             );
             let events = out.faults.events();
             for retry in events.iter().filter(|e| e.kind == FaultKind::Retry) {

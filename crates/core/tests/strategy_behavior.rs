@@ -2,10 +2,10 @@
 //! paper makes about each method, checked on small federations.
 
 use fedat_core::prelude::*;
-use fedat_core::strategies::{build_strategy, Finished};
+use fedat_core::strategies::build_strategy;
 use fedat_data::suite;
 use fedat_sim::fleet::{ClusterConfig, Fleet};
-use fedat_sim::runtime::{run, EventHandler, RunLimits};
+use fedat_sim::runtime::{run_logged, EventHandler, RunLimits};
 use std::sync::Arc;
 
 fn cfg(strategy: StrategyKind, rounds: u64, seed: u64, cluster: ClusterConfig) -> ExperimentConfig {
@@ -20,13 +20,14 @@ fn cfg(strategy: StrategyKind, rounds: u64, seed: u64, cluster: ClusterConfig) -
         .build()
 }
 
-/// Runs a strategy and returns what it hands back for post-hoc inspection.
+/// Drives a strategy by hand and returns its outcome for post-hoc
+/// inspection.
 fn run_strategy(
     strategy: StrategyKind,
     rounds: u64,
     seed: u64,
     n_clients: usize,
-) -> (Finished, fedat_data::suite::FedTask) {
+) -> (Outcome, fedat_data::suite::FedTask) {
     let task = suite::sent140_like(n_clients, seed);
     let cluster = ClusterConfig::paper_medium(seed)
         .with_clients(n_clients)
@@ -35,11 +36,11 @@ fn run_strategy(
     let fleet = Fleet::new(&cluster, task.fed.client_sizes());
     let _overlay = fedat_tensor::ctx::install(fedat_core::exec::resolve(&c));
     let mut s = build_strategy(Arc::new(task.clone()), &c, &fleet);
-    {
+    let (report, faults) = {
         let h: &mut dyn EventHandler = &mut *s;
-        run(h, &fleet, seed, RunLimits::default());
-    }
-    (s.finish(), task)
+        run_logged(h, &fleet, seed, RunLimits::default())
+    };
+    (s.finish(report, faults), task)
 }
 
 #[test]
@@ -65,7 +66,7 @@ fn fedat_time_per_update_beats_fedavg() {
     // update must therefore be smaller for FedAT.
     let (avg, _) = run_strategy(StrategyKind::FedAvg, 20, 7, 25);
     let (fat, _) = run_strategy(StrategyKind::FedAt, 60, 7, 25);
-    let per_update = |s: &Finished| s.trace.points.last().unwrap().time / s.global_updates as f64;
+    let per_update = |s: &Outcome| s.trace.points.last().unwrap().time / s.global_updates as f64;
     assert!(
         per_update(&fat) < per_update(&avg),
         "FedAT {}s/update should beat FedAvg {}s/update",
@@ -78,29 +79,13 @@ fn fedat_time_per_update_beats_fedavg() {
 fn async_strategies_update_far_more_often_per_virtual_second() {
     let (asy, _) = run_strategy(StrategyKind::FedAsync, 30, 9, 25);
     let (avg, _) = run_strategy(StrategyKind::FedAvg, 30, 9, 25);
-    let rate =
-        |s: &Finished| s.global_updates as f64 / s.trace.points.last().unwrap().time.max(1.0);
+    let rate = |s: &Outcome| s.global_updates as f64 / s.trace.points.last().unwrap().time.max(1.0);
     assert!(
         rate(&asy) > rate(&avg) * 2.0,
         "FedAsync update rate {} should dwarf FedAvg's {}",
         rate(&asy),
         rate(&avg)
     );
-}
-
-#[test]
-fn variance_checkpoints_are_recorded() {
-    let (s, _) = run_strategy(StrategyKind::FedAt, 60, 11, 20);
-    assert!(
-        !s.variance_checkpoints.is_empty(),
-        "long runs must sample the variance metric"
-    );
-    for &v in &s.variance_checkpoints {
-        assert!(
-            (0.0..=0.25).contains(&v),
-            "client-accuracy variance {v} out of range"
-        );
-    }
 }
 
 #[test]

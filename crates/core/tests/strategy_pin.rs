@@ -3,10 +3,11 @@
 //!
 //! Each of the 18 cells (six [`StrategyKind`]s × scenarios A/B/C) folds the
 //! *whole* observable outcome into one FNV-1a digest: final weights, every
-//! field of every trace point, every fault-log row, the fault counters,
-//! per-tier update counts, the global update count and the simulator's end
-//! time. A single moved bit anywhere — a reordered RNG draw, a `Quorum` row
-//! with a different tier label, one extra evaluation — changes the literal.
+//! field of every trace point, every fault-log row, the log's count of each
+//! server-side kind, per-tier update counts, the global update count and the
+//! simulator's end time. A single moved bit anywhere — a reordered RNG draw,
+//! a `Quorum` row with a different tier label, one extra evaluation —
+//! changes the literal.
 //!
 //! * **A** — default policies on a `paper_medium` cluster with permanent
 //!   dropouts: the paper's own setting, fault layer and guard inert.
@@ -38,6 +39,7 @@ use fedat_core::config::{
 use fedat_core::Outcome;
 use fedat_data::suite;
 use fedat_sim::churn::{ChurnConfig, CorruptMode, CorruptSpec, DriftSpec, FlapSpec, StormSpec};
+use fedat_sim::fault::FaultKind;
 use fedat_sim::fleet::ClusterConfig;
 
 const CLIENTS: usize = 20;
@@ -62,6 +64,21 @@ fn fnv_opt(h: &mut u64, v: Option<usize>) {
     fnv(h, &v.map_or(0u64, |x| x as u64 + 1).to_le_bytes());
 }
 
+/// The ten kinds a strategy logs, in the order the digest folds their
+/// counts.
+const SERVER_KINDS: [FaultKind; 10] = [
+    FaultKind::Timeout,
+    FaultKind::Retry,
+    FaultKind::Quorum,
+    FaultKind::Retier,
+    FaultKind::Revive,
+    FaultKind::Corrupt,
+    FaultKind::Reject,
+    FaultKind::Clip,
+    FaultKind::Stale,
+    FaultKind::Quarantine,
+];
+
 /// Everything a run reports that is independent of the execution mode
 /// (`Outcome::speculation` is the one field that is not).
 fn digest(out: &Outcome) -> u64 {
@@ -84,20 +101,8 @@ fn digest(out: &Outcome) -> u64 {
         fnv_opt(&mut h, e.tier);
         fnv(&mut h, &e.detail.to_le_bytes());
     }
-    let fc = out.fault_counters;
-    for v in [
-        fc.timeouts,
-        fc.retries,
-        fc.quorum_rounds,
-        fc.retier_events,
-        fc.revivals,
-        fc.corrupt,
-        fc.rejects,
-        fc.clips,
-        fc.stale,
-        fc.quarantines,
-    ] {
-        fnv(&mut h, &v.to_le_bytes());
+    for kind in SERVER_KINDS {
+        fnv(&mut h, &(out.faults.count(kind) as u64).to_le_bytes());
     }
     fnv_opt(&mut h, out.tier_updates.as_ref().map(Vec::len));
     for &u in out.tier_updates.iter().flatten() {
@@ -220,7 +225,8 @@ fn config(scenario: Scenario, strategy: StrategyKind) -> ExperimentConfig {
 fn check(scenario: Scenario, strategy: StrategyKind, want: u64) {
     let task = suite::sent140_like(CLIENTS, SEED);
     let out = fedat_core::run_experiment(&task, &config(scenario, strategy));
-    let fc = out.fault_counters;
+    let n = |kind| out.faults.count(kind);
+    let counts = SERVER_KINDS.map(|kind| (kind, n(kind)));
     let name = strategy.name();
     assert!(out.global_updates > 0, "{name}/{scenario:?}: no progress");
     let barrier = !matches!(strategy, StrategyKind::FedAsync | StrategyKind::AsoFed);
@@ -228,25 +234,27 @@ fn check(scenario: Scenario, strategy: StrategyKind, want: u64) {
         Scenario::A => {}
         // The scenario must keep firing every path it claims to pin.
         Scenario::B => {
-            assert!(fc.revivals > 0 && fc.clips > 0, "{name}/B: {fc:?}");
+            use FaultKind::*;
+            assert!(n(Revive) > 0 && n(Clip) > 0, "{name}/B: {counts:?}");
             if barrier {
-                assert!(
-                    fc.timeouts > 0 && fc.retries > 0 && fc.quorum_rounds > 0,
-                    "{name}/B: {fc:?}"
-                );
+                let fired = n(Timeout) > 0 && n(Retry) > 0 && n(Quorum) > 0;
+                assert!(fired, "{name}/B: {counts:?}");
             } else {
-                assert!(fc.stale > 0, "{name}/B: {fc:?}");
+                assert!(n(Stale) > 0, "{name}/B: {counts:?}");
             }
             if strategy == StrategyKind::FedAt {
-                assert!(fc.retier_events > 0, "{name}/B: {fc:?}");
+                assert!(n(Retier) > 0, "{name}/B: {counts:?}");
             }
         }
-        Scenario::C => assert!(fc.rejects > 0 && fc.quarantines > 0, "{name}/C: {fc:?}"),
+        Scenario::C => {
+            use FaultKind::*;
+            assert!(n(Reject) > 0 && n(Quarantine) > 0, "{name}/C: {counts:?}");
+        }
     }
     let got = digest(&out);
     assert_eq!(
         got, want,
-        "{name}/{scenario:?}: outcome moved — digest {got:#018x}, pinned {want:#018x} ({fc:?}, \
+        "{name}/{scenario:?}: outcome moved — digest {got:#018x}, pinned {want:#018x} ({counts:?}, \
          {} updates, end {})",
         out.global_updates, out.report.end_time
     );
@@ -268,16 +276,16 @@ pins! {
     a_fedasync: A, FedAsync => 0x4cb950dca024b02a;
     a_asofed: A, AsoFed => 0xf3181a1e5e44788e;
     a_fedat: A, FedAt => 0x544cfb625f71635c;
-    b_fedavg: B, FedAvg => 0x62885c4c6aef9ed5;
-    b_fedprox: B, FedProx => 0x557b8d11464e69c3;
-    b_tifl: B, TiFL => 0x807877dfba5b12d2;
-    b_fedasync: B, FedAsync => 0xc7a24316e83b5c27;
-    b_asofed: B, AsoFed => 0x250ad31281f2a1bd;
-    b_fedat: B, FedAt => 0x69d6372136451fc6;
+    b_fedavg: B, FedAvg => 0x3800577f9d35ad55;
+    b_fedprox: B, FedProx => 0x26a7fa015321d873;
+    b_tifl: B, TiFL => 0xd629b793af1ff58a;
+    b_fedasync: B, FedAsync => 0x80f195d6351d4d96;
+    b_asofed: B, AsoFed => 0x5434e2de36856858;
+    b_fedat: B, FedAt => 0xc7b0c7cd85090b86;
     c_fedavg: C, FedAvg => 0x617f7e24a859684b;
     c_fedprox: C, FedProx => 0xf98c68ff0d639f1c;
     c_tifl: C, TiFL => 0x552899e9571079d4;
-    c_fedasync: C, FedAsync => 0x30327484ace0f66b;
-    c_asofed: C, AsoFed => 0x67a5233002117758;
+    c_fedasync: C, FedAsync => 0xd74086bbafa308d7;
+    c_asofed: C, AsoFed => 0x7946dc5e86be5011;
     c_fedat: C, FedAt => 0xf0ee2ecfb0772163;
 }

@@ -1,12 +1,15 @@
 //! Fault observability: a time-ordered log of availability transitions and
-//! server-side fault-tolerance actions.
+//! server-side fault-tolerance actions — a run's one fault record.
 //!
 //! The runtime emits ground-truth [`FaultKind::Down`]/[`FaultKind::Up`]
-//! transitions as virtual time passes them; strategies record their own
-//! [`FaultKind::Timeout`]/[`FaultKind::Retry`]/[`FaultKind::Quorum`]/
-//! [`FaultKind::Retier`] decisions through [`crate::SimCtx`]. Together they
-//! make every fault visible in a run's output (`repro churn` and
-//! `repro corrupt` write them next to their reports).
+//! transitions as virtual time passes them. Strategies record the other
+//! ten kinds through [`crate::SimCtx`]: the ground-truth
+//! [`FaultKind::Corrupt`] injections, and their own decisions —
+//! [`FaultKind::Timeout`], [`FaultKind::Retry`], [`FaultKind::Quorum`],
+//! [`FaultKind::Retier`], [`FaultKind::Revive`], [`FaultKind::Reject`],
+//! [`FaultKind::Clip`], [`FaultKind::Stale`] and [`FaultKind::Quarantine`].
+//! How often an action fired is [`FaultLog::count`] of its kind; `repro
+//! churn` and `repro corrupt` write the rows next to their reports.
 
 use std::fmt;
 
@@ -25,6 +28,9 @@ pub enum FaultKind {
     Quorum,
     /// Tier membership was re-assigned from observed latencies.
     Retier,
+    /// A revival timer restarted a parked tier or put a returned client
+    /// back to work.
+    Revive,
     /// A client's uplink payload was mangled in transit (ground truth,
     /// emitted at injection — the server never sees this row's cause).
     Corrupt,
@@ -49,6 +55,7 @@ impl fmt::Display for FaultKind {
             FaultKind::Retry => "retry",
             FaultKind::Quorum => "quorum",
             FaultKind::Retier => "retier",
+            FaultKind::Revive => "revive",
             FaultKind::Corrupt => "corrupt",
             FaultKind::Reject => "reject",
             FaultKind::Clip => "clip",

@@ -4,36 +4,22 @@
 //! series is the x-axis of the paper's Fig. 4/5/7 and the totals populate
 //! Table 2.
 
-/// Byte counters with per-client attribution and a cumulative history.
+/// Uplink and downlink byte totals of one run.
 #[derive(Clone, Debug, Default)]
 pub struct TrafficMeter {
     uplink: u64,
     downlink: u64,
-    per_client_up: Vec<u64>,
-    per_client_down: Vec<u64>,
 }
 
 impl TrafficMeter {
-    /// A meter for `n_clients` clients.
-    pub fn new(n_clients: usize) -> Self {
-        TrafficMeter {
-            uplink: 0,
-            downlink: 0,
-            per_client_up: vec![0; n_clients],
-            per_client_down: vec![0; n_clients],
-        }
-    }
-
     /// Records a client → server transfer.
-    pub fn record_upload(&mut self, client: usize, bytes: usize) {
+    pub fn record_upload(&mut self, bytes: usize) {
         self.uplink += bytes as u64;
-        self.per_client_up[client] += bytes as u64;
     }
 
     /// Records a server → client transfer.
-    pub fn record_download(&mut self, client: usize, bytes: usize) {
+    pub fn record_download(&mut self, bytes: usize) {
         self.downlink += bytes as u64;
-        self.per_client_down[client] += bytes as u64;
     }
 
     /// Total client → server bytes.
@@ -45,34 +31,6 @@ impl TrafficMeter {
     pub fn downlink_bytes(&self) -> u64 {
         self.downlink
     }
-
-    /// Total bytes in both directions (the paper's Table 2 metric counts
-    /// "both model uploading and downloading").
-    pub fn total_bytes(&self) -> u64 {
-        self.uplink + self.downlink
-    }
-
-    /// Per-client upload totals.
-    pub fn per_client_upload(&self) -> &[u64] {
-        &self.per_client_up
-    }
-
-    /// Per-client download totals.
-    pub fn per_client_download(&self) -> &[u64] {
-        &self.per_client_down
-    }
-
-    /// Largest single-client upload total — a proxy for the worst-case
-    /// client bandwidth burden (the communication-bottleneck argument
-    /// against pure async methods).
-    pub fn max_client_upload(&self) -> u64 {
-        self.per_client_up.iter().copied().max().unwrap_or(0)
-    }
-}
-
-/// Formats bytes as mebibytes with two decimals (Table 2 units).
-pub fn to_mib(bytes: u64) -> f64 {
-    bytes as f64 / (1024.0 * 1024.0)
 }
 
 #[cfg(test)]
@@ -81,29 +39,11 @@ mod tests {
 
     #[test]
     fn totals_accumulate() {
-        let mut m = TrafficMeter::new(3);
-        m.record_upload(0, 100);
-        m.record_upload(1, 200);
-        m.record_download(2, 50);
+        let mut m = TrafficMeter::default();
+        m.record_upload(100);
+        m.record_upload(200);
+        m.record_download(50);
         assert_eq!(m.uplink_bytes(), 300);
         assert_eq!(m.downlink_bytes(), 50);
-        assert_eq!(m.total_bytes(), 350);
-    }
-
-    #[test]
-    fn per_client_attribution() {
-        let mut m = TrafficMeter::new(2);
-        m.record_upload(1, 10);
-        m.record_upload(1, 15);
-        m.record_download(0, 7);
-        assert_eq!(m.per_client_upload(), &[0, 25]);
-        assert_eq!(m.per_client_download(), &[7, 0]);
-        assert_eq!(m.max_client_upload(), 25);
-    }
-
-    #[test]
-    fn mib_conversion() {
-        assert!((to_mib(1024 * 1024) - 1.0).abs() < 1e-12);
-        assert!((to_mib(1536 * 1024) - 1.5).abs() < 1e-12);
     }
 }

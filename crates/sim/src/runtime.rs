@@ -41,7 +41,7 @@ pub struct SimCtx<'a> {
     /// Seeded RNG for client sampling decisions.
     pub rng: &'a mut StdRng,
     /// Fault log; the runtime emits ground-truth down/up transitions here
-    /// and strategies record timeout/retry/quorum/re-tier decisions.
+    /// and strategies record every other row (see [`FaultKind`]).
     pub faults: &'a mut FaultLog,
     now: f64,
     queue: &'a mut EventQueue<Event>,
@@ -242,7 +242,7 @@ pub fn run_logged(
     limits: RunLimits,
 ) -> (SimReport, FaultLog) {
     let mut queue = EventQueue::new();
-    let mut traffic = TrafficMeter::new(fleet.len());
+    let mut traffic = TrafficMeter::default();
     let mut rng = rng_for(seed, tags::SAMPLING);
     let mut faults = FaultLog::new();
     let mut dispatch_counts = vec![0u64; fleet.len()];
@@ -354,7 +354,7 @@ mod tests {
             self.outstanding = picks.len();
             self.round_start = ctx.now();
             for c in picks {
-                ctx.traffic.record_download(c, TOY_MODEL_BYTES);
+                ctx.traffic.record_download(TOY_MODEL_BYTES);
                 ctx.dispatch(c, self.rounds_done, 3);
             }
         }
@@ -367,7 +367,7 @@ mod tests {
 
         fn on_completion(&mut self, ctx: &mut SimCtx, c: Completion) {
             if !c.dropped {
-                ctx.traffic.record_upload(c.client, TOY_MODEL_BYTES);
+                ctx.traffic.record_upload(TOY_MODEL_BYTES);
             }
             self.final_up_bytes = ctx.traffic.uplink_bytes();
             self.final_down_bytes = ctx.traffic.downlink_bytes();
@@ -496,7 +496,7 @@ mod tests {
         let t_drop = fleet.dropout_time(client).unwrap();
         let now = t_drop + 10.0;
         let mut queue = EventQueue::new();
-        let mut traffic = TrafficMeter::new(fleet.len());
+        let mut traffic = TrafficMeter::default();
         let mut rng = rng_for(1, tags::SAMPLING);
         let mut faults = FaultLog::new();
         let mut dispatch_counts = vec![0u64; fleet.len()];

@@ -154,7 +154,7 @@ fn tier_update_counts_follow_latency_order() {
     // slow tiers (the premise of the Eq. 5 weighting).
     use fedat::core::strategies::build_strategy;
     use fedat::sim::fleet::Fleet;
-    use fedat::sim::runtime::{run, EventHandler, RunLimits};
+    use fedat::sim::runtime::{run_logged, EventHandler, RunLimits};
     use std::sync::Arc;
 
     let task = suite::sent140_like(30, 43);
@@ -170,11 +170,11 @@ fn tier_update_counts_follow_latency_order() {
     let fleet = Fleet::new(cfg.cluster.as_ref().unwrap(), task.fed.client_sizes());
     let _overlay = fedat::tensor::ctx::install(fedat::core::exec::resolve(&cfg));
     let mut strategy = build_strategy(Arc::new(task), &cfg, &fleet);
-    {
+    let (report, faults) = {
         let handler: &mut dyn EventHandler = &mut *strategy;
-        run(handler, &fleet, cfg.seed, RunLimits::default());
-    }
-    assert!(strategy.finish().global_updates >= 60);
+        run_logged(handler, &fleet, cfg.seed, RunLimits::default())
+    };
+    assert!(strategy.finish(report, faults).global_updates >= 60);
 }
 
 #[test]
