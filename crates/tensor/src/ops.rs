@@ -106,10 +106,12 @@ pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
 
 /// `C[m,n] += Aᵀ · B` with `A[k,m]`, `B[k,n]`, on raw slices.
 ///
-/// The micro-kernel reads `A` transposed in place (`Lhs::ColMajor` — the
-/// `A` access is a scalar broadcast either way), so no `Aᵀ` is ever
-/// materialized. Accumulation over `p` stays in ascending order for every
-/// output element, exactly as the seed's `pij` loop.
+/// The dense tile reads `A` transposed in place (`Lhs::ColMajor` — the
+/// `A` access is a scalar broadcast either way); an `A` holding a zero goes
+/// to the AVX2 list kernel, which materializes `Aᵀ` once per call in a
+/// scratch-arena buffer and compacts its rows at stride one. Accumulation
+/// over `p` stays in ascending order for every output element, exactly as
+/// the seed's `pij` loop.
 pub fn matmul_tn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), k * m);
     assert_eq!(b.len(), k * n);
@@ -127,13 +129,8 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), n * k);
     assert_eq!(c.len(), m * n);
-    // bt[p, j] = b[j, p] via the cache-blocked transpose. No zero-fill —
-    // the transpose writes every element of the spare capacity exactly once.
-    let mut bt = crate::scratch::take_empty(k * n);
-    simd::transpose_uninit(b, &mut bt.spare_capacity_mut()[..k * n], n, k);
-    // SAFETY: capacity ≥ k*n by `take_empty`, and every element of the
-    // prefix was just initialized by the transpose.
-    unsafe { bt.set_len(k * n) };
+    // bt[p, j] = b[j, p] via the cache-blocked transpose.
+    let bt = simd::transposed_scratch(b, k, n, k);
     simd::matmul_block(simd::Lhs::RowMajor(a, k), &bt, c, k, n);
     crate::scratch::recycle(bt);
 }

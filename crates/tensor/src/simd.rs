@@ -60,7 +60,8 @@
 //!   branches on it. The AVX2 lane scans `A` once: no zero
 //!   means a test-free register tile (the reference skips nothing there
 //!   either), any zero means each `A` row's non-zero `(p, a)` pairs are
-//!   compacted, in order, into a stack list the columns then accumulate
+//!   compacted, eight at a time and in order (a `_CMP_NEQ_UQ` compare is
+//!   the reference's `!=`), into a stack list the columns then accumulate
 //!   over — the same terms in the same ascending `p` (see `matmul_block`).
 //! * The robust reduction (trimmed mean / median) is the one kernel whose
 //!   lanes run different *algorithms*: the scalar lane sorts each
@@ -525,8 +526,8 @@ pub(crate) fn robust_reduce_shard(
 ///
 /// Parameterizing the `A` access (always a scalar broadcast) lets one
 /// micro-kernel back all three matmul variants: `NN`/`NT` read `A`
-/// row-major, `TN` reads `A[k,m]` transposed in place without
-/// materializing `Aᵀ`.
+/// row-major, `TN` reads `A[k,m]` transposed — in place in the dense tile,
+/// from a transposed copy in the AVX2 list kernel.
 #[derive(Clone, Copy)]
 pub enum Lhs<'a> {
     /// `a(i, p) = a[i * k + p]` — `A` stored `[m, k]` row-major.
@@ -592,23 +593,64 @@ pub const MR: usize = 4;
 // Transpose
 // ----------------------------------------------------------------------
 
-/// `dst[c, r] = src[r, c]` for `src: [rows, cols]`, used to materialize `Bᵀ`
-/// for the NT matmul: 8×8 blocks transposed in registers on the AVX2
-/// backend, a cache-blocked element copy (32×32 tiles, both streams stay
-/// cache-resident) otherwise and on the block edges. Pure data movement:
-/// no rounding, bit-exact on every backend by definition. Writes every
-/// destination element exactly once, so the output may start uninitialized
-/// (no zero-fill on the backward hot path).
+/// `dst[c, r] = src[r, c]` for `src: [rows, cols]`: 8×8 blocks transposed
+/// in registers on the AVX2 backend, a cache-blocked element copy (32×32
+/// tiles, both streams stay cache-resident) otherwise and on the block
+/// edges. Pure data movement: no rounding, bit-exact on every backend by
+/// definition.
 ///
 /// # Panics
 /// Panics if `src` and `dst` are not both `rows * cols` long.
-pub fn transpose_uninit(
+pub fn transpose(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+    assert_eq!(src.len(), rows * cols, "transpose src shape mismatch");
+    // SAFETY: `MaybeUninit<f32>` has the same layout as `f32`, and
+    // `transpose_strided` only ever writes initialized values.
+    let uninit = unsafe {
+        std::slice::from_raw_parts_mut(
+            dst.as_mut_ptr() as *mut std::mem::MaybeUninit<f32>,
+            dst.len(),
+        )
+    };
+    transpose_strided(src, cols, uninit, rows, cols);
+}
+
+/// The [`transpose`] of the `rows × cols` matrix whose row `r` is
+/// `src[r * stride..][..cols]`, in a scratch-arena buffer the caller hands
+/// back with [`crate::scratch::recycle`]: `Bᵀ` for the NT matmul, `Aᵀ` for
+/// the list kernel's `TN`. Writes every element exactly once, so there is
+/// no zero-fill on the backward hot path.
+///
+/// # Panics
+/// Panics if `stride < cols` or `src` ends before the last row does.
+pub(crate) fn transposed_scratch(src: &[f32], stride: usize, rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = crate::scratch::take_empty(rows * cols);
+    transpose_strided(
+        src,
+        stride,
+        &mut t.spare_capacity_mut()[..rows * cols],
+        rows,
+        cols,
+    );
+    // SAFETY: capacity ≥ rows * cols by `take_empty`, and the transpose
+    // initialized every element of the prefix.
+    unsafe { t.set_len(rows * cols) };
+    t
+}
+
+/// The body of [`transpose`] and [`transposed_scratch`]: row `r` of the
+/// source is `src[r * stride..][..cols]`, and `dst` may start
+/// uninitialized.
+fn transpose_strided(
     src: &[f32],
+    stride: usize,
     dst: &mut [std::mem::MaybeUninit<f32>],
     rows: usize,
     cols: usize,
 ) {
-    assert_eq!(src.len(), rows * cols, "transpose src shape mismatch");
+    assert!(
+        stride >= cols && (rows == 0 || src.len() >= (rows - 1) * stride + cols),
+        "transpose src shape mismatch"
+    );
     assert_eq!(dst.len(), rows * cols, "transpose dst shape mismatch");
     // The element copy over `src[r0..r1, c0..c1]`, 32×32 tiles.
     let mut copy = |r0: usize, r1: usize, c0: usize, c1: usize| {
@@ -617,7 +659,7 @@ pub fn transpose_uninit(
             for cb in (c0..c1).step_by(TB) {
                 for r in rb..(rb + TB).min(r1) {
                     for c in cb..(cb + TB).min(c1) {
-                        dst[c * rows + r].write(src[r * cols + c]);
+                        dst[c * rows + r].write(src[r * stride + c]);
                     }
                 }
             }
@@ -631,24 +673,11 @@ pub fn transpose_uninit(
         copy(rows8, rows, 0, cols8);
         // SAFETY: `active()` returns `Avx2` only after `avx2_available()`
         // confirmed the target features at runtime; the asserts above give
-        // both slices the `rows * cols` extent the kernel indexes.
-        unsafe { avx2::transpose_blocks(src, dst, rows, cols) };
+        // `src` every row's `cols` elements and `dst` its `rows * cols`.
+        unsafe { avx2::transpose_blocks(src, stride, dst, rows, cols) };
         return;
     }
     copy(0, rows, 0, cols);
-}
-
-/// [`transpose_uninit`] over an already-initialized destination.
-pub fn transpose(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
-    // SAFETY: `MaybeUninit<f32>` has the same layout as `f32`, and
-    // `transpose_uninit` only ever writes initialized values.
-    let uninit = unsafe {
-        std::slice::from_raw_parts_mut(
-            dst.as_mut_ptr() as *mut std::mem::MaybeUninit<f32>,
-            dst.len(),
-        )
-    };
-    transpose_uninit(src, uninit, rows, cols);
 }
 
 // ----------------------------------------------------------------------
@@ -817,6 +846,22 @@ mod avx2 {
     /// holds (a power of two: the list index is masked, not bounds-checked).
     const LIST_CHUNK: usize = 256;
 
+    /// `LANES[mask]` lists the set bits of `mask` in ascending order (the
+    /// entries past its popcount are 0): the `vpermps` index that packs the
+    /// lanes a compare kept to the front of a register, in their order.
+    pub(super) static LANES: [[u8; 8]; 256] = {
+        let mut table = [[0u8; 8]; 256];
+        let mut i = 0;
+        while i < 256 * 8 {
+            let (mask, lane) = (i / 8, i % 8);
+            if mask >> lane & 1 == 1 {
+                table[mask][(mask & ((1 << lane) - 1)).count_ones() as usize] = lane as u8;
+            }
+            i += 1;
+        }
+        table
+    };
+
     /// The non-zero entries of one `A` row over one `k`-chunk, in ascending `p`:
     /// `val[t] = a(i, p0 + at[t])` for `t < len`. Lives on the caller's stack.
     struct NonZeros {
@@ -844,6 +889,45 @@ mod avx2 {
             self.val[slot] = a;
             self.len += (a != 0.0) as usize;
         }
+
+        /// Fills the list with the non-zero entries of `row` (one chunk),
+        /// ascending, eight at a time: `_CMP_NEQ_UQ` is the reference's
+        /// `a != 0.0` (true on NaN, false on `±0.0`), its movemask picks the
+        /// `LANES` entry that packs the kept values and their `t` to the
+        /// front in order, and both are stored whole at `len` — which is at
+        /// most the `t` of the group, so the eight slots lie inside the
+        /// chunk — before `len` grows by the count kept. The `< 8` tail is
+        /// pushed one by one.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX2+FMA — every call path reaches here through a
+        /// dispatcher that checked `avx2_available()` first.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma")]
+        unsafe fn compact(&mut self, row: &[f32]) {
+            debug_assert!(row.len() <= LIST_CHUNK);
+            let (mut len, eight) = (0, _mm256_set1_epi32(8));
+            let mut t = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let mut groups = row.chunks_exact(8);
+            for group in &mut groups {
+                let v = _mm256_loadu_ps(group.as_ptr());
+                let keep = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NEQ_UQ>(v, _mm256_setzero_ps()));
+                let lanes = LANES[keep as usize].as_ptr() as *const __m128i;
+                let order = _mm256_cvtepu8_epi32(_mm_loadl_epi64(lanes));
+                let at = self.at.as_mut_ptr().add(len) as *mut __m256i;
+                _mm256_storeu_si256(at, _mm256_permutevar8x32_epi32(t, order));
+                let val = self.val.as_mut_ptr().add(len);
+                _mm256_storeu_ps(val, _mm256_permutevar8x32_ps(v, order));
+                len += keep.count_ones() as usize;
+                t = _mm256_add_epi32(t, eight);
+            }
+            self.len = len;
+            let done = row.len() - groups.remainder().len();
+            for (t, &a) in groups.remainder().iter().enumerate() {
+                self.push(done + t, a);
+            }
+        }
     }
 
     impl Lhs<'_> {
@@ -856,48 +940,6 @@ mod avx2 {
             match *self {
                 Lhs::RowMajor(a, stride) => (0..rows).any(|i| run(&a[i * stride..i * stride + k])),
                 Lhs::ColMajor(a, stride) => (0..k).any(|p| run(&a[p * stride..p * stride + rows])),
-            }
-        }
-
-        /// Fills `list` with the non-zero `a(i, p0..p0 + len)`, ascending.
-        #[inline(always)]
-        fn compact(&self, i: usize, p0: usize, len: usize, list: &mut NonZeros) {
-            debug_assert!(len <= LIST_CHUNK);
-            list.len = 0;
-            match *self {
-                Lhs::RowMajor(a, stride) => {
-                    let row = &a[i * stride + p0..i * stride + p0 + len];
-                    for (t, &v) in row.iter().enumerate() {
-                        list.push(t, v);
-                    }
-                }
-                Lhs::ColMajor(a, stride) => {
-                    for t in 0..len {
-                        list.push(t, a[(p0 + t) * stride + i]);
-                    }
-                }
-            }
-        }
-
-        /// The list kernel's driver over an `A` that holds zeros: per C row and
-        /// per `k`-chunk, in ascending order, compacts the `A` row and hands
-        /// `row` the list, the chunk's `[len, n]` rows of `B` and the C row.
-        #[inline(always)]
-        fn for_each_list(
-            &self,
-            b: &[f32],
-            c: &mut [f32],
-            k: usize,
-            n: usize,
-            mut row: impl FnMut(&NonZeros, &[f32], &mut [f32]),
-        ) {
-            let mut list = NonZeros::new();
-            for (r, crow) in c.chunks_exact_mut(n).enumerate() {
-                for p0 in (0..k).step_by(LIST_CHUNK) {
-                    let len = (k - p0).min(LIST_CHUNK);
-                    self.compact(r, p0, len, &mut list);
-                    row(&list, &b[p0 * n..(p0 + len) * n], crow);
-                }
             }
         }
 
@@ -1138,14 +1180,16 @@ mod avx2 {
     /// # Safety
     ///
     /// Requires AVX2+FMA — every call path reaches here through a
-    /// dispatcher that checked `avx2_available()` first. Both slices are
-    /// `rows * cols` long (asserted by `transpose_uninit`); a block at
-    /// `(rb, cb)` with `rb + 8 <= rows`, `cb + 8 <= cols` reads
-    /// `src[(rb + i) * cols + cb..][..8]` and writes
+    /// dispatcher that checked `avx2_available()` first. `src` holds
+    /// `rows` rows of `cols` at `stride` and `dst` is `rows * cols` long
+    /// (asserted by `transpose_strided`); a block at `(rb, cb)` with
+    /// `rb + 8 <= rows`, `cb + 8 <= cols` reads
+    /// `src[(rb + i) * stride + cb..][..8]` and writes
     /// `dst[(cb + i) * rows + rb..][..8]` for `i < 8`, all inside them.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn transpose_blocks(
         src: &[f32],
+        stride: usize,
         dst: &mut [std::mem::MaybeUninit<f32>],
         rows: usize,
         cols: usize,
@@ -1156,7 +1200,7 @@ mod avx2 {
             for cb in (0..cols & !7).step_by(8) {
                 let mut v = [_mm256_setzero_ps(); 8];
                 for i in 0..8 {
-                    v[i] = _mm256_loadu_ps(sp.add((rb + i) * cols + cb));
+                    v[i] = _mm256_loadu_ps(sp.add((rb + i) * stride + cb));
                 }
                 // 32-bit then 64-bit interleaves transpose each 4×4 quadrant
                 // pair; the 128-bit swap puts the quadrants in place.
@@ -1292,12 +1336,16 @@ mod avx2 {
     pub unsafe fn matmul_block(lhs: &Lhs, b: &[f32], c: &mut [f32], k: usize, n: usize) {
         let rows = c.len() / n;
         if lhs.has_zero(rows, k) {
-            return lhs.for_each_list(b, c, k, n, |list, b, crow| {
-                // SAFETY: AVX2+FMA as for this function; `crow` is one
-                // `n`-length C row and `b` the `[len, n]` rows of `B` that
-                // the list's `at[t] < len` index.
-                unsafe { list_row(list, b, crow, n) }
-            });
+            return match *lhs {
+                Lhs::RowMajor(a, stride) => list_rows(a, stride, b, c, k, n),
+                Lhs::ColMajor(a, stride) => {
+                    // The list kernel compacts `A` rows at stride one, so a
+                    // column-major `A` is transposed once, into the arena.
+                    let at = super::transposed_scratch(a, stride, k, rows);
+                    list_rows(&at, k, b, c, k, n);
+                    crate::scratch::recycle(at);
+                }
+            };
         }
         let mut r = 0;
         while r + MR <= rows {
@@ -1453,6 +1501,26 @@ mod avx2 {
         }
     }
 
+    /// The list kernel over a row-major `A` (row `i` at `a[i * stride..]`)
+    /// that holds zeros: per C row and per `k`-chunk, in ascending order,
+    /// compacts the `A` row's chunk and accumulates the C row over it.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA (see `matmul_block`, the only caller, which also
+    /// asserted `b` is `[k, n]`); the `A` rows are sliced, so checked.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn list_rows(a: &[f32], stride: usize, b: &[f32], c: &mut [f32], k: usize, n: usize) {
+        let mut list = NonZeros::new();
+        for (i, crow) in c.chunks_exact_mut(n).enumerate() {
+            for p0 in (0..k).step_by(LIST_CHUNK) {
+                let len = (k - p0).min(LIST_CHUNK);
+                list.compact(&a[i * stride + p0..][..len]);
+                list_row(&list, &b[p0 * n..(p0 + len) * n], crow, n);
+            }
+        }
+    }
+
     /// One C row over one `k`-chunk of an `A` that holds zeros, in panels
     /// of up to 64 columns (the row's last vector masked): few passes over
     /// the list, because each ends in a loop exit no predictor can learn.
@@ -1575,9 +1643,11 @@ mod tests {
 
     /// The ISA lane against the scalar one: every row
     /// remainder of the register tile (rows 1..=11) against column counts
-    /// on and around whole vectors, `k` from none to conv2's 144, both `A`
-    /// layouts, `A` without a zero (the tiles) and about half zero (the
-    /// list kernel), non-finite values in both operands, a pre-filled `C`.
+    /// on and around whole vectors, `k` from none to past one `LIST_CHUNK`
+    /// (conv2's 144 and the 8-lane compaction's edges among them), both
+    /// `A` layouts (column-major also at a stride past its rows), `A`
+    /// without a zero (the tiles) and about half zero (the list kernel),
+    /// non-finite values in both operands, a pre-filled `C`.
     #[test]
     fn matmul_block_is_backend_invariant_on_awkward_shapes() {
         // Every NaN folded to one: which operand's payload an add of two
@@ -1590,9 +1660,9 @@ mod tests {
             for n in [
                 1usize, 7, 8, 9, 10, 15, 16, 17, 31, 32, 33, 62, 64, 127, 128, 129,
             ] {
-                for k in [0usize, 1, 9, 10, 144] {
+                for k in [0usize, 1, 7, 8, 9, 10, 15, 16, 17, 144, 255, 256, 257] {
                     let seed = (m * 1000 + n * 5 + k) as u64;
-                    let (mut a, mut b) = (filled(m * k, seed), filled(k * n, seed ^ 5));
+                    let (mut a, mut b) = (filled((m + 3) * k, seed), filled(k * n, seed ^ 5));
                     sprinkle(&mut a, 3, false);
                     sprinkle(&mut b, 5, true);
                     let c0 = filled(m * n, 99);
@@ -1604,7 +1674,8 @@ mod tests {
                                 _ => {}
                             }
                         }
-                        for lhs in [Lhs::RowMajor(&a, k), Lhs::ColMajor(&a, m)] {
+                        let wide = Lhs::ColMajor(&a, m + 3);
+                        for lhs in [Lhs::RowMajor(&a, k), Lhs::ColMajor(&a, m), wide] {
                             let run = |kernel: SimdKernel| {
                                 let _g = backend(kernel);
                                 let mut c = c0.clone();
@@ -1618,6 +1689,15 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn compaction_lane_table_lists_set_lanes_ascending() {
+        for (mask, entry) in avx2::LANES.iter().enumerate() {
+            let set: Vec<u8> = (0..8).filter(|&l| mask >> l & 1 == 1).collect();
+            assert_eq!(entry[..set.len()], set[..], "mask {mask:08b}");
         }
     }
 
