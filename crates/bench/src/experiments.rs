@@ -936,7 +936,7 @@ const CODECS: [(&str, CodecKind); 7] = [
 ];
 
 /// Every strategy × `CODECS` cell (strategy-major, the uncompressed run
-/// first in each row) on a 100-round budget of the full two-phase wire
+/// first in each row) on a 100-round budget of the full two-leg wire
 /// path, labelled `<strategy> <codec>`: downlink broadcasts and
 /// reference-aware uplinks both charge the traffic meter what the codec
 /// actually produces.

@@ -4,11 +4,13 @@
 //! pin was proven byte-identical to its parent by `diff -r` of `repro all`'s
 //! output; the pin keeps that equivalence for the next change to a builder.
 //! A moved digest prints every moved id's new value. The digests moved
-//! twice with no job moving, each time because a deleted config field
-//! dropped its text from every `Debug` config: `max_threads: None, `
-//! (`ExecOverrides::max_threads`) and `diurnal: None, `
-//! (`ChurnConfig::diurnal`). Each time the parent's digests over its
-//! configs with that text removed are the ones below.
+//! three times with no job moving, each time because a deleted config
+//! field dropped its text from every `Debug` config: `max_threads: None, `
+//! (`ExecOverrides::max_threads`), `diurnal: None, `
+//! (`ChurnConfig::diurnal`) and `bandwidth_bytes_per_sec: None, `
+//! (`ClusterConfig::bandwidth_bytes_per_sec`, in every config with an
+//! explicit cluster). Each time the parent's digests over its configs with
+//! that text removed are the ones below.
 
 use fedat_bench::experiments::{jobs, leaf_jobs, Ctx, IDS};
 use fedat_bench::harness::{Job, Scale};
@@ -19,24 +21,24 @@ use std::sync::Arc;
 
 /// `(id, digest)` for every registry id, in registry order.
 const PINS: [(&str, u64); 18] = [
-    ("table1", 0x8b6174ee63607720),
-    ("table2", 0x8b6174ee63607720),
-    ("fig2", 0x8b6174ee63607720),
-    ("fig3", 0x8b6174ee63607720),
-    ("fig4", 0x8b6174ee63607720),
-    ("fig5", 0x2e3df80dde1b0b34),
-    ("fig6", 0x5b8b9fd9c5842833),
-    ("fig7", 0x9e659c72feaa1961),
-    ("fig8", 0x00bc03436208fce0),
-    ("fig9", 0x487897dda6065b1d),
-    ("fig10", 0xd52f8f2495abd30e),
-    ("leaf", 0xdb61a55dc665bc4a),
-    ("churn", 0xe270f46a3faff3e9),
-    ("corrupt", 0xbd9eb62c4ccc041e),
+    ("table1", 0x4e86aebf843f9de5),
+    ("table2", 0x4e86aebf843f9de5),
+    ("fig2", 0x4e86aebf843f9de5),
+    ("fig3", 0x4e86aebf843f9de5),
+    ("fig4", 0x4e86aebf843f9de5),
+    ("fig5", 0x421eac3cd075b881),
+    ("fig6", 0x866fe2643551ec7f),
+    ("fig7", 0x6d7e1fed4fa1f81b),
+    ("fig8", 0xf09513a42ec07def),
+    ("fig9", 0x309dc778b5faf4fd),
+    ("fig10", 0xb2d17bfa8f41573c),
+    ("leaf", 0x94a3ab538593ce7b),
+    ("churn", 0x13f147c1150645c6),
+    ("corrupt", 0x7e1b94a98878aebb),
     ("codec", 0x825f28500d57474e),
-    ("ablate-mistier", 0x30e455a28ba3243b),
-    ("ablate-lambda", 0x87ebf7400a8f1bc5),
-    ("ablate-delta", 0xe904a89bccdb5dc1),
+    ("ablate-mistier", 0x1700a2329ea8b3ef),
+    ("ablate-lambda", 0x81344a465b4bda25),
+    ("ablate-delta", 0x9b34face89691081),
 ];
 
 fn digest(jobs: &[Job]) -> u64 {

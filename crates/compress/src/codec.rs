@@ -397,15 +397,21 @@ mod tests {
     #[test]
     fn polyline_beats_raw_for_typical_weights() {
         // Kaiming-style small weights at precision 4 should compress well
-        // below 4 bytes/value.
-        let w: Vec<f32> = (0..10_000)
+        // below 4 bytes/value; the smaller ones common after training reach
+        // the paper's band ("up to 3.5×" — asserted here as > 1.8×).
+        let kaiming: Vec<f32> = (0..10_000)
             .map(|i| ((i as f32) * 0.017).sin() * 0.05)
             .collect();
+        let trained: Vec<f32> = (0..50_000)
+            .map(|i| ((i as f64 * 0.37).sin() * 0.03) as f32)
+            .collect();
         let c = PolylineCodec::new(4);
-        let blob = c.encode(&w);
-        let raw = NoCompression.encode(&w);
-        let ratio = raw.wire_bytes() as f64 / blob.wire_bytes() as f64;
-        assert!(ratio > 1.5, "compression ratio {ratio} too low");
+        for (w, band) in [(kaiming, 1.5), (trained, 1.8)] {
+            let blob = c.encode(&w);
+            let raw = NoCompression.encode(&w);
+            let ratio = raw.wire_bytes() as f64 / blob.wire_bytes() as f64;
+            assert!(ratio > band, "compression ratio {ratio} below {band}");
+        }
     }
 
     #[test]

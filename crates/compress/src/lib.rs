@@ -18,8 +18,7 @@
 //! * [`delta_rle`] — lossless bit-delta vs the broadcast reference +
 //!   byte-plane RLE (bitwise round-trip, proptest-pinned),
 //! * [`quantized`] — reference-aware 4/8-bit linear delta quantization,
-//! * [`topk`] — sparse top-k delta selection with exact values,
-//! * [`stats`] — compression ratio and reconstruction-error accounting.
+//! * [`topk`] — sparse top-k delta selection with exact values.
 //!
 //! Encode/decode inner loops (delta, quantize/dequantize) run on the
 //! bit-exact [`fedat_tensor::simd`] kernels over fixed
@@ -49,7 +48,6 @@ pub mod codec;
 pub mod delta_rle;
 pub mod polyline;
 pub mod quantized;
-pub mod stats;
 pub mod topk;
 
 pub use codec::{

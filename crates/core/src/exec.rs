@@ -20,7 +20,7 @@
 //! whole suite a second time this way).
 //!
 //! The only observable cost of speculation is *wasted work*: a client that
-//! drops out mid-compute has already been trained (or is mid-training) when
+//! drops out mid-round has already been trained (or is mid-training) when
 //! its `dropped` completion arrives, and the result is discarded. Each run
 //! reports its own count in
 //! [`Outcome::speculation`](crate::experiment::Outcome::speculation).

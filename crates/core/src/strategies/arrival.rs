@@ -79,15 +79,15 @@ impl<X: Mixer> ArrivalServer<X> {
     /// timer: the protocol is wait-free.
     fn dispatch_client(&mut self, ctx: &mut SimCtx, client: usize) {
         let epochs = self.core.cfg.local_epochs;
-        let (weights, down_bytes) = self.core.transport.download(ctx, client, &self.core.global);
+        let weights = self.core.transport.download(ctx, client, &self.core.global);
         let selection_round = ctx.dispatches_of(client);
         let use_prox = self.mixer.use_prox();
-        let phase = self
+        let inflight = self
             .core
             .launch(client, &weights, epochs, selection_round, use_prox);
-        let gen = self.inflight.begin(client, 0, 0, 0, ctx.now(), phase);
+        let tag = self.inflight.begin(client, 0, 0, 0, ctx.now(), inflight);
         self.dispatch_version[client] = self.core.updates;
-        ctx.dispatch_with_transfer(client, gen, epochs, down_bytes);
+        ctx.dispatch(client, tag, epochs);
         self.live_dispatches += 1;
     }
 
@@ -130,7 +130,7 @@ impl<X: Mixer> EventHandler for ArrivalServer<X> {
 
     fn on_completion(&mut self, ctx: &mut SimCtx, c: Completion) {
         let landed = match self.inflight.advance(&mut self.core, ctx, &c) {
-            PhaseEvent::UploadScheduled | PhaseEvent::Unknown => return,
+            PhaseEvent::Unknown => return,
             PhaseEvent::Landed { weights, .. } => Some(weights),
             // A guard-rejected update: the client is still alive, so it
             // goes straight back to work (or to quarantine parking).

@@ -37,12 +37,11 @@ use fedat_data::suite::FedTask;
 use fedat_sim::fault::{FaultEvent, FaultKind, FaultLog};
 use fedat_sim::runtime::{Completion, EventHandler, SimCtx, SimReport};
 use fedat_sim::trace::{Trace, TracePoint};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// High bit of a timer tag: marks revival wake-ups (a parked tier or a
 /// flapped-out async client coming back). Every other timer tag is a
-/// dispatch generation carrying that dispatch's deadline.
+/// dispatch's tag (see [`InflightTable`]) carrying that dispatch's deadline.
 pub(crate) const REVIVE_BIT: u64 = 1 << 63;
 
 /// A runnable FL method: the event handler, and the outcome it reports
@@ -301,7 +300,7 @@ impl ServerCore {
     }
 
     /// Starts one client's local training *at dispatch time* and returns
-    /// the in-flight phase entry holding its handle. The job begins on the
+    /// the in-flight entry holding its handle. The job begins on the
     /// kernel pool immediately unless the run's job cap is 0 (see
     /// [`crate::exec`]), which defers it to the join inside
     /// [`InflightTable::advance`]. `weights` is the shared decoded
@@ -313,9 +312,9 @@ impl ServerCore {
         epochs: usize,
         selection_round: u64,
         use_prox: bool,
-    ) -> ClientPhase {
+    ) -> Inflight {
         self.speculation.launches += u64::from(self.speculative);
-        ClientPhase::Computing(Inflight {
+        Inflight {
             handle: crate::local::TrainHandle::launch(crate::local::TrainJob {
                 task: Arc::clone(&self.task),
                 client,
@@ -327,7 +326,7 @@ impl ServerCore {
             }),
             selection_round,
             reference: Arc::clone(weights),
-        })
+        }
     }
 
     /// Abandons a dispatch's training: dropping the handle cancels the job
@@ -341,9 +340,9 @@ impl ServerCore {
     /// Screens one landed update against the guard policy, mutating it in
     /// place when clipping. Returns `true` to accept, `false` to discard.
     ///
-    /// Runs at the Uploading→Landed seam, in virtual-time event order, on
-    /// values that are already bit-identical across execution modes — so
-    /// every decision (and the EWMA it feeds) is deterministic.
+    /// Runs as the update lands, in virtual-time event order, on values
+    /// that are already bit-identical across execution modes — so every
+    /// decision (and the EWMA it feeds) is deterministic.
     pub fn screen_update(
         &mut self,
         ctx: &mut SimCtx,
@@ -520,33 +519,8 @@ pub(crate) struct Inflight {
     pub reference: std::sync::Arc<[f32]>,
 }
 
-/// Where one client currently is in its round trip.
-///
-/// A client dispatch now takes two simulator events: the *compute*
-/// completion (download + local training done — the strategy joins the
-/// training result and puts the encoded update on the wire) and the
-/// *upload arrival* (the uplink transfer finished — the update is
-/// applied). Under infinite bandwidth the second event fires at the same
-/// virtual instant; with a finite link it charges the actual encoded
-/// payload of the *trained* weights, which differs from the downlink
-/// payload once a lossy codec is in play.
-pub(crate) enum ClientPhase {
-    /// Dispatched; local training completes with the compute event.
-    Computing(Inflight),
-    /// Trained; the encoded update is in flight to the server.
-    Uploading {
-        /// Post-roundtrip uploaded weights.
-        weights: Vec<f32>,
-        /// The client's sample count (aggregation weight).
-        n_samples: usize,
-    },
-}
-
 /// What a completion event meant for the client's round trip.
 pub(crate) enum PhaseEvent {
-    /// Compute finished; the upload is now in flight — nothing to account
-    /// yet (the dispatch is still outstanding).
-    UploadScheduled,
     /// The client's trained update landed at the server.
     Landed {
         /// The barrier lane the dispatch belongs to.
@@ -558,7 +532,7 @@ pub(crate) enum PhaseEvent {
         /// The client's sample count (aggregation weight).
         n_samples: usize,
     },
-    /// The dispatch was lost to a dropout (mid-compute or mid-upload).
+    /// The dispatch was lost to a dropout.
     Lost {
         /// The barrier lane the dispatch belongs to.
         lane: usize,
@@ -570,8 +544,8 @@ pub(crate) enum PhaseEvent {
         /// The barrier lane the dispatch belongs to.
         lane: usize,
     },
-    /// Stale event: the dispatch was already resolved (e.g. cancelled by a
-    /// deadline) or superseded by a newer generation.
+    /// Stale event: the dispatch was already resolved (cancelled by a
+    /// deadline).
     Unknown,
 }
 
@@ -584,10 +558,9 @@ pub(crate) struct TimedOut {
     pub retries: u32,
 }
 
-/// One tracked dispatch: the phase state machine plus the bookkeeping the
-/// fault layer needs (generation, lane, group, retry count, dispatch time).
+/// One tracked dispatch: its training plus the bookkeeping the fault layer
+/// needs (lane, group, retry count, dispatch time).
 struct Dispatch {
-    gen: u64,
     /// The barrier lane that waits for this dispatch (always 0 for the
     /// arrival server, which has no barriers).
     lane: usize,
@@ -595,27 +568,28 @@ struct Dispatch {
     group: u64,
     retries: u32,
     dispatched_at: f64,
-    phase: ClientPhase,
+    inflight: Inflight,
 }
 
-/// The server's table of in-flight dispatches, keyed by client and by a
-/// monotonically increasing *generation*. The generation is the dispatch's
-/// event tag, so a completion or deadline timer arriving after the dispatch
-/// was cancelled (or after the client was re-dispatched under a new
-/// generation) resolves to nothing instead of corrupting round accounting.
+/// The tag of `client`'s dispatch with ordinal `selection_round`: unique
+/// over a run, and clear of [`REVIVE_BIT`] (ordinals stay below 2³¹).
+fn dispatch_tag(client: usize, selection_round: u64) -> u64 {
+    debug_assert!(selection_round < 1 << 31 && (client as u64) < 1 << 32);
+    (selection_round << 32) | client as u64
+}
+
+/// The server's table of in-flight dispatches: a dense `Vec` indexed by
+/// client (client ids are `0..n`), an O(1) lookup on every completion,
+/// where an arrival-driven run holds one live entry per client (2 000 on
+/// the `async-overhead` benchmark workload).
 ///
-/// Client ids are `0..n`, so the per-client side is a dense `Vec` indexed
-/// by client: an O(1) lookup on every completion, where an arrival-driven
-/// run holds one live entry per client (2 000 on the `async-overhead`
-/// benchmark workload). The generation side, read only by deadline timers,
-/// is a `BTreeMap`, not a `HashMap`: a future `.iter()` over a
-/// RandomState-seeded map would silently order server actions
-/// nondeterministically — the failure mode determinism rule R1
-/// (`docs/LINTS.md`) guards against. Both containers iterate in key order.
+/// A dispatch's event tag is [`dispatch_tag`] of its client and selection
+/// round, so a completion or deadline timer names its client, and arriving
+/// after the dispatch was cancelled (or after the client was re-dispatched
+/// under a newer ordinal) it no longer matches the client's entry and
+/// resolves to nothing instead of corrupting round accounting.
 pub(crate) struct InflightTable {
     by_client: Vec<Option<Dispatch>>,
-    client_of: BTreeMap<u64, usize>,
-    next_gen: u64,
 }
 
 impl InflightTable {
@@ -623,10 +597,6 @@ impl InflightTable {
     pub fn new(clients: usize) -> Self {
         InflightTable {
             by_client: std::iter::repeat_with(|| None).take(clients).collect(),
-            client_of: BTreeMap::new(),
-            // Generations start at 1 and stay below REVIVE_BIT for any
-            // conceivable run length, so tag namespaces never collide.
-            next_gen: 1,
         }
     }
 
@@ -635,8 +605,8 @@ impl InflightTable {
         self.by_client[client].is_some()
     }
 
-    /// Registers a new dispatch and returns its generation (the tag to
-    /// dispatch under and the tag its deadline timer carries).
+    /// Registers a new dispatch and returns its tag (the tag to dispatch
+    /// under and the tag its deadline timer carries).
     pub fn begin(
         &mut self,
         client: usize,
@@ -644,112 +614,88 @@ impl InflightTable {
         group: u64,
         retries: u32,
         now: f64,
-        phase: ClientPhase,
+        inflight: Inflight,
     ) -> u64 {
-        let gen = self.next_gen;
-        self.next_gen += 1;
+        let tag = dispatch_tag(client, inflight.selection_round);
         let prev = self.by_client[client].replace(Dispatch {
-            gen,
             lane,
             group,
             retries,
             dispatched_at: now,
-            phase,
+            inflight,
         });
         debug_assert!(prev.is_none(), "client {client} already in flight");
-        self.client_of.insert(gen, client);
-        gen
+        tag
     }
 
-    /// Advances one client's compute→upload state machine for a completion.
+    /// Takes `client`'s entry if it is the dispatch tagged `tag`.
+    fn take(&mut self, client: usize, tag: u64) -> Option<Dispatch> {
+        self.by_client
+            .get_mut(client)?
+            .take_if(|d| dispatch_tag(client, d.inflight.selection_round) == tag)
+    }
+
+    /// Resolves one client's round trip for its completion.
     ///
-    /// On a compute completion this *joins* the training job launched at
-    /// dispatch (running it now if the job cap is 0 or no worker got to
-    /// it), takes the trained weights through the uplink codec in
-    /// the vector they arrived in (charging the *actual* uplink payload)
-    /// and schedules the upload arrival; on the
-    /// arrival it hands the update back to the strategy, after the
-    /// corruption scenario (if active) mangled the payload and the guard
-    /// layer (if active) screened it. A dropout mid-compute discards the
-    /// speculative result unjoined. A completion whose tag doesn't match
-    /// the client's current generation belongs to a cancelled dispatch and
+    /// A landed completion *joins* the training job launched at dispatch
+    /// (running it now if the job cap is 0 or no worker got to it), takes
+    /// the trained weights through the uplink codec in the vector they
+    /// arrived in (charging the actual uplink payload), lets the corruption
+    /// scenario (if active) mangle them and the guard layer (if active)
+    /// screen them, and hands the update back to the strategy. A dropout
+    /// discards the speculative result unjoined. A completion whose tag
+    /// doesn't match the client's entry belongs to a cancelled dispatch and
     /// is reported [`PhaseEvent::Unknown`]. Shared by both drivers so the
-    /// phase protocol cannot diverge.
+    /// protocol cannot diverge.
     pub fn advance(
         &mut self,
         core: &mut ServerCore,
         ctx: &mut SimCtx,
         c: &Completion,
     ) -> PhaseEvent {
-        let slot = &mut self.by_client[c.client];
-        if slot.as_ref().is_none_or(|d| d.gen != c.tag) {
+        let Some(d) = self.take(c.client, c.tag) else {
             return PhaseEvent::Unknown;
+        };
+        let info = d.inflight;
+        if c.dropped {
+            // Dropped mid-round: the dispatch-time job is wasted work.
+            core.abandon(info);
+            return PhaseEvent::Lost { lane: d.lane };
         }
-        let mut d = slot.take().expect("checked above");
-        match d.phase {
-            ClientPhase::Computing(info) if !c.dropped => {
-                let update = info.handle.join();
-                // Uplink bytes are charged on the *honest* encoded payload
-                // first: corruption mangles the values in flight, it does
-                // not change what the client transmitted or the traffic
-                // meter's view of it.
-                let (mut w_up, up_bytes) =
-                    core.transport
-                        .upload(ctx, c.client, update.weights, Some(&info.reference));
-                if let Some(mode) =
-                    ctx.fleet
-                        .corrupt_update(c.client, info.selection_round, &mut w_up)
-                {
-                    let tier = Some(d.group as usize);
-                    log_fault(ctx, FaultKind::Corrupt, Some(c.client), tier, mode);
-                }
-                d.phase = ClientPhase::Uploading {
-                    weights: w_up,
-                    n_samples: update.n_samples,
-                };
-                self.by_client[c.client] = Some(d);
-                ctx.schedule_transfer(c.client, c.tag, up_bytes);
-                PhaseEvent::UploadScheduled
-            }
-            ClientPhase::Uploading {
-                mut weights,
-                n_samples,
-            } if !c.dropped => {
-                self.client_of.remove(&d.gen);
-                if !core.screen_update(ctx, c.client, d.group, &mut weights) {
-                    return PhaseEvent::Rejected { lane: d.lane };
-                }
-                PhaseEvent::Landed {
-                    lane: d.lane,
-                    latency: ctx.now() - d.dispatched_at,
-                    weights,
-                    n_samples,
-                }
-            }
-            ClientPhase::Computing(info) => {
-                // Dropped mid-compute: the dispatch-time job is wasted work.
-                core.abandon(info);
-                self.client_of.remove(&d.gen);
-                PhaseEvent::Lost { lane: d.lane }
-            }
-            ClientPhase::Uploading { .. } => {
-                self.client_of.remove(&d.gen);
-                PhaseEvent::Lost { lane: d.lane }
-            }
+        let update = info.handle.join();
+        // Uplink bytes are charged on the *honest* encoded payload first:
+        // corruption mangles the values in flight, it does not change what
+        // the client transmitted or the traffic meter's view of it.
+        let reference = Some(&info.reference[..]);
+        let mut weights = core
+            .transport
+            .upload(ctx, c.client, update.weights, reference);
+        let tier = Some(d.group as usize);
+        if let Some(mode) = ctx
+            .fleet
+            .corrupt_update(c.client, info.selection_round, &mut weights)
+        {
+            log_fault(ctx, FaultKind::Corrupt, Some(c.client), tier, mode);
+        }
+        if !core.screen_update(ctx, c.client, d.group, &mut weights) {
+            return PhaseEvent::Rejected { lane: d.lane };
+        }
+        PhaseEvent::Landed {
+            lane: d.lane,
+            latency: ctx.now() - d.dispatched_at,
+            weights,
+            n_samples: update.n_samples,
         }
     }
 
-    /// Cancels the dispatch whose deadline timer (tag = generation) fired.
-    /// Returns `None` when the timer is stale — the dispatch already landed
-    /// or was lost. A cancelled mid-compute job is discarded unjoined; its
+    /// Cancels the dispatch whose deadline timer (tag = the dispatch's tag)
+    /// fired. Returns `None` when the timer is stale — the dispatch already
+    /// landed or was lost. The cancelled job is discarded unjoined; its
     /// eventual completion event resolves to [`PhaseEvent::Unknown`].
-    pub fn timeout(&mut self, core: &mut ServerCore, gen: u64) -> Option<TimedOut> {
-        let client = self.client_of.remove(&gen)?;
-        let d = self.by_client[client].take()?;
-        debug_assert_eq!(d.gen, gen);
-        if let ClientPhase::Computing(info) = d.phase {
-            core.abandon(info);
-        }
+    pub fn timeout(&mut self, core: &mut ServerCore, tag: u64) -> Option<TimedOut> {
+        let client = (tag & u64::from(u32::MAX)) as usize;
+        let d = self.take(client, tag)?;
+        core.abandon(d.inflight);
         Some(TimedOut {
             client,
             lane: d.lane,

@@ -282,14 +282,13 @@ impl<P: RoundPolicy> RoundServer<P> {
         let deadline = self.deadline(ctx, lane, 0);
         // One codec roundtrip of the latest global model for the whole
         // cohort; the dispatches share the decoded weights. The downlink
-        // transfer is charged at dispatch, the uplink once the trained
-        // payload is known.
-        let payload = self
+        // is charged here, the uplink when the trained update lands.
+        let weights = self
             .core
             .transport
             .broadcast(ctx, &picks, &self.core.global);
         for client in picks {
-            self.dispatch(ctx, client, lane, 0, deadline, &payload);
+            self.dispatch(ctx, client, lane, 0, deadline, &weights);
         }
     }
 
@@ -305,10 +304,10 @@ impl<P: RoundPolicy> RoundServer<P> {
     }
 
     /// Launches, registers and dispatches one tracked client round trip in
-    /// `lane` from the downloaded `payload` (decoded weights, wire bytes),
-    /// arming its deadline timer if there is one. Training starts at
-    /// dispatch under the speculative execution mode; the epoch count and
-    /// prox flag travel with the job.
+    /// `lane` from the decoded download `weights`, arming its deadline
+    /// timer if there is one. Training starts at dispatch under the
+    /// speculative execution mode; the epoch count and prox flag travel
+    /// with the job.
     fn dispatch(
         &mut self,
         ctx: &mut SimCtx,
@@ -316,21 +315,20 @@ impl<P: RoundPolicy> RoundServer<P> {
         lane: usize,
         retries: u32,
         deadline: Option<f64>,
-        payload: &(Arc<[f32]>, usize),
+        weights: &Arc<[f32]>,
     ) {
-        let (weights, down_bytes) = payload;
         let epochs = self.policy.epochs(client, &self.core.cfg);
         let group = self.tier(lane) as u64;
         let round = ctx.dispatches_of(client);
         let prox = self.policy.use_prox();
-        let phase = self.core.launch(client, weights, epochs, round, prox);
+        let inflight = self.core.launch(client, weights, epochs, round, prox);
         let now = ctx.now();
-        let gen = self
+        let tag = self
             .inflight
-            .begin(client, lane, group, retries, now, phase);
-        ctx.dispatch_with_transfer(client, gen, epochs, *down_bytes);
+            .begin(client, lane, group, retries, now, inflight);
+        ctx.dispatch(client, tag, epochs);
         if let Some(deadline) = deadline {
-            ctx.schedule_timer(now + deadline, gen);
+            ctx.schedule_timer(now + deadline, tag);
         }
     }
 
@@ -356,9 +354,9 @@ impl<P: RoundPolicy> RoundServer<P> {
         };
         let retries = lost.retries + 1;
         let global = &self.core.global;
-        let payload = self.core.transport.download(ctx, replacement, global);
+        let weights = self.core.transport.download(ctx, replacement, global);
         let deadline = self.deadline(ctx, lane, retries);
-        self.dispatch(ctx, replacement, lane, retries, deadline, &payload);
+        self.dispatch(ctx, replacement, lane, retries, deadline, &weights);
         log_fault(ctx, FaultKind::Retry, Some(replacement), tier, attempts + 1);
         true
     }
@@ -415,8 +413,8 @@ impl<P: RoundPolicy> EventHandler for RoundServer<P> {
 
     fn on_completion(&mut self, ctx: &mut SimCtx, c: Completion) {
         let (lane, landed) = match self.inflight.advance(&mut self.core, ctx, &c) {
-            // Still outstanding until the upload arrives / stale event.
-            PhaseEvent::UploadScheduled | PhaseEvent::Unknown => return,
+            // A dispatch a deadline already cancelled.
+            PhaseEvent::Unknown => return,
             PhaseEvent::Landed {
                 lane,
                 latency,
@@ -426,8 +424,8 @@ impl<P: RoundPolicy> EventHandler for RoundServer<P> {
                 self.policy.on_landed(c.client, latency);
                 (lane, Some((weights, n_samples)))
             }
-            // Dropped mid-compute or mid-upload, or discarded by the guard:
-            // either way the slot resolves without an update.
+            // Dropped mid-round, or discarded by the guard: either way the
+            // slot resolves without an update.
             PhaseEvent::Lost { lane } | PhaseEvent::Rejected { lane } => (lane, None),
         };
         self.lanes[lane].received.extend(landed);

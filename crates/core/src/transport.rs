@@ -98,36 +98,30 @@ impl Transport {
 
     /// Server → clients broadcast: roundtrips `weights` once, charges every
     /// client's downlink, and returns the post-roundtrip model as a shared
-    /// `Arc<[f32]>` together with the per-client wire size.
+    /// `Arc<[f32]>`.
     pub fn broadcast(
         &mut self,
         ctx: &mut SimCtx,
         clients: &[usize],
         weights: &[f32],
-    ) -> (Arc<[f32]>, usize) {
+    ) -> Arc<[f32]> {
         let mut shared: Arc<[f32]> = weights.into();
         let model = Arc::get_mut(&mut shared).expect("nobody else holds a new Arc");
         let bytes = self.down_codec.roundtrip(model, None);
         self.downlink_encodes += 1;
         ctx.traffic.record_download(bytes * clients.len());
-        (shared, bytes)
+        shared
     }
 
     /// Server → client transfer: [`Transport::broadcast`] to one client.
-    pub fn download(
-        &mut self,
-        ctx: &mut SimCtx,
-        client: usize,
-        weights: &[f32],
-    ) -> (Arc<[f32]>, usize) {
+    pub fn download(&mut self, ctx: &mut SimCtx, client: usize, weights: &[f32]) -> Arc<[f32]> {
         self.broadcast(ctx, &[client], weights)
     }
 
     /// Client → server transfer of the trained `weights`, against the
     /// broadcast the client trained from when there is one: charges uplink
     /// bytes and hands the same allocation back holding the weights as the
-    /// server will see them, plus the wire size (so the strategy can charge
-    /// the uplink transfer time at completion).
+    /// server will see them.
     ///
     /// Delta-family codecs ([`CodecKind::DeltaRle`], [`CodecKind::Quantized`],
     /// [`CodecKind::TopK`], and polyline in delta mode via its own stream
@@ -148,7 +142,7 @@ impl Transport {
         client: usize,
         mut weights: Vec<f32>,
         reference: Option<&[f32]>,
-    ) -> (Vec<f32>, usize) {
+    ) -> Vec<f32> {
         let feedback = matches!(self.kind, CodecKind::TopK { .. }).then(|| {
             let fb = self.feedback.entry(client).or_default();
             let compensated = fb.compensate(&weights);
@@ -161,7 +155,7 @@ impl Transport {
         if let Some((fb, compensated)) = feedback {
             fb.absorb(&compensated, &weights);
         }
-        (weights, bytes)
+        weights
     }
 }
 
@@ -183,16 +177,14 @@ mod tests {
         }
         impl EventHandler for OneTransfer {
             fn on_start(&mut self, ctx: &mut SimCtx) {
-                let (w, bytes) = self.transport.download(ctx, 0, &self.weights);
+                let w = self.transport.download(ctx, 0, &self.weights);
                 assert_eq!(w.len(), self.weights.len());
-                assert_eq!(bytes, self.expected_bytes);
-                assert_eq!(ctx.traffic.downlink_bytes(), bytes as u64);
+                assert_eq!(ctx.traffic.downlink_bytes(), self.expected_bytes as u64);
                 ctx.dispatch(0, 0, 1);
             }
             fn on_completion(&mut self, ctx: &mut SimCtx, _c: Completion) {
-                let (w, bytes) = self.transport.upload(ctx, 0, self.weights.clone(), None);
-                assert_eq!(bytes, self.expected_bytes);
-                assert_eq!(ctx.traffic.uplink_bytes(), bytes as u64);
+                let w = self.transport.upload(ctx, 0, self.weights.clone(), None);
+                assert_eq!(ctx.traffic.uplink_bytes(), self.expected_bytes as u64);
                 self.up_result = Some(w);
             }
             fn finished(&self) -> bool {
@@ -246,11 +238,10 @@ mod tests {
             fn on_start(&mut self, ctx: &mut SimCtx) {
                 let w: Vec<f32> = (0..256).map(|i| i as f32 * 0.01).collect();
                 let clients: Vec<usize> = (0..8).collect();
-                let (shared, bytes) = self.transport.broadcast(ctx, &clients, &w);
+                let shared = self.transport.broadcast(ctx, &clients, &w);
                 assert_eq!(shared.len(), 256);
-                assert!(bytes > 0);
                 // All eight downlinks charged, one encode performed.
-                assert_eq!(ctx.traffic.downlink_bytes(), 8 * bytes as u64);
+                assert_eq!(ctx.traffic.downlink_bytes(), 8 * (16 + 4 * 256));
                 assert_eq!(self.transport.downlink_encode_count(), 1);
                 self.done = true;
             }
@@ -287,7 +278,8 @@ mod tests {
             fn on_start(&mut self, ctx: &mut SimCtx) {
                 let w: Vec<f32> = (0..512).map(|i| (i as f32 * 0.013).sin() * 0.1).collect();
                 // Downlink: uncompressed and bit-exact.
-                let (shared, down_bytes) = self.transport.download(ctx, 0, &w);
+                let shared = self.transport.download(ctx, 0, &w);
+                let down_bytes = ctx.traffic.downlink_bytes();
                 assert_eq!(down_bytes, 16 + 512 * 4, "broadcast must travel raw");
                 for (a, b) in shared.iter().zip(w.iter()) {
                     assert_eq!(a.to_bits(), b.to_bits());
@@ -295,7 +287,8 @@ mod tests {
                 // Uplink: quantized delta vs the broadcast reference —
                 // roughly one byte per weight instead of four.
                 let trained: Vec<f32> = shared.iter().map(|v| v + 0.001).collect();
-                let (_, up_bytes) = self.transport.upload(ctx, 0, trained, Some(&shared));
+                self.transport.upload(ctx, 0, trained, Some(&shared));
+                let up_bytes = ctx.traffic.uplink_bytes();
                 assert!(up_bytes < down_bytes / 3, "{up_bytes} vs {down_bytes}");
                 self.done = true;
             }
@@ -350,7 +343,7 @@ mod tests {
                 // upload until coordinate 7 outranks the spike and arrives.
                 let mut recovered = None;
                 for round in 0..15 {
-                    let (decoded, _) = self.transport.upload(ctx, 0, w.clone(), Some(&reference));
+                    let decoded = self.transport.upload(ctx, 0, w.clone(), Some(&reference));
                     if decoded[7] != 0.0 {
                         recovered = Some(round);
                         break;
@@ -360,7 +353,7 @@ mod tests {
                 assert!(round >= 5, "recovery needs rounds of accumulation: {round}");
                 // Residuals are per-client: client 1's first upload still
                 // suppresses coordinate 7.
-                let (other, _) = self.transport.upload(ctx, 1, w.clone(), Some(&reference));
+                let other = self.transport.upload(ctx, 1, w.clone(), Some(&reference));
                 assert_eq!(other[7], 0.0, "residuals leaked across clients");
                 self.done = true;
             }

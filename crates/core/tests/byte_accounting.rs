@@ -10,8 +10,12 @@
 //! values must be the ones the driver hands to `mix`, bit for bit — they
 //! are the same updates — and at every trace point the meter's uplink and
 //! downlink totals must equal the sums of those blobs' `wire_bytes()`.
-//! (Links are infinitely fast here, so an upload is charged and lands at
-//! the same virtual instant and no trace point falls in between.)
+//!
+//! Links are infinitely fast: a round trip is one completion event, and
+//! its upload is charged as the update lands, never earlier. So a trace
+//! point counts exactly the uplinks that landed before it — also when many
+//! round trips finish at one virtual instant, which the arrival-driven
+//! test below pins.
 
 use fedat_compress::codec::{codec_for, CodecKind, WireCodec};
 use fedat_compress::topk::ErrorFeedback;
@@ -25,6 +29,7 @@ use fedat_core::transport::is_delta_family;
 use fedat_core::{aggregate::AggRule, run_experiment_with};
 use fedat_data::suite::{self, FedTask};
 use fedat_sim::fleet::ClusterConfig;
+use fedat_sim::latency::DelayPart;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -203,5 +208,43 @@ fn meter_totals_equal_the_sum_of_blob_sizes_on_both_legs() {
         CodecKind::TopK { per_mille: 50 },
     ] {
         charges_match_the_wire_format(kind);
+    }
+}
+
+/// Every round trip takes zero virtual time, so the whole run is one burst
+/// of tied completions at `t = 0` and every eval point falls inside it. A
+/// trace point taken after `round` FedAsync updates has seen exactly
+/// `round` uplinks land — none still queued behind it.
+#[test]
+fn uplinks_are_counted_when_they_land_even_in_a_burst_of_ties() {
+    let n = 20;
+    let seed = 7;
+    let task = suite::sent140_like(n, seed).scaled(0.4);
+    let mut cluster = ClusterConfig::paper_medium(seed)
+        .with_clients(n)
+        .without_dropouts();
+    cluster.delay_parts = vec![DelayPart { lo: 0.0, hi: 0.0 }];
+    cluster.per_sample_cost = 0.0;
+    let cfg = ExperimentConfig::builder()
+        .strategy(StrategyKind::FedAsync)
+        .codec(CodecKind::None)
+        .rounds(2)
+        .clients_per_round(4)
+        .local_epochs(1)
+        .eval_every(2)
+        .seed(seed)
+        .cluster(cluster)
+        .build();
+    let out = fedat_core::run_experiment(&task, &cfg);
+    let blob = codec_for(CodecKind::None).encode(&out.final_weights);
+    assert!(out.trace.points.len() > 2);
+    for point in &out.trace.points {
+        assert_eq!(point.time, 0.0);
+        assert_eq!(
+            point.up_bytes,
+            point.round * blob.wire_bytes() as u64,
+            "uplink at update {}",
+            point.round
+        );
     }
 }

@@ -1,8 +1,9 @@
 //! Regression pin for the FedAsync bookkeeping migration from `HashMap`
-//! to `BTreeMap` (`InflightTable.{by_client, client_of}` in
-//! `strategies/mod.rs` and `dispatch_version`, now in `strategies/arrival.rs`),
-//! done so determinism rule R1 (`docs/LINTS.md`) can ban RandomState-seeded
-//! containers from library code outright.
+//! to ordered containers (the in-flight table in `strategies/mod.rs`, now
+//! one client-indexed `Vec`, and `dispatch_version` in
+//! `strategies/arrival.rs`, also a `Vec`), done so determinism rule R1
+//! (`docs/LINTS.md`) can ban RandomState-seeded containers from library
+//! code outright.
 //!
 //! All accesses were keyed, so the migration must be a bitwise no-op. At
 //! migration time this was verified directly: the FNV-1a fingerprint below
@@ -54,7 +55,7 @@ fn fedasync_inflight_bookkeeping_is_order_blind() {
     pool::ensure_workers(8);
     // The migration-check scenario verbatim: staleness-weighted async
     // aggregation with enough concurrent inflight dispatches that
-    // `by_client`/`client_of`/`dispatch_version` all carry several live
+    // the in-flight table and `dispatch_version` carry several live
     // entries at once.
     let n = 12;
     let task = suite::sent140_like(n, 31);

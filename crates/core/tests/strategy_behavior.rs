@@ -265,14 +265,13 @@ fn fedat_trace_is_bit_identical_across_aggregation_thread_counts() {
 
 #[test]
 fn speculative_dropout_discards_are_trace_invisible() {
-    // A client that drops mid-compute or mid-upload has its speculative
-    // training job's result *discarded* — the run must be bit-identical to
+    // A client that drops mid-round has its speculative training job's
+    // result *discarded* — the run must be bit-identical to
     // ExecMode::Inline in every observable: the whole trace (accuracy,
     // loss, virtual time, uplink/downlink byte counters), the final
-    // weights and the per-client accuracies. The cluster here keeps every
-    // client unstable over a horizon shorter than the run, so both
-    // mid-compute and mid-upload losses occur (dispatches outlive their
-    // clients while uploads race the dropout clock).
+    // weights and the per-client accuracies. Half the cluster here is
+    // unstable over a horizon shorter than the run, so dispatches outlive
+    // their clients.
     use fedat_core::exec::ExecMode;
     fedat_tensor::pool::ensure_workers(4);
     let n = 14;

@@ -24,11 +24,6 @@ pub struct ClusterConfig {
     pub dropout_horizon: f64,
     /// Master seed for delay schedules and dropout draws.
     pub seed: u64,
-    /// Per-client link bandwidth in bytes/second; `None` = infinite (the
-    /// paper's model folds transfer time into the injected delays, so this
-    /// is the default). When set, [`crate::runtime::SimCtx::dispatch_with_transfer`]
-    /// adds `bytes / bandwidth` to each round's latency.
-    pub bandwidth_bytes_per_sec: Option<f64>,
     /// Availability churn scenarios layered on top of the permanent
     /// dropouts. The default is quiet (legacy fault model); every scenario
     /// draws from its own seed-tagged stream, so enabling one never
@@ -54,7 +49,6 @@ impl ClusterConfig {
             n_unstable: 10,
             dropout_horizon: 2000.0,
             seed,
-            bandwidth_bytes_per_sec: None,
             churn: ChurnConfig::default(),
         }
     }
@@ -104,8 +98,6 @@ pub struct Fleet {
     /// `is_alive(c, end)` is true, matching the legacy `time < t_drop`
     /// boundary.
     down: Vec<Vec<(f64, f64)>>,
-    /// Optional per-client link bandwidth (bytes/second).
-    bandwidth: Option<f64>,
     /// Corrupted-uplink schedule, when the scenario is enabled.
     corrupt: Option<CorruptState>,
 }
@@ -206,7 +198,6 @@ impl Fleet {
             latency,
             sample_counts,
             down,
-            bandwidth: config.bandwidth_bytes_per_sec,
             corrupt,
         }
     }
@@ -382,15 +373,6 @@ impl Fleet {
                 }
                 Some(3)
             }
-        }
-    }
-
-    /// Time to move `bytes` over one client link (0 with infinite
-    /// bandwidth).
-    pub fn transfer_time(&self, bytes: usize) -> f64 {
-        match self.bandwidth {
-            Some(bw) if bw > 0.0 => bytes as f64 / bw,
-            _ => 0.0,
         }
     }
 }
@@ -666,25 +648,5 @@ mod tests {
         assert_eq!(f.corrupt_update(3, 2, &mut w), Some(3));
         assert!(w.iter().all(|v| v.is_finite()));
         assert!(w.iter().any(|v| *v != 0.0));
-    }
-
-    #[test]
-    fn infinite_bandwidth_means_free_transfers() {
-        let f = fleet(10, 0, 1);
-        assert_eq!(f.transfer_time(1_000_000), 0.0);
-    }
-
-    #[test]
-    fn finite_bandwidth_charges_linear_time() {
-        let cfg = ClusterConfig {
-            bandwidth_bytes_per_sec: Some(1_000_000.0), // ≈ 1 MB/s edge link
-            n_unstable: 0,
-            ..ClusterConfig::paper_medium(3)
-        }
-        .with_clients(10);
-        let f = Fleet::new(&cfg, vec![10; 10]);
-        assert!((f.transfer_time(500_000) - 0.5).abs() < 1e-9);
-        assert!((f.transfer_time(2_000_000) - 2.0).abs() < 1e-9);
-        assert_eq!(f.transfer_time(0), 0.0);
     }
 }

@@ -16,10 +16,11 @@
 //!   distributions (Fig. 10) and per-sample compute costs,
 //! * [`fleet`] — the client population: sizes, delay parts, availability
 //!   (down intervals),
-//! * [`network`] — uplink/downlink byte accounting with cumulative history
-//!   (the x-axis of Fig. 4/5/7 and the numbers in Table 2),
+//! * [`network`] — uplink/downlink byte totals; trace points snapshot
+//!   them (the x-axis of Fig. 4/5/7 and the numbers in Table 2),
 //! * [`runtime`] — the event loop driving an [`EventHandler`]
-//!   (implemented by every FL strategy in `fedat-core`),
+//!   (implemented by every FL strategy in `fedat-core`); a client round
+//!   trip is one dispatch resolved by one completion,
 //! * [`trace`] — accuracy/loss/bytes time series with smoothing and
 //!   time-to-target queries.
 //!

@@ -1,8 +1,9 @@
 //! The discrete-event loop driving a federated-learning strategy.
 //!
-//! A strategy implements [`EventHandler`]: it dispatches client training via
-//! [`SimCtx::dispatch`] and reacts to [`Completion`] events (done or
-//! dropped). The runtime advances virtual time, honours dropout schedules,
+//! A strategy implements [`EventHandler`]: it dispatches client round trips
+//! via [`SimCtx::dispatch`], each of which resolves in exactly one
+//! [`Completion`] (landed or dropped), and reacts to those and to its own
+//! timers. The runtime advances virtual time, honours dropout schedules,
 //! and enforces safety limits.
 
 use crate::event::EventQueue;
@@ -12,7 +13,7 @@ use crate::network::TrafficMeter;
 use fedat_tensor::rng::{rng_for, tags};
 use rand::rngs::StdRng;
 
-/// A finished (or aborted) client training dispatch.
+/// A finished (or aborted) client round trip.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Completion {
     /// Client id.
@@ -24,8 +25,8 @@ pub struct Completion {
     pub dropped: bool,
 }
 
-/// Everything the event loop can deliver: a dispatch/transfer completion or
-/// a caller-scheduled timer (deadlines, tier revivals, …).
+/// Everything the event loop can deliver: a dispatch's completion or a
+/// caller-scheduled timer (deadlines, tier revivals, …).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Event {
     Completion(Completion),
@@ -59,29 +60,19 @@ impl SimCtx<'_> {
         self.fleet.alive_at(self.now)
     }
 
-    /// Dispatches one local-training round on `client`.
+    /// Dispatches one local-training round on `client`: one round trip —
+    /// download, training and upload, whose transfer time the injected
+    /// delays already include — resolved by exactly one completion.
     ///
     /// Returns the scheduled completion time. If the client will drop out
-    /// mid-training, a `dropped` completion is delivered at the dropout
-    /// time instead.
+    /// mid-round, a `dropped` completion is delivered at the outage start
+    /// instead (a flap loses the round even if the client returns before
+    /// it would have finished: local training state is gone).
     ///
     /// # Panics
     /// Panics if the client is already offline — strategies must select
     /// among [`SimCtx::alive_clients`].
     pub fn dispatch(&mut self, client: usize, tag: u64, epochs: usize) -> f64 {
-        self.dispatch_with_transfer(client, tag, epochs, 0)
-    }
-
-    /// Like [`SimCtx::dispatch`], additionally charging the transfer time
-    /// of `transfer_bytes` over the client's link (download + upload
-    /// payloads) when the cluster models finite bandwidth.
-    pub fn dispatch_with_transfer(
-        &mut self,
-        client: usize,
-        tag: u64,
-        epochs: usize,
-        transfer_bytes: usize,
-    ) -> f64 {
         assert!(
             self.fleet.is_alive(client, self.now),
             "dispatch to offline client {client} at t={}",
@@ -89,66 +80,24 @@ impl SimCtx<'_> {
         );
         let round = self.dispatch_counts[client];
         self.dispatch_counts[client] += 1;
-        let latency = self.fleet.response_latency(client, round, epochs)
-            + self.fleet.transfer_time(transfer_bytes);
-        let done_at = self.now + latency;
-        self.queue_completion(client, tag, done_at)
-    }
-
-    /// Queues a completion at `done_at`, unless the client goes offline
-    /// first — then a `dropped` completion fires at the outage start
-    /// instead (a mid-training flap loses the round even if the client
-    /// returns before `done_at`: local training state is gone). Returns
-    /// the queued event time.
-    fn queue_completion(&mut self, client: usize, tag: u64, done_at: f64) -> f64 {
-        match self.fleet.next_down_time(client, self.now) {
-            Some(t_down) if t_down <= done_at => {
-                // An outage stamped before `now` still completes *now* —
-                // virtual time never runs backwards. Return the same
-                // clamped instant the event is queued at.
-                let at = t_down.max(self.now);
-                self.queue.push(
-                    at,
-                    Event::Completion(Completion {
-                        client,
-                        tag,
-                        dropped: true,
-                    }),
-                );
-                at
-            }
-            _ => {
-                self.queue.push(
-                    done_at,
-                    Event::Completion(Completion {
-                        client,
-                        tag,
-                        dropped: false,
-                    }),
-                );
-                done_at
-            }
-        }
+        let done_at = self.now + self.fleet.response_latency(client, round, epochs);
+        // Alive now, so any outage starts strictly later.
+        let (at, dropped) = match self.fleet.next_down_time(client, self.now) {
+            Some(t_down) if t_down <= done_at => (t_down, true),
+            _ => (done_at, false),
+        };
+        let completion = Completion {
+            client,
+            tag,
+            dropped,
+        };
+        self.queue.push(at, Event::Completion(completion));
+        at
     }
 
     /// Number of training rounds this client has been dispatched so far.
     pub fn dispatches_of(&self, client: usize) -> u64 {
         self.dispatch_counts[client]
-    }
-
-    /// Schedules a bare transfer completion: the event fires after moving
-    /// `bytes` over the client's link (immediately under infinite
-    /// bandwidth). Strategies use this for the *uplink* leg — the payload
-    /// size of a trained model is only known once training finishes, so it
-    /// cannot be folded into the dispatch latency like the downlink.
-    ///
-    /// Unlike [`SimCtx::dispatch`], this does not count as a training
-    /// dispatch (the client's batch schedule is unaffected). If the client
-    /// drops out mid-transfer, a `dropped` completion is delivered at the
-    /// dropout time instead and the payload is lost.
-    pub fn schedule_transfer(&mut self, client: usize, tag: u64, bytes: usize) -> f64 {
-        let done_at = self.now + self.fleet.transfer_time(bytes);
-        self.queue_completion(client, tag, done_at)
     }
 
     /// Schedules a timer that fires `on_timer(tag)` at `at` (clamped to
@@ -476,49 +425,6 @@ mod tests {
         assert_eq!(h.done, 0);
     }
 
-    /// Regression: `schedule_transfer` (and `dispatch_with_transfer`) must
-    /// return the *clamped* completion time. A client whose dropout is
-    /// stamped before the current clock loses its payload now — the
-    /// pre-fix code queued the event at `now` but returned the raw dropout
-    /// time, handing strategies a completion instant in the past.
-    #[test]
-    fn past_dropout_transfer_completes_now_not_in_the_past() {
-        let cfg = ClusterConfig {
-            n_clients: 10,
-            n_unstable: 10,
-            dropout_horizon: 5.0,
-            ..ClusterConfig::paper_medium(7)
-        };
-        let fleet = Fleet::new(&cfg, vec![48; 10]);
-        let client = (0..10)
-            .find(|&c| fleet.dropout_time(c).is_some())
-            .expect("every client is unstable");
-        let t_drop = fleet.dropout_time(client).unwrap();
-        let now = t_drop + 10.0;
-        let mut queue = EventQueue::new();
-        let mut traffic = TrafficMeter::default();
-        let mut rng = rng_for(1, tags::SAMPLING);
-        let mut faults = FaultLog::new();
-        let mut dispatch_counts = vec![0u64; fleet.len()];
-        let mut ctx = SimCtx {
-            fleet: &fleet,
-            traffic: &mut traffic,
-            rng: &mut rng,
-            faults: &mut faults,
-            now,
-            queue: &mut queue,
-            dispatch_counts: &mut dispatch_counts,
-        };
-        let at = ctx.schedule_transfer(client, 0, 1_000);
-        assert_eq!(at, now, "returned completion time lies in the past");
-        let (t, ev) = queue.pop().expect("one completion queued");
-        assert_eq!(t, at, "returned time must match the queued event time");
-        let Event::Completion(c) = ev else {
-            panic!("a transfer schedules a completion, got {ev:?}");
-        };
-        assert!(c.dropped, "the payload must be lost to the dropout");
-    }
-
     #[test]
     fn timers_fire_in_time_order_and_count_as_events() {
         let cfg = ClusterConfig::paper_medium(1).without_dropouts();
@@ -704,46 +610,6 @@ mod tests {
         );
         assert_eq!(report.reason, StopReason::LimitReached);
         assert_eq!(report.events, 100);
-    }
-
-    #[test]
-    fn bandwidth_extends_completion_time() {
-        let mut cfg = ClusterConfig::paper_medium(21)
-            .without_dropouts()
-            .with_clients(10);
-        // Zero delays so only compute + transfer remain.
-        cfg.delay_parts = vec![crate::latency::DelayPart { lo: 0.0, hi: 0.0 }];
-        cfg.part_sizes = Some(vec![10]);
-        cfg.bandwidth_bytes_per_sec = Some(1000.0);
-        let fleet = Fleet::new(&cfg, vec![10; 10]);
-        struct OneShot {
-            with_bytes: bool,
-            done_at: f64,
-        }
-        impl EventHandler for OneShot {
-            fn on_start(&mut self, ctx: &mut SimCtx) {
-                let bytes = if self.with_bytes { 5000 } else { 0 };
-                ctx.dispatch_with_transfer(0, 0, 1, bytes);
-            }
-            fn on_completion(&mut self, ctx: &mut SimCtx, _c: Completion) {
-                self.done_at = ctx.now();
-            }
-            fn finished(&self) -> bool {
-                self.done_at > 0.0
-            }
-        }
-        let mut free = OneShot {
-            with_bytes: false,
-            done_at: 0.0,
-        };
-        run(&mut free, &fleet, 1, RunLimits::default());
-        let mut charged = OneShot {
-            with_bytes: true,
-            done_at: 0.0,
-        };
-        run(&mut charged, &fleet, 1, RunLimits::default());
-        // 5000 B at 1000 B/s = 5 s extra.
-        assert!((charged.done_at - free.done_at - 5.0).abs() < 1e-9);
     }
 
     #[test]
