@@ -4,9 +4,10 @@
 //! one element-wise kernel that still has a lane (`quantize_into` — the
 //! rest are one plain loop each, there is nothing to compare), the robust
 //! (trimmed-mean / median) reduction, the optimizer sweep (whose scalar
-//! lane is the three passes it fuses), and the conv
+//! lane is the three passes it fuses), the conv
 //! stage of a CnnLite step — the max-pool lane at both pools and conv2's
-//! input gradient on a pooled, ReLU-masked `dY` — each timed under
+//! input gradient on a pooled, ReLU-masked `dY` — and the softmax
+//! cross-entropy of a batch (its `exp` lane), each timed under
 //! `SimdKernel::Auto`
 //! (runtime-dispatched AVX2+FMA, the scalar reference without them) and
 //! `SimdKernel::Scalar` (the seed's plain loops, what autovectorization
@@ -23,6 +24,7 @@
 //!
 //! See `docs/PERF.md` for how to read the output.
 
+use fedat_nn::loss::softmax_cross_entropy;
 use fedat_tensor::conv;
 use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
 use fedat_tensor::ops;
@@ -449,14 +451,14 @@ fn bench_sweep(len: usize, prox: bool, seed: u64) -> SweepSample {
     }
 }
 
-struct ConvStageSample {
+struct StageSample {
     kernel: &'static str,
     shape: &'static str,
     scalar_us: f64,
     simd_us: f64,
 }
 
-impl ConvStageSample {
+impl StageSample {
     fn speedup(&self) -> f64 {
         self.scalar_us / self.simd_us.max(1e-12)
     }
@@ -465,13 +467,13 @@ impl ConvStageSample {
 /// Best µs per call of `call` under `SimdKernel::Scalar` and `Auto`: the two
 /// sides alternate, each on its own output `state`, and every repetition
 /// ends with the two states' `bits` compared.
-fn bench_conv_stage<S>(
+fn bench_stage<S>(
     (kernel, shape): (&'static str, &'static str),
     iters: usize,
     mut sides: [S; 2],
     call: impl Fn(&mut S),
     bits: impl Fn(&S) -> Vec<u32>,
-) -> ConvStageSample {
+) -> StageSample {
     let mut best = [f64::INFINITY; 2];
     for _ in 0..REPEATS {
         for (side, simd) in [SimdKernel::Scalar, SimdKernel::Auto]
@@ -493,7 +495,7 @@ fn bench_conv_stage<S>(
         );
     }
     let us = |secs: f64| secs / iters as f64 * 1e6;
-    ConvStageSample {
+    StageSample {
         kernel,
         shape,
         scalar_us: us(best[0]),
@@ -501,16 +503,41 @@ fn bench_conv_stage<S>(
     }
 }
 
+/// `softmax_cross_entropy` over a `[10, classes]` batch of logits — the
+/// loss and logit gradient of one local step: the block softmax (its `exp`
+/// is the lane), `ln` of each target's probability, the gradient scale.
+fn bench_softmax_ce(shape: &'static str, classes: usize, seed: u64) -> StageSample {
+    let logits: Vec<f32> = filled(10 * classes, seed).iter().map(|v| 4.0 * v).collect();
+    let logits = Tensor::from_vec(logits, &[10, classes]);
+    let targets: Vec<u32> = (0..10).map(|r| (r * 7 % classes) as u32).collect();
+    let side = || (0u32, Tensor::zeros(&[1]));
+    bench_stage(
+        ("softmax_cross_entropy", shape),
+        200_000,
+        [side(), side()],
+        |(loss, grad): &mut (u32, Tensor)| {
+            let (l, g) = softmax_cross_entropy(&logits, &targets);
+            *loss = l.to_bits();
+            std::mem::replace(grad, g).recycle();
+        },
+        |(loss, grad)| {
+            std::iter::once(*loss)
+                .chain(grad.data().iter().map(|v| v.to_bits()))
+                .collect()
+        },
+    )
+}
+
 /// `maxpool2d_forward` with a 2 × 2 window over a post-ReLU `[10, c, h, h]`
 /// batch — one of CnnLite's two pools.
-fn bench_maxpool(shape: &'static str, (c, h): (usize, usize), seed: u64) -> ConvStageSample {
+fn bench_maxpool(shape: &'static str, (c, h): (usize, usize), seed: u64) -> StageSample {
     let x = filled(10 * c * h * h, seed)
         .iter()
         .map(|v| v.max(0.0))
         .collect();
     let x = Tensor::from_vec(x, &[10, c, h, h]);
     let side = || (Tensor::zeros(&[1]), Vec::new());
-    bench_conv_stage(
+    bench_stage(
         ("maxpool2d_forward", shape),
         20_000,
         [side(), side()],
@@ -532,7 +559,7 @@ fn bench_maxpool(shape: &'static str, (c, h): (usize, usize), seed: u64) -> Conv
 /// it leave one: pool2 routes each 2 × 2 window's gradient to its maximum
 /// and ReLU2 drops it where that maximum is not positive — at most one
 /// non-zero in four.
-fn bench_conv2_backward_input(seed: u64) -> ConvStageSample {
+fn bench_conv2_backward_input(seed: u64) -> StageSample {
     let spec = conv::Conv2dSpec {
         in_channels: 16,
         out_channels: 32,
@@ -558,7 +585,7 @@ fn bench_conv2_backward_input(seed: u64) -> ConvStageSample {
         }
     }
     let dy = Tensor::from_vec(dy, &[10, 32, 4, 4]);
-    bench_conv_stage(
+    bench_stage(
         ("conv2d_backward_input", "dY 10x32x4x4"),
         5_000,
         [Tensor::zeros(&[1]), Tensor::zeros(&[1])],
@@ -668,6 +695,13 @@ fn main() {
         bench_conv2_backward_input(seed ^ 11),
     ];
 
+    // The loss of a batch of ten: the paper's ten classes, FEMNIST's 62.
+    eprintln!("[bench_tensor_kernels] softmax cross-entropy ...");
+    let softmax_ce = vec![
+        bench_softmax_ce("10x10", 10, seed ^ 12),
+        bench_softmax_ce("10x62", 62, seed ^ 13),
+    ];
+
     let key = matmuls
         .iter()
         .find(|s| s.variant == "nn" && s.dim == 128)
@@ -768,19 +802,24 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str("  \"conv_stage\": [\n");
-    for (i, s) in conv_stage.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"kernel\": \"{}\", \"shape\": \"{}\", \"scalar_us\": {:.3}, \"simd_us\": {:.3}, \"speedup\": {:.3} }}{}\n",
-            s.kernel,
-            s.shape,
-            s.scalar_us,
-            s.simd_us,
-            s.speedup(),
-            if i + 1 < conv_stage.len() { "," } else { "" }
-        ));
+    for (key, rows, last) in [
+        ("conv_stage", &conv_stage, false),
+        ("softmax_cross_entropy", &softmax_ce, true),
+    ] {
+        json.push_str(&format!("  \"{key}\": [\n"));
+        for (i, s) in rows.iter().enumerate() {
+            json.push_str(&format!(
+                "    {{ \"kernel\": \"{}\", \"shape\": \"{}\", \"scalar_us\": {:.3}, \"simd_us\": {:.3}, \"speedup\": {:.3} }}{}\n",
+                s.kernel,
+                s.shape,
+                s.scalar_us,
+                s.simd_us,
+                s.speedup(),
+                if i + 1 < rows.len() { "," } else { "" }
+            ));
+        }
+        json.push_str(if last { "  ]\n}\n" } else { "  ],\n" });
     }
-    json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("writing benchmark record");
 
     println!("{json}");
@@ -839,7 +878,7 @@ fn main() {
             s.speedup()
         );
     }
-    for s in &conv_stage {
+    for s in conv_stage.iter().chain(&softmax_ce) {
         println!(
             "{:<21} {:<12}  scalar {:>7.2} us  simd {:>7.2} us  speedup {:>5.2}x",
             s.kernel,

@@ -15,9 +15,7 @@ pub fn softmax_cross_entropy(logits: &Tensor, targets: &[u32]) -> (f32, Tensor) 
     assert_eq!(targets.len(), n, "target count mismatch");
     // Scratch-arena copy: the returned gradient reuses recycled storage.
     let mut probs = logits.clone_scratch();
-    for r in 0..n {
-        fedat_tensor::ops::softmax_inplace(probs.row_mut(r));
-    }
+    fedat_tensor::ops::softmax_block(probs.data_mut(), classes);
     let mut loss = 0.0f64;
     for (r, &t) in targets.iter().enumerate() {
         let t = t as usize;
@@ -98,6 +96,39 @@ mod tests {
             assert!(
                 (num - ana).abs() < 1e-3,
                 "idx {idx}: numeric {num} vs analytic {ana}"
+            );
+        }
+    }
+
+    #[test]
+    fn loss_and_gradient_bits_agree_across_lanes() {
+        use fedat_tensor::ctx::{self, KernelCtx};
+        use fedat_tensor::simd::SimdKernel;
+        let mut rng = rng_for(3, 1);
+        // Every tail width after whole 8-lane registers; per width, rows
+        // with a NaN, a +inf, a -inf and a -1e30 among ordinary logits.
+        for classes in [1usize, 7, 8, 9, 10, 62] {
+            let mut logits = Tensor::randn(&mut rng, &[9, classes], 0.0, 4.0);
+            for (r, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1e30]
+                .into_iter()
+                .enumerate()
+            {
+                logits.row_mut(2 * r + 1)[r % classes] = v;
+            }
+            let targets: Vec<u32> = (0..9).map(|r| (r * 5 % classes) as u32).collect();
+            let run = |simd| {
+                let _g = ctx::install(KernelCtx {
+                    simd,
+                    ..ctx::snapshot()
+                });
+                let (loss, grad) = softmax_cross_entropy(&logits, &targets);
+                let bits: Vec<u32> = grad.data().iter().map(|v| v.to_bits()).collect();
+                (loss.to_bits(), bits)
+            };
+            assert_eq!(
+                run(SimdKernel::Scalar),
+                run(SimdKernel::Auto),
+                "{classes} classes"
             );
         }
     }

@@ -22,7 +22,9 @@
 //! The arithmetic inside every kernel lives in [`simd`]: plain loops, and
 //! for the few kernels that need them runtime-detected AVX2+FMA lanes that
 //! are bit-identical to the scalar reference by construction, so neither
-//! the host ISA nor the [`simd::SimdKernel`] setting can change a result.
+//! the host ISA nor the [`simd::SimdKernel`] setting can change a result
+//! (the `exp` lane wherever libm's `expf` is glibc's, see
+//! [`simd::exp_in_place`]).
 //!
 //! ```
 //! use fedat_tensor::Tensor;

@@ -174,17 +174,6 @@ impl Tensor {
             simd::add_assign(acc, row);
         }
     }
-
-    /// Numerically-stable row softmax.
-    pub fn softmax_rows(&self) -> Tensor {
-        let (rows, cols) = self.shape().as_matrix();
-        let mut out = self.clone();
-        for r in 0..rows {
-            let row = &mut out.data_mut()[r * cols..(r + 1) * cols];
-            softmax_inplace(row);
-        }
-        out
-    }
 }
 
 /// Index of the first maximum of `row` (0 for an empty row): the predicted
@@ -199,16 +188,32 @@ pub fn argmax(row: &[f32]) -> usize {
     best
 }
 
-/// Numerically-stable in-place softmax of one row.
-pub fn softmax_inplace(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
+/// Numerically-stable in-place softmax of every `classes`-wide row of
+/// `block`, in three passes: each row's max (a `f32::max` fold from `-inf`)
+/// subtracted from it, one [`simd::exp_in_place`] over the whole block,
+/// then each row scaled by `1 / Σ`, the sum taken in element order from
+/// `0.0`. Every element sees the operations of a row-at-a-time softmax in
+/// the same order; only the `exp` runs across rows, where its AVX2 lane
+/// has whole registers to fill.
+///
+/// # Panics
+/// Panics if `block` is not a whole number of rows.
+pub fn softmax_block(block: &mut [f32], classes: usize) {
+    if block.is_empty() {
+        return;
     }
-    let inv = 1.0 / sum;
-    simd::scale(row, inv);
+    assert_eq!(block.len() % classes, 0, "softmax block is not whole rows");
+    for row in block.chunks_exact_mut(classes) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        for v in row.iter_mut() {
+            *v -= max;
+        }
+    }
+    simd::exp_in_place(block);
+    for row in block.chunks_exact_mut(classes) {
+        let sum = row.iter().fold(0.0f32, |s, &v| s + v);
+        simd::scale(row, 1.0 / sum);
+    }
 }
 
 /// Shard length (f32 elements) of the sharded aggregation kernels: 16 KiB
@@ -377,8 +382,8 @@ mod tests {
     #[test]
     fn softmax_rows_are_distributions() {
         let mut rng = rng_for(8, 2);
-        let t = Tensor::randn(&mut rng, &[10, 6], 0.0, 3.0);
-        let s = t.softmax_rows();
+        let mut s = Tensor::randn(&mut rng, &[10, 6], 0.0, 3.0);
+        softmax_block(s.data_mut(), 6);
         for r in 0..10 {
             let row = s.row(r);
             let sum: f32 = row.iter().sum();
@@ -390,7 +395,7 @@ mod tests {
     #[test]
     fn softmax_handles_large_logits() {
         let mut row = [1000.0f32, 1000.0, 999.0];
-        softmax_inplace(&mut row);
+        softmax_block(&mut row, 3);
         assert!(row.iter().all(|v| v.is_finite()));
         assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         assert!(row[0] > row[2]);

@@ -16,7 +16,7 @@
 //! experiments": the element-wise twins), so the twins are gone and
 //! [`SimdKernel`] does not reach these kernels at all.
 //!
-//! Six kernels keep lanes, because a plain loop cannot express what the
+//! Seven kernels keep lanes, because a plain loop cannot express what the
 //! lane does:
 //!
 //! | kernel | scalar (reference) | AVX2 + FMA | why |
@@ -27,6 +27,7 @@
 //! | [`quantize_into`] | `f32::floor` per element | `vroundps` | baseline x86-64 has no vector `floor` |
 //! | [`adam_sweep`] | `prox_grad`, `adam_step`, `fill` — three passes | one fused pass | three sweeps in one |
 //! | [`maxpool`] | one window at a time, a compare per pixel | eight windows per `ymm`: gather, `_CMP_GT_OQ`, two blends | a gather |
+//! | [`exp_in_place`] | `f32::exp` (libm's `expf`) per element | libm's own algorithm eight lanes wide, in `f64` | a call per element |
 //!
 //! **Scalar** (`SimdKernel::Scalar`, and `Auto` where AVX2 + FMA are not
 //! detected) is the reference the AVX2 lane is held to and the
@@ -41,7 +42,8 @@
 //! ## Determinism
 //!
 //! The lanes are **bit-identical by construction**, so neither the
-//! [`SimdKernel`] setting nor the host ISA can ever change a result:
+//! [`SimdKernel`] setting nor the host ISA can ever change a result (the
+//! `exp` lane: wherever libm's `expf` is glibc's `__expf_fma`, below):
 //!
 //! * The matmul micro-kernel, `quantize_into` and `adam_sweep` vectorize
 //!   only across the *output/column* dimension. Each output element is
@@ -63,6 +65,12 @@
 //!   compacted, eight at a time and in order (a `_CMP_NEQ_UQ` compare is
 //!   the reference's `!=`), into a stack list the columns then accumulate
 //!   over — the same terms in the same ascending `p` (see `matmul_block`).
+//! * The `exp` lane is the one that fuses, because its reference does:
+//!   `f32::exp` is glibc's `__expf_fma` on an AVX2 + FMA host, and the lane
+//!   repeats its table lookup, its fused `f64` steps and its one narrowing
+//!   per element (see [`exp_in_place`]). It agrees with the scalar lane
+//!   wherever libm's `expf` is that routine; an exhaustive test checks a
+//!   host on all 2³² inputs.
 //! * The robust reduction (trimmed mean / median) is the one kernel whose
 //!   lanes run different *algorithms*: the scalar lane sorts each
 //!   coordinate's column with `f32::total_cmp`, the AVX2 lane runs a
@@ -370,6 +378,26 @@ pub fn quantize_into(out: &mut [f32], x: &[f32], lo: f32, scale: f32, levels: f3
             *o = t.floor().max(0.0).min(levels);
         }
     )
+}
+
+/// `x[i] = x[i].exp()` — softmax's exponential, over a whole logit block.
+///
+/// The scalar lane is `f32::exp` per element. The AVX2 lane is glibc's
+/// `__expf_fma` (`sysdeps/ieee754/flt-32/e_expf.c` built with FMA, the
+/// variant libm's `expf` resolves to on an AVX2 + FMA host) eight lanes at
+/// a time, as two 4-lane `f64` halves: the same 32-entry table, the same
+/// fused steps and the same single narrowing, so each lane returns libm's
+/// bits. A lane libm sends down its special-case branch (`|x| ≥ 88`, ±∞,
+/// NaN) takes `f32::exp` itself; the `< 8` tail is padded to a whole
+/// step. The lanes agree wherever `f32::exp` is that glibc routine;
+/// `exp_lane_equals_libm_on_every_f32` (`tests/simd_determinism.rs`,
+/// `--ignored`) checks a host on all 2³² inputs.
+pub fn exp_in_place(x: &mut [f32]) {
+    avx2_or_scalar!(avx2::exp_in_place(x), {
+        for v in x.iter_mut() {
+            *v = v.exp();
+        }
+    })
 }
 
 /// `out[i] = w[i].to_bits() ^ r[i].to_bits()` — the lossless bit-level
@@ -1061,6 +1089,123 @@ mod avx2 {
             let t = (x[i] - lo) * scale + 0.5;
             out[i] = t.floor().max(0.0).min(levels);
             i += 1;
+        }
+    }
+
+    /// glibc's `__exp2f_data` for `N = 32` (`e_exp2f_data.c`; libm's
+    /// `.rodata` holds the same words): `EXP_TAB[i]` is the bit pattern of
+    /// `2^(i/32)` minus `i << 47`, so adding `k << 47` for any `k ≡ i (mod
+    /// 32)` yields `2^(k/32)`.
+    #[rustfmt::skip]
+    const EXP_TAB: [u64; 32] = [
+        0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+        0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+        0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+        0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+        0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+        0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+        0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+        0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+    ];
+    /// `0x1.71547652b82fep+5`: `N / ln 2`.
+    const INV_LN2_N: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+    /// `0x1.8p+52`: adding it rounds `x · N / ln 2` to an integer in the
+    /// low mantissa bits.
+    const SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+    /// `0x1.c6af84b912394p-20`, `0x1.ebfce50fac4f3p-13`,
+    /// `0x1.62e42ff0c52d6p-6`: the cubic for `2^(r/N)`, scaled by `N`.
+    const EXP_POLY: [f64; 3] = [
+        f64::from_bits(0x3ebc_6af8_4b91_2394),
+        f64::from_bits(0x3f2e_bfce_50fa_c4f3),
+        f64::from_bits(0x3f96_2e42_ff0c_52d6),
+    ];
+    /// libm's special-case test: a float whose `(bits >> 20) & 0x7ff` is
+    /// above this (`|x| ≥ 88`, ±∞, NaN) leaves the table path.
+    const EXP_SPECIAL_TOP: i32 = 0x42a;
+
+    /// `__expf_fma`'s table path on four widened floats, up to the final
+    /// narrowing: `kd = x·N/ln2 + SHIFT` fused, its low bits `ki` the table
+    /// index and exponent, `r = x·N/ln2 − (kd − SHIFT)` fused,
+    /// `s = 2^(ki/N)` from the table, then `(C0·r + C1)·r² + (C2·r + 1)` as
+    /// three fusions and one product, times `s`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA (see `exp_in_place`, the only caller). The gather
+    /// index is `ki & 31`, always inside `EXP_TAB`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "R2: the reference is libm's expf, which itself fuses these steps; unfused, this lane would leave it"
+    )]
+    unsafe fn exp4(xd: __m256d) -> __m256d {
+        let inv = _mm256_set1_pd(INV_LN2_N);
+        let shift = _mm256_set1_pd(SHIFT);
+        let kd = _mm256_fmadd_pd(inv, xd, shift);
+        let ki = _mm256_castpd_si256(kd);
+        let kd = _mm256_sub_pd(kd, shift);
+        let r = _mm256_fmsub_pd(inv, xd, kd);
+        let at = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+        let t = _mm256_i64gather_epi64::<8>(EXP_TAB.as_ptr() as *const i64, at);
+        let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+        let [c0, c1, c2] = EXP_POLY;
+        let z = _mm256_fmadd_pd(_mm256_set1_pd(c0), r, _mm256_set1_pd(c1));
+        let r2 = _mm256_mul_pd(r, r);
+        let y = _mm256_fmadd_pd(_mm256_set1_pd(c2), r, _mm256_set1_pd(1.0));
+        _mm256_mul_pd(_mm256_fmadd_pd(z, r2, y), s)
+    }
+
+    /// Eight floats per step through [`exp8`]; the `< 8` tail is padded
+    /// out to one more step, so every element takes the same lane path.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA — every call path reaches here through a
+    /// dispatcher that checked `avx2_available()` first.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn exp_in_place(x: &mut [f32]) {
+        let (chunks, tail) = x.as_chunks_mut::<8>();
+        for chunk in chunks {
+            exp8(chunk);
+        }
+        if !tail.is_empty() {
+            let mut pad = [0.0f32; 8];
+            pad[..tail.len()].copy_from_slice(tail);
+            exp8(&mut pad);
+            tail.copy_from_slice(&pad[..tail.len()]);
+        }
+    }
+
+    /// Eight floats through [`exp4`], each half narrowed once
+    /// (`vcvtpd2ps`, libm's `vcvtsd2ss`); a lane above
+    /// [`EXP_SPECIAL_TOP`] is then redone by `f32::exp`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA (see `exp_in_place`, the only caller).
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn exp8(x: &mut [f32; 8]) {
+        let v = _mm256_loadu_ps(x.as_ptr());
+        let top = _mm256_and_si256(
+            _mm256_srli_epi32::<20>(_mm256_castps_si256(v)),
+            _mm256_set1_epi32(0x7ff),
+        );
+        let special = _mm256_cmpgt_epi32(top, _mm256_set1_epi32(EXP_SPECIAL_TOP));
+        let odd = _mm256_movemask_ps(_mm256_castsi256_ps(special));
+        let lo = exp4(_mm256_cvtps_pd(_mm256_castps256_ps128(v)));
+        let hi = exp4(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)));
+        _mm256_storeu_ps(
+            x.as_mut_ptr(),
+            _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo)),
+        );
+        if odd != 0 {
+            let mut orig = [0.0f32; 8];
+            _mm256_storeu_ps(orig.as_mut_ptr(), v);
+            for (l, &xl) in orig.iter().enumerate().filter(|&(l, _)| odd >> l & 1 == 1) {
+                x[l] = xl.exp();
+            }
         }
     }
 

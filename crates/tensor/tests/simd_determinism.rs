@@ -9,7 +9,10 @@
 //! gradients (the input gradient's fallback) among the draws; the max-pool
 //! lane on output and argmax, with ties, NaN and windows nothing beats. The
 //! fused optimizer sweep is held to the three reference passes it
-//! replaces, on every lane.
+//! replaces, on every lane. The `exp` lane is held to `f32::exp` on a
+//! strided sweep and an edge set, and on all 2³² inputs in an ignored
+//! release test; the block softmax to a row-at-a-time reference on rows
+//! holding NaN, ±inf and `-1e30`.
 //!
 //! Every backend choice is scoped with a thread-local
 //! [`ctx::install`], so concurrent tests in this binary never see each
@@ -780,5 +783,174 @@ proptest! {
         let mut blocked = vec![0.0f32; rows * cols];
         simd::transpose(&src, &mut blocked, rows, cols);
         prop_assert_eq!(naive, blocked);
+    }
+}
+
+/// The AVX2 `exp` lane's mismatches against `f32::exp` over `xs`, compared
+/// bit for bit (NaN payloads included): how many, and the first input
+/// pattern that differs.
+fn exp_mismatches(xs: &[f32]) -> (u64, Option<u32>) {
+    let _g = scoped(SimdKernel::Auto);
+    let mut got = xs.to_vec();
+    simd::exp_in_place(&mut got);
+    let mut misses = xs
+        .iter()
+        .zip(&got)
+        .filter(|(x, y)| x.exp().to_bits() != y.to_bits())
+        .map(|(x, _)| x.to_bits());
+    let first = misses.next();
+    (first.map_or(0, |_| 1 + misses.count() as u64), first)
+}
+
+/// Four ulps either side of, and signs of, every pattern where `exp`'s
+/// paths meet: ±0 and the subnormals, the smallest normal, libm's
+/// special-case boundary (`top12` 0x42a / 0x42b, i.e. 80 and 88), the
+/// overflow threshold `0x1.62e42ep6` ≈ 88.72, the results' subnormal edge
+/// ≈ 87.34 and underflow thresholds ≈ 103.28 and 103.97, ±∞ with the NaN
+/// payloads beside them, the quiet and all-ones NaNs, 1, and the only two
+/// inputs (≈ 32.56 and ≈ −63.1) whose result moves if the reduction
+/// `r = x·N/ln2 − k` rounds its product before the subtraction.
+fn exp_edges() -> Vec<f32> {
+    let centers = [
+        0u32,
+        0x0000_0004,
+        0x0040_0000,
+        0x007f_fffc,
+        0x0080_0000,
+        0x42a0_0000,
+        0x42b0_0000,
+        0x42b1_7217,
+        0x42ae_ac50,
+        0x42ce_8ecf,
+        0x42cf_f1b4,
+        0x7f80_0000,
+        0x7fc0_0000,
+        0x7fff_fffb,
+        0x3f80_0000,
+        0x4202_422f,
+        0x427c_65d9,
+    ];
+    let mut edges = Vec::new();
+    for c in centers {
+        for d in 0..=8u32 {
+            let at = c.wrapping_add(d).wrapping_sub(4) & 0x7fff_ffff;
+            edges.extend([at, at | 0x8000_0000].map(f32::from_bits));
+        }
+    }
+    edges
+}
+
+#[test]
+fn exp_lane_equals_libm_on_a_strided_sweep_and_the_edges() {
+    // Every 4 093rd bit pattern (an odd stride reaches every exponent and
+    // both signs): about a million inputs.
+    const STRIDE: u64 = 4093;
+    let sweep: Vec<f32> = (0..1u64 << 32)
+        .step_by(STRIDE as usize)
+        .map(|b| f32::from_bits(b as u32))
+        .collect();
+    assert_eq!(exp_mismatches(&sweep), (0, None), "strided sweep");
+    // The edge set behind 0..=8 ordinary logits, so each edge meets every
+    // lane position and the tail.
+    let filler = filled(8, 5);
+    for shift in 0..=8 {
+        let mut xs = filler[..shift].to_vec();
+        xs.extend(exp_edges());
+        assert_eq!(exp_mismatches(&xs), (0, None), "edges after {shift}");
+    }
+}
+
+/// The lane against libm on all 2³² inputs, 256 pool jobs of 2²⁴ patterns.
+/// CI's lane-property step runs it in release.
+#[test]
+#[ignore = "exhaustive: all 2^32 inputs, about 20 s in release on 2 cores"]
+fn exp_lane_equals_libm_on_every_f32() {
+    const JOB: u64 = 1 << 24;
+    const BLOCK: u64 = 1 << 12;
+    let _g = scoped(SimdKernel::Auto);
+    let backend = simd::backend_name();
+    let jobs: Vec<_> = (0..(1u64 << 32) / JOB)
+        .map(|j| {
+            fedat_tensor::pool::submit(move || {
+                let mut xs = vec![0.0f32; BLOCK as usize];
+                let (mut misses, mut first) = (0u64, None);
+                for b0 in (j * JOB..(j + 1) * JOB).step_by(BLOCK as usize) {
+                    for (x, b) in xs.iter_mut().zip(b0..) {
+                        *x = f32::from_bits(b as u32);
+                    }
+                    let (m, f) = exp_mismatches(&xs);
+                    misses += m;
+                    first = first.or(f);
+                }
+                (misses, first)
+            })
+        })
+        .collect();
+    let (misses, first) = jobs
+        .into_iter()
+        .map(|job| job.join())
+        .fold((0, None), |(m, f), (jm, jf)| (m + jm, f.or(jf)));
+    eprintln!("exp lane ({backend}) vs f32::exp over 2^32 inputs: {misses} mismatches");
+    assert_eq!((misses, first), (0, None));
+}
+
+/// The softmax of one row as a row-at-a-time loop: max, `exp` of the
+/// difference, the sum in order, the scale — the definition
+/// `ops::softmax_block` reproduces on a whole block.
+fn softmax_row_reference(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    simd::scale(row, 1.0 / sum);
+}
+
+/// Rows of `classes` logits: ordinary draws, then the same with a NaN, a
+/// `+inf`, a `-inf`, a `-1e30`, a lone `0` among `-200`s (the rest
+/// underflow), all `-1e30`, all `-inf`, and `+inf` beside `-inf`.
+fn softmax_edge_rows(classes: usize, seed: u64) -> Vec<f32> {
+    let mut block = Vec::new();
+    let row = |s: u64| filled(classes, seed ^ s);
+    let spiked = |s: u64, v: f32| {
+        let mut r = row(s);
+        r[s as usize % classes] = v;
+        r
+    };
+    block.extend(row(1));
+    block.extend(spiked(2, f32::NAN));
+    block.extend(spiked(3, f32::INFINITY));
+    block.extend(spiked(4, f32::NEG_INFINITY));
+    block.extend(spiked(5, -1e30));
+    let mut lone = vec![-200.0f32; classes];
+    lone[classes / 2] = 0.0;
+    block.extend(lone);
+    block.extend(vec![-1e30f32; classes]);
+    block.extend(vec![f32::NEG_INFINITY; classes]);
+    let mut both = row(6);
+    both[0] = f32::INFINITY;
+    both[classes - 1] = f32::NEG_INFINITY;
+    block.extend(both);
+    block
+}
+
+#[test]
+fn softmax_block_lanes_equal_the_row_reference_on_edge_rows() {
+    // Every width of the tail after whole 8-lane registers, and a run's.
+    for classes in [1usize, 7, 8, 9, 10, 62] {
+        let block = softmax_edge_rows(classes, classes as u64);
+        let mut reference = block.clone();
+        for row in reference.chunks_exact_mut(classes) {
+            softmax_row_reference(row);
+        }
+        let reference: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
+        for lane in LANES {
+            let _g = scoped(lane);
+            let mut got = block.clone();
+            fedat_tensor::ops::softmax_block(&mut got, classes);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(reference, got, "{classes} classes under {lane:?}");
+        }
     }
 }
