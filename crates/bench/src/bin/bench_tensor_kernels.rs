@@ -5,8 +5,9 @@
 //! rest are one plain loop each, there is nothing to compare), the robust
 //! (trimmed-mean / median) reduction, the optimizer sweep (whose scalar
 //! lane is the three passes it fuses), the conv
-//! stage of a CnnLite step — the max-pool lane at both pools and conv2's
-//! input gradient on a pooled, ReLU-masked `dY` — and the softmax
+//! stage of a CnnLite step — the `im2col` lane at both convolutions, the
+//! max-pool lane at both pools and conv2's input gradient on a pooled,
+//! ReLU-masked `dY` — and the softmax
 //! cross-entropy of a batch (its `exp` lane), each timed under
 //! `SimdKernel::Auto`
 //! (runtime-dispatched AVX2+FMA, the scalar reference without them) and
@@ -554,6 +555,45 @@ fn bench_maxpool(shape: &'static str, (c, h): (usize, usize), seed: u64) -> Stag
     )
 }
 
+/// `ConvPlan::im2col` over a `[10, c, h, h]` batch with CnnLite's 3 × 3
+/// window and padding 1 — the column build of one of its two convolutions
+/// for a local step's ten samples.
+fn bench_im2col(shape: &'static str, (c, h): (usize, usize), seed: u64) -> StageSample {
+    let spec = conv::Conv2dSpec {
+        in_channels: c,
+        out_channels: 1,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+    };
+    let plan = conv::ConvPlan::new(spec, h, h);
+    let x = filled(10 * c * h * h, seed);
+    let (rows, width) = plan.cols_dims();
+    let sample = rows * width;
+    bench_stage(
+        ("im2col", shape),
+        20_000,
+        [
+            Vec::with_capacity(10 * sample),
+            Vec::with_capacity(10 * sample),
+        ],
+        |cols: &mut Vec<f32>| {
+            cols.clear();
+            let spare = &mut cols.spare_capacity_mut()[..10 * sample];
+            for (img, out) in x
+                .chunks_exact(c * h * h)
+                .zip(spare.chunks_exact_mut(sample))
+            {
+                plan.im2col(img, out);
+            }
+            // SAFETY: the ten calls initialized the first `10 * sample`
+            // elements, which the capacity holds.
+            unsafe { cols.set_len(10 * sample) };
+        },
+        |cols| cols.iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
 /// conv2's `conv2d_backward_input` in CnnLite 1×8×8 (16 → 32 channels,
 /// 3 × 3 over 4 × 4, batch 10), on a `dY` shaped the way the layers above
 /// it leave one: pool2 routes each 2 × 2 window's gradient to its maximum
@@ -687,9 +727,14 @@ fn main() {
         }
     }
 
-    // CnnLite 1×8×8's two pools and conv2's input gradient, batch 10.
-    eprintln!("[bench_tensor_kernels] conv stage: max-pool lane, conv2 input gradient ...");
+    // CnnLite 1×8×8's two column builds, two pools and conv2's input
+    // gradient, batch 10.
+    eprintln!(
+        "[bench_tensor_kernels] conv stage: im2col lane, max-pool lane, conv2 input gradient ..."
+    );
     let conv_stage = vec![
+        bench_im2col("10x1x8x8", (1, 8), seed ^ 12),
+        bench_im2col("10x16x4x4", (16, 4), seed ^ 13),
         bench_maxpool("10x16x8x8", (16, 8), seed ^ 9),
         bench_maxpool("10x32x4x4", (32, 4), seed ^ 10),
         bench_conv2_backward_input(seed ^ 11),

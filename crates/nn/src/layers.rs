@@ -183,7 +183,7 @@ impl Conv2d {
             .take()
             .expect("Conv2d::backward without Train forward");
         let spec = self.plan.spec;
-        let (oh, ow) = spec.out_hw(self.plan.h, self.plan.w);
+        let (oh, ow) = spec.out_hw(self.plan.h(), self.plan.w());
         let batch = grad_out.dims()[0];
         let dy = grad_out.reshape(&[batch, spec.out_channels, oh, ow]);
         let (dw, db) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
@@ -207,7 +207,7 @@ impl Layer for Conv2d {
         let spec = self.plan.spec;
         assert_eq!(
             feat,
-            spec.in_channels * self.plan.h * self.plan.w,
+            spec.in_channels * self.plan.h() * self.plan.w(),
             "conv2d input features mismatch"
         );
         let (out, cols) = conv2d_forward(
@@ -233,7 +233,7 @@ impl Layer for Conv2d {
         dy.recycle();
         dx.reshape(&[
             batch,
-            self.plan.spec.in_channels * self.plan.h * self.plan.w,
+            self.plan.spec.in_channels * self.plan.h() * self.plan.w(),
         ])
     }
 

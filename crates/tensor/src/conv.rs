@@ -43,25 +43,47 @@ impl Conv2dSpec {
     }
 }
 
+/// Whether an `h × w` plane has fewer than 2³¹ elements, so every offset
+/// into it is a non-negative `i32`: the index type of `vpgatherdd`.
+fn plane_fits_gather(h: usize, w: usize) -> bool {
+    h.checked_mul(w).is_some_and(|hw| hw <= i32::MAX as usize)
+}
+
 /// Where every tap of a convolution over `h × w` planes reads, and where
 /// every input pixel's taps land: built once per layer, the same for every
 /// channel and sample. [`ConvPlan::im2col`] and [`ConvPlan::col2im`] walk
 /// it instead of re-deriving (and bounds-testing) `iy`/`ix` per element.
+///
+/// The plane size and the tap tables are private: `im2col`'s AVX2 lane
+/// gathers through the offsets unchecked, on the bound [`Self::new`]
+/// proved, so nothing may change them after it.
+///
+/// ```compile_fail
+/// use fedat_tensor::conv::{Conv2dSpec, ConvPlan};
+/// let spec = Conv2dSpec { in_channels: 1, out_channels: 1, kernel: 3, stride: 1, padding: 0 };
+/// let mut plan = ConvPlan::new(spec, 9, 9);
+/// plan.h = 1; // error[E0616]: field `h` is private
+/// ```
 #[derive(Clone, Debug)]
 pub struct ConvPlan {
     /// The convolution's geometry.
     pub spec: Conv2dSpec,
-    /// Input plane height.
-    pub h: usize,
-    /// Input plane width.
-    pub w: usize,
-    /// `[K·K, OH·OW]` pairs `(offset, keep)`: the plane offset a tap reads
-    /// and all ones — or, where the tap falls in the zero padding, some
-    /// in-range offset (a different one from entry to entry) and zero.
-    /// `keep` is data, not a predicate, so `im2col` stays a load, an AND
-    /// and a store per element, with no branch for the compiler to
-    /// rediscover.
-    taps: Vec<(u32, u32)>,
+    /// Input plane height ([`Self::h`]).
+    h: usize,
+    /// Input plane width ([`Self::w`]).
+    w: usize,
+    /// `[K·K, OH·OW]`: the plane offset each tap reads — where the tap
+    /// falls in the zero padding, some in-range offset (a different one
+    /// from entry to entry). [`Self::new`] checks every offset is inside
+    /// the plane, whose size it bounds by `i32::MAX`, so the AVX2 lane of
+    /// `im2col` gathers eight through signed 32-bit indices with no
+    /// per-call check.
+    taps: Vec<u32>,
+    /// `[K·K, OH·OW]`, beside `taps`: all ones where the tap reads a pixel,
+    /// zero where it falls in the padding. Data, not a predicate, so
+    /// `im2col` is a load, an AND and a store per tap — or eight of each
+    /// per gather — with no branch.
+    keep: Vec<u32>,
     /// Per input pixel, the taps that read it, ascending `(ky, kx)`: pixel
     /// `p`'s are `sources[starts[p]..starts[p + 1]]`, each the position
     /// `t·C·K·K + ky·K + kx` of output pixel `t`'s tap in channel 0 of a
@@ -75,12 +97,12 @@ impl ConvPlan {
     /// Plans `spec` over `h × w` input planes.
     ///
     /// # Panics
-    /// Panics if the window does not fit the padded input, or a plane or
-    /// a sample's column matrix has more than 2³² elements.
+    /// Panics if the window does not fit the padded input, a plane has 2³¹
+    /// elements or more, or a sample's column matrix more than 2³².
     pub fn new(spec: Conv2dSpec, h: usize, w: usize) -> Self {
         let (oh, ow) = spec.out_hw(h, w);
         assert!(spec.kernel > 0, "conv kernel must be positive");
-        assert!(h * w <= u32::MAX as usize, "conv plane too large to plan");
+        assert!(plane_fits_gather(h, w), "conv plane too large to plan");
         let (k, stride, pad) = (spec.kernel, spec.stride, spec.padding as isize);
         let row = spec.in_channels * k * k;
         assert!(
@@ -88,23 +110,29 @@ impl ConvPlan {
             "conv columns too large to plan"
         );
         let mut taps = Vec::with_capacity(k * k * oh * ow);
+        let mut keep = Vec::with_capacity(k * k * oh * ow);
         for ky in 0..k {
             for kx in 0..k {
                 for oy in 0..oh {
                     let iy = (oy * stride + ky) as isize - pad;
                     for ox in 0..ow {
                         let ix = (ox * stride + kx) as isize - pad;
-                        taps.push(
-                            if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                                ((iy as usize * w + ix as usize) as u32, u32::MAX)
-                            } else {
-                                (((oy * ow + ox) % (h * w)) as u32, 0)
-                            },
-                        );
+                        let (at, on) = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                            (iy as usize * w + ix as usize, u32::MAX)
+                        } else {
+                            ((oy * ow + ox) % (h * w), 0)
+                        };
+                        taps.push(at as u32);
+                        keep.push(on);
                     }
                 }
             }
         }
+        // The one bound check `im2col`'s unchecked gather relies on.
+        assert!(
+            taps.iter().all(|&at| (at as usize) < h * w),
+            "conv tap outside its plane"
+        );
         // Output coordinate `o` whose tap at offset `d` reads input
         // coordinate `i`: `o·stride + d − pad = i`.
         let out_at = |i: usize, d: usize, len: usize| {
@@ -131,9 +159,20 @@ impl ConvPlan {
             h,
             w,
             taps,
+            keep,
             sources,
             starts,
         }
+    }
+
+    /// Input plane height.
+    pub fn h(&self) -> usize {
+        self.h
+    }
+
+    /// Input plane width.
+    pub fn w(&self) -> usize {
+        self.w
     }
 
     /// `(rows, columns)` of one sample's column matrix: `(C_in·K·K, OH·OW)`.
@@ -152,19 +191,11 @@ impl ConvPlan {
     pub fn im2col(&self, img: &[f32], cols: &mut [std::mem::MaybeUninit<f32>]) {
         let hw = self.h * self.w;
         assert_eq!(img.len(), self.spec.in_channels * hw, "image size mismatch");
-        assert_eq!(
-            cols.len(),
-            self.spec.in_channels * self.taps.len(),
-            "cols size mismatch"
-        );
-        for (plane, rows) in img
-            .chunks_exact(hw)
-            .zip(cols.chunks_exact_mut(self.taps.len()))
-        {
-            for (out, &(at, keep)) in rows.iter_mut().zip(&self.taps) {
-                out.write(f32::from_bits(plane[at as usize].to_bits() & keep));
-            }
-        }
+        // SAFETY: `new` checked every offset in `taps` is below `h·w` and
+        // `h·w` at most `i32::MAX`; `taps`, `h` and `w` are private and no
+        // method changes them, so that still holds. The kernel checks the
+        // slice lengths itself.
+        unsafe { crate::simd::im2col(img, hw, &self.taps, &self.keep, cols) }
     }
 
     /// Folds a *transposed* column matrix `[OH·OW, C·K·K]` back into an
@@ -492,6 +523,19 @@ mod tests {
             padding: 0,
         };
         assert_eq!(spec2.out_hw(8, 8), (4, 4));
+    }
+
+    #[test]
+    fn a_plane_fits_the_gather_below_two_to_the_31() {
+        let max = i32::MAX as usize;
+        assert!(plane_fits_gather(1, max));
+        assert!(plane_fits_gather(max, 1));
+        assert!(!plane_fits_gather(1, max + 1));
+        assert!(!plane_fits_gather(max + 1, 1));
+        // 46 340² < 2³¹ − 1 < 46 341².
+        assert!(plane_fits_gather(46_340, 46_340));
+        assert!(!plane_fits_gather(46_341, 46_341));
+        assert!(!plane_fits_gather(usize::MAX, 2));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! experiments": the element-wise twins), so the twins are gone and
 //! [`SimdKernel`] does not reach these kernels at all.
 //!
-//! Seven kernels keep lanes, because a plain loop cannot express what the
+//! Eight kernels keep lanes, because a plain loop cannot express what the
 //! lane does:
 //!
 //! | kernel | scalar (reference) | AVX2 + FMA | why |
@@ -27,6 +27,7 @@
 //! | [`quantize_into`] | `f32::floor` per element | `vroundps` | baseline x86-64 has no vector `floor` |
 //! | [`adam_sweep`] | `prox_grad`, `adam_step`, `fill` — three passes | one fused pass | three sweeps in one |
 //! | [`maxpool`] | one window at a time, a compare per pixel | eight windows per `ymm`: gather, `_CMP_GT_OQ`, two blends | a gather |
+//! | `im2col` | a load, an AND and a store per tap | eight taps per `vpgatherdd`, one AND, one store | a gather |
 //! | [`exp_in_place`] | `f32::exp` (libm's `expf`) per element | libm's own algorithm eight lanes wide, in `f64` | a call per element |
 //!
 //! **Scalar** (`SimdKernel::Scalar`, and `Auto` where AVX2 + FMA are not
@@ -53,6 +54,12 @@
 //!   particular the f32 paths never use FMA *contraction*: a fused `a*b + c`
 //!   rounds once where the scalar reference rounds twice, so the AVX2
 //!   kernels stick to `mul` + `add` exactly like the reference.
+//! * The `im2col` lane computes nothing: it moves each tap's bits and ANDs
+//!   them with the tap's keep mask, as the scalar lane does one at a time.
+//!   Its gather reads unchecked, so the bound is proven where the tap
+//!   tables are built: `ConvPlan::new` checks every offset against a plane
+//!   of fewer than 2³¹ elements, once per plan, and a call checks only
+//!   that it was handed whole planes (see `im2col`).
 //! * The max-pool lane vectorizes across windows: lane `l` makes window
 //!   `o + l`'s decisions in the scalar order — the same pixels, the same
 //!   `>` (`_CMP_GT_OQ` is false on NaN, like the scalar compare), the same
@@ -748,12 +755,60 @@ pub fn maxpool(src: &[f32], (h, w): (usize, usize), k: usize, out: &mut [f32], a
 }
 
 // ----------------------------------------------------------------------
+// Column build (the conv stage's im2col)
+// ----------------------------------------------------------------------
+
+/// Unfolds the `hw`-element planes of `img` through one tap table: plane
+/// `c`'s row of `cols` (`at.len()` long) holds, at `i`, the bits of
+/// `img[c·hw + at[i]]` ANDed with `keep[i]` — the pixel where `keep[i]` is
+/// all ones, `+0.0` where it is zero. Only bits move, so both lanes return
+/// the same bits, NaN payloads included. The scalar lane is a load, an AND
+/// and a store per tap; the AVX2 lane gathers eight taps per `vpgatherdd`,
+/// ANDs them with eight masks and stores them at once (a row's last
+/// `at.len() % 8` taps one at a time).
+///
+/// # Safety
+///
+/// Every `at[i]` is below `hw`, and `hw` is at most `i32::MAX`: the AVX2
+/// lane gathers without a bounds check, through signed 32-bit indices.
+/// [`crate::conv::ConvPlan::new`] proves both once per plan.
+///
+/// # Panics
+/// Panics if `img` is not whole planes, `keep` not as long as `at`, or
+/// `cols` not one `at.len()` row per plane.
+pub(crate) unsafe fn im2col(
+    img: &[f32],
+    hw: usize,
+    at: &[u32],
+    keep: &[u32],
+    cols: &mut [std::mem::MaybeUninit<f32>],
+) {
+    assert_eq!(img.len() % hw, 0, "im2col image is not whole planes");
+    assert_eq!(keep.len(), at.len(), "im2col tap tables differ in length");
+    assert_eq!(cols.len(), img.len() / hw * at.len(), "cols size mismatch");
+    avx2_or_scalar!(
+        avx2::im2col(img, hw, at, keep, cols),
+        scalar::im2col(img, hw, at, keep, cols)
+    )
+}
+
+// ----------------------------------------------------------------------
 // Scalar reference lane
 // ----------------------------------------------------------------------
 
 mod scalar {
     use super::Lhs;
     use crate::ops::RobustRule;
+    use std::mem::MaybeUninit;
+
+    /// A load, an AND and a store per tap, each load bounds-checked.
+    pub fn im2col(img: &[f32], hw: usize, at: &[u32], keep: &[u32], cols: &mut [MaybeUninit<f32>]) {
+        for (plane, row) in img.chunks_exact(hw).zip(cols.chunks_exact_mut(at.len())) {
+            for ((out, &at), &keep) in row.iter_mut().zip(at).zip(keep) {
+                out.write(f32::from_bits(plane[at as usize].to_bits() & keep));
+            }
+        }
+    }
 
     /// One window at a time, each seeded with its own first pixel.
     pub fn maxpool(
@@ -869,6 +924,7 @@ mod avx2 {
     use super::{AdamParams, Lhs, MR, ROBUST_TILE};
     use crate::ops::RobustRule;
     use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
 
     /// Longest stretch of `k` whose non-zero `A` entries one `NonZeros` list
     /// holds (a power of two: the list index is masked, not bounds-checked).
@@ -1469,6 +1525,42 @@ mod avx2 {
             first = _mm256_add_epi32(first, step);
             first = _mm256_add_epi32(first, _mm256_and_si256(cx, col_carry));
             first = _mm256_add_epi32(first, _mm256_and_si256(cy, row_carry));
+        }
+    }
+
+    /// Eight taps per step: eight offsets and eight masks loaded, one
+    /// `vpgatherdd` from the plane, one AND, one store; a row's last
+    /// `at.len() % 8` taps run the scalar lane's loop.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA — the dispatcher checked `avx2_available()`
+    /// first. The safe checks of `im2col` gave `img` whole `hw`-planes,
+    /// `keep` the length of `at` and `cols` one `at.len()` row per plane,
+    /// so every load and store below is inside its slice; its caller
+    /// proved every `at[i] < hw <= i32::MAX`, so each gathered index is a
+    /// non-negative `i32` inside its plane.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn im2col(
+        img: &[f32],
+        hw: usize,
+        at: &[u32],
+        keep: &[u32],
+        cols: &mut [MaybeUninit<f32>],
+    ) {
+        let taps = at.len();
+        let whole = taps - taps % 8;
+        for (plane, row) in img.chunks_exact(hw).zip(cols.chunks_exact_mut(taps)) {
+            let (pp, rp) = (plane.as_ptr() as *const i32, row.as_mut_ptr() as *mut i32);
+            for i in (0..whole).step_by(8) {
+                let idx = _mm256_loadu_si256(at.as_ptr().add(i) as *const __m256i);
+                let on = _mm256_loadu_si256(keep.as_ptr().add(i) as *const __m256i);
+                let v = _mm256_i32gather_epi32::<4>(pp, idx);
+                _mm256_storeu_si256(rp.add(i) as *mut __m256i, _mm256_and_si256(v, on));
+            }
+            for i in whole..taps {
+                row[i].write(f32::from_bits(plane[at[i] as usize].to_bits() & keep[i]));
+            }
         }
     }
 

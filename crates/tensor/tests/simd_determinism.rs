@@ -6,7 +6,9 @@
 //! (`-0.0` and all-zero rows included), non-finite `B` and a pre-filled
 //! `C`; the conv stage forward and backward, against the scalar lane and
 //! against a per-sample reference kept below, with non-finite weights and
-//! gradients (the input gradient's fallback) among the draws; the max-pool
+//! gradients (the input gradient's fallback) among the draws; the `im2col`
+//! lane against the tap-by-tap definition, bit for bit (NaN payloads kept,
+//! padding `+0.0`); the max-pool
 //! lane on output and argmax, with ties, NaN and windows nothing beats. The
 //! fused optimizer sweep is held to the three reference passes it
 //! replaces, on every lane. The `exp` lane is held to `f32::exp` on a
@@ -589,14 +591,54 @@ proptest! {
     }
 
     #[test]
+    fn im2col_lanes_match_scalar_bitwise(
+        k in 1usize..=5, stride in 1usize..=3, padding in 0usize..=2,
+        h in 1usize..=9, w in 1usize..=9, cin in 1usize..=3, seed in 0u64..1000
+    ) {
+        // Sides the padded window does not fit are raised until it does.
+        let fit = k.saturating_sub(2 * padding);
+        let (h, w) = (h.max(fit), w.max(fit));
+        let spec = Conv2dSpec { in_channels: cin, out_channels: 1, kernel: k, stride, padding };
+        let plan = ConvPlan::new(spec, h, w);
+        let mut img = filled(cin * h * w, seed);
+        sprinkle_awkward(&mut img, seed ^ 3);
+        // The definition: row `(c, ky, kx)`, column `(oy, ox)` holds the
+        // pixel the tap reads, or `+0.0` where it reads the padding.
+        let (oh, ow) = spec.out_hw(h, w);
+        let mut want = Vec::with_capacity(cin * k * k * oh * ow);
+        for c in 0..cin {
+            for (ky, kx) in (0..k).flat_map(|ky| (0..k).map(move |kx| (ky, kx))) {
+                for (oy, ox) in (0..oh).flat_map(|oy| (0..ow).map(move |ox| (oy, ox))) {
+                    // A tap above or left of the plane wraps past `h` / `w`.
+                    let iy = (oy * stride + ky).wrapping_sub(padding);
+                    let ix = (ox * stride + kx).wrapping_sub(padding);
+                    let pixel = (iy < h && ix < w).then(|| img[(c * h + iy) * w + ix].to_bits());
+                    want.push(pixel.unwrap_or(0));
+                }
+            }
+        }
+        for lane in LANES {
+            let _g = scoped(lane);
+            let mut cols = Vec::with_capacity(want.len());
+            plan.im2col(&img, &mut cols.spare_capacity_mut()[..want.len()]);
+            // SAFETY: `im2col` initialized the first `want.len()` elements.
+            unsafe { cols.set_len(want.len()) };
+            let got: Vec<u32> = cols.iter().map(|v: &f32| v.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "im2col ({:?})", lane);
+        }
+    }
+
+    #[test]
     fn conv_forward_simd_matches_scalar_bitwise(
-        batch in 1usize..4, cin in 1usize..4, cout in 1usize..6, seed in 0u64..300
+        batch in 1usize..4, cin in 1usize..4, cout in 1usize..6, strided in 0usize..2,
+        seed in 0u64..300
     ) {
         let (h, w) = (7usize, 9usize);
-        let spec = Conv2dSpec { in_channels: cin, out_channels: cout, kernel: 3, stride: 1, padding: 1 };
+        let spec = conv_spec(strided == 1, cin, cout);
+        let kk = spec.kernel * spec.kernel;
         let plan = ConvPlan::new(spec, h, w);
         let input = Tensor::from_vec(filled(batch * cin * h * w, seed), &[batch, cin, h, w]);
-        let weight = Tensor::from_vec(filled(cout * cin * 9, seed ^ 5), &[cout, cin * 9]);
+        let weight = Tensor::from_vec(filled(cout * cin * kk, seed ^ 5), &[cout, cin * kk]);
         let bias = Tensor::from_vec(filled(cout, seed ^ 6), &[cout]);
         let (reference, _) = {
             let _g = scoped(SimdKernel::Scalar);
