@@ -3,13 +3,13 @@
 //! Runs many [`run_experiment_shared`] instances as concurrent pool *jobs*
 //! — not dedicated OS threads — so whole-experiment parallelism and each
 //! run's own training jobs share one scheduler instead of oversubscribing
-//! the host. Each run resolves its own kernel overlay
-//! ([`fedat_core::exec::resolve`]) from its config at run start and
-//! installs it on the thread running it, so grid members with *different*
-//! execution settings (exec mode, SIMD kernel, job cap) cannot cross-talk:
-//! every run in the grid is bit-identical to the same run executed
-//! serially (`grid_matches_serial_for_every_strategy` below compares whole
-//! traces and final weights).
+//! the host. Every job carries the submitting thread's kernel overlay, and
+//! each run resolves its own from it ([`fedat_core::exec::resolve`]) at run
+//! start and installs it on the thread running it, so grid members with
+//! *different* job caps (a config's `Inline`) cannot cross-talk: every run
+//! in the grid is bit-identical to the same run executed serially
+//! (`grid_matches_serial_for_every_strategy` below compares whole traces
+//! and final weights).
 //!
 //! The submitting thread helps while it waits: it walks the handles in
 //! submission order and runs every job no worker has started yet
@@ -38,7 +38,7 @@ pub fn run_grid(jobs: Vec<Job>, workers: usize) -> Vec<JobResult> {
     run_all(jobs.into_iter().map(|job| {
         move || {
             // Jobs share one task Arc per dataset — no corpus clone per
-            // run. The run resolves its overlay from its own config.
+            // run. The run resolves its overlay from the one the job carries.
             let outcome = run_experiment_shared(&job.task, &job.cfg);
             JobResult {
                 label: job.label,

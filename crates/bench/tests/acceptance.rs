@@ -23,6 +23,7 @@ use fedat_core::config::StrategyKind;
 use fedat_core::exec::ExecMode;
 use fedat_data::suite;
 use fedat_sim::fault::FaultKind;
+use fedat_tensor::ctx::{self, KernelCtx};
 use fedat_tensor::simd::SimdKernel;
 use std::sync::Arc;
 
@@ -62,9 +63,9 @@ fn table(results: &[JobResult]) -> String {
     out
 }
 
-// The churn and corrupt scenarios get no ExecMode × SimdKernel × workers sweep
-// here. ExecMode × workers {1, 2, 4, 8} with the fault log, end time and
-// every trace field compared is
+// The churn and corrupt scenarios get no job cap × SimdKernel sweep here.
+// The sweep over pool workers {1, 2, 4, 8} and `Inline`, with the fault
+// log, end time and every trace field compared, is
 // `timeout_paths_are_bit_identical_across_exec_modes_and_workers`
 // (`churn_robustness.rs`) and
 // `guarded_corruption_is_bit_identical_across_exec_modes_and_workers`
@@ -202,35 +203,38 @@ fn a_codec_cuts_fedat_uplink_fourfold_and_the_lossless_delta_is_bit_identical() 
         "delta-rle saved nothing\n{rows}"
     );
 
-    // ... and stays so across execution mode, SIMD kernel and kernel-pool
-    // width: the one lossless-codec sweep in tier-1.
-    let mut sweep = Vec::new();
-    for mode in [ExecMode::Speculative, ExecMode::Inline] {
-        for kernel in [SimdKernel::Auto, SimdKernel::Scalar] {
-            for workers in [1usize, 2, 4, 8] {
+    // ... and stays so across the config's `Inline` cap, SIMD kernel and
+    // kernel-pool width: the one lossless-codec sweep in tier-1. The lane
+    // and the cap are the submitting thread's overlay, which every grid job
+    // carries; one grid per overlay runs both modes.
+    for kernel in [SimdKernel::Auto, SimdKernel::Scalar] {
+        for workers in [1usize, 2, 4, 8] {
+            let _overlay = ctx::install(KernelCtx {
+                simd: kernel,
+                max_pool_jobs: workers - 1,
+            });
+            let sweep = [None, Some(ExecMode::Inline)].map(|mode| {
                 let mut cfg = rle_cfg.clone();
-                cfg.exec.mode = Some(mode);
-                cfg.exec.simd = Some(kernel);
-                cfg.exec.max_pool_jobs = Some(workers - 1);
-                sweep.push(Job {
+                cfg.exec.mode = mode;
+                Job {
                     label: format!("{mode:?}/{kernel:?}/{workers} workers"),
                     task: task.clone(),
                     cfg,
-                });
+                }
+            });
+            for r in run_grid(sweep.into(), 8) {
+                assert_eq!(
+                    r.outcome.final_weights, rle.outcome.final_weights,
+                    "delta-rle weights diverged under {}",
+                    r.label
+                );
+                assert_eq!(
+                    r.up_bytes(),
+                    rle.up_bytes(),
+                    "delta-rle wire bytes diverged under {}",
+                    r.label
+                );
             }
         }
-    }
-    for r in run_grid(sweep, 8) {
-        assert_eq!(
-            r.outcome.final_weights, rle.outcome.final_weights,
-            "delta-rle weights diverged under {}",
-            r.label
-        );
-        assert_eq!(
-            r.up_bytes(),
-            rle.up_bytes(),
-            "delta-rle wire bytes diverged under {}",
-            r.label
-        );
     }
 }

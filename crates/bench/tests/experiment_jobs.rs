@@ -4,13 +4,14 @@
 //! pin was proven byte-identical to its parent by `diff -r` of `repro all`'s
 //! output; the pin keeps that equivalence for the next change to a builder.
 //! A moved digest prints every moved id's new value. The digests moved
-//! three times with no job moving, each time because a deleted config
+//! four times with no job moving, each time because a deleted config
 //! field dropped its text from every `Debug` config: `max_threads: None, `
 //! (`ExecOverrides::max_threads`), `diurnal: None, `
-//! (`ChurnConfig::diurnal`) and `bandwidth_bytes_per_sec: None, `
+//! (`ChurnConfig::diurnal`), `bandwidth_bytes_per_sec: None, `
 //! (`ClusterConfig::bandwidth_bytes_per_sec`, in every config with an
-//! explicit cluster). Each time the parent's digests over its configs with
-//! that text removed are the ones below.
+//! explicit cluster) and `, simd: None, max_pool_jobs: None`
+//! (`ExecOverrides::{simd, max_pool_jobs}`). Each time the parent's digests
+//! over its configs with that text removed are the ones below.
 
 use fedat_bench::experiments::{jobs, leaf_jobs, Ctx, IDS};
 use fedat_bench::harness::{Job, Scale};
@@ -21,24 +22,24 @@ use std::sync::Arc;
 
 /// `(id, digest)` for every registry id, in registry order.
 const PINS: [(&str, u64); 18] = [
-    ("table1", 0x4e86aebf843f9de5),
-    ("table2", 0x4e86aebf843f9de5),
-    ("fig2", 0x4e86aebf843f9de5),
-    ("fig3", 0x4e86aebf843f9de5),
-    ("fig4", 0x4e86aebf843f9de5),
-    ("fig5", 0x421eac3cd075b881),
-    ("fig6", 0x866fe2643551ec7f),
-    ("fig7", 0x6d7e1fed4fa1f81b),
-    ("fig8", 0xf09513a42ec07def),
-    ("fig9", 0x309dc778b5faf4fd),
-    ("fig10", 0xb2d17bfa8f41573c),
-    ("leaf", 0x94a3ab538593ce7b),
-    ("churn", 0x13f147c1150645c6),
-    ("corrupt", 0x7e1b94a98878aebb),
-    ("codec", 0x825f28500d57474e),
-    ("ablate-mistier", 0x1700a2329ea8b3ef),
-    ("ablate-lambda", 0x81344a465b4bda25),
-    ("ablate-delta", 0x9b34face89691081),
+    ("table1", 0x2f033645411fe6d8),
+    ("table2", 0x2f033645411fe6d8),
+    ("fig2", 0x2f033645411fe6d8),
+    ("fig3", 0x2f033645411fe6d8),
+    ("fig4", 0x2f033645411fe6d8),
+    ("fig5", 0xb666fdff6acc9ca0),
+    ("fig6", 0x302800f73ddde953),
+    ("fig7", 0xa0679a43df84daf9),
+    ("fig8", 0xe3ca06b75ffa1894),
+    ("fig9", 0x6127ace33366a80d),
+    ("fig10", 0xf8e71a190d4414e2),
+    ("leaf", 0x089decab9081b81e),
+    ("churn", 0x8caf84fc2b2ef4f5),
+    ("corrupt", 0x957e536bf440bf56),
+    ("codec", 0x2aaba2735fb42b44),
+    ("ablate-mistier", 0x31d5b36bdae08eb7),
+    ("ablate-lambda", 0x9f3762d145a11ccd),
+    ("ablate-delta", 0x69244e2e7fbe64e5),
 ];
 
 fn digest(jobs: &[Job]) -> u64 {

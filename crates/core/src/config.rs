@@ -2,7 +2,6 @@
 
 use fedat_compress::codec::CodecKind;
 use fedat_sim::fleet::ClusterConfig;
-use fedat_tensor::simd::SimdKernel;
 
 /// Which federated-learning method to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -210,23 +209,15 @@ impl GuardPolicy {
     }
 }
 
-/// Per-run execution overrides: every field is `None` = "inherit the
-/// default" (the built-ins, the read-once `FEDAT_EXEC`/`FEDAT_SIMD`
-/// environment, and any `fedat_tensor::ctx` overlay on the calling
-/// thread). A run resolves these once at start into its kernel overlay
-/// ([`resolve`](crate::exec::resolve)), so two concurrent runs with
-/// different overrides never read each other's settings.
-///
-/// Every override selects between bit-identical implementations, so none
-/// of them can change a trace — only wall-clock behavior.
+/// Per-run execution override. A run executes under its calling thread's
+/// kernel overlay ([`fedat_tensor::ctx`]); the one thing a config can pin
+/// is job cap 0 ([`resolve`](crate::exec::resolve)). It selects between
+/// bit-identical executions, so it cannot change a trace — only wall-clock
+/// behavior.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecOverrides {
-    /// Speculative vs. inline client training (`Inline` = job cap 0).
+    /// `Some(Inline)` pins the job cap to 0; `None` keeps the overlay's.
     pub mode: Option<crate::exec::ExecMode>,
-    /// SIMD lane selection.
-    pub simd: Option<SimdKernel>,
-    /// Cap on pool-resident submitted jobs.
-    pub max_pool_jobs: Option<usize>,
 }
 
 /// Full experiment configuration. Build via [`ExperimentConfig::builder`].
@@ -281,8 +272,8 @@ pub struct ExperimentConfig {
     /// Guard layer against corrupted updates (finite check, norm screen,
     /// staleness bound, quarantine, robust aggregation). Defaults inert.
     pub guard: GuardPolicy,
-    /// Per-run execution overrides (exec mode, SIMD lane, job cap).
-    /// Defaults to inheriting the process defaults.
+    /// Per-run execution override: job cap 0, or (the default) the
+    /// calling thread's overlay.
     pub exec: ExecOverrides,
 }
 
@@ -464,30 +455,6 @@ impl ExperimentConfigBuilder {
     /// Sets the aggregation rule (leaving the rest of the guard as-is).
     pub fn agg_rule(mut self, rule: crate::aggregate::AggRule) -> Self {
         self.cfg.guard.agg_rule = rule;
-        self
-    }
-
-    /// Sets the full per-run execution override block.
-    pub fn exec(mut self, e: ExecOverrides) -> Self {
-        self.cfg.exec = e;
-        self
-    }
-
-    /// Pins this run's execution mode (speculative vs. inline).
-    pub fn exec_mode(mut self, m: crate::exec::ExecMode) -> Self {
-        self.cfg.exec.mode = Some(m);
-        self
-    }
-
-    /// Pins this run's SIMD backend.
-    pub fn simd_kernel(mut self, k: SimdKernel) -> Self {
-        self.cfg.exec.simd = Some(k);
-        self
-    }
-
-    /// Pins this run's cap on pool-resident submitted jobs.
-    pub fn max_pool_jobs(mut self, n: usize) -> Self {
-        self.cfg.exec.max_pool_jobs = Some(n);
         self
     }
 

@@ -34,7 +34,7 @@ pub struct Outcome {
     pub tier_updates: Option<Vec<u64>>,
     /// This run's speculative training launches and discards (wasted
     /// work). Cap-dependent, unlike everything above: zero when the run's
-    /// job cap is 0 (`ExecMode::Inline`).
+    /// job cap is 0.
     pub speculation: crate::exec::Speculation,
 }
 

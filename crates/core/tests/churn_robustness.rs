@@ -152,14 +152,15 @@ fn fedat_with_timeouts_rides_out_a_storm_without_stalling() {
 }
 
 /// The timeout/re-dispatch path must be trace-invisible to the execution
-/// machinery: bit-identical across ExecMode::{Speculative, Inline} × pool
-/// worker counts {1, 2, 4, 8}. Deadlines cancel speculative jobs mid-run,
+/// machinery: bit-identical across pool worker counts {1, 2, 4, 8} and a
+/// config's `Inline`. Deadlines cancel speculative jobs mid-run,
 /// so this pins that a discarded-but-still-running job can't leak anything
 /// observable. The sweep runs on FedAT's default polyline wire, then again
 /// on an 8-bit quantized uplink: a delta against each dispatch's broadcast.
 #[test]
 fn timeout_paths_are_bit_identical_across_exec_modes_and_workers() {
     use fedat_core::exec::ExecMode;
+    use fedat_tensor::ctx::{self, KernelCtx};
     fedat_tensor::pool::ensure_workers(8);
 
     let n = 16;
@@ -169,23 +170,27 @@ fn timeout_paths_are_bit_identical_across_exec_modes_and_workers() {
         cfg.max_time = 15_000.0;
         cfg.codec = codec;
 
-        let run_with = |mode: ExecMode, workers: usize| {
+        // "W workers" = a job cap of W−1 on this thread's overlay.
+        let run_with = |mode: Option<ExecMode>, workers: usize| {
+            let _overlay = ctx::install(KernelCtx {
+                max_pool_jobs: workers - 1,
+                ..ctx::snapshot()
+            });
             let mut cfg = cfg.clone();
-            cfg.exec.mode = Some(mode);
-            cfg.exec.max_pool_jobs = Some(workers - 1);
+            cfg.exec.mode = mode;
             fedat_core::run_experiment(&task, &cfg)
         };
 
-        let base = run_with(ExecMode::Speculative, 8);
+        let base = run_with(None, 8);
         let n = |kind| base.faults.count(kind);
         assert!(
             n(FaultKind::Timeout) > 0 && n(FaultKind::Retry) > 0,
             "scenario no longer exercises the timeout path ({codec:?})"
         );
         let rows = [1usize, 2, 4, 8]
-            .map(|workers| (ExecMode::Speculative, workers))
+            .map(|workers| (None, workers))
             .into_iter()
-            .chain([(ExecMode::Inline, 1)]);
+            .chain([(Some(ExecMode::Inline), 8)]);
         for (mode, workers) in rows {
             let out = run_with(mode, workers);
             let run = format!("{mode:?} with {workers} workers ({codec:?})");

@@ -311,10 +311,11 @@ fn quarantine_parks_repeat_offenders() {
 /// Bit-identity with the guard on and the attack live: corruption,
 /// screening, clipping and quarantine all sit on the virtual-time side of
 /// the determinism contract, so the full outcome must not move across
-/// ExecMode × SimdKernel × pool worker counts {1, 2, 4, 8}.
+/// SimdKernel × pool worker counts {1, 2, 4, 8} and a config's `Inline`.
 #[test]
 fn guarded_corruption_is_bit_identical_across_exec_modes_and_workers() {
     use fedat_core::exec::ExecMode;
+    use fedat_tensor::ctx::{self, KernelCtx};
     use fedat_tensor::simd::SimdKernel;
     fedat_tensor::pool::ensure_workers(8);
 
@@ -334,22 +335,25 @@ fn guarded_corruption_is_bit_identical_across_exec_modes_and_workers() {
         corrupt_cluster(n, seed, Some(scale_attack(0.3))),
         guard,
     );
-    let run_with = |mode: ExecMode, kernel: SimdKernel, workers: usize| {
+    // "W workers" = a job cap of W−1 on this thread's overlay.
+    let run_with = |mode: Option<ExecMode>, kernel: SimdKernel, workers: usize| {
+        let _overlay = ctx::install(KernelCtx {
+            simd: kernel,
+            max_pool_jobs: workers - 1,
+        });
         let mut cfg = cfg.clone();
-        cfg.exec.mode = Some(mode);
-        cfg.exec.simd = Some(kernel);
-        cfg.exec.max_pool_jobs = Some(workers - 1);
+        cfg.exec.mode = mode;
         fedat_core::run_experiment(&task, &cfg)
     };
-    let base = run_with(ExecMode::Speculative, SimdKernel::Auto, 8);
+    let base = run_with(None, SimdKernel::Auto, 8);
     assert!(
         base.faults.count(FaultKind::Corrupt) > 0 && base.faults.count(FaultKind::Clip) > 0,
         "scenario no longer exercises the guard"
     );
     let rows = [1usize, 2, 4, 8]
-        .map(|workers| (ExecMode::Speculative, workers))
+        .map(|workers| (None, workers))
         .into_iter()
-        .chain([(ExecMode::Inline, 1)]);
+        .chain([(Some(ExecMode::Inline), 8)]);
     for (mode, workers) in rows {
         for kernel in [SimdKernel::Auto, SimdKernel::Scalar] {
             let out = run_with(mode, kernel, workers);

@@ -1,10 +1,11 @@
 //! Per-run execution settings: concurrent experiments with *different*
-//! exec modes and kernel settings must not cross-talk.
+//! job caps and kernel settings must not cross-talk.
 //!
 //! `run_experiment_shared` resolves a kernel overlay
-//! ([`fedat_core::exec::resolve`]) once from config + environment and
-//! installs it on the calling thread; every job the run submits (training,
-//! pipelined evals) carries it to the thread that runs it. There is no
+//! ([`fedat_core::exec::resolve`]) once from the calling thread's overlay
+//! and the config's `Inline` pin, and installs it on the calling thread;
+//! every job the run submits (training, pipelined evals) carries it to the
+//! thread that runs it. There is no
 //! process-global mutable configuration or counter behind a run. These
 //! tests pin that property: N concurrent runs, each under different
 //! settings, each bit-identical to its own serial counterpart and each
@@ -16,12 +17,17 @@
 
 use fedat_core::exec::{self, ExecMode};
 use fedat_core::{run_experiment, ExperimentConfig, Outcome, StrategyKind};
-use fedat_data::suite;
+use fedat_data::suite::{self, FedTask};
 use fedat_sim::fleet::ClusterConfig;
+use fedat_tensor::ctx::{self, KernelCtx};
 use fedat_tensor::simd::SimdKernel;
 use std::sync::Barrier;
 
-fn cfg_with(mode: ExecMode, simd: SimdKernel, n: usize, seed: u64) -> ExperimentConfig {
+/// The job cap that lets every job onto the pool, whatever the host
+/// default (cap 0 under `FEDAT_EXEC=inline`).
+const UNCAPPED: usize = usize::MAX;
+
+fn cfg_with(n: usize, seed: u64) -> ExperimentConfig {
     ExperimentConfig::builder()
         .strategy(StrategyKind::FedAt)
         .rounds(12)
@@ -34,9 +40,21 @@ fn cfg_with(mode: ExecMode, simd: SimdKernel, n: usize, seed: u64) -> Experiment
                 .with_clients(n)
                 .without_dropouts(),
         )
-        .exec_mode(mode)
-        .simd_kernel(simd)
         .build()
+}
+
+/// Runs `cfg` with `overlay` installed on this thread.
+fn run_under(overlay: KernelCtx, task: &FedTask, cfg: &ExperimentConfig) -> Outcome {
+    let _overlay = ctx::install(overlay);
+    run_experiment(task, cfg)
+}
+
+/// The host defaults with the job cap replaced.
+fn capped(max_pool_jobs: usize) -> KernelCtx {
+    KernelCtx {
+        max_pool_jobs,
+        ..ctx::snapshot()
+    }
 }
 
 fn assert_same(label: &str, a: &Outcome, b: &Outcome) {
@@ -60,54 +78,63 @@ fn assert_same(label: &str, a: &Outcome, b: &Outcome) {
     }
 }
 
-/// The four settings of the grid: {Speculative, Inline} × {Auto, Scalar}.
-const COMBOS: [(ExecMode, SimdKernel, &str); 4] = [
-    (ExecMode::Speculative, SimdKernel::Auto, "spec/auto"),
-    (ExecMode::Speculative, SimdKernel::Scalar, "spec/scalar"),
-    (ExecMode::Inline, SimdKernel::Auto, "inline/auto"),
-    (ExecMode::Inline, SimdKernel::Scalar, "inline/scalar"),
+const fn kernel_ctx(max_pool_jobs: usize, simd: SimdKernel) -> KernelCtx {
+    KernelCtx {
+        simd,
+        max_pool_jobs,
+    }
+}
+
+/// The four overlays of the grid: {uncapped, cap 0} × {Auto, Scalar}.
+const COMBOS: [(KernelCtx, &str); 4] = [
+    (kernel_ctx(UNCAPPED, SimdKernel::Auto), "spec/auto"),
+    (kernel_ctx(UNCAPPED, SimdKernel::Scalar), "spec/scalar"),
+    (kernel_ctx(0, SimdKernel::Auto), "inline/auto"),
+    (kernel_ctx(0, SimdKernel::Scalar), "inline/scalar"),
 ];
 
 #[test]
 fn concurrent_runs_with_different_contexts_match_their_serial_counterparts() {
     let n = 12;
     let task = suite::sent140_like(n, 41);
+    let cfg = cfg_with(n, 41);
 
     // Serial baselines, one per context, on this thread.
     let serial: Vec<Outcome> = COMBOS
         .iter()
-        .map(|&(mode, simd, _)| run_experiment(&task, &cfg_with(mode, simd, n, 41)))
+        .map(|&(overlay, _)| run_under(overlay, &task, &cfg))
         .collect();
 
     // All four contexts at once, each from its own OS thread.
     let concurrent: Vec<Outcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = COMBOS
             .iter()
-            .map(|&(mode, simd, _)| {
-                let task = &task;
-                scope.spawn(move || run_experiment(task, &cfg_with(mode, simd, n, 41)))
+            .map(|&(overlay, _)| {
+                let (task, cfg) = (&task, &cfg);
+                scope.spawn(move || run_under(overlay, task, cfg))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    for ((s, c), &(_, _, label)) in serial.iter().zip(concurrent.iter()).zip(COMBOS.iter()) {
+    for ((s, c), &(_, label)) in serial.iter().zip(concurrent.iter()).zip(COMBOS.iter()) {
         assert_same(label, c, s);
     }
     // The bit-identity contract also pins the four contexts to *each
-    // other*: mode and kernel choice are performance levers, not semantics.
-    for (s, &(_, _, label)) in serial.iter().skip(1).zip(COMBOS.iter().skip(1)) {
+    // other*: job cap and kernel choice are performance levers, not
+    // semantics.
+    for (s, &(_, label)) in serial.iter().skip(1).zip(COMBOS.iter().skip(1)) {
         assert_same(label, s, &serial[0]);
     }
 }
 
 /// A FedAT config on a cluster where half the fleet drops out mid-run, so
-/// speculative runs both launch and discard.
-fn dropout_cfg(mode: ExecMode, n: usize, seed: u64) -> ExperimentConfig {
+/// uncapped runs both launch and discard.
+fn dropout_cfg(n: usize, seed: u64) -> ExperimentConfig {
     let mut cluster = ClusterConfig::paper_medium(seed).with_clients(n);
     cluster.n_unstable = n / 2;
     cluster.dropout_horizon = 400.0;
-    let mut cfg = cfg_with(mode, SimdKernel::Auto, n, seed);
+    let mut cfg = cfg_with(n, seed);
     cfg.cluster = Some(cluster);
     cfg.rounds = 120;
     cfg.max_time = 2000.0;
@@ -116,23 +143,23 @@ fn dropout_cfg(mode: ExecMode, n: usize, seed: u64) -> ExperimentConfig {
 
 #[test]
 fn config_overrides_beat_the_default_layer() {
-    // A run whose config pins Inline must launch nothing and one that pins
-    // Speculative must launch, whatever three sibling threads are doing:
-    // they run Speculative experiments concurrently in this process. The
-    // barrier starts all five runs together.
+    // A run whose config pins Inline must launch nothing and one that does
+    // not must launch, under the same uncapped overlay, whatever three
+    // sibling threads are doing: they run uncapped experiments concurrently
+    // in this process. The barrier starts all five runs together.
     let n = 8;
     let task = suite::sent140_like(n, 43);
     let start = Barrier::new(5);
-    let run = |mode: ExecMode| {
+    let run = |mode: Option<ExecMode>| {
+        let mut cfg = cfg_with(n, 43);
+        cfg.exec.mode = mode;
         start.wait();
-        run_experiment(&task, &cfg_with(mode, SimdKernel::Auto, n, 43))
+        run_under(capped(UNCAPPED), &task, &cfg)
     };
     std::thread::scope(|scope| {
-        let siblings: Vec<_> = (0..3)
-            .map(|_| scope.spawn(|| run(ExecMode::Speculative)))
-            .collect();
-        let inline = scope.spawn(|| run(ExecMode::Inline));
-        let spec = run(ExecMode::Speculative);
+        let siblings: Vec<_> = (0..3).map(|_| scope.spawn(|| run(None))).collect();
+        let inline = scope.spawn(|| run(Some(ExecMode::Inline)));
+        let spec = run(None);
         let inline = inline.join().unwrap();
         assert!(inline.global_updates > 0);
         assert_eq!(
@@ -141,7 +168,7 @@ fn config_overrides_beat_the_default_layer() {
         );
         assert!(
             spec.speculation.launches > 0,
-            "a Speculative run launched nothing"
+            "an uncapped run launched nothing"
         );
         for s in siblings {
             assert_eq!(s.join().unwrap().speculation, spec.speculation);
@@ -151,39 +178,37 @@ fn config_overrides_beat_the_default_layer() {
 
 #[test]
 fn concurrent_runs_report_exactly_their_own_speculation() {
-    // Two Inline and two Speculative runs at once, on a cluster with
-    // dropouts: each run's launch/discard counts must equal those of the
-    // same config run alone.
+    // Two cap-0 and two uncapped runs at once, on a cluster with dropouts:
+    // each run's launch/discard counts must equal those of the same run
+    // alone.
     let n = 14;
     let task = suite::sent140_like(n, 29);
-    let cfgs: Vec<ExperimentConfig> = [
-        (ExecMode::Inline, 29),
-        (ExecMode::Speculative, 29),
-        (ExecMode::Inline, 31),
-        (ExecMode::Speculative, 31),
-    ]
-    .iter()
-    .map(|&(mode, seed)| dropout_cfg(mode, n, seed))
-    .collect();
-    let alone: Vec<Outcome> = cfgs.iter().map(|c| run_experiment(&task, c)).collect();
-    for (c, out) in cfgs.iter().zip(&alone) {
+    let runs: Vec<(usize, ExperimentConfig)> = [(0, 29), (UNCAPPED, 29), (0, 31), (UNCAPPED, 31)]
+        .iter()
+        .map(|&(cap, seed)| (cap, dropout_cfg(n, seed)))
+        .collect();
+    let alone: Vec<Outcome> = runs
+        .iter()
+        .map(|(cap, c)| run_under(capped(*cap), &task, c))
+        .collect();
+    for ((cap, _), out) in runs.iter().zip(&alone) {
         let spec = out.speculation;
-        if c.exec.mode == Some(ExecMode::Inline) {
-            assert_eq!(spec, Default::default(), "inline runs never speculate");
+        if *cap == 0 {
+            assert_eq!(spec, Default::default(), "cap-0 runs never speculate");
         } else {
             assert!(spec.launches > 0 && spec.discards > 0, "{spec:?}");
             assert!(spec.discards <= spec.launches, "{spec:?}");
         }
     }
-    let start = Barrier::new(cfgs.len());
+    let start = Barrier::new(runs.len());
     let together: Vec<Outcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = cfgs
+        let handles: Vec<_> = runs
             .iter()
-            .map(|c| {
+            .map(|(cap, c)| {
                 let (task, start) = (&task, &start);
                 scope.spawn(move || {
                     start.wait();
-                    run_experiment(task, c)
+                    run_under(capped(*cap), task, c)
                 })
             })
             .collect();
@@ -200,57 +225,56 @@ fn concurrent_runs_report_exactly_their_own_speculation() {
 
 #[test]
 fn resolve_layers_config_over_the_thread_overlay() {
-    // A kernel overlay installed on the calling thread (how tests and
-    // benches scope kernel-level code) is the base `resolve` starts from;
-    // explicit config overrides beat it field by field.
-    use fedat_tensor::ctx::{self, KernelCtx};
-    let _g = ctx::install(KernelCtx {
-        simd: SimdKernel::Scalar,
-        max_pool_jobs: 5,
-    });
-    let inherited = exec::resolve(&ExperimentConfig::builder().build());
-    let default_cap = match exec::default_exec_mode() {
-        ExecMode::Speculative => 5,
-        ExecMode::Inline => 0,
-    };
-    assert_eq!(
-        inherited,
-        KernelCtx {
-            max_pool_jobs: default_cap,
-            ..ctx::snapshot()
-        }
-    );
-
-    let cfg = ExperimentConfig::builder()
-        .exec_mode(ExecMode::Speculative)
-        .simd_kernel(SimdKernel::Auto)
-        .build();
-    let resolved = exec::resolve(&cfg);
-    assert_eq!(resolved.simd, SimdKernel::Auto, "config must win");
-    assert_eq!(
-        resolved.max_pool_jobs, 5,
-        "untouched fields keep the enclosing overlay"
-    );
+    // The one rule: a run executes under the calling thread's overlay,
+    // lane and cap unchanged, and a config's `Inline` pins the cap to 0
+    // over it. Both overlays differ from some host default
+    // (`FEDAT_SIMD=scalar`, `FEDAT_EXEC=inline`), so the overlay must beat
+    // the environment in every CI pass.
+    let mut inline = ExperimentConfig::builder().build();
+    inline.exec.mode = Some(ExecMode::Inline);
+    for overlay in [
+        kernel_ctx(5, SimdKernel::Scalar),
+        kernel_ctx(UNCAPPED, SimdKernel::Auto),
+    ] {
+        let _g = ctx::install(overlay);
+        assert_eq!(
+            exec::resolve(&ExperimentConfig::builder().build()),
+            overlay,
+            "the overlay must come through unchanged"
+        );
+        assert_eq!(
+            exec::resolve(&inline),
+            KernelCtx {
+                max_pool_jobs: 0,
+                ..overlay
+            },
+            "Inline pins the cap and nothing else"
+        );
+    }
 }
 
 #[test]
 fn inline_is_the_job_cap_of_zero() {
-    let cfg = ExperimentConfig::builder()
-        .exec_mode(ExecMode::Inline)
-        .max_pool_jobs(4)
-        .build();
-    assert_eq!(exec::resolve(&cfg).max_pool_jobs, 0, "Inline beats the cap");
+    let mut inline = ExperimentConfig::builder().build();
+    inline.exec.mode = Some(ExecMode::Inline);
+    {
+        let _g = ctx::install(capped(4));
+        assert_eq!(
+            exec::resolve(&inline).max_pool_jobs,
+            0,
+            "Inline beats the cap"
+        );
+    }
 
     // And a run cannot tell the two spellings apart: every field of the
     // outcome, speculation included, is the same.
     let n = 14;
     let task = suite::sent140_like(n, 29);
-    let inline = dropout_cfg(ExecMode::Inline, n, 29);
-    let mut cap_zero = dropout_cfg(ExecMode::Speculative, n, 29);
-    cap_zero.exec.max_pool_jobs = Some(0);
+    let mut inline = dropout_cfg(n, 29);
+    inline.exec.mode = Some(ExecMode::Inline);
     let (a, b) = (
-        run_experiment(&task, &inline),
-        run_experiment(&task, &cap_zero),
+        run_under(capped(UNCAPPED), &task, &inline),
+        run_under(capped(0), &task, &dropout_cfg(n, 29)),
     );
     assert_eq!(a.speculation, Default::default());
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
@@ -259,14 +283,21 @@ fn inline_is_the_job_cap_of_zero() {
 #[test]
 fn one_selector_names_each_lane_and_rides_into_pool_jobs() {
     use fedat_tensor::simd::backend_name;
-    let process_default = fedat_tensor::ctx::snapshot().simd;
-    // What each selector value dispatches to, whatever `FEDAT_SIMD` says:
-    // `Auto` is the AVX2 lane exactly where AVX2 + FMA are detected.
+    let process_default = ctx::snapshot().simd;
+    // The lane a run resolves under an overlay, and what it dispatches to,
+    // whatever `FEDAT_SIMD` says.
+    let resolved = |simd: SimdKernel| {
+        let _g = ctx::install(KernelCtx {
+            simd,
+            ..ctx::snapshot()
+        });
+        exec::resolve(&ExperimentConfig::builder().build())
+    };
     let named = |simd: SimdKernel| {
-        let cfg = ExperimentConfig::builder().simd_kernel(simd).build();
-        let _g = fedat_tensor::ctx::install(exec::resolve(&cfg));
+        let _g = ctx::install(resolved(simd));
         backend_name()
     };
+    // `Auto` is the AVX2 lane exactly where AVX2 + FMA are detected.
     #[cfg(target_arch = "x86_64")]
     let avx2_fma = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
     #[cfg(not(target_arch = "x86_64"))]
@@ -275,7 +306,7 @@ fn one_selector_names_each_lane_and_rides_into_pool_jobs() {
     assert_eq!(named(SimdKernel::Auto), auto);
     assert_eq!(named(SimdKernel::Scalar), "scalar");
 
-    // `cfg.exec.simd` survives `resolve` and travels with a job onto
+    // The overlay's lane survives `resolve` and travels with a job onto
     // whichever thread runs it. The value is the one the process default
     // is not (`Scalar`, or `Auto` under `FEDAT_SIMD=scalar`), so a job that
     // fell back to the default would fail here.
@@ -284,8 +315,10 @@ fn one_selector_names_each_lane_and_rides_into_pool_jobs() {
         SimdKernel::Scalar => SimdKernel::Auto,
     };
     let want = (other, named(other));
-    let cfg = ExperimentConfig::builder().simd_kernel(other).build();
-    let _g = fedat_tensor::ctx::install(exec::resolve(&cfg));
+    let _g = ctx::install(KernelCtx {
+        max_pool_jobs: UNCAPPED,
+        ..resolved(other)
+    });
     fedat_tensor::pool::ensure_workers(1);
     let job = fedat_tensor::pool::submit(|| (fedat_tensor::simd::simd_kernel(), backend_name()));
     assert_eq!(job.join(), want);

@@ -13,13 +13,14 @@
 //! the platform libm, so the value is host-stable but not portable. What
 //! this test pins instead is everything the fingerprint was a proxy for:
 //! the run is reproducible within a process and invariant across the
-//! ExecMode × worker-count sweep, i.e. nothing about the async inflight
+//! worker-count and `Inline` sweep, i.e. nothing about the async inflight
 //! bookkeeping depends on container iteration order.
 
 use fedat_core::config::{ExperimentConfig, StrategyKind};
 use fedat_core::exec::ExecMode;
 use fedat_data::suite;
 use fedat_sim::fleet::ClusterConfig;
+use fedat_tensor::ctx::{self, KernelCtx};
 use fedat_tensor::pool;
 
 fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -69,28 +70,33 @@ fn fedasync_inflight_bookkeeping_is_order_blind() {
         .cluster(cluster)
         .build();
 
-    let run_with = |mode: ExecMode, workers: usize| {
+    // "W workers" = the joining main thread + W−1 pool helpers, a job cap
+    // of W−1 on this thread's overlay.
+    let run_with = |mode: Option<ExecMode>, workers: usize| {
+        let _overlay = ctx::install(KernelCtx {
+            max_pool_jobs: workers - 1,
+            ..ctx::snapshot()
+        });
         let mut cfg = cfg.clone();
-        cfg.exec.mode = Some(mode);
-        cfg.exec.max_pool_jobs = Some(workers - 1);
+        cfg.exec.mode = mode;
         fedat_core::run_experiment(&task, &cfg)
     };
 
-    let base = run_with(ExecMode::Speculative, 8);
+    let base = run_with(None, 8);
     assert!(base.global_updates > 0, "run made no progress");
     assert!(base.final_weights.iter().all(|w| w.is_finite()));
 
     // Reproducible within the process…
-    let again = run_with(ExecMode::Speculative, 8);
+    let again = run_with(None, 8);
     assert_eq!(fingerprint(&again), fingerprint(&base));
     assert_eq!(again.final_weights, base.final_weights);
 
     // …and invariant across everything that would perturb map iteration
     // timing if any access were order-sensitive.
     let rows = [1usize, 2, 8]
-        .map(|workers| (ExecMode::Speculative, workers))
+        .map(|workers| (None, workers))
         .into_iter()
-        .chain([(ExecMode::Inline, 1)]);
+        .chain([(Some(ExecMode::Inline), 8)]);
     for (mode, workers) in rows {
         let out = run_with(mode, workers);
         assert_eq!(

@@ -1,16 +1,16 @@
 //! End-to-end regression for loader-built tasks: a FEMNIST-shaped fixture
 //! is generated on disk by the LEAF writer, parsed back, and trained under
 //! FedAT — and the whole run (trace, traffic, final weights, per-client
-//! accuracies) must be **bit-identical** across
-//! `ExecMode::{Speculative, Inline}` × `SimdKernel::{Auto, Scalar}`,
+//! accuracies) must be **bit-identical** across the job caps
+//! {uncapped, 0} × `SimdKernel::{Auto, Scalar}`,
 //! extending the sweep contract of `strategy_behavior.rs` from synthetic
 //! tasks to the disk-loaded natural-partition path.
 
-use fedat_core::exec::ExecMode;
 use fedat_core::prelude::*;
 use fedat_data::leaf::{writer, LeafBenchmark};
 use fedat_data::suite::FedTask;
 use fedat_sim::fleet::ClusterConfig;
+use fedat_tensor::ctx::{self, KernelCtx};
 use fedat_tensor::simd::SimdKernel;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -66,41 +66,42 @@ fn leaf_loaded_fedat_run_is_bit_identical_across_exec_and_simd_modes() {
         .cluster(cluster)
         .build();
 
-    let run_with = |mode: ExecMode, kernel: SimdKernel| {
-        let mut cfg = cfg.clone();
-        cfg.exec.mode = Some(mode);
-        cfg.exec.simd = Some(kernel);
+    let run_with = |max_pool_jobs: usize, kernel: SimdKernel| {
+        let _overlay = ctx::install(KernelCtx {
+            simd: kernel,
+            max_pool_jobs,
+        });
         run_experiment_shared(&task, &cfg)
     };
 
-    let base = run_with(ExecMode::Speculative, SimdKernel::Auto);
+    let base = run_with(usize::MAX, SimdKernel::Auto);
     assert!(
         !base.trace.points.is_empty(),
         "the run must record a trace to pin"
     );
     assert!(base.final_weights.iter().all(|w| w.is_finite()));
-    for (mode, kernel) in [
-        (ExecMode::Speculative, SimdKernel::Scalar),
-        (ExecMode::Inline, SimdKernel::Auto),
-        (ExecMode::Inline, SimdKernel::Scalar),
+    for (cap, kernel) in [
+        (usize::MAX, SimdKernel::Scalar),
+        (0, SimdKernel::Auto),
+        (0, SimdKernel::Scalar),
     ] {
-        let out = run_with(mode, kernel);
+        let out = run_with(cap, kernel);
         assert_eq!(
             out.final_weights, base.final_weights,
-            "final weights diverged under {mode:?}/{kernel:?}"
+            "final weights diverged under cap {cap}/{kernel:?}"
         );
         assert_eq!(
             out.per_client_accuracy, base.per_client_accuracy,
-            "per-client sweep diverged under {mode:?}/{kernel:?}"
+            "per-client sweep diverged under cap {cap}/{kernel:?}"
         );
         assert_eq!(out.global_updates, base.global_updates);
         assert_eq!(out.trace.points.len(), base.trace.points.len());
         for (p, q) in out.trace.points.iter().zip(base.trace.points.iter()) {
             assert_eq!(
                 p.accuracy, q.accuracy,
-                "accuracy diverged under {mode:?}/{kernel:?}"
+                "accuracy diverged under cap {cap}/{kernel:?}"
             );
-            assert_eq!(p.loss, q.loss, "loss diverged under {mode:?}/{kernel:?}");
+            assert_eq!(p.loss, q.loss, "loss diverged under cap {cap}/{kernel:?}");
             assert_eq!(p.time, q.time);
             assert_eq!(p.round, q.round);
             assert_eq!(p.up_bytes, q.up_bytes, "uplink traffic diverged");

@@ -6,6 +6,7 @@ use fedat_core::strategies::build_strategy;
 use fedat_data::suite;
 use fedat_sim::fleet::{ClusterConfig, Fleet};
 use fedat_sim::runtime::{run_logged, EventHandler, RunLimits};
+use fedat_tensor::ctx::{self, KernelCtx};
 use std::sync::Arc;
 
 fn cfg(strategy: StrategyKind, rounds: u64, seed: u64, cluster: ClusterConfig) -> ExperimentConfig {
@@ -197,13 +198,14 @@ fn fedat_trace_is_bit_identical_across_aggregation_thread_counts() {
     let mut c = cfg(StrategyKind::FedAt, 10, 23, cluster);
     c.eval_every = 2;
     c.eval_subset = 48; // capped → exercises the shuffled-subset path too
-    use fedat_core::config::ExecOverrides;
-    let run_with = |exec: ExecOverrides| {
+    use fedat_core::exec::ExecMode;
+    let run_with = |mode: Option<ExecMode>, overlay: KernelCtx| {
+        let _overlay = ctx::install(overlay);
         let mut c = c.clone();
-        c.exec = exec;
+        c.exec.mode = mode;
         fedat_core::run_experiment(&task, &c)
     };
-    let base = run_with(ExecOverrides::default());
+    let base = run_with(None, ctx::snapshot());
     assert!(!base.trace.points.is_empty());
     // The speculative executor must be invisible: the whole trace is
     // pinned across pool-worker counts {1, 2, 4, 8} and the inline mode.
@@ -211,19 +213,20 @@ fn fedat_trace_is_bit_identical_across_aggregation_thread_counts() {
     // single-core hosts, and the job cap emulates the smaller counts;
     // neither can change a bit because training jobs are pure and virtual
     // time never observes where they ran.
-    use fedat_core::exec::ExecMode;
     fedat_tensor::pool::ensure_workers(8);
     let rows = [1usize, 2, 4, 8]
-        .map(|workers| (ExecMode::Speculative, workers))
+        .map(|workers| (None, workers))
         .into_iter()
-        .chain([(ExecMode::Inline, 1)]);
+        .chain([(Some(ExecMode::Inline), 8)]);
     for (mode, workers) in rows {
-        let out = run_with(ExecOverrides {
-            mode: Some(mode),
-            // "W workers" = the joining main thread + W−1 pool helpers.
-            max_pool_jobs: Some(workers - 1),
-            ..ExecOverrides::default()
-        });
+        let out = run_with(
+            mode,
+            KernelCtx {
+                // "W workers" = the joining main thread + W−1 pool helpers.
+                max_pool_jobs: workers - 1,
+                ..ctx::snapshot()
+            },
+        );
         assert_eq!(
             out.final_weights, base.final_weights,
             "final weights diverged under {mode:?} with {workers} workers"
@@ -243,10 +246,13 @@ fn fedat_trace_is_bit_identical_across_aggregation_thread_counts() {
     }
     // The SIMD micro-kernel layer must be equally invisible: the whole
     // trace is pinned under the forced-scalar kernel too.
-    let scalar = run_with(ExecOverrides {
-        simd: Some(fedat_tensor::simd::SimdKernel::Scalar),
-        ..ExecOverrides::default()
-    });
+    let scalar = run_with(
+        None,
+        KernelCtx {
+            simd: fedat_tensor::simd::SimdKernel::Scalar,
+            ..ctx::snapshot()
+        },
+    );
     assert_eq!(
         scalar.final_weights, base.final_weights,
         "final weights diverged under SimdKernel::Scalar"
@@ -266,8 +272,8 @@ fn fedat_trace_is_bit_identical_across_aggregation_thread_counts() {
 #[test]
 fn speculative_dropout_discards_are_trace_invisible() {
     // A client that drops mid-round has its speculative training job's
-    // result *discarded* — the run must be bit-identical to
-    // ExecMode::Inline in every observable: the whole trace (accuracy,
+    // result *discarded* — the run must be bit-identical to an `Inline`
+    // one in every observable: the whole trace (accuracy,
     // loss, virtual time, uplink/downlink byte counters), the final
     // weights and the per-client accuracies. Half the cluster here is
     // unstable over a horizon shorter than the run, so dispatches outlive
@@ -282,18 +288,23 @@ fn speculative_dropout_discards_are_trace_invisible() {
     let mut c = cfg(StrategyKind::FedAt, 200, 29, cluster);
     c.max_time = 2000.0;
     c.eval_every = 10;
-    let run_with = |mode: ExecMode| {
+    // Uncapped, so the run speculates whatever the host default cap is.
+    let _uncapped = ctx::install(KernelCtx {
+        max_pool_jobs: usize::MAX,
+        ..ctx::snapshot()
+    });
+    let run_with = |mode: Option<ExecMode>| {
         let mut c = c.clone();
-        c.exec.mode = Some(mode);
+        c.exec.mode = mode;
         fedat_core::run_experiment(&task, &c)
     };
-    let spec = run_with(ExecMode::Speculative);
+    let spec = run_with(None);
     assert!(
         spec.speculation.discards > 0,
         "the unstable cluster must have produced at least one discarded \
          speculative result — the scenario no longer exercises the path"
     );
-    let inline = run_with(ExecMode::Inline);
+    let inline = run_with(Some(ExecMode::Inline));
     assert_eq!(inline.speculation, Default::default());
     assert_eq!(
         spec.final_weights, inline.final_weights,
@@ -328,10 +339,11 @@ fn fedasync_mixing_is_bit_identical_across_simd_and_threads() {
         .without_dropouts();
     let c = cfg(StrategyKind::FedAsync, 20, 31, cluster);
     let run_with = |kernel: SimdKernel, threads: usize| {
-        let mut c = c.clone();
-        c.exec.simd = Some(kernel);
-        // `threads` = the event-loop thread + `threads − 1` pool workers.
-        c.exec.max_pool_jobs = Some(threads - 1);
+        let _overlay = ctx::install(KernelCtx {
+            simd: kernel,
+            // `threads` = the event-loop thread + `threads − 1` pool workers.
+            max_pool_jobs: threads - 1,
+        });
         fedat_core::run_experiment(&task, &c)
     };
     let base = run_with(SimdKernel::Auto, 1);

@@ -18,7 +18,6 @@
 //! mix and evaluation included, stays within four per global update.
 
 use fedat_core::config::{ExperimentConfig, StrategyKind};
-use fedat_core::exec::ExecMode;
 use fedat_core::local::train_client;
 use fedat_data::suite;
 use fedat_nn::models::ModelSpec;
@@ -195,13 +194,15 @@ fn a_submitted_job_allocates_once() {
 fn fedasync_allocates_at_most_four_times_per_global_update() {
     let task = Arc::new(suite::sent140_like(400, 5));
     let run = |rounds: u64| {
-        let mut cfg = ExperimentConfig::builder()
+        let cfg = ExperimentConfig::builder()
             .strategy(StrategyKind::FedAsync)
             .rounds(rounds)
             .seed(5)
             .build();
-        cfg.exec.mode = Some(ExecMode::Inline);
-        cfg.exec.simd = Some(SimdKernel::Auto);
+        let _overlay = fedat_tensor::ctx::install(fedat_tensor::ctx::KernelCtx {
+            simd: SimdKernel::Auto,
+            max_pool_jobs: 0,
+        });
         counted(|| fedat_core::run_experiment_shared(&task, &cfg).global_updates)
     };
     let (short, short_updates) = run(20);

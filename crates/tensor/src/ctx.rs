@@ -1,12 +1,12 @@
-//! Kernel configuration: one immutable default plus a per-thread overlay —
-//! the mechanism behind per-run execution contexts.
+//! Execution settings: one immutable set of host defaults plus a
+//! per-thread overlay. This is the only place a run's execution settings
+//! come from.
 //!
-//! The two kernel settings of this crate ([`crate::simd::SimdKernel`] and
-//! the [`crate::pool`] job cap) have no process-global *mutable* state.
-//! Each getter reads the thread-local [`KernelCtx`] overlay when one is
-//! installed and the immutable process defaults otherwise, so two
-//! concurrent experiment runs — or two tests in one binary — can never
-//! read each other's settings. To scope a setting,
+//! The two settings ([`crate::simd::SimdKernel`] and the [`crate::pool`]
+//! job cap) have no process-global *mutable* state. Each getter reads the
+//! thread-local [`KernelCtx`] overlay when one is installed and the host
+//! defaults otherwise, so two concurrent experiment runs — or two tests in
+//! one binary — can never read each other's settings. To scope a setting,
 //! install an overlay:
 //!
 //! ```
@@ -14,6 +14,12 @@
 //! let _g = ctx::install(KernelCtx { max_pool_jobs: 0, ..ctx::snapshot() });
 //! assert_eq!(fedat_tensor::pool::max_pool_jobs(), 0);
 //! ```
+//!
+//! The host defaults are `Auto` SIMD and uncapped pool jobs, read from the
+//! environment once per process by one function and nowhere else:
+//! `FEDAT_SIMD=scalar` selects the scalar lane, `FEDAT_EXEC=inline` sets
+//! the job cap to 0 and `FEDAT_POOL_WORKERS` sizes the pool (default
+//! `cores − 1`).
 //!
 //! ## Propagation
 //!
@@ -54,22 +60,46 @@ thread_local! {
     static OVERLAY: Cell<Option<KernelCtx>> = const { Cell::new(None) };
 }
 
-/// The process defaults, built once and never mutated: `Auto` SIMD (or
-/// `Scalar` under `FEDAT_SIMD=scalar`, the CI scalar lane) and uncapped
-/// pool jobs. `FEDAT_SIMD` is read here and nowhere else.
+/// The host's execution defaults.
+struct HostDefaults {
+    /// What [`snapshot`] returns on a thread without an overlay.
+    ctx: KernelCtx,
+    /// The pool's initial worker count, when the host sets one.
+    pool_workers: Option<usize>,
+}
+
+/// The host defaults of the module docs, read from the environment once
+/// and never mutated: the one environment read of every execution setting.
 #[expect(
     clippy::disallowed_methods,
-    reason = "R4: execution default: every SIMD lane is pinned bit-identical to the scalar reference, so the lane cannot change a result bit"
+    reason = "R4: execution default: results are pinned bit-identical in every SIMD lane, at every job cap and at every worker count, so none of these can change a result bit"
 )]
-fn defaults() -> KernelCtx {
-    static DEFAULTS: OnceLock<KernelCtx> = OnceLock::new();
-    *DEFAULTS.get_or_init(|| KernelCtx {
-        simd: match std::env::var("FEDAT_SIMD").as_deref() {
-            Ok(s) if s.eq_ignore_ascii_case("scalar") => SimdKernel::Scalar,
-            _ => SimdKernel::Auto,
-        },
-        max_pool_jobs: usize::MAX,
+fn host_defaults() -> &'static HostDefaults {
+    static HOST: OnceLock<HostDefaults> = OnceLock::new();
+    HOST.get_or_init(|| {
+        let var = |name| std::env::var(name).unwrap_or_default();
+        HostDefaults {
+            ctx: KernelCtx {
+                simd: if var("FEDAT_SIMD").eq_ignore_ascii_case("scalar") {
+                    SimdKernel::Scalar
+                } else {
+                    SimdKernel::Auto
+                },
+                max_pool_jobs: if var("FEDAT_EXEC").eq_ignore_ascii_case("inline") {
+                    0
+                } else {
+                    usize::MAX
+                },
+            },
+            pool_workers: var("FEDAT_POOL_WORKERS").parse().ok(),
+        }
     })
+}
+
+/// The pool's initial worker count as the host sets it
+/// (`FEDAT_POOL_WORKERS`), if it does.
+pub(crate) fn host_pool_workers() -> Option<usize> {
+    host_defaults().pool_workers
 }
 
 /// The overlay active on this thread, if one is installed.
@@ -78,10 +108,9 @@ pub fn current() -> Option<KernelCtx> {
 }
 
 /// The effective kernel configuration on this thread: the overlay when one
-/// is installed, the process defaults (built-ins, with `FEDAT_SIMD` read
-/// once) otherwise.
+/// is installed, the host defaults otherwise.
 pub fn snapshot() -> KernelCtx {
-    current().unwrap_or_else(defaults)
+    current().unwrap_or_else(|| host_defaults().ctx)
 }
 
 /// Installs `overlay` (including `None`, which *clears* any overlay) on
@@ -149,7 +178,7 @@ mod tests {
 
     #[test]
     fn overlay_wins_over_defaults_in_getters() {
-        assert_eq!(snapshot(), defaults());
+        assert_eq!(snapshot(), host_defaults().ctx);
         let _g = install(sample());
         assert_eq!(snapshot(), sample());
         assert_eq!(crate::simd::simd_kernel(), SimdKernel::Scalar);

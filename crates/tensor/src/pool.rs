@@ -40,11 +40,11 @@
 //! [`crate::ctx::KernelCtx::max_pool_jobs`] caps how many submitted jobs may
 //! occupy the pool (queued + running) at once; excess submissions skip the
 //! queue and run at `join` on the joining thread. At cap 0 nothing enters
-//! the pool: every job runs at its join — what `ExecMode::Inline` means
-//! (`fedat_core::exec`). The cap also emulates smaller worker counts on one
-//! process for the determinism tests' worker sweeps (workers {1, 2, 4, 8});
-//! [`ensure_workers`] grows the pool beyond the default `cores − 1` for the
-//! same purpose.
+//! the pool: every job runs at its join. The cap also emulates smaller
+//! worker counts on one process for the determinism tests' worker sweeps
+//! (workers {1, 2, 4, 8}); [`ensure_workers`] grows the pool beyond its
+//! initial size for the same purpose. That size, like the cap, is a host
+//! default of [`crate::ctx`]: `cores − 1`, or `FEDAT_POOL_WORKERS`.
 //!
 //! ## Determinism
 //!
@@ -302,7 +302,7 @@ thread_local! {
 /// Cap on how many submitted jobs may occupy the pool at once (see
 /// [`crate::ctx`] for how it resolves); submissions beyond the cap run at
 /// `join` on the joining thread instead, `0` forces every job inline at
-/// join (`ExecMode::Inline`) and `usize::MAX` means uncapped. Results are
+/// join and `usize::MAX` means uncapped. Results are
 /// unaffected (pure closures). The occupancy *counter* stays process-wide —
 /// the cap is a per-run admission limit against shared capacity.
 pub fn max_pool_jobs() -> usize {
@@ -442,16 +442,9 @@ fn pool() -> &'static Pool {
             .map(|c| c.get())
             .unwrap_or(1);
         // The submitting thread runs or joins its own jobs, so `cores - 1`
-        // workers saturate the machine. `FEDAT_POOL_WORKERS` overrides (e.g. to
+        // workers saturate the machine, unless the host sets a size (e.g. to
         // exercise the executor on single-core CI hosts).
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "R4: execution default: results are pinned bit-identical at every worker count, so the pool size cannot change a result bit"
-        )]
-        let workers = std::env::var("FEDAT_POOL_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| cores.saturating_sub(1));
+        let workers = crate::ctx::host_pool_workers().unwrap_or_else(|| cores.saturating_sub(1));
         let queue = Arc::new(Queue::new());
         for i in 0..workers {
             spawn_worker(i, Arc::clone(&queue));
@@ -497,14 +490,21 @@ mod tests {
     // can never change its result, which is exactly the property under
     // test. The job cap is scoped to the submitting test thread.
 
+    /// Scopes this thread's job cap. A test about the workers lifts it to
+    /// `usize::MAX`, so it means the same whatever the host default is
+    /// (cap 0 under `FEDAT_EXEC=inline`).
+    fn cap(max_pool_jobs: usize) -> crate::ctx::OverlayGuard {
+        crate::ctx::install(crate::ctx::KernelCtx {
+            max_pool_jobs,
+            ..crate::ctx::snapshot()
+        })
+    }
+
     /// Submits `job` under a job cap of 0, so it never enters the pool.
     fn submit_unpooled<T: Send + 'static>(
         job: impl FnOnce() -> T + Send + 'static,
     ) -> JobHandle<T> {
-        let _g = crate::ctx::install(crate::ctx::KernelCtx {
-            max_pool_jobs: 0,
-            ..crate::ctx::snapshot()
-        });
+        let _g = cap(0);
         submit(job)
     }
 
@@ -538,6 +538,7 @@ mod tests {
     #[test]
     fn submit_join_returns_the_result() {
         ensure_workers(2);
+        let _uncapped = cap(usize::MAX);
         let h = submit(|| (0..100u64).sum::<u64>());
         assert_eq!(h.join(), 4950);
     }
@@ -552,6 +553,7 @@ mod tests {
     #[test]
     fn many_jobs_join_in_any_order() {
         ensure_workers(4);
+        let _uncapped = cap(usize::MAX);
         let handles: Vec<JobHandle<u64>> = (0..64u64).map(|i| submit(move || i * i)).collect();
         // Join in reverse: late joins must not depend on earlier ones.
         for (i, h) in handles.into_iter().enumerate().rev() {
@@ -562,6 +564,7 @@ mod tests {
     #[test]
     fn job_panic_propagates_at_join() {
         ensure_workers(1);
+        let _uncapped = cap(usize::MAX);
         let h = submit(|| -> u32 { panic!("job boom") });
         let payload = std::panic::catch_unwind(AssertUnwindSafe(|| h.join()))
             .expect_err("job panic must reach the joiner");
@@ -571,6 +574,7 @@ mod tests {
     #[test]
     fn worker_panic_propagates_to_caller() {
         ensure_workers(1);
+        let _uncapped = cap(usize::MAX);
         let h = submit(|| -> u32 { panic!("boom") });
         // Let the pool run it: the panic happens on another thread.
         while !h.is_finished() {
@@ -585,6 +589,7 @@ mod tests {
     #[test]
     fn dropped_handles_do_not_wedge_the_pool() {
         ensure_workers(2);
+        let _uncapped = cap(usize::MAX);
         for i in 0..32u64 {
             drop(submit(move || i));
         }
@@ -599,6 +604,7 @@ mod tests {
         // Whoever gets a job — this thread or a worker — it runs once, and
         // a second offer on the same handle is refused.
         ensure_workers(1);
+        let _uncapped = cap(usize::MAX);
         let runs: Arc<Vec<AtomicU64>> = Arc::new((0..32).map(|_| AtomicU64::new(0)).collect());
         let handles: Vec<JobHandle<u64>> = (0..32u64)
             .map(|i| {
@@ -646,6 +652,7 @@ mod tests {
         // though the stale queue entry has not been drained yet, so
         // `quiesce` cannot wedge on ghosts.
         ensure_workers(1);
+        let _uncapped = cap(usize::MAX);
         for _ in 0..64 {
             let h = submit(|| 1u8);
             assert_eq!(h.join(), 1);

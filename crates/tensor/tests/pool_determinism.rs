@@ -6,7 +6,7 @@
 //! Job caps are scoped with a thread-local [`ctx::install`], so concurrent
 //! tests in this binary never see each other's settings. Which workers are
 //! free is process-wide, so the tests that submit jobs take [`JOB_TESTS`]
-//! and run one at a time.
+//! and run one at a time, uncapped unless they scope a cap of their own.
 #![expect(
     clippy::disallowed_methods,
     clippy::disallowed_types,
@@ -34,11 +34,17 @@ const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 static JOB_TESTS: Mutex<()> = Mutex::new(());
 
 /// Takes [`JOB_TESTS`]; a test that failed while holding it does not fail
-/// the others.
-fn one_job_test_at_a_time() -> MutexGuard<'static, ()> {
-    JOB_TESTS
+/// the others. Also lifts this thread's job cap, so the test's jobs reach
+/// the workers whatever the host default (cap 0 under `FEDAT_EXEC=inline`).
+fn one_job_test_at_a_time() -> (MutexGuard<'static, ()>, ctx::OverlayGuard) {
+    let lock = JOB_TESTS
         .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let uncapped = ctx::install(KernelCtx {
+        max_pool_jobs: usize::MAX,
+        ..ctx::snapshot()
+    });
+    (lock, uncapped)
 }
 
 /// How long a scenario may take before it counts as hung.
