@@ -23,7 +23,7 @@
 //!     [--out FILE] [--seed N]
 //! ```
 //!
-//! See `docs/PERF.md` for how to read the output.
+//! See `docs/PERF.md`, "The lane comparator" for how to read the output.
 
 use fedat_nn::loss::softmax_cross_entropy;
 use fedat_tensor::conv;

@@ -572,7 +572,7 @@ fn ablate_lambda<'r>(art: &mut Artifact<'r>, results: &'r [JobResult]) {
 
 /// Ablation: delta vs absolute polyline coding — the paper's codec encodes
 /// the difference of consecutive rounded weights, absolute mode each weight
-/// alone (`docs/PERF.md`, "Codec matrix").
+/// alone (the format is in `fedat_compress::polyline`).
 fn ablate_delta_jobs(ctx: &Ctx) -> Vec<Job> {
     let task = ctx.cifar10(2);
     let run = |(name, delta)| {
@@ -635,14 +635,11 @@ pub fn churn_jobs(task: &Arc<FedTask>, seed: u64) -> Vec<Job> {
     };
     let timeouts = FaultPolicy {
         deadline_multiplier: Some(3.0),
-        max_retries: 2,
-        backoff: 1.5,
         quorum: 0.9,
         retier: None,
     };
     let dynamic = FaultPolicy {
         retier: Some(RetierPolicy {
-            alpha: 0.3,
             check_every: 10,
             drift_threshold: 0.05,
         }),

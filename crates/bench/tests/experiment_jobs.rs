@@ -4,13 +4,15 @@
 //! pin was proven byte-identical to its parent by `diff -r` of `repro all`'s
 //! output; the pin keeps that equivalence for the next change to a builder.
 //! A moved digest prints every moved id's new value. The digests moved
-//! four times with no job moving, each time because a deleted config
+//! five times with no job moving, each time because a deleted config
 //! field dropped its text from every `Debug` config: `max_threads: None, `
 //! (`ExecOverrides::max_threads`), `diurnal: None, `
 //! (`ChurnConfig::diurnal`), `bandwidth_bytes_per_sec: None, `
 //! (`ClusterConfig::bandwidth_bytes_per_sec`, in every config with an
-//! explicit cluster) and `, simd: None, max_pool_jobs: None`
-//! (`ExecOverrides::{simd, max_pool_jobs}`). Each time the parent's digests
+//! explicit cluster), `, simd: None, max_pool_jobs: None`
+//! (`ExecOverrides::{simd, max_pool_jobs}`), and `max_retries: 2, backoff:
+//! 1.5, ` plus `alpha: 0.3, ` (`FaultPolicy::{max_retries, backoff}` and
+//! `RetierPolicy::alpha`, now constants). Each time the parent's digests
 //! over its configs with that text removed are the ones below.
 
 use fedat_bench::experiments::{jobs, leaf_jobs, Ctx, IDS};
@@ -22,24 +24,24 @@ use std::sync::Arc;
 
 /// `(id, digest)` for every registry id, in registry order.
 const PINS: [(&str, u64); 18] = [
-    ("table1", 0x2f033645411fe6d8),
-    ("table2", 0x2f033645411fe6d8),
-    ("fig2", 0x2f033645411fe6d8),
-    ("fig3", 0x2f033645411fe6d8),
-    ("fig4", 0x2f033645411fe6d8),
-    ("fig5", 0xb666fdff6acc9ca0),
-    ("fig6", 0x302800f73ddde953),
-    ("fig7", 0xa0679a43df84daf9),
-    ("fig8", 0xe3ca06b75ffa1894),
-    ("fig9", 0x6127ace33366a80d),
-    ("fig10", 0xf8e71a190d4414e2),
-    ("leaf", 0x089decab9081b81e),
-    ("churn", 0x8caf84fc2b2ef4f5),
-    ("corrupt", 0x957e536bf440bf56),
-    ("codec", 0x2aaba2735fb42b44),
-    ("ablate-mistier", 0x31d5b36bdae08eb7),
-    ("ablate-lambda", 0x9f3762d145a11ccd),
-    ("ablate-delta", 0x69244e2e7fbe64e5),
+    ("table1", 0x464522dfcb3cb5cd),
+    ("table2", 0x464522dfcb3cb5cd),
+    ("fig2", 0x464522dfcb3cb5cd),
+    ("fig3", 0x464522dfcb3cb5cd),
+    ("fig4", 0x464522dfcb3cb5cd),
+    ("fig5", 0x22d1f15be5717fdd),
+    ("fig6", 0x1a65425debaafbb9),
+    ("fig7", 0x48f52bd9b5302a45),
+    ("fig8", 0x0c769a503ecec095),
+    ("fig9", 0x06b47f3f5cc2713d),
+    ("fig10", 0xe41258f7b27fc58a),
+    ("leaf", 0x661d6c4e0eced7f3),
+    ("churn", 0x4a8087187db935e7),
+    ("corrupt", 0x8655779fa16bf291),
+    ("codec", 0xb1899d73bfc3e94a),
+    ("ablate-mistier", 0x9b7ca8ef0a1b3d45),
+    ("ablate-lambda", 0xd0fc1fc02bc7f525),
+    ("ablate-delta", 0xbb57730556656679),
 ];
 
 fn digest(jobs: &[Job]) -> u64 {

@@ -6,7 +6,11 @@
 //! *define* each wire format, byte for byte. The simulator's transport
 //! calls neither — a simulated transfer needs the decoded values and the
 //! blob's size, not the bytes — but [`WireCodec::roundtrip`], which returns
-//! exactly those two, in place, and is tested against the definition.
+//! exactly those two, in place, and is tested against the definition:
+//! `roundtrip_equals_decode_of_encode` (every kind, every lane), the core
+//! crate's `byte_accounting.rs` (a tiered run's meter totals equal the sum
+//! of its blobs' sizes) and `alloc_roundtrip.rs` (a warmed-up roundtrip
+//! makes no allocator request).
 //! Codecs come in two families:
 //!
 //! * **absolute** codecs encode the weight vector alone

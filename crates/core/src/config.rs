@@ -71,8 +71,6 @@ impl OptimizerKind {
 /// drifted out of place (cf. the one-shot [`crate::tiering::TierAssignment::profile`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetierPolicy {
-    /// EWMA smoothing factor for observed round-trip latencies, in `(0, 1]`.
-    pub alpha: f64,
     /// Re-evaluate tier assignments every this many concluded tier rounds.
     pub check_every: u64,
     /// Adopt a new assignment only when at least this fraction of clients
@@ -80,10 +78,14 @@ pub struct RetierPolicy {
     pub drift_threshold: f64,
 }
 
+impl RetierPolicy {
+    /// EWMA smoothing factor for observed round-trip latencies.
+    pub const ALPHA: f64 = 0.3;
+}
+
 impl Default for RetierPolicy {
     fn default() -> Self {
         RetierPolicy {
-            alpha: 0.3,
             check_every: 10,
             drift_threshold: 0.1,
         }
@@ -100,10 +102,6 @@ pub struct FaultPolicy {
     /// Deadline = multiplier × the dispatch group's nominal (expected)
     /// latency; `None` disables timeouts entirely.
     pub deadline_multiplier: Option<f64>,
-    /// Bounded re-dispatches per round slot after a timeout.
-    pub max_retries: u32,
-    /// Each retry's deadline is scaled by `backoff^attempt`.
-    pub backoff: f64,
     /// A round concluding with fewer than `quorum × picked` landed updates
     /// is recorded as degraded (it still aggregates whatever arrived).
     pub quorum: f64,
@@ -111,12 +109,17 @@ pub struct FaultPolicy {
     pub retier: Option<RetierPolicy>,
 }
 
+impl FaultPolicy {
+    /// Bounded re-dispatches per round slot after a timeout.
+    pub const MAX_RETRIES: u32 = 2;
+    /// Each retry's deadline is scaled by `BACKOFF^attempt`.
+    pub const BACKOFF: f64 = 1.5;
+}
+
 impl Default for FaultPolicy {
     fn default() -> Self {
         FaultPolicy {
             deadline_multiplier: None,
-            max_retries: 2,
-            backoff: 1.5,
             quorum: 0.5,
             retier: None,
         }
@@ -480,10 +483,8 @@ impl ExperimentConfigBuilder {
         if let Some(m) = c.fault.deadline_multiplier {
             assert!(m > 0.0, "deadline_multiplier must be positive");
         }
-        assert!(c.fault.backoff >= 1.0, "backoff must be at least 1");
         assert!((0.0..=1.0).contains(&c.fault.quorum), "quorum out of range");
         if let Some(r) = c.fault.retier {
-            assert!(r.alpha > 0.0 && r.alpha <= 1.0, "retier alpha out of range");
             assert!(r.check_every > 0, "retier check_every must be positive");
             assert!(
                 (0.0..=1.0).contains(&r.drift_threshold),

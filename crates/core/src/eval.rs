@@ -14,7 +14,9 @@ const EVAL_BATCH: usize = 64;
 
 /// A reusable evaluator: the task's model and a fixed test subset, swept
 /// in fixed mini-batches on the calling thread's cached model instance
-/// ([`with_cached_model`]), so evaluating costs no model build.
+/// ([`with_cached_model`]), so evaluating costs no model build and returns
+/// a fresh model's bits: `fedat_trace_is_bit_identical_across_aggregation_thread_counts`
+/// pins whole traces across worker counts, cap 0 and the scalar lane.
 pub struct Evaluator {
     spec: ModelSpec,
     seed: u64,

@@ -139,7 +139,7 @@ impl RoundPolicy for FedAt {
     }
 
     fn on_landed(&mut self, client: usize, latency: f64) {
-        let alpha = self.retier.map_or(0.3, |p| p.alpha);
+        let alpha = RetierPolicy::ALPHA;
         self.ewma[client] = alpha * latency + (1.0 - alpha) * self.ewma[client];
     }
 

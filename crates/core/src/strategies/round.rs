@@ -16,7 +16,7 @@
 //! the global model — and never sees the table, a timer or the fault log.
 
 use crate::aggregate::{aggregate_clients_into, AggRule};
-use crate::config::ExperimentConfig;
+use crate::config::{ExperimentConfig, FaultPolicy};
 use crate::experiment::Outcome;
 use crate::strategies::{
     dispatchable, earliest_return, log_fault, InflightTable, PhaseEvent, ServerCore, Strategy,
@@ -293,14 +293,13 @@ impl<P: RoundPolicy> RoundServer<P> {
     }
 
     /// How long a dispatch into `lane` may take after `retries`
-    /// re-dispatches of its slot: `nominal × multiplier × backoff^retries`.
+    /// re-dispatches of its slot: `nominal × multiplier × BACKOFF^retries`.
     /// `None` when the fault policy sets no deadlines.
     fn deadline(&self, ctx: &mut SimCtx, lane: usize, retries: u32) -> Option<f64> {
-        let fault = &self.core.cfg.fault;
-        let mult = fault.deadline_multiplier?;
+        let mult = self.core.cfg.fault.deadline_multiplier?;
         let view = ServerView::new(&self.core, &self.inflight, ctx);
         let nominal = self.policy.nominal(lane, &self.lanes[lane].picked, &view);
-        Some(nominal * mult * fault.backoff.powi(retries as i32))
+        Some(nominal * mult * FaultPolicy::BACKOFF.powi(retries as i32))
     }
 
     /// Launches, registers and dispatches one tracked client round trip in
@@ -343,7 +342,7 @@ impl<P: RoundPolicy> RoundServer<P> {
         let tier = Some(self.tier(lane));
         let attempts = lost.retries as u64;
         log_fault(ctx, FaultKind::Timeout, Some(lost.client), tier, attempts);
-        if lost.retries >= self.core.cfg.fault.max_retries {
+        if lost.retries >= FaultPolicy::MAX_RETRIES {
             return false;
         }
         let view = ServerView::new(&self.core, &self.inflight, ctx);

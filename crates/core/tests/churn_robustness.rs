@@ -93,13 +93,10 @@ fn robust_cfg(n_rounds: u64, seed: u64, cluster: ClusterConfig) -> ExperimentCon
         .cluster(cluster)
         .fault(FaultPolicy {
             deadline_multiplier: Some(1.5),
-            max_retries: 2,
-            backoff: 1.5,
             // Strict quorum: any round degraded by a mid-flight drop (a
             // `Lost` slot is not retried) must be logged as a Quorum skip.
             quorum: 0.9,
             retier: Some(RetierPolicy {
-                alpha: 0.3,
                 check_every: 10,
                 drift_threshold: 0.05,
             }),

@@ -216,6 +216,55 @@ fn guard_recovers_a_corrupted_run_that_degrades_undefended() {
     }
 }
 
+/// Non-finite uplinks (`NanPoke`) never reach the global model, for every
+/// strategy: `finite_check` rejects them (`Reject` detail 0), and without
+/// it the norm screen rejects them on their non-finite norm (detail 1).
+/// In a debug build `ServerCore::bump`'s leak assertion is live as well.
+#[test]
+fn non_finite_uplinks_are_rejected_by_either_screen_for_every_strategy() {
+    let n = 12;
+    let seed = 67;
+    let task = suite::sent140_like(n, seed);
+    let nan_poke = CorruptSpec {
+        fraction: 0.25,
+        probability: 0.5,
+        mode: CorruptMode::NanPoke,
+    };
+    let screen_only = GuardPolicy {
+        finite_check: false,
+        ..clip_guard()
+    };
+    for strategy in StrategyKind::all() {
+        for (guard, detail) in [(clip_guard(), 0), (screen_only, 1)] {
+            let cluster = corrupt_cluster(n, seed, Some(nan_poke));
+            let out =
+                fedat_core::run_experiment(&task, &cfg_with(strategy, 40, seed, cluster, guard));
+            let name = format!("{}/finite_check={}", strategy.name(), guard.finite_check);
+            let rejects = |d| {
+                let events = out.faults.events().iter();
+                events
+                    .filter(|e| e.kind == FaultKind::Reject && e.detail == d)
+                    .count()
+            };
+            assert!(
+                rejects(detail) > 0,
+                "{name}: no Reject row with detail {detail}"
+            );
+            assert!(out.global_updates > 0, "{name}: no global update");
+            assert!(
+                out.final_weights.iter().all(|w| w.is_finite()),
+                "{name}: non-finite model"
+            );
+            for p in &out.trace.points {
+                assert!(
+                    p.accuracy.is_finite() && p.loss.is_finite(),
+                    "{name}: {p:?}"
+                );
+            }
+        }
+    }
+}
+
 /// FedAsync with a staleness bound: ancient updates are discarded (logged
 /// as `Stale`, counted, not mixed), and the run stays productive and
 /// deterministic.

@@ -41,7 +41,6 @@ fn fedprox_without_prox_term_at_one_epoch_is_fedavg() {
     let storm = medium.clone().with_churn(ChurnConfig::storm_heavy());
     let deadlines = FaultPolicy {
         deadline_multiplier: Some(1.05),
-        max_retries: 2,
         ..FaultPolicy::default()
     };
     let rows = [

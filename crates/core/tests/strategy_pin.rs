@@ -184,11 +184,8 @@ fn config(scenario: Scenario, strategy: StrategyKind) -> ExperimentConfig {
                 .codec(CodecKind::Quantized { bits: 4 })
                 .fault(FaultPolicy {
                     deadline_multiplier: Some(1.05),
-                    max_retries: 2,
-                    backoff: 1.5,
                     quorum: 0.9,
                     retier: Some(RetierPolicy {
-                        alpha: 0.3,
                         check_every: 8,
                         drift_threshold: 0.05,
                     }),

@@ -229,7 +229,8 @@ pub const AGG_SHARD: usize = 4096;
 /// The model dimension is walked in [`AGG_SHARD`]-element shards, and each
 /// shard accumulates input-by-input with a vectorizable axpy. Every element
 /// accumulates in input order starting from 0.0 — exactly the per-element
-/// sum `Σ_j weights[j] · inputs[j][i]` evaluated left to right.
+/// sum `Σ_j weights[j] · inputs[j][i]` evaluated left to right, which
+/// `pool_determinism.rs` checks against that sum.
 ///
 /// # Panics
 /// Panics if lengths are inconsistent or no inputs are given.
@@ -287,7 +288,8 @@ pub enum RobustRule {
 /// [`simd::ROBUST_TILE`] coordinates side by side with one compare-exchange
 /// network built per call, the `SimdKernel::Scalar` lane sorts column by
 /// column; integer order on the keys *is* `total_cmp` order, so the lanes
-/// agree bitwise (`docs/PERF.md`, "Robust reduction").
+/// agree bitwise (argued at `simd::robust_reduce_shard`, pinned by
+/// `robust_reduce_simd_matches_reference_bitwise`).
 /// The sorted column is a pure function of the input *multiset*: bitwise-
 /// equal ties are interchangeable in every downstream statistic, so the
 /// result is invariant under any permutation of the inputs (the tie-break

@@ -51,7 +51,14 @@
 //! Which thread runs a job is scheduling-dependent, but a job owns its
 //! inputs and returns its output through the handle, so its result cannot
 //! depend on the executing thread (given a pure closure): results are
-//! bit-identical regardless of thread assignment.
+//! bit-identical regardless of thread assignment. `pool_determinism.rs`
+//! pins it, with the kernels run on the calling thread and on a worker,
+//! and a proptest nesting submit / join across workers {1, 2, 4, 8}. Its
+//! `join_helps_while_its_job_is_mid_run` and
+//! `a_joiner_inside_a_job_does_not_help` force the helping rule's two
+//! interleavings; `a_job_submitted_while_every_worker_is_parked_completes`
+//! and `a_joiner_parked_on_a_mid_run_job_is_woken_by_its_completion` fail
+//! on a 10 s watchdog if a wake-up is skipped.
 
 use crate::ctx::KernelCtx;
 use std::collections::VecDeque;

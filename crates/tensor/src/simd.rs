@@ -85,6 +85,10 @@
 //!   Both leave every coordinate with the same sorted column and then
 //!   evaluate the same expression on it (see `robust_reduce_shard`).
 //!
+//! `simd_determinism.rs` sweeps every lane against its reference, and
+//! `train_pin.rs` (in `fedat-nn`) pins whole training steps in both lanes,
+//! so code the lanes share cannot drift unseen either.
+//!
 //! The active kernel is a [`crate::ctx::KernelCtx`] setting: `Auto` by
 //! default, `FEDAT_SIMD=scalar` flips the default so CI can run the whole
 //! suite on the scalar path, and a thread-local overlay scopes it per run.
@@ -526,7 +530,9 @@ pub(crate) fn sorting_network(k: usize) -> Vec<(usize, usize)> {
 /// for every input. Only the payload of a NaN added to a NaN is left open
 /// by IEEE 754 (and by the compiler, which may commute the operands), so a
 /// tile with a NaN among its kept values runs the scalar lane's code
-/// itself.
+/// itself. A selection network would put the right *set* in the kept rows
+/// but not in order; f64 addition does not associate, so the full sort is
+/// what pins the accumulation order.
 ///
 /// `net` must be [`sorting_network`]`(inputs.len())`.
 ///
