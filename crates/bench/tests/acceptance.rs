@@ -20,11 +20,8 @@ use fedat_bench::experiments::{
 use fedat_bench::grid::run_grid;
 use fedat_bench::harness::{Job, JobResult};
 use fedat_core::config::StrategyKind;
-use fedat_core::exec::ExecMode;
 use fedat_data::suite;
 use fedat_sim::fault::FaultKind;
-use fedat_tensor::ctx::{self, KernelCtx};
-use fedat_tensor::simd::SimdKernel;
 use std::sync::Arc;
 
 fn cell<'a>(results: &'a [JobResult], label: &str) -> &'a JobResult {
@@ -63,15 +60,12 @@ fn table(results: &[JobResult]) -> String {
     out
 }
 
-// The churn and corrupt scenarios get no job cap × SimdKernel sweep here.
-// The sweep over pool workers {1, 2, 4, 8} and `Inline`, with the fault
-// log, end time and every trace field compared, is
-// `timeout_paths_are_bit_identical_across_exec_modes_and_workers`
-// (`churn_robustness.rs`) and
-// `guarded_corruption_is_bit_identical_across_exec_modes_and_workers`
-// (`corrupt_robustness.rs`) in fedat-core; the SimdKernel axis is the
-// `strategy_pin.rs` literals holding under CI's default, `FEDAT_SIMD=scalar`
-// and `FEDAT_EXEC=inline` passes.
+// No scenario here is swept over job caps and SIMD lanes: fedat-core's
+// `common::sweep` is the one execution-settings sweep, and its rows
+// `timeout_paths_are_bit_identical_across_exec_modes_and_workers`,
+// `guarded_corruption_is_bit_identical_across_exec_modes_and_workers` and
+// `delta_rle_fedat_is_bit_identical_across_exec_settings` cover the churn,
+// corrupt and lossless-codec paths.
 
 #[test]
 fn dynamic_retiering_does_not_lose_time_to_target_under_churn() {
@@ -170,12 +164,6 @@ fn a_codec_cuts_fedat_uplink_fourfold_and_the_lossless_delta_is_bit_identical() 
         .into_iter()
         .filter(|j| j.cfg.strategy == StrategyKind::FedAt)
         .collect();
-    let rle_cfg = jobs
-        .iter()
-        .find(|j| j.label == "FedAT delta-rle")
-        .expect("the row has a delta-rle cell")
-        .cfg
-        .clone();
     let results = run_grid(jobs, 0);
     let rows = table(&results);
 
@@ -202,39 +190,4 @@ fn a_codec_cuts_fedat_uplink_fourfold_and_the_lossless_delta_is_bit_identical() 
         rle.up_bytes() < none.up_bytes(),
         "delta-rle saved nothing\n{rows}"
     );
-
-    // ... and stays so across the config's `Inline` cap, SIMD kernel and
-    // kernel-pool width: the one lossless-codec sweep in tier-1. The lane
-    // and the cap are the submitting thread's overlay, which every grid job
-    // carries; one grid per overlay runs both modes.
-    for kernel in [SimdKernel::Auto, SimdKernel::Scalar] {
-        for workers in [1usize, 2, 4, 8] {
-            let _overlay = ctx::install(KernelCtx {
-                simd: kernel,
-                max_pool_jobs: workers - 1,
-            });
-            let sweep = [None, Some(ExecMode::Inline)].map(|mode| {
-                let mut cfg = rle_cfg.clone();
-                cfg.exec.mode = mode;
-                Job {
-                    label: format!("{mode:?}/{kernel:?}/{workers} workers"),
-                    task: task.clone(),
-                    cfg,
-                }
-            });
-            for r in run_grid(sweep.into(), 8) {
-                assert_eq!(
-                    r.outcome.final_weights, rle.outcome.final_weights,
-                    "delta-rle weights diverged under {}",
-                    r.label
-                );
-                assert_eq!(
-                    r.up_bytes(),
-                    rle.up_bytes(),
-                    "delta-rle wire bytes diverged under {}",
-                    r.label
-                );
-            }
-        }
-    }
 }

@@ -90,13 +90,6 @@ pub fn weighted_client_average_into(updates: &[(&[f32], usize)], out: &mut Vec<f
     weighted_sum_into(&inputs, &weights, out);
 }
 
-/// Allocating convenience wrapper around [`weighted_client_average_into`].
-pub fn weighted_client_average(updates: &[(&[f32], usize)]) -> Vec<f32> {
-    let mut out = Vec::new();
-    weighted_client_average_into(updates, &mut out);
-    out
-}
-
 /// The FedAT cross-tier weights of Eq. (5).
 ///
 /// With per-tier update counts `T_tier1..T_tierM` (tier 1 = fastest) and
@@ -156,13 +149,6 @@ pub fn aggregate_tiers_into(tier_models: &[Vec<f32>], weights: &[f32], out: &mut
     weighted_sum_into(&inputs, weights, out);
 }
 
-/// Allocating convenience wrapper around [`aggregate_tiers_into`].
-pub fn aggregate_tiers(tier_models: &[Vec<f32>], weights: &[f32]) -> Vec<f32> {
-    let mut out = Vec::new();
-    aggregate_tiers_into(tier_models, weights, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,7 +158,8 @@ mod tests {
         let a = vec![0.0f32; 3];
         let b = vec![4.0f32; 3];
         // 1 sample vs 3 samples → (0·1 + 4·3)/4 = 3.
-        let avg = weighted_client_average(&[(&a, 1), (&b, 3)]);
+        let mut avg = Vec::new();
+        weighted_client_average_into(&[(&a, 1), (&b, 3)], &mut avg);
         for v in avg {
             assert!((v - 3.0).abs() < 1e-6);
         }
@@ -181,7 +168,8 @@ mod tests {
     #[test]
     fn client_average_of_identical_is_identity() {
         let w = vec![1.5f32, -2.0, 0.25];
-        let avg = weighted_client_average(&[(&w, 7), (&w, 3), (&w, 90)]);
+        let mut avg = Vec::new();
+        weighted_client_average_into(&[(&w, 7), (&w, 3), (&w, 90)], &mut avg);
         for (x, y) in avg.iter().zip(w.iter()) {
             assert!((x - y).abs() < 1e-6);
         }
@@ -233,7 +221,8 @@ mod tests {
     fn tier_aggregation_is_convex_combination() {
         let t1 = vec![0.0f32; 4];
         let t2 = vec![1.0f32; 4];
-        let g = aggregate_tiers(&[t1, t2], &[0.25, 0.75]);
+        let mut g = Vec::new();
+        aggregate_tiers_into(&[t1, t2], &[0.25, 0.75], &mut g);
         for v in g {
             assert!((v - 0.75).abs() < 1e-6);
         }

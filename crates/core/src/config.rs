@@ -255,9 +255,9 @@ pub struct ExperimentConfig {
     pub eval_subset: usize,
     /// Mixing weight α for FedAsync.
     pub fedasync_alpha: f32,
-    /// Staleness attenuation for FedAsync (Xie et al. propose constant,
-    /// polynomial, and hinge families; polynomial `a = 0.5` is the default
-    /// the FedAT paper's baseline uses).
+    /// Staleness attenuation for FedAsync (constant or polynomial;
+    /// polynomial `a = 0.5` is the default the FedAT paper's baseline
+    /// uses).
     pub fedasync_staleness: crate::staleness::StalenessFn,
     /// Fraction of clients deliberately assigned to a wrong tier
     /// (mis-tiering robustness ablation; 0 = off).

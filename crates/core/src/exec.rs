@@ -9,8 +9,10 @@
 //! dispatch submits a training job to the persistent kernel pool and the
 //! event loop *joins* the result when the completion event arrives; virtual
 //! time, event order, traffic accounting and the RNG streams are untouched,
-//! so the full trace does not depend on where or when the job ran (pinned
-//! by `strategy_behavior.rs`).
+//! so no field of the run's outcome depends on where or when the job ran.
+//! The pin is one sweep in this crate's tests (`tests/common/mod.rs`):
+//! each scenario row runs under every job cap and SIMD lane, and
+//! `first_difference` compares every `Outcome` field but `speculation`.
 //!
 //! A run executes under its calling thread's kernel overlay
 //! ([`fedat_tensor::ctx::snapshot`]): the SIMD lane and the pool's job cap

@@ -2,8 +2,8 @@
 //!
 //! FedAsync (Xie et al., 2019) attenuates the mixing weight of a client
 //! update by how many global versions elapsed since the client downloaded
-//! its base model. The paper proposes three families; all are provided so
-//! the FedAsync baseline can be configured exactly.
+//! its base model. Of the paper's three families, the two a run selects are
+//! provided: polynomial (the baseline's) and constant.
 
 /// `s(t, τ)` families from Xie et al. §3; the mixing weight is
 /// `α_t = α · s(staleness)`.
@@ -17,14 +17,6 @@ pub enum StalenessFn {
         /// Decay exponent `a > 0`.
         exponent: f32,
     },
-    /// `s = 1` while `staleness ≤ b`, then `1 / (a·(staleness − b) + 1)`:
-    /// tolerate recent updates, damp old ones sharply.
-    Hinge {
-        /// Damping slope `a > 0`.
-        a: f32,
-        /// Tolerance window `b`.
-        b: u64,
-    },
 }
 
 impl StalenessFn {
@@ -34,13 +26,6 @@ impl StalenessFn {
             StalenessFn::Constant => 1.0,
             StalenessFn::Polynomial { exponent } => {
                 (1.0 + staleness as f32).powf(-exponent.max(0.0))
-            }
-            StalenessFn::Hinge { a, b } => {
-                if staleness <= b {
-                    1.0
-                } else {
-                    1.0 / (a.max(0.0) * (staleness - b) as f32 + 1.0)
-                }
             }
         }
     }
@@ -78,22 +63,8 @@ mod tests {
     }
 
     #[test]
-    fn hinge_tolerates_then_damps() {
-        let f = StalenessFn::Hinge { a: 0.5, b: 4 };
-        for s in 0..=4 {
-            assert_eq!(f.factor(s), 1.0, "inside tolerance window at {s}");
-        }
-        assert!((f.factor(6) - 1.0 / (0.5 * 2.0 + 1.0)).abs() < 1e-6);
-        assert!(f.factor(20) < f.factor(6));
-    }
-
-    #[test]
     fn all_factors_bounded() {
-        for f in [
-            StalenessFn::Constant,
-            StalenessFn::default_polynomial(),
-            StalenessFn::Hinge { a: 2.0, b: 1 },
-        ] {
+        for f in [StalenessFn::Constant, StalenessFn::default_polynomial()] {
             for s in [0u64, 1, 10, 1000] {
                 let v = f.factor(s);
                 assert!((0.0..=1.0).contains(&v), "{f:?} at {s} gave {v}");

@@ -13,7 +13,7 @@
 //! weighted aggregation — and measures both properties, so the theorem's
 //! qualitative content is covered by tests instead of trust.
 
-use crate::aggregate::{aggregate_tiers, cross_tier_weights};
+use crate::aggregate::{aggregate_tiers_into, cross_tier_weights};
 use fedat_tensor::ops::dist_sq;
 
 /// A strongly convex quadratic federation:
@@ -147,7 +147,7 @@ impl QuadraticFederation {
                     tier_models[t] = avg;
                     tier_counts[t] += 1;
                     let weights = cross_tier_weights(&tier_counts);
-                    global = aggregate_tiers(&tier_models, &weights);
+                    aggregate_tiers_into(&tier_models, &weights, &mut global);
                 }
             }
             let _ = round;

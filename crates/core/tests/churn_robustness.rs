@@ -3,6 +3,9 @@
 //! quorum degradation, dynamic re-tiering — with determinism pinned across
 //! execution modes and worker counts.
 
+mod common;
+
+use common::{first_difference, sweep, SETTINGS};
 use fedat_compress::codec::CodecKind;
 use fedat_core::config::{FaultPolicy, RetierPolicy};
 use fedat_core::prelude::*;
@@ -148,64 +151,25 @@ fn fedat_with_timeouts_rides_out_a_storm_without_stalling() {
     assert!(out.final_weights.iter().all(|w| w.is_finite()));
 }
 
-/// The timeout/re-dispatch path must be trace-invisible to the execution
-/// machinery: bit-identical across pool worker counts {1, 2, 4, 8} and a
-/// config's `Inline`. Deadlines cancel speculative jobs mid-run,
-/// so this pins that a discarded-but-still-running job can't leak anything
-/// observable. The sweep runs on FedAT's default polyline wire, then again
-/// on an 8-bit quantized uplink: a delta against each dispatch's broadcast.
+/// The timeout/re-dispatch path must be invisible to the execution
+/// settings: deadlines cancel speculative jobs mid-run, so this pins that a
+/// discarded-but-still-running job can't leak anything observable. The
+/// sweep runs on FedAT's default polyline wire, then again on an 8-bit
+/// quantized uplink: a delta against each dispatch's broadcast.
 #[test]
 fn timeout_paths_are_bit_identical_across_exec_modes_and_workers() {
-    use fedat_core::exec::ExecMode;
-    use fedat_tensor::ctx::{self, KernelCtx};
-    fedat_tensor::pool::ensure_workers(8);
-
     let n = 16;
     let task = suite::sent140_like(n, 41);
     for codec in [None, Some(CodecKind::Quantized { bits: 8 })] {
         let mut cfg = robust_cfg(60, 41, stormy_cluster(n, 41));
         cfg.max_time = 15_000.0;
         cfg.codec = codec;
-
-        // "W workers" = a job cap of W−1 on this thread's overlay.
-        let run_with = |mode: Option<ExecMode>, workers: usize| {
-            let _overlay = ctx::install(KernelCtx {
-                max_pool_jobs: workers - 1,
-                ..ctx::snapshot()
-            });
-            let mut cfg = cfg.clone();
-            cfg.exec.mode = mode;
-            fedat_core::run_experiment(&task, &cfg)
-        };
-
-        let base = run_with(None, 8);
+        let base = sweep(&format!("timeouts ({codec:?})"), &task, &cfg, SETTINGS);
         let n = |kind| base.faults.count(kind);
         assert!(
             n(FaultKind::Timeout) > 0 && n(FaultKind::Retry) > 0,
             "scenario no longer exercises the timeout path ({codec:?})"
         );
-        let rows = [1usize, 2, 4, 8]
-            .map(|workers| (None, workers))
-            .into_iter()
-            .chain([(Some(ExecMode::Inline), 8)]);
-        for (mode, workers) in rows {
-            let out = run_with(mode, workers);
-            let run = format!("{mode:?} with {workers} workers ({codec:?})");
-            assert_eq!(
-                out.final_weights, base.final_weights,
-                "weights diverged under {run}"
-            );
-            assert_eq!(out.faults, base.faults, "fault log diverged under {run}");
-            assert_eq!(out.report.end_time, base.report.end_time);
-            assert_eq!(out.trace.points.len(), base.trace.points.len());
-            for (p, q) in out.trace.points.iter().zip(base.trace.points.iter()) {
-                assert_eq!(p.accuracy, q.accuracy);
-                assert_eq!(p.loss, q.loss);
-                assert_eq!(p.time, q.time);
-                assert_eq!(p.up_bytes, q.up_bytes);
-                assert_eq!(p.down_bytes, q.down_bytes);
-            }
-        }
     }
 }
 
@@ -277,8 +241,7 @@ fn fedasync_revives_flapped_clients() {
     assert_revives_agree_with_ground_truth(&out);
     assert!(out.global_updates > 0);
     let again = fedat_core::run_experiment(&task, &cfg);
-    assert_eq!(out.final_weights, again.final_weights);
-    assert_eq!(out.faults, again.faults);
+    assert_eq!(first_difference(&out, &again), None);
 }
 
 /// Every `Revive` row agrees with the ground truth logged beside it: a

@@ -3,6 +3,9 @@
 //! staleness bounds, quarantine — with determinism pinned across execution
 //! modes and worker counts while the attack is live.
 
+mod common;
+
+use common::{first_difference, sweep, SETTINGS};
 use fedat_core::aggregate::AggRule;
 use fedat_core::config::{GuardPolicy, NormScreen};
 use fedat_core::prelude::*;
@@ -96,9 +99,7 @@ fn default_guard_and_empty_corrupt_spec_are_inert() {
         .build();
     let a = fedat_core::run_experiment(&task, &legacy);
     let b = fedat_core::run_experiment(&task, &spelled);
-    assert_eq!(a.final_weights, b.final_weights);
-    assert_eq!(a.faults, b.faults);
-    assert_eq!(a.report.end_time, b.report.end_time);
+    assert_eq!(first_difference(&a, &b), None);
     for kind in [
         FaultKind::Corrupt,
         FaultKind::Reject,
@@ -294,8 +295,7 @@ fn fedasync_staleness_bound_discards_ancient_updates() {
     assert!(out.global_updates > 0);
     assert!(out.final_weights.iter().all(|w| w.is_finite()));
     let again = fedat_core::run_experiment(&task, &cfg);
-    assert_eq!(out.final_weights, again.final_weights);
-    assert_eq!(out.faults, again.faults);
+    assert_eq!(first_difference(&out, &again), None);
 }
 
 /// Reject-mode screening plus quarantine: repeat offenders are parked for
@@ -353,21 +353,15 @@ fn quarantine_parks_repeat_offenders() {
     assert!(with.global_updates > 0);
     assert!(with.final_weights.iter().all(|w| w.is_finite()));
     let again = run(quarantine_guard);
-    assert_eq!(with.final_weights, again.final_weights);
-    assert_eq!(with.faults, again.faults);
+    assert_eq!(first_difference(&with, &again), None);
 }
 
 /// Bit-identity with the guard on and the attack live: corruption,
 /// screening, clipping and quarantine all sit on the virtual-time side of
-/// the determinism contract, so the full outcome must not move across
-/// SimdKernel × pool worker counts {1, 2, 4, 8} and a config's `Inline`.
+/// the determinism contract, so the full outcome must not move across the
+/// execution settings.
 #[test]
 fn guarded_corruption_is_bit_identical_across_exec_modes_and_workers() {
-    use fedat_core::exec::ExecMode;
-    use fedat_tensor::ctx::{self, KernelCtx};
-    use fedat_tensor::simd::SimdKernel;
-    fedat_tensor::pool::ensure_workers(8);
-
     let n = 12;
     let seed = 71;
     let task = suite::sent140_like(n, seed);
@@ -384,39 +378,11 @@ fn guarded_corruption_is_bit_identical_across_exec_modes_and_workers() {
         corrupt_cluster(n, seed, Some(scale_attack(0.3))),
         guard,
     );
-    // "W workers" = a job cap of W−1 on this thread's overlay.
-    let run_with = |mode: Option<ExecMode>, kernel: SimdKernel, workers: usize| {
-        let _overlay = ctx::install(KernelCtx {
-            simd: kernel,
-            max_pool_jobs: workers - 1,
-        });
-        let mut cfg = cfg.clone();
-        cfg.exec.mode = mode;
-        fedat_core::run_experiment(&task, &cfg)
-    };
-    let base = run_with(None, SimdKernel::Auto, 8);
+    let base = sweep("guarded corruption", &task, &cfg, SETTINGS);
     assert!(
         base.faults.count(FaultKind::Corrupt) > 0 && base.faults.count(FaultKind::Clip) > 0,
         "scenario no longer exercises the guard"
     );
-    let rows = [1usize, 2, 4, 8]
-        .map(|workers| (None, workers))
-        .into_iter()
-        .chain([(Some(ExecMode::Inline), 8)]);
-    for (mode, workers) in rows {
-        for kernel in [SimdKernel::Auto, SimdKernel::Scalar] {
-            let out = run_with(mode, kernel, workers);
-            assert_eq!(
-                out.final_weights, base.final_weights,
-                "weights diverged under {mode:?}/{kernel:?}/{workers} workers"
-            );
-            assert_eq!(
-                out.faults, base.faults,
-                "fault log diverged under {mode:?}/{kernel:?}/{workers} workers"
-            );
-            assert_eq!(out.report.end_time, base.report.end_time);
-        }
-    }
 }
 
 /// A quarantined client is out of every dispatch pool — including the pool

@@ -15,17 +15,18 @@
     reason = "R4: concurrent runs on real threads are what these tests compare against serial ones"
 )]
 
+mod common;
+
+use common::{at, first_difference, SETTINGS, UNCAPPED};
 use fedat_core::exec::{self, ExecMode};
 use fedat_core::{run_experiment, ExperimentConfig, Outcome, StrategyKind};
 use fedat_data::suite::{self, FedTask};
+use fedat_sim::churn::ChurnConfig;
+use fedat_sim::fault::{FaultEvent, FaultLog};
 use fedat_sim::fleet::ClusterConfig;
 use fedat_tensor::ctx::{self, KernelCtx};
 use fedat_tensor::simd::SimdKernel;
 use std::sync::Barrier;
-
-/// The job cap that lets every job onto the pool, whatever the host
-/// default (cap 0 under `FEDAT_EXEC=inline`).
-const UNCAPPED: usize = usize::MAX;
 
 fn cfg_with(n: usize, seed: u64) -> ExperimentConfig {
     ExperimentConfig::builder()
@@ -57,74 +58,33 @@ fn capped(max_pool_jobs: usize) -> KernelCtx {
     }
 }
 
-fn assert_same(label: &str, a: &Outcome, b: &Outcome) {
-    assert_eq!(
-        a.final_weights, b.final_weights,
-        "{label}: weights diverged"
-    );
-    assert_eq!(a.global_updates, b.global_updates, "{label}");
-    assert_eq!(
-        a.trace.points.len(),
-        b.trace.points.len(),
-        "{label}: trace length diverged"
-    );
-    for (p, q) in a.trace.points.iter().zip(b.trace.points.iter()) {
-        assert_eq!(p.time, q.time, "{label}: virtual time diverged");
-        assert_eq!(p.round, q.round, "{label}");
-        assert_eq!(p.accuracy, q.accuracy, "{label}: accuracy diverged");
-        assert_eq!(p.loss, q.loss, "{label}: loss diverged");
-        assert_eq!(p.up_bytes, q.up_bytes, "{label}: uplink diverged");
-        assert_eq!(p.down_bytes, q.down_bytes, "{label}: downlink diverged");
-    }
-}
-
-const fn kernel_ctx(max_pool_jobs: usize, simd: SimdKernel) -> KernelCtx {
-    KernelCtx {
-        simd,
-        max_pool_jobs,
-    }
-}
-
-/// The four overlays of the grid: {uncapped, cap 0} × {Auto, Scalar}.
-const COMBOS: [(KernelCtx, &str); 4] = [
-    (kernel_ctx(UNCAPPED, SimdKernel::Auto), "spec/auto"),
-    (kernel_ctx(UNCAPPED, SimdKernel::Scalar), "spec/scalar"),
-    (kernel_ctx(0, SimdKernel::Auto), "inline/auto"),
-    (kernel_ctx(0, SimdKernel::Scalar), "inline/scalar"),
-];
-
 #[test]
 fn concurrent_runs_with_different_contexts_match_their_serial_counterparts() {
     let n = 12;
     let task = suite::sent140_like(n, 41);
     let cfg = cfg_with(n, 41);
-
-    // Serial baselines, one per context, on this thread.
-    let serial: Vec<Outcome> = COMBOS
+    // {uncapped, cap 0} × {Auto, Scalar}: serial baselines on this thread,
+    // then all four at once, each from its own OS thread.
+    let settings = &SETTINGS[..4];
+    let serial: Vec<Outcome> = settings
         .iter()
-        .map(|&(overlay, _)| run_under(overlay, &task, &cfg))
+        .map(|&s| run_under(s, &task, &cfg))
         .collect();
-
-    // All four contexts at once, each from its own OS thread.
     let concurrent: Vec<Outcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = COMBOS
+        let handles: Vec<_> = settings
             .iter()
-            .map(|&(overlay, _)| {
+            .map(|&overlay| {
                 let (task, cfg) = (&task, &cfg);
                 scope.spawn(move || run_under(overlay, task, cfg))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-
-    for ((s, c), &(_, label)) in serial.iter().zip(concurrent.iter()).zip(COMBOS.iter()) {
-        assert_same(label, c, s);
-    }
-    // The bit-identity contract also pins the four contexts to *each
-    // other*: job cap and kernel choice are performance levers, not
-    // semantics.
-    for (s, &(_, label)) in serial.iter().skip(1).zip(COMBOS.iter().skip(1)) {
-        assert_same(label, s, &serial[0]);
+    // Each matches its serial counterpart, and the four match each other:
+    // job cap and lane are performance levers, not semantics.
+    for ((s, c), setting) in serial.iter().zip(&concurrent).zip(settings) {
+        assert_eq!(first_difference(c, s), None, "{setting:?}");
+        assert_eq!(first_difference(s, &serial[0]), None, "{setting:?}");
     }
 }
 
@@ -219,7 +179,7 @@ fn concurrent_runs_report_exactly_their_own_speculation() {
             t.speculation, a.speculation,
             "run {i} counted a sibling's work"
         );
-        assert_same(&format!("run {i}"), t, a);
+        assert_eq!(first_difference(t, a), None, "run {i}");
     }
 }
 
@@ -232,10 +192,7 @@ fn resolve_layers_config_over_the_thread_overlay() {
     // the environment in every CI pass.
     let mut inline = ExperimentConfig::builder().build();
     inline.exec.mode = Some(ExecMode::Inline);
-    for overlay in [
-        kernel_ctx(5, SimdKernel::Scalar),
-        kernel_ctx(UNCAPPED, SimdKernel::Auto),
-    ] {
+    for overlay in [at(5, SimdKernel::Scalar), at(UNCAPPED, SimdKernel::Auto)] {
         let _g = ctx::install(overlay);
         assert_eq!(
             exec::resolve(&ExperimentConfig::builder().build()),
@@ -278,6 +235,84 @@ fn inline_is_the_job_cap_of_zero() {
     );
     assert_eq!(a.speculation, Default::default());
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
+}
+
+/// Flips `x`'s lowest mantissa bit.
+fn flip(x: &mut f32) {
+    *x = f32::from_bits(x.to_bits() ^ 1);
+}
+
+/// `log` with row 1's `detail` one higher.
+fn bump_detail(log: &FaultLog) -> FaultLog {
+    let mut out = FaultLog::new();
+    for (i, &e) in log.events().iter().enumerate() {
+        let detail = e.detail + u64::from(i == 1);
+        out.record(FaultEvent { detail, ..e });
+    }
+    out
+}
+
+#[test]
+fn first_difference_names_the_field_that_moved() {
+    // A cheap run with fault rows, tier counts and a trace: FedAT under
+    // storm churn.
+    let n = 12;
+    let task = suite::sent140_like(n, 47);
+    let mut cfg = cfg_with(n, 47);
+    cfg.rounds = 200;
+    let storm = ClusterConfig::paper_medium(47).with_clients(n);
+    cfg.cluster = Some(storm.with_churn(ChurnConfig::storm_heavy()));
+    let run = run_experiment(&task, &cfg);
+    assert!(run.faults.events().len() > 1 && run.trace.points.len() > 1);
+    type Edit = fn(&mut Outcome);
+    let edits: [(&str, Edit); 14] = [
+        ("final_weights[3]", |o| flip(&mut o.final_weights[3])),
+        ("per_client_accuracy[2]", |o| {
+            flip(&mut o.per_client_accuracy[2])
+        }),
+        ("accuracy_variance", |o| flip(&mut o.accuracy_variance)),
+        ("global_updates", |o| o.global_updates += 1),
+        ("tier_updates[1]", |o| {
+            o.tier_updates.as_mut().unwrap()[1] += 1
+        }),
+        ("report.events", |o| o.report.events += 1),
+        ("trace.points[1].time", |o| o.trace.points[1].time += 1.0),
+        ("trace.points[1].round", |o| o.trace.points[1].round += 1),
+        ("trace.points[1].accuracy", |o| {
+            flip(&mut o.trace.points[1].accuracy)
+        }),
+        ("trace.points[1].loss", |o| {
+            flip(&mut o.trace.points[1].loss)
+        }),
+        ("trace.points[1].up_bytes", |o| {
+            o.trace.points[1].up_bytes += 1
+        }),
+        ("trace.points[1].down_bytes", |o| {
+            o.trace.points[1].down_bytes += 1
+        }),
+        ("faults[1].detail", |o| o.faults = bump_detail(&o.faults)),
+        ("report.end_time", |o| o.report.end_time += 1.0),
+    ];
+    for (field, edit) in edits {
+        let mut moved = run.clone();
+        edit(&mut moved);
+        let diff = first_difference(&run, &moved).expect(field);
+        assert!(
+            diff.starts_with(field),
+            "{field} moved, the diff names {diff}"
+        );
+    }
+
+    // Speculation depends on the job cap by definition; a NaN equals the
+    // same NaN.
+    let mut spec = run.clone();
+    spec.speculation.launches += 1;
+    assert_eq!(first_difference(&run, &spec), None);
+    let mut nan = run.clone();
+    nan.final_weights[0] = f32::NAN;
+    let twin = nan.clone();
+    assert_ne!(nan.final_weights, twin.final_weights);
+    assert_eq!(first_difference(&nan, &twin), None);
 }
 
 #[test]

@@ -3,12 +3,14 @@
 //!
 //! FedProx with λ = 0 and `E` = 1 is FedAvg: the proximal term vanishes and
 //! the capability-dependent epoch count bottoms out at 1 for every device.
-//! Checked on final weights, every field of every trace point, the fault
-//! log and the end time, with and without dropouts, under storm churn, and
-//! under storm churn with deadlines and retries firing.
+//! Checked on the whole outcome (`first_difference`), with and without
+//! dropouts, under storm churn, and under storm churn with deadlines and
+//! retries firing.
 
+mod common;
+
+use common::first_difference;
 use fedat_core::config::{ExperimentConfig, FaultPolicy, StrategyKind};
-use fedat_core::Outcome;
 use fedat_data::suite;
 use fedat_sim::churn::ChurnConfig;
 use fedat_sim::fault::FaultKind;
@@ -16,23 +18,6 @@ use fedat_sim::fleet::ClusterConfig;
 
 const CLIENTS: usize = 20;
 const SEED: u64 = 83;
-
-/// Every bit a run reports, trace points field by field.
-fn bits(out: &Outcome) -> (Vec<u32>, Vec<[u64; 6]>, u64) {
-    let weights = out.final_weights.iter().map(|w| w.to_bits()).collect();
-    let points = out.trace.points.iter().map(|p| {
-        let (acc, loss) = (p.accuracy.to_bits().into(), p.loss.to_bits().into());
-        [
-            p.time.to_bits(),
-            p.round,
-            acc,
-            loss,
-            p.up_bytes,
-            p.down_bytes,
-        ]
-    });
-    (weights, points.collect(), out.report.end_time.to_bits())
-}
 
 #[test]
 fn fedprox_without_prox_term_at_one_epoch_is_fedavg() {
@@ -68,8 +53,8 @@ fn fedprox_without_prox_term_at_one_epoch_is_fedavg() {
             fedat_core::run_experiment(&task, &cfg)
         };
         let (avg, prox) = (run(StrategyKind::FedAvg), run(StrategyKind::FedProx));
-        assert_eq!(bits(&prox), bits(&avg), "{row}: FedProx left FedAvg");
-        assert_eq!(prox.faults, avg.faults, "{row}: fault logs differ");
+        let diff = first_difference(&prox, &avg);
+        assert_eq!(diff, None, "{row}: FedProx left FedAvg");
         if fault.deadline_multiplier.is_some() {
             let timeouts = avg.faults.count(FaultKind::Timeout);
             assert!(timeouts > 0, "{row}: no deadline fired");

@@ -1,17 +1,17 @@
 //! End-to-end regression for loader-built tasks: a FEMNIST-shaped fixture
 //! is generated on disk by the LEAF writer, parsed back, and trained under
-//! FedAT — and the whole run (trace, traffic, final weights, per-client
-//! accuracies) must be **bit-identical** across the job caps
-//! {uncapped, 0} × `SimdKernel::{Auto, Scalar}`,
-//! extending the sweep contract of `strategy_behavior.rs` from synthetic
-//! tasks to the disk-loaded natural-partition path.
+//! FedAT — and the whole run must be **bit-identical** across the
+//! execution settings, extending the sweep contract of
+//! `strategy_behavior.rs` from synthetic tasks to the disk-loaded
+//! natural-partition path.
 
+mod common;
+
+use common::{sweep, SHORT};
 use fedat_core::prelude::*;
 use fedat_data::leaf::{writer, LeafBenchmark};
 use fedat_data::suite::FedTask;
 use fedat_sim::fleet::ClusterConfig;
-use fedat_tensor::ctx::{self, KernelCtx};
-use fedat_tensor::simd::SimdKernel;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -51,7 +51,6 @@ fn leaf_loaded_fedat_run_is_bit_identical_across_exec_and_simd_modes() {
         assert_eq!(a.test.x.data(), b.test.x.data());
     }
 
-    let task = Arc::new(task);
     let cluster = ClusterConfig::paper_medium(31)
         .with_clients(task.fed.num_clients())
         .without_dropouts();
@@ -66,48 +65,12 @@ fn leaf_loaded_fedat_run_is_bit_identical_across_exec_and_simd_modes() {
         .cluster(cluster)
         .build();
 
-    let run_with = |max_pool_jobs: usize, kernel: SimdKernel| {
-        let _overlay = ctx::install(KernelCtx {
-            simd: kernel,
-            max_pool_jobs,
-        });
-        run_experiment_shared(&task, &cfg)
-    };
-
-    let base = run_with(usize::MAX, SimdKernel::Auto);
+    let base = sweep("FedAT on LEAF", &task, &cfg, SHORT);
     assert!(
         !base.trace.points.is_empty(),
         "the run must record a trace to pin"
     );
     assert!(base.final_weights.iter().all(|w| w.is_finite()));
-    for (cap, kernel) in [
-        (usize::MAX, SimdKernel::Scalar),
-        (0, SimdKernel::Auto),
-        (0, SimdKernel::Scalar),
-    ] {
-        let out = run_with(cap, kernel);
-        assert_eq!(
-            out.final_weights, base.final_weights,
-            "final weights diverged under cap {cap}/{kernel:?}"
-        );
-        assert_eq!(
-            out.per_client_accuracy, base.per_client_accuracy,
-            "per-client sweep diverged under cap {cap}/{kernel:?}"
-        );
-        assert_eq!(out.global_updates, base.global_updates);
-        assert_eq!(out.trace.points.len(), base.trace.points.len());
-        for (p, q) in out.trace.points.iter().zip(base.trace.points.iter()) {
-            assert_eq!(
-                p.accuracy, q.accuracy,
-                "accuracy diverged under cap {cap}/{kernel:?}"
-            );
-            assert_eq!(p.loss, q.loss, "loss diverged under cap {cap}/{kernel:?}");
-            assert_eq!(p.time, q.time);
-            assert_eq!(p.round, q.round);
-            assert_eq!(p.up_bytes, q.up_bytes, "uplink traffic diverged");
-            assert_eq!(p.down_bytes, q.down_bytes, "downlink traffic diverged");
-        }
-    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for aggregation and tiering invariants.
 
 use fedat_core::aggregate::{
-    aggregate_tiers, cross_tier_weights, uniform_tier_weights, weighted_client_average,
+    aggregate_tiers_into, cross_tier_weights, uniform_tier_weights, weighted_client_average_into,
 };
 use fedat_core::tiering::TierAssignment;
 use fedat_sim::fleet::{ClusterConfig, Fleet};
@@ -67,7 +67,8 @@ proptest! {
             })
             .collect();
         let refs: Vec<(&[f32], usize)> = updates.iter().map(|(w, n)| (w.as_slice(), *n)).collect();
-        let avg = weighted_client_average(&refs);
+        let mut avg = Vec::new();
+        weighted_client_average_into(&refs, &mut avg);
         for d in 0..dim {
             let lo = updates.iter().map(|(w, _)| w[d]).fold(f32::INFINITY, f32::min);
             let hi = updates.iter().map(|(w, _)| w[d]).fold(f32::NEG_INFINITY, f32::max);
@@ -80,7 +81,8 @@ proptest! {
         let models: Vec<Vec<f32>> = (0..tiers)
             .map(|t| vec![t as f32; dim])
             .collect();
-        let g = aggregate_tiers(&models, &uniform_tier_weights(tiers));
+        let mut g = Vec::new();
+        aggregate_tiers_into(&models, &uniform_tier_weights(tiers), &mut g);
         let mean = (0..tiers).map(|t| t as f32).sum::<f32>() / tiers as f32;
         for v in g {
             prop_assert!((v - mean).abs() < 1e-5);

@@ -450,6 +450,14 @@ mod tests {
     }
 
     #[test]
+    fn default_parts_split_evenly() {
+        assert_eq!(fleet(100, 0, 7).latency().part_sizes(), vec![20; 5]);
+        let sizes = fleet(103, 0, 7).latency().part_sizes();
+        assert_eq!(sizes.iter().sum::<usize>(), 103);
+        assert!(sizes.iter().all(|&s| s == 20 || s == 21));
+    }
+
+    #[test]
     fn custom_part_sizes_flow_through() {
         let cfg = ClusterConfig::paper_large(1).with_part_sizes(vec![200, 100, 100, 50, 50]);
         let f = Fleet::new(&cfg, vec![40; 500]);

@@ -112,18 +112,6 @@ impl LatencyModel {
         (1.0 + self.drift_rate[client] * round as f64).min(self.drift_cap)
     }
 
-    /// The paper's default: five equal parts with the §6 delay ranges.
-    pub fn paper_default(n_clients: usize, per_sample_cost: f64, seed: u64) -> Self {
-        let parts = paper_delay_parts();
-        let k = parts.len();
-        let base = n_clients / k;
-        let mut sizes = vec![base; k];
-        for s in sizes.iter_mut().take(n_clients % k) {
-            *s += 1;
-        }
-        Self::with_sizes(n_clients, parts, &sizes, per_sample_cost, seed)
-    }
-
     /// Ground-truth part of a client.
     pub fn part_of(&self, client: usize) -> usize {
         self.assignment[client]
@@ -187,13 +175,9 @@ impl LatencyModel {
 mod tests {
     use super::*;
 
-    #[test]
-    fn paper_default_splits_evenly() {
-        let m = LatencyModel::paper_default(100, 0.01, 7);
-        assert_eq!(m.part_sizes(), vec![20; 5]);
-        let m2 = LatencyModel::paper_default(103, 0.01, 7);
-        assert_eq!(m2.part_sizes().iter().sum::<usize>(), 103);
-        assert!(m2.part_sizes().iter().all(|&s| s == 20 || s == 21));
+    /// The §6 delay parts at `n / 5` clients each (`n` a multiple of 5).
+    fn paper_parts(n: usize, per_sample_cost: f64, seed: u64) -> LatencyModel {
+        LatencyModel::with_sizes(n, paper_delay_parts(), &[n / 5; 5], per_sample_cost, seed)
     }
 
     #[test]
@@ -205,7 +189,7 @@ mod tests {
 
     #[test]
     fn delays_stay_in_part_range() {
-        let m = LatencyModel::paper_default(50, 0.0, 3);
+        let m = paper_parts(50, 0.0, 3);
         for client in 0..50 {
             let part = paper_delay_parts()[m.part_of(client)];
             for round in 0..20 {
@@ -222,8 +206,8 @@ mod tests {
 
     #[test]
     fn delay_schedule_is_deterministic_and_varies_by_round() {
-        let m = LatencyModel::paper_default(50, 0.0, 3);
-        let m2 = LatencyModel::paper_default(50, 0.0, 3);
+        let m = paper_parts(50, 0.0, 3);
+        let m2 = paper_parts(50, 0.0, 3);
         // Pick a client in a nonzero-width part.
         let client = (0..50).find(|&c| m.part_of(c) == 4).unwrap();
         assert_eq!(m.injected_delay(client, 5), m2.injected_delay(client, 5));
@@ -232,7 +216,7 @@ mod tests {
 
     #[test]
     fn fastest_part_has_zero_delay() {
-        let m = LatencyModel::paper_default(50, 0.0, 9);
+        let m = paper_parts(50, 0.0, 9);
         let client = (0..50).find(|&c| m.part_of(c) == 0).unwrap();
         for round in 0..10 {
             assert_eq!(m.injected_delay(client, round), 0.0);
@@ -241,7 +225,7 @@ mod tests {
 
     #[test]
     fn response_latency_adds_compute() {
-        let m = LatencyModel::paper_default(10, 0.02, 1);
+        let m = paper_parts(10, 0.02, 1);
         let client = (0..10).find(|&c| m.part_of(c) == 0).unwrap();
         let lat = m.response_latency(client, 0, 50, 3);
         assert!((lat - 0.02 * 50.0 * 3.0).abs() < 1e-9);
@@ -249,7 +233,7 @@ mod tests {
 
     #[test]
     fn expected_latency_orders_parts() {
-        let m = LatencyModel::paper_default(100, 0.0, 5);
+        let m = paper_parts(100, 0.0, 5);
         let by_part: Vec<f64> = (0..5)
             .map(|p| {
                 let c = (0..100).find(|&c| m.part_of(c) == p).unwrap();
@@ -272,7 +256,7 @@ mod tests {
 
     #[test]
     fn drift_slows_compute_but_not_the_profile() {
-        let mut m = LatencyModel::paper_default(10, 0.02, 1);
+        let mut m = paper_parts(10, 0.02, 1);
         // Zero-delay part: response latency is pure compute.
         let client = (0..10).find(|&c| m.part_of(c) == 0).unwrap();
         let base = m.response_latency(client, 0, 50, 3);

@@ -69,7 +69,7 @@ proptest! {
 
     #[test]
     fn delays_always_in_range(seed in 0u64..1000, client in 0usize..50, round in 0u64..100) {
-        let m = LatencyModel::paper_default(50, 0.01, seed);
+        let m = LatencyModel::with_sizes(50, paper_delay_parts(), &[10; 5], 0.01, seed);
         let part = paper_delay_parts()[m.part_of(client)];
         let d = m.injected_delay(client, round);
         prop_assert!(d >= part.lo - 1e-9 && d <= part.hi + 1e-9, "{} outside [{}, {}]", d, part.lo, part.hi);
