@@ -25,7 +25,7 @@
 //!
 //! See `docs/PERF.md`, "The lane comparator" for how to read the output.
 
-use fedat_nn::loss::softmax_cross_entropy;
+use fedat_nn::loss::softmax_cross_entropy_grad;
 use fedat_tensor::conv;
 use fedat_tensor::ctx::{self, KernelCtx, OverlayGuard};
 use fedat_tensor::ops;
@@ -504,28 +504,23 @@ fn bench_stage<S>(
     }
 }
 
-/// `softmax_cross_entropy` over a `[10, classes]` batch of logits — the
-/// loss and logit gradient of one local step: the block softmax (its `exp`
-/// is the lane), `ln` of each target's probability, the gradient scale.
+/// `softmax_cross_entropy_grad` over a `[10, classes]` batch of logits —
+/// the logit gradient of one local step: the row maxima, the block `exp`
+/// (the lane), each row's reciprocal sum and the `1/N` scale.
 fn bench_softmax_ce(shape: &'static str, classes: usize, seed: u64) -> StageSample {
     let logits: Vec<f32> = filled(10 * classes, seed).iter().map(|v| 4.0 * v).collect();
     let logits = Tensor::from_vec(logits, &[10, classes]);
     let targets: Vec<u32> = (0..10).map(|r| (r * 7 % classes) as u32).collect();
-    let side = || (0u32, Tensor::zeros(&[1]));
+    let side = || Tensor::zeros(&[1]);
     bench_stage(
-        ("softmax_cross_entropy", shape),
+        ("softmax_cross_entropy_grad", shape),
         200_000,
         [side(), side()],
-        |(loss, grad): &mut (u32, Tensor)| {
-            let (l, g) = softmax_cross_entropy(&logits, &targets);
-            *loss = l.to_bits();
+        |grad: &mut Tensor| {
+            let g = softmax_cross_entropy_grad(&logits, &targets);
             std::mem::replace(grad, g).recycle();
         },
-        |(loss, grad)| {
-            std::iter::once(*loss)
-                .chain(grad.data().iter().map(|v| v.to_bits()))
-                .collect()
-        },
+        |grad| grad.data().iter().map(|v| v.to_bits()).collect(),
     )
 }
 

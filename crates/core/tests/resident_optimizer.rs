@@ -68,10 +68,10 @@ fn resident_optimizer_matches_fresh_ones_exactly() {
                 .join()
                 .expect("fresh-thread dispatch panicked")
         });
-        assert_eq!(fresh.weights, resident.weights, "dispatch {i}");
+        let bits = |w: &[f32]| -> Vec<u32> { w.iter().map(|v| v.to_bits()).collect() };
         assert_eq!(
-            fresh.mean_loss.to_bits(),
-            resident.mean_loss.to_bits(),
+            bits(&fresh.weights),
+            bits(&resident.weights),
             "dispatch {i}"
         );
     }

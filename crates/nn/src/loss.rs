@@ -1,21 +1,22 @@
-//! Loss functions. Each returns the (mean-reduced) loss *and* the gradient
-//! with respect to the model output, ready to feed into `backward`.
+//! Softmax cross-entropy over integer class targets, in the two forms its
+//! callers read: the mean loss evaluation reports, and the gradient with
+//! respect to the logits that training feeds into `backward`.
 
-use fedat_tensor::Tensor;
+use fedat_tensor::ops::softmax_block;
+use fedat_tensor::{simd, Tensor};
 
-/// Softmax cross-entropy over integer class targets.
-///
-/// Returns `(mean loss, d_logits)` where `d_logits = (softmax − onehot) / N`.
+/// Mean softmax cross-entropy of `logits` against integer class targets:
+/// [`softmax_block`] on a scratch copy, then `−ln p_t` per row (each
+/// probability clamped at `1e-12`) summed in `f64`.
 ///
 /// # Panics
 /// Panics if `targets.len()` differs from the logit row count or a target is
 /// out of class range.
-pub fn softmax_cross_entropy(logits: &Tensor, targets: &[u32]) -> (f32, Tensor) {
+pub fn softmax_cross_entropy_loss(logits: &Tensor, targets: &[u32]) -> f32 {
     let (n, classes) = logits.shape().as_matrix();
     assert_eq!(targets.len(), n, "target count mismatch");
-    // Scratch-arena copy: the returned gradient reuses recycled storage.
     let mut probs = logits.clone_scratch();
-    fedat_tensor::ops::softmax_block(probs.data_mut(), classes);
+    softmax_block(probs.data_mut(), classes);
     let mut loss = 0.0f64;
     for (r, &t) in targets.iter().enumerate() {
         let t = t as usize;
@@ -23,13 +24,53 @@ pub fn softmax_cross_entropy(logits: &Tensor, targets: &[u32]) -> (f32, Tensor) 
         let p = probs.row(r)[t].max(1e-12);
         loss -= (p as f64).ln();
     }
-    let inv_n = 1.0 / n as f32;
-    for (r, &t) in targets.iter().enumerate() {
-        let row = probs.row_mut(r);
-        row[t as usize] -= 1.0;
-        fedat_tensor::simd::scale(row, inv_n);
+    probs.recycle();
+    (loss / n as f64) as f32
+}
+
+/// The gradient of [`softmax_cross_entropy_loss`] with respect to the
+/// logits, `(softmax − onehot) / N`, in a scratch-arena tensor.
+///
+/// One pass over the block where the definition takes three
+/// ([`softmax_block`], then `row[t] −= 1`, then a scale by `1/N`), with
+/// every element put through the same operations in the same order: the
+/// row maximum is subtracted, [`simd::exp_in_place`] runs over the whole
+/// block, and each element of a row with sum `Σ` becomes
+/// `(p · (1/Σ) − [i = t]) · (1/N)`. The maximum is a `v > m` select
+/// rather than the `f32::max` fold; the two differ only in the sign of a
+/// zero maximum, and `exp(v − max)` erases that. `proptest_nn.rs` holds
+/// the result to the three-pass definition bit for bit, bar the sign of a
+/// NaN, which Rust leaves unspecified where two NaNs meet.
+///
+/// # Panics
+/// Panics if `targets.len()` differs from the logit row count or a target is
+/// out of class range.
+pub fn softmax_cross_entropy_grad(logits: &Tensor, targets: &[u32]) -> Tensor {
+    let (n, classes) = logits.shape().as_matrix();
+    assert_eq!(targets.len(), n, "target count mismatch");
+    let mut grad = logits.clone_scratch();
+    let block = grad.data_mut();
+    for row in block.chunks_exact_mut(classes) {
+        let max = row
+            .iter()
+            .fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+        for v in row.iter_mut() {
+            *v -= max;
+        }
     }
-    ((loss / n as f64) as f32, probs)
+    simd::exp_in_place(block);
+    let inv_n = 1.0 / n as f32;
+    for (row, &t) in block.chunks_exact_mut(classes).zip(targets) {
+        let t = t as usize;
+        assert!(t < classes, "target {t} out of range for {classes} classes");
+        let r = 1.0 / row.iter().fold(0.0f32, |s, &v| s + v);
+        let p_t = row[t] * r;
+        for v in row.iter_mut() {
+            *v = *v * r * inv_n;
+        }
+        row[t] = (p_t - 1.0) * inv_n;
+    }
+    grad
 }
 
 /// Classification accuracy of logits against integer targets (no
@@ -52,7 +93,7 @@ mod tests {
     fn uniform_logits_give_log_c_loss() {
         let logits = Tensor::zeros(&[4, 10]);
         let targets = [0u32, 3, 7, 9];
-        let (loss, _) = softmax_cross_entropy(&logits, &targets);
+        let loss = softmax_cross_entropy_loss(&logits, &targets);
         assert!((loss - (10.0f32).ln()).abs() < 1e-5);
     }
 
@@ -61,7 +102,7 @@ mod tests {
         let mut logits = Tensor::full(&[2, 3], -50.0);
         *logits.at_mut(&[0, 1]) = 50.0;
         *logits.at_mut(&[1, 2]) = 50.0;
-        let (loss, _) = softmax_cross_entropy(&logits, &[1, 2]);
+        let loss = softmax_cross_entropy_loss(&logits, &[1, 2]);
         assert!(loss < 1e-5);
         assert_eq!(accuracy(&logits, &[1, 2]), 1.0);
     }
@@ -70,7 +111,7 @@ mod tests {
     fn gradient_rows_sum_to_zero() {
         let mut rng = rng_for(1, 1);
         let logits = Tensor::randn(&mut rng, &[5, 4], 0.0, 2.0);
-        let (_, grad) = softmax_cross_entropy(&logits, &[0, 1, 2, 3, 0]);
+        let grad = softmax_cross_entropy_grad(&logits, &[0, 1, 2, 3, 0]);
         for r in 0..5 {
             let s: f32 = grad.row(r).iter().sum();
             assert!(s.abs() < 1e-6, "row {r} gradient sums to {s}");
@@ -82,15 +123,15 @@ mod tests {
         let mut rng = rng_for(2, 1);
         let logits = Tensor::randn(&mut rng, &[3, 5], 0.0, 1.0);
         let targets = [1u32, 4, 2];
-        let (_, grad) = softmax_cross_entropy(&logits, &targets);
+        let grad = softmax_cross_entropy_grad(&logits, &targets);
         let eps = 1e-3f32;
         for idx in [0usize, 6, 14] {
             let mut lp = logits.clone();
             lp.data_mut()[idx] += eps;
-            let (loss_p, _) = softmax_cross_entropy(&lp, &targets);
+            let loss_p = softmax_cross_entropy_loss(&lp, &targets);
             let mut lm = logits.clone();
             lm.data_mut()[idx] -= eps;
-            let (loss_m, _) = softmax_cross_entropy(&lm, &targets);
+            let loss_m = softmax_cross_entropy_loss(&lm, &targets);
             let num = (loss_p - loss_m) / (2.0 * eps);
             let ana = grad.data()[idx];
             assert!(
@@ -121,7 +162,8 @@ mod tests {
                     simd,
                     ..ctx::snapshot()
                 });
-                let (loss, grad) = softmax_cross_entropy(&logits, &targets);
+                let loss = softmax_cross_entropy_loss(&logits, &targets);
+                let grad = softmax_cross_entropy_grad(&logits, &targets);
                 let bits: Vec<u32> = grad.data().iter().map(|v| v.to_bits()).collect();
                 (loss.to_bits(), bits)
             };

@@ -6,7 +6,7 @@
 //! scaled to the synthetic token streams of `fedat-data`.
 
 use crate::layer::Mode;
-use crate::loss::softmax_cross_entropy;
+use crate::loss::softmax_cross_entropy_grad;
 use crate::model::Model;
 use crate::optim::{Optimizer, ProxTerm};
 use crate::param::{Param, Params};
@@ -309,18 +309,17 @@ impl Model for LstmLm {
         y: &[u32],
         opt: &mut dyn Optimizer,
         prox: Option<&ProxTerm>,
-    ) -> f32 {
+    ) {
         if !std::mem::take(&mut self.grads_clean) {
             self.zero_grad();
         }
         let logits = self.forward(x, Mode::Train);
-        let (loss, d_logits) = softmax_cross_entropy(&logits, y);
+        let d_logits = softmax_cross_entropy_grad(&logits, y);
         logits.recycle();
         self.backward(&d_logits);
         d_logits.recycle();
         opt.step(self, prox);
         self.grads_clean = true;
-        loss
     }
 
     fn num_params(&self) -> usize {
@@ -399,7 +398,7 @@ mod tests {
 
         lm.zero_grad();
         let logits = lm.forward(&x, Mode::Train);
-        let (_, d_logits) = softmax_cross_entropy(&logits, &y);
+        let d_logits = softmax_cross_entropy_grad(&logits, &y);
         lm.backward(&d_logits);
 
         // Snapshot analytic gradients.
@@ -407,7 +406,7 @@ mod tests {
 
         let loss_of = |lm: &mut LstmLm| -> f32 {
             let logits = lm.forward(&x, Mode::Eval);
-            softmax_cross_entropy(&logits, &y).0
+            crate::loss::softmax_cross_entropy_loss(&logits, &y)
         };
         let eps = 1e-2f32;
         // Spot-check several coordinates in every parameter tensor.

@@ -2,7 +2,7 @@
 //! accuracy-only twin [`accuracy_batched`].
 
 use crate::layer::Mode;
-use crate::loss::{accuracy, softmax_cross_entropy};
+use crate::loss::{accuracy, softmax_cross_entropy_loss};
 use crate::model::{EvalResult, Model};
 use fedat_tensor::Tensor;
 
@@ -32,10 +32,8 @@ fn eval_rows(
 
 /// Loss and accuracy of one batch's logits.
 fn loss_and_accuracy(logits: &Tensor, y: &[u32]) -> EvalResult {
-    let (loss, grad) = softmax_cross_entropy(logits, y);
-    grad.recycle();
     EvalResult {
-        loss,
+        loss: softmax_cross_entropy_loss(logits, y),
         accuracy: accuracy(logits, y),
         count: y.len(),
     }
@@ -90,8 +88,8 @@ pub fn evaluate_batched(
     walk_batches(model, x, y, batch_size, loss_and_accuracy)
 }
 
-/// The accuracy [`evaluate_batched`] reports, without the softmax, `ln`
-/// and gradient it computes for the loss: the same batches, merged with the
+/// The accuracy [`evaluate_batched`] reports, without the softmax and `ln`
+/// it computes for the loss: the same batches, merged with the
 /// same arithmetic, so the value is bit-identical by construction.
 pub fn accuracy_batched(model: &mut dyn Model, x: &Tensor, y: &[u32], batch_size: usize) -> f32 {
     walk_batches(model, x, y, batch_size, accuracy_only).accuracy

@@ -2,7 +2,7 @@
 //! [`Sequential`], the feed-forward implementation.
 
 use crate::layer::{Layer, Mode};
-use crate::loss::{accuracy, softmax_cross_entropy};
+use crate::loss::{accuracy, softmax_cross_entropy_grad, softmax_cross_entropy_loss};
 use crate::optim::{Optimizer, ProxTerm};
 use crate::param::Params;
 use fedat_tensor::Tensor;
@@ -44,7 +44,9 @@ pub trait Model: Send {
     /// Class logits for a batch (rows = samples or token positions).
     fn logits(&mut self, x: &Tensor, mode: Mode) -> Tensor;
 
-    /// One optimizer step on a mini-batch. Returns the batch loss.
+    /// One optimizer step on a mini-batch. The step computes no loss:
+    /// nothing a client uploads depends on it ([`Model::evaluate`] reports
+    /// one).
     ///
     /// `prox` optionally adds the FedAT/FedProx constraint gradient
     /// `λ(w − w_global)` (Eq. 3) inside the optimizer update.
@@ -54,15 +56,13 @@ pub trait Model: Send {
         y: &[u32],
         opt: &mut dyn Optimizer,
         prox: Option<&ProxTerm>,
-    ) -> f32;
+    );
 
     /// Loss and accuracy on a labelled batch.
     fn evaluate(&mut self, x: &Tensor, y: &[u32]) -> EvalResult {
         let logits = self.logits(x, Mode::Eval);
-        let (loss, grad) = softmax_cross_entropy(&logits, y);
-        grad.recycle();
         let result = EvalResult {
-            loss,
+            loss: softmax_cross_entropy_loss(&logits, y),
             accuracy: accuracy(&logits, y),
             count: y.len(),
         };
@@ -155,12 +155,12 @@ impl Model for Sequential {
         y: &[u32],
         opt: &mut dyn Optimizer,
         prox: Option<&ProxTerm>,
-    ) -> f32 {
+    ) {
         if !std::mem::take(&mut self.grads_clean) {
             self.zero_grad();
         }
         let logits = self.forward(x, Mode::Train);
-        let (loss, d_logits) = softmax_cross_entropy(&logits, y);
+        let d_logits = softmax_cross_entropy_grad(&logits, y);
         logits.recycle();
         // Nothing reads the gradient with respect to the batch itself.
         let (first, rest) = self
@@ -174,7 +174,6 @@ impl Model for Sequential {
         first.backward_params_only(grad);
         opt.step(&mut self.layers, prox);
         self.grads_clean = true;
-        loss
     }
 
     fn num_params(&self) -> usize {

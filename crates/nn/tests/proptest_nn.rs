@@ -2,12 +2,14 @@
 
 use fedat_nn::layer::Mode;
 use fedat_nn::layers::{Dense, Relu};
-use fedat_nn::loss::softmax_cross_entropy;
+use fedat_nn::loss::{softmax_cross_entropy_grad, softmax_cross_entropy_loss};
 use fedat_nn::model::{Model, Sequential};
 use fedat_nn::models::ModelSpec;
 use fedat_nn::optim::{Adam, Optimizer, ProxTerm};
 use fedat_nn::param::Param;
+use fedat_tensor::ctx::{self, KernelCtx};
 use fedat_tensor::rng::rng_for;
+use fedat_tensor::simd::SimdKernel;
 use fedat_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -21,10 +23,70 @@ fn logits_and_targets() -> impl Strategy<Value = (Tensor, Vec<u32>)> {
     })
 }
 
+/// The logit values the fused gradient must treat like its definition:
+/// signed zeros, infinities, a NaN and magnitudes whose `exp` saturates.
+const EDGE_LOGITS: [f32; 7] = [
+    0.0,
+    -0.0,
+    f32::NEG_INFINITY,
+    f32::INFINITY,
+    f32::NAN,
+    1e30,
+    -1e30,
+];
+
+/// `N × classes` logits for `N` in 1..=64 and 1..=70 classes, plus one
+/// target per row. Each entry is an [`EDGE_LOGITS`] value with a chance
+/// drawn per case (from 7 in 7 to 7 in 400), an ordinary one otherwise, so
+/// some cases are all edges and some have whole rows without one.
+fn edge_logits_and_targets() -> impl Strategy<Value = (Tensor, Vec<u32>)> {
+    (1usize..=64, 1usize..=70, 7usize..400).prop_flat_map(|(rows, classes, spread)| {
+        (
+            prop::collection::vec((0..spread, -20.0f32..20.0), rows * classes),
+            prop::collection::vec(0u32..classes as u32, rows),
+        )
+            .prop_map(move |(draws, y)| {
+                let data = draws
+                    .into_iter()
+                    .map(|(pick, v)| EDGE_LOGITS.get(pick).copied().unwrap_or(v))
+                    .collect();
+                (Tensor::from_vec(data, &[rows, classes]), y)
+            })
+    })
+}
+
+/// The logit gradient by its definition, in three passes:
+/// `softmax_block` (an `f32::max` fold for the row maximum), then
+/// `row[t] −= 1`, then a scale by `1/N`.
+fn two_pass_gradient(logits: &Tensor, y: &[u32]) -> Vec<f32> {
+    let (n, classes) = logits.shape().as_matrix();
+    let mut probs = logits.data().to_vec();
+    fedat_tensor::ops::softmax_block(&mut probs, classes);
+    let inv_n = 1.0 / n as f32;
+    for (row, &t) in probs.chunks_exact_mut(classes).zip(y) {
+        row[t as usize] -= 1.0;
+        fedat_tensor::simd::scale(row, inv_n);
+    }
+    probs
+}
+
+/// Each value's bits, with every NaN as one quiet NaN. Where both operands
+/// of an operation are NaNs of different sign (a row holding a NaN and a
+/// `−∞ − (−∞)`), Rust leaves the sign of the result unspecified, and two
+/// compilations of the same product may pick either operand's; every other
+/// bit is compared as it is.
+fn bits(values: &[f32]) -> Vec<u32> {
+    values
+        .iter()
+        .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+        .collect()
+}
+
 proptest! {
     #[test]
     fn xent_loss_is_nonnegative_and_grad_rows_sum_zero((logits, y) in logits_and_targets()) {
-        let (loss, grad) = softmax_cross_entropy(&logits, &y);
+        let loss = softmax_cross_entropy_loss(&logits, &y);
+        let grad = softmax_cross_entropy_grad(&logits, &y);
         prop_assert!(loss >= 0.0);
         let (rows, cols) = (logits.dims()[0], logits.dims()[1]);
         for r in 0..rows {
@@ -36,10 +98,23 @@ proptest! {
     #[test]
     fn xent_gradient_magnitude_bounded((logits, y) in logits_and_targets()) {
         // Each entry of (softmax − onehot)/N lies in [−1/N, 1/N].
-        let (_, grad) = softmax_cross_entropy(&logits, &y);
+        let grad = softmax_cross_entropy_grad(&logits, &y);
         let n = y.len() as f32;
         for &g in grad.data() {
             prop_assert!(g.abs() <= 1.0 / n + 1e-6);
+        }
+    }
+
+    #[test]
+    fn fused_xent_gradient_is_the_two_pass_definition_bitwise(
+        (logits, y) in edge_logits_and_targets()
+    ) {
+        let want = bits(&two_pass_gradient(&logits, &y));
+        for simd in [SimdKernel::Auto, SimdKernel::Scalar] {
+            let _g = ctx::install(KernelCtx { simd, ..ctx::snapshot() });
+            let grad = softmax_cross_entropy_grad(&logits, &y);
+            prop_assert_eq!(bits(grad.data()), want, "{:?} lane", simd);
+            grad.recycle();
         }
     }
 
@@ -134,8 +209,6 @@ fn training_is_bit_identical_across_simd_kernels() {
     // End-to-end pin for the rewired nn sweeps (activations, dropout,
     // loss, optimizer steps) on both model families: forcing the scalar
     // kernel must reproduce the Auto weights bit-for-bit.
-    use fedat_tensor::ctx::{self, KernelCtx};
-    use fedat_tensor::simd::SimdKernel;
     let specs = [
         ModelSpec::Mlp {
             input: 10,

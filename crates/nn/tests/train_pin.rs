@@ -9,9 +9,10 @@
 //! model runs 18 `train_batch` calls (Adam 0.003, `ProxTerm` λ = 0.4, a
 //! fresh normal batch of 10 per call, every sixth a ragged 7, every third
 //! with its negative inputs clamped to zero so layer 0 also reads exact
-//! zeros) and one evaluation-sized forward (batch 64); every batch loss,
-//! the final weights and the logits fold into FNV-1a digests compared with
-//! literals.
+//! zeros) and one evaluation-sized forward (batch 64); every batch loss
+//! (of the weights the batch's step starts from: `train_batch` computes
+//! none), the final weights and the logits fold into FNV-1a digests
+//! compared with literals.
 //!
 //! The literals hold on the default lane and under `SimdKernel::Scalar`
 //! (`FEDAT_SIMD=scalar`) — each test checks both. They fold in libm's `exp`/`ln` through the loss, so
@@ -23,6 +24,7 @@
 //! parameter while the batch carries `-0.0`, and one `LstmLm` step.
 
 use fedat_nn::layer::Mode;
+use fedat_nn::loss::softmax_cross_entropy_loss;
 use fedat_nn::model::Model;
 use fedat_nn::models::ModelSpec;
 use fedat_nn::optim::{Adam, Optimizer, ProxTerm};
@@ -82,13 +84,36 @@ fn run(spec: &ModelSpec, features: usize, classes: u32, solver: Solver) -> (u64,
             x.map_inplace(|v| v.max(0.0));
         }
         let y: Vec<u32> = (0..rows).map(|_| rng.random_range(0..classes)).collect();
-        seen.push(model.train_batch(&x, &y, opt.as_mut(), prox.as_ref()));
+        seen.push(pinned_step(
+            model.as_mut(),
+            &x,
+            &y,
+            opt.as_mut(),
+            prox.as_ref(),
+        ));
     }
     assert!(seen.iter().all(|l| l.is_finite()), "{solver:?} diverged");
     seen.extend(model.weights());
     let x = Tensor::randn(&mut rng, &[64, features], 0.0, 1.0);
     let logits = model.logits(&x, Mode::Eval);
     (digest(seen), digest(logits.data().iter().copied()))
+}
+
+/// One pinned step: the batch loss of the pre-step weights (the mean
+/// softmax cross-entropy of the batch's `Mode::Eval` logits, the value
+/// the step's gradient is the derivative of), then `train_batch`.
+fn pinned_step(
+    model: &mut dyn Model,
+    x: &Tensor,
+    y: &[u32],
+    opt: &mut dyn Optimizer,
+    prox: Option<&ProxTerm>,
+) -> f32 {
+    let logits = model.logits(x, Mode::Eval);
+    let loss = softmax_cross_entropy_loss(&logits, y);
+    logits.recycle();
+    model.train_batch(x, y, opt, prox);
+    loss
 }
 
 /// Runs `run` on the default and the scalar lane; each must reproduce
@@ -279,7 +304,7 @@ fn run_zero_gradients() -> (u64, u64) {
             }
         }
         let y: Vec<u32> = (0..10).map(|_| rng.random_range(0..5)).collect();
-        seen.push(model.train_batch(&x, &y, &mut opt, Some(&prox)));
+        seen.push(pinned_step(model.as_mut(), &x, &y, &mut opt, Some(&prox)));
     }
     let w = model.weights();
     for &i in &frozen {
@@ -333,7 +358,13 @@ fn run_lstm() -> (u64, u64) {
             .iter()
             .map(|&t| (t as u32 + 1) % VOCAB as u32)
             .collect();
-        seen.push(model.train_batch(&x, &y, opt.as_mut(), prox.as_ref()));
+        seen.push(pinned_step(
+            model.as_mut(),
+            &x,
+            &y,
+            opt.as_mut(),
+            prox.as_ref(),
+        ));
     }
     seen.extend(model.weights());
     let logits = model.logits(&windows(8), Mode::Eval);
