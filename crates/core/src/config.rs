@@ -167,8 +167,9 @@ pub struct GuardPolicy {
     pub finite_check: bool,
     /// L2-norm screen against the accepted-norm EWMA; `None` disables it.
     pub norm_screen: Option<NormScreen>,
-    /// Async strategies (FedAsync/ASO-Fed) discard updates staler than
-    /// this many global model versions; `None` disables the bound.
+    /// Wait-free lanes (FedAsync/ASO-Fed) discard updates staler than this
+    /// many global model versions; barrier lanes ignore it. `None`
+    /// disables the bound.
     pub max_staleness: Option<u64>,
     /// Quarantine a client after this many rejected updates; `None`
     /// disables quarantine. Stale discards do not count — slowness is not

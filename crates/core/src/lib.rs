@@ -19,9 +19,10 @@
 //!   the kernel pool at dispatch and are joined bit-identically when the
 //!   completion event fires,
 //! * [`transport`] — codec-mediated uplink/downlink with byte accounting,
-//! * [`strategies`] — the six FL methods: two server drivers (one per
-//!   trigger — round barrier, update arrival) as [`fedat_sim::EventHandler`]s
-//!   and a small policy per method,
+//! * [`strategies`] — the six FL methods: one server driver, an
+//!   [`fedat_sim::EventHandler`] running lanes of synchronous rounds (a
+//!   tier each for FedAT, a client each for the wait-free FedAsync and
+//!   ASO-Fed), and a small policy per method,
 //! * [`eval`] — global accuracy, per-client accuracy variance
 //!   (Definition 3.1), robustness metrics,
 //! * [`experiment`] — one-call experiment orchestration returning a

@@ -22,7 +22,7 @@
 
 use crate::aggregate::{aggregate_tiers_into, cross_tier_weights, uniform_tier_weights, AggRule};
 use crate::config::{ExperimentConfig, RetierPolicy};
-use crate::strategies::round::{aggregate_received, Cohort, RoundPolicy, ServerView};
+use crate::strategies::round::{aggregate_received, RoundPolicy, ServerView};
 use crate::strategies::tifl::profiled_tiers;
 use crate::tiering::TierAssignment;
 use fedat_data::suite::FedTask;
@@ -88,11 +88,14 @@ impl RoundPolicy for FedAt {
         self.tiers.num_tiers()
     }
 
-    fn select(&mut self, lane: usize, _view: &mut ServerView) -> Cohort {
-        Cohort {
-            pool: self.tiers.tier(lane).to_vec(),
-            group: Some(lane),
-        }
+    fn select(
+        &mut self,
+        lane: usize,
+        _view: &mut ServerView,
+        pool: &mut Vec<usize>,
+    ) -> Option<usize> {
+        pool.extend_from_slice(self.tiers.tier(lane));
+        Some(lane)
     }
 
     fn replacements(&self, group: Option<usize>, _view: &ServerView) -> Vec<usize> {
@@ -114,6 +117,7 @@ impl RoundPolicy for FedAt {
         &mut self,
         lane: usize,
         received: &[(Vec<f32>, usize)],
+        _staleness: u64,
         global: &mut Vec<f32>,
         rule: AggRule,
     ) -> bool {

@@ -1,32 +1,30 @@
 //! The six federated-learning methods, all driven by the same
 //! discrete-event runtime.
 //!
-//! There are two server state machines, one per *trigger*: [`round`]'s
-//! `RoundServer` moves the global model when a barrier lane concludes a
-//! round, `arrival`'s `ArrivalServer` on every landed update. Each owns
-//! the in-flight table and the whole fault layer for its trigger; a method
-//! is a small policy plugged into one of them — the table is the design:
+//! There is one server state machine, [`round`]'s `RoundServer`: it moves
+//! the global model when a lane concludes a round, and it owns the
+//! in-flight table and the whole fault layer. A method is a small policy
+//! plugged into it — the table is the design:
 //!
-//! | Strategy | Driver | Policy | Eligible for a round | Local work | Mixing |
+//! | Strategy | Lanes | Policy | Eligible for a round | Local work | Mixing |
 //! |---|---|---|---|---|---|
-//! | FedAvg | round, 1 lane | `sync::FedAvg` | whole fleet, uniform sample | `E` epochs | rule-aggregate the cohort into the global model |
-//! | FedProx | round, 1 lane | `sync::FedProx` | whole fleet, uniform sample | fewer epochs on slower devices, prox term | as FedAvg |
-//! | TiFL | round, 1 lane | `tifl::Tifl` | one tier, drawn by accuracy-driven credits | `E` epochs | as FedAvg |
-//! | FedAT | round, `M` lanes | `fedat::FedAt` | lane `m` = tier `m`'s members | `E` epochs, prox term | rule-aggregate into the tier model, then the Eq. 5 cross-tier average (the paper) |
-//! | FedAsync | arrival | `mixers::FedAsync` | everyone, always | `E` epochs | `w ← lerp(w, w_k, α·s(staleness))` |
-//! | ASO-Fed | arrival | `mixers::AsoFed` | everyone, always | `E` epochs, prox term | replace client `k`'s server copy; `w` = `n_k/N`-weighted mean of the copies |
+//! | FedAvg | 1 | `sync::FedAvg` | whole fleet, uniform sample | `E` epochs | rule-aggregate the cohort into the global model |
+//! | FedProx | 1 | `sync::FedProx` | whole fleet, uniform sample | fewer epochs on slower devices, prox term | as FedAvg |
+//! | TiFL | 1 | `tifl::Tifl` | one tier, drawn by accuracy-driven credits | `E` epochs | as FedAvg |
+//! | FedAT | `M`, one per tier | `fedat::FedAt` | lane `m` = tier `m`'s members | `E` epochs, prox term | rule-aggregate into the tier model, then the Eq. 5 cross-tier average (the paper) |
+//! | FedAsync | one per client, wait-free | `wait_free::WaitFree::FedAsync` | lane `c` = client `c`, always | `E` epochs | `w ← lerp(w, w_k, α·s(staleness))` |
+//! | ASO-Fed | one per client, wait-free | `wait_free::WaitFree::AsoFed` | lane `c` = client `c`, always | `E` epochs, prox term | replace client `k`'s server copy; `w` = `n_k/N`-weighted mean of the copies |
 //!
 //! "Eligible" always also means alive, idle and out of quarantine — one
-//! predicate, applied by the drivers at round start, deadline retry and
-//! revival alike. A new round-based method implements [`round::RoundPolicy`]
+//! predicate, applied by the driver at round start, deadline retry and
+//! revival alike. A new method implements [`round::RoundPolicy`]
 //! (`examples/custom_strategy.rs` does, in one method).
 
-mod arrival;
 mod fedat;
-mod mixers;
 pub mod round;
 mod sync;
 mod tifl;
+mod wait_free;
 
 use crate::config::{ExperimentConfig, StrategyKind};
 use crate::eval::{accuracy_variance, per_client_accuracy, Evaluator};
@@ -39,9 +37,10 @@ use fedat_sim::runtime::{Completion, EventHandler, SimCtx, SimReport};
 use fedat_sim::trace::{Trace, TracePoint};
 use std::sync::Arc;
 
-/// High bit of a timer tag: marks revival wake-ups (a parked tier or a
-/// flapped-out async client coming back). Every other timer tag is a
-/// dispatch's tag (see [`InflightTable`]) carrying that dispatch's deadline.
+/// High bit of a timer tag: marks a parked lane's revival wake-up (a tier,
+/// or a wait-free lane's one client, coming back); the low bits are the
+/// lane. Every other timer tag is a dispatch's tag (see [`InflightTable`])
+/// carrying that dispatch's deadline.
 pub(crate) const REVIVE_BIT: u64 = 1 << 63;
 
 /// A runnable FL method: the event handler, and the outcome it reports
@@ -53,7 +52,8 @@ pub trait Strategy: EventHandler + Send {
     fn finish(self: Box<Self>, report: SimReport, faults: FaultLog) -> Outcome;
 }
 
-/// Server-side state shared by both drivers.
+/// The driver's server-side state that no lane owns: the model, the
+/// transport, evaluation, the budget and the guard.
 pub(crate) struct ServerCore {
     pub task: Arc<FedTask>,
     /// Shared so dispatch-time training jobs can carry the config to any
@@ -130,8 +130,8 @@ struct PendingEval {
 /// full per-client sweep costs about one extra global evaluation).
 pub const VARIANCE_EVAL_STRIDE: u64 = 5;
 
-/// Extra update-budget multiplier for the fully asynchronous methods
-/// (FedAsync, ASO-Fed): their single-client updates land continuously, so
+/// Extra update-budget multiplier for the wait-free methods (FedAsync,
+/// ASO-Fed): their single-client updates land continuously, so
 /// within any wall-clock horizon they perform far more global updates than
 /// a synchronous method performs rounds. The budget is scaled up so the
 /// shared `max_time` horizon — the paper's timeline axis — is the binding
@@ -255,7 +255,7 @@ impl ServerCore {
         }
     }
 
-    /// Both drivers' [`Strategy::finish`]: joins the eval pipeline's
+    /// The driver's [`Strategy::finish`]: joins the eval pipeline's
     /// straggler, sweeps the final per-client accuracies and builds the
     /// run's [`Outcome`].
     pub fn finish(
@@ -468,38 +468,6 @@ pub(crate) fn log_fault(
     });
 }
 
-/// The one eligibility predicate: `client` can be dispatched at `now` when
-/// it is alive, idle (no dispatch in flight) and out of quarantine. Both
-/// drivers use it wherever they pick someone to send work to — round start,
-/// deadline retry, revival — so no path can hand work to a client another
-/// path would refuse.
-pub(crate) fn dispatchable(
-    core: &ServerCore,
-    table: &InflightTable,
-    fleet: &fedat_sim::Fleet,
-    client: usize,
-    now: f64,
-) -> bool {
-    fleet.is_alive(client, now) && !table.contains(client) && !core.is_quarantined(client, now)
-}
-
-/// Earliest virtual time at which any of `clients` is both alive and out of
-/// quarantine — the park-until time for a pool with nothing dispatchable
-/// right now. `None` when no client ever returns (all gone for good).
-pub(crate) fn earliest_return(
-    core: &ServerCore,
-    ctx: &SimCtx,
-    clients: impl Iterator<Item = usize>,
-    now: f64,
-) -> Option<f64> {
-    clients
-        .filter_map(|c| {
-            let up = ctx.fleet.next_up_time(c, now)?;
-            Some(up.max(core.guard_release_time(c)))
-        })
-        .min_by(f64::total_cmp)
-}
-
 /// One in-flight client computation, launched at dispatch time.
 pub(crate) struct Inflight {
     /// The training computation for this dispatch. The downloaded weights,
@@ -523,7 +491,7 @@ pub(crate) struct Inflight {
 pub(crate) enum PhaseEvent {
     /// The client's trained update landed at the server.
     Landed {
-        /// The barrier lane the dispatch belongs to.
+        /// The lane the dispatch belongs to.
         lane: usize,
         /// Observed dispatch→arrival latency (feeds the re-tiering EWMA).
         latency: f64,
@@ -532,16 +500,11 @@ pub(crate) enum PhaseEvent {
         /// The client's sample count (aggregation weight).
         n_samples: usize,
     },
-    /// The dispatch was lost to a dropout.
+    /// The dispatch resolved without an update: dropped, or discarded by
+    /// the guard (non-finite or over the norm screen — the
+    /// reject/quarantine bookkeeping already happened inside the screen).
     Lost {
-        /// The barrier lane the dispatch belongs to.
-        lane: usize,
-    },
-    /// The update arrived but the guard discarded it (non-finite or over
-    /// the norm screen). For round/slot accounting this is a loss; the
-    /// reject/quarantine bookkeeping already happened inside the screen.
-    Rejected {
-        /// The barrier lane the dispatch belongs to.
+        /// The lane the dispatch belongs to.
         lane: usize,
     },
     /// Stale event: the dispatch was already resolved (cancelled by a
@@ -552,7 +515,7 @@ pub(crate) enum PhaseEvent {
 /// A dispatch cancelled by its deadline timer.
 pub(crate) struct TimedOut {
     pub client: usize,
-    /// The barrier lane the dispatch belongs to.
+    /// The lane the dispatch belongs to.
     pub lane: usize,
     /// Retries already spent on this round slot.
     pub retries: u32,
@@ -561,8 +524,8 @@ pub(crate) struct TimedOut {
 /// One tracked dispatch: its training plus the bookkeeping the fault layer
 /// needs (lane, group, retry count, dispatch time).
 struct Dispatch {
-    /// The barrier lane that waits for this dispatch (always 0 for the
-    /// arrival server, which has no barriers).
+    /// The lane that waits for this dispatch (a wait-free lane's is its
+    /// client's).
     lane: usize,
     /// The `tier` its fault-log rows carry.
     group: u64,
@@ -580,8 +543,8 @@ fn dispatch_tag(client: usize, selection_round: u64) -> u64 {
 
 /// The server's table of in-flight dispatches: a dense `Vec` indexed by
 /// client (client ids are `0..n`), an O(1) lookup on every completion,
-/// where an arrival-driven run holds one live entry per client (2 000 on
-/// the `async-overhead` benchmark workload).
+/// where a wait-free run holds one live entry per client (2 000 on the
+/// `async-overhead` benchmark workload).
 ///
 /// A dispatch's event tag is [`dispatch_tag`] of its client and selection
 /// round, so a completion or deadline timer names its client, and arriving
@@ -643,10 +606,10 @@ impl InflightTable {
     /// arrived in (charging the actual uplink payload), lets the corruption
     /// scenario (if active) mangle them and the guard layer (if active)
     /// screen them, and hands the update back to the strategy. A dropout
-    /// discards the speculative result unjoined. A completion whose tag
-    /// doesn't match the client's entry belongs to a cancelled dispatch and
-    /// is reported [`PhaseEvent::Unknown`]. Shared by both drivers so the
-    /// protocol cannot diverge.
+    /// discards the speculative result unjoined; it and an update the guard
+    /// discards are [`PhaseEvent::Lost`]. A completion whose tag doesn't
+    /// match the client's entry belongs to a cancelled dispatch and is
+    /// reported [`PhaseEvent::Unknown`].
     pub fn advance(
         &mut self,
         core: &mut ServerCore,
@@ -678,7 +641,7 @@ impl InflightTable {
             log_fault(ctx, FaultKind::Corrupt, Some(c.client), tier, mode);
         }
         if !core.screen_update(ctx, c.client, d.group, &mut weights) {
-            return PhaseEvent::Rejected { lane: d.lane };
+            return PhaseEvent::Lost { lane: d.lane };
         }
         PhaseEvent::Landed {
             lane: d.lane,
@@ -712,7 +675,6 @@ pub fn build_strategy(
     cfg: &ExperimentConfig,
     fleet: &fedat_sim::Fleet,
 ) -> Box<dyn Strategy> {
-    use arrival::ArrivalServer;
     use round::RoundServer;
     match cfg.strategy {
         StrategyKind::FedAvg => Box::new(RoundServer::new(task, cfg, sync::FedAvg)),
@@ -729,12 +691,12 @@ pub fn build_strategy(
             Box::new(RoundServer::new(task, cfg, policy))
         }
         StrategyKind::FedAsync => {
-            let mixer = mixers::FedAsync::new(cfg);
-            Box::new(ArrivalServer::new(task, cfg, mixer))
+            let policy = wait_free::WaitFree::fedasync(cfg, fleet.len());
+            Box::new(RoundServer::new(task, cfg, policy))
         }
         StrategyKind::AsoFed => {
-            let mixer = mixers::AsoFed::new(&task, cfg);
-            Box::new(ArrivalServer::new(task, cfg, mixer))
+            let policy = wait_free::WaitFree::asofed(&task, cfg);
+            Box::new(RoundServer::new(task, cfg, policy))
         }
     }
 }

@@ -1,26 +1,28 @@
-//! The barrier-triggered server: one driver for every method whose global
-//! model moves when a *round* concludes.
+//! The one server driver: every method's global model moves when a lane
+//! concludes a *round*.
 //!
 //! A [`RoundServer`] runs one or more **lanes**. A lane is a synchronous
 //! round loop — select a cohort, broadcast, wait until every slot has
 //! resolved, mix what landed, go again. FedAvg, FedProx and TiFL are one
 //! lane; FedAT (§4, Algorithm 2) is `M` lanes, one per tier, whose
-//! conclusions update the shared global model asynchronously.
+//! conclusions update the shared global model asynchronously. FedAsync and
+//! ASO-Fed are the limit where every lane holds one client: a
+//! [`wait_free`](RoundPolicy::wait_free) lane's round is one update.
 //!
 //! The driver owns everything the fault layer touches, once, for every
 //! policy: the in-flight table, per-lane slot accounting, deadline timers
 //! with backed-off re-dispatch, quorum accounting, parking a lane whose
-//! candidates are all offline until the earliest one returns, revival, and
-//! the stopping rule. A [`RoundPolicy`] answers only what differs between
-//! methods — who may be selected, how much local work, how uploads become
-//! the global model — and never sees the table, a timer or the fault log.
+//! candidates are all offline until the earliest one returns, revival, the
+//! staleness bound and the stopping rule. A [`RoundPolicy`] answers only
+//! what differs between methods — who may be selected, how much local
+//! work, how uploads become the global model — and never sees the table, a
+//! timer or the fault log.
 
 use crate::aggregate::{aggregate_clients_into, AggRule};
 use crate::config::{ExperimentConfig, FaultPolicy};
 use crate::experiment::Outcome;
 use crate::strategies::{
-    dispatchable, earliest_return, log_fault, InflightTable, PhaseEvent, ServerCore, Strategy,
-    TimedOut, REVIVE_BIT,
+    log_fault, InflightTable, PhaseEvent, ServerCore, Strategy, TimedOut, ASYNC_FILL, REVIVE_BIT,
 };
 use fedat_data::suite::FedTask;
 use fedat_sim::fault::{FaultKind, FaultLog};
@@ -71,56 +73,62 @@ impl<'a> ServerView<'a> {
     }
 
     /// Whether `client` can be dispatched right now: alive, idle and out
-    /// of quarantine. The driver applies the same predicate to every pool
-    /// a policy hands it.
+    /// of quarantine. The one eligibility predicate: the driver applies it
+    /// wherever it picks someone to send work to — round start, deadline
+    /// retry, revival — so no path can hand work to a client another path
+    /// would refuse.
     pub fn is_eligible(&self, client: usize) -> bool {
-        dispatchable(self.core, self.inflight, self.fleet, client, self.now)
+        self.fleet.is_alive(client, self.now)
+            && !self.inflight.contains(client)
+            && !self.core.is_quarantined(client, self.now)
     }
 }
 
-/// The candidates for one round, as a policy selected them.
-pub struct Cohort {
-    /// Clients the round may draw from. The driver keeps the eligible ones
-    /// and samples `clients_per_round` of them uniformly — all of them,
-    /// without touching the RNG, when no more than that are eligible. When
-    /// none is, the lane parks until the first of the pool returns.
-    pub pool: Vec<usize>,
-    /// The round's group label: the `tier` of its fault-log rows (a
-    /// client-scoped row of an unlabelled round logs tier 0).
-    pub group: Option<usize>,
-}
-
-impl Cohort {
-    /// Every client, unlabelled: FedAvg's answer, and what a policy offers
-    /// when it has no narrower choice to make — a lane with nobody eligible
-    /// then waits for whoever returns first.
-    pub fn whole_fleet(view: &ServerView) -> Self {
-        Cohort {
-            pool: (0..view.fleet.len()).collect(),
-            group: None,
-        }
-    }
-}
-
-/// What differs between round-based methods. Every method has the FedAvg
-/// answer as its default, so a policy overrides only its own idea.
+/// What differs between methods. Every method has the FedAvg answer as its
+/// default, so a policy overrides only its own idea.
 pub trait RoundPolicy: Send {
-    /// Number of independent barrier lanes (FedAT: one per tier).
+    /// Number of independent lanes (FedAT: one per tier; FedAsync and
+    /// ASO-Fed: one per client).
     fn lanes(&self) -> usize {
         1
     }
 
-    /// The candidates and group label of `lane`'s next round. Called
-    /// exactly once per round start, so per-round state — TiFL's tier draw
-    /// and credit — advances here.
-    fn select(&mut self, _lane: usize, view: &mut ServerView) -> Cohort {
-        Cohort::whole_fleet(view)
+    /// Whether the lanes are wait-free, each holding one client that goes
+    /// straight back to work after its update: FedAsync and ASO-Fed. Such a
+    /// lane arms no deadline and logs no `Quorum` row, its update is
+    /// dropped with a `Stale` row when it is staler than the guard's
+    /// `max_staleness`, its `Revive` row names the client and is logged
+    /// only when the client is dispatched again, and the run's budget is
+    /// `rounds × clients_per_round ×` [`ASYNC_FILL`] updates, evaluated
+    /// every `eval_every × clients_per_round`. A fixed property of the
+    /// method.
+    fn wait_free(&self) -> bool {
+        false
+    }
+
+    /// Pushes the candidates of `lane`'s next round onto `pool` (empty on
+    /// entry) and returns the round's group label: the `tier` of its
+    /// fault-log rows (a client-scoped row of an unlabelled round logs
+    /// tier 0). The driver keeps the eligible candidates and samples
+    /// `clients_per_round` of them uniformly — all of them, without
+    /// touching the RNG, when no more than that are eligible. When none is,
+    /// the lane parks until the first of the pool returns. Called exactly
+    /// once per round start, so per-round state — TiFL's tier draw and
+    /// credit — advances here. Default: the whole fleet, unlabelled.
+    fn select(
+        &mut self,
+        _lane: usize,
+        view: &mut ServerView,
+        pool: &mut Vec<usize>,
+    ) -> Option<usize> {
+        pool.extend(0..view.fleet.len());
+        None
     }
 
     /// Where a timed-out slot of a round labelled `group` may find its
     /// replacement (filtered for eligibility by the driver).
     fn replacements(&self, _group: Option<usize>, view: &ServerView) -> Vec<usize> {
-        Cohort::whole_fleet(view).pool
+        (0..view.fleet.len()).collect()
     }
 
     /// Local epochs `client` runs per dispatch.
@@ -145,15 +153,17 @@ pub trait RoundPolicy: Send {
             .max(1e-6)
     }
 
-    /// Turns the uploads `lane`'s round received (weights, sample count)
-    /// into the global model; returns whether the round counts as a global
-    /// update. Default: aggregate under `rule` straight into the global
-    /// model, and count even an empty round — a barrier server's budget is
-    /// in rounds, which is what ends a run whose cohorts keep getting lost.
+    /// Turns the uploads `lane`'s round received (weights, sample count),
+    /// trained from a model `staleness` global updates old, into the global
+    /// model; returns whether the round counts as a global update. Default:
+    /// aggregate under `rule` straight into the global model, and count
+    /// even an empty round — a barrier server's budget is in rounds, which
+    /// is what ends a run whose cohorts keep getting lost.
     fn mix(
         &mut self,
         _lane: usize,
         received: &[(Vec<f32>, usize)],
+        _staleness: u64,
         global: &mut Vec<f32>,
         rule: AggRule,
     ) -> bool {
@@ -186,7 +196,7 @@ pub fn aggregate_received(rule: AggRule, received: &[(Vec<f32>, usize)], out: &m
     }
 }
 
-/// One barrier: a cohort in flight and what has come back from it.
+/// One lane: its round's cohort in flight and what has come back from it.
 #[derive(Default)]
 struct Lane {
     /// The cohort selected for the current round: the quorum denominator
@@ -195,6 +205,9 @@ struct Lane {
     /// The current round's group label; while parked, the label of the
     /// `Quorum` row that parked the lane (its `Revive` row repeats it).
     group: Option<usize>,
+    /// Global updates at the current round's dispatch: what an upload's
+    /// staleness is measured from.
+    version: u64,
     /// Slots of the current round not yet resolved.
     outstanding: usize,
     /// Uploads landed so far this round, with their sample counts.
@@ -206,12 +219,16 @@ struct Lane {
     dormant: bool,
 }
 
-/// The round-triggered server, generic over its [`RoundPolicy`].
+/// The server, generic over its [`RoundPolicy`].
 pub struct RoundServer<P: RoundPolicy> {
     core: ServerCore,
     policy: P,
+    /// The policy's [`RoundPolicy::wait_free`].
+    wait_free: bool,
     inflight: InflightTable,
     lanes: Vec<Lane>,
+    /// What [`RoundPolicy::select`] fills, reused by every round start.
+    pool: Vec<usize>,
     /// Lanes not dormant; the run ends when none is left.
     active: usize,
     /// Rounds started so far, over all lanes (one downlink encode each).
@@ -220,15 +237,26 @@ pub struct RoundServer<P: RoundPolicy> {
 
 impl<P: RoundPolicy> RoundServer<P> {
     /// Builds the server around `policy`. The update budget is
-    /// `cfg.rounds` global updates, evaluated every `cfg.eval_every`.
+    /// `cfg.rounds` global updates, evaluated every `cfg.eval_every`. A
+    /// wait-free update ingests one client where a barrier round ingests
+    /// `clients_per_round`, so a wait-free policy's budget and stride are
+    /// scaled by `clients_per_round`, and the budget also by [`ASYNC_FILL`].
     pub fn new(task: Arc<FedTask>, cfg: &ExperimentConfig, policy: P) -> Self {
         let lanes = policy.lanes();
+        let wait_free = policy.wait_free();
+        let (k, fill) = if wait_free {
+            (cfg.clients_per_round as u64, ASYNC_FILL)
+        } else {
+            (1, 1)
+        };
         let inflight = InflightTable::new(task.fed.clients.len());
         RoundServer {
-            core: ServerCore::new(task, cfg, cfg.rounds, cfg.eval_every),
+            core: ServerCore::new(task, cfg, cfg.rounds * k * fill, cfg.eval_every * k),
             policy,
+            wait_free,
             inflight,
             lanes: (0..lanes).map(|_| Lane::default()).collect(),
+            pool: Vec::new(),
             active: lanes,
             rounds_started: 0,
         }
@@ -239,64 +267,81 @@ impl<P: RoundPolicy> RoundServer<P> {
         self.lanes[lane].group.unwrap_or(0)
     }
 
-    fn start_round(&mut self, ctx: &mut SimCtx, lane: usize) {
+    /// Starts `lane`'s next round; returns whether it dispatched anyone
+    /// (rather than parking the lane or retiring it).
+    fn start_round(&mut self, ctx: &mut SimCtx, lane: usize) -> bool {
         let now = ctx.now();
+        let mut pool = std::mem::take(&mut self.pool);
+        pool.clear();
         let mut view = ServerView::new(&self.core, &self.inflight, ctx);
-        let Cohort { pool, group } = self.policy.select(lane, &mut view);
-        let eligible: Vec<usize> = pool
-            .iter()
-            .copied()
-            .filter(|&c| view.is_eligible(c))
-            .collect();
-        if eligible.is_empty() {
+        let group = self.policy.select(lane, &mut view, &mut pool);
+        let state = &mut self.lanes[lane];
+        state.picked.clear();
+        state
+            .picked
+            .extend(pool.iter().copied().filter(|&c| view.is_eligible(c)));
+        self.pool = pool;
+        if state.picked.is_empty() {
             // Nobody to dispatch. Park the lane until the earliest candidate
             // returns (alive *and* out of quarantine) and skip this round —
             // for FedAT the skipped round simply doesn't bump `T_tier`, so
             // the Eq. (5) staleness weights absorb it while the other tiers
             // carry on. Only candidates that are all *permanently* gone end
             // the lane.
-            match earliest_return(&self.core, ctx, pool.into_iter(), now) {
+            let core = &self.core;
+            let back = |&c: &usize| {
+                let up = ctx.fleet.next_up_time(c, now)?;
+                Some(up.max(core.guard_release_time(c)))
+            };
+            match self.pool.iter().filter_map(back).min_by(f64::total_cmp) {
                 Some(at) if at.is_finite() => {
-                    log_fault(ctx, FaultKind::Quorum, None, group, 0);
+                    if !self.wait_free {
+                        log_fault(ctx, FaultKind::Quorum, None, group, 0);
+                    }
                     // Nothing of a parked lane is in flight, so nothing
                     // reads its label until the revival logs it.
-                    self.lanes[lane].group = group;
-                    self.lanes[lane].waiting = true;
+                    state.group = group;
+                    state.waiting = true;
                     ctx.schedule_timer(at, REVIVE_BIT | lane as u64);
                 }
                 _ => {
-                    self.lanes[lane].dormant = true;
+                    state.dormant = true;
                     self.active -= 1;
                 }
             }
-            return;
+            return false;
         }
         let k = self.core.cfg.clients_per_round;
-        let picks = self.core.sample_clients(ctx, &eligible, k);
+        if state.picked.len() > k {
+            state.picked = self.core.sample_clients(ctx, &state.picked, k);
+        }
         self.rounds_started += 1;
-        let state = &mut self.lanes[lane];
         state.group = group;
-        state.outstanding = picks.len();
-        state.received.clear();
-        state.picked = picks.clone();
+        state.outstanding = state.picked.len();
+        state.version = self.core.updates;
         let deadline = self.deadline(ctx, lane, 0);
         // One codec roundtrip of the latest global model for the whole
         // cohort; the dispatches share the decoded weights. The downlink
         // is charged here, the uplink when the trained update lands.
+        let picked = &self.lanes[lane].picked;
         let weights = self
             .core
             .transport
-            .broadcast(ctx, &picks, &self.core.global);
-        for client in picks {
+            .broadcast(ctx, picked, &self.core.global);
+        for i in 0..picked.len() {
+            let client = self.lanes[lane].picked[i];
             self.dispatch(ctx, client, lane, 0, deadline, &weights);
         }
+        true
     }
 
     /// How long a dispatch into `lane` may take after `retries`
     /// re-dispatches of its slot: `nominal × multiplier × BACKOFF^retries`.
-    /// `None` when the fault policy sets no deadlines.
+    /// `None` when the fault policy sets no deadlines, and always for a
+    /// wait-free lane: a slow client delays nobody.
     fn deadline(&self, ctx: &mut SimCtx, lane: usize, retries: u32) -> Option<f64> {
-        let mult = self.core.cfg.fault.deadline_multiplier?;
+        let mult = self.core.cfg.fault.deadline_multiplier;
+        let mult = mult.filter(|_| !self.wait_free)?;
         let view = ServerView::new(&self.core, &self.inflight, ctx);
         let nominal = self.policy.nominal(lane, &self.lanes[lane].picked, &view);
         Some(nominal * mult * FaultPolicy::BACKOFF.powi(retries as i32))
@@ -360,8 +405,8 @@ impl<P: RoundPolicy> RoundServer<P> {
         true
     }
 
-    /// One slot of `lane`'s round resolved (landed, lost, rejected, or timed
-    /// out for good). When it was the last one the round concludes: mix
+    /// One slot of `lane`'s round resolved (landed, lost, or timed out for
+    /// good). When it was the last one the round concludes: mix
     /// whatever landed, account quorum, let the policy re-partition, and
     /// start the lane's next round.
     fn resolve_slot(&mut self, ctx: &mut SimCtx, lane: usize) {
@@ -371,12 +416,18 @@ impl<P: RoundPolicy> RoundServer<P> {
             return;
         }
         let (received, picked, group) = (state.received.len(), state.picked.len(), state.group);
+        let staleness = self.core.updates - state.version;
         let rule = self.core.cfg.guard.agg_rule;
         let global = &mut self.core.global;
-        if self.policy.mix(lane, &state.received, global, rule) {
+        let counted = self
+            .policy
+            .mix(lane, &state.received, staleness, global, rule);
+        state.received.clear();
+        if counted {
             self.core.bump(ctx);
         }
-        if (received as f64) < self.core.cfg.fault.quorum * picked as f64 {
+        let quorum = self.core.cfg.fault.quorum;
+        if !self.wait_free && (received as f64) < quorum * picked as f64 {
             // Degraded round: fewer updates than the quorum fraction made
             // it back. It still mixed whatever arrived.
             log_fault(ctx, FaultKind::Quorum, None, group, received as u64);
@@ -425,9 +476,21 @@ impl<P: RoundPolicy> EventHandler for RoundServer<P> {
             }
             // Dropped mid-round, or discarded by the guard: either way the
             // slot resolves without an update.
-            PhaseEvent::Lost { lane } | PhaseEvent::Rejected { lane } => (lane, None),
+            PhaseEvent::Lost { lane } => (lane, None),
         };
-        self.lanes[lane].received.extend(landed);
+        let staleness = self.core.updates - self.lanes[lane].version;
+        let bound = self.core.cfg.guard.max_staleness;
+        if landed.is_some() && self.wait_free && bound.is_some_and(|b| staleness > b) {
+            // Over the staleness bound: the update is ancient, and a
+            // corrupted-but-clipped stale update can still steer the model
+            // — drop it outright and put the client back to work on fresh
+            // weights. Staleness is a timing property, not a value
+            // property, so it is no quarantine offense.
+            let tier = Some(self.tier(lane));
+            log_fault(ctx, FaultKind::Stale, Some(c.client), tier, staleness);
+        } else {
+            self.lanes[lane].received.extend(landed);
+        }
         self.resolve_slot(ctx, lane);
     }
 
@@ -435,10 +498,16 @@ impl<P: RoundPolicy> EventHandler for RoundServer<P> {
         if tag & REVIVE_BIT != 0 {
             let lane = (tag & !REVIVE_BIT) as usize;
             if std::mem::take(&mut self.lanes[lane].waiting) {
-                let group = self.lanes[lane].group;
-                log_fault(ctx, FaultKind::Revive, None, group, 0);
-                if !self.finished() {
-                    self.start_round(ctx, lane);
+                if !self.wait_free {
+                    let group = self.lanes[lane].group;
+                    log_fault(ctx, FaultKind::Revive, None, group, 0);
+                }
+                // A wait-free lane's row names its client, and only once it
+                // is back at work: one that went down again (or got
+                // re-quarantined) before the wake-up chases its next return.
+                if !self.finished() && self.start_round(ctx, lane) && self.wait_free {
+                    let client = Some(self.lanes[lane].picked[0]);
+                    log_fault(ctx, FaultKind::Revive, client, Some(self.tier(lane)), 0);
                 }
             }
             return;
@@ -468,31 +537,39 @@ impl<P: RoundPolicy> Strategy for RoundServer<P> {
 mod tests {
     use super::*;
     use crate::config::StrategyKind;
-    use crate::strategies::{fedat::FedAt, sync::FedAvg, tifl::Tifl};
+    use crate::strategies::{fedat::FedAt, sync::FedAvg, tifl::Tifl, wait_free::WaitFree};
     use fedat_data::suite;
     use fedat_sim::fleet::ClusterConfig;
     use fedat_sim::runtime::{run, RunLimits};
 
-    /// Runs `policy` to its budget; returns (rounds started, downlink
-    /// encodes, uplink encodes).
+    /// What one run to its budget encoded, against what it started.
+    struct Encodes {
+        rounds: u64,
+        updates: u64,
+        down: u64,
+        up: u64,
+    }
+
     fn encode_counts<P: RoundPolicy>(
         policy: P,
         task: &Arc<FedTask>,
         cfg: &ExperimentConfig,
         fleet: &Fleet,
-    ) -> (u64, u64, u64) {
+    ) -> Encodes {
         let mut s = RoundServer::new(Arc::clone(task), cfg, policy);
         run(&mut s, fleet, cfg.seed, RunLimits::default());
         let transport = &s.core.transport;
-        (
-            s.rounds_started,
-            transport.downlink_encode_count(),
-            transport.uplink_encode_count(),
-        )
+        Encodes {
+            rounds: s.rounds_started,
+            updates: s.core.updates,
+            down: transport.downlink_encode_count(),
+            up: transport.uplink_encode_count(),
+        }
     }
 
     /// Regression: whatever the policy, the global model is encoded exactly
-    /// once per round, no matter how many clients the round selects.
+    /// once per round, no matter how many clients the round selects. A
+    /// FedAsync round is one dispatch, so there it is once per dispatch.
     #[test]
     fn codec_encodes_global_model_once_per_round() {
         let n = 20;
@@ -521,22 +598,36 @@ mod tests {
                 encode_counts(FedAt::new(&task, &cfg, &fleet), &task, &cfg, &fleet),
             ),
         ];
-        for (name, (rounds, down, up)) in counts {
+        for (name, e) in counts {
             assert!(
-                rounds >= 25,
-                "{name}: expected at least the budgeted rounds, got {rounds}"
+                e.rounds >= 25,
+                "{name}: expected at least the budgeted rounds, got {}",
+                e.rounds
             );
             assert_eq!(
-                down, rounds,
+                e.down, e.rounds,
                 "{name}: downlink must encode exactly once per round"
             );
             // With 4 clients per round a per-client encoder would have done
             // 4× the work; make the sharing observable.
             assert!(
-                up > down,
+                e.up > e.down,
                 "{name}: uploads (per client) must outnumber downlink encodes (per round)"
             );
         }
+        let fedasync = WaitFree::fedasync(&cfg, n);
+        let e = encode_counts(fedasync, &task, &cfg, &fleet);
+        // Nobody drops out and no guard is on, so every landed update is a
+        // global update, and a started round has landed or is in flight.
+        assert!(e.updates >= 25 * 4 * ASYNC_FILL && e.rounds > e.updates);
+        assert_eq!(
+            e.down, e.rounds,
+            "FedAsync: one downlink encode per dispatch"
+        );
+        assert_eq!(
+            e.up, e.updates,
+            "FedAsync: one uplink encode per landed update"
+        );
     }
 
     #[test]

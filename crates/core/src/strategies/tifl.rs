@@ -10,7 +10,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::eval::per_client_accuracy;
-use crate::strategies::round::{Cohort, RoundPolicy, ServerView};
+use crate::strategies::round::{RoundPolicy, ServerView};
 use crate::tiering::TierAssignment;
 use rand::RngExt;
 
@@ -105,19 +105,24 @@ impl Tifl {
 }
 
 impl RoundPolicy for Tifl {
-    fn select(&mut self, _lane: usize, view: &mut ServerView) -> Cohort {
+    fn select(
+        &mut self,
+        _lane: usize,
+        view: &mut ServerView,
+        pool: &mut Vec<usize>,
+    ) -> Option<usize> {
         if view.updates > 0 && view.updates.is_multiple_of(PROB_UPDATE_EVERY) {
             self.update_probs(view);
         }
         let Some(tier) = self.pick_tier(view) else {
-            // No tier has an eligible client, so nobody anywhere does.
-            return Cohort::whole_fleet(view);
+            // No tier has an eligible client, so nobody anywhere does: wait
+            // for whoever returns first.
+            pool.extend(0..view.fleet.len());
+            return None;
         };
         self.credits[tier] = self.credits[tier].saturating_sub(1);
-        Cohort {
-            pool: self.tiers.tier(tier).to_vec(),
-            group: Some(tier),
-        }
+        pool.extend_from_slice(self.tiers.tier(tier));
+        Some(tier)
     }
 
     /// Replacements come from the round's own tier, like the cohort.

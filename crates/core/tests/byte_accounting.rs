@@ -14,16 +14,14 @@
 //! Links are infinitely fast: a round trip is one completion event, and
 //! its upload is charged as the update lands, never earlier. So a trace
 //! point counts exactly the uplinks that landed before it — also when many
-//! round trips finish at one virtual instant, which the arrival-driven
+//! round trips finish at one virtual instant, which the FedAsync
 //! test below pins.
 
 use fedat_compress::codec::{codec_for, CodecKind, WireCodec};
 use fedat_compress::topk::ErrorFeedback;
 use fedat_core::config::{ExperimentConfig, StrategyKind};
 use fedat_core::local::train_client;
-use fedat_core::strategies::round::{
-    aggregate_received, Cohort, RoundPolicy, RoundServer, ServerView,
-};
+use fedat_core::strategies::round::{aggregate_received, RoundPolicy, RoundServer, ServerView};
 use fedat_core::tiering::TierAssignment;
 use fedat_core::transport::is_delta_family;
 use fedat_core::{aggregate::AggRule, run_experiment_with};
@@ -62,21 +60,23 @@ impl RoundPolicy for Bookkeeper {
         self.tiers.num_tiers()
     }
 
-    fn select(&mut self, lane: usize, view: &mut ServerView) -> Cohort {
+    fn select(
+        &mut self,
+        lane: usize,
+        view: &mut ServerView,
+        pool: &mut Vec<usize>,
+    ) -> Option<usize> {
         // No more members than `clients_per_round` and nobody ever down:
         // the driver dispatches the whole tier, from this very model.
-        let members = self.tiers.tier(lane).to_vec();
+        pool.extend_from_slice(self.tiers.tier(lane));
         let blob = self.down_codec.encode(view.global);
-        self.sent.1 += (blob.wire_bytes() * members.len()) as u64;
+        self.sent.1 += (blob.wire_bytes() * pool.len()) as u64;
         self.broadcast[lane] = self.down_codec.decode(&blob).into();
-        for &c in &members {
+        for &c in pool.iter() {
             self.selection_round[c] = self.dispatches[c];
             self.dispatches[c] += 1;
         }
-        Cohort {
-            pool: members,
-            group: Some(lane),
-        }
+        Some(lane)
     }
 
     fn use_prox(&self) -> bool {
@@ -109,6 +109,7 @@ impl RoundPolicy for Bookkeeper {
         &mut self,
         lane: usize,
         received: &[(Vec<f32>, usize)],
+        _staleness: u64,
         global: &mut Vec<f32>,
         rule: AggRule,
     ) -> bool {

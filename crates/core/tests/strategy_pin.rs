@@ -238,6 +238,16 @@ fn check(scenario: Scenario, strategy: StrategyKind, want: u64) {
                 assert!(fired, "{name}/B: {counts:?}");
             } else {
                 assert!(n(Stale) > 0, "{name}/B: {counts:?}");
+                // The wait-free contract: no deadline and no quorum, even
+                // under a deadline multiplier, and a revival is a client
+                // going back to work.
+                let barrier_rows = n(Timeout) + n(Retry) + n(Quorum);
+                assert_eq!(barrier_rows, 0, "{name}/B: {counts:?}");
+                let mut revives = out.faults.events().iter().filter(|e| e.kind == Revive);
+                assert!(
+                    revives.all(|e| e.client.is_some()),
+                    "{name}/B: a Revive row names no client"
+                );
             }
             if strategy == StrategyKind::FedAt {
                 assert!(n(Retier) > 0, "{name}/B: {counts:?}");

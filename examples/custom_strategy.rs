@@ -13,7 +13,7 @@
 //! ```
 
 use fedat::core::prelude::*;
-use fedat::core::strategies::round::{Cohort, RoundPolicy, RoundServer, ServerView};
+use fedat::core::strategies::round::{RoundPolicy, RoundServer, ServerView};
 use fedat::data::suite;
 use fedat::tensor::rng::sample_without_replacement;
 use std::sync::Arc;
@@ -21,7 +21,12 @@ use std::sync::Arc;
 struct PowerOfTwoChoices;
 
 impl RoundPolicy for PowerOfTwoChoices {
-    fn select(&mut self, _lane: usize, view: &mut ServerView) -> Cohort {
+    fn select(
+        &mut self,
+        _lane: usize,
+        view: &mut ServerView,
+        pool: &mut Vec<usize>,
+    ) -> Option<usize> {
         let eligible: Vec<usize> = (0..view.fleet.len())
             .filter(|&c| view.is_eligible(c))
             .collect();
@@ -29,18 +34,17 @@ impl RoundPolicy for PowerOfTwoChoices {
         if eligible.len() <= k {
             // No choice to make: the driver dispatches whoever is eligible,
             // or parks the round until somebody is.
-            return Cohort::whole_fleet(view);
+            pool.extend(0..view.fleet.len());
+            return None;
         }
         // Two-choice sampling: draw 2k candidates, keep the k fastest.
         let draw = (2 * k).min(eligible.len());
-        let mut pool: Vec<usize> = sample_without_replacement(view.rng, eligible.len(), draw)
-            .into_iter()
-            .map(|i| eligible[i])
-            .collect();
+        let drawn = sample_without_replacement(view.rng, eligible.len(), draw);
+        pool.extend(drawn.into_iter().map(|i| eligible[i]));
         let latency = |c: usize| view.fleet.expected_latency(c, view.cfg.local_epochs);
         pool.sort_by(|&a, &b| latency(a).total_cmp(&latency(b)));
         pool.truncate(k);
-        Cohort { pool, group: None }
+        None
     }
 }
 
