@@ -7,7 +7,8 @@
 //! so every dispatched client can start training the moment it is
 //! *dispatched* instead of the moment its compute event *fires*. Each
 //! dispatch submits a training job to the persistent kernel pool and the
-//! event loop *joins* the result when the completion event arrives; virtual
+//! event loop *joins* the result when the completion event arrives (the
+//! server's land step); virtual
 //! time, event order, traffic accounting and the RNG streams are untouched,
 //! so no field of the run's outcome depends on where or when the job ran.
 //! The pin is one sweep in this crate's tests (`tests/common/mod.rs`):
@@ -50,7 +51,8 @@ pub struct Speculation {
     pub discards: u64,
 }
 
-/// The kernel overlay of *one* experiment run, resolved once at run start
+/// The kernel overlay of *one* experiment run, resolved once at run start,
+/// before the run builds its policy and server
 /// ([`run_experiment_with`](crate::experiment::run_experiment_with)): the
 /// calling thread's [`fedat_tensor::ctx::snapshot`], with the job cap
 /// pinned to 0 when the config says [`ExecMode::Inline`]. The run installs

@@ -1,11 +1,14 @@
-//! One-call experiment orchestration: task + config → trace.
+//! One-call experiment orchestration: task + config → trace. A run is the
+//! one server driver around one [`RoundPolicy`] — a built-in method's, or
+//! the caller's ([`run_experiment_with`]).
 
 use crate::config::ExperimentConfig;
-use crate::strategies::{build_strategy, Strategy};
+use crate::strategies::policy_for;
+use crate::strategies::round::{RoundPolicy, RoundServer};
 use fedat_data::suite::FedTask;
 use fedat_sim::fault::FaultLog;
 use fedat_sim::fleet::{ClusterConfig, Fleet};
-use fedat_sim::runtime::{run_logged, EventHandler, RunLimits, SimReport};
+use fedat_sim::runtime::{run_logged, RunLimits, SimReport};
 use fedat_sim::trace::Trace;
 use std::sync::Arc;
 
@@ -70,31 +73,28 @@ pub fn run_experiment(task: &FedTask, cfg: &ExperimentConfig) -> Outcome {
     run_experiment_shared(&Arc::new(task.clone()), cfg)
 }
 
-/// [`run_experiment`] without the corpus copy: the strategy stack holds the
-/// given [`Arc`] directly, so arbitrarily large loader-built tasks are
+/// [`run_experiment`] without the corpus copy: the server holds the given
+/// [`Arc`] directly, so arbitrarily large loader-built tasks are
 /// shared, never cloned.
 ///
 /// # Panics
 /// Panics if an explicit cluster's client count disagrees with the task.
 pub fn run_experiment_shared(task: &Arc<FedTask>, cfg: &ExperimentConfig) -> Outcome {
-    run_experiment_with(task, cfg, |fleet| {
-        build_strategy(Arc::clone(task), cfg, fleet)
-    })
+    run_experiment_with(task, cfg, |fleet| policy_for(task, cfg, fleet))
 }
 
-/// [`run_experiment_shared`] for a caller-built strategy — e.g. a
-/// [`RoundServer`](crate::strategies::round::RoundServer) around a custom
-/// [`RoundPolicy`](crate::strategies::round::RoundPolicy): `build` gets the
-/// run's fleet and runs under the run's kernel overlay, and whatever it
-/// returns is driven, evaluated and reported exactly like a built-in
-/// (`cfg.strategy` only picks the default codec and the trace's name).
+/// [`run_experiment_shared`] for a caller-built [`RoundPolicy`]: `policy`
+/// gets the run's fleet and runs under the run's kernel overlay, and the
+/// policy it returns is driven, evaluated and reported exactly like a
+/// built-in (`cfg.strategy` only picks the default codec and the trace's
+/// name).
 ///
 /// # Panics
 /// Panics if an explicit cluster's client count disagrees with the task.
 pub fn run_experiment_with(
     task: &Arc<FedTask>,
     cfg: &ExperimentConfig,
-    build: impl FnOnce(&Fleet) -> Box<dyn Strategy>,
+    policy: impl FnOnce(&Fleet) -> Box<dyn RoundPolicy>,
 ) -> Outcome {
     let cluster = cfg
         .cluster
@@ -111,16 +111,13 @@ pub fn run_experiment_with(
     // it to the thread that runs it, so concurrent runs with different
     // settings never read each other's.
     let _overlay = fedat_tensor::ctx::install(crate::exec::resolve(cfg));
-    let mut strategy = build(&fleet);
+    let mut server = RoundServer::new(Arc::clone(task), cfg, policy(&fleet));
     let limits = RunLimits {
         max_time: cfg.max_time,
         max_events: 20_000_000,
     };
-    let (report, faults) = {
-        let handler: &mut dyn EventHandler = &mut *strategy;
-        run_logged(handler, &fleet, cfg.seed, limits)
-    };
-    strategy.finish(report, faults)
+    let (report, faults) = run_logged(&mut server, &fleet, cfg.seed, limits);
+    server.finish(report, faults)
 }
 
 #[cfg(test)]

@@ -22,11 +22,14 @@
 //! * [`strategies`] — the six FL methods: one server driver, an
 //!   [`fedat_sim::EventHandler`] running lanes of synchronous rounds (a
 //!   tier each for FedAT, a client each for the wait-free FedAsync and
-//!   ASO-Fed), and a small policy per method,
+//!   ASO-Fed), and a small [`RoundPolicy`](strategies::round::RoundPolicy)
+//!   per method,
 //! * [`eval`] — global accuracy, per-client accuracy variance
 //!   (Definition 3.1), robustness metrics,
 //! * [`experiment`] — one-call experiment orchestration returning a
-//!   [`Trace`](fedat_sim::Trace).
+//!   [`Trace`](fedat_sim::Trace): a run takes a policy (a built-in
+//!   method's, or the caller's through [`run_experiment_with`]) and builds
+//!   the driver around it.
 //!
 //! ```
 //! use fedat_core::prelude::*;

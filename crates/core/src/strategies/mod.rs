@@ -17,7 +17,8 @@
 //!
 //! "Eligible" always also means alive, idle and out of quarantine — one
 //! predicate, applied by the driver at round start, deadline retry and
-//! revival alike. A new method implements [`round::RoundPolicy`]
+//! revival alike. A new method implements [`round::RoundPolicy`] and runs
+//! through [`run_experiment_with`](crate::experiment::run_experiment_with)
 //! (`examples/custom_strategy.rs` does, in one method).
 
 mod fedat;
@@ -30,27 +31,14 @@ use crate::config::{ExperimentConfig, StrategyKind};
 use crate::eval::{accuracy_variance, per_client_accuracy, Evaluator};
 use crate::exec::Speculation;
 use crate::experiment::Outcome;
+use crate::local::{TrainHandle, TrainJob};
 use crate::transport::Transport;
 use fedat_data::suite::FedTask;
 use fedat_sim::fault::{FaultEvent, FaultKind, FaultLog};
-use fedat_sim::runtime::{Completion, EventHandler, SimCtx, SimReport};
+use fedat_sim::runtime::{SimCtx, SimReport};
 use fedat_sim::trace::{Trace, TracePoint};
+use round::RoundPolicy;
 use std::sync::Arc;
-
-/// High bit of a timer tag: marks a parked lane's revival wake-up (a tier,
-/// or a wait-free lane's one client, coming back); the low bits are the
-/// lane. Every other timer tag is a dispatch's tag (see [`InflightTable`])
-/// carrying that dispatch's deadline.
-pub(crate) const REVIVE_BIT: u64 = 1 << 63;
-
-/// A runnable FL method: the event handler, and the outcome it reports
-/// once the event loop has exited.
-pub trait Strategy: EventHandler + Send {
-    /// Ends the run: joins the in-flight pipelined evaluation, if any, so
-    /// the trace and variance checkpoints are complete, and reports the
-    /// run's [`Outcome`] around the simulator's `report` and fault log.
-    fn finish(self: Box<Self>, report: SimReport, faults: FaultLog) -> Outcome;
-}
 
 /// The driver's server-side state that no lane owns: the model, the
 /// transport, evaluation, the budget and the guard.
@@ -62,7 +50,7 @@ pub(crate) struct ServerCore {
     pub transport: Transport,
     /// Whether the run's job cap lets jobs onto the pool — what makes a
     /// dispatch a speculative launch. Read once, from the kernel overlay
-    /// the run installed before building its strategy.
+    /// the run installed before building its server.
     speculative: bool,
     /// `None` exactly while a pipelined evaluation is in flight (the job
     /// owns the evaluator and hands it back at the join).
@@ -93,25 +81,14 @@ pub(crate) struct ServerCore {
 /// Mutable guard-layer state. All of it is a pure function of the landed
 /// updates' values and order in virtual time, so it preserves the
 /// bit-identity contract across job caps × SimdKernel × worker counts.
-#[derive(Default)]
 struct GuardState {
     /// EWMA of accepted (post-clip) update L2 norms; `None` until the
     /// first accepted update initializes it.
     ewma_norm: Option<f64>,
-    /// Per-client rejected-update counts since the last quarantine
-    /// (indexed by client, grown on demand).
+    /// Per-client rejected-update counts since the last quarantine.
     offenses: Vec<u32>,
     /// Per-client quarantine release times (0 = never quarantined).
     quarantined_until: Vec<f64>,
-}
-
-impl GuardState {
-    fn ensure(&mut self, client: usize) {
-        if self.offenses.len() <= client {
-            self.offenses.resize(client + 1, 0);
-            self.quarantined_until.resize(client + 1, 0.0);
-        }
-    }
 }
 
 /// One round-boundary evaluation running as a kernel-pool job while the
@@ -147,6 +124,7 @@ impl ServerCore {
         let evaluator = Evaluator::new(&task, cfg.eval_subset, cfg.seed);
         let global = task.model.build(cfg.seed).weights();
         let trace = Trace::new(format!("{} @ {}", cfg.strategy.name(), task.name));
+        let clients = task.fed.num_clients();
         ServerCore {
             task,
             cfg: Arc::new(cfg.clone()),
@@ -161,7 +139,11 @@ impl ServerCore {
             trace,
             variance_checkpoints: Vec::new(),
             speculation: Speculation::default(),
-            guard: GuardState::default(),
+            guard: GuardState {
+                ewma_norm: None,
+                offenses: vec![0; clients],
+                quarantined_until: vec![0.0; clients],
+            },
             evals_done: 0,
         }
     }
@@ -255,9 +237,10 @@ impl ServerCore {
         }
     }
 
-    /// The driver's [`Strategy::finish`]: joins the eval pipeline's
-    /// straggler, sweeps the final per-client accuracies and builds the
-    /// run's [`Outcome`].
+    /// Ends the run: joins the eval pipeline's straggler, so the trace and
+    /// variance checkpoints are complete, sweeps the final per-client
+    /// accuracies and builds the run's [`Outcome`] around the simulator's
+    /// `report` and fault log.
     pub fn finish(
         mut self,
         report: SimReport,
@@ -299,41 +282,36 @@ impl ServerCore {
             .collect()
     }
 
-    /// Starts one client's local training *at dispatch time* and returns
-    /// the in-flight entry holding its handle. The job begins on the
-    /// kernel pool immediately unless the run's job cap is 0 (see
-    /// [`crate::exec`]), which defers it to the join inside
-    /// [`InflightTable::advance`]. `weights` is the shared decoded
-    /// broadcast — launching clones `Arc`s, never the model.
+    /// Starts one client's local training *at dispatch time*. The job
+    /// begins on the kernel pool immediately unless the run's job cap is 0
+    /// (see [`crate::exec`]), which defers it to the join when the update
+    /// lands. `weights` is the shared decoded broadcast — launching clones
+    /// `Arc`s, never the model.
     pub fn launch(
         &mut self,
         client: usize,
-        weights: &std::sync::Arc<[f32]>,
+        weights: &Arc<[f32]>,
         epochs: usize,
         selection_round: u64,
         use_prox: bool,
-    ) -> Inflight {
+    ) -> TrainHandle {
         self.speculation.launches += u64::from(self.speculative);
-        Inflight {
-            handle: crate::local::TrainHandle::launch(crate::local::TrainJob {
-                task: Arc::clone(&self.task),
-                client,
-                global: Arc::clone(weights),
-                cfg: Arc::clone(&self.cfg),
-                epochs,
-                selection_round,
-                use_prox,
-            }),
+        TrainHandle::launch(TrainJob {
+            task: Arc::clone(&self.task),
+            client,
+            global: Arc::clone(weights),
+            cfg: Arc::clone(&self.cfg),
+            epochs,
             selection_round,
-            reference: Arc::clone(weights),
-        }
+            use_prox,
+        })
     }
 
     /// Abandons a dispatch's training: dropping the handle cancels the job
     /// (an unstarted one costs nothing), and under a non-zero job cap the
     /// launch it undoes counts as a discard.
-    fn abandon(&mut self, inflight: Inflight) {
-        drop(inflight);
+    pub fn abandon(&mut self, handle: TrainHandle) {
+        drop(handle);
         self.speculation.discards += u64::from(self.speculative);
     }
 
@@ -421,7 +399,6 @@ impl ServerCore {
         let (now, tier) = (ctx.now(), Some(group as usize));
         log_fault(ctx, FaultKind::Reject, Some(client), tier, detail);
         if let Some(after) = self.cfg.guard.quarantine_after {
-            self.guard.ensure(client);
             self.guard.offenses[client] += 1;
             if self.guard.offenses[client] >= after {
                 self.guard.offenses[client] = 0;
@@ -434,19 +411,12 @@ impl ServerCore {
 
     /// Whether `client` is currently serving a quarantine.
     pub fn is_quarantined(&self, client: usize, now: f64) -> bool {
-        self.guard
-            .quarantined_until
-            .get(client)
-            .is_some_and(|&until| now < until)
+        now < self.guard.quarantined_until[client]
     }
 
     /// When `client`'s quarantine lifts (0.0 if never quarantined).
     pub fn guard_release_time(&self, client: usize) -> f64 {
-        self.guard
-            .quarantined_until
-            .get(client)
-            .copied()
-            .unwrap_or(0.0)
+        self.guard.quarantined_until[client]
     }
 }
 
@@ -468,235 +438,19 @@ pub(crate) fn log_fault(
     });
 }
 
-/// One in-flight client computation, launched at dispatch time.
-pub(crate) struct Inflight {
-    /// The training computation for this dispatch. The downloaded weights,
-    /// selection round, epoch count and prox flag were all captured into
-    /// the job when it launched — no simulator state can leak in later,
-    /// which is what makes speculative execution trace-invisible.
-    pub handle: crate::local::TrainHandle,
-    /// This dispatch's selection round (the client's dispatch ordinal) —
-    /// the corruption scenario keys its per-event draw on it so the decision
-    /// is a pure function of the dispatch, independent of event order.
-    pub selection_round: u64,
-    /// The decoded broadcast this dispatch trained from — the shared
-    /// reference model for delta-family uplink codecs. Both ends hold it
-    /// (the client received it on the downlink; the server keeps this `Arc`
-    /// in its standing in-flight table), so encoding the uplink against it
-    /// costs no extra traffic and decoding is trivially consistent.
-    pub reference: std::sync::Arc<[f32]>,
-}
-
-/// What a completion event meant for the client's round trip.
-pub(crate) enum PhaseEvent {
-    /// The client's trained update landed at the server.
-    Landed {
-        /// The lane the dispatch belongs to.
-        lane: usize,
-        /// Observed dispatch→arrival latency (feeds the re-tiering EWMA).
-        latency: f64,
-        /// Post-roundtrip uploaded weights.
-        weights: Vec<f32>,
-        /// The client's sample count (aggregation weight).
-        n_samples: usize,
-    },
-    /// The dispatch resolved without an update: dropped, or discarded by
-    /// the guard (non-finite or over the norm screen — the
-    /// reject/quarantine bookkeeping already happened inside the screen).
-    Lost {
-        /// The lane the dispatch belongs to.
-        lane: usize,
-    },
-    /// Stale event: the dispatch was already resolved (cancelled by a
-    /// deadline).
-    Unknown,
-}
-
-/// A dispatch cancelled by its deadline timer.
-pub(crate) struct TimedOut {
-    pub client: usize,
-    /// The lane the dispatch belongs to.
-    pub lane: usize,
-    /// Retries already spent on this round slot.
-    pub retries: u32,
-}
-
-/// One tracked dispatch: its training plus the bookkeeping the fault layer
-/// needs (lane, group, retry count, dispatch time).
-struct Dispatch {
-    /// The lane that waits for this dispatch (a wait-free lane's is its
-    /// client's).
-    lane: usize,
-    /// The `tier` its fault-log rows carry.
-    group: u64,
-    retries: u32,
-    dispatched_at: f64,
-    inflight: Inflight,
-}
-
-/// The tag of `client`'s dispatch with ordinal `selection_round`: unique
-/// over a run, and clear of [`REVIVE_BIT`] (ordinals stay below 2³¹).
-fn dispatch_tag(client: usize, selection_round: u64) -> u64 {
-    debug_assert!(selection_round < 1 << 31 && (client as u64) < 1 << 32);
-    (selection_round << 32) | client as u64
-}
-
-/// The server's table of in-flight dispatches: a dense `Vec` indexed by
-/// client (client ids are `0..n`), an O(1) lookup on every completion,
-/// where a wait-free run holds one live entry per client (2 000 on the
-/// `async-overhead` benchmark workload).
-///
-/// A dispatch's event tag is [`dispatch_tag`] of its client and selection
-/// round, so a completion or deadline timer names its client, and arriving
-/// after the dispatch was cancelled (or after the client was re-dispatched
-/// under a newer ordinal) it no longer matches the client's entry and
-/// resolves to nothing instead of corrupting round accounting.
-pub(crate) struct InflightTable {
-    by_client: Vec<Option<Dispatch>>,
-}
-
-impl InflightTable {
-    /// An empty table for clients `0..clients`.
-    pub fn new(clients: usize) -> Self {
-        InflightTable {
-            by_client: std::iter::repeat_with(|| None).take(clients).collect(),
-        }
-    }
-
-    /// Whether `client` has a dispatch in flight.
-    pub fn contains(&self, client: usize) -> bool {
-        self.by_client[client].is_some()
-    }
-
-    /// Registers a new dispatch and returns its tag (the tag to dispatch
-    /// under and the tag its deadline timer carries).
-    pub fn begin(
-        &mut self,
-        client: usize,
-        lane: usize,
-        group: u64,
-        retries: u32,
-        now: f64,
-        inflight: Inflight,
-    ) -> u64 {
-        let tag = dispatch_tag(client, inflight.selection_round);
-        let prev = self.by_client[client].replace(Dispatch {
-            lane,
-            group,
-            retries,
-            dispatched_at: now,
-            inflight,
-        });
-        debug_assert!(prev.is_none(), "client {client} already in flight");
-        tag
-    }
-
-    /// Takes `client`'s entry if it is the dispatch tagged `tag`.
-    fn take(&mut self, client: usize, tag: u64) -> Option<Dispatch> {
-        self.by_client
-            .get_mut(client)?
-            .take_if(|d| dispatch_tag(client, d.inflight.selection_round) == tag)
-    }
-
-    /// Resolves one client's round trip for its completion.
-    ///
-    /// A landed completion *joins* the training job launched at dispatch
-    /// (running it now if the job cap is 0 or no worker got to it), takes
-    /// the trained weights through the uplink codec in the vector they
-    /// arrived in (charging the actual uplink payload), lets the corruption
-    /// scenario (if active) mangle them and the guard layer (if active)
-    /// screen them, and hands the update back to the strategy. A dropout
-    /// discards the speculative result unjoined; it and an update the guard
-    /// discards are [`PhaseEvent::Lost`]. A completion whose tag doesn't
-    /// match the client's entry belongs to a cancelled dispatch and is
-    /// reported [`PhaseEvent::Unknown`].
-    pub fn advance(
-        &mut self,
-        core: &mut ServerCore,
-        ctx: &mut SimCtx,
-        c: &Completion,
-    ) -> PhaseEvent {
-        let Some(d) = self.take(c.client, c.tag) else {
-            return PhaseEvent::Unknown;
-        };
-        let info = d.inflight;
-        if c.dropped {
-            // Dropped mid-round: the dispatch-time job is wasted work.
-            core.abandon(info);
-            return PhaseEvent::Lost { lane: d.lane };
-        }
-        let update = info.handle.join();
-        // Uplink bytes are charged on the *honest* encoded payload first:
-        // corruption mangles the values in flight, it does not change what
-        // the client transmitted or the traffic meter's view of it.
-        let reference = Some(&info.reference[..]);
-        let mut weights = core
-            .transport
-            .upload(ctx, c.client, update.weights, reference);
-        let tier = Some(d.group as usize);
-        if let Some(mode) = ctx
-            .fleet
-            .corrupt_update(c.client, info.selection_round, &mut weights)
-        {
-            log_fault(ctx, FaultKind::Corrupt, Some(c.client), tier, mode);
-        }
-        if !core.screen_update(ctx, c.client, d.group, &mut weights) {
-            return PhaseEvent::Lost { lane: d.lane };
-        }
-        PhaseEvent::Landed {
-            lane: d.lane,
-            latency: ctx.now() - d.dispatched_at,
-            weights,
-            n_samples: update.n_samples,
-        }
-    }
-
-    /// Cancels the dispatch whose deadline timer (tag = the dispatch's tag)
-    /// fired. Returns `None` when the timer is stale — the dispatch already
-    /// landed or was lost. The cancelled job is discarded unjoined; its
-    /// eventual completion event resolves to [`PhaseEvent::Unknown`].
-    pub fn timeout(&mut self, core: &mut ServerCore, tag: u64) -> Option<TimedOut> {
-        let client = (tag & u64::from(u32::MAX)) as usize;
-        let d = self.take(client, tag)?;
-        core.abandon(d.inflight);
-        Some(TimedOut {
-            client,
-            lane: d.lane,
-            retries: d.retries,
-        })
-    }
-}
-
-/// Builds the strategy object for a config. It reads the job cap of the
-/// kernel overlay installed on the calling thread — the run's (see
-/// [`crate::exec::resolve`]).
-pub fn build_strategy(
-    task: Arc<FedTask>,
+/// The policy of the built-in method `cfg.strategy` names: what
+/// [`crate::experiment::run_experiment_shared`] runs the server on.
+pub(crate) fn policy_for(
+    task: &FedTask,
     cfg: &ExperimentConfig,
     fleet: &fedat_sim::Fleet,
-) -> Box<dyn Strategy> {
-    use round::RoundServer;
+) -> Box<dyn RoundPolicy> {
     match cfg.strategy {
-        StrategyKind::FedAvg => Box::new(RoundServer::new(task, cfg, sync::FedAvg)),
-        StrategyKind::FedProx => {
-            let policy = sync::FedProx::new(cfg, fleet);
-            Box::new(RoundServer::new(task, cfg, policy))
-        }
-        StrategyKind::TiFL => {
-            let policy = tifl::Tifl::new(cfg, fleet);
-            Box::new(RoundServer::new(task, cfg, policy))
-        }
-        StrategyKind::FedAt => {
-            let policy = fedat::FedAt::new(&task, cfg, fleet);
-            Box::new(RoundServer::new(task, cfg, policy))
-        }
-        StrategyKind::FedAsync => {
-            let policy = wait_free::WaitFree::fedasync(cfg, fleet.len());
-            Box::new(RoundServer::new(task, cfg, policy))
-        }
-        StrategyKind::AsoFed => {
-            let policy = wait_free::WaitFree::asofed(&task, cfg);
-            Box::new(RoundServer::new(task, cfg, policy))
-        }
+        StrategyKind::FedAvg => Box::new(sync::FedAvg),
+        StrategyKind::FedProx => Box::new(sync::FedProx::new(cfg, fleet)),
+        StrategyKind::TiFL => Box::new(tifl::Tifl::new(cfg, fleet)),
+        StrategyKind::FedAt => Box::new(fedat::FedAt::new(task, cfg, fleet)),
+        StrategyKind::FedAsync => Box::new(wait_free::WaitFree::fedasync(cfg, fleet.len())),
+        StrategyKind::AsoFed => Box::new(wait_free::WaitFree::asofed(task, cfg)),
     }
 }

@@ -1,13 +1,15 @@
 //! The one server driver: every method's global model moves when a lane
 //! concludes a *round*.
 //!
-//! A [`RoundServer`] runs one or more **lanes**. A lane is a synchronous
+//! A `RoundServer` runs one or more **lanes**. A lane is a synchronous
 //! round loop — select a cohort, broadcast, wait until every slot has
 //! resolved, mix what landed, go again. FedAvg, FedProx and TiFL are one
 //! lane; FedAT (§4, Algorithm 2) is `M` lanes, one per tier, whose
 //! conclusions update the shared global model asynchronously. FedAsync and
 //! ASO-Fed are the limit where every lane holds one client: a
-//! [`wait_free`](RoundPolicy::wait_free) lane's round is one update.
+//! [`wait_free`](RoundPolicy::wait_free) lane's round is one update. A run
+//! builds the server around the policy it is given
+//! ([`crate::experiment::run_experiment_with`]).
 //!
 //! The driver owns everything the fault layer touches, once, for every
 //! policy: the in-flight table, per-lane slot accounting, deadline timers
@@ -21,9 +23,8 @@
 use crate::aggregate::{aggregate_clients_into, AggRule};
 use crate::config::{ExperimentConfig, FaultPolicy};
 use crate::experiment::Outcome;
-use crate::strategies::{
-    log_fault, InflightTable, PhaseEvent, ServerCore, Strategy, TimedOut, ASYNC_FILL, REVIVE_BIT,
-};
+use crate::local::TrainHandle;
+use crate::strategies::{log_fault, ServerCore, ASYNC_FILL};
 use fedat_data::suite::FedTask;
 use fedat_sim::fault::{FaultKind, FaultLog};
 use fedat_sim::runtime::{Completion, EventHandler, SimCtx, SimReport};
@@ -196,6 +197,90 @@ pub fn aggregate_received(rule: AggRule, received: &[(Vec<f32>, usize)], out: &m
     }
 }
 
+/// High bit of a timer tag: marks a parked lane's revival wake-up (a tier,
+/// or a wait-free lane's one client, coming back); the low bits are the
+/// lane. Every other timer tag is a [`dispatch_tag`] carrying that
+/// dispatch's deadline.
+const REVIVE_BIT: u64 = 1 << 63;
+
+/// The tag of `client`'s dispatch with ordinal `selection_round`: unique
+/// over a run, and clear of [`REVIVE_BIT`] (ordinals stay below 2³¹).
+fn dispatch_tag(client: usize, selection_round: u64) -> u64 {
+    debug_assert!(selection_round < 1 << 31 && (client as u64) < 1 << 32);
+    (selection_round << 32) | client as u64
+}
+
+/// The client a [`dispatch_tag`] names.
+fn tag_client(tag: u64) -> usize {
+    (tag & u64::from(u32::MAX)) as usize
+}
+
+/// One tracked dispatch: its training, launched at dispatch time, plus the
+/// bookkeeping the fault layer needs.
+struct Dispatch {
+    /// The lane that waits for this dispatch (a wait-free lane's is its
+    /// client's).
+    lane: usize,
+    /// The `tier` its fault-log rows carry.
+    group: u64,
+    /// Retries already spent on this round slot.
+    retries: u32,
+    dispatched_at: f64,
+    /// The client's dispatch ordinal — the corruption scenario keys its
+    /// per-event draw on it so the decision is a pure function of the
+    /// dispatch, independent of event order.
+    selection_round: u64,
+    /// The training computation. The downloaded weights, selection round,
+    /// epoch count and prox flag were all captured into the job when it
+    /// launched — no simulator state can leak in later, which is what makes
+    /// speculative execution trace-invisible.
+    handle: TrainHandle,
+    /// The decoded broadcast this dispatch trained from — the shared
+    /// reference model for delta-family uplink codecs. Both ends hold it
+    /// (the client received it on the downlink; the server keeps this
+    /// `Arc` here), so encoding the uplink against it costs no extra
+    /// traffic and decoding is trivially consistent.
+    reference: Arc<[f32]>,
+}
+
+/// The server's table of in-flight dispatches: a dense `Vec` indexed by
+/// client (client ids are `0..n`), an O(1) lookup on every completion,
+/// where a wait-free run holds one live entry per client (2 000 on the
+/// `async-overhead` benchmark workload).
+///
+/// A dispatch's event tag is [`dispatch_tag`] of its client and selection
+/// round, so a completion or deadline timer names its client, and arriving
+/// after the dispatch was cancelled (or after the client was re-dispatched
+/// under a newer ordinal) it no longer matches the client's entry and
+/// resolves to nothing instead of corrupting round accounting.
+struct InflightTable {
+    by_client: Vec<Option<Dispatch>>,
+}
+
+impl InflightTable {
+    /// Whether `client` has a dispatch in flight.
+    fn contains(&self, client: usize) -> bool {
+        self.by_client[client].is_some()
+    }
+
+    /// Registers `client`'s new dispatch and returns its tag (the tag to
+    /// dispatch under and the tag its deadline timer carries).
+    fn begin(&mut self, client: usize, d: Dispatch) -> u64 {
+        let tag = dispatch_tag(client, d.selection_round);
+        let prev = self.by_client[client].replace(d);
+        debug_assert!(prev.is_none(), "client {client} already in flight");
+        tag
+    }
+
+    /// Takes the dispatch tagged `tag`, if it is still its client's entry.
+    fn take(&mut self, tag: u64) -> Option<Dispatch> {
+        let client = tag_client(tag);
+        self.by_client
+            .get_mut(client)?
+            .take_if(|d| dispatch_tag(client, d.selection_round) == tag)
+    }
+}
+
 /// One lane: its round's cohort in flight and what has come back from it.
 #[derive(Default)]
 struct Lane {
@@ -219,10 +304,11 @@ struct Lane {
     dormant: bool,
 }
 
-/// The server, generic over its [`RoundPolicy`].
-pub struct RoundServer<P: RoundPolicy> {
+/// The server: the one event handler every run drives, around the run's
+/// [`RoundPolicy`].
+pub(crate) struct RoundServer {
     core: ServerCore,
-    policy: P,
+    policy: Box<dyn RoundPolicy>,
     /// The policy's [`RoundPolicy::wait_free`].
     wait_free: bool,
     inflight: InflightTable,
@@ -235,13 +321,13 @@ pub struct RoundServer<P: RoundPolicy> {
     rounds_started: u64,
 }
 
-impl<P: RoundPolicy> RoundServer<P> {
+impl RoundServer {
     /// Builds the server around `policy`. The update budget is
     /// `cfg.rounds` global updates, evaluated every `cfg.eval_every`. A
     /// wait-free update ingests one client where a barrier round ingests
     /// `clients_per_round`, so a wait-free policy's budget and stride are
     /// scaled by `clients_per_round`, and the budget also by [`ASYNC_FILL`].
-    pub fn new(task: Arc<FedTask>, cfg: &ExperimentConfig, policy: P) -> Self {
+    pub fn new(task: Arc<FedTask>, cfg: &ExperimentConfig, policy: Box<dyn RoundPolicy>) -> Self {
         let lanes = policy.lanes();
         let wait_free = policy.wait_free();
         let (k, fill) = if wait_free {
@@ -249,7 +335,11 @@ impl<P: RoundPolicy> RoundServer<P> {
         } else {
             (1, 1)
         };
-        let inflight = InflightTable::new(task.fed.clients.len());
+        let inflight = InflightTable {
+            by_client: std::iter::repeat_with(|| None)
+                .take(task.fed.num_clients())
+                .collect(),
+        };
         RoundServer {
             core: ServerCore::new(task, cfg, cfg.rounds * k * fill, cfg.eval_every * k),
             policy,
@@ -365,38 +455,106 @@ impl<P: RoundPolicy> RoundServer<P> {
         let group = self.tier(lane) as u64;
         let round = ctx.dispatches_of(client);
         let prox = self.policy.use_prox();
-        let inflight = self.core.launch(client, weights, epochs, round, prox);
+        let handle = self.core.launch(client, weights, epochs, round, prox);
         let now = ctx.now();
-        let tag = self
-            .inflight
-            .begin(client, lane, group, retries, now, inflight);
+        let d = Dispatch {
+            lane,
+            group,
+            retries,
+            dispatched_at: now,
+            selection_round: round,
+            handle,
+            reference: Arc::clone(weights),
+        };
+        let tag = self.inflight.begin(client, d);
         ctx.dispatch(client, tag, epochs);
         if let Some(deadline) = deadline {
             ctx.schedule_timer(now + deadline, tag);
         }
     }
 
-    /// Handles a dispatch cancelled at its deadline: records the timeout,
-    /// then — if retries remain and the policy's replacement pool has an
-    /// eligible client other than the victim — re-dispatches the round slot
-    /// to it with the *current* global model (a fresh unicast download, not
-    /// the possibly stale round broadcast) and a backed-off deadline.
-    /// Returns `false` when the slot is lost instead.
-    fn retry_slot(&mut self, ctx: &mut SimCtx, lost: &TimedOut) -> bool {
-        let lane = lost.lane;
+    /// The land step, for a completion that named a live dispatch: joins
+    /// the training job launched at dispatch (running it now if the job cap
+    /// is 0 or no worker got to it), takes the trained weights through the
+    /// uplink codec in the vector they arrived in (charging the actual
+    /// uplink payload), lets the corruption scenario (if active) mangle them
+    /// and the guard layer (if active) screen them, and adds the update to
+    /// its lane's round. An update the guard discards, or a wait-free one
+    /// over the staleness bound, is dropped (the guard already did its
+    /// reject/quarantine bookkeeping).
+    fn land(&mut self, ctx: &mut SimCtx, client: usize, d: Dispatch) {
+        let update = d.handle.join();
+        // Uplink bytes are charged on the *honest* encoded payload first:
+        // corruption mangles the values in flight, it does not change what
+        // the client transmitted or the traffic meter's view of it.
+        let reference = Some(&d.reference[..]);
+        let mut weights = self
+            .core
+            .transport
+            .upload(ctx, client, update.weights, reference);
+        let tier = Some(d.group as usize);
+        if let Some(mode) = ctx
+            .fleet
+            .corrupt_update(client, d.selection_round, &mut weights)
+        {
+            log_fault(ctx, FaultKind::Corrupt, Some(client), tier, mode);
+        }
+        if !self.core.screen_update(ctx, client, d.group, &mut weights) {
+            return;
+        }
+        self.policy.on_landed(client, ctx.now() - d.dispatched_at);
+        let staleness = self.core.updates - self.lanes[d.lane].version;
+        let bound = self.core.cfg.guard.max_staleness;
+        if self.wait_free && bound.is_some_and(|b| staleness > b) {
+            // Over the staleness bound: the update is ancient, and a
+            // corrupted-but-clipped stale update can still steer the model
+            // — drop it outright and put the client back to work on fresh
+            // weights. Staleness is a timing property, not a value
+            // property, so it is no quarantine offense.
+            let tier = Some(self.tier(d.lane));
+            log_fault(ctx, FaultKind::Stale, Some(client), tier, staleness);
+            return;
+        }
+        self.lanes[d.lane]
+            .received
+            .push((weights, update.n_samples));
+    }
+
+    /// The deadline step: the deadline timer `tag` fired. A stale timer —
+    /// its dispatch already landed or was lost — does nothing. Otherwise
+    /// the dispatch is cancelled (its job discarded unjoined; its eventual
+    /// completion matches no entry), and its round slot goes to a
+    /// replacement or is lost.
+    fn expire(&mut self, ctx: &mut SimCtx, tag: u64) {
+        let Some(d) = self.inflight.take(tag) else {
+            return;
+        };
+        self.core.abandon(d.handle);
+        if !self.retry_slot(ctx, tag_client(tag), d.lane, d.retries) {
+            self.resolve_slot(ctx, d.lane);
+        }
+    }
+
+    /// Records `victim`'s timeout, then — if retries remain and the
+    /// policy's replacement pool has an eligible client other than the
+    /// victim — re-dispatches the round slot to it with the *current*
+    /// global model (a fresh unicast download, not the possibly stale round
+    /// broadcast) and a backed-off deadline. Returns `false` when the slot
+    /// is lost instead.
+    fn retry_slot(&mut self, ctx: &mut SimCtx, victim: usize, lane: usize, spent: u32) -> bool {
         let tier = Some(self.tier(lane));
-        let attempts = lost.retries as u64;
-        log_fault(ctx, FaultKind::Timeout, Some(lost.client), tier, attempts);
-        if lost.retries >= FaultPolicy::MAX_RETRIES {
+        let attempts = spent as u64;
+        log_fault(ctx, FaultKind::Timeout, Some(victim), tier, attempts);
+        if spent >= FaultPolicy::MAX_RETRIES {
             return false;
         }
         let view = ServerView::new(&self.core, &self.inflight, ctx);
         let mut candidates = self.policy.replacements(self.lanes[lane].group, &view);
-        candidates.retain(|&c| c != lost.client && view.is_eligible(c));
+        candidates.retain(|&c| c != victim && view.is_eligible(c));
         let Some(&replacement) = self.core.sample_clients(ctx, &candidates, 1).first() else {
             return false;
         };
-        let retries = lost.retries + 1;
+        let retries = spent + 1;
         let global = &self.core.global;
         let weights = self.core.transport.download(ctx, replacement, global);
         let deadline = self.deadline(ctx, lane, retries);
@@ -451,9 +609,16 @@ impl<P: RoundPolicy> RoundServer<P> {
             self.start_round(ctx, lane);
         }
     }
+
+    /// Ends the run: the [`Outcome`] around the simulator's `report` and
+    /// fault log, with the policy's per-tier update counts.
+    pub fn finish(self, report: SimReport, faults: FaultLog) -> Outcome {
+        let tier_updates = self.policy.tier_updates();
+        self.core.finish(report, faults, tier_updates)
+    }
 }
 
-impl<P: RoundPolicy> EventHandler for RoundServer<P> {
+impl EventHandler for RoundServer {
     fn on_start(&mut self, ctx: &mut SimCtx) {
         self.core.eval_now(ctx); // round-0 baseline point
         for lane in 0..self.lanes.len() {
@@ -462,34 +627,16 @@ impl<P: RoundPolicy> EventHandler for RoundServer<P> {
     }
 
     fn on_completion(&mut self, ctx: &mut SimCtx, c: Completion) {
-        let (lane, landed) = match self.inflight.advance(&mut self.core, ctx, &c) {
-            // A dispatch a deadline already cancelled.
-            PhaseEvent::Unknown => return,
-            PhaseEvent::Landed {
-                lane,
-                latency,
-                weights,
-                n_samples,
-            } => {
-                self.policy.on_landed(c.client, latency);
-                (lane, Some((weights, n_samples)))
-            }
-            // Dropped mid-round, or discarded by the guard: either way the
-            // slot resolves without an update.
-            PhaseEvent::Lost { lane } => (lane, None),
+        // No entry: a dispatch a deadline already cancelled.
+        let Some(d) = self.inflight.take(c.tag) else {
+            return;
         };
-        let staleness = self.core.updates - self.lanes[lane].version;
-        let bound = self.core.cfg.guard.max_staleness;
-        if landed.is_some() && self.wait_free && bound.is_some_and(|b| staleness > b) {
-            // Over the staleness bound: the update is ancient, and a
-            // corrupted-but-clipped stale update can still steer the model
-            // — drop it outright and put the client back to work on fresh
-            // weights. Staleness is a timing property, not a value
-            // property, so it is no quarantine offense.
-            let tier = Some(self.tier(lane));
-            log_fault(ctx, FaultKind::Stale, Some(c.client), tier, staleness);
+        let lane = d.lane;
+        if c.dropped {
+            // Dropped mid-round: the dispatch-time job is wasted work.
+            self.core.abandon(d.handle);
         } else {
-            self.lanes[lane].received.extend(landed);
+            self.land(ctx, c.client, d);
         }
         self.resolve_slot(ctx, lane);
     }
@@ -512,24 +659,11 @@ impl<P: RoundPolicy> EventHandler for RoundServer<P> {
             }
             return;
         }
-        // Deadline timer: cancel the dispatch if still pending, then hand
-        // the round slot to a replacement or count it lost.
-        if let Some(lost) = self.inflight.timeout(&mut self.core, tag) {
-            if !self.retry_slot(ctx, &lost) {
-                self.resolve_slot(ctx, lost.lane);
-            }
-        }
+        self.expire(ctx, tag);
     }
 
     fn finished(&self) -> bool {
         self.core.budget_exhausted() || self.active == 0
-    }
-}
-
-impl<P: RoundPolicy> Strategy for RoundServer<P> {
-    fn finish(self: Box<Self>, report: SimReport, faults: FaultLog) -> Outcome {
-        let tier_updates = self.policy.tier_updates();
-        self.core.finish(report, faults, tier_updates)
     }
 }
 
@@ -550,13 +684,13 @@ mod tests {
         up: u64,
     }
 
-    fn encode_counts<P: RoundPolicy>(
-        policy: P,
+    fn encode_counts(
+        policy: impl RoundPolicy + 'static,
         task: &Arc<FedTask>,
         cfg: &ExperimentConfig,
         fleet: &Fleet,
     ) -> Encodes {
-        let mut s = RoundServer::new(Arc::clone(task), cfg, policy);
+        let mut s = RoundServer::new(Arc::clone(task), cfg, Box::new(policy));
         run(&mut s, fleet, cfg.seed, RunLimits::default());
         let transport = &s.core.transport;
         Encodes {
@@ -666,7 +800,7 @@ mod tests {
             .seed(11)
             .cluster(cluster)
             .build();
-        let policy = FedAt::new(&task, &cfg, &fleet);
+        let policy = Box::new(FedAt::new(&task, &cfg, &fleet));
         let mut s = RoundServer::new(Arc::clone(&task), &cfg, policy);
         run(&mut s, &fleet, cfg.seed, RunLimits::default());
         s.core.join_pending_eval();

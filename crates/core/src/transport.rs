@@ -79,11 +79,6 @@ impl Transport {
         }
     }
 
-    /// The codec kind in use.
-    pub fn kind(&self) -> CodecKind {
-        self.kind
-    }
-
     /// Number of downlink (server → client) encode operations performed.
     /// With the broadcast path this is one per tier round, *not* one per
     /// selected client.

@@ -21,7 +21,7 @@ use fedat_compress::codec::{codec_for, CodecKind, WireCodec};
 use fedat_compress::topk::ErrorFeedback;
 use fedat_core::config::{ExperimentConfig, StrategyKind};
 use fedat_core::local::train_client;
-use fedat_core::strategies::round::{aggregate_received, RoundPolicy, RoundServer, ServerView};
+use fedat_core::strategies::round::{aggregate_received, RoundPolicy, ServerView};
 use fedat_core::tiering::TierAssignment;
 use fedat_core::transport::is_delta_family;
 use fedat_core::{aggregate::AggRule, run_experiment_with};
@@ -154,7 +154,7 @@ fn charges_match_the_wire_format(kind: CodecKind) {
         } else {
             kind
         };
-        let books = Bookkeeper {
+        Box::new(Bookkeeper {
             task: Arc::clone(&task),
             cfg: cfg.clone(),
             up_codec: codec_for(kind),
@@ -167,8 +167,7 @@ fn charges_match_the_wire_format(kind: CodecKind) {
             feedback: BTreeMap::new(),
             sent: (0, 0),
             at_each_update: Arc::clone(&at_each_update),
-        };
-        Box::new(RoundServer::new(Arc::clone(&task), &cfg, books))
+        })
     });
     let expected = at_each_update.lock().unwrap();
     assert_eq!(out.global_updates, 12);

@@ -6,11 +6,8 @@ mod common;
 use common::{sweep, SETTINGS, SHORT};
 use fedat_compress::codec::CodecKind;
 use fedat_core::prelude::*;
-use fedat_core::strategies::build_strategy;
 use fedat_data::suite;
-use fedat_sim::fleet::{ClusterConfig, Fleet};
-use fedat_sim::runtime::{run_logged, EventHandler, RunLimits};
-use std::sync::Arc;
+use fedat_sim::fleet::ClusterConfig;
 
 fn cfg(strategy: StrategyKind, rounds: u64, seed: u64, cluster: ClusterConfig) -> ExperimentConfig {
     ExperimentConfig::builder()
@@ -24,39 +21,27 @@ fn cfg(strategy: StrategyKind, rounds: u64, seed: u64, cluster: ClusterConfig) -
         .build()
 }
 
-/// Drives a strategy by hand and returns its outcome for post-hoc
-/// inspection.
-fn run_strategy(
-    strategy: StrategyKind,
-    rounds: u64,
-    seed: u64,
-    n_clients: usize,
-) -> (Outcome, fedat_data::suite::FedTask) {
+/// Runs a strategy on a dropout-free federation of `n_clients`.
+fn run_strategy(strategy: StrategyKind, rounds: u64, seed: u64, n_clients: usize) -> Outcome {
     let task = suite::sent140_like(n_clients, seed);
     let cluster = ClusterConfig::paper_medium(seed)
         .with_clients(n_clients)
         .without_dropouts();
-    let c = cfg(strategy, rounds, seed, cluster.clone());
-    let fleet = Fleet::new(&cluster, task.fed.client_sizes());
-    let _overlay = fedat_tensor::ctx::install(fedat_core::exec::resolve(&c));
-    let mut s = build_strategy(Arc::new(task.clone()), &c, &fleet);
-    let (report, faults) = {
-        let h: &mut dyn EventHandler = &mut *s;
-        run_logged(h, &fleet, seed, RunLimits::default())
-    };
-    (s.finish(report, faults), task)
+    run_experiment(&task, &cfg(strategy, rounds, seed, cluster))
 }
 
 #[test]
 fn fedavg_performs_exactly_the_requested_rounds() {
-    let (s, _) = run_strategy(StrategyKind::FedAvg, 17, 3, 15);
+    let s = run_strategy(StrategyKind::FedAvg, 17, 3, 15);
     assert_eq!(s.global_updates, 17);
 }
 
 #[test]
 fn fedat_tier_updates_sum_to_global_updates() {
-    let (s, _) = run_strategy(StrategyKind::FedAt, 40, 5, 20);
+    let s = run_strategy(StrategyKind::FedAt, 40, 5, 20);
     assert_eq!(s.global_updates, 40);
+    let tiers = s.tier_updates.as_deref().expect("FedAT counts per tier");
+    assert_eq!(tiers.iter().sum::<u64>(), s.global_updates, "{tiers:?}");
     // The trace must be monotone in round number.
     for w in s.trace.points.windows(2) {
         assert!(w[1].round >= w[0].round);
@@ -68,8 +53,8 @@ fn fedat_time_per_update_beats_fedavg() {
     // Each FedAT update waits only for one tier's stragglers; FedAvg waits
     // for the slowest of a cross-tier cohort. Mean virtual time per global
     // update must therefore be smaller for FedAT.
-    let (avg, _) = run_strategy(StrategyKind::FedAvg, 20, 7, 25);
-    let (fat, _) = run_strategy(StrategyKind::FedAt, 60, 7, 25);
+    let avg = run_strategy(StrategyKind::FedAvg, 20, 7, 25);
+    let fat = run_strategy(StrategyKind::FedAt, 60, 7, 25);
     let per_update = |s: &Outcome| s.trace.points.last().unwrap().time / s.global_updates as f64;
     assert!(
         per_update(&fat) < per_update(&avg),
@@ -81,8 +66,8 @@ fn fedat_time_per_update_beats_fedavg() {
 
 #[test]
 fn async_strategies_update_far_more_often_per_virtual_second() {
-    let (asy, _) = run_strategy(StrategyKind::FedAsync, 30, 9, 25);
-    let (avg, _) = run_strategy(StrategyKind::FedAvg, 30, 9, 25);
+    let asy = run_strategy(StrategyKind::FedAsync, 30, 9, 25);
+    let avg = run_strategy(StrategyKind::FedAvg, 30, 9, 25);
     let rate = |s: &Outcome| s.global_updates as f64 / s.trace.points.last().unwrap().time.max(1.0);
     assert!(
         rate(&asy) > rate(&avg) * 2.0,

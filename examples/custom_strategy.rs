@@ -1,6 +1,7 @@
 //! Extending the system: a *new* federated-learning method is a
-//! [`RoundPolicy`] — the answer to what differs from FedAvg — plugged into
-//! the same round server the built-in methods run on.
+//! [`RoundPolicy`] — the answer to what differs from FedAvg — handed to
+//! [`run_experiment_with`], which runs it on the same round server the
+//! built-in methods run on.
 //!
 //! `PowerOfTwoChoices` is a selection rule that is not in the paper: each
 //! round it samples two candidates per slot and keeps the *faster* half (by
@@ -13,7 +14,7 @@
 //! ```
 
 use fedat::core::prelude::*;
-use fedat::core::strategies::round::{RoundPolicy, RoundServer, ServerView};
+use fedat::core::strategies::round::{RoundPolicy, ServerView};
 use fedat::data::suite;
 use fedat::tensor::rng::sample_without_replacement;
 use std::sync::Arc;
@@ -58,9 +59,7 @@ fn main() {
         .seed(17)
         .build();
 
-    let custom = run_experiment_with(&task, &cfg, |_fleet| {
-        Box::new(RoundServer::new(Arc::clone(&task), &cfg, PowerOfTwoChoices))
-    });
+    let custom = run_experiment_with(&task, &cfg, |_fleet| Box::new(PowerOfTwoChoices));
     // Compare against stock FedAvg on the same cluster and budget.
     let stock = run_experiment_shared(&task, &cfg);
     for (name, out) in [("stock FedAvg", &stock), ("two-choices", &custom)] {

@@ -3,7 +3,9 @@
 //! backticked `*.rs` file name in `docs/*.md` is a file of the tree, and
 //! every backticked snake_case name with two or more underscores in
 //! `docs/*.md` (a test, function or metric) occurs in some `.rs` file or
-//! `Cargo.toml`.
+//! `Cargo.toml`, and every backticked `Type::member` path in `docs/*.md`
+//! names a `struct`, `enum` or `trait` the code declares and a member (a
+//! `fn`, `const`, field or variant) the code defines somewhere.
 
 use std::fs::{read_dir, read_to_string};
 use std::path::Path;
@@ -48,6 +50,34 @@ fn every_doc_citation_names_a_heading_and_every_cited_file_exists() {
             assert!(
                 !cited || code.contains(name),
                 "{file}: no code names `{name}`"
+            );
+            let path = name.strip_suffix("()").unwrap_or(name).split_once("::");
+            let Some((ty, member)) = path.filter(|(ty, member)| {
+                let ident = |s: &str| s.chars().all(|c| c.is_alphanumeric() || c == '_');
+                ty.starts_with(|c: char| c.is_ascii_uppercase()) && ident(ty) && ident(member)
+            }) else {
+                continue;
+            };
+            let declared = ["struct", "enum", "trait"].iter().any(|kw| {
+                let decl = format!("{kw} {ty}");
+                code.match_indices(&decl).any(|(i, _)| {
+                    !code[i + decl.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+                })
+            });
+            let defined = [
+                "fn {}(",
+                "fn {}<",
+                "const {}:",
+                " {}: ",
+                " {},",
+                " {} {",
+                " {}(",
+            ]
+            .iter()
+            .any(|form| code.contains(&form.replace("{}", member)));
+            assert!(
+                declared && defined,
+                "{file}: no code declares `{ty}` and defines `{member}`"
             );
         }
         let lines = text

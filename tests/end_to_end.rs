@@ -152,11 +152,6 @@ fn dropouts_do_not_stall_any_strategy() {
 fn tier_update_counts_follow_latency_order() {
     // FedAT's fast tiers must update the global model more often than its
     // slow tiers (the premise of the Eq. 5 weighting).
-    use fedat::core::strategies::build_strategy;
-    use fedat::sim::fleet::Fleet;
-    use fedat::sim::runtime::{run_logged, EventHandler, RunLimits};
-    use std::sync::Arc;
-
     let task = suite::sent140_like(30, 43);
     let cfg = {
         let mut c = base_cfg(StrategyKind::FedAt, 60, 43);
@@ -167,14 +162,10 @@ fn tier_update_counts_follow_latency_order() {
         );
         c
     };
-    let fleet = Fleet::new(cfg.cluster.as_ref().unwrap(), task.fed.client_sizes());
-    let _overlay = fedat::tensor::ctx::install(fedat::core::exec::resolve(&cfg));
-    let mut strategy = build_strategy(Arc::new(task), &cfg, &fleet);
-    let (report, faults) = {
-        let handler: &mut dyn EventHandler = &mut *strategy;
-        run_logged(handler, &fleet, cfg.seed, RunLimits::default())
-    };
-    assert!(strategy.finish(report, faults).global_updates >= 60);
+    let out = run_experiment(&task, &cfg);
+    assert!(out.global_updates >= 60);
+    let tiers = out.tier_updates.expect("FedAT counts per tier");
+    assert!(tiers[0] > tiers[tiers.len() - 1], "{tiers:?}");
 }
 
 #[test]
