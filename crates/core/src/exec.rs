@@ -22,8 +22,9 @@
 //!
 //! The only observable cost of speculation is *wasted work*: a client that
 //! drops out mid-round has already been trained (or is mid-training) when
-//! its `dropped` completion arrives, and the result is discarded. Each run
-//! reports its own count in
+//! its `dropped` completion arrives, and the result is discarded. So is
+//! every dispatch still in flight when the run stops: its job may already
+//! have run, and nothing joins it. Each run reports its own count in
 //! [`Outcome::speculation`](crate::experiment::Outcome::speculation).
 
 use crate::config::ExperimentConfig;
@@ -47,7 +48,8 @@ pub struct Speculation {
     /// Training jobs submitted to the pool at dispatch.
     pub launches: u64,
     /// Launched jobs whose result was abandoned: the client dropped out,
-    /// crashed, or missed its deadline before the result was needed.
+    /// crashed, or missed its deadline before the result was needed, or
+    /// the run stopped with the dispatch still in flight.
     pub discards: u64,
 }
 

@@ -611,8 +611,13 @@ impl RoundServer {
     }
 
     /// Ends the run: the [`Outcome`] around the simulator's `report` and
-    /// fault log, with the policy's per-tier update counts.
-    pub fn finish(self, report: SimReport, faults: FaultLog) -> Outcome {
+    /// fault log, with the policy's per-tier update counts. The dispatches
+    /// still in flight at the stop are abandoned unjoined, each a discard
+    /// when the run speculates.
+    pub fn finish(mut self, report: SimReport, faults: FaultLog) -> Outcome {
+        for d in self.inflight.by_client.iter_mut().filter_map(Option::take) {
+            self.core.abandon(d.handle);
+        }
         let tier_updates = self.policy.tier_updates();
         self.core.finish(report, faults, tier_updates)
     }
@@ -671,10 +676,11 @@ impl EventHandler for RoundServer {
 mod tests {
     use super::*;
     use crate::config::StrategyKind;
+    use crate::exec::Speculation;
     use crate::strategies::{fedat::FedAt, sync::FedAvg, tifl::Tifl, wait_free::WaitFree};
     use fedat_data::suite;
     use fedat_sim::fleet::ClusterConfig;
-    use fedat_sim::runtime::{run, RunLimits};
+    use fedat_sim::runtime::{run, run_logged, RunLimits};
 
     /// What one run to its budget encoded, against what it started.
     struct Encodes {
@@ -781,6 +787,48 @@ mod tests {
             e.up, e.updates,
             "FedAsync: one uplink encode per landed update"
         );
+    }
+
+    /// A FedAT run stops when one tier's round spends the budget; the
+    /// other tiers' dispatches are still in flight and are dropped
+    /// unjoined. A speculative run counts each as a discard, a cap-0 run
+    /// counts nothing, and the number in flight is the same under both.
+    #[test]
+    fn dispatches_in_flight_at_the_stop_are_discards() {
+        let n = 20;
+        let task = Arc::new(suite::sent140_like(n, 13));
+        let cluster = ClusterConfig::paper_medium(13)
+            .with_clients(n)
+            .without_dropouts();
+        let fleet = Fleet::new(&cluster, task.fed.client_sizes());
+        let cfg = ExperimentConfig::builder()
+            .strategy(StrategyKind::FedAt)
+            .rounds(12)
+            .clients_per_round(3)
+            .local_epochs(1)
+            .eval_every(5)
+            .seed(13)
+            .cluster(cluster)
+            .build();
+        let stop = |max_pool_jobs| {
+            let _cap = fedat_tensor::ctx::install(fedat_tensor::ctx::KernelCtx {
+                max_pool_jobs,
+                ..fedat_tensor::ctx::snapshot()
+            });
+            let policy = Box::new(FedAt::new(&task, &cfg, &fleet));
+            let mut s = RoundServer::new(Arc::clone(&task), &cfg, policy);
+            let (report, faults) = run_logged(&mut s, &fleet, cfg.seed, RunLimits::default());
+            assert!(s.core.budget_exhausted(), "the budget stops the run");
+            let in_flight = s.inflight.by_client.iter().flatten().count() as u64;
+            (in_flight, s.finish(report, faults).speculation)
+        };
+        let (in_flight, inline) = stop(0);
+        assert!(in_flight > 0, "no tier was mid-round at the stop");
+        assert_eq!(inline, Speculation::default());
+        // No dropouts and no deadlines: the stop is the only discard.
+        let (again, speculative) = stop(usize::MAX);
+        assert_eq!(again, in_flight);
+        assert_eq!(speculative.discards, in_flight, "{speculative:?}");
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //! (matching the paper's round budgets) without saturating at 100%.
 
 use crate::dataset::Dataset;
-use fedat_tensor::rng::{standard_normal, uniform};
+use fedat_tensor::rng::{fill_standard_normal, uniform, NORMAL_CHUNK};
 use fedat_tensor::Tensor;
 use rand::{Rng, RngExt};
+
+/// Gaussian draws per block of [`synth_images`] samples: enough chunks to
+/// keep the pool busy, small beside the dataset it writes.
+const IMAGE_BLOCK_DRAWS: usize = 8 * NORMAL_CHUNK;
 
 /// Configuration for template-based vision-like data
 /// ([`synth_images`]).
@@ -65,17 +69,24 @@ pub fn synth_images<R: Rng + ?Sized>(rng: &mut R, spec: &ImageSynthSpec, n: usiz
         templates.push(t);
     }
 
+    // Each sample draws its gain, then one noise value per pixel: a block
+    // of samples' draws is one `fill_standard_normal`, in that order.
+    let draws = 1 + feat;
+    let block = (IMAGE_BLOCK_DRAWS / draws).max(1);
+    let mut z = vec![0.0f32; block.min(n) * draws];
     let mut xs = Vec::with_capacity(n * feat);
-    let mut ys = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % spec.classes; // balanced classes
-        let template = &templates[class];
-        // Small per-sample global shift/gain mimics exposure variation.
-        let gain = 1.0 + 0.1 * standard_normal(rng);
-        for &tv in template.iter() {
-            xs.push(spec.signal * gain * tv + spec.noise * standard_normal(rng));
+    let ys = (0..n).map(|i| (i % spec.classes) as u32).collect(); // balanced classes
+    for first in (0..n).step_by(block) {
+        let z = &mut z[..block.min(n - first) * draws];
+        fill_standard_normal(rng, z);
+        for (i, z) in (first..).zip(z.chunks_exact(draws)) {
+            let template = &templates[i % spec.classes];
+            // Small per-sample global shift/gain mimics exposure variation.
+            let gain = 1.0 + 0.1 * z[0];
+            for (&tv, &z) in template.iter().zip(&z[1..]) {
+                xs.push(spec.signal * gain * tv + spec.noise * z);
+            }
         }
-        ys.push(class as u32);
     }
     Dataset::new(Tensor::from_vec(xs, &[n, feat]), ys, spec.classes)
 }
@@ -97,23 +108,26 @@ pub struct FeatureSynthSpec {
 /// with means `separation` apart — the shape of a bag-of-features text task
 /// (our Sentiment140 stand-in, convex under logistic regression).
 pub fn synth_features<R: Rng + ?Sized>(rng: &mut R, spec: &FeatureSynthSpec, n: usize) -> Dataset {
+    let f = spec.features;
     let mut means = Vec::with_capacity(spec.classes);
     for _ in 0..spec.classes {
-        let mut m = vec![0.0f32; spec.features];
+        let mut m = vec![0.0f32; f];
+        fill_standard_normal(rng, &mut m);
         for v in m.iter_mut() {
-            *v = spec.separation * standard_normal(rng);
+            *v *= spec.separation;
         }
         means.push(m);
     }
-    let mut xs = Vec::with_capacity(n * spec.features);
-    let mut ys = Vec::with_capacity(n);
+    // Past the means, the serial loop drew only noise, row by row.
+    let mut xs = vec![0.0f32; n * f];
+    fill_standard_normal(rng, &mut xs);
     for i in 0..n {
-        let class = i % spec.classes;
-        for &mv in &means[class] {
-            xs.push(mv + spec.noise * standard_normal(rng));
+        let row = &mut xs[i * f..(i + 1) * f];
+        for (x, &mv) in row.iter_mut().zip(&means[i % spec.classes]) {
+            *x = mv + spec.noise * *x;
         }
-        ys.push(class as u32);
     }
+    let ys = (0..n).map(|i| (i % spec.classes) as u32).collect();
     Dataset::new(Tensor::from_vec(xs, &[n, spec.features]), ys, spec.classes)
 }
 

@@ -222,15 +222,17 @@ thread_local! {
 /// least recently used entry. If `f` panics the model is dropped with the
 /// unwind: a half-stepped model never re-enters the cache.
 pub fn with_cached_model<R>(spec: &ModelSpec, seed: u64, f: impl FnOnce(&mut dyn Model) -> R) -> R {
-    let (key, mut model) = MODEL_CACHE.with(|cache| {
+    let hit = MODEL_CACHE.with(|cache| {
         let mut cache = cache.borrow_mut();
-        match cache.iter().position(|(s, _)| s == spec) {
-            // Order-preserving: slot 0 stays the least recently used. A hit
-            // keeps its key, so a warm call clones no spec.
-            Some(i) => cache.remove(i),
-            None => (spec.clone(), spec.build(seed)),
-        }
+        // Order-preserving: slot 0 stays the least recently used. A hit
+        // keeps its key, so a warm call clones no spec.
+        let i = cache.iter().position(|(s, _)| s == spec)?;
+        Some(cache.remove(i))
     });
+    // A miss builds outside the borrow: the build's Gaussian fills join
+    // pool jobs, and a joining thread may run a queued job that uses this
+    // cache.
+    let (key, mut model) = hit.unwrap_or_else(|| (spec.clone(), spec.build(seed)));
     let result = f(model.as_mut());
     MODEL_CACHE.with(|cache| {
         let mut cache = cache.borrow_mut();

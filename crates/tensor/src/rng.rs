@@ -72,15 +72,91 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
     // Draw u1 in (0, 1] to keep ln() finite.
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random::<f64>();
+    box_muller(u1, u2)
+}
+
+/// [`standard_normal`]'s transform of its two uniforms.
+#[inline]
+fn box_muller(u1: f64, u2: f64) -> f32 {
     let r = (-2.0 * u1.ln()).sqrt();
     let theta = 2.0 * std::f64::consts::PI * u2;
     (r * theta.cos()) as f32
 }
 
-/// Fills `out` with i.i.d. normal samples with the given mean and std-dev.
+/// Values per pool job of [`fill_standard_normal`]: ≈ 0.1 ms of
+/// transforms, long enough to amortise a hand-off to a worker.
+pub const NORMAL_CHUNK: usize = 4096;
+
+/// Chunks [`fill_standard_normal`] keeps submitted while it draws the next.
+const NORMAL_CHUNKS_IN_FLIGHT: usize = 4;
+
+/// Fills `out` with the next `out.len()` values of [`standard_normal`],
+/// bit for bit, and leaves `rng` where that loop would leave it.
+///
+/// This thread draws every uniform, serially and in the loop's order; the
+/// transforms — `ln`, `sqrt` and `cos`, ≈ 24 of the ≈ 27 ns a value costs —
+/// run as [`crate::pool::submit`]ted jobs of [`NORMAL_CHUNK`] values, a few
+/// in flight while this thread draws the next chunk and helps at each join.
+/// Each value is the same f64 expression of the same two uniforms wherever
+/// it runs, so neither the pool size nor the job cap moves a bit. A fill
+/// shorter than one chunk runs inline.
+pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f32]) {
+    if out.len() < NORMAL_CHUNK {
+        for v in out.iter_mut() {
+            *v = standard_normal(rng);
+        }
+        return;
+    }
+    let len = out.len();
+    let mut in_flight = std::collections::VecDeque::with_capacity(NORMAL_CHUNKS_IN_FLIGHT);
+    let mut land = |(at, job): (usize, crate::pool::JobHandle<Vec<f64>>)| {
+        let u = job.join();
+        for (v, &z) in out[at..at + u.len() / 2].iter_mut().zip(&u) {
+            *v = z as f32;
+        }
+        u
+    };
+    for at in (0..len).step_by(NORMAL_CHUNK) {
+        // The oldest chunk lands first, and its buffer carries the next.
+        let mut u = if in_flight.len() == NORMAL_CHUNKS_IN_FLIGHT {
+            land(in_flight.pop_front().expect("a chunk is in flight"))
+        } else {
+            Vec::with_capacity(2 * NORMAL_CHUNK)
+        };
+        u.clear();
+        for _ in at..(at + NORMAL_CHUNK).min(len) {
+            u.push(1.0 - rng.random::<f64>());
+            u.push(rng.random::<f64>());
+        }
+        in_flight.push_back((
+            at,
+            crate::pool::submit(move || {
+                transform_pairs(&mut u);
+                u
+            }),
+        ));
+    }
+    for job in in_flight {
+        land(job);
+    }
+}
+
+/// Overwrites the first half of `u`, read as `(u1, u2)` pairs the way
+/// [`standard_normal`] draws them, with each pair's transform (an `f32`
+/// held exactly). Pair `i` is read before slot `i` is written, since
+/// `i <= 2i`.
+fn transform_pairs(u: &mut [f64]) {
+    for i in 0..u.len() / 2 {
+        u[i] = f64::from(box_muller(u[2 * i], u[2 * i + 1]));
+    }
+}
+
+/// Fills `out` with i.i.d. normal samples with the given mean and std-dev:
+/// `mean + std · z` over [`fill_standard_normal`]'s `z`.
 pub fn fill_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f32], mean: f32, std: f32) {
+    fill_standard_normal(rng, out);
     for v in out.iter_mut() {
-        *v = mean + std * standard_normal(rng);
+        *v = mean + std * *v;
     }
 }
 
@@ -150,6 +226,48 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
         assert!(mean.abs() < 0.05, "mean {mean} too far from 0");
         assert!((var - 1.0).abs() < 0.1, "variance {var} too far from 1");
+    }
+
+    /// The lengths [`fill_standard_normal`]'s chunking can get wrong.
+    const FILL_LENGTHS: [usize; 6] = [
+        0,
+        1,
+        NORMAL_CHUNK - 1,
+        NORMAL_CHUNK,
+        NORMAL_CHUNK + 1,
+        5 * NORMAL_CHUNK + 3,
+    ];
+
+    /// Asserts that `fill_standard_normal` writes what a `standard_normal`
+    /// loop returns, bit for bit, and leaves the rng where the loop does.
+    fn assert_fill_is_the_serial_loop(len: usize, seed: u64) {
+        let mut serial = rng_for(seed, 77);
+        let want: Vec<u32> = (0..len)
+            .map(|_| standard_normal(&mut serial).to_bits())
+            .collect();
+        let mut filled = rng_for(seed, 77);
+        let mut got = vec![f32::NAN; len];
+        fill_standard_normal(&mut filled, &mut got);
+        let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+        assert!(got == want, "fill of {len} differs from the serial loop");
+        assert_eq!(
+            filled.random::<u64>(),
+            serial.random::<u64>(),
+            "fill of {len} left the rng elsewhere"
+        );
+    }
+
+    #[test]
+    fn fill_standard_normal_is_the_serial_loop_under_every_job_cap() {
+        for max_pool_jobs in [0, 1, usize::MAX] {
+            let _cap = crate::ctx::install(crate::ctx::KernelCtx {
+                max_pool_jobs,
+                ..crate::ctx::snapshot()
+            });
+            for (seed, len) in FILL_LENGTHS.into_iter().enumerate() {
+                assert_fill_is_the_serial_loop(len, seed as u64);
+            }
+        }
     }
 
     #[test]

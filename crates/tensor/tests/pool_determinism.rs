@@ -19,9 +19,10 @@ use fedat_tensor::ops::{
     matmul_into, matmul_nt_into, matmul_tn_into, weighted_sum_into, AGG_SHARD,
 };
 use fedat_tensor::pool;
-use fedat_tensor::rng::rng_for;
+use fedat_tensor::rng::{fill_standard_normal, rng_for, standard_normal, NORMAL_CHUNK};
 use fedat_tensor::Tensor;
 use proptest::prelude::*;
+use rand::RngExt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -232,6 +233,33 @@ fn a_joiner_parked_on_a_mid_run_job_is_woken_by_its_completion() {
     on_join
         .recv_timeout(WATCHDOG)
         .expect("a parked joiner was not woken by its job's completion");
+}
+
+/// A Gaussian fill inside a submitted job joins its chunks without helping
+/// (helping never nests): each chunk runs on a free worker or is stolen by
+/// the job's own join, and the values are still the serial loop's bits.
+#[test]
+fn a_gaussian_fill_inside_a_job_is_the_serial_loop() {
+    let _one_at_a_time = one_job_test_at_a_time();
+    let len = 5 * NORMAL_CHUNK + 3;
+    let (got, next) = on_a_worker(move || {
+        let mut rng = rng_for(5, 77);
+        let mut out = vec![0.0f32; len];
+        fill_standard_normal(&mut rng, &mut out);
+        (out, rng.random::<u64>())
+    });
+    let mut rng = rng_for(5, 77);
+    let want: Vec<f32> = (0..len).map(|_| standard_normal(&mut rng)).collect();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert!(
+        bits(&got) == bits(&want),
+        "a fill inside a job left the serial loop"
+    );
+    assert_eq!(
+        next,
+        rng.random::<u64>(),
+        "a fill inside a job left the rng elsewhere"
+    );
 }
 
 fn filled(len: usize, seed: u64) -> Vec<f32> {
