@@ -24,7 +24,8 @@
 //! `tests/experiment_jobs.rs` pins every id's list; *measurement* is the
 //! repository benchmark (`benchmark/`, `BENCHMARK.json`), with
 //! `bench_tensor_kernels` kept beside it as the `SimdKernel::Auto` vs
-//! `Scalar` lane comparator.
+//! `Scalar` lane comparator (one alternating, bit-checked timing loop for
+//! every row it writes to `BENCH_tensor_kernels.json`).
 
 pub mod experiments;
 pub mod grid;

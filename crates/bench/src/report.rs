@@ -54,11 +54,6 @@ impl TextReport {
         self.lines.push(s.into());
     }
 
-    /// Appends a blank line.
-    pub fn blank(&mut self) {
-        self.lines.push(String::new());
-    }
-
     /// Renders to a string.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -4,10 +4,11 @@
 //! Each of the 18 cells (six [`StrategyKind`]s × scenarios A/B/C) folds the
 //! *whole* observable outcome into one FNV-1a digest: final weights, every
 //! field of every trace point, every fault-log row, the log's count of each
-//! server-side kind, per-tier update counts, the global update count and the
-//! simulator's end time. A single moved bit anywhere — a reordered RNG draw,
-//! a `Quorum` row with a different tier label, one extra evaluation —
-//! changes the literal.
+//! server-side kind, per-tier update counts, the global update count, the
+//! simulator's end time, event count and stop reason, the final per-client
+//! accuracies and Table 1's accuracy variance. A single moved bit anywhere —
+//! a reordered RNG draw, a `Quorum` row with a different tier label, one
+//! extra evaluation, a variance over `n − 1` — changes the literal.
 //!
 //! * **A** — default policies on a `paper_medium` cluster with permanent
 //!   dropouts: the paper's own setting, fault layer and guard inert.
@@ -110,6 +111,16 @@ fn digest(out: &Outcome) -> u64 {
     }
     fnv(&mut h, &out.global_updates.to_le_bytes());
     fnv(&mut h, &out.report.end_time.to_bits().to_le_bytes());
+    fnv(&mut h, &out.report.events.to_le_bytes());
+    fnv(&mut h, format!("{:?}", out.report.reason).as_bytes());
+    fnv(
+        &mut h,
+        &(out.per_client_accuracy.len() as u64).to_le_bytes(),
+    );
+    for a in &out.per_client_accuracy {
+        fnv(&mut h, &a.to_bits().to_le_bytes());
+    }
+    fnv(&mut h, &out.accuracy_variance.to_bits().to_le_bytes());
     h
 }
 
@@ -277,22 +288,22 @@ macro_rules! pins {
 }
 
 pins! {
-    a_fedavg: A, FedAvg => 0x9d57f041e81e57e1;
-    a_fedprox: A, FedProx => 0xf0ee794b2a751825;
-    a_tifl: A, TiFL => 0x36d8377b11dfb752;
-    a_fedasync: A, FedAsync => 0x4cb950dca024b02a;
-    a_asofed: A, AsoFed => 0xf3181a1e5e44788e;
-    a_fedat: A, FedAt => 0x544cfb625f71635c;
-    b_fedavg: B, FedAvg => 0x3800577f9d35ad55;
-    b_fedprox: B, FedProx => 0x26a7fa015321d873;
-    b_tifl: B, TiFL => 0xd629b793af1ff58a;
-    b_fedasync: B, FedAsync => 0x80f195d6351d4d96;
-    b_asofed: B, AsoFed => 0x5434e2de36856858;
-    b_fedat: B, FedAt => 0xc7b0c7cd85090b86;
-    c_fedavg: C, FedAvg => 0x617f7e24a859684b;
-    c_fedprox: C, FedProx => 0xf98c68ff0d639f1c;
-    c_tifl: C, TiFL => 0x552899e9571079d4;
-    c_fedasync: C, FedAsync => 0xd74086bbafa308d7;
-    c_asofed: C, AsoFed => 0x7946dc5e86be5011;
-    c_fedat: C, FedAt => 0xf0ee2ecfb0772163;
+    a_fedavg: A, FedAvg => 0xd089cfd9f86ae9f5;
+    a_fedprox: A, FedProx => 0xfa8b2ae4c5cb6879;
+    a_tifl: A, TiFL => 0x487a115ee89cb2d5;
+    a_fedasync: A, FedAsync => 0x6fd4ac3e8b929e37;
+    a_asofed: A, AsoFed => 0x96dcccc75e3b9942;
+    a_fedat: A, FedAt => 0x008bbccadefb8621;
+    b_fedavg: B, FedAvg => 0x5ddc7dc4bfa8e01d;
+    b_fedprox: B, FedProx => 0x677ec239085c7e61;
+    b_tifl: B, TiFL => 0xc2386ffc9c222c01;
+    b_fedasync: B, FedAsync => 0x0746750d121392ce;
+    b_asofed: B, AsoFed => 0xd1d647616b95e9cd;
+    b_fedat: B, FedAt => 0x9c1ef031edae40a2;
+    c_fedavg: C, FedAvg => 0x1c9eedc84013070c;
+    c_fedprox: C, FedProx => 0x80442557928c65cd;
+    c_tifl: C, TiFL => 0x1bf24d12844706e9;
+    c_fedasync: C, FedAsync => 0x9fd33d6fc5103c5c;
+    c_asofed: C, AsoFed => 0x440172f7c775c468;
+    c_fedat: C, FedAt => 0xa4eec388fb0d4713;
 }

@@ -28,15 +28,9 @@ pub trait Optimizer: Send {
     /// their position in the walk.
     fn step(&mut self, params: &mut dyn Params, prox: Option<&ProxTerm>);
 
-    /// Forgets all state, as if newly built with the current learning
-    /// rate; buffers may be kept, and may next meet a different model.
+    /// Forgets all state, as if newly built; buffers may be kept, and may
+    /// next meet a different model.
     fn reset(&mut self);
-
-    /// Learning rate currently in effect.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate.
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// Adam (Kingma & Ba, 2014) with bias correction.
@@ -117,14 +111,6 @@ impl Optimizer for Adam {
 
     fn reset(&mut self) {
         self.t = 0;
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
