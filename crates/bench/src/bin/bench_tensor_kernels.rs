@@ -595,12 +595,10 @@ fn plan(seed: u64) -> Vec<Case> {
 /// The one writer: the record and the text lines of `rows`, which come
 /// grouped by section in record order.
 fn render(seed: u64, backend: &str, rows: &[Row]) -> (String, String) {
-    let key = rows.iter().find(|r| r.name() == "matmul nn 128");
     let mut json = format!(
         "{{\n  \"bench\": \"tensor_kernels\",\n  \"seed\": {seed},\n  \"simd_backend\": \"{backend}\",\n  \
          \"kernel_threads\": 1,\n  \"scalar_baseline\": \"SimdKernel::Scalar: plain loops, compiler \
-         autovectorization only (the seed's loops for matmul)\",\n  \"matmul_128_speedup\": {:.3},\n",
-        key.expect("the 128x128 nn matmul row").speedup()
+         autovectorization only (the seed's loops for matmul)\",\n"
     );
     let mut lines = String::new();
     let sections: Vec<&[Row]> = rows

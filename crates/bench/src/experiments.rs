@@ -4,7 +4,8 @@
 //! per id, a builder returning its `Vec<Job>` ([`jobs`] hands one out
 //! without running it) and a printer over the results. [`run`] is the one
 //! place jobs run; every printer writes through one `Artifact` (the id's
-//! directory, text report and CSV tables).
+//! directory, text report and CSV tables), which `run` ends with why each
+//! run stopped (`<stem>_runs.csv`, and one report line per run).
 //!
 //! Heavy artifacts share runs: Table 1, Table 2 and Figs. 2–4 all print the
 //! strategy × dataset matrix on the 100-client cluster, which `repro
@@ -17,9 +18,7 @@
 
 use crate::grid::run_grid;
 use crate::harness::{Job, JobResult, Scale};
-use crate::report::{
-    create_dir, fmt_mb, fmt_tta, out_dir, slug, write_csv, write_fault_log, write_trace, TextReport,
-};
+use crate::report::{create_dir, fmt_mb, fmt_tta, slug, write_fault_log, write_text, write_trace};
 use fedat_compress::codec::CodecKind;
 use fedat_core::aggregate::AggRule;
 use fedat_core::config::{
@@ -32,7 +31,7 @@ use fedat_sim::fault::FaultKind::{
     Clip, Corrupt, Quarantine, Quorum, Reject, Retier, Retry, Stale, Timeout,
 };
 use fedat_sim::fleet::ClusterConfig;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use Jobs::{Loaded, Matrix, Own};
@@ -1040,7 +1039,7 @@ struct Artifact<'r> {
 
 impl<'r> Artifact<'r> {
     fn new(out: &Path, id: &str) -> Self {
-        let (dir, stem) = (out_dir(out, id), id.replace('-', "_"));
+        let (dir, stem) = (out.join(id), id.replace('-', "_"));
         Artifact {
             dir,
             stem,
@@ -1077,8 +1076,30 @@ impl<'r> Artifact<'r> {
         self.fault_logs.push(r);
     }
 
-    /// Writes every file, then prints the report; the first failed write is
-    /// the error, naming its path.
+    /// Says why each run stopped, after whatever the printer wrote: one
+    /// report line and one `<stem>_runs.csv` row per run, with its end time,
+    /// horizon, stop reason and global updates.
+    fn stops(&mut self, results: &[JobResult]) {
+        let w = results
+            .iter()
+            .map(|r| r.label.chars().count())
+            .max()
+            .unwrap_or(0);
+        self.line("Why each run stopped — end time / horizon, reason, global updates:");
+        self.csv("_runs", "label,end_time,horizon,reason,global_updates");
+        for r in results {
+            let (report, updates) = (&r.outcome.report, r.outcome.global_updates);
+            let (end, horizon, reason) = (report.end_time, r.max_time, report.reason);
+            self.line(format!(
+                "  {:<w$}  {end:>8.1} s / {horizon:.0} s  {reason:?}  {updates}",
+                r.label,
+            ));
+            self.row(format!("{},{end},{horizon},{reason:?},{updates}", r.label));
+        }
+    }
+
+    /// Writes every file, then prints the report (`=== title ===`, then its
+    /// lines); the first failed write is the error, naming its path.
     fn finish(self) -> io::Result<()> {
         for r in self.traces {
             write_trace(&self.dir, &slug(&r.label), &r.outcome.trace, SMOOTH_WINDOW)?;
@@ -1087,11 +1108,16 @@ impl<'r> Artifact<'r> {
             write_fault_log(&self.dir, &slug(&r.label), &r.outcome.faults)?;
         }
         for (stem, csv) in &self.csvs {
-            write_csv(&self.dir, stem, csv)?;
+            write_text(&self.dir, &format!("{stem}.csv"), csv)?;
         }
-        let mut report = TextReport::new(self.title);
-        self.lines.into_iter().for_each(|l| report.line(l));
-        report.emit(&self.dir, &self.stem)
+        let mut text = format!("=== {} ===\n", self.title);
+        for line in self.lines {
+            text.push_str(&line);
+            text.push('\n');
+        }
+        print!("{text}");
+        io::stdout().flush()?;
+        write_text(&self.dir, &format!("{}.txt", self.stem), &text)
     }
 }
 
@@ -1191,7 +1217,25 @@ pub fn run(id: &str, ctx: &Ctx) -> io::Result<()> {
             Loaded(load) => own.insert(grid(load(ctx, &mut art)?)),
         };
         print(&mut art, results);
+        art.stops(results);
         art.finish()?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_renders_title_and_lines() {
+        let out = std::env::temp_dir().join(format!("fedat_artifact_{}", std::process::id()));
+        let mut art = Artifact::new(&out, "ablate-x");
+        art.title("Table 1");
+        art.line("row");
+        art.finish().unwrap();
+        let text = std::fs::read_to_string(out.join("ablate-x").join("ablate_x.txt")).unwrap();
+        assert_eq!(text, "=== Table 1 ===\nrow\n");
+        std::fs::remove_dir_all(&out).unwrap();
+    }
 }

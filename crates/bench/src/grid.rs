@@ -45,6 +45,7 @@ pub fn run_grid(jobs: Vec<Job>, workers: usize) -> Vec<JobResult> {
                 task_name: job.task.name.clone(),
                 strategy: job.cfg.strategy.name(),
                 target_accuracy: job.task.target_accuracy,
+                max_time: job.cfg.max_time,
                 outcome,
             }
         }

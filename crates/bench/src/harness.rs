@@ -26,6 +26,8 @@ pub struct JobResult {
     pub strategy: &'static str,
     /// The task's time-to-accuracy target.
     pub target_accuracy: f32,
+    /// The run's virtual-time horizon (`cfg.max_time`).
+    pub max_time: f64,
     /// The experiment outcome.
     pub outcome: Outcome,
 }

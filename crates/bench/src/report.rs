@@ -1,10 +1,11 @@
-//! Report formatting: aligned text tables and CSV/trace files under
-//! `results/`.
+//! Report files under `results/` — text reports, CSV tables, traces and
+//! fault logs, each write failing with an error that names its path — and
+//! the cell formatters the printers share.
 
 use fedat_sim::trace::Trace;
 use std::fs;
 use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Prefixes an I/O error with the path it happened at.
 fn at(path: &Path) -> impl FnOnce(io::Error) -> io::Error + '_ {
@@ -34,51 +35,9 @@ fn write_file(
         .map_err(at(&path))
 }
 
-/// A simple aligned text table that is also echoed to a `.txt` file.
-pub struct TextReport {
-    title: String,
-    lines: Vec<String>,
-}
-
-impl TextReport {
-    /// Starts a report with a title line.
-    pub fn new(title: impl Into<String>) -> Self {
-        TextReport {
-            title: title.into(),
-            lines: Vec::new(),
-        }
-    }
-
-    /// Appends one line.
-    pub fn line(&mut self, s: impl Into<String>) {
-        self.lines.push(s.into());
-    }
-
-    /// Renders to a string.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("=== {} ===\n", self.title));
-        for l in &self.lines {
-            out.push_str(l);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Prints to stdout and writes `<dir>/<name>.txt`.
-    pub fn emit(&self, dir: &Path, name: &str) -> io::Result<()> {
-        let text = self.render();
-        print!("{text}");
-        io::stdout().flush()?;
-        write_file(dir, &format!("{name}.txt"), |w| {
-            w.write_all(text.as_bytes())
-        })
-    }
-}
-
-/// Writes a finished CSV table as `<dir>/<name>.csv`.
-pub(crate) fn write_csv(dir: &Path, name: &str, csv: &str) -> io::Result<()> {
-    write_file(dir, &format!("{name}.csv"), |w| w.write_all(csv.as_bytes()))
+/// Writes finished text — a report or a CSV table — as `<dir>/<file>`.
+pub(crate) fn write_text(dir: &Path, file: &str, text: &str) -> io::Result<()> {
+    write_file(dir, file, |w| w.write_all(text.as_bytes()))
 }
 
 /// Writes a trace (smoothed like the paper's figures) as
@@ -113,11 +72,6 @@ pub fn slug(label: &str) -> String {
         .collect()
 }
 
-/// Resolves the output directory for an experiment id.
-pub fn out_dir(base: &Path, id: &str) -> PathBuf {
-    base.join(id)
-}
-
 /// Formats an optional time-to-accuracy.
 pub fn fmt_tta(t: Option<f64>) -> String {
     match t {
@@ -145,15 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_title_and_lines() {
-        let mut r = TextReport::new("Table 1");
-        r.line("row");
-        let s = r.render();
-        assert!(s.contains("=== Table 1 ==="));
-        assert!(s.contains("row"));
-    }
-
-    #[test]
     fn trace_csv_written() {
         let dir = std::env::temp_dir().join("fedat_report_test");
         let mut t = Trace::new("x");
@@ -176,12 +121,12 @@ mod tests {
         // A directory cannot be created underneath a regular file.
         let file = std::env::temp_dir().join(format!("fedat_report_file_{}", std::process::id()));
         fs::write(&file, "x").unwrap();
-        let dir = out_dir(&file, "churn");
+        let dir = file.join("churn");
         let shown = dir.display().to_string();
         let errs = [
             create_dir(&dir),
-            TextReport::new("t").emit(&dir, "churn"),
-            write_csv(&dir, "churn", "a,b\n"),
+            write_text(&dir, "churn.txt", "=== t ===\n"),
+            write_text(&dir, "churn.csv", "a,b\n"),
             write_trace(&dir, "t", &Trace::new("x"), 1),
             write_fault_log(&dir, "t", &fedat_sim::fault::FaultLog::default()),
         ];

@@ -13,15 +13,22 @@
 //!
 //! Every failure message carries the measured rows; run with `--nocapture`
 //! to see them on a pass.
+//!
+//! One more test pins a known gap rather than a claim: at quick scale the
+//! strategy × dataset matrix compares budgets, not time — every run on the
+//! sent140-like row (seed 9) stops on its round budget before the shared
+//! horizon. Making the horizon end every run flips it, on purpose.
 
 use fedat_bench::experiments::{
-    best_codec_within_a_point, churn_jobs, codec_jobs, corrupt_curve_jobs, CHURN_HORIZON,
+    best_codec_within_a_point, churn_jobs, codec_jobs, corrupt_curve_jobs, jobs, Ctx, CHURN_HORIZON,
 };
 use fedat_bench::grid::run_grid;
-use fedat_bench::harness::{Job, JobResult};
+use fedat_bench::harness::{Job, JobResult, Scale};
 use fedat_core::config::StrategyKind;
 use fedat_data::suite;
 use fedat_sim::fault::FaultKind;
+use fedat_sim::runtime::StopReason;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 fn cell<'a>(results: &'a [JobResult], label: &str) -> &'a JobResult {
@@ -190,4 +197,33 @@ fn a_codec_cuts_fedat_uplink_fourfold_and_the_lossless_delta_is_bit_identical() 
         rle.up_bytes() < none.up_bytes(),
         "delta-rle saved nothing\n{rows}"
     );
+}
+
+#[test]
+fn quick_matrix_runs_stop_on_their_budget_before_the_horizon() {
+    let ctx = Ctx {
+        scale: Scale::Quick,
+        out: PathBuf::new(),
+        seed: 9,
+        threads: 0,
+    };
+    let matrix = jobs("table1", &ctx).expect("table1 runs the matrix");
+    let row: Vec<Job> = matrix
+        .into_iter()
+        .filter(|j| j.task.name == "sent140-like")
+        .collect();
+    assert_eq!(row.len(), 5, "one run per Table 1 strategy");
+    let results = run_grid(row, 0);
+    let rows = table(&results);
+    for r in &results {
+        let report = &r.outcome.report;
+        assert_eq!(report.reason, StopReason::Finished, "{}:\n{rows}", r.label);
+        assert!(
+            report.end_time < r.max_time,
+            "{} ended at {} s, its horizon is {} s:\n{rows}",
+            r.label,
+            report.end_time,
+            r.max_time
+        );
+    }
 }

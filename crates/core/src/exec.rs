@@ -21,10 +21,13 @@
 //! the pool, and every job runs at its join, on the event-loop thread.
 //!
 //! The only observable cost of speculation is *wasted work*: a client that
-//! drops out mid-round has already been trained (or is mid-training) when
-//! its `dropped` completion arrives, and the result is discarded. So is
-//! every dispatch still in flight when the run stops: its job may already
-//! have run, and nothing joins it. Each run reports its own count in
+//! drops out mid-round may already have been trained (or be mid-training)
+//! when its `dropped` completion arrives, and the result is discarded. So
+//! is every dispatch that misses its deadline or is still in flight when
+//! the run stops. A discard drops the dispatch's job handle, which cancels
+//! a job no worker has started ([`fedat_tensor::pool::JobHandle`]); only a
+//! job already running or finished is work thrown away. Each run reports
+//! its own count of discarded launches in
 //! [`Outcome::speculation`](crate::experiment::Outcome::speculation).
 
 use crate::config::ExperimentConfig;

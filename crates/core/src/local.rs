@@ -21,10 +21,12 @@
 //!   labels go into buffers resident on the thread, so a steady-state
 //!   dispatch allocates once: the weight vector it returns.
 //! * **Speculative execution** — [`train_client`] is pure in its arguments,
-//!   so strategies wrap each dispatch in a [`TrainJob`] and launch it on
-//!   the kernel pool *at dispatch time* ([`TrainHandle::launch`]); the
-//!   event loop joins the finished result when the completion event fires.
-//!   See [`crate::exec`] for the job cap and the determinism argument.
+//!   so the server submits each dispatch's call to the kernel pool *at
+//!   dispatch time*, capturing `Arc`s of the task, config and downloaded
+//!   weights; the event loop joins the finished result when the completion
+//!   event fires, and a discarded dispatch drops its handle, which cancels
+//!   a job no worker has started. See [`crate::exec`] for the job cap and
+//!   the determinism argument.
 
 use crate::config::ExperimentConfig;
 use crate::config::OptimizerKind;
@@ -33,78 +35,6 @@ use fedat_nn::model::Model;
 use fedat_nn::optim::{Optimizer, ProxTerm};
 use fedat_tensor::rng::{rng_for, tags};
 use std::sync::Arc;
-
-/// Everything one client dispatch needs to train, owned (`'static`) so the
-/// job can run on any pool worker. The model itself stays shared: `task`
-/// and the downloaded `global` weights are `Arc`s, and `cfg` is the
-/// server's shared config handle — building a job copies pointers, not
-/// tensors.
-pub struct TrainJob {
-    /// The federated task (model spec + client datasets).
-    pub task: Arc<fedat_data::suite::FedTask>,
-    /// Client id.
-    pub client: usize,
-    /// The (post-roundtrip) downloaded global weights.
-    pub global: Arc<[f32]>,
-    /// Experiment configuration (seed, optimizer, batch size, λ).
-    pub cfg: Arc<ExperimentConfig>,
-    /// Local epochs for this dispatch.
-    pub epochs: usize,
-    /// The client's selection counter at dispatch (fixes its batch
-    /// schedule).
-    pub selection_round: u64,
-    /// Whether the Eq. (3) proximal constraint applies.
-    pub use_prox: bool,
-}
-
-impl TrainJob {
-    /// Runs the job to completion on the calling thread.
-    pub fn run(&self) -> LocalUpdate {
-        train_client(
-            &self.task,
-            self.client,
-            &self.global,
-            &self.cfg,
-            self.epochs,
-            self.selection_round,
-            self.use_prox,
-        )
-    }
-}
-
-/// An in-flight client training computation, created at dispatch: a pool
-/// job, running (or queued) unless the run's job cap is 0, in which case it
-/// trains when joined — at the completion event that calls
-/// [`TrainHandle::join`].
-pub struct TrainHandle(Option<fedat_tensor::pool::JobHandle<LocalUpdate>>);
-
-impl TrainHandle {
-    /// Submits `job` to the kernel pool under the calling thread's kernel
-    /// overlay — the run's, so concurrent runs cannot cross-talk.
-    pub fn launch(job: TrainJob) -> TrainHandle {
-        TrainHandle(Some(fedat_tensor::pool::submit(move || job.run())))
-    }
-
-    /// Returns the training result, blocking only if the job is mid-run on
-    /// a worker (an unstarted job is stolen and run inline — the pool's
-    /// steal-on-join contract — so this never deadlocks).
-    pub fn join(mut self) -> LocalUpdate {
-        self.0.take().expect("train handle already consumed").join()
-    }
-}
-
-impl Drop for TrainHandle {
-    /// A handle dropped unjoined — the client dropped out or missed its
-    /// deadline, or the run stopped with clients in flight — cancels its
-    /// job: one that has not started yet is reclaimed unexecuted, costing
-    /// nothing; one already running (or finished) completes on its worker
-    /// and the result is dropped.
-    fn drop(&mut self) {
-        if let Some(handle) = self.0.take() {
-            handle.cancel();
-        }
-    }
-}
 
 /// The result a client uploads after local training.
 #[derive(Clone, Debug)]

@@ -31,12 +31,13 @@ use crate::config::{ExperimentConfig, StrategyKind};
 use crate::eval::{accuracy_variance, per_client_accuracy, Evaluator};
 use crate::exec::Speculation;
 use crate::experiment::Outcome;
-use crate::local::{TrainHandle, TrainJob};
+use crate::local::{train_client, LocalUpdate};
 use crate::transport::Transport;
 use fedat_data::suite::FedTask;
 use fedat_sim::fault::{FaultEvent, FaultKind, FaultLog};
 use fedat_sim::runtime::{SimCtx, SimReport};
 use fedat_sim::trace::{Trace, TracePoint};
+use fedat_tensor::pool::JobHandle;
 use round::RoundPolicy;
 use std::sync::Arc;
 
@@ -96,7 +97,7 @@ struct GuardState {
 /// accuracy/loss was snapshotted at the cadence point, so the joined point
 /// does not depend on when the job ran.
 struct PendingEval {
-    handle: fedat_tensor::pool::JobHandle<(Evaluator, fedat_nn::model::EvalResult, Option<f32>)>,
+    handle: JobHandle<(Evaluator, fedat_nn::model::EvalResult, Option<f32>)>,
     time: f64,
     round: u64,
     up_bytes: u64,
@@ -285,35 +286,34 @@ impl ServerCore {
             .collect()
     }
 
-    /// Starts one client's local training *at dispatch time*. The job
-    /// begins on the kernel pool immediately unless the run's job cap is 0
-    /// (see [`crate::exec`]), which defers it to the join when the update
-    /// lands. `weights` is the shared decoded broadcast — launching clones
-    /// `Arc`s, never the model.
+    /// Starts one client's local training *at dispatch time*: submits
+    /// [`train_client`] to the kernel pool under the run's kernel overlay,
+    /// so concurrent runs cannot cross-talk. The job begins on the pool
+    /// immediately unless the run's job cap is 0 (see [`crate::exec`]),
+    /// which defers it to the join when the update lands. `weights` is the
+    /// shared decoded broadcast — launching clones `Arc`s, never the model.
+    /// `round` is the client's selection counter (it fixes the batch
+    /// schedule) and `prox` whether the Eq. (3) proximal term applies.
     pub fn launch(
         &mut self,
         client: usize,
         weights: &Arc<[f32]>,
         epochs: usize,
-        selection_round: u64,
-        use_prox: bool,
-    ) -> TrainHandle {
+        round: u64,
+        prox: bool,
+    ) -> JobHandle<LocalUpdate> {
         self.speculation.launches += u64::from(self.speculative);
-        TrainHandle::launch(TrainJob {
-            task: Arc::clone(&self.task),
-            client,
-            global: Arc::clone(weights),
-            cfg: Arc::clone(&self.cfg),
-            epochs,
-            selection_round,
-            use_prox,
+        let (task, cfg) = (Arc::clone(&self.task), Arc::clone(&self.cfg));
+        let global = Arc::clone(weights);
+        fedat_tensor::pool::submit(move || {
+            train_client(&task, client, &global, &cfg, epochs, round, prox)
         })
     }
 
     /// Abandons a dispatch's training: dropping the handle cancels the job
     /// (an unstarted one costs nothing), and under a non-zero job cap the
     /// launch it undoes counts as a discard.
-    pub fn abandon(&mut self, handle: TrainHandle) {
+    pub fn abandon(&mut self, handle: JobHandle<LocalUpdate>) {
         drop(handle);
         self.speculation.discards += u64::from(self.speculative);
     }

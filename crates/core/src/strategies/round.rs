@@ -23,12 +23,13 @@
 use crate::aggregate::{aggregate_clients_into, AggRule};
 use crate::config::{ExperimentConfig, FaultPolicy};
 use crate::experiment::Outcome;
-use crate::local::TrainHandle;
+use crate::local::LocalUpdate;
 use crate::strategies::{log_fault, ServerCore, ASYNC_FILL};
 use fedat_data::suite::FedTask;
 use fedat_sim::fault::{FaultKind, FaultLog};
 use fedat_sim::runtime::{Completion, EventHandler, SimCtx, SimReport};
 use fedat_sim::Fleet;
+use fedat_tensor::pool::JobHandle;
 use rand::rngs::StdRng;
 use std::sync::Arc;
 
@@ -234,7 +235,7 @@ struct Dispatch {
     /// epoch count and prox flag were all captured into the job when it
     /// launched — no simulator state can leak in later, which is what makes
     /// speculative execution trace-invisible.
-    handle: TrainHandle,
+    handle: JobHandle<LocalUpdate>,
     /// The decoded broadcast this dispatch trained from — the shared
     /// reference model for delta-family uplink codecs. Both ends hold it
     /// (the client received it on the downlink; the server keeps this
@@ -522,9 +523,9 @@ impl RoundServer {
 
     /// The deadline step: the deadline timer `tag` fired. A stale timer —
     /// its dispatch already landed or was lost — does nothing. Otherwise
-    /// the dispatch is cancelled (its job discarded unjoined; its eventual
-    /// completion matches no entry), and its round slot goes to a
-    /// replacement or is lost.
+    /// the dispatch is cancelled (its job handle dropped unjoined, which
+    /// cancels a job no worker has started; its eventual completion matches
+    /// no entry), and its round slot goes to a replacement or is lost.
     fn expire(&mut self, ctx: &mut SimCtx, tag: u64) {
         let Some(d) = self.inflight.take(tag) else {
             return;
@@ -612,8 +613,8 @@ impl RoundServer {
 
     /// Ends the run: the [`Outcome`] around the simulator's `report` and
     /// fault log, with the policy's per-tier update counts. The dispatches
-    /// still in flight at the stop are abandoned unjoined, each a discard
-    /// when the run speculates.
+    /// still in flight at the stop are abandoned unjoined — their unstarted
+    /// jobs cancelled — each a discard when the run speculates.
     pub fn finish(mut self, report: SimReport, faults: FaultLog) -> Outcome {
         for d in self.inflight.by_client.iter_mut().filter_map(Option::take) {
             self.core.abandon(d.handle);

@@ -7,7 +7,8 @@ use common::{sweep, SETTINGS, SHORT};
 use fedat_compress::codec::CodecKind;
 use fedat_core::prelude::*;
 use fedat_data::suite;
-use fedat_sim::fleet::ClusterConfig;
+use fedat_sim::fleet::{ClusterConfig, Fleet};
+use fedat_sim::runtime::StopReason;
 
 fn cfg(strategy: StrategyKind, rounds: u64, seed: u64, cluster: ClusterConfig) -> ExperimentConfig {
     ExperimentConfig::builder()
@@ -265,4 +266,47 @@ fn delta_rle_fedat_is_bit_identical_across_exec_settings() {
         .build();
     let base = sweep("FedAT delta-rle", &task, &c, SETTINGS);
     assert!(base.global_updates > 0, "run made no progress");
+}
+
+#[test]
+fn fedasync_lands_updates_at_the_renewal_rate() {
+    // Each FedAsync client is its own renewal process: it is re-dispatched
+    // the instant its update lands, and its round trips are i.i.d. with
+    // mean `expected_latency` (fixed compute plus its part's uniform
+    // delay). So, dropouts off and the horizon binding, the run lands
+    // updates at Σ_c 1 / E[L_c] (the renewal-reward theorem). The
+    // tolerance comes from the run length alone: the renewal CLT's
+    // standard deviation of the count, √(T Σ_c σ_c² / μ_c³), at Z of them,
+    // plus at most one partial interval per client, in flight at the stop.
+    const CLIENTS: usize = 30;
+    const HORIZON: f64 = 2000.0;
+    const Z: f64 = 4.0;
+    let seed = 9;
+    let task = suite::sent140_like(CLIENTS, seed);
+    let cluster = ClusterConfig::paper_medium(seed)
+        .with_clients(CLIENTS)
+        .without_dropouts();
+    let mut c = cfg(StrategyKind::FedAsync, 1_000_000, seed, cluster.clone());
+    c.max_time = HORIZON;
+    c.eval_every = 1_000;
+    let out = run_experiment(&task, &c);
+    let horizon_bound = out.report.reason == StopReason::LimitReached;
+    assert!(horizon_bound, "the budget, not the horizon, ended the run");
+
+    let fleet = Fleet::new(&cluster, task.fed.client_sizes());
+    let (mut rate, mut variance) = (0.0, 0.0);
+    for client in 0..CLIENTS {
+        let mean = fleet.expected_latency(client, c.local_epochs);
+        let part = cluster.delay_parts[fleet.part_of(client)];
+        rate += 1.0 / mean;
+        variance += (part.hi - part.lo).powi(2) / 12.0 / mean.powi(3);
+    }
+    let (landed, expected) = (out.global_updates as f64, rate * HORIZON);
+    let tolerance = Z * (variance * HORIZON).sqrt() + CLIENTS as f64;
+    assert!(
+        (landed - expected).abs() <= tolerance,
+        "landed {landed} updates in {HORIZON} s, renewal theory {expected:.1} ± {tolerance:.1} \
+         (ratio {:.4})",
+        landed / expected
+    );
 }

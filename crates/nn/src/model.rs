@@ -106,11 +106,6 @@ impl Sequential {
         }
     }
 
-    /// Layer count.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Runs a full forward pass from a borrowed batch.
     ///
     /// The first layer reads `x` in place (or caches a scratch-arena copy

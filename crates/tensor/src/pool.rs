@@ -31,11 +31,13 @@
 //! picked up a job finishes it before it looks at its own again — and, like
 //! steal-on-join, it assumes a job never blocks on something only its
 //! joiner would do afterwards.
-//! [`JobHandle::cancel`] claims an unstarted job back for free (the
-//! closure is dropped unexecuted); a handle merely *dropped* abandons the
-//! result instead — the job may still run on a worker (wasted work the
-//! caller opted into — speculative execution), and a panic inside an
-//! abandoned job is confined to its `catch_unwind`.
+//! A handle *dropped* unjoined cancels its job: an unstarted job is
+//! claimed back for free (the closure is dropped unexecuted and its pool
+//! slot released), while one already running finishes where it runs and
+//! its result — or its panic, confined to its `catch_unwind` — is dropped.
+//! That is the speculative executor's discard: a client that drops out,
+//! misses its deadline or is in flight at the stop costs nothing if no
+//! worker got to it. A joined handle's drop does nothing.
 //!
 //! [`crate::ctx::KernelCtx::max_pool_jobs`] caps how many submitted jobs may
 //! occupy the pool (queued + running) at once; excess submissions skip the
@@ -69,8 +71,8 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// One submitted job, in the one allocation [`submit`] makes: the closure,
 /// its claim state and its result behind one mutex, plus the completion
 /// signal. The closure is claimed by moving it out of [`Stage::Unclaimed`]
-/// — exactly one thread (a pool worker, the joiner, or a canceller) ever
-/// obtains it.
+/// — exactly one thread (a pool worker, the joiner, or the thread dropping
+/// the handle) ever obtains it.
 struct Job<F, T> {
     state: Mutex<JobState<F, T>>,
     /// Signals [`Stage::Finished`] to a parked joiner.
@@ -80,7 +82,7 @@ struct Job<F, T> {
     overlay: Option<KernelCtx>,
     /// Whether this job still holds a [`POOL_JOBS`] occupancy slot. Held
     /// from `submit` until a worker finishes running the job — or released
-    /// early when a joiner steals it or a canceller claims it (the job has
+    /// early when a joiner steals it or a dropped handle claims it (the job has
     /// left the pool at that point even if its stale queue entry has not
     /// been drained yet). The swap makes the release exactly-once.
     pool_slot: AtomicBool,
@@ -100,7 +102,7 @@ enum Stage<F, T> {
     /// Claimed: running on the claiming thread.
     Running,
     /// Ran (the result, or its panic payload, until the join takes it) or
-    /// was cancelled (`None`).
+    /// was cancelled by its handle's drop (`None`).
     Finished(Option<std::thread::Result<T>>),
 }
 
@@ -118,8 +120,8 @@ trait Claim<T>: Send + Sync {
     /// it did.
     fn run_if_unclaimed(&self) -> bool;
 
-    /// Claims the job and drops it unrun if nobody has; says whether it did.
-    fn cancel(&self) -> bool;
+    /// Claims the job and drops it unrun if nobody has.
+    fn cancel(&self);
 
     fn is_finished(&self) -> bool;
 
@@ -213,14 +215,12 @@ where
         true
     }
 
-    fn cancel(&self) -> bool {
-        let Some(job) = self.claim() else {
-            return false;
-        };
-        self.release_slot();
-        drop(job);
-        self.finish(None);
-        true
+    fn cancel(&self) {
+        if let Some(job) = self.claim() {
+            self.release_slot();
+            drop(job);
+            self.finish(None);
+        }
     }
 
     fn is_finished(&self) -> bool {
@@ -231,7 +231,7 @@ where
         let mut state = self.state.lock().unwrap();
         loop {
             if let Stage::Finished(outcome) = &mut state.stage {
-                return outcome.take().expect("a joined job was not cancelled");
+                return outcome.take().expect("only a dropped handle cancels");
             }
             state.joiner_parked = true;
             state = self.done.wait(state).unwrap();
@@ -240,12 +240,18 @@ where
 }
 
 /// Handle to a job submitted with [`submit`]. [`join`](JobHandle::join)
-/// retrieves the result; dropping the handle abandons it.
+/// retrieves the result; dropping the handle unjoined cancels the job (see
+/// the module docs).
 pub struct JobHandle<T> {
-    job: Arc<dyn Claim<T>>,
+    /// `None` once joined, so a joined handle's drop takes no lock.
+    job: Option<Arc<dyn Claim<T>>>,
 }
 
 impl<T> JobHandle<T> {
+    fn job(&self) -> &dyn Claim<T> {
+        self.job.as_deref().expect("only `join` empties a handle")
+    }
+
     /// Returns the job's result, running the job on *this* thread if no
     /// worker has claimed it yet (steal-on-join — see module docs). While
     /// another thread is mid-run on it, a joiner that is not itself inside
@@ -254,16 +260,17 @@ impl<T> JobHandle<T> {
     ///
     /// # Panics
     /// Re-raises the job's panic, payload intact.
-    pub fn join(self) -> T {
-        if !self.run_if_unstarted() {
-            while !IN_JOB.get() && !self.is_finished() {
+    pub fn join(mut self) -> T {
+        let job = self.job.take().expect("only `join` empties a handle");
+        if !job.run_if_unclaimed() {
+            while !IN_JOB.get() && !job.is_finished() {
                 let Some(queued) = pool().queue.try_pop() else {
                     break;
                 };
                 queued.serve();
             }
         }
-        match self.job.wait() {
+        match job.wait() {
             Ok(value) => value,
             Err(payload) => resume_unwind(payload),
         }
@@ -277,21 +284,23 @@ impl<T> JobHandle<T> {
     /// of blocking on one that is mid-run. The job's panic, if any, is kept
     /// for `join`.
     pub fn run_if_unstarted(&self) -> bool {
-        self.job.run_if_unclaimed()
-    }
-
-    /// Abandons the job, reclaiming it *before it runs* when possible.
-    /// Returns `true` if the cancellation won the claim (the closure is
-    /// dropped unexecuted — an unstarted speculative job costs nothing);
-    /// `false` if some thread already ran or is running it, in which case
-    /// that execution completes and its result is dropped.
-    pub fn cancel(self) -> bool {
-        self.job.cancel()
+        self.job().run_if_unclaimed()
     }
 
     /// Whether the job has already finished running (never blocks).
     pub fn is_finished(&self) -> bool {
-        self.job.is_finished()
+        self.job().is_finished()
+    }
+}
+
+impl<T> Drop for JobHandle<T> {
+    /// Cancels an unjoined job: claims it back unrun if no thread has
+    /// started it, releasing its pool slot; one already running finishes
+    /// and its result is dropped.
+    fn drop(&mut self) {
+        if let Some(job) = self.job.take() {
+            job.cancel();
+        }
     }
 }
 
@@ -353,13 +362,14 @@ where
         job.pool_slot.store(true, Ordering::Release);
         pool.queue.push(Arc::clone(&job) as Arc<dyn Queued>);
     }
-    JobHandle { job }
+    JobHandle { job: Some(job) }
 }
 
 /// Blocks until no submitted job is queued for or running on a pool
-/// worker (jobs stolen by joiners or cancelled don't count — they have
-/// left the pool). Benchmarks call this between timed runs so abandoned
-/// speculative jobs from one run cannot contaminate the next measurement.
+/// worker (jobs stolen by joiners or dropped unstarted don't count — they
+/// have left the pool). Benchmarks call this between timed runs so a
+/// dropped speculative job that was already running when its handle went
+/// cannot contaminate the next measurement.
 pub fn quiesce() {
     while POOL_JOBS.load(Ordering::Acquire) > 0 {
         #[expect(
@@ -600,7 +610,7 @@ mod tests {
         for i in 0..32u64 {
             drop(submit(move || i));
         }
-        // Jobs submitted after the abandoned ones must still complete.
+        // Jobs submitted after the dropped ones must still complete.
         let handles: Vec<JobHandle<u64>> = (0..16u64).map(|i| submit(move || i)).collect();
         assert_eq!(handles.into_iter().map(JobHandle::join).sum::<u64>(), 120);
     }
@@ -635,22 +645,25 @@ mod tests {
     #[test]
     fn cancel_reclaims_unstarted_jobs_without_running_them() {
         // Cap 0 keeps the job out of the pool, so nobody can claim it
-        // before the cancel: the closure must never run.
+        // before the handle's drop cancels it: the closure must never run.
         let ran = Arc::new(AtomicU64::new(0));
         let flag = Arc::clone(&ran);
-        let h = submit_unpooled(move || flag.fetch_add(1, Ordering::Relaxed));
-        assert!(h.cancel(), "unstarted job must be cancellable");
-        assert_eq!(ran.load(Ordering::Relaxed), 0, "cancelled job ran");
+        drop(submit_unpooled(move || {
+            flag.fetch_add(1, Ordering::Relaxed)
+        }));
+        assert_eq!(ran.load(Ordering::Relaxed), 0, "a dropped job ran");
     }
 
     #[test]
-    fn cancel_after_completion_reports_too_late() {
+    fn a_cancel_after_completion_drops_only_the_result() {
         // Cap 0 keeps the job out of the pool so no worker can race this
         // thread for the claim below.
-        let h = submit_unpooled(|| 5u8);
-        // Complete it through the steal path: join would consume the handle.
+        let ran = Arc::new(AtomicU64::new(0));
+        let flag = Arc::clone(&ran);
+        let h = submit_unpooled(move || flag.fetch_add(1, Ordering::Relaxed));
         assert!(h.run_if_unstarted());
-        assert!(!h.cancel(), "a claimed job must not report cancelled");
+        drop(h);
+        assert_eq!(ran.load(Ordering::Relaxed), 1, "the job ran once");
     }
 
     #[test]

@@ -117,7 +117,7 @@ fn under_watchdog<T>(gate: &Gate, hang: &str, scenario: impl FnOnce() -> T) -> T
 /// joiner must work through the queue, not sleep beside it. Every worker is
 /// parked on a gate that only the last queued job opens, so a joiner that
 /// merely waits never returns (the parent of the helping join hangs here).
-/// On the way the helper pops the stale messages of a cancelled and a stolen
+/// On the way the helper pops the stale messages of a dropped and a stolen
 /// job; each slot is released exactly once, or `quiesce` would spin on a
 /// wrapped count.
 #[test]
@@ -126,7 +126,11 @@ fn join_helps_while_its_job_is_mid_run() {
     pool::ensure_workers(1);
     let gate = Arc::new(Gate::default());
     let mut parked = park_workers(&gate, pool::worker_count());
-    let cancelled = pool::submit(|| ());
+    let ran = Arc::new(AtomicBool::new(false));
+    let dropped = {
+        let ran = Arc::clone(&ran);
+        pool::submit(move || ran.store(true, Ordering::Relaxed))
+    };
     let stolen = pool::submit(|| std::thread::current().id());
     let queued = pool::submit(|| std::thread::current().id());
     let opener = {
@@ -136,7 +140,7 @@ fn join_helps_while_its_job_is_mid_run() {
             std::thread::current().id()
         })
     };
-    assert!(cancelled.cancel(), "no worker was free to claim it");
+    drop(dropped);
     assert!(stolen.run_if_unstarted(), "no worker was free to claim it");
     under_watchdog(&gate, "join slept beside a full queue", || {
         parked.pop().unwrap().join()
@@ -146,6 +150,77 @@ fn join_helps_while_its_job_is_mid_run() {
     assert_eq!([stolen.join(), queued.join(), opener.join()], [me; 3]);
     parked.into_iter().for_each(pool::JobHandle::join);
     under_watchdog(&gate, "a pool slot was never released", pool::quiesce);
+    assert!(!ran.load(Ordering::Relaxed), "a dropped unstarted job ran");
+}
+
+/// A handle dropped while its job waits in the queue cancels the job: the
+/// closure never runs, and its pool slot is released, so `quiesce` returns
+/// once the workers are free again.
+#[test]
+fn a_dropped_unstarted_job_never_runs_and_frees_its_slot() {
+    let _one_at_a_time = one_job_test_at_a_time();
+    pool::ensure_workers(1);
+    let gate = Arc::new(Gate::default());
+    let parked = park_workers(&gate, pool::worker_count());
+    let ran = Arc::new(AtomicBool::new(false));
+    let queued = {
+        let ran = Arc::clone(&ran);
+        pool::submit(move || ran.store(true, Ordering::Relaxed))
+    };
+    drop(queued);
+    gate.open();
+    parked.into_iter().for_each(pool::JobHandle::join);
+    under_watchdog(&gate, "a dropped job kept its pool slot", pool::quiesce);
+    assert!(!ran.load(Ordering::Relaxed), "a dropped unstarted job ran");
+}
+
+/// A handle dropped while its job runs on a worker leaves the job to
+/// finish there; its result is dropped, not leaked.
+#[test]
+fn a_dropped_running_job_finishes_and_its_result_is_dropped() {
+    struct Flagged(Arc<AtomicBool>);
+    impl Drop for Flagged {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let _one_at_a_time = one_job_test_at_a_time();
+    pool::ensure_workers(1);
+    let gate = Arc::new(Gate::default());
+    let result_dropped = Arc::new(AtomicBool::new(false));
+    let (started, on_worker) = mpsc::channel();
+    let running = {
+        let (gate, flag) = (Arc::clone(&gate), Arc::clone(&result_dropped));
+        pool::submit(move || {
+            started.send(()).unwrap();
+            gate.wait();
+            Flagged(flag)
+        })
+    };
+    on_worker
+        .recv_timeout(WATCHDOG)
+        .expect("a free worker picks up the job");
+    drop(running);
+    assert!(
+        !result_dropped.load(Ordering::Relaxed),
+        "the job was cut short"
+    );
+    gate.open();
+    under_watchdog(
+        &gate,
+        "a running job's slot was never released",
+        pool::quiesce,
+    );
+    // The worker drops its reference to the job, and with it the result,
+    // just after releasing the slot.
+    let since = std::time::Instant::now();
+    while !result_dropped.load(Ordering::Relaxed) && since.elapsed() < WATCHDOG {
+        std::thread::yield_now();
+    }
+    assert!(
+        result_dropped.load(Ordering::Relaxed),
+        "a dropped running job's result was kept"
+    );
 }
 
 /// Helping never nests: a job that joins a sibling which is mid-run on
